@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json bench-smoke fuzz experiments examples serve-smoke cluster-smoke stream-smoke chaos fmt fmt-check vet lint lint-fix-check ci clean
+.PHONY: all build test test-short race cover bench bench-json bench-smoke bench-check fuzz experiments examples serve-smoke cluster-smoke stream-smoke chaos fmt fmt-check vet lint lint-fix-check ci clean
 
 all: build test lint
 
@@ -34,6 +34,13 @@ bench-json:
 # the kernel families or between restricted and unrestricted plans.
 bench-smoke:
 	$(GO) run ./cmd/ohmbench -exp kern,sym -quick
+
+# bench/ is a Go module of its own (BENCHMARK.json's harness), so ./... does
+# not reach it: vet it and run its tests — every workload at -scale tiny with
+# its correctness gates — so a change that breaks a workload's answers fails
+# here, before the benchmark runs.
+bench-check:
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
 
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/hypergraph
@@ -112,8 +119,9 @@ lint-fix-check:
 
 # The full local gate: formatting, vet, ohmlint + suppression audit, the
 # race-enabled tests, the end-to-end smokes (query service + distributed
-# cluster + streaming), and the cross-kernel count agreement smoke.
-ci: fmt-check vet lint lint-fix-check race serve-smoke cluster-smoke stream-smoke chaos bench-smoke
+# cluster + streaming), the cross-kernel count agreement smoke, and the
+# benchmark harness's own vet + tests.
+ci: fmt-check vet lint lint-fix-check race serve-smoke cluster-smoke stream-smoke chaos bench-smoke bench-check
 
 clean:
 	$(GO) clean ./...

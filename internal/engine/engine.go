@@ -360,24 +360,8 @@ func MineWithPlanContext(ctx context.Context, store *dal.Store, plan *oig.Plan, 
 // resume from; its frontier seeds round zero and its counters become the
 // result's base.
 func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts Options, snap *checkpoint.Snapshot) (Result, error) {
-	switch opts.Val {
-	case ValOverlap:
-		if plan.Mode != oig.ModeMerged {
-			return Result{}, errors.New("engine: ValOverlap needs a merged plan")
-		}
-	case ValOverlapSimple:
-		if plan.Mode != oig.ModeSimple {
-			return Result{}, errors.New("engine: ValOverlapSimple needs a simple plan")
-		}
-	case ValProfiles:
-	default:
-		return Result{}, fmt.Errorf("engine: unknown validation mode %d", opts.Val)
-	}
-	if plan.Labeled && !store.Hypergraph().Labeled() {
-		return Result{}, errors.New("engine: labeled pattern on unlabeled hypergraph")
-	}
-	if plan.Pattern.EdgeLabeled() && !store.Hypergraph().EdgeLabeled() {
-		return Result{}, errors.New("engine: hyperedge-labeled pattern on hypergraph without hyperedge labels")
+	if err := validateRun(store, plan, opts); err != nil {
+		return Result{}, err
 	}
 	kernel := opts.Kernel
 	if kernel.Intersect == nil {
@@ -390,15 +374,6 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
-	}
-
-	if plan.Restricted && opts.PositionFilter != nil {
-		// A restriction can reject the one tuple of an orbit the filter
-		// would have accepted (anchored counting binds specific edges to
-		// specific positions), silently undercounting. The plan-compiling
-		// entry points disable restrictions when a filter is set; reject
-		// the combination here for callers bringing their own plan.
-		return Result{}, errors.New("engine: PositionFilter requires a plan compiled without symmetry-breaking restrictions (oig.CompileOptions.NoRestrictions)")
 	}
 
 	e := &shared{store: store, plan: plan, opts: opts, kernel: kernel}
@@ -628,6 +603,39 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 	return res, ctx.Err()
 }
 
+// validateRun refuses the (store, plan, opts) combinations no run can count
+// correctly.
+func validateRun(store *dal.Store, plan *oig.Plan, opts Options) error {
+	switch opts.Val {
+	case ValOverlap:
+		if plan.Mode != oig.ModeMerged {
+			return errors.New("engine: ValOverlap needs a merged plan")
+		}
+	case ValOverlapSimple:
+		if plan.Mode != oig.ModeSimple {
+			return errors.New("engine: ValOverlapSimple needs a simple plan")
+		}
+	case ValProfiles:
+	default:
+		return fmt.Errorf("engine: unknown validation mode %d", opts.Val)
+	}
+	if plan.Labeled && !store.Hypergraph().Labeled() {
+		return errors.New("engine: labeled pattern on unlabeled hypergraph")
+	}
+	if plan.Pattern.EdgeLabeled() && !store.Hypergraph().EdgeLabeled() {
+		return errors.New("engine: hyperedge-labeled pattern on hypergraph without hyperedge labels")
+	}
+	if plan.Restricted && opts.PositionFilter != nil {
+		// A restriction can reject the one tuple of an orbit the filter
+		// would have accepted (anchored counting binds specific edges to
+		// specific positions), silently undercounting. The plan-compiling
+		// entry points disable restrictions when a filter is set; reject
+		// the combination here for callers bringing their own plan.
+		return errors.New("engine: PositionFilter requires a plan compiled without symmetry-breaking restrictions (oig.CompileOptions.NoRestrictions)")
+	}
+	return nil
+}
+
 // roundState reports how one round of workers ended, for frontier
 // collection and definitive-skip accounting.
 type roundState struct {
@@ -798,9 +806,17 @@ func (e *shared) recoverWorker() {
 // every data hyperedge with matching degree (and label histogram for
 // labeled patterns).
 func (e *shared) firstCandidates() []uint32 {
+	return e.admitFirst(e.store.EdgesWithDegree(e.plan.Steps[0].Degree))
+}
+
+// admitFirst keeps the hyperedges of cands — all of the first position's
+// degree — that also pass its label and PositionFilter constraints. cands is
+// returned as is when nothing applies, and is never written to: it may be
+// the DAL's shared degree-index storage, which in-place filtering would
+// corrupt for concurrent runs.
+func (e *shared) admitFirst(cands []uint32) []uint32 {
 	h := e.store.Hypergraph()
 	st := &e.plan.Steps[0]
-	cands := e.store.EdgesWithDegree(st.Degree)
 	if !e.plan.Labeled && st.EdgeLabel < 0 && e.opts.PositionFilter == nil {
 		return cands
 	}
@@ -808,8 +824,6 @@ func (e *shared) firstCandidates() []uint32 {
 	if e.plan.Labeled {
 		scratch = make([]int, h.NumLabels())
 	}
-	// Filter into a fresh slice: cands may be the DAL's shared degree-index
-	// storage, which in-place filtering would corrupt for concurrent runs.
 	out := make([]uint32, 0, len(cands))
 	for _, c := range cands {
 		if st.EdgeLabel >= 0 && (!h.EdgeLabeled() || int64(h.EdgeLabel(c)) != st.EdgeLabel) {

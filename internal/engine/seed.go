@@ -11,7 +11,9 @@ package engine
 // invariant checkpoint/resume rests on, extracted from that machinery.
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 
 	"ohminer/internal/checkpoint"
 	"ohminer/internal/dal"
@@ -26,19 +28,28 @@ import (
 // run's — a lease or snapshot produced against this plan validates against
 // an independently compiled one on any node holding the same store.
 func CompilePlan(store *dal.Store, p *pattern.Pattern, opts Options) (*oig.Plan, error) {
+	var order []int
+	if opts.DataAwareOrder {
+		order = dataAwareOrder(store, p)
+	}
+	return CompilePlanOrdered(store, p, order, opts)
+}
+
+// CompilePlanOrdered is CompilePlan with the matching order given by the
+// caller (order[i] = index of the pattern hyperedge matched at position i;
+// nil selects the structural order). The streaming miner compiles its
+// anchor-first delta plans through it.
+func CompilePlanOrdered(store *dal.Store, p *pattern.Pattern, order []int, opts Options) (*oig.Plan, error) {
 	mode := oig.ModeMerged
 	if opts.Val == ValOverlapSimple {
 		mode = oig.ModeSimple
 	}
-	co := oig.CompileOptions{
+	plan, err := oig.CompileWith(p, mode, oig.CompileOptions{
+		Order: order,
 		// Anchored counting (PositionFilter) must see every ordered tuple:
 		// a restriction can kill the one orbit member the filter accepts.
 		NoRestrictions: opts.NoSymmetryBreak || opts.PositionFilter != nil,
-	}
-	if opts.DataAwareOrder {
-		co.Order = dataAwareOrder(store, p)
-	}
-	plan, err := oig.CompileWith(p, mode, co)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -119,6 +130,34 @@ func FirstCandidates(store *dal.Store, plan *oig.Plan, opts Options) []uint32 {
 	// firstCandidates may return the DAL's shared degree-index storage when
 	// no filtering applies; copy so callers own what they hold.
 	return append([]uint32(nil), cands...)
+}
+
+// MineSeeded runs plan with matching-order position 0 bound only to the
+// given data hyperedges instead of to every hyperedge of the position's
+// degree: seeds that pass the position's degree, label and PositionFilter
+// constraints become the depth-0 frontier the driver starts from, exactly as
+// a resumed snapshot's or a cluster lease's frontier does, so the run's cost
+// follows the seeds' neighbourhoods and not the size of the hypergraph. The
+// streaming miner seeds its anchored delta runs with a batch's changed
+// hyperedges. seeds must be distinct: a repeated ID is explored twice.
+func MineSeeded(store *dal.Store, plan *oig.Plan, seeds []uint32, opts Options) (Result, error) {
+	if err := validateRun(store, plan, opts); err != nil {
+		return Result{}, err
+	}
+	e := &shared{store: store, plan: plan, opts: opts}
+	h := store.Hypergraph()
+	pool := make([]uint32, 0, len(seeds))
+	for _, c := range seeds {
+		if int(c) < h.NumEdges() && h.Degree(c) == plan.Steps[0].Degree {
+			pool = append(pool, c)
+		}
+	}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	snap := &checkpoint.Snapshot{Frontier: PartitionFrontier(e.admitFirst(pool), workers)}
+	return mineResumable(context.Background(), store, plan, opts, snap)
 }
 
 // PartitionFrontier splits a first-position candidate pool into at most

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"time"
 
 	"ohminer/internal/engine"
@@ -19,6 +20,10 @@ import (
 // deltas and cumulative totals must agree batch-for-batch — the measured
 // quantity is apply latency, where incremental maintenance should win by
 // roughly the graph-size/batch-size ratio.
+//
+// A second table is ROADMAP item 7's flat line: the time to turn one
+// fixed-size batch into its deltas against windows of growing |E| at equal
+// local density (streamDeltaSweep).
 
 func init() {
 	register(Experiment{
@@ -183,5 +188,135 @@ func runStream(c *Context, opts RunOpts) ([]*Table, error) {
 			})
 		}
 	}
-	return []*Table{t}, nil
+	sweep, err := streamDeltaSweep(opts, workers)
+	if err != nil {
+		return nil, err
+	}
+	return []*Table{t, sweep}, nil
+}
+
+// streamDeltaSweep measures batch→delta evaluation time against |E|: a
+// window of |E| pair/triple hyperedges over 0.75·|E| vertices (the local
+// density of the stream_window benchmark), three standing queries, then
+// batches that each add 60 fresh hyperedges and retire 60 live ones, so |E|
+// stays put. Anchor-first plans seeded with the changed hyperedges make the
+// evaluation follow the batch's neighbourhoods; the maintenance column still
+// carries the O(E) CSR copies of hypergraph.Extend and dal.BuildDelta. The
+// final totals are checked against a from-scratch mine.
+func streamDeltaSweep(opts RunOpts, workers int) (*Table, error) {
+	const batchEdges = 60
+	sizes, batches := []int{2400, 9600, 38400}, 30
+	if opts.Quick {
+		sizes, batches = []int{600, 2400, 9600}, 10
+	}
+	queries := []string{"0 1; 1 2", "0 1; 1 2; 2 0", "0 1; 0 2; 0 3"}
+	t := &Table{
+		Title:  "Stream delta evaluation vs |E| at a fixed 60-edge batch",
+		Header: []string{"|E|", "eval/batch", "vs smallest", "maintain/batch", "candidates/batch"},
+		Notes: []string{
+			fmt.Sprintf("%d batches of %d adds + %d retires per size; medians over the batches; queries: 2-chain, triangle, 3-star over pairs", batches, batchEdges, batchEdges),
+			"eval = Σ Delta.ElapsedMS of the standing queries; maintain = BatchResult.Elapsed − eval (hypergraph.Extend + dal.BuildDelta, still O(E))",
+			"candidates = Σ engine Stats.Candidates of the batch's anchored runs (instrumented)",
+		},
+	}
+	var baseEval time.Duration
+	for _, size := range sizes {
+		nv := size * 3 / 4
+		rng := rand.New(rand.NewSource(opts.Seed + int64(size)))
+		live := map[string]bool{}
+		var order [][]uint32
+		fresh := func(n int) [][]uint32 {
+			var out [][]uint32
+			for len(out) < n {
+				v := uint32(rng.Intn(nv - 16))
+				e := []uint32{v, v + 1 + uint32(rng.Intn(6))}
+				if rng.Intn(4) == 0 {
+					e = append(e, e[1]+1+uint32(rng.Intn(4)))
+				}
+				if k := fmt.Sprint(e); !live[k] {
+					live[k] = true
+					out = append(out, e)
+				}
+			}
+			order = append(order, out...)
+			return out
+		}
+		m, err := stream.NewMiner(stream.Config{
+			NumVertices: nv,
+			Engine:      engine.Options{Workers: workers, Instrument: true},
+		})
+		if err != nil {
+			return nil, fmt.Errorf("stream sweep |E|=%d: %w", size, err)
+		}
+		if _, err := m.ApplyBatch(stream.Batch{Add: fresh(size)}); err != nil {
+			return nil, fmt.Errorf("stream sweep |E|=%d: seed: %w", size, err)
+		}
+		pats := make([]*pattern.Pattern, len(queries))
+		for i, lit := range queries {
+			if pats[i], err = pattern.Parse(lit); err != nil {
+				return nil, fmt.Errorf("stream sweep: pattern %q: %w", lit, err)
+			}
+			if _, err := m.RegisterQuery(pats[i]); err != nil {
+				return nil, fmt.Errorf("stream sweep |E|=%d: register %q: %w", size, lit, err)
+			}
+		}
+		var evals, maintains []time.Duration
+		var cands []uint64
+		for b := 0; b < batches; b++ {
+			batch := stream.Batch{}
+			for i := 0; i < batchEdges; i++ {
+				j := rng.Intn(len(order))
+				batch.Retire = append(batch.Retire, order[j])
+				delete(live, fmt.Sprint(order[j]))
+				order[j] = order[len(order)-1]
+				order = order[:len(order)-1]
+			}
+			batch.Add = fresh(batchEdges)
+			res, err := m.ApplyBatch(batch)
+			if err != nil {
+				return nil, fmt.Errorf("stream sweep |E|=%d: batch %d: %w", size, b, err)
+			}
+			var eval time.Duration
+			for _, d := range res.Deltas {
+				eval += time.Duration(d.ElapsedMS * float64(time.Millisecond))
+			}
+			evals = append(evals, eval)
+			maintains = append(maintains, res.Elapsed-eval)
+			cands = append(cands, res.Stats.Candidates)
+		}
+		finals := m.Queries()
+		for i, p := range pats {
+			tc, err := m.TotalCount(p)
+			if err != nil {
+				return nil, fmt.Errorf("stream sweep |E|=%d: recount %q: %w", size, queries[i], err)
+			}
+			if tc.Ordered != finals[i].Total {
+				return nil, fmt.Errorf("stream sweep |E|=%d: %q streamed total %d, from scratch %d", size, queries[i], finals[i].Total, tc.Ordered)
+			}
+		}
+		slices.Sort(evals)
+		slices.Sort(maintains)
+		slices.Sort(cands)
+		eval, maintain := evals[len(evals)/2], maintains[len(maintains)/2]
+		if baseEval == 0 {
+			baseEval = eval
+		}
+		t.AddRow(fmt.Sprintf("%d", size), ms(eval), fmt.Sprintf("%.2fx", float64(eval)/float64(baseEval)),
+			ms(maintain), fmt.Sprintf("%d", cands[len(cands)/2]))
+		progressf("    stream/delta |E|=%-6d eval %v maintain %v per batch\n", size, eval.Round(time.Microsecond), maintain.Round(time.Microsecond))
+		for _, q := range finals {
+			opts.Recorder.Record(CellRecord{
+				Exp:       "stream",
+				Variant:   "delta-eval",
+				Dataset:   fmt.Sprintf("synthetic-window |E|=%d batch=%d", size, batchEdges),
+				Pattern:   q.Pattern,
+				Workers:   workers,
+				MaxProcs:  runtime.GOMAXPROCS(0),
+				ElapsedMs: float64(eval) / float64(time.Millisecond),
+				Ordered:   q.Total,
+				Unique:    q.Unique,
+			})
+		}
+	}
+	return t, nil
 }

@@ -237,52 +237,32 @@ func connected(edges [][]uint32) bool {
 // larger degree, then smaller index), so each extension is maximally
 // constrained.
 func (p *Pattern) MatchingOrder() []int {
-	m := len(p.edges)
-	conn := make([][]bool, m)
-	neighborCount := make([]int, m)
-	for i := range conn {
-		conn[i] = make([]bool, m)
-	}
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			if intset.Intersects(p.edges[i], p.edges[j]) {
-				conn[i][j], conn[j][i] = true, true
-				neighborCount[i]++
-				neighborCount[j]++
+	conn := p.adjacency()
+	neighbors := make([]int, len(p.edges))
+	for i, row := range conn {
+		for _, c := range row {
+			if c {
+				neighbors[i]++
 			}
 		}
 	}
-	order := make([]int, 0, m)
-	used := make([]bool, m)
 	best := 0
-	for i := 1; i < m; i++ {
-		if neighborCount[i] > neighborCount[best] ||
-			(neighborCount[i] == neighborCount[best] && len(p.edges[i]) > len(p.edges[best])) {
+	for i := 1; i < len(p.edges); i++ {
+		if neighbors[i] > neighbors[best] ||
+			(neighbors[i] == neighbors[best] && len(p.edges[i]) > len(p.edges[best])) {
 			best = i
 		}
 	}
-	order = append(order, best)
-	used[best] = true
-	for len(order) < m {
-		bestIdx, bestConn, bestDeg := -1, -1, -1
-		for j := 0; j < m; j++ {
-			if used[j] {
-				continue
-			}
-			c := 0
-			for _, o := range order {
-				if conn[o][j] {
-					c++
-				}
-			}
-			if c > bestConn || (c == bestConn && len(p.edges[j]) > bestDeg) {
-				bestIdx, bestConn, bestDeg = j, c, len(p.edges[j])
-			}
-		}
-		order = append(order, bestIdx)
-		used[bestIdx] = true
-	}
-	return order
+	return greedyOrder(conn, best, p.Degree)
+}
+
+// MatchingOrderFrom is MatchingOrder with the first hyperedge forced to
+// first (a valid hyperedge index) instead of chosen by neighbor count: the
+// anchor-first order of delta evaluation, where the changed hyperedge is by
+// construction the most constrained position. Patterns are connected, so
+// every later position still shares a vertex with its prefix.
+func (p *Pattern) MatchingOrderFrom(first int) []int {
+	return greedyOrder(p.adjacency(), first, p.Degree)
 }
 
 // MatchingOrderWithSelectivity is MatchingOrder informed by data-hypergraph
@@ -291,12 +271,23 @@ func (p *Pattern) MatchingOrder() []int {
 // i (e.g. the count of data hyperedges sharing its degree). The first
 // hyperedge is the most selective one — fewest candidates, so the parallel
 // root fan-out is smallest — and the rest follow the greedy
-// maximum-connectivity rule.
+// maximum-connectivity rule (tie: smaller sel, then smaller index).
 func (p *Pattern) MatchingOrderWithSelectivity(sel []int) []int {
-	m := len(p.edges)
-	if len(sel) != m {
+	if len(sel) != len(p.edges) {
 		return p.MatchingOrder()
 	}
+	best := 0
+	for i := 1; i < len(p.edges); i++ {
+		if sel[i] < sel[best] || (sel[i] == sel[best] && len(p.edges[i]) > len(p.edges[best])) {
+			best = i
+		}
+	}
+	return greedyOrder(p.adjacency(), best, func(j int) int { return -sel[j] })
+}
+
+// adjacency returns conn[i][j] = hyperedges i and j share a vertex.
+func (p *Pattern) adjacency() [][]bool {
+	m := len(p.edges)
 	conn := make([][]bool, m)
 	for i := range conn {
 		conn[i] = make([]bool, m)
@@ -308,17 +299,21 @@ func (p *Pattern) MatchingOrderWithSelectivity(sel []int) []int {
 			}
 		}
 	}
-	best := 0
-	for i := 1; i < m; i++ {
-		if sel[i] < sel[best] || (sel[i] == sel[best] && len(p.edges[i]) > len(p.edges[best])) {
-			best = i
-		}
-	}
-	order := []int{best}
+	return conn
+}
+
+// greedyOrder is the one greedy loop behind every matching order: starting
+// from first, it repeatedly appends the unused hyperedge connected to the
+// most already-chosen ones, breaking ties by larger rank and then by smaller
+// index.
+func greedyOrder(conn [][]bool, first int, rank func(j int) int) []int {
+	m := len(conn)
+	order := make([]int, 1, m)
+	order[0] = first
 	used := make([]bool, m)
-	used[best] = true
+	used[first] = true
 	for len(order) < m {
-		bestIdx, bestConn, bestSel := -1, -1, 0
+		bestIdx, bestConn, bestRank := -1, -1, 0
 		for j := 0; j < m; j++ {
 			if used[j] {
 				continue
@@ -329,8 +324,8 @@ func (p *Pattern) MatchingOrderWithSelectivity(sel []int) []int {
 					c++
 				}
 			}
-			if c > bestConn || (c == bestConn && sel[j] < bestSel) {
-				bestIdx, bestConn, bestSel = j, c, sel[j]
+			if r := rank(j); c > bestConn || (c == bestConn && r > bestRank) {
+				bestIdx, bestConn, bestRank = j, c, r
 			}
 		}
 		order = append(order, bestIdx)

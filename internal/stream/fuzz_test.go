@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"ohminer/internal/pattern"
@@ -41,6 +43,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	f.Add(b)
 	f.Add(b[:len(b)/2]) // torn tail
+	// A snapshot written by the first (reflection-based) OHMT encoder.
+	golden, err := os.ReadFile(filepath.Join("testdata", "parent_pr13.ohmt"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
 	f.Add([]byte{})
 	f.Add([]byte("OHMT"))
 

@@ -13,6 +13,7 @@
 package stream
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -72,69 +73,98 @@ type Snapshot struct {
 	Queries     []SnapshotQuery
 }
 
-// Encode writes the snapshot in OHMT framing.
-func (s *Snapshot) Encode(w io.Writer) error {
-	cw := crcio.NewWriter(w)
-	head := []uint64{
+// Marshal encodes the snapshot in OHMT framing, checksum trailer included,
+// into one exactly sized slice. The error is always nil; the signature is
+// the one snapshot sinks are written against.
+func (s *Snapshot) Marshal() ([]byte, error) {
+	le := binary.LittleEndian
+	b := make([]byte, 0, s.encodedSize())
+	for _, v := range [...]uint64{
 		Magic, Version, s.NumVertices, s.Window, s.Epoch, s.NextQID,
 		uint64(len(s.Edges)), uint64(len(s.Queries)),
-	}
-	if err := binary.Write(cw, binary.LittleEndian, head); err != nil {
-		return err
+	} {
+		b = le.AppendUint64(b, v)
 	}
 	for _, e := range s.Edges {
-		if err := binary.Write(cw, binary.LittleEndian, uint32(len(e.Verts))); err != nil {
-			return err
+		b = le.AppendUint32(b, uint32(len(e.Verts)))
+		for _, v := range e.Verts {
+			b = le.AppendUint32(b, v)
 		}
-		if err := binary.Write(cw, binary.LittleEndian, e.Verts); err != nil {
-			return err
-		}
-		if err := binary.Write(cw, binary.LittleEndian, e.AddEpoch); err != nil {
-			return err
-		}
+		b = le.AppendUint64(b, e.AddEpoch)
 	}
 	for _, q := range s.Queries {
-		qh := []uint64{q.ID, q.BaseEpoch, q.Base, q.CumAdded, q.CumRetired, q.EventSeq}
-		if err := binary.Write(cw, binary.LittleEndian, qh); err != nil {
-			return err
+		for _, v := range [...]uint64{q.ID, q.BaseEpoch, q.Base, q.CumAdded, q.CumRetired, q.EventSeq} {
+			b = le.AppendUint64(b, v)
 		}
-		if err := binary.Write(cw, binary.LittleEndian, uint32(len(q.Pattern))); err != nil {
-			return err
-		}
-		if _, err := cw.Write([]byte(q.Pattern)); err != nil {
-			return err
-		}
+		b = le.AppendUint32(b, uint32(len(q.Pattern)))
+		b = append(b, q.Pattern...)
 	}
-	return cw.WriteTrailer()
+	return le.AppendUint32(b, crcio.Checksum(b)), nil
+}
+
+// encodedSize is the exact length of the OHMT encoding.
+func (s *Snapshot) encodedSize() int {
+	n := 8*8 + 4
+	for _, e := range s.Edges {
+		n += 4 + 4*len(e.Verts) + 8
+	}
+	for _, q := range s.Queries {
+		n += 6*8 + 4 + len(q.Pattern)
+	}
+	return n
+}
+
+// Encode writes the snapshot in OHMT framing with a single Write, so an
+// unbuffered destination (a file) sees one system call per snapshot.
+func (s *Snapshot) Encode(w io.Writer) error {
+	b, _ := s.Marshal()
+	_, err := w.Write(b)
+	return err
 }
 
 func corruptf(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// readVerts reads n uint32s with chunked allocation so a corrupt length
-// cannot allocate unbounded memory before the read fails.
-func readVerts(r io.Reader, n uint32) ([]uint32, error) {
-	const chunkMax = 1 << 12
-	out := make([]uint32, 0, min32(n, chunkMax))
-	buf := make([]uint32, min32(n, chunkMax))
-	remaining := n
-	for remaining > 0 {
-		part := buf[:min32(remaining, chunkMax)]
-		if err := binary.Read(r, binary.LittleEndian, part); err != nil {
-			return nil, err
-		}
-		out = append(out, part...)
-		remaining -= uint32(len(part))
-	}
-	return out, nil
+// decoder reads little-endian fields off a checksummed stream through one
+// reusable byte buffer.
+type decoder struct {
+	r   *crcio.Reader
+	buf [1 << 12]byte
 }
 
-func min32(a, b uint32) uint32 {
-	if a < b {
-		return a
+func (d *decoder) u32() (uint32, error) {
+	if _, err := io.ReadFull(d.r, d.buf[:4]); err != nil {
+		return 0, err
 	}
-	return b
+	return binary.LittleEndian.Uint32(d.buf[:4]), nil
+}
+
+func (d *decoder) u64s(dst []uint64) error {
+	if _, err := io.ReadFull(d.r, d.buf[:8*len(dst)]); err != nil {
+		return err
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(d.buf[8*i:])
+	}
+	return nil
+}
+
+// u32s reads n uint32s a buffer at a time, growing the result as bytes
+// actually arrive, so a corrupt length cannot allocate unbounded memory
+// before the read fails.
+func (d *decoder) u32s(n uint32) ([]uint32, error) {
+	out := make([]uint32, 0, min(int(n), len(d.buf)/4))
+	for len(out) < int(n) {
+		part := d.buf[:4*min(int(n)-len(out), len(d.buf)/4)]
+		if _, err := io.ReadFull(d.r, part); err != nil {
+			return nil, err
+		}
+		for i := 0; i < len(part); i += 4 {
+			out = append(out, binary.LittleEndian.Uint32(part[i:]))
+		}
+	}
+	return out, nil
 }
 
 // Decode reads, checksums, and validates one snapshot. It never panics on
@@ -142,9 +172,9 @@ func min32(a, b uint32) uint32 {
 // and semantically inconsistent contents all return an error wrapping
 // ErrCorrupt.
 func Decode(r io.Reader) (*Snapshot, error) {
-	cr := crcio.NewReader(r)
+	d := &decoder{r: crcio.NewReader(r)}
 	var head [8]uint64
-	if err := binary.Read(cr, binary.LittleEndian, head[:]); err != nil {
+	if err := d.u64s(head[:]); err != nil {
 		return nil, corruptf("short header: %v", err)
 	}
 	if head[0] != Magic {
@@ -170,37 +200,37 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		return nil, corruptf("query count %d exceeds limit", numQueries)
 	}
 	for i := uint64(0); i < numEdges; i++ {
-		var n uint32
-		if err := binary.Read(cr, binary.LittleEndian, &n); err != nil {
+		n, err := d.u32()
+		if err != nil {
 			return nil, corruptf("edge %d: short length: %v", i, err)
 		}
 		if n == 0 || n > maxSnapEdgeLen {
 			return nil, corruptf("edge %d: vertex count %d out of range", i, n)
 		}
-		verts, err := readVerts(cr, n)
+		verts, err := d.u32s(n)
 		if err != nil {
 			return nil, corruptf("edge %d: short vertex list: %v", i, err)
 		}
-		var ae uint64
-		if err := binary.Read(cr, binary.LittleEndian, &ae); err != nil {
+		var ae [1]uint64
+		if err := d.u64s(ae[:]); err != nil {
 			return nil, corruptf("edge %d: short epoch: %v", i, err)
 		}
-		s.Edges = append(s.Edges, SnapshotEdge{Verts: verts, AddEpoch: ae})
+		s.Edges = append(s.Edges, SnapshotEdge{Verts: verts, AddEpoch: ae[0]})
 	}
 	for i := uint64(0); i < numQueries; i++ {
 		var qh [6]uint64
-		if err := binary.Read(cr, binary.LittleEndian, qh[:]); err != nil {
+		if err := d.u64s(qh[:]); err != nil {
 			return nil, corruptf("query %d: short record: %v", i, err)
 		}
-		var n uint32
-		if err := binary.Read(cr, binary.LittleEndian, &n); err != nil {
+		n, err := d.u32()
+		if err != nil {
 			return nil, corruptf("query %d: short pattern length: %v", i, err)
 		}
 		if n == 0 || n > maxSnapPattern {
 			return nil, corruptf("query %d: pattern length %d out of range", i, n)
 		}
 		lit := make([]byte, n)
-		if _, err := io.ReadFull(cr, lit); err != nil {
+		if _, err := io.ReadFull(d.r, lit); err != nil {
 			return nil, corruptf("query %d: short pattern: %v", i, err)
 		}
 		s.Queries = append(s.Queries, SnapshotQuery{
@@ -209,7 +239,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 			Pattern: string(lit),
 		})
 	}
-	if err := cr.CheckTrailer("stream snapshot"); err != nil {
+	if err := d.r.CheckTrailer("stream snapshot"); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if err := s.Validate(); err != nil {
@@ -280,53 +310,35 @@ func (s *Snapshot) Validate() error {
 	return nil
 }
 
-// Marshal encodes to a byte slice.
-func (s *Snapshot) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // Unmarshal decodes and validates a byte slice.
 func Unmarshal(b []byte) (*Snapshot, error) {
 	return Decode(bytes.NewReader(b))
 }
 
-// WriteFile atomically persists the snapshot at path (temp + fsync +
-// rename), so a crash mid-write leaves the previous snapshot intact.
+// WriteFile atomically persists the snapshot at path (temp + one write +
+// fsync + rename), so a crash mid-write leaves the previous snapshot intact.
 func (s *Snapshot) WriteFile(path string) (int64, error) {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".ohmt-*")
+	b, _ := s.Marshal()
+	f, err := os.CreateTemp(filepath.Dir(path), ".ohmt-*")
 	if err != nil {
 		return 0, err
 	}
 	tmp := f.Name()
-	fail := func(err error) (int64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := s.Encode(f); err != nil {
-		return fail(err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	size, err := f.Seek(0, io.SeekCurrent)
 	if err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
 		os.Remove(tmp)
 		return 0, err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	return size, nil
+	return int64(len(b)), nil
 }
 
 // ReadFile loads and validates a snapshot written by WriteFile.
@@ -336,7 +348,7 @@ func ReadFile(path string) (*Snapshot, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return Decode(f)
+	return Decode(bufio.NewReader(f))
 }
 
 // Sink receives stream snapshots on the configured cadence.
@@ -407,14 +419,24 @@ func (m *Miner) snapshotLocked() *Snapshot {
 		Epoch:       m.epoch,
 		NextQID:     m.nextQID,
 	}
-	for id := range m.retireEpoch {
-		if m.retireEpoch[id] != 0 {
+	// The vertex sets are copied (the snapshot outlives the lock) into one
+	// arena, sized up front so that no append reallocates under the
+	// sub-slices already handed out.
+	size := 0
+	for id, re := range m.retireEpoch {
+		if re == 0 {
+			size += m.h.Degree(uint32(id))
+		}
+	}
+	arena := make([]uint32, 0, size)
+	s.Edges = make([]SnapshotEdge, 0, m.live)
+	for id, re := range m.retireEpoch {
+		if re != 0 {
 			continue
 		}
-		s.Edges = append(s.Edges, SnapshotEdge{
-			Verts:    append([]uint32(nil), m.h.EdgeVertices(uint32(id))...),
-			AddEpoch: m.addEpoch[id],
-		})
+		at := len(arena)
+		arena = append(arena, m.h.EdgeVertices(uint32(id))...)
+		s.Edges = append(s.Edges, SnapshotEdge{Verts: arena[at:len(arena):len(arena)], AddEpoch: m.addEpoch[id]})
 	}
 	qids := make([]uint64, 0, len(m.queries))
 	for id := range m.queries {

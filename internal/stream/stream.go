@@ -18,15 +18,20 @@
 //	added(t)   = embeddings of graph(t) using ≥1 edge added at t
 //	retired(t) = embeddings of graph(t−1) using ≥1 edge retired at t
 //
-// each by anchoring on the first matching-order position that binds a
-// changed edge, so every embedding is counted exactly once and
+// each by anchoring on the first pattern hyperedge (in the order the pattern
+// was written) that binds a changed edge, so every embedding is counted
+// exactly once and
 //
 //	total(t) = total(t−1) + added(t) − retired(t)
 //
 // holds exactly (differential-tested against a from-scratch TotalCount in
-// stream_test.go). Both classes need every ordered tuple visible, so query
-// plans are compiled without symmetry-breaking restrictions; unique counts
-// divide by the automorphism count, exact because the runs are complete.
+// stream_test.go). The run for anchor a uses a plan whose matching order
+// starts at a and is seeded with the batch's changed edges, so its cost
+// follows their neighbourhoods, not the live graph (docs/STREAMING.md,
+// "Delta evaluation"). Both classes need every ordered tuple visible, so
+// query plans are compiled without symmetry-breaking restrictions; unique
+// counts divide by the automorphism count, exact because the runs are
+// complete.
 //
 // Batches are fully validated before any state is touched: a rejected
 // batch leaves the miner exactly as it was (the internal/dynamic
@@ -131,6 +136,10 @@ type BatchResult struct {
 	// Elapsed is the wall-clock time of the whole apply (derived-state
 	// maintenance + query evaluation, excluding snapshot I/O).
 	Elapsed time.Duration
+	// Stats sums the engine counters of the batch's anchored delta runs
+	// (Candidates and the phase timers only with Config.Engine.Instrument):
+	// the work the batch cost, as counts.
+	Stats engine.Stats
 }
 
 // Delta is one standing query's exact per-batch result, the event pushed to
@@ -182,17 +191,20 @@ var (
 )
 
 type query struct {
-	id        uint64
-	p         *pattern.Pattern
-	lit       string
-	canon     string
-	aut       uint64
-	plan      *oig.Plan // unrestricted; compiled lazily (needs a store)
-	baseEpoch uint64
-	base      uint64 // ordered count at registration
-	cumAdd    uint64
-	cumRet    uint64
-	seq       uint64
+	id    uint64
+	p     *pattern.Pattern
+	lit   string
+	canon string
+	aut   uint64
+	// anchorPlans[a] is the unrestricted plan whose matching order starts
+	// at pattern hyperedge a (delta runs); compiled lazily, they need a
+	// store.
+	anchorPlans []*oig.Plan
+	baseEpoch   uint64
+	base        uint64 // ordered count at registration
+	cumAdd      uint64
+	cumRet      uint64
+	seq         uint64
 }
 
 func (q *query) total() uint64  { return q.base + q.cumAdd - q.cumRet }
@@ -230,8 +242,11 @@ type Miner struct {
 	live        int
 	index       map[string]uint32 // normalized vertex set → physical ID
 
-	// Latest-batch change marks, valid between applies; drive the anchored
-	// delta filters.
+	// Latest-batch changes, valid between applies: the ID lists seed the
+	// anchored delta runs, the marks (indexed by physical edge ID) drive
+	// their filters.
+	addedIDs    []uint32
+	retiredIDs  []uint32
 	lastAdded   []bool
 	lastRetired []bool
 	haveLast    bool
@@ -317,20 +332,29 @@ func (m *Miner) mineOpts(filter func(int, uint32) bool) engine.Options {
 	return o
 }
 
-// ensurePlan lazily compiles q's unrestricted plan against the current
-// store (plans carry only pattern semantics plus advisory container hints,
-// so a plan compiled once stays correct as the store evolves).
-func (m *Miner) ensurePlan(q *query) error {
-	if q.plan != nil {
-		return nil
-	}
+// planOpts are the options every query plan is compiled with: unrestricted,
+// because anchored counting must see every ordered tuple.
+func (m *Miner) planOpts() engine.Options {
 	o := m.mineOpts(nil)
 	o.NoSymmetryBreak = true
-	plan, err := engine.CompilePlan(m.store, q.p, o)
-	if err != nil {
-		return err
+	return o
+}
+
+// ensureAnchorPlans lazily compiles q's anchor-first plans against the
+// current store (plans carry only pattern semantics plus advisory container
+// hints, so a plan compiled once stays correct as the store evolves).
+func (m *Miner) ensureAnchorPlans(q *query) error {
+	if q.anchorPlans != nil {
+		return nil
 	}
-	q.plan = plan
+	o, plans := m.planOpts(), make([]*oig.Plan, q.p.NumEdges())
+	for a := range plans {
+		var err error
+		if plans[a], err = engine.CompilePlanOrdered(m.store, q.p, q.p.MatchingOrderFrom(a), o); err != nil {
+			return err
+		}
+	}
+	q.anchorPlans = plans
 	return nil
 }
 
@@ -479,35 +503,35 @@ func (m *Miner) ApplyBatch(b Batch) (*BatchResult, error) {
 	}
 	m.lastAdded = make([]bool, len(m.addEpoch))
 	m.lastRetired = make([]bool, len(m.addEpoch))
+	m.addedIDs, m.retiredIDs = m.addedIDs[:0], m.retiredIDs[:0]
 	m.haveLast = true
-	for i := len(m.addEpoch) - len(ap.newEdges); i < len(m.addEpoch); i++ {
-		m.lastAdded[i] = true
+	markRetired := func(ids []uint32) {
+		for _, id := range ids {
+			m.retireEpoch[id] = t
+			m.lastRetired[id] = true
+			m.live--
+		}
+		m.retiredIDs = append(m.retiredIDs, ids...)
 	}
-	for _, id := range ap.retire {
-		m.retireEpoch[id] = t
-		m.lastRetired[id] = true
-		m.live--
+	markAdded := func(ids []uint32) {
+		for _, id := range ids {
+			m.retireEpoch[id] = 0
+			m.addEpoch[id] = t
+			m.lastAdded[id] = true
+			m.live++
+		}
+		m.addedIDs = append(m.addedIDs, ids...)
 	}
-	for _, id := range ap.expire {
-		m.retireEpoch[id] = t
-		m.lastRetired[id] = true
-		m.live--
-	}
-	for _, id := range ap.resurrect {
-		m.retireEpoch[id] = 0
-		m.addEpoch[id] = t
+	for id := len(m.addEpoch) - len(ap.newEdges); id < len(m.addEpoch); id++ {
 		m.lastAdded[id] = true
-		m.live++
+		m.addedIDs = append(m.addedIDs, uint32(id))
 	}
-	for _, id := range ap.readd {
-		// Retired (already marked by the retire loop — readd IDs are a
-		// subset of ap.retire) and re-added in one batch: counted on both
-		// sides of the delta.
-		m.retireEpoch[id] = 0
-		m.addEpoch[id] = t
-		m.lastAdded[id] = true
-		m.live++
-	}
+	markRetired(ap.retire)
+	markRetired(ap.expire)
+	markAdded(ap.resurrect)
+	// Retired (marked just above — readd IDs are a subset of ap.retire) and
+	// re-added in one batch: counted on both sides of the delta.
+	markAdded(ap.readd)
 	for _, id := range ap.refresh {
 		// Re-adding a live edge resets its window clock only — no delta.
 		m.addEpoch[id] = t
@@ -516,7 +540,7 @@ func (m *Miner) ApplyBatch(b Batch) (*BatchResult, error) {
 	m.dirty = true
 
 	// Evaluate standing queries against the fresh marks.
-	res.Deltas, err = m.evaluate()
+	res.Deltas, err = m.evaluate(&res.Stats)
 	if err != nil {
 		m.err = fmt.Errorf("stream: query evaluation failed mid-apply, miner poisoned (restart from snapshot): %w", err)
 		return nil, m.err
@@ -594,7 +618,7 @@ func (m *Miner) grow(newEdges [][]uint32, newKeys []string, t uint64) error {
 
 // evaluate runs the anchored delta counts for every standing query, in ID
 // order, and commits the cumulative counters.
-func (m *Miner) evaluate() ([]Delta, error) {
+func (m *Miner) evaluate(stats *engine.Stats) ([]Delta, error) {
 	if len(m.queries) == 0 {
 		return nil, nil
 	}
@@ -604,30 +628,13 @@ func (m *Miner) evaluate() ([]Delta, error) {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 
-	anyAdd, anyRet := false, false
-	for i := range m.lastAdded {
-		anyAdd = anyAdd || m.lastAdded[i]
-		anyRet = anyRet || m.lastRetired[i]
-	}
-
 	deltas := make([]Delta, 0, len(ids))
 	for _, id := range ids {
 		q := m.queries[id]
 		qstart := time.Now()
-		var added, retired uint64
-		if anyAdd {
-			n, err := m.anchored(q, m.addFilter)
-			if err != nil {
-				return nil, err
-			}
-			added = n
-		}
-		if anyRet {
-			n, err := m.anchored(q, m.retireFilter)
-			if err != nil {
-				return nil, err
-			}
-			retired = n
+		added, retired, err := m.latestDelta(q, stats)
+		if err != nil {
+			return nil, err
 		}
 		q.cumAdd += added
 		q.cumRet += retired
@@ -648,16 +655,31 @@ func (m *Miner) evaluate() ([]Delta, error) {
 	return deltas, nil
 }
 
-// addFilter is the anchored filter family for added(t): positions before
+// latestDelta counts q's added(t) and retired(t) for the latest batch.
+// The runs' engine counters are added to stats.
+func (m *Miner) latestDelta(q *query, stats *engine.Stats) (added, retired uint64, err error) {
+	if added, err = m.anchored(q, m.addedIDs, m.addFilter, stats); err != nil {
+		return 0, 0, err
+	}
+	retired, err = m.anchored(q, m.retiredIDs, m.retireFilter, stats)
+	return added, retired, err
+}
+
+// The anchored filter families. The anchor of an embedding is the first
+// pattern hyperedge — by original index, order[pos], one fixed total order
+// whatever each plan's matching order is — bound to a changed edge, so the
+// runs over all anchors partition the embeddings that touch a change.
+
+// addFilter is the anchored filter family for added(t): hyperedges before
 // the anchor bind unchanged live edges, the anchor binds an edge added this
-// batch, later positions bind any live edge.
-func (m *Miner) addFilter(anchor int) func(int, uint32) bool {
+// batch, later ones bind any live edge.
+func (m *Miner) addFilter(order []int, anchor int) func(int, uint32) bool {
 	live, added := m.retireEpoch, m.lastAdded
 	return func(pos int, e uint32) bool {
-		switch {
-		case pos < anchor:
+		switch orig := order[pos]; {
+		case orig < anchor:
 			return live[e] == 0 && !added[e]
-		case pos == anchor:
+		case orig == anchor:
 			return added[e]
 		default:
 			return live[e] == 0
@@ -667,15 +689,15 @@ func (m *Miner) addFilter(anchor int) func(int, uint32) bool {
 
 // retireFilter is the anchored filter family for retired(t): it enumerates
 // embeddings of graph(t−1) — survivors plus this batch's retirees — whose
-// anchor position binds an edge retired this batch.
-func (m *Miner) retireFilter(anchor int) func(int, uint32) bool {
+// anchor binds an edge retired this batch.
+func (m *Miner) retireFilter(order []int, anchor int) func(int, uint32) bool {
 	live, added, retired := m.retireEpoch, m.lastAdded, m.lastRetired
 	return func(pos int, e uint32) bool {
 		survivor := live[e] == 0 && !added[e]
-		switch {
-		case pos < anchor:
+		switch orig := order[pos]; {
+		case orig < anchor:
 			return survivor
-		case pos == anchor:
+		case orig == anchor:
 			return retired[e]
 		default:
 			return survivor || retired[e]
@@ -683,21 +705,23 @@ func (m *Miner) retireFilter(anchor int) func(int, uint32) bool {
 	}
 }
 
-// anchored sums a complete anchored enumeration over all anchor positions.
-func (m *Miner) anchored(q *query, family func(int) func(int, uint32) bool) (uint64, error) {
-	if m.store == nil {
+// anchored sums one complete enumeration per anchor hyperedge, each on the
+// anchor's own plan and seeded at position 0 with the changed edges.
+func (m *Miner) anchored(q *query, changed []uint32, family func(order []int, anchor int) func(int, uint32) bool, stats *engine.Stats) (uint64, error) {
+	if len(changed) == 0 {
 		return 0, nil
 	}
-	if err := m.ensurePlan(q); err != nil {
+	if err := m.ensureAnchorPlans(q); err != nil {
 		return 0, err
 	}
 	var sum uint64
-	for a := 0; a < q.p.NumEdges(); a++ {
-		res, err := engine.MineWithPlan(m.store, q.plan, m.mineOpts(family(a)))
+	for a, plan := range q.anchorPlans {
+		res, err := engine.MineSeeded(m.store, plan, changed, m.mineOpts(family(plan.Order, a)))
 		if err != nil {
 			return 0, err
 		}
 		sum += res.Ordered
+		stats.Add(res.Stats)
 	}
 	return sum, nil
 }
@@ -754,10 +778,12 @@ func (m *Miner) registerLocked(p *pattern.Pattern, persist bool) (QueryInfo, err
 		baseEpoch: m.epoch,
 	}
 	if m.store != nil {
-		if err := m.ensurePlan(q); err != nil {
+		// The baseline is the one run on the default matching order.
+		plan, err := engine.CompilePlan(m.store, q.p, m.planOpts())
+		if err != nil {
 			return QueryInfo{}, err
 		}
-		res, err := engine.MineWithPlan(m.store, q.plan, m.mineOpts(m.liveFilter()))
+		res, err := engine.MineWithPlan(m.store, plan, m.mineOpts(m.liveFilter()))
 		if err != nil {
 			return QueryInfo{}, err
 		}
@@ -848,11 +874,7 @@ func (m *Miner) LatestDelta(p *pattern.Pattern) (Delta, error) {
 	}
 	q := &query{p: p, aut: uint64(p.Automorphisms())}
 	start := time.Now()
-	added, err := m.anchored(q, m.addFilter)
-	if err != nil {
-		return Delta{}, err
-	}
-	retired, err := m.anchored(q, m.retireFilter)
+	added, retired, err := m.latestDelta(q, new(engine.Stats))
 	if err != nil {
 		return Delta{}, err
 	}
@@ -912,8 +934,8 @@ func (m *Miner) compact() error {
 	}
 	m.live = len(liveEdges)
 	m.haveLast = false
-	m.lastAdded = nil
-	m.lastRetired = nil
+	m.addedIDs, m.retiredIDs = nil, nil
+	m.lastAdded, m.lastRetired = nil, nil
 	// Cached query plans stay valid (IDs are runtime state, not plan state).
 	return nil
 }
