@@ -48,7 +48,7 @@ func run() error {
 		dataset  = flag.String("dataset", "", "generate a Table 3 preset instead of reading a file (must match the coordinator's)")
 		name     = flag.String("name", "", "worker name in leases and cluster status (default: host-pid)")
 		workers  = flag.Int("workers", 0, "engine worker goroutines per task (0 = GOMAXPROCS)")
-		poll     = flag.Duration("poll", 500*time.Millisecond, "idle wait between lease requests when the coordinator has no work; also seeds the error backoff")
+		poll     = flag.Duration("poll", 500*time.Millisecond, "seed of the error backoff (an idle worker does not poll: its lease request waits on the coordinator); also the floor between lease requests against a coordinator that answers \"no work\" at once")
 		reqTO    = flag.Duration("request-timeout", 5*time.Second, "per-request deadline on every coordinator round trip (a hung socket must not stall heartbeats past the lease TTL)")
 		maxBO    = flag.Duration("max-backoff", 30*time.Second, "cap on the jittered exponential backoff after transient coordinator errors")
 		throttle = flag.Duration("throttle", 0, "busy-wait per embedding (test/smoke knob to stretch small workloads; 0 in production)")

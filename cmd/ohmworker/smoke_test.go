@@ -83,6 +83,28 @@ type smokeJobStatus struct {
 	Error      string `json:"error"`
 }
 
+// smokeClusterStatus reads the slice of GET /cluster the durability
+// assertions use.
+type smokeCluster struct {
+	Jobs           []smokeJobStatus `json:"jobs"`
+	WALRecords     int64            `json:"wal_records"`
+	WALCompactions int64            `json:"wal_compactions"`
+}
+
+func smokeClusterStatus(t *testing.T, base string) smokeCluster {
+	t.Helper()
+	resp, err := http.Get(base + "/cluster")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st smokeCluster
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("decode GET /cluster: %v", err)
+	}
+	return st
+}
+
 // waitSmokeJobDone polls the job until it is done (failing fast on a failed
 // state), with the coordinator logs attached to any timeout.
 func waitSmokeJobDone(t *testing.T, base, id string, limit time.Duration, coordLog *logWatcher) smokeJobStatus {
@@ -327,6 +349,53 @@ func TestClusterSmokeCoordinatorRestart(t *testing.T) {
 	if st.Ordered != singleOrdered || st.Unique != singleUnique {
 		t.Errorf("cluster counted ordered=%d unique=%d after coordinator restart, single-node %d/%d",
 			st.Ordered, st.Unique, singleOrdered, singleUnique)
+	}
+
+	// What a job costs the durable coordinator, read off GET /cluster over
+	// three more jobs of 8 parts on two workers (w3 drains first): one WAL
+	// append per acknowledgement — admit, the two leases the idle workers
+	// asked for, eight reports each carrying the next lease, finish — and a
+	// compaction per stretch of log, not per job. Unshared fsyncs would
+	// read 18 appends a job, per-job compaction one compaction a job.
+	if err := workers[2].Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := workers[2].Wait(); err != nil {
+		t.Errorf("worker w3 exit: %v", err)
+	}
+	workers = workers[:2]
+	before := smokeClusterStatus(t, base)
+	const extraJobs = 3
+	for i := 0; i < extraJobs; i++ {
+		id := fmt.Sprintf("extra-%d", i)
+		resp, err := http.Post(base+"/cluster/jobs", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"id": %q, "pattern": "0 1; 0 2", "parts": 8}`, id)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("create %s: status %d", id, resp.StatusCode)
+		}
+		if st := waitSmokeJobDone(t, base, id, 120*time.Second, restartLog); st.Ordered != singleOrdered || st.Unique != singleUnique {
+			t.Errorf("%s counted ordered=%d unique=%d, single-node %d/%d", id, st.Ordered, st.Unique, singleOrdered, singleUnique)
+		}
+	}
+	after := smokeClusterStatus(t, base)
+	perJob := float64(after.WALRecords-before.WALRecords) / extraJobs
+	t.Logf("WAL appends per 8-part job: %.1f; compactions since restart: %d", perJob, after.WALCompactions)
+	if perJob > 12 {
+		t.Errorf("%.1f WAL appends per 8-part job (%d -> %d over %d jobs), want at most 12",
+			perJob, before.WALRecords, after.WALRecords, extraJobs)
+	}
+	finished := 0
+	for _, j := range after.Jobs {
+		if j.State == "done" {
+			finished++
+		}
+	}
+	if finished != extraJobs+1 || after.WALCompactions >= int64(finished) {
+		t.Errorf("%d WAL compactions for %d finished jobs, want fewer compactions than jobs", after.WALCompactions, finished)
 	}
 
 	// Everyone drains cleanly on SIGTERM.

@@ -33,10 +33,11 @@ func TestChaosWALCoordinatorKillRestart(t *testing.T) {
 				store, pat, want := starWorkload(t)
 				dir := t.TempDir()
 
-				// Crash after the k-th record: record 1 is the job admit, so
+				// Crash after the k-th append: append 1 is the job admit, so
 				// k >= 3 guarantees the job plus at least two grants are on
-				// disk, and the total record count of a full run (1 admit +
-				// 8 grants + 8 reports + 1 finish) keeps every k mid-job.
+				// disk, and the appends of a full run (1 admit + the workers'
+				// 3 first grants + 8 reports, 5 of them carrying the next
+				// grant, + 1 finish) keep every k mid-job.
 				k := 3 + int(faultinject.Derive(uint64(split&1), "wal-"+fault, 4))
 				crashed := make(chan struct{})
 				var wrap func(io.Writer) io.Writer

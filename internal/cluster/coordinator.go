@@ -28,6 +28,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -132,11 +133,17 @@ type taskLease struct {
 
 // clusterJob is the coordinator-side state of one distributed job.
 type clusterJob struct {
-	id     string
-	spec   JobSpec
+	id   string
+	spec JobSpec
+	// plan, opts and planFP exist only while the job can still hand out or
+	// take back work: a job restored from a snapshot in a terminal state
+	// keeps its counters and task table but is never compiled again.
 	plan   *oig.Plan
 	opts   engine.Options
 	planFP uint64
+	// auto is the pattern's automorphism count (1 when the spec no longer
+	// parses), fixed at admission or restore.
+	auto int
 
 	tasks []*taskLease
 	// queue holds the indices of pending tasks, granted FIFO.
@@ -178,6 +185,11 @@ type Coordinator struct {
 	order   []string               // job ids in creation order (lease fairness, status); guarded by mu
 	workers map[string]*workerInfo // guarded by mu
 	jobSeq  uint64                 // guarded by mu
+	// wake is closed (and replaced) whenever a task becomes grantable outside
+	// a lease request — job admitted, task requeued, remainder spilled, lease
+	// reclaimed — and on Close; long-polled lease requests park on it.
+	wake   chan struct{} // guarded by mu
+	closed bool          // guarded by mu
 
 	leases     expvar.Int // granted leases
 	reports    expvar.Int // reports merged
@@ -208,6 +220,7 @@ func New(store *dal.Store, cfg Config) (*Coordinator, error) {
 		cfg:     cfg.withDefaults(),
 		jobs:    map[string]*clusterJob{},
 		workers: map[string]*workerInfo{},
+		wake:    make(chan struct{}),
 	}
 	m := new(expvar.Map).Init()
 	m.Set("leases", &c.leases)
@@ -239,14 +252,25 @@ func (c *Coordinator) walStats() (records, bytes, compactions int64) {
 	return c.wal.stats()
 }
 
-// Close releases the durable-state resources: the WAL flusher goroutine and
-// file. The volatile coordinator has nothing to release. Safe to call once;
-// in-flight handlers fail their appends afterwards and shed.
+// Close releases every parked lease request (they answer 204, and later ones
+// no longer park) and the durable-state resources: the WAL flusher goroutine
+// and file. In-flight handlers fail their appends afterwards and shed.
 func (c *Coordinator) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	c.wakeLocked()
+	c.mu.Unlock()
 	if c.wal == nil {
 		return nil
 	}
 	return c.wal.close()
+}
+
+// wakeLocked releases the lease requests parked on the current wake channel;
+// each re-runs its grant attempt under the lock.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // Degraded reports whether the coordinator is currently refusing new work
@@ -352,6 +376,7 @@ func (c *Coordinator) buildJob(spec JobSpec) (*clusterJob, error) {
 	j := &clusterJob{
 		spec: spec, plan: plan, opts: opts,
 		planFP:  engine.PlanFingerprint(plan),
+		auto:    plan.Pattern.Automorphisms(),
 		state:   "running",
 		created: c.cfg.now(),
 	}
@@ -399,7 +424,7 @@ func (c *Coordinator) StartJob(id string, spec JobSpec) (JobStatus, error) {
 			return JobStatus{}, err
 		}
 		rec := &walRecord{T: recAdmit, Job: id, Spec: &spec, GraphFP: c.graphFP, JobSeq: c.jobSeq}
-		if _, err := c.wal.append(rec, true); err != nil {
+		if err := c.wal.append(true, rec); err != nil {
 			return JobStatus{}, fmt.Errorf("%w: %v", errDegraded, err)
 		}
 	}
@@ -409,6 +434,8 @@ func (c *Coordinator) StartJob(id string, spec JobSpec) (JobStatus, error) {
 	if j.state == "done" {
 		c.jobsDone.Add(1)
 		c.logFinishLocked(j)
+	} else {
+		c.wakeLocked()
 	}
 	return c.jobStatusLocked(j, false), nil
 }
@@ -471,19 +498,12 @@ func (c *Coordinator) Status() ClusterStatus {
 }
 
 func (c *Coordinator) jobStatusLocked(j *clusterJob, withTasks bool) JobStatus {
-	// A job restored from the WAL whose spec no longer compiles (or whose
-	// dataset changed) carries no plan; it is always failed, and reports
-	// raw counts.
-	auto := 1
-	if j.plan != nil {
-		auto = j.plan.Pattern.Automorphisms()
-	}
 	st := JobStatus{
 		ID: j.id, State: j.state,
 		Parts:         len(j.tasks),
 		Done:          j.doneN,
 		Ordered:       j.ordered,
-		Automorphisms: auto,
+		Automorphisms: j.auto,
 		Reassigned:    j.reassign,
 		Fenced:        j.fenced,
 		Spilled:       j.spilled,
@@ -491,21 +511,17 @@ func (c *Coordinator) jobStatusLocked(j *clusterJob, withTasks bool) JobStatus {
 		Error:         j.errMsg,
 	}
 	st.Unique = st.Ordered / uint64(st.Automorphisms)
-	for _, t := range j.tasks {
+	if withTasks {
+		st.Tasks = make([]TaskStatus, 0, len(j.tasks))
+	}
+	for i, t := range j.tasks {
 		switch t.state {
 		case taskPending:
 			st.Pending++
 		case taskLeased:
 			st.Leased++
 		}
-	}
-	elapsed := j.elapsed
-	if j.state == "running" {
-		elapsed = c.cfg.now().Sub(j.created)
-	}
-	st.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-	if withTasks {
-		for i, t := range j.tasks {
+		if withTasks {
 			st.Tasks = append(st.Tasks, TaskStatus{
 				ID: i, State: t.state, Cands: t.cands,
 				Epoch: t.epoch, Worker: t.worker,
@@ -513,6 +529,11 @@ func (c *Coordinator) jobStatusLocked(j *clusterJob, withTasks bool) JobStatus {
 			})
 		}
 	}
+	elapsed := j.elapsed
+	if j.state == "running" {
+		elapsed = c.cfg.now().Sub(j.created)
+	}
+	st.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
 	return st
 }
 
@@ -522,6 +543,7 @@ func (c *Coordinator) jobStatusLocked(j *clusterJob, withTasks bool) JobStatus {
 // because reassignment only matters when a live worker is asking.
 func (c *Coordinator) sweepLocked() {
 	now := c.cfg.now()
+	reclaimed := false
 	for _, id := range c.order {
 		j := c.jobs[id]
 		if j.state != "running" {
@@ -538,7 +560,22 @@ func (c *Coordinator) sweepLocked() {
 				j.queue = append([]int{i}, j.queue...)
 				j.reassign++
 				c.reassigned.Add(1)
+				reclaimed = true
 			}
+		}
+	}
+	if reclaimed {
+		c.wakeLocked()
+	}
+}
+
+// dequeue takes task idx off the pending queue, wherever it sits (no-op when
+// it is not queued).
+func (j *clusterJob) dequeue(idx int) {
+	for qi, q := range j.queue {
+		if q == idx {
+			j.queue = append(j.queue[:qi], j.queue[qi+1:]...)
+			return
 		}
 	}
 }
@@ -553,57 +590,120 @@ func (c *Coordinator) touchWorkerLocked(name string) *workerInfo {
 	return w
 }
 
-// grantLocked pops the next pending task across jobs (creation order) and
-// leases it to worker. It returns (nil, nil) when no work is available. On a
-// durable coordinator the grant record (with its fencing epoch) is fsync'd
-// before the lease leaves the process — an epoch must never be re-issued
-// after a crash while a pre-crash worker still holds it.
-func (c *Coordinator) grantLocked(worker string) (*Lease, error) {
+// offerLocked builds the lease the next grant would hand out — the first
+// pending task across running jobs in creation order, looking past skip (the
+// task a report under merge is about to take off the queue) — without
+// changing any state. It returns nil when no work is available. The caller
+// makes grantRecord(lease) durable and only then commits with takeLocked: an
+// epoch must never be re-issued after a crash while a pre-crash worker still
+// holds it.
+func (c *Coordinator) offerLocked(skip *taskLease) *Lease {
 	for _, id := range c.order {
 		j := c.jobs[id]
-		if j.state != "running" || len(j.queue) == 0 {
+		if j.state != "running" {
 			continue
 		}
-		idx := j.queue[0]
-		t := j.tasks[idx]
-
-		snap := &checkpoint.Snapshot{
-			Seq:      t.epoch + 1,
-			PlanFP:   j.planFP,
-			GraphFP:  c.graphFP,
-			Frontier: t.frontier,
-		}
-		var buf bytes.Buffer
-		if err := snap.Encode(&buf); err != nil {
-			// Encoding to memory cannot fail for a well-formed snapshot;
-			// refuse the grant rather than leasing garbage.
-			j.queue = append(j.queue[1:], idx)
-			return nil, nil
-		}
-		if c.wal != nil {
-			rec := &walRecord{T: recGrant, Job: j.id, Task: idx, Epoch: t.epoch + 1, Worker: worker}
-			if _, err := c.wal.append(rec, true); err != nil {
-				return nil, fmt.Errorf("%w: %v", errDegraded, err)
+		for _, idx := range j.queue {
+			t := j.tasks[idx]
+			if t == skip {
+				continue
+			}
+			snap := &checkpoint.Snapshot{
+				Seq:      t.epoch + 1,
+				PlanFP:   j.planFP,
+				GraphFP:  c.graphFP,
+				Frontier: t.frontier,
+			}
+			payload, err := snap.Marshal()
+			if err != nil {
+				// Encoding to memory cannot fail for a well-formed snapshot;
+				// pass the task over rather than leasing garbage.
+				continue
+			}
+			return &Lease{
+				Job: j.id, Task: idx, Epoch: t.epoch + 1,
+				Pattern:        j.spec.Pattern,
+				Variant:        j.spec.Variant,
+				DataAwareOrder: j.spec.DataAwareOrder,
+				Snapshot:       payload,
+				HeartbeatMS:    c.cfg.HeartbeatEvery.Milliseconds(),
+				TTLMS:          c.cfg.LeaseTTL.Milliseconds(),
 			}
 		}
-		j.queue = j.queue[1:]
-		t.epoch++
-		t.state = taskLeased
-		t.worker = worker
-		t.expires = c.cfg.now().Add(c.cfg.LeaseTTL)
-		c.touchWorkerLocked(worker).leased++
-		c.leases.Add(1)
-		return &Lease{
-			Job: j.id, Task: idx, Epoch: t.epoch,
-			Pattern:        j.spec.Pattern,
-			Variant:        j.spec.Variant,
-			DataAwareOrder: j.spec.DataAwareOrder,
-			Snapshot:       buf.Bytes(),
-			HeartbeatMS:    c.cfg.HeartbeatEvery.Milliseconds(),
-			TTLMS:          c.cfg.LeaseTTL.Milliseconds(),
-		}, nil
 	}
-	return nil, nil
+	return nil
+}
+
+// grantRecord is the WAL record of handing lease to worker.
+func grantRecord(lease *Lease, worker string) *walRecord {
+	return &walRecord{T: recGrant, Job: lease.Job, Task: lease.Task, Epoch: lease.Epoch, Worker: worker}
+}
+
+// takeLocked commits an offered lease: the task leaves the queue, its epoch
+// is bumped and the TTL starts.
+func (c *Coordinator) takeLocked(lease *Lease, worker string) {
+	j := c.jobs[lease.Job]
+	t := j.tasks[lease.Task]
+	j.dequeue(lease.Task)
+	t.epoch = lease.Epoch
+	t.state = taskLeased
+	t.worker = worker
+	t.expires = c.cfg.now().Add(c.cfg.LeaseTTL)
+	c.touchWorkerLocked(worker).leased++
+	c.leases.Add(1)
+}
+
+// grantLocked leases the next pending task to worker, (nil, nil) when there
+// is none. On a durable coordinator the grant record (with its fencing epoch)
+// is fsync'd before the lease leaves the process.
+func (c *Coordinator) grantLocked(worker string) (*Lease, error) {
+	lease := c.offerLocked(nil)
+	if lease == nil {
+		return nil, nil
+	}
+	if c.wal != nil {
+		if err := c.wal.append(true, grantRecord(lease, worker)); err != nil {
+			return nil, fmt.Errorf("%w: %v", errDegraded, err)
+		}
+	}
+	c.takeLocked(lease, worker)
+	return lease, nil
+}
+
+// maxLeaseWait caps how long one lease request may park, whatever it asks.
+const maxLeaseWait = 30 * time.Second
+
+// awaitLease grants worker the next pending task, parking for up to wait
+// when there is none: a parked request is re-run by every wakeLocked and
+// gives up (nil, nil — the handler's 204) when wait has passed, the
+// coordinator is closed, or ctx (the client's connection) ends. wait <= 0 is
+// the immediate answer. A parked request does not watch lease deadlines
+// itself; an expiry is noticed by the next request of any kind, at the
+// latest by this one's last attempt when wait runs out.
+func (c *Coordinator) awaitLease(ctx context.Context, worker string, wait time.Duration) (*Lease, error) {
+	deadline := time.Now().Add(min(wait, maxLeaseWait))
+	for {
+		c.mu.Lock()
+		c.sweepLocked()
+		c.touchWorkerLocked(worker)
+		lease, err := c.grantLocked(worker)
+		wake, closed := c.wake, c.closed
+		c.mu.Unlock()
+		left := time.Until(deadline)
+		if lease != nil || err != nil || closed || left <= 0 {
+			return lease, err
+		}
+		timer := time.NewTimer(left)
+		select {
+		case <-wake:
+		case <-timer.C:
+		case <-ctx.Done():
+		}
+		timer.Stop()
+		if ctx.Err() != nil {
+			return nil, nil
+		}
+	}
 }
 
 // lookupLocked resolves a (job, task, epoch, worker) tuple to its lease when
@@ -644,12 +744,7 @@ func (c *Coordinator) Heartbeat(hb HeartbeatRequest) error {
 		// The lease expired but nobody re-claimed the task yet: the worker
 		// was slow, not dead. Resurrect in place (same epoch) and pull the
 		// task back off the queue.
-		for qi, idx := range j.queue {
-			if j.tasks[idx] == t {
-				j.queue = append(j.queue[:qi], j.queue[qi+1:]...)
-				break
-			}
-		}
+		j.dequeue(hb.Task)
 		t.state = taskLeased
 		c.touchWorkerLocked(hb.Worker).leased++
 	}
@@ -661,11 +756,19 @@ func (c *Coordinator) Heartbeat(hb HeartbeatRequest) error {
 // the task's current epoch and holder — a reassigned (or completed) task
 // refuses the report, so every task's counters are merged exactly once. A
 // report may arrive for a lease that expired but was not yet re-granted;
-// the epoch still matches, so the work is salvaged rather than redone. On a
-// durable coordinator the accepted report is WAL-logged and fsync'd before
-// the merge is acknowledged; fenced reports are never logged (the fence is
-// re-derived from grant epochs on replay).
-func (c *Coordinator) ReportTask(rep Report) error {
+// the epoch still matches, so the work is salvaged rather than redone.
+//
+// A complete report (no error, no remainder) with LeaseNext set is answered
+// with the worker's next lease when one is pending: the hand-out rides on
+// the ack instead of costing a round trip of its own. The worker earned the
+// right to it with the lease it is reporting — that one was granted against
+// its dataset fingerprint. Fenced, failed and partial reports get no lease.
+//
+// On a durable coordinator the accepted report and the grant that rides on
+// it are WAL-logged as one append and fsync'd before the merge is
+// acknowledged; fenced reports are never logged (the fence is re-derived
+// from grant epochs on replay).
+func (c *Coordinator) ReportTask(rep Report) (*Lease, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sweepLocked()
@@ -676,22 +779,34 @@ func (c *Coordinator) ReportTask(rep Report) error {
 			j.fenced++
 		}
 		c.fenced.Add(1)
-		return err
+		return nil, err
 	}
+	var next *Lease
+	if rep.LeaseNext && rep.Error == "" && len(rep.Remainder) == 0 {
+		next = c.offerLocked(t)
+	}
+	rep.LeaseNext = false // a request modifier, not part of the merged outcome
 	if c.wal != nil {
 		if err := c.degradedErr(); err != nil {
-			return err
+			return nil, err
 		}
-		if _, err := c.wal.append(&walRecord{T: recReport, Report: &rep}, true); err != nil {
-			return fmt.Errorf("%w: %v", errDegraded, err)
+		recs := []*walRecord{{T: recReport, Report: &rep}}
+		if next != nil {
+			recs = append(recs, grantRecord(next, rep.Worker))
+		}
+		if err := c.wal.append(true, recs...); err != nil {
+			return nil, fmt.Errorf("%w: %v", errDegraded, err)
 		}
 	}
 	wasRunning := j.state == "running"
 	c.applyReportLocked(j, t, rep, true)
+	if next != nil {
+		c.takeLocked(next, rep.Worker)
+	}
 	if wasRunning && j.state != "running" {
 		c.logFinishLocked(j)
 	}
-	return nil
+	return next, nil
 }
 
 // applyReportLocked merges one fence-checked report into its job — the
@@ -701,12 +816,7 @@ func (c *Coordinator) applyReportLocked(j *clusterJob, t *taskLease, rep Report,
 	wasLeased := t.state == taskLeased
 	if t.state == taskPending {
 		// Expired but unclaimed: accept, and drop the queue entry.
-		for qi, idx := range j.queue {
-			if j.tasks[idx] == t {
-				j.queue = append(j.queue[:qi], j.queue[qi+1:]...)
-				break
-			}
-		}
+		j.dequeue(rep.Task)
 	}
 	if wasLeased {
 		if w := c.workers[t.worker]; w != nil && w.leased > 0 {
@@ -724,6 +834,8 @@ func (c *Coordinator) applyReportLocked(j *clusterJob, t *taskLease, rep Report,
 			j.state = "failed"
 			j.errMsg = fmt.Sprintf("task %d failed %d times, last: %s", rep.Task, t.failures, rep.Error)
 			j.elapsed = c.cfg.now().Sub(j.created)
+		} else if live {
+			c.wakeLocked()
 		}
 		return
 	}
@@ -734,7 +846,9 @@ func (c *Coordinator) applyReportLocked(j *clusterJob, t *taskLease, rep Report,
 	j.ordered += rep.Ordered
 	j.stats.Add(engine.UnpackStats(rep.Stats))
 
-	if len(rep.Remainder) > 0 {
+	// A job without a plan failed before the restart that restored it; there
+	// is nothing left to re-enqueue a remainder into.
+	if len(rep.Remainder) > 0 && j.plan != nil {
 		snap, derr := checkpoint.Decode(bytes.NewReader(rep.Remainder))
 		if derr == nil {
 			derr = engine.ValidateSnapshot(c.store, j.plan, snap)
@@ -761,6 +875,7 @@ func (c *Coordinator) applyReportLocked(j *clusterJob, t *taskLease, rep Report,
 		j.spilled++
 		if live {
 			c.spills.Add(1)
+			c.wakeLocked()
 		}
 	}
 
@@ -776,20 +891,24 @@ func (c *Coordinator) applyReportLocked(j *clusterJob, t *taskLease, rep Report,
 	}
 }
 
-// logFinishLocked records a job's terminal state and compacts the WAL: a
-// finished job's task frontiers collapse into a few counters, so completion
-// is the natural truncation point. Finish records never gate an external
-// ack — replay re-derives the terminal state from the merged reports anyway
-// — so a degraded append is simply skipped.
+// logFinishLocked records a job's terminal state and, once the log has
+// outgrown walCompactBytes, compacts the WAL: a finished job's task frontiers
+// collapse into a few counters, so completion is the natural truncation
+// point — but a snapshot rewrites every job, so it is paid per stretch of
+// log, not per job. Finish records never gate an external ack — replay
+// re-derives the terminal state from the merged reports anyway — so a
+// degraded append is simply skipped.
 func (c *Coordinator) logFinishLocked(j *clusterJob) {
 	if c.wal == nil {
 		return
 	}
 	rec := &walRecord{T: recFinish, Job: j.id, State: j.state, Err: j.errMsg, Elapsed: int64(j.elapsed)}
-	if _, err := c.wal.append(rec, false); err != nil {
+	if err := c.wal.append(false, rec); err != nil {
 		return
 	}
-	c.compactLocked()
+	if c.wal.wantsCompaction() {
+		c.compactLocked()
+	}
 }
 
 // compactLocked folds the full in-memory state into the snapshot file and
@@ -813,8 +932,9 @@ func (c *Coordinator) compactLocked() {
 // brings every restored running job back to a leasable state: all leases
 // are force-expired (their epochs preserved), so a pre-crash worker's late
 // report is salvaged or fenced by exactly the rules a live expiry applies.
-// The WAL is compacted immediately after replay — a crash loop must not
-// replay an ever-growing log — and the background flusher is started last.
+// A log that has outgrown walCompactBytes is compacted right after replay —
+// a crash loop must not replay an ever-growing log — and the background
+// flusher is started last.
 func (c *Coordinator) recover() error {
 	w, state, recs, err := openWAL(c.cfg.Dir, c.cfg.WALWrap)
 	if err != nil {
@@ -837,7 +957,7 @@ func (c *Coordinator) recover() error {
 	}
 	resurrected := c.forceExpireLocked()
 	replayed := len(c.jobs)
-	if state != nil || len(recs) > 0 {
+	if w.wantsCompaction() {
 		c.compactLocked()
 	}
 	c.mu.Unlock()
@@ -866,6 +986,14 @@ func (c *Coordinator) insertReplayedJobLocked(id string, j *clusterJob) {
 	c.order = append(c.order, id)
 }
 
+// insertUnbuildableJobLocked registers an admitted job that recovery cannot
+// rebuild, failed with the diagnosed cause: it has no plan and no tasks.
+func (c *Coordinator) insertUnbuildableJobLocked(id string, spec JobSpec, msg string) {
+	j := &clusterJob{spec: spec, auto: specAutomorphisms(spec), state: "running", created: c.cfg.now()}
+	c.failJobLocked(j, msg)
+	c.insertReplayedJobLocked(id, j)
+}
+
 // replayRecordLocked applies one WAL record. Replay is lenient per job and
 // strict per cluster: a record that no longer makes sense (spec stopped
 // compiling, dataset changed, task index out of range) fails that job loudly
@@ -883,16 +1011,17 @@ func (c *Coordinator) replayRecordLocked(rec *walRecord) {
 		if rec.Spec == nil {
 			return
 		}
+		// The log carries no task partition, so an admitted job is rebuilt
+		// through the compiler even when a later record finishes it; the
+		// compaction threshold bounds how many such jobs a log can hold.
 		if rec.GraphFP != c.graphFP {
-			j := &clusterJob{spec: *rec.Spec, state: "running", created: c.cfg.now()}
-			c.failJobLocked(j, fmt.Sprintf("replay: job was admitted against dataset %#x, coordinator now serves %#x", rec.GraphFP, c.graphFP))
-			c.insertReplayedJobLocked(rec.Job, j)
+			c.insertUnbuildableJobLocked(rec.Job, *rec.Spec, fmt.Sprintf("replay: job was admitted against dataset %#x, coordinator now serves %#x", rec.GraphFP, c.graphFP))
 			return
 		}
 		j, err := c.buildJob(*rec.Spec)
 		if err != nil {
-			j = &clusterJob{spec: *rec.Spec, state: "running", created: c.cfg.now()}
-			c.failJobLocked(j, "replay: job spec no longer compiles: "+err.Error())
+			c.insertUnbuildableJobLocked(rec.Job, *rec.Spec, "replay: job spec no longer compiles: "+err.Error())
+			return
 		}
 		c.insertReplayedJobLocked(rec.Job, j)
 
@@ -905,12 +1034,7 @@ func (c *Coordinator) replayRecordLocked(rec *walRecord) {
 			c.failJobLocked(j, fmt.Sprintf("replay: grant names task %d of %d", rec.Task, len(j.tasks)))
 			return
 		}
-		for qi, idx := range j.queue {
-			if idx == rec.Task {
-				j.queue = append(j.queue[:qi], j.queue[qi+1:]...)
-				break
-			}
-		}
+		j.dequeue(rec.Task)
 		t := j.tasks[rec.Task]
 		t.state = taskLeased
 		t.epoch = rec.Epoch
@@ -978,16 +1102,28 @@ func (c *Coordinator) forceExpireLocked() int {
 	return n
 }
 
-// restoreStateLocked rebuilds the coordinator from a compacted snapshot.
-// Plans are recompiled from each job's spec (deterministic over the same
-// store); task frontiers are validated against the recompiled plan before
-// they become leasable again.
+// specAutomorphisms is the automorphism count of a spec's pattern without
+// compiling it (1 when the literal no longer parses).
+func specAutomorphisms(spec JobSpec) int {
+	p, err := pattern.Parse(spec.Pattern)
+	if err != nil {
+		return 1
+	}
+	return p.Automorphisms()
+}
+
+// restoreStateLocked rebuilds the coordinator from a compacted snapshot. A
+// job still running is recompiled from its spec (deterministic over the same
+// store) and its task frontiers are validated against the recompiled plan
+// before they become leasable again; a done or failed job is restored from
+// its counters alone and never sees the compiler.
 func (c *Coordinator) restoreStateLocked(st *walState) {
 	c.jobSeq = st.JobSeq
 	for i := range st.Jobs {
 		wj := &st.Jobs[i]
 		j := &clusterJob{
 			spec:     wj.Spec,
+			auto:     specAutomorphisms(wj.Spec),
 			state:    wj.State,
 			errMsg:   wj.Err,
 			ordered:  wj.Ordered,
@@ -999,14 +1135,14 @@ func (c *Coordinator) restoreStateLocked(st *walState) {
 			spilled:  wj.Spilled,
 			failures: wj.Failures,
 		}
-		plan, opts, err := c.compileSpec(wj.Spec)
-		switch {
-		case st.GraphFP != c.graphFP:
-			c.failJobLocked(j, fmt.Sprintf("replay: snapshot is for dataset %#x, coordinator now serves %#x", st.GraphFP, c.graphFP))
-		case err != nil:
-			c.failJobLocked(j, "replay: job spec no longer compiles: "+err.Error())
-		default:
-			j.plan, j.opts, j.planFP = plan, opts, engine.PlanFingerprint(plan)
+		if j.state == "running" {
+			if st.GraphFP != c.graphFP {
+				c.failJobLocked(j, fmt.Sprintf("replay: snapshot is for dataset %#x, coordinator now serves %#x", st.GraphFP, c.graphFP))
+			} else if plan, opts, err := c.compileSpec(wj.Spec); err != nil {
+				c.failJobLocked(j, "replay: job spec no longer compiles: "+err.Error())
+			} else {
+				j.plan, j.opts, j.planFP = plan, opts, engine.PlanFingerprint(plan)
+			}
 		}
 		for ti := range wj.Tasks {
 			wt := &wj.Tasks[ti]
@@ -1110,14 +1246,14 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
+// writeJSON answers a protocol request in compact JSON; only the
+// human-facing GET /cluster indents (handleStatus).
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
 	// The response writer owns delivery failures (client gone); nothing
 	// useful to do with an encode error here.
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func reject(w http.ResponseWriter, code int, msg string) {
@@ -1143,7 +1279,10 @@ func validJobID(id string) bool {
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Status())
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	_ = enc.Encode(c.Status())
 }
 
 func (c *Coordinator) handleJobCreate(w http.ResponseWriter, r *http.Request) {
@@ -1197,11 +1336,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			"worker data hypergraph (fingerprint %#x) differs from the coordinator's (%#x): every node must load the identical dataset", req.GraphFP, c.graphFP))
 		return
 	}
-	c.mu.Lock()
-	c.sweepLocked()
-	c.touchWorkerLocked(req.Worker)
-	lease, err := c.grantLocked(req.Worker)
-	c.mu.Unlock()
+	lease, err := c.awaitLease(r.Context(), req.Worker, time.Duration(req.WaitMS)*time.Millisecond)
 	if err != nil {
 		c.RejectDegraded(w, err)
 		return
@@ -1232,7 +1367,8 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	if err := c.ReportTask(req); err != nil {
+	next, err := c.ReportTask(req)
+	if err != nil {
 		if errors.Is(err, errDegraded) {
 			c.RejectDegraded(w, err)
 			return
@@ -1240,5 +1376,5 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		reject(w, http.StatusGone, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"merged": true})
+	writeJSON(w, http.StatusOK, ReportAck{Merged: true, Lease: next})
 }

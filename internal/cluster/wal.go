@@ -22,12 +22,21 @@
 // rather than silently mining from a wrong state.
 //
 // Durability discipline: records that gate an external acknowledgement
-// (admit, grant, report) are fsync'd before the coordinator acts on them; a
+// (admit, grant, report) are fsync'd before the coordinator acts on them, and
+// the records behind one acknowledgement — a merged report and the next lease
+// riding on its ack — go down as one append: their frames in one Write, then
+// one fsync. A torn append therefore keeps a prefix of its frames in order
+// (the report without the grant, never the grant without the report). A
 // background flusher syncs the rest and, while the WAL is failing (disk
 // full, I/O error), probes it with no-op records so the coordinator heals
 // itself the moment the disk comes back. While degraded, admission sheds
 // with 503 + Retry-After instead of accepting work that can't be made
 // durable.
+//
+// Compaction is driven by log size: once wal.log passes walCompactBytes the
+// next job completion folds the state into the snapshot and truncates the
+// log, so a stream of short jobs pays for a snapshot of all jobs once per
+// ~64 KiB of records, not once per job.
 package cluster
 
 import (
@@ -54,6 +63,9 @@ const (
 	// maxWALRecord bounds a single record payload; anything larger mid-file
 	// is corruption, not a record (matches the protocol body cap).
 	maxWALRecord = maxBody
+
+	// walCompactBytes is the log size past which a job completion compacts.
+	walCompactBytes = 64 << 10
 
 	walFile   = "wal.log"
 	stateFile = "state.ohms"
@@ -143,17 +155,15 @@ type walTask struct {
 	Frontier []byte `json:"frontier,omitempty"`
 }
 
-// frameRecord encodes rec as one WAL frame: [u32 len][payload][u32 crc].
-func frameRecord(rec *walRecord) ([]byte, error) {
+// appendFrame appends rec to buf as one WAL frame: [u32 len][payload][u32 crc].
+func appendFrame(buf []byte, rec *walRecord) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, len(payload)+walFrameOverhead)
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	binary.LittleEndian.PutUint32(buf[4+len(payload):], crcio.Checksum(payload))
-	return buf, nil
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = append(buf, payload...)
+	return binary.LittleEndian.AppendUint32(buf, crcio.Checksum(payload)), nil
 }
 
 // wal owns the coordinator's durable files. All methods are safe for
@@ -164,13 +174,13 @@ type wal struct {
 	mu      sync.Mutex
 	f       *os.File  // guarded by mu
 	w       io.Writer // guarded by mu — f, or a fault-injection wrapper over it
-	off     int64     // guarded by mu — end offset of the last intact frame
+	off     int64     // guarded by mu — end offset of the last intact append
 	seq     uint64    // guarded by mu — last sequence number handed out
 	dirty   bool      // guarded by mu — bytes written since the last fsync
 	err     error     // guarded by mu — last append/sync failure (nil = healthy)
 	wedged  bool      // guarded by mu — torn tail could not be rolled back
 	closed  bool      // guarded by mu
-	records int64     // guarded by mu — appended this process lifetime
+	records int64     // guarded by mu — appends (one Write each) this process lifetime
 	bytes   int64     // guarded by mu
 	compact int64     // guarded by mu — compactions this process lifetime
 
@@ -352,10 +362,7 @@ func (w *wal) flusher(every time.Duration) {
 		case w.err != nil:
 			// Degraded: probe the sink with a no-op record. Success clears
 			// w.err inside appendLocked — the self-heal path.
-			if frame, ferr := frameRecord(&walRecord{Seq: w.seq + 1, T: recProbe}); ferr == nil {
-				w.seq++
-				_ = w.appendLocked(frame, true)
-			}
+			_ = w.appendLocked(true, &walRecord{T: recProbe})
 		case w.dirty:
 			if serr := w.f.Sync(); serr != nil {
 				w.err = serr
@@ -367,35 +374,39 @@ func (w *wal) flusher(every time.Duration) {
 	}
 }
 
-// append frames and writes one record. With durable set the record is
-// fsync'd before returning — required for any record whose effect is
-// acknowledged externally. The assigned sequence number is returned.
-func (w *wal) append(rec *walRecord, durable bool) (uint64, error) {
+// append logs recs, in order, as one unit: consecutive sequence numbers,
+// their frames in a single Write. With durable set the append is fsync'd
+// before returning — required for any record whose effect is acknowledged
+// externally.
+func (w *wal) append(durable bool, recs ...*walRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	rec.Seq = w.seq + 1
-	frame, err := frameRecord(rec)
-	if err != nil {
-		return 0, err
-	}
-	w.seq++
-	return rec.Seq, w.appendLocked(frame, durable)
+	return w.appendLocked(durable, recs...)
 }
 
-// appendLocked writes one pre-framed record; callers hold w.mu. A failed
-// write is rolled back (Truncate to the last intact frame) so the on-disk
+// appendLocked is append for callers holding w.mu. A failed write is rolled
+// back whole (Truncate to the end of the last intact append) so the on-disk
 // log never carries a torn frame mid-file; if even the rollback fails the
 // WAL wedges permanently. A failed fsync after a successful write degrades
-// the WAL but keeps the record — it is in the file and will replay, so the
-// in-memory state may (and must) reflect it.
-func (w *wal) appendLocked(frame []byte, durable bool) error {
+// the WAL but keeps the records — they are in the file and will replay, so
+// the in-memory state may (and must) reflect them.
+func (w *wal) appendLocked(durable bool, recs ...*walRecord) error {
 	if w.closed {
 		return errWALClosed
 	}
 	if w.wedged {
 		return errWALWedged
 	}
-	n, err := w.w.Write(frame)
+	var buf []byte
+	for i, rec := range recs {
+		rec.Seq = w.seq + uint64(i) + 1
+		var err error
+		if buf, err = appendFrame(buf, rec); err != nil {
+			return err
+		}
+	}
+	w.seq += uint64(len(recs))
+	n, err := w.w.Write(buf)
 	if err != nil {
 		if n > 0 {
 			if terr := w.f.Truncate(w.off); terr != nil {
@@ -440,6 +451,13 @@ func (w *wal) lastSeq() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.seq
+}
+
+// wantsCompaction reports whether the log has outgrown walCompactBytes.
+func (w *wal) wantsCompaction() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.off > walCompactBytes
 }
 
 // stats snapshots the durability counters (records, bytes, compactions).

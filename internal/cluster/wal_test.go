@@ -16,6 +16,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -233,27 +234,49 @@ func TestWALCorruptRecordRefused(t *testing.T) {
 	}
 }
 
-// TestWALSnapshotCompactionEquivalence: a finished job lives only in the
-// compacted snapshot, a running one partly in the snapshot and partly in the
-// log tail — replaying the combination must reproduce the coordinator's
-// pre-crash view exactly, and completing the running job must still hit the
-// single-node count.
-func TestWALSnapshotCompactionEquivalence(t *testing.T) {
+// TestWALCompactionBySizeRecoveryEquivalence: compaction follows the size of
+// the log, not the number of finished jobs, and snapshot ∘ log replay
+// reproduces the live state whichever side of the last compaction a job
+// ended on. Jobs folded into the snapshot come back from their counters alone
+// (no plan); the one still running is recompiled and finishes exact.
+func TestWALCompactionBySizeRecoveryEquivalence(t *testing.T) {
 	store, pat, want := starWorkload(t)
 	dir := t.TempDir()
 	clk := newFakeClock()
 
 	c1, srv1 := durableCluster(t, store, dir, clk)
-	if _, err := c1.StartJob("j1", JobSpec{Pattern: pat}); err != nil {
-		t.Fatal(err)
+	var ids []string
+	inSnapshot := 0 // jobs finished when the last compaction ran
+	for compactions := int64(0); compactions < 2; {
+		if len(ids) >= 400 {
+			t.Fatalf("no second compaction after %d jobs (%d so far)", len(ids), compactions)
+		}
+		id := fmt.Sprintf("j%d", len(ids))
+		if _, err := c1.StartJob(id, JobSpec{Pattern: pat}); err != nil {
+			t.Fatal(err)
+		}
+		drainJob(t, srv1, store, "w1", 0)
+		ids = append(ids, id)
+		if _, _, n := c1.wal.stats(); n > compactions {
+			compactions, inSnapshot = n, len(ids)
+		}
 	}
-	drainJob(t, srv1, store, "w1", 0)
-	r1, _, comp1 := c1.wal.stats()
-	if comp1 == 0 {
-		t.Fatalf("job completion did not compact the WAL (records=%d)", r1)
+	// A few more finished jobs stay in the log tail, then one runs part-way.
+	for i := 0; i < 3; i++ {
+		id := fmt.Sprintf("j%d", len(ids))
+		if _, err := c1.StartJob(id, JobSpec{Pattern: pat}); err != nil {
+			t.Fatal(err)
+		}
+		drainJob(t, srv1, store, "w1", 0)
+		ids = append(ids, id)
 	}
-	// j2: one task merged (log records after the snapshot), rest pending.
-	if _, err := c1.StartJob("j2", JobSpec{Pattern: pat}); err != nil {
+	if _, _, n := c1.wal.stats(); n != 2 || int(n) >= inSnapshot {
+		t.Fatalf("%d compactions for %d finished jobs (%d folded in): want 2, far fewer than jobs", n, len(ids), inSnapshot)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, walFile)); err != nil || fi.Size() > walCompactBytes+4096 {
+		t.Fatalf("wal.log is %d bytes (err %v): the size trigger should keep it near %d", fi.Size(), err, walCompactBytes)
+	}
+	if _, err := c1.StartJob("running", JobSpec{Pattern: pat}); err != nil {
 		t.Fatal(err)
 	}
 	lease := leaseAs(t, srv1, store, "w1")
@@ -262,26 +285,222 @@ func TestWALSnapshotCompactionEquivalence(t *testing.T) {
 	if code := postJSON(t, srv1, "/cluster/report", rep, nil); code != http.StatusOK {
 		t.Fatalf("report: status %d", code)
 	}
-	before1, _ := c1.JobStatusByID("j1")
-	before2, _ := c1.JobStatusByID("j2")
+	before := map[string]JobStatus{}
+	for _, id := range append(ids, "running") {
+		before[id], _ = c1.JobStatusByID(id)
+	}
 	crash(c1)
 
 	c2, srv2 := durableCluster(t, store, dir, clk)
-	after1, ok1 := c2.JobStatusByID("j1")
-	after2, ok2 := c2.JobStatusByID("j2")
-	if !ok1 || !ok2 {
-		t.Fatalf("jobs lost: j1=%v j2=%v", ok1, ok2)
+	for i, id := range ids {
+		after, ok := c2.JobStatusByID(id)
+		if !ok {
+			t.Fatalf("job %s lost", id)
+		}
+		if !reflect.DeepEqual(after, before[id]) {
+			t.Fatalf("finished job %s diverged:\n live  %+v\n replay %+v", id, before[id], after)
+		}
+		if after.State != "done" || after.Ordered != want || after.Unique != want/uint64(after.Automorphisms) {
+			t.Fatalf("job %s: %+v, want done with %d ordered", id, after, want)
+		}
+		c2.mu.Lock()
+		plan := c2.jobs[id].plan
+		c2.mu.Unlock()
+		if i < inSnapshot && plan != nil {
+			t.Fatalf("job %s was restored from the snapshot yet carries a compiled plan", id)
+		}
 	}
-	if after1.State != before1.State || after1.Ordered != before1.Ordered || after1.Unique != before1.Unique {
-		t.Fatalf("j1 (snapshot-only) diverged: %+v -> %+v", before1, after1)
+	after, ok := c2.JobStatusByID("running")
+	b := before["running"]
+	if !ok || after.State != "running" || after.Ordered != b.Ordered || after.Done != b.Done ||
+		after.Parts != b.Parts || after.Automorphisms != b.Automorphisms || len(after.Tasks) != len(b.Tasks) {
+		t.Fatalf("running job diverged:\n live  %+v\n replay %+v", b, after)
 	}
-	if after2.State != before2.State || after2.Ordered != before2.Ordered || after2.Done != before2.Done || after2.Parts != before2.Parts {
-		t.Fatalf("j2 (snapshot+log) diverged: %+v -> %+v", before2, after2)
+	for i := range after.Tasks {
+		if after.Tasks[i].Epoch != b.Tasks[i].Epoch || after.Tasks[i].Ordered != b.Tasks[i].Ordered || after.Tasks[i].Cands != b.Tasks[i].Cands {
+			t.Fatalf("running job task %d diverged: live %+v, replay %+v", i, b.Tasks[i], after.Tasks[i])
+		}
+	}
+	if st := c2.Status(); st.ReplayedJobs != int64(len(ids))+1 {
+		t.Fatalf("replayed %d jobs, want %d", st.ReplayedJobs, len(ids)+1)
 	}
 	drainJob(t, srv2, store, "w2", 0)
-	final, _ := c2.JobStatusByID("j2")
+	final, _ := c2.JobStatusByID("running")
 	if final.State != "done" || final.Ordered != want {
-		t.Fatalf("j2 after restart: state=%s ordered=%d, want done/%d", final.State, final.Ordered, want)
+		t.Fatalf("running job after restart: state=%s ordered=%d, want done/%d", final.State, final.Ordered, want)
+	}
+}
+
+// walFrameBounds walks wal.log and returns the offset each frame starts at,
+// plus the end of the last one.
+func walFrameBounds(t *testing.T, path string) []int64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := []int64{walHdrLen}
+	for pos := int64(walHdrLen); pos < int64(len(data)); {
+		pos += walFrameOverhead + int64(binary.LittleEndian.Uint32(data[pos:]))
+		bounds = append(bounds, pos)
+	}
+	return bounds
+}
+
+// TestWALReportAndLeaseAppend is the crash drill on the append that carries a
+// merged report and the lease granted on its ack: whatever cuts it short,
+// replay finds the report and the grant, the report alone, or neither —
+// never a grant whose report is missing — and the job still ends exact.
+func TestWALReportAndLeaseAppend(t *testing.T) {
+	type outcome struct {
+		merged  int    // tasks merged after replay
+		granted uint64 // epoch of the task the ack leased, after replay
+	}
+	// Appends of the drill: 1 admit, 2 grant (first lease), 3 report + grant.
+	for _, tc := range []struct {
+		name string
+		wrap func(io.Writer) io.Writer
+		// cut, when set, truncates the crashed log: 0 leaves it whole, 1 ends
+		// it inside the last frame, 2 inside the one before.
+		cut   int
+		acked bool
+		want  outcome
+	}{
+		{name: "kill-after", acked: true, want: outcome{1, 1},
+			wrap: func(w io.Writer) io.Writer { return &faultinject.CrashWriter{W: w, After: 3} }},
+		{name: "kill-before", acked: false, want: outcome{0, 0},
+			wrap: func(w io.Writer) io.Writer { return &faultinject.CrashWriter{W: w, After: 2} }},
+		{name: "torn-in-report", acked: false, want: outcome{0, 0},
+			wrap: func(w io.Writer) io.Writer { return &faultinject.TornWriter{W: w, At: 3, KeepBytes: 7} }},
+		{name: "torn-in-grant", acked: false, want: outcome{0, 0},
+			wrap: func(w io.Writer) io.Writer { return &faultinject.TornWriter{W: w, At: 3, KeepBytes: 1 << 20} }},
+		{name: "power-loss-in-grant", acked: true, cut: 1, want: outcome{1, 0}},
+		{name: "power-loss-in-report", acked: true, cut: 2, want: outcome{0, 0}},
+	} {
+		for _, split := range []int{0, -1} {
+			t.Run(fmt.Sprintf("%s/split=%d", tc.name, split), func(t *testing.T) {
+				store, pat, want := starWorkload(t)
+				dir := t.TempDir()
+				clk := newFakeClock()
+				c1, srv1 := testCluster(t, store, Config{
+					LeaseTTL: 10 * time.Second, Parts: 4, Dir: dir, now: clk.Now, WALWrap: tc.wrap,
+				})
+				if _, err := c1.StartJob("j", JobSpec{Pattern: pat}); err != nil {
+					t.Fatal(err)
+				}
+				first := leaseAs(t, srv1, store, "w1")
+				rep := mineLease(t, store, first, split)
+				rep.Worker, rep.LeaseNext = "w1", true
+				var ack ReportAck
+				code := postJSON(t, srv1, "/cluster/report", rep, &ack)
+				if tc.acked != (code == http.StatusOK) {
+					t.Fatalf("report: status %d, acked want %v", code, tc.acked)
+				}
+				if tc.acked && (ack.Lease == nil || ack.Lease.Task == first.Task || ack.Lease.Epoch != 1) {
+					t.Fatalf("ack carries lease %+v, want a first grant of another task", ack.Lease)
+				}
+				crash(c1)
+				if tc.cut > 0 {
+					path := filepath.Join(dir, walFile)
+					b := walFrameBounds(t, path)
+					if len(b) != 5 {
+						t.Fatalf("log holds %d frames, want admit, grant, report, grant", len(b)-1)
+					}
+					if err := os.Truncate(path, b[len(b)-1-tc.cut]+5); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				c2, srv2 := durableCluster(t, store, dir, clk)
+				st, ok := c2.JobStatusByID("j")
+				if !ok || st.State != "running" {
+					t.Fatalf("job after replay: ok=%v %+v", ok, st)
+				}
+				got := outcome{merged: st.Done}
+				for _, task := range st.Tasks {
+					if task.ID != first.Task && task.Epoch > got.granted {
+						got.granted = task.Epoch
+					}
+				}
+				if got != tc.want {
+					t.Fatalf("replay found %+v, want %+v", got, tc.want)
+				}
+				if got.merged == 1 && st.Ordered != rep.Ordered {
+					t.Fatalf("replayed ordered=%d, want the merged report's %d", st.Ordered, rep.Ordered)
+				}
+				if st.Leased != 0 {
+					t.Fatalf("%d tasks still leased after replay", st.Leased)
+				}
+
+				// The worker carries on against the restarted coordinator: a
+				// report that was not acked is retried, a lease that was is
+				// mined and reported. Either is salvaged at its epoch, or
+				// fenced with the task redone — the total is exact.
+				if !tc.acked {
+					if code := postJSON(t, srv2, "/cluster/report", rep, &ack); code != http.StatusOK {
+						t.Fatalf("retried report: status %d", code)
+					}
+				}
+				if ack.Lease != nil {
+					next := mineLease(t, store, ack.Lease, split)
+					next.Worker = "w1"
+					wantCode := http.StatusOK
+					if tc.cut > 0 {
+						// The disk lost a grant it had acked: as far as the
+						// restarted coordinator knows that epoch was never
+						// issued. (A merge lost the same way is not retried
+						// by the worker; the task is simply redone.)
+						wantCode = http.StatusGone
+					}
+					if code := postJSON(t, srv2, "/cluster/report", next, nil); code != wantCode {
+						t.Fatalf("report of the lease that rode the ack: status %d, want %d", code, wantCode)
+					}
+				}
+				drainJob(t, srv2, store, "w2", split)
+				st, _ = c2.JobStatusByID("j")
+				if st.State != "done" || st.Ordered != want {
+					t.Fatalf("after the drill: state=%s ordered=%d, want done/%d", st.State, st.Ordered, want)
+				}
+			})
+		}
+	}
+}
+
+// TestWALParentFilesReplay: wal.log and state.ohms written by the encoder of
+// the commit before appends were batched (testdata/parent_pr15: one job done
+// and folded into the snapshot, a second with one task merged and one leased
+// in the log) replay unchanged, and the running job finishes exact.
+func TestWALParentFilesReplay(t *testing.T) {
+	store, _, want := starWorkload(t)
+	dir := t.TempDir()
+	for _, name := range []string{walFile, stateFile} {
+		b, err := os.ReadFile(filepath.Join("testdata", "parent_pr15", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, srv := durableCluster(t, store, dir, newFakeClock())
+	j1, ok := c.JobStatusByID("j1")
+	if !ok || j1.State != "done" || j1.Ordered != want || j1.Unique != want/2 || j1.Done != 4 {
+		t.Fatalf("j1 from the parent's snapshot: ok=%v %+v", ok, j1)
+	}
+	j2, ok := c.JobStatusByID("j2")
+	if !ok || j2.State != "running" || j2.Done != 1 || j2.Ordered != 1560 || j2.Leased != 0 {
+		t.Fatalf("j2 from the parent's log: ok=%v %+v", ok, j2)
+	}
+	if task := j2.Tasks[1]; task.Epoch != 1 || task.Worker != "w2" || task.State != taskPending {
+		t.Fatalf("j2's in-flight lease after replay: %+v, want epoch 1 of w2, force-expired", task)
+	}
+	if st := c.Status(); st.ReplayedJobs != 2 || st.ResurrectedLeases != 1 {
+		t.Fatalf("recovery counters: %+v", st)
+	}
+	drainJob(t, srv, store, "w3", 0)
+	j2, _ = c.JobStatusByID("j2")
+	if j2.State != "done" || j2.Ordered != want {
+		t.Fatalf("j2 finished on the new coordinator: %+v, want done/%d", j2, want)
 	}
 }
 

@@ -41,10 +41,16 @@ type LeaseRequest struct {
 	// mismatch is refused up front (409) instead of failing every lease the
 	// worker would mine.
 	GraphFP uint64 `json:"graph_fp"`
+	// WaitMS, when positive, long-polls: with no work pending the request
+	// parks on the coordinator until a task becomes grantable or WaitMS have
+	// passed (capped at 30 s), instead of answering 204 at once. Absent or 0
+	// is the immediate answer.
+	WaitMS int64 `json:"wait_ms,omitempty"`
 }
 
-// Lease is the 200 body of POST /cluster/lease. A 204 means no work is
-// available right now.
+// Lease is the 200 body of POST /cluster/lease, and rides on a report's ack
+// (ReportAck) when the report asked for the next one. A 204 means no work
+// became available within the request's WaitMS.
 type Lease struct {
 	Job   string `json:"job"`
 	Task  int    `json:"task"`
@@ -98,6 +104,20 @@ type Report struct {
 	// the coordinator re-queues the task and fails the job after repeated
 	// failures.
 	Error string `json:"error,omitempty"`
+	// LeaseNext asks for the worker's next lease on the ack of this report,
+	// saving the /cluster/lease round trip. Only a complete report (no
+	// Error, no Remainder) that is merged is answered with one.
+	LeaseNext bool `json:"lease_next,omitempty"`
+}
+
+// ReportAck is the 200 body of POST /cluster/report.
+type ReportAck struct {
+	Merged bool `json:"merged"`
+	// Lease is the next task for the reporting worker, present when the
+	// report set LeaseNext and work was pending. It is granted exactly as by
+	// /cluster/lease — durable before the ack leaves, TTL running — so an
+	// ack lost on the wire costs one lease expiry, never a count.
+	Lease *Lease `json:"lease,omitempty"`
 }
 
 // TaskStatus summarizes one task lease in a job status.
@@ -169,6 +189,11 @@ type ClusterStatus struct {
 	// "Coordinator durability & recovery"). Durable is true when the
 	// coordinator runs with a WAL (-cluster-dir); Degraded means it is
 	// currently shedding work because the WAL cannot persist it.
+	//
+	// WALRecords counts appends to the log this process lifetime: one Write
+	// and at most one fsync each, carrying every record behind one
+	// acknowledgement (a merged report and the lease granted on its ack are
+	// one append).
 	Durable           bool  `json:"durable"`
 	Degraded          bool  `json:"degraded,omitempty"`
 	WALRecords        int64 `json:"wal_records,omitempty"`

@@ -14,6 +14,7 @@ import (
 	"ohminer/internal/checkpoint"
 	"ohminer/internal/dal"
 	"ohminer/internal/engine"
+	"ohminer/internal/oig"
 	"ohminer/internal/pattern"
 )
 
@@ -30,9 +31,11 @@ type WorkerConfig struct {
 	// Client performs the protocol round trips (nil = http.DefaultClient).
 	// Tests inject a faultinject.PartitionTransport here.
 	Client *http.Client
-	// Poll is how long to wait between lease requests when the coordinator
-	// has no work (0 = 500ms). It also seeds the error backoff: the first
-	// retry after a transient failure waits about one Poll, then doubles.
+	// Poll seeds the error backoff: the first retry after a transient
+	// failure waits about one Poll, then doubles (0 = 500ms). Idle workers do
+	// not poll — a lease request parks on the coordinator until there is
+	// work — so Poll is otherwise only the floor between two lease requests
+	// should a coordinator answer "no work" without parking.
 	Poll time.Duration
 	// RequestTimeout bounds every protocol round trip (0 = 5s, negative =
 	// none). Without it a hung coordinator socket would stall the heartbeat
@@ -66,7 +69,24 @@ type Worker struct {
 	partial   atomic.Uint64 // tasks reported with a remainder spill
 	lost      atomic.Uint64 // leases abandoned after a heartbeat fence
 	fenced    atomic.Uint64 // reports the coordinator refused as stale
+
+	// The last compiled plan and what it was compiled from: the leases of one
+	// job name the same pattern, so they parse and compile once. Touched only
+	// by the Run goroutine.
+	planKey planKey
+	plan    *oig.Plan
 }
+
+// planKey is everything of a lease that shapes its plan.
+type planKey struct {
+	pattern, variant string
+	dataAwareOrder   bool
+}
+
+// leaseWait is how long an idle worker asks the coordinator to hold a lease
+// request open (LeaseRequest.WaitMS); a request timeout shorter than twice
+// that halves it, so the park always ends before the deadline does.
+const leaseWait = time.Second
 
 // NewWorker validates the config and fingerprints the local store.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
@@ -122,38 +142,50 @@ func (w *Worker) Run(ctx context.Context) error {
 	// interval exponentially with jitter, and any successful round trip
 	// resets it. This also covers the startup "coordinator not up yet" case.
 	bo := NewBackoff(w.cfg.Poll, w.cfg.MaxBackoff)
+	// lease is the task in hand: asked for when there is none, otherwise
+	// handed over on the ack of the previous task's report.
+	var lease *Lease
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		lease, err := w.requestLease(ctx)
-		if err != nil {
-			var pe *protocolError
-			if errors.As(err, &pe) && pe.code == http.StatusConflict {
-				// Dataset mismatch never heals by retrying.
+		if lease == nil {
+			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if ctx.Err() != nil {
-				return ctx.Err()
+			asked := time.Now()
+			var err error
+			if lease, err = w.requestLease(ctx); err != nil {
+				var pe *protocolError
+				if errors.As(err, &pe) && pe.code == http.StatusConflict {
+					// Dataset mismatch never heals by retrying.
+					return err
+				}
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
+				d := bo.Next()
+				w.cfg.Logf("lease error (retry in %v): %v", d.Round(time.Millisecond), err)
+				sleepCtx(ctx, d)
+				continue
 			}
-			d := bo.Next()
-			w.cfg.Logf("lease error (retry in %v): %v", d.Round(time.Millisecond), err)
-			sleepCtx(ctx, d)
-			continue
-		}
-		bo.Reset()
-		if lease == nil {
-			sleepCtx(ctx, w.cfg.Poll)
-			continue
+			bo.Reset()
+			if lease == nil {
+				// The coordinator parked the request for leaseWait before
+				// saying so; one that answered at once must not be spun on.
+				sleepCtx(ctx, w.cfg.Poll-time.Since(asked))
+				continue
+			}
 		}
 		w.leases.Add(1)
 		w.cfg.Logf("lease job=%s task=%d epoch=%d", lease.Job, lease.Task, lease.Epoch)
-		w.runLease(ctx, lease)
+		lease = w.runLease(ctx, lease)
 	}
 }
 
-// runLease mines one leased task range and reports the outcome.
-func (w *Worker) runLease(ctx context.Context, lease *Lease) {
+// runLease mines one leased task range and reports the outcome. A worker
+// that is not draining asks for its next lease on the same round trip and
+// returns it (nil when the coordinator had none, or the report did not earn
+// one). A lease taken over when ctx is already cancelled is not dropped: the
+// engine stops at once and the whole range goes back as the remainder.
+func (w *Worker) runLease(ctx context.Context, lease *Lease) *Lease {
 	report := Report{
 		Worker: w.cfg.Name,
 		Job:    lease.Job,
@@ -168,7 +200,7 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) {
 		// will be counted exactly once by its new holder.
 		w.lost.Add(1)
 		w.cfg.Logf("lost job=%s task=%d epoch=%d", lease.Job, lease.Task, lease.Epoch)
-		return
+		return nil
 	case err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
 		report.Error = err.Error()
 	default:
@@ -176,17 +208,19 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) {
 		report.Stats = engine.PackStats(res.Stats)
 		report.Remainder = remainder
 	}
-	if err := w.sendReport(report); err != nil {
+	report.LeaseNext = ctx.Err() == nil
+	next, err := w.sendReport(report)
+	if err != nil {
 		var pe *protocolError
 		if errors.As(err, &pe) && pe.code == http.StatusGone {
 			w.fenced.Add(1)
 			w.cfg.Logf("fenced job=%s task=%d epoch=%d: %s", lease.Job, lease.Task, lease.Epoch, pe.msg)
-			return
+			return nil
 		}
 		// The report never arrived (crash-equivalent): the lease will
 		// expire and the task be reassigned; nothing was merged.
 		w.cfg.Logf("report error job=%s task=%d: %v", lease.Job, lease.Task, err)
-		return
+		return nil
 	}
 	if len(report.Remainder) > 0 {
 		w.partial.Add(1)
@@ -197,6 +231,26 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) {
 	} else {
 		w.cfg.Logf("failed job=%s task=%d: %s", lease.Job, lease.Task, report.Error)
 	}
+	return next
+}
+
+// planFor returns the plan of lease's job, compiled on the first lease that
+// names this (pattern, variant, order) and reused by the ones that follow.
+func (w *Worker) planFor(lease *Lease, opts engine.Options) (*oig.Plan, error) {
+	key := planKey{lease.Pattern, lease.Variant, lease.DataAwareOrder}
+	if w.plan != nil && w.planKey == key {
+		return w.plan, nil
+	}
+	p, err := pattern.Parse(lease.Pattern)
+	if err != nil {
+		return nil, fmt.Errorf("lease pattern: %w", err)
+	}
+	plan, err := engine.CompilePlan(w.cfg.Store, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	w.planKey, w.plan = key, plan
+	return plan, nil
 }
 
 // errLeaseLost marks a mining run aborted because the coordinator fenced the
@@ -207,10 +261,6 @@ var errLeaseLost = errors.New("cluster: lease lost")
 // the background. It returns the engine result, the encoded unfinished
 // remainder (nil when the range completed), and the first error.
 func (w *Worker) mine(ctx context.Context, lease *Lease) (engine.Result, []byte, error) {
-	p, err := pattern.Parse(lease.Pattern)
-	if err != nil {
-		return engine.Result{}, nil, fmt.Errorf("lease pattern: %w", err)
-	}
 	opts := w.cfg.Engine
 	if lease.Variant != "" {
 		v, err := engine.VariantByName(lease.Variant)
@@ -226,7 +276,7 @@ func (w *Worker) mine(ctx context.Context, lease *Lease) (engine.Result, []byte,
 	mem := &checkpoint.MemSink{}
 	opts.Checkpoint = mem
 	opts.CheckpointEvery = 0 // snapshot only on a final stop
-	plan, err := engine.CompilePlan(w.cfg.Store, p, opts)
+	plan, err := w.planFor(lease, opts)
 	if err != nil {
 		return engine.Result{}, nil, err
 	}
@@ -250,8 +300,16 @@ func (w *Worker) mine(ctx context.Context, lease *Lease) (engine.Result, []byte,
 		return res, nil, errLeaseLost
 	}
 	var remainder []byte
-	if res.Truncated {
+	switch {
+	case res.Truncated:
 		remainder = mem.Bytes()
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		// Stopped by the drain without leaving a frontier: the engine refused
+		// the cancelled context before taking the range (or finished it in
+		// the same instant — the two look alike from here). Reporting that as
+		// a complete task would merge a zero for a range nobody mined, so the
+		// whole range goes back uncounted.
+		res, remainder = engine.Result{}, lease.Snapshot
 	}
 	return res, remainder, err
 }
@@ -290,10 +348,16 @@ func (w *Worker) heartbeatLoop(ctx context.Context, lease *Lease, cancel context
 	}
 }
 
-// requestLease asks for work; nil lease (no error) means none is available.
+// requestLease asks for work, letting the coordinator hold the request open
+// until there is some; nil lease (no error) means none turned up in time.
 func (w *Worker) requestLease(ctx context.Context) (*Lease, error) {
+	wait := leaseWait
+	if to := w.cfg.RequestTimeout; to > 0 && to < 2*wait {
+		wait = to / 2
+	}
 	var lease Lease
-	ok, err := w.postStatus(ctx, "/cluster/lease", LeaseRequest{Worker: w.cfg.Name, GraphFP: w.graphFP}, &lease)
+	ok, err := w.postStatus(ctx, "/cluster/lease",
+		LeaseRequest{Worker: w.cfg.Name, GraphFP: w.graphFP, WaitMS: wait.Milliseconds()}, &lease)
 	if err != nil {
 		return nil, err
 	}
@@ -313,8 +377,9 @@ const reportAttempts = 5
 // graceful shutdown still delivers the final partial report after Run's
 // context is already cancelled. Transport failures and 503 (coordinator
 // degraded or mid-restart) are retried with jittered backoff; any other
-// protocol verdict (410 fence, 4xx) is final.
-func (w *Worker) sendReport(rep Report) error {
+// protocol verdict (410 fence, 4xx) is final. The ack's lease, if any, is
+// returned.
+func (w *Worker) sendReport(rep Report) (*Lease, error) {
 	bo := NewBackoff(w.cfg.Poll, 5*time.Second)
 	var err error
 	for attempt := 0; attempt < reportAttempts; attempt++ {
@@ -323,16 +388,17 @@ func (w *Worker) sendReport(rep Report) error {
 			w.cfg.Logf("report retry in %v job=%s task=%d: %v", d.Round(time.Millisecond), rep.Job, rep.Task, err)
 			time.Sleep(d)
 		}
-		err = w.post(context.Background(), "/cluster/report", rep, nil)
+		var ack ReportAck
+		err = w.post(context.Background(), "/cluster/report", rep, &ack)
 		if err == nil {
-			return nil
+			return ack.Lease, nil
 		}
 		var pe *protocolError
 		if errors.As(err, &pe) && pe.code != http.StatusServiceUnavailable {
-			return err
+			return nil, err
 		}
 	}
-	return err
+	return nil, err
 }
 
 // protocolError is a non-2xx coordinator response.
@@ -373,7 +439,13 @@ func (w *Worker) postStatus(ctx context.Context, path string, body, out any) (bo
 	if err != nil {
 		return false, err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		// Read what is left (an undecoded ack, the encoder's newline) before
+		// closing: a body closed unread costs the connection its keep-alive
+		// and the next request a fresh dial.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode == http.StatusNoContent {
 		return false, nil
 	}

@@ -239,9 +239,10 @@ func (ns *NoSpaceSink) Attempts() uint64 { return ns.writes.Load() }
 
 // --- io.Writer fault points (the coordinator WAL seam) -------------------
 //
-// The cluster coordinator's WAL issues exactly one Write per record frame,
-// so these writers count records, not bytes: "After: 3" means the fault
-// fires around the 3rd logged state transition. They plug into
+// The cluster coordinator's WAL issues exactly one Write per append — the
+// record, or the few records, behind one acknowledgement — so these writers
+// count appends, not bytes: "After: 3" means the fault fires around the 3rd
+// acknowledged state transition. They plug into
 // cluster.Config.WALWrap. The OnCrash/Break hooks run under the
 // coordinator's internal locks — they must only signal (close a channel,
 // set a flag), never call back into the coordinator.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -152,5 +153,44 @@ func TestExtendRejectsBadEdges(t *testing.T) {
 	}
 	if _, err := Extend(labeled, [][]uint32{{0, 2}}); err != ErrExtendLabeled {
 		t.Fatalf("want ErrExtendLabeled, got %v", err)
+	}
+}
+
+// TestFingerprintMemo: the fingerprint is computed once per hypergraph —
+// concurrent first calls agree with each other and with a fresh build of the
+// same content — and an Extend result does not inherit its base's memo.
+func TestFingerprintMemo(t *testing.T) {
+	edges := [][]uint32{{0, 1, 2}, {2, 3}, {3, 4, 5}, {0, 5}}
+	h := MustBuild(6, edges, nil)
+	got := make([]uint64, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() { defer wg.Done(); got[i] = h.Fingerprint() }()
+	}
+	wg.Wait()
+	want := MustBuild(6, edges, nil).Fingerprint()
+	for i, fp := range got {
+		if fp != want {
+			t.Fatalf("concurrent call %d: fingerprint %#x, want %#x", i, fp, want)
+		}
+	}
+	if again := h.Fingerprint(); again != want {
+		t.Fatalf("memoised fingerprint %#x, want %#x", again, want)
+	}
+
+	ext, err := Extend(h, [][]uint32{{1, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ext.Fingerprint() == want {
+		t.Fatal("extended hypergraph reports its base's fingerprint")
+	}
+	rebuilt := MustBuild(6, append(append([][]uint32(nil), edges...), []uint32{1, 4}), nil)
+	if ext.Fingerprint() != rebuilt.Fingerprint() {
+		t.Fatalf("extended fingerprint %#x differs from a build of the same edges %#x", ext.Fingerprint(), rebuilt.Fingerprint())
+	}
+	if h.Fingerprint() != want {
+		t.Fatal("extending changed the base's fingerprint")
 	}
 }

@@ -12,7 +12,10 @@
 // (0..NumLabels-1).
 package hypergraph
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Hypergraph is an immutable hypergraph with dual CSR incidence.
 // Construct with Build or Parse; the zero value is an empty hypergraph.
@@ -24,6 +27,10 @@ type Hypergraph struct {
 	labels     []uint32 // per-vertex label, nil when unlabeled
 	numLabels  int
 	edgeLabels []uint32 // per-hyperedge label, nil when unlabeled
+
+	// fp memoises Fingerprint; 0 = not computed yet. Build and Extend leave
+	// it unset, so every new hypergraph hashes its own arrays once.
+	fp atomic.Uint64
 }
 
 // NumVertices returns |V|.
@@ -129,8 +136,13 @@ func (h *Hypergraph) MemoryBytes() int64 {
 
 // Fingerprint returns a content hash of the hypergraph structure (FNV-1a
 // over both CSR directions and labels). Derived artifacts (e.g. a persisted
-// DAL) embed it to detect mismatched inputs at load time.
+// DAL) embed it to detect mismatched inputs at load time. The hypergraph is
+// immutable, so the hash is computed on the first call and remembered;
+// concurrent first calls compute the same value and store it twice.
 func (h *Hypergraph) Fingerprint() uint64 {
+	if fp := h.fp.Load(); fp != 0 {
+		return fp
+	}
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -148,6 +160,8 @@ func (h *Hypergraph) Fingerprint() uint64 {
 	mix(h.edgeVerts)
 	mix(h.labels)
 	mix(h.edgeLabels)
+	// A hash of exactly 0 reads as "unset" and is recomputed per call.
+	h.fp.Store(hash)
 	return hash
 }
 
