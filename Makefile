@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json bench-smoke bench-check fuzz experiments examples serve-smoke cluster-smoke stream-smoke chaos fmt fmt-check vet lint lint-fix-check ci clean
+.PHONY: all build test test-short race cover bench bench-json bench-smoke bench-check fuzz experiments examples serve-smoke cluster-smoke stream-smoke chaos fmt fmt-check vet lint lint-fix-check loc ci clean
 
 all: build test lint
 
@@ -26,12 +26,14 @@ bench:
 
 # Machine-readable engine benchmark cells (scheduler scaling + set-kernel +
 # symmetry-breaking ablations) — tracked across PRs in BENCH_engine.json.
+# Regenerate on purpose, not as a side effect: the cells are wall-clock.
 bench-json:
 	$(GO) run ./cmd/ohmbench -exp sched,kern,sym,stream -json BENCH_engine.json
 
 # Fast correctness gate over the kernel and symmetry-breaking ablations:
 # runs the reduced-size grids and fails on any count disagreement between
-# the kernel families or between restricted and unrestricted plans.
+# the kernel families (internal/baseline), between them and the production
+# engine, or between restricted and unrestricted plans.
 bench-smoke:
 	$(GO) run ./cmd/ohmbench -exp kern,sym -quick
 
@@ -93,8 +95,7 @@ stream-smoke:
 # panics, full-disk runs, the cluster's kill/zombie scenarios, and the
 # coordinator's own WAL crash/restart (kill-after-kth-record and torn
 # append) must all recover (or refuse) with exact counts,
-# race-instrumented, on both scheduler paths (see docs/ROBUSTNESS.md and
-# docs/DISTRIBUTED.md). The stream leg crashes a snapshotting miner
+# race-instrumented (see docs/ROBUSTNESS.md and docs/DISTRIBUTED.md). The stream leg crashes a snapshotting miner
 # mid-feed and resumes it from the last durable snapshot.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/engine ./internal/cluster ./internal/stream
@@ -108,9 +109,20 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis (see docs/LINTING.md).
+# Project-specific static analysis (see docs/LINTING.md), then the
+# direct-import check: production packages and the service binaries must not
+# name internal/baseline — the paper's comparison systems stay out of them.
+PRODUCTION = ./internal/engine ./internal/oig ./internal/dal ./internal/intset ./internal/stream ./internal/cluster ./internal/serve ./internal/motif ./internal/checkpoint ./cmd/ohmserve ./cmd/ohmworker ./cmd/ohmplan ./cmd/ohmstat
 lint:
 	$(GO) run ./cmd/ohmlint ./...
+	@bad=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' $(PRODUCTION) | grep 'ohminer/internal/baseline' | cut -d' ' -f1); \
+	if [ -n "$$bad" ]; then echo "production package imports internal/baseline:"; echo "$$bad"; exit 1; fi
+
+# Non-test Go lines per package (bench/ is a module of its own; testdata is
+# analyzer input, not code).
+loc:
+	@find . -name '*.go' -not -path './bench/*' -not -path '*/testdata/*' -not -name '*_test.go' \
+		| xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); d = substr($$2, 1, length($$2) - length(p[n]) - 1); s[d] += $$1; t += $$1 } END { for (d in s) printf "%6d %s\n", s[d], d; printf "%6d total\n", t }' | sort -k2
 
 # Audit suppression directives: every //ohmlint:allow and //lint:ignore
 # must carry a written reason, or the gate fails.

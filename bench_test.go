@@ -2,7 +2,7 @@ package ohminer
 
 // One testing.B benchmark per paper table/figure (delegating to the
 // internal/exp harness in quick mode), plus per-variant and per-kernel
-// micro-benchmarks. `go test -bench=. -benchmem` regenerates the numbers
+// micro-benchmarks over internal/baseline. `go test -bench=. -benchmem` regenerates the numbers
 // EXPERIMENTS.md records; `cmd/ohmbench` runs the full-scale grids.
 
 import (
@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"ohminer/internal/engine"
+	"ohminer/internal/baseline"
 	"ohminer/internal/exp"
 	"ohminer/internal/intset"
 	"ohminer/internal/pattern"
@@ -90,11 +90,11 @@ func BenchmarkMineVariants(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := pats[0]
-	for _, v := range engine.Variants() {
+	for _, v := range baseline.Variants() {
 		b.Run(v.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := engine.Mine(store, p, engine.Options{Gen: v.Gen, Val: v.Val, Workers: 1})
+				res, err := baseline.Mine(store, p, baseline.Options{Gen: v.Gen, Val: v.Val, Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -106,9 +106,9 @@ func BenchmarkMineVariants(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelAblation compares the fast (SIMD stand-in) and scalar set
-// kernels on the same workload — the "OHMiner without SIMD" data point of
-// Sec. 5.2.
+// BenchmarkKernelAblation compares the adaptive, fast (static SIMD stand-in)
+// and scalar set kernels on the same workload — the "OHMiner without SIMD"
+// data point of Sec. 5.2.
 func BenchmarkKernelAblation(b *testing.B) {
 	store, err := benchContext().Dataset("WT")
 	if err != nil {
@@ -120,10 +120,10 @@ func BenchmarkKernelAblation(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := pats[0]
-	for _, k := range []intset.Kernel{intset.Fast, intset.Scalar} {
+	for _, k := range []intset.Kernel{intset.Adaptive, intset.Fast, intset.Scalar} {
 		b.Run(k.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.Mine(store, p, engine.Options{Kernel: k, Workers: 1}); err != nil {
+				if _, err := baseline.Mine(store, p, baseline.Options{Kernel: k, Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -148,14 +148,14 @@ func BenchmarkMergeAblation(b *testing.B) {
 	p := pats[0]
 	for _, cfg := range []struct {
 		name string
-		val  engine.ValMode
+		val  baseline.ValMode
 	}{
-		{"merged", engine.ValOverlap},
-		{"simple", engine.ValOverlapSimple},
+		{"merged", baseline.ValOverlap},
+		{"simple", baseline.ValOverlapSimple},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.Mine(store, p, engine.Options{Val: cfg.val, Workers: 1}); err != nil {
+				if _, err := baseline.Mine(store, p, baseline.Options{Val: cfg.val, Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

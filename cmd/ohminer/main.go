@@ -6,7 +6,11 @@
 //
 //	ohminer -dataset SB -sample 3
 //	ohminer -input data.hg -pattern "0 1 2; 2 3; 3 4 5" -variant HGMatch
-//	ohminer -dataset WT -sample 4 -variant OHMiner -workers 8 -v
+//	ohminer -dataset WT -sample 4 -workers 8 -v
+//
+// -variant and -kernel other than the defaults run one of the paper's
+// comparison systems in internal/baseline: it counts and times, and takes
+// only -workers, -timeout and -plan of the options below.
 //
 // Long runs can checkpoint: -checkpoint FILE snapshots the exact search
 // frontier periodically (atomic replace), and -resume continues a run from
@@ -26,6 +30,7 @@ import (
 	"syscall"
 	"time"
 
+	"ohminer/internal/baseline"
 	"ohminer/internal/checkpoint"
 	"ohminer/internal/cliio"
 	"ohminer/internal/dal"
@@ -69,10 +74,9 @@ func run() error {
 		patLit   = flag.String("pattern", "", "pattern literal, e.g. \"0 1 2; 2 3 4\"")
 		sampleN  = flag.Int("sample", 0, "sample a pattern with this many hyperedges from the data")
 		dense    = flag.Bool("dense", false, "with -sample: require every hyperedge pair to overlap")
-		variant  = flag.String("variant", "OHMiner", "engine variant: OHMiner, OHM-G, OHM-V, OHM-I, HGMatch")
+		variant  = flag.String("variant", "OHMiner", "OHMiner (the production engine), or a baseline to run in its place: OHM-G, OHM-V, OHM-I, HGMatch")
 		workers  = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		kern     = flag.String("kernel", "adaptive", "set-kernel family: adaptive (density-aware containers), fast (static gallop), scalar (no-SIMD ablation)")
-		scalar   = flag.Bool("scalar", false, "shorthand for -kernel scalar")
+		kern     = flag.String("kernel", "adaptive", "adaptive (production's density-aware containers), or a baseline run on another set-kernel family: fast (static gallop), scalar (no-SIMD ablation)")
 		limit    = flag.Uint64("limit", 0, "stop after this many ordered embeddings (0 = all)")
 		seed     = flag.Int64("seed", 1, "sampling seed")
 		showPlan = flag.Bool("plan", false, "print the compiled execution plan")
@@ -147,17 +151,21 @@ func run() error {
 	}
 	fmt.Fprintf(os.Stderr, "pattern: %s (%d hyperedges, %d vertices)\n", p, p.NumEdges(), p.NumVertices())
 
-	v, err := engine.VariantByName(*variant)
+	v, err := baseline.VariantByName(*variant)
 	if err != nil {
 		return err
 	}
-	opts := engine.Options{Gen: v.Gen, Val: v.Val, Workers: *workers, Limit: *limit}
-	if *scalar {
-		*kern = "scalar"
-	}
-	if opts.Kernel, err = kernelByName(*kern); err != nil {
+	kernel, err := kernelByName(*kern)
+	if err != nil {
 		return err
 	}
+	// Any variant or kernel but production's is one of the paper's
+	// comparison systems, run by internal/baseline.
+	compare := v.Name != "OHMiner" || kernel.Name != "adaptive"
+	if compare && (*limit > 0 || *verbose || *estimate > 0 || *ckptPath != "" || *resume) {
+		return fmt.Errorf("-limit, -v, -estimate, -checkpoint and -resume need the production engine (-variant OHMiner -kernel adaptive)")
+	}
+	opts := engine.Options{Workers: *workers, Limit: *limit}
 	if *verbose {
 		opts.OnEmbedding = func(c []uint32) { out.Println(c) }
 	}
@@ -182,7 +190,19 @@ func run() error {
 		return out.Close()
 	}
 	var res engine.Result
-	if *resume {
+	if compare {
+		// A baseline run has no cancellation path: Ctrl-C gets its default
+		// action back, and -timeout becomes the run's own deadline.
+		stop()
+		var b baseline.Result
+		b, err = baseline.Mine(store, p, baseline.Options{
+			Gen: v.Gen, Val: v.Val, Kernel: kernel, Workers: *workers, Deadline: *timeout,
+		})
+		res = engine.Result{Ordered: b.Ordered, Unique: b.Unique, Automorphisms: b.Automorphisms, Elapsed: b.Elapsed, Plan: b.Plan}
+		if b.Truncated {
+			err = context.DeadlineExceeded
+		}
+	} else if *resume {
 		snap, rerr := checkpoint.ReadFile(*ckptPath)
 		if rerr != nil {
 			return fmt.Errorf("resume: %w", rerr)
@@ -208,14 +228,13 @@ func run() error {
 	if *showPlan {
 		fmt.Fprintf(os.Stderr, "%s", res.Plan)
 	}
-	out.Printf("variant=%s ordered=%d unique=%d automorphisms=%d elapsed=%v\n",
-		v.Name, res.Ordered, res.Unique, res.Automorphisms, res.Elapsed.Round(time.Microsecond))
+	out.Printf("variant=%s kernel=%s ordered=%d unique=%d automorphisms=%d elapsed=%v\n",
+		v.Name, kernel.Name, res.Ordered, res.Unique, res.Automorphisms, res.Elapsed.Round(time.Microsecond))
 	if s := res.Stats; s.Publishes > 0 || s.Steals > 0 {
 		out.Printf("scheduler: publishes=%d steals=%d idle-spins=%d\n", s.Publishes, s.Steals, s.IdleSpins)
 	}
 	if s := res.Stats; s.KernelArray+s.KernelBitmap+s.KernelMixed > 0 {
-		out.Printf("kernel=%s set-ops: array=%d bitmap=%d mixed=%d\n",
-			*kern, s.KernelArray, s.KernelBitmap, s.KernelMixed)
+		out.Printf("set-ops: array=%d bitmap=%d mixed=%d\n", s.KernelArray, s.KernelBitmap, s.KernelMixed)
 	}
 	if s := res.Stats; s.Checkpoints > 0 || s.CheckpointErrors > 0 {
 		out.Printf("checkpoints: written=%d bytes=%d errors=%d\n", s.Checkpoints, s.CheckpointBytes, s.CheckpointErrors)

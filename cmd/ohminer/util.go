@@ -9,7 +9,8 @@ import (
 
 func newSeededRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// kernelByName resolves the -kernel flag to a set-kernel family.
+// kernelByName resolves the -kernel flag to a set-kernel family; any but the
+// adaptive one is run by internal/baseline.
 func kernelByName(name string) (intset.Kernel, error) {
 	switch name {
 	case "adaptive":

@@ -52,7 +52,7 @@ func ExampleMine_variants() {
 	store := ohminer.NewStore(h)
 	p, _ := ohminer.ParsePattern("0 1; 1 2")
 	a, _ := ohminer.Mine(store, p)
-	b, _ := ohminer.Mine(store, p, ohminer.WithVariant("HGMatch"))
+	b, _ := ohminer.MineBaseline(store, p, "HGMatch", 1)
 	fmt.Println(a.Unique, a.Ordered == b.Ordered)
 	// Output: 3 true
 }

@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hgm, err := ohminer.Mine(store, p, ohminer.WithVariant("HGMatch"))
+	hgm, err := ohminer.MineBaseline(store, p, "HGMatch", 0)
 	if err != nil {
 		log.Fatal(err)
 	}

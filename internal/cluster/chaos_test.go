@@ -13,14 +13,13 @@ package cluster
 //     or the reassigned-and-redone task would be counted twice.
 //   - "healthy": mines everything the other two drop.
 //
-// Runs race-instrumented via `make chaos` on both scheduler paths; the
-// fault points are first-embedding triggers, so the schedule is as
-// deterministic as the scenario allows.
+// Runs race-instrumented via `make chaos`; the fault points are
+// first-embedding triggers, so the schedule is as deterministic as the
+// scenario allows.
 
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -32,95 +31,93 @@ import (
 )
 
 func TestChaosClusterKillAndZombie(t *testing.T) {
-	for _, split := range []int{0, -1} {
-		t.Run(fmt.Sprintf("split=%d", split), func(t *testing.T) {
-			store, pat, want := starWorkload(t)
-			c, srv := testCluster(t, store, Config{
-				LeaseTTL: 300 * time.Millisecond,
-				Parts:    8,
-			})
-			if _, err := c.StartJob("chaos", JobSpec{Pattern: pat}); err != nil {
-				t.Fatalf("start job: %v", err)
-			}
-			engOpts := engine.Options{Workers: 2, SplitDepth: split}
-			throttle := faultinject.SlowEmbedding(100 * time.Microsecond)
-
-			ctx, cancelAll := context.WithCancel(context.Background())
-			defer cancelAll()
-			var wg sync.WaitGroup
-
-			// killed: partitioned and SIGKILLed (context cancel) on its first
-			// embedding. The cut transport swallows the dying report, so from
-			// the coordinator's view the worker simply vanished mid-lease.
-			killCtx, kill := context.WithCancel(ctx)
-			defer kill()
-			killPT := &faultinject.PartitionTransport{}
-			killed := startChaosWorker(t, srv.URL, "killed", store, engOpts, killPT,
-				faultinject.HookAfter(1, func() {
-					killPT.Cut()
-					kill()
-				}, throttle))
-			wg.Add(1)
-			go func() { defer wg.Done(); _ = killed.Run(killCtx) }()
-
-			// zombie: partitioned on its first embedding, then stalled inside
-			// the mining callback until the job completes without it. Its
-			// heartbeats fail silently the whole time (it cannot tell a dead
-			// coordinator from a dead link), so it keeps mining; after the
-			// heal its report arrives with a long-stale epoch.
-			zombiePT := &faultinject.PartitionTransport{}
-			zombie := startChaosWorker(t, srv.URL, "zombie", store, engOpts, zombiePT,
-				faultinject.HookAfter(1, func() {
-					zombiePT.Cut()
-					waitForJobDone(t, srv.URL, "chaos", 60*time.Second)
-					zombiePT.Heal()
-				}, throttle))
-			wg.Add(1)
-			go func() { defer wg.Done(); _ = zombie.Run(ctx) }()
-
-			// Hold the healthy worker back until both faulty workers hold a
-			// lease, so the fault scenarios are guaranteed to engage.
-			waitFor(t, 10*time.Second, "faulty workers never leased", func() bool {
-				return killed.Leases() >= 1 && zombie.Leases() >= 1
-			})
-			healthy := startChaosWorker(t, srv.URL, "healthy", store, engOpts, nil, throttle)
-			wg.Add(1)
-			go func() { defer wg.Done(); _ = healthy.Run(ctx) }()
-
-			waitFor(t, 60*time.Second, "job never completed", func() bool {
-				st, ok := c.JobStatusByID("chaos")
-				if ok && st.State == "failed" {
-					t.Fatalf("job failed: %s", st.Error)
-				}
-				return ok && st.State == "done"
-			})
-
-			// Let the zombie finish its stalled task and fire the late report
-			// before asserting: its fence is the heart of the scenario.
-			waitFor(t, 30*time.Second, "zombie report never fenced", func() bool {
-				return zombie.Fenced() >= 1 || zombie.Lost() >= 1
-			})
-			cancelAll()
-			wg.Wait()
-
-			st, _ := c.JobStatusByID("chaos")
-			if st.Ordered != want {
-				t.Errorf("ordered = %d, want %d: a dropped or double-merged task", st.Ordered, want)
-			}
-			if auto := uint64(st.Automorphisms); st.Unique != want/auto {
-				t.Errorf("unique = %d, want %d", st.Unique, want/auto)
-			}
-			if st.Reassigned == 0 {
-				t.Error("no lease was reassigned — the kill never engaged")
-			}
-			if st.Fenced == 0 && zombie.Lost() == 0 {
-				t.Error("the zombie was neither fenced nor told the lease was lost")
-			}
-			if killPT.Dropped() == 0 {
-				t.Error("the killed worker's partition swallowed nothing")
-			}
+	t.Run("split=0", func(t *testing.T) {
+		store, pat, want := starWorkload(t)
+		c, srv := testCluster(t, store, Config{
+			LeaseTTL: 300 * time.Millisecond,
+			Parts:    8,
 		})
-	}
+		if _, err := c.StartJob("chaos", JobSpec{Pattern: pat}); err != nil {
+			t.Fatalf("start job: %v", err)
+		}
+		engOpts := engine.Options{Workers: 2}
+		throttle := faultinject.SlowEmbedding(100 * time.Microsecond)
+
+		ctx, cancelAll := context.WithCancel(context.Background())
+		defer cancelAll()
+		var wg sync.WaitGroup
+
+		// killed: partitioned and SIGKILLed (context cancel) on its first
+		// embedding. The cut transport swallows the dying report, so from
+		// the coordinator's view the worker simply vanished mid-lease.
+		killCtx, kill := context.WithCancel(ctx)
+		defer kill()
+		killPT := &faultinject.PartitionTransport{}
+		killed := startChaosWorker(t, srv.URL, "killed", store, engOpts, killPT,
+			faultinject.HookAfter(1, func() {
+				killPT.Cut()
+				kill()
+			}, throttle))
+		wg.Add(1)
+		go func() { defer wg.Done(); _ = killed.Run(killCtx) }()
+
+		// zombie: partitioned on its first embedding, then stalled inside
+		// the mining callback until the job completes without it. Its
+		// heartbeats fail silently the whole time (it cannot tell a dead
+		// coordinator from a dead link), so it keeps mining; after the
+		// heal its report arrives with a long-stale epoch.
+		zombiePT := &faultinject.PartitionTransport{}
+		zombie := startChaosWorker(t, srv.URL, "zombie", store, engOpts, zombiePT,
+			faultinject.HookAfter(1, func() {
+				zombiePT.Cut()
+				waitForJobDone(t, srv.URL, "chaos", 60*time.Second)
+				zombiePT.Heal()
+			}, throttle))
+		wg.Add(1)
+		go func() { defer wg.Done(); _ = zombie.Run(ctx) }()
+
+		// Hold the healthy worker back until both faulty workers hold a
+		// lease, so the fault scenarios are guaranteed to engage.
+		waitFor(t, 10*time.Second, "faulty workers never leased", func() bool {
+			return killed.Leases() >= 1 && zombie.Leases() >= 1
+		})
+		healthy := startChaosWorker(t, srv.URL, "healthy", store, engOpts, nil, throttle)
+		wg.Add(1)
+		go func() { defer wg.Done(); _ = healthy.Run(ctx) }()
+
+		waitFor(t, 60*time.Second, "job never completed", func() bool {
+			st, ok := c.JobStatusByID("chaos")
+			if ok && st.State == "failed" {
+				t.Fatalf("job failed: %s", st.Error)
+			}
+			return ok && st.State == "done"
+		})
+
+		// Let the zombie finish its stalled task and fire the late report
+		// before asserting: its fence is the heart of the scenario.
+		waitFor(t, 30*time.Second, "zombie report never fenced", func() bool {
+			return zombie.Fenced() >= 1 || zombie.Lost() >= 1
+		})
+		cancelAll()
+		wg.Wait()
+
+		st, _ := c.JobStatusByID("chaos")
+		if st.Ordered != want {
+			t.Errorf("ordered = %d, want %d: a dropped or double-merged task", st.Ordered, want)
+		}
+		if auto := uint64(st.Automorphisms); st.Unique != want/auto {
+			t.Errorf("unique = %d, want %d", st.Unique, want/auto)
+		}
+		if st.Reassigned == 0 {
+			t.Error("no lease was reassigned — the kill never engaged")
+		}
+		if st.Fenced == 0 && zombie.Lost() == 0 {
+			t.Error("the zombie was neither fenced nor told the lease was lost")
+		}
+		if killPT.Dropped() == 0 {
+			t.Error("the killed worker's partition swallowed nothing")
+		}
+	})
 }
 
 // startChaosWorker builds a Worker with an optional partitionable transport

@@ -3,9 +3,13 @@ package cluster
 // Protocol-level tests of the coordinator's lease machine: expiry-driven
 // reassignment, epoch fencing of late zombie reports, in-place lease
 // resurrection, remainder spills, and exactly-once merging — each verified
-// by mining real lease payloads through the engine on both scheduler paths
-// (work-stealing split=0 and the legacy split=-1 ablation), so the wire
-// format and the counts are tested together, not as mocks.
+// by mining real lease payloads through the engine, so the wire format and
+// the counts are tested together, not as mocks.
+//
+// Several tests here and in the chaos/lease/WAL files wrap their body in a
+// subtest named split=0: they ran once per engine scheduler while
+// SplitDepth=-1 selected a second one, and keep the surviving case under the
+// ID it has in test history.
 
 import (
 	"bytes"
@@ -124,7 +128,7 @@ func leaseAs(t *testing.T, srv *httptest.Server, store *dal.Store, worker string
 
 // mineLease runs a lease payload through the local engine exactly as a
 // worker would and returns the completed-task report.
-func mineLease(t *testing.T, store *dal.Store, lease *Lease, split int) Report {
+func mineLease(t *testing.T, store *dal.Store, lease *Lease) Report {
 	t.Helper()
 	snap, err := checkpoint.Decode(bytes.NewReader(lease.Snapshot))
 	if err != nil {
@@ -134,7 +138,7 @@ func mineLease(t *testing.T, store *dal.Store, lease *Lease, split int) Report {
 	if err != nil {
 		t.Fatalf("parse lease pattern: %v", err)
 	}
-	opts := engine.Options{Workers: 2, SplitDepth: split, DataAwareOrder: lease.DataAwareOrder}
+	opts := engine.Options{Workers: 2, DataAwareOrder: lease.DataAwareOrder}
 	plan, err := engine.CompilePlan(store, p, opts)
 	if err != nil {
 		t.Fatalf("compile lease plan: %v", err)
@@ -151,7 +155,7 @@ func mineLease(t *testing.T, store *dal.Store, lease *Lease, split int) Report {
 
 // drainJob leases and mines every remaining task as the named worker,
 // reporting each; it stops when the coordinator has no more work.
-func drainJob(t *testing.T, srv *httptest.Server, store *dal.Store, worker string, split int) {
+func drainJob(t *testing.T, srv *httptest.Server, store *dal.Store, worker string) {
 	t.Helper()
 	for i := 0; ; i++ {
 		if i > 1000 {
@@ -161,7 +165,7 @@ func drainJob(t *testing.T, srv *httptest.Server, store *dal.Store, worker strin
 		if lease == nil {
 			return
 		}
-		rep := mineLease(t, store, lease, split)
+		rep := mineLease(t, store, lease)
 		rep.Worker = worker
 		if code := postJSON(t, srv, "/cluster/report", rep, nil); code != http.StatusOK {
 			t.Fatalf("report task %d: status %d", rep.Task, code)
@@ -170,79 +174,77 @@ func drainJob(t *testing.T, srv *httptest.Server, store *dal.Store, worker strin
 }
 
 // TestLeaseExpiryReassignsAndFencesZombie is the core fault-tolerance
-// contract on both scheduler paths: a worker that stops heartbeating loses
+// contract: a worker that stops heartbeating loses
 // its lease to reassignment (epoch bump), a second worker redoes the task,
 // and the first worker's late report — the zombie — is refused with 410, so
 // the final count is exact despite the task having been mined twice.
 func TestLeaseExpiryReassignsAndFencesZombie(t *testing.T) {
-	for _, split := range []int{0, -1} {
-		t.Run(fmt.Sprintf("split=%d", split), func(t *testing.T) {
-			store, pat, want := starWorkload(t)
-			clk := newFakeClock()
-			c, srv := testCluster(t, store, Config{
-				LeaseTTL: 10 * time.Second, Parts: 4, now: clk.Now,
-			})
-			if _, err := c.StartJob("j", JobSpec{Pattern: pat}); err != nil {
-				t.Fatalf("start job: %v", err)
-			}
-
-			// zombie takes a lease, mines it… and never heartbeats.
-			zombieLease := leaseAs(t, srv, store, "zombie")
-			if zombieLease == nil {
-				t.Fatal("no lease granted")
-			}
-			zombieRep := mineLease(t, store, zombieLease, split)
-			zombieRep.Worker = "zombie"
-
-			// The TTL passes; the next lease request sweeps and re-grants the
-			// same task at a higher epoch.
-			clk.Advance(11 * time.Second)
-			healthy := leaseAs(t, srv, store, "healthy")
-			if healthy == nil {
-				t.Fatal("expired task was not re-granted")
-			}
-			if healthy.Task != zombieLease.Task {
-				t.Fatalf("re-grant handed task %d, want the expired task %d", healthy.Task, zombieLease.Task)
-			}
-			if healthy.Epoch <= zombieLease.Epoch {
-				t.Fatalf("re-grant epoch %d not after original %d", healthy.Epoch, zombieLease.Epoch)
-			}
-
-			// The zombie's late report must be fenced out…
-			if code := postJSON(t, srv, "/cluster/report", zombieRep, nil); code != http.StatusGone {
-				t.Fatalf("zombie report: status %d, want %d", code, http.StatusGone)
-			}
-			// …and its heartbeat too.
-			code := postJSON(t, srv, "/cluster/heartbeat", HeartbeatRequest{
-				Worker: "zombie", Job: zombieLease.Job, Task: zombieLease.Task, Epoch: zombieLease.Epoch,
-			}, nil)
-			if code != http.StatusGone {
-				t.Fatalf("zombie heartbeat: status %d, want %d", code, http.StatusGone)
-			}
-
-			// The healthy worker finishes the re-granted task and the rest.
-			rep := mineLease(t, store, healthy, split)
-			rep.Worker = "healthy"
-			if code := postJSON(t, srv, "/cluster/report", rep, nil); code != http.StatusOK {
-				t.Fatalf("healthy report: status %d", code)
-			}
-			drainJob(t, srv, store, "healthy", split)
-
-			st, ok := c.JobStatusByID("j")
-			if !ok || st.State != "done" {
-				t.Fatalf("job state %q, want done", st.State)
-			}
-			if st.Ordered != want {
-				t.Errorf("ordered = %d, want %d (exactly-once violated)", st.Ordered, want)
-			}
-			if st.Reassigned == 0 {
-				t.Error("no reassignment recorded")
-			}
-			if st.Fenced == 0 {
-				t.Error("no fenced report recorded")
-			}
+	t.Run("split=0", func(t *testing.T) {
+		store, pat, want := starWorkload(t)
+		clk := newFakeClock()
+		c, srv := testCluster(t, store, Config{
+			LeaseTTL: 10 * time.Second, Parts: 4, now: clk.Now,
 		})
-	}
+		if _, err := c.StartJob("j", JobSpec{Pattern: pat}); err != nil {
+			t.Fatalf("start job: %v", err)
+		}
+
+		// zombie takes a lease, mines it… and never heartbeats.
+		zombieLease := leaseAs(t, srv, store, "zombie")
+		if zombieLease == nil {
+			t.Fatal("no lease granted")
+		}
+		zombieRep := mineLease(t, store, zombieLease)
+		zombieRep.Worker = "zombie"
+
+		// The TTL passes; the next lease request sweeps and re-grants the
+		// same task at a higher epoch.
+		clk.Advance(11 * time.Second)
+		healthy := leaseAs(t, srv, store, "healthy")
+		if healthy == nil {
+			t.Fatal("expired task was not re-granted")
+		}
+		if healthy.Task != zombieLease.Task {
+			t.Fatalf("re-grant handed task %d, want the expired task %d", healthy.Task, zombieLease.Task)
+		}
+		if healthy.Epoch <= zombieLease.Epoch {
+			t.Fatalf("re-grant epoch %d not after original %d", healthy.Epoch, zombieLease.Epoch)
+		}
+
+		// The zombie's late report must be fenced out…
+		if code := postJSON(t, srv, "/cluster/report", zombieRep, nil); code != http.StatusGone {
+			t.Fatalf("zombie report: status %d, want %d", code, http.StatusGone)
+		}
+		// …and its heartbeat too.
+		code := postJSON(t, srv, "/cluster/heartbeat", HeartbeatRequest{
+			Worker: "zombie", Job: zombieLease.Job, Task: zombieLease.Task, Epoch: zombieLease.Epoch,
+		}, nil)
+		if code != http.StatusGone {
+			t.Fatalf("zombie heartbeat: status %d, want %d", code, http.StatusGone)
+		}
+
+		// The healthy worker finishes the re-granted task and the rest.
+		rep := mineLease(t, store, healthy)
+		rep.Worker = "healthy"
+		if code := postJSON(t, srv, "/cluster/report", rep, nil); code != http.StatusOK {
+			t.Fatalf("healthy report: status %d", code)
+		}
+		drainJob(t, srv, store, "healthy")
+
+		st, ok := c.JobStatusByID("j")
+		if !ok || st.State != "done" {
+			t.Fatalf("job state %q, want done", st.State)
+		}
+		if st.Ordered != want {
+			t.Errorf("ordered = %d, want %d (exactly-once violated)", st.Ordered, want)
+		}
+		if st.Reassigned == 0 {
+			t.Error("no reassignment recorded")
+		}
+		if st.Fenced == 0 {
+			t.Error("no fenced report recorded")
+		}
+	})
 }
 
 // TestExpiredButUnclaimedReportSalvaged: a report that arrives after the TTL
@@ -259,7 +261,7 @@ func TestExpiredButUnclaimedReportSalvaged(t *testing.T) {
 	if lease == nil {
 		t.Fatal("no lease granted")
 	}
-	rep := mineLease(t, store, lease, 0)
+	rep := mineLease(t, store, lease)
 	rep.Worker = "slow"
 	clk.Advance(11 * time.Second)
 	// Trigger the sweep via a status read — the task goes back to pending —
@@ -268,7 +270,7 @@ func TestExpiredButUnclaimedReportSalvaged(t *testing.T) {
 	if code := postJSON(t, srv, "/cluster/report", rep, nil); code != http.StatusOK {
 		t.Fatalf("salvage report: status %d, want 200", code)
 	}
-	drainJob(t, srv, store, "slow", 0)
+	drainJob(t, srv, store, "slow")
 	st, _ := c.JobStatusByID("j")
 	if st.State != "done" || st.Ordered != want {
 		t.Fatalf("state=%q ordered=%d, want done/%d", st.State, st.Ordered, want)
@@ -300,7 +302,7 @@ func TestHeartbeatResurrectsExpiredLease(t *testing.T) {
 	if other := leaseAs(t, srv, store, "other"); other != nil {
 		t.Fatalf("resurrected task %d was also granted to another worker", other.Task)
 	}
-	rep := mineLease(t, store, lease, 0)
+	rep := mineLease(t, store, lease)
 	rep.Worker = "slow"
 	if code := postJSON(t, srv, "/cluster/report", rep, nil); code != http.StatusOK {
 		t.Fatalf("report after resurrection: status %d", code)
@@ -313,132 +315,128 @@ func TestHeartbeatResurrectsExpiredLease(t *testing.T) {
 
 // TestRemainderSpill: a worker cut short mid-task reports its partial count
 // plus the unfinished frontier; the coordinator re-enqueues the remainder
-// and a second pass finishes it — total exact on both scheduler paths.
+// and a second pass finishes it — total exact.
 func TestRemainderSpill(t *testing.T) {
-	for _, split := range []int{0, -1} {
-		t.Run(fmt.Sprintf("split=%d", split), func(t *testing.T) {
-			store, pat, want := starWorkload(t)
-			c, srv := testCluster(t, store, Config{Parts: 1})
-			if _, err := c.StartJob("j", JobSpec{Pattern: pat}); err != nil {
-				t.Fatalf("start job: %v", err)
-			}
-			lease := leaseAs(t, srv, store, "quitter")
-			if lease == nil {
-				t.Fatal("no lease granted")
-			}
-			snap, err := checkpoint.Decode(bytes.NewReader(lease.Snapshot))
-			if err != nil {
-				t.Fatalf("decode lease snapshot: %v", err)
-			}
-			p, err := pattern.Parse(lease.Pattern)
-			if err != nil {
-				t.Fatalf("parse lease pattern: %v", err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			mem := &checkpoint.MemSink{}
-			var seen int
-			opts := engine.Options{
-				Workers: 1, SplitDepth: split,
-				Checkpoint: mem,
-				OnEmbedding: func([]uint32) {
-					// Throttle (busy-wait: sleep granularity would distort
-					// it) so the cancellation lands while work remains.
-					end := time.Now().Add(20 * time.Microsecond)
-					for time.Now().Before(end) {
-					}
-					seen++
-					if seen == 100 {
-						cancel() // graceful shutdown partway through the task
-					}
-				},
-			}
-			plan, err := engine.CompilePlan(store, p, opts)
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			res, err := engine.ResumeWithPlanContext(ctx, store, plan, snap, opts)
-			if err == nil || res.Ordered >= want {
-				t.Fatalf("cancellation missed (err=%v, ordered=%d)", err, res.Ordered)
-			}
-			if !res.Truncated || mem.Bytes() == nil {
-				t.Fatalf("no remainder snapshot (truncated=%v)", res.Truncated)
-			}
-			rep := Report{
-				Worker: "quitter", Job: lease.Job, Task: lease.Task, Epoch: lease.Epoch,
-				Ordered: res.Ordered, Stats: engine.PackStats(res.Stats),
-				Remainder: mem.Bytes(),
-			}
-			if code := postJSON(t, srv, "/cluster/report", rep, nil); code != http.StatusOK {
-				t.Fatalf("partial report: status %d", code)
-			}
-			st, _ := c.JobStatusByID("j")
-			if st.State != "running" || st.Spilled == 0 {
-				t.Fatalf("after spill: state=%q spilled=%d, want running with a spill", st.State, st.Spilled)
-			}
-			drainJob(t, srv, store, "finisher", split)
-			st, _ = c.JobStatusByID("j")
-			if st.State != "done" {
-				t.Fatalf("job state %q, want done", st.State)
-			}
-			if st.Ordered != want {
-				t.Errorf("ordered = %d, want %d (spill lost or double-counted work)", st.Ordered, want)
-			}
-		})
-	}
+	t.Run("split=0", func(t *testing.T) {
+		store, pat, want := starWorkload(t)
+		c, srv := testCluster(t, store, Config{Parts: 1})
+		if _, err := c.StartJob("j", JobSpec{Pattern: pat}); err != nil {
+			t.Fatalf("start job: %v", err)
+		}
+		lease := leaseAs(t, srv, store, "quitter")
+		if lease == nil {
+			t.Fatal("no lease granted")
+		}
+		snap, err := checkpoint.Decode(bytes.NewReader(lease.Snapshot))
+		if err != nil {
+			t.Fatalf("decode lease snapshot: %v", err)
+		}
+		p, err := pattern.Parse(lease.Pattern)
+		if err != nil {
+			t.Fatalf("parse lease pattern: %v", err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		mem := &checkpoint.MemSink{}
+		var seen int
+		opts := engine.Options{
+			Workers:    1,
+			Checkpoint: mem,
+			OnEmbedding: func([]uint32) {
+				// Throttle (busy-wait: sleep granularity would distort
+				// it) so the cancellation lands while work remains.
+				end := time.Now().Add(20 * time.Microsecond)
+				for time.Now().Before(end) {
+				}
+				seen++
+				if seen == 100 {
+					cancel() // graceful shutdown partway through the task
+				}
+			},
+		}
+		plan, err := engine.CompilePlan(store, p, opts)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		res, err := engine.ResumeWithPlanContext(ctx, store, plan, snap, opts)
+		if err == nil || res.Ordered >= want {
+			t.Fatalf("cancellation missed (err=%v, ordered=%d)", err, res.Ordered)
+		}
+		if !res.Truncated || mem.Bytes() == nil {
+			t.Fatalf("no remainder snapshot (truncated=%v)", res.Truncated)
+		}
+		rep := Report{
+			Worker: "quitter", Job: lease.Job, Task: lease.Task, Epoch: lease.Epoch,
+			Ordered: res.Ordered, Stats: engine.PackStats(res.Stats),
+			Remainder: mem.Bytes(),
+		}
+		if code := postJSON(t, srv, "/cluster/report", rep, nil); code != http.StatusOK {
+			t.Fatalf("partial report: status %d", code)
+		}
+		st, _ := c.JobStatusByID("j")
+		if st.State != "running" || st.Spilled == 0 {
+			t.Fatalf("after spill: state=%q spilled=%d, want running with a spill", st.State, st.Spilled)
+		}
+		drainJob(t, srv, store, "finisher")
+		st, _ = c.JobStatusByID("j")
+		if st.State != "done" {
+			t.Fatalf("job state %q, want done", st.State)
+		}
+		if st.Ordered != want {
+			t.Errorf("ordered = %d, want %d (spill lost or double-counted work)", st.Ordered, want)
+		}
+	})
 }
 
 // TestThreeWorkersExactCount runs three real Worker loops against the HTTP
 // surface and requires the distributed total to equal the single-node one.
 func TestThreeWorkersExactCount(t *testing.T) {
-	for _, split := range []int{0, -1} {
-		t.Run(fmt.Sprintf("split=%d", split), func(t *testing.T) {
-			store, pat, want := starWorkload(t)
-			c, srv := testCluster(t, store, Config{LeaseTTL: 5 * time.Second, Parts: 8})
-			if _, err := c.StartJob("j", JobSpec{Pattern: pat}); err != nil {
-				t.Fatalf("start job: %v", err)
+	t.Run("split=0", func(t *testing.T) {
+		store, pat, want := starWorkload(t)
+		c, srv := testCluster(t, store, Config{LeaseTTL: 5 * time.Second, Parts: 8})
+		if _, err := c.StartJob("j", JobSpec{Pattern: pat}); err != nil {
+			t.Fatalf("start job: %v", err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var wg sync.WaitGroup
+		for i := 0; i < 3; i++ {
+			w, err := NewWorker(WorkerConfig{
+				Coordinator: srv.URL,
+				Name:        fmt.Sprintf("w%d", i),
+				Store:       store,
+				Poll:        5 * time.Millisecond,
+				Engine:      engine.Options{Workers: 2},
+			})
+			if err != nil {
+				t.Fatalf("worker %d: %v", i, err)
 			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			var wg sync.WaitGroup
-			for i := 0; i < 3; i++ {
-				w, err := NewWorker(WorkerConfig{
-					Coordinator: srv.URL,
-					Name:        fmt.Sprintf("w%d", i),
-					Store:       store,
-					Poll:        5 * time.Millisecond,
-					Engine:      engine.Options{Workers: 2, SplitDepth: split},
-				})
-				if err != nil {
-					t.Fatalf("worker %d: %v", i, err)
+			wg.Add(1)
+			go func() { defer wg.Done(); _ = w.Run(ctx) }()
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			st, _ := c.JobStatusByID("j")
+			if st.State == "done" {
+				if st.Ordered != want {
+					t.Errorf("ordered = %d, want %d", st.Ordered, want)
 				}
-				wg.Add(1)
-				go func() { defer wg.Done(); _ = w.Run(ctx) }()
+				if auto := uint64(st.Automorphisms); st.Unique != want/auto {
+					t.Errorf("unique = %d, want %d", st.Unique, want/auto)
+				}
+				break
 			}
-			deadline := time.Now().Add(30 * time.Second)
-			for {
-				st, _ := c.JobStatusByID("j")
-				if st.State == "done" {
-					if st.Ordered != want {
-						t.Errorf("ordered = %d, want %d", st.Ordered, want)
-					}
-					if auto := uint64(st.Automorphisms); st.Unique != want/auto {
-						t.Errorf("unique = %d, want %d", st.Unique, want/auto)
-					}
-					break
-				}
-				if st.State == "failed" {
-					t.Fatalf("job failed: %s", st.Error)
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("job never completed: %+v", st)
-				}
-				time.Sleep(5 * time.Millisecond)
+			if st.State == "failed" {
+				t.Fatalf("job failed: %s", st.Error)
 			}
-			cancel()
-			wg.Wait()
-		})
-	}
+			if time.Now().After(deadline) {
+				t.Fatalf("job never completed: %+v", st)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		cancel()
+		wg.Wait()
+	})
 }
 
 // TestGraphFingerprintMismatch: a worker holding a different dataset is

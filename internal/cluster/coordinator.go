@@ -337,15 +337,10 @@ func (c *Coordinator) compileSpec(spec JobSpec) (*oig.Plan, engine.Options, erro
 	if err != nil {
 		return nil, engine.Options{}, fmt.Errorf("bad pattern: %w", err)
 	}
-	var opts engine.Options
-	if spec.Variant != "" {
-		v, err := engine.VariantByName(spec.Variant)
-		if err != nil {
-			return nil, engine.Options{}, err
-		}
-		opts.Gen, opts.Val = v.Gen, v.Val
+	if err := engine.CheckVariant(spec.Variant); err != nil {
+		return nil, engine.Options{}, err
 	}
-	opts.DataAwareOrder = spec.DataAwareOrder
+	opts := engine.Options{DataAwareOrder: spec.DataAwareOrder}
 	plan, err := engine.CompilePlan(c.store, p, opts)
 	if err != nil {
 		return nil, engine.Options{}, err
@@ -623,7 +618,6 @@ func (c *Coordinator) offerLocked(skip *taskLease) *Lease {
 			return &Lease{
 				Job: j.id, Task: idx, Epoch: t.epoch + 1,
 				Pattern:        j.spec.Pattern,
-				Variant:        j.spec.Variant,
 				DataAwareOrder: j.spec.DataAwareOrder,
 				Snapshot:       payload,
 				HeartbeatMS:    c.cfg.HeartbeatEvery.Milliseconds(),

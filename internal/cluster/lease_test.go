@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httptrace"
@@ -27,85 +26,83 @@ import (
 // with the next lease; every other report — the old shape, a fenced one, a
 // failed one, a partial one — gets the answer it always got and no lease.
 func TestReportLeaseNext(t *testing.T) {
-	for _, split := range []int{0, -1} {
-		t.Run(fmt.Sprintf("split=%d", split), func(t *testing.T) {
-			store, pat, want := starWorkload(t)
-			c, srv := testCluster(t, store, Config{LeaseTTL: 10 * time.Second, Parts: 6, MaxTaskFailures: 5, now: newFakeClock().Now})
-			if _, err := c.StartJob("j", JobSpec{Pattern: pat}); err != nil {
-				t.Fatal(err)
+	t.Run("split=0", func(t *testing.T) {
+		store, pat, want := starWorkload(t)
+		c, srv := testCluster(t, store, Config{LeaseTTL: 10 * time.Second, Parts: 6, MaxTaskFailures: 5, now: newFakeClock().Now})
+		if _, err := c.StartJob("j", JobSpec{Pattern: pat}); err != nil {
+			t.Fatal(err)
+		}
+		report := func(lease *Lease, edit func(*Report)) (int, ReportAck) {
+			t.Helper()
+			rep := mineLease(t, store, lease)
+			rep.Worker = "w1"
+			if edit != nil {
+				edit(&rep)
 			}
-			report := func(lease *Lease, edit func(*Report)) (int, ReportAck) {
-				t.Helper()
-				rep := mineLease(t, store, lease, split)
-				rep.Worker = "w1"
-				if edit != nil {
-					edit(&rep)
-				}
-				var ack ReportAck
-				return postJSON(t, srv, "/cluster/report", rep, &ack), ack
-			}
-			first := leaseAs(t, srv, store, "w1")
+			var ack ReportAck
+			return postJSON(t, srv, "/cluster/report", rep, &ack), ack
+		}
+		first := leaseAs(t, srv, store, "w1")
 
-			// Asked for: the ack hands over the next task, leased to w1.
-			code, ack := report(first, func(r *Report) { r.LeaseNext = true })
-			if code != http.StatusOK || !ack.Merged || ack.Lease == nil {
-				t.Fatalf("report with lease_next: status %d ack %+v", code, ack)
-			}
-			second := ack.Lease
-			if second.Task == first.Task || second.Epoch != 1 || second.Pattern != pat || len(second.Snapshot) == 0 || second.TTLMS != 10_000 {
-				t.Fatalf("lease on the ack: %+v", second)
-			}
-			if st, _ := c.JobStatusByID("j"); st.Tasks[second.Task].State != taskLeased || st.Tasks[second.Task].Worker != "w1" {
-				t.Fatalf("task %d after the ack: %+v", second.Task, st.Tasks[second.Task])
-			}
+		// Asked for: the ack hands over the next task, leased to w1.
+		code, ack := report(first, func(r *Report) { r.LeaseNext = true })
+		if code != http.StatusOK || !ack.Merged || ack.Lease == nil {
+			t.Fatalf("report with lease_next: status %d ack %+v", code, ack)
+		}
+		second := ack.Lease
+		if second.Task == first.Task || second.Epoch != 1 || second.Pattern != pat || len(second.Snapshot) == 0 || second.TTLMS != 10_000 {
+			t.Fatalf("lease on the ack: %+v", second)
+		}
+		if st, _ := c.JobStatusByID("j"); st.Tasks[second.Task].State != taskLeased || st.Tasks[second.Task].Worker != "w1" {
+			t.Fatalf("task %d after the ack: %+v", second.Task, st.Tasks[second.Task])
+		}
 
-			// Not asked for (the pre-existing request shape): merged, no lease.
-			code, ack = report(second, nil)
-			if code != http.StatusOK || !ack.Merged || ack.Lease != nil {
-				t.Fatalf("report without lease_next: status %d ack %+v", code, ack)
-			}
-			granted := c.Status().Leases
+		// Not asked for (the pre-existing request shape): merged, no lease.
+		code, ack = report(second, nil)
+		if code != http.StatusOK || !ack.Merged || ack.Lease != nil {
+			t.Fatalf("report without lease_next: status %d ack %+v", code, ack)
+		}
+		granted := c.Status().Leases
 
-			// Fenced (a duplicate of a merged report): 410 and no lease.
-			if code, ack = report(second, func(r *Report) { r.LeaseNext = true }); code != http.StatusGone || ack.Lease != nil {
-				t.Fatalf("fenced report: status %d ack %+v, want 410 and no lease", code, ack)
-			}
-			// Failed: the task is requeued, the worker gets nothing.
-			third := leaseAs(t, srv, store, "w1")
-			if code, ack = report(third, func(r *Report) {
-				*r = Report{Worker: "w1", Job: r.Job, Task: r.Task, Epoch: r.Epoch, Error: "boom", LeaseNext: true}
-			}); code != http.StatusOK || ack.Lease != nil {
-				t.Fatalf("failed report: status %d ack %+v, want 200 and no lease", code, ack)
-			}
-			// Partial (the whole range handed back as the remainder): merged
-			// and spilled, no lease.
-			fourth := leaseAs(t, srv, store, "w1")
-			if code, ack = report(fourth, func(r *Report) {
-				*r = Report{Worker: "w1", Job: r.Job, Task: r.Task, Epoch: r.Epoch, Remainder: fourth.Snapshot, LeaseNext: true}
-			}); code != http.StatusOK || ack.Lease != nil {
-				t.Fatalf("partial report: status %d ack %+v, want 200 and no lease", code, ack)
-			}
-			if got := c.Status().Leases; got != granted+2 {
-				t.Fatalf("%d leases granted, want %d: only the two /cluster/lease calls may have granted", got, granted+2)
-			}
+		// Fenced (a duplicate of a merged report): 410 and no lease.
+		if code, ack = report(second, func(r *Report) { r.LeaseNext = true }); code != http.StatusGone || ack.Lease != nil {
+			t.Fatalf("fenced report: status %d ack %+v, want 410 and no lease", code, ack)
+		}
+		// Failed: the task is requeued, the worker gets nothing.
+		third := leaseAs(t, srv, store, "w1")
+		if code, ack = report(third, func(r *Report) {
+			*r = Report{Worker: "w1", Job: r.Job, Task: r.Task, Epoch: r.Epoch, Error: "boom", LeaseNext: true}
+		}); code != http.StatusOK || ack.Lease != nil {
+			t.Fatalf("failed report: status %d ack %+v, want 200 and no lease", code, ack)
+		}
+		// Partial (the whole range handed back as the remainder): merged
+		// and spilled, no lease.
+		fourth := leaseAs(t, srv, store, "w1")
+		if code, ack = report(fourth, func(r *Report) {
+			*r = Report{Worker: "w1", Job: r.Job, Task: r.Task, Epoch: r.Epoch, Remainder: fourth.Snapshot, LeaseNext: true}
+		}); code != http.StatusOK || ack.Lease != nil {
+			t.Fatalf("partial report: status %d ack %+v, want 200 and no lease", code, ack)
+		}
+		if got := c.Status().Leases; got != granted+2 {
+			t.Fatalf("%d leases granted, want %d: only the two /cluster/lease calls may have granted", got, granted+2)
+		}
 
-			// A worker living on acks alone drains the rest.
-			lease := leaseAs(t, srv, store, "w1")
-			for n := 0; lease != nil; n++ {
-				if n > 20 {
-					t.Fatal("job never drained")
-				}
-				if code, ack = report(lease, func(r *Report) { r.LeaseNext = true }); code != http.StatusOK {
-					t.Fatalf("report: status %d", code)
-				}
-				lease = ack.Lease
+		// A worker living on acks alone drains the rest.
+		lease := leaseAs(t, srv, store, "w1")
+		for n := 0; lease != nil; n++ {
+			if n > 20 {
+				t.Fatal("job never drained")
 			}
-			st, _ := c.JobStatusByID("j")
-			if st.State != "done" || st.Ordered != want || st.Spilled != 1 || st.Failures != 1 {
-				t.Fatalf("after draining on acks: %+v, want done/%d with one spill and one failure", st, want)
+			if code, ack = report(lease, func(r *Report) { r.LeaseNext = true }); code != http.StatusOK {
+				t.Fatalf("report: status %d", code)
 			}
-		})
-	}
+			lease = ack.Lease
+		}
+		st, _ := c.JobStatusByID("j")
+		if st.State != "done" || st.Ordered != want || st.Spilled != 1 || st.Failures != 1 {
+			t.Fatalf("after draining on acks: %+v, want done/%d with one spill and one failure", st, want)
+		}
+	})
 }
 
 // TestLostAckLeaseReclaimedByTTL: the ack that carried a lease never reaches
@@ -120,7 +117,7 @@ func TestLostAckLeaseReclaimedByTTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := leaseAs(t, srv, store, "w1")
-	rep := mineLease(t, store, first, 0)
+	rep := mineLease(t, store, first)
 	rep.Worker, rep.LeaseNext = "w1", true
 	var lost ReportAck // the test reads it; w1 never does
 	if code := postJSON(t, srv, "/cluster/report", rep, &lost); code != http.StatusOK || lost.Lease == nil {
@@ -135,12 +132,12 @@ func TestLostAckLeaseReclaimedByTTL(t *testing.T) {
 	if regrant == nil || regrant.Task != lost.Lease.Task || regrant.Epoch != lost.Lease.Epoch+1 {
 		t.Fatalf("after the TTL: %+v, want task %d at epoch %d", regrant, lost.Lease.Task, lost.Lease.Epoch+1)
 	}
-	late := mineLease(t, store, lost.Lease, 0)
+	late := mineLease(t, store, lost.Lease)
 	late.Worker = "w1"
 	if code := postJSON(t, srv, "/cluster/report", late, nil); code != http.StatusGone {
 		t.Fatalf("report at the lost epoch: status %d, want 410", code)
 	}
-	done := mineLease(t, store, regrant, 0)
+	done := mineLease(t, store, regrant)
 	done.Worker = "w2"
 	if code := postJSON(t, srv, "/cluster/report", done, nil); code != http.StatusOK {
 		t.Fatalf("report of the re-granted lease: status %d", code)
@@ -366,35 +363,33 @@ func TestWorkerOneConnectionOnePlanPerJob(t *testing.T) {
 // cancelled reports what it holds — here a lease it had not started, so the
 // whole range is the remainder — and does not ask for more.
 func TestDrainedWorkerHandsBackWithoutAsking(t *testing.T) {
-	for _, split := range []int{0, -1} {
-		t.Run(fmt.Sprintf("split=%d", split), func(t *testing.T) {
-			store, pat, want := starWorkload(t)
-			c, srv := testCluster(t, store, Config{LeaseTTL: 10 * time.Second, Parts: 2, now: newFakeClock().Now})
-			if _, err := c.StartJob("j", JobSpec{Pattern: pat}); err != nil {
-				t.Fatal(err)
-			}
-			w, err := NewWorker(WorkerConfig{
-				Coordinator: srv.URL, Name: "w1", Store: store,
-				Engine: engine.Options{Workers: 2, SplitDepth: split},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			lease := leaseAs(t, srv, store, "w1")
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			if next := w.runLease(ctx, lease); next != nil {
-				t.Fatalf("a draining worker was handed lease %+v", next)
-			}
-			st, _ := c.JobStatusByID("j")
-			if w.Partial() != 1 || st.Spilled != 1 || st.Leased != 0 || st.Pending != 2 || c.Status().Leases != 1 {
-				t.Fatalf("after the drain: partial=%d %+v, want the range spilled back and nothing leased", w.Partial(), st)
-			}
-			drainJob(t, srv, store, "w2", split)
-			st, _ = c.JobStatusByID("j")
-			if st.State != "done" || st.Ordered != want {
-				t.Fatalf("%+v, want done/%d", st, want)
-			}
+	t.Run("split=0", func(t *testing.T) {
+		store, pat, want := starWorkload(t)
+		c, srv := testCluster(t, store, Config{LeaseTTL: 10 * time.Second, Parts: 2, now: newFakeClock().Now})
+		if _, err := c.StartJob("j", JobSpec{Pattern: pat}); err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWorker(WorkerConfig{
+			Coordinator: srv.URL, Name: "w1", Store: store,
+			Engine: engine.Options{Workers: 2},
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		lease := leaseAs(t, srv, store, "w1")
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if next := w.runLease(ctx, lease); next != nil {
+			t.Fatalf("a draining worker was handed lease %+v", next)
+		}
+		st, _ := c.JobStatusByID("j")
+		if w.Partial() != 1 || st.Spilled != 1 || st.Leased != 0 || st.Pending != 2 || c.Status().Leases != 1 {
+			t.Fatalf("after the drain: partial=%d %+v, want the range spilled back and nothing leased", w.Partial(), st)
+		}
+		drainJob(t, srv, store, "w2")
+		st, _ = c.JobStatusByID("j")
+		if st.State != "done" || st.Ordered != want {
+			t.Fatalf("%+v, want done/%d", st, want)
+		}
+	})
 }

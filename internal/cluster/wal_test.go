@@ -8,6 +8,7 @@ package cluster
 // directory, exactly what a restarted process does.
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,87 +40,85 @@ func durableCluster(t *testing.T, store *dal.Store, dir string, clk *fakeClock) 
 // until the test stops using it.
 func crash(c *Coordinator) { c.wal.kill() }
 
-// TestWALReplayThenMergeExactlyOnce is the headline durability contract on
-// both scheduler paths: a coordinator dies with one task merged and another
+// TestWALReplayThenMergeExactlyOnce is the headline durability contract: a
+// coordinator dies with one task merged and another
 // leased out; the restarted coordinator replays its state, resurrects the
 // in-flight lease as pending (same epoch), salvages the pre-crash worker's
 // late report exactly once, fences a duplicate of the already-merged report,
 // and finishes with single-node-exact counts.
 func TestWALReplayThenMergeExactlyOnce(t *testing.T) {
-	for _, split := range []int{0, -1} {
-		t.Run(fmt.Sprintf("split=%d", split), func(t *testing.T) {
-			store, pat, want := starWorkload(t)
-			dir := t.TempDir()
-			clk := newFakeClock()
+	t.Run("split=0", func(t *testing.T) {
+		store, pat, want := starWorkload(t)
+		dir := t.TempDir()
+		clk := newFakeClock()
 
-			c1, srv1 := durableCluster(t, store, dir, clk)
-			if _, err := c1.StartJob("j", JobSpec{Pattern: pat}); err != nil {
-				t.Fatalf("start job: %v", err)
-			}
-			merged := leaseAs(t, srv1, store, "w1")
-			if merged == nil {
-				t.Fatal("no lease granted")
-			}
-			mergedRep := mineLease(t, store, merged, split)
-			mergedRep.Worker = "w1"
-			if code := postJSON(t, srv1, "/cluster/report", mergedRep, nil); code != http.StatusOK {
-				t.Fatalf("report: status %d", code)
-			}
-			inflight := leaseAs(t, srv1, store, "w1")
-			if inflight == nil {
-				t.Fatal("no second lease granted")
-			}
-			// The worker mines the in-flight lease… and the coordinator dies.
-			inflightRep := mineLease(t, store, inflight, split)
-			inflightRep.Worker = "w1"
-			crash(c1)
+		c1, srv1 := durableCluster(t, store, dir, clk)
+		if _, err := c1.StartJob("j", JobSpec{Pattern: pat}); err != nil {
+			t.Fatalf("start job: %v", err)
+		}
+		merged := leaseAs(t, srv1, store, "w1")
+		if merged == nil {
+			t.Fatal("no lease granted")
+		}
+		mergedRep := mineLease(t, store, merged)
+		mergedRep.Worker = "w1"
+		if code := postJSON(t, srv1, "/cluster/report", mergedRep, nil); code != http.StatusOK {
+			t.Fatalf("report: status %d", code)
+		}
+		inflight := leaseAs(t, srv1, store, "w1")
+		if inflight == nil {
+			t.Fatal("no second lease granted")
+		}
+		// The worker mines the in-flight lease… and the coordinator dies.
+		inflightRep := mineLease(t, store, inflight)
+		inflightRep.Worker = "w1"
+		crash(c1)
 
-			c2, srv2 := durableCluster(t, store, dir, clk)
-			st, ok := c2.JobStatusByID("j")
-			if !ok {
-				t.Fatal("job lost across restart")
-			}
-			if st.State != "running" || st.Done != 1 || st.Ordered != mergedRep.Ordered {
-				t.Fatalf("replayed job: state=%s done=%d ordered=%d, want running/1/%d",
-					st.State, st.Done, st.Ordered, mergedRep.Ordered)
-			}
-			if st.Leased != 0 {
-				t.Fatalf("replayed job still shows %d leased tasks; all leases must be force-expired", st.Leased)
-			}
-			cst := c2.Status()
-			if cst.ReplayedJobs != 1 || cst.ResurrectedLeases != 1 {
-				t.Fatalf("recovery counters: replayed=%d resurrected=%d, want 1/1", cst.ReplayedJobs, cst.ResurrectedLeases)
-			}
-			if !cst.Durable {
-				t.Fatal("durable coordinator reports durable=false")
-			}
+		c2, srv2 := durableCluster(t, store, dir, clk)
+		st, ok := c2.JobStatusByID("j")
+		if !ok {
+			t.Fatal("job lost across restart")
+		}
+		if st.State != "running" || st.Done != 1 || st.Ordered != mergedRep.Ordered {
+			t.Fatalf("replayed job: state=%s done=%d ordered=%d, want running/1/%d",
+				st.State, st.Done, st.Ordered, mergedRep.Ordered)
+		}
+		if st.Leased != 0 {
+			t.Fatalf("replayed job still shows %d leased tasks; all leases must be force-expired", st.Leased)
+		}
+		cst := c2.Status()
+		if cst.ReplayedJobs != 1 || cst.ResurrectedLeases != 1 {
+			t.Fatalf("recovery counters: replayed=%d resurrected=%d, want 1/1", cst.ReplayedJobs, cst.ResurrectedLeases)
+		}
+		if !cst.Durable {
+			t.Fatal("durable coordinator reports durable=false")
+		}
 
-			// The pre-crash worker's report arrives late: epoch still matches
-			// the resurrected (pending) task, so the work is salvaged.
-			if code := postJSON(t, srv2, "/cluster/report", inflightRep, nil); code != http.StatusOK {
-				t.Fatalf("salvage report after restart: status %d", code)
-			}
-			// A duplicate of the pre-crash merged report must be fenced: that
-			// task was already counted, replay included.
-			if code := postJSON(t, srv2, "/cluster/report", mergedRep, nil); code != http.StatusGone {
-				t.Fatalf("duplicate report: status %d, want 410", code)
-			}
-			drainJob(t, srv2, store, "w2", split)
-			st, _ = c2.JobStatusByID("j")
-			if st.State != "done" || st.Ordered != want {
-				t.Fatalf("after restart: state=%s ordered=%d, want done/%d", st.State, st.Ordered, want)
-			}
+		// The pre-crash worker's report arrives late: epoch still matches
+		// the resurrected (pending) task, so the work is salvaged.
+		if code := postJSON(t, srv2, "/cluster/report", inflightRep, nil); code != http.StatusOK {
+			t.Fatalf("salvage report after restart: status %d", code)
+		}
+		// A duplicate of the pre-crash merged report must be fenced: that
+		// task was already counted, replay included.
+		if code := postJSON(t, srv2, "/cluster/report", mergedRep, nil); code != http.StatusGone {
+			t.Fatalf("duplicate report: status %d, want 410", code)
+		}
+		drainJob(t, srv2, store, "w2")
+		st, _ = c2.JobStatusByID("j")
+		if st.State != "done" || st.Ordered != want {
+			t.Fatalf("after restart: state=%s ordered=%d, want done/%d", st.State, st.Ordered, want)
+		}
 
-			// Third incarnation: the finished job survives compaction and
-			// another replay with the same exact count.
-			c2.Close()
-			c3, _ := durableCluster(t, store, dir, clk)
-			st, ok = c3.JobStatusByID("j")
-			if !ok || st.State != "done" || st.Ordered != want {
-				t.Fatalf("second restart: ok=%v state=%s ordered=%d, want done/%d", ok, st.State, st.Ordered, want)
-			}
-		})
-	}
+		// Third incarnation: the finished job survives compaction and
+		// another replay with the same exact count.
+		c2.Close()
+		c3, _ := durableCluster(t, store, dir, clk)
+		st, ok = c3.JobStatusByID("j")
+		if !ok || st.State != "done" || st.Ordered != want {
+			t.Fatalf("second restart: ok=%v state=%s ordered=%d, want done/%d", ok, st.State, st.Ordered, want)
+		}
+	})
 }
 
 // TestWALTornFinalRecordTolerated crashes mid-append: a torn final frame
@@ -255,7 +254,7 @@ func TestWALCompactionBySizeRecoveryEquivalence(t *testing.T) {
 		if _, err := c1.StartJob(id, JobSpec{Pattern: pat}); err != nil {
 			t.Fatal(err)
 		}
-		drainJob(t, srv1, store, "w1", 0)
+		drainJob(t, srv1, store, "w1")
 		ids = append(ids, id)
 		if _, _, n := c1.wal.stats(); n > compactions {
 			compactions, inSnapshot = n, len(ids)
@@ -267,7 +266,7 @@ func TestWALCompactionBySizeRecoveryEquivalence(t *testing.T) {
 		if _, err := c1.StartJob(id, JobSpec{Pattern: pat}); err != nil {
 			t.Fatal(err)
 		}
-		drainJob(t, srv1, store, "w1", 0)
+		drainJob(t, srv1, store, "w1")
 		ids = append(ids, id)
 	}
 	if _, _, n := c1.wal.stats(); n != 2 || int(n) >= inSnapshot {
@@ -280,7 +279,7 @@ func TestWALCompactionBySizeRecoveryEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	lease := leaseAs(t, srv1, store, "w1")
-	rep := mineLease(t, store, lease, 0)
+	rep := mineLease(t, store, lease)
 	rep.Worker = "w1"
 	if code := postJSON(t, srv1, "/cluster/report", rep, nil); code != http.StatusOK {
 		t.Fatalf("report: status %d", code)
@@ -324,7 +323,7 @@ func TestWALCompactionBySizeRecoveryEquivalence(t *testing.T) {
 	if st := c2.Status(); st.ReplayedJobs != int64(len(ids))+1 {
 		t.Fatalf("replayed %d jobs, want %d", st.ReplayedJobs, len(ids)+1)
 	}
-	drainJob(t, srv2, store, "w2", 0)
+	drainJob(t, srv2, store, "w2")
 	final, _ := c2.JobStatusByID("running")
 	if final.State != "done" || final.Ordered != want {
 		t.Fatalf("running job after restart: state=%s ordered=%d, want done/%d", final.State, final.Ordered, want)
@@ -377,92 +376,90 @@ func TestWALReportAndLeaseAppend(t *testing.T) {
 		{name: "power-loss-in-grant", acked: true, cut: 1, want: outcome{1, 0}},
 		{name: "power-loss-in-report", acked: true, cut: 2, want: outcome{0, 0}},
 	} {
-		for _, split := range []int{0, -1} {
-			t.Run(fmt.Sprintf("%s/split=%d", tc.name, split), func(t *testing.T) {
-				store, pat, want := starWorkload(t)
-				dir := t.TempDir()
-				clk := newFakeClock()
-				c1, srv1 := testCluster(t, store, Config{
-					LeaseTTL: 10 * time.Second, Parts: 4, Dir: dir, now: clk.Now, WALWrap: tc.wrap,
-				})
-				if _, err := c1.StartJob("j", JobSpec{Pattern: pat}); err != nil {
+		t.Run(tc.name+"/split=0", func(t *testing.T) {
+			store, pat, want := starWorkload(t)
+			dir := t.TempDir()
+			clk := newFakeClock()
+			c1, srv1 := testCluster(t, store, Config{
+				LeaseTTL: 10 * time.Second, Parts: 4, Dir: dir, now: clk.Now, WALWrap: tc.wrap,
+			})
+			if _, err := c1.StartJob("j", JobSpec{Pattern: pat}); err != nil {
+				t.Fatal(err)
+			}
+			first := leaseAs(t, srv1, store, "w1")
+			rep := mineLease(t, store, first)
+			rep.Worker, rep.LeaseNext = "w1", true
+			var ack ReportAck
+			code := postJSON(t, srv1, "/cluster/report", rep, &ack)
+			if tc.acked != (code == http.StatusOK) {
+				t.Fatalf("report: status %d, acked want %v", code, tc.acked)
+			}
+			if tc.acked && (ack.Lease == nil || ack.Lease.Task == first.Task || ack.Lease.Epoch != 1) {
+				t.Fatalf("ack carries lease %+v, want a first grant of another task", ack.Lease)
+			}
+			crash(c1)
+			if tc.cut > 0 {
+				path := filepath.Join(dir, walFile)
+				b := walFrameBounds(t, path)
+				if len(b) != 5 {
+					t.Fatalf("log holds %d frames, want admit, grant, report, grant", len(b)-1)
+				}
+				if err := os.Truncate(path, b[len(b)-1-tc.cut]+5); err != nil {
 					t.Fatal(err)
 				}
-				first := leaseAs(t, srv1, store, "w1")
-				rep := mineLease(t, store, first, split)
-				rep.Worker, rep.LeaseNext = "w1", true
-				var ack ReportAck
-				code := postJSON(t, srv1, "/cluster/report", rep, &ack)
-				if tc.acked != (code == http.StatusOK) {
-					t.Fatalf("report: status %d, acked want %v", code, tc.acked)
+			}
+
+			c2, srv2 := durableCluster(t, store, dir, clk)
+			st, ok := c2.JobStatusByID("j")
+			if !ok || st.State != "running" {
+				t.Fatalf("job after replay: ok=%v %+v", ok, st)
+			}
+			got := outcome{merged: st.Done}
+			for _, task := range st.Tasks {
+				if task.ID != first.Task && task.Epoch > got.granted {
+					got.granted = task.Epoch
 				}
-				if tc.acked && (ack.Lease == nil || ack.Lease.Task == first.Task || ack.Lease.Epoch != 1) {
-					t.Fatalf("ack carries lease %+v, want a first grant of another task", ack.Lease)
+			}
+			if got != tc.want {
+				t.Fatalf("replay found %+v, want %+v", got, tc.want)
+			}
+			if got.merged == 1 && st.Ordered != rep.Ordered {
+				t.Fatalf("replayed ordered=%d, want the merged report's %d", st.Ordered, rep.Ordered)
+			}
+			if st.Leased != 0 {
+				t.Fatalf("%d tasks still leased after replay", st.Leased)
+			}
+
+			// The worker carries on against the restarted coordinator: a
+			// report that was not acked is retried, a lease that was is
+			// mined and reported. Either is salvaged at its epoch, or
+			// fenced with the task redone — the total is exact.
+			if !tc.acked {
+				if code := postJSON(t, srv2, "/cluster/report", rep, &ack); code != http.StatusOK {
+					t.Fatalf("retried report: status %d", code)
 				}
-				crash(c1)
+			}
+			if ack.Lease != nil {
+				next := mineLease(t, store, ack.Lease)
+				next.Worker = "w1"
+				wantCode := http.StatusOK
 				if tc.cut > 0 {
-					path := filepath.Join(dir, walFile)
-					b := walFrameBounds(t, path)
-					if len(b) != 5 {
-						t.Fatalf("log holds %d frames, want admit, grant, report, grant", len(b)-1)
-					}
-					if err := os.Truncate(path, b[len(b)-1-tc.cut]+5); err != nil {
-						t.Fatal(err)
-					}
+					// The disk lost a grant it had acked: as far as the
+					// restarted coordinator knows that epoch was never
+					// issued. (A merge lost the same way is not retried
+					// by the worker; the task is simply redone.)
+					wantCode = http.StatusGone
 				}
-
-				c2, srv2 := durableCluster(t, store, dir, clk)
-				st, ok := c2.JobStatusByID("j")
-				if !ok || st.State != "running" {
-					t.Fatalf("job after replay: ok=%v %+v", ok, st)
+				if code := postJSON(t, srv2, "/cluster/report", next, nil); code != wantCode {
+					t.Fatalf("report of the lease that rode the ack: status %d, want %d", code, wantCode)
 				}
-				got := outcome{merged: st.Done}
-				for _, task := range st.Tasks {
-					if task.ID != first.Task && task.Epoch > got.granted {
-						got.granted = task.Epoch
-					}
-				}
-				if got != tc.want {
-					t.Fatalf("replay found %+v, want %+v", got, tc.want)
-				}
-				if got.merged == 1 && st.Ordered != rep.Ordered {
-					t.Fatalf("replayed ordered=%d, want the merged report's %d", st.Ordered, rep.Ordered)
-				}
-				if st.Leased != 0 {
-					t.Fatalf("%d tasks still leased after replay", st.Leased)
-				}
-
-				// The worker carries on against the restarted coordinator: a
-				// report that was not acked is retried, a lease that was is
-				// mined and reported. Either is salvaged at its epoch, or
-				// fenced with the task redone — the total is exact.
-				if !tc.acked {
-					if code := postJSON(t, srv2, "/cluster/report", rep, &ack); code != http.StatusOK {
-						t.Fatalf("retried report: status %d", code)
-					}
-				}
-				if ack.Lease != nil {
-					next := mineLease(t, store, ack.Lease, split)
-					next.Worker = "w1"
-					wantCode := http.StatusOK
-					if tc.cut > 0 {
-						// The disk lost a grant it had acked: as far as the
-						// restarted coordinator knows that epoch was never
-						// issued. (A merge lost the same way is not retried
-						// by the worker; the task is simply redone.)
-						wantCode = http.StatusGone
-					}
-					if code := postJSON(t, srv2, "/cluster/report", next, nil); code != wantCode {
-						t.Fatalf("report of the lease that rode the ack: status %d, want %d", code, wantCode)
-					}
-				}
-				drainJob(t, srv2, store, "w2", split)
-				st, _ = c2.JobStatusByID("j")
-				if st.State != "done" || st.Ordered != want {
-					t.Fatalf("after the drill: state=%s ordered=%d, want done/%d", st.State, st.Ordered, want)
-				}
-			})
-		}
+			}
+			drainJob(t, srv2, store, "w2")
+			st, _ = c2.JobStatusByID("j")
+			if st.State != "done" || st.Ordered != want {
+				t.Fatalf("after the drill: state=%s ordered=%d, want done/%d", st.State, st.Ordered, want)
+			}
+		})
 	}
 }
 
@@ -497,7 +494,7 @@ func TestWALParentFilesReplay(t *testing.T) {
 	if st := c.Status(); st.ReplayedJobs != 2 || st.ResurrectedLeases != 1 {
 		t.Fatalf("recovery counters: %+v", st)
 	}
-	drainJob(t, srv, store, "w3", 0)
+	drainJob(t, srv, store, "w3")
 	j2, _ = c.JobStatusByID("j2")
 	if j2.State != "done" || j2.Ordered != want {
 		t.Fatalf("j2 finished on the new coordinator: %+v, want done/%d", j2, want)
@@ -560,12 +557,70 @@ func TestWALNoSpaceDegradesThenHeals(t *testing.T) {
 	if _, err := c.StartJob("j", JobSpec{Pattern: pat}); err != nil {
 		t.Fatalf("start job after heal: %v", err)
 	}
-	drainJob(t, srv, store, "w1", 0)
+	drainJob(t, srv, store, "w1")
 	st, _ := c.JobStatusByID("j")
 	if st.State != "done" || st.Ordered != want {
 		t.Fatalf("after heal: state=%s ordered=%d, want done/%d", st.State, st.Ordered, want)
 	}
 	if dropped := nw.Dropped(); dropped == 0 {
 		t.Fatal("fault writer never saw a dropped write")
+	}
+}
+
+// TestVariantRefused: "variant" is still a recognised key of a job spec and
+// of a lease, but only to be checked. POST /cluster/jobs answers a baseline's
+// name with a 400 saying where baselines run; a worker handed a lease that
+// names one (an older coordinator's) fails the task instead of mining it as
+// OHMiner; and a WAL admit record carrying one — the frame below is written
+// by hand, as a coordinator that still served baselines would have — replays
+// into a failed job with that message, while the log loads and the
+// coordinator keeps admitting work.
+func TestVariantRefused(t *testing.T) {
+	store, pat, _ := starWorkload(t)
+	refusal := func(msg string) bool {
+		return strings.Contains(msg, "HGMatch") && strings.Contains(msg, "ohmbench") && strings.Contains(msg, "ohminer -variant")
+	}
+
+	payload := fmt.Sprintf(`{"seq":1,"t":"admit","job":"old","spec":{"pattern":%q,"variant":"HGMatch"},"graph_fp":%d,"job_seq":1}`,
+		pat, store.Hypergraph().Fingerprint())
+	log := binary.LittleEndian.AppendUint32(nil, walMagic)
+	log = binary.LittleEndian.AppendUint32(log, walVersion)
+	log = binary.LittleEndian.AppendUint32(log, uint32(len(payload)))
+	log = append(log, payload...)
+	log = binary.LittleEndian.AppendUint32(log, crcio.Checksum([]byte(payload)))
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walFile), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, srv := durableCluster(t, store, dir, newFakeClock())
+	old, ok := c.JobStatusByID("old")
+	if !ok || old.State != "failed" || !refusal(old.Error) || old.Parts != 0 {
+		t.Fatalf("replayed HGMatch job: ok=%v %+v, want failed with the refusal and no tasks", ok, old)
+	}
+
+	for variant, want := range map[string]int{"": http.StatusAccepted, "OHMiner": http.StatusAccepted, "HGMatch": http.StatusBadRequest} {
+		resp, err := http.Post(srv.URL+"/cluster/jobs", "application/json",
+			strings.NewReader(fmt.Sprintf(`{"pattern":%q,"variant":%q}`, pat, variant)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want || (want == http.StatusBadRequest && !refusal(string(body))) {
+			t.Errorf("POST /cluster/jobs variant=%q: status %d body %s, want %d", variant, resp.StatusCode, body, want)
+		}
+	}
+
+	lease := leaseAs(t, srv, store, "w1")
+	if lease == nil || lease.Variant != "" {
+		t.Fatalf("lease %+v, want one that names no variant", lease)
+	}
+	w, err := NewWorker(WorkerConfig{Coordinator: srv.URL, Name: "w1", Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease.Variant = "HGMatch"
+	if _, _, err := w.mine(context.Background(), lease); err == nil || !refusal(err.Error()) {
+		t.Fatalf("worker mined a lease naming HGMatch: err=%v", err)
 	}
 }

@@ -13,8 +13,8 @@ package cluster
 type JobSpec struct {
 	// Pattern is the pattern literal, e.g. "0 1 2; 2 3 4".
 	Pattern string `json:"pattern"`
-	// Variant selects the engine configuration by paper name (default
-	// "OHMiner").
+	// Variant is recognised only to be refused (engine.CheckVariant): ""
+	// and "OHMiner" pass, a baseline's name fails the job.
 	Variant string `json:"variant,omitempty"`
 	// DataAwareOrder derives the matching order from data selectivity. It
 	// changes the plan fingerprint, so workers compile the same order from
@@ -55,9 +55,10 @@ type Lease struct {
 	Job   string `json:"job"`
 	Task  int    `json:"task"`
 	Epoch uint64 `json:"epoch"`
-	// Pattern/Variant/DataAwareOrder let the worker compile the job's exact
-	// plan locally; the snapshot's embedded fingerprint then proves the
-	// compilation matched.
+	// Pattern/DataAwareOrder let the worker compile the job's exact plan
+	// locally; the snapshot's embedded fingerprint then proves the
+	// compilation matched. Variant is recognised only to be refused, as on
+	// JobSpec: a lease naming a baseline is reported back as a task error.
 	Pattern        string `json:"pattern"`
 	Variant        string `json:"variant,omitempty"`
 	DataAwareOrder bool   `json:"data_aware_order,omitempty"`

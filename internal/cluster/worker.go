@@ -79,8 +79,8 @@ type Worker struct {
 
 // planKey is everything of a lease that shapes its plan.
 type planKey struct {
-	pattern, variant string
-	dataAwareOrder   bool
+	pattern        string
+	dataAwareOrder bool
 }
 
 // leaseWait is how long an idle worker asks the coordinator to hold a lease
@@ -235,9 +235,9 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) *Lease {
 }
 
 // planFor returns the plan of lease's job, compiled on the first lease that
-// names this (pattern, variant, order) and reused by the ones that follow.
+// names this (pattern, order) and reused by the ones that follow.
 func (w *Worker) planFor(lease *Lease, opts engine.Options) (*oig.Plan, error) {
-	key := planKey{lease.Pattern, lease.Variant, lease.DataAwareOrder}
+	key := planKey{lease.Pattern, lease.DataAwareOrder}
 	if w.plan != nil && w.planKey == key {
 		return w.plan, nil
 	}
@@ -261,16 +261,10 @@ var errLeaseLost = errors.New("cluster: lease lost")
 // the background. It returns the engine result, the encoded unfinished
 // remainder (nil when the range completed), and the first error.
 func (w *Worker) mine(ctx context.Context, lease *Lease) (engine.Result, []byte, error) {
-	opts := w.cfg.Engine
-	if lease.Variant != "" {
-		v, err := engine.VariantByName(lease.Variant)
-		if err != nil {
-			return engine.Result{}, nil, err
-		}
-		opts.Gen, opts.Val = v.Gen, v.Val
-	} else {
-		opts.Gen, opts.Val = 0, 0
+	if err := engine.CheckVariant(lease.Variant); err != nil {
+		return engine.Result{}, nil, err
 	}
+	opts := w.cfg.Engine
 	opts.DataAwareOrder = lease.DataAwareOrder
 	opts.OnEmbedding = w.cfg.OnEmbedding
 	mem := &checkpoint.MemSink{}

@@ -22,51 +22,6 @@ func benchFixture(b *testing.B) (*dal.Store, *pattern.Pattern) {
 	return store, p
 }
 
-// BenchmarkValidationPaths isolates the three validation strategies on
-// identical candidate generation.
-func BenchmarkValidationPaths(b *testing.B) {
-	store, p := benchFixture(b)
-	for _, cfg := range []struct {
-		name string
-		val  ValMode
-	}{
-		{"overlap-merged", ValOverlap},
-		{"overlap-simple", ValOverlapSimple},
-		{"profiles", ValProfiles},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Mine(store, p, Options{Gen: GenDAL, Val: cfg.val, Workers: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkGenerationPaths isolates DAL vs vertex-granularity candidate
-// generation under identical validation.
-func BenchmarkGenerationPaths(b *testing.B) {
-	store, p := benchFixture(b)
-	for _, cfg := range []struct {
-		name string
-		gen  GenMode
-	}{
-		{"dal", GenDAL},
-		{"hgmatch", GenHGMatch},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := Mine(store, p, Options{Gen: cfg.gen, Val: ValOverlap, Workers: 1}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkEstimateFractions shows the estimator's time/accuracy dial.
 func BenchmarkEstimateFractions(b *testing.B) {
 	store, p := benchFixture(b)

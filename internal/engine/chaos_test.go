@@ -21,16 +21,15 @@ import (
 
 const chaosTick = 2 * time.Millisecond
 
-// chaosOpts is the shared option block: both scheduler paths get the same
-// throttled workload so each run spans many checkpoint periods. The 100µs
+// chaosOpts is the shared option block: a throttled workload, so each run
+// spans many checkpoint periods. The 100µs
 // throttle stretches the 3540-embedding workload to >100ms of wall time:
 // a checkpoint costs a full quiesce/restart cycle, and under heavy load
 // (race-instrumented CI) a cycle can take tens of milliseconds, so the run
 // must be long enough to fit every derived fault point with margin.
-func chaosOpts(split int, sink checkpoint.Sink) Options {
+func chaosOpts(sink checkpoint.Sink) Options {
 	return Options{
 		Workers:         3,
-		SplitDepth:      split,
 		SplitThreshold:  2,
 		Checkpoint:      sink,
 		CheckpointEvery: chaosTick,
@@ -41,56 +40,55 @@ func chaosOpts(split int, sink checkpoint.Sink) Options {
 // TestChaosKillAtKthCheckpoint kills the run (context cancellation — the
 // SIGKILL stand-in: everything after the last durable snapshot is lost)
 // right after the k-th checkpoint lands on disk, then resumes from the file
-// and requires the exact uninterrupted total. Several kill points, both
-// scheduler paths, and a second resume of the same snapshot to prove
-// idempotence.
+// and requires the exact uninterrupted total. Several kill points, and a
+// second resume of the same snapshot to prove idempotence. (Subtest names
+// keep the split=0 component they had while SplitDepth=-1 selected a second
+// scheduler: same cases, same IDs in test history.)
 func TestChaosKillAtKthCheckpoint(t *testing.T) {
 	store, p, want := slowWorkload(t)
-	for _, split := range []int{0, -1} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			// Capped at 3: every run reliably reaches 3 checkpoints even
-			// when a loaded machine stretches each quiesce cycle.
-			killAt := int(faultinject.Derive(seed, "kill", 3))
-			t.Run(fmt.Sprintf("split=%d/killAt=%d", split, killAt), func(t *testing.T) {
-				path := filepath.Join(t.TempDir(), "run.ckpt")
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				sink := &faultinject.CrashSink{
-					Inner:   &checkpoint.FileSink{Path: path},
-					After:   killAt,
-					OnCrash: cancel,
-				}
-				res1, err := MineContext(ctx, store, p, chaosOpts(split, sink))
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("kill missed: err=%v after %d writes", err, sink.Writes())
-				}
-				if !res1.Truncated {
-					t.Error("killed run not Truncated")
-				}
-				if res1.Ordered >= want {
-					t.Fatalf("kill came after completion (%d >= %d); cannot exercise resume", res1.Ordered, want)
-				}
+	for seed := uint64(1); seed <= 3; seed++ {
+		// Capped at 3: every run reliably reaches 3 checkpoints even
+		// when a loaded machine stretches each quiesce cycle.
+		killAt := int(faultinject.Derive(seed, "kill", 3))
+		t.Run(fmt.Sprintf("split=0/killAt=%d", killAt), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			sink := &faultinject.CrashSink{
+				Inner:   &checkpoint.FileSink{Path: path},
+				After:   killAt,
+				OnCrash: cancel,
+			}
+			res1, err := MineContext(ctx, store, p, chaosOpts(sink))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("kill missed: err=%v after %d writes", err, sink.Writes())
+			}
+			if !res1.Truncated {
+				t.Error("killed run not Truncated")
+			}
+			if res1.Ordered >= want {
+				t.Fatalf("kill came after completion (%d >= %d); cannot exercise resume", res1.Ordered, want)
+			}
 
-				snap, err := checkpoint.ReadFile(path)
+			snap, err := checkpoint.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read snapshot: %v", err)
+			}
+			for attempt := 1; attempt <= 2; attempt++ {
+				res, err := ResumeFromCheckpoint(context.Background(), store, p,
+					snap, chaosOpts(nil))
 				if err != nil {
-					t.Fatalf("read snapshot: %v", err)
+					t.Fatalf("resume attempt %d: %v", attempt, err)
 				}
-				for attempt := 1; attempt <= 2; attempt++ {
-					res, err := ResumeFromCheckpoint(context.Background(), store, p,
-						snap, chaosOpts(split, nil))
-					if err != nil {
-						t.Fatalf("resume attempt %d: %v", attempt, err)
-					}
-					if res.Ordered != want {
-						t.Errorf("resume attempt %d: total %d, want %d (snapshot carried %d)",
-							attempt, res.Ordered, want, snap.Ordered)
-					}
-					if res.Truncated {
-						t.Errorf("resume attempt %d: completed run Truncated", attempt)
-					}
+				if res.Ordered != want {
+					t.Errorf("resume attempt %d: total %d, want %d (snapshot carried %d)",
+						attempt, res.Ordered, want, snap.Ordered)
 				}
-			})
-		}
+				if res.Truncated {
+					t.Errorf("resume attempt %d: completed run Truncated", attempt)
+				}
+			}
+		})
 	}
 }
 
@@ -110,7 +108,7 @@ func TestChaosTornCheckpointRejected(t *testing.T) {
 			defer cancel()
 			sink := &faultinject.TornSink{Path: path, TearAt: 2, TearBytes: tearBytes}
 			crash := &faultinject.CrashSink{Inner: sink, After: 2, OnCrash: cancel}
-			if _, err := MineContext(ctx, store, p, chaosOpts(0, crash)); !errors.Is(err, context.Canceled) {
+			if _, err := MineContext(ctx, store, p, chaosOpts(crash)); !errors.Is(err, context.Canceled) {
 				t.Fatalf("kill missed: %v", err)
 			}
 			if _, err := checkpoint.ReadFile(path); !errors.Is(err, checkpoint.ErrCorrupt) {
@@ -130,39 +128,37 @@ func TestChaosPanicThenResume(t *testing.T) {
 	// Fault points live in callback space: the symmetry-broken plan fires
 	// OnEmbedding once per orbit, so the run makes want/|Aut| calls total.
 	calls := want / uint64(p.Automorphisms())
-	for _, split := range []int{0, -1} {
-		for seed := uint64(1); seed <= 2; seed++ {
-			// Late enough that checkpoints exist, early enough to lose work.
-			panicAt := 500 + faultinject.Derive(seed, "panic", calls-1000)
-			t.Run(fmt.Sprintf("split=%d/panicAt=%d", split, panicAt), func(t *testing.T) {
-				path := filepath.Join(t.TempDir(), "run.ckpt")
-				opts := chaosOpts(split, &checkpoint.FileSink{Path: path})
-				opts.OnEmbedding = faultinject.PanicAfter(panicAt,
-					faultinject.SlowEmbedding(100*time.Microsecond))
-				res, err := Mine(store, p, opts)
-				if !errors.Is(err, ErrWorkerPanic) {
-					t.Fatalf("err=%v, want ErrWorkerPanic", err)
-				}
-				if !res.Truncated {
-					t.Error("panicked run not Truncated")
-				}
-				if _, err := os.Stat(path); err != nil {
-					t.Skipf("panic landed before the first checkpoint (%v); nothing to resume", err)
-				}
-				snap, err := checkpoint.ReadFile(path)
-				if err != nil {
-					t.Fatalf("read snapshot: %v", err)
-				}
-				got, err := ResumeFromCheckpoint(context.Background(), store, p,
-					snap, chaosOpts(split, nil))
-				if err != nil {
-					t.Fatalf("resume: %v", err)
-				}
-				if got.Ordered != want {
-					t.Errorf("resumed total %d, want %d (snapshot carried %d)", got.Ordered, want, snap.Ordered)
-				}
-			})
-		}
+	for seed := uint64(1); seed <= 2; seed++ {
+		// Late enough that checkpoints exist, early enough to lose work.
+		panicAt := 500 + faultinject.Derive(seed, "panic", calls-1000)
+		t.Run(fmt.Sprintf("split=0/panicAt=%d", panicAt), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			opts := chaosOpts(&checkpoint.FileSink{Path: path})
+			opts.OnEmbedding = faultinject.PanicAfter(panicAt,
+				faultinject.SlowEmbedding(100*time.Microsecond))
+			res, err := Mine(store, p, opts)
+			if !errors.Is(err, ErrWorkerPanic) {
+				t.Fatalf("err=%v, want ErrWorkerPanic", err)
+			}
+			if !res.Truncated {
+				t.Error("panicked run not Truncated")
+			}
+			if _, err := os.Stat(path); err != nil {
+				t.Skipf("panic landed before the first checkpoint (%v); nothing to resume", err)
+			}
+			snap, err := checkpoint.ReadFile(path)
+			if err != nil {
+				t.Fatalf("read snapshot: %v", err)
+			}
+			got, err := ResumeFromCheckpoint(context.Background(), store, p,
+				snap, chaosOpts(nil))
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if got.Ordered != want {
+				t.Errorf("resumed total %d, want %d (snapshot carried %d)", got.Ordered, want, snap.Ordered)
+			}
+		})
 	}
 }
 
@@ -171,17 +167,15 @@ func TestChaosPanicThenResume(t *testing.T) {
 // merely counted.
 func TestChaosFullDisk(t *testing.T) {
 	store, p, want := slowWorkload(t)
-	for _, split := range []int{0, -1} {
-		sink := &faultinject.NoSpaceSink{}
-		res, err := Mine(store, p, chaosOpts(split, sink))
-		if err != nil {
-			t.Fatalf("split=%d: %v", split, err)
-		}
-		if res.Ordered != want || res.Truncated {
-			t.Errorf("split=%d: Ordered=%d Truncated=%v, want %d/false", split, res.Ordered, res.Truncated, want)
-		}
-		if sink.Attempts() == 0 || res.Stats.CheckpointErrors != sink.Attempts() {
-			t.Errorf("split=%d: %d refused writes, stats count %d", split, sink.Attempts(), res.Stats.CheckpointErrors)
-		}
+	sink := &faultinject.NoSpaceSink{}
+	res, err := Mine(store, p, chaosOpts(sink))
+	if err != nil {
+		t.Fatalf("%v", err)
+	}
+	if res.Ordered != want || res.Truncated {
+		t.Errorf("Ordered=%d Truncated=%v, want %d/false", res.Ordered, res.Truncated, want)
+	}
+	if sink.Attempts() == 0 || res.Stats.CheckpointErrors != sink.Attempts() {
+		t.Errorf("%d refused writes, stats count %d", sink.Attempts(), res.Stats.CheckpointErrors)
 	}
 }

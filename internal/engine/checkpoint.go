@@ -40,12 +40,14 @@ func planFingerprint(plan *oig.Plan) uint64 {
 // carries; unpackStats inverts it. The order is part of the snapshot format
 // (bump checkpoint.Version when it changes); new counters are appended at
 // the end, which unpackStats tolerates missing, so old snapshots resume
-// with those counters zeroed instead of failing.
+// with those counters zeroed instead of failing. Slots 3-6 held the HGMatch
+// redundancy counters, which left with that baseline (internal/baseline):
+// they are written as zeros and ignored on read, so snapshots stay
+// exchangeable with builds that still count them.
 func packStats(s Stats) []uint64 {
 	return []uint64{
 		s.Candidates, s.Embeddings, s.SetOps,
-		s.NMFetches, s.RedundantNMFetches,
-		s.ProfileVertices, s.RedundantProfileVertices,
+		0, 0, 0, 0,
 		uint64(s.GenTime), uint64(s.ValTime),
 		s.Publishes, s.Steals, s.IdleSpins,
 		s.Checkpoints, s.CheckpointBytes, s.CheckpointErrors,
@@ -57,8 +59,7 @@ func unpackStats(vs []uint64) Stats {
 	var s Stats
 	dst := []*uint64{
 		&s.Candidates, &s.Embeddings, &s.SetOps,
-		&s.NMFetches, &s.RedundantNMFetches,
-		&s.ProfileVertices, &s.RedundantProfileVertices,
+		nil, nil, nil, nil, // retired slots, see packStats
 		nil, nil, // GenTime/ValTime handled below
 		&s.Publishes, &s.Steals, &s.IdleSpins,
 		&s.Checkpoints, &s.CheckpointBytes, &s.CheckpointErrors,
@@ -68,12 +69,12 @@ func unpackStats(vs []uint64) Stats {
 		if i >= len(dst) {
 			break
 		}
-		switch i {
-		case 7:
+		switch {
+		case i == 7:
 			s.GenTime = time.Duration(v)
-		case 8:
+		case i == 8:
 			s.ValTime = time.Duration(v)
-		default:
+		case dst[i] != nil:
 			*dst[i] = v
 		}
 	}
@@ -179,30 +180,21 @@ func (e *shared) buildSnapshot(seq uint64, frontier []task, ordered uint64, stat
 }
 
 // collectFrontier gathers every unexplored subtree after a quiesce: the
-// remainders each worker saved while unwinding, plus whatever never left
-// the distribution structures — queued deque and overflow tasks on the
-// work-stealing path, or the unclaimed tail of the round's item list on the
-// legacy path. Together these partition the unexplored search space.
-func (e *shared) collectFrontier(ws []*worker, rs roundState, first []uint32, tasks []task) []task {
+// remainders each worker saved while unwinding, plus whatever never left the
+// scheduler — its queued deque and overflow tasks. Together these partition
+// the unexplored search space.
+func collectFrontier(ws []*worker, sched *scheduler) []task {
 	var out []task
 	for _, w := range ws {
 		out = append(out, w.saved...)
 		w.saved = nil
 	}
-	if rs.sched != nil {
-		for i := range rs.sched.deques {
-			out = rs.sched.deques[i].drainTasks(out)
-		}
-		rs.sched.ovMu.Lock()
-		out = append(out, rs.sched.overflow...)
-		rs.sched.overflow = nil
-		rs.sched.ovMu.Unlock()
-		return out
+	for i := range sched.deques {
+		out = sched.deques[i].drainTasks(out)
 	}
-	if tasks != nil {
-		out = append(out, tasks[rs.claimed:]...)
-	} else if int(rs.claimed) < len(first) {
-		out = append(out, task{cands: append([]uint32(nil), first[rs.claimed:]...)})
-	}
+	sched.ovMu.Lock()
+	out = append(out, sched.overflow...)
+	sched.overflow = nil
+	sched.ovMu.Unlock()
 	return out
 }

@@ -95,100 +95,94 @@ func slowEmit([]uint32) {
 
 // TestCheckpointedRunExactCount proves that periodic quiescing is
 // count-neutral: a run interrupted by dozens of checkpoint rounds reports
-// exactly the uninterrupted total, on both scheduler paths.
+// exactly the uninterrupted total.
 func TestCheckpointedRunExactCount(t *testing.T) {
 	store, p, want := slowWorkload(t)
-	for _, split := range []int{0, -1} {
-		sink := &memSink{}
-		res, err := Mine(store, p, Options{
-			Workers:         3,
-			SplitDepth:      split,
-			Checkpoint:      sink,
-			CheckpointEvery: 2 * time.Millisecond,
-			OnEmbedding:     slowEmit,
-		})
-		if err != nil {
-			t.Fatalf("split=%d: %v", split, err)
-		}
-		if res.Ordered != want {
-			t.Errorf("split=%d: Ordered=%d want %d", split, res.Ordered, want)
-		}
-		if res.Truncated {
-			t.Errorf("split=%d: completed run reported Truncated", split)
-		}
-		if sink.writes() == 0 {
-			t.Errorf("split=%d: no checkpoints written during a %s run", split, res.Elapsed)
-		}
-		if res.Stats.Checkpoints != uint64(sink.writes()) {
-			t.Errorf("split=%d: Stats.Checkpoints=%d, sink saw %d", split, res.Stats.Checkpoints, sink.writes())
-		}
-		if res.Stats.CheckpointBytes == 0 {
-			t.Errorf("split=%d: Stats.CheckpointBytes=0", split)
-		}
+	sink := &memSink{}
+	res, err := Mine(store, p, Options{
+		Workers:         3,
+		Checkpoint:      sink,
+		CheckpointEvery: 2 * time.Millisecond,
+		OnEmbedding:     slowEmit,
+	})
+	if err != nil {
+		t.Fatalf("%v", err)
+	}
+	if res.Ordered != want {
+		t.Errorf("Ordered=%d want %d", res.Ordered, want)
+	}
+	if res.Truncated {
+		t.Error("completed run reported Truncated")
+	}
+	if sink.writes() == 0 {
+		t.Errorf("no checkpoints written during a %s run", res.Elapsed)
+	}
+	if res.Stats.Checkpoints != uint64(sink.writes()) {
+		t.Errorf("Stats.Checkpoints=%d, sink saw %d", res.Stats.Checkpoints, sink.writes())
+	}
+	if res.Stats.CheckpointBytes == 0 {
+		t.Error("Stats.CheckpointBytes=0")
 	}
 }
 
 // TestCrashResumeExactCount kills a run at the k-th checkpoint (context
 // cancellation, the SIGTERM path) and resumes from the captured snapshot:
 // the resumed total must equal the uninterrupted count exactly — embeddings
-// counted before the kill are neither lost nor recounted. Both scheduler
-// paths, several kill points.
+// counted before the kill are neither lost nor recounted. Several kill
+// points.
 func TestCrashResumeExactCount(t *testing.T) {
 	store, p, want := slowWorkload(t)
-	for _, split := range []int{0, -1} {
-		for _, killAt := range []int{1, 3} {
-			ctx, cancel := context.WithCancel(context.Background())
-			sink := &memSink{}
-			sink.afterWrite = func(n int) {
-				if n == killAt {
-					cancel()
-				}
+	for _, killAt := range []int{1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		sink := &memSink{}
+		sink.afterWrite = func(n int) {
+			if n == killAt {
+				cancel()
 			}
-			opts := Options{
-				Workers:         3,
-				SplitDepth:      split,
-				Checkpoint:      sink,
-				CheckpointEvery: 2 * time.Millisecond,
-				OnEmbedding:     slowEmit,
-			}
-			res1, err := MineContext(ctx, store, p, opts)
-			cancel()
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("split=%d killAt=%d: err=%v (run finished in %d checkpoints before the kill?)",
-					split, killAt, err, sink.writes())
-			}
-			if !res1.Truncated {
-				t.Errorf("split=%d killAt=%d: killed run not Truncated", split, killAt)
-			}
-			snap := sink.latest(t)
-			if snap.Ordered != res1.Ordered {
-				t.Errorf("split=%d killAt=%d: final snapshot Ordered=%d, result says %d",
-					split, killAt, snap.Ordered, res1.Ordered)
-			}
-			if res1.Ordered >= want {
-				t.Fatalf("split=%d killAt=%d: kill came too late to test resume (%d >= %d)",
-					split, killAt, res1.Ordered, want)
-			}
+		}
+		opts := Options{
+			Workers:         3,
+			Checkpoint:      sink,
+			CheckpointEvery: 2 * time.Millisecond,
+			OnEmbedding:     slowEmit,
+		}
+		res1, err := MineContext(ctx, store, p, opts)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("killAt=%d: err=%v (run finished in %d checkpoints before the kill?)",
+				killAt, err, sink.writes())
+		}
+		if !res1.Truncated {
+			t.Errorf("killAt=%d: killed run not Truncated", killAt)
+		}
+		snap := sink.latest(t)
+		if snap.Ordered != res1.Ordered {
+			t.Errorf("killAt=%d: final snapshot Ordered=%d, result says %d",
+				killAt, snap.Ordered, res1.Ordered)
+		}
+		if res1.Ordered >= want {
+			t.Fatalf("killAt=%d: kill came too late to test resume (%d >= %d)",
+				killAt, res1.Ordered, want)
+		}
 
-			res2, err := ResumeFromCheckpoint(context.Background(), store, p, snap, opts)
-			if err != nil {
-				t.Fatalf("split=%d killAt=%d: resume: %v", split, killAt, err)
-			}
-			if res2.Ordered != want {
-				t.Errorf("split=%d killAt=%d: resumed total %d, want %d (snapshot had %d)",
-					split, killAt, res2.Ordered, want, snap.Ordered)
-			}
-			if res2.Truncated {
-				t.Errorf("split=%d killAt=%d: completed resume reported Truncated", split, killAt)
-			}
+		res2, err := ResumeFromCheckpoint(context.Background(), store, p, snap, opts)
+		if err != nil {
+			t.Fatalf("killAt=%d: resume: %v", killAt, err)
+		}
+		if res2.Ordered != want {
+			t.Errorf("killAt=%d: resumed total %d, want %d (snapshot had %d)",
+				killAt, res2.Ordered, want, snap.Ordered)
+		}
+		if res2.Truncated {
+			t.Errorf("killAt=%d: completed resume reported Truncated", killAt)
+		}
 
-			// Resume is idempotent: replaying the same snapshot must land on
-			// the same total (the snapshot is read-only to the engine).
-			res3, err := ResumeFromCheckpoint(context.Background(), store, p, sink.latest(t), opts)
-			if err != nil || res3.Ordered != want {
-				t.Errorf("split=%d killAt=%d: second resume got (%d, %v), want (%d, nil)",
-					split, killAt, res3.Ordered, err, want)
-			}
+		// Resume is idempotent: replaying the same snapshot must land on
+		// the same total (the snapshot is read-only to the engine).
+		res3, err := ResumeFromCheckpoint(context.Background(), store, p, sink.latest(t), opts)
+		if err != nil || res3.Ordered != want {
+			t.Errorf("killAt=%d: second resume got (%d, %v), want (%d, nil)",
+				killAt, res3.Ordered, err, want)
 		}
 	}
 }
@@ -294,19 +288,78 @@ func TestResumeEmptyFrontier(t *testing.T) {
 	}
 }
 
+// TestParentSnapshotResumes loads testdata/parent_pr16.ohmc, written by the
+// encoder of the commit before the baselines left this package: an
+// instrumented run of its HGMatch variant (so every packed counter is set,
+// the NM/profile redundancy counters of slots 3-6 included) over a 40-edge
+// star with a two-vertex hub and the 3-star pattern, cancelled at its third
+// checkpoint. The file must decode under the unchanged checkpoint.Version,
+// validate against today's plan — which pins oig.Fingerprint across the
+// removal of Plan.ProfileCounts — and resume to the exact total.
+func TestParentSnapshotResumes(t *testing.T) {
+	const n = 40
+	edges := make([][]uint32, n)
+	for i := range edges {
+		edges[i] = []uint32{0, 1, uint32(i + 2)}
+	}
+	store := dal.Build(hypergraph.MustBuild(n+2, edges, nil))
+	p := pattern.MustNew([][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 1, 4}}, nil)
+
+	snap, err := checkpoint.ReadFile("testdata/parent_pr16.ohmc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checkpoint.Version != 1 || snap.Ordered == 0 || len(snap.Frontier) == 0 {
+		t.Fatalf("version %d, Ordered=%d, %d frontier tasks: not the interrupted v1 run this test needs",
+			checkpoint.Version, snap.Ordered, len(snap.Frontier))
+	}
+	for i := 3; i <= 6; i++ {
+		if snap.Stats[i] == 0 {
+			t.Fatalf("slot %d of the parent's packed stats is zero; the file no longer proves they are ignored", i)
+		}
+	}
+	plan, err := CompilePlan(store, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateSnapshot(store, plan, snap); err != nil {
+		t.Fatalf("parent snapshot refused: %v", err)
+	}
+	res, err := ResumeWithPlanContext(context.Background(), store, plan, snap, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(n * (n - 1) * (n - 2)); res.Ordered != want || res.Unique != want/6 || res.Truncated {
+		t.Fatalf("resumed to Ordered=%d Unique=%d truncated=%v, want %d/%d/false", res.Ordered, res.Unique, res.Truncated, want, want/6)
+	}
+	if st := unpackStats(snap.Stats); res.Stats.Candidates < st.Candidates || res.Stats.Checkpoints != st.Checkpoints {
+		t.Errorf("resume dropped the snapshot's live counters: %+v, snapshot had %+v", res.Stats, st)
+	}
+}
+
 // TestStatsPackRoundTrip pins the opaque stats packing the snapshot format
 // carries.
 func TestStatsPackRoundTrip(t *testing.T) {
 	want := Stats{
 		Candidates: 1, Embeddings: 2, SetOps: 3,
-		NMFetches: 4, RedundantNMFetches: 5,
-		ProfileVertices: 6, RedundantProfileVertices: 7,
 		GenTime: 8 * time.Second, ValTime: 9 * time.Second,
 		Publishes: 10, Steals: 11, IdleSpins: 12,
 		Checkpoints: 13, CheckpointBytes: 14, CheckpointErrors: 15,
 	}
 	if got := unpackStats(packStats(want)); got != want {
 		t.Errorf("round trip mismatch:\nwant %+v\ngot  %+v", want, got)
+	}
+	// Slots 3-6 carried the HGMatch redundancy counters: written as zeros,
+	// ignored when a snapshot of an older build has them set.
+	packed := packStats(want)
+	for i := 3; i <= 6; i++ {
+		if packed[i] != 0 {
+			t.Errorf("retired slot %d packed as %d", i, packed[i])
+		}
+		packed[i] = 1000 + uint64(i)
+	}
+	if got := unpackStats(packed); got != want {
+		t.Errorf("retired slots leaked into Stats:\nwant %+v\ngot  %+v", want, got)
 	}
 	// Older (shorter) and newer (longer) packed slices must not panic.
 	if got := unpackStats(packStats(want)[:5]); got.SetOps != 3 || got.Steals != 0 {

@@ -18,40 +18,38 @@ func TestContextCancelPartialResult(t *testing.T) {
 	store, plan := skewedInput(t, 24)
 	total := uint64(24 * 24)
 
-	for _, split := range []int{0, -1} {
-		ctx, cancel := context.WithCancel(context.Background())
-		started := make(chan struct{})
-		var once sync.Once
-		var cancelled atomic2 // time the cancel was issued, set by the canceller
-		go func() {
-			<-started
-			cancelled.set(time.Now())
-			cancel()
-		}()
-		res, err := MineWithPlanContext(ctx, store, plan, Options{
-			Workers: 4, SplitThreshold: 2, SplitDepth: split,
-			OnEmbedding: func([]uint32) {
-				once.Do(func() { close(started) })
-				time.Sleep(time.Millisecond)
-			},
-		})
-		latency := time.Since(cancelled.get())
+	ctx, cancel := context.WithCancel(context.Background())
+	started := make(chan struct{})
+	var once sync.Once
+	var cancelled atomic2 // time the cancel was issued, set by the canceller
+	go func() {
+		<-started
+		cancelled.set(time.Now())
 		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("split=%d: err=%v, want context.Canceled", split, err)
-		}
-		if res.Ordered == 0 || res.Ordered >= total {
-			t.Errorf("split=%d: partial Ordered=%d, want in (0, %d)", split, res.Ordered, total)
-		}
-		if !res.Truncated {
-			t.Errorf("split=%d: cancelled run not marked truncated", split)
-		}
-		// Workers poll the stop flag once per candidate; with a 1 ms
-		// per-embedding throttle and 4 workers the unwind is bounded far
-		// below this (generous, CI-safe) budget.
-		if latency > 5*time.Second {
-			t.Errorf("split=%d: cancel→return latency %v", split, latency)
-		}
+	}()
+	res, err := MineWithPlanContext(ctx, store, plan, Options{
+		Workers: 4, SplitThreshold: 2,
+		OnEmbedding: func([]uint32) {
+			once.Do(func() { close(started) })
+			time.Sleep(time.Millisecond)
+		},
+	})
+	latency := time.Since(cancelled.get())
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err=%v, want context.Canceled", err)
+	}
+	if res.Ordered == 0 || res.Ordered >= total {
+		t.Errorf("partial Ordered=%d, want in (0, %d)", res.Ordered, total)
+	}
+	if !res.Truncated {
+		t.Error("cancelled run not marked truncated")
+	}
+	// Workers poll the stop flag once per candidate; with a 1 ms
+	// per-embedding throttle and 4 workers the unwind is bounded far
+	// below this (generous, CI-safe) budget.
+	if latency > 5*time.Second {
+		t.Errorf("cancel→return latency %v", latency)
 	}
 }
 
@@ -96,61 +94,55 @@ func TestContextCompletedRunNoError(t *testing.T) {
 
 // TestWorkerPanicReturnsError: a panic on a worker goroutine (here a user
 // OnEmbedding callback) must surface as ErrWorkerPanic from Mine instead
-// of killing the process, on both scheduler paths, and must stop the
-// remaining workers.
+// of killing the process, and must stop the remaining workers.
 func TestWorkerPanicReturnsError(t *testing.T) {
 	store, plan := skewedInput(t, 8)
-	for _, split := range []int{0, -1} {
-		res, err := MineWithPlanContext(context.Background(), store, plan, Options{
-			Workers: 4, SplitThreshold: 2, SplitDepth: split,
-			OnEmbedding: func([]uint32) { panic("callback boom") },
-		})
-		if !errors.Is(err, ErrWorkerPanic) {
-			t.Fatalf("split=%d: err=%v, want ErrWorkerPanic", split, err)
-		}
-		if !strings.Contains(err.Error(), "callback boom") {
-			t.Errorf("split=%d: error %q does not carry the panic value", split, err)
-		}
-		if !res.Truncated {
-			t.Errorf("split=%d: panicked run not marked truncated", split)
-		}
+	res, err := MineWithPlanContext(context.Background(), store, plan, Options{
+		Workers: 4, SplitThreshold: 2,
+		OnEmbedding: func([]uint32) { panic("callback boom") },
+	})
+	if !errors.Is(err, ErrWorkerPanic) {
+		t.Fatalf("err=%v, want ErrWorkerPanic", err)
+	}
+	if !strings.Contains(err.Error(), "callback boom") {
+		t.Errorf("error %q does not carry the panic value", err)
+	}
+	if !res.Truncated {
+		t.Error("panicked run not marked truncated")
 	}
 }
 
-// TestLimitExactSemantics pins the Limit/Truncated contract on both the
-// work-stealing and the legacy scheduler paths: a limit the run never
-// outgrows (exactly-at-total and one-past-total) must NOT mark the result
+// TestLimitExactSemantics pins the Limit/Truncated contract: a limit the run
+// never outgrows (exactly-at-total and one-past-total) must NOT mark the result
 // truncated — exploration exhausted the search space — while a limit below
 // the total must.
 func TestLimitExactSemantics(t *testing.T) {
 	store, plan := skewedInput(t, 8)
 	total := uint64(64)
-	for _, split := range []int{0, -1} {
-		for _, lim := range []uint64{total, total + 1} {
-			res, err := MineWithPlanContext(context.Background(), store, plan, Options{
-				Workers: 1, Limit: lim, SplitThreshold: 2, SplitDepth: split,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Ordered != total {
-				t.Errorf("split=%d limit=%d: Ordered=%d want %d", split, lim, res.Ordered, total)
-			}
-			if res.Truncated {
-				t.Errorf("split=%d limit=%d: exhausted run marked truncated", split, lim)
-			}
-		}
+	for _, lim := range []uint64{total, total + 1} {
 		res, err := MineWithPlanContext(context.Background(), store, plan, Options{
-			Workers: 1, Limit: total - 1, SplitThreshold: 2, SplitDepth: split,
+			Workers: 1, Limit: lim, SplitThreshold: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Truncated {
-			t.Errorf("split=%d: limit %d below total %d not marked truncated", split, total-1, total)
+		if res.Ordered != total {
+			t.Errorf("limit=%d: Ordered=%d want %d", lim, res.Ordered, total)
 		}
-		if res.Ordered < total-1 {
-			t.Errorf("split=%d: Ordered=%d below limit %d", split, res.Ordered, total-1)
+		if res.Truncated {
+			t.Errorf("limit=%d: exhausted run marked truncated", lim)
 		}
+	}
+	res, err := MineWithPlanContext(context.Background(), store, plan, Options{
+		Workers: 1, Limit: total - 1, SplitThreshold: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Truncated {
+		t.Errorf("limit %d below total %d not marked truncated", total-1, total)
+	}
+	if res.Ordered < total-1 {
+		t.Errorf("Ordered=%d below limit %d", res.Ordered, total-1)
 	}
 }

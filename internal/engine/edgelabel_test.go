@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -60,8 +61,8 @@ func TestEdgeLabeledBasics(t *testing.T) {
 	}
 }
 
-// TestEdgeLabeledDifferential runs all variants against brute force on
-// random hyperedge-labeled inputs.
+// TestEdgeLabeledDifferential holds the engine to the oracles on random
+// hyperedge-labeled inputs.
 func TestEdgeLabeledDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 25; trial++ {
@@ -96,17 +97,7 @@ func TestEdgeLabeledDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := bruteforce.Count(h, p)
-		for _, v := range Variants() {
-			res, err := Mine(store, p, Options{Gen: v.Gen, Val: v.Val, Workers: 2})
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, v.Name, err)
-			}
-			if res.Ordered != want {
-				t.Fatalf("trial %d %s: Ordered=%d want %d (edge-labeled %s)",
-					trial, v.Name, res.Ordered, want, p)
-			}
-		}
+		mineAll(t, store, p, oracleCount(t, store, p), fmt.Sprintf("edge-labeled trial %d", trial))
 	}
 }
 
@@ -154,19 +145,11 @@ func TestDuplicateSetDistinctLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bruteforce.Count(h, p)
+	want := oracleCount(t, store, p)
 	if want != 1 {
 		t.Fatalf("brute force: %d want 1", want)
 	}
-	for _, v := range Variants() {
-		res, err := Mine(store, p, Options{Gen: v.Gen, Val: v.Val, Workers: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", v.Name, err)
-		}
-		if res.Ordered != want {
-			t.Fatalf("%s: Ordered=%d want %d", v.Name, res.Ordered, want)
-		}
-	}
+	mineAll(t, store, p, want, "co-extensive pair")
 	// An unlabeled pattern with duplicate sets is still rejected.
 	if _, err := pattern.New([][]uint32{{0, 1, 2}, {0, 1, 2}}, nil); err == nil {
 		t.Fatal("duplicate unlabeled edges accepted")

@@ -1,12 +1,12 @@
 // Package engine implements the overlap-centric parallel execution engine
-// of Sec. 4.4 — and, through its configuration matrix, every system variant
-// the paper evaluates:
-//
-//	OHMiner   = GenDAL     + ValOverlap        (merged plan, Sec. 4)
-//	OHM-G     = GenDAL     + ValProfiles       (Fig. 15)
-//	OHM-V     = GenHGMatch + ValOverlap        (Fig. 13/15)
-//	OHM-I     = GenHGMatch + ValOverlapSimple  (IEP only, Fig. 15)
-//	HGMatch   = GenHGMatch + ValProfiles       (baseline, Sec. 2.3)
+// of Sec. 4.4 in its one production configuration: candidates come from the
+// DAL's degree-pruned adjacency groups (Sec. 4.5), validation executes the
+// merged overlap-centric plan (Sec. 4), and every set operation runs on the
+// density-adaptive intset kernels. The systems the paper compares against
+// and ablates into (HGMatch, OHM-G/V/I), the scalar and static-gallop kernel
+// families and the paper's first-level scheduler live in internal/baseline,
+// which the experiments and the differential tests run beside this package;
+// nothing here selects among them.
 //
 // The engine explores the search tree depth-first. Subtree tasks (a bound
 // prefix plus a remaining candidate range) are distributed over worker
@@ -14,9 +14,7 @@
 // publish untouched sibling ranges near the top of the tree and idle workers
 // steal them, generalizing the paper's first-level dynamic scheduling so
 // skewed subtrees no longer serialize. Each worker owns all its scratch
-// state, so the steady-state hot path allocates nothing. The intset kernel
-// choice reproduces the SIMD ablation: Adaptive (density-aware containers,
-// the default) vs Fast (static gallop/merge) vs Scalar (textbook merge).
+// state, so the steady-state hot path allocates nothing.
 package engine
 
 import (
@@ -31,100 +29,17 @@ import (
 
 	"ohminer/internal/checkpoint"
 	"ohminer/internal/dal"
-	"ohminer/internal/intset"
 	"ohminer/internal/oig"
 	"ohminer/internal/pattern"
+	"ohminer/internal/sig"
 )
-
-// GenMode selects the candidate-generation strategy.
-type GenMode int
-
-const (
-	// GenDAL intersects degree-pruned DAL adjacency groups (OHMiner,
-	// Sec. 4.5).
-	GenDAL GenMode = iota
-	// GenHGMatch re-derives candidates from the incident hyperedges of the
-	// individual vertices of already-matched hyperedges — the
-	// vertex-granularity approach of HGMatch with its inherent redundancy
-	// (Sec. 2.3, Fig. 2(a)).
-	GenHGMatch
-)
-
-func (g GenMode) String() string {
-	if g == GenHGMatch {
-		return "hgmatch"
-	}
-	return "dal"
-}
-
-// ValMode selects the validation strategy.
-type ValMode int
-
-const (
-	// ValOverlap executes the merged overlap-centric plan — full OHMiner
-	// validation with merge + group pruning.
-	ValOverlap ValMode = iota
-	// ValOverlapSimple executes the simple (IEP-only) plan: every
-	// non-implied overlap intersected and size-checked.
-	ValOverlapSimple
-	// ValProfiles recomputes per-vertex profiles of the whole partial
-	// embedding and compares the multiset against the pattern's — the
-	// hash-based vertex-granularity validation of HGMatch (Fig. 2(b)).
-	ValProfiles
-)
-
-func (v ValMode) String() string {
-	switch v {
-	case ValOverlapSimple:
-		return "overlap-simple"
-	case ValProfiles:
-		return "profiles"
-	default:
-		return "overlap"
-	}
-}
-
-// Variant names the paper's system configurations.
-type Variant struct {
-	Name string
-	Gen  GenMode
-	Val  ValMode
-}
-
-// Variants returns the evaluation matrix of Sec. 5.3.
-func Variants() []Variant {
-	return []Variant{
-		{Name: "OHMiner", Gen: GenDAL, Val: ValOverlap},
-		{Name: "OHM-G", Gen: GenDAL, Val: ValProfiles},
-		{Name: "OHM-V", Gen: GenHGMatch, Val: ValOverlap},
-		{Name: "OHM-I", Gen: GenHGMatch, Val: ValOverlapSimple},
-		{Name: "HGMatch", Gen: GenHGMatch, Val: ValProfiles},
-	}
-}
-
-// VariantByName returns the named configuration.
-func VariantByName(name string) (Variant, error) {
-	for _, v := range Variants() {
-		if v.Name == name {
-			return v, nil
-		}
-	}
-	return Variant{}, fmt.Errorf("engine: unknown variant %q", name)
-}
 
 // Options configures a mining run.
 type Options struct {
-	Gen GenMode
-	Val ValMode
-	// Kernel selects the set-operation family; the zero value means
-	// intset.Adaptive (density-aware containers with SWAR bitmap kernels and
-	// rarest-first k-way intersection). Pass intset.Fast to pin the static
-	// gallop/merge family, or intset.Scalar for the no-SIMD ablation.
-	Kernel intset.Kernel
 	// Workers is the goroutine count; ≤0 means GOMAXPROCS.
 	Workers int
-	// Instrument enables the Stats counters and phase timers used by the
-	// Fig. 3 reproduction (adds measurable overhead).
+	// Instrument enables the Candidates/Embeddings counters and the
+	// GenTime/ValTime phase timers of Stats (adds measurable overhead).
 	Instrument bool
 	// Limit stops the exploration once at least this many embeddings were
 	// enumerated (0 = unlimited): ordered tuples on an unrestricted plan,
@@ -171,9 +86,7 @@ type Options struct {
 	// SplitDepth bounds how deep in the search tree workers publish
 	// untouched sibling candidate ranges for work stealing: positions
 	// t < SplitDepth are splittable. 0 selects the default (the first two
-	// levels); negative values disable the work-stealing scheduler and fall
-	// back to first-level-only dynamic distribution — the pre-scheduler
-	// behavior, kept as an ablation baseline.
+	// levels); negative values are refused.
 	SplitDepth int
 	// SplitThreshold is the minimum number of unexplored candidates that
 	// must remain at a splittable position before half of them are
@@ -193,7 +106,8 @@ type Options struct {
 	CheckpointEvery time.Duration
 }
 
-// Stats carries the instrumentation counters behind Fig. 3.
+// Stats carries the engine's instrumentation counters. (The HGMatch
+// redundancy counters of Fig. 3(b,c) are internal/baseline's.)
 type Stats struct {
 	// Candidates is the number of candidate hyperedges enumerated.
 	Candidates uint64
@@ -202,18 +116,8 @@ type Stats struct {
 	Embeddings uint64
 	// SetOps counts intersection operations executed by overlap validation.
 	SetOps uint64
-	// NMFetches counts incident-hyperedge derivations (NM sets) performed
-	// by HGMatch-style generation; RedundantNMFetches counts the repeated
-	// ones (per extra overlap vertex — Fig. 3(b)).
-	NMFetches          uint64
-	RedundantNMFetches uint64
-	// ProfileVertices counts vertices whose profile was computed by
-	// profile validation; RedundantProfileVertices counts those sharing a
-	// profile with an earlier vertex of the same validation (Fig. 3(c)).
-	ProfileVertices          uint64
-	RedundantProfileVertices uint64
 	// GenTime/ValTime split the wall time between candidate generation and
-	// validation (Fig. 3(a)); only tracked when Options.Instrument is set.
+	// validation; only tracked when Options.Instrument is set.
 	GenTime time.Duration
 	ValTime time.Duration
 	// Scheduler counters (always tracked; they cost one non-atomic
@@ -250,10 +154,6 @@ func (s *Stats) Add(o Stats) {
 	s.Candidates += o.Candidates
 	s.Embeddings += o.Embeddings
 	s.SetOps += o.SetOps
-	s.NMFetches += o.NMFetches
-	s.RedundantNMFetches += o.RedundantNMFetches
-	s.ProfileVertices += o.ProfileVertices
-	s.RedundantProfileVertices += o.RedundantProfileVertices
 	s.GenTime += o.GenTime
 	s.ValTime += o.ValTime
 	s.Publishes += o.Publishes
@@ -333,9 +233,7 @@ func dataAwareOrder(store *dal.Store, p *pattern.Pattern) []int {
 	return p.MatchingOrderWithSelectivity(sel)
 }
 
-// MineWithPlan runs a precompiled plan. The plan's mode must match the
-// validation mode (merged for ValOverlap, simple for ValOverlapSimple;
-// ValProfiles accepts either).
+// MineWithPlan runs a precompiled merged plan.
 func MineWithPlan(store *dal.Store, plan *oig.Plan, opts Options) (Result, error) {
 	return MineWithPlanContext(context.Background(), store, plan, opts)
 }
@@ -363,10 +261,6 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 	if err := validateRun(store, plan, opts); err != nil {
 		return Result{}, err
 	}
-	kernel := opts.Kernel
-	if kernel.Intersect == nil {
-		kernel = intset.Adaptive
-	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -376,9 +270,7 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 		return Result{}, err
 	}
 
-	e := &shared{store: store, plan: plan, opts: opts, kernel: kernel}
-	e.splitDepth, e.splitThreshold = splitParams(plan, opts)
-	e.saveOnStop = opts.Checkpoint != nil
+	e := newShared(store, plan, opts)
 	if opts.UniqueOnly && opts.OnEmbedding != nil && !plan.Restricted {
 		// Restricted plans enumerate only canonical tuples; the filter
 		// would accept every one of them, so it is skipped.
@@ -519,7 +411,7 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 		if e.saveOnStop && opts.CheckpointEvery > 0 {
 			ckptTimer = time.AfterFunc(opts.CheckpointEvery, func() { e.stopped.Store(true) })
 		}
-		rs := e.runRound(ws, first, tasks)
+		sched := e.runRound(ws, first, tasks)
 		if ckptTimer != nil {
 			ckptTimer.Stop()
 		}
@@ -529,19 +421,13 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 		e.panicMu.Unlock()
 
 		if e.saveOnStop && !panicked {
-			frontier = e.collectFrontier(ws, rs, first, tasks)
+			frontier = collectFrontier(ws, sched)
 		} else {
-			// Work left behind after every worker exited is definitively
-			// skipped: unclaimed round items in the legacy loop, or queued
-			// tasks no worker ever popped. (Work abandoned mid-subtree was
-			// already flagged by the worker that unwound — or lost outright
-			// by a panicking one.)
+			// Queued tasks no worker ever popped are definitively skipped.
+			// (Work abandoned mid-subtree was already flagged by the worker
+			// that unwound — or lost outright by a panicking one.)
 			frontier = nil
-			if rs.sched != nil {
-				if rs.sched.pending.Load() > 0 {
-					e.abandoned.Store(true)
-				}
-			} else if int(rs.claimed) < rs.items {
+			if sched.pending.Load() > 0 {
 				e.abandoned.Store(true)
 			}
 		}
@@ -603,21 +489,29 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 	return res, ctx.Err()
 }
 
+// CheckVariant vets the "variant" key with which query, job and lease bodies
+// used to select an engine configuration. Empty and "OHMiner" pass; any
+// other name is refused rather than ignored, because counting it as OHMiner
+// would time — and fingerprint — a different run than the one asked for.
+func CheckVariant(name string) error {
+	if name == "" || name == "OHMiner" {
+		return nil
+	}
+	return fmt.Errorf("variant %q is not served: this engine runs the OHMiner configuration only; the paper's baselines run under ohmbench and ohminer -variant", name)
+}
+
+// ErrPlanMode is returned for a plan this engine does not execute: anything
+// but a merged one.
+var ErrPlanMode = errors.New("engine: needs a merged plan")
+
 // validateRun refuses the (store, plan, opts) combinations no run can count
 // correctly.
 func validateRun(store *dal.Store, plan *oig.Plan, opts Options) error {
-	switch opts.Val {
-	case ValOverlap:
-		if plan.Mode != oig.ModeMerged {
-			return errors.New("engine: ValOverlap needs a merged plan")
-		}
-	case ValOverlapSimple:
-		if plan.Mode != oig.ModeSimple {
-			return errors.New("engine: ValOverlapSimple needs a simple plan")
-		}
-	case ValProfiles:
-	default:
-		return fmt.Errorf("engine: unknown validation mode %d", opts.Val)
+	if plan.Mode != oig.ModeMerged {
+		return fmt.Errorf("%w, got a %s one (simple-plan validation runs in internal/baseline)", ErrPlanMode, plan.Mode)
+	}
+	if opts.SplitDepth < 0 {
+		return errors.New("engine: negative SplitDepth (the first-level scheduler runs in internal/baseline)")
 	}
 	if plan.Labeled && !store.Hypergraph().Labeled() {
 		return errors.New("engine: labeled pattern on unlabeled hypergraph")
@@ -636,74 +530,18 @@ func validateRun(store *dal.Store, plan *oig.Plan, opts Options) error {
 	return nil
 }
 
-// roundState reports how one round of workers ended, for frontier
-// collection and definitive-skip accounting.
-type roundState struct {
-	// sched is the round's work-stealing scheduler (nil on the legacy
-	// path).
-	sched *scheduler
-	// claimed/items describe the legacy path's dynamic distribution: items
-	// is the round's work-item count, claimed how many were handed to a
-	// worker before the round ended.
-	claimed int64
-	items   int
-}
-
 // runRound spawns the round's workers, waits for them to finish or quiesce,
-// and reports how the distribution ended. Round-zero work comes from first
-// (fresh runs); resumed and post-checkpoint rounds carry their work in
-// tasks.
-func (e *shared) runRound(ws []*worker, first []uint32, tasks []task) roundState {
-	var wg sync.WaitGroup
-	var rs roundState
-	if e.opts.SplitDepth < 0 {
-		// Ablation baseline: the pre-scheduler first-level-only dynamic
-		// loop. Extra workers are useless beyond the item count, and one
-		// skewed first-edge subtree serializes its worker.
-		var next atomic.Int64
-		n := len(first)
-		if tasks != nil {
-			n = len(tasks)
-		}
-		rs.items = n
-		spawn := len(ws)
-		if spawn > n {
-			spawn = n
-		}
-		for wi := 0; wi < spawn; wi++ {
-			w := ws[wi]
-			w.stop, w.sched = false, nil
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer e.recoverWorker()
-				for !e.stopped.Load() {
-					i := next.Add(1) - 1
-					if int(i) >= n {
-						return
-					}
-					if tasks != nil {
-						w.runTask(&tasks[i])
-					} else {
-						w.mineFrom(first[i])
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		rs.claimed = next.Load()
-		if rs.claimed > int64(n) {
-			rs.claimed = int64(n)
-		}
-		return rs
-	}
+// and returns the round's scheduler for frontier collection and
+// definitive-skip accounting. Round-zero work comes from first (fresh runs);
+// resumed and post-checkpoint rounds carry their work in tasks.
+func (e *shared) runRound(ws []*worker, first []uint32, tasks []task) *scheduler {
 	sched := newScheduler(len(ws))
 	if tasks != nil {
 		sched.seedTasks(tasks)
 	} else {
 		sched.seed(first)
 	}
-	rs.sched = sched
+	var wg sync.WaitGroup
 	for wi, w := range ws {
 		w.stop = false
 		w.sched, w.id = sched, wi
@@ -715,7 +553,7 @@ func (e *shared) runRound(ws []*worker, first []uint32, tasks []task) roundState
 		}()
 	}
 	wg.Wait()
-	return rs
+	return sched
 }
 
 // splitParams resolves the scheduling knobs: SplitDepth 0 means the default
@@ -742,10 +580,9 @@ func splitParams(plan *oig.Plan, opts Options) (depth, threshold int) {
 // shared is the per-run state every worker uses. Everything except the
 // cancellation flags is read-only during mining.
 type shared struct {
-	store  *dal.Store
-	plan   *oig.Plan
-	opts   Options
-	kernel intset.Kernel
+	store *dal.Store
+	plan  *oig.Plan
+	opts  Options
 	// splitDepth/splitThreshold are the resolved scheduling knobs (see
 	// Options.SplitDepth / Options.SplitThreshold and splitParams).
 	splitDepth     int
@@ -777,6 +614,13 @@ type shared struct {
 	// UniqueOnly filtering is active.
 	autoPerms [][]int
 	emitMu    sync.Mutex
+}
+
+// newShared resolves a run's options into the state its workers share.
+func newShared(store *dal.Store, plan *oig.Plan, opts Options) *shared {
+	e := &shared{store: store, plan: plan, opts: opts, saveOnStop: opts.Checkpoint != nil}
+	e.splitDepth, e.splitThreshold = splitParams(plan, opts)
+	return e
 }
 
 // ErrWorkerPanic wraps a panic recovered on a mining worker goroutine;
@@ -829,7 +673,7 @@ func (e *shared) admitFirst(cands []uint32) []uint32 {
 		if st.EdgeLabel >= 0 && (!h.EdgeLabeled() || int64(h.EdgeLabel(c)) != st.EdgeLabel) {
 			continue
 		}
-		if e.plan.Labeled && !labelsMatch(h, c, st.EdgeLabels, scratch) {
+		if e.plan.Labeled && !sig.HistogramMatches(h.Labels(), h.EdgeVertices(c), st.EdgeLabels, scratch) {
 			continue
 		}
 		if f := e.opts.PositionFilter; f != nil && !f(0, c) {

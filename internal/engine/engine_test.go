@@ -1,14 +1,18 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"ohminer/internal/baseline"
 	"ohminer/internal/bruteforce"
 	"ohminer/internal/dal"
 	"ohminer/internal/gen"
 	"ohminer/internal/hypergraph"
-	"ohminer/internal/intset"
+	"ohminer/internal/mbv"
 	"ohminer/internal/oig"
 	"ohminer/internal/pattern"
 )
@@ -32,24 +36,56 @@ func fig1(t *testing.T) (*dal.Store, *pattern.Pattern) {
 	return dal.Build(h), p
 }
 
+// oracleCount is the ordered count every system must report for p on the
+// store's hypergraph: brute force's, which match-by-vertex (where its
+// exponential search is tractable) and every internal/baseline variant —
+// the paper's comparison systems, a third, structurally different
+// implementation — must reproduce before the engine is held to it.
+func oracleCount(t *testing.T, store *dal.Store, p *pattern.Pattern) uint64 {
+	t.Helper()
+	h := store.Hypergraph()
+	want := bruteforce.Count(h, p)
+	if p.NumVertices() <= 6 && !p.EdgeLabeled() {
+		if res, err := mbv.Mine(h, p); err != nil || res.Ordered != want {
+			t.Fatalf("mbv: Ordered=%d err=%v, brute force %d\npattern %s", res.Ordered, err, want, p)
+		}
+	}
+	for _, v := range baseline.Variants() {
+		res, err := baseline.Mine(store, p, baseline.Options{Gen: v.Gen, Val: v.Val, Workers: 2})
+		if err != nil || res.Ordered != want {
+			t.Fatalf("baseline %s: Ordered=%d err=%v, brute force %d\npattern %s", v.Name, res.Ordered, err, want, p)
+		}
+	}
+	return want
+}
+
+// mineAll holds the engine to want on p with and without symmetry-breaking
+// restrictions, on 1 and 3 workers.
+func mineAll(t *testing.T, store *dal.Store, p *pattern.Pattern, want uint64, what string) {
+	t.Helper()
+	for _, norestrict := range []bool{false, true} {
+		for _, workers := range []int{1, 3} {
+			res, err := Mine(store, p, Options{Workers: workers, NoSymmetryBreak: norestrict})
+			if err != nil {
+				t.Fatalf("%s norestrict=%v: %v", what, norestrict, err)
+			}
+			if res.Ordered != want || res.Unique != want/uint64(res.Automorphisms) {
+				t.Fatalf("%s norestrict=%v workers=%d: Ordered=%d Unique=%d want %d (|Aut|=%d)\npattern %s\nplan:\n%s",
+					what, norestrict, workers, res.Ordered, res.Unique, want, res.Automorphisms, p, res.Plan)
+			}
+		}
+	}
+}
+
+// TestFig1AllVariants: the engine and every baseline variant find the
+// paper's running example exactly once.
 func TestFig1AllVariants(t *testing.T) {
 	store, p := fig1(t)
-	want := bruteforce.Count(store.Hypergraph(), p)
+	want := oracleCount(t, store, p)
 	if want != 1 {
 		t.Fatalf("brute force found %d ordered embeddings, want 1", want)
 	}
-	for _, v := range Variants() {
-		res, err := Mine(store, p, Options{Gen: v.Gen, Val: v.Val, Workers: 1})
-		if err != nil {
-			t.Fatalf("%s: %v", v.Name, err)
-		}
-		if res.Ordered != want {
-			t.Errorf("%s: Ordered=%d want %d", v.Name, res.Ordered, want)
-		}
-		if res.Unique != 1 || res.Automorphisms != 1 {
-			t.Errorf("%s: unique=%d aut=%d", v.Name, res.Unique, res.Automorphisms)
-		}
-	}
+	mineAll(t, store, p, want, "fig1")
 }
 
 func randHypergraph(rng *rand.Rand, labeled bool) *hypergraph.Hypergraph {
@@ -76,9 +112,10 @@ func randHypergraph(rng *rand.Rand, labeled bool) *hypergraph.Hypergraph {
 	return h
 }
 
-// TestDifferentialAllVariants is the central correctness test: every engine
-// variant, all three kernel families, 1 and 3 workers, against the
-// brute-force oracle on randomized hypergraphs and patterns.
+// TestDifferentialAllVariants is the central correctness test: the engine,
+// restricted and not, on 1 and 3 workers, against the three oracles on
+// randomized hypergraphs and patterns. (The variant × kernel crossing of the
+// baselines themselves is internal/baseline's suite.)
 func TestDifferentialAllVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	trials := 40
@@ -93,21 +130,7 @@ func TestDifferentialAllVariants(t *testing.T) {
 		if err != nil {
 			continue // graph too sparse for this pattern; fine
 		}
-		want := bruteforce.Count(h, p)
-		for _, v := range Variants() {
-			for _, kernel := range []intset.Kernel{intset.Adaptive, intset.Fast, intset.Scalar} {
-				for _, workers := range []int{1, 3} {
-					res, err := Mine(store, p, Options{Gen: v.Gen, Val: v.Val, Kernel: kernel, Workers: workers})
-					if err != nil {
-						t.Fatalf("trial %d %s: %v", trial, v.Name, err)
-					}
-					if res.Ordered != want {
-						t.Fatalf("trial %d %s kernel=%s workers=%d: Ordered=%d want %d\npattern %s\nplan:\n%s",
-							trial, v.Name, kernel.Name, workers, res.Ordered, want, p, res.Plan)
-					}
-				}
-			}
-		}
+		mineAll(t, store, p, oracleCount(t, store, p), fmt.Sprintf("trial %d", trial))
 	}
 }
 
@@ -125,17 +148,7 @@ func TestDifferentialLabeled(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		want := bruteforce.Count(h, p)
-		for _, v := range Variants() {
-			res, err := Mine(store, p, Options{Gen: v.Gen, Val: v.Val, Workers: 2})
-			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, v.Name, err)
-			}
-			if res.Ordered != want {
-				t.Fatalf("trial %d %s: Ordered=%d want %d (labeled)\npattern %s",
-					trial, v.Name, res.Ordered, want, p)
-			}
-		}
+		mineAll(t, store, p, oracleCount(t, store, p), fmt.Sprintf("labeled trial %d", trial))
 	}
 }
 
@@ -151,16 +164,7 @@ func TestDifferentialDense(t *testing.T) {
 		if err != nil {
 			t.Skip("dense sampling failed on tiny graph")
 		}
-		want := bruteforce.Count(h, p)
-		for _, v := range Variants() {
-			res, err := Mine(store, p, Options{Gen: v.Gen, Val: v.Val, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Ordered != want {
-				t.Fatalf("%s: Ordered=%d want %d for dense %s", v.Name, res.Ordered, want, p)
-			}
-		}
+		mineAll(t, store, p, oracleCount(t, store, p), fmt.Sprintf("dense trial %d", trial))
 	}
 }
 
@@ -248,39 +252,29 @@ func TestLimit(t *testing.T) {
 
 func TestInstrumentStats(t *testing.T) {
 	store, p := fig1(t)
-	res, err := Mine(store, p, Options{Gen: GenHGMatch, Val: ValProfiles, Workers: 1, Instrument: true})
+	res, err := Mine(store, p, Options{Workers: 1, Instrument: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := res.Stats
-	if st.Candidates == 0 || st.ProfileVertices == 0 {
+	if st.Candidates == 0 || st.SetOps == 0 {
 		t.Fatalf("stats not collected: %+v", st)
-	}
-	if st.RedundantProfileVertices == 0 {
-		t.Fatalf("expected redundant profile vertices on fig1: %+v", st)
 	}
 	if st.GenTime <= 0 || st.ValTime <= 0 {
 		t.Fatalf("phase timers missing: %+v", st)
-	}
-	res2, err := Mine(store, p, Options{Gen: GenDAL, Val: ValOverlap, Workers: 1, Instrument: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Stats.SetOps == 0 {
-		t.Fatalf("overlap validation counted no set ops: %+v", res2.Stats)
 	}
 }
 
 func TestMineErrors(t *testing.T) {
 	store, p := fig1(t)
-	// Mismatched plan mode.
+	// The engine executes merged plans only.
 	plan := oig.MustCompile(p, oig.ModeSimple)
-	if _, err := MineWithPlan(store, plan, Options{Val: ValOverlap}); err == nil {
-		t.Error("merged validation accepted simple plan")
+	if _, err := MineWithPlan(store, plan, Options{}); !errors.Is(err, ErrPlanMode) {
+		t.Errorf("simple plan: err=%v, want ErrPlanMode", err)
 	}
-	plan2 := oig.MustCompile(p, oig.ModeMerged)
-	if _, err := MineWithPlan(store, plan2, Options{Val: ValOverlapSimple}); err == nil {
-		t.Error("simple validation accepted merged plan")
+	// The first-level scheduler SplitDepth<0 used to select is gone.
+	if _, err := Mine(store, p, Options{SplitDepth: -1}); err == nil {
+		t.Error("negative SplitDepth accepted")
 	}
 	// Labeled pattern on unlabeled hypergraph.
 	lp := pattern.MustNew([][]uint32{{0, 1}, {1, 2}}, []uint32{0, 0, 1})
@@ -289,13 +283,59 @@ func TestMineErrors(t *testing.T) {
 	}
 }
 
-func TestVariantByName(t *testing.T) {
-	v, err := VariantByName("OHM-V")
-	if err != nil || v.Gen != GenHGMatch || v.Val != ValOverlap {
-		t.Fatalf("%+v %v", v, err)
+// TestCheckVariant: the "variant" key of request and spec bodies passes only
+// as the production configuration's name; a baseline's is refused with a
+// message saying where baselines run.
+func TestCheckVariant(t *testing.T) {
+	for _, ok := range []string{"", "OHMiner"} {
+		if err := CheckVariant(ok); err != nil {
+			t.Errorf("CheckVariant(%q) = %v", ok, err)
+		}
 	}
-	if _, err := VariantByName("nope"); err == nil {
-		t.Fatal("unknown variant accepted")
+	for _, v := range baseline.Variants()[1:] {
+		err := CheckVariant(v.Name)
+		if err == nil || !strings.Contains(err.Error(), "ohmbench") || !strings.Contains(err.Error(), "ohminer -variant") {
+			t.Errorf("CheckVariant(%q) = %v, want a refusal naming ohmbench and ohminer -variant", v.Name, err)
+		}
+	}
+	if CheckVariant("nope") == nil {
+		t.Error("unknown variant accepted")
+	}
+}
+
+// TestWorkerPoolDeterministic checks that the multi-worker pool is a pure
+// parallelization: mining with several workers yields exactly the
+// single-worker counts. Run under -race (make race / make ci) this also
+// shakes out data races between per-worker scratch states.
+func TestWorkerPoolDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	trials := 6
+	if testing.Short() {
+		trials = 2
+	}
+	for trial := 0; trial < trials; trial++ {
+		labeled := trial%2 == 1
+		h := randHypergraph(rng, labeled)
+		store := dal.Build(h)
+		p, err := pattern.Sample(h, 2+rng.Intn(2), 2, 30, rng)
+		if err != nil {
+			continue
+		}
+		base, err := Mine(store, p, Options{Workers: 1})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for _, workers := range []int{2, 4, 8} {
+			res, err := Mine(store, p, Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("trial %d workers=%d: %v", trial, workers, err)
+			}
+			if res.Ordered != base.Ordered || res.Unique != base.Unique || res.Truncated != base.Truncated {
+				t.Errorf("trial %d workers=%d: ordered/unique/trunc = %d/%d/%v, single-worker %d/%d/%v",
+					trial, workers, res.Ordered, res.Unique, res.Truncated,
+					base.Ordered, base.Unique, base.Truncated)
+			}
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ohminer/internal/dal"
-	"ohminer/internal/intset"
 	"ohminer/internal/oig"
 	"ohminer/internal/pattern"
 )
@@ -37,15 +36,14 @@ func EstimateCount(store *dal.Store, p *pattern.Pattern, fraction float64, seed 
 	if fraction <= 0 || fraction > 1 {
 		return Estimate{}, errors.New("engine: fraction must be in (0, 1]")
 	}
-	mode := oig.ModeMerged
-	if opts.Val == ValOverlapSimple {
-		mode = oig.ModeSimple
-	}
 	// The estimator's per-root scaling and variance math are defined over
 	// ordered tuples, so the plan is always compiled without
 	// symmetry-breaking restrictions.
-	plan, err := oig.CompileWith(p, mode, oig.CompileOptions{NoRestrictions: true})
+	plan, err := oig.CompileWith(p, oig.ModeMerged, oig.CompileOptions{NoRestrictions: true})
 	if err != nil {
+		return Estimate{}, err
+	}
+	if err := validateRun(store, plan, opts); err != nil {
 		return Estimate{}, err
 	}
 	start := time.Now()
@@ -53,10 +51,7 @@ func EstimateCount(store *dal.Store, p *pattern.Pattern, fraction float64, seed 
 	// Limits would interact with the scaling; estimation always mines the
 	// sampled subtrees to completion.
 	opts.Limit = 0
-	e := &shared{store: store, plan: plan, opts: opts, kernel: opts.Kernel}
-	if e.kernel.Intersect == nil {
-		e.kernel = intset.Adaptive
-	}
+	e := newShared(store, plan, opts)
 	roots := e.firstCandidates()
 	n := len(roots)
 	est := Estimate{TotalRoots: n}
@@ -83,9 +78,9 @@ func EstimateCount(store *dal.Store, p *pattern.Pattern, fraction float64, seed 
 	w := newWorker(e, nil)
 	perRoot := make([]float64, k)
 	var total uint64
-	for i, root := range sample {
+	for i := range sample {
 		before := w.count
-		w.mineFrom(root)
+		w.explore(0, sample[i:i+1])
 		perRoot[i] = float64(w.count - before)
 		total = w.count
 	}

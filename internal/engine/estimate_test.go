@@ -90,6 +90,29 @@ func TestEstimateErrors(t *testing.T) {
 	}
 }
 
+// TestEstimateRefusesWhatMineRefuses: the estimator runs the same preflight
+// as Mine. A labelled pattern on an unlabelled hypergraph used to panic on
+// the caller's goroutine (index out of range in Hypergraph.Label) because
+// EstimateCount built its run state by hand and skipped validateRun.
+func TestEstimateRefusesWhatMineRefuses(t *testing.T) {
+	store, _ := fig1(t) // no vertex labels, no hyperedge labels
+	labeled := pattern.MustNew([][]uint32{{0, 1, 2, 3, 4, 5}, {3, 4, 5, 6, 7, 8}}, []uint32{0, 0, 0, 1, 1, 1, 0, 0, 0})
+	edgeLabeled, err := pattern.NewEdgeLabeled([][]uint32{{0, 1, 2, 3, 4, 5}, {3, 4, 5, 6, 7, 8}}, nil, []uint32{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]*pattern.Pattern{"vertex labels": labeled, "hyperedge labels": edgeLabeled} {
+		_, mineErr := Mine(store, p, Options{})
+		_, estErr := EstimateCount(store, p, 1, 1, Options{})
+		if mineErr == nil || estErr == nil || estErr.Error() != mineErr.Error() {
+			t.Errorf("%s: EstimateCount err=%v, Mine err=%v; want the same refusal", name, estErr, mineErr)
+		}
+	}
+	if _, err := EstimateCount(store, labeled, 1, 1, Options{SplitDepth: -1}); err == nil {
+		t.Error("negative SplitDepth accepted")
+	}
+}
+
 func TestEstimateNoRoots(t *testing.T) {
 	store, _ := fig1(t)
 	p := pattern.MustNew([][]uint32{{0, 1, 2}}, nil) // degree 3 absent

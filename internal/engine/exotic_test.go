@@ -1,10 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
-	"ohminer/internal/bruteforce"
 	"ohminer/internal/dal"
 	"ohminer/internal/hypergraph"
 	"ohminer/internal/oig"
@@ -46,8 +46,8 @@ func exoticPatterns(t *testing.T) []*pattern.Pattern {
 }
 
 // TestExoticPatternsDifferential mines each exotic pattern on random
-// hypergraphs seeded with genuine embeddings and near-misses, across all
-// variants and both plan modes, against brute force.
+// hypergraphs seeded with genuine embeddings and near-misses, against the
+// three oracles.
 func TestExoticPatternsDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(555))
 	for pi, p := range exoticPatterns(t) {
@@ -64,20 +64,11 @@ func TestExoticPatternsDifferential(t *testing.T) {
 		for trial := 0; trial < 6; trial++ {
 			h := plantedHypergraph(rng, p)
 			store := dal.Build(h)
-			want := bruteforce.Count(h, p)
+			want := oracleCount(t, store, p)
 			if trial == 0 && want == 0 {
 				t.Logf("pattern %d trial 0: no planted embedding survived (acceptable)", pi)
 			}
-			for _, v := range Variants() {
-				res, err := Mine(store, p, Options{Gen: v.Gen, Val: v.Val, Workers: 1})
-				if err != nil {
-					t.Fatalf("pattern %d %s: %v", pi, v.Name, err)
-				}
-				if res.Ordered != want {
-					t.Fatalf("pattern %d trial %d %s: Ordered=%d want %d\npattern: %s\nplan:\n%s",
-						pi, trial, v.Name, res.Ordered, want, p, res.Plan)
-				}
-			}
+			mineAll(t, store, p, want, fmt.Sprintf("pattern %d trial %d", pi, trial))
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ohminer/internal/intset"
 )
 
 // This file implements the work-stealing subtree scheduler. The paper's
@@ -257,12 +259,10 @@ func (w *worker) trySteal() bool {
 
 // runTask executes a task: rebind the prefix, rebuild the overlap slots the
 // prefix's validation produced (stolen and resumed tasks arrive without the
-// publisher's scratch state), and explore the candidate range. Scheduler
-// workers pass their run buffer; the legacy round loop passes frontier
-// tasks directly (explore never mutates the candidate slice contents).
+// publisher's scratch state), and explore the candidate range.
 func (w *worker) runTask(t *task) {
 	copy(w.c[:t.depth], t.prefix)
-	if t.depth > 1 && w.e.opts.Val != ValProfiles {
+	if t.depth > 1 {
 		w.rebuildSlots(t.depth)
 	}
 	w.explore(t.depth, t.cands)
@@ -275,7 +275,6 @@ func (w *worker) runTask(t *task) {
 // containers (and container hints) as validateOverlaps apply, so stolen
 // prefixes revalidate on the same kernel paths the publisher used.
 func (w *worker) rebuildSlots(depth int) {
-	kernel := w.e.kernel
 	for t := 1; t < depth; t++ {
 		ops := w.e.plan.Steps[t].Ops
 		for i := range ops {
@@ -285,7 +284,7 @@ func (w *worker) rebuildSlots(depth int) {
 			}
 			w.stats.SetOps++
 			a, b := w.resolveSet(op.A, op.Hint), w.resolveSet(op.B, op.Hint)
-			w.slots[op.Out] = kernel.IntersectSets(a, b, w.slots[op.Out][:0])
+			w.slots[op.Out] = intset.IntersectSetsAdaptive(a, b, w.slots[op.Out][:0])
 		}
 	}
 }

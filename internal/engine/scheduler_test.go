@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ohminer/internal/baseline"
 	"ohminer/internal/dal"
 	"ohminer/internal/hypergraph"
 	"ohminer/internal/oig"
@@ -90,41 +91,31 @@ func TestDequeSemantics(t *testing.T) {
 // TestStealingDeterministic is the acceptance criterion for the scheduler:
 // on the skewed input (one first-level candidate), Result.Ordered must be
 // identical for 1, 4, and 16 workers with stealing active, and must match
-// the legacy first-level-only scheduler. Run under -race this also checks
-// the publish/steal hand-off for data races.
+// the paper's first-level-only scheduler (internal/baseline's driver). Run
+// under -race this also checks the publish/steal hand-off for data races.
 func TestStealingDeterministic(t *testing.T) {
 	store, plan := skewedInput(t, 24)
 	want := uint64(24 * 24)
 
-	for _, v := range Variants() {
-		if v.Val == ValOverlapSimple {
-			continue // needs a simple-mode plan; covered by TestWorkerPoolDeterministic
-		}
-		legacy, err := MineWithPlan(store, plan, Options{Gen: v.Gen, Val: v.Val, Workers: 4, SplitDepth: -1})
+	first, err := baseline.MineWithPlan(store, plan, baseline.Options{Workers: 4})
+	if err != nil || first.Ordered != want {
+		t.Fatalf("first-level: Ordered=%d err=%v, want %d", first.Ordered, err, want)
+	}
+	for _, workers := range []int{1, 4, 16} {
+		res, err := MineWithPlan(store, plan, Options{Workers: workers, SplitThreshold: 2})
 		if err != nil {
-			t.Fatalf("%s legacy: %v", v.Name, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if legacy.Ordered != want {
-			t.Fatalf("%s legacy: Ordered=%d want %d", v.Name, legacy.Ordered, want)
+		if res.Ordered != want || res.Truncated {
+			t.Errorf("workers=%d: Ordered=%d truncated=%v, want %d/false",
+				workers, res.Ordered, res.Truncated, want)
 		}
-		for _, workers := range []int{1, 4, 16} {
-			res, err := MineWithPlan(store, plan, Options{
-				Gen: v.Gen, Val: v.Val, Workers: workers, SplitThreshold: 2,
-			})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", v.Name, workers, err)
-			}
-			if res.Ordered != want || res.Truncated {
-				t.Errorf("%s workers=%d: Ordered=%d truncated=%v, want %d/false",
-					v.Name, workers, res.Ordered, res.Truncated, want)
-			}
-			// Publication is deterministic (it depends only on the split
-			// policy, not on timing); steals are not — on a single-CPU host
-			// the owner can drain its own deque before a thief runs, so the
-			// end-to-end steal check lives in TestStealOccurs.
-			if res.Stats.Publishes == 0 {
-				t.Errorf("%s workers=%d: no publications on the skewed input", v.Name, workers)
-			}
+		// Publication is deterministic (it depends only on the split
+		// policy, not on timing); steals are not — on a single-CPU host
+		// the owner can drain its own deque before a thief runs, so the
+		// end-to-end steal check lives in TestStealOccurs.
+		if res.Stats.Publishes == 0 {
+			t.Errorf("workers=%d: no publications on the skewed input", workers)
 		}
 	}
 }
@@ -156,8 +147,8 @@ func TestStealOccurs(t *testing.T) {
 	t.Fatal("no steal observed in 50 runs on the skewed input with 8 workers")
 }
 
-// TestStealingMatchesRandom cross-checks stealing against the legacy
-// scheduler on random inputs, with an aggressive split threshold so
+// TestStealingMatchesRandom cross-checks stealing against the first-level
+// scheduler (internal/baseline's driver) on random inputs, with an aggressive split threshold so
 // publication happens even on small candidate lists.
 func TestStealingMatchesRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
@@ -172,19 +163,17 @@ func TestStealingMatchesRandom(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		for _, v := range Variants() {
-			legacy, err := Mine(store, p, Options{Gen: v.Gen, Val: v.Val, Workers: 4, SplitDepth: -1})
-			if err != nil {
-				t.Fatalf("trial %d %s legacy: %v", trial, v.Name, err)
-			}
-			steal, err := Mine(store, p, Options{Gen: v.Gen, Val: v.Val, Workers: 8, SplitDepth: 3, SplitThreshold: 1})
-			if err != nil {
-				t.Fatalf("trial %d %s steal: %v", trial, v.Name, err)
-			}
-			if steal.Ordered != legacy.Ordered || steal.Unique != legacy.Unique {
-				t.Errorf("trial %d %s: stealing ordered/unique = %d/%d, legacy %d/%d",
-					trial, v.Name, steal.Ordered, steal.Unique, legacy.Ordered, legacy.Unique)
-			}
+		first, err := baseline.Mine(store, p, baseline.Options{Workers: 4})
+		if err != nil {
+			t.Fatalf("trial %d first-level: %v", trial, err)
+		}
+		steal, err := Mine(store, p, Options{Workers: 8, SplitDepth: 3, SplitThreshold: 1})
+		if err != nil {
+			t.Fatalf("trial %d steal: %v", trial, err)
+		}
+		if steal.Ordered != first.Ordered || steal.Unique != first.Unique {
+			t.Errorf("trial %d: stealing ordered/unique = %d/%d, first-level %d/%d",
+				trial, steal.Ordered, steal.Unique, first.Ordered, first.Unique)
 		}
 	}
 }

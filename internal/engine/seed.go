@@ -22,8 +22,8 @@ import (
 )
 
 // CompilePlan compiles the execution plan Mine/MineContext would use for
-// (store, p, opts): the plan mode follows opts.Val and the matching order
-// follows opts.DataAwareOrder. Extracted so checkpoint resume and cluster
+// (store, p, opts): a merged plan whose matching order follows
+// opts.DataAwareOrder. Extracted so checkpoint resume and cluster
 // workers compile plans whose fingerprints provably match the original
 // run's — a lease or snapshot produced against this plan validates against
 // an independently compiled one on any node holding the same store.
@@ -40,11 +40,7 @@ func CompilePlan(store *dal.Store, p *pattern.Pattern, opts Options) (*oig.Plan,
 // nil selects the structural order). The streaming miner compiles its
 // anchor-first delta plans through it.
 func CompilePlanOrdered(store *dal.Store, p *pattern.Pattern, order []int, opts Options) (*oig.Plan, error) {
-	mode := oig.ModeMerged
-	if opts.Val == ValOverlapSimple {
-		mode = oig.ModeSimple
-	}
-	plan, err := oig.CompileWith(p, mode, oig.CompileOptions{
+	plan, err := oig.CompileWith(p, oig.ModeMerged, oig.CompileOptions{
 		Order: order,
 		// Anchored counting (PositionFilter) must see every ordered tuple:
 		// a restriction can kill the one orbit member the filter accepts.
@@ -125,8 +121,7 @@ func applyContainerHints(store *dal.Store, plan *oig.Plan) {
 // PositionFilter constraints — exactly as the mining driver seeds it. The
 // returned slice is freshly allocated and safe to retain or repartition.
 func FirstCandidates(store *dal.Store, plan *oig.Plan, opts Options) []uint32 {
-	e := &shared{store: store, plan: plan, opts: opts}
-	cands := e.firstCandidates()
+	cands := newShared(store, plan, opts).firstCandidates()
 	// firstCandidates may return the DAL's shared degree-index storage when
 	// no filtering applies; copy so callers own what they hold.
 	return append([]uint32(nil), cands...)
@@ -144,7 +139,7 @@ func MineSeeded(store *dal.Store, plan *oig.Plan, seeds []uint32, opts Options) 
 	if err := validateRun(store, plan, opts); err != nil {
 		return Result{}, err
 	}
-	e := &shared{store: store, plan: plan, opts: opts}
+	e := newShared(store, plan, opts)
 	h := store.Hypergraph()
 	pool := make([]uint32, 0, len(seeds))
 	for _, c := range seeds {

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ohminer/internal/baseline"
 	"ohminer/internal/bruteforce"
 	"ohminer/internal/checkpoint"
 	"ohminer/internal/dal"
@@ -19,9 +20,10 @@ import (
 )
 
 // TestSymmetryDifferentialShapes sweeps every 2- and 3-hyperedge shape,
-// mining each realization with restrictions on and off across both
-// scheduler paths and all three kernel families: Ordered and Unique must
-// match the brute-force oracle (and each other) everywhere. This is the
+// mining each realization with restrictions on and off — on this engine and,
+// over the same plan, on internal/baseline's first-level driver with all
+// three kernel families: Ordered and Unique must match the brute-force
+// oracle (and each other) everywhere. This is the
 // differential proof that enforcing the stabilizer-chain restrictions
 // changes the work, never the answer.
 func TestSymmetryDifferentialShapes(t *testing.T) {
@@ -50,19 +52,22 @@ func TestSymmetryDifferentialShapes(t *testing.T) {
 					t.Fatalf("shape %s: Restricted=%v with NoRestrictions=%v (aut=%d)",
 						s.Key(), plan.Restricted, norestrict, aut)
 				}
+				res, err := MineWithPlan(store, plan, Options{Workers: 2})
+				if err != nil {
+					t.Fatalf("shape %s norestrict=%v: %v", s.Key(), norestrict, err)
+				}
+				if res.Ordered != want || res.Unique != want/aut || res.UniqueRemainder != 0 {
+					t.Fatalf("shape %s norestrict=%v: Ordered=%d Unique=%d rem=%d, want %d/%d/0\npattern %s",
+						s.Key(), norestrict, res.Ordered, res.Unique, res.UniqueRemainder, want, want/aut, p)
+				}
+				if res.Restricted != wantRestricted {
+					t.Fatalf("shape %s: result Restricted=%v under NoRestrictions=%v", s.Key(), res.Restricted, norestrict)
+				}
 				for _, kernel := range []intset.Kernel{intset.Adaptive, intset.Fast, intset.Scalar} {
-					for _, split := range []int{0, -1} {
-						res, err := MineWithPlan(store, plan, Options{Workers: 2, Kernel: kernel, SplitDepth: split})
-						if err != nil {
-							t.Fatalf("shape %s norestrict=%v: %v", s.Key(), norestrict, err)
-						}
-						if res.Ordered != want || res.Unique != want/aut || res.UniqueRemainder != 0 {
-							t.Fatalf("shape %s norestrict=%v kernel=%s split=%d: Ordered=%d Unique=%d rem=%d, want %d/%d/0\npattern %s",
-								s.Key(), norestrict, kernel.Name, split, res.Ordered, res.Unique, res.UniqueRemainder, want, want/aut, p)
-						}
-						if res.Restricted != wantRestricted {
-							t.Fatalf("shape %s: result Restricted=%v under NoRestrictions=%v", s.Key(), res.Restricted, norestrict)
-						}
+					ref, err := baseline.MineWithPlan(store, plan, baseline.Options{Workers: 2, Kernel: kernel})
+					if err != nil || ref.Ordered != want || ref.Unique != want/aut || ref.Restricted != wantRestricted {
+						t.Fatalf("shape %s norestrict=%v baseline kernel=%s: Ordered=%d Unique=%d Restricted=%v err=%v, want %d/%d/%v",
+							s.Key(), norestrict, kernel.Name, ref.Ordered, ref.Unique, ref.Restricted, err, want, want/aut, wantRestricted)
 					}
 				}
 			}

@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"slices"
 	"sync/atomic"
 	"time"
 
-	"ohminer/internal/hypergraph"
 	"ohminer/internal/intset"
 	"ohminer/internal/oig"
 	"ohminer/internal/sig"
@@ -23,7 +21,7 @@ type worker struct {
 	found *atomic.Uint64
 
 	// sched/id attach the worker to a work-stealing run (scheduler.go);
-	// both stay zero for standalone workers (EstimateCount, legacy mode).
+	// both stay zero for standalone workers (EstimateCount).
 	sched *scheduler
 	id    int
 	task  task // run buffer: deque hand-offs are copied in here
@@ -31,18 +29,10 @@ type worker struct {
 	c     []uint32   // bound hyperedge IDs, c[0..t]
 	cand  [][]uint32 // candidate list buffer per step
 	tmp   [][]uint32 // ping-pong buffer for progressive intersections
-	nm    []uint32   // HGMatch-style merged incident-edge buffer
 	slots [][]uint32 // overlap buffers, indexed by plan slot
 
-	edgeMark  []uint32 // stamp array over hyperedges (NM merges)
-	edgeStamp uint32
-	vertMark  []uint32 // stamp array over vertices (profile validation)
-	vertStamp uint32
-
-	labelScratch []int // per-label counter for histogram checks
-	profCount    map[uint64]int
-	adjLists     [][]uint32   // scratch: adjacency groups per generation (HGMatch path)
-	adjSets      []intset.Set // scratch: adaptive adjacency containers (DAL path)
+	labelScratch []int        // per-label counter for histogram checks
+	adjSets      []intset.Set // scratch: adjacency containers of one generation
 
 	count uint64
 	stop  bool // local mirror of shared.stopped, avoids repeat atomic loads while unwinding
@@ -63,14 +53,13 @@ func newWorker(e *shared, found *atomic.Uint64) *worker {
 		}
 	}
 	w := &worker{
-		e:        e,
-		found:    found,
-		c:        make([]uint32, m),
-		cand:     make([][]uint32, m),
-		tmp:      make([][]uint32, m),
-		slots:    make([][]uint32, e.plan.NumSlots),
-		adjLists: make([][]uint32, 0, m),
-		adjSets:  make([]intset.Set, 0, m),
+		e:       e,
+		found:   found,
+		c:       make([]uint32, m),
+		cand:    make([][]uint32, m),
+		tmp:     make([][]uint32, m),
+		slots:   make([][]uint32, e.plan.NumSlots),
+		adjSets: make([]intset.Set, 0, m),
 	}
 	for t := 0; t < m; t++ {
 		w.cand[t] = make([]uint32, 0, 64)
@@ -79,47 +68,10 @@ func newWorker(e *shared, found *atomic.Uint64) *worker {
 	for i := range w.slots {
 		w.slots[i] = make([]uint32, 0, maxDeg)
 	}
-	if e.opts.Gen == GenHGMatch {
-		w.edgeMark = make([]uint32, h.NumEdges())
-		w.nm = make([]uint32, 0, 256)
-	}
-	if e.opts.Val == ValProfiles {
-		w.vertMark = make([]uint32, h.NumVertices())
-		w.profCount = make(map[uint64]int, 64)
-	}
 	if h.Labeled() {
 		w.labelScratch = make([]int, h.NumLabels())
 	}
 	return w
-}
-
-// mineFrom explores the search subtree rooted at first bound to position 0.
-// It is the root of the mining hot path: nothing reachable from here may
-// allocate (enforced by ohmlint's hotpath-alloc analyzer).
-//
-//ohmlint:hotpath
-func (w *worker) mineFrom(first uint32) {
-	if w.stop {
-		// This first-level subtree is being skipped. A checkpointed run
-		// saves it as a depth-0 frontier task; otherwise the run
-		// undercounts.
-		if w.e.saveOnStop {
-			w.saveRoot(first)
-		} else {
-			w.e.abandoned.Store(true)
-		}
-		return
-	}
-	w.c[0] = first
-	if w.e.plan.Pattern.NumEdges() == 1 {
-		w.emit()
-		return
-	}
-	// Position 0 has no validation ops (a single edge carries only its
-	// degree/label constraint, enforced by firstCandidates)...
-	// except in profile mode, where step 0 establishes the profile baseline
-	// trivially and can be skipped too.
-	w.step(1)
 }
 
 // step binds position t to every surviving candidate and recurses.
@@ -129,7 +81,7 @@ func (w *worker) step(t int) {
 	if instrument {
 		t0 = time.Now()
 	}
-	cands := w.generate(t)
+	cands := w.generateDAL(t)
 	if instrument {
 		w.stats.GenTime += time.Since(t0)
 		w.stats.Candidates += uint64(len(cands))
@@ -182,7 +134,7 @@ func (w *worker) explore(t int, cands []uint32) {
 			if instrument {
 				t0 = time.Now()
 			}
-			ok := w.validate(t)
+			ok := w.validateOverlaps(t)
 			if instrument {
 				w.stats.ValTime += time.Since(t0)
 			}
@@ -233,12 +185,6 @@ func (w *worker) saveTask(t int, cands []uint32) {
 	})
 }
 
-// saveRoot records a never-started first-level subtree as a depth-0
-// frontier task (legacy-path quiesce).
-func (w *worker) saveRoot(first uint32) {
-	w.saved = append(w.saved, task{cands: []uint32{first}}) //ohmlint:allow hotpath-alloc -- at most once per worker per quiesce
-}
-
 func (w *worker) emit() {
 	w.count++
 	if w.e.opts.OnEmbedding != nil && w.isCanonical() {
@@ -274,9 +220,8 @@ func (w *worker) isCanonical() bool {
 }
 
 // accept applies the cheap per-candidate constraints: distinctness,
-// symmetry-breaking restrictions, generation-time disconnection (skipped
-// for profile validation, which catches spurious connections itself, as
-// HGMatch does), and the label histogram for labeled patterns.
+// symmetry-breaking restrictions, generation-time disconnection, and the
+// label histogram for labeled patterns.
 func (w *worker) accept(t int, c uint32) bool {
 	for j := 0; j < t; j++ {
 		if w.c[j] == c {
@@ -297,32 +242,18 @@ func (w *worker) accept(t int, c uint32) bool {
 	}
 	h := w.e.store.Hypergraph()
 	st := &w.e.plan.Steps[t]
-	if w.e.opts.Val != ValProfiles {
-		for _, j := range st.Disc {
-			if w.e.opts.Gen == GenDAL {
-				if w.e.store.Connected(c, w.c[j]) {
-					return false
-				}
-			} else if intset.Intersects(h.EdgeVertices(c), h.EdgeVertices(w.c[j])) {
-				return false
-			}
+	for _, j := range st.Disc {
+		if w.e.store.Connected(c, w.c[j]) {
+			return false
 		}
 	}
 	if st.EdgeLabel >= 0 && (!h.EdgeLabeled() || int64(h.EdgeLabel(c)) != st.EdgeLabel) {
 		return false
 	}
-	if w.e.plan.Labeled && !labelsMatch(h, c, st.EdgeLabels, w.labelScratch) {
+	if w.e.plan.Labeled && !sig.HistogramMatches(h.Labels(), h.EdgeVertices(c), st.EdgeLabels, w.labelScratch) {
 		return false
 	}
 	return true
-}
-
-// validate dispatches to the configured validation strategy.
-func (w *worker) validate(t int) bool {
-	if w.e.opts.Val == ValProfiles {
-		return w.validateProfiles(t)
-	}
-	return w.validateOverlaps(t)
 }
 
 // validateOverlaps executes the plan's operations for step t — the
@@ -333,7 +264,6 @@ func (w *worker) validate(t int) bool {
 // dense overlaps run the SWAR/probe kernels and sparse ones the array family.
 func (w *worker) validateOverlaps(t int) bool {
 	h := w.e.store.Hypergraph()
-	kernel := w.e.kernel
 	for i := range w.e.plan.Steps[t].Ops {
 		op := &w.e.plan.Steps[t].Ops[i]
 		switch op.Kind {
@@ -341,26 +271,26 @@ func (w *worker) validateOverlaps(t int) bool {
 			a, b := w.resolveSet(op.A, op.Hint), w.resolveSet(op.B, op.Hint)
 			w.stats.SetOps++
 			w.countKernelClass(intset.Classify(a, b))
-			out := kernel.IntersectSets(a, b, w.slots[op.Out][:0])
+			out := intset.IntersectSetsAdaptive(a, b, w.slots[op.Out][:0])
 			w.slots[op.Out] = out
 			if len(out) != op.Want {
 				return false
 			}
-			if op.LabelWant != nil && !vertLabelsMatch(h, out, op.LabelWant, w.labelScratch) {
+			if op.LabelWant != nil && !sig.HistogramMatches(h.Labels(), out, op.LabelWant, w.labelScratch) {
 				return false
 			}
 		case oig.OpIntersectCount:
 			a, b := w.resolveSet(op.A, op.Hint), w.resolveSet(op.B, op.Hint)
 			w.stats.SetOps++
 			w.countKernelClass(intset.Classify(a, b))
-			if kernel.IntersectCountSets(a, b) != op.Want {
+			if intset.IntersectCountSetsAdaptive(a, b) != op.Want {
 				return false
 			}
 		case oig.OpIntersectEq:
 			a, b := w.resolveSet(op.A, op.Hint), w.resolveSet(op.B, op.Hint)
 			w.stats.SetOps++
 			w.countKernelClass(intset.Classify(a, b))
-			out := kernel.IntersectSets(a, b, w.slots[op.Out][:0])
+			out := intset.IntersectSetsAdaptive(a, b, w.slots[op.Out][:0])
 			w.slots[op.Out] = out
 			if !intset.Equal(out, w.resolve(op.Eq)) {
 				return false
@@ -368,7 +298,7 @@ func (w *worker) validateOverlaps(t int) bool {
 		case oig.OpEmptyCheck:
 			a, b := w.resolveSet(op.A, op.Hint), w.resolveSet(op.B, op.Hint)
 			w.countKernelClass(intset.Classify(a, b))
-			if kernel.SetsIntersect(a, b) {
+			if intset.SetsIntersectAdaptive(a, b) {
 				return false
 			}
 		case oig.OpSubsetCheck:
@@ -407,94 +337,10 @@ func (w *worker) resolveSet(o oig.Operand, hint oig.ContainerHint) intset.Set {
 	return intset.ArrayView(w.slots[o.Pos])
 }
 
-// validateProfiles recomputes the profile of every distinct vertex of the
-// partial embedding and compares the multiset with the pattern's — the
-// vertex-granularity validation of HGMatch (Fig. 2(b)). The full recompute
-// per step is exactly the redundancy Fig. 3(c) measures.
-func (w *worker) validateProfiles(t int) bool {
-	h := w.e.store.Hypergraph()
-	want := w.e.plan.ProfileCounts[t]
-	clear(w.profCount)
-	w.nextVertStamp()
-	total := 0
-	distinctProfiles := 0
-	for i := 0; i <= t; i++ {
-		for _, v := range h.EdgeVertices(w.c[i]) {
-			if w.vertMark[v] == w.vertStamp {
-				continue
-			}
-			w.vertMark[v] = w.vertStamp
-			var profile uint64
-			for k := 0; k <= t; k++ {
-				if k == i || intset.Contains(h.EdgeVertices(w.c[k]), v) {
-					profile |= 1 << uint(k)
-				}
-			}
-			if w.e.plan.Labeled {
-				profile |= uint64(h.Label(v)) << 32
-			}
-			if w.profCount[profile] == 0 {
-				distinctProfiles++
-			}
-			w.profCount[profile]++
-			total++
-		}
-	}
-	if w.e.opts.Instrument {
-		w.stats.ProfileVertices += uint64(total)
-		w.stats.RedundantProfileVertices += uint64(total - distinctProfiles)
-	}
-	if len(w.profCount) != len(want) {
-		return false
-	}
-	for k, n := range want {
-		if w.profCount[k] != n {
-			return false
-		}
-	}
-	return true
-}
-
-// labelsMatch verifies that hyperedge c's vertex label histogram equals
-// want. scratch is a per-label counter slice that is restored to zero.
-func labelsMatch(h *hypergraph.Hypergraph, c uint32, want []sig.LabelCount, scratch []int) bool {
-	return vertLabelsMatch(h, h.EdgeVertices(c), want, scratch)
-}
-
-// vertLabelsMatch verifies that the label histogram of verts equals want.
-func vertLabelsMatch(h *hypergraph.Hypergraph, verts []uint32, want []sig.LabelCount, scratch []int) bool {
-	for _, v := range verts {
-		scratch[h.Label(v)]++
-	}
-	ok := true
-	seen := 0
-	for _, lc := range want {
-		if scratch[lc.Label] != lc.Count {
-			ok = false
-		}
-		seen += lc.Count
-	}
-	if seen != len(verts) {
-		ok = false
-	}
-	for _, v := range verts {
-		scratch[h.Label(v)] = 0
-	}
-	return ok
-}
-
-// generate produces the candidate list for step t into w.cand[t].
-func (w *worker) generate(t int) []uint32 {
-	if w.e.opts.Gen == GenDAL {
-		return w.generateDAL(t)
-	}
-	return w.generateHGMatch(t)
-}
-
 // generateDAL intersects the degree-pruned adjacency groups of the
 // already-matched connected hyperedges (Sec. 4.5) with one k-way kernel
 // call: the groups arrive as adaptive containers straight from the DAL's
-// arenas (bitmap windows included, never converted), Kernel.IntersectK
+// arenas (bitmap windows included, never converted), IntersectKAdaptive
 // orders them rarest-first, and the scan short-circuits the moment any
 // operand is exhausted. The (result, spare) return keeps the worker's
 // ping-pong buffers owned across calls.
@@ -512,7 +358,7 @@ func (w *worker) generateDAL(t int) []uint32 {
 	}
 	w.adjSets = sets
 	w.countKernelClass(intset.ClassifyK(sets))
-	w.cand[t], w.tmp[t] = w.e.kernel.IntersectK(sets, w.cand[t][:0], w.tmp[t][:0])
+	w.cand[t], w.tmp[t] = intset.IntersectKAdaptive(sets, w.cand[t][:0], w.tmp[t][:0])
 	return w.cand[t]
 }
 
@@ -525,85 +371,5 @@ func (w *worker) countKernelClass(c intset.PairClass) {
 		w.stats.KernelMixed++
 	default:
 		w.stats.KernelArray++
-	}
-}
-
-// generateHGMatch reproduces the match-by-hyperedge baseline's candidate
-// generation (Fig. 2(a)): for every pattern vertex u in the overlap between
-// pe_t and an already-matched pe_j, it re-derives NM(u) — the degree-pruned
-// union of the incident hyperedges of every vertex of c_j — and intersects
-// all the NM sets. All vertices of one overlap produce the same NM, which is
-// precisely the redundant computation OHMiner eliminates; the redundancy
-// counter feeds Fig. 3(b).
-func (w *worker) generateHGMatch(t int) []uint32 {
-	st := &w.e.plan.Steps[t]
-	s := w.e.plan.Sig
-	acc := w.cand[t][:0]
-	firstList := true
-	for _, j := range st.Conn {
-		overlapVerts := s.Size(uint32(1<<j | 1<<t))
-		for u := 0; u < overlapVerts; u++ {
-			nm := w.mergeIncident(w.c[j], st.Degree)
-			w.stats.NMFetches++
-			if u > 0 {
-				w.stats.RedundantNMFetches++
-			}
-			if firstList {
-				acc = append(acc[:0], nm...)
-				firstList = false
-			} else {
-				out := w.e.kernel.Intersect(acc, nm, w.tmp[t][:0])
-				w.tmp[t], acc = acc, out
-			}
-			if len(acc) == 0 {
-				w.cand[t] = acc
-				return acc
-			}
-		}
-	}
-	w.cand[t] = acc
-	return acc
-}
-
-// mergeIncident unions the incident hyperedges of every vertex of edge j,
-// keeping only hyperedges of the wanted degree, and returns them sorted.
-func (w *worker) mergeIncident(j uint32, degree int) []uint32 {
-	h := w.e.store.Hypergraph()
-	w.nextEdgeStamp()
-	w.nm = w.nm[:0]
-	for _, v := range h.EdgeVertices(j) {
-		for _, e := range h.VertexEdges(v) {
-			if e == j || w.edgeMark[e] == w.edgeStamp {
-				continue
-			}
-			w.edgeMark[e] = w.edgeStamp
-			if h.Degree(e) == degree {
-				w.nm = append(w.nm, e)
-			}
-		}
-	}
-	slices.Sort(w.nm)
-	return w.nm
-}
-
-// nextEdgeStamp opens a fresh edge-mark generation. On uint32 wraparound
-// the mark array is cleared and the stamp restarts at 1: without the
-// reset, marks written ~2^32 generations ago would compare equal to the
-// recycled stamp and stale hyperedges would be treated as already merged.
-func (w *worker) nextEdgeStamp() {
-	w.edgeStamp++
-	if w.edgeStamp == 0 {
-		clear(w.edgeMark)
-		w.edgeStamp = 1
-	}
-}
-
-// nextVertStamp opens a fresh vertex-mark generation, with the same
-// wraparound reset as nextEdgeStamp.
-func (w *worker) nextVertStamp() {
-	w.vertStamp++
-	if w.vertStamp == 0 {
-		clear(w.vertMark)
-		w.vertStamp = 1
 	}
 }

@@ -2,13 +2,10 @@ package exp
 
 import (
 	"fmt"
-	"time"
 
-	"ohminer/internal/dal"
-
+	"ohminer/internal/baseline"
 	"ohminer/internal/engine"
 	"ohminer/internal/intset"
-	"ohminer/internal/pattern"
 )
 
 func init() {
@@ -22,27 +19,29 @@ func init() {
 // runExtras measures the design choices DESIGN.md calls out that the
 // paper's figures do not isolate directly:
 //
+//   - the production engine against internal/baseline's OHMiner cell — same
+//     plan, kernels and store accessors, so the ratio is what the
+//     work-stealing driver and its options cost or buy (the parity row);
 //   - ModeMerged vs ModeSimple plans on identical DAL generation (the OIG
 //     merge optimization in isolation);
-//   - fast vs scalar set kernels (the SIMD stand-in, cf. the paper's
+//   - adaptive vs scalar set kernels (the SIMD stand-in, cf. the paper's
 //     3.8x-19.6x no-SIMD claim);
 //   - structural vs data-aware matching order.
 func runExtras(c *Context, opts RunOpts) ([]*Table, error) {
 	t := &Table{
 		Title:  "Extras: repository-level ablations (times per cell, OHMiner generation)",
-		Header: []string{"dataset", "setting", "merged", "simple", "scalar-kernel", "data-aware-order"},
+		Header: []string{"dataset", "setting", "merged", "baseline-merged", "simple", "scalar-kernel", "data-aware-order"},
 		Notes: []string{
-			"merged = full OHMiner; simple = IEP-only plan; scalar = no-SIMD stand-in; data-aware = selectivity-first matching order",
+			"merged = full OHMiner on the production engine; data-aware = the same with the selectivity-first matching order",
+			"baseline-merged = internal/baseline's OHMiner cell (parity with merged); simple = its IEP-only plan; scalar = its no-SIMD kernels",
 		},
 	}
-	configs := []struct {
-		name string
-		opts engine.Options
-	}{
-		{"merged", engine.Options{Gen: engine.GenDAL, Val: engine.ValOverlap}},
-		{"simple", engine.Options{Gen: engine.GenDAL, Val: engine.ValOverlapSimple}},
-		{"scalar", engine.Options{Gen: engine.GenDAL, Val: engine.ValOverlap, Kernel: intset.Scalar}},
-		{"data-aware", engine.Options{Gen: engine.GenDAL, Val: engine.ValOverlap, DataAwareOrder: true}},
+	configs := []system{
+		ohminerSys,
+		baselineSys("baseline-merged", baseline.Options{}),
+		baselineSys("simple", baseline.Options{Val: baseline.ValOverlapSimple}),
+		baselineSys("scalar", baseline.Options{Kernel: intset.Scalar}),
+		production("data-aware", engine.Options{DataAwareOrder: true}),
 	}
 	for _, tag := range datasetsFor(opts, []string{"SB", "HB", "WT"}, []string{"SB"}) {
 		store, err := c.Dataset(tag)
@@ -55,10 +54,10 @@ func runExtras(c *Context, opts RunOpts) ([]*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", tag, set.Name, err)
 			}
-			cells := make([]string, len(configs))
+			row := []string{tag, set.Name}
 			var counts []uint64
-			for i, cfg := range configs {
-				m, cs, err := mineVariantSet(store, pats, cfg.opts, opts, counts)
+			for _, cfg := range configs {
+				m, cs, err := mineSet(store, pats, cfg, opts, false, counts)
 				if err != nil {
 					return nil, err
 				}
@@ -66,45 +65,13 @@ func runExtras(c *Context, opts RunOpts) ([]*Table, error) {
 					counts = cs
 				}
 				if m.Runs == 0 {
-					cells[i] = "timeout"
+					row = append(row, "timeout")
 					continue
 				}
-				cells[i] = ms(m.AvgTime)
+				row = append(row, ms(m.AvgTime))
 			}
-			t.AddRow(tag, set.Name, cells[0], cells[1], cells[2], cells[3])
+			t.AddRow(row...)
 		}
 	}
 	return []*Table{t}, nil
-}
-
-// mineVariantSet is mineSet for an arbitrary engine.Options configuration.
-func mineVariantSet(store *dal.Store, pats []*pattern.Pattern, eng engine.Options, opts RunOpts, check []uint64) (measurement, []uint64, error) {
-	var m measurement
-	counts := make([]uint64, 0, len(pats))
-	for i, p := range pats {
-		eng.Workers = opts.Workers
-		if opts.CellBudget > 0 {
-			eng.Deadline = opts.CellBudget
-		}
-		res, err := engine.Mine(store, p, eng)
-		if err != nil {
-			return m, nil, err
-		}
-		if res.Truncated {
-			m.Truncated = true
-			break
-		}
-		m.PerPattern = append(m.PerPattern, res.Elapsed)
-		m.AvgTime += res.Elapsed
-		m.Runs++
-		counts = append(counts, res.Ordered)
-		if check != nil && i < len(check) && check[i] != res.Ordered {
-			return m, nil, fmt.Errorf("ablation config disagrees on pattern %d: %d vs %d",
-				i, res.Ordered, check[i])
-		}
-	}
-	if m.Runs > 0 {
-		m.AvgTime /= time.Duration(m.Runs)
-	}
-	return m, counts, nil
 }

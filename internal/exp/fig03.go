@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"ohminer/internal/engine"
 	"ohminer/internal/hypergraph"
 	"ohminer/internal/pattern"
 )
@@ -17,14 +16,13 @@ func init() {
 }
 
 // runFig3 reproduces the four motivation measurements of Figure 3 by
-// running the instrumented HGMatch configuration:
+// running the instrumented HGMatch configuration of internal/baseline:
 //
 //	(a) candidate generation + validation dominate execution time
 //	(b) redundant computations (repeated incident-hyperedge derivations)
 //	(c) redundant vertices in candidate validation (68%-91% in the paper)
 //	(d) connection density of degree-mapped subhypergraphs (≤0.11)
 func runFig3(c *Context, opts RunOpts) ([]*Table, error) {
-	hgm := engine.Variant{Name: "HGMatch", Gen: engine.GenHGMatch, Val: engine.ValProfiles}
 	datasets := datasetsFor(opts, []string{"SB", "HB", "WT"}, []string{"SB", "WT"})
 	// Instrumented HGMatch on P5+ is disproportionately slow; P3/P4 already
 	// exhibit the Figure 3 trends.
@@ -60,7 +58,7 @@ func runFig3(c *Context, opts RunOpts) ([]*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", tag, set.Name, err)
 			}
-			m, _, err := mineSet(store, pats, hgm, opts, true, nil)
+			m, _, err := mineSet(store, pats, hgmatchSys, opts, true, nil)
 			if err != nil {
 				return nil, err
 			}

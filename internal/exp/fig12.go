@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"ohminer/internal/engine"
+	"ohminer/internal/baseline"
 )
 
 func init() {
@@ -13,7 +13,7 @@ func init() {
 		Run: func(c *Context, opts RunOpts) ([]*Table, error) {
 			return speedupGrid(c, opts, speedupGridSpec{
 				Title:    "Figure 12: OHMiner speedup over HGMatch (unlabeled)",
-				Variant:  engine.Variant{Name: "OHMiner", Gen: engine.GenDAL, Val: engine.ValOverlap},
+				System:   ohminerSys,
 				Datasets: datasetsFor(opts, []string{"CH", "CP", "SB", "HB", "WT", "TC"}, []string{"SB", "WT"}),
 				Note:     "paper reports 5.4x-22.2x across P2-P6; shape target: OHMiner wins on every cell",
 			})
@@ -25,7 +25,7 @@ func init() {
 		Run: func(c *Context, opts RunOpts) ([]*Table, error) {
 			return speedupGrid(c, opts, speedupGridSpec{
 				Title:    "Figure 13: OHM-V speedup over HGMatch",
-				Variant:  engine.Variant{Name: "OHM-V", Gen: engine.GenHGMatch, Val: engine.ValOverlap},
+				System:   baselineSys("OHM-V", baseline.Options{Gen: baseline.GenHGMatch}),
 				Datasets: datasetsFor(opts, []string{"CH", "CP", "SB", "HB", "WT", "TC"}, []string{"SB", "WT"}),
 				Note:     "paper reports 1.05x-7.5x: validation alone already beats HGMatch, by less than full OHMiner",
 			})
@@ -35,25 +35,27 @@ func init() {
 
 type speedupGridSpec struct {
 	Title    string
-	Variant  engine.Variant
+	System   system
 	Datasets []string
 	Note     string
+	// Labels, when positive, runs the grid on the datasets generated with
+	// that many vertex-label classes.
+	Labels int
 }
 
-// speedupGrid runs the Variant and the HGMatch baseline over a dataset ×
+// speedupGrid runs the System and the HGMatch baseline over a dataset ×
 // pattern-setting grid and tabulates per-cell average times and speedups —
-// the template behind Figures 12, 13 and 17.
+// the template behind Figures 12, 13, 14 and 17.
 func speedupGrid(c *Context, opts RunOpts, spec speedupGridSpec) ([]*Table, error) {
-	baseline := engine.Variant{Name: "HGMatch", Gen: engine.GenHGMatch, Val: engine.ValProfiles}
 	t := &Table{
 		Title:  spec.Title,
-		Header: []string{"dataset", "setting", spec.Variant.Name, "HGMatch", "speedup", "embeddings"},
+		Header: []string{"dataset", "setting", spec.System.Name, "HGMatch", "speedup", "embeddings"},
 	}
 	if spec.Note != "" {
 		t.Notes = append(t.Notes, spec.Note)
 	}
 	for _, tag := range spec.Datasets {
-		store, err := c.Dataset(tag)
+		store, err := c.LabeledDataset(tag, spec.Labels)
 		if err != nil {
 			return nil, err
 		}
@@ -63,26 +65,11 @@ func speedupGrid(c *Context, opts RunOpts, spec speedupGridSpec) ([]*Table, erro
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", tag, set.Name, err)
 			}
-			fast, counts, err := mineSet(store, pats, spec.Variant, opts, false, nil)
+			v, err := versus(store, pats, spec.System, hgmatchSys, opts)
 			if err != nil {
 				return nil, err
 			}
-			base, _, err := mineSet(store, pats, baseline, opts, false, counts)
-			if err != nil {
-				return nil, err
-			}
-			fastAvg, baseAvg, common, truncated := align(fast, base)
-			if common == 0 {
-				if lb, ok := lowerBound(fast, opts.CellBudget); ok {
-					t.AddRow(tag, set.Name+" [1/lb]", ms(fast.PerPattern[0]),
-						">"+ms(opts.CellBudget), lb, "-")
-				} else {
-					t.AddRow(tag, set.Name, "-", "-", "timeout", "-")
-				}
-				continue
-			}
-			t.AddRow(tag, set.Name+cellNote(common, len(pats), truncated),
-				ms(fastAvg), ms(baseAvg), speedup(baseAvg, fastAvg), fmt.Sprintf("%d", fast.Ordered))
+			t.AddRow(tag, set.Name+v.Note, v.Fast, v.Base, v.Speedup, v.Embeddings)
 		}
 	}
 	return []*Table{t}, nil

@@ -1,10 +1,6 @@
 package exp
 
-import (
-	"fmt"
-
-	"ohminer/internal/engine"
-)
+import "fmt"
 
 func init() {
 	register(Experiment{
@@ -22,46 +18,12 @@ func init() {
 // single sampled instance).
 func runFig14(c *Context, opts RunOpts) ([]*Table, error) {
 	const numLabels = 3
-	ohm := engine.Variant{Name: "OHMiner", Gen: engine.GenDAL, Val: engine.ValOverlap}
-	hgm := engine.Variant{Name: "HGMatch", Gen: engine.GenHGMatch, Val: engine.ValProfiles}
-	t := &Table{
-		Title:  "Figure 14: OHMiner speedup over HGMatch (labeled, 1 thread)",
-		Header: []string{"dataset", "setting", "OHMiner", "HGMatch", "speedup", "embeddings"},
-		Notes:  []string{fmt.Sprintf("vertices carry %d Zipf-distributed label classes; paper reports 5.1x-22.0x", numLabels)},
-	}
-	single := opts
-	single.Workers = 1
-	for _, tag := range datasetsFor(opts, []string{"CH", "CP", "SB", "HB", "WT", "TC"}, []string{"SB", "WT"}) {
-		store, err := c.LabeledDataset(tag, numLabels)
-		if err != nil {
-			return nil, err
-		}
-		for _, set := range settingsFor(opts) {
-			pats, err := samplePatterns(store, set, single, saltFor(tag, set.Name))
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", tag, set.Name, err)
-			}
-			fast, counts, err := mineSet(store, pats, ohm, single, false, nil)
-			if err != nil {
-				return nil, err
-			}
-			base, _, err := mineSet(store, pats, hgm, single, false, counts)
-			if err != nil {
-				return nil, err
-			}
-			fastAvg, baseAvg, common, truncated := align(fast, base)
-			if common == 0 {
-				if lb, ok := lowerBound(fast, opts.CellBudget); ok {
-					t.AddRow(tag, set.Name+" [1/lb]", ms(fast.PerPattern[0]),
-						">"+ms(opts.CellBudget), lb, "-")
-				} else {
-					t.AddRow(tag, set.Name, "-", "-", "timeout", "-")
-				}
-				continue
-			}
-			t.AddRow(tag, set.Name+cellNote(common, len(pats), truncated),
-				ms(fastAvg), ms(baseAvg), speedup(baseAvg, fastAvg), fmt.Sprintf("%d", fast.Ordered))
-		}
-	}
-	return []*Table{t}, nil
+	opts.Workers = 1
+	return speedupGrid(c, opts, speedupGridSpec{
+		Title:    "Figure 14: OHMiner speedup over HGMatch (labeled, 1 thread)",
+		System:   ohminerSys,
+		Datasets: datasetsFor(opts, []string{"CH", "CP", "SB", "HB", "WT", "TC"}, []string{"SB", "WT"}),
+		Note:     fmt.Sprintf("vertices carry %d Zipf-distributed label classes; paper reports 5.1x-22.0x", numLabels),
+		Labels:   numLabels,
+	})
 }

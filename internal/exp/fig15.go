@@ -3,7 +3,7 @@ package exp
 import (
 	"fmt"
 
-	"ohminer/internal/engine"
+	"ohminer/internal/baseline"
 )
 
 func init() {
@@ -21,19 +21,19 @@ func init() {
 //	OHM-G = OHMiner generation + HGMatch validation          (1.11x-1.45x)
 //	OHMiner = both                                           (OHM-V x 2.56-3.70)
 func runFig15(c *Context, opts RunOpts) ([]*Table, error) {
-	variants := []engine.Variant{
-		{Name: "OHM-I", Gen: engine.GenHGMatch, Val: engine.ValOverlapSimple},
-		{Name: "OHM-V", Gen: engine.GenHGMatch, Val: engine.ValOverlap},
-		{Name: "OHM-G", Gen: engine.GenDAL, Val: engine.ValProfiles},
-		{Name: "OHMiner", Gen: engine.GenDAL, Val: engine.ValOverlap},
+	variants := []system{
+		baselineSys("OHM-I", baseline.Options{Gen: baseline.GenHGMatch, Val: baseline.ValOverlapSimple}),
+		baselineSys("OHM-V", baseline.Options{Gen: baseline.GenHGMatch}),
+		baselineSys("OHM-G", baseline.Options{Val: baseline.ValProfiles}),
+		ohminerSys,
 	}
-	baseline := engine.Variant{Name: "HGMatch", Gen: engine.GenHGMatch, Val: engine.ValProfiles}
 	t := &Table{
 		Title:  "Figure 15: speedup over HGMatch by optimization technique",
 		Header: []string{"dataset", "setting", "OHM-I", "OHM-V", "OHM-G", "OHMiner"},
 		Notes: []string{
 			"expected ordering per paper: OHM-G < OHM-I < OHM-V < OHMiner",
 			"OHM-I = IEP set-ops only; OHM-V adds merge+pruning; OHM-G = DAL generation only",
+			"HGMatch and the OHM-* columns run in internal/baseline, OHMiner is the production engine",
 		},
 	}
 	for _, tag := range datasetsFor(opts, []string{"SB", "HB", "WT"}, []string{"SB"}) {
@@ -46,7 +46,7 @@ func runFig15(c *Context, opts RunOpts) ([]*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", tag, set.Name, err)
 			}
-			base, counts, err := mineSet(store, pats, baseline, opts, false, nil)
+			base, counts, err := mineSet(store, pats, hgmatchSys, opts, false, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"ohminer/internal/engine"
 	"ohminer/internal/pattern"
 )
 
@@ -29,16 +28,14 @@ func runFig16(c *Context, opts RunOpts) ([]*Table, error) {
 	if opts.Quick {
 		workerCounts = []int{1, 4, 16}
 	}
-	systems := []engine.Variant{
-		{Name: "OHMiner", Gen: engine.GenDAL, Val: engine.ValOverlap},
-		{Name: "HGMatch", Gen: engine.GenHGMatch, Val: engine.ValProfiles},
-	}
+	systems := []system{ohminerSys, hgmatchSys}
 	t := &Table{
 		Title:  "Figure 16: normalized speedup vs own 1-worker time",
 		Header: []string{"dataset", "system", "workers", "time", "self-speedup"},
 		Notes: []string{
 			fmt.Sprintf("host has %d CPU core(s), GOMAXPROCS=%d: scaling is expected to be flat here; see EXPERIMENTS.md", runtime.NumCPU(), runtime.GOMAXPROCS(0)),
 			"paper (128 threads, 64 cores): OHMiner 62.2x vs HGMatch 44.1x self-speedup on HB p3",
+			"OHMiner = production engine (work stealing), HGMatch = internal/baseline (the paper's first-level scheduling)",
 		},
 	}
 	set := pattern.Setting{Name: "p3", NumEdges: 3, VertMin: 10, VertMax: 20, Count: 2}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ohminer/internal/dal"
-	"ohminer/internal/engine"
 	"ohminer/internal/pattern"
 )
 
@@ -15,7 +14,7 @@ func init() {
 		Run: func(c *Context, opts RunOpts) ([]*Table, error) {
 			tables, err := speedupGrid(c, opts, speedupGridSpec{
 				Title:    "Figure 17(a): speedup on larger hypergraphs",
-				Variant:  engine.Variant{Name: "OHMiner", Gen: engine.GenDAL, Val: engine.ValOverlap},
+				System:   ohminerSys,
 				Datasets: datasetsFor(opts, []string{"CD", "AM", "SYN"}, []string{"CD"}),
 				Note:     "CD/AM/SYN are scale-reduced (DESIGN.md); paper: CD 7.6x-12.2x, AM 9.9x-14.5x, 100M synthetic 7.9x-20.1x",
 			})
@@ -33,8 +32,6 @@ func init() {
 // maximizes the number of overlap computations OHMiner must perform
 // (Sec. 5.5 sensitivity study).
 func runFig17b(c *Context, opts RunOpts) ([]*Table, error) {
-	ohm := engine.Variant{Name: "OHMiner", Gen: engine.GenDAL, Val: engine.ValOverlap}
-	hgm := engine.Variant{Name: "HGMatch", Gen: engine.GenHGMatch, Val: engine.ValProfiles}
 	t := &Table{
 		Title:  "Figure 17(b): dense patterns (every hyperedge pair overlaps)",
 		Header: []string{"dataset", "edges", "OHMiner", "HGMatch", "speedup", "embeddings"},
@@ -54,26 +51,11 @@ func runFig17b(c *Context, opts RunOpts) ([]*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s dense-%d: %w", tag, m, err)
 			}
-			fast, counts, err := mineSet(store, pats, ohm, opts, false, nil)
+			v, err := versus(store, pats, ohminerSys, hgmatchSys, opts)
 			if err != nil {
 				return nil, err
 			}
-			base, _, err := mineSet(store, pats, hgm, opts, false, counts)
-			if err != nil {
-				return nil, err
-			}
-			fastAvg, baseAvg, common, truncated := align(fast, base)
-			if common == 0 {
-				if lb, ok := lowerBound(fast, opts.CellBudget); ok {
-					t.AddRow(tag, fmt.Sprintf("%d [1/lb]", m), ms(fast.PerPattern[0]),
-						">"+ms(opts.CellBudget), lb, "-")
-				} else {
-					t.AddRow(tag, fmt.Sprintf("%d", m), "-", "-", "timeout", "-")
-				}
-				continue
-			}
-			t.AddRow(tag, fmt.Sprintf("%d%s", m, cellNote(common, len(pats), truncated)),
-				ms(fastAvg), ms(baseAvg), speedup(baseAvg, fastAvg), fmt.Sprintf("%d", fast.Ordered))
+			t.AddRow(tag, fmt.Sprintf("%d%s", m, v.Note), v.Fast, v.Base, v.Speedup, v.Embeddings)
 		}
 	}
 	return []*Table{t}, nil

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"ohminer/internal/baseline"
 	"ohminer/internal/dal"
 	"ohminer/internal/engine"
 	"ohminer/internal/pattern"
@@ -23,8 +24,60 @@ type measurement struct {
 	Truncated  bool            // cell budget exhausted before all patterns ran
 	GenFrac    float64         // instrumented runs only
 	ValFrac    float64
-	Stats      engine.Stats
+	Stats      baseline.Stats
 }
+
+// system is one measured column: the production engine (internal/engine) or
+// a configuration of internal/baseline. In every paper table and figure the
+// "OHMiner" column is the production engine and the systems it is compared
+// with or ablated into are baselines; mineSet's count check therefore holds
+// production and baseline to equal counts cell by cell.
+type system struct {
+	Name string
+	// Scheduler labels recorded cells: "stealing" or "first-level".
+	Scheduler string
+	mine      func(store *dal.Store, p *pattern.Pattern, workers int, instrument bool, deadline time.Duration) (cellRun, error)
+}
+
+// cellRun is what a cell keeps of one run of either engine.
+type cellRun struct {
+	Elapsed                      time.Duration
+	Ordered                      uint64
+	Truncated                    bool
+	Stats                        baseline.Stats // instrumented runs
+	Steals, Publishes, IdleSpins uint64         // production only
+}
+
+// production is the production engine under the given options (Workers,
+// Instrument and Deadline are the cell's).
+func production(name string, o engine.Options) system {
+	return system{name, "stealing", func(store *dal.Store, p *pattern.Pattern, workers int, instrument bool, deadline time.Duration) (cellRun, error) {
+		o.Workers, o.Instrument, o.Deadline = workers, instrument, deadline
+		res, err := engine.Mine(store, p, o)
+		st := res.Stats
+		return cellRun{
+			Elapsed: res.Elapsed, Ordered: res.Ordered, Truncated: res.Truncated,
+			Stats:  baseline.Stats{Candidates: st.Candidates, Embeddings: st.Embeddings, GenTime: st.GenTime, ValTime: st.ValTime},
+			Steals: st.Steals, Publishes: st.Publishes, IdleSpins: st.IdleSpins,
+		}, err
+	}}
+}
+
+// baselineSys is internal/baseline under the given configuration (Workers,
+// Instrument and Deadline are the cell's).
+func baselineSys(name string, o baseline.Options) system {
+	return system{name, "first-level", func(store *dal.Store, p *pattern.Pattern, workers int, instrument bool, deadline time.Duration) (cellRun, error) {
+		o.Workers, o.Instrument, o.Deadline = workers, instrument, deadline
+		res, err := baseline.Mine(store, p, o)
+		return cellRun{Elapsed: res.Elapsed, Ordered: res.Ordered, Truncated: res.Truncated, Stats: res.Stats}, err
+	}}
+}
+
+// The two systems of the paper's headline comparison.
+var (
+	ohminerSys = production("OHMiner", engine.Options{})
+	hgmatchSys = baselineSys("HGMatch", baseline.Options{Gen: baseline.GenHGMatch, Val: baseline.ValProfiles})
+)
 
 // Progress, when non-nil, receives one line per measured cell so that long
 // full-grid runs are observable (cmd/ohmbench points it at stderr).
@@ -36,10 +89,10 @@ func progressf(format string, args ...any) {
 	}
 }
 
-// mineSet mines every pattern with the given variant and returns the
+// mineSet mines every pattern with the given system and returns the
 // averaged wall time. Counts are cross-checked against check (when
 // non-nil): a mismatch is a correctness bug, so it fails loudly.
-func mineSet(store *dal.Store, pats []*pattern.Pattern, v engine.Variant, opts RunOpts, instrument bool, check []uint64) (measurement, []uint64, error) {
+func mineSet(store *dal.Store, pats []*pattern.Pattern, sys system, opts RunOpts, instrument bool, check []uint64) (measurement, []uint64, error) {
 	start := time.Now()
 	var m measurement
 	defer func() {
@@ -47,7 +100,7 @@ func mineSet(store *dal.Store, pats []*pattern.Pattern, v engine.Variant, opts R
 		if m.Truncated {
 			trunc = fmt.Sprintf(" (budget hit after %d)", m.Runs)
 		}
-		progressf("    %-8s %d patterns in %v%s\n", v.Name, len(pats), time.Since(start).Round(time.Millisecond), trunc)
+		progressf("    %-8s %d patterns in %v%s\n", sys.Name, len(pats), time.Since(start).Round(time.Millisecond), trunc)
 	}()
 	counts := make([]uint64, 0, len(pats))
 	for i, p := range pats {
@@ -60,12 +113,9 @@ func mineSet(store *dal.Store, pats []*pattern.Pattern, v engine.Variant, opts R
 			}
 			deadline = remaining
 		}
-		res, err := engine.Mine(store, p, engine.Options{
-			Gen: v.Gen, Val: v.Val, Workers: opts.Workers, Instrument: instrument,
-			Deadline: deadline,
-		})
+		res, err := sys.mine(store, p, opts.Workers, instrument, deadline)
 		if err != nil {
-			return m, nil, fmt.Errorf("%s on pattern %d: %w", v.Name, i, err)
+			return m, nil, fmt.Errorf("%s on pattern %d: %w", sys.Name, i, err)
 		}
 		if res.Truncated {
 			// The run hit the budget mid-pattern; its time and count are
@@ -79,32 +129,25 @@ func mineSet(store *dal.Store, pats []*pattern.Pattern, v engine.Variant, opts R
 		m.Runs++
 		m.Stats.GenTime += res.Stats.GenTime
 		m.Stats.ValTime += res.Stats.ValTime
-		m.Stats.Candidates += res.Stats.Candidates
-		m.Stats.SetOps += res.Stats.SetOps
 		m.Stats.NMFetches += res.Stats.NMFetches
 		m.Stats.RedundantNMFetches += res.Stats.RedundantNMFetches
 		m.Stats.ProfileVertices += res.Stats.ProfileVertices
 		m.Stats.RedundantProfileVertices += res.Stats.RedundantProfileVertices
-		m.Stats.Publishes += res.Stats.Publishes
-		m.Stats.Steals += res.Stats.Steals
-		m.Stats.IdleSpins += res.Stats.IdleSpins
-		if opts.Recorder != nil {
-			opts.Recorder.Record(CellRecord{
-				Variant:   v.Name,
-				Pattern:   fmt.Sprintf("#%d %s", i, p),
-				Workers:   opts.Workers,
-				Scheduler: "stealing",
-				ElapsedMs: float64(res.Elapsed) / float64(time.Millisecond),
-				Ordered:   res.Ordered,
-				Steals:    res.Stats.Steals,
-				Publishes: res.Stats.Publishes,
-				IdleSpins: res.Stats.IdleSpins,
-			})
-		}
+		opts.Recorder.Record(CellRecord{
+			Variant:   sys.Name,
+			Pattern:   fmt.Sprintf("#%d %s", i, p),
+			Workers:   opts.Workers,
+			Scheduler: sys.Scheduler,
+			ElapsedMs: float64(res.Elapsed) / float64(time.Millisecond),
+			Ordered:   res.Ordered,
+			Steals:    res.Steals,
+			Publishes: res.Publishes,
+			IdleSpins: res.IdleSpins,
+		})
 		counts = append(counts, res.Ordered)
 		if check != nil && i < len(check) && check[i] != res.Ordered {
 			return m, nil, fmt.Errorf("%s disagrees on pattern %d: %d vs %d embeddings",
-				v.Name, i, res.Ordered, check[i])
+				sys.Name, i, res.Ordered, check[i])
 		}
 	}
 	if m.Runs > 0 {
@@ -115,6 +158,33 @@ func mineSet(store *dal.Store, pats []*pattern.Pattern, v engine.Variant, opts R
 		m.ValFrac = float64(m.Stats.ValTime) / float64(tot)
 	}
 	return m, counts, nil
+}
+
+// versusCells are the cells every "system vs baseline" row is made of.
+type versusCells struct{ Note, Fast, Base, Speedup, Embeddings string }
+
+// versus mines pats with fast and then with base — base's counts checked
+// against fast's — and renders the comparison: averages over the patterns
+// both completed (Note says how many when the budget cut a side short), or a
+// lower bound on the speedup when base completed none.
+func versus(store *dal.Store, pats []*pattern.Pattern, fast, base system, opts RunOpts) (versusCells, error) {
+	f, counts, err := mineSet(store, pats, fast, opts, false, nil)
+	if err != nil {
+		return versusCells{}, err
+	}
+	b, _, err := mineSet(store, pats, base, opts, false, counts)
+	if err != nil {
+		return versusCells{}, err
+	}
+	fastAvg, baseAvg, common, truncated := align(f, b)
+	if common == 0 {
+		if lb, ok := lowerBound(f, opts.CellBudget); ok {
+			return versusCells{" [1/lb]", ms(f.PerPattern[0]), ">" + ms(opts.CellBudget), lb, "-"}, nil
+		}
+		return versusCells{"", "-", "-", "timeout", "-"}, nil
+	}
+	return versusCells{cellNote(common, len(pats), truncated), ms(fastAvg), ms(baseAvg),
+		speedup(baseAvg, fastAvg), fmt.Sprintf("%d", f.Ordered)}, nil
 }
 
 // speedup formats a ratio of two durations.

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"ohminer/internal/engine"
 	"testing"
 	"time"
 )
@@ -125,21 +124,22 @@ func TestMineSetBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A vanishing budget must truncate without completing anything.
-	v := engine.Variant{Name: "OHMiner", Gen: engine.GenDAL, Val: engine.ValOverlap}
-	m, _, err := mineSet(store, pats, v, RunOpts{Workers: 1, CellBudget: time.Nanosecond}, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Truncated || m.Runs != 0 {
-		t.Fatalf("truncation: %+v", m)
-	}
-	// A generous budget completes all patterns.
-	m2, counts, err := mineSet(store, pats, v, RunOpts{Workers: 1, CellBudget: time.Hour}, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Truncated || m2.Runs != len(pats) || len(counts) != len(pats) {
-		t.Fatalf("full run: %+v", m2)
+	for _, v := range []system{ohminerSys, hgmatchSys} {
+		// A vanishing budget must truncate without completing anything.
+		m, _, err := mineSet(store, pats, v, RunOpts{Workers: 1, CellBudget: time.Nanosecond}, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.Truncated || m.Runs != 0 {
+			t.Fatalf("%s truncation: %+v", v.Name, m)
+		}
+		// A generous budget completes all patterns.
+		m2, counts, err := mineSet(store, pats, v, RunOpts{Workers: 1, CellBudget: time.Hour}, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m2.Truncated || m2.Runs != len(pats) || len(counts) != len(pats) {
+			t.Fatalf("%s full run: %+v", v.Name, m2)
+		}
 	}
 }

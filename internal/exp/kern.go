@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"ohminer/internal/baseline"
 	"ohminer/internal/dal"
 	"ohminer/internal/engine"
 	"ohminer/internal/hypergraph"
@@ -13,16 +14,19 @@ import (
 	"ohminer/internal/pattern"
 )
 
-// The "kern" experiment is the set-kernel ablation: the same mining runs on
-// the scalar merge kernel, the galloping "fast" kernel (the static SIMD
+// The "kern" experiment is the set-kernel ablation: the same mining runs —
+// in internal/baseline, the one place a kernel family can be chosen — on the
+// scalar merge kernel, the galloping "fast" kernel (the static SIMD
 // stand-in, cf. the paper's no-SIMD ablation), and the adaptive kernel that
 // picks per operation among word-parallel bitmap windows, window probes, and
-// galloping from the operands' actual containers. Three synthetic inputs pin
-// the three density regimes: a sparse ring where every set is a tiny array
-// (adaptive must not regress), a dense block-clique where every operand is
-// bitmap-backed (the SWAR win), and a skewed input mixing huge windowed
-// hyperedges with degree-2 pendants (the mixed probe win). Every input's
-// embedding count has a closed form, and every kernel must reproduce it.
+// galloping from the operands' actual containers; a fourth column runs the
+// production engine, which calls the adaptive kernels directly, on the same
+// plan. Three synthetic inputs pin the three density regimes: a sparse ring
+// where every set is a tiny array (adaptive must not regress), a dense
+// block-clique where every operand is bitmap-backed (the SWAR win), and a
+// skewed input mixing huge windowed hyperedges with degree-2 pendants (the
+// mixed probe win). Every input's embedding count has a closed form, and
+// every kernel and the production engine must reproduce it.
 
 func init() {
 	register(Experiment{
@@ -170,22 +174,17 @@ func runKern(c *Context, opts RunOpts) ([]*Table, error) {
 		repeats = 2
 	}
 
-	kernels := []struct {
-		name string
-		k    intset.Kernel
-	}{
-		{"scalar", intset.Scalar},
-		{"fast", intset.Fast},
-		{"adaptive", intset.Adaptive},
-	}
+	kernels := []intset.Kernel{intset.Scalar, intset.Fast, intset.Adaptive}
 
 	t := &Table{
 		Title:  "Kernel ablation: scalar merge vs gallop (fast) vs adaptive containers",
-		Header: []string{"input", "scalar", "fast", "adaptive", "fast/adaptive", "array", "bitmap", "mixed"},
+		Header: []string{"input", "scalar", "fast", "adaptive", "production", "fast/adaptive", "array", "bitmap", "mixed"},
 		Notes: []string{
 			"adaptive picks per operation among SWAR bitmap windows, window probes, and galloping from the operands' containers",
-			"array/bitmap/mixed are the adaptive run's per-operation container classifications (engine.Stats)",
-			"counts are verified against each input's closed form on every kernel, so all three families agree exactly",
+			"scalar/fast/adaptive run in internal/baseline, production is internal/engine (adaptive kernels, called directly) on the same plan",
+			"array/bitmap/mixed are the production run's per-operation container classifications (engine.Stats)",
+			"the plans carry symmetry-breaking restrictions (cells record restricted=true): these are the sym experiment's restricted runs, not its plain ones",
+			"counts are verified against each input's closed form on every kernel and engine, so all agree exactly",
 			"cells run one mining worker so kernel time is not masked by parallel speedup",
 		},
 	}
@@ -195,40 +194,42 @@ func runKern(c *Context, opts RunOpts) ([]*Table, error) {
 			return nil, fmt.Errorf("kern: %s: %w", in.name, err)
 		}
 		start := time.Now()
+		cell := CellRecord{
+			Exp: "kern", Variant: "OHMiner", Dataset: in.name, Pattern: in.desc,
+			Workers: 1, MaxProcs: runtime.GOMAXPROCS(0), Restricted: plan.Restricted,
+		}
+		row := []string{in.name}
 		elapsed := make([]time.Duration, len(kernels))
-		var adaptive engine.Result
 		for i, k := range kernels {
-			res, err := minMine(store, plan, engine.Options{Workers: 1, Kernel: k.k}, repeats)
+			res, err := minBaseline(store, plan, baseline.Options{Workers: 1, Kernel: k}, repeats)
 			if err != nil {
-				return nil, fmt.Errorf("kern: %s/%s: %w", in.name, k.name, err)
+				return nil, fmt.Errorf("kern: %s/%s: %w", in.name, k.Name, err)
 			}
 			if res.Ordered != want {
-				return nil, fmt.Errorf("kern: %s/%s counted %d ordered embeddings, want %d", in.name, k.name, res.Ordered, want)
+				return nil, fmt.Errorf("kern: %s/%s counted %d ordered embeddings, want %d", in.name, k.Name, res.Ordered, want)
 			}
 			elapsed[i] = res.Elapsed
-			if k.name == "adaptive" {
-				adaptive = res
-			}
-			opts.Recorder.Record(CellRecord{
-				Exp:          "kern",
-				Variant:      "OHMiner",
-				Dataset:      in.name,
-				Pattern:      in.desc,
-				Workers:      1,
-				Kernel:       k.name,
-				MaxProcs:     runtime.GOMAXPROCS(0),
-				ElapsedMs:    float64(res.Elapsed) / float64(time.Millisecond),
-				Ordered:      res.Ordered,
-				KernelArray:  res.Stats.KernelArray,
-				KernelBitmap: res.Stats.KernelBitmap,
-				KernelMixed:  res.Stats.KernelMixed,
-			})
+			row = append(row, ms(res.Elapsed))
+			c := cell
+			c.Kernel, c.Scheduler = k.Name, "first-level"
+			c.ElapsedMs, c.Ordered = float64(res.Elapsed)/float64(time.Millisecond), res.Ordered
+			opts.Recorder.Record(c)
 		}
-		t.AddRow(in.name, ms(elapsed[0]), ms(elapsed[1]), ms(elapsed[2]),
-			speedup(elapsed[1], elapsed[2]),
-			fmt.Sprintf("%d", adaptive.Stats.KernelArray),
-			fmt.Sprintf("%d", adaptive.Stats.KernelBitmap),
-			fmt.Sprintf("%d", adaptive.Stats.KernelMixed))
+		prod, err := minMine(store, plan, engine.Options{Workers: 1}, repeats)
+		if err != nil {
+			return nil, fmt.Errorf("kern: %s/production: %w", in.name, err)
+		}
+		if prod.Ordered != want {
+			return nil, fmt.Errorf("kern: %s/production counted %d ordered embeddings, want %d", in.name, prod.Ordered, want)
+		}
+		cell.Kernel, cell.Scheduler = "adaptive", "stealing"
+		cell.ElapsedMs, cell.Ordered = float64(prod.Elapsed)/float64(time.Millisecond), prod.Ordered
+		cell.KernelArray, cell.KernelBitmap, cell.KernelMixed = prod.Stats.KernelArray, prod.Stats.KernelBitmap, prod.Stats.KernelMixed
+		opts.Recorder.Record(cell)
+		t.AddRow(append(row, ms(prod.Elapsed), speedup(elapsed[1], elapsed[2]),
+			fmt.Sprintf("%d", prod.Stats.KernelArray),
+			fmt.Sprintf("%d", prod.Stats.KernelBitmap),
+			fmt.Sprintf("%d", prod.Stats.KernelMixed))...)
 		progressf("    kern/%-8s %d kernels in %v\n", in.name, len(kernels), time.Since(start).Round(time.Millisecond))
 	}
 	return []*Table{t}, nil

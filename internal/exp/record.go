@@ -20,8 +20,8 @@ type CellRecord struct {
 	// (setting name, literal, or index).
 	Dataset string `json:"dataset,omitempty"`
 	Pattern string `json:"pattern"`
-	// Workers and Scheduler identify the parallel configuration
-	// ("stealing" or "legacy"). MaxProcs records GOMAXPROCS at run time:
+	// Workers and Scheduler identify the parallel configuration: "stealing"
+	// is the production engine, "first-level" internal/baseline's driver. MaxProcs records GOMAXPROCS at run time:
 	// wall-clock worker scaling is bounded by it, so a reader comparing
 	// cells across machines needs it alongside Workers.
 	Workers   int     `json:"workers,omitempty"`

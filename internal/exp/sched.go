@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"ohminer/internal/baseline"
 	"ohminer/internal/dal"
 	"ohminer/internal/engine"
 	"ohminer/internal/hypergraph"
@@ -15,13 +16,14 @@ import (
 // The "sched" experiment is the scaling ablation for the work-stealing
 // subtree scheduler: 1/2/4/8 workers on a balanced input (many first-step
 // candidates, where first-level dynamic distribution already parallelizes)
-// and on a skewed input (a single first-step candidate, where the legacy
-// scheduler degenerates to one worker and only subtree stealing helps).
+// and on a skewed input (a single first-step candidate, where the paper's
+// first-level scheduler — internal/baseline's driver — degenerates to one
+// worker and only the production engine's subtree stealing helps).
 
 func init() {
 	register(Experiment{
 		ID:    "sched",
-		Title: "Work-stealing scheduler scaling ablation (balanced vs skewed, legacy vs stealing)",
+		Title: "Work-stealing scheduler scaling ablation (balanced vs skewed, first-level vs stealing)",
 		Run:   runSched,
 	})
 }
@@ -82,6 +84,21 @@ func fanInput(hubs, fan int) (*dal.Store, *oig.Plan, uint64, error) {
 	return dal.Build(hg), plan, uint64(hubs) * uint64(fan) * uint64(fan), nil
 }
 
+// minBaseline is minMine for internal/baseline.
+func minBaseline(store *dal.Store, plan *oig.Plan, opts baseline.Options, repeats int) (baseline.Result, error) {
+	var best baseline.Result
+	for r := 0; r < repeats; r++ {
+		res, err := baseline.MineWithPlan(store, plan, opts)
+		if err != nil {
+			return res, err
+		}
+		if r == 0 || res.Elapsed < best.Elapsed {
+			best = res
+		}
+	}
+	return best, nil
+}
+
 // minMine runs the cell `repeats` times and keeps the fastest run (standard
 // benchmarking practice; the counts of every repeat must agree).
 func minMine(store *dal.Store, plan *oig.Plan, opts engine.Options, repeats int) (engine.Result, error) {
@@ -118,11 +135,11 @@ func runSched(c *Context, opts RunOpts) ([]*Table, error) {
 	}
 
 	t := &Table{
-		Title:  "Scheduler ablation: legacy first-level distribution vs work stealing",
-		Header: []string{"input", "workers", "legacy", "stealing", "speedup", "steals", "publishes"},
+		Title:  "Scheduler ablation: first-level distribution vs work stealing",
+		Header: []string{"input", "workers", "first-level", "stealing", "speedup", "steals", "publishes"},
 		Notes: []string{
-			"legacy = first-level-only dynamic loop (SplitDepth < 0); on the skewed input it clamps to 1 worker",
-			"skewed input has ONE first-step candidate; all parallelism there comes from subtree stealing",
+			"first-level = the paper's first-level-only dynamic loop, run by internal/baseline; on the skewed input it clamps to 1 worker",
+			"stealing = the production engine; skewed input has ONE first-step candidate, so all parallelism there comes from subtree stealing",
 			fmt.Sprintf("wall-clock scaling is bounded by GOMAXPROCS=%d on this host; counts are verified identical across all cells", runtime.GOMAXPROCS(0)),
 		},
 	}
@@ -133,7 +150,7 @@ func runSched(c *Context, opts RunOpts) ([]*Table, error) {
 		}
 		start := time.Now()
 		for _, workers := range []int{1, 2, 4, 8} {
-			legacy, err := minMine(store, plan, engine.Options{Workers: workers, SplitDepth: -1}, repeats)
+			first, err := minBaseline(store, plan, baseline.Options{Workers: workers}, repeats)
 			if err != nil {
 				return nil, err
 			}
@@ -141,30 +158,30 @@ func runSched(c *Context, opts RunOpts) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if legacy.Ordered != want || steal.Ordered != want {
-				return nil, fmt.Errorf("sched: %s workers=%d counts legacy=%d stealing=%d, want %d",
-					in.name, workers, legacy.Ordered, steal.Ordered, want)
+			if first.Ordered != want || steal.Ordered != want {
+				return nil, fmt.Errorf("sched: %s workers=%d counts first-level=%d stealing=%d, want %d",
+					in.name, workers, first.Ordered, steal.Ordered, want)
 			}
-			t.AddRow(in.name, fmt.Sprintf("%d", workers), ms(legacy.Elapsed), ms(steal.Elapsed),
-				speedup(legacy.Elapsed, steal.Elapsed),
+			t.AddRow(in.name, fmt.Sprintf("%d", workers), ms(first.Elapsed), ms(steal.Elapsed),
+				speedup(first.Elapsed, steal.Elapsed),
 				fmt.Sprintf("%d", steal.Stats.Steals), fmt.Sprintf("%d", steal.Stats.Publishes))
-			for sched, res := range map[string]engine.Result{"legacy": legacy, "stealing": steal} {
-				opts.Recorder.Record(CellRecord{
-					Exp:       "sched",
-					Variant:   "OHMiner",
-					Dataset:   in.name,
-					Pattern:   fmt.Sprintf("chain3 hubs=%d fan=%d", in.hubs, in.fan),
-					Workers:   workers,
-					Scheduler: sched,
-					MaxProcs:  runtime.GOMAXPROCS(0),
-					ElapsedMs: float64(res.Elapsed) / float64(time.Millisecond),
-					Ordered:   res.Ordered,
-					Truncated: res.Truncated,
-					Steals:    res.Stats.Steals,
-					Publishes: res.Stats.Publishes,
-					IdleSpins: res.Stats.IdleSpins,
-				})
+			cell := CellRecord{
+				Exp:       "sched",
+				Variant:   "OHMiner",
+				Dataset:   in.name,
+				Pattern:   fmt.Sprintf("chain3 hubs=%d fan=%d", in.hubs, in.fan),
+				Workers:   workers,
+				Scheduler: "first-level",
+				MaxProcs:  runtime.GOMAXPROCS(0),
+				ElapsedMs: float64(first.Elapsed) / float64(time.Millisecond),
+				Ordered:   first.Ordered,
 			}
+			opts.Recorder.Record(cell)
+			cell.Scheduler = "stealing"
+			cell.ElapsedMs = float64(steal.Elapsed) / float64(time.Millisecond)
+			cell.Ordered, cell.Truncated = steal.Ordered, steal.Truncated
+			cell.Steals, cell.Publishes, cell.IdleSpins = steal.Stats.Steals, steal.Stats.Publishes, steal.Stats.IdleSpins
+			opts.Recorder.Record(cell)
 		}
 		progressf("    sched/%-8s 4 worker counts in %v\n", in.name, time.Since(start).Round(time.Millisecond))
 	}

@@ -7,19 +7,21 @@ import (
 	"slices"
 	"time"
 
+	"ohminer/internal/dal"
 	"ohminer/internal/engine"
+	"ohminer/internal/hypergraph"
 	"ohminer/internal/pattern"
 	"ohminer/internal/stream"
 )
 
 // The "stream" experiment is the incremental-maintenance ablation for the
-// streaming subsystem: the same scripted batch feed (adds + retires over a
-// seeded graph) runs on two stream miners, one maintaining its hypergraph
-// and DAL incrementally (the default) and one rebuilding both from scratch
-// every batch (Config.Rebuild, the differential baseline). Standing-query
-// deltas and cumulative totals must agree batch-for-batch — the measured
-// quantity is apply latency, where incremental maintenance should win by
-// roughly the graph-size/batch-size ratio.
+// streaming subsystem: a scripted batch feed (adds + retires over a seeded
+// graph) runs on a stream miner, which maintains its hypergraph and DAL
+// incrementally and counts each batch's delta, and beside it on the rebuild
+// baseline, which after every batch builds both from the live edges and
+// mines every query from scratch. The cumulative totals must agree
+// batch-for-batch — the measured quantity is the time per batch, where the
+// incremental path should win by roughly the graph-size/batch-size ratio.
 //
 // A second table is ROADMAP item 7's flat line: the time to turn one
 // fixed-size batch into its deltas against windows of growing |E| at equal
@@ -94,87 +96,76 @@ func runStream(c *Context, opts RunOpts) ([]*Table, error) {
 		feed = append(feed, batch)
 	}
 
-	type variant struct {
-		name    string
-		rebuild bool
-		apply   time.Duration
-		finals  []stream.QueryInfo
-		deltas  [][]stream.Delta // [batch][query]
+	m, err := stream.NewMiner(stream.Config{NumVertices: nv, Engine: engine.Options{Workers: workers}})
+	if err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
 	}
-	variants := []*variant{{name: "rebuild", rebuild: true}, {name: "incremental"}}
-	for _, v := range variants {
-		m, err := stream.NewMiner(stream.Config{
-			NumVertices: nv,
-			Rebuild:     v.rebuild,
-			Engine:      engine.Options{Workers: workers},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("stream: %s: %w", v.name, err)
+	// Seed the graph, then register the standing queries so every measured
+	// batch evaluates them.
+	if _, err := m.ApplyBatch(feed[0]); err != nil {
+		return nil, fmt.Errorf("stream: seed: %w", err)
+	}
+	pats := make([]*pattern.Pattern, len(patterns))
+	for i, lit := range patterns {
+		if pats[i], err = pattern.Parse(lit); err != nil {
+			return nil, fmt.Errorf("stream: pattern %q: %w", lit, err)
 		}
-		// Seed the graph, then register the standing queries so every
-		// measured batch evaluates them.
-		if _, err := m.ApplyBatch(feed[0]); err != nil {
-			return nil, fmt.Errorf("stream: %s: seed: %w", v.name, err)
+		if _, err := m.RegisterQuery(pats[i]); err != nil {
+			return nil, fmt.Errorf("stream: register %q: %w", lit, err)
 		}
-		for _, lit := range patterns {
-			p, err := pattern.Parse(lit)
-			if err != nil {
-				return nil, fmt.Errorf("stream: pattern %q: %w", lit, err)
-			}
-			if _, err := m.RegisterQuery(p); err != nil {
-				return nil, fmt.Errorf("stream: %s: register %q: %w", v.name, lit, err)
-			}
-		}
+	}
+	var incremental, rebuild time.Duration
+	for _, b := range feed[1:] {
 		start := time.Now()
-		for _, b := range feed[1:] {
-			res, err := m.ApplyBatch(b)
-			if err != nil {
-				return nil, fmt.Errorf("stream: %s: batch %d: %w", v.name, b.Seq, err)
-			}
-			ds := append([]stream.Delta(nil), res.Deltas...)
-			for i := range ds {
-				ds[i].ElapsedMS = 0
-			}
-			v.deltas = append(v.deltas, ds)
+		res, err := m.ApplyBatch(b)
+		if err != nil {
+			return nil, fmt.Errorf("stream: batch %d: %w", b.Seq, err)
 		}
-		v.apply = time.Since(start)
-		v.finals = m.Queries()
-		progressf("    stream/%-11s %d batches in %v\n", v.name, batches, v.apply.Round(time.Millisecond))
-	}
+		incremental += time.Since(start)
 
-	// Differential gate: both variants must produce identical deltas for
-	// every (batch, query) cell — incremental maintenance is only a win if
-	// it is also exact.
-	rb, inc := variants[0], variants[1]
-	for bi := range rb.deltas {
-		for qi := range rb.deltas[bi] {
-			if rb.deltas[bi][qi] != inc.deltas[bi][qi] {
-				return nil, fmt.Errorf("stream: batch %d query %d: rebuild %+v != incremental %+v",
-					bi, qi, rb.deltas[bi][qi], inc.deltas[bi][qi])
+		// The rebuild baseline and differential gate in one: incremental
+		// maintenance is only a win if it is also exact.
+		live := m.LiveEdgeSets()
+		start = time.Now()
+		h, err := hypergraph.Build(nv, live, nil)
+		if err != nil {
+			return nil, fmt.Errorf("stream: rebuild at batch %d: %w", b.Seq, err)
+		}
+		store := dal.Build(h)
+		for qi, p := range pats {
+			full, err := engine.Mine(store, p, engine.Options{Workers: workers})
+			if err != nil {
+				return nil, fmt.Errorf("stream: rebuild at batch %d: %w", b.Seq, err)
+			}
+			if d := res.Deltas[qi]; d.Total != full.Ordered {
+				return nil, fmt.Errorf("stream: batch %d query %q: incremental total %d (%+v) != rebuild %d",
+					b.Seq, patterns[qi], d.Total, d, full.Ordered)
 			}
 		}
+		rebuild += time.Since(start)
 	}
+	finals := m.Queries()
+	progressf("    stream: %d batches, incremental %v, rebuild %v\n", batches, incremental.Round(time.Millisecond), rebuild.Round(time.Millisecond))
 
 	t := &Table{
 		Title:  "Streaming ablation: incremental derived-state maintenance vs per-batch rebuild",
 		Header: []string{"cell", "rebuild", "incremental", "speedup"},
 		Notes: []string{
 			fmt.Sprintf("feed: %d seed edges, then %d batches of ~%d adds + %d retires over %d vertices", initial, batches, adds, retires, nv),
-			"apply is the wall-clock total over all measured batches (derived-state maintenance + standing-query deltas)",
-			"every per-batch delta and final total is verified identical across variants before timing is reported",
-			"rebuild reconstructs the hypergraph and DAL from live edges each batch; incremental extends them in place",
+			"incremental is the wall-clock total of ApplyBatch over all measured batches (derived-state maintenance + standing-query deltas)",
+			"rebuild reconstructs the hypergraph and DAL from the live edges and mines every query from scratch after each batch",
+			"every batch's cumulative totals are verified identical between the two before timing is reported",
 		},
 	}
-	t.AddRow(fmt.Sprintf("apply Σ (B=%d)", batches), ms(rb.apply), ms(inc.apply), speedup(rb.apply, inc.apply))
-	for qi, q := range inc.finals {
-		if rb.finals[qi].Total != q.Total || rb.finals[qi].Unique != q.Unique {
-			return nil, fmt.Errorf("stream: query %q final totals diverge: rebuild %d/%d, incremental %d/%d",
-				q.Pattern, rb.finals[qi].Total, rb.finals[qi].Unique, q.Total, q.Unique)
-		}
-		t.AddRow("total "+q.Pattern, fmt.Sprintf("%d", rb.finals[qi].Total), fmt.Sprintf("%d", q.Total), "-")
+	t.AddRow(fmt.Sprintf("apply Σ (B=%d)", batches), ms(rebuild), ms(incremental), speedup(rebuild, incremental))
+	for _, q := range finals {
+		t.AddRow("total "+q.Pattern, fmt.Sprintf("%d", q.Total), fmt.Sprintf("%d", q.Total), "-")
 	}
-	for _, v := range variants {
-		for _, q := range v.finals {
+	for _, v := range []struct {
+		name  string
+		apply time.Duration
+	}{{"rebuild", rebuild}, {"incremental", incremental}} {
+		for _, q := range finals {
 			opts.Recorder.Record(CellRecord{
 				Exp:       "stream",
 				Variant:   v.name,

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"ohminer/internal/engine"
 	"ohminer/internal/pattern"
 )
 
@@ -34,8 +33,6 @@ func runTable5(c *Context, opts RunOpts) ([]*Table, error) {
 			"paper (full-scale datasets): speedups 7.22x-22.50x; datasets here are bench-scale (see DESIGN.md)",
 		},
 	}
-	ohm := engine.Variant{Name: "OHMiner", Gen: engine.GenDAL, Val: engine.ValOverlap}
-	hgm := engine.Variant{Name: "HGMatch", Gen: engine.GenHGMatch, Val: engine.ValProfiles}
 	for _, set := range settings {
 		for _, tag := range []string{"SB", "HB", "WT"} {
 			store, err := c.Dataset(tag)
@@ -46,26 +43,11 @@ func runTable5(c *Context, opts RunOpts) ([]*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", tag, set.Name, err)
 			}
-			fast, counts, err := mineSet(store, pats, ohm, opts, false, nil)
+			v, err := versus(store, pats, ohminerSys, hgmatchSys, opts)
 			if err != nil {
 				return nil, err
 			}
-			base, _, err := mineSet(store, pats, hgm, opts, false, counts)
-			if err != nil {
-				return nil, err
-			}
-			fastAvg, baseAvg, common, truncated := align(fast, base)
-			if common == 0 {
-				if lb, ok := lowerBound(fast, opts.CellBudget); ok {
-					t.AddRow(set.Name+" [1/lb]", tag, ">"+ms(opts.CellBudget),
-						ms(fast.PerPattern[0]), lb, "-")
-				} else {
-					t.AddRow(set.Name, tag, "-", "-", "timeout", "-")
-				}
-				continue
-			}
-			t.AddRow(set.Name+cellNote(common, len(pats), truncated), tag,
-				ms(baseAvg), ms(fastAvg), speedup(baseAvg, fastAvg), fmt.Sprintf("%d", fast.Ordered))
+			t.AddRow(set.Name+v.Note, tag, v.Base, v.Fast, v.Speedup, v.Embeddings)
 		}
 	}
 	return []*Table{t}, nil

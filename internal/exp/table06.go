@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"ohminer/internal/engine"
 	"ohminer/internal/oig"
 	"ohminer/internal/pattern"
 )
@@ -36,7 +35,6 @@ func runTable6(c *Context, opts RunOpts) ([]*Table, error) {
 	datasets := datasetsFor(opts,
 		[]string{"CH", "CP", "SB", "HB", "WT", "TC", "CD", "AM"},
 		[]string{"CH", "SB", "WT"})
-	ohm := engine.Variant{Name: "OHMiner", Gen: engine.GenDAL, Val: engine.ValOverlap}
 	for _, tag := range datasets {
 		store, err := c.Dataset(tag)
 		if err != nil {
@@ -66,7 +64,7 @@ func runTable6(c *Context, opts RunOpts) ([]*Table, error) {
 		pats, err := samplePatterns(store, set, opts, saltFor(tag, "table6"))
 		hpmT := time.Duration(0)
 		if err == nil {
-			m, _, merr := mineSet(store, pats, ohm, opts, false, nil)
+			m, _, merr := mineSet(store, pats, ohminerSys, opts, false, nil)
 			if merr != nil {
 				return nil, merr
 			}

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"ohminer/internal/baseline"
 	"ohminer/internal/engine"
 	"ohminer/internal/mbv"
 	"ohminer/internal/pattern"
@@ -55,8 +56,8 @@ func runTaxonomy(c *Context, opts RunOpts) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			hres, err := engine.Mine(store, p, engine.Options{
-				Gen: engine.GenHGMatch, Val: engine.ValProfiles, Workers: opts.Workers})
+			hres, err := baseline.Mine(store, p, baseline.Options{
+				Gen: baseline.GenHGMatch, Val: baseline.ValProfiles, Workers: opts.Workers})
 			if err != nil {
 				return nil, err
 			}

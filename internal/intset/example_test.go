@@ -21,15 +21,3 @@ func ExampleIntersect() {
 	// false
 	// true
 }
-
-// ExampleBitmap shows the hot-set probe pattern: materialize one set once,
-// probe many short sets against it.
-func ExampleBitmap() {
-	bm := intset.NewBitmap(128)
-	bm.SetAll([]uint32{10, 20, 30, 40})
-	fmt.Println(bm.IntersectCount([]uint32{20, 25, 30}))
-	fmt.Println(bm.Intersects([]uint32{1, 2, 3}))
-	// Output:
-	// 2
-	// false
-}

@@ -9,16 +9,16 @@ package intset
 //     compiler keep both cursors in registers and shortens the dependency
 //     chain compared to the textbook merge.
 //
-// The engine selects between the scalar and the fast family through a Kernel
-// value so that the SIMD ablation (Sec. 5.2 of the paper) is a runtime flag.
+// The production engine calls the Adaptive entry points directly; the Kernel
+// table below exists for internal/baseline, which runs the SIMD ablation
+// (Sec. 5.2 of the paper) by selecting a family at run time.
 
 // Kernel bundles one family of set-intersection primitives. The slice entry
 // points (Intersect, IntersectCount) operate on sorted []uint32 operands; the
 // Set entry points additionally see the adaptive container metadata (bitmap
-// windows, value ranges) and are the ones the engine's hot paths call. For
-// the Scalar and Fast families the Set entry points simply forward to the
-// slice kernels over Set.Elems, so every family is interchangeable behind
-// the seam.
+// windows, value ranges). For the Scalar and Fast families the Set entry
+// points simply forward to the slice kernels over Set.Elems, so every family
+// is interchangeable behind the seam.
 type Kernel struct {
 	// Intersect computes a ∩ b into dst and returns it. dst is reused via
 	// dst[:0] (nil allocates) and must not alias a or b.
@@ -109,8 +109,7 @@ func intersectCountKFast(sets []Set, dst, tmp []uint32) (int, []uint32, []uint32
 // IntersectFast computes a ∩ b into dst using galloping for skewed sizes and
 // an unrolled merge otherwise. dst is reused via dst[:0] (nil allocates) and
 // must not alias a or b: the unrolled merge reads whole blocks ahead of the
-// write cursor, so an in-place call could overwrite unread input (contrast
-// Bitmap.Intersect, which does permit dst = s[:0]).
+// write cursor, so an in-place call could overwrite unread input.
 //
 //ohmlint:hotpath
 func IntersectFast(a, b, dst []uint32) []uint32 {

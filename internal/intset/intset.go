@@ -204,58 +204,6 @@ func Union(a, b, dst []uint32) []uint32 {
 	return dst
 }
 
-// UnionCount returns |a ∪ b|.
-func UnionCount(a, b []uint32) int {
-	return len(a) + len(b) - IntersectCount(a, b)
-}
-
-// Difference stores a \ b into dst and returns it.
-func Difference(a, b, dst []uint32) []uint32 {
-	dst = dst[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		switch {
-		case x < y:
-			dst = append(dst, x)
-			i++
-		case x > y:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	return append(dst, a[i:]...)
-}
-
-// IntersectBounded intersects a and b into dst but aborts as soon as the
-// result would exceed maxLen, returning (nil, false) in that case. Mining
-// uses it when the target overlap size is known in advance: any partial
-// result longer than the pattern's overlap disqualifies the candidate, so
-// there is no point finishing the merge.
-func IntersectBounded(a, b, dst []uint32, maxLen int) ([]uint32, bool) {
-	dst = dst[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		x, y := a[i], b[j]
-		switch {
-		case x < y:
-			i++
-		case x > y:
-			j++
-		default:
-			if len(dst) == maxLen {
-				return nil, false
-			}
-			dst = append(dst, x)
-			i++
-			j++
-		}
-	}
-	return dst, true
-}
-
 // SortedUnique reports whether s is strictly increasing (a valid set).
 func SortedUnique(s []uint32) bool {
 	for i := 1; i < len(s); i++ {

@@ -267,33 +267,6 @@ func TestIntersectKBufferReuse(t *testing.T) {
 	}
 }
 
-// TestBitmapIntersectAliasing pins the documented dst contract of
-// Bitmap.Intersect: nil dst allocates, scratch is reused via dst[:0], and —
-// unlike the fast array family — dst may alias s for in-place filtering.
-func TestBitmapIntersectAliasing(t *testing.T) {
-	b := NewBitmap(1 << 12)
-	b.SetAll([]uint32{2, 3, 5, 7, 11, 13, 512, 1024})
-	s := []uint32{1, 2, 3, 4, 5, 6, 7, 512, 600, 1024, 4000}
-	want := refIntersect(b.ToSlice(nil), s)
-
-	if got := b.Intersect(s, nil); !eq(got, want) {
-		t.Fatalf("nil dst: got %v want %v", got, want)
-	}
-	scratch := make([]uint32, 0, 16)
-	got := b.Intersect(s, scratch)
-	if !eq(got, want) {
-		t.Fatalf("scratch dst: got %v want %v", got, want)
-	}
-	if cap(scratch) > 0 && len(got) <= cap(scratch) && &got[0] != &scratch[:1][0] {
-		t.Fatalf("scratch dst was not reused")
-	}
-	// In-place: dst aliases s.
-	inPlace := append([]uint32(nil), s...)
-	if got := b.Intersect(inPlace, inPlace[:0]); !eq(got, want) {
-		t.Fatalf("in-place dst: got %v want %v", got, want)
-	}
-}
-
 // FuzzIntersectKernels differentially fuzzes every kernel family — array,
 // bitmap-window, mixed, and k-way paths — against the scalar reference.
 // Inputs are raw bytes decoded into up to four sets so the fuzzer controls

@@ -19,10 +19,10 @@ import (
 //     (buf[:0], the scratch-reuse idiom) or when its result is assigned
 //     back to the exact expression it appends to (amortized growth of a
 //     persistent scratch buffer),
-//   - adaptive-container construction: intset.BuildSet / intset.NewBitmap
-//     calls and Set.Add / Bitmap mutation-by-construction — hot code must
-//     receive prebuilt containers (the DAL's window arenas) or wrap
-//     existing storage with the zero-copy ArrayView/View constructors.
+//   - adaptive-container construction: intset.BuildSet calls and Set.Add
+//     (mutation by construction) — hot code must receive prebuilt
+//     containers (the DAL's window arenas) or wrap existing storage with
+//     the zero-copy ArrayView/View constructors.
 //
 // Construction-time allocation (newWorker and friends) is fine: those
 // functions are not reachable from the marked roots.
@@ -164,21 +164,20 @@ func isBuiltinCall(pkg *Package, call *ast.CallExpr, name string) bool {
 }
 
 // isContainerBuild reports whether call constructs or grows an adaptive
-// set container: the allocating intset constructors (BuildSet copies and
-// plans a window; NewBitmap allocates a word array) called through the
-// intset package or by name in intset itself, and the sorted-insert
-// Set.Add / window-rebuilding mutators, identified by method name on a
-// receiver whose named type is Set or Bitmap. The zero-copy wrappers
+// set container: the allocating intset constructor (BuildSet copies and
+// plans a window) called through the intset package or by name in intset
+// itself, and the sorted-insert, window-rebuilding Set.Add, identified by
+// method name on a receiver whose named type is Set. The zero-copy wrappers
 // (ArrayView, View) are deliberately not flagged — they are the idiom hot
 // code should use.
 func isContainerBuild(pkg *Package, call *ast.CallExpr) bool {
-	if isPkgCall(pkg, call, "intset", "BuildSet") || isPkgCall(pkg, call, "intset", "NewBitmap") {
+	if isPkgCall(pkg, call, "intset", "BuildSet") {
 		return true
 	}
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		// Unqualified call inside the defining package (or a test double).
-		if fun.Name != "BuildSet" && fun.Name != "NewBitmap" {
+		if fun.Name != "BuildSet" {
 			return false
 		}
 		if pkg.Info != nil {
@@ -190,7 +189,7 @@ func isContainerBuild(pkg *Package, call *ast.CallExpr) bool {
 		if fun.Sel.Name != "Add" {
 			return false
 		}
-		return receiverTypeNameIs(pkg, fun, "Set", "Bitmap")
+		return receiverTypeNameIs(pkg, fun, "Set")
 	}
 	return false
 }

@@ -277,27 +277,6 @@ func TestMergedNeverChecksMore(t *testing.T) {
 	}
 }
 
-func TestProfileCounts(t *testing.T) {
-	p := fig1Pattern(t)
-	plan := MustCompile(p, ModeMerged)
-	if len(plan.ProfileCounts) != 3 {
-		t.Fatalf("profile prefixes: %d", len(plan.ProfileCounts))
-	}
-	// Prefix 0: every vertex of edge 0 has profile {0}.
-	pc0 := plan.ProfileCounts[0]
-	if pc0[1] != plan.Pattern.Degree(0) || len(pc0) != 1 {
-		t.Fatalf("prefix-0 profiles: %v", pc0)
-	}
-	// Full prefix: total count = number of pattern vertices.
-	total := 0
-	for _, c := range plan.ProfileCounts[2] {
-		total += c
-	}
-	if total != p.NumVertices() {
-		t.Fatalf("full prefix counts %d vertices, want %d", total, p.NumVertices())
-	}
-}
-
 func TestMasksByStepOrder(t *testing.T) {
 	ms := masksByStep(3)
 	if len(ms) != 7 {

@@ -178,10 +178,6 @@ type Plan struct {
 	Sig sig.Signature
 	// LabelSig is set for labeled patterns.
 	LabelSig sig.LabelSignature
-	// ProfileCounts[t] is the pattern's vertex-profile multiset for the
-	// prefix 0..t — key = profileMask | label<<32 — used by the
-	// HGMatch-style profile validator.
-	ProfileCounts []map[uint64]int
 	// Restricted reports that the plan carries symmetry-breaking
 	// restrictions (some Step.Restrict is non-empty): the engine enumerates
 	// one canonical ordered tuple per unordered embedding, ~|Aut|× less work
@@ -256,7 +252,6 @@ func CompileWith(p *pattern.Pattern, mode Mode, co CompileOptions) (*Plan, error
 		}
 		plan.LabelSig = ls
 	}
-	plan.buildProfileCounts()
 
 	// Generation constraints per step.
 	for t := 0; t < m; t++ {
@@ -574,26 +569,4 @@ func (p *Plan) NumOps() map[OpKind]int {
 		}
 	}
 	return out
-}
-
-// buildProfileCounts precomputes, for every prefix length, the multiset of
-// vertex profiles of the reordered pattern (HGMatch's validation target).
-func (p *Plan) buildProfileCounts() {
-	m := p.Pattern.NumEdges()
-	p.ProfileCounts = make([]map[uint64]int, m)
-	profiles := make(map[uint32]uint32, p.Pattern.NumVertices())
-	for t := 0; t < m; t++ {
-		for _, v := range p.Pattern.Edge(t) {
-			profiles[v] |= 1 << uint(t)
-		}
-		counts := make(map[uint64]int, len(profiles))
-		for v, mask := range profiles {
-			key := uint64(mask)
-			if p.Labeled {
-				key |= uint64(p.Pattern.Label(v)) << 32
-			}
-			counts[key]++
-		}
-		p.ProfileCounts[t] = counts
-	}
 }

@@ -19,7 +19,7 @@ var ErrInvalidPlan = errors.New("oig: invalid plan")
 // reordered pattern (edges, vertex labels, hyperedge labels), the matching
 // order, the compile mode, the slot count, and each step's generation
 // constraints, symmetry-breaking restrictions, and validation operations. Derived fields that are recomputed
-// from these (Sig, LabelSig, ProfileCounts, Graph), pure diagnostics
+// from these (Sig, LabelSig, Graph), pure diagnostics
 // (CompileTime), and the per-op container hints (Op.Hint — performance
 // advice the engine derives from DAL density statistics; every hint value
 // computes the same result, and hashing it would make snapshots and cluster

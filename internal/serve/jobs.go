@@ -9,7 +9,7 @@ package serve
 // reloads the persisted spec + snapshot and continues with exactly-once
 // counting. On-disk layout per job, all writes atomic (temp + rename):
 //
-//	<id>.job   the job spec (pattern, variant, limit) — written at creation
+//	<id>.job   the job spec (pattern, limit, order) — written at creation
 //	<id>.ckpt  the rolling snapshot — replaced at each checkpoint
 //	<id>.done  the final result — written once on completion (.ckpt removed)
 
@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"ohminer"
+	"ohminer/internal/engine"
 )
 
 // JobSpec is the persisted description of a job — everything needed to
@@ -34,7 +35,9 @@ import (
 type JobSpec struct {
 	// Pattern is the pattern literal, as in QueryRequest.
 	Pattern string `json:"pattern"`
-	// Variant selects the engine configuration by paper name.
+	// Variant is recognised only to be refused (engine.CheckVariant): a
+	// baseline's name is a 422 at creation and fails a persisted job that
+	// carries one.
 	Variant string `json:"variant,omitempty"`
 	// Limit stops the job after this many ordered embeddings (0 = the
 	// server's MaxLimit, which may be unlimited).
@@ -182,6 +185,10 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	if _, err := ohminer.ParsePattern(req.Pattern); err != nil {
 		s.reject(w, http.StatusBadRequest, "bad pattern: "+err.Error())
+		return
+	}
+	if err := engine.CheckVariant(req.Variant); err != nil {
+		s.reject(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	id := req.ID
@@ -446,6 +453,10 @@ func (s *Server) runJob(j *job, snap *ohminer.CheckpointSnapshot) {
 		fail("bad pattern: " + err.Error())
 		return
 	}
+	if err := engine.CheckVariant(j.spec.Variant); err != nil {
+		fail(err.Error())
+		return
+	}
 	limit := j.spec.Limit
 	if s.cfg.MaxLimit > 0 && (limit == 0 || limit > s.cfg.MaxLimit) {
 		limit = s.cfg.MaxLimit
@@ -454,9 +465,6 @@ func (s *Server) runJob(j *job, snap *ohminer.CheckpointSnapshot) {
 		ohminer.WithWorkers(s.cfg.Workers),
 		ohminer.WithLimit(limit),
 		ohminer.WithCheckpoint(ohminer.NewCheckpointFileSink(s.jobPath(j.id, ".ckpt")), s.cfg.CheckpointEvery),
-	}
-	if j.spec.Variant != "" {
-		opts = append(opts, ohminer.WithVariant(j.spec.Variant))
 	}
 	if s.cfg.debugOnEmbedding != nil {
 		opts = append(opts, ohminer.WithEmbeddings(s.cfg.debugOnEmbedding))

@@ -299,3 +299,49 @@ func TestJobResumeWithoutSnapshot(t *testing.T) {
 		t.Fatalf("result %+v, want ordered=%d", st, starWant)
 	}
 }
+
+// TestVariantRefused: "variant" is still a recognised key of POST /query,
+// POST /jobs and a persisted .job spec, but only to be checked. The
+// production configuration's own name passes; a baseline's is a 422 naming
+// where baselines run, and a job file written while they were served here
+// comes back as a failed job with that message — not a 400 for an unknown
+// field, and not a silent run of something else.
+func TestVariantRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "old.job"), []byte(`{"pattern": "0 1; 0 2", "variant": "HGMatch"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := jobsServer(t, Config{CheckpointDir: dir})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	refusal := func(msg string) bool {
+		return strings.Contains(msg, "HGMatch") && strings.Contains(msg, "ohmbench") && strings.Contains(msg, "ohminer -variant")
+	}
+
+	for _, path := range []string{"/query", "/jobs"} {
+		resp, body := postJSON(t, ts.URL+path, `{"pattern": "0 1; 0 2", "variant": "OHMiner"}`)
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+			t.Errorf("POST %s variant=OHMiner: status %d (%s)", path, resp.StatusCode, body)
+		}
+		resp, body = postJSON(t, ts.URL+path, `{"pattern": "0 1; 0 2", "variant": "HGMatch"}`)
+		var er errorResponse
+		if err := json.Unmarshal(body, &er); err != nil || resp.StatusCode != http.StatusUnprocessableEntity || !refusal(er.Error) {
+			t.Errorf("POST %s variant=HGMatch: status %d body %s, want a 422 saying where baselines run", path, resp.StatusCode, body)
+		}
+	}
+
+	if resp, body := postJSON(t, ts.URL+"/jobs/old/resume", ""); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("resume of a persisted spec: status %d (%s)", resp.StatusCode, body)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, st := getStatus(t, ts.URL, "old")
+		if st.State == "failed" && refusal(st.Error) {
+			break
+		}
+		if st.State == "done" || time.Now().After(deadline) {
+			t.Fatalf("persisted HGMatch job: state %q error %q, want failed with the refusal", st.State, st.Error)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

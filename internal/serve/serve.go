@@ -28,6 +28,7 @@ import (
 
 	"ohminer"
 	"ohminer/internal/cluster"
+	"ohminer/internal/engine"
 )
 
 // Config bounds the per-query and per-server resources.
@@ -266,8 +267,8 @@ func (s *Server) Handler() http.Handler {
 type QueryRequest struct {
 	// Pattern is the pattern literal, e.g. "0 1 2; 2 3 4".
 	Pattern string `json:"pattern"`
-	// Variant selects the engine configuration by paper name (default
-	// "OHMiner"); see ohminer.WithVariant.
+	// Variant is recognised only to be refused (engine.CheckVariant): ""
+	// and "OHMiner" pass, a baseline's name is a 422.
 	Variant string `json:"variant,omitempty"`
 	// Limit stops the query after this many ordered embeddings (0 = the
 	// server's MaxLimit, which may be unlimited).
@@ -359,6 +360,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusBadRequest, "bad pattern: "+err.Error())
 		return
 	}
+	if err := engine.CheckVariant(req.Variant); err != nil {
+		s.reject(w, http.StatusUnprocessableEntity, err.Error())
+		return
+	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
@@ -374,9 +379,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ohminer.WithDeadline(timeout),
 		ohminer.WithLimit(limit),
 		ohminer.WithWorkers(s.cfg.Workers),
-	}
-	if req.Variant != "" {
-		opts = append(opts, ohminer.WithVariant(req.Variant))
 	}
 	if req.DataAwareOrder {
 		opts = append(opts, ohminer.WithDataAwareOrder())
@@ -433,8 +435,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	case err != nil:
-		// Bad variant name, compile failure, label mismatch, …: the
-		// query, not the server, is at fault.
+		// Compile failure, label mismatch, …: the query, not the server,
+		// is at fault.
 		s.errors.Add(1)
 		writeJSON(w, http.StatusUnprocessableEntity, errorResponse{Error: err.Error()})
 		return

@@ -81,6 +81,7 @@ func TestQueryRejections(t *testing.T) {
 		{"bad pattern", `{"pattern": "frogs"}`, http.StatusBadRequest},
 		{"unknown field", `{"pattern": "0 1", "frob": 1}`, http.StatusBadRequest},
 		{"unknown variant", `{"pattern": "0 1; 1 2", "variant": "Nope"}`, http.StatusUnprocessableEntity},
+		{"baseline variant", `{"pattern": "0 1; 1 2", "variant": "HGMatch"}`, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		resp, body := postQuery(t, ts.URL, tc.body)

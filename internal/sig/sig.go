@@ -184,3 +184,30 @@ func histogram(verts []uint32, labelOf func(uint32) uint32) []LabelCount {
 	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
 	return out
 }
+
+// HistogramMatches reports whether the label histogram of verts — labels[v]
+// for every v — equals want. scratch is a per-label counter slice, all zero
+// on entry and restored to zero on return, so a mining worker checks
+// candidate after candidate without allocating.
+//
+//ohmlint:hotpath
+func HistogramMatches(labels, verts []uint32, want []LabelCount, scratch []int) bool {
+	for _, v := range verts {
+		scratch[labels[v]]++
+	}
+	ok := true
+	seen := 0
+	for _, lc := range want {
+		if scratch[lc.Label] != lc.Count {
+			ok = false
+		}
+		seen += lc.Count
+	}
+	if seen != len(verts) {
+		ok = false
+	}
+	for _, v := range verts {
+		scratch[labels[v]] = 0
+	}
+	return ok
+}

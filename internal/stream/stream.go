@@ -76,14 +76,8 @@ type Config struct {
 	// is considered (0 = default 64).
 	CompactMin int
 
-	// Rebuild forces every applied batch to rebuild the full hypergraph and
-	// DAL from scratch instead of extending them incrementally — the
-	// ablation baseline (and differential oracle) for the incremental
-	// derived-state maintenance. Results are identical either way.
-	Rebuild bool
-
 	// Engine templates the options for all query evaluation (Workers,
-	// Kernel, Gen/Val, SplitDepth/SplitThreshold, Instrument). Run-shaping
+	// SplitDepth/SplitThreshold, Instrument). Run-shaping
 	// fields — Limit, Deadline, OnEmbedding, UniqueOnly, PositionFilter,
 	// Checkpoint — are ignored: delta counting needs complete runs, and the
 	// miner owns the position filters.
@@ -564,26 +558,9 @@ func (m *Miner) ApplyBatch(b Batch) (*BatchResult, error) {
 	return res, nil
 }
 
-// grow extends the physical hypergraph and DAL by fresh edges (or rebuilds
-// both from scratch in Rebuild mode — the ablation baseline).
+// grow extends the physical hypergraph and DAL by fresh edges.
 func (m *Miner) grow(newEdges [][]uint32, newKeys []string, t uint64) error {
-	switch {
-	case m.cfg.Rebuild && m.h != nil:
-		all := make([][]uint32, 0, len(m.addEpoch)+len(newEdges))
-		for id := range m.addEpoch {
-			all = append(all, m.h.EdgeVertices(uint32(id)))
-		}
-		all = append(all, newEdges...)
-		h, err := hypergraph.Build(m.cfg.NumVertices, all, nil)
-		if err != nil {
-			return err
-		}
-		if h.NumEdges() != len(all) {
-			return errors.New("stream: rebuild changed the physical edge count")
-		}
-		m.h = h
-		m.store = dal.Build(h)
-	case m.h == nil:
+	if m.h == nil {
 		// First growth of an empty stream: Extend cannot invent the vertex
 		// universe, so bootstrap with a full build.
 		h, err := hypergraph.Build(m.cfg.NumVertices, newEdges, nil)
@@ -595,7 +572,7 @@ func (m *Miner) grow(newEdges [][]uint32, newKeys []string, t uint64) error {
 		}
 		m.h = h
 		m.store = dal.Build(h)
-	default:
+	} else {
 		h, err := hypergraph.Extend(m.h, newEdges)
 		if err != nil {
 			return err
@@ -822,16 +799,6 @@ func (m *Miner) Query(id uint64) (QueryInfo, bool) {
 		return QueryInfo{}, false
 	}
 	return q.info(), true
-}
-
-// SetEngineOptions replaces the engine options used for standing-query
-// evaluation and ad-hoc counts from the next operation on. Run-shaping
-// fields (limits, callbacks, checkpointing) are sanitized per mine as
-// always; counts are invariant to this — it tunes workers and kernels.
-func (m *Miner) SetEngineOptions(o engine.Options) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cfg.Engine = o
 }
 
 // TotalCount mines the current live graph from scratch for p — the oracle

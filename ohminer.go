@@ -10,8 +10,9 @@
 //	res, _ := ohminer.Mine(store, p)               // overlap-centric mining
 //	fmt.Println(res.Unique, "embeddings in", res.Elapsed)
 //
-// Mine accepts functional options to select baseline/ablation variants,
-// worker counts, kernels, and embedding callbacks; see the With* options.
+// Mine accepts functional options for worker counts, limits, deadlines,
+// embedding callbacks and checkpointing; see the With* options. MineBaseline
+// runs the systems the paper compares against.
 package ohminer
 
 import (
@@ -20,12 +21,12 @@ import (
 	"math/rand"
 	"time"
 
+	"ohminer/internal/baseline"
 	"ohminer/internal/checkpoint"
 	"ohminer/internal/dal"
 	"ohminer/internal/engine"
 	"ohminer/internal/gen"
 	"ohminer/internal/hypergraph"
-	"ohminer/internal/intset"
 	"ohminer/internal/motif"
 	"ohminer/internal/oig"
 	"ohminer/internal/pattern"
@@ -157,79 +158,42 @@ func CompilePattern(p *Pattern) (*Plan, error) { return oig.Compile(p, oig.ModeM
 var ErrWorkerPanic = engine.ErrWorkerPanic
 
 // Option configures Mine and the other mining entry points.
-type Option func(*config)
+type Option func(*engine.Options)
 
-// config accumulates the engine options selected by a chain of Options,
-// plus any configuration error. Errors surface from the mining call that
-// consumes the options instead of panicking at option-construction time
-// (library code must not panic on bad input; see docs/LINTING.md,
-// no-panic-lib).
-type config struct {
-	engine.Options
-	err error
-}
-
-// buildOptions applies the options and returns the engine configuration
-// or the first configuration error.
-func buildOptions(opts []Option) (engine.Options, error) {
-	var c config
+// buildOptions applies the options and returns the engine configuration.
+func buildOptions(opts []Option) engine.Options {
+	var o engine.Options
 	for _, fn := range opts {
-		fn(&c)
+		fn(&o)
 	}
-	return c.Options, c.err
+	return o
 }
 
 // WithWorkers sets the number of mining goroutines (default GOMAXPROCS).
-func WithWorkers(n int) Option { return func(c *config) { c.Workers = n } }
-
-// WithVariant selects a system configuration by paper name: "OHMiner"
-// (default), "OHM-G", "OHM-V", "OHM-I", or "HGMatch". An unknown name is
-// reported by the mining call that consumes the options.
-func WithVariant(name string) Option {
-	return func(c *config) {
-		v, err := engine.VariantByName(name)
-		if err != nil {
-			c.err = err
-			return
-		}
-		c.Gen, c.Val = v.Gen, v.Val
-	}
-}
-
-// WithScalarKernel disables the adaptive and galloping set kernels (the
-// paper's no-SIMD ablation). The default is the adaptive kernel family,
-// which picks per operation among word-parallel bitmap windows, window
-// probes, and galloping from the density of the operands' containers;
-// WithFastKernel pins the static gallop family instead.
-func WithScalarKernel() Option { return func(c *config) { c.Kernel = intset.Scalar } }
-
-// WithFastKernel pins the static galloping kernel family, bypassing the
-// adaptive container dispatch — the mid ablation point between scalar and
-// adaptive (cf. the kern experiment in cmd/ohmbench).
-func WithFastKernel() Option { return func(c *config) { c.Kernel = intset.Fast } }
+func WithWorkers(n int) Option { return func(c *engine.Options) { c.Workers = n } }
 
 // WithLimit stops mining once at least n ordered embeddings were found.
-func WithLimit(n uint64) Option { return func(c *config) { c.Limit = n } }
+func WithLimit(n uint64) Option { return func(c *engine.Options) { c.Limit = n } }
 
 // WithDeadline aborts mining after roughly d (0 = none); a run the
 // deadline actually cut short returns a partial Result marked Truncated.
 // Unlike MineContext cancellation this is not an error: the partial counts
 // are the answer — the serving layer maps per-request timeouts here.
-func WithDeadline(d time.Duration) Option { return func(c *config) { c.Deadline = d } }
+func WithDeadline(d time.Duration) Option { return func(c *engine.Options) { c.Deadline = d } }
 
 // WithInstrumentation enables the Stats counters and phase timers.
-func WithInstrumentation() Option { return func(c *config) { c.Instrument = true } }
+func WithInstrumentation() Option { return func(c *engine.Options) { c.Instrument = true } }
 
 // WithDataAwareOrder derives the matching order from data-hypergraph
 // selectivity (most selective hyperedge first) instead of the purely
 // structural connectivity order.
-func WithDataAwareOrder() Option { return func(c *config) { c.DataAwareOrder = true } }
+func WithDataAwareOrder() Option { return func(c *engine.Options) { c.DataAwareOrder = true } }
 
 // WithEmbeddings registers a callback receiving every embedding (hyperedge
 // IDs in matching order). The engine serializes calls; copy the slice to
 // retain it.
 func WithEmbeddings(fn func(edges []uint32)) Option {
-	return func(c *config) { c.OnEmbedding = fn }
+	return func(c *engine.Options) { c.OnEmbedding = fn }
 }
 
 // WithCanonicalEmbeddingsOnly filters the WithEmbeddings callback to one
@@ -239,7 +203,7 @@ func WithEmbeddings(fn func(edges []uint32)) Option {
 // already deliver exactly that, so this option matters only together with
 // WithoutSymmetryBreaking.
 func WithCanonicalEmbeddingsOnly() Option {
-	return func(c *config) { c.UniqueOnly = true }
+	return func(c *engine.Options) { c.UniqueOnly = true }
 }
 
 // WithoutSymmetryBreaking compiles the plan without the symmetry-breaking
@@ -253,11 +217,11 @@ func WithCanonicalEmbeddingsOnly() Option {
 // tuple, or to resume checkpoints written by builds without the
 // restriction pass.
 func WithoutSymmetryBreaking() Option {
-	return func(c *config) { c.NoSymmetryBreak = true }
+	return func(c *engine.Options) { c.NoSymmetryBreak = true }
 }
 
 // Mine finds all embeddings of p in the store's hypergraph using the
-// overlap-centric engine (or the variant selected by options).
+// overlap-centric engine.
 func Mine(store *Store, p *Pattern, opts ...Option) (Result, error) {
 	return MineContext(context.Background(), store, p, opts...)
 }
@@ -269,11 +233,29 @@ func Mine(store *Store, p *Pattern, opts ...Option) (Result, error) {
 // worker — e.g. inside a WithEmbeddings callback — is recovered and
 // returned as an error instead of crashing the process.
 func MineContext(ctx context.Context, store *Store, p *Pattern, opts ...Option) (Result, error) {
-	o, err := buildOptions(opts)
+	o := buildOptions(opts)
+	return engine.MineContext(ctx, store, p, o)
+}
+
+// MineBaseline mines p with one of the systems the paper compares OHMiner
+// against or ablates it into — variant is "HGMatch", "OHM-G", "OHM-V",
+// "OHM-I", or "OHMiner" itself — as run by internal/baseline: a plain
+// depth-first interpreter with the paper's first-level scheduling over
+// workers goroutines (≤0: GOMAXPROCS) and none of Mine's options. Counts
+// always equal Mine's; the time is what the comparison is about.
+func MineBaseline(store *Store, p *Pattern, variant string, workers int) (Result, error) {
+	v, err := baseline.VariantByName(variant)
 	if err != nil {
 		return Result{}, err
 	}
-	return engine.MineContext(ctx, store, p, o)
+	res, err := baseline.Mine(store, p, baseline.Options{Gen: v.Gen, Val: v.Val, Workers: workers})
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{
+		Ordered: res.Ordered, Unique: res.Unique, Restricted: res.Restricted,
+		Automorphisms: res.Automorphisms, Elapsed: res.Elapsed, Plan: res.Plan,
+	}, nil
 }
 
 // Crash-safe checkpoint/resume for long mining runs. A run configured with
@@ -314,7 +296,7 @@ func ReadCheckpoint(path string) (*CheckpointSnapshot, error) {
 // snapshots only at final stops (a SIGTERM'd run still leaves a resumable
 // snapshot).
 func WithCheckpoint(sink CheckpointSink, every time.Duration) Option {
-	return func(c *config) {
+	return func(c *engine.Options) {
 		c.Checkpoint = sink
 		c.CheckpointEvery = every
 	}
@@ -325,14 +307,11 @@ func WithCheckpoint(sink CheckpointSink, every time.Duration) Option {
 // snapshot from a different plan, matching order, or dataset is refused).
 // The returned Result includes everything counted before the interruption:
 // a resumed run that completes reports exactly the totals an uninterrupted
-// run would have. Options must select the same variant/order the original
+// run would have. Options must select the same matching order the original
 // run used; they may add a fresh WithCheckpoint sink to keep the resumed
 // run crash-safe too.
 func ResumeFromCheckpoint(ctx context.Context, store *Store, p *Pattern, snap *CheckpointSnapshot, opts ...Option) (Result, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return Result{}, err
-	}
+	o := buildOptions(opts)
 	return engine.ResumeFromCheckpoint(ctx, store, p, snap, o)
 }
 
@@ -343,10 +322,7 @@ type MotifEntry = motif.Entry
 // (regions bounded by maxRegionSize, total vertices by maxVertices) and
 // counts each one's occurrences — the motif-counting application layer.
 func MotifCensus(store *Store, k, maxRegionSize, maxVertices int, opts ...Option) ([]MotifEntry, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return nil, err
-	}
+	o := buildOptions(opts)
 	return motif.Census(store, motif.Options{
 		K: k, MaxRegionSize: maxRegionSize, MaxVertices: maxVertices,
 		SkipAbsentDegrees: true, Engine: o,
@@ -403,89 +379,6 @@ func LoadStreamMiner(path string, cfg StreamConfig) (*StreamMiner, error) {
 	return stream.LoadFile(path, cfg)
 }
 
-// DynamicMiner maintains a hypergraph growing by hyperedge batches and
-// answers incremental queries (embeddings created by the latest batch).
-//
-// Deprecated: DynamicMiner is the append-only predecessor of the streaming
-// subsystem and is kept as a thin compatibility wrapper over StreamMiner.
-// New code should use NewStreamMiner, which adds retirement windows,
-// standing queries, push delivery, and checkpoint/resume.
-type DynamicMiner struct {
-	m       *StreamMiner
-	lastNew int
-}
-
-// DynamicDelta is an incremental query result.
-type DynamicDelta struct {
-	// Ordered/Unique count the embeddings that include at least one
-	// hyperedge of the latest batch.
-	Ordered uint64
-	Unique  uint64
-	Elapsed time.Duration
-}
-
-// NewDynamicMiner starts an incremental mining session from an initial
-// hypergraph.
-func NewDynamicMiner(numVertices int, initial [][]uint32) (*DynamicMiner, error) {
-	m, err := stream.NewMiner(stream.Config{NumVertices: numVertices})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := m.ApplyBatch(stream.Batch{Add: initial}); err != nil {
-		return nil, err
-	}
-	return &DynamicMiner{m: m}, nil
-}
-
-// ApplyBatch inserts new hyperedges; previously assigned hyperedge IDs stay
-// stable and duplicates are absorbed.
-func (d *DynamicMiner) ApplyBatch(batch [][]uint32) error {
-	res, err := d.m.ApplyBatch(stream.Batch{Add: batch})
-	if err != nil {
-		return err
-	}
-	d.lastNew = res.Added
-	return nil
-}
-
-// Hypergraph returns the current hypergraph.
-func (d *DynamicMiner) Hypergraph() *Hypergraph { return d.m.Hypergraph() }
-
-// Store returns the current degree-aware store.
-func (d *DynamicMiner) Store() *Store { return d.m.Store() }
-
-// Epoch returns the number of batches applied after the initial one.
-func (d *DynamicMiner) Epoch() int { return int(d.m.Epoch()) - 1 }
-
-// NumNewEdges returns the deduplicated size of the latest batch.
-func (d *DynamicMiner) NumNewEdges() int { return d.lastNew }
-
-// DeltaCount counts embeddings of p that use at least one hyperedge of the
-// latest batch: total(after) = total(before) + delta.
-func (d *DynamicMiner) DeltaCount(p *Pattern, opts ...Option) (DynamicDelta, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return DynamicDelta{}, err
-	}
-	d.m.SetEngineOptions(o)
-	start := time.Now()
-	sd, err := d.m.LatestDelta(p)
-	if err != nil {
-		return DynamicDelta{}, err
-	}
-	return DynamicDelta{Ordered: sd.Added, Unique: sd.AddedUnique, Elapsed: time.Since(start)}, nil
-}
-
-// TotalCount mines the full current hypergraph.
-func (d *DynamicMiner) TotalCount(p *Pattern, opts ...Option) (Result, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return Result{}, err
-	}
-	d.m.SetEngineOptions(o)
-	return d.m.TotalCount(p)
-}
-
 // CountEstimate is an approximate embedding count with its standard error.
 type CountEstimate = engine.Estimate
 
@@ -495,9 +388,6 @@ type CountEstimate = engine.Estimate
 // the paper's related work, implemented on the overlap-centric engine.
 // fraction 1 yields the exact count. Deterministic in seed.
 func EstimateCount(store *Store, p *Pattern, fraction float64, seed int64, opts ...Option) (CountEstimate, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return CountEstimate{}, err
-	}
+	o := buildOptions(opts)
 	return engine.EstimateCount(store, p, fraction, seed, o)
 }

@@ -88,37 +88,6 @@ func TestFacadeExtensions(t *testing.T) {
 	if sim, err := MotifSimilarity(entries, entries); err != nil || sim < 0.999 {
 		t.Fatalf("self similarity %f %v", sim, err)
 	}
-
-	// Dynamic mining.
-	dm, err := NewDynamicMiner(10, [][]uint32{{0, 1}, {1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := ParsePattern("0 1; 1 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := dm.TotalCount(chain, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dm.ApplyBatch([][]uint32{{2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	delta, err := dm.DeltaCount(chain, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := dm.TotalCount(chain, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before.Ordered+delta.Ordered != after.Ordered {
-		t.Fatalf("delta invariant: %d + %d != %d", before.Ordered, delta.Ordered, after.Ordered)
-	}
-	if dm.Epoch() != 1 || dm.NumNewEdges() != 1 {
-		t.Fatalf("epoch=%d newEdges=%d", dm.Epoch(), dm.NumNewEdges())
-	}
 }
 
 func TestFacadePatternCatalog(t *testing.T) {

@@ -35,20 +35,19 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if res.Unique != 1 || len(seen) != 1 {
 		t.Fatalf("unique=%d callbacks=%d", res.Unique, len(seen))
 	}
-	// Every variant agrees.
-	for _, name := range []string{"OHM-G", "OHM-V", "OHM-I", "HGMatch"} {
-		r, err := Mine(store, p, WithVariant(name), WithWorkers(1))
+	// Every comparison system agrees.
+	for _, name := range []string{"OHMiner", "OHM-G", "OHM-V", "OHM-I", "HGMatch"} {
+		r, err := MineBaseline(store, p, name, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if r.Ordered != res.Ordered {
-			t.Fatalf("%s: ordered=%d want %d", name, r.Ordered, res.Ordered)
+		if r.Ordered != res.Ordered || r.Unique != res.Unique || r.Automorphisms != res.Automorphisms {
+			t.Fatalf("%s: ordered/unique/aut=%d/%d/%d want %d/%d/%d", name,
+				r.Ordered, r.Unique, r.Automorphisms, res.Ordered, res.Unique, res.Automorphisms)
 		}
 	}
-	// Scalar kernel agrees too.
-	r, err := Mine(store, p, WithScalarKernel())
-	if err != nil || r.Ordered != res.Ordered {
-		t.Fatalf("scalar: %v %d", err, r.Ordered)
+	if _, err := MineBaseline(store, p, "nope", 1); err == nil {
+		t.Fatal("unknown baseline accepted")
 	}
 }
 

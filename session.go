@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"ohminer/internal/engine"
-	"ohminer/internal/oig"
 	"ohminer/internal/pattern"
 )
 
@@ -75,7 +74,6 @@ type storeState struct {
 // so the key doubles as the result-cache identity.
 type sessionKey struct {
 	canon      string
-	mode       oig.Mode
 	restricted bool // symmetry-breaking restrictions compiled in
 	dataAware  bool // matching order derived from data selectivity
 }
@@ -131,8 +129,7 @@ func (s *Session) DatasetFingerprint() uint64 { return s.st.Load().fp }
 
 // Mine runs a query, reusing a cached plan (and, for pure counting queries,
 // a cached result) when one exists for the pattern's isomorphism class. All
-// Mine options apply except the validation-mode-changing variants, which
-// select the plan mode transparently.
+// Mine options apply.
 func (s *Session) Mine(p *Pattern, opts ...Option) (Result, error) {
 	return s.MineContext(context.Background(), p, opts...)
 }
@@ -143,10 +140,7 @@ func (s *Session) Mine(p *Pattern, opts ...Option) (Result, error) {
 // ohmserve query service drives — one context per request covers the
 // client disconnecting, per-request deadlines, and server drain.
 func (s *Session) MineContext(ctx context.Context, p *Pattern, opts ...Option) (Result, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return Result{}, err
-	}
+	o := buildOptions(opts)
 	// One atomic load pins this query to a single (store, fingerprint)
 	// pair; a concurrent SetStore cannot split the run across versions.
 	cur := s.st.Load()
@@ -179,10 +173,7 @@ func (s *Session) MineContext(ctx context.Context, p *Pattern, opts ...Option) (
 // Because plans are canonical, a snapshot written through one literal of a
 // pattern resumes through any isomorphic literal.
 func (s *Session) ResumeContext(ctx context.Context, p *Pattern, snap *CheckpointSnapshot, opts ...Option) (Result, error) {
-	o, err := buildOptions(opts)
-	if err != nil {
-		return Result{}, err
-	}
+	o := buildOptions(opts)
 	cur := s.st.Load()
 	plan, _, err := s.plan(p, o, cur.store)
 	if err != nil {
@@ -232,12 +223,7 @@ func (s *Session) SetResultCacheCapacity(n int) {
 // plan returns the compiled plan for (p, o) and its cache key, compiling at
 // most once per key across concurrent callers.
 func (s *Session) plan(p *Pattern, o engine.Options, store *Store) (*Plan, sessionKey, error) {
-	mode := oig.ModeMerged
-	if o.Val == engine.ValOverlapSimple {
-		mode = oig.ModeSimple
-	}
 	key := sessionKey{
-		mode: mode,
 		// Mirrors engine.CompilePlan's restriction gating so the key always
 		// names the plan that call will produce.
 		restricted: !o.NoSymmetryBreak && o.PositionFilter == nil,

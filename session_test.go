@@ -40,8 +40,8 @@ func TestSessionCachesPlans(t *testing.T) {
 	if got := s.CachedPlans(); got != 1 {
 		t.Fatalf("cached plans %d want 1", got)
 	}
-	// The simple-mode variant compiles its own plan.
-	if _, err := s.Mine(p, WithVariant("OHM-I"), WithWorkers(1)); err != nil {
+	// An unrestricted run compiles its own plan.
+	if _, err := s.Mine(p, WithoutSymmetryBreaking(), WithWorkers(1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.CachedPlans(); got != 2 {
@@ -155,10 +155,10 @@ func TestSessionEdgeLabelFingerprintFullWidth(t *testing.T) {
 }
 
 // TestSessionConcurrentMixed hammers one session from many goroutines with
-// a mix of labeled, edge-labeled, and unlabeled isomorphic patterns (plus a
-// simple-mode variant), asserting under -race that every query matches a
+// a mix of labeled, edge-labeled, and unlabeled isomorphic patterns (plus an
+// unrestricted run), asserting under -race that every query matches a
 // fresh engine run and the plan cache holds exactly one plan per
-// isomorphism class and mode — the two isomorphic unlabeled literals share
+// isomorphism class and compile option — the two isomorphic unlabeled literals share
 // a single canonical plan.
 func TestSessionConcurrentMixed(t *testing.T) {
 	// One hypergraph carrying both vertex labels and hyperedge labels.
@@ -199,7 +199,7 @@ func TestSessionConcurrentMixed(t *testing.T) {
 	}
 	queries := []query{
 		{unlabeled1, nil},
-		{unlabeled1, []Option{WithVariant("OHM-I")}}, // simple-mode plan, own cache entry
+		{unlabeled1, []Option{WithoutSymmetryBreaking()}}, // unrestricted plan, own cache entry
 		{unlabeled2, nil}, // isomorphic to unlabeled1: shares its canonical plan
 		{labeled1, nil},
 		{labeled2, nil},
