@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json bench-smoke bench-check fuzz experiments examples serve-smoke cluster-smoke stream-smoke chaos fmt fmt-check vet lint lint-fix-check loc ci clean
+.PHONY: all build test test-short race cover bench bench-json bench-smoke bench-check fuzz golden experiments examples serve-smoke cluster-smoke stream-smoke chaos fmt fmt-check vet lint lint-fix-check loc ci clean
 
 all: build test lint
 
@@ -51,6 +51,26 @@ fuzz:
 	$(GO) test -fuzz FuzzIntersectKernels -fuzztime 30s ./internal/intset
 	$(GO) test -fuzz FuzzPlanVerify -fuzztime 30s ./internal/engine
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/stream
+
+# Cross-version golden files, written by the encoders of a named revision:
+#   make golden REV=<git rev> TAG=<name>
+# exports REV into .golden_build/ (git archive: no worktree or branch is left
+# behind), drops internal/tools/goldengen into the export, runs it there and
+# writes internal/dal/testdata/parent_<TAG>.ohmd and
+# internal/engine/testdata/parent_<TAG>.ohmc. Without REV the files are cut by
+# this tree's encoders. Commit only the file a test names.
+golden:
+	@test -n "$(TAG)" || { echo 'usage: make golden [REV=<git rev>] TAG=<name>'; exit 2; }
+	mkdir -p internal/dal/testdata internal/engine/testdata
+	rm -rf .golden_build
+ifneq ($(REV),)
+	mkdir -p .golden_build/internal/tools/goldengen
+	git archive $(REV) | tar -x -C .golden_build
+	cp internal/tools/goldengen/main.go .golden_build/internal/tools/goldengen/
+endif
+	cd $(if $(REV),.golden_build,.) && $(GO) run ./internal/tools/goldengen \
+		-ohmd $(CURDIR)/internal/dal/testdata/parent_$(TAG).ohmd -ohmc $(CURDIR)/internal/engine/testdata/parent_$(TAG).ohmc
+	rm -rf .golden_build
 
 # Regenerate the paper's tables and figures (minutes; see EXPERIMENTS.md).
 experiments:

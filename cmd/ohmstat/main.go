@@ -127,6 +127,11 @@ func run() error {
 		// than sorted arrays — the density profile behind the engine's
 		// per-op container hints.
 		cs := store.Containers()
+		// The group index by level: the paper's degree groups, and the
+		// (degree, overlap size) groups candidate generation reads.
+		out.Printf("  groups: %d degree groups in %d (degree, overlap) groups, %.1f%% bitmap-windowed, %.1f bytes per group\n",
+			cs.DegreeGroups, cs.AdjGroups, 100*float64(cs.AdjWindowed)/float64(max(cs.AdjGroups, 1)),
+			float64(cs.GroupBytes)/float64(max(cs.AdjGroups, 1)))
 		out.Printf("  containers: %d/%d adjacency groups and %d/%d hyperedge vertex sets bitmap-windowed (%.1f KB arenas)\n",
 			cs.AdjWindowed, cs.AdjGroups, cs.EdgeWindowed, cs.EdgeSets,
 			float64(cs.WindowBytes)/(1<<10))

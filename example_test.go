@@ -33,14 +33,15 @@ func ExampleParsePattern() {
 
 // ExampleCompilePattern inspects the overlap-centric execution plan of a
 // triangle of 2-vertex hyperedges: three pairwise overlaps plus an
-// emptiness check for the triple. Only the overlap feeding the emptiness
-// check is materialized; the other two demote to count-only checks.
+// emptiness check for the triple. Candidate generation guarantees the
+// pairwise sizes, so only the overlap feeding the emptiness check is
+// computed; the other two leave the plan.
 func ExampleCompilePattern() {
 	p, _ := ohminer.ParsePattern("0 1; 1 2; 0 2")
 	plan, _ := ohminer.CompilePattern(p)
 	ops := plan.NumOps()
 	fmt.Println(len(plan.Steps), "steps,", ops)
-	// Output: 3 steps, map[intersect:1 empty:1 intersect-count:2]
+	// Output: 3 steps, map[intersect:1 empty:1]
 }
 
 // ExampleMine_variants runs the HGMatch baseline on the same query; counts

@@ -417,10 +417,11 @@ func (w *worker) extend(t int) {
 	}
 }
 
-// accept applies the per-candidate constraints that need no set operation:
-// distinctness, the symmetry-breaking restrictions, generation-time
-// disconnection — skipped under profile validation, which catches a spurious
-// connection itself, as HGMatch does — and the labels.
+// accept applies the per-candidate constraints that belong to generation:
+// distinctness, the symmetry-breaking restrictions, the pairwise overlap
+// sizes where the generator did not already select on them, disconnection —
+// skipped under profile validation, which catches a spurious connection
+// itself, as HGMatch does — and the labels.
 func (w *worker) accept(t int, c uint32) bool {
 	h := w.r.store.Hypergraph()
 	st := &w.r.plan.Steps[t]
@@ -432,6 +433,17 @@ func (w *worker) accept(t int, c uint32) bool {
 	for _, j := range st.Restrict {
 		if c <= w.c[j] {
 			return false
+		}
+	}
+	if w.r.opts.Gen == GenHGMatch && w.r.opts.Val == ValOverlap {
+		// A merged plan leaves the pairwise overlap sizes to whoever
+		// generates (oig.Step.ConnOverlap). The DAL's groups carry them;
+		// HGMatch-style generation has to count.
+		cs := w.r.store.EdgeVertexSet(c)
+		for i, j := range st.Conn {
+			if w.r.kernel.IntersectCountSets(cs, w.r.store.EdgeVertexSet(w.c[j])) != st.ConnOverlap[i] {
+				return false
+			}
 		}
 	}
 	if w.r.opts.Val != ValProfiles {
@@ -459,14 +471,15 @@ func (w *worker) labelsOK(t int, c uint32) bool {
 	return !w.r.plan.Labeled || sig.HistogramMatches(h.Labels(), h.EdgeVertices(c), st.EdgeLabels, w.labelScratch)
 }
 
-// generateDAL intersects the degree-pruned adjacency groups of the matched
-// hyperedges position t must overlap (Sec. 4.5), as one k-way kernel call
-// over the DAL's containers.
+// generateDAL intersects the adjacency groups — of position t's degree and
+// of the pattern's overlap size — of the matched hyperedges position t must
+// overlap (Sec. 4.5, read from the overlap-grouped store production reads),
+// as one k-way kernel call over the DAL's containers.
 func (w *worker) generateDAL(t int) []uint32 {
 	st := &w.r.plan.Steps[t]
 	sets := w.adjSets[:0]
-	for _, j := range st.Conn {
-		s := w.r.store.AdjSetWithDegree(w.c[j], st.Degree)
+	for i, j := range st.Conn {
+		s := w.r.store.AdjSet(w.c[j], st.Degree, st.ConnOverlap[i])
 		if s.Len() == 0 {
 			return nil
 		}

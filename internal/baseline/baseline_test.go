@@ -180,7 +180,9 @@ func TestDifferentialDense(t *testing.T) {
 // compilers' rare operations, which random sampling almost never produces —
 // nested hyperedges (subset checks), a hyperedge equal to an overlap
 // (OpEqCheck), subset completion, two overlaps equal as sets with disjoint
-// derivations (OpIntersectEq) — on hypergraphs holding a vertex-renamed copy
+// derivations (OpIntersectEq), two pairs sharing a class but no hyperedge
+// (generation-sized, settled by two containment checks) — on hypergraphs
+// holding a vertex-renamed copy
 // of the pattern, a near miss with one vertex perturbed, and noise, so both
 // the accept and the reject path of every op run.
 func TestExoticPatternsDifferential(t *testing.T) {
@@ -192,6 +194,11 @@ func TestExoticPatternsDifferential(t *testing.T) {
 		pattern.MustNew([][]uint32{{0, 1, 2, 3}, {2, 3, 4, 5}, {2, 3}}, nil),
 		pattern.MustNew([][]uint32{{1, 2, 3, 4}, {3, 4, 5, 6}, {2, 3, 4, 5, 9}}, nil),
 		pattern.MustNew([][]uint32{{0, 1, 4, 5}, {2, 3, 4, 5}, {4, 5, 6, 7}, {4, 5, 8, 9}}, nil),
+		// Two pairs in one overlap class without a hyperedge in common, every
+		// cross pair overlapping in more: the merged plan needs rep ⊆ c_j and
+		// rep ⊆ c_t, and HGMatch-style generation has to count pair sizes.
+		pattern.MustNew([][]uint32{{0, 1, 2, 3, 4}, {0, 1, 5, 6, 7}, {0, 1, 2, 5, 8}, {0, 1, 3, 6, 9}}, nil),
+		pattern.MustNew([][]uint32{{0, 1, 2, 3}, {0, 4, 5, 6}, {0, 1, 4, 7}, {0, 2, 5, 8}}, nil),
 	} {
 		for trial := 0; trial < 6; trial++ {
 			edges := randEdges(rng, nv, 25, 5)

@@ -501,6 +501,39 @@ func TestWALParentFilesReplay(t *testing.T) {
 	}
 }
 
+// TestReplayRefusesFrontierOfOlderPlan: a persisted running job whose task
+// frontiers were stamped by a build that compiled another plan for the same
+// spec — as every build before pairwise overlap sizes moved into candidate
+// generation did — comes back failed, naming the wrong-plan refusal: its
+// candidate lists were generated under the old plan's contract, and the new
+// plan would count them without the size checks they were owed. No panic, no
+// lease handed out, nothing counted.
+func TestReplayRefusesFrontierOfOlderPlan(t *testing.T) {
+	store, pat, _ := starWorkload(t)
+	dir := t.TempDir()
+	c1, _ := durableCluster(t, store, dir, newFakeClock())
+	if _, err := c1.StartJob("j", JobSpec{Pattern: pat}); err != nil {
+		t.Fatal(err)
+	}
+	c1.mu.Lock()
+	c1.jobs["j"].planFP ^= 0x5a5a // what the older compiler's plan hashed to
+	c1.compactLocked()
+	c1.mu.Unlock()
+	crash(c1)
+
+	c2, srv := durableCluster(t, store, dir, newFakeClock())
+	st, ok := c2.JobStatusByID("j")
+	if !ok || st.State != "failed" || !strings.Contains(st.Error, "snapshot was written for a different plan") {
+		t.Fatalf("replayed job: ok=%v state=%s error=%q, want failed with the wrong-plan refusal", ok, st.State, st.Error)
+	}
+	if st.Ordered != 0 || st.Done != 0 {
+		t.Fatalf("replayed job counted: %+v", st)
+	}
+	if lease := leaseAs(t, srv, store, "w"); lease != nil {
+		t.Fatalf("failed job handed out a lease: %+v", lease)
+	}
+}
+
 // TestWALNoSpaceDegradesThenHeals: a full disk must shed new work with 503 +
 // Retry-After (nothing may be accepted that can't be made durable), and the
 // flusher's probe records must bring the coordinator back on their own once

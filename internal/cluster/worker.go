@@ -46,10 +46,10 @@ type WorkerConfig struct {
 	// MaxBackoff caps the jittered exponential backoff applied to
 	// transient lease/report errors (0 = 30s).
 	MaxBackoff time.Duration
-	// Engine carries local execution knobs — Workers, Kernel, SplitDepth,
-	// Instrument. Plan-shaping options (Gen/Val/DataAwareOrder) are
-	// overridden per lease from the coordinator's job spec so every node
-	// compiles the identical plan.
+	// Engine carries local execution knobs — Workers, SplitDepth,
+	// SplitThreshold, Instrument. The one plan-shaping option,
+	// DataAwareOrder, is overridden per lease from the coordinator's job
+	// spec so every node compiles the identical plan.
 	Engine engine.Options
 	// OnEmbedding, when set, observes every embedding mined locally (test
 	// hook; also where faultinject wraps its triggers).

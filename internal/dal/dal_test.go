@@ -1,7 +1,10 @@
 package dal
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ohminer/internal/gen"
@@ -24,28 +27,31 @@ func fig1Hypergraph(t *testing.T) *hypergraph.Hypergraph {
 	return hypergraph.MustBuild(15, edges, nil)
 }
 
+// TestTable2Shape: Table 2's A(e1), with each degree group split by overlap
+// size — e2 and e4 (degree 6) and e3 (degree 8) share three vertices with e1,
+// e5 (degree 8) shares four.
 func TestTable2Shape(t *testing.T) {
 	h := fig1Hypergraph(t)
 	s := Build(h)
 
-	// e1's neighbors grouped by degree: degree-6 group then degree-8 group.
-	adj := s.Adj(0)
-	if len(adj) != 4 {
-		t.Fatalf("A(e1)=%v", adj)
+	if adj := s.Adj(0); !slices.Equal(adj, []uint32{1, 3, 2, 4}) {
+		t.Fatalf("A(e1)=%v want [1 3 2 4]", adj)
 	}
-	d6 := s.AdjWithDegree(0, 6)
-	d8 := s.AdjWithDegree(0, 8)
-	if len(d6) != 2 || len(d8) != 2 {
-		t.Fatalf("groups d6=%v d8=%v", d6, d8)
+	for _, c := range []struct {
+		d, ov int
+		want  []uint32
+	}{
+		{6, 3, []uint32{1, 3}}, // e2, e4
+		{8, 3, []uint32{2}},    // e3
+		{8, 4, []uint32{4}},    // e5
+		{6, 4, nil}, {7, 3, nil}, {8, 2, nil}, {8, 5, nil}, {9, 3, nil}, {-1, 3, nil}, {6, -1, nil},
+	} {
+		if got := s.AdjSet(0, c.d, c.ov).Elems(); !slices.Equal(got, c.want) {
+			t.Errorf("AdjSet(e1,%d,%d)=%v want %v", c.d, c.ov, got, c.want)
+		}
 	}
-	if d6[0] != 1 || d6[1] != 3 { // e2, e4
-		t.Fatalf("d6=%v want [1 3]", d6)
-	}
-	if d8[0] != 2 || d8[1] != 4 { // e3, e5
-		t.Fatalf("d8=%v want [2 4]", d8)
-	}
-	if got := s.AdjWithDegree(0, 7); got != nil {
-		t.Fatalf("AdjWithDegree(e1,7)=%v want nil", got)
+	if st := s.Containers(); st.DegreeGroups != 10 || st.AdjGroups != 16 {
+		t.Errorf("Containers()=%+v, want 10 degree groups in 16 (degree, overlap) groups", st)
 	}
 }
 
@@ -62,66 +68,130 @@ func TestConnected(t *testing.T) {
 	}
 }
 
-// TestAgainstDefinition cross-checks the store on a random hypergraph: the
-// adjacency must equal the set of overlapping edges, and degree groups must
-// partition it.
-func TestAgainstDefinition(t *testing.T) {
+// denseBlocks is a small copy of the benchmark's block hypergraph: per core
+// size a clique block (k hyperedges sharing the core, one private vertex
+// each) and hub pairs with pendants, all on contiguous vertex IDs so groups
+// and vertex sets earn bitmap windows.
+func denseBlocks(t testing.TB, cores []int, k, hubs, pendants int) *hypergraph.Hypergraph {
+	t.Helper()
+	span := func(base, n int) []uint32 {
+		out := make([]uint32, n)
+		for i := range out {
+			out[i] = uint32(base + i)
+		}
+		return out
+	}
+	var edges [][]uint32
+	next := 0
+	for _, c := range cores {
+		for i := 0; i < k; i++ {
+			edges = append(edges, append(span(next, c), uint32(next+c+i)))
+		}
+		next += c + k
+		for hb := 0; hb < hubs; hb++ {
+			edges = append(edges, append(span(next, c+3), uint32(next+c+3)), append(span(next, c+3), uint32(next+c+4)))
+			for j := 0; j < pendants; j++ {
+				edges = append(edges, []uint32{uint32(next + c + 3), uint32(next + c + 5 + j)})
+			}
+			next += c + 5 + pendants
+		}
+	}
+	return hypergraph.MustBuild(next, edges, nil)
+}
+
+// definitionGraphs are the hypergraphs the store is checked on against its
+// definition: random small ones, the sparse power-law generator, the dense
+// block layout, and a hyperedge-labelled one with co-extensive hyperedges
+// (overlap = degree on both sides).
+func definitionGraphs(t *testing.T) map[string]*hypergraph.Hypergraph {
+	t.Helper()
+	out := map[string]*hypergraph.Hypergraph{
+		"sparse": gen.MustGenerate(gen.Config{Name: "t", NumVertices: 300, NumEdges: 500,
+			Communities: 12, MemberOverlap: 1, EdgeSizeMin: 2, EdgeSizeMax: 9, EdgeSizeMean: 4, Seed: 5}),
+		"sparse-labelled": gen.MustGenerate(gen.Config{Name: "t", NumVertices: 200, NumEdges: 400, NumLabels: 4,
+			Communities: 6, MemberOverlap: 2, EdgeSizeMin: 2, EdgeSizeMax: 12, EdgeSizeMean: 6, Seed: 6}),
+		"dense-block": denseBlocks(t, []int{64, 72}, 70, 3, 4),
+	}
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
 		nv := 10 + rng.Intn(40)
-		ne := 5 + rng.Intn(60)
-		raw := make([][]uint32, ne)
+		raw := make([][]uint32, 5+rng.Intn(60))
+		labels := make([]uint32, len(raw))
 		for i := range raw {
-			sz := 1 + rng.Intn(5)
-			for j := 0; j < sz; j++ {
+			for j := 1 + rng.Intn(5); j > 0; j-- {
 				raw[i] = append(raw[i], uint32(rng.Intn(nv)))
 			}
+			labels[i] = uint32(rng.Intn(2))
 		}
-		h, err := hypergraph.Build(nv, raw, nil)
+		h, err := hypergraph.BuildEdgeLabeled(nv, raw, nil, labels)
 		if err != nil {
 			t.Fatal(err)
 		}
+		out[fmt.Sprintf("edge-labelled-%d", trial)] = h
+	}
+	return out
+}
+
+// TestAgainstDefinition cross-checks the store against the definition of its
+// index by brute-force intersection: for every e, AdjSet(e,d,ov) is exactly
+// {o ≠ e : deg(o)=d ∧ |V(e)∩V(o)|=ov}, the groups partition Adj(e) in
+// (degree, overlap, id) order, and Connected agrees with vertex-set
+// intersection. A windowed group must answer like its array.
+func TestAgainstDefinition(t *testing.T) {
+	for name, h := range definitionGraphs(t) {
 		s := Build(h)
-		for e := 0; e < h.NumEdges(); e++ {
-			// Reference adjacency by definition.
-			var ref []uint32
-			for o := 0; o < h.NumEdges(); o++ {
-				if o != e && intset.Intersects(h.EdgeVertices(uint32(e)), h.EdgeVertices(uint32(o))) {
-					ref = append(ref, uint32(o))
+		m := h.NumEdges()
+		windowed := 0
+		for e := uint32(0); e < uint32(m); e++ {
+			want := map[[2]int][]uint32{}
+			for o := uint32(0); o < uint32(m); o++ {
+				ov := intset.IntersectCount(h.EdgeVertices(e), h.EdgeVertices(o))
+				if got := s.Connected(e, o); got != (o != e && ov > 0) {
+					t.Fatalf("%s: Connected(%d,%d)=%v with %d shared vertices", name, e, o, got, ov)
+				}
+				if o != e && ov > 0 {
+					key := [2]int{h.Degree(o), ov}
+					want[key] = append(want[key], o)
 				}
 			}
-			adj := s.Adj(uint32(e))
-			if len(adj) != len(ref) {
-				t.Fatalf("edge %d: |adj|=%d want %d", e, len(adj), len(ref))
+			keys := make([][2]int, 0, len(want))
+			for key := range want {
+				keys = append(keys, key)
 			}
-			// Same membership (adj is degree-sorted, ref is id-sorted).
-			got := map[uint32]bool{}
-			for _, o := range adj {
-				got[o] = true
-			}
-			for _, o := range ref {
-				if !got[o] {
-					t.Fatalf("edge %d: missing neighbor %d", e, o)
+			slices.SortFunc(keys, func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+			var concat []uint32
+			for _, key := range keys {
+				set := s.AdjSet(e, key[0], key[1])
+				if !slices.Equal(set.Elems(), want[key]) {
+					t.Fatalf("%s: AdjSet(%d,%d,%d)=%v want %v", name, e, key[0], key[1], set.Elems(), want[key])
 				}
-			}
-			// Degree groups partition adj, each sorted by ID and all of one
-			// degree; union of groups over Degrees() covers adj.
-			covered := 0
-			for _, d := range s.Degrees() {
-				g := s.AdjWithDegree(uint32(e), d)
-				if !intset.SortedUnique(g) {
-					t.Fatalf("edge %d degree %d group not sorted: %v", e, d, g)
-				}
-				for _, o := range g {
-					if h.Degree(o) != d {
-						t.Fatalf("edge %d: neighbor %d in wrong group %d", e, o, d)
+				if set.HasWindow() {
+					windowed++
+					for o := uint32(0); o < uint32(m); o++ {
+						if _, in := slices.BinarySearch(want[key], o); set.Contains(o) != in {
+							t.Fatalf("%s: windowed AdjSet(%d,%d,%d).Contains(%d)=%v", name, e, key[0], key[1], o, !in)
+						}
 					}
 				}
-				covered += len(g)
+				concat = append(concat, want[key]...)
+				for _, miss := range [][2]int{{key[0], key[1] + 1}, {key[0] + 1, key[1]}} {
+					if _, ok := want[miss]; !ok && s.AdjSet(e, miss[0], miss[1]).Len() != 0 {
+						t.Fatalf("%s: AdjSet(%d,%d,%d) not empty", name, e, miss[0], miss[1])
+					}
+				}
 			}
-			if covered != len(adj) {
-				t.Fatalf("edge %d: groups cover %d of %d", e, covered, len(adj))
+			if !slices.Equal(s.Adj(e), concat) {
+				t.Fatalf("%s: Adj(%d)=%v, groups in key order give %v", name, e, s.Adj(e), concat)
 			}
+			if int(s.grpOff[e+1]-s.grpOff[e]) != len(keys) {
+				t.Fatalf("%s: hyperedge %d has %d groups, want %d", name, e, s.grpOff[e+1]-s.grpOff[e], len(keys))
+			}
+		}
+		if st := s.Containers(); st.AdjWindowed != windowed || (windowed == 0) != (s.grpWinOff == nil) {
+			t.Fatalf("%s: %d windowed groups seen, Containers()=%+v, window table nil=%v", name, windowed, st, s.grpWinOff == nil)
+		}
+		if name == "dense-block" && windowed == 0 {
+			t.Fatalf("dense-block: no group earned a window; the bitmap path went untested")
 		}
 	}
 }

@@ -3,19 +3,27 @@
 // the full offline preprocessing pass. The resulting store is
 // field-for-field identical to Build on the extended hypergraph
 // (differential-tested in delta_test.go); only the work is different —
-// neighbor discovery runs for the new edges alone, untouched adjacency
-// segments, group tables, and container windows are copied from the previous
-// store, and only segments that gained a neighbor are re-sorted and
-// re-planned.
+// neighbor discovery runs for the new edges alone and yields the overlap
+// sizes of both directions, untouched adjacency segments, group tables, and
+// container windows are copied from the previous store, and a segment that
+// gained neighbors is merged with them, its old entries keyed from the old
+// group table.
 package dal
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"ohminer/internal/hypergraph"
-	"ohminer/internal/intset"
 )
+
+// neighbor is one adjacency entry with its sort key: fields in key order.
+type neighbor struct{ deg, ovl, id uint32 }
+
+func compareNeighbors(a, b neighbor) int {
+	return cmp.Or(cmp.Compare(a.deg, b.deg), cmp.Compare(a.ovl, b.ovl), cmp.Compare(a.id, b.id))
+}
 
 // BuildDelta constructs the DAL for h, which must extend prev's hypergraph:
 // edges [0, prev.NumEdges()) are unchanged (same vertex sets, hence same
@@ -35,170 +43,108 @@ func BuildDelta(prev *Store, h *hypergraph.Hypergraph) *Store {
 	start := time.Now()
 	s := &Store{h: h}
 
-	less := func(a, b uint32) bool {
-		da, db := h.Degree(a), h.Degree(b)
-		if da != db {
-			return da < db
-		}
-		return a < b
-	}
-
-	// Neighbor discovery for the new edges only. Existing edges' vertex sets
-	// are immutable, so the only adjacency changes anywhere in the store are
-	// (a) the new edges' own lists and (b) new IDs inserted into the lists of
-	// the old edges they overlap — collected in ins while scanning.
-	mark := make([]uint32, m)
-	stamp := uint32(0)
-	newNbr := make([][]uint32, m-m0)
-	ins := make(map[uint32][]uint32)
-	for e := m0; e < m; e++ {
-		stamp++
-		var nbr []uint32
-		for _, v := range h.EdgeVertices(uint32(e)) {
+	// Neighbor discovery for the new edges only, counting hits as Build's
+	// second traversal does. Existing edges' vertex sets are immutable, so
+	// the only adjacency changes anywhere in the store are (a) the new edges'
+	// own lists and (b) new IDs inserted into the lists of the old edges they
+	// overlap; add[o] collects both, each with the symmetric overlap size.
+	hits := make([]uint32, m)
+	var touched []uint32
+	add := make([][]neighbor, m)
+	for e := uint32(m0); e < uint32(m); e++ {
+		touched = touched[:0]
+		for _, v := range h.EdgeVertices(e) {
 			for _, o := range h.VertexEdges(v) {
-				if o == uint32(e) || mark[o] == stamp {
-					continue
+				if hits[o] == 0 {
+					touched = append(touched, o)
 				}
-				mark[o] = stamp
-				nbr = append(nbr, o)
-				if o < uint32(m0) {
-					ins[o] = append(ins[o], uint32(e))
-				}
+				hits[o]++
 			}
 		}
-		sort.Slice(nbr, func(i, j int) bool { return less(nbr[i], nbr[j]) })
-		newNbr[e-m0] = nbr
+		for _, o := range touched {
+			if o != e {
+				add[e] = append(add[e], neighbor{uint32(h.Degree(o)), hits[o], o})
+				if o < uint32(m0) {
+					add[o] = append(add[o], neighbor{uint32(h.Degree(e)), hits[o], e})
+				}
+			}
+			hits[o] = 0
+		}
 	}
-	for _, lst := range ins {
-		sort.Slice(lst, func(i, j int) bool { return less(lst[i], lst[j]) })
-	}
-
-	affected := make([]bool, m)
-	for e := m0; e < m; e++ {
-		affected[e] = true
-	}
-	for o := range ins {
-		affected[o] = true
+	for _, lst := range add {
+		slices.SortFunc(lst, compareNeighbors)
 	}
 
 	s.adjOff = make([]uint32, m+1)
-	for e := 0; e < m0; e++ {
-		s.adjOff[e+1] = s.adjOff[e] + uint32(prev.NumNeighbors(uint32(e))+len(ins[uint32(e)]))
-	}
-	for e := m0; e < m; e++ {
-		s.adjOff[e+1] = s.adjOff[e] + uint32(len(newNbr[e-m0]))
+	longest := 0 // among the segments that are merged below
+	for e := 0; e < m; e++ {
+		n := len(add[e])
+		if e < m0 {
+			n += prev.NumNeighbors(uint32(e))
+		}
+		if add[e] != nil {
+			longest = max(longest, n)
+		}
+		s.adjOff[e+1] = s.adjOff[e] + uint32(n)
 	}
 	s.adj = make([]uint32, s.adjOff[m])
+	ovl := make([]uint32, longest) // overlap sizes of the segment being merged
 
 	s.grpOff = make([]uint32, m+1)
 	s.grpDeg = make([]uint32, 0, len(prev.grpDeg))
+	s.grpOvl = make([]uint32, 0, len(prev.grpOvl))
 	s.grpStart = make([]uint32, 0, len(prev.grpStart))
 	for e := 0; e < m; e++ {
-		dst := s.adj[s.adjOff[e]:s.adjOff[e+1]]
+		if e < m0 && add[e] == nil {
+			// A run of untouched segments (it ends before a touched or new
+			// hyperedge, which the rest of this iteration handles): bytes
+			// and group tables carry over in one copy each, the absolute
+			// group starts rebased to the new adj offsets (one shift: the
+			// segments kept their sizes).
+			e2 := e + 1
+			for e2 < m0 && add[e2] == nil {
+				e2++
+			}
+			copy(s.adj[s.adjOff[e]:], prev.adj[prev.adjOff[e]:prev.adjOff[e2]])
+			shift, kshift := s.adjOff[e]-prev.adjOff[e], uint32(len(s.grpDeg))-prev.grpOff[e]
+			k0, k1 := prev.grpOff[e], prev.grpOff[e2]
+			s.grpDeg = append(s.grpDeg, prev.grpDeg[k0:k1]...)
+			s.grpOvl = append(s.grpOvl, prev.grpOvl[k0:k1]...)
+			for _, st := range prev.grpStart[k0:k1] {
+				s.grpStart = append(s.grpStart, st+shift)
+			}
+			for ; e < e2; e++ {
+				s.grpOff[e+1] = prev.grpOff[e+1] + kshift
+			}
+		}
+		dst, ins := s.adj[s.adjOff[e]:s.adjOff[e+1]], add[e]
+		// Merge the new neighbors into the old (degree, overlap, id)-sorted
+		// segment; a new hyperedge has no old segment.
+		i := 0
+		put := func(n neighbor) {
+			dst[i], ovl[i] = n.id, n.ovl
+			i++
+		}
 		if e < m0 {
-			old := prev.Adj(uint32(e))
-			add := ins[uint32(e)]
-			if len(add) == 0 {
-				// Untouched segment: bytes and group table carry over, with
-				// the absolute group starts rebased to the new adj offsets.
-				copy(dst, old)
-				shift := s.adjOff[e] - prev.adjOff[e]
-				for k := prev.grpOff[e]; k < prev.grpOff[e+1]; k++ {
-					s.grpDeg = append(s.grpDeg, prev.grpDeg[k])
-					s.grpStart = append(s.grpStart, prev.grpStart[k]+shift)
+			for k := prev.grpOff[e]; k < prev.grpOff[e+1]; k++ {
+				for _, id := range prev.groupSlice(uint32(e), k) {
+					old := neighbor{prev.grpDeg[k], prev.grpOvl[k], id}
+					for ; len(ins) > 0 && compareNeighbors(ins[0], old) < 0; ins = ins[1:] {
+						put(ins[0])
+					}
+					put(old)
 				}
-				s.grpOff[e+1] = uint32(len(s.grpDeg))
-				continue
-			}
-			// Merge the new neighbors into the (degree, id)-sorted segment;
-			// old entries keep their relative order because old degrees are
-			// unchanged.
-			i, j, k := 0, 0, 0
-			for i < len(old) && j < len(add) {
-				if less(old[i], add[j]) {
-					dst[k] = old[i]
-					i++
-				} else {
-					dst[k] = add[j]
-					j++
-				}
-				k++
-			}
-			k += copy(dst[k:], old[i:])
-			copy(dst[k:], add[j:])
-		} else {
-			copy(dst, newNbr[e-m0])
-		}
-		base := s.adjOff[e]
-		for i := 0; i < len(dst); {
-			d := h.Degree(dst[i])
-			s.grpDeg = append(s.grpDeg, uint32(d))
-			s.grpStart = append(s.grpStart, base+uint32(i))
-			for i < len(dst) && h.Degree(dst[i]) == d {
-				i++
 			}
 		}
+		for _, n := range ins {
+			put(n)
+		}
+		s.appendGroups(uint32(e), ovl[:i])
 		s.grpOff[e+1] = uint32(len(s.grpDeg))
 	}
 
 	s.buildDegreeIndex()
-	s.buildContainersDelta(prev, affected)
+	s.buildContainers(prev, func(e int) bool { return e >= m0 || add[e] != nil })
 	s.buildTime = time.Since(start)
 	return s
-}
-
-// buildContainersDelta is buildContainers with reuse: adjacency windows of
-// unaffected edges are copied out of prev's arena (their groups are
-// byte-identical, only the arena offsets move), and the vertex-set arena —
-// which never changes for an existing edge — is copied wholesale with new
-// edges' windows appended.
-func (s *Store) buildContainersDelta(prev *Store, affected []bool) {
-	m := s.h.NumEdges()
-	m0 := prev.h.NumEdges()
-
-	s.grpWinOff = make([]uint32, len(s.grpDeg)+1)
-	s.grpWinBase = make([]uint32, len(s.grpDeg))
-	s.winWords = make([]uint64, 0, len(prev.winWords))
-	for e := 0; e < m; e++ {
-		if e < m0 && !affected[e] {
-			pk0, pk1 := prev.grpOff[e], prev.grpOff[e+1]
-			k0 := s.grpOff[e]
-			w0, w1 := prev.grpWinOff[pk0], prev.grpWinOff[pk1]
-			for i := uint32(0); i < pk1-pk0; i++ {
-				s.grpWinOff[k0+i] = uint32(len(s.winWords)) + (prev.grpWinOff[pk0+i] - w0)
-				s.grpWinBase[k0+i] = prev.grpWinBase[pk0+i]
-			}
-			s.winWords = append(s.winWords, prev.winWords[w0:w1]...)
-			continue
-		}
-		for k := s.grpOff[e]; k < s.grpOff[e+1]; k++ {
-			s.grpWinOff[k] = uint32(len(s.winWords))
-			grp := s.groupSlice(uint32(e), k)
-			if base, nw, lo, hi, ok := intset.PlanWords(grp); ok {
-				s.grpWinBase[k] = base
-				start := len(s.winWords)
-				s.winWords = append(s.winWords, make([]uint64, nw)...)
-				intset.FillWords(s.winWords[start:], base, grp[lo:hi])
-			}
-		}
-	}
-	s.grpWinOff[len(s.grpDeg)] = uint32(len(s.winWords))
-
-	s.evOff = make([]uint32, m+1)
-	s.evBase = make([]uint32, m)
-	copy(s.evOff, prev.evOff[:m0+1])
-	copy(s.evBase, prev.evBase)
-	s.evWords = make([]uint64, len(prev.evWords), len(prev.evWords)+(m-m0))
-	copy(s.evWords, prev.evWords)
-	for e := m0; e < m; e++ {
-		s.evOff[e] = uint32(len(s.evWords))
-		verts := s.h.EdgeVertices(uint32(e))
-		if base, nw, lo, hi, ok := intset.PlanWords(verts); ok {
-			s.evBase[e] = base
-			start := len(s.evWords)
-			s.evWords = append(s.evWords, make([]uint64, nw)...)
-			intset.FillWords(s.evWords[start:], base, verts[lo:hi])
-		}
-	}
-	s.evOff[m] = uint32(len(s.evWords))
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ohminer/internal/hypergraph"
@@ -58,6 +59,7 @@ func storesEqual(t *testing.T, want, got *Store) {
 	check("adj", want.adj, got.adj)
 	check("grpOff", want.grpOff, got.grpOff)
 	check("grpDeg", want.grpDeg, got.grpDeg)
+	check("grpOvl", want.grpOvl, got.grpOvl)
 	check("grpStart", want.grpStart, got.grpStart)
 	check("degList", want.degList, got.degList)
 	check("degOff", want.degOff, got.degOff)
@@ -122,6 +124,66 @@ func TestBuildDeltaEqualsBuild(t *testing.T) {
 			st = BuildDelta(st, h)
 		}
 		storesEqual(t, full, st)
+	}
+}
+
+// TestBuildDeltaBatches grows stores over several retire-free batches — the
+// streaming path — on inputs whose overlap sizes vary and whose groups carry
+// bitmap windows: after every batch the store equals Build on the hypergraph
+// so far, overlap keys, group order and window arena included.
+func TestBuildDeltaBatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	inputs := map[string][][]uint32{}
+	for trial := 0; trial < 8; trial++ {
+		seen := map[string]bool{}
+		var edges [][]uint32
+		for len(edges) < 120 {
+			set := map[uint32]bool{}
+			for k := 1 + rng.Intn(9); len(set) < k; {
+				set[uint32(rng.Intn(24))] = true
+			}
+			e := make([]uint32, 0, len(set))
+			for v := range set {
+				e = append(e, v)
+			}
+			slices.Sort(e)
+			if key := fmt.Sprint(e); !seen[key] {
+				seen[key] = true
+				edges = append(edges, e)
+			}
+		}
+		inputs[fmt.Sprintf("random-%d", trial)] = edges
+	}
+	dense := denseBlocks(t, []int{64, 80}, 70, 2, 3)
+	var blocks [][]uint32
+	for _, e := range rng.Perm(dense.NumEdges()) {
+		blocks = append(blocks, dense.EdgeVertices(uint32(e)))
+	}
+	inputs["dense-block"] = blocks
+
+	for name, edges := range inputs {
+		nv := 0
+		for _, e := range edges {
+			nv = max(nv, int(e[len(e)-1])+1)
+		}
+		cut := 1 + rng.Intn(10)
+		h, err := hypergraph.Build(nv, edges[:cut], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := Build(h)
+		for batch := 0; cut < len(edges); batch++ {
+			next := min(len(edges), cut+1+rng.Intn(len(edges)/4))
+			if h, err = hypergraph.Extend(h, edges[cut:next]); err != nil {
+				t.Fatal(err)
+			}
+			st = BuildDelta(st, h)
+			cut = next
+			t.Run(fmt.Sprintf("%s/batch%d", name, batch), func(t *testing.T) { storesEqual(t, Build(h), st) })
+		}
+		if name == "dense-block" && st.grpWinOff == nil {
+			t.Fatal("dense-block: no windowed group; the arena-copy path went untested")
+		}
 	}
 }
 

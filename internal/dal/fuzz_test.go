@@ -2,6 +2,7 @@ package dal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"ohminer/internal/hypergraph"
@@ -28,14 +29,41 @@ func FuzzLoad(f *testing.F) {
 		mut[off] ^= 0xff
 		f.Add(mut)
 	}
+	// A version-2 file over the same hypergraph — the same header, one group
+	// array fewer, the payload checksummed but not kept — whole and damaged.
+	v3 := Build(h)
+	var old []byte
+	for _, w := range []uint64{dalMagic, dalVersionDeg, h.Fingerprint(), uint64(len(v3.adjOff)), uint64(len(v3.adj)),
+		uint64(len(v3.grpOff)), uint64(len(v3.grpDeg)), uint64(len(v3.grpStart))} {
+		old = binary.LittleEndian.AppendUint64(old, w)
+	}
+	for _, arr := range [][]uint32{v3.adjOff, v3.adj, v3.grpOff, v3.grpDeg, v3.grpStart} {
+		for _, v := range arr {
+			old = binary.LittleEndian.AppendUint32(old, v)
+		}
+	}
+	old = resealCRC(append(old, 0, 0, 0, 0))
+	if _, err := Load(bytes.NewReader(old), h); err != nil {
+		f.Fatalf("version-2 seed refused: %v", err)
+	}
+	f.Add(bytes.Clone(old))
+	f.Add(old[:len(old)-5])
+	// Mutations under a re-sealed checksum, so the fuzzer starts from inputs
+	// that reach validate instead of dying at the trailer.
+	for _, off := range []int{64 + 4, 64 + 4*len(v3.adjOff), len(valid) - 8, len(valid) - 4 - 4*len(v3.grpStart) - 4} {
+		mut := bytes.Clone(valid)
+		mut[off] ^= 0x01
+		f.Add(resealCRC(mut))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Load(bytes.NewReader(data), h)
 		if err != nil {
 			return
 		}
-		// The CRC trailer makes accepting a mutated file (within the
-		// fuzzer's reach) a checksum collision; anything accepted must be
-		// the original store, byte for byte, and re-serializable.
+		// Whatever is accepted — the original, a version-2 file of it, or a
+		// mutation the fuzzer re-sealed — must be the original store, byte
+		// for byte, and re-serializable: validate leaves no room for another
+		// consistent store over the same hypergraph within reach.
 		var out bytes.Buffer
 		if err := s.Save(&out); err != nil {
 			t.Fatalf("re-save of accepted store failed: %v", err)

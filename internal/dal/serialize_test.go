@@ -2,10 +2,125 @@ package dal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"ohminer/internal/crcio"
 	"ohminer/internal/gen"
+	"ohminer/internal/hypergraph"
 )
+
+// goldenHypergraph is the hypergraph internal/tools/goldengen builds the
+// parent_*.ohmd stores on.
+func goldenHypergraph() *hypergraph.Hypergraph {
+	return gen.MustGenerate(gen.Config{Name: "golden", NumVertices: 60, NumEdges: 140,
+		Communities: 3, MemberOverlap: 1.5, EdgeSizeMin: 2, EdgeSizeMax: 9, EdgeSizeMean: 5, Seed: 21})
+}
+
+// TestParentStoreLoads: testdata/parent_pr17.ohmd was written by the encoder
+// of the commit before the group table was keyed on (degree, overlap) — OHMD
+// version 2, degree-only groups (`make golden REV=b1fae69 TAG=pr17`). It
+// must load, regrouped, to exactly what Build gives, and stay refused where a
+// version-3 file is: against another hypergraph, truncated, or bit-flipped.
+func TestParentStoreLoads(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "parent_pr17.ohmd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint64(data[8:]); v != dalVersionDeg {
+		t.Fatalf("golden file is version %d, want the parent's %d", v, dalVersionDeg)
+	}
+	h := goldenHypergraph()
+	loaded, err := Load(bytes.NewReader(data), h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storesEqual(t, Build(h), loaded)
+
+	var resaved bytes.Buffer
+	if err := loaded.Save(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint64(resaved.Bytes()[8:]); v != dalVersion {
+		t.Fatalf("re-saved as version %d, want %d", v, dalVersion)
+	}
+
+	other := gen.MustGenerate(gen.Config{Name: "a", NumVertices: 60, NumEdges: 140,
+		Communities: 3, EdgeSizeMin: 2, EdgeSizeMax: 9, EdgeSizeMean: 5, Seed: 22})
+	if _, err := Load(bytes.NewReader(data), other); err == nil {
+		t.Error("version-2 store loaded against a different hypergraph")
+	}
+	if _, err := Load(bytes.NewReader(data[:len(data)-9]), h); err == nil {
+		t.Error("truncated version-2 store accepted")
+	}
+	flipped := bytes.Clone(data)
+	flipped[len(flipped)/2] ^= 0x10
+	if _, err := Load(bytes.NewReader(flipped), h); err == nil {
+		t.Error("bit-flipped version-2 store accepted (its payload is not kept, its checksum still counts)")
+	}
+}
+
+// resealed serializes s as it stands — tables edited by the caller — under a
+// fresh, correct checksum: the file a buggy or hostile encoder would write.
+func resealed(t *testing.T, s *Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLoadRejectsInconsistentTables: a correctly checksummed file whose
+// tables contradict each other or the hypergraph is refused with
+// ErrInconsistent. The first two cases are the parent's bugs: a group start
+// moved to len(adj) made Load panic in groupSlice ("slice bounds out of range
+// [14:1]"), and a wrong group degree was accepted and mis-indexed every later
+// query.
+func TestLoadRejectsInconsistentTables(t *testing.T) {
+	h := hypergraph.MustBuild(8, [][]uint32{
+		{0, 1, 2}, {1, 2, 3}, {2, 3, 4}, {4, 5}, {5, 6, 7}, {0, 7},
+	}, nil)
+	for name, corrupt := range map[string]func(s *Store){
+		"group start moved to len(adj)": func(s *Store) { s.grpStart[0] = uint32(len(s.adj)) },
+		"wrong group degree":            func(s *Store) { s.grpDeg[0] = 1 },
+		"group start past the next":     func(s *Store) { s.grpStart[1] = s.grpStart[2] + 1 },
+		"last group start outside":      func(s *Store) { s.grpStart[len(s.grpStart)-1] = uint32(len(s.adj)) },
+		"group keys descending":         func(s *Store) { s.grpOvl[0], s.grpOvl[1] = 2, 1 },
+		"ids descending in a group": func(s *Store) {
+			e1 := s.adj[s.adjOff[1]:s.adjOff[2]] // A(e1) = [0 2], one group
+			e1[0], e1[1] = e1[1], e1[0]
+		},
+		"self neighbor":            func(s *Store) { s.adj[0] = 0 },
+		"neighbor out of range":    func(s *Store) { s.adj[0] = 99 },
+		"overlap label off by one": func(s *Store) { s.grpOvl[0]++ },
+		"overlap label zero":       func(s *Store) { s.grpOvl[len(s.grpOvl)-1] = 0 },
+		"group offsets not closed": func(s *Store) { s.grpOff[len(s.grpOff)-1]-- },
+		"empty segment with a group": func(s *Store) {
+			s.adjOff[1] = 0 // e0 loses its segment, keeps its groups
+		},
+	} {
+		s := Build(h)
+		if _, err := Load(bytes.NewReader(resealed(t, s)), h); err != nil {
+			t.Fatalf("%s: pristine store refused: %v", name, err)
+		}
+		corrupt(s)
+		got, err := Load(bytes.NewReader(resealed(t, s)), h)
+		if !errors.Is(err, ErrInconsistent) {
+			t.Errorf("%s: Load returned (%v, %v), want ErrInconsistent", name, got != nil, err)
+		}
+	}
+}
+
+// resealCRC recomputes the trailer of a mutated store file.
+func resealCRC(data []byte) []byte {
+	out := bytes.Clone(data)
+	binary.LittleEndian.PutUint32(out[len(out)-4:], crcio.Checksum(out[:len(out)-4]))
+	return out
+}
 
 func TestSaveLoadRoundtrip(t *testing.T) {
 	h := gen.MustGenerate(gen.Config{Name: "t", NumVertices: 300, NumEdges: 700,
@@ -19,29 +134,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Full structural equality.
-	for e := 0; e < h.NumEdges(); e++ {
-		a, b := orig.Adj(uint32(e)), loaded.Adj(uint32(e))
-		if len(a) != len(b) {
-			t.Fatalf("edge %d adjacency length differs", e)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("edge %d adjacency differs at %d", e, i)
-			}
-		}
-		for _, d := range orig.Degrees() {
-			ga, gb := orig.AdjWithDegree(uint32(e), d), loaded.AdjWithDegree(uint32(e), d)
-			if len(ga) != len(gb) {
-				t.Fatalf("edge %d degree %d group differs", e, d)
-			}
-			for i := range ga {
-				if ga[i] != gb[i] {
-					t.Fatalf("edge %d degree %d group differs at %d", e, d, i)
-				}
-			}
-		}
-	}
+	storesEqual(t, orig, loaded)
 }
 
 func TestLoadRejectsWrongHypergraph(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -288,35 +289,39 @@ func TestResumeEmptyFrontier(t *testing.T) {
 	}
 }
 
-// TestParentSnapshotResumes loads testdata/parent_pr16.ohmc, written by the
-// encoder of the commit before the baselines left this package: an
-// instrumented run of its HGMatch variant (so every packed counter is set,
-// the NM/profile redundancy counters of slots 3-6 included) over a 40-edge
-// star with a two-vertex hub and the 3-star pattern, cancelled at its third
-// checkpoint. The file must decode under the unchanged checkpoint.Version,
-// validate against today's plan — which pins oig.Fingerprint across the
-// removal of Plan.ProfileCounts — and resume to the exact total.
-func TestParentSnapshotResumes(t *testing.T) {
+// starWorkload is what the testdata snapshots were cut on (see
+// internal/tools/goldengen): the 3-star pattern over a 40-edge star with a
+// two-vertex hub.
+func starWorkload() (*dal.Store, *pattern.Pattern, uint64) {
 	const n = 40
 	edges := make([][]uint32, n)
 	for i := range edges {
 		edges[i] = []uint32{0, 1, uint32(i + 2)}
 	}
 	store := dal.Build(hypergraph.MustBuild(n+2, edges, nil))
-	p := pattern.MustNew([][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 1, 4}}, nil)
+	return store, pattern.MustNew([][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 1, 4}}, nil), n * (n - 1) * (n - 2)
+}
 
-	snap, err := checkpoint.ReadFile("testdata/parent_pr16.ohmc")
+// TestParentSnapshotResumes loads testdata/parent_pr21.ohmc, cut by the
+// encoder of the commit that moved pairwise overlap sizes into candidate
+// generation (`make golden TAG=pr21`): an instrumented run stopped by Limit
+// part-way, so the frontier holds remainders at every depth. The file must
+// decode under the unchanged checkpoint.Version, validate against today's
+// plan — which pins oig.Fingerprint from that commit on — and resume to the
+// exact total.
+func TestParentSnapshotResumes(t *testing.T) {
+	store, p, want := starWorkload()
+	snap, err := checkpoint.ReadFile("testdata/parent_pr21.ohmc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if checkpoint.Version != 1 || snap.Ordered == 0 || len(snap.Frontier) == 0 {
-		t.Fatalf("version %d, Ordered=%d, %d frontier tasks: not the interrupted v1 run this test needs",
-			checkpoint.Version, snap.Ordered, len(snap.Frontier))
+	deepest := 0
+	for _, task := range snap.Frontier {
+		deepest = max(deepest, int(task.Depth))
 	}
-	for i := 3; i <= 6; i++ {
-		if snap.Stats[i] == 0 {
-			t.Fatalf("slot %d of the parent's packed stats is zero; the file no longer proves they are ignored", i)
-		}
+	if checkpoint.Version != 1 || snap.Ordered == 0 || deepest != 2 {
+		t.Fatalf("version %d, Ordered=%d, deepest frontier task %d: not the interrupted v1 run this test needs",
+			checkpoint.Version, snap.Ordered, deepest)
 	}
 	plan, err := CompilePlan(store, p, Options{})
 	if err != nil {
@@ -329,11 +334,42 @@ func TestParentSnapshotResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := uint64(n * (n - 1) * (n - 2)); res.Ordered != want || res.Unique != want/6 || res.Truncated {
+	if res.Ordered != want || res.Unique != want/6 || res.Truncated {
 		t.Fatalf("resumed to Ordered=%d Unique=%d truncated=%v, want %d/%d/false", res.Ordered, res.Unique, res.Truncated, want, want/6)
 	}
 	if st := unpackStats(snap.Stats); res.Stats.Candidates < st.Candidates || res.Stats.Checkpoints != st.Checkpoints {
 		t.Errorf("resume dropped the snapshot's live counters: %+v, snapshot had %+v", res.Stats, st)
+	}
+}
+
+// TestOlderSnapshotRefused: testdata/parent_pr16.ohmc was cut under a plan
+// that size-checked every pairwise overlap in validation, so the candidate
+// lists of its frontier were generated by degree alone. Today's plan would
+// never size-check them: the snapshot must be refused as written for a
+// different plan — by ValidateSnapshot and by both resume entry points —
+// never resumed to a count.
+func TestOlderSnapshotRefused(t *testing.T) {
+	store, p, _ := starWorkload()
+	snap, err := checkpoint.ReadFile("testdata/parent_pr16.ohmc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.GraphFP != store.Hypergraph().Fingerprint() || len(snap.Frontier) == 0 {
+		t.Fatalf("not the star workload's interrupted run: graph %#x, %d frontier tasks", snap.GraphFP, len(snap.Frontier))
+	}
+	plan, err := CompilePlan(store, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const msg = "snapshot was written for a different plan"
+	if err := ValidateSnapshot(store, plan, snap); err == nil || !strings.Contains(err.Error(), msg) {
+		t.Fatalf("ValidateSnapshot: %v, want %q", err, msg)
+	}
+	if res, err := ResumeWithPlanContext(context.Background(), store, plan, snap, Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), msg) || res.Ordered != 0 {
+		t.Fatalf("ResumeWithPlanContext: Ordered=%d err=%v, want 0 and %q", res.Ordered, err, msg)
+	}
+	if res, err := ResumeFromCheckpoint(context.Background(), store, p, snap, Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), msg) || res.Ordered != 0 {
+		t.Fatalf("ResumeFromCheckpoint: Ordered=%d err=%v, want 0 and %q", res.Ordered, err, msg)
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -116,4 +117,95 @@ func plantedHypergraph(rng *rand.Rand, p *pattern.Pattern) *hypergraph.Hypergrap
 		panic(err)
 	}
 	return h
+}
+
+// TestPairClassesDifferential: patterns in which two hyperedge pairs share
+// one overlap class without sharing a hyperedge — e0∩e1 = e2∩e3 = {0,1} —
+// while every cross pair overlaps in more. The merged plan materialises the
+// class once and, with the pair sizes guaranteed by generation, settles the
+// second pair by "representative ⊆ c_2" and "representative ⊆ c_3": both are
+// needed (dropping either over-counts on this data), since a data pair of
+// the right size over a different vertex set passes either alone. The data
+// is a sample of all hyperedges of the pattern's degree over as many vertices
+// as it has, around two planted copies, so such near misses outnumber the
+// embeddings.
+func TestPairClassesDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(2101))
+	for pi, p := range []*pattern.Pattern{
+		pattern.MustNew([][]uint32{{0, 1, 2, 3, 4}, {0, 1, 5, 6, 7}, {0, 1, 2, 5, 8}, {0, 1, 3, 6, 9}}, nil),
+		pattern.MustNew([][]uint32{{0, 1, 2, 3}, {0, 4, 5, 6}, {0, 1, 4, 7}, {0, 2, 5, 8}}, nil),
+	} {
+		nv := p.NumVertices()
+		var universe [][]uint32
+		for mask := uint32(0); mask < 1<<nv; mask++ {
+			if bits.OnesCount32(mask) == p.Degree(0) {
+				var e []uint32
+				for v := uint32(0); v < uint32(nv); v++ {
+					if mask&(1<<v) != 0 {
+						e = append(e, v)
+					}
+				}
+				universe = append(universe, e)
+			}
+		}
+		plan, err := oig.Compile(p, oig.ModeMerged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ops := plan.NumOps(); ops[oig.OpSubsetCheck] != 2 || ops[oig.OpIntersectCount]+ops[oig.OpIntersectEq] != 0 {
+			t.Fatalf("pattern %d: plan does not take the two-containment route: %v\n%s", pi, ops, plan)
+		}
+		for trial := 0; trial < 1; trial++ {
+			var edges [][]uint32
+			for _, i := range rng.Perm(len(universe))[:24] {
+				edges = append(edges, universe[i])
+			}
+			for copies := 0; copies < 2; copies++ {
+				perm := rng.Perm(nv)
+				for i := 0; i < p.NumEdges(); i++ {
+					var e []uint32
+					for _, u := range p.Edge(i) {
+						e = append(e, uint32(perm[u]))
+					}
+					edges = append(edges, e)
+				}
+			}
+			store := dal.Build(hypergraph.MustBuild(nv, edges, nil))
+			want := oracleCount(t, store, p)
+			if want == 0 {
+				t.Fatalf("pattern %d trial %d: the planted copies are gone", pi, trial)
+			}
+			mineAll(t, store, p, want, fmt.Sprintf("pair classes pattern %d trial %d", pi, trial))
+		}
+	}
+}
+
+// TestGenerationExcludesWrongOverlap: a connected data pair whose overlap is
+// larger (or smaller) than the pattern's is never generated — the plan has no
+// op left that could reject it afterwards.
+func TestGenerationExcludesWrongOverlap(t *testing.T) {
+	p := pattern.MustNew([][]uint32{{0, 1, 2}, {2, 3, 4}}, nil) // |e0∩e1| = 1
+	plan, err := oig.Compile(p, oig.ModeMerged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(plan.Steps[1].Ops); n != 0 {
+		t.Fatalf("plan still validates the pair:\n%s", plan)
+	}
+	// Degree-3 hyperedges overlapping in two vertices only: connected, right
+	// degrees, wrong overlap size.
+	tooMuch := dal.Build(hypergraph.MustBuild(6, [][]uint32{{0, 1, 2}, {1, 2, 3}, {2, 3, 4}, {3, 4, 5}}, nil))
+	res, err := Mine(tooMuch, p, Options{Workers: 1, Instrument: true, NoSymmetryBreak: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// {0,1,2}–{2,3,4} and {1,2,3}–{3,4,5} share one vertex; the three
+	// neighbouring pairs share two and must not even be candidates.
+	if res.Ordered != 4 || res.Stats.Candidates != 4 || res.Stats.SetOps != 0 {
+		t.Fatalf("Ordered=%d Candidates=%d SetOps=%d, want 4/4/0", res.Ordered, res.Stats.Candidates, res.Stats.SetOps)
+	}
+	if want := oracleCount(t, tooMuch, p); want != res.Ordered {
+		t.Fatalf("oracles count %d, engine %d", want, res.Ordered)
+	}
+	mineAll(t, tooMuch, p, res.Ordered, "overlap larger than the pattern's")
 }

@@ -337,18 +337,21 @@ func (w *worker) resolveSet(o oig.Operand, hint oig.ContainerHint) intset.Set {
 	return intset.ArrayView(w.slots[o.Pos])
 }
 
-// generateDAL intersects the degree-pruned adjacency groups of the
-// already-matched connected hyperedges (Sec. 4.5) with one k-way kernel
-// call: the groups arrive as adaptive containers straight from the DAL's
-// arenas (bitmap windows included, never converted), IntersectKAdaptive
-// orders them rarest-first, and the scan short-circuits the moment any
-// operand is exhausted. The (result, spare) return keeps the worker's
-// ping-pong buffers owned across calls.
+// generateDAL intersects, for the already-matched hyperedges position t
+// must overlap, their adjacency groups of the wanted degree and overlap size
+// (Sec. 4.5, split by |e∩o|) with one k-way kernel call — which is what
+// honours the plan's generation contract (Step.ConnOverlap): no candidate
+// with a wrong pairwise overlap size is ever produced. The groups arrive as
+// adaptive containers straight from the DAL's arenas (bitmap windows
+// included, never converted), IntersectKAdaptive orders them rarest-first,
+// and the scan short-circuits the moment any operand is exhausted. The
+// (result, spare) return keeps the worker's ping-pong buffers owned across
+// calls.
 func (w *worker) generateDAL(t int) []uint32 {
 	st := &w.e.plan.Steps[t]
 	sets := w.adjSets[:0]
-	for _, j := range st.Conn {
-		s := w.e.store.AdjSetWithDegree(w.c[j], st.Degree)
+	for i, j := range st.Conn {
+		s := w.e.store.AdjSet(w.c[j], st.Degree, st.ConnOverlap[i])
 		if s.Len() == 0 {
 			w.adjSets = sets
 			w.cand[t] = w.cand[t][:0]

@@ -1,10 +1,11 @@
 package hypergraph
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/maphash"
-	"sort"
+	"slices"
 )
 
 // ErrEmpty is returned when a build would produce a hypergraph with no
@@ -35,7 +36,9 @@ func BuildEdgeLabeled(numVertices int, edges [][]uint32, labels, edgeLabels []ui
 		return nil, fmt.Errorf("hypergraph: %d edge labels for %d hyperedges", len(edgeLabels), len(edges))
 	}
 
-	// Normalize each edge: copy, sort, dedup vertices.
+	// Normalize each edge: sort and dedup vertices. An edge that arrives
+	// strictly ascending already is normal and is used as it is (nothing
+	// below writes to it); any other is copied first.
 	norm := make([][]uint32, 0, len(edges))
 	var normLabels []uint32
 	if edgeLabels != nil {
@@ -45,16 +48,12 @@ func BuildEdgeLabeled(numVertices int, edges [][]uint32, labels, edgeLabels []ui
 		if len(raw) == 0 {
 			continue
 		}
-		e := append([]uint32(nil), raw...)
-		sort.Slice(e, func(a, b int) bool { return e[a] < e[b] })
-		w := 1
-		for k := 1; k < len(e); k++ {
-			if e[k] != e[w-1] {
-				e[w] = e[k]
-				w++
-			}
+		e := raw
+		if !strictlyAscending(e) {
+			e = slices.Clone(raw)
+			slices.Sort(e)
+			e = slices.Compact(e)
 		}
-		e = e[:w]
 		if int(e[len(e)-1]) >= numVertices {
 			return nil, fmt.Errorf("hypergraph: vertex %d out of range [0,%d)", e[len(e)-1], numVertices)
 		}
@@ -85,21 +84,16 @@ func BuildEdgeLabeled(numVertices int, edges [][]uint32, labels, edgeLabels []ui
 		}
 		return uniqLabels[idx]
 	}
+	var enc []byte
 	for i, e := range norm {
-		var mh maphash.Hash
-		mh.SetSeed(seed)
+		enc = enc[:0]
 		for _, v := range e {
-			var b [4]byte
-			b[0] = byte(v)
-			b[1] = byte(v >> 8)
-			b[2] = byte(v >> 16)
-			b[3] = byte(v >> 24)
-			mh.Write(b[:])
+			enc = binary.LittleEndian.AppendUint32(enc, v)
 		}
-		hv := mh.Sum64()
+		hv := maphash.Bytes(seed, enc)
 		dup := false
 		for _, k := range byHash[hv] {
-			if sameEdge(uniq[k], e) && uniqLabelOf(k) == labelOf(i) {
+			if slices.Equal(uniq[k], e) && uniqLabelOf(k) == labelOf(i) {
 				dup = true
 				break
 			}
@@ -173,12 +167,9 @@ func MustBuild(numVertices int, edges [][]uint32, labels []uint32) *Hypergraph {
 	return h
 }
 
-func sameEdge(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
+func strictlyAscending(e []uint32) bool {
+	for i := 1; i < len(e); i++ {
+		if e[i] <= e[i-1] {
 			return false
 		}
 	}

@@ -7,10 +7,10 @@ import (
 	"ohminer/internal/pattern"
 )
 
-// ExampleCompile compiles the paper's Figure 1(a) pattern and prints the
-// Table-1-style plan: two size-checked intersections (one demoted to a
-// count-only check because nothing reads its output) plus one merged-node
-// equality check.
+// ExampleCompile compiles the paper's Figure 1(a) pattern. Candidate
+// generation guarantees every pairwise overlap size, so of Table 1's plan one
+// materialised intersection (the merged node's representative) and one
+// containment check (the merged node's other pair) are left.
 func ExampleCompile() {
 	p := pattern.MustNew([][]uint32{
 		{0, 1, 2, 3, 4, 5},
@@ -23,11 +23,13 @@ func ExampleCompile() {
 	}
 	ops := plan.NumOps()
 	fmt.Println("steps:", len(plan.Steps))
-	fmt.Println("intersections:", ops[oig.OpIntersect], "count-only:", ops[oig.OpIntersectCount], "equality checks:", ops[oig.OpIntersectEq])
+	fmt.Println("generation overlaps:", plan.Steps[1].ConnOverlap, plan.Steps[2].ConnOverlap)
+	fmt.Println("intersections:", ops[oig.OpIntersect], "count-only:", ops[oig.OpIntersectCount], "containment checks:", ops[oig.OpSubsetCheck])
 	fmt.Println("verified:", oig.Verify(plan) == nil)
 	// Output:
 	// steps: 3
-	// intersections: 1 count-only: 1 equality checks: 1
+	// generation overlaps: [3] [5 3]
+	// intersections: 1 count-only: 0 containment checks: 1
 	// verified: true
 }
 

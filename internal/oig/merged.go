@@ -1,16 +1,19 @@
 package oig
 
 import (
+	"cmp"
 	"math/bits"
+	"slices"
 
 	"ohminer/internal/intset"
 )
 
 // class groups the hyperedge subsets whose pattern overlap is one and the
 // same vertex set — the merge optimization of Sec. 4.3.1 (MergeForUnique).
-// Only the ⊆-minimal members need computing: the first one (the
-// representative) with a size check, later ones with set-equality checks
-// against the representative, because for any other member S the embedding
+// Only the ⊆-minimal members need settling: the first one (the
+// representative) with a size check, later ones by equality with the
+// representative — an op of their own, or for a pair its generation-guaranteed
+// size plus containment — because for any other member S the embedding
 // overlap ∩c_S provably equals the representative buffer once the minimal
 // members agree and the completion bits are subset-checked.
 type class struct {
@@ -20,35 +23,30 @@ type class struct {
 	repOp    Operand
 	repReady bool
 	union    uint32 // OR of members
-	covered  uint32 // OR of minimals
+	covered  uint32 // OR of the minimals whose ops prove containment
 }
 
 // compileMerged emits the merged execution plan:
 //
 //   - class representative subsets → OpIntersect with size (+label) check;
-//   - other ⊆-minimal members → OpIntersectEq against the representative
-//     (a pattern hyperedge equal to an overlap degenerates to OpEqCheck);
-//   - bits of a class's member union not covered by its minimals →
-//     OpSubsetCheck (the representative set must lie inside that candidate
-//     hyperedge);
+//   - other ⊆-minimal members of three or more hyperedges → OpIntersectEq
+//     against the representative (a pattern hyperedge equal to an overlap
+//     degenerates to OpEqCheck);
+//   - other ⊆-minimal pairs {j,t} → nothing of their own: generation
+//     guarantees |c_j ∩ c_t| (Step.ConnOverlap), which equals the
+//     representative's size, so rep ⊆ c_j and rep ⊆ c_t — rep ⊆ c_j ∩ c_t —
+//     already give equality; j and t are left to the completion checks;
+//   - bits of a class's member union covered neither by the representative
+//     nor by an OpIntersectEq/OpEqCheck member → OpSubsetCheck (the
+//     representative set must lie inside that candidate hyperedge), once per
+//     (class, hyperedge);
 //   - minimal empty subsets of ≥3 hyperedges → OpEmptyCheck (pairs are
 //     generation-time disconnection checks);
 //   - every other subset is implied and skipped.
 func (p *Plan) compileMerged() error {
 	m := p.Sig.M
 
-	// Pattern overlap sets per non-empty subset, derived incrementally.
-	sets := make([][]uint32, 1<<m)
-	for i := 0; i < m; i++ {
-		sets[1<<i] = p.Pattern.Edge(i)
-	}
-	for mask := uint32(1); mask < 1<<m; mask++ {
-		if bits.OnesCount32(mask) < 2 || p.Sig.Size(mask) == 0 {
-			continue
-		}
-		low := mask & -mask
-		sets[mask] = intset.Intersect(sets[mask&^low], sets[low], nil)
-	}
+	sets := p.overlapSets()
 
 	// Class discovery over non-empty subsets, in readiness order so that
 	// members[0]-style invariants hold deterministically.
@@ -79,12 +77,19 @@ func (p *Plan) compileMerged() error {
 			}
 			if minimal {
 				c.minimals = append(c.minimals, mk)
-				c.covered |= mk
 			}
 		}
 		// Members are in readiness order, so the first minimal is the
-		// representative (smallest (maxBit, popcount, value) key).
+		// representative (smallest (maxBit, popcount, value) key). It and
+		// the minimals that get an equality op of their own cover their
+		// hyperedges; a minimal pair does not.
 		c.rep = c.minimals[0]
+		c.covered = c.rep
+		for _, mk := range c.minimals[1:] {
+			if bits.OnesCount32(mk) != 2 {
+				c.covered |= mk
+			}
+		}
 		if bits.OnesCount32(c.rep) == 1 {
 			c.repOp = Operand{Edge: true, Pos: maxBit(c.rep)}
 			c.repReady = true
@@ -157,13 +162,14 @@ func (p *Plan) compileMerged() error {
 				Kind: OpIntersect, A: mustBuf(rest), B: p.chooseB(mask, t, bufOf),
 				Out: out, Want: p.Sig.Size(mask), Mask: mask, LabelWant: p.labelWant(mask),
 			})
-		case isMinimal(c, mask):
+		case pc > 2 && isMinimal(c, mask):
 			p.Steps[t].Ops = append(p.Steps[t].Ops, Op{
 				Kind: OpIntersectEq, A: mustBuf(rest), B: p.chooseB(mask, t, bufOf),
 				Eq: c.repOp, Out: scratchSlot(), Mask: mask,
 			})
 		default:
-			// Implied by the class machinery; skip.
+			// Implied by the class machinery, or a minimal pair left to
+			// generation and the completion checks; skip.
 		}
 	}
 
@@ -174,7 +180,9 @@ func (p *Plan) compileMerged() error {
 	for _, c := range classes {
 		ordered = append(ordered, c)
 	}
-	sortClasses(ordered)
+	slices.SortFunc(ordered, func(a, b *class) int {
+		return cmp.Or(cmp.Compare(maxBit(a.rep), maxBit(b.rep)), compareMasks(a.rep, b.rep))
+	})
 	for _, c := range ordered {
 		extra := c.union &^ c.covered
 		for extra != 0 {
@@ -194,31 +202,22 @@ func (p *Plan) compileMerged() error {
 	return nil
 }
 
-func sortClasses(cs []*class) {
-	for i := 1; i < len(cs); i++ {
-		x := cs[i]
-		j := i - 1
-		for j >= 0 && classLess(x, cs[j]) {
-			cs[j+1] = cs[j]
-			j--
-		}
-		cs[j+1] = x
+// overlapSets returns the pattern's overlap set per non-empty hyperedge
+// subset (nil for empty overlaps), derived incrementally.
+func (p *Plan) overlapSets() [][]uint32 {
+	m := p.Sig.M
+	sets := make([][]uint32, 1<<m)
+	for i := 0; i < m; i++ {
+		sets[1<<i] = p.Pattern.Edge(i)
 	}
+	for mask := uint32(1); mask < 1<<m; mask++ {
+		if bits.OnesCount32(mask) < 2 || p.Sig.Size(mask) == 0 {
+			continue
+		}
+		low := mask & -mask
+		sets[mask] = intset.Intersect(sets[mask&^low], sets[low], nil)
+	}
+	return sets
 }
 
-func classLess(a, b *class) bool {
-	ka, kb := a.rep, b.rep
-	if ma, mb := maxBit(ka), maxBit(kb); ma != mb {
-		return ma < mb
-	}
-	return less(ka, kb)
-}
-
-func isMinimal(c *class, mask uint32) bool {
-	for _, mk := range c.minimals {
-		if mk == mask {
-			return true
-		}
-	}
-	return false
-}
+func isMinimal(c *class, mask uint32) bool { return slices.Contains(c.minimals, mask) }

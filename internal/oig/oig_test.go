@@ -3,6 +3,7 @@ package oig
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ohminer/internal/gen"
@@ -97,17 +98,21 @@ func TestCompileFig1MergedPlan(t *testing.T) {
 	if plan.Pattern.NumEdges() != 3 || len(plan.Steps) != 3 {
 		t.Fatalf("steps: %d", len(plan.Steps))
 	}
-	// Matching order puts pe3 (most connected + largest) first; regardless,
-	// the plan must contain exactly one OpIntersectEq (the merged overlap
-	// equality, Table 1's "c5 == c4") and two size-checked intersections
-	// ({pe1,pe2}-class rep and the {pe2,pe3} overlap). The {pe2,pe3} overlap
-	// is read by nothing, so the dead-slot pass demotes it to count-only.
+	// Matching order puts pe3 (most connected + largest) first. Generation
+	// guarantees every pairwise overlap size, so what is left of Table 1 is
+	// the merged class: its representative {c0,c1} is materialised once
+	// (size known), and the other minimal pair {c1,c2} — Table 1's
+	// "c5 == c4" — becomes "representative ⊆ c2" (c1 is in the
+	// representative). The {c0,c2} overlap feeds nothing and is dropped.
 	ops := plan.NumOps()
-	if ops[OpIntersectEq] != 1 {
-		t.Fatalf("eq ops=%d want 1\n%s", ops[OpIntersectEq], plan)
+	if ops[OpIntersect] != 1 || ops[OpSubsetCheck] != 1 || len(ops) != 2 {
+		t.Fatalf("ops=%v want one intersect and one subset check\n%s", ops, plan)
 	}
-	if ops[OpIntersect] != 1 || ops[OpIntersectCount] != 1 {
-		t.Fatalf("intersect ops=%d count-only=%d want 1/1\n%s", ops[OpIntersect], ops[OpIntersectCount], plan)
+	if got := plan.Steps[2].Ops[0]; got.Kind != OpSubsetCheck || got.A != (Operand{Pos: plan.Steps[1].Ops[0].Out}) || got.B != (Operand{Edge: true, Pos: 2}) {
+		t.Fatalf("step 2 op: %+v\n%s", got, plan)
+	}
+	if !slices.Equal(plan.Steps[1].ConnOverlap, []int{3}) || !slices.Equal(plan.Steps[2].ConnOverlap, []int{5, 3}) {
+		t.Fatalf("generation overlaps %v %v want [3] [5 3]\n%s", plan.Steps[1].ConnOverlap, plan.Steps[2].ConnOverlap, plan)
 	}
 	// Generation: step 0 unconstrained, steps 1,2 connected to all previous
 	// (the pattern is a triangle of overlaps).

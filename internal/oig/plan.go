@@ -1,8 +1,10 @@
 package oig
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 	"time"
 
@@ -60,7 +62,8 @@ const (
 	OpEqCheck
 	// OpIntersectCount requires |A ∩ B| == Want without materializing the
 	// overlap — emitted by the compiler's dead-slot pass for intersections
-	// whose output no later operation reads (Out is -1).
+	// whose output no later operation reads (Out is -1). Never pairwise in a
+	// merged plan: generation guarantees those sizes (Step.ConnOverlap).
 	OpIntersectCount
 )
 
@@ -139,8 +142,14 @@ type Step struct {
 	// Degree is the required candidate hyperedge degree D(pe_t).
 	Degree int
 	// Conn lists earlier positions whose candidate must overlap the new
-	// candidate (generation intersects their degree-pruned adjacency).
-	Conn []int
+	// candidate, and ConnOverlap, parallel to it, in how many vertices
+	// (Sig.Size of the pair). This is the plan's generation contract: a
+	// candidate for position t overlaps c[Conn[i]] in exactly ConnOverlap[i]
+	// vertices, and whoever generates candidates guarantees it — the engine
+	// by intersecting the DAL's (degree, overlap) groups. A merged plan's ops
+	// rely on it and never re-check a pairwise size.
+	Conn        []int
+	ConnOverlap []int
 	// Disc lists earlier positions whose candidate must NOT overlap the new
 	// candidate (generation-time disconnection check via the DAL).
 	Disc []int
@@ -265,8 +274,9 @@ func CompileWith(p *pattern.Pattern, mode Mode, co CompileOptions) (*Plan, error
 			st.EdgeLabels = plan.LabelSig.Counts[1<<t]
 		}
 		for j := 0; j < t; j++ {
-			if s.Size(uint32(1<<j|1<<t)) > 0 {
+			if ov := s.Size(uint32(1<<j | 1<<t)); ov > 0 {
 				st.Conn = append(st.Conn, j)
+				st.ConnOverlap = append(st.ConnOverlap, ov)
 			} else {
 				st.Disc = append(st.Disc, j)
 			}
@@ -308,14 +318,17 @@ func CompileWith(p *pattern.Pattern, mode Mode, co CompileOptions) (*Plan, error
 	return plan, nil
 }
 
-// optimizeCountOnly rewrites every OpIntersect whose output slot no later
-// operation reads into OpIntersectCount: the engine then checks the overlap
-// size with Kernel.IntersectCount instead of materializing the vertices into
-// a worker buffer. Intersections with a label-histogram check keep their
-// output (the histogram is computed over the materialized overlap), as does
-// every OpIntersectEq (the equality comparison needs the result set).
-// Afterwards the surviving slots are compacted so NumSlots reflects the
-// buffers a worker actually needs.
+// optimizeCountOnly removes the size work whose answer is already known or
+// whose result nobody needs. An OpIntersect whose output slot no later
+// operation reads is, when pairwise in a merged plan, dropped — generation
+// guarantees the size (Step.ConnOverlap) — and otherwise rewritten into
+// OpIntersectCount: the engine then checks the overlap size with
+// Kernel.IntersectCount instead of materializing the vertices into a worker
+// buffer. Intersections with a label-histogram check keep their output (the
+// histogram is computed over the materialized overlap), as does every
+// OpIntersectEq (the equality comparison needs the result set). Afterwards
+// the surviving slots are compacted so NumSlots reflects the buffers a worker
+// actually needs.
 func (p *Plan) optimizeCountOnly() {
 	read := make([]bool, p.NumSlots)
 	markRead := func(o Operand) {
@@ -338,26 +351,30 @@ func (p *Plan) optimizeCountOnly() {
 		}
 	}
 
-	// Convert dead-output intersections, then renumber surviving slots in
-	// first-write order.
+	// Drop or convert dead-output intersections, then renumber surviving
+	// slots in first-write order.
 	remap := make([]int, p.NumSlots)
 	for i := range remap {
 		remap[i] = -1
 	}
 	slots := 0
 	for si := range p.Steps {
-		for oi := range p.Steps[si].Ops {
-			op := &p.Steps[si].Ops[oi]
+		kept := p.Steps[si].Ops[:0]
+		for _, op := range p.Steps[si].Ops {
 			if op.Kind == OpIntersect && !read[op.Out] && op.LabelWant == nil {
+				if p.Mode == ModeMerged && bits.OnesCount32(op.Mask) == 2 {
+					continue
+				}
 				op.Kind = OpIntersectCount
 				op.Out = -1
-				continue
 			}
 			if (op.Kind == OpIntersect || op.Kind == OpIntersectEq) && remap[op.Out] < 0 {
 				remap[op.Out] = slots
 				slots++
 			}
+			kept = append(kept, op)
 		}
+		p.Steps[si].Ops = kept
 	}
 	if slots == p.NumSlots {
 		return
@@ -490,36 +507,20 @@ func (p *Plan) compileSimple() {
 // masksByStep enumerates all masks ordered by (maxBit, popcount, value) —
 // the order in which subsets become ready during matching.
 func masksByStep(m int) []uint32 {
-	var out []uint32
+	out := make([]uint32, 0, 1<<m)
 	for t := 0; t < m; t++ {
 		lo := uint32(1) << t
-		var stepMasks []uint32
 		for mask := lo; mask < lo<<1; mask++ {
-			if mask&lo != 0 {
-				stepMasks = append(stepMasks, mask)
-			}
+			out = append(out, mask)
 		}
-		// Sort by (popcount, value).
-		for i := 1; i < len(stepMasks); i++ {
-			x := stepMasks[i]
-			j := i - 1
-			for j >= 0 && less(x, stepMasks[j]) {
-				stepMasks[j+1] = stepMasks[j]
-				j--
-			}
-			stepMasks[j+1] = x
-		}
-		out = append(out, stepMasks...)
+		slices.SortFunc(out[lo-1:], compareMasks)
 	}
 	return out
 }
 
-func less(a, b uint32) bool {
-	pa, pb := bits.OnesCount32(a), bits.OnesCount32(b)
-	if pa != pb {
-		return pa < pb
-	}
-	return a < b
+// compareMasks orders hyperedge subsets by (popcount, value).
+func compareMasks(a, b uint32) int {
+	return cmp.Or(cmp.Compare(bits.OnesCount32(a), bits.OnesCount32(b)), cmp.Compare(a, b))
 }
 
 // String renders the plan in the style of Table 1.
@@ -531,7 +532,14 @@ func (p *Plan) String() string {
 	}
 	b.WriteString(")\n")
 	for t, st := range p.Steps {
-		fmt.Fprintf(&b, "step %d: gen degree=%d conn=%v disc=%v", t, st.Degree, st.Conn, st.Disc)
+		fmt.Fprintf(&b, "step %d: gen degree=%d conn=[", t, st.Degree)
+		for i, j := range st.Conn {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			fmt.Fprintf(&b, "%d:%d", j, st.ConnOverlap[i])
+		}
+		fmt.Fprintf(&b, "] disc=%v", st.Disc)
 		for _, j := range st.Restrict {
 			fmt.Fprintf(&b, " c%d<c%d", j, t)
 		}

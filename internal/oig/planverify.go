@@ -75,6 +75,10 @@ func Fingerprint(p *Plan) uint64 {
 		for _, j := range st.Conn {
 			wi(j)
 		}
+		wi(len(st.ConnOverlap))
+		for _, ov := range st.ConnOverlap {
+			wi(ov)
+		}
 		wi(len(st.Disc))
 		for _, j := range st.Disc {
 			wi(j)
@@ -117,7 +121,9 @@ func Fingerprint(p *Plan) uint64 {
 //     allocator relies on);
 //   - liveness: every surviving OpIntersect without a label check has its
 //     output read by a later operation — a dead materialization should have
-//     been demoted to OpIntersectCount;
+//     been demoted to OpIntersectCount, or, when pairwise in a merged plan,
+//     dropped, as should any pairwise OpIntersectCount there: generation
+//     guarantees those sizes;
 //   - mask/step discipline: each op runs at the step its subset becomes
 //     computable (intersections exactly at maxBit(Mask); equality checks no
 //     earlier than it; class-union subset checks may look ahead);
@@ -191,7 +197,7 @@ func VerifyProgram(p *Plan) error {
 	}
 	for _, d := range dead {
 		if readers[d.out] == 0 {
-			return fmt.Errorf("%w: step %d op %d: intersection materializes slot s%d that no operation reads (should be demoted to intersect-count)",
+			return fmt.Errorf("%w: step %d op %d: intersection materializes slot s%d that no operation reads (should be demoted to intersect-count, or dropped if pairwise in a merged plan)",
 				ErrInvalidPlan, d.step, d.op, d.out)
 		}
 	}
@@ -207,6 +213,10 @@ func VerifyProgram(p *Plan) error {
 			if op.Mask == 0 || bits.Len32(op.Mask) > m {
 				return fmt.Errorf("%w: step %d op %d (%s): mask %b outside the pattern's %d hyperedges",
 					ErrInvalidPlan, t, i, op.Kind, op.Mask, m)
+			}
+			if op.Kind == OpIntersectCount && p.Mode == ModeMerged && bits.OnesCount32(op.Mask) == 2 {
+				return fmt.Errorf("%w: step %d op %d: pairwise size check of mask %b in a merged plan (generation guarantees it; should have been dropped)",
+					ErrInvalidPlan, t, i, op.Mask)
 			}
 			switch op.Kind {
 			case OpIntersect, OpIntersectCount, OpIntersectEq, OpEmptyCheck:

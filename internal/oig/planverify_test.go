@@ -129,6 +129,71 @@ func TestVerifyProgramRejectsInvalidPlans(t *testing.T) {
 	}
 }
 
+// TestVerifyProgramGenerationContract: the verifier knows the contract the
+// merged compiler relies on — pairwise overlap sizes belong to generation —
+// rather than being relaxed for it. A drifted ConnOverlap, a pairwise size op
+// the compiler should have dropped, and a missing "representative ⊆ c_x" are
+// each refused by their own rule, with the fingerprint re-stamped so that it
+// is not what catches them.
+func TestVerifyProgramGenerationContract(t *testing.T) {
+	parse := func(lit string) *Plan {
+		p, err := pattern.Parse(lit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return MustCompile(p, ModeMerged)
+	}
+	dropSubsetCheck := func(x int) func(pl *Plan) {
+		return func(pl *Plan) {
+			for s := range pl.Steps {
+				for i, op := range pl.Steps[s].Ops {
+					if op.Kind == OpSubsetCheck && op.B == (Operand{Edge: true, Pos: x}) {
+						pl.Steps[s].Ops = append(pl.Steps[s].Ops[:i:i], pl.Steps[s].Ops[i+1:]...)
+						return
+					}
+				}
+			}
+			t.Fatalf("no containment check on c%d in\n%s", x, pl)
+		}
+	}
+	fig1 := "0 1 2 3 4 5; 3 4 5 6 7 8; 3 4 5 6 7 9 10 11"
+	// e0∩e1 = e2∩e3 = {0,1}: two pairs in one class without a hyperedge in
+	// common, so the second pair needs rep ⊆ c_2 and rep ⊆ c_3.
+	twoPairs := "0 1 2; 0 1 3; 0 1 4 5; 0 1 6 7"
+	for _, tc := range []struct {
+		name, pattern string
+		corrupt       func(pl *Plan)
+		want          string
+	}{
+		{"overlap size drifted", fig1, func(pl *Plan) { pl.Steps[2].ConnOverlap[0]++ }, "asks generation for"},
+		{"overlap sizes truncated", fig1, func(pl *Plan) { pl.Steps[2].ConnOverlap = pl.Steps[2].ConnOverlap[:1] }, "overlap sizes for"},
+		{"leftover pairwise count op", fig1, func(pl *Plan) {
+			pl.Steps[2].Ops = append(pl.Steps[2].Ops, Op{Kind: OpIntersectCount, A: Operand{Edge: true, Pos: 0},
+				B: Operand{Edge: true, Pos: 2}, Out: -1, Want: 5, Mask: 0b101})
+		}, "should have been dropped"},
+		{"missing rep ⊆ c2 (fig. 1)", fig1, dropSubsetCheck(2), "never checks that c2 contains"},
+		{"missing rep ⊆ c2 (two pairs)", twoPairs, dropSubsetCheck(2), "never checks that c2 contains"},
+		{"missing rep ⊆ c3 (two pairs)", twoPairs, dropSubsetCheck(3), "never checks that c3 contains"},
+	} {
+		pl := parse(tc.pattern)
+		if err := VerifyProgram(pl); err != nil {
+			t.Fatalf("%s: compiled plan refused: %v", tc.name, err)
+		}
+		tc.corrupt(pl)
+		pl.FP = Fingerprint(pl)
+		err := VerifyProgram(pl)
+		if !errors.Is(err, ErrInvalidPlan) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an invalid-plan error mentioning %q\n%s", tc.name, err, tc.want, pl)
+		}
+	}
+	// The two-pair plan materialises the class once and probes both
+	// hyperedges of the second pair; no pairwise size op is left.
+	ops := parse(twoPairs).NumOps()
+	if ops[OpIntersect] != 1 || ops[OpSubsetCheck] != 2 || ops[OpIntersectCount]+ops[OpIntersectEq] != 0 {
+		t.Errorf("two-pair plan ops=%v\n%s", ops, parse(twoPairs))
+	}
+}
+
 func TestVerifyProgramDiagnosticsDistinct(t *testing.T) {
 	pl := fig1Plan(t, ModeMerged)
 	msgs := map[string]bool{}
@@ -184,6 +249,7 @@ func TestFingerprintCoverage(t *testing.T) {
 		{"order", func(pl *Plan) { pl.Order[0], pl.Order[1] = pl.Order[1], pl.Order[0] }, nil},
 		{"degree", func(pl *Plan) { pl.Steps[0].Degree++ }, nil},
 		{"conn", func(pl *Plan) { pl.Steps[1].Conn = append(pl.Steps[1].Conn, 0) }, nil},
+		{"conn overlap", func(pl *Plan) { pl.Steps[1].ConnOverlap[0]++ }, nil},
 		{"disc", func(pl *Plan) { pl.Steps[1].Disc = append(pl.Steps[1].Disc, 0) }, nil},
 		{"edgelabel", func(pl *Plan) { pl.Steps[0].EdgeLabel = 7 }, nil},
 		{"op kind", func(pl *Plan) { firstOp(pl).Kind = OpEqCheck }, hasOps},

@@ -3,6 +3,7 @@ package oig
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Verify checks the structural invariants of a compiled plan and returns
@@ -11,13 +12,16 @@ import (
 // the plan's checks collectively cover the pattern's overlap signature:
 //
 //  1. step metadata matches the reordered pattern (degree, conn/disc
-//     partition of earlier positions according to the signature);
+//     partition of earlier positions according to the signature, every
+//     connection's overlap size re-derived from it);
 //  2. every operand references a position ≤ its step or a slot written by
 //     an earlier operation;
 //  3. every non-implied subset of hyperedges is accounted for: non-empty
 //     subsets by an intersection/equality check or class membership, empty
 //     pairs by generation-time disconnection, minimal empty subsets by an
-//     emptiness check.
+//     emptiness check — and, in a merged plan, non-empty pairs by the
+//     generation contract (Step.ConnOverlap) together with checks that both
+//     hyperedges contain their class representative's overlap.
 //
 // cmd tools run Verify after compilation; the test suite runs it across
 // randomized patterns for both modes.
@@ -29,6 +33,16 @@ func Verify(p *Plan) error {
 
 	written := make([]bool, p.NumSlots)
 	opByMask := map[uint32]bool{}
+	// holds names the hyperedge subset whose overlap an operand stands for;
+	// inside[S] collects the hyperedges the ops prove to contain S's overlap.
+	slotMask := make([]uint32, p.NumSlots)
+	holds := func(o Operand) uint32 {
+		if o.Edge {
+			return 1 << o.Pos
+		}
+		return slotMask[o.Pos]
+	}
+	inside := map[uint32]uint32{}
 	resolvable := func(o Operand, step int) error {
 		if o.Edge {
 			if o.Pos < 0 || o.Pos > step {
@@ -51,13 +65,20 @@ func Verify(p *Plan) error {
 			return fmt.Errorf("oig: step %d degree %d != pattern %d", t, st.Degree, p.Pattern.Degree(t))
 		}
 		seen := map[int]bool{}
-		for _, j := range st.Conn {
+		if len(st.ConnOverlap) != len(st.Conn) {
+			return fmt.Errorf("oig: step %d has %d overlap sizes for %d connections", t, len(st.ConnOverlap), len(st.Conn))
+		}
+		for i, j := range st.Conn {
 			if j < 0 || j >= t || seen[j] {
 				return fmt.Errorf("oig: step %d conn %v", t, st.Conn)
 			}
 			seen[j] = true
-			if p.Sig.Size(uint32(1<<j|1<<t)) == 0 {
+			ov := p.Sig.Size(uint32(1<<j | 1<<t))
+			if ov == 0 {
 				return fmt.Errorf("oig: step %d lists %d as connected but pair overlap is empty", t, j)
+			}
+			if st.ConnOverlap[i] != ov {
+				return fmt.Errorf("oig: step %d asks generation for %d shared vertices with position %d, the pattern's pair shares %d", t, st.ConnOverlap[i], j, ov)
 			}
 		}
 		for _, j := range st.Disc {
@@ -94,6 +115,15 @@ func Verify(p *Plan) error {
 					return fmt.Errorf("oig: step %d op %d: out slot %d", t, i, op.Out)
 				}
 				written[op.Out] = true
+				slotMask[op.Out] = op.Mask
+			}
+			switch op.Kind {
+			case OpIntersectEq:
+				inside[holds(op.Eq)] |= op.Mask
+			case OpEqCheck:
+				inside[holds(op.Eq)] |= holds(op.A)
+			case OpSubsetCheck:
+				inside[holds(op.A)] |= holds(op.B)
 			}
 			switch op.Kind {
 			case OpIntersect, OpIntersectCount:
@@ -110,7 +140,31 @@ func Verify(p *Plan) error {
 	}
 
 	// Coverage: walk every subset and demand it is checked or implied.
-	return p.verifyCoverage(opByMask)
+	if err := p.verifyCoverage(opByMask); err != nil || p.Mode != ModeMerged {
+		return err
+	}
+	// A merged plan leaves a pair's size to generation. That settles the
+	// pair's overlap only if both hyperedges provably contain the overlap of
+	// the pair's class representative — the first subset, in readiness order,
+	// with the same pattern overlap: rep ⊆ c_j ∩ c_t and equal sizes give
+	// equality.
+	sets := p.overlapSets()
+	order := masksByStep(m)
+	for t := 1; t < m; t++ {
+		for _, j := range p.Steps[t].Conn {
+			pair := uint32(1<<j | 1<<t)
+			for _, rep := range order {
+				if !slices.Equal(sets[rep], sets[pair]) {
+					continue
+				}
+				if miss := pair &^ (rep | inside[rep]); miss != 0 {
+					return fmt.Errorf("oig: merged plan never checks that c%d contains the overlap of %b, the class representative of pair %b", maxBit(miss), rep, pair)
+				}
+				break
+			}
+		}
+	}
+	return nil
 }
 
 // verifyCoverage checks requirement 3: each subset's constraint is either
@@ -122,10 +176,10 @@ func (p *Plan) verifyCoverage(opByMask map[uint32]bool) error {
 		if pc < 2 {
 			continue
 		}
+		if pc == 2 && (p.Mode == ModeMerged || p.Sig.Size(mask) == 0) {
+			continue // generation: disconnection check, or the overlap-size contract
+		}
 		if p.Sig.Size(mask) == 0 {
-			if pc == 2 {
-				continue // generation disconnection check
-			}
 			if p.impliedZero(mask) || opByMask[mask] {
 				continue
 			}
@@ -141,14 +195,14 @@ func (p *Plan) verifyCoverage(opByMask map[uint32]bool) error {
 		// exist a checked subset with the same pattern overlap size whose
 		// union with mask stays inside the class (witnessed by a checked
 		// subset of mask with equal overlap size). A subset S is implied iff
-		// some checked (or single-edge) S' ⊆ S has sig[S'] == sig[S]: then
-		// ∩S = ∩S' once the class equalities hold.
+		// some checked (or single-edge, or generation-sized pair) S' ⊆ S has
+		// sig[S'] == sig[S]: then ∩S = ∩S' once the class equalities hold.
 		implied := false
 		for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
 			if p.Sig.Size(sub) != p.Sig.Size(mask) {
 				continue
 			}
-			if bits.OnesCount32(sub) == 1 || opByMask[sub] {
+			if bits.OnesCount32(sub) <= 2 || opByMask[sub] {
 				implied = true
 				break
 			}

@@ -1,0 +1,76 @@
+// Command goldengen writes the cross-version golden files with the encoders
+// of whatever revision of this module it is compiled in: a DAL store
+// (internal/dal/testdata/parent_*.ohmd) and the snapshot of an interrupted
+// mining run (internal/engine/testdata/parent_*.ohmc). `make golden
+// REV=<git rev> TAG=<name>` exports that revision, drops this file into the
+// export and runs it there, so "written by the parent's encoder" is a
+// command; it therefore sticks to API that has not moved since PR 13. The
+// tests that load the files rebuild the same inputs (dal.goldenHypergraph,
+// engine.TestParentSnapshotResumes).
+package main
+
+import (
+	"flag"
+	"fmt"
+	"os"
+
+	"ohminer/internal/checkpoint"
+	"ohminer/internal/dal"
+	"ohminer/internal/engine"
+	"ohminer/internal/gen"
+	"ohminer/internal/hypergraph"
+	"ohminer/internal/pattern"
+)
+
+// lastSink keeps the latest snapshot of a run.
+type lastSink struct{ snap *checkpoint.Snapshot }
+
+func (s *lastSink) WriteSnapshot(snap *checkpoint.Snapshot) (int64, error) {
+	s.snap = snap
+	return 0, nil
+}
+
+func main() {
+	ohmd := flag.String("ohmd", "", "write the DAL store of the generated hypergraph here")
+	ohmc := flag.String("ohmc", "", "write the snapshot of the interrupted star run here")
+	flag.Parse()
+	if err := run(*ohmd, *ohmc); err != nil {
+		fmt.Fprintln(os.Stderr, "goldengen:", err)
+		os.Exit(1)
+	}
+}
+
+func run(ohmd, ohmc string) error {
+	if ohmd != "" {
+		// Dense enough for overlap sizes to vary inside a degree group, and
+		// for some groups to be longer than the sort's insertion cut-off.
+		h := gen.MustGenerate(gen.Config{Name: "golden", NumVertices: 60, NumEdges: 140,
+			Communities: 3, MemberOverlap: 1.5, EdgeSizeMin: 2, EdgeSizeMax: 9, EdgeSizeMean: 5, Seed: 21})
+		if err := dal.Build(h).SaveFile(ohmd); err != nil {
+			return err
+		}
+	}
+	if ohmc != "" {
+		// The 3-star over a 40-edge star with a two-vertex hub, stopped by
+		// Limit part-way: the final quiesce leaves remainders at every depth.
+		const n = 40
+		edges := make([][]uint32, n)
+		for i := range edges {
+			edges[i] = []uint32{0, 1, uint32(i + 2)}
+		}
+		store := dal.Build(hypergraph.MustBuild(n+2, edges, nil))
+		p := pattern.MustNew([][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 1, 4}}, nil)
+		sink := &lastSink{}
+		res, err := engine.Mine(store, p, engine.Options{Workers: 1, Instrument: true, Limit: 2500, Checkpoint: sink})
+		if err != nil {
+			return err
+		}
+		if sink.snap == nil || !res.Truncated {
+			return fmt.Errorf("the run was not interrupted (truncated=%v)", res.Truncated)
+		}
+		if _, err := sink.snap.WriteFile(ohmc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
