@@ -195,3 +195,38 @@ func BenchmarkStoreBuild(b *testing.B) {
 		NewStore(h)
 	}
 }
+
+// benchMine times the production engine on one pattern over the TC preset,
+// on one worker.
+func benchMine(b *testing.B, literal string) {
+	b.Helper()
+	store, err := benchContext().Dataset("TC")
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := ParsePattern(literal)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Mine(store, p, WithWorkers(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Ordered == 0 {
+			b.Fatal("no embeddings")
+		}
+	}
+}
+
+// BenchmarkMineChain: a path of three hyperedges, whose last position must
+// not overlap the first-bound end (Step.Disc) and is counted, not iterated.
+func BenchmarkMineChain(b *testing.B) {
+	benchMine(b, "0 1 2; 0 3; 3 4 5 6 7 8 9 10 11 12 13 14")
+}
+
+// BenchmarkMinePair: two overlapping hyperedges — every embedding is a member
+// of a DAL group, so the run is one group length per first-position binding.
+func BenchmarkMinePair(b *testing.B) { benchMine(b, "0 1; 0 2 3 4") }

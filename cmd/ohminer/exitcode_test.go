@@ -57,7 +57,7 @@ func TestExitCodes(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 
-	const pat = "0 1; 1 2; 2 3; 3 4"
+	const pat = "0 1; 1 2; 2 3; 3 4; 4 5"
 	run := func(args ...string) (int, string) {
 		t.Helper()
 		out, err := exec.Command(bin, append([]string{"-input", data}, args...)...).CombinedOutput()
@@ -86,7 +86,7 @@ func TestExitCodes(t *testing.T) {
 		return n
 	}
 
-	// Ground truth: the full count of the 4-edge chain pattern.
+	// Ground truth: the full count of the 5-edge chain pattern.
 	code, out := run("-pattern", pat)
 	if code != 0 {
 		t.Fatalf("baseline run: exit %d\n%s", code, out)
@@ -136,10 +136,10 @@ func TestExitCodes(t *testing.T) {
 		t.Errorf("snapshot survived clean completion (err=%v)", err)
 	}
 
-	// SIGINT truncation: exit 130. The 5-edge pattern mines long enough for
+	// SIGINT truncation: exit 130. The 6-edge pattern mines long enough for
 	// the signal to land mid-run; if it arrives during setup the run starts
 	// cancelled and still exits 130.
-	cmd := exec.Command(bin, "-input", data, "-pattern", pat+"; 4 5")
+	cmd := exec.Command(bin, "-input", data, "-pattern", pat+"; 5 6")
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}

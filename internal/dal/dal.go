@@ -433,6 +433,23 @@ func (s *Store) AdjSet(e uint32, d, ov int) intset.Set {
 	return s.groupSet(e, k)
 }
 
+// AdjSets appends to dst every group of e's neighbours of degree d, one
+// container per overlap size in ascending order, and returns it: pairwise
+// disjoint ID-sorted sets whose union is {o : deg(o) = d ∧ Connected(e, o)} —
+// what a position that must not overlap e has to lose. Like AdjSet's, the
+// Sets alias internal storage.
+//
+//ohmlint:hotpath
+func (s *Store) AdjSets(e uint32, d int, dst []intset.Set) []intset.Set {
+	if d < 0 {
+		return dst
+	}
+	for k := s.adjGroup(e, d, 0); k < s.grpOff[e+1] && s.grpDeg[k] == uint32(d); k++ {
+		dst = append(dst, s.groupSet(e, k))
+	}
+	return dst
+}
+
 // EdgeVertexSet returns hyperedge e's vertex set as an adaptive container:
 // the hypergraph's sorted vertex slice plus the arena bitmap window when the
 // set is dense enough. The Set aliases shared storage.

@@ -1,6 +1,7 @@
 package dal
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"math/rand"
@@ -193,6 +194,89 @@ func TestAgainstDefinition(t *testing.T) {
 		if name == "dense-block" && windowed == 0 {
 			t.Fatalf("dense-block: no group earned a window; the bitmap path went untested")
 		}
+	}
+}
+
+// checkAdjSets holds AdjSets to its definition on every (hyperedge, degree)
+// of the store, absent degrees included: the groups are pairwise disjoint,
+// each sorted by ID, a windowed one answers Contains like its array, and
+// together they hold exactly the degree-d hyperedges Connected reports. It
+// returns how many windowed groups it saw.
+func checkAdjSets(t *testing.T, name string, s *Store) (windowed int) {
+	t.Helper()
+	h := s.Hypergraph()
+	m := uint32(h.NumEdges())
+	degrees := append(s.Degrees(), -1, 0, s.Degrees()[len(s.Degrees())-1]+1)
+	var sets []intset.Set
+	for e := uint32(0); e < m; e++ {
+		for _, d := range degrees {
+			var want, got []uint32
+			for o := uint32(0); o < m; o++ {
+				if h.Degree(o) == d && s.Connected(e, o) {
+					want = append(want, o)
+				}
+			}
+			sets = s.AdjSets(e, d, sets[:0])
+			for _, set := range sets {
+				if set.Len() == 0 || !intset.SortedUnique(set.Elems()) {
+					t.Fatalf("%s: AdjSets(%d,%d) holds the group %v", name, e, d, set.Elems())
+				}
+				if set.HasWindow() {
+					windowed++
+					for o := uint32(0); o < m; o++ {
+						if _, in := slices.BinarySearch(set.Elems(), o); set.Contains(o) != in {
+							t.Fatalf("%s: windowed group of AdjSets(%d,%d): Contains(%d)=%v", name, e, d, o, !in)
+						}
+					}
+				}
+				got = append(got, set.Elems()...)
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: AdjSets(%d,%d) holds %v in %d groups, Connected gives %v", name, e, d, got, len(sets), want)
+			}
+		}
+	}
+	return windowed
+}
+
+// TestAdjSetsEqualsConnected: the accessor candidate generation subtracts
+// disconnected positions through agrees with Connected — the test the engine
+// used to make per candidate, and internal/baseline still does — on the
+// golden hypergraph as built, as grown by BuildDelta and as loaded, and on
+// the dense block layout, whose groups carry bitmap windows.
+func TestAdjSetsEqualsConnected(t *testing.T) {
+	h := goldenHypergraph()
+	built := Build(h)
+	checkAdjSets(t, "golden", built)
+
+	rng := rand.New(rand.NewSource(3))
+	grownH, err := hypergraph.Extend(h, randomUniqueEdges(rng, h.NumVertices(), 25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAdjSets(t, "golden grown", BuildDelta(built, grownH))
+
+	var buf bytes.Buffer
+	if err := built.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAdjSets(t, "golden loaded", loaded)
+
+	dense := denseBlocks(t, []int{64, 72}, 70, 3, 4)
+	if checkAdjSets(t, "dense-block", Build(dense)) == 0 {
+		t.Fatal("dense-block: no group earned a window; the bitmap path went untested")
+	}
+	grownDense, err := hypergraph.Extend(dense, [][]uint32{{0, 1, 2, 500}, {3, 4, 501}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checkAdjSets(t, "dense-block grown", BuildDelta(Build(dense), grownDense)) == 0 {
+		t.Fatal("dense-block grown: no windowed group left")
 	}
 }
 

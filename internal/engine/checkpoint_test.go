@@ -342,6 +342,64 @@ func TestParentSnapshotResumes(t *testing.T) {
 	}
 }
 
+// chainWorkload is what testdata/parent_pr21_chain.ohmc was cut on (see
+// internal/tools/goldengen): the path of three 2-vertex hyperedges over the
+// complete graph on 12 vertices, which has 12·11·10·9 ordered embeddings.
+func chainWorkload() (*dal.Store, *pattern.Pattern, uint64) {
+	const n = 12
+	return completeGraph(n), pattern.MustNew([][]uint32{{0, 1}, {1, 2}, {2, 3}}, nil), n * (n - 1) * (n - 2) * (n - 3)
+}
+
+// TestParentChainSnapshotResumes loads testdata/parent_pr21_chain.ohmc, cut
+// by the last commit whose engine tested disconnection candidate by candidate
+// (`make golden REV=1ba8247 TAG=pr21`): its frontier holds a last-position
+// range that generation had not yet held to Step.Disc. Plan fingerprint and
+// checkpoint.Version have not moved since, so the file must validate, and it
+// must resume to the exact total — which it does only if a handed-over range
+// is filtered before it is explored (runTask), now that accept no longer is
+// where disconnection is decided.
+func TestParentChainSnapshotResumes(t *testing.T) {
+	store, p, want := chainWorkload()
+	snap, err := checkpoint.ReadFile("testdata/parent_pr21_chain.ohmc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := CompilePlan(store, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(plan.Steps) - 1
+	unfiltered := 0
+	for _, task := range snap.Frontier {
+		if int(task.Depth) != last {
+			continue
+		}
+		for _, c := range task.Cands {
+			for _, j := range plan.Steps[last].Disc {
+				if store.Connected(c, task.Prefix[j]) {
+					unfiltered++
+				}
+			}
+		}
+	}
+	if checkpoint.Version != 1 || snap.Ordered == 0 || len(plan.Steps[last].Disc) == 0 || unfiltered == 0 {
+		t.Fatalf("version %d, Ordered=%d, last step disc=%v, %d last-position candidates overlapping a disconnected binding: not the interrupted v1 chain run this test needs",
+			checkpoint.Version, snap.Ordered, plan.Steps[last].Disc, unfiltered)
+	}
+	if err := ValidateSnapshot(store, plan, snap); err != nil {
+		t.Fatalf("parent snapshot refused: %v", err)
+	}
+	for _, workers := range []int{1, 2} {
+		res, err := ResumeWithPlanContext(context.Background(), store, plan, snap, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ordered != want || res.Unique != want/2 || res.Truncated {
+			t.Fatalf("workers=%d: resumed to Ordered=%d Unique=%d truncated=%v, want %d/%d/false", workers, res.Ordered, res.Unique, res.Truncated, want, want/2)
+		}
+	}
+}
+
 // TestOlderSnapshotRefused: testdata/parent_pr16.ohmc was cut under a plan
 // that size-checked every pairwise overlap in validation, so the candidate
 // lists of its frontier were generated by degree alone. Today's plan would

@@ -1,0 +1,369 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"ohminer/internal/dal"
+	"ohminer/internal/hypergraph"
+	"ohminer/internal/oig"
+	"ohminer/internal/pattern"
+)
+
+// This file covers the two places where the engine no longer looks at a
+// candidate at a time: Step.Disc, which candidate generation enforces by
+// subtracting the disconnected bindings' neighbour groups (subtractDisc), and
+// the last position of a plan that has nothing to test there, which is
+// counted (countLeaf). internal/baseline still probes dal.Connected per
+// candidate and iterates every leaf, so it is the oracle next to brute force.
+
+// discShapes are patterns whose plans carry Step.Disc: paths of three to five
+// hyperedges, stars whose tail hangs off one arm and has to stay clear of the
+// others, and a spider — disjoint legs on a 3-vertex body — where the legs
+// bound earlier overlap neither each other nor themselves, so generation
+// offers them again for the last leg.
+var discShapes = []struct {
+	name  string
+	edges [][]uint32
+}{
+	{"path3", [][]uint32{{0, 1}, {1, 2}, {2, 3}}},
+	{"path4", [][]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 4}}},
+	{"path5", [][]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}},
+	{"path3-wide", [][]uint32{{0, 1, 2}, {2, 3}, {3, 4, 5}}},
+	{"star-tail", [][]uint32{{0, 1}, {0, 2}, {0, 3}, {3, 4}}},
+	{"star-tail-wide", [][]uint32{{0, 1, 2}, {0, 3}, {0, 4}, {4, 5, 6}}},
+	{"spider", [][]uint32{{1, 2, 3}, {0, 1}, {2, 5}, {3, 4}}},
+}
+
+// completeGraph returns K_n as a hypergraph of 2-vertex hyperedges, numbered
+// in lexicographic order of their endpoints.
+func completeGraph(n uint32) *dal.Store {
+	var edges [][]uint32
+	for a := uint32(0); a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			edges = append(edges, []uint32{a, b})
+		}
+	}
+	return dal.Build(hypergraph.MustBuild(int(n), edges, nil))
+}
+
+// randGraphLike draws distinct 2- and 3-vertex hyperedges over nv vertices:
+// dense enough that paths and stars occur, and that much of what overlaps one
+// bound hyperedge overlaps another one too.
+func randGraphLike(rng *rand.Rand, nv, pairs, triples int) *hypergraph.Hypergraph {
+	seen := map[[3]uint32]bool{}
+	var edges [][]uint32
+	for len(edges) < pairs+triples {
+		size := 2
+		if len(edges) >= pairs {
+			size = 3
+		}
+		e := make([]uint32, size)
+		for i, v := range rng.Perm(nv)[:size] {
+			e[i] = uint32(v)
+		}
+		slices.Sort(e)
+		key := [3]uint32{^uint32(0), ^uint32(0), ^uint32(0)}
+		copy(key[:], e)
+		if !seen[key] {
+			seen[key] = true
+			edges = append(edges, e)
+		}
+	}
+	rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	return hypergraph.MustBuild(nv, edges, nil)
+}
+
+// TestDiscShapesDifferential: engine = baseline = brute force on the Disc
+// shapes over random graph-like hypergraphs, restricted and not, on 1, 2 and
+// 4 workers that publish at every depth they may (SplitThreshold 1), so the
+// ranges popped and stolen at a middle Disc depth go through runTask's filter
+// a second time.
+func TestDiscShapesDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(2207))
+	trials := 5
+	if testing.Short() {
+		trials = 2
+	}
+	var middleDisc, doubleDisc, counted, published bool
+	for trial := 0; trial < trials; trial++ {
+		store := dal.Build(randGraphLike(rng, 7+rng.Intn(3), 12, 5))
+		for _, shape := range discShapes {
+			p := pattern.MustNew(shape.edges, nil)
+			want := oracleCount(t, store, p)
+			for _, norestrict := range []bool{false, true} {
+				for _, workers := range []int{1, 2, 4} {
+					opts := Options{Workers: workers, NoSymmetryBreak: norestrict, SplitThreshold: 1, SplitDepth: p.NumEdges()}
+					res, err := Mine(store, p, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Ordered != want || res.Unique != want/uint64(res.Automorphisms) || res.Truncated {
+						t.Fatalf("trial %d %s norestrict=%v workers=%d: Ordered=%d Unique=%d truncated=%v, want %d (|Aut|=%d)\nplan:\n%s",
+							trial, shape.name, norestrict, workers, res.Ordered, res.Unique, res.Truncated, want, res.Automorphisms, res.Plan)
+					}
+					last := len(res.Plan.Steps) - 1
+					for ti, st := range res.Plan.Steps {
+						middleDisc = middleDisc || (len(st.Disc) > 0 && ti < last)
+						doubleDisc = doubleDisc || len(st.Disc) >= 2
+						published = published || (len(st.Disc) > 0 && ti < last && res.Stats.Publishes > 0 && want > 0)
+					}
+					counted = counted || newShared(store, res.Plan, opts).countedLeaf == last
+				}
+			}
+		}
+	}
+	if !middleDisc || !doubleDisc || !counted || !published {
+		t.Fatalf("shapes no longer reach what this test is for: Disc at a middle step %v, two Disc positions at one step %v, a counted last position %v, ranges published above a middle Disc step %v",
+			middleDisc, doubleDisc, counted, published)
+	}
+}
+
+// TestCountedLeafKeepsCounters: counting the last position must leave the
+// instrumented counters where visiting it puts them. An OnEmbedding callback
+// turns the counting off, so the same plan runs both ways.
+func TestCountedLeafKeepsCounters(t *testing.T) {
+	store := dal.Build(randGraphLike(rand.New(rand.NewSource(8)), 9, 20, 12))
+	for _, shape := range discShapes {
+		p := pattern.MustNew(shape.edges, nil)
+		for _, norestrict := range []bool{false, true} {
+			opts := Options{Workers: 1, Instrument: true, NoSymmetryBreak: norestrict}
+			fast, err := Mine(store, p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if newShared(store, fast.Plan, opts).countedLeaf < 0 {
+				t.Fatalf("%s: the last position is not counted\nplan:\n%s", shape.name, fast.Plan)
+			}
+			calls := uint64(0)
+			opts.OnEmbedding = func([]uint32) { calls++ }
+			if newShared(store, fast.Plan, opts).countedLeaf >= 0 {
+				t.Fatalf("%s: a run with OnEmbedding still counts its last position", shape.name)
+			}
+			slow, err := Mine(store, p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fast.Ordered != slow.Ordered || fast.Unique != slow.Unique ||
+				fast.Stats.Candidates != slow.Stats.Candidates || fast.Stats.Embeddings != slow.Stats.Embeddings || fast.Stats.SetOps != slow.Stats.SetOps {
+				t.Fatalf("%s norestrict=%v: counted %d/%d with candidates=%d embeddings=%d setops=%d, visited %d/%d with %d/%d/%d",
+					shape.name, norestrict, fast.Ordered, fast.Unique, fast.Stats.Candidates, fast.Stats.Embeddings, fast.Stats.SetOps,
+					slow.Ordered, slow.Unique, slow.Stats.Candidates, slow.Stats.Embeddings, slow.Stats.SetOps)
+			}
+			// One callback per enumerated tuple: per unordered embedding on a
+			// restricted plan, per ordered one otherwise.
+			if wantCalls := map[bool]uint64{false: slow.Unique, true: slow.Ordered}[norestrict]; calls != wantCalls {
+				t.Fatalf("%s norestrict=%v: %d callbacks, want %d", shape.name, norestrict, calls, wantCalls)
+			}
+		}
+	}
+}
+
+// TestCountedLeafLimit: a Limit that lands inside a counted last position is
+// honoured by falling back to the per-candidate loop there. One worker stops
+// at exactly min(total, Limit) enumerated tuples; several may pass it by one
+// in-flight embedding each, never by a leaf's worth.
+func TestCountedLeafLimit(t *testing.T) {
+	store := completeGraph(7)
+	for _, edges := range [][][]uint32{{{0, 1}, {1, 2}}, {{0, 1}, {1, 2}, {2, 3}}} {
+		p := pattern.MustNew(edges, nil)
+		for _, norestrict := range []bool{false, true} {
+			full, err := Mine(store, p, Options{Workers: 1, NoSymmetryBreak: norestrict})
+			if err != nil {
+				t.Fatal(err)
+			}
+			enumerated := func(r Result) uint64 {
+				if r.Restricted {
+					return r.Unique
+				}
+				return r.Ordered
+			}
+			total := enumerated(full)
+			if total < 100 || newShared(store, full.Plan, Options{Limit: 1}).countedLeaf < 0 {
+				t.Fatalf("%v: %d tuples, counted leaf %d: not the workload this test needs", edges, total, newShared(store, full.Plan, Options{}).countedLeaf)
+			}
+			for limit := uint64(1); limit <= total+2; limit += 1 + limit/9 {
+				for _, workers := range []int{1, 4} {
+					res, err := Mine(store, p, Options{Workers: workers, NoSymmetryBreak: norestrict, Limit: limit})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, want := enumerated(res), min(total, limit)
+					if got < want || got > want+uint64(workers-1) || (limit < total && !res.Truncated) || (limit > total && res.Truncated) {
+						t.Fatalf("%v norestrict=%v workers=%d limit=%d: enumerated %d (truncated=%v) of %d", edges, norestrict, workers, limit, got, res.Truncated, total)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCountedLeafLimitOnLastEmbedding: a run whose very last candidate is the
+// embedding that reaches Limit explored everything and is not Truncated —
+// also when that candidate sits in a last position that would have been
+// counted. The data is a chain A–M–B₁…B₃ plus a B-like hyperedge that touches
+// A (which Disc must drop); M has the highest ID, so its subtree comes last.
+func TestCountedLeafLimitOnLastEmbedding(t *testing.T) {
+	h := hypergraph.MustBuild(10, [][]uint32{
+		{0, 1},    // A
+		{0, 2, 9}, // overlaps M like a B, but A too
+		{2, 3, 4}, // B1
+		{2, 5, 6}, // B2
+		{2, 7, 8}, // B3
+		{1, 2},    // M
+	}, nil)
+	store := dal.Build(h)
+	p := pattern.MustNew([][]uint32{{0, 1}, {1, 2}, {2, 3, 4}}, nil)
+	plan, err := oig.CompileOrdered(p, oig.ModeMerged, []int{1, 0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := plan.Steps[2]; len(last.Disc) != 1 || newShared(store, plan, Options{}).countedLeaf != 2 {
+		t.Fatalf("not a counted last position with a Disc:\n%s", plan)
+	}
+	const total = 3
+	for limit := uint64(1); limit <= total+1; limit++ {
+		res, err := MineWithPlanContext(context.Background(), store, plan, Options{Workers: 1, Limit: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ordered != min(total, limit) || res.Truncated != (limit < total) {
+			t.Fatalf("limit=%d: Ordered=%d truncated=%v, want %d/%v", limit, res.Ordered, res.Truncated, min(total, limit), limit < total)
+		}
+	}
+}
+
+// TestCountedLeafFallsBackOnLabels: a labelled or hyperedge-labelled pattern
+// has a test to make on every last-position candidate, so nothing is counted
+// there — and the Disc shapes still agree with the oracles.
+func TestCountedLeafFallsBackOnLabels(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	plain := randGraphLike(rng, 8, 14, 4)
+	n := plain.NumEdges()
+	edges := make([][]uint32, n)
+	vlabels := make([]uint32, plain.NumVertices())
+	elabels := make([]uint32, n)
+	for e := range edges {
+		edges[e] = plain.EdgeVertices(uint32(e))
+		elabels[e] = uint32(rng.Intn(2))
+	}
+	for v := range vlabels {
+		vlabels[v] = uint32(rng.Intn(2))
+	}
+	labelled := dal.Build(hypergraph.MustBuild(len(vlabels), edges, vlabels))
+	hEdge, err := hypergraph.BuildEdgeLabeled(len(vlabels), edges, nil, elabels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgeLabelled := dal.Build(hEdge)
+
+	path := [][]uint32{{0, 1}, {1, 2}, {2, 3}}
+	type labelCase struct {
+		name  string
+		store *dal.Store
+		p     *pattern.Pattern
+	}
+	cases := []labelCase{
+		{"vertex labels", labelled, pattern.MustNew(path, []uint32{0, 1, 0, 1})},
+		{"vertex labels, one class", labelled, pattern.MustNew(path, []uint32{1, 1, 1, 1})},
+	}
+	for _, pl := range [][]uint32{{0, 1, 0}, {1, 1, 1}, {0, 0, 1}} {
+		p, err := pattern.NewEdgeLabeled(path, nil, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, labelCase{fmt.Sprintf("hyperedge labels %v", pl), edgeLabelled, p})
+	}
+	found := uint64(0)
+	for _, c := range cases {
+		plan, err := CompilePlan(c.store, c.p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(plan.Steps[2].Disc) == 0 || newShared(c.store, plan, Options{}).countedLeaf >= 0 {
+			t.Fatalf("%s: disc=%v, counted leaf %d: want a Disc at a last position that is not counted",
+				c.name, plan.Steps[2].Disc, newShared(c.store, plan, Options{}).countedLeaf)
+		}
+		want := oracleCount(t, c.store, c.p)
+		found += want
+		mineAll(t, c.store, c.p, want, c.name)
+	}
+	if found == 0 {
+		t.Fatal("no labelled case has an embedding")
+	}
+}
+
+// TestCountedLeafCheckpointResume cuts a run on a counted-leaf plan with
+// Limit — the final quiesce saves remainders at every depth, last position
+// and middle Disc steps included — and resumes it, twice, to the exact total.
+func TestCountedLeafCheckpointResume(t *testing.T) {
+	store := completeGraph(8)
+	for _, shape := range discShapes[:3] {
+		p := pattern.MustNew(shape.edges, nil)
+		for _, norestrict := range []bool{false, true} {
+			for _, workers := range []int{1, 2} {
+				base := Options{Workers: workers, NoSymmetryBreak: norestrict, SplitThreshold: 1}
+				full, err := Mine(store, p, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plan := full.Plan
+				if full.Ordered == 0 || newShared(store, plan, base).countedLeaf < 0 {
+					t.Fatalf("%s: Ordered=%d, not a counted-leaf workload", shape.name, full.Ordered)
+				}
+				sink := &memSink{}
+				cut := base
+				cut.Checkpoint, cut.Limit = sink, 1+full.Unique/5
+				res, err := MineWithPlanContext(context.Background(), store, plan, cut)
+				if err != nil || !res.Truncated {
+					t.Fatalf("%s: first leg truncated=%v err=%v", shape.name, res.Truncated, err)
+				}
+				cut.Limit = 1 + full.Unique/2
+				res, err = ResumeWithPlanContext(context.Background(), store, plan, sink.latest(t), cut)
+				if err != nil || !res.Truncated {
+					t.Fatalf("%s: second leg truncated=%v err=%v", shape.name, res.Truncated, err)
+				}
+				snap := sink.latest(t)
+				depths := map[uint32]bool{}
+				for _, task := range snap.Frontier {
+					depths[task.Depth] = true
+				}
+				if len(depths) != len(plan.Steps) {
+					t.Fatalf("%s: the cut left remainders at depths %v, want every one of %d", shape.name, depths, len(plan.Steps))
+				}
+				res, err = ResumeWithPlanContext(context.Background(), store, plan, snap, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Ordered != full.Ordered || res.Unique != full.Unique || res.Truncated {
+					t.Fatalf("%s norestrict=%v workers=%d: resumed to %d/%d truncated=%v, want %d/%d",
+						shape.name, norestrict, workers, res.Ordered, res.Unique, res.Truncated, full.Ordered, full.Unique)
+				}
+			}
+		}
+	}
+}
+
+// TestEstimateFullFractionOnDiscShapes: sampling every root is mining — also
+// through the standalone worker EstimateCount drives, which counts its leaves
+// without a scheduler or a shared found counter.
+func TestEstimateFullFractionOnDiscShapes(t *testing.T) {
+	store := completeGraph(7)
+	for _, shape := range discShapes {
+		p := pattern.MustNew(shape.edges, nil)
+		res, err := Mine(store, p, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, err := EstimateCount(store, p, 1, 1, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Ordered != float64(res.Ordered) || est.Unique != float64(res.Unique) {
+			t.Fatalf("%s: estimate at fraction 1 is %v/%v, Mine counts %d/%d", shape.name, est.Ordered, est.Unique, res.Ordered, res.Unique)
+		}
+	}
+}

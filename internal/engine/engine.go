@@ -109,7 +109,11 @@ type Options struct {
 // Stats carries the engine's instrumentation counters. (The HGMatch
 // redundancy counters of Fig. 3(b,c) are internal/baseline's.)
 type Stats struct {
-	// Candidates is the number of candidate hyperedges enumerated.
+	// Candidates is the number of hyperedges the k-way intersection of the
+	// Conn groups produced, summed over all generations: what candidate
+	// generation yields before the Disc groups are subtracted and before any
+	// restriction or per-candidate test. A counted last position adds the same
+	// size without materialising the list.
 	Candidates uint64
 	// Embeddings is the number of (partial) embeddings that passed
 	// validation, across all depths.
@@ -136,8 +140,9 @@ type Stats struct {
 	Checkpoints      uint64
 	CheckpointBytes  uint64
 	CheckpointErrors uint64
-	// Kernel-path counters: how many set operations (generation k-way
-	// intersections and validation ops) ran word-parallel over bitmap
+	// Kernel-path counters: how many set operations (generation's k-way
+	// intersections, Disc differences and leaf counts, and the validation
+	// ops) ran word-parallel over bitmap
 	// windows (KernelBitmap), probe-accelerated with one windowed operand
 	// (KernelMixed), or on the plain array kernels (KernelArray). Always
 	// tracked, like the scheduler counters; the kern ablation and ohmstat
@@ -282,9 +287,10 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 	// symmetry-broken plan enumerates one canonical tuple per orbit of
 	// |Aut| ordered embeddings, an unrestricted plan enumerates each ordered
 	// embedding itself.
+	aut := plan.Pattern.Automorphisms() // a search over permutations: once per run
 	autFactor := uint64(1)
 	if plan.Restricted {
-		autFactor = uint64(plan.Pattern.Automorphisms())
+		autFactor = uint64(aut)
 	}
 
 	// Resume state: the snapshot's counters become the base the new
@@ -315,7 +321,7 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 		// Ordered temporarily holds the raw enumerated-tuple count;
 		// finalizeCounts converts it to the reported Ordered/Unique pair.
 		return Result{
-			Automorphisms: plan.Pattern.Automorphisms(),
+			Automorphisms: aut,
 			Elapsed:       time.Since(start),
 			Plan:          plan,
 			Ordered:       baseOrdered,
@@ -614,12 +620,23 @@ type shared struct {
 	// UniqueOnly filtering is active.
 	autoPerms [][]int
 	emitMu    sync.Mutex
+	// countedLeaf is the last matching-order position if the run has nothing
+	// to do there hyperedge by hyperedge — the step has no ops and no label
+	// test, and the caller neither receives (OnEmbedding) nor filters
+	// (PositionFilter) single bindings — so that worker.countLeaf may count
+	// what generation yields instead of visiting it; -1 otherwise.
+	countedLeaf int
 }
 
 // newShared resolves a run's options into the state its workers share.
 func newShared(store *dal.Store, plan *oig.Plan, opts Options) *shared {
-	e := &shared{store: store, plan: plan, opts: opts, saveOnStop: opts.Checkpoint != nil}
+	e := &shared{store: store, plan: plan, opts: opts, saveOnStop: opts.Checkpoint != nil, countedLeaf: -1}
 	e.splitDepth, e.splitThreshold = splitParams(plan, opts)
+	last := len(plan.Steps) - 1
+	if st := &plan.Steps[last]; last > 0 && len(st.Ops) == 0 && !plan.Labeled && st.EdgeLabel < 0 &&
+		opts.OnEmbedding == nil && opts.PositionFilter == nil {
+		e.countedLeaf = last
+	}
 	return e
 }
 

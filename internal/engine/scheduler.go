@@ -259,11 +259,18 @@ func (w *worker) trySteal() bool {
 
 // runTask executes a task: rebind the prefix, rebuild the overlap slots the
 // prefix's validation produced (stolen and resumed tasks arrive without the
-// publisher's scratch state), and explore the candidate range.
+// publisher's scratch state), and explore the candidate range. A range below
+// the root is held to the generation contract first, in the run buffer the
+// worker owns: ranges this engine published lose nothing, the frontier of a
+// snapshot or lease cut while disconnection was still checked candidate by
+// candidate loses what that check would have rejected.
 func (w *worker) runTask(t *task) {
 	copy(w.c[:t.depth], t.prefix)
 	if t.depth > 1 {
 		w.rebuildSlots(t.depth)
+	}
+	if t.depth > 0 {
+		t.cands = w.subtractDisc(t.depth, t.cands)
 	}
 	w.explore(t.depth, t.cands)
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -74,8 +75,12 @@ func newWorker(e *shared, found *atomic.Uint64) *worker {
 	return w
 }
 
-// step binds position t to every surviving candidate and recurses.
+// step binds position t to every surviving candidate and recurses — or, at
+// a last position nothing has to look at hyperedge by hyperedge, counts them.
 func (w *worker) step(t int) {
+	if t == w.e.countedLeaf && w.countLeaf(t) {
+		return
+	}
 	var t0 time.Time
 	instrument := w.e.opts.Instrument
 	if instrument {
@@ -83,10 +88,104 @@ func (w *worker) step(t int) {
 	}
 	cands := w.generateDAL(t)
 	if instrument {
-		w.stats.GenTime += time.Since(t0)
 		w.stats.Candidates += uint64(len(cands))
 	}
+	cands = w.subtractDisc(t, cands)
+	if instrument {
+		w.stats.GenTime += time.Since(t0)
+	}
 	w.explore(t, cands)
+}
+
+// countLeaf adds the number of hyperedges position t — the last one, of a
+// run in which a binding there is an embedding as soon as accept passes it
+// (shared.countedLeaf) — can bind, without visiting them. Generation already
+// honours Conn and Disc; the restrictions keep the candidates above the
+// largest restricted binding, a suffix of the sorted list; and the only bound
+// hyperedges generation can produce again sit at Disc positions (a hyperedge
+// is no neighbour of itself), one binary search each. With one Conn operand
+// and at most one Disc nothing is materialised either: the candidates are a
+// DAL group G, the disconnected hyperedge's sub-groups N_k of the same degree
+// are pairwise disjoint, and the count is |G| − Σ_k |G ∩ N_k|.
+//
+// It reports false, having counted nothing, when the stop flag is up or the
+// leaf would reach Limit: the per-candidate loop then runs, and stays the
+// only place that truncates a run or saves a remainder.
+func (w *worker) countLeaf(t int) bool {
+	if w.stop || w.e.stopped.Load() {
+		return false
+	}
+	var t0 time.Time
+	instrument := w.e.opts.Instrument
+	if instrument {
+		t0 = time.Now()
+	}
+	st := &w.e.plan.Steps[t]
+	// g is what generation yields at t — short of the Disc subtraction where
+	// inclusion–exclusion makes up for it below.
+	var g intset.Set
+	var generated int
+	iep := len(st.Conn) == 1 && len(st.Disc) <= 1
+	if iep {
+		g = w.e.store.AdjSet(w.c[st.Conn[0]], st.Degree, st.ConnOverlap[0])
+		generated = g.Len()
+	} else {
+		cands := w.generateDAL(t)
+		generated = len(cands)
+		g = intset.ArrayView(w.subtractDisc(t, cands))
+	}
+	if k := w.restrictedBelow(st, g.Elems()); k > 0 {
+		g = intset.ArrayView(g.Elems()[k:])
+	}
+	n := g.Len()
+	for _, j := range st.Disc {
+		if iep {
+			w.adjSets = w.e.store.AdjSets(w.c[j], st.Degree, w.adjSets[:0])
+			for _, nb := range w.adjSets {
+				w.countKernelClass(intset.Classify(g, nb))
+				n -= intset.IntersectCountSetsAdaptive(g, nb)
+			}
+		}
+		if g.Contains(w.c[j]) {
+			n--
+		}
+	}
+	if limit := w.e.opts.Limit; limit > 0 {
+		for {
+			found := w.found.Load()
+			if found+uint64(n) >= limit {
+				return false
+			}
+			if w.found.CompareAndSwap(found, found+uint64(n)) {
+				break
+			}
+		}
+	}
+	w.count += uint64(n)
+	if instrument {
+		w.stats.GenTime += time.Since(t0)
+		w.stats.Candidates += uint64(generated)
+		w.stats.Embeddings += uint64(n)
+	}
+	return true
+}
+
+// restrictedBelow returns how many of the sorted candidates the step's
+// symmetry-breaking restrictions reject: those not above every restricted
+// binding.
+func (w *worker) restrictedBelow(st *oig.Step, cands []uint32) int {
+	if len(st.Restrict) == 0 {
+		return 0
+	}
+	floor := w.c[st.Restrict[0]]
+	for _, j := range st.Restrict[1:] {
+		floor = max(floor, w.c[j])
+	}
+	k, found := slices.BinarySearch(cands, floor)
+	if found {
+		k++
+	}
+	return k
 }
 
 // explore iterates the candidates of position t — generated in place by
@@ -219,10 +318,11 @@ func (w *worker) isCanonical() bool {
 	return true
 }
 
-// accept applies the cheap per-candidate constraints: distinctness,
-// symmetry-breaking restrictions, generation-time disconnection, and the
-// label histogram for labeled patterns.
+// accept applies the per-candidate constraints generation leaves:
+// distinctness, symmetry-breaking restrictions, the position filter and the
+// labels. (Disconnection is generation's, see subtractDisc.)
 func (w *worker) accept(t int, c uint32) bool {
+	st := &w.e.plan.Steps[t]
 	for j := 0; j < t; j++ {
 		if w.c[j] == c {
 			return false
@@ -232,7 +332,7 @@ func (w *worker) accept(t int, c uint32) bool {
 	// restricted earlier binding, so of each unordered embedding's |Aut|
 	// ordered tuples only the lexicographically smallest survives. One
 	// compare per restriction, before any set operation runs.
-	for _, j := range w.e.plan.Steps[t].Restrict {
+	for _, j := range st.Restrict {
 		if c <= w.c[j] {
 			return false
 		}
@@ -241,12 +341,6 @@ func (w *worker) accept(t int, c uint32) bool {
 		return false
 	}
 	h := w.e.store.Hypergraph()
-	st := &w.e.plan.Steps[t]
-	for _, j := range st.Disc {
-		if w.e.store.Connected(c, w.c[j]) {
-			return false
-		}
-	}
 	if st.EdgeLabel >= 0 && (!h.EdgeLabeled() || int64(h.EdgeLabel(c)) != st.EdgeLabel) {
 		return false
 	}
@@ -340,8 +434,9 @@ func (w *worker) resolveSet(o oig.Operand, hint oig.ContainerHint) intset.Set {
 // generateDAL intersects, for the already-matched hyperedges position t
 // must overlap, their adjacency groups of the wanted degree and overlap size
 // (Sec. 4.5, split by |e∩o|) with one k-way kernel call — which is what
-// honours the plan's generation contract (Step.ConnOverlap): no candidate
-// with a wrong pairwise overlap size is ever produced. The groups arrive as
+// honours the Conn half of the plan's generation contract
+// (Step.ConnOverlap): no candidate with a wrong pairwise overlap size is ever
+// produced. (subtractDisc honours the other half.) The groups arrive as
 // adaptive containers straight from the DAL's arenas (bitmap windows
 // included, never converted), IntersectKAdaptive orders them rarest-first,
 // and the scan short-circuits the moment any operand is exhausted. The
@@ -363,6 +458,27 @@ func (w *worker) generateDAL(t int) []uint32 {
 	w.countKernelClass(intset.ClassifyK(sets))
 	w.cand[t], w.tmp[t] = intset.IntersectKAdaptive(sets, w.cand[t][:0], w.tmp[t][:0])
 	return w.cand[t]
+}
+
+// subtractDisc is the other half of the generation contract (Step.Disc): it
+// removes from cands, in place, every neighbour of the bound hyperedges
+// position t must not overlap. Only their sub-groups of the step's degree can
+// hold a candidate, and those belong to hyperedges that stay bound — and
+// cached — for the whole subtree, where a per-candidate connectivity probe
+// reads a different candidate's adjacency every time.
+func (w *worker) subtractDisc(t int, cands []uint32) []uint32 {
+	st := &w.e.plan.Steps[t]
+	for _, j := range st.Disc {
+		w.adjSets = w.e.store.AdjSets(w.c[j], st.Degree, w.adjSets[:0])
+		for _, nb := range w.adjSets {
+			if len(cands) == 0 {
+				return cands
+			}
+			w.countKernelClass(intset.Classify(intset.ArrayView(cands), nb))
+			cands = intset.DifferenceSet(cands, nb, cands[:0])
+		}
+	}
+	return cands
 }
 
 // countKernelClass attributes one set operation to its kernel path.

@@ -171,6 +171,46 @@ func checkPair(t *testing.T, a, b []uint32) {
 	if got := Classify(sa, sb); got > ClassBitmap {
 		t.Fatalf("bad class %d", got)
 	}
+	checkDifference(t, a, b)
+}
+
+// refDifference is the oracle of DifferenceSet: map-based a \ b.
+func refDifference(a, b []uint32) []uint32 {
+	in := make(map[uint32]bool, len(b))
+	for _, x := range b {
+		in[x] = true
+	}
+	var out []uint32
+	for _, x := range a {
+		if !in[x] {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// checkDifference holds DifferenceSet(a, b) to the oracle with b windowed
+// (where its density earns a window) and array-only — which between them
+// reach the window probe, both gallop directions, the merge and the empty and
+// disjoint-range exits — into a fresh buffer, a reused one, and a itself.
+func checkDifference(t *testing.T, a, b []uint32) {
+	t.Helper()
+	want := refDifference(a, b)
+	for _, sb := range []Set{BuildSet(b), ArrayView(b)} {
+		before := append([]uint32(nil), a...)
+		if got := DifferenceSet(a, sb, nil); !eq(got, want) {
+			t.Fatalf("DifferenceSet(%v, %v, window=%v)=%v want %v", a, b, sb.HasWindow(), got, want)
+		}
+		if got := DifferenceSet(a, sb, make([]uint32, 1, 4)); !eq(got, want) {
+			t.Fatalf("DifferenceSet(%v, %v, window=%v) into a reused buffer=%v want %v", a, b, sb.HasWindow(), got, want)
+		}
+		if !eq(a, before) {
+			t.Fatalf("DifferenceSet wrote to its minuend: %v, was %v", a, before)
+		}
+		if got := DifferenceSet(before, sb, before[:0]); !eq(got, want) {
+			t.Fatalf("DifferenceSet(%v, %v, window=%v) in place=%v want %v", a, b, sb.HasWindow(), got, want)
+		}
+	}
 }
 
 func TestAdaptivePairsDifferential(t *testing.T) {
@@ -268,7 +308,8 @@ func TestIntersectKBufferReuse(t *testing.T) {
 }
 
 // FuzzIntersectKernels differentially fuzzes every kernel family — array,
-// bitmap-window, mixed, and k-way paths — against the scalar reference.
+// bitmap-window, mixed, and k-way paths — against the scalar reference, and
+// the difference kernel against its map oracle.
 // Inputs are raw bytes decoded into up to four sets so the fuzzer controls
 // density, overlap, and trim shapes directly.
 func FuzzIntersectKernels(f *testing.F) {
@@ -315,6 +356,12 @@ func FuzzIntersectKernels(f *testing.F) {
 				t.Fatalf("%s.IntersectCount=%d want %d", kn.Name, got, len(want))
 			}
 		}
+		checkDifference(t, a, b)
+		checkDifference(t, b, a)
+		// The decoder deals the bytes round-robin, so the sets come out about
+		// equally long; a prefix of one is what reaches the gallop paths.
+		checkDifference(t, a, b[:len(b)/gallopThreshold])
+		checkDifference(t, a[:len(a)/gallopThreshold], b)
 
 		// K-way across all decoded sets.
 		wantK := refIntersectK(arrs)

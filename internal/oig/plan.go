@@ -151,7 +151,11 @@ type Step struct {
 	Conn        []int
 	ConnOverlap []int
 	// Disc lists earlier positions whose candidate must NOT overlap the new
-	// candidate (generation-time disconnection check via the DAL).
+	// candidate: the other half of the generation contract. No candidate for
+	// position t shares a vertex with c[j], j ∈ Disc — the engine subtracts
+	// the bound hyperedges' DAL neighbour groups from what it generates, and
+	// holds a candidate range it is handed (a stolen task, a snapshot's
+	// frontier) to the same before exploring it.
 	Disc []int
 	// EdgeLabels is the label histogram of pe_t (labeled patterns only).
 	EdgeLabels []sig.LabelCount

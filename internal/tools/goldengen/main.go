@@ -6,7 +6,7 @@
 // export and runs it there, so "written by the parent's encoder" is a
 // command; it therefore sticks to API that has not moved since PR 13. The
 // tests that load the files rebuild the same inputs (dal.goldenHypergraph,
-// engine.TestParentSnapshotResumes).
+// engine.TestParentSnapshotResumes, engine.TestParentChainSnapshotResumes).
 package main
 
 import (
@@ -33,14 +33,30 @@ func (s *lastSink) WriteSnapshot(snap *checkpoint.Snapshot) (int64, error) {
 func main() {
 	ohmd := flag.String("ohmd", "", "write the DAL store of the generated hypergraph here")
 	ohmc := flag.String("ohmc", "", "write the snapshot of the interrupted star run here")
+	chain := flag.String("chain", "", "write the snapshot of the interrupted chain run here")
 	flag.Parse()
-	if err := run(*ohmd, *ohmc); err != nil {
+	if err := run(*ohmd, *ohmc, *chain); err != nil {
 		fmt.Fprintln(os.Stderr, "goldengen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ohmd, ohmc string) error {
+// interrupted mines p with one instrumented worker until Limit stops it — the
+// final quiesce leaves remainders at every depth — and writes the snapshot.
+func interrupted(store *dal.Store, p *pattern.Pattern, limit uint64, path string) error {
+	sink := &lastSink{}
+	res, err := engine.Mine(store, p, engine.Options{Workers: 1, Instrument: true, Limit: limit, Checkpoint: sink})
+	if err != nil {
+		return err
+	}
+	if sink.snap == nil || !res.Truncated {
+		return fmt.Errorf("the run was not interrupted (truncated=%v)", res.Truncated)
+	}
+	_, err = sink.snap.WriteFile(path)
+	return err
+}
+
+func run(ohmd, ohmc, chain string) error {
 	if ohmd != "" {
 		// Dense enough for overlap sizes to vary inside a degree group, and
 		// for some groups to be longer than the sort's insertion cut-off.
@@ -51,8 +67,7 @@ func run(ohmd, ohmc string) error {
 		}
 	}
 	if ohmc != "" {
-		// The 3-star over a 40-edge star with a two-vertex hub, stopped by
-		// Limit part-way: the final quiesce leaves remainders at every depth.
+		// The 3-star over a 40-edge star with a two-vertex hub.
 		const n = 40
 		edges := make([][]uint32, n)
 		for i := range edges {
@@ -60,15 +75,25 @@ func run(ohmd, ohmc string) error {
 		}
 		store := dal.Build(hypergraph.MustBuild(n+2, edges, nil))
 		p := pattern.MustNew([][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 1, 4}}, nil)
-		sink := &lastSink{}
-		res, err := engine.Mine(store, p, engine.Options{Workers: 1, Instrument: true, Limit: 2500, Checkpoint: sink})
-		if err != nil {
+		if err := interrupted(store, p, 2500, ohmc); err != nil {
 			return err
 		}
-		if sink.snap == nil || !res.Truncated {
-			return fmt.Errorf("the run was not interrupted (truncated=%v)", res.Truncated)
+	}
+	if chain != "" {
+		// The path of three 2-vertex hyperedges over the complete graph on 12
+		// vertices: its last position must not overlap the first-bound end
+		// (Step.Disc), and in a complete graph half of what generation offers
+		// there does.
+		const n = 12
+		var edges [][]uint32
+		for a := uint32(0); a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				edges = append(edges, []uint32{a, b})
+			}
 		}
-		if _, err := sink.snap.WriteFile(ohmc); err != nil {
+		store := dal.Build(hypergraph.MustBuild(n, edges, nil))
+		p := pattern.MustNew([][]uint32{{0, 1}, {1, 2}, {2, 3}}, nil)
+		if err := interrupted(store, p, 2000, chain); err != nil {
 			return err
 		}
 	}
