@@ -230,3 +230,42 @@ func BenchmarkMineChain(b *testing.B) {
 // BenchmarkMinePair: two overlapping hyperedges — every embedding is a member
 // of a DAL group, so the run is one group length per first-position binding.
 func BenchmarkMinePair(b *testing.B) { benchMine(b, "0 1; 0 2 3 4") }
+
+// BenchmarkMineTriangle: three hyperedges around one shared vertex, two of
+// them sharing a second — a last step whose ops, s0 ← c0∩c2 and s0 ⊆ c1,
+// count as |c2 ∩ (c0∩c1)| = 1 against one operand built per binding.
+func BenchmarkMineTriangle(b *testing.B) { benchMine(b, "0 1 2; 0 1 3; 0 4 5") }
+
+// BenchmarkMineClique4: four hyperedges sharing a core of 64 vertices on a
+// block of 36 such hyperedges — the last step's s0 ⊆ c3 tests one bitmap
+// window, built once per (c0, c1), against each candidate's.
+func BenchmarkMineClique4(b *testing.B) {
+	const core, k = 64, 36
+	block := make([][]uint32, k)
+	for i := range block {
+		for v := uint32(0); v < core; v++ {
+			block[i] = append(block[i], v)
+		}
+		block[i] = append(block[i], core+uint32(i))
+	}
+	h, err := BuildHypergraph(core+k, block, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store := NewStore(h)
+	p, err := NewPattern(block[:4], nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Mine(store, p, WithWorkers(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Unique != k*(k-1)*(k-2)*(k-3)/24 {
+			b.Fatalf("%d 4-cliques, want %d", res.Unique, k*(k-1)*(k-2)*(k-3)/24)
+		}
+	}
+}

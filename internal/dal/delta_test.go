@@ -161,7 +161,16 @@ func TestBuildDeltaBatches(t *testing.T) {
 	}
 	inputs["dense-block"] = blocks
 
-	for name, edges := range inputs {
+	// Inputs run in name order and each takes exactly `batches` batches of
+	// 1..len/4 edges, so the subtest names are the same on every run.
+	const batches = 10
+	names := make([]string, 0, len(inputs))
+	for name := range inputs {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		edges := inputs[name]
 		nv := 0
 		for _, e := range edges {
 			nv = max(nv, int(e[len(e)-1])+1)
@@ -172,8 +181,22 @@ func TestBuildDeltaBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := Build(h)
-		for batch := 0; cut < len(edges); batch++ {
-			next := min(len(edges), cut+1+rng.Intn(len(edges)/4))
+		// The batch ends are distinct cuts after the first one, redrawn until
+		// no batch is larger than len/4.
+		var ends []int
+		for bounded := false; !bounded; {
+			ends = rng.Perm(len(edges) - cut - 1)[:batches-1]
+			for i := range ends {
+				ends[i] += cut + 1
+			}
+			ends = append(ends, len(edges))
+			slices.Sort(ends)
+			bounded = true
+			for i, start := range append([]int{cut}, ends[:batches-1]...) {
+				bounded = bounded && ends[i]-start <= len(edges)/4
+			}
+		}
+		for batch, next := range ends {
 			if h, err = hypergraph.Extend(h, edges[cut:next]); err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -124,51 +125,84 @@ func TestDiscShapesDifferential(t *testing.T) {
 
 // TestCountedLeafKeepsCounters: counting the last position must leave the
 // instrumented counters where visiting it puts them. An OnEmbedding callback
-// turns the counting off, so the same plan runs both ways.
+// turns the counting off, so the same plan runs both ways. On the Disc shapes
+// the counted leaf runs no set operation validation would not; on the leaf
+// shapes, whose ops become conditions, SetOps counts other kernel calls and
+// is reported.
 func TestCountedLeafKeepsCounters(t *testing.T) {
-	store := dal.Build(randGraphLike(rand.New(rand.NewSource(8)), 9, 20, 12))
+	type counterCase struct {
+		name  string
+		store *dal.Store
+		edges [][]uint32
+		ops   bool
+	}
+	var cases []counterCase
+	graphLike := dal.Build(randGraphLike(rand.New(rand.NewSource(8)), 9, 20, 12))
 	for _, shape := range discShapes {
-		p := pattern.MustNew(shape.edges, nil)
+		cases = append(cases, counterCase{shape.name, graphLike, shape.edges, false})
+	}
+	leafy := dal.Build(leafHypergraph(rand.New(rand.NewSource(9)), 9, 28))
+	for _, shape := range leafShapes {
+		if shape.conds > 0 {
+			cases = append(cases, counterCase{shape.name, leafy, shape.edges, true})
+		}
+	}
+	for _, c := range cases {
+		p := pattern.MustNew(c.edges, nil)
 		for _, norestrict := range []bool{false, true} {
 			opts := Options{Workers: 1, Instrument: true, NoSymmetryBreak: norestrict}
-			fast, err := Mine(store, p, opts)
+			fast, err := Mine(c.store, p, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if newShared(store, fast.Plan, opts).countedLeaf < 0 {
-				t.Fatalf("%s: the last position is not counted\nplan:\n%s", shape.name, fast.Plan)
+			if e := newShared(c.store, fast.Plan, opts); e.countedLeaf < 0 || (len(e.leafConds) > 0) != c.ops {
+				t.Fatalf("%s: counted leaf %d with %d conditions\nplan:\n%s", c.name, e.countedLeaf, len(e.leafConds), fast.Plan)
 			}
 			calls := uint64(0)
 			opts.OnEmbedding = func([]uint32) { calls++ }
-			if newShared(store, fast.Plan, opts).countedLeaf >= 0 {
-				t.Fatalf("%s: a run with OnEmbedding still counts its last position", shape.name)
+			if newShared(c.store, fast.Plan, opts).countedLeaf >= 0 {
+				t.Fatalf("%s: a run with OnEmbedding still counts its last position", c.name)
 			}
-			slow, err := Mine(store, p, opts)
+			slow, err := Mine(c.store, p, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if fast.Ordered != slow.Ordered || fast.Unique != slow.Unique ||
-				fast.Stats.Candidates != slow.Stats.Candidates || fast.Stats.Embeddings != slow.Stats.Embeddings || fast.Stats.SetOps != slow.Stats.SetOps {
+			if fast.Ordered != slow.Ordered || fast.Unique != slow.Unique || fast.Stats.Candidates != slow.Stats.Candidates ||
+				fast.Stats.Embeddings != slow.Stats.Embeddings || (!c.ops && fast.Stats.SetOps != slow.Stats.SetOps) {
 				t.Fatalf("%s norestrict=%v: counted %d/%d with candidates=%d embeddings=%d setops=%d, visited %d/%d with %d/%d/%d",
-					shape.name, norestrict, fast.Ordered, fast.Unique, fast.Stats.Candidates, fast.Stats.Embeddings, fast.Stats.SetOps,
+					c.name, norestrict, fast.Ordered, fast.Unique, fast.Stats.Candidates, fast.Stats.Embeddings, fast.Stats.SetOps,
 					slow.Ordered, slow.Unique, slow.Stats.Candidates, slow.Stats.Embeddings, slow.Stats.SetOps)
+			}
+			if c.ops {
+				t.Logf("%s norestrict=%v: setops counted %d, visited %d", c.name, norestrict, fast.Stats.SetOps, slow.Stats.SetOps)
 			}
 			// One callback per enumerated tuple: per unordered embedding on a
 			// restricted plan, per ordered one otherwise.
 			if wantCalls := map[bool]uint64{false: slow.Unique, true: slow.Ordered}[norestrict]; calls != wantCalls {
-				t.Fatalf("%s norestrict=%v: %d callbacks, want %d", shape.name, norestrict, calls, wantCalls)
+				t.Fatalf("%s norestrict=%v: %d callbacks, want %d", c.name, norestrict, calls, wantCalls)
 			}
 		}
 	}
 }
 
 // TestCountedLeafLimit: a Limit that lands inside a counted last position is
-// honoured by falling back to the per-candidate loop there. One worker stops
-// at exactly min(total, Limit) enumerated tuples; several may pass it by one
-// in-flight embedding each, never by a leaf's worth.
+// honoured by falling back to the per-candidate loop there — also where the
+// position's ops run as leaf conditions. One worker stops at exactly
+// min(total, Limit) enumerated tuples; several may pass it by one in-flight
+// embedding each, never by a leaf's worth.
 func TestCountedLeafLimit(t *testing.T) {
-	store := completeGraph(7)
-	for _, edges := range [][][]uint32{{{0, 1}, {1, 2}}, {{0, 1}, {1, 2}, {2, 3}}} {
+	k7, k10, block := completeGraph(7), completeGraph(10), blockStore(12)
+	for _, c := range []struct {
+		store *dal.Store
+		edges [][]uint32
+		ops   bool
+	}{
+		{k7, [][]uint32{{0, 1}, {1, 2}}, false},
+		{k7, [][]uint32{{0, 1}, {1, 2}, {2, 3}}, false},
+		{k10, leafShapes[2].edges, true},   // graph triangle: s0 ∩ c2 == ∅
+		{block, leafShapes[0].edges, true}, // core triangle: s0 ⊆ c2
+	} {
+		store, edges := c.store, c.edges
 		p := pattern.MustNew(edges, nil)
 		for _, norestrict := range []bool{false, true} {
 			full, err := Mine(store, p, Options{Workers: 1, NoSymmetryBreak: norestrict})
@@ -182,8 +216,29 @@ func TestCountedLeafLimit(t *testing.T) {
 				return r.Ordered
 			}
 			total := enumerated(full)
-			if total < 100 || newShared(store, full.Plan, Options{Limit: 1}).countedLeaf < 0 {
-				t.Fatalf("%v: %d tuples, counted leaf %d: not the workload this test needs", edges, total, newShared(store, full.Plan, Options{}).countedLeaf)
+			e := newShared(store, full.Plan, Options{Limit: 1})
+			if total < 100 || e.countedLeaf < 0 || (len(e.leafConds) > 0) != c.ops {
+				t.Fatalf("%v: %d tuples, counted leaf %d with %d conditions: not the workload this test needs", edges, total, e.countedLeaf, len(e.leafConds))
+			}
+			// Limit 1 hands the first leaf, which holds an embedding on these
+			// stores, back to the per-candidate loop: from there the run is a
+			// visiting one, and its counters must not also hold the attempt.
+			first := Options{Workers: 1, NoSymmetryBreak: norestrict, Limit: 1, Instrument: true}
+			counted, err := Mine(store, p, first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first.OnEmbedding = func([]uint32) {}
+			visited, err := Mine(store, p, first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs, vs := counted.Stats, visited.Stats
+			if cs.Candidates != vs.Candidates || cs.Embeddings != vs.Embeddings || cs.SetOps != vs.SetOps ||
+				cs.KernelBitmap != vs.KernelBitmap || cs.KernelMixed != vs.KernelMixed || cs.KernelArray != vs.KernelArray {
+				t.Fatalf("%v norestrict=%v limit=1: counted run candidates=%d embeddings=%d setops=%d kernels=%d/%d/%d, visited %d/%d/%d %d/%d/%d",
+					edges, norestrict, cs.Candidates, cs.Embeddings, cs.SetOps, cs.KernelBitmap, cs.KernelMixed, cs.KernelArray,
+					vs.Candidates, vs.Embeddings, vs.SetOps, vs.KernelBitmap, vs.KernelMixed, vs.KernelArray)
 			}
 			for limit := uint64(1); limit <= total+2; limit += 1 + limit/9 {
 				for _, workers := range []int{1, 4} {
@@ -298,11 +353,33 @@ func TestCountedLeafFallsBackOnLabels(t *testing.T) {
 
 // TestCountedLeafCheckpointResume cuts a run on a counted-leaf plan with
 // Limit — the final quiesce saves remainders at every depth, last position
-// and middle Disc steps included — and resumes it, twice, to the exact total.
+// and middle Disc steps included — and resumes it, twice, to the exact total;
+// also where the last position's ops run as leaf conditions, whose cached
+// operands a resumed worker has never built.
 func TestCountedLeafCheckpointResume(t *testing.T) {
-	store := completeGraph(8)
+	k8, block := completeGraph(8), blockStore(10)
+	type resumeCase struct {
+		name  string
+		store *dal.Store
+		edges [][]uint32
+	}
+	var cases []resumeCase
 	for _, shape := range discShapes[:3] {
+		cases = append(cases, resumeCase{shape.name, k8, shape.edges})
+	}
+	// On a complete graph with lexicographic IDs a graph triangle's third
+	// hyperedge is the last candidate of its leaf, so a cut never leaves a
+	// remainder there: the triangle runs on a graph with shuffled IDs.
+	shuffled := dal.Build(randGraphLike(rand.New(rand.NewSource(20)), 9, 30, 0))
+	cases = append(cases, resumeCase{leafShapes[2].name, shuffled, leafShapes[2].edges}, resumeCase{leafShapes[1].name, block, leafShapes[1].edges})
+	for _, shape := range cases {
+		store := shape.store
 		p := pattern.MustNew(shape.edges, nil)
+		// One worker cuts deterministically, and every such leg must leave
+		// remainders at every depth. Where two workers cut depends on which
+		// one reaches Limit on which candidate, so their legs must cover
+		// every depth together.
+		twoWorkerDepths := map[uint32]bool{}
 		for _, norestrict := range []bool{false, true} {
 			for _, workers := range []int{1, 2} {
 				base := Options{Workers: workers, NoSymmetryBreak: norestrict, SplitThreshold: 1}
@@ -331,8 +408,11 @@ func TestCountedLeafCheckpointResume(t *testing.T) {
 				for _, task := range snap.Frontier {
 					depths[task.Depth] = true
 				}
-				if len(depths) != len(plan.Steps) {
-					t.Fatalf("%s: the cut left remainders at depths %v, want every one of %d", shape.name, depths, len(plan.Steps))
+				if workers == 1 && len(depths) != p.NumEdges() {
+					t.Fatalf("%s norestrict=%v: the cut left remainders at depths %v, want every one of %d", shape.name, norestrict, depths, p.NumEdges())
+				}
+				if workers == 2 {
+					maps.Copy(twoWorkerDepths, depths)
 				}
 				res, err = ResumeWithPlanContext(context.Background(), store, plan, snap, base)
 				if err != nil {
@@ -343,6 +423,9 @@ func TestCountedLeafCheckpointResume(t *testing.T) {
 						shape.name, norestrict, workers, res.Ordered, res.Unique, res.Truncated, full.Ordered, full.Unique)
 				}
 			}
+		}
+		if len(twoWorkerDepths) != p.NumEdges() {
+			t.Fatalf("%s: the two-worker cuts left remainders at depths %v, want every one of %d", shape.name, twoWorkerDepths, p.NumEdges())
 		}
 	}
 }

@@ -118,7 +118,13 @@ type Stats struct {
 	// Embeddings is the number of (partial) embeddings that passed
 	// validation, across all depths.
 	Embeddings uint64
-	// SetOps counts intersection operations executed by overlap validation.
+	// SetOps counts intersection operations executed by overlap validation:
+	// the interpreter's OpIntersect/OpIntersectCount/OpIntersectEq (not its
+	// ⊆, ∅ and == checks) and the slot rebuilds of a handed-over prefix. At a
+	// counted last position whose ops run as leaf conditions it counts each
+	// intersection that builds a condition's operand and each candidate
+	// checked with IntersectCountSetsAdaptive — not the IsSubsetSets and
+	// SetsIntersectAdaptive tests, which stand for ⊆ and ∅ checks.
 	SetOps uint64
 	// GenTime/ValTime split the wall time between candidate generation and
 	// validation; only tracked when Options.Instrument is set.
@@ -141,8 +147,8 @@ type Stats struct {
 	CheckpointBytes  uint64
 	CheckpointErrors uint64
 	// Kernel-path counters: how many set operations (generation's k-way
-	// intersections, Disc differences and leaf counts, and the validation
-	// ops) ran word-parallel over bitmap
+	// intersections, Disc differences and leaf counts, the validation ops but
+	// ⊆, and the leaf conditions' count and ∅ tests) ran word-parallel over bitmap
 	// windows (KernelBitmap), probe-accelerated with one windowed operand
 	// (KernelMixed), or on the plain array kernels (KernelArray). Always
 	// tracked, like the scheduler counters; the kern ablation and ohmstat
@@ -621,11 +627,14 @@ type shared struct {
 	autoPerms [][]int
 	emitMu    sync.Mutex
 	// countedLeaf is the last matching-order position if the run has nothing
-	// to do there hyperedge by hyperedge — the step has no ops and no label
-	// test, and the caller neither receives (OnEmbedding) nor filters
+	// to do there hyperedge by hyperedge that a set operation per binding
+	// cannot do — the step's ops restate as leafConds, it has no label test,
+	// and the caller neither receives (OnEmbedding) nor filters
 	// (PositionFilter) single bindings — so that worker.countLeaf may count
-	// what generation yields instead of visiting it; -1 otherwise.
+	// what generation yields and the conditions keep instead of visiting it;
+	// -1 otherwise.
 	countedLeaf int
+	leafConds   []leafCond
 }
 
 // newShared resolves a run's options into the state its workers share.
@@ -633,9 +642,11 @@ func newShared(store *dal.Store, plan *oig.Plan, opts Options) *shared {
 	e := &shared{store: store, plan: plan, opts: opts, saveOnStop: opts.Checkpoint != nil, countedLeaf: -1}
 	e.splitDepth, e.splitThreshold = splitParams(plan, opts)
 	last := len(plan.Steps) - 1
-	if st := &plan.Steps[last]; last > 0 && len(st.Ops) == 0 && !plan.Labeled && st.EdgeLabel < 0 &&
+	if st := &plan.Steps[last]; last > 0 && !plan.Labeled && st.EdgeLabel < 0 &&
 		opts.OnEmbedding == nil && opts.PositionFilter == nil {
-		e.countedLeaf = last
+		if conds, ok := translateLeaf(plan); ok {
+			e.countedLeaf, e.leafConds = last, conds
+		}
 	}
 	return e
 }

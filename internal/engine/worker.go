@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -32,8 +33,9 @@ type worker struct {
 	tmp   [][]uint32 // ping-pong buffer for progressive intersections
 	slots [][]uint32 // overlap buffers, indexed by plan slot
 
-	labelScratch []int        // per-label counter for histogram checks
-	adjSets      []intset.Set // scratch: adjacency containers of one generation
+	labelScratch []int         // per-label counter for histogram checks
+	adjSets      []intset.Set  // scratch: adjacency containers of one generation
+	leafY        []leafOperand // cached Y per leaf condition (shared.leafConds)
 
 	count uint64
 	stop  bool // local mirror of shared.stopped, avoids repeat atomic loads while unwinding
@@ -69,6 +71,18 @@ func newWorker(e *shared, found *atomic.Uint64) *worker {
 	for i := range w.slots {
 		w.slots[i] = make([]uint32, 0, maxDeg)
 	}
+	// An overlap holds at most maxDeg vertices, and its window at most one
+	// word per eight of them (intset.PlanWords).
+	w.leafY = make([]leafOperand, len(e.leafConds))
+	for i, c := range e.leafConds {
+		if c.pair || !c.a.Edge {
+			w.leafY[i] = leafOperand{
+				key:   make([]uint32, bits.OnesCount32(c.deps)),
+				arr:   make([]uint32, 0, maxDeg),
+				words: make([]uint64, 0, maxDeg/8+1),
+			}
+		}
+	}
 	if h.Labeled() {
 		w.labelScratch = make([]int, h.NumLabels())
 	}
@@ -99,33 +113,40 @@ func (w *worker) step(t int) {
 
 // countLeaf adds the number of hyperedges position t — the last one, of a
 // run in which a binding there is an embedding as soon as accept passes it
-// (shared.countedLeaf) — can bind, without visiting them. Generation already
-// honours Conn and Disc; the restrictions keep the candidates above the
-// largest restricted binding, a suffix of the sorted list; and the only bound
-// hyperedges generation can produce again sit at Disc positions (a hyperedge
-// is no neighbour of itself), one binary search each. With one Conn operand
-// and at most one Disc nothing is materialised either: the candidates are a
-// DAL group G, the disconnected hyperedge's sub-groups N_k of the same degree
-// are pairwise disjoint, and the count is |G| − Σ_k |G ∩ N_k|.
+// and the step's ops hold (shared.countedLeaf) — can bind, without visiting
+// them. Generation already honours Conn and Disc; the restrictions keep the
+// candidates above the largest restricted binding, a suffix of the sorted
+// list; the ops, restated as leaf conditions (leaf.go), filter what is left
+// in place; and the only bound hyperedges generation can produce again sit at
+// Disc positions (a hyperedge is no neighbour of itself), one binary search
+// each. Without conditions, one Conn operand and at most one Disc, nothing is
+// materialised either: the candidates are a DAL group G, the disconnected
+// hyperedge's sub-groups N_k of the same degree are pairwise disjoint, and the
+// count is |G| − Σ_k |G ∩ N_k|.
 //
-// It reports false, having counted nothing, when the stop flag is up or the
-// leaf would reach Limit: the per-candidate loop then runs, and stays the
-// only place that truncates a run or saves a remainder.
+// It reports false, having counted nothing — no Stats counter included —
+// when the stop flag is up or the leaf would reach Limit: the per-candidate
+// loop then runs, and stays the only place that truncates a run or saves a
+// remainder.
 func (w *worker) countLeaf(t int) bool {
 	if w.stop || w.e.stopped.Load() {
 		return false
 	}
-	var t0 time.Time
+	var t0, t1 time.Time // start, and end of generation when the ops filter after it
 	instrument := w.e.opts.Instrument
 	if instrument {
 		t0 = time.Now()
 	}
+	// A leaf handed back to the per-candidate loop is counted there, kernel
+	// calls included: what ran here is taken back.
+	setOps, bitmap, mixed, array := w.stats.SetOps, w.stats.KernelBitmap, w.stats.KernelMixed, w.stats.KernelArray
 	st := &w.e.plan.Steps[t]
+	conds := len(w.e.leafConds) > 0
 	// g is what generation yields at t — short of the Disc subtraction where
 	// inclusion–exclusion makes up for it below.
 	var g intset.Set
 	var generated int
-	iep := len(st.Conn) == 1 && len(st.Disc) <= 1
+	iep := !conds && len(st.Conn) == 1 && len(st.Disc) <= 1
 	if iep {
 		g = w.e.store.AdjSet(w.c[st.Conn[0]], st.Degree, st.ConnOverlap[0])
 		generated = g.Len()
@@ -136,6 +157,12 @@ func (w *worker) countLeaf(t int) bool {
 	}
 	if k := w.restrictedBelow(st, g.Elems()); k > 0 {
 		g = intset.ArrayView(g.Elems()[k:])
+	}
+	if conds {
+		if instrument {
+			t1 = time.Now()
+		}
+		g = intset.ArrayView(w.filterLeaf(g.Elems()))
 	}
 	n := g.Len()
 	for _, j := range st.Disc {
@@ -154,6 +181,7 @@ func (w *worker) countLeaf(t int) bool {
 		for {
 			found := w.found.Load()
 			if found+uint64(n) >= limit {
+				w.stats.SetOps, w.stats.KernelBitmap, w.stats.KernelMixed, w.stats.KernelArray = setOps, bitmap, mixed, array
 				return false
 			}
 			if w.found.CompareAndSwap(found, found+uint64(n)) {
@@ -163,7 +191,13 @@ func (w *worker) countLeaf(t int) bool {
 	}
 	w.count += uint64(n)
 	if instrument {
-		w.stats.GenTime += time.Since(t0)
+		// The filter is the step's validation: its time is ValTime's.
+		now := time.Now()
+		if t1.IsZero() {
+			t1 = now
+		}
+		w.stats.GenTime += t1.Sub(t0)
+		w.stats.ValTime += now.Sub(t1)
 		w.stats.Candidates += uint64(generated)
 		w.stats.Embeddings += uint64(n)
 	}
@@ -423,12 +457,18 @@ func (w *worker) resolve(o oig.Operand) []uint32 {
 //ohmlint:hotpath
 func (w *worker) resolveSet(o oig.Operand, hint oig.ContainerHint) intset.Set {
 	if o.Edge {
-		if hint == oig.HintArray {
-			return intset.ArrayView(w.e.store.Hypergraph().EdgeVertices(w.c[o.Pos]))
-		}
-		return w.e.store.EdgeVertexSet(w.c[o.Pos])
+		return w.edgeSet(w.c[o.Pos], hint)
 	}
 	return intset.ArrayView(w.slots[o.Pos])
+}
+
+// edgeSet resolves hyperedge e's vertex set as an adaptive container, as
+// resolveSet does an operand bound to it.
+func (w *worker) edgeSet(e uint32, hint oig.ContainerHint) intset.Set {
+	if hint == oig.HintArray {
+		return intset.ArrayView(w.e.store.Hypergraph().EdgeVertices(e))
+	}
+	return w.e.store.EdgeVertexSet(e)
 }
 
 // generateDAL intersects, for the already-matched hyperedges position t

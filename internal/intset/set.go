@@ -385,6 +385,70 @@ func SetsIntersectAdaptive(a, b Set) bool {
 	return Intersects(a.arr, b.arr)
 }
 
+// IsSubsetSets reports whether every element of a occurs in b, with early
+// exit at the first one that does not. Over the words both windows cover it
+// tests a &^ b word by word; a's elements outside that range — its trimmed
+// outliers and whatever its window holds beyond b's — are probed into b. With
+// only b windowed every element of a is probed (a word test inside b's
+// window), and without a window on b it is IsSubset's merge or gallop.
+//
+//ohmlint:hotpath
+func IsSubsetSets(a, b Set) bool {
+	if len(a.arr) == 0 {
+		return true
+	}
+	if len(a.arr) > len(b.arr) || a.Min() < b.Min() || a.Max() > b.Max() {
+		return false
+	}
+	if b.words == nil {
+		return IsSubset(a.arr, b.arr)
+	}
+	if a.words != nil {
+		if wlo, whi := overlapWords(a, b); whi > wlo {
+			aw := a.words[wlo-a.base : whi-a.base]
+			bw := b.words[wlo-b.base:]
+			for w, x := range aw {
+				if x&^bw[w] != 0 {
+					return false
+				}
+			}
+			// Walk in from both ends: every element passed is probed anyway,
+			// and a window inside b's leaves only a's trimmed outliers.
+			lo, hi := uint64(wlo)<<6, uint64(whi)<<6
+			head, tail := 0, len(a.arr)
+			for head < tail && uint64(a.arr[head]) < lo {
+				head++
+			}
+			for tail > head && uint64(a.arr[tail-1]) >= hi {
+				tail--
+			}
+			return probeSubset(a.arr[:head], b) && probeSubset(a.arr[tail:], b)
+		}
+	}
+	return probeSubset(a.arr, b)
+}
+
+// probeSubset reports whether b holds every element of the sorted slice a: a
+// word test inside b's window, binary search with a monotone resume cursor
+// outside it.
+func probeSubset(a []uint32, b Set) bool {
+	cur := 0
+	for _, x := range a {
+		if b.inWindow(x) {
+			if b.words[(x>>6)-b.base]&(1<<(x&63)) == 0 {
+				return false
+			}
+			continue
+		}
+		cur = searchFrom(b.arr, cur, x)
+		if cur == len(b.arr) || b.arr[cur] != x {
+			return false
+		}
+		cur++
+	}
+	return true
+}
+
 // intersectWindows is the SWAR path: AND the overlapping words [wlo, whi)
 // and decode the survivors, then pick up the out-of-range elements of
 // whichever operand has fewer of them by probing the other set. Elements

@@ -172,6 +172,106 @@ func checkPair(t *testing.T, a, b []uint32) {
 		t.Fatalf("bad class %d", got)
 	}
 	checkDifference(t, a, b)
+	checkSubset(t, a, b)
+}
+
+// refSubset is the oracle of IsSubsetSets: map-based a ⊆ b.
+func refSubset(a, b []uint32) bool {
+	in := make(map[uint32]bool, len(b))
+	for _, x := range b {
+		in[x] = true
+	}
+	for _, x := range a {
+		if !in[x] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkSubset holds IsSubsetSets(a, b) to the oracle with a window on both
+// sides (where density earns one), on either side only, and on neither.
+func checkSubset(t *testing.T, a, b []uint32) {
+	t.Helper()
+	want := refSubset(a, b)
+	for _, sa := range []Set{BuildSet(a), ArrayView(a)} {
+		for _, sb := range []Set{BuildSet(b), ArrayView(b)} {
+			if got := IsSubsetSets(sa, sb); got != want {
+				t.Fatalf("IsSubsetSets(%v, %v, windows %v/%v)=%v want %v", a, b, sa.HasWindow(), sb.HasWindow(), got, want)
+			}
+		}
+	}
+}
+
+// subsetShapes derives from b the sets IsSubsetSets must answer about
+// besides random ones, which are almost never subsets: every other element
+// (a sparser subset, windowed or not), b with one element dropped at either
+// end, and each of those with an outlier added below or above b's range or
+// inside a gap of it.
+func subsetShapes(b []uint32) [][]uint32 {
+	var half []uint32
+	for i := 0; i < len(b); i += 2 {
+		half = append(half, b[i])
+	}
+	out := [][]uint32{nil, half, b}
+	if len(b) > 1 {
+		out = append(out, b[1:], b[:len(b)-1])
+	}
+	for _, s := range out[1:] {
+		if len(b) == 0 {
+			break
+		}
+		if b[0] > 0 {
+			out = append(out, mkSet(append([]uint32{b[0] - 1}, s...)))
+		}
+		if b[len(b)-1] < ^uint32(0) {
+			out = append(out, mkSet(append(append([]uint32(nil), s...), b[len(b)-1]+1)))
+		}
+		for i := 1; i < len(b); i++ {
+			if b[i]-b[i-1] > 1 {
+				out = append(out, mkSet(append(append([]uint32(nil), s...), b[i]-1)))
+				break
+			}
+		}
+	}
+	return out
+}
+
+func TestIsSubsetSets(t *testing.T) {
+	dense := func(base, n uint32) []uint32 {
+		v := make([]uint32, n)
+		for i := range v {
+			v[i] = base + uint32(i)
+		}
+		return v
+	}
+	hub := func(lo, run, hi []uint32) []uint32 {
+		return mkSet(append(append(append([]uint32(nil), lo...), run...), hi...))
+	}
+	bs := [][]uint32{
+		nil,
+		dense(0, 256),
+		dense(100, 40),
+		hub([]uint32{3, 9}, dense(70000, 200), []uint32{900000}), // trimmed outliers at both ends
+		hub(nil, dense(64, 100), []uint32{5000, 6000}),
+		mkSet([]uint32{0, 1, ^uint32(0)}),
+	}
+	r := rand.New(rand.NewSource(31))
+	for _, b := range bs {
+		for _, a := range append(subsetShapes(b), dense(1000, 64), dense(50, 300), randShapedSet(r)) {
+			checkSubset(t, a, b)
+			checkSubset(t, b, a)
+		}
+	}
+	// A window outside the other's range, both ways.
+	checkSubset(t, dense(0, 64), dense(4096, 64))
+	checkSubset(t, dense(4096, 64), hub([]uint32{1}, dense(0, 64), []uint32{4096}))
+	// Both windowed and the answer decided word by word: one missing bit.
+	b := dense(640, 300)
+	a := append(append([]uint32(nil), b[:150]...), b[151:]...)
+	if !IsSubsetSets(BuildSet(a), BuildSet(b)) || IsSubsetSets(BuildSet(b), BuildSet(a)) {
+		t.Fatal("one-bit difference between two windows decided wrongly")
+	}
 }
 
 // refDifference is the oracle of DifferenceSet: map-based a \ b.
@@ -309,7 +409,7 @@ func TestIntersectKBufferReuse(t *testing.T) {
 
 // FuzzIntersectKernels differentially fuzzes every kernel family — array,
 // bitmap-window, mixed, and k-way paths — against the scalar reference, and
-// the difference kernel against its map oracle.
+// the difference and subset kernels against their map oracles.
 // Inputs are raw bytes decoded into up to four sets so the fuzzer controls
 // density, overlap, and trim shapes directly.
 func FuzzIntersectKernels(f *testing.F) {
@@ -362,6 +462,15 @@ func FuzzIntersectKernels(f *testing.F) {
 		// equally long; a prefix of one is what reaches the gallop paths.
 		checkDifference(t, a, b[:len(b)/gallopThreshold])
 		checkDifference(t, a[:len(a)/gallopThreshold], b)
+		// Subset: random pairs both ways (|a| > |b| included), and the
+		// subset-shaped derivations of b — empty, sparser, trimmed, with
+		// outliers below, above and inside — against b and a prefix of b.
+		checkSubset(t, a, b)
+		checkSubset(t, b, a)
+		for _, s := range subsetShapes(b) {
+			checkSubset(t, s, b)
+			checkSubset(t, s, b[:len(b)/2])
+		}
 
 		// K-way across all decoded sets.
 		wantK := refIntersectK(arrs)
