@@ -57,8 +57,9 @@ fuzz:
 # exports REV into .golden_build/ (git archive: no worktree or branch is left
 # behind), drops internal/tools/goldengen into the export, runs it there and
 # writes internal/dal/testdata/parent_<TAG>.ohmd and
-# internal/engine/testdata/parent_<TAG>.ohmc (the interrupted star run) and
-# parent_<TAG>_chain.ohmc (the interrupted chain run). Without REV the files
+# internal/engine/testdata/parent_<TAG>.ohmc (the interrupted star run),
+# parent_<TAG>_chain.ohmc (the interrupted chain run) and
+# parent_<TAG>_clique.ohmc (the interrupted 4-clique run). Without REV the files
 # are cut by this tree's encoders. Commit only the file a test names.
 golden:
 	@test -n "$(TAG)" || { echo 'usage: make golden [REV=<git rev>] TAG=<name>'; exit 2; }
@@ -71,7 +72,8 @@ ifneq ($(REV),)
 endif
 	cd $(if $(REV),.golden_build,.) && $(GO) run ./internal/tools/goldengen \
 		-ohmd $(CURDIR)/internal/dal/testdata/parent_$(TAG).ohmd -ohmc $(CURDIR)/internal/engine/testdata/parent_$(TAG).ohmc \
-		-chain $(CURDIR)/internal/engine/testdata/parent_$(TAG)_chain.ohmc
+		-chain $(CURDIR)/internal/engine/testdata/parent_$(TAG)_chain.ohmc \
+		-clique $(CURDIR)/internal/engine/testdata/parent_$(TAG)_clique.ohmc
 	rm -rf .golden_build
 
 # Regenerate the paper's tables and figures (minutes; see EXPERIMENTS.md).

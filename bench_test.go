@@ -236,10 +236,10 @@ func BenchmarkMinePair(b *testing.B) { benchMine(b, "0 1; 0 2 3 4") }
 // count as |c2 ∩ (c0∩c1)| = 1 against one operand built per binding.
 func BenchmarkMineTriangle(b *testing.B) { benchMine(b, "0 1 2; 0 1 3; 0 4 5") }
 
-// BenchmarkMineClique4: four hyperedges sharing a core of 64 vertices on a
-// block of 36 such hyperedges — the last step's s0 ⊆ c3 tests one bitmap
-// window, built once per (c0, c1), against each candidate's.
-func BenchmarkMineClique4(b *testing.B) {
+// cliqueBlock is a dense block of 36 hyperedges that share a core of 64
+// vertices and have one private vertex each: any j of them match the core
+// j-clique, k!/(k-j)! ordered times.
+func cliqueBlock(tb testing.TB) (*Store, [][]uint32) {
 	const core, k = 64, 36
 	block := make([][]uint32, k)
 	for i := range block {
@@ -250,13 +250,28 @@ func BenchmarkMineClique4(b *testing.B) {
 	}
 	h, err := BuildHypergraph(core+k, block, nil)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	store := NewStore(h)
-	p, err := NewPattern(block[:4], nil)
+	return NewStore(h), block
+}
+
+// orderedCliques is k!/(k-j)!, the ordered j-cliques of a block of k.
+func orderedCliques(k, j uint64) uint64 {
+	n := uint64(1)
+	for i := uint64(0); i < j; i++ {
+		n *= k - i
+	}
+	return n
+}
+
+// benchClique times the core j-clique on the block, on one worker.
+func benchClique(b *testing.B, j int) {
+	store, block := cliqueBlock(b)
+	p, err := NewPattern(block[:j], nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	want := orderedCliques(uint64(len(block)), uint64(j))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -264,8 +279,48 @@ func BenchmarkMineClique4(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Unique != k*(k-1)*(k-2)*(k-3)/24 {
-			b.Fatalf("%d 4-cliques, want %d", res.Unique, k*(k-1)*(k-2)*(k-3)/24)
+		if res.Ordered != want {
+			b.Fatalf("%d ordered %d-cliques, want %d", res.Ordered, j, want)
+		}
+	}
+}
+
+// BenchmarkMineClique4: four hyperedges sharing a core of 64 vertices on a
+// block of 36 such hyperedges. Step 2's list, (c0, c1)'s common neighbours
+// that hold the core c0 ∩ c1, is one node built per (c0, c1); the last
+// position counts |node ∩ AdjSet(c2)| above c2 per binding of c2.
+func BenchmarkMineClique4(b *testing.B) { benchClique(b, 4) }
+
+// BenchmarkMineClique5: the 5-clique on the same block — a two-level chain:
+// the (c0, c1) node, the (c0, c1, c2) node that step 3 lists and the last
+// position continues from, and one count per binding of c3.
+func BenchmarkMineClique5(b *testing.B) { benchClique(b, 5) }
+
+// TestCliqueClosedForm: the core cliques of three to five hyperedges on the
+// block, whose middle steps share chain nodes with their last, count
+// k!/(k-j)! ordered and that over j! unique embeddings, restricted or not.
+func TestCliqueClosedForm(t *testing.T) {
+	store, block := cliqueBlock(t)
+	k := uint64(len(block))
+	for _, c := range []struct {
+		j     int
+		nosym bool
+	}{{3, false}, {4, false}, {5, false}, {3, true}, {4, true}} {
+		p, err := NewPattern(block[:c.j], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := []Option{WithWorkers(2)}
+		if c.nosym {
+			opts = append(opts, WithoutSymmetryBreaking())
+		}
+		res, err := Mine(store, p, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := orderedCliques(k, uint64(c.j))
+		if res.Ordered != want || res.Unique != want/orderedCliques(uint64(c.j), uint64(c.j)) || res.Truncated {
+			t.Fatalf("%d-clique nosym=%v: Ordered=%d Unique=%d truncated=%v, want %d/%d", c.j, c.nosym, res.Ordered, res.Unique, res.Truncated, want, want/orderedCliques(uint64(c.j), uint64(c.j)))
 		}
 	}
 }

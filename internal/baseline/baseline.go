@@ -254,6 +254,30 @@ func MineWithPlan(store *dal.Store, plan *oig.Plan, opts Options) (Result, error
 	return res, nil
 }
 
+// Keep returns the members of cands that the interpreter accepts at position
+// len(prefix) of a merged plan with the earlier positions bound to prefix,
+// whether or not the prefix itself is an embedding: the slots its steps write
+// are recomputed, not checked. It is the oracle one step of the production
+// engine's filters is held to.
+func Keep(store *dal.Store, plan *oig.Plan, prefix, cands []uint32) []uint32 {
+	w := newWorker(&run{store: store, plan: plan, kernel: intset.Adaptive})
+	t := copy(w.c, prefix)
+	for s := 1; s < t; s++ {
+		for i := range plan.Steps[s].Ops {
+			if op := &plan.Steps[s].Ops[i]; op.Kind == oig.OpIntersect || op.Kind == oig.OpIntersectEq {
+				w.intersect(op)
+			}
+		}
+	}
+	var out []uint32
+	for _, c := range cands {
+		if w.c[t] = c; w.accept(t, c) && w.validateOverlaps(t) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 // profileCounts precomputes, for every prefix 0..t of the plan's reordered
 // pattern, the multiset of vertex profiles HGMatch-style validation compares
 // against: key = set of prefix hyperedges containing the vertex | label<<32.

@@ -400,6 +400,60 @@ func TestParentChainSnapshotResumes(t *testing.T) {
 	}
 }
 
+// cliqueWorkload is what testdata/parent_pr25_clique.ohmc was cut on (see
+// internal/tools/goldengen): the 4-clique over a block of 36 hyperedges that
+// share a core of 64 vertices, any four of which are an embedding.
+func cliqueWorkload() (*dal.Store, *pattern.Pattern, uint64) {
+	const core, k = 64, 36
+	edges := make([][]uint32, k)
+	for i := range edges {
+		for v := uint32(0); v < core; v++ {
+			edges[i] = append(edges[i], v)
+		}
+		edges[i] = append(edges[i], core+uint32(i))
+	}
+	return dal.Build(hypergraph.MustBuild(core+k, edges, nil)), pattern.MustNew(edges[:4], nil), k * (k - 1) * (k - 2) * (k - 3)
+}
+
+// TestParentCliqueSnapshotResumes loads testdata/parent_pr25_clique.ohmc, cut
+// by the last commit whose engine ran the plan's ops candidate by candidate
+// (`make golden REV=75b9a53 TAG=pr25`): its remainders at depths 1–3 are
+// lists that neither restrictions nor ops had been applied to, where today a
+// step's list is filtered before it is explored and its nodes are cached per
+// binding. Plan fingerprint and checkpoint.Version have not moved, so the file
+// must validate and resume — through runTask's refilter, on caches a resumed
+// worker never built — to the closed form.
+func TestParentCliqueSnapshotResumes(t *testing.T) {
+	store, p, want := cliqueWorkload()
+	snap, err := checkpoint.ReadFile("testdata/parent_pr25_clique.ohmc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	depths := map[uint32]bool{}
+	for _, task := range snap.Frontier {
+		depths[task.Depth] = true
+	}
+	if checkpoint.Version != 1 || snap.Ordered == 0 || !depths[1] || !depths[2] || !depths[3] {
+		t.Fatalf("version %d, Ordered=%d, remainders at depths %v: not the interrupted v1 4-clique run this test needs", checkpoint.Version, snap.Ordered, depths)
+	}
+	plan, err := CompilePlan(store, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateSnapshot(store, plan, snap); err != nil {
+		t.Fatalf("parent snapshot refused: %v", err)
+	}
+	for _, workers := range []int{1, 2} {
+		res, err := ResumeWithPlanContext(context.Background(), store, plan, snap, Options{Workers: workers, SplitThreshold: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ordered != want || res.Unique != want/24 || res.Truncated {
+			t.Fatalf("workers=%d: resumed to Ordered=%d Unique=%d truncated=%v, want %d/%d/false", workers, res.Ordered, res.Unique, res.Truncated, want, want/24)
+		}
+	}
+}
+
 // TestOlderSnapshotRefused: testdata/parent_pr16.ohmc was cut under a plan
 // that size-checked every pairwise overlap in validation, so the candidate
 // lists of its frontier were generated by degree alone. Today's plan would

@@ -1,0 +1,394 @@
+package engine
+
+import (
+	"math/bits"
+	"slices"
+	"time"
+
+	"ohminer/internal/intset"
+	"ohminer/internal/oig"
+	"ohminer/internal/sig"
+)
+
+// This file restates a plan's ops as conditions on candidate lists and builds
+// each step's list as a chain of cached nodes (DESIGN.md "Conditions at every
+// step"). An operand is, as a function of the bindings, an overlap T(M) =
+// ∩_{i∈M} c_i — a hyperedge, or a slot whose M collects the positions its
+// writers read — so every op of step t is a conjunction of atoms |T(M)| = w
+// with a constant w:
+//
+//	|A ∩ B| = Want, A ∩ B = ∅      |T(M_A ∪ M_B)| = Want, 0
+//	A ⊆ B                          |T(M_A ∪ M_B)| = |A|
+//	P == R (eq, intersect-eq)      |T(M_P ∪ M_R)| = |R|, |T(M_P)| = |R|
+//	X ∩ c_t == R, R bound before t |T(M_X ∪ M_R)| = |R|, |c_t ∩ R| = |R|, |c_t ∩ X| = |R|
+//
+// |A| of a hyperedge is its degree, of a slot the size its writer holds it to:
+// a prefix reaches step t only through the conditions of the steps before. An
+// atom with t ∈ M is a step condition |c_t ∩ T(M∖{t})| = w, one without t a
+// prefix condition; one generation guarantees is dropped.
+
+// cond keeps the candidates c with |c ∩ Y| = want, Y = T(m) — or, when prefix
+// is set, all of them if |Y| = want and none otherwise. label, when set, is
+// the vertex-label histogram c ∩ Y must carry as well.
+type cond struct {
+	m      uint32
+	want   int
+	prefix bool
+	label  []sig.LabelCount
+	// hint resolves the candidates' vertex sets, as the op would have.
+	hint oig.ContainerHint
+	// y indexes shared.vdefs for T(m).
+	y int
+}
+
+func (c cond) equal(d cond) bool {
+	return c.m == d.m && c.want == d.want && c.prefix == d.prefix && c.hint == d.hint && slices.Equal(c.label, d.label)
+}
+
+// vdef defines the overlap node T(m): c_hi's vertex set when sub < 0, else
+// vdefs[sub] ∩ c_hi, hi being m's highest position.
+type vdef struct {
+	m   uint32
+	sub int
+	hi  int
+}
+
+// enode defines one node of a step's chain: its parent's list intersected
+// with the (Degree, ov) group of the conn position — the node's own level,
+// -1 for none; a node without a parent is that group — less the Degree groups
+// of the disc positions, filtered by conds. Equal definitions are one node,
+// whichever steps reach it.
+type enode struct {
+	parent, conn, ov int
+	deg              int
+	disc             []int
+	conds            []cond
+	// reads are the positions whose bindings decide the node: its cache key.
+	reads uint32
+	// cached: the node is some node's parent, so it is kept per binding of
+	// reads. A node that is not is a step's own list, rebuilt per binding —
+	// or, without a parent, disc or conds, one DAL group used as it is.
+	cached bool
+}
+
+// translate restates the ops of every step as conds.
+func translate(plan *oig.Plan) [][]cond {
+	slotMask := make([]uint32, plan.NumSlots)
+	slotSize := make([]int, plan.NumSlots)
+	out := make([][]cond, len(plan.Steps))
+	for t := range plan.Steps {
+		st := &plan.Steps[t]
+		bit := uint32(1) << t
+		mask := func(o oig.Operand) uint32 {
+			if o.Edge {
+				return 1 << o.Pos
+			}
+			return slotMask[o.Pos]
+		}
+		// sizeOf is |o|: a hyperedge's degree, or the size a slot's writer
+		// holds it to — which every prefix that reaches step t has passed.
+		sizeOf := func(o oig.Operand) int {
+			if o.Edge {
+				return plan.Steps[o.Pos].Degree
+			}
+			return slotSize[o.Pos]
+		}
+		for i := range st.Ops {
+			op := &st.Ops[i]
+			add := func(m uint32, w int, label []sig.LabelCount) {
+				c := cond{m: m &^ bit, want: w, label: label, hint: op.Hint}
+				if m&bit == 0 || c.m == 0 {
+					// A test on the prefix: |T(m)| = w, or deg(c_t) = w for m = {t}.
+					if m&(m-1) == 0 {
+						if plan.Steps[bits.TrailingZeros32(m)].Degree == w {
+							return
+						}
+						// A degree that differs, which no compiled plan
+						// holds: |c_0| = deg_0 + 1 keeps nothing either.
+						m, w = 1, plan.Steps[0].Degree+1
+					}
+					c = cond{m: m, want: w, prefix: true}
+				} else if label == nil && c.m&(c.m-1) == 0 {
+					j := bits.TrailingZeros32(c.m)
+					if k := slices.Index(st.Conn, j); k >= 0 && st.ConnOverlap[k] == w || w == 0 && slices.Contains(st.Disc, j) {
+						return // generation guarantees it
+					}
+				}
+				if !slices.ContainsFunc(out[t], c.equal) {
+					out[t] = append(out[t], c)
+				}
+			}
+			a := mask(op.A)
+			switch op.Kind {
+			case oig.OpIntersect, oig.OpIntersectCount:
+				add(a|mask(op.B), op.Want, op.LabelWant)
+			case oig.OpEmptyCheck:
+				add(a|mask(op.B), 0, nil)
+			case oig.OpSubsetCheck:
+				add(a|mask(op.B), sizeOf(op.A), nil)
+			case oig.OpIntersectEq, oig.OpEqCheck:
+				p, r, w := a, mask(op.Eq), sizeOf(op.Eq)
+				if op.Kind == oig.OpIntersectEq {
+					p |= mask(op.B)
+				}
+				if p&bit != 0 && r&bit == 0 {
+					add(p&^bit|r, w, nil)
+					add(r|bit, w, nil)
+				} else {
+					add(p|r, w, nil)
+				}
+				add(p, w, nil)
+			}
+			switch op.Kind {
+			case oig.OpIntersect:
+				slotMask[op.Out], slotSize[op.Out] = a|mask(op.B), op.Want
+			case oig.OpIntersectEq:
+				slotMask[op.Out], slotSize[op.Out] = a|mask(op.B), sizeOf(op.Eq)
+			}
+		}
+	}
+	return out
+}
+
+// compileChains translates plan's ops and lays out every step's chain: one
+// node per position p that adds a Conn group, a Disc group or a condition
+// whose newest dependency is p. What comes before the first Conn position
+// waits for it. last[t] is the node holding step t's list (-1: none).
+func compileChains(plan *oig.Plan) (vdefs []vdef, nodes []enode, last []int) {
+	// vnode returns the overlap node of m, defining it and, lowest position
+	// first, the nodes it is built from.
+	vnode := func(m uint32) int {
+		i := -1
+		for rest := uint32(0); rest != m; {
+			hi := bits.TrailingZeros32(m &^ rest)
+			rest |= 1 << hi
+			sub := i
+			if i = slices.IndexFunc(vdefs, func(d vdef) bool { return d.m == rest }); i < 0 {
+				vdefs, i = append(vdefs, vdef{m: rest, sub: sub, hi: hi}), len(vdefs)
+			}
+		}
+		return i
+	}
+	conds := translate(plan)
+	n := len(plan.Steps)
+	vdefs, nodes, last = make([]vdef, 0, n), make([]enode, 0, n*(n-1)/2), make([]int, n)
+	last[0] = -1
+	for t := 1; t < n; t++ {
+		st := &plan.Steps[t]
+		cur, pend := -1, enode{conn: -1}
+		for p := 0; p < t; p++ {
+			if k := slices.Index(st.Conn, p); k >= 0 {
+				pend.conn, pend.ov, pend.reads = p, st.ConnOverlap[k], pend.reads|1<<p
+			}
+			if slices.Contains(st.Disc, p) {
+				pend.disc, pend.reads = append(pend.disc, p), pend.reads|1<<p
+			}
+			for _, c := range conds[t] {
+				if bits.Len32(c.m)-1 == p {
+					c.y = vnode(c.m)
+					pend.conds = append(pend.conds, c)
+					pend.reads |= c.m
+				}
+			}
+			if pend.conn < 0 && (cur < 0 || len(pend.disc)+len(pend.conds) == 0) {
+				continue
+			}
+			pend.parent, pend.deg = cur, st.Degree
+			if cur >= 0 {
+				pend.reads |= nodes[cur].reads
+			}
+			cur = slices.IndexFunc(nodes, pend.equal)
+			if cur < 0 {
+				nodes, cur = append(nodes, pend), len(nodes)
+			}
+			if pend.parent >= 0 {
+				pa := &nodes[pend.parent] // one DAL group as it is stays a view
+				pa.cached = pa.parent >= 0 || len(pa.disc)+len(pa.conds) > 0
+			}
+			pend = enode{conn: -1}
+		}
+		last[t] = cur
+	}
+	return vdefs, nodes, last
+}
+
+func (d *enode) equal(o enode) bool {
+	return d.parent == o.parent && d.conn == o.conn && d.ov == o.ov && d.deg == o.deg &&
+		slices.Equal(d.disc, o.disc) && slices.EqualFunc(d.conds, o.conds, cond.equal)
+}
+
+// node is a worker's copy of one node, valid while the positions it reads
+// stay bound to key, nil until it is first built. Its buffers grow with what
+// is built into them: DAL group lengths for a list of hyperedges, hyperedge
+// degrees for an overlap.
+//
+//ohmlint:scratch
+type node struct {
+	key   []uint32
+	arr   []uint32
+	words []uint64
+	set   intset.Set
+}
+
+// holds reports whether the node was built for the bindings c of reads.
+func (n *node) holds(c []uint32, reads uint32) bool {
+	if n.key == nil {
+		return false
+	}
+	for k, m := 0, reads; m != 0; k, m = k+1, m&(m-1) {
+		if n.key[k] != c[bits.TrailingZeros32(m)] {
+			return false
+		}
+	}
+	return true
+}
+
+// keyed records that the node now holds the bindings c of reads.
+func (n *node) keyed(c []uint32, reads uint32) {
+	n.key = n.key[:0]
+	for m := reads; m != 0; m &= m - 1 {
+		n.key = append(n.key, c[bits.TrailingZeros32(m)])
+	}
+}
+
+// vset returns the overlap T(m) of vdefs[i] for the current bindings: a bound
+// hyperedge as the DAL holds it, an overlap from the worker's cache, built —
+// with the bitmap window its density earns — when a position it reads was
+// rebound. A stolen or resumed prefix simply misses.
+func (w *worker) vset(i int) intset.Set {
+	d := &w.e.vdefs[i]
+	if d.sub < 0 {
+		return w.edgeSet(w.c[d.hi], oig.HintAuto)
+	}
+	n := &w.vnodes[i]
+	if n.holds(w.c, d.m) {
+		return n.set
+	}
+	a, b := w.vset(d.sub), w.edgeSet(w.c[d.hi], oig.HintAuto)
+	w.stats.SetOps++
+	w.countKernelClass(intset.Classify(a, b))
+	n.arr = intset.IntersectSetsAdaptive(a, b, n.arr[:0])
+	n.set = intset.ArrayView(n.arr)
+	if base, nw, lo, hi, ok := intset.PlanWords(n.arr); ok {
+		n.words = slices.Grow(n.words[:0], nw)[:nw]
+		clear(n.words)
+		intset.FillWords(n.words, base, n.arr[lo:hi])
+		n.set = intset.View(n.arr, n.words, base)
+	}
+	n.keyed(w.c, d.m)
+	return n.set
+}
+
+// eset returns the list of a parent node for the current bindings: a view of
+// its one DAL group, or the worker's cached copy, built when a position it
+// reads was rebound.
+func (w *worker) eset(i int) intset.Set {
+	d := &w.e.nodes[i]
+	if !d.cached {
+		return w.e.store.AdjSet(w.c[d.conn], d.deg, d.ov)
+	}
+	n := &w.enodes[i]
+	if !n.holds(w.c, d.reads) {
+		n.arr = w.keep(w.gen(d, n.arr[:0]), d.conds)
+		n.keyed(w.c, d.reads)
+	}
+	return intset.ArrayView(n.arr)
+}
+
+// gen writes into dst what node d starts from — its parent's list intersected
+// with the group it adds, or either one alone — less the Disc groups it
+// subtracts. Before its conditions, this is what Stats.Candidates counts.
+func (w *worker) gen(d *enode, dst []uint32) []uint32 {
+	sets := w.adjSets[:0]
+	if d.parent >= 0 {
+		// Resolved first: a parent built here uses adjSets too.
+		p := w.eset(d.parent)
+		if p.Len() == 0 {
+			return dst[:0]
+		}
+		sets = append(w.adjSets[:0], p)
+	}
+	if d.conn >= 0 {
+		g := w.e.store.AdjSet(w.c[d.conn], d.deg, d.ov)
+		if g.Len() == 0 {
+			return dst[:0]
+		}
+		sets = append(sets, g)
+		w.countKernelClass(intset.ClassifyK(sets))
+	}
+	w.adjSets = sets
+	dst, _ = intset.IntersectKAdaptive(sets, dst, nil) // two sets at most: no scratch
+	if w.e.opts.Instrument {
+		w.stats.Candidates += uint64(len(dst))
+	}
+	return w.subtractDisc(d.disc, d.deg, dst)
+}
+
+// keep keeps, in place, the candidates that pass every condition of cs, and
+// returns them. One early-exit kernel runs per candidate and condition: a
+// containment test when want = |Y|, an emptiness test when want = 0, an
+// intersection count otherwise; a label histogram needs the overlap itself.
+func (w *worker) keep(cands []uint32, cs []cond) []uint32 {
+	var t0 time.Time
+	if w.e.opts.Instrument {
+		t0 = time.Now()
+	}
+	for i := range cs {
+		if len(cands) == 0 {
+			break
+		}
+		c := &cs[i]
+		y, want := w.vset(c.y), c.want
+		if c.prefix {
+			if y.Len() != want {
+				cands = cands[:0]
+			}
+			continue
+		}
+		// Containment tests are neither set ops nor classified, as the
+		// interpreter's ⊆ checks were not.
+		kept := cands[:0]
+		switch {
+		case c.label != nil:
+			h := w.e.store.Hypergraph()
+			for _, e := range cands {
+				s := w.edgeSet(e, c.hint)
+				w.countKernelClass(intset.Classify(y, s))
+				w.stats.SetOps++
+				w.overlap = intset.IntersectSetsAdaptive(y, s, w.overlap[:0])
+				if len(w.overlap) == want && sig.HistogramMatches(h.Labels(), w.overlap, c.label, w.labelScratch) {
+					kept = append(kept, e)
+				}
+			}
+		case want > y.Len():
+		case want == y.Len():
+			for _, e := range cands {
+				if intset.IsSubsetSets(y, w.edgeSet(e, c.hint)) {
+					kept = append(kept, e)
+				}
+			}
+		case want == 0:
+			for _, e := range cands {
+				s := w.edgeSet(e, c.hint)
+				w.countKernelClass(intset.Classify(y, s))
+				if !intset.SetsIntersectAdaptive(y, s) {
+					kept = append(kept, e)
+				}
+			}
+		default:
+			for _, e := range cands {
+				s := w.edgeSet(e, c.hint)
+				w.countKernelClass(intset.Classify(y, s))
+				w.stats.SetOps++
+				if intset.IntersectCountSetsAdaptive(y, s) == want {
+					kept = append(kept, e)
+				}
+			}
+		}
+		cands = kept
+	}
+	if w.e.opts.Instrument {
+		w.stats.ValTime += time.Since(t0)
+	}
+	return cands
+}

@@ -1,7 +1,8 @@
 // Package engine implements the overlap-centric parallel execution engine
 // of Sec. 4.4 in its one production configuration: candidates come from the
-// DAL's degree-pruned adjacency groups (Sec. 4.5), validation executes the
-// merged overlap-centric plan (Sec. 4), and every set operation runs on the
+// DAL's degree-pruned adjacency groups (Sec. 4.5), the merged overlap-centric
+// plan's ops (Sec. 4) are restated once per run as conditions that filter each
+// step's candidate list (cond.go), and every set operation runs on the
 // density-adaptive intset kernels. The systems the paper compares against
 // and ablates into (HGMatch, OHM-G/V/I), the scalar and static-gallop kernel
 // families and the paper's first-level scheduler live in internal/baseline,
@@ -109,22 +110,20 @@ type Options struct {
 // Stats carries the engine's instrumentation counters. (The HGMatch
 // redundancy counters of Fig. 3(b,c) are internal/baseline's.)
 type Stats struct {
-	// Candidates is the number of hyperedges the k-way intersection of the
-	// Conn groups produced, summed over all generations: what candidate
-	// generation yields before the Disc groups are subtracted and before any
-	// restriction or per-candidate test. A counted last position adds the same
-	// size without materialising the list.
+	// Candidates counts what candidate generation yields at every node of a
+	// step's chain: its parent's list, or its first DAL group, intersected
+	// with the Conn group it adds, before Disc groups, conditions,
+	// restrictions and per-candidate tests. A node is generated and counted
+	// once per binding of the positions it reads, so a node two steps share
+	// counts once; a counted last position adds what its list would hold.
 	Candidates uint64
 	// Embeddings is the number of (partial) embeddings that passed
 	// validation, across all depths.
 	Embeddings uint64
-	// SetOps counts intersection operations executed by overlap validation:
-	// the interpreter's OpIntersect/OpIntersectCount/OpIntersectEq (not its
-	// ⊆, ∅ and == checks) and the slot rebuilds of a handed-over prefix. At a
-	// counted last position whose ops run as leaf conditions it counts each
-	// intersection that builds a condition's operand and each candidate
-	// checked with IntersectCountSetsAdaptive — not the IsSubsetSets and
-	// SetsIntersectAdaptive tests, which stand for ⊆ and ∅ checks.
+	// SetOps counts intersections of vertex sets: one per overlap node a
+	// condition reads, built once per binding of the positions it reads, and
+	// one per candidate a condition checks by count or label histogram — not
+	// the IsSubsetSets and SetsIntersectAdaptive tests of ⊆ and ∅ conditions.
 	SetOps uint64
 	// GenTime/ValTime split the wall time between candidate generation and
 	// validation; only tracked when Options.Instrument is set.
@@ -147,9 +146,9 @@ type Stats struct {
 	CheckpointBytes  uint64
 	CheckpointErrors uint64
 	// Kernel-path counters: how many set operations (generation's k-way
-	// intersections, Disc differences and leaf counts, the validation ops but
-	// ⊆, and the leaf conditions' count and ∅ tests) ran word-parallel over bitmap
-	// windows (KernelBitmap), probe-accelerated with one windowed operand
+	// intersections, Disc differences and leaf counts, overlap nodes, and the
+	// conditions' count and ∅ tests) ran word-parallel over bitmap windows
+	// (KernelBitmap), probe-accelerated with one windowed operand
 	// (KernelMixed), or on the plain array kernels (KernelArray). Always
 	// tracked, like the scheduler counters; the kern ablation and ohmstat
 	// surface them to show which representations a workload actually hits.
@@ -385,7 +384,7 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 
 	var first []uint32
 	if snap == nil {
-		first = e.firstCandidates()
+		first = firstCandidates(store, plan, opts)
 		if len(first) == 0 {
 			return finalizeCounts(baseResult()), ctx.Err()
 		}
@@ -626,27 +625,28 @@ type shared struct {
 	// UniqueOnly filtering is active.
 	autoPerms [][]int
 	emitMu    sync.Mutex
-	// countedLeaf is the last matching-order position if the run has nothing
-	// to do there hyperedge by hyperedge that a set operation per binding
-	// cannot do — the step's ops restate as leafConds, it has no label test,
-	// and the caller neither receives (OnEmbedding) nor filters
-	// (PositionFilter) single bindings — so that worker.countLeaf may count
-	// what generation yields and the conditions keep instead of visiting it;
-	// -1 otherwise.
+	// countedLeaf is the last matching-order position if nothing there needs
+	// a look at single hyperedges — no label test, and the caller neither
+	// receives (OnEmbedding) nor filters (PositionFilter) single bindings —
+	// so the worker may count what its conditions keep instead of visiting
+	// it; -1 otherwise.
 	countedLeaf int
-	leafConds   []leafCond
+	// vdefs, nodes and last lay out every step's conditions and chain of
+	// nodes (cond.go); each worker caches its own copy of the nodes.
+	vdefs []vdef
+	nodes []enode
+	last  []int
 }
 
 // newShared resolves a run's options into the state its workers share.
 func newShared(store *dal.Store, plan *oig.Plan, opts Options) *shared {
 	e := &shared{store: store, plan: plan, opts: opts, saveOnStop: opts.Checkpoint != nil, countedLeaf: -1}
 	e.splitDepth, e.splitThreshold = splitParams(plan, opts)
+	e.vdefs, e.nodes, e.last = compileChains(plan)
 	last := len(plan.Steps) - 1
-	if st := &plan.Steps[last]; last > 0 && !plan.Labeled && st.EdgeLabel < 0 &&
+	if last > 0 && e.last[last] >= 0 && !plan.Labeled && plan.Steps[last].EdgeLabel < 0 &&
 		opts.OnEmbedding == nil && opts.PositionFilter == nil {
-		if conds, ok := translateLeaf(plan); ok {
-			e.countedLeaf, e.leafConds = last, conds
-		}
+		e.countedLeaf = last
 	}
 	return e
 }
@@ -677,8 +677,8 @@ func (e *shared) recoverWorker() {
 // firstCandidates enumerates candidates of the first pattern hyperedge:
 // every data hyperedge with matching degree (and label histogram for
 // labeled patterns).
-func (e *shared) firstCandidates() []uint32 {
-	return e.admitFirst(e.store.EdgesWithDegree(e.plan.Steps[0].Degree))
+func firstCandidates(store *dal.Store, plan *oig.Plan, opts Options) []uint32 {
+	return admitFirst(store, plan, opts, store.EdgesWithDegree(plan.Steps[0].Degree))
 }
 
 // admitFirst keeps the hyperedges of cands — all of the first position's
@@ -686,14 +686,14 @@ func (e *shared) firstCandidates() []uint32 {
 // returned as is when nothing applies, and is never written to: it may be
 // the DAL's shared degree-index storage, which in-place filtering would
 // corrupt for concurrent runs.
-func (e *shared) admitFirst(cands []uint32) []uint32 {
-	h := e.store.Hypergraph()
-	st := &e.plan.Steps[0]
-	if !e.plan.Labeled && st.EdgeLabel < 0 && e.opts.PositionFilter == nil {
+func admitFirst(store *dal.Store, plan *oig.Plan, opts Options, cands []uint32) []uint32 {
+	h := store.Hypergraph()
+	st := &plan.Steps[0]
+	if !plan.Labeled && st.EdgeLabel < 0 && opts.PositionFilter == nil {
 		return cands
 	}
 	var scratch []int
-	if e.plan.Labeled {
+	if plan.Labeled {
 		scratch = make([]int, h.NumLabels())
 	}
 	out := make([]uint32, 0, len(cands))
@@ -701,10 +701,10 @@ func (e *shared) admitFirst(cands []uint32) []uint32 {
 		if st.EdgeLabel >= 0 && (!h.EdgeLabeled() || int64(h.EdgeLabel(c)) != st.EdgeLabel) {
 			continue
 		}
-		if e.plan.Labeled && !sig.HistogramMatches(h.Labels(), h.EdgeVertices(c), st.EdgeLabels, scratch) {
+		if plan.Labeled && !sig.HistogramMatches(h.Labels(), h.EdgeVertices(c), st.EdgeLabels, scratch) {
 			continue
 		}
-		if f := e.opts.PositionFilter; f != nil && !f(0, c) {
+		if f := opts.PositionFilter; f != nil && !f(0, c) {
 			continue
 		}
 		out = append(out, c)

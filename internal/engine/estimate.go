@@ -52,7 +52,7 @@ func EstimateCount(store *dal.Store, p *pattern.Pattern, fraction float64, seed 
 	// sampled subtrees to completion.
 	opts.Limit = 0
 	e := newShared(store, plan, opts)
-	roots := e.firstCandidates()
+	roots := firstCandidates(store, plan, opts)
 	n := len(roots)
 	est := Estimate{TotalRoots: n}
 	aut := plan.Pattern.Automorphisms()

@@ -135,19 +135,6 @@ func TestPairClassesDifferential(t *testing.T) {
 		pattern.MustNew([][]uint32{{0, 1, 2, 3, 4}, {0, 1, 5, 6, 7}, {0, 1, 2, 5, 8}, {0, 1, 3, 6, 9}}, nil),
 		pattern.MustNew([][]uint32{{0, 1, 2, 3}, {0, 4, 5, 6}, {0, 1, 4, 7}, {0, 2, 5, 8}}, nil),
 	} {
-		nv := p.NumVertices()
-		var universe [][]uint32
-		for mask := uint32(0); mask < 1<<nv; mask++ {
-			if bits.OnesCount32(mask) == p.Degree(0) {
-				var e []uint32
-				for v := uint32(0); v < uint32(nv); v++ {
-					if mask&(1<<v) != 0 {
-						e = append(e, v)
-					}
-				}
-				universe = append(universe, e)
-			}
-		}
 		plan, err := oig.Compile(p, oig.ModeMerged)
 		if err != nil {
 			t.Fatal(err)
@@ -156,21 +143,7 @@ func TestPairClassesDifferential(t *testing.T) {
 			t.Fatalf("pattern %d: plan does not take the two-containment route: %v\n%s", pi, ops, plan)
 		}
 		for trial := 0; trial < 1; trial++ {
-			var edges [][]uint32
-			for _, i := range rng.Perm(len(universe))[:24] {
-				edges = append(edges, universe[i])
-			}
-			for copies := 0; copies < 2; copies++ {
-				perm := rng.Perm(nv)
-				for i := 0; i < p.NumEdges(); i++ {
-					var e []uint32
-					for _, u := range p.Edge(i) {
-						e = append(e, uint32(perm[u]))
-					}
-					edges = append(edges, e)
-				}
-			}
-			store := dal.Build(hypergraph.MustBuild(nv, edges, nil))
+			store := pairClassStore(rng, p)
 			want := oracleCount(t, store, p)
 			if want == 0 {
 				t.Fatalf("pattern %d trial %d: the planted copies are gone", pi, trial)
@@ -178,6 +151,39 @@ func TestPairClassesDifferential(t *testing.T) {
 			mineAll(t, store, p, want, fmt.Sprintf("pair classes pattern %d trial %d", pi, trial))
 		}
 	}
+}
+
+// pairClassStore samples 24 of all hyperedges of p's first degree over as
+// many vertices as p has, and plants two relabelled copies of p among them.
+func pairClassStore(rng *rand.Rand, p *pattern.Pattern) *dal.Store {
+	nv := p.NumVertices()
+	var universe [][]uint32
+	for mask := uint32(0); mask < 1<<nv; mask++ {
+		if bits.OnesCount32(mask) == p.Degree(0) {
+			var e []uint32
+			for v := uint32(0); v < uint32(nv); v++ {
+				if mask&(1<<v) != 0 {
+					e = append(e, v)
+				}
+			}
+			universe = append(universe, e)
+		}
+	}
+	var edges [][]uint32
+	for _, i := range rng.Perm(len(universe))[:24] {
+		edges = append(edges, universe[i])
+	}
+	for copies := 0; copies < 2; copies++ {
+		perm := rng.Perm(nv)
+		for i := 0; i < p.NumEdges(); i++ {
+			var e []uint32
+			for _, u := range p.Edge(i) {
+				e = append(e, uint32(perm[u]))
+			}
+			edges = append(edges, e)
+		}
+	}
+	return dal.Build(hypergraph.MustBuild(nv, edges, nil))
 }
 
 // TestGenerationExcludesWrongOverlap: a connected data pair whose overlap is

@@ -6,16 +6,27 @@ import (
 	"slices"
 	"testing"
 
+	"ohminer/internal/baseline"
 	"ohminer/internal/dal"
 	"ohminer/internal/hypergraph"
+	"ohminer/internal/intset"
 	"ohminer/internal/oig"
 	"ohminer/internal/pattern"
 )
 
-// This file covers the last position that carries ops and is still counted:
-// translateLeaf restates each op as |c_t ∩ Y| = want (leaf.go) and countLeaf
-// filters generation's candidates by those conditions instead of visiting
-// them. internal/baseline and brute force are the oracles.
+// This file covers the plan's ops restated as conditions (cond.go): every
+// step filters the list its chain of cached nodes yields, and the last
+// position counts what the conditions keep instead of visiting it.
+// internal/baseline, whose interpreter runs the ops candidate by candidate,
+// and brute force are the oracles.
+
+// stepConds is the number of conditions step t is held to, over its chain.
+func stepConds(e *shared, t int) (n int) {
+	for i := e.last[t]; i >= 0; i = e.nodes[i].parent {
+		n += len(e.nodes[i].conds)
+	}
+	return n
+}
 
 // leafShapes holds one pattern per row of the translation table, with the
 // number of conditions its last step becomes (0 where generation implies
@@ -33,6 +44,9 @@ var leafShapes = []struct {
 	{"|s0 ∩ s1| = 1 for s1 = c1 ∩ c2: Y = s0 ∩ c1, 0 < want < |Y|", [][]uint32{{0, 1, 2, 3}, {0, 1, 4, 5}, {0, 2, 4, 6}}, nil, 1},
 	{"c1 ⊆ c0, implied by generation", [][]uint32{{0, 1, 2}, {0, 1}}, nil, 0},
 	{"c0 ⊆ c1, implied by generation", [][]uint32{{0, 1}, {0, 1, 2}}, []int{0, 1}, 0},
+	{"c3 == s1, s0 ⊆ c3: |c3 ∩ s1| = |s1|, the prefix test |s1| = deg(c3), |c3 ∩ s0| = |s0|", [][]uint32{{0, 1, 3}, {0, 2, 3}, {0, 2}, {0, 2, 4}}, nil, 3},
+	{"s3 ← s0 ∩ s1 == s2, both sides read c3: |c3 ∩ (s0 ∩ c2)| = |c3 ∩ s0| = 1", [][]uint32{{0, 3, 4, 5}, {0, 1, 3}, {0, 1, 2, 3}, {2, 3, 4}}, nil, 2},
+	{"s3 ← s0 ∩ s2 == s1 for s1 bound at step 2 — the equality row — and s2 ⊆ c2", [][]uint32{{0, 1, 4, 5}, {2, 3, 4, 5}, {2, 3, 4}, {1, 3, 4}}, nil, 4},
 }
 
 // leafHypergraph draws n distinct hyperedges of two to four vertices over nv
@@ -65,7 +79,7 @@ func leafHypergraph(rng *rand.Rand, nv, n int) *hypergraph.Hypergraph {
 // TestLeafShapesDifferential: engine = baseline = brute force on every row of
 // the translation table over random hypergraphs, restricted and not, on 1, 2
 // and 4 workers that publish at every depth (SplitThreshold 1), so that the
-// cached Y of a worker meets bindings rebound by a steal.
+// cached nodes of a worker meet bindings rebound by a steal.
 func TestLeafShapesDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2501))
 	trials := 4
@@ -88,8 +102,8 @@ func TestLeafShapesDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 					e := newShared(store, plan, opts)
-					if last := len(plan.Steps) - 1; len(plan.Steps[last].Ops) == 0 || e.countedLeaf != last || len(e.leafConds) != shape.conds {
-						t.Fatalf("%s: counted leaf %d with %d conditions, want position %d with %d\nplan:\n%s", shape.name, e.countedLeaf, len(e.leafConds), last, shape.conds, plan)
+					if last := len(plan.Steps) - 1; len(plan.Steps[last].Ops) == 0 || e.countedLeaf != last || stepConds(e, last) != shape.conds {
+						t.Fatalf("%s: counted leaf %d with %d conditions, want position %d with %d\nplan:\n%s", shape.name, e.countedLeaf, stepConds(e, last), last, shape.conds, plan)
 					}
 					res, err := MineWithPlan(store, plan, opts)
 					if err != nil {
@@ -114,9 +128,10 @@ func TestLeafShapesDifferential(t *testing.T) {
 	}
 }
 
-// TestLeafRefusedFormsFallBack: a last step whose ops include an equality,
-// a pattern with vertex or hyperedge labels, and a run with OnEmbedding or a
-// PositionFilter all visit the last position — and still count exactly.
+// TestLeafRefusedFormsFallBack: what a counted last position still refuses —
+// a pattern with vertex or hyperedge labels, a run with OnEmbedding or a
+// PositionFilter — visits it, and still counts exactly. Equalities, which
+// were refused while the interpreter ran them, are counted now.
 func TestLeafRefusedFormsFallBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(2502))
 	h := leafHypergraph(rng, 8, 26)
@@ -144,24 +159,25 @@ func TestLeafRefusedFormsFallBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name  string
-		store *dal.Store
-		p     *pattern.Pattern
-		kind  oig.OpKind // an op the last step must carry
+		name    string
+		store   *dal.Store
+		p       *pattern.Pattern
+		kind    oig.OpKind // an op the last step must carry
+		counted bool
 	}{
-		{"c3 == s1", store, pattern.MustNew([][]uint32{{0, 1, 3}, {0, 2, 3}, {0, 2}, {0, 2, 4}}, nil), oig.OpEqCheck},
-		{"s3 ← s0 ∩ s1, == s2", store, pattern.MustNew([][]uint32{{0, 3, 4, 5}, {0, 1, 3}, {0, 1, 2, 3}, {2, 3, 4}}, nil), oig.OpIntersectEq},
-		{"vertex labels", labelled, pattern.MustNew(core, []uint32{0, 0, 1, 0, 1}), oig.OpSubsetCheck},
-		{"hyperedge labels", edgeLabelled, edgeLabelledCore, oig.OpSubsetCheck},
+		{"c3 == s1", store, pattern.MustNew(leafShapes[7].edges, nil), oig.OpEqCheck, true},
+		{"s3 ← s0 ∩ s1, == s2", store, pattern.MustNew(leafShapes[8].edges, nil), oig.OpIntersectEq, true},
+		{"vertex labels", labelled, pattern.MustNew(core, []uint32{0, 0, 1, 0, 1}), oig.OpSubsetCheck, false},
+		{"hyperedge labels", edgeLabelled, edgeLabelledCore, oig.OpSubsetCheck, false},
 	}
 	for _, c := range cases {
 		plan, err := CompilePlan(c.store, c.p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		last := plan.Steps[len(plan.Steps)-1]
-		if !slices.ContainsFunc(last.Ops, func(op oig.Op) bool { return op.Kind == c.kind }) || newShared(c.store, plan, Options{}).countedLeaf >= 0 {
-			t.Fatalf("%s: want a %v op at a last position that is not counted\nplan:\n%s", c.name, c.kind, plan)
+		last := len(plan.Steps) - 1
+		if !slices.ContainsFunc(plan.Steps[last].Ops, func(op oig.Op) bool { return op.Kind == c.kind }) || (newShared(c.store, plan, Options{}).countedLeaf == last) != c.counted {
+			t.Fatalf("%s: want a %v op at a last position that is counted=%v\nplan:\n%s", c.name, c.kind, c.counted, plan)
 		}
 		mineAll(t, c.store, c.p, oracleCount(t, c.store, c.p), c.name)
 	}
@@ -190,6 +206,41 @@ func TestLeafRefusedFormsFallBack(t *testing.T) {
 	}
 }
 
+// TestImpliedConditionsDropped: a step whose every op generation already
+// guarantees carries no condition, at a middle step as at the last — c1 ⊆ c0
+// when c1's whole degree is its overlap with c0, and every pairwise
+// s0 ← c0 ∩ c1 whose size is the pair's ConnOverlap. Their slot still
+// becomes an overlap node for the later steps that read it.
+func TestImpliedConditionsDropped(t *testing.T) {
+	store := blockStore(6)
+	for _, c := range []struct {
+		literal string
+		step    int
+		op      oig.OpKind
+	}{
+		{"0 1 2; 2 3 4; 0 1 2 5 6 7 8 9", 1, oig.OpSubsetCheck},
+		{"0 1 2; 0 1 3; 0 1 4; 0 1 5", 1, oig.OpIntersect},
+		{"0 1 2; 0 1 3; 0 1 4; 0 1 5; 0 1 6", 1, oig.OpIntersect},
+		{"0 1 2 3; 0 1 4 5; 0 2 4 6", 1, oig.OpIntersect},
+	} {
+		p, err := pattern.Parse(c.literal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := CompilePlan(store, p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := plan.Steps[c.step].Ops
+		if len(ops) == 0 || !slices.ContainsFunc(ops, func(op oig.Op) bool { return op.Kind == c.op }) {
+			t.Fatalf("%s: step %d carries no %v op, not the shape this test needs\nplan:\n%s", c.literal, c.step, c.op, plan)
+		}
+		if n := stepConds(newShared(store, plan, Options{}), c.step); n != 0 {
+			t.Fatalf("%s: step %d carries %d conditions, want 0\nplan:\n%s", c.literal, c.step, n, plan)
+		}
+	}
+}
+
 // blockStore is a clique block: k hyperedges sharing the core {0, 1}, each
 // with a private vertex, so that any j of them match the core j-clique.
 func blockStore(k uint32) *dal.Store {
@@ -200,10 +251,11 @@ func blockStore(k uint32) *dal.Store {
 	return dal.Build(hypergraph.MustBuild(int(k)+2, edges, nil))
 }
 
-// randLeafPattern draws a pattern of three or four hyperedges of two to four
-// vertices; nil when the draw is not a valid pattern.
-func randLeafPattern(rng *rand.Rand) *pattern.Pattern {
-	m, nv := 3+rng.Intn(2), 4+rng.Intn(4)
+// randLeafPattern draws a pattern of three to five hyperedges of two to four
+// vertices, with two vertex labels when labels is set; nil when the draw is
+// not a valid pattern.
+func randLeafPattern(rng *rand.Rand, labels bool) *pattern.Pattern {
+	m, nv := 3+rng.Intn(3), 4+rng.Intn(4)
 	edges := make([][]uint32, m)
 	for i := range edges {
 		for _, v := range rng.Perm(nv)[:2+rng.Intn(3)] {
@@ -211,92 +263,163 @@ func randLeafPattern(rng *rand.Rand) *pattern.Pattern {
 		}
 		slices.Sort(edges[i])
 	}
-	p, err := pattern.New(edges, nil)
-	if err != nil {
+	var vl []uint32
+	if labels {
+		for range nv {
+			vl = append(vl, uint32(rng.Intn(2)))
+		}
+	}
+	p, err := pattern.New(edges, vl)
+	if err != nil || p.NumVertices() != nv {
 		return nil
 	}
 	return p
 }
 
 // TestLeafConditionsMatchInterpreter: on random plans and random bindings of
-// their prefix, the leaf conditions keep exactly the candidates that accept
-// and validateOverlaps keep. The prefix is drawn from generation position by
-// position, unvalidated, and redrawn from a random position on, so that a
-// condition's cached Y is hit by some bindings and rebuilt for others.
+// their prefix, every step's list — the chain's nodes, the per-candidate
+// tests and the conditions — holds exactly the candidates internal/baseline's
+// accept and plan-op interpreter keep, and so does a handed-over range
+// refiltered by runTask; a counted last position counts that many. The
+// prefix is drawn position by position from what the interpreter keeps, as a
+// run would bind it, and redrawn from a random position on, so that cached
+// nodes are hit by some bindings and rebuilt for others.
 func TestLeafConditionsMatchInterpreter(t *testing.T) {
 	rng := rand.New(rand.NewSource(2503))
-	stores := []*dal.Store{dal.Build(leafHypergraph(rng, 10, 40)), dal.Build(leafHypergraph(rng, 8, 30)), blockStore(9)}
-	plans, kept, rejected := 0, 0, 0
-	for draw := 0; draw < 4000 && plans < 120; draw++ {
-		p := randLeafPattern(rng)
+	plain := leafHypergraph(rng, 10, 40)
+	vl := make([]uint32, plain.NumVertices())
+	for v := range vl {
+		vl[v] = uint32(rng.Intn(2))
+	}
+	edges := make([][]uint32, plain.NumEdges())
+	for e := range edges {
+		edges[e] = plain.EdgeVertices(uint32(e))
+	}
+	stores := []*dal.Store{dal.Build(plain), dal.Build(leafHypergraph(rng, 8, 30)), blockStore(9), dal.Build(hypergraph.MustBuild(len(vl), edges, vl))}
+	plans, kept, rejected, middle, counted := 0, 0, 0, 0, 0
+	for draw := 0; draw < 6000 && plans < 200; draw++ {
+		si := draw % len(stores)
+		p := randLeafPattern(rng, si == 3)
 		if p == nil {
 			continue
 		}
-		store := stores[draw%len(stores)]
+		store := stores[si]
 		opts := Options{NoSymmetryBreak: rng.Intn(2) == 0}
 		plan, err := CompilePlan(store, p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		e := newShared(store, plan, opts)
-		if len(e.leafConds) == 0 {
-			continue
-		}
+		last := len(plan.Steps) - 1
 		plans++
 		w := newWorker(e, nil)
-		last := len(plan.Steps) - 1
-		bound := false
+		bound := 0
 		for b := 0; b < 60; b++ {
-			from := 0
-			if bound {
-				from = rng.Intn(last)
-			}
-			if bound = bindRandomPrefix(w, rng, from, last); !bound {
+			from := rng.Intn(bound + 1)
+			if bound = bindRandomPrefix(w, rng, from, last); bound == 0 {
 				continue
 			}
-			w.rebuildSlots(last)
-			cands := slices.Clone(w.subtractDisc(last, w.generateDAL(last)))
-			var want []uint32
-			for _, c := range cands {
-				if w.accept(last, c) {
-					w.c[last] = c
-					if w.validateOverlaps(last) {
-						want = append(want, c)
+			for k := 1; k <= bound; k++ {
+				raw := rawCandidates(w, k)
+				want := baseline.Keep(store, plan, w.c[:k], raw)
+				if got := w.candidates(k); !slices.Equal(got, want) {
+					t.Fatalf("pattern %s, prefix %v: step %d keeps %v, the interpreter %v of %v\nplan:\n%s", p, w.c[:k], k, got, want, raw, plan)
+				}
+				if got := w.refilter(k, slices.Clone(raw)); !slices.Equal(got, want) {
+					t.Fatalf("pattern %s, prefix %v: a handed-over range at step %d keeps %v, the interpreter %v of %v\nplan:\n%s", p, w.c[:k], k, got, want, raw, plan)
+				}
+				if before := w.count; k == e.countedLeaf && w.countLeaf(k) {
+					if n := w.count - before; n != uint64(len(want)) {
+						t.Fatalf("pattern %s, prefix %v: the last position counts %d, the interpreter keeps %v\nplan:\n%s", p, w.c[:k], n, want, plan)
 					}
+					counted++
+				}
+				kept += len(want)
+				rejected += len(raw) - len(want)
+				if k < last && len(raw) > len(want) {
+					middle++
 				}
 			}
-			got := slices.Clone(cands)
-			got = w.filterLeaf(got[w.restrictedBelow(&plan.Steps[last], got):])
-			got = slices.DeleteFunc(got, func(c uint32) bool { return slices.Contains(w.c[:last], c) })
-			if !slices.Equal(got, want) {
-				t.Fatalf("pattern %s, prefix %v: conditions keep %v, the interpreter %v of %v\nconditions %+v\nplan:\n%s",
-					p, w.c[:last], got, want, cands, e.leafConds, plan)
-			}
-			kept += len(want)
-			rejected += len(cands) - len(want)
 		}
 	}
-	if plans < 60 || kept < 200 || rejected < 200 {
-		t.Fatalf("%d plans with leaf conditions, %d candidates kept and %d rejected: too few to mean anything", plans, kept, rejected)
+	t.Logf("%d plans, %d candidates kept and %d rejected (%d rejections at a middle step), %d counted lists", plans, kept, rejected, middle, counted)
+	if plans < 80 || kept < 400 || rejected < 400 || middle < 100 || counted < 100 {
+		t.Fatalf("%d plans, %d candidates kept and %d rejected (%d rejections at a middle step), %d counted lists: too few to mean anything",
+			plans, kept, rejected, middle, counted)
 	}
 }
 
+// rawCandidates is what generation offers position k: the intersection of
+// its Conn groups, Disc not yet subtracted.
+func rawCandidates(w *worker, k int) []uint32 {
+	st := &w.e.plan.Steps[k]
+	var sets []intset.Set
+	for i, j := range st.Conn {
+		sets = append(sets, w.e.store.AdjSet(w.c[j], st.Degree, st.ConnOverlap[i]))
+	}
+	out, _ := intset.IntersectKAdaptive(sets, nil, nil)
+	return out
+}
+
 // bindRandomPrefix rebinds positions from..last-1 of w to random candidates
-// that generation offers there and that are not bound already; it reports
-// false when some position has none.
-func bindRandomPrefix(w *worker, rng *rand.Rand, from, last int) bool {
+// the interpreter keeps there — the first position's admitted hyperedges,
+// then what internal/baseline's Keep accepts of generation's offer — and
+// returns how many positions are bound: fewer than last when one has no
+// candidate. Every prefix it leaves is a valid partial embedding.
+func bindRandomPrefix(w *worker, rng *rand.Rand, from, last int) int {
 	for k := from; k < last; k++ {
 		var cands []uint32
 		if k == 0 {
-			cands = w.e.store.EdgesWithDegree(w.e.plan.Steps[0].Degree)
+			cands = firstCandidates(w.e.store, w.e.plan, w.e.opts)
 		} else {
-			cands = w.subtractDisc(k, w.generateDAL(k))
+			cands = baseline.Keep(w.e.store, w.e.plan, w.c[:k], rawCandidates(w, k))
 		}
-		cands = slices.DeleteFunc(slices.Clone(cands), func(c uint32) bool { return slices.Contains(w.c[:k], c) })
 		if len(cands) == 0 {
-			return false
+			return k
 		}
 		w.c[k] = cands[rng.Intn(len(cands))]
 	}
-	return true
+	return last
+}
+
+// TestStolenPrefixDifferential: the 4- and 5-hyperedge core cliques, whose
+// middle steps share chain nodes with their last, and the pair-class family
+// of TestPairClassesDifferential, restricted and not, on 1, 2 and 4 workers
+// that publish at every depth (SplitThreshold 1): every prefix a thief takes
+// over meets caches built for another, and the counts stay brute force's and
+// the baseline's.
+func TestStolenPrefixDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(2601))
+	pats := []*pattern.Pattern{
+		pattern.MustNew(leafShapes[1].edges, nil),
+		pattern.MustNew([][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 1, 4}, {0, 1, 5}, {0, 1, 6}}, nil),
+		pattern.MustNew([][]uint32{{0, 1, 2, 3, 4}, {0, 1, 5, 6, 7}, {0, 1, 2, 5, 8}, {0, 1, 3, 6, 9}}, nil),
+		pattern.MustNew([][]uint32{{0, 1, 2, 3}, {0, 4, 5, 6}, {0, 1, 4, 7}, {0, 2, 5, 8}}, nil),
+	}
+	stores := []*dal.Store{blockStore(8), dal.Build(leafHypergraph(rng, 8, 40))}
+	for _, p := range pats[2:] {
+		stores = append(stores, pairClassStore(rng, p))
+	}
+	stolen := false
+	for _, store := range stores {
+		for _, p := range pats {
+			want := oracleCount(t, store, p)
+			for _, norestrict := range []bool{false, true} {
+				for _, workers := range []int{1, 2, 4} {
+					res, err := Mine(store, p, Options{Workers: workers, NoSymmetryBreak: norestrict, SplitThreshold: 1, SplitDepth: p.NumEdges()})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Ordered != want || res.Unique != want/uint64(res.Automorphisms) || res.Truncated {
+						t.Fatalf("%s norestrict=%v workers=%d: Ordered=%d Unique=%d truncated=%v, want %d\nplan:\n%s",
+							p, norestrict, workers, res.Ordered, res.Unique, res.Truncated, want, res.Plan)
+					}
+					stolen = stolen || res.Stats.Steals > 0 && want > 0
+				}
+			}
+		}
+	}
+	if !stolen {
+		t.Fatal("no run stole a prefix")
+	}
 }

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"ohminer/internal/intset"
 )
 
 // This file implements the work-stealing subtree scheduler. The paper's
@@ -257,43 +255,27 @@ func (w *worker) trySteal() bool {
 	return false
 }
 
-// runTask executes a task: rebind the prefix, rebuild the overlap slots the
-// prefix's validation produced (stolen and resumed tasks arrive without the
-// publisher's scratch state), and explore the candidate range. A range below
-// the root is held to the generation contract first, in the run buffer the
-// worker owns: ranges this engine published lose nothing, the frontier of a
-// snapshot or lease cut while disconnection was still checked candidate by
-// candidate loses what that check would have rejected.
+// runTask executes a task: rebind the prefix, hold a range below the root to
+// what step would have kept (refilter: idempotent for the ranges this engine
+// publishes; a snapshot or lease frontier cut by a build that tested
+// candidate by candidate loses what those tests would have rejected), and
+// explore it.
 func (w *worker) runTask(t *task) {
 	copy(w.c[:t.depth], t.prefix)
-	if t.depth > 1 {
-		w.rebuildSlots(t.depth)
-	}
 	if t.depth > 0 {
-		t.cands = w.subtractDisc(t.depth, t.cands)
+		t.cands = w.refilter(t.depth, t.cands)
 	}
 	w.explore(t.depth, t.cands)
 }
 
-// rebuildSlots re-executes the slot-materializing operations of steps
-// 1..depth-1 so that operations at and beyond depth can resolve their slot
-// operands. The prefix already passed validation, so only the intersections
-// that write slots need re-running — checks are skipped. The same adaptive
-// containers (and container hints) as validateOverlaps apply, so stolen
-// prefixes revalidate on the same kernel paths the publisher used.
-func (w *worker) rebuildSlots(depth int) {
-	for t := 1; t < depth; t++ {
-		ops := w.e.plan.Steps[t].Ops
-		for i := range ops {
-			op := &ops[i]
-			if op.Out < 0 {
-				continue
-			}
-			w.stats.SetOps++
-			a, b := w.resolveSet(op.A, op.Hint), w.resolveSet(op.B, op.Hint)
-			w.slots[op.Out] = intset.IntersectSetsAdaptive(a, b, w.slots[op.Out][:0])
-		}
+// refilter holds cands, in place, to what step keeps at position t > 0.
+func (w *worker) refilter(t int, cands []uint32) []uint32 {
+	st := &w.e.plan.Steps[t]
+	cands = w.admit(t, w.subtractDisc(st.Disc, st.Degree, cands), cands[:0])
+	for i := w.e.last[t]; i >= 0; i = w.e.nodes[i].parent {
+		cands = w.keep(cands, w.e.nodes[i].conds)
 	}
+	return cands
 }
 
 // publish copies the current prefix and an untouched sibling candidate

@@ -121,7 +121,7 @@ func applyContainerHints(store *dal.Store, plan *oig.Plan) {
 // PositionFilter constraints — exactly as the mining driver seeds it. The
 // returned slice is freshly allocated and safe to retain or repartition.
 func FirstCandidates(store *dal.Store, plan *oig.Plan, opts Options) []uint32 {
-	cands := newShared(store, plan, opts).firstCandidates()
+	cands := firstCandidates(store, plan, opts)
 	// firstCandidates may return the DAL's shared degree-index storage when
 	// no filtering applies; copy so callers own what they hold.
 	return append([]uint32(nil), cands...)
@@ -139,7 +139,6 @@ func MineSeeded(store *dal.Store, plan *oig.Plan, seeds []uint32, opts Options) 
 	if err := validateRun(store, plan, opts); err != nil {
 		return Result{}, err
 	}
-	e := newShared(store, plan, opts)
 	h := store.Hypergraph()
 	pool := make([]uint32, 0, len(seeds))
 	for _, c := range seeds {
@@ -151,7 +150,7 @@ func MineSeeded(store *dal.Store, plan *oig.Plan, seeds []uint32, opts Options) 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	snap := &checkpoint.Snapshot{Frontier: PartitionFrontier(e.admitFirst(pool), workers)}
+	snap := &checkpoint.Snapshot{Frontier: PartitionFrontier(admitFirst(store, plan, opts, pool), workers)}
 	return mineResumable(context.Background(), store, plan, opts, snap)
 }
 

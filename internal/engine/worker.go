@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/bits"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -28,14 +27,14 @@ type worker struct {
 	id    int
 	task  task // run buffer: deque hand-offs are copied in here
 
-	c     []uint32   // bound hyperedge IDs, c[0..t]
-	cand  [][]uint32 // candidate list buffer per step
-	tmp   [][]uint32 // ping-pong buffer for progressive intersections
-	slots [][]uint32 // overlap buffers, indexed by plan slot
+	c    []uint32   // bound hyperedge IDs, c[0..t]
+	cand [][]uint32 // candidate list buffer per step
 
-	labelScratch []int         // per-label counter for histogram checks
-	adjSets      []intset.Set  // scratch: adjacency containers of one generation
-	leafY        []leafOperand // cached Y per leaf condition (shared.leafConds)
+	labelScratch []int        // per-label counter for histogram checks
+	overlap      []uint32     // scratch: an overlap whose labels a condition checks
+	adjSets      []intset.Set // scratch: adjacency containers of one generation
+	vnodes       []node       // cached overlaps, per shared.vdefs
+	enodes       []node       // cached chain nodes, per shared.nodes
 
 	count uint64
 	stop  bool // local mirror of shared.stopped, avoids repeat atomic loads while unwinding
@@ -49,39 +48,17 @@ type worker struct {
 func newWorker(e *shared, found *atomic.Uint64) *worker {
 	h := e.store.Hypergraph()
 	m := e.plan.Pattern.NumEdges()
-	maxDeg := 0
-	for t := 0; t < m; t++ {
-		if d := e.plan.Steps[t].Degree; d > maxDeg {
-			maxDeg = d
-		}
-	}
 	w := &worker{
 		e:       e,
 		found:   found,
 		c:       make([]uint32, m),
 		cand:    make([][]uint32, m),
-		tmp:     make([][]uint32, m),
-		slots:   make([][]uint32, e.plan.NumSlots),
 		adjSets: make([]intset.Set, 0, m),
+		vnodes:  make([]node, len(e.vdefs)),
+		enodes:  make([]node, len(e.nodes)),
 	}
 	for t := 0; t < m; t++ {
 		w.cand[t] = make([]uint32, 0, 64)
-		w.tmp[t] = make([]uint32, 0, 64)
-	}
-	for i := range w.slots {
-		w.slots[i] = make([]uint32, 0, maxDeg)
-	}
-	// An overlap holds at most maxDeg vertices, and its window at most one
-	// word per eight of them (intset.PlanWords).
-	w.leafY = make([]leafOperand, len(e.leafConds))
-	for i, c := range e.leafConds {
-		if c.pair || !c.a.Edge {
-			w.leafY[i] = leafOperand{
-				key:   make([]uint32, bits.OnesCount32(c.deps)),
-				arr:   make([]uint32, 0, maxDeg),
-				words: make([]uint64, 0, maxDeg/8+1),
-			}
-		}
 	}
 	if h.Labeled() {
 		w.labelScratch = make([]int, h.NumLabels())
@@ -89,117 +66,131 @@ func newWorker(e *shared, found *atomic.Uint64) *worker {
 	return w
 }
 
-// step binds position t to every surviving candidate and recurses — or, at
-// a last position nothing has to look at hyperedge by hyperedge, counts them.
+// step binds position t to every candidate its conditions keep and recurses
+// — or, at a last position nothing has to look at hyperedge by hyperedge,
+// counts them.
 func (w *worker) step(t int) {
-	if t == w.e.countedLeaf && w.countLeaf(t) {
-		return
-	}
 	var t0 time.Time
-	instrument := w.e.opts.Instrument
+	v0, instrument := w.stats.ValTime, w.e.opts.Instrument
 	if instrument {
 		t0 = time.Now()
 	}
-	cands := w.generateDAL(t)
-	if instrument {
-		w.stats.Candidates += uint64(len(cands))
+	counted := t == w.e.countedLeaf && !w.stop && !w.e.stopped.Load()
+	done := counted && w.countLeaf(t)
+	var cands []uint32
+	if !done {
+		cands = w.candidates(t)
 	}
-	cands = w.subtractDisc(t, cands)
 	if instrument {
-		w.stats.GenTime += time.Since(t0)
+		// The conditions are the step's validation: their time is ValTime's.
+		w.stats.GenTime += time.Since(t0) - (w.stats.ValTime - v0)
 	}
-	w.explore(t, cands)
+	if !done && (!counted || !w.tally(len(cands))) {
+		w.explore(t, cands)
+	}
 }
 
-// countLeaf adds the number of hyperedges position t — the last one, of a
-// run in which a binding there is an embedding as soon as accept passes it
-// and the step's ops hold (shared.countedLeaf) — can bind, without visiting
-// them. Generation already honours Conn and Disc; the restrictions keep the
-// candidates above the largest restricted binding, a suffix of the sorted
-// list; the ops, restated as leaf conditions (leaf.go), filter what is left
-// in place; and the only bound hyperedges generation can produce again sit at
-// Disc positions (a hyperedge is no neighbour of itself), one binary search
-// each. Without conditions, one Conn operand and at most one Disc, nothing is
-// materialised either: the candidates are a DAL group G, the disconnected
-// hyperedge's sub-groups N_k of the same degree are pairwise disjoint, and the
-// count is |G| − Σ_k |G ∩ N_k|.
-//
-// It reports false, having counted nothing — no Stats counter included —
-// when the stop flag is up or the leaf would reach Limit: the per-candidate
-// loop then runs, and stays the only place that truncates a run or saves a
-// remainder.
-func (w *worker) countLeaf(t int) bool {
-	if w.stop || w.e.stopped.Load() {
-		return false
+// candidates returns the list position t binds: the last node of its chain,
+// held to the per-candidate tests and then to the conditions that node adds.
+// A list another step's chain continues from is cached, conditions
+// included, and the per-candidate tests copy from it.
+func (w *worker) candidates(t int) []uint32 {
+	i := w.e.last[t]
+	if i < 0 {
+		return w.cand[t][:0]
 	}
-	var t0, t1 time.Time // start, and end of generation when the ops filter after it
-	instrument := w.e.opts.Instrument
-	if instrument {
-		t0 = time.Now()
-	}
-	// A leaf handed back to the per-candidate loop is counted there, kernel
-	// calls included: what ran here is taken back.
-	setOps, bitmap, mixed, array := w.stats.SetOps, w.stats.KernelBitmap, w.stats.KernelMixed, w.stats.KernelArray
-	st := &w.e.plan.Steps[t]
-	conds := len(w.e.leafConds) > 0
-	// g is what generation yields at t — short of the Disc subtraction where
-	// inclusion–exclusion makes up for it below.
-	var g intset.Set
-	var generated int
-	iep := !conds && len(st.Conn) == 1 && len(st.Disc) <= 1
-	if iep {
-		g = w.e.store.AdjSet(w.c[st.Conn[0]], st.Degree, st.ConnOverlap[0])
-		generated = g.Len()
+	if d := &w.e.nodes[i]; d.cached {
+		w.cand[t] = w.admit(t, w.eset(i).Elems(), w.cand[t][:0])
 	} else {
-		cands := w.generateDAL(t)
-		generated = len(cands)
-		g = intset.ArrayView(w.subtractDisc(t, cands))
+		cands := w.gen(d, w.cand[t][:0])
+		w.cand[t] = w.keep(w.admit(t, cands, cands[:0]), d.conds)
 	}
-	if k := w.restrictedBelow(st, g.Elems()); k > 0 {
-		g = intset.ArrayView(g.Elems()[k:])
-	}
-	if conds {
-		if instrument {
-			t1 = time.Now()
+	return w.cand[t]
+}
+
+// tally counts n bindings of the last position as embeddings. It reports
+// false, having counted nothing, when they would reach Limit: the
+// per-candidate loop then runs, and stays the only place that truncates a
+// run or saves a remainder.
+func (w *worker) tally(n int) bool {
+	for limit := w.e.opts.Limit; limit > 0; {
+		found := w.found.Load()
+		if found+uint64(n) >= limit {
+			return false
 		}
-		g = intset.ArrayView(w.filterLeaf(g.Elems()))
-	}
-	n := g.Len()
-	for _, j := range st.Disc {
-		if iep {
-			w.adjSets = w.e.store.AdjSets(w.c[j], st.Degree, w.adjSets[:0])
-			for _, nb := range w.adjSets {
-				w.countKernelClass(intset.Classify(g, nb))
-				n -= intset.IntersectCountSetsAdaptive(g, nb)
-			}
-		}
-		if g.Contains(w.c[j]) {
-			n--
-		}
-	}
-	if limit := w.e.opts.Limit; limit > 0 {
-		for {
-			found := w.found.Load()
-			if found+uint64(n) >= limit {
-				w.stats.SetOps, w.stats.KernelBitmap, w.stats.KernelMixed, w.stats.KernelArray = setOps, bitmap, mixed, array
-				return false
-			}
-			if w.found.CompareAndSwap(found, found+uint64(n)) {
-				break
-			}
+		if w.found.CompareAndSwap(found, found+uint64(n)) {
+			break
 		}
 	}
 	w.count += uint64(n)
-	if instrument {
-		// The filter is the step's validation: its time is ValTime's.
-		now := time.Now()
-		if t1.IsZero() {
-			t1 = now
-		}
-		w.stats.GenTime += t1.Sub(t0)
-		w.stats.ValTime += now.Sub(t1)
-		w.stats.Candidates += uint64(generated)
+	if w.e.opts.Instrument {
 		w.stats.Embeddings += uint64(n)
+	}
+	return true
+}
+
+// countLeaf counts the last position t without materialising its list, when
+// that list is a set X — the parent node, or the first group — less one Disc
+// position's groups N_k, or X ∩ G for one more group G, with no condition
+// added at t-1. The restrictions keep a suffix of X; the N_k of one hyperedge
+// are pairwise disjoint, so the count is |X| − Σ_k |X ∩ N_k|, or |X ∩ G|; the
+// only bound hyperedges the list can hold sit at Disc positions (a hyperedge
+// is no neighbour of itself), one membership test each. It reports false,
+// having counted nothing the chain will not count again, when the list has
+// another shape or tally refuses.
+func (w *worker) countLeaf(t int) bool {
+	d := &w.e.nodes[w.e.last[t]]
+	withG := d.parent >= 0 && d.conn >= 0
+	if len(d.conds) > 0 || len(d.disc) > 1 || withG && len(d.disc) > 0 {
+		return false
+	}
+	var x, g intset.Set
+	if d.conn >= 0 {
+		g = w.e.store.AdjSet(w.c[d.conn], d.deg, d.ov)
+	}
+	if x = g; d.parent >= 0 {
+		x = w.eset(d.parent)
+	}
+	// What runs from here on the per-candidate loop repeats if tally
+	// refuses: it is taken back then.
+	saved := w.stats
+	st := &w.e.plan.Steps[t]
+	cut := x
+	if k := w.restrictedBelow(st, x.Elems()); k > 0 {
+		cut = intset.ArrayView(x.Elems()[k:])
+	}
+	n, all := cut.Len(), x.Len()
+	w.adjSets = w.adjSets[:0]
+	if withG {
+		w.countKernelClass(intset.Classify(x, g))
+		n = intset.IntersectCountSetsAdaptive(cut, g)
+		if all = n; w.e.opts.Instrument && cut.Len() != x.Len() {
+			all = intset.IntersectCountSetsAdaptive(x, g)
+		}
+	}
+	for _, j := range d.disc {
+		w.adjSets = w.e.store.AdjSets(w.c[j], d.deg, w.adjSets)
+	}
+	for _, nb := range w.adjSets {
+		w.countKernelClass(intset.Classify(cut, nb))
+		n -= intset.IntersectCountSetsAdaptive(cut, nb)
+	}
+	for _, j := range st.Disc {
+		e := w.c[j]
+		in := cut.Contains(e) && (!withG || g.Contains(e))
+		for _, nb := range w.adjSets {
+			in = in && !nb.Contains(e)
+		}
+		if in {
+			n--
+		}
+	}
+	if w.e.opts.Instrument {
+		w.stats.Candidates += uint64(all)
+	}
+	if !w.tally(n) {
+		w.stats = saved
+		return false
 	}
 	return true
 }
@@ -222,16 +213,15 @@ func (w *worker) restrictedBelow(st *oig.Step, cands []uint32) int {
 	return k
 }
 
-// explore iterates the candidates of position t — generated in place by
-// step, or handed over in a task. While the position is shallow enough to
-// matter (t < splitDepth) and enough candidates remain, the untouched half
-// of the range is published for idle workers to steal; the published copy
-// and the retained half partition the range, so each subtree is explored
-// exactly once regardless of who executes it.
+// explore binds position t to each candidate — generated and filtered by
+// step, or handed over in a task and filtered by runTask. While the position
+// is shallow enough to matter (t < splitDepth) and enough candidates remain,
+// the untouched half of the range is published for idle workers to steal;
+// the published copy and the retained half partition the range, so each
+// subtree is explored exactly once regardless of who executes it.
 func (w *worker) explore(t int, cands []uint32) {
 	last := t == w.e.plan.Pattern.NumEdges()-1
 	instrument := w.e.opts.Instrument
-	var t0 time.Time
 	for i := 0; i < len(cands); i++ {
 		// Shared cooperative cancellation: the deadline timer, a context
 		// watcher, the checkpoint timer, and the Limit all set one flag,
@@ -258,29 +248,9 @@ func (w *worker) explore(t int, cands []uint32) {
 				}
 			}
 		}
-		c := cands[i]
-		if t > 0 {
-			if !w.accept(t, c) {
-				continue
-			}
-			w.c[t] = c
-			if instrument {
-				t0 = time.Now()
-			}
-			ok := w.validateOverlaps(t)
-			if instrument {
-				w.stats.ValTime += time.Since(t0)
-			}
-			if !ok {
-				continue
-			}
-			if instrument {
-				w.stats.Embeddings++
-			}
-		} else {
-			// Position 0 has no validation ops: firstCandidates already
-			// enforced the degree/label constraints.
-			w.c[0] = c
+		w.c[t] = cands[i]
+		if instrument && t > 0 {
+			w.stats.Embeddings++
 		}
 		if last {
 			w.emit()
@@ -352,118 +322,51 @@ func (w *worker) isCanonical() bool {
 	return true
 }
 
-// accept applies the per-candidate constraints generation leaves:
-// distinctness, symmetry-breaking restrictions, the position filter and the
-// labels. (Disconnection is generation's, see subtractDisc.)
-func (w *worker) accept(t int, c uint32) bool {
+// admit keeps, from in into out (which may be in[:0]), the candidates of
+// position t that pass the tests only a single hyperedge can answer:
+// distinctness, the symmetry-breaking restrictions, the position filter and
+// the labels. Overlaps are the conditions', disconnection generation's.
+func (w *worker) admit(t int, in, out []uint32) []uint32 {
 	st := &w.e.plan.Steps[t]
-	for j := 0; j < t; j++ {
-		if w.c[j] == c {
-			return false
-		}
-	}
-	// Symmetry breaking: the candidate must stay strictly above every
+	h := w.e.store.Hypergraph()
+	f := w.e.opts.PositionFilter
+	// Symmetry breaking: a candidate must stay strictly above every
 	// restricted earlier binding, so of each unordered embedding's |Aut|
-	// ordered tuples only the lexicographically smallest survives. One
-	// compare per restriction, before any set operation runs.
-	for _, j := range st.Restrict {
-		if c <= w.c[j] {
-			return false
-		}
-	}
-	if f := w.e.opts.PositionFilter; f != nil && !f(t, c) {
-		return false
-	}
-	h := w.e.store.Hypergraph()
-	if st.EdgeLabel >= 0 && (!h.EdgeLabeled() || int64(h.EdgeLabel(c)) != st.EdgeLabel) {
-		return false
-	}
-	if w.e.plan.Labeled && !sig.HistogramMatches(h.Labels(), h.EdgeVertices(c), st.EdgeLabels, w.labelScratch) {
-		return false
-	}
-	return true
-}
-
-// validateOverlaps executes the plan's operations for step t — the
-// incremental EOIG maintenance of Sec. 4.4: each op extends the embedding's
-// overlap state and prunes on the first mismatch. Operands resolve to
-// adaptive containers (hyperedge vertex sets carry their DAL bitmap windows
-// unless the op's container hint says the degree class is array-only), so
-// dense overlaps run the SWAR/probe kernels and sparse ones the array family.
-func (w *worker) validateOverlaps(t int) bool {
-	h := w.e.store.Hypergraph()
-	for i := range w.e.plan.Steps[t].Ops {
-		op := &w.e.plan.Steps[t].Ops[i]
-		switch op.Kind {
-		case oig.OpIntersect:
-			a, b := w.resolveSet(op.A, op.Hint), w.resolveSet(op.B, op.Hint)
-			w.stats.SetOps++
-			w.countKernelClass(intset.Classify(a, b))
-			out := intset.IntersectSetsAdaptive(a, b, w.slots[op.Out][:0])
-			w.slots[op.Out] = out
-			if len(out) != op.Want {
-				return false
-			}
-			if op.LabelWant != nil && !sig.HistogramMatches(h.Labels(), out, op.LabelWant, w.labelScratch) {
-				return false
-			}
-		case oig.OpIntersectCount:
-			a, b := w.resolveSet(op.A, op.Hint), w.resolveSet(op.B, op.Hint)
-			w.stats.SetOps++
-			w.countKernelClass(intset.Classify(a, b))
-			if intset.IntersectCountSetsAdaptive(a, b) != op.Want {
-				return false
-			}
-		case oig.OpIntersectEq:
-			a, b := w.resolveSet(op.A, op.Hint), w.resolveSet(op.B, op.Hint)
-			w.stats.SetOps++
-			w.countKernelClass(intset.Classify(a, b))
-			out := intset.IntersectSetsAdaptive(a, b, w.slots[op.Out][:0])
-			w.slots[op.Out] = out
-			if !intset.Equal(out, w.resolve(op.Eq)) {
-				return false
-			}
-		case oig.OpEmptyCheck:
-			a, b := w.resolveSet(op.A, op.Hint), w.resolveSet(op.B, op.Hint)
-			w.countKernelClass(intset.Classify(a, b))
-			if intset.SetsIntersectAdaptive(a, b) {
-				return false
-			}
-		case oig.OpSubsetCheck:
-			if !intset.IsSubset(w.resolve(op.A), w.resolve(op.B)) {
-				return false
-			}
-		case oig.OpEqCheck:
-			if !intset.Equal(w.resolve(op.A), w.resolve(op.Eq)) {
-				return false
+	// ordered tuples only the lexicographically smallest survives — a suffix
+	// of the sorted list.
+	in = in[w.restrictedBelow(st, in):]
+	if f == nil && st.EdgeLabel < 0 && !w.e.plan.Labeled {
+		out = append(out, in...)
+		for _, c := range w.c[:t] {
+			if k, found := slices.BinarySearch(out, c); found {
+				out = slices.Delete(out, k, k+1)
 			}
 		}
+		return out
 	}
-	return true
+next:
+	for _, c := range in {
+		for j := 0; j < t; j++ {
+			if w.c[j] == c {
+				continue next
+			}
+		}
+		if f != nil && !f(t, c) {
+			continue
+		}
+		if st.EdgeLabel >= 0 && (!h.EdgeLabeled() || int64(h.EdgeLabel(c)) != st.EdgeLabel) {
+			continue
+		}
+		if w.e.plan.Labeled && !sig.HistogramMatches(h.Labels(), h.EdgeVertices(c), st.EdgeLabels, w.labelScratch) {
+			continue
+		}
+		out = append(out, c)
+	}
+	return out
 }
 
-func (w *worker) resolve(o oig.Operand) []uint32 {
-	if o.Edge {
-		return w.e.store.Hypergraph().EdgeVertices(w.c[o.Pos])
-	}
-	return w.slots[o.Pos]
-}
-
-// resolveSet resolves an operand as an adaptive container: hyperedge
-// operands come from the DAL's container arena (window metadata skipped
-// when the op's hint says the degree class is array-only), slot operands
-// are the worker's plain array buffers.
-//
-//ohmlint:hotpath
-func (w *worker) resolveSet(o oig.Operand, hint oig.ContainerHint) intset.Set {
-	if o.Edge {
-		return w.edgeSet(w.c[o.Pos], hint)
-	}
-	return intset.ArrayView(w.slots[o.Pos])
-}
-
-// edgeSet resolves hyperedge e's vertex set as an adaptive container, as
-// resolveSet does an operand bound to it.
+// edgeSet resolves hyperedge e's vertex set as an adaptive container: its
+// bitmap window skipped when the hint says the degree class is array-only.
 func (w *worker) edgeSet(e uint32, hint oig.ContainerHint) intset.Set {
 	if hint == oig.HintArray {
 		return intset.ArrayView(w.e.store.Hypergraph().EdgeVertices(e))
@@ -471,45 +374,15 @@ func (w *worker) edgeSet(e uint32, hint oig.ContainerHint) intset.Set {
 	return w.e.store.EdgeVertexSet(e)
 }
 
-// generateDAL intersects, for the already-matched hyperedges position t
-// must overlap, their adjacency groups of the wanted degree and overlap size
-// (Sec. 4.5, split by |e∩o|) with one k-way kernel call — which is what
-// honours the Conn half of the plan's generation contract
-// (Step.ConnOverlap): no candidate with a wrong pairwise overlap size is ever
-// produced. (subtractDisc honours the other half.) The groups arrive as
-// adaptive containers straight from the DAL's arenas (bitmap windows
-// included, never converted), IntersectKAdaptive orders them rarest-first,
-// and the scan short-circuits the moment any operand is exhausted. The
-// (result, spare) return keeps the worker's ping-pong buffers owned across
-// calls.
-func (w *worker) generateDAL(t int) []uint32 {
-	st := &w.e.plan.Steps[t]
-	sets := w.adjSets[:0]
-	for i, j := range st.Conn {
-		s := w.e.store.AdjSet(w.c[j], st.Degree, st.ConnOverlap[i])
-		if s.Len() == 0 {
-			w.adjSets = sets
-			w.cand[t] = w.cand[t][:0]
-			return w.cand[t]
-		}
-		sets = append(sets, s)
-	}
-	w.adjSets = sets
-	w.countKernelClass(intset.ClassifyK(sets))
-	w.cand[t], w.tmp[t] = intset.IntersectKAdaptive(sets, w.cand[t][:0], w.tmp[t][:0])
-	return w.cand[t]
-}
-
 // subtractDisc is the other half of the generation contract (Step.Disc): it
-// removes from cands, in place, every neighbour of the bound hyperedges
-// position t must not overlap. Only their sub-groups of the step's degree can
-// hold a candidate, and those belong to hyperedges that stay bound — and
-// cached — for the whole subtree, where a per-candidate connectivity probe
-// reads a different candidate's adjacency every time.
-func (w *worker) subtractDisc(t int, cands []uint32) []uint32 {
-	st := &w.e.plan.Steps[t]
-	for _, j := range st.Disc {
-		w.adjSets = w.e.store.AdjSets(w.c[j], st.Degree, w.adjSets[:0])
+// removes from cands, in place, every neighbour of degree deg of the bound
+// hyperedges at the disc positions. Only those groups can hold a candidate,
+// and they belong to hyperedges that stay bound — and cached — for the whole
+// subtree, where a per-candidate connectivity probe reads a different
+// candidate's adjacency every time.
+func (w *worker) subtractDisc(disc []int, deg int, cands []uint32) []uint32 {
+	for _, j := range disc {
+		w.adjSets = w.e.store.AdjSets(w.c[j], deg, w.adjSets[:0])
 		for _, nb := range w.adjSets {
 			if len(cands) == 0 {
 				return cands

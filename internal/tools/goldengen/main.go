@@ -6,7 +6,8 @@
 // export and runs it there, so "written by the parent's encoder" is a
 // command; it therefore sticks to API that has not moved since PR 13. The
 // tests that load the files rebuild the same inputs (dal.goldenHypergraph,
-// engine.TestParentSnapshotResumes, engine.TestParentChainSnapshotResumes).
+// engine.TestParentSnapshotResumes, engine.TestParentChainSnapshotResumes,
+// engine.TestParentCliqueSnapshotResumes).
 package main
 
 import (
@@ -34,8 +35,9 @@ func main() {
 	ohmd := flag.String("ohmd", "", "write the DAL store of the generated hypergraph here")
 	ohmc := flag.String("ohmc", "", "write the snapshot of the interrupted star run here")
 	chain := flag.String("chain", "", "write the snapshot of the interrupted chain run here")
+	clique := flag.String("clique", "", "write the snapshot of the interrupted 4-clique run here")
 	flag.Parse()
-	if err := run(*ohmd, *ohmc, *chain); err != nil {
+	if err := run(*ohmd, *ohmc, *chain, *clique); err != nil {
 		fmt.Fprintln(os.Stderr, "goldengen:", err)
 		os.Exit(1)
 	}
@@ -56,7 +58,7 @@ func interrupted(store *dal.Store, p *pattern.Pattern, limit uint64, path string
 	return err
 }
 
-func run(ohmd, ohmc, chain string) error {
+func run(ohmd, ohmc, chain, clique string) error {
 	if ohmd != "" {
 		// Dense enough for overlap sizes to vary inside a degree group, and
 		// for some groups to be longer than the sort's insertion cut-off.
@@ -94,6 +96,23 @@ func run(ohmd, ohmc, chain string) error {
 		store := dal.Build(hypergraph.MustBuild(n, edges, nil))
 		p := pattern.MustNew([][]uint32{{0, 1}, {1, 2}, {2, 3}}, nil)
 		if err := interrupted(store, p, 2000, chain); err != nil {
+			return err
+		}
+	}
+	if clique != "" {
+		// The 4-clique on a dense block: 36 hyperedges sharing a core of 64
+		// vertices, one private vertex each, so vertex sets and adjacency
+		// groups carry bitmap windows. Any four of them are an embedding.
+		const core, k = 64, 36
+		edges := make([][]uint32, k)
+		for i := range edges {
+			for v := uint32(0); v < core; v++ {
+				edges[i] = append(edges[i], v)
+			}
+			edges[i] = append(edges[i], core+uint32(i))
+		}
+		store := dal.Build(hypergraph.MustBuild(core+k, edges, nil))
+		if err := interrupted(store, pattern.MustNew(edges[:4], nil), 20000, clique); err != nil {
 			return err
 		}
 	}
