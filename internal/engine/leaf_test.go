@@ -423,3 +423,179 @@ func TestStolenPrefixDifferential(t *testing.T) {
 		t.Fatal("no run stole a prefix")
 	}
 }
+
+// markShapes are the patterns whose steps read an operand that stays bound
+// across a loop: Disc chains (a middle step's Disc, two positions in one
+// mark, Disc on two nodes of a chain) and conditions whose overlap reads two
+// or three positions.
+var markShapes = []struct {
+	name  string
+	edges [][]uint32
+}{
+	{discShapes[1].name, discShapes[1].edges},
+	{discShapes[4].name, discShapes[4].edges},
+	{discShapes[6].name, discShapes[6].edges},
+	{leafShapes[1].name, leafShapes[1].edges},
+	{leafShapes[4].name, leafShapes[4].edges},
+	{leafShapes[8].name, leafShapes[8].edges},
+	{leafShapes[9].name, leafShapes[9].edges},
+}
+
+// TestMarkedStepsMatchInterpreter: on sparse stores with shuffled IDs, where
+// no operand earns a bitmap window and so every loop-invariant one is marked,
+// each step's list — generated, refiltered as a handed-over range, counted —
+// equals what baseline.Keep keeps for prefixes rebound from random positions
+// on, and whole runs on 1, 2 and 4 workers that publish at every depth
+// (SplitThreshold 1) count brute force's total, restricted and not: a
+// stolen prefix meets marks keyed for another and must miss.
+func TestMarkedStepsMatchInterpreter(t *testing.T) {
+	rng := rand.New(rand.NewSource(2701))
+	stores := []*dal.Store{dal.Build(leafHypergraph(rng, 12, 50)), dal.Build(randGraphLike(rng, 10, 22, 10))}
+	var lists, discs, overlaps, steps int
+	stolen := false
+	for _, store := range stores {
+		for _, shape := range markShapes {
+			p := pattern.MustNew(shape.edges, nil)
+			want := oracleCount(t, store, p)
+			for _, norestrict := range []bool{false, true} {
+				opts := Options{NoSymmetryBreak: norestrict}
+				plan, err := CompilePlan(store, p, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := newWorker(newShared(store, plan, opts), nil)
+				last, bound := len(plan.Steps)-1, 0
+				for b := 0; b < 40; b++ {
+					if bound = bindRandomPrefix(w, rng, rng.Intn(bound+1), last); bound == 0 {
+						continue
+					}
+					for k := 1; k <= bound; k++ {
+						raw := rawCandidates(w, k)
+						keep := baseline.Keep(store, plan, w.c[:k], raw)
+						if got := w.candidates(k); !slices.Equal(got, keep) {
+							t.Fatalf("%s, prefix %v: step %d keeps %v, the interpreter %v of %v\nplan:\n%s", shape.name, w.c[:k], k, got, keep, raw, plan)
+						}
+						if got := w.refilter(k, slices.Clone(raw)); !slices.Equal(got, keep) {
+							t.Fatalf("%s, prefix %v: a handed-over range at step %d keeps %v, the interpreter %v of %v\nplan:\n%s", shape.name, w.c[:k], k, got, keep, raw, plan)
+						}
+						if before := w.count; k == w.e.countedLeaf && w.countLeaf(k) && w.count-before != uint64(len(keep)) {
+							t.Fatalf("%s, prefix %v: the last position counts %d, the interpreter keeps %v\nplan:\n%s", shape.name, w.c[:k], w.count-before, keep, plan)
+						}
+						steps++
+					}
+				}
+				for i := range w.enodes {
+					lists += len(w.enodes[i].mark.key)
+					discs += len(w.enodes[i].disc.key)
+				}
+				for i := range w.vnodes {
+					overlaps += len(w.vnodes[i].mark.key)
+				}
+				for _, workers := range []int{1, 2, 4} {
+					res, err := Mine(store, p, Options{Workers: workers, NoSymmetryBreak: norestrict, SplitThreshold: 1, SplitDepth: p.NumEdges()})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Ordered != want || res.Truncated {
+						t.Fatalf("%s norestrict=%v workers=%d: Ordered=%d truncated=%v, want %d\nplan:\n%s", shape.name, norestrict, workers, res.Ordered, res.Truncated, want, res.Plan)
+					}
+					stolen = stolen || res.Stats.Steals > 0 && want > 0
+				}
+			}
+		}
+	}
+	if lists == 0 || discs == 0 || overlaps == 0 || steps < 500 || !stolen {
+		t.Fatalf("marks left keyed: %d list, %d Disc, %d overlap; %d steps checked, a prefix stolen %v: not what this test is for",
+			lists, discs, overlaps, steps, stolen)
+	}
+}
+
+// denseBlocks mirrors the mine_dense benchmark's hypergraph at a small scale:
+// per core size c, a clique block of k hyperedges sharing a core of c
+// contiguous vertices, and hub pairs sharing c+3 with pendants off one side.
+func denseBlocks(cores []int, k, hubs, pendants int) *dal.Store {
+	var edges [][]uint32
+	span := func(base, n int) []uint32 {
+		s := make([]uint32, n)
+		for i := range s {
+			s[i] = uint32(base + i)
+		}
+		return s
+	}
+	next := 0
+	for _, c := range cores {
+		for i := 0; i < k; i++ {
+			edges = append(edges, append(span(next, c), uint32(next+c+i)))
+		}
+		next += c + k
+		hc := c + 3
+		leaf := next + hubs*(hc+2)
+		for h := 0; h < hubs; h++ {
+			base := next + h*(hc+2)
+			edges = append(edges, append(span(base, hc), uint32(base+hc)), append(span(base, hc), uint32(base+hc+1)))
+			for j := 0; j < pendants; j++ {
+				edges = append(edges, []uint32{uint32(base + hc), uint32(leaf)})
+				leaf++
+			}
+		}
+		next = leaf
+	}
+	return dal.Build(hypergraph.MustBuild(next, edges, nil))
+}
+
+// TestWindowedRunMarksNoVertices: where every overlap a condition reads
+// carries a bitmap window — the dense benchmark's blocks of contiguous IDs,
+// whose 1.8 M vertices would cost 225 KB per vertex mark — the conditions
+// keep the window kernels and no worker allocates a vertex mark. On a sparse
+// store the same condition does mark its overlap.
+func TestWindowedRunMarksNoVertices(t *testing.T) {
+	const k, hubs, pendants = 10, 6, 3
+	dense := denseBlocks([]int{64, 72}, k, hubs, pendants)
+	clique := func(c, j int) [][]uint32 {
+		edges := make([][]uint32, j)
+		for i := range edges {
+			for v := 0; v < c; v++ {
+				edges[i] = append(edges[i], uint32(v))
+			}
+			edges[i] = append(edges[i], uint32(c+i))
+		}
+		return edges
+	}
+	hub := append(clique(67, 2), []uint32{67, 69}) // A ∩ B = core, A ∩ C = {67}, B ∩ C = ∅
+	mine := func(store *dal.Store, edges [][]uint32, norestrict bool) (uint64, *worker) {
+		p := pattern.MustNew(edges, nil)
+		opts := Options{NoSymmetryBreak: norestrict}
+		plan, err := CompilePlan(store, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := newWorker(newShared(store, plan, opts), nil)
+		w.explore(0, firstCandidates(store, plan, opts))
+		return w.count, w
+	}
+	for _, c := range []struct {
+		name       string
+		edges      [][]uint32
+		norestrict bool
+		want       uint64
+	}{
+		{"triangle", clique(64, 3), false, k * (k - 1) * (k - 2) / 6},
+		{"4-clique", clique(64, 4), false, k * (k - 1) * (k - 2) * (k - 3) / 24},
+		{"triangle nosym", clique(64, 3), true, k * (k - 1) * (k - 2)},
+		{"hub", hub, false, hubs * pendants},
+	} {
+		n, w := mine(dense, c.edges, c.norestrict)
+		if n != c.want {
+			t.Fatalf("%s: %d enumerated, want %d", c.name, n, c.want)
+		}
+		for i := range w.vnodes {
+			if w.vnodes[i].mark.key != nil {
+				t.Fatalf("%s: a vertex mark over %d vertices for overlap %b\nplan:\n%s", c.name, dense.Hypergraph().NumVertices(), w.e.vdefs[i].m, w.e.plan)
+			}
+		}
+	}
+	_, w := mine(dal.Build(leafHypergraph(rand.New(rand.NewSource(2702)), 9, 28)), leafShapes[0].edges, false)
+	if !slices.ContainsFunc(w.vnodes, func(n node) bool { return n.mark.key != nil }) {
+		t.Fatal("the core triangle marks no overlap on a sparse store: the check above proves nothing")
+	}
+}

@@ -215,8 +215,8 @@ func FillWords(words []uint64, base uint32, core []uint32) {
 // PairClass classifies one binary set-kernel invocation by the
 // representations actually in play — the per-kernel counters surfaced in
 // engine.Stats. Two overlapping windows run word-parallel (ClassBitmap); one
-// usable window runs probe-accelerated (ClassMixed); anything else runs the
-// array kernels (ClassArray).
+// usable window runs probe-accelerated (ClassMixed), and so does a slice
+// probed into a Mark; anything else runs the array kernels (ClassArray).
 type PairClass uint8
 
 const (
@@ -250,27 +250,6 @@ func Classify(a, b Set) PairClass {
 		return ClassMixed
 	}
 	return ClassArray
-}
-
-// ClassifyK reports the path an adaptive k-way intersection takes: bitmap if
-// every operand carries a window, mixed if any does, array otherwise.
-//
-//ohmlint:hotpath
-func ClassifyK(sets []Set) PairClass {
-	n := 0
-	for i := range sets {
-		if sets[i].words != nil {
-			n++
-		}
-	}
-	switch {
-	case n == len(sets) && n > 0:
-		return ClassBitmap
-	case n > 0:
-		return ClassMixed
-	default:
-		return ClassArray
-	}
 }
 
 // overlapWords returns the word range [lo, hi) covered by both windows.
@@ -646,87 +625,6 @@ func probeIntersects(a, b Set, lo, hi uint32) bool {
 		cur = k
 	}
 	return false
-}
-
-// DifferenceSet stores a \ b — the elements of the sorted slice a that b does
-// not hold — into dst and returns it. An element inside b's bitmap window is
-// one word test; otherwise the kernel picks by size ratio, like
-// IntersectFast: a much shorter a is probed into b by resumed binary search,
-// a much shorter b is searched into a and the runs between its hits are
-// copied whole, and operands of similar size are merged. Unlike the
-// intersection kernels' dst, dst may be a[:0]: the write cursor never passes
-// the read cursor, so a list can be filtered in place.
-//
-//ohmlint:hotpath
-func DifferenceSet(a []uint32, b Set, dst []uint32) []uint32 {
-	dst = dst[:0]
-	if len(a) == 0 {
-		return dst
-	}
-	if len(b.arr) == 0 || a[len(a)-1] < b.Min() || b.Max() < a[0] {
-		dst = append(dst, a...)
-		return dst
-	}
-	switch {
-	case b.words != nil || len(b.arr) >= gallopThreshold*len(a):
-		return differenceProbe(a, b, dst)
-	case len(a) >= gallopThreshold*len(b.arr):
-		return differenceRuns(a, b.arr, dst)
-	}
-	i, j := 0, 0
-	for i < len(a) && j < len(b.arr) {
-		x, y := a[i], b.arr[j]
-		switch {
-		case x < y:
-			dst = append(dst, x)
-			i++
-		case x > y:
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return dst
-}
-
-// differenceProbe keeps the elements of a that a membership probe does not
-// find in b: a word test inside b's window, binary search with a monotone
-// resume cursor outside it (and everywhere when b is array-only).
-func differenceProbe(a []uint32, b Set, dst []uint32) []uint32 {
-	cur := 0
-	for _, x := range a {
-		if b.inWindow(x) {
-			if b.words[(x>>6)-b.base]&(1<<(x&63)) == 0 {
-				dst = append(dst, x)
-			}
-			continue
-		}
-		cur = searchFrom(b.arr, cur, x)
-		if cur == len(b.arr) || b.arr[cur] != x {
-			dst = append(dst, x)
-		}
-	}
-	return dst
-}
-
-// differenceRuns locates each element of the short subtrahend b in a and
-// copies the runs of a between the hits.
-func differenceRuns(a, b, dst []uint32) []uint32 {
-	i := 0
-	for _, y := range b {
-		k := searchFrom(a, i, y)
-		dst = append(dst, a[i:k]...)
-		if i = k; k == len(a) {
-			return dst
-		}
-		if a[k] == y {
-			i++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return dst
 }
 
 // sortSetsByLen orders sets ascending by cardinality in place (insertion

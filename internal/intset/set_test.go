@@ -171,7 +171,6 @@ func checkPair(t *testing.T, a, b []uint32) {
 	if got := Classify(sa, sb); got > ClassBitmap {
 		t.Fatalf("bad class %d", got)
 	}
-	checkDifference(t, a, b)
 	checkSubset(t, a, b)
 }
 
@@ -274,7 +273,7 @@ func TestIsSubsetSets(t *testing.T) {
 	}
 }
 
-// refDifference is the oracle of DifferenceSet: map-based a \ b.
+// refDifference is the oracle of a Mark's non-members: map-based a \ b.
 func refDifference(a, b []uint32) []uint32 {
 	in := make(map[uint32]bool, len(b))
 	for _, x := range b {
@@ -289,27 +288,69 @@ func refDifference(a, b []uint32) []uint32 {
 	return out
 }
 
-// checkDifference holds DifferenceSet(a, b) to the oracle with b windowed
-// (where its density earns a window) and array-only — which between them
-// reach the window probe, both gallop directions, the merge and the empty and
-// disjoint-range exits — into a fresh buffer, a reused one, and a itself.
-func checkDifference(t *testing.T, a, b []uint32) {
+// checkMark marks m — over a universe holding every element of a and b —
+// with b, in two parts, and holds the probes of a to the oracles: Count, also
+// of a suffix, Filter keeping members (refIntersect) and non-members
+// (refDifference) into a fresh buffer, a short reused one and a itself, and
+// Has. It then resets m and requires every word clear again, so whoever
+// marks m next starts from nothing.
+func checkMark(t *testing.T, m *Mark, a, b []uint32) {
 	t.Helper()
-	want := refDifference(a, b)
-	for _, sb := range []Set{BuildSet(b), ArrayView(b)} {
-		before := append([]uint32(nil), a...)
-		if got := DifferenceSet(a, sb, nil); !eq(got, want) {
-			t.Fatalf("DifferenceSet(%v, %v, window=%v)=%v want %v", a, b, sb.HasWindow(), got, want)
+	m.Set(b[:len(b)/2])
+	m.Set(b[len(b)/2:])
+	inter, diff := refIntersect(a, b), refDifference(a, b)
+	if got := m.Count(a); got != len(inter) {
+		t.Fatalf("Mark(%v).Count(%v)=%d want %d", b, a, got, len(inter))
+	}
+	if k := len(a) / 3; m.Count(a[k:]) != len(refIntersect(a[k:], b)) {
+		t.Fatalf("Mark(%v).Count(%v)=%d want %d", b, a[k:], m.Count(a[k:]), len(refIntersect(a[k:], b)))
+	}
+	for _, members := range []bool{true, false} {
+		want := diff
+		if members {
+			want = inter
 		}
-		if got := DifferenceSet(a, sb, make([]uint32, 1, 4)); !eq(got, want) {
-			t.Fatalf("DifferenceSet(%v, %v, window=%v) into a reused buffer=%v want %v", a, b, sb.HasWindow(), got, want)
+		if got := m.Filter(a, members, nil); !eq(got, want) {
+			t.Fatalf("Mark(%v).Filter(%v, %v)=%v want %v", b, a, members, got, want)
 		}
-		if !eq(a, before) {
-			t.Fatalf("DifferenceSet wrote to its minuend: %v, was %v", a, before)
+		if got := m.Filter(a, members, make([]uint32, 1, 2)); !eq(got, want) {
+			t.Fatalf("Mark(%v).Filter(%v, %v) into a reused buffer=%v want %v", b, a, members, got, want)
 		}
-		if got := DifferenceSet(before, sb, before[:0]); !eq(got, want) {
-			t.Fatalf("DifferenceSet(%v, %v, window=%v) in place=%v want %v", a, b, sb.HasWindow(), got, want)
+		c := append([]uint32(nil), a...)
+		if got := m.Filter(c, members, c[:0]); !eq(got, want) {
+			t.Fatalf("Mark(%v).Filter(%v, %v) in place=%v want %v", b, a, members, got, want)
 		}
+	}
+	for _, x := range a {
+		if m.Has(x) != Contains(b, x) {
+			t.Fatalf("Mark(%v).Has(%d)=%v", b, x, m.Has(x))
+		}
+	}
+	m.Reset()
+	for i, w := range m.words {
+		if w != 0 {
+			t.Fatalf("word %d still %#x after Reset of a mark of %v", i, w, b)
+		}
+	}
+}
+
+// TestMarkRemarked re-marks one Mark with shaped sets in turn — dense ones,
+// whose Reset clears their span, and sparse ones, whose Reset walks what was
+// marked — and probes each against the next.
+func TestMarkRemarked(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	var zero Mark
+	zero.Reset() // the empty universe holds nothing to clear
+	m := NewMark(1 << 18)
+	prev := []uint32(nil)
+	for iter := 0; iter < 2000; iter++ {
+		s := randShapedSet(r)
+		if len(s) > 0 && s[len(s)-1] >= 1<<18 {
+			continue
+		}
+		checkMark(t, &m, prev, s)
+		checkMark(t, &m, s, prev)
+		prev = s
 	}
 }
 
@@ -408,8 +449,10 @@ func TestIntersectKBufferReuse(t *testing.T) {
 }
 
 // FuzzIntersectKernels differentially fuzzes every kernel family — array,
-// bitmap-window, mixed, and k-way paths — against the scalar reference, and
-// the difference and subset kernels against their map oracles.
+// bitmap-window, mixed, and k-way paths — against the scalar reference, the
+// difference and subset kernels against their map oracles, and a Mark
+// re-marked with each decoded set against the intersection and difference
+// oracles.
 // Inputs are raw bytes decoded into up to four sets so the fuzzer controls
 // density, overlap, and trim shapes directly.
 func FuzzIntersectKernels(f *testing.F) {
@@ -456,12 +499,6 @@ func FuzzIntersectKernels(f *testing.F) {
 				t.Fatalf("%s.IntersectCount=%d want %d", kn.Name, got, len(want))
 			}
 		}
-		checkDifference(t, a, b)
-		checkDifference(t, b, a)
-		// The decoder deals the bytes round-robin, so the sets come out about
-		// equally long; a prefix of one is what reaches the gallop paths.
-		checkDifference(t, a, b[:len(b)/gallopThreshold])
-		checkDifference(t, a[:len(a)/gallopThreshold], b)
 		// Subset: random pairs both ways (|a| > |b| included), and the
 		// subset-shaped derivations of b — empty, sparser, trimmed, with
 		// outliers below, above and inside — against b and a prefix of b.
@@ -470,6 +507,21 @@ func FuzzIntersectKernels(f *testing.F) {
 		for _, s := range subsetShapes(b) {
 			checkSubset(t, s, b)
 			checkSubset(t, s, b[:len(b)/2])
+		}
+
+		// Marks: one bitmap re-marked with every decoded set in turn, each
+		// probed by every set, so a bit a Reset left behind shows.
+		universe := 1
+		for _, s := range arrs {
+			if len(s) > 0 {
+				universe = max(universe, int(s[len(s)-1])+1)
+			}
+		}
+		m := NewMark(universe)
+		for _, marked := range arrs {
+			for _, probe := range arrs {
+				checkMark(t, &m, probe, marked)
+			}
 		}
 
 		// K-way across all decoded sets.

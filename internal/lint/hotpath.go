@@ -22,7 +22,9 @@ import (
 //   - adaptive-container construction: intset.BuildSet calls and Set.Add
 //     (mutation by construction) — hot code must receive prebuilt
 //     containers (the DAL's window arenas) or wrap existing storage with
-//     the zero-copy ArrayView/View constructors.
+//     the zero-copy ArrayView/View constructors — and intset.NewMark, a
+//     bitmap over a whole ID universe, which hot code allocates at most
+//     once per owner, under a suppression that says so.
 //
 // Construction-time allocation (newWorker and friends) is fine: those
 // functions are not reachable from the marked roots.
@@ -123,7 +125,7 @@ func checkHotFunc(pass *Pass, fn, root *ast.FuncDecl) {
 					}
 				}
 			case isContainerBuild(pkg, n):
-				pass.Reportf(n.Pos(), "adaptive-container construction allocates in hot path %s; build containers once (DAL window arenas) and pass zero-copy views (intset.ArrayView/View)", where)
+				pass.Reportf(n.Pos(), "adaptive-container construction allocates in hot path %s; build containers once (DAL window arenas; a mark per owner) and pass zero-copy views (intset.ArrayView/View)", where)
 			}
 		case *ast.FuncLit:
 			if !sortClosure[n] {
@@ -164,20 +166,20 @@ func isBuiltinCall(pkg *Package, call *ast.CallExpr, name string) bool {
 }
 
 // isContainerBuild reports whether call constructs or grows an adaptive
-// set container: the allocating intset constructor (BuildSet copies and
-// plans a window) called through the intset package or by name in intset
-// itself, and the sorted-insert, window-rebuilding Set.Add, identified by
-// method name on a receiver whose named type is Set. The zero-copy wrappers
-// (ArrayView, View) are deliberately not flagged — they are the idiom hot
-// code should use.
+// set container: the allocating intset constructors (BuildSet copies and
+// plans a window, NewMark allocates a bitmap over an ID universe) called
+// through the intset package or by name in intset itself, and the
+// sorted-insert, window-rebuilding Set.Add, identified by method name on a
+// receiver whose named type is Set. The zero-copy wrappers (ArrayView, View)
+// are deliberately not flagged — they are the idiom hot code should use.
 func isContainerBuild(pkg *Package, call *ast.CallExpr) bool {
-	if isPkgCall(pkg, call, "intset", "BuildSet") {
+	if isPkgCall(pkg, call, "intset", "BuildSet") || isPkgCall(pkg, call, "intset", "NewMark") {
 		return true
 	}
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		// Unqualified call inside the defining package (or a test double).
-		if fun.Name != "BuildSet" {
+		if fun.Name != "BuildSet" && fun.Name != "NewMark" {
 			return false
 		}
 		if pkg.Info != nil {

@@ -10,10 +10,14 @@ type w struct {
 	set Set
 }
 
-// Set and BuildSet mirror the intset container API so the fixture
+// Set, BuildSet and NewMark mirror the intset container API so the fixture
 // exercises the container-construction checks without importing the real
 // package.
 type Set struct{ arr []uint32 }
+
+type Mark struct{ words []uint64 }
+
+func NewMark(n int) Mark { return Mark{} }
 
 func BuildSet(arr []uint32) Set {
 	out := make([]uint32, len(arr))
@@ -43,9 +47,10 @@ func (x *w) step(n int) {
 	c := BuildSet(x.buf)  // container construction copies + plans a window
 	x.set.Add(7)          // sorted insert may rebuild the window
 	v := ArrayView(x.buf) // ok: zero-copy view over existing storage
+	k := NewMark(n)       // a bitmap over the whole universe
 	//ohmlint:allow hotpath-alloc -- demonstrating suppression
 	z := make([]uint32, 1)
-	_, _, _, _, _, _, _, _ = bad, p, m, s, y, z, c, v
+	_, _, _, _, _, _, _, _, _ = bad, p, m, s, y, z, c, v, k
 	f()
 }
 
