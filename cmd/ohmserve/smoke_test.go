@@ -67,7 +67,9 @@ func TestServeSmoke(t *testing.T) {
 	var logBuf bytes.Buffer
 	logs := func() string { logMu.Lock(); defer logMu.Unlock(); return logBuf.String() }
 	addrCh := make(chan string, 1)
+	logsDone := make(chan struct{})
 	go func() {
+		defer close(logsDone)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
@@ -134,6 +136,9 @@ func TestServeSmoke(t *testing.T) {
 			inFlightCode, inFlightQR)
 	}
 
+	// Wait closes the stderr pipe: read it to the end first, or the last
+	// lines may be lost.
+	<-logsDone
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("server exit: %v\nlogs:\n%s", err, logs())
 	}

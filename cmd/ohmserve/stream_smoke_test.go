@@ -102,7 +102,7 @@ func TestStreamSmoke(t *testing.T) {
 	}
 
 	// ---- Phase 1: fresh server, feed batches 1..3 with an SSE subscriber.
-	cmd, base, logs := startStreamServer(t, bin, data, streamDir)
+	cmd, base, logs, wait := startStreamServer(t, bin, data, streamDir)
 
 	var created streamStatusWire
 	postWire(t, base+"/streams", `{"id":"smoke","num_vertices":10}`, http.StatusCreated, &created)
@@ -177,12 +177,12 @@ func TestStreamSmoke(t *testing.T) {
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	_ = cmd.Wait() // expected to report the kill
+	_ = wait() // expected to report the kill
 
 	// ---- Phase 2: restart on the same directory and replay the entire
 	// feed. Batches 1..3 were durably applied, so they must come back as
 	// idempotent non-applies; batch 4 applies fresh.
-	cmd2, base2, logs2 := startStreamServer(t, bin, data, streamDir)
+	cmd2, base2, logs2, wait2 := startStreamServer(t, bin, data, streamDir)
 	if !strings.Contains(logs2(), "streams durable in") {
 		t.Fatalf("restarted server did not announce stream durability; logs:\n%s", logs2())
 	}
@@ -248,7 +248,7 @@ func TestStreamSmoke(t *testing.T) {
 	if err := cmd2.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmd2.Wait(); err != nil {
+	if err := wait2(); err != nil {
 		t.Fatalf("server exit: %v\nlogs:\n%s", err, logs2())
 	}
 	if !strings.Contains(logs2(), "drained cleanly") {
@@ -257,10 +257,12 @@ func TestStreamSmoke(t *testing.T) {
 }
 
 // startStreamServer launches the built ohmserve binary with streaming
-// enabled and waits for its listening announcement.
-func startStreamServer(t *testing.T, bin, data, streamDir string) (*exec.Cmd, string, func() string) {
+// enabled and waits for its listening announcement. wait reads the server's
+// log to the end, then waits for it to exit: cmd.Wait alone closes the pipe
+// and may lose the last lines.
+func startStreamServer(t *testing.T, bin, data, streamDir string) (cmd *exec.Cmd, base string, logs func() string, wait func() error) {
 	t.Helper()
-	cmd := exec.Command(bin,
+	cmd = exec.Command(bin,
 		"-addr", "127.0.0.1:0",
 		"-input", data,
 		"-stream-dir", streamDir,
@@ -277,9 +279,12 @@ func startStreamServer(t *testing.T, bin, data, streamDir string) (*exec.Cmd, st
 
 	var logMu sync.Mutex
 	var logBuf bytes.Buffer
-	logs := func() string { logMu.Lock(); defer logMu.Unlock(); return logBuf.String() }
+	logs = func() string { logMu.Lock(); defer logMu.Unlock(); return logBuf.String() }
 	addrCh := make(chan string, 1)
+	logsDone := make(chan struct{})
+	wait = func() error { <-logsDone; return cmd.Wait() }
 	go func() {
+		defer close(logsDone)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
@@ -293,10 +298,10 @@ func startStreamServer(t *testing.T, bin, data, streamDir string) (*exec.Cmd, st
 	}()
 	select {
 	case addr := <-addrCh:
-		return cmd, "http://" + addr, logs
+		return cmd, "http://" + addr, logs, wait
 	case <-time.After(30 * time.Second):
 		t.Fatalf("server never announced its address; logs:\n%s", logs())
-		return nil, "", nil
+		return nil, "", nil, nil
 	}
 }
 
