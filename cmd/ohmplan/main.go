@@ -8,9 +8,10 @@
 //	ohmplan -pattern "0 1; 1 2; 0 2" -mode simple
 //	ohmplan -pattern "0 1; 1 2" -verify
 //
-// -verify skips the inspection dump and runs only the full IR program
-// verifier (slot def-before-use, liveness, mask/step discipline, fingerprint
-// coverage), printing the plan's semantic fingerprint on success.
+// -verify skips the inspection dump and runs only the plan verifier (step
+// metadata, condition placement and sizes, Theorem 1 prefix by prefix,
+// restrictions, fingerprint coverage), printing the plan's semantic
+// fingerprint on success.
 package main
 
 import (
@@ -42,7 +43,7 @@ func run() error {
 	var (
 		lit        = flag.String("pattern", "", "pattern literal, e.g. \"0 1 2; 2 3 4\"")
 		mode       = flag.String("mode", "merged", "plan mode: merged (full OHMiner) or simple (IEP only)")
-		verify     = flag.Bool("verify", false, "run only the IR program verifier and print the plan fingerprint")
+		verify     = flag.Bool("verify", false, "run only the plan verifier and print the plan fingerprint")
 		norestrict = flag.Bool("norestrict", false, "compile without symmetry-breaking ordering restrictions")
 	)
 	flag.Parse()
@@ -81,8 +82,7 @@ func run() error {
 		if err := oig.VerifyProgram(plan); err != nil {
 			return fmt.Errorf("plan verification FAILED: %w", err)
 		}
-		out.Printf("plan verification: OK (mode=%s, slots=%d, fingerprint %#x)\n",
-			plan.Mode, plan.NumSlots, plan.FP)
+		out.Printf("plan verification: OK (mode=%s, fingerprint %#x)\n", plan.Mode, plan.FP)
 		return out.Close()
 	}
 	out.Printf("matching order: %v (original indices)\n", plan.Order)
@@ -128,7 +128,7 @@ func run() error {
 
 	out.Println("\nexecution plan:")
 	out.Print(plan)
-	out.Printf("compiled in %v; op counts: %v\n", plan.CompileTime, plan.NumOps())
+	out.Printf("compiled in %v; conditions per step: %v\n", plan.CompileTime, plan.NumOps())
 
 	if err := oig.VerifyProgram(plan); err != nil {
 		return fmt.Errorf("plan verification FAILED: %w", err)

@@ -124,8 +124,8 @@ func run() error {
 			float64(store.MemoryBytes())/(1<<20), len(store.Degrees()))
 		// Adaptive-container census: how much of this dataset the set
 		// kernels can run on bitmap windows (dense, word-parallel) rather
-		// than sorted arrays — the density profile behind the engine's
-		// per-op container hints.
+		// than sorted arrays — the density profile the engine's kernels
+		// adapt to.
 		cs := store.Containers()
 		// The group index by level: the paper's degree groups, and the
 		// (degree, overlap size) groups candidate generation reads.

@@ -32,16 +32,14 @@ func ExampleParsePattern() {
 }
 
 // ExampleCompilePattern inspects the overlap-centric execution plan of a
-// triangle of 2-vertex hyperedges: three pairwise overlaps plus an
-// emptiness check for the triple. Candidate generation guarantees the
-// pairwise sizes, so only the overlap feeding the emptiness check is
-// computed; the other two leave the plan.
+// triangle of 2-vertex hyperedges: three pairwise overlaps and an empty
+// triple. Candidate generation guarantees the pairwise sizes, so one
+// condition is left, at the last step: |c0 ∩ c1 ∩ c2| = 0.
 func ExampleCompilePattern() {
 	p, _ := ohminer.ParsePattern("0 1; 1 2; 0 2")
 	plan, _ := ohminer.CompilePattern(p)
-	ops := plan.NumOps()
-	fmt.Println(len(plan.Steps), "steps,", ops)
-	// Output: 3 steps, map[intersect:1 empty:1]
+	fmt.Println(len(plan.Steps), "steps, conditions per step:", plan.NumOps())
+	// Output: 3 steps, conditions per step: [0 0 1]
 }
 
 // ExampleMine_variants runs the HGMatch baseline on the same query; counts

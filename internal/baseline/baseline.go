@@ -23,6 +23,7 @@ package baseline
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -189,6 +190,8 @@ func MineWithPlan(store *dal.Store, plan *oig.Plan, opts Options) (Result, error
 	}
 	if opts.Val == ValProfiles {
 		r.profiles = profileCounts(plan)
+	} else {
+		r.evals = evals(plan)
 	}
 	start := time.Now()
 	if opts.Deadline > 0 {
@@ -254,25 +257,77 @@ func MineWithPlan(store *dal.Store, plan *oig.Plan, opts Options) (Result, error
 	return res, nil
 }
 
-// Keep returns the members of cands that the interpreter accepts at position
-// len(prefix) of a merged plan with the earlier positions bound to prefix,
-// whether or not the prefix itself is an embedding: the slots its steps write
-// are recomputed, not checked. It is the oracle one step of the production
-// engine's filters is held to.
+// Keep returns the members of cands that extend prefix, bound to positions
+// 0..t-1, at position t = len(prefix) as the pattern says: of the step's
+// degree and labels, not bound already, above every restricted binding, and
+// with |∩_{i∈S} c_i| = sig[S] — and, labelled, S's label histogram — for
+// every subset S ∋ t of the positions 0..t. It reads the plan's pattern,
+// signature and restrictions, not its conditions: it is the oracle one step
+// of the production engine's filters is held to, for prefixes that are
+// partial embeddings.
 func Keep(store *dal.Store, plan *oig.Plan, prefix, cands []uint32) []uint32 {
-	w := newWorker(&run{store: store, plan: plan, kernel: intset.Adaptive})
-	t := copy(w.c, prefix)
-	for s := 1; s < t; s++ {
-		for i := range plan.Steps[s].Ops {
-			if op := &plan.Steps[s].Ops[i]; op.Kind == oig.OpIntersect || op.Kind == oig.OpIntersectEq {
-				w.intersect(op)
+	h := store.Hypergraph()
+	t := len(prefix)
+	st := &plan.Steps[t]
+	tuple := append(slices.Clone(prefix), 0)
+	scratch := make([]int, h.NumLabels())
+	var out []uint32
+next:
+	for _, c := range cands {
+		if slices.Contains(prefix, c) || st.EdgeLabel >= 0 && (!h.EdgeLabeled() || int64(h.EdgeLabel(c)) != st.EdgeLabel) {
+			continue
+		}
+		for _, j := range st.Restrict {
+			if c <= prefix[j] {
+				continue next
+			}
+		}
+		tuple[t] = c
+		for mask := uint32(1) << t; mask < 1<<(t+1); mask++ {
+			ov := h.EdgeVertices(c)
+			for rest := mask &^ (1 << t); rest != 0; rest &= rest - 1 {
+				ov = intset.Intersect(ov, h.EdgeVertices(tuple[bits.TrailingZeros32(rest)]), nil)
+			}
+			if len(ov) != plan.Sig.Size(mask) || plan.Labeled && !sig.HistogramMatches(h.Labels(), ov, plan.LabelSig.Counts[mask], scratch) {
+				continue next
+			}
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// eval is one overlap T(mask) = T(mask∖{t}) ∩ c_t computed at step t =
+// maxBit(mask): to check a condition on it (cond), to keep it in the
+// worker's per-mask buffer for a later step's overlaps (keep), or both.
+type eval struct {
+	mask uint32
+	cond *oig.Cond
+	keep bool
+}
+
+// evals lists, per step, the overlaps its conditions check, then those a
+// later condition's overlap is built from.
+func evals(plan *oig.Plan) [][]eval {
+	m := len(plan.Steps)
+	keep := make([]bool, 1<<m)
+	for _, st := range plan.Steps {
+		for _, c := range st.Conds {
+			for sub := c.Mask &^ (1 << (bits.Len32(c.Mask) - 1)); sub&(sub-1) != 0; sub &^= 1 << (bits.Len32(sub) - 1) {
+				keep[sub] = true
 			}
 		}
 	}
-	var out []uint32
-	for _, c := range cands {
-		if w.c[t] = c; w.accept(t, c) && w.validateOverlaps(t) {
-			out = append(out, c)
+	out := make([][]eval, m)
+	for t := range plan.Steps {
+		for i := range plan.Steps[t].Conds {
+			c := &plan.Steps[t].Conds[i]
+			out[t] = append(out[t], eval{mask: c.Mask, cond: c, keep: keep[c.Mask]})
+		}
+		for mask := uint32(1)<<t + 1; mask < 1<<(t+1); mask++ {
+			if keep[mask] && !slices.ContainsFunc(out[t], func(e eval) bool { return e.mask == mask }) {
+				out[t] = append(out[t], eval{mask: mask, keep: true})
+			}
 		}
 	}
 	return out
@@ -310,6 +365,7 @@ type run struct {
 	opts     Options
 	kernel   intset.Kernel
 	profiles []map[uint64]int // ValProfiles only
+	evals    [][]eval         // ValOverlap and ValOverlapSimple only
 	stopped  atomic.Bool      // set by the deadline timer
 }
 
@@ -333,11 +389,11 @@ func (w *worker) firstCandidates() []uint32 {
 type worker struct {
 	r *run
 
-	c     []uint32   // bound hyperedge IDs, c[0..t]
-	cand  [][]uint32 // candidate list per step
-	tmp   [][]uint32 // ping-pong buffer for progressive intersections
-	slots [][]uint32 // overlap buffers, indexed by plan slot
-	nm    []uint32   // merged incident-hyperedge buffer (GenHGMatch)
+	c    []uint32   // bound hyperedge IDs, c[0..t]
+	cand [][]uint32 // candidate list per step
+	tmp  [][]uint32 // ping-pong buffer for progressive intersections
+	bufs [][]uint32 // overlap T(mask) per hyperedge subset (eval.keep)
+	nm   []uint32   // merged incident-hyperedge buffer (GenHGMatch)
 
 	adjSets      []intset.Set // adjacency groups of one generation (GenDAL)
 	labelScratch []int        // per-label counter for histogram checks
@@ -361,7 +417,7 @@ func newWorker(r *run) *worker {
 		c:       make([]uint32, m),
 		cand:    make([][]uint32, m),
 		tmp:     make([][]uint32, m),
-		slots:   make([][]uint32, r.plan.NumSlots),
+		bufs:    make([][]uint32, 1<<m),
 		adjSets: make([]intset.Set, 0, m),
 	}
 	if r.opts.Gen == GenHGMatch {
@@ -592,41 +648,30 @@ func (w *worker) nextVertStamp() {
 	}
 }
 
-// validateOverlaps executes the plan's operations for step t (the EOIG
-// maintenance of Sec. 4.4) and prunes on the first mismatch.
+// validateOverlaps checks the conditions of step t (the EOIG maintenance of
+// Sec. 4.4), computing each overlap from the one its newest hyperedge
+// extends, and prunes on the first mismatch. An overlap a later step reads,
+// or whose labels are checked, is materialised into its buffer; otherwise the
+// size alone is counted, or emptiness probed.
 func (w *worker) validateOverlaps(t int) bool {
 	h := w.r.store.Hypergraph()
-	for i := range w.r.plan.Steps[t].Ops {
-		op := &w.r.plan.Steps[t].Ops[i]
-		switch op.Kind {
-		case oig.OpIntersect:
-			out := w.intersect(op)
-			if len(out) != op.Want {
+	ct := w.r.store.EdgeVertexSet(w.c[t])
+	for i := range w.r.evals[t] {
+		ev := &w.r.evals[t][i]
+		a, c := w.overlap(ev.mask&^(1<<t)), ev.cond
+		switch {
+		case ev.keep || c.Label != nil:
+			w.bufs[ev.mask] = w.r.kernel.IntersectSets(a, ct, w.bufs[ev.mask][:0])
+			if c != nil && (len(w.bufs[ev.mask]) != c.Want ||
+				c.Label != nil && !sig.HistogramMatches(h.Labels(), w.bufs[ev.mask], c.Label, w.labelScratch)) {
 				return false
 			}
-			if op.LabelWant != nil && !sig.HistogramMatches(h.Labels(), out, op.LabelWant, w.labelScratch) {
+		case c.Want == 0:
+			if w.r.kernel.SetsIntersect(a, ct) {
 				return false
 			}
-		case oig.OpIntersectEq:
-			if !intset.Equal(w.intersect(op), w.resolve(op.Eq)) {
-				return false
-			}
-		case oig.OpIntersectCount:
-			a, b := w.operands(op)
-			if w.r.kernel.IntersectCountSets(a, b) != op.Want {
-				return false
-			}
-		case oig.OpEmptyCheck:
-			a, b := w.operands(op)
-			if w.r.kernel.SetsIntersect(a, b) {
-				return false
-			}
-		case oig.OpSubsetCheck:
-			if !intset.IsSubset(w.resolve(op.A), w.resolve(op.B)) {
-				return false
-			}
-		case oig.OpEqCheck:
-			if !intset.Equal(w.resolve(op.A), w.resolve(op.Eq)) {
+		default:
+			if w.r.kernel.IntersectCountSets(a, ct) != c.Want {
 				return false
 			}
 		}
@@ -634,32 +679,13 @@ func (w *worker) validateOverlaps(t int) bool {
 	return true
 }
 
-// intersect materializes op's overlap into its slot.
-func (w *worker) intersect(op *oig.Op) []uint32 {
-	a, b := w.operands(op)
-	w.slots[op.Out] = w.r.kernel.IntersectSets(a, b, w.slots[op.Out][:0])
-	return w.slots[op.Out]
-}
-
-// operands resolves a binary op's operands to the containers production
-// resolves them to: a hyperedge's DAL container, a slot as a plain array.
-// (Container hints are ignored: oig emits none, and they change no result.)
-func (w *worker) operands(op *oig.Op) (a, b intset.Set) {
-	return w.resolveSet(op.A), w.resolveSet(op.B)
-}
-
-func (w *worker) resolve(o oig.Operand) []uint32 {
-	if o.Edge {
-		return w.r.store.Hypergraph().EdgeVertices(w.c[o.Pos])
+// overlap returns T(mask) for the bound prefix: a hyperedge's DAL container,
+// or the buffer the step of mask's newest hyperedge filled, as a plain array.
+func (w *worker) overlap(mask uint32) intset.Set {
+	if mask&(mask-1) == 0 {
+		return w.r.store.EdgeVertexSet(w.c[bits.TrailingZeros32(mask)])
 	}
-	return w.slots[o.Pos]
-}
-
-func (w *worker) resolveSet(o oig.Operand) intset.Set {
-	if o.Edge {
-		return w.r.store.EdgeVertexSet(w.c[o.Pos])
-	}
-	return intset.ArrayView(w.slots[o.Pos])
+	return intset.ArrayView(w.bufs[mask])
 }
 
 // validateProfiles recomputes the profile of every distinct vertex of the

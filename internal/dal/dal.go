@@ -567,25 +567,6 @@ func (s *Store) Containers() ContainerStats {
 	return st
 }
 
-// EdgeWindowFrac returns the fraction of degree-d hyperedges whose vertex
-// set is bitmap-backed — the density statistic the plan compiler turns into
-// per-op container hints (a dense degree class makes window probing pay; an
-// all-array class makes the metadata lookup pure overhead).
-func (s *Store) EdgeWindowFrac(d int) float64 {
-	k := s.degreeGroup(d)
-	if k < 0 {
-		return 0
-	}
-	edges := s.degEdges[s.degOff[k]:s.degOff[k+1]]
-	windowed := 0
-	for _, e := range edges {
-		if s.evOff[e] != s.evOff[e+1] {
-			windowed++
-		}
-	}
-	return float64(windowed) / float64(len(edges))
-}
-
 // MemoryBytes estimates the resident size of the DAL arrays (DAL-M,
 // Table 6), including the global degree index and the container arenas.
 func (s *Store) MemoryBytes() int64 {

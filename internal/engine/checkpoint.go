@@ -23,14 +23,21 @@ import (
 	"ohminer/internal/pattern"
 )
 
+// ErrWrongPlan is returned, wrapped, for a snapshot or lease whose plan
+// fingerprint is not the plan's it would resume on: its frontier was cut for
+// another pattern, labels or matching order, or by a build whose compiler
+// placed other conditions, so its candidate ranges are not lists this plan
+// would have kept.
+var ErrWrongPlan = errors.New("engine: snapshot was written for a different plan")
+
 // planFingerprint hashes everything that fixes the meaning of a frontier
-// task. It delegates to the IR verifier's semantic fingerprint, which covers
-// the pattern structure rendered in matching order, the vertex and hyperedge
-// labels, the matching-order permutation, the plan mode, and every compiled
-// step and operation that affects counting. A snapshot resumed against a
-// plan with a different fingerprint would interpret bound prefixes against
-// the wrong positions (or validate them against the wrong checks), so
-// resume refuses it. Compilation is deterministic, so two nodes compiling
+// task. It delegates to the plan verifier's semantic fingerprint, which
+// covers the pattern structure rendered in matching order, the vertex and
+// hyperedge labels, the matching-order permutation, the plan mode, and every
+// compiled step and condition that affects counting. A snapshot resumed
+// against a plan with a different fingerprint would interpret bound prefixes
+// against the wrong positions (or explore ranges the plan would not have
+// kept), so resume refuses it. Compilation is deterministic, so two nodes compiling
 // the same (pattern, mode, order) agree on the fingerprint.
 func planFingerprint(plan *oig.Plan) uint64 {
 	return oig.Fingerprint(plan)
@@ -89,13 +96,13 @@ func unpackStats(vs []uint64) Stats {
 func ValidateSnapshot(store *dal.Store, plan *oig.Plan, snap *checkpoint.Snapshot) error {
 	// Verify the plan itself before trusting the snapshot's fingerprint
 	// comparison: a plan corrupted after compilation (or a miscompiled one)
-	// must be rejected with the IR verifier's diagnostic rather than mine to
-	// a silent miscount.
+	// must be rejected with the verifier's diagnostic rather than mine to a
+	// silent miscount.
 	if err := oig.VerifyProgram(plan); err != nil {
 		return fmt.Errorf("engine: refusing to resume onto an invalid plan: %w", err)
 	}
 	if got, want := snap.PlanFP, planFingerprint(plan); got != want {
-		return fmt.Errorf("engine: snapshot was written for a different plan (fingerprint %#x, want %#x): pattern, labels, matching order, and validation mode must all match", got, want)
+		return fmt.Errorf("%w (fingerprint %#x, want %#x): pattern, labels, matching order and the plan's conditions must all match", ErrWrongPlan, got, want)
 	}
 	if got, want := snap.GraphFP, store.Hypergraph().Fingerprint(); got != want {
 		return fmt.Errorf("engine: snapshot was written for a different data hypergraph (fingerprint %#x, want %#x)", got, want)

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"strings"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -302,16 +302,15 @@ func starWorkload() (*dal.Store, *pattern.Pattern, uint64) {
 	return store, pattern.MustNew([][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 1, 4}}, nil), n * (n - 1) * (n - 2)
 }
 
-// TestParentSnapshotResumes loads testdata/parent_pr21.ohmc, cut by the
-// encoder of the commit that moved pairwise overlap sizes into candidate
-// generation (`make golden TAG=pr21`): an instrumented run stopped by Limit
-// part-way, so the frontier holds remainders at every depth. The file must
-// decode under the unchanged checkpoint.Version, validate against today's
-// plan — which pins oig.Fingerprint from that commit on — and resume to the
-// exact total.
+// TestParentSnapshotResumes loads testdata/parent_pr28.ohmc, cut by the
+// encoder of the commit whose compiler first emitted conditions (`make golden
+// TAG=pr28`): an instrumented run stopped by Limit part-way, so the frontier
+// holds remainders at every depth. The file must decode under the unchanged
+// checkpoint.Version, validate against today's plan — which pins
+// oig.Fingerprint from that commit on — and resume to the exact total.
 func TestParentSnapshotResumes(t *testing.T) {
 	store, p, want := starWorkload()
-	snap, err := checkpoint.ReadFile("testdata/parent_pr21.ohmc")
+	snap, err := checkpoint.ReadFile("testdata/parent_pr28.ohmc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +341,7 @@ func TestParentSnapshotResumes(t *testing.T) {
 	}
 }
 
-// chainWorkload is what testdata/parent_pr21_chain.ohmc was cut on (see
+// chainWorkload is what testdata/parent_pr28_chain.ohmc was cut on (see
 // internal/tools/goldengen): the path of three 2-vertex hyperedges over the
 // complete graph on 12 vertices, which has 12·11·10·9 ordered embeddings.
 func chainWorkload() (*dal.Store, *pattern.Pattern, uint64) {
@@ -350,17 +349,14 @@ func chainWorkload() (*dal.Store, *pattern.Pattern, uint64) {
 	return completeGraph(n), pattern.MustNew([][]uint32{{0, 1}, {1, 2}, {2, 3}}, nil), n * (n - 1) * (n - 2) * (n - 3)
 }
 
-// TestParentChainSnapshotResumes loads testdata/parent_pr21_chain.ohmc, cut
-// by the last commit whose engine tested disconnection candidate by candidate
-// (`make golden REV=1ba8247 TAG=pr21`): its frontier holds a last-position
-// range that generation had not yet held to Step.Disc. Plan fingerprint and
-// checkpoint.Version have not moved since, so the file must validate, and it
-// must resume to the exact total — which it does only if a handed-over range
-// is filtered before it is explored (runTask), now that accept no longer is
-// where disconnection is decided.
+// TestParentChainSnapshotResumes loads testdata/parent_pr28_chain.ohmc (`make
+// golden TAG=pr28`): its frontier holds last-position ranges, which a worker
+// explores as they are, so every one of their candidates must already avoid
+// the bindings at its Disc positions. The file must validate and resume to
+// the exact total.
 func TestParentChainSnapshotResumes(t *testing.T) {
 	store, p, want := chainWorkload()
-	snap, err := checkpoint.ReadFile("testdata/parent_pr21_chain.ohmc")
+	snap, err := checkpoint.ReadFile("testdata/parent_pr28_chain.ohmc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,11 +365,12 @@ func TestParentChainSnapshotResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := len(plan.Steps) - 1
-	unfiltered := 0
+	ranges, unfiltered := 0, 0
 	for _, task := range snap.Frontier {
 		if int(task.Depth) != last {
 			continue
 		}
+		ranges++
 		for _, c := range task.Cands {
 			for _, j := range plan.Steps[last].Disc {
 				if store.Connected(c, task.Prefix[j]) {
@@ -382,9 +379,9 @@ func TestParentChainSnapshotResumes(t *testing.T) {
 			}
 		}
 	}
-	if checkpoint.Version != 1 || snap.Ordered == 0 || len(plan.Steps[last].Disc) == 0 || unfiltered == 0 {
-		t.Fatalf("version %d, Ordered=%d, last step disc=%v, %d last-position candidates overlapping a disconnected binding: not the interrupted v1 chain run this test needs",
-			checkpoint.Version, snap.Ordered, plan.Steps[last].Disc, unfiltered)
+	if checkpoint.Version != 1 || snap.Ordered == 0 || len(plan.Steps[last].Disc) == 0 || ranges == 0 || unfiltered != 0 {
+		t.Fatalf("version %d, Ordered=%d, last step disc=%v, %d last-position ranges with %d candidates overlapping a disconnected binding: not the filtered, interrupted v1 chain run this test needs",
+			checkpoint.Version, snap.Ordered, plan.Steps[last].Disc, ranges, unfiltered)
 	}
 	if err := ValidateSnapshot(store, plan, snap); err != nil {
 		t.Fatalf("parent snapshot refused: %v", err)
@@ -400,7 +397,7 @@ func TestParentChainSnapshotResumes(t *testing.T) {
 	}
 }
 
-// cliqueWorkload is what testdata/parent_pr25_clique.ohmc was cut on (see
+// cliqueWorkload is what testdata/parent_pr28_clique.ohmc was cut on (see
 // internal/tools/goldengen): the 4-clique over a block of 36 hyperedges that
 // share a core of 64 vertices, any four of which are an embedding.
 func cliqueWorkload() (*dal.Store, *pattern.Pattern, uint64) {
@@ -415,17 +412,13 @@ func cliqueWorkload() (*dal.Store, *pattern.Pattern, uint64) {
 	return dal.Build(hypergraph.MustBuild(core+k, edges, nil)), pattern.MustNew(edges[:4], nil), k * (k - 1) * (k - 2) * (k - 3)
 }
 
-// TestParentCliqueSnapshotResumes loads testdata/parent_pr25_clique.ohmc, cut
-// by the last commit whose engine ran the plan's ops candidate by candidate
-// (`make golden REV=75b9a53 TAG=pr25`): its remainders at depths 1–3 are
-// lists that neither restrictions nor ops had been applied to, where today a
-// step's list is filtered before it is explored and its nodes are cached per
-// binding. Plan fingerprint and checkpoint.Version have not moved, so the file
-// must validate and resume — through runTask's refilter, on caches a resumed
-// worker never built — to the closed form.
+// TestParentCliqueSnapshotResumes loads testdata/parent_pr28_clique.ohmc
+// (`make golden TAG=pr28`): its remainders at depths 1–3 are filtered lists
+// that a resumed worker explores on caches it never built. The file must
+// validate and resume to the closed form.
 func TestParentCliqueSnapshotResumes(t *testing.T) {
 	store, p, want := cliqueWorkload()
-	snap, err := checkpoint.ReadFile("testdata/parent_pr25_clique.ohmc")
+	snap, err := checkpoint.ReadFile("testdata/parent_pr28_clique.ohmc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,34 +447,45 @@ func TestParentCliqueSnapshotResumes(t *testing.T) {
 	}
 }
 
-// TestOlderSnapshotRefused: testdata/parent_pr16.ohmc was cut under a plan
-// that size-checked every pairwise overlap in validation, so the candidate
-// lists of its frontier were generated by degree alone. Today's plan would
-// never size-check them: the snapshot must be refused as written for a
-// different plan — by ValidateSnapshot and by both resume entry points —
-// never resumed to a count.
+// TestOlderSnapshotRefused: snapshots cut under an older plan of the same
+// query — parent_pr16.ohmc before pairwise overlap sizes moved into
+// generation, the parent_pr21 files before disconnection did, and
+// parent_pr25_clique.ohmc by the engine that interpreted ops — hold
+// candidate ranges today's plan would not have generated or kept. Each must
+// be refused as written for a different plan (ErrWrongPlan) — by
+// ValidateSnapshot and by both resume entry points — never resumed to a
+// count.
 func TestOlderSnapshotRefused(t *testing.T) {
-	store, p, _ := starWorkload()
-	snap, err := checkpoint.ReadFile("testdata/parent_pr16.ohmc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.GraphFP != store.Hypergraph().Fingerprint() || len(snap.Frontier) == 0 {
-		t.Fatalf("not the star workload's interrupted run: graph %#x, %d frontier tasks", snap.GraphFP, len(snap.Frontier))
-	}
-	plan, err := CompilePlan(store, p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const msg = "snapshot was written for a different plan"
-	if err := ValidateSnapshot(store, plan, snap); err == nil || !strings.Contains(err.Error(), msg) {
-		t.Fatalf("ValidateSnapshot: %v, want %q", err, msg)
-	}
-	if res, err := ResumeWithPlanContext(context.Background(), store, plan, snap, Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), msg) || res.Ordered != 0 {
-		t.Fatalf("ResumeWithPlanContext: Ordered=%d err=%v, want 0 and %q", res.Ordered, err, msg)
-	}
-	if res, err := ResumeFromCheckpoint(context.Background(), store, p, snap, Options{Workers: 1}); err == nil || !strings.Contains(err.Error(), msg) || res.Ordered != 0 {
-		t.Fatalf("ResumeFromCheckpoint: Ordered=%d err=%v, want 0 and %q", res.Ordered, err, msg)
+	for _, c := range []struct {
+		file     string
+		workload func() (*dal.Store, *pattern.Pattern, uint64)
+	}{
+		{"parent_pr16.ohmc", starWorkload},
+		{"parent_pr21.ohmc", starWorkload},
+		{"parent_pr21_chain.ohmc", chainWorkload},
+		{"parent_pr25_clique.ohmc", cliqueWorkload},
+	} {
+		store, p, _ := c.workload()
+		snap, err := checkpoint.ReadFile(filepath.Join("testdata", c.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.GraphFP != store.Hypergraph().Fingerprint() || len(snap.Frontier) == 0 {
+			t.Fatalf("%s: not its workload's interrupted run: graph %#x, %d frontier tasks", c.file, snap.GraphFP, len(snap.Frontier))
+		}
+		plan, err := CompilePlan(store, p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidateSnapshot(store, plan, snap); !errors.Is(err, ErrWrongPlan) {
+			t.Fatalf("%s: ValidateSnapshot: %v, want ErrWrongPlan", c.file, err)
+		}
+		if res, err := ResumeWithPlanContext(context.Background(), store, plan, snap, Options{Workers: 1}); !errors.Is(err, ErrWrongPlan) || res.Ordered != 0 {
+			t.Fatalf("%s: ResumeWithPlanContext: Ordered=%d err=%v, want 0 and ErrWrongPlan", c.file, res.Ordered, err)
+		}
+		if res, err := ResumeFromCheckpoint(context.Background(), store, p, snap, Options{Workers: 1}); !errors.Is(err, ErrWrongPlan) || res.Ordered != 0 {
+			t.Fatalf("%s: ResumeFromCheckpoint: Ordered=%d err=%v, want 0 and ErrWrongPlan", c.file, res.Ordered, err)
+		}
 	}
 }
 

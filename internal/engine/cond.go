@@ -10,39 +10,22 @@ import (
 	"ohminer/internal/sig"
 )
 
-// This file restates a plan's ops as conditions on candidate lists and builds
-// each step's list as a chain of cached nodes (DESIGN.md "Conditions at every
-// step"). An operand is, as a function of the bindings, an overlap T(M) =
-// ∩_{i∈M} c_i — a hyperedge, or a slot whose M collects the positions its
-// writers read — so every op of step t is a conjunction of atoms |T(M)| = w
-// with a constant w:
-//
-//	|A ∩ B| = Want, A ∩ B = ∅      |T(M_A ∪ M_B)| = Want, 0
-//	A ⊆ B                          |T(M_A ∪ M_B)| = |A|
-//	P == R (eq, intersect-eq)      |T(M_P ∪ M_R)| = |R|, |T(M_P)| = |R|
-//	X ∩ c_t == R, R bound before t |T(M_X ∪ M_R)| = |R|, |c_t ∩ R| = |R|, |c_t ∩ X| = |R|
-//
-// |A| of a hyperedge is its degree, of a slot the size its writer holds it to:
-// a prefix reaches step t only through the conditions of the steps before. An
-// atom with t ∈ M is a step condition |c_t ∩ T(M∖{t})| = w, one without t a
-// prefix condition; one generation guarantees is dropped.
+// This file lays out each step's candidate list as a chain of cached nodes
+// that filter it by the plan's conditions (DESIGN.md "Conditions at every
+// step"). A condition |∩_{i∈M} c_i| = w of step t ∈ M keeps the candidates c_t
+// with |c_t ∩ Y| = w, where Y = T(M∖{t}) is an overlap of hyperedges bound
+// before t: the overlap node Y, built once per binding of what it reads.
 
-// cond keeps the candidates c with |c ∩ Y| = want, Y = T(m) — or, when prefix
-// is set, all of them if |Y| = want and none otherwise. label, when set, is
-// the vertex-label histogram c ∩ Y must carry as well.
+// cond keeps the candidates c with |c ∩ Y| = want, Y = vdefs[y]. label, when
+// set, is the vertex-label histogram c ∩ Y must carry as well.
 type cond struct {
-	m      uint32
-	want   int
-	prefix bool
-	label  []sig.LabelCount
-	// hint resolves the candidates' vertex sets, as the op would have.
-	hint oig.ContainerHint
-	// y indexes shared.vdefs for T(m).
-	y int
+	y     int
+	want  int
+	label []sig.LabelCount
 }
 
 func (c cond) equal(d cond) bool {
-	return c.m == d.m && c.want == d.want && c.prefix == d.prefix && c.hint == d.hint && slices.Equal(c.label, d.label)
+	return c.y == d.y && c.want == d.want && slices.Equal(c.label, d.label)
 }
 
 // vdef defines the overlap node T(m): c_hi's vertex set when sub < 0, else
@@ -71,88 +54,9 @@ type enode struct {
 	cached bool
 }
 
-// translate restates the ops of every step as conds.
-func translate(plan *oig.Plan) [][]cond {
-	slotMask := make([]uint32, plan.NumSlots)
-	slotSize := make([]int, plan.NumSlots)
-	out := make([][]cond, len(plan.Steps))
-	for t := range plan.Steps {
-		st := &plan.Steps[t]
-		bit := uint32(1) << t
-		mask := func(o oig.Operand) uint32 {
-			if o.Edge {
-				return 1 << o.Pos
-			}
-			return slotMask[o.Pos]
-		}
-		// sizeOf is |o|: a hyperedge's degree, or the size a slot's writer
-		// holds it to — which every prefix that reaches step t has passed.
-		sizeOf := func(o oig.Operand) int {
-			if o.Edge {
-				return plan.Steps[o.Pos].Degree
-			}
-			return slotSize[o.Pos]
-		}
-		for i := range st.Ops {
-			op := &st.Ops[i]
-			add := func(m uint32, w int, label []sig.LabelCount) {
-				c := cond{m: m &^ bit, want: w, label: label, hint: op.Hint}
-				if m&bit == 0 || c.m == 0 {
-					// A test on the prefix: |T(m)| = w, or deg(c_t) = w for m = {t}.
-					if m&(m-1) == 0 {
-						if plan.Steps[bits.TrailingZeros32(m)].Degree == w {
-							return
-						}
-						// A degree that differs, which no compiled plan
-						// holds: |c_0| = deg_0 + 1 keeps nothing either.
-						m, w = 1, plan.Steps[0].Degree+1
-					}
-					c = cond{m: m, want: w, prefix: true}
-				} else if label == nil && c.m&(c.m-1) == 0 {
-					j := bits.TrailingZeros32(c.m)
-					if k := slices.Index(st.Conn, j); k >= 0 && st.ConnOverlap[k] == w || w == 0 && slices.Contains(st.Disc, j) {
-						return // generation guarantees it
-					}
-				}
-				if !slices.ContainsFunc(out[t], c.equal) {
-					out[t] = append(out[t], c)
-				}
-			}
-			a := mask(op.A)
-			switch op.Kind {
-			case oig.OpIntersect, oig.OpIntersectCount:
-				add(a|mask(op.B), op.Want, op.LabelWant)
-			case oig.OpEmptyCheck:
-				add(a|mask(op.B), 0, nil)
-			case oig.OpSubsetCheck:
-				add(a|mask(op.B), sizeOf(op.A), nil)
-			case oig.OpIntersectEq, oig.OpEqCheck:
-				p, r, w := a, mask(op.Eq), sizeOf(op.Eq)
-				if op.Kind == oig.OpIntersectEq {
-					p |= mask(op.B)
-				}
-				if p&bit != 0 && r&bit == 0 {
-					add(p&^bit|r, w, nil)
-					add(r|bit, w, nil)
-				} else {
-					add(p|r, w, nil)
-				}
-				add(p, w, nil)
-			}
-			switch op.Kind {
-			case oig.OpIntersect:
-				slotMask[op.Out], slotSize[op.Out] = a|mask(op.B), op.Want
-			case oig.OpIntersectEq:
-				slotMask[op.Out], slotSize[op.Out] = a|mask(op.B), sizeOf(op.Eq)
-			}
-		}
-	}
-	return out
-}
-
-// compileChains translates plan's ops and lays out every step's chain: one
-// node per position p that adds a Conn group, a Disc group or a condition
-// whose newest dependency is p. What comes before the first Conn position
+// compileChains lays out every step's chain: one node per position p that
+// adds a Conn group, a Disc group or a condition whose newest dependency
+// before the step is p. What comes before the first Conn position
 // waits for it. last[t] is the node holding step t's list (-1: none).
 func compileChains(plan *oig.Plan) (vdefs []vdef, nodes []enode, last []int) {
 	// vnode returns the overlap node of m, defining it and, lowest position
@@ -169,7 +73,6 @@ func compileChains(plan *oig.Plan) (vdefs []vdef, nodes []enode, last []int) {
 		}
 		return i
 	}
-	conds := translate(plan)
 	n := len(plan.Steps)
 	vdefs, nodes, last = make([]vdef, 0, n), make([]enode, 0, n*(n-1)/2), make([]int, n)
 	last[0] = -1
@@ -183,11 +86,10 @@ func compileChains(plan *oig.Plan) (vdefs []vdef, nodes []enode, last []int) {
 			if slices.Contains(st.Disc, p) {
 				pend.disc, pend.reads = pend.disc|1<<p, pend.reads|1<<p
 			}
-			for _, c := range conds[t] {
-				if bits.Len32(c.m)-1 == p {
-					c.y = vnode(c.m)
-					pend.conds = append(pend.conds, c)
-					pend.reads |= c.m
+			for _, c := range st.Conds {
+				if y := c.Mask &^ (1 << t); bits.Len32(y)-1 == p {
+					pend.conds = append(pend.conds, cond{y: vnode(y), want: c.Want, label: c.Label})
+					pend.reads |= y
 				}
 			}
 			if pend.conn < 0 && (cur < 0 || pend.disc == 0 && len(pend.conds) == 0) {
@@ -295,14 +197,14 @@ func (m *mark) drop() {
 func (w *worker) vset(i int) intset.Set {
 	d := &w.e.vdefs[i]
 	if d.sub < 0 {
-		return w.edgeSet(w.c[d.hi], oig.HintAuto)
+		return w.e.store.EdgeVertexSet(w.c[d.hi])
 	}
 	n := &w.vnodes[i]
 	if n.key.holds(w.c, d.m) {
 		return n.set
 	}
 	n.mark.drop()
-	a, b := w.vset(d.sub), w.edgeSet(w.c[d.hi], oig.HintAuto)
+	a, b := w.vset(d.sub), w.e.store.EdgeVertexSet(w.c[d.hi])
 	w.stats.SetOps++
 	w.countKernelClass(intset.Classify(a, b))
 	n.arr = intset.IntersectSetsAdaptive(a, b, n.arr[:0])
@@ -425,19 +327,13 @@ func (w *worker) keep(cands []uint32, cs []cond) []uint32 {
 		}
 		c := &cs[i]
 		y, want := w.vset(c.y), c.want
-		if c.prefix {
-			if y.Len() != want {
-				cands = cands[:0]
-			}
-			continue
-		}
 		// Containment tests against a windowed overlap are neither set ops
-		// nor classified, as the interpreter's ⊆ checks were not.
+		// nor classified.
 		kept := cands[:0]
 		switch {
 		case c.label != nil:
 			for _, e := range cands {
-				s := w.edgeSet(e, c.hint)
+				s := w.e.store.EdgeVertexSet(e)
 				w.countKernelClass(intset.Classify(y, s))
 				w.stats.SetOps++
 				w.overlap = intset.IntersectSetsAdaptive(y, s, w.overlap[:0])
@@ -456,13 +352,13 @@ func (w *worker) keep(cands []uint32, cs []cond) []uint32 {
 			}
 		case want == y.Len():
 			for _, e := range cands {
-				if intset.IsSubsetSets(y, w.edgeSet(e, c.hint)) {
+				if intset.IsSubsetSets(y, w.e.store.EdgeVertexSet(e)) {
 					kept = append(kept, e)
 				}
 			}
 		case want == 0:
 			for _, e := range cands {
-				s := w.edgeSet(e, c.hint)
+				s := w.e.store.EdgeVertexSet(e)
 				w.countKernelClass(intset.Classify(y, s))
 				if !intset.SetsIntersectAdaptive(y, s) {
 					kept = append(kept, e)
@@ -470,7 +366,7 @@ func (w *worker) keep(cands []uint32, cs []cond) []uint32 {
 			}
 		default:
 			for _, e := range cands {
-				s := w.edgeSet(e, c.hint)
+				s := w.e.store.EdgeVertexSet(e)
 				w.countKernelClass(intset.Classify(y, s))
 				w.stats.SetOps++
 				if intset.IntersectCountSetsAdaptive(y, s) == want {

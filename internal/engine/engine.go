@@ -1,14 +1,13 @@
 // Package engine implements the overlap-centric parallel execution engine
 // of Sec. 4.4 in its one production configuration: candidates come from the
 // DAL's degree-pruned adjacency groups (Sec. 4.5), the merged overlap-centric
-// plan's ops (Sec. 4) are restated once per run as conditions that filter each
-// step's candidate list (cond.go), and every set operation runs on the
-// density-adaptive intset kernels — or, where an operand stays fixed across an
-// inner loop (a parent list, a node's Disc groups, a condition's overlap
-// without a bitmap window), probes a mark of it, a bitmap over the hyperedge
-// or vertex IDs built once per binding of what it reads. The
-// systems the paper compares against
-// and ablates into (HGMatch, OHM-G/V/I), the scalar and static-gallop kernel
+// plan's conditions (Sec. 4) filter each step's candidate list (cond.go), and
+// every set operation runs on the density-adaptive intset kernels — or, where
+// an operand stays fixed across an inner loop (a parent list, a node's Disc
+// groups, a condition's overlap without a bitmap window), probes a mark of it,
+// a bitmap over the hyperedge or vertex IDs built once per binding of what it
+// reads. The systems the paper compares against and ablates into (HGMatch,
+// OHM-G/V/I), the scalar and static-gallop kernel
 // families and the paper's first-level scheduler live in internal/baseline,
 // which the experiments and the differential tests run beside this package;
 // nothing here selects among them.

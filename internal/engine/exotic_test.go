@@ -58,7 +58,7 @@ func TestExoticPatternsDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("pattern %d: %v", pi, err)
 			}
-			if err := oig.Verify(plan); err != nil {
+			if err := oig.VerifyProgram(plan); err != nil {
 				t.Fatalf("pattern %d mode %s: %v", pi, mode, err)
 			}
 		}
@@ -121,10 +121,10 @@ func plantedHypergraph(rng *rand.Rand, p *pattern.Pattern) *hypergraph.Hypergrap
 
 // TestPairClassesDifferential: patterns in which two hyperedge pairs share
 // one overlap class without sharing a hyperedge — e0∩e1 = e2∩e3 = {0,1} —
-// while every cross pair overlaps in more. The merged plan materialises the
-// class once and, with the pair sizes guaranteed by generation, settles the
-// second pair by "representative ⊆ c_2" and "representative ⊆ c_3": both are
-// needed (dropping either over-counts on this data), since a data pair of
+// while every cross pair overlaps in more. With the pair sizes guaranteed by
+// generation, the merged plan settles the second pair by two conditions, the
+// representative pair's overlap R inside each of its hyperedges — |R ∩ c_x|
+// = |R| for both x: both are needed (dropping either over-counts on this data), since a data pair of
 // the right size over a different vertex set passes either alone. The data
 // is a sample of all hyperedges of the pattern's degree over as many vertices
 // as it has, around two planted copies, so such near misses outnumber the
@@ -139,8 +139,8 @@ func TestPairClassesDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ops := plan.NumOps(); ops[oig.OpSubsetCheck] != 2 || ops[oig.OpIntersectCount]+ops[oig.OpIntersectEq] != 0 {
-			t.Fatalf("pattern %d: plan does not take the two-containment route: %v\n%s", pi, ops, plan)
+		if n := planConds(plan); n != 2 {
+			t.Fatalf("pattern %d: plan does not take the two-containment route: %d conditions\n%s", pi, n, plan)
 		}
 		for trial := 0; trial < 1; trial++ {
 			store := pairClassStore(rng, p)
@@ -195,7 +195,7 @@ func TestGenerationExcludesWrongOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(plan.Steps[1].Ops); n != 0 {
+	if n := len(plan.Steps[1].Conds); n != 0 {
 		t.Fatalf("plan still validates the pair:\n%s", plan)
 	}
 	// Degree-3 hyperedges overlapping in two vertices only: connected, right

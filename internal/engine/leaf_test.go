@@ -14,11 +14,19 @@ import (
 	"ohminer/internal/pattern"
 )
 
-// This file covers the plan's ops restated as conditions (cond.go): every
-// step filters the list its chain of cached nodes yields, and the last
-// position counts what the conditions keep instead of visiting it.
-// internal/baseline, whose interpreter runs the ops candidate by candidate,
-// and brute force are the oracles.
+// This file covers the plan's conditions (cond.go): every step filters the
+// list its chain of cached nodes yields, and the last position counts what
+// the conditions keep instead of visiting it. internal/baseline — its
+// signature oracle Keep, and its interpreter of the same conditions — and
+// brute force are the oracles.
+
+// planConds is the number of conditions the plan holds.
+func planConds(plan *oig.Plan) (n int) {
+	for _, st := range plan.Steps {
+		n += len(st.Conds)
+	}
+	return n
+}
 
 // stepConds is the number of conditions step t is held to, over its chain.
 func stepConds(e *shared, t int) (n int) {
@@ -28,25 +36,25 @@ func stepConds(e *shared, t int) (n int) {
 	return n
 }
 
-// leafShapes holds one pattern per row of the translation table, with the
-// number of conditions its last step becomes (0 where generation implies
-// every op).
+// leafShapes holds one pattern per form of condition, with the number of
+// conditions its last step is held to (0 where generation implies every
+// check). T(M) is ∩_{i∈M} c_i.
 var leafShapes = []struct {
 	name  string
 	edges [][]uint32
 	order []int // matching order; nil = the structural one
 	conds int
 }{
-	{"core triangle: s0 ⊆ c2", [][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 1, 4}}, nil, 1},
-	{"core 4-clique: s0 ⊆ c3, Y read at positions 0 and 1", [][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 1, 4}, {0, 1, 5}}, nil, 1},
-	{"graph triangle: s0 ∩ c2 == ∅", [][]uint32{{0, 1}, {1, 2}, {0, 2}}, nil, 1},
-	{"s0 ⊆ c1 for s0 = c0 ∩ c2 of size 1: Y = c0 ∩ c1, 0 < want < |Y|", [][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 4, 5}}, nil, 1},
-	{"|s0 ∩ s1| = 1 for s1 = c1 ∩ c2: Y = s0 ∩ c1, 0 < want < |Y|", [][]uint32{{0, 1, 2, 3}, {0, 1, 4, 5}, {0, 2, 4, 6}}, nil, 1},
+	{"core triangle: |T(012)| = 2 = |T(01)|", [][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 1, 4}}, nil, 1},
+	{"core 4-clique: |T(013)| = 2, Y read at positions 0 and 1", [][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 1, 4}, {0, 1, 5}}, nil, 1},
+	{"graph triangle: |T(012)| = 0", [][]uint32{{0, 1}, {1, 2}, {0, 2}}, nil, 1},
+	{"|T(012)| = 1 < |T(01)| = 2 over 3-vertex hyperedges", [][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 4, 5}}, nil, 1},
+	{"|T(012)| = 1 < |T(01)| = 2 over 4-vertex hyperedges", [][]uint32{{0, 1, 2, 3}, {0, 1, 4, 5}, {0, 2, 4, 6}}, nil, 1},
 	{"c1 ⊆ c0, implied by generation", [][]uint32{{0, 1, 2}, {0, 1}}, nil, 0},
 	{"c0 ⊆ c1, implied by generation", [][]uint32{{0, 1}, {0, 1, 2}}, []int{0, 1}, 0},
-	{"c3 == s1, s0 ⊆ c3: |c3 ∩ s1| = |s1|, the prefix test |s1| = deg(c3), |c3 ∩ s0| = |s0|", [][]uint32{{0, 1, 3}, {0, 2, 3}, {0, 2}, {0, 2, 4}}, nil, 3},
-	{"s3 ← s0 ∩ s1 == s2, both sides read c3: |c3 ∩ (s0 ∩ c2)| = |c3 ∩ s0| = 1", [][]uint32{{0, 3, 4, 5}, {0, 1, 3}, {0, 1, 2, 3}, {2, 3, 4}}, nil, 2},
-	{"s3 ← s0 ∩ s2 == s1 for s1 bound at step 2 — the equality row — and s2 ⊆ c2", [][]uint32{{0, 1, 4, 5}, {2, 3, 4, 5}, {2, 3, 4}, {1, 3, 4}}, nil, 4},
+	{"c3 equal to T(12): |T(123)| = 2 and |T(023)| = 1", [][]uint32{{0, 1, 3}, {0, 2, 3}, {0, 2}, {0, 2, 4}}, nil, 2},
+	{"a 3-way minimal member beside a representative pair at the same step: |T(013)| = |T(023)| = |T(123)| = 1", [][]uint32{{0, 3, 4, 5}, {0, 1, 3}, {0, 1, 2, 3}, {2, 3, 4}}, nil, 3},
+	{"a 3-way minimal member after its representative: |T(012)| = 1 at step 2, |T(013)| = |T(023)| = 1 at step 3", [][]uint32{{0, 1, 4, 5}, {2, 3, 4, 5}, {2, 3, 4}, {1, 3, 4}}, nil, 3},
 }
 
 // leafHypergraph draws n distinct hyperedges of two to four vertices over nv
@@ -97,12 +105,12 @@ func TestLeafShapesDifferential(t *testing.T) {
 			for _, norestrict := range []bool{false, true} {
 				for _, workers := range []int{1, 2, 4} {
 					opts := Options{Workers: workers, NoSymmetryBreak: norestrict, SplitThreshold: 1, SplitDepth: p.NumEdges()}
-					plan, err := CompilePlanOrdered(store, p, shape.order, opts)
+					plan, err := CompilePlanOrdered(p, shape.order, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					e := newShared(store, plan, opts)
-					if last := len(plan.Steps) - 1; len(plan.Steps[last].Ops) == 0 || e.countedLeaf != last || stepConds(e, last) != shape.conds {
+					if last := len(plan.Steps) - 1; e.countedLeaf != last || stepConds(e, last) != shape.conds {
 						t.Fatalf("%s: counted leaf %d with %d conditions, want position %d with %d\nplan:\n%s", shape.name, e.countedLeaf, stepConds(e, last), last, shape.conds, plan)
 					}
 					res, err := MineWithPlan(store, plan, opts)
@@ -130,8 +138,8 @@ func TestLeafShapesDifferential(t *testing.T) {
 
 // TestLeafRefusedFormsFallBack: what a counted last position still refuses —
 // a pattern with vertex or hyperedge labels, a run with OnEmbedding or a
-// PositionFilter — visits it, and still counts exactly. Equalities, which
-// were refused while the interpreter ran them, are counted now.
+// PositionFilter — visits it, and still counts exactly. Equalities are
+// counted.
 func TestLeafRefusedFormsFallBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(2502))
 	h := leafHypergraph(rng, 8, 26)
@@ -162,13 +170,12 @@ func TestLeafRefusedFormsFallBack(t *testing.T) {
 		name    string
 		store   *dal.Store
 		p       *pattern.Pattern
-		kind    oig.OpKind // an op the last step must carry
 		counted bool
 	}{
-		{"c3 == s1", store, pattern.MustNew(leafShapes[7].edges, nil), oig.OpEqCheck, true},
-		{"s3 ← s0 ∩ s1, == s2", store, pattern.MustNew(leafShapes[8].edges, nil), oig.OpIntersectEq, true},
-		{"vertex labels", labelled, pattern.MustNew(core, []uint32{0, 0, 1, 0, 1}), oig.OpSubsetCheck, false},
-		{"hyperedge labels", edgeLabelled, edgeLabelledCore, oig.OpSubsetCheck, false},
+		{leafShapes[7].name, store, pattern.MustNew(leafShapes[7].edges, nil), true},
+		{leafShapes[8].name, store, pattern.MustNew(leafShapes[8].edges, nil), true},
+		{"vertex labels", labelled, pattern.MustNew(core, []uint32{0, 0, 1, 0, 1}), false},
+		{"hyperedge labels", edgeLabelled, edgeLabelledCore, false},
 	}
 	for _, c := range cases {
 		plan, err := CompilePlan(c.store, c.p, Options{})
@@ -176,8 +183,8 @@ func TestLeafRefusedFormsFallBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		last := len(plan.Steps) - 1
-		if !slices.ContainsFunc(plan.Steps[last].Ops, func(op oig.Op) bool { return op.Kind == c.kind }) || (newShared(c.store, plan, Options{}).countedLeaf == last) != c.counted {
-			t.Fatalf("%s: want a %v op at a last position that is counted=%v\nplan:\n%s", c.name, c.kind, c.counted, plan)
+		if len(plan.Steps[last].Conds) == 0 || (newShared(c.store, plan, Options{}).countedLeaf == last) != c.counted {
+			t.Fatalf("%s: want a condition at a last position that is counted=%v\nplan:\n%s", c.name, c.counted, plan)
 		}
 		mineAll(t, c.store, c.p, oracleCount(t, c.store, c.p), c.name)
 	}
@@ -206,22 +213,21 @@ func TestLeafRefusedFormsFallBack(t *testing.T) {
 	}
 }
 
-// TestImpliedConditionsDropped: a step whose every op generation already
+// TestImpliedConditionsDropped: a step whose every check generation already
 // guarantees carries no condition, at a middle step as at the last — c1 ⊆ c0
-// when c1's whole degree is its overlap with c0, and every pairwise
-// s0 ← c0 ∩ c1 whose size is the pair's ConnOverlap. Their slot still
-// becomes an overlap node for the later steps that read it.
+// when c1's whole degree is its overlap with c0, and every pairwise overlap
+// whose size is the pair's ConnOverlap. Such a pair still becomes an overlap
+// node for the later steps that read it.
 func TestImpliedConditionsDropped(t *testing.T) {
 	store := blockStore(6)
 	for _, c := range []struct {
 		literal string
 		step    int
-		op      oig.OpKind
 	}{
-		{"0 1 2; 2 3 4; 0 1 2 5 6 7 8 9", 1, oig.OpSubsetCheck},
-		{"0 1 2; 0 1 3; 0 1 4; 0 1 5", 1, oig.OpIntersect},
-		{"0 1 2; 0 1 3; 0 1 4; 0 1 5; 0 1 6", 1, oig.OpIntersect},
-		{"0 1 2 3; 0 1 4 5; 0 2 4 6", 1, oig.OpIntersect},
+		{"0 1 2; 2 3 4; 0 1 2 5 6 7 8 9", 1},
+		{"0 1 2; 0 1 3; 0 1 4; 0 1 5", 1},
+		{"0 1 2; 0 1 3; 0 1 4; 0 1 5; 0 1 6", 1},
+		{"0 1 2 3; 0 1 4 5; 0 2 4 6", 1},
 	} {
 		p, err := pattern.Parse(c.literal)
 		if err != nil {
@@ -231,11 +237,8 @@ func TestImpliedConditionsDropped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ops := plan.Steps[c.step].Ops
-		if len(ops) == 0 || !slices.ContainsFunc(ops, func(op oig.Op) bool { return op.Kind == c.op }) {
-			t.Fatalf("%s: step %d carries no %v op, not the shape this test needs\nplan:\n%s", c.literal, c.step, c.op, plan)
-		}
-		if n := stepConds(newShared(store, plan, Options{}), c.step); n != 0 {
+		e := newShared(store, plan, Options{})
+		if n := len(plan.Steps[c.step].Conds) + stepConds(e, c.step); n != 0 || planConds(plan) == 0 && len(e.vdefs) == 0 {
 			t.Fatalf("%s: step %d carries %d conditions, want 0\nplan:\n%s", c.literal, c.step, n, plan)
 		}
 	}
@@ -278,12 +281,12 @@ func randLeafPattern(rng *rand.Rand, labels bool) *pattern.Pattern {
 
 // TestLeafConditionsMatchInterpreter: on random plans and random bindings of
 // their prefix, every step's list — the chain's nodes, the per-candidate
-// tests and the conditions — holds exactly the candidates internal/baseline's
-// accept and plan-op interpreter keep, and so does a handed-over range
-// refiltered by runTask; a counted last position counts that many. The
-// prefix is drawn position by position from what the interpreter keeps, as a
-// run would bind it, and redrawn from a random position on, so that cached
-// nodes are hit by some bindings and rebuilt for others.
+// tests and the conditions — holds exactly the candidates that extend the
+// prefix as the pattern's signature says (baseline.Keep, which reads no
+// condition); a counted last position counts that many. The prefix is drawn
+// position by position from what Keep keeps, as a run would bind it, and
+// redrawn from a random position on, so that cached nodes are hit by some
+// bindings and rebuilt for others.
 func TestLeafConditionsMatchInterpreter(t *testing.T) {
 	rng := rand.New(rand.NewSource(2503))
 	plain := leafHypergraph(rng, 10, 40)
@@ -323,14 +326,11 @@ func TestLeafConditionsMatchInterpreter(t *testing.T) {
 				raw := rawCandidates(w, k)
 				want := baseline.Keep(store, plan, w.c[:k], raw)
 				if got := w.candidates(k); !slices.Equal(got, want) {
-					t.Fatalf("pattern %s, prefix %v: step %d keeps %v, the interpreter %v of %v\nplan:\n%s", p, w.c[:k], k, got, want, raw, plan)
-				}
-				if got := w.refilter(k, slices.Clone(raw)); !slices.Equal(got, want) {
-					t.Fatalf("pattern %s, prefix %v: a handed-over range at step %d keeps %v, the interpreter %v of %v\nplan:\n%s", p, w.c[:k], k, got, want, raw, plan)
+					t.Fatalf("pattern %s, prefix %v: step %d keeps %v, the signature %v of %v\nplan:\n%s", p, w.c[:k], k, got, want, raw, plan)
 				}
 				if before := w.count; k == e.countedLeaf && w.countLeaf(k) {
 					if n := w.count - before; n != uint64(len(want)) {
-						t.Fatalf("pattern %s, prefix %v: the last position counts %d, the interpreter keeps %v\nplan:\n%s", p, w.c[:k], n, want, plan)
+						t.Fatalf("pattern %s, prefix %v: the last position counts %d, the signature keeps %v\nplan:\n%s", p, w.c[:k], n, want, plan)
 					}
 					counted++
 				}
@@ -362,7 +362,7 @@ func rawCandidates(w *worker, k int) []uint32 {
 }
 
 // bindRandomPrefix rebinds positions from..last-1 of w to random candidates
-// the interpreter keeps there — the first position's admitted hyperedges,
+// the signature keeps there — the first position's admitted hyperedges,
 // then what internal/baseline's Keep accepts of generation's offer — and
 // returns how many positions are bound: fewer than last when one has no
 // candidate. Every prefix it leaves is a valid partial embedding.
@@ -443,8 +443,8 @@ var markShapes = []struct {
 
 // TestMarkedStepsMatchInterpreter: on sparse stores with shuffled IDs, where
 // no operand earns a bitmap window and so every loop-invariant one is marked,
-// each step's list — generated, refiltered as a handed-over range, counted —
-// equals what baseline.Keep keeps for prefixes rebound from random positions
+// each step's list — generated and counted — equals what the signature
+// (baseline.Keep) keeps for prefixes rebound from random positions
 // on, and whole runs on 1, 2 and 4 workers that publish at every depth
 // (SplitThreshold 1) count brute force's total, restricted and not: a
 // stolen prefix meets marks keyed for another and must miss.
@@ -473,13 +473,10 @@ func TestMarkedStepsMatchInterpreter(t *testing.T) {
 						raw := rawCandidates(w, k)
 						keep := baseline.Keep(store, plan, w.c[:k], raw)
 						if got := w.candidates(k); !slices.Equal(got, keep) {
-							t.Fatalf("%s, prefix %v: step %d keeps %v, the interpreter %v of %v\nplan:\n%s", shape.name, w.c[:k], k, got, keep, raw, plan)
-						}
-						if got := w.refilter(k, slices.Clone(raw)); !slices.Equal(got, keep) {
-							t.Fatalf("%s, prefix %v: a handed-over range at step %d keeps %v, the interpreter %v of %v\nplan:\n%s", shape.name, w.c[:k], k, got, keep, raw, plan)
+							t.Fatalf("%s, prefix %v: step %d keeps %v, the signature %v of %v\nplan:\n%s", shape.name, w.c[:k], k, got, keep, raw, plan)
 						}
 						if before := w.count; k == w.e.countedLeaf && w.countLeaf(k) && w.count-before != uint64(len(keep)) {
-							t.Fatalf("%s, prefix %v: the last position counts %d, the interpreter keeps %v\nplan:\n%s", shape.name, w.c[:k], w.count-before, keep, plan)
+							t.Fatalf("%s, prefix %v: the last position counts %d, the signature keeps %v\nplan:\n%s", shape.name, w.c[:k], w.count-before, keep, plan)
 						}
 						steps++
 					}

@@ -56,7 +56,7 @@ func TestDataAwareOrderPlansVerify(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := oig.Verify(plan); err != nil {
+			if err := oig.VerifyProgram(plan); err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
 		}

@@ -255,28 +255,13 @@ func (w *worker) trySteal() bool {
 	return false
 }
 
-// runTask executes a task: rebind the prefix, hold a range below the root to
-// what step would have kept (refilter: idempotent for the ranges this engine
-// publishes; a snapshot or lease frontier cut by a build that tested
-// candidate by candidate loses what those tests would have rejected), and
-// explore it.
+// runTask executes a task: rebind the prefix and explore the range. Every
+// range this engine publishes, checkpoints or leases is a list step or
+// firstCandidates already filtered, and a snapshot cut under another plan is
+// refused by its fingerprint, so the range is explored as it is.
 func (w *worker) runTask(t *task) {
 	copy(w.c[:t.depth], t.prefix)
-	if t.depth > 0 {
-		t.cands = w.refilter(t.depth, t.cands)
-	}
 	w.explore(t.depth, t.cands)
-}
-
-// refilter holds cands, in place, to what step keeps at position t > 0:
-// admit's per-candidate tests first, then the Disc marks and conditions of
-// every node of its chain.
-func (w *worker) refilter(t int, cands []uint32) []uint32 {
-	cands = w.admit(t, cands, cands[:0])
-	for i := w.e.last[t]; i >= 0; i = w.e.nodes[i].parent {
-		cands = w.keep(w.dropDisc(i, cands), w.e.nodes[i].conds)
-	}
-	return cands
 }
 
 // publish copies the current prefix and an untouched sibling candidate

@@ -12,7 +12,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 
 	"ohminer/internal/checkpoint"
@@ -32,88 +31,20 @@ func CompilePlan(store *dal.Store, p *pattern.Pattern, opts Options) (*oig.Plan,
 	if opts.DataAwareOrder {
 		order = dataAwareOrder(store, p)
 	}
-	return CompilePlanOrdered(store, p, order, opts)
+	return CompilePlanOrdered(p, order, opts)
 }
 
 // CompilePlanOrdered is CompilePlan with the matching order given by the
 // caller (order[i] = index of the pattern hyperedge matched at position i;
 // nil selects the structural order). The streaming miner compiles its
 // anchor-first delta plans through it.
-func CompilePlanOrdered(store *dal.Store, p *pattern.Pattern, order []int, opts Options) (*oig.Plan, error) {
-	plan, err := oig.CompileWith(p, oig.ModeMerged, oig.CompileOptions{
+func CompilePlanOrdered(p *pattern.Pattern, order []int, opts Options) (*oig.Plan, error) {
+	return oig.CompileWith(p, oig.ModeMerged, oig.CompileOptions{
 		Order: order,
 		// Anchored counting (PositionFilter) must see every ordered tuple:
 		// a restriction can kill the one orbit member the filter accepts.
 		NoRestrictions: opts.NoSymmetryBreak || opts.PositionFilter != nil,
 	})
-	if err != nil {
-		return nil, err
-	}
-	applyContainerHints(store, plan)
-	// Re-verify after the hint pass: hints are excluded from the semantic
-	// fingerprint (perf-only), so this both asserts the hint rules
-	// (bitmap hints need an Edge operand) and proves no counting-relevant
-	// field drifted.
-	if err := oig.VerifyProgram(plan); err != nil {
-		return nil, fmt.Errorf("engine: container-hint pass produced an invalid plan: %w", err)
-	}
-	return plan, nil
-}
-
-// applyContainerHints refines every op's container hint from the DAL's
-// density statistics: for each hyperedge operand the op reads, the degree
-// class of the matching-order position it binds tells how often a candidate
-// vertex set is bitmap-backed. A class that is mostly windowed makes the
-// op's edge operands worth resolving through the container arena
-// (HintBitmap); classes with no windows at all make the metadata lookup
-// pure overhead (HintArray); mixed classes stay HintAuto. Hints never
-// change results — only which resolution path the workers take — so they
-// are applied after compilation and excluded from the plan fingerprint.
-func applyContainerHints(store *dal.Store, plan *oig.Plan) {
-	// One fraction per matching-order position (= per degree class).
-	frac := make([]float64, len(plan.Steps))
-	for t := range plan.Steps {
-		frac[t] = store.EdgeWindowFrac(plan.Steps[t].Degree)
-	}
-	edgeFrac := func(o oig.Operand, lo, hi float64) (float64, float64) {
-		if o.Edge {
-			f := frac[o.Pos]
-			if f < lo {
-				lo = f
-			}
-			if f > hi {
-				hi = f
-			}
-		}
-		return lo, hi
-	}
-	for t := range plan.Steps {
-		for i := range plan.Steps[t].Ops {
-			op := &plan.Steps[t].Ops[i]
-			lo, hi := 1.0, -1.0
-			lo, hi = edgeFrac(op.A, lo, hi)
-			switch op.Kind {
-			case oig.OpIntersect, oig.OpIntersectEq, oig.OpEmptyCheck, oig.OpSubsetCheck, oig.OpIntersectCount:
-				lo, hi = edgeFrac(op.B, lo, hi)
-			}
-			switch op.Kind {
-			case oig.OpIntersectEq, oig.OpEqCheck:
-				lo, hi = edgeFrac(op.Eq, lo, hi)
-			}
-			switch {
-			case hi < 0:
-				// No hyperedge operands (slot-only op): arrays by definition.
-				op.Hint = oig.HintArray
-			case hi == 0:
-				// No candidate of any referenced degree class is windowed.
-				op.Hint = oig.HintArray
-			case lo >= 0.5:
-				op.Hint = oig.HintBitmap
-			default:
-				op.Hint = oig.HintAuto
-			}
-		}
-	}
 }
 
 // FirstCandidates enumerates the candidate pool of the first pattern

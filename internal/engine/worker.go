@@ -364,15 +364,6 @@ next:
 	return out
 }
 
-// edgeSet resolves hyperedge e's vertex set as an adaptive container: its
-// bitmap window skipped when the hint says the degree class is array-only.
-func (w *worker) edgeSet(e uint32, hint oig.ContainerHint) intset.Set {
-	if hint == oig.HintArray {
-		return intset.ArrayView(w.e.store.Hypergraph().EdgeVertices(e))
-	}
-	return w.e.store.EdgeVertexSet(e)
-}
-
 // countKernelClass attributes one set operation to its kernel path.
 func (w *worker) countKernelClass(c intset.PairClass) {
 	switch c {

@@ -718,7 +718,7 @@ scan:
 }
 
 // IntersectCountKAdaptive is the demoted form of IntersectKAdaptive for
-// count-only consumers (the OIG's OpIntersectCount slots): same rarest-first
+// count-only consumers: same rarest-first
 // probe order and short-circuits, no materialization at all.
 //
 //ohmlint:hotpath

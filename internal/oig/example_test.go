@@ -9,8 +9,8 @@ import (
 
 // ExampleCompile compiles the paper's Figure 1(a) pattern. Candidate
 // generation guarantees every pairwise overlap size, so of Table 1's plan one
-// materialised intersection (the merged node's representative) and one
-// containment check (the merged node's other pair) are left.
+// condition is left: the merged node's other pair, c1 ∩ c2, must be the
+// representative c0 ∩ c1, which the third hyperedge containing it settles.
 func ExampleCompile() {
 	p := pattern.MustNew([][]uint32{
 		{0, 1, 2, 3, 4, 5},
@@ -21,16 +21,21 @@ func ExampleCompile() {
 	if err != nil {
 		panic(err)
 	}
-	ops := plan.NumOps()
 	fmt.Println("steps:", len(plan.Steps))
 	fmt.Println("generation overlaps:", plan.Steps[1].ConnOverlap, plan.Steps[2].ConnOverlap)
-	fmt.Println("intersections:", ops[oig.OpIntersect], "count-only:", ops[oig.OpIntersectCount], "containment checks:", ops[oig.OpSubsetCheck])
-	fmt.Println("verified:", oig.Verify(plan) == nil)
+	fmt.Println("conditions per step:", plan.NumOps())
+	fmt.Println("verified:", oig.VerifyProgram(plan) == nil)
+	fmt.Print(plan)
 	// Output:
 	// steps: 3
 	// generation overlaps: [3] [5 3]
-	// intersections: 1 count-only: 0 containment checks: 1
+	// conditions per step: [0 0 1]
 	// verified: true
+	// plan(mode=merged, order=[2 0 1])
+	// step 0: gen degree=8 conn=[] disc=[]
+	// step 1: gen degree=6 conn=[0:3] disc=[]
+	// step 2: gen degree=6 conn=[0:5 1:3] disc=[]
+	//   |c0 ∩ c1 ∩ c2| = 3
 }
 
 // ExampleBuildGraph shows the OIG of a triangle of 2-vertex hyperedges:

@@ -7,8 +7,11 @@
 // (MergeForUnique) so no intersection is ever computed twice. The middle-end
 // derives the overlap order (a topological order consistent with the
 // matching order) and the group-based pruning of empty overlaps; the
-// back-end emits the overlap-centric execution plan (plan.go) that drives
-// the mining engine.
+// back-end emits the overlap-centric execution plan (plan.go, merged.go):
+// per matching step, the candidate-generation contract and the conditions
+// |∩_{i∈M} c_i| = w that, by Theorem 1, make a tuple an embedding — the one
+// plan language the engine and internal/baseline run and VerifyProgram
+// (verify.go) checks.
 package oig
 
 import (

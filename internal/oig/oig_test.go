@@ -100,16 +100,11 @@ func TestCompileFig1MergedPlan(t *testing.T) {
 	}
 	// Matching order puts pe3 (most connected + largest) first. Generation
 	// guarantees every pairwise overlap size, so what is left of Table 1 is
-	// the merged class: its representative {c0,c1} is materialised once
-	// (size known), and the other minimal pair {c1,c2} — Table 1's
-	// "c5 == c4" — becomes "representative ⊆ c2" (c1 is in the
-	// representative). The {c0,c2} overlap feeds nothing and is dropped.
-	ops := plan.NumOps()
-	if ops[OpIntersect] != 1 || ops[OpSubsetCheck] != 1 || len(ops) != 2 {
-		t.Fatalf("ops=%v want one intersect and one subset check\n%s", ops, plan)
-	}
-	if got := plan.Steps[2].Ops[0]; got.Kind != OpSubsetCheck || got.A != (Operand{Pos: plan.Steps[1].Ops[0].Out}) || got.B != (Operand{Edge: true, Pos: 2}) {
-		t.Fatalf("step 2 op: %+v\n%s", got, plan)
+	// the merged class {c0,c1} ~ {c1,c2} — Table 1's "c5 == c4": its
+	// representative pair needs nothing, and the other pair's c2 must contain
+	// the representative's overlap, |c0 ∩ c1 ∩ c2| = 3.
+	if got := plan.NumOps(); !slices.Equal(got, []int{0, 0, 1}) || plan.Steps[2].Conds[0].Mask != 0b111 || plan.Steps[2].Conds[0].Want != 3 {
+		t.Fatalf("conditions per step %v, want one |c0 ∩ c1 ∩ c2| = 3 at step 2\n%s", got, plan)
 	}
 	if !slices.Equal(plan.Steps[1].ConnOverlap, []int{3}) || !slices.Equal(plan.Steps[2].ConnOverlap, []int{5, 3}) {
 		t.Fatalf("generation overlaps %v %v want [3] [5 3]\n%s", plan.Steps[1].ConnOverlap, plan.Steps[2].ConnOverlap, plan)
@@ -132,15 +127,9 @@ func TestCompileFig1MergedPlan(t *testing.T) {
 func TestCompileSimpleChecksEverySubset(t *testing.T) {
 	p := fig1Pattern(t)
 	plan := MustCompile(p, ModeSimple)
-	// All four ≥2-subsets are non-empty → 4 intersections, no eq/subset ops.
-	// The triple overlap and one pair feed no later op, so two of the four
-	// are count-only after the dead-slot pass.
-	ops := plan.NumOps()
-	if ops[OpIntersect]+ops[OpIntersectCount] != 4 || ops[OpIntersectEq] != 0 || ops[OpSubsetCheck] != 0 {
-		t.Fatalf("ops=%v\n%s", ops, plan)
-	}
-	if ops[OpIntersectCount] == 0 {
-		t.Fatalf("dead-slot pass demoted nothing: ops=%v\n%s", ops, plan)
+	// All four ≥2-subsets are non-empty → one size condition each.
+	if got := plan.NumOps(); !slices.Equal(got, []int{0, 1, 3}) {
+		t.Fatalf("conditions per step %v, want [0 1 3]\n%s", got, plan)
 	}
 }
 
@@ -155,114 +144,60 @@ func TestCompileDisconnectedPairs(t *testing.T) {
 	if discTotal != 1 {
 		t.Fatalf("disc checks=%d want 1\n%s", discTotal, plan)
 	}
-	// The empty triple {0,1,2} is implied by the empty pair — no
-	// OpEmptyCheck.
-	if n := plan.NumOps()[OpEmptyCheck]; n != 0 {
-		t.Fatalf("empty checks=%d want 0", n)
+	// The empty triple {0,1,2} is implied by the empty pair — no condition.
+	if n := totalConds(plan); n != 0 {
+		t.Fatalf("%d conditions, want 0\n%s", n, plan)
 	}
 }
 
 func TestCompileMinimalEmptyTriple(t *testing.T) {
 	// Three pairwise-overlapping edges with an empty triple overlap: the
-	// triangle. The triple must get an explicit OpEmptyCheck.
+	// triangle. The triple must get an explicit = 0 condition; the simple
+	// plan checks the three pairs' sizes as well.
 	p := pattern.MustNew([][]uint32{{0, 1}, {1, 2}, {0, 2}}, nil)
-	plan := MustCompile(p, ModeMerged)
-	if n := plan.NumOps()[OpEmptyCheck]; n != 1 {
-		t.Fatalf("empty checks=%d want 1\n%s", n, plan)
-	}
-	simple := MustCompile(p, ModeSimple)
-	if n := simple.NumOps()[OpEmptyCheck]; n != 1 {
-		t.Fatalf("simple empty checks=%d want 1\n%s", n, simple)
+	for mode, want := range map[Mode][]int{ModeMerged: {0, 0, 1}, ModeSimple: {0, 1, 3}} {
+		plan := MustCompile(p, mode)
+		if got := plan.NumOps(); !slices.Equal(got, want) || plan.Steps[2].Conds[want[2]-1].Mask != 0b111 || plan.Steps[2].Conds[want[2]-1].Want != 0 {
+			t.Fatalf("%s: conditions per step %v, want %v ending in |c0 ∩ c1 ∩ c2| = 0\n%s", mode, got, want, plan)
+		}
 	}
 }
 
 func TestCompileNestedEdgeSubset(t *testing.T) {
-	// pe1 ⊆ pe0: the pair {0,1} overlap equals pe1 itself, so the merged
-	// plan replaces the pair's intersection with a subset check.
+	// pe1 ⊆ pe0: the pair's overlap is pe1 itself, which generation already
+	// guarantees (ConnOverlap = Degree), so the merged plan checks nothing.
 	p := pattern.MustNew([][]uint32{{0, 1, 2, 3}, {1, 2}}, nil)
 	plan := MustCompile(p, ModeMerged)
-	ops := plan.NumOps()
-	if ops[OpSubsetCheck] != 1 || ops[OpIntersect] != 0 {
-		t.Fatalf("ops=%v\n%s", ops, plan)
+	if n := totalConds(plan); n != 0 || plan.Steps[1].ConnOverlap[0] != plan.Steps[1].Degree {
+		t.Fatalf("%d conditions, want 0\n%s", n, plan)
 	}
 }
 
-// TestPlanOperandsResolvable validates structural invariants on random
-// patterns: op operands must reference bound positions or already-written
-// slots, and ops of step t must only touch positions ≤ t.
-func TestPlanOperandsResolvable(t *testing.T) {
-	h := gen.MustGenerate(gen.Config{Name: "t", NumVertices: 150, NumEdges: 500,
-		Communities: 8, MemberOverlap: 1.2, EdgeSizeMin: 3, EdgeSizeMax: 10, EdgeSizeMean: 6, Seed: 41})
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 60; trial++ {
-		m := 2 + rng.Intn(4)
-		p, err := pattern.Sample(h, m, 3, 40, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, mode := range []Mode{ModeSimple, ModeMerged} {
-			plan := MustCompile(p, mode)
-			checkPlanInvariants(t, plan)
-		}
+// TestCompletionAtItsOwnStep: in the class of {0}, R = {c0, c1} is the
+// representative and {c2, c3, c4} a 3-way minimal member. Its equality with
+// T(R) is settled only once c4 binds, but the member {c0, c1, c2} needs
+// T(R) ⊆ c2 at step 2 already: c2 gets its own completion there, not one
+// implied by the later member, so every prefix of the plan stays exact.
+func TestCompletionAtItsOwnStep(t *testing.T) {
+	p := pattern.MustNew([][]uint32{{0, 1}, {0, 2}, {0, 3, 4}, {0, 3, 5}, {0, 4, 5}}, nil)
+	plan, err := CompileOrdered(p, ModeMerged, []int{0, 1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(plan.Steps[2].Conds, func(c Cond) bool { return c.Mask == 0b111 && c.Want == 1 }) {
+		t.Fatalf("step 2 has no |c0 ∩ c1 ∩ c2| = 1\n%s", plan)
 	}
 }
 
-func checkPlanInvariants(t *testing.T, plan *Plan) {
-	t.Helper()
-	written := make([]bool, plan.NumSlots)
-	resolvable := func(o Operand, step int) bool {
-		if o.Edge {
-			return o.Pos >= 0 && o.Pos <= step
-		}
-		return o.Pos >= 0 && o.Pos < plan.NumSlots && written[o.Pos]
+func totalConds(plan *Plan) (n int) {
+	for _, c := range plan.NumOps() {
+		n += c
 	}
-	for step, st := range plan.Steps {
-		if st.Degree != plan.Pattern.Degree(step) {
-			t.Fatalf("step %d degree mismatch", step)
-		}
-		for _, j := range append(append([]int{}, st.Conn...), st.Disc...) {
-			if j < 0 || j >= step {
-				t.Fatalf("step %d references position %d", step, j)
-			}
-		}
-		for _, op := range st.Ops {
-			if !resolvable(op.A, step) {
-				t.Fatalf("step %d op %v: operand A unresolvable\n%s", step, op, plan)
-			}
-			switch op.Kind {
-			case OpIntersect, OpIntersectEq, OpEmptyCheck, OpIntersectCount:
-				if !resolvable(op.B, step) {
-					t.Fatalf("step %d op %v: operand B unresolvable\n%s", step, op, plan)
-				}
-			}
-			switch op.Kind {
-			case OpIntersectEq, OpEqCheck:
-				if !resolvable(op.Eq, step) {
-					t.Fatalf("step %d op %v: operand Eq unresolvable\n%s", step, op, plan)
-				}
-			case OpSubsetCheck:
-				if !op.B.Edge || op.B.Pos > step {
-					t.Fatalf("step %d subset op B=%v", step, op.B)
-				}
-			}
-			if op.Out >= 0 {
-				if op.Out >= plan.NumSlots {
-					t.Fatalf("slot %d out of range %d", op.Out, plan.NumSlots)
-				}
-				written[op.Out] = true
-			}
-			if (op.Kind == OpIntersect || op.Kind == OpIntersectCount) && op.Want <= 0 {
-				t.Fatalf("%v with Want=%d", op.Kind, op.Want)
-			}
-			if op.Mask == 0 || maxBit(op.Mask) > step && op.Kind != OpSubsetCheck {
-				t.Fatalf("step %d op mask %b", step, op.Mask)
-			}
-		}
-	}
+	return n
 }
 
 // TestMergedNeverChecksMore verifies the merge optimization only removes
-// work: merged plans never emit more intersections than simple plans.
+// work: merged plans never emit more conditions than simple plans.
 func TestMergedNeverChecksMore(t *testing.T) {
 	h := gen.MustGenerate(gen.Config{Name: "t", NumVertices: 100, NumEdges: 400,
 		Communities: 5, MemberOverlap: 1.5, EdgeSizeMin: 3, EdgeSizeMax: 12, EdgeSizeMean: 7, Seed: 42})
@@ -272,12 +207,9 @@ func TestMergedNeverChecksMore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		simple := MustCompile(p, ModeSimple).NumOps()
-		merged := MustCompile(p, ModeMerged).NumOps()
-		sTotal := simple[OpIntersect] + simple[OpIntersectCount] + simple[OpIntersectEq]
-		mTotal := merged[OpIntersect] + merged[OpIntersectCount] + merged[OpIntersectEq]
-		if mTotal > sTotal {
-			t.Fatalf("merged emits %d intersections vs simple %d for %s", mTotal, sTotal, p)
+		simple, merged := totalConds(MustCompile(p, ModeSimple)), totalConds(MustCompile(p, ModeMerged))
+		if merged > simple {
+			t.Fatalf("merged emits %d conditions vs simple %d for %s", merged, simple, p)
 		}
 	}
 }
@@ -302,7 +234,7 @@ func TestMasksByStepOrder(t *testing.T) {
 func TestCompileSingleEdgePattern(t *testing.T) {
 	p := pattern.MustNew([][]uint32{{0, 1, 2}}, nil)
 	plan := MustCompile(p, ModeMerged)
-	if len(plan.Steps) != 1 || len(plan.Steps[0].Ops) != 0 {
+	if len(plan.Steps) != 1 || len(plan.Steps[0].Conds) != 0 {
 		t.Fatalf("single-edge plan: %s", plan)
 	}
 	if plan.Steps[0].Degree != 3 {
@@ -319,15 +251,8 @@ func TestCompileLabeled(t *testing.T) {
 	if plan.Steps[0].EdgeLabels == nil || plan.Steps[1].EdgeLabels == nil {
 		t.Fatal("EdgeLabels missing")
 	}
-	var found bool
-	for _, st := range plan.Steps {
-		for _, op := range st.Ops {
-			if op.Kind == OpIntersect && op.LabelWant != nil {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("no labeled intersect targets\n%s", plan)
+	// The pair's size is generation's, its label histogram is not.
+	if c := plan.Steps[1].Conds; len(c) != 1 || c[0].Mask != 0b11 || c[0].Label == nil {
+		t.Fatalf("want one labelled |c0 ∩ c1| condition\n%s", plan)
 	}
 }

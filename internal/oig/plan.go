@@ -17,17 +17,15 @@ import (
 type Mode int
 
 const (
-	// ModeSimple checks every non-implied hyperedge subset with its own
-	// intersection + size comparison. It embodies the IEP optimization alone
-	// (set intersections instead of set differences and vertex profiles) —
-	// the OHM-I ablation of Sec. 5.3.
+	// ModeSimple checks the size of every non-implied hyperedge subset, one
+	// condition each. It embodies the IEP optimization alone (set
+	// intersections instead of set differences and vertex profiles) — the
+	// OHM-I ablation of Sec. 5.3.
 	ModeSimple Mode = iota
 	// ModeMerged additionally applies the OIG merge optimization: subsets
-	// whose pattern overlap is the same vertex set form a class; only the
-	// ⊆-minimal subsets are computed (the first with a size check, the
-	// others with set-equality checks against the class representative),
-	// plus subset-completion checks for hyperedges the minimal subsets do
-	// not cover. All other subsets are implied — full OHMiner.
+	// whose pattern overlap is the same vertex set form a class, and only its
+	// ⊆-minimal members and the hyperedges they do not cover get conditions
+	// (merged.go). All other subsets are implied — full OHMiner.
 	ModeMerged
 )
 
@@ -38,106 +36,22 @@ func (m Mode) String() string {
 	return "simple"
 }
 
-// OpKind enumerates validation operations.
-type OpKind int
-
-const (
-	// OpIntersect computes Out = A ∩ B and requires |Out| == Want (and the
-	// label histogram to match LabelWant for labeled patterns).
-	OpIntersect OpKind = iota
-	// OpIntersectEq computes Out = A ∩ B and requires Out to equal the set
-	// held by Eq (the class representative).
-	OpIntersectEq
-	// OpEmptyCheck requires A ∩ B == ∅ (early-exit probe; minimal empty
-	// overlap of ≥3 hyperedges — pairs are handled by generation-time
-	// disconnection checks).
-	OpEmptyCheck
-	// OpSubsetCheck requires the set held by A to be a subset of the set
-	// held by B (class-union completion, e.g. a pattern hyperedge nested in
-	// another).
-	OpSubsetCheck
-	// OpEqCheck requires the sets held by A and Eq to be equal without
-	// computing an intersection (a pattern hyperedge whose vertex set
-	// coincides with an overlap).
-	OpEqCheck
-	// OpIntersectCount requires |A ∩ B| == Want without materializing the
-	// overlap — emitted by the compiler's dead-slot pass for intersections
-	// whose output no later operation reads (Out is -1). Never pairwise in a
-	// merged plan: generation guarantees those sizes (Step.ConnOverlap).
-	OpIntersectCount
-)
-
-var opNames = [...]string{"intersect", "intersect-eq", "empty", "subset", "eq", "intersect-count"}
-
-func (k OpKind) String() string { return opNames[k] }
-
-// Operand names a set available during matching: either the candidate
-// hyperedge bound at position Pos of the matching order, or a previously
-// computed overlap buffer slot.
-type Operand struct {
-	Edge bool
-	Pos  int // matching-order position (Edge) or slot index (!Edge)
-}
-
-func (o Operand) String() string {
-	if o.Edge {
-		return fmt.Sprintf("c%d", o.Pos)
-	}
-	return fmt.Sprintf("s%d", o.Pos)
-}
-
-// ContainerHint advises the engine which set representation the operands of
-// an operation are expected to arrive in. Hints are chosen after compilation
-// from DAL density statistics (engine.CompilePlan), are purely
-// performance-directing — every hint value computes the same result — and
-// are therefore excluded from the plan fingerprint: snapshots and cluster
-// leases stay exchangeable between builds with different hint policies.
-type ContainerHint uint8
-
-const (
-	// HintAuto lets the engine pick per call from the operands' actual
-	// representations (the adaptive default).
-	HintAuto ContainerHint = iota
-	// HintArray asserts the operands are array-only, so the engine skips the
-	// window-metadata lookup entirely.
-	HintArray
-	// HintBitmap asserts at least one hyperedge operand is dense enough to
-	// be bitmap-backed; the engine resolves edge operands through the DAL's
-	// container arena. Requires an Edge operand (slots never carry windows),
-	// enforced by VerifyProgram.
-	HintBitmap
-)
-
-var hintNames = [...]string{"auto", "array", "bitmap"}
-
-func (h ContainerHint) String() string {
-	if int(h) < len(hintNames) {
-		return hintNames[h]
-	}
-	return fmt.Sprintf("hint(%d)", uint8(h))
-}
-
-// Op is one validation operation of the execution plan.
-type Op struct {
-	Kind OpKind
-	A, B Operand
-	Eq   Operand // OpIntersectEq / OpEqCheck comparison target
-	Out  int     // destination slot (OpIntersect / OpIntersectEq); -1 otherwise
-	Want int     // expected overlap size (OpIntersect)
-	// Mask is the hyperedge subset this operation validates (diagnostics).
-	Mask uint32
-	// LabelWant is the expected label histogram of the overlap, set for
-	// OpIntersect on labeled patterns.
-	LabelWant []sig.LabelCount
-	// Hint is the container expectation for this op's operands (perf-only;
-	// see ContainerHint). The compiler emits HintAuto; engine.CompilePlan
-	// refines it from DAL degree statistics.
-	Hint ContainerHint
+// Cond is one validation condition: |∩_{i∈Mask} c_i| = Want, the overlap of
+// the candidate hyperedges bound at Mask's positions holding exactly Want
+// vertices — and, when Label is set, carrying that vertex-label histogram. A
+// condition sits at step maxBit(Mask), the step that binds its newest
+// hyperedge, and Want is always the pattern's Sig.Size(Mask): every
+// condition holds on every embedding, and the compiler picks enough of them
+// that, with the generation contract, they imply all of Theorem 1.
+type Cond struct {
+	Mask  uint32
+	Want  int
+	Label []sig.LabelCount
 }
 
 // Step drives the matching of one pattern hyperedge: candidate generation
-// constraints followed by the overlap validations that become ready once
-// this hyperedge is bound.
+// constraints followed by the conditions that become checkable once this
+// hyperedge is bound.
 type Step struct {
 	// Degree is the required candidate hyperedge degree D(pe_t).
 	Degree int
@@ -146,8 +60,8 @@ type Step struct {
 	// (Sig.Size of the pair). This is the plan's generation contract: a
 	// candidate for position t overlaps c[Conn[i]] in exactly ConnOverlap[i]
 	// vertices, and whoever generates candidates guarantees it — the engine
-	// by intersecting the DAL's (degree, overlap) groups. A merged plan's ops
-	// rely on it and never re-check a pairwise size.
+	// by intersecting the DAL's (degree, overlap) groups. A merged plan's
+	// conditions rely on it and never re-check a pairwise size.
 	Conn        []int
 	ConnOverlap []int
 	// Disc lists earlier positions whose candidate must NOT overlap the new
@@ -171,8 +85,9 @@ type Step struct {
 	// enforcing them counts unique embeddings directly. Empty on asymmetric
 	// patterns and on plans compiled with NoRestrictions.
 	Restrict []int
-	// Ops are the validation operations, ordered by (popcount, mask).
-	Ops []Op
+	// Conds are the conditions whose newest hyperedge is this step's,
+	// ordered by (popcount, mask).
+	Conds []Cond
 }
 
 // Plan is the overlap-centric execution plan (Definition 2).
@@ -181,12 +96,10 @@ type Plan struct {
 	// position t of the plan matches Pattern.Edge(t).
 	Pattern *pattern.Pattern
 	// Order maps matching-order positions to the original hyperedge indices.
-	Order []int
-	Steps []Step
-	// NumSlots is the number of overlap buffers a worker must hold.
-	NumSlots int
-	Mode     Mode
-	Labeled  bool
+	Order   []int
+	Steps   []Step
+	Mode    Mode
+	Labeled bool
 	// Sig is the reordered pattern's overlap signature.
 	Sig sig.Signature
 	// LabelSig is set for labeled patterns.
@@ -301,112 +214,31 @@ func CompileWith(p *pattern.Pattern, mode Mode, co CompileOptions) (*Plan, error
 		}
 	}
 
+	cs := conds{need: make([]bool, 1<<m), label: make([]bool, 1<<m)}
 	switch mode {
 	case ModeSimple:
-		plan.compileSimple()
+		plan.compileSimple(cs)
 	case ModeMerged:
-		if err := plan.compileMerged(); err != nil {
-			return nil, err
-		}
+		plan.compileMerged(cs)
 	default:
 		return nil, fmt.Errorf("oig: unknown mode %d", mode)
 	}
-	plan.optimizeCountOnly()
+	for _, mask := range masksByStep(m) {
+		if cs.need[mask] {
+			c := Cond{Mask: mask, Want: s.Size(mask)}
+			if cs.label[mask] {
+				c.Label = plan.LabelSig.Counts[mask]
+			}
+			plan.Steps[maxBit(mask)].Conds = append(plan.Steps[maxBit(mask)].Conds, c)
+		}
+	}
 	plan.FP = Fingerprint(plan)
-	// Debug assertion: the compiler must only ever emit valid programs. The
-	// check is linear in the plan, dwarfed by the exponential compile itself.
+	// Debug assertion: the compiler must only ever emit valid programs.
 	if err := VerifyProgram(plan); err != nil {
 		return nil, fmt.Errorf("oig: compiler emitted an invalid plan: %w", err)
 	}
 	plan.CompileTime = time.Since(start)
 	return plan, nil
-}
-
-// optimizeCountOnly removes the size work whose answer is already known or
-// whose result nobody needs. An OpIntersect whose output slot no later
-// operation reads is, when pairwise in a merged plan, dropped — generation
-// guarantees the size (Step.ConnOverlap) — and otherwise rewritten into
-// OpIntersectCount: the engine then checks the overlap size with
-// Kernel.IntersectCount instead of materializing the vertices into a worker
-// buffer. Intersections with a label-histogram check keep their output (the
-// histogram is computed over the materialized overlap), as does every
-// OpIntersectEq (the equality comparison needs the result set). Afterwards
-// the surviving slots are compacted so NumSlots reflects the buffers a worker
-// actually needs.
-func (p *Plan) optimizeCountOnly() {
-	read := make([]bool, p.NumSlots)
-	markRead := func(o Operand) {
-		if !o.Edge {
-			read[o.Pos] = true
-		}
-	}
-	for si := range p.Steps {
-		for oi := range p.Steps[si].Ops {
-			op := &p.Steps[si].Ops[oi]
-			markRead(op.A)
-			switch op.Kind {
-			case OpIntersect, OpIntersectEq, OpEmptyCheck, OpSubsetCheck:
-				markRead(op.B)
-			}
-			switch op.Kind {
-			case OpIntersectEq, OpEqCheck:
-				markRead(op.Eq)
-			}
-		}
-	}
-
-	// Drop or convert dead-output intersections, then renumber surviving
-	// slots in first-write order.
-	remap := make([]int, p.NumSlots)
-	for i := range remap {
-		remap[i] = -1
-	}
-	slots := 0
-	for si := range p.Steps {
-		kept := p.Steps[si].Ops[:0]
-		for _, op := range p.Steps[si].Ops {
-			if op.Kind == OpIntersect && !read[op.Out] && op.LabelWant == nil {
-				if p.Mode == ModeMerged && bits.OnesCount32(op.Mask) == 2 {
-					continue
-				}
-				op.Kind = OpIntersectCount
-				op.Out = -1
-			}
-			if (op.Kind == OpIntersect || op.Kind == OpIntersectEq) && remap[op.Out] < 0 {
-				remap[op.Out] = slots
-				slots++
-			}
-			kept = append(kept, op)
-		}
-		p.Steps[si].Ops = kept
-	}
-	if slots == p.NumSlots {
-		return
-	}
-	reslot := func(o Operand) Operand {
-		if !o.Edge {
-			o.Pos = remap[o.Pos]
-		}
-		return o
-	}
-	for si := range p.Steps {
-		for oi := range p.Steps[si].Ops {
-			op := &p.Steps[si].Ops[oi]
-			op.A = reslot(op.A)
-			switch op.Kind {
-			case OpIntersect, OpIntersectEq, OpEmptyCheck, OpSubsetCheck, OpIntersectCount:
-				op.B = reslot(op.B)
-			}
-			switch op.Kind {
-			case OpIntersectEq, OpEqCheck:
-				op.Eq = reslot(op.Eq)
-			}
-			if op.Kind == OpIntersect || op.Kind == OpIntersectEq {
-				op.Out = remap[op.Out]
-			}
-		}
-	}
-	p.NumSlots = slots
 }
 
 // MustCompile is Compile that panics on error.
@@ -416,6 +248,29 @@ func MustCompile(p *pattern.Pattern, mode Mode) *Plan {
 		panic(err)
 	}
 	return pl
+}
+
+// conds marks, per hyperedge subset, whether the plan checks its overlap size
+// and whether that check includes the overlap's label histogram.
+type conds struct{ need, label []bool }
+
+// add asks for the condition |T(mask)| = sig[mask], with the label histogram
+// when label is set on a labeled plan. What no condition has to check is
+// dropped: a single hyperedge's size (its degree) and an empty pair
+// (Step.Disc) — and in a merged plan every pair without a label histogram,
+// whose size generation guarantees (Step.ConnOverlap).
+func (p *Plan) add(cs conds, mask uint32, label bool) {
+	label = label && p.Labeled
+	switch bits.OnesCount32(mask) {
+	case 0, 1:
+		return
+	case 2:
+		if p.Sig.Size(mask) == 0 || p.Mode == ModeMerged && !label {
+			return
+		}
+	}
+	cs.need[mask] = true
+	cs.label[mask] = cs.label[mask] || label
 }
 
 // maxBit returns the highest set bit index — the matching-order step at
@@ -435,76 +290,13 @@ func (p *Plan) impliedZero(mask uint32) bool {
 	return false
 }
 
-// labelWant returns the expected label histogram of the overlap for labeled
-// patterns (nil for unlabeled).
-func (p *Plan) labelWant(mask uint32) []sig.LabelCount {
-	if !p.Labeled {
-		return nil
-	}
-	return p.LabelSig.Counts[mask]
-}
-
-// chooseB picks the cheapest already-available operand whose subset contains
-// position t and is strictly inside mask: the pair/overlap with the smallest
-// pattern overlap wins (shorter buffer ⇒ cheaper intersection); the bound
-// candidate hyperedge c_t is the fallback.
-func (p *Plan) chooseB(mask uint32, t int, bufOf func(uint32) (Operand, bool)) Operand {
-	best := Operand{Edge: true, Pos: t}
-	bestSize := p.Sig.Size(1 << t)
-	for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-		if sub&(1<<t) == 0 || bits.OnesCount32(sub) < 2 {
-			continue
+// compileSimple asks for every subset's size: each non-empty one with its
+// label histogram, each minimal empty one of three or more hyperedges.
+func (p *Plan) compileSimple(cs conds) {
+	for mask := uint32(3); mask < 1<<p.Sig.M; mask++ {
+		if p.Sig.Size(mask) > 0 || !p.impliedZero(mask) {
+			p.add(cs, mask, true)
 		}
-		sz := p.Sig.Size(sub)
-		if sz == 0 || sz >= bestSize {
-			continue
-		}
-		if op, ok := bufOf(sub); ok {
-			best, bestSize = op, sz
-		}
-	}
-	return best
-}
-
-// compileSimple emits one OpIntersect per non-implied non-empty subset and
-// one OpEmptyCheck per minimal empty subset (≥3 edges); every subset owns a
-// slot.
-func (p *Plan) compileSimple() {
-	m := p.Sig.M
-	slotOf := map[uint32]int{}
-	bufOf := func(mask uint32) (Operand, bool) {
-		if bits.OnesCount32(mask) == 1 {
-			return Operand{Edge: true, Pos: maxBit(mask)}, true
-		}
-		s, ok := slotOf[mask]
-		return Operand{Pos: s}, ok
-	}
-	for _, mask := range masksByStep(m) {
-		pc := bits.OnesCount32(mask)
-		if pc < 2 {
-			continue
-		}
-		t := maxBit(mask)
-		rest := mask &^ (1 << t)
-		if p.Sig.Size(mask) == 0 {
-			if pc == 2 || p.impliedZero(mask) {
-				continue // pair → generation Disc; deeper → implied
-			}
-			a, _ := bufOf(rest)
-			p.Steps[t].Ops = append(p.Steps[t].Ops, Op{
-				Kind: OpEmptyCheck, A: a, B: Operand{Edge: true, Pos: t}, Out: -1, Mask: mask,
-			})
-			continue
-		}
-		a, _ := bufOf(rest)
-		b := p.chooseB(mask, t, bufOf)
-		out := p.NumSlots
-		p.NumSlots++
-		slotOf[mask] = out
-		p.Steps[t].Ops = append(p.Steps[t].Ops, Op{
-			Kind: OpIntersect, A: a, B: b, Out: out,
-			Want: p.Sig.Size(mask), Mask: mask, LabelWant: p.labelWant(mask),
-		})
 	}
 }
 
@@ -527,10 +319,11 @@ func compareMasks(a, b uint32) int {
 	return cmp.Or(cmp.Compare(bits.OnesCount32(a), bits.OnesCount32(b)), cmp.Compare(a, b))
 }
 
-// String renders the plan in the style of Table 1.
+// String renders the plan in the style of Table 1: each step's generation
+// constraints, then its conditions.
 func (p *Plan) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "plan(mode=%s, order=%v, slots=%d", p.Mode, p.Order, p.NumSlots)
+	fmt.Fprintf(&b, "plan(mode=%s, order=%v", p.Mode, p.Order)
 	if p.Restricted {
 		b.WriteString(", restricted")
 	}
@@ -548,23 +341,17 @@ func (p *Plan) String() string {
 			fmt.Fprintf(&b, " c%d<c%d", j, t)
 		}
 		b.WriteByte('\n')
-		for _, op := range st.Ops {
-			switch op.Kind {
-			case OpIntersect:
-				fmt.Fprintf(&b, "  s%d ← %s ∩ %s, |·|=%d  (mask %b)", op.Out, op.A, op.B, op.Want, op.Mask)
-			case OpIntersectEq:
-				fmt.Fprintf(&b, "  s%d ← %s ∩ %s, == %s  (mask %b)", op.Out, op.A, op.B, op.Eq, op.Mask)
-			case OpEmptyCheck:
-				fmt.Fprintf(&b, "  %s ∩ %s == ∅  (mask %b)", op.A, op.B, op.Mask)
-			case OpSubsetCheck:
-				fmt.Fprintf(&b, "  %s ⊆ %s  (mask %b)", op.A, op.B, op.Mask)
-			case OpEqCheck:
-				fmt.Fprintf(&b, "  %s == %s  (mask %b)", op.A, op.Eq, op.Mask)
-			case OpIntersectCount:
-				fmt.Fprintf(&b, "  |%s ∩ %s| = %d  (mask %b)", op.A, op.B, op.Want, op.Mask)
+		for _, c := range st.Conds {
+			b.WriteString("  |")
+			for i, m := 0, c.Mask; m != 0; i, m = i+1, m&(m-1) {
+				if i > 0 {
+					b.WriteString(" ∩ ")
+				}
+				fmt.Fprintf(&b, "c%d", bits.TrailingZeros32(m))
 			}
-			if op.Hint != HintAuto {
-				fmt.Fprintf(&b, "  [%s]", op.Hint)
+			fmt.Fprintf(&b, "| = %d", c.Want)
+			if c.Label != nil {
+				fmt.Fprintf(&b, ", labels %v", c.Label)
 			}
 			b.WriteByte('\n')
 		}
@@ -572,13 +359,11 @@ func (p *Plan) String() string {
 	return b.String()
 }
 
-// NumOps counts validation operations by kind.
-func (p *Plan) NumOps() map[OpKind]int {
-	out := map[OpKind]int{}
-	for _, st := range p.Steps {
-		for _, op := range st.Ops {
-			out[op.Kind]++
-		}
+// NumOps returns the number of conditions at each step.
+func (p *Plan) NumOps() []int {
+	out := make([]int, len(p.Steps))
+	for t, st := range p.Steps {
+		out[t] = len(st.Conds)
 	}
 	return out
 }

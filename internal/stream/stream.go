@@ -335,8 +335,8 @@ func (m *Miner) planOpts() engine.Options {
 }
 
 // ensureAnchorPlans lazily compiles q's anchor-first plans against the
-// current store (plans carry only pattern semantics plus advisory container
-// hints, so a plan compiled once stays correct as the store evolves).
+// current store (plans carry only pattern semantics, so a plan compiled once
+// stays correct as the store evolves).
 func (m *Miner) ensureAnchorPlans(q *query) error {
 	if q.anchorPlans != nil {
 		return nil
@@ -344,7 +344,7 @@ func (m *Miner) ensureAnchorPlans(q *query) error {
 	o, plans := m.planOpts(), make([]*oig.Plan, q.p.NumEdges())
 	for a := range plans {
 		var err error
-		if plans[a], err = engine.CompilePlanOrdered(m.store, q.p, q.p.MatchingOrderFrom(a), o); err != nil {
+		if plans[a], err = engine.CompilePlanOrdered(q.p, q.p.MatchingOrderFrom(a), o); err != nil {
 			return err
 		}
 	}

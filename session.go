@@ -113,8 +113,8 @@ func (s *Session) Store() *Store { return s.st.Load().store }
 
 // SetStore repoints the session at a new store version — the streaming
 // subsystem's compaction and reload paths, or any dataset refresh, produce
-// these. The plan cache is retained (plans are compiled from the pattern;
-// store-derived hints are advisory), while cached results stop matching
+// these. The plan cache is retained (plans are compiled from the pattern),
+// while cached results stop matching
 // automatically because they are keyed under the previous dataset
 // fingerprint: a swap to different content misses, a swap back to
 // byte-identical content hits again. In-flight queries complete against
