@@ -47,6 +47,7 @@ bench-check:
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/hypergraph
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/pattern
+	$(GO) test -fuzz FuzzCanonicalKey -fuzztime 30s ./internal/pattern
 	$(GO) test -fuzz FuzzLoad -fuzztime 30s ./internal/dal
 	$(GO) test -fuzz FuzzIntersectKernels -fuzztime 30s ./internal/intset
 	$(GO) test -fuzz FuzzPlanVerify -fuzztime 30s ./internal/engine

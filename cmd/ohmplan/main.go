@@ -26,12 +26,6 @@ import (
 	"ohminer/internal/venn"
 )
 
-// mustKey returns the canonical key of a pattern known to canonicalize.
-func mustKey(p *pattern.Pattern) string {
-	k, _ := pattern.CanonicalKey(p)
-	return k
-}
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "ohmplan:", err)
@@ -67,8 +61,12 @@ func run() error {
 
 	out.Printf("pattern: %s  (%d hyperedges, %d vertices, %d automorphisms)\n",
 		p, p.NumEdges(), p.NumVertices(), p.Automorphisms())
-	if cp, ok := pattern.Canonical(p); ok {
-		out.Printf("canonical form: %s  (key %x)\n", cp, mustKey(p))
+	if c, ok := pattern.Canonicalize(p); ok {
+		cp, err := c.Pattern()
+		if err != nil {
+			return err
+		}
+		out.Printf("canonical form: %s  (key %x)\n", cp, c.Key)
 	} else {
 		out.Printf("canonical form: (skipped: more than %d hyperedges)\n", pattern.CanonMaxEdges)
 	}

@@ -52,77 +52,48 @@ func (s Shape) String() string {
 	return "shape{" + strings.Join(parts, " ") + "}"
 }
 
-// Pattern realizes the shape as a concrete pattern: vertices are assigned
-// region by region, and hyperedge i collects the vertices of every region
-// whose mask contains bit i.
+// Pattern realizes the shape as a concrete pattern laid out by regionEdges.
 func (s Shape) Pattern() (*Pattern, error) {
-	edges := make([][]uint32, s.K)
+	return New(regionEdges(s.K, func(mask int) int { return s.Regions[mask] }), nil)
+}
+
+// regionEdges lays out count(mask) vertices per region, region by region in
+// ascending mask order; hyperedge i collects the vertices of every region
+// whose mask contains bit i.
+func regionEdges(k int, count func(mask int) int) [][]uint32 {
+	edges := make([][]uint32, k)
 	next := uint32(0)
-	for mask := 1; mask < len(s.Regions); mask++ {
-		for n := 0; n < s.Regions[mask]; n++ {
-			v := next
-			next++
-			for i := 0; i < s.K; i++ {
+	for mask := 1; mask < 1<<k; mask++ {
+		for n := 0; n < count(mask); n++ {
+			for i := 0; i < k; i++ {
 				if mask&(1<<i) != 0 {
-					edges[i] = append(edges[i], v)
+					edges[i] = append(edges[i], next)
 				}
 			}
+			next++
 		}
 	}
-	return New(edges, nil)
+	return edges
 }
 
 // ShapeOf returns the canonical shape of an unlabeled pattern.
 func ShapeOf(p *Pattern) Shape {
-	regions := p.Signature().RegionSizes()
-	return Shape{K: p.NumEdges(), Regions: canonicalRegions(p.NumEdges(), regions)}
+	return canonicalShape(p.NumEdges(), p.Signature().RegionSizes())
 }
 
-// canonicalRegions returns the lexicographically minimal region vector over
-// all permutations of hyperedge bits.
-func canonicalRegions(k int, regions []int) []int {
-	best := make([]int, 1<<k)
-	copy(best, regions)
-	best[0] = 0
-	perm := make([]int, k)
-	for i := range perm {
-		perm[i] = i
+// canonicalShape returns the lexicographically minimal region vector over all
+// permutations of hyperedge bits, found by the canonical search.
+func canonicalShape(k int, regions []int) Shape {
+	s := newCanonSearch(k, false, nil)
+	for mask := 1; mask < 1<<k; mask++ {
+		s.counts[mask] = uint32(regions[mask])
 	}
-	cand := make([]int, 1<<k)
-	permute(perm, 0, func(p []int) {
-		cand[0] = 0
-		for mask := 1; mask < 1<<k; mask++ {
-			var pm uint32
-			for i := 0; i < k; i++ {
-				if mask&(1<<i) != 0 {
-					pm |= 1 << uint(p[i])
-				}
-			}
-			cand[mask] = regions[pm]
-		}
-		for i := 1; i < 1<<k; i++ {
-			if cand[i] < best[i] {
-				copy(best, cand)
-				break
-			}
-			if cand[i] > best[i] {
-				break
-			}
-		}
-	})
-	return best
-}
-
-func permute(p []int, pos int, fn func([]int)) {
-	if pos == len(p) {
-		fn(p)
-		return
+	s.bind(0, true)
+	canon := make([]int, 1<<k)
+	for mask := 1; mask < 1<<k; mask++ {
+		canon[mask] = int(s.best[mask-1])
 	}
-	for i := pos; i < len(p); i++ {
-		p[pos], p[i] = p[i], p[pos]
-		permute(p, pos+1, fn)
-		p[pos], p[i] = p[i], p[pos]
-	}
+	return Shape{K: k, Regions: canon}
 }
 
 // EnumerateShapes lists every connected K-hyperedge shape whose regions
@@ -148,8 +119,7 @@ func EnumerateShapes(k, maxRegionSize, maxVertices int) ([]Shape, error) {
 			if !shapeValid(k, regions) {
 				return
 			}
-			canon := canonicalRegions(k, regions)
-			s := Shape{K: k, Regions: canon}
+			s := canonicalShape(k, regions)
 			key := s.Key()
 			if !seen[key] {
 				seen[key] = true

@@ -229,13 +229,14 @@ func (s *Session) plan(p *Pattern, o engine.Options, store *Store) (*Plan, sessi
 		restricted: !o.NoSymmetryBreak && o.PositionFilter == nil,
 		dataAware:  o.DataAwareOrder,
 	}
-	canonical := false
-	if ck, ok := pattern.CanonicalKey(p); ok {
+	// One canonical search per request: a hit needs only its key, and a miss
+	// realizes the representative from the same search.
+	canon, canonical := pattern.Canonicalize(p)
+	if canonical {
 		// Isomorphic literals share this key (Theorem 1 extended with label
 		// multisets); the plan itself is compiled from the canonical
 		// representative so every literal maps onto the identical plan.
-		key.canon = ck
-		canonical = true
+		key.canon = canon.Key
 	} else {
 		// Beyond pattern.CanonMaxEdges canonicalization is too expensive;
 		// fall back to exact literal identity. The "lit:" prefix cannot
@@ -257,7 +258,7 @@ func (s *Session) plan(p *Pattern, o engine.Options, store *Store) (*Plan, sessi
 		compiled = true
 		cp := p
 		if canonical {
-			if c, cok := pattern.Canonical(p); cok {
+			if c, err := canon.Pattern(); err == nil {
 				cp = c
 			}
 		}
