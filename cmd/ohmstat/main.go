@@ -41,7 +41,6 @@ func run() error {
 		seed    = flag.Int64("seed", 1, "sampling seed for the density probe")
 		part    = flag.String("partition", "", "pattern literal: report how this pattern's first-hyperedge candidate space splits into cluster task ranges")
 		parts   = flag.Int("parts", 16, "task-range count for -partition (matches ohmserve -cluster-parts)")
-		daOrder = flag.Bool("data-aware", false, "use the data-aware matching order for -partition (matches the job's data_aware_order)")
 	)
 	flag.Parse()
 
@@ -154,7 +153,7 @@ func run() error {
 			top, topDeg, low, lowDeg)
 
 		if *part != "" {
-			if err := reportPartition(out, store, *part, *parts, *daOrder); err != nil {
+			if err := reportPartition(out, store, *part, *parts); err != nil {
 				return err
 			}
 		}
@@ -169,8 +168,10 @@ func run() error {
 // task ranges exactly as the cluster coordinator does it, and the balance of
 // candidate counts per range bounds how evenly the leases can spread. (The
 // subtree cost under each candidate still varies — candidate counts are the
-// partitioning's input, not a perfect cost model.)
-func reportPartition(out *cliio.Writer, store *dal.Store, pat string, parts int, dataAware bool) error {
+// partitioning's input, not a perfect cost model.) It first prints the
+// matching order the job runs — chosen by cost on this store — with the
+// bindings the cost model expects at each position.
+func reportPartition(out *cliio.Writer, store *dal.Store, pat string, parts int) error {
 	p, err := pattern.Parse(pat)
 	if err != nil {
 		return fmt.Errorf("-partition pattern: %w", err)
@@ -178,10 +179,14 @@ func reportPartition(out *cliio.Writer, store *dal.Store, pat string, parts int,
 	if parts <= 0 {
 		return fmt.Errorf("-parts must be positive")
 	}
-	opts := engine.Options{DataAwareOrder: dataAware}
+	var opts engine.Options
 	plan, err := engine.CompilePlan(store, p, opts)
 	if err != nil {
 		return err
+	}
+	out.Printf("  matching order for %q, by estimated cost on this store:\n", pat)
+	for t, b := range engine.EstimatedBindings(store, plan) {
+		out.Printf("    position %d: hyperedge %d (degree %d), ~%.3g bindings\n", t, plan.Order[t], plan.Steps[t].Degree, b)
 	}
 	cands := engine.FirstCandidates(store, plan, opts)
 	tasks := engine.PartitionFrontier(cands, parts)

@@ -138,7 +138,7 @@ func mineLease(t *testing.T, store *dal.Store, lease *Lease) Report {
 	if err != nil {
 		t.Fatalf("parse lease pattern: %v", err)
 	}
-	opts := engine.Options{Workers: 2, DataAwareOrder: lease.DataAwareOrder}
+	opts := engine.Options{Workers: 2}
 	plan, err := engine.CompilePlan(store, p, opts)
 	if err != nil {
 		t.Fatalf("compile lease plan: %v", err)
@@ -451,6 +451,43 @@ func TestGraphFingerprintMismatch(t *testing.T) {
 	code := postJSON(t, srv, "/cluster/lease", LeaseRequest{Worker: "alien", GraphFP: 0xdead}, nil)
 	if code != http.StatusConflict {
 		t.Fatalf("mismatched lease: status %d, want %d (%s)", code, http.StatusConflict, er.Error)
+	}
+}
+
+// TestJobDataAwareOrderIgnored: "data_aware_order" named a matching-order
+// option that no longer exists. A job body carrying it still decodes under
+// DisallowUnknownFields, and its leases carry the plan engine.CompilePlan
+// compiles — the one every worker on this store compiles too.
+func TestJobDataAwareOrderIgnored(t *testing.T) {
+	store, pat, _ := starWorkload(t)
+	_, srv := testCluster(t, store, Config{Parts: 2})
+	body := fmt.Sprintf(`{"id": "d", "pattern": %q, "data_aware_order": true}`, pat)
+	resp, err := http.Post(srv.URL+"/cluster/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("create with data_aware_order: status %d", resp.StatusCode)
+	}
+	var lease Lease
+	if code := postJSON(t, srv, "/cluster/lease", LeaseRequest{Worker: "w", GraphFP: store.Hypergraph().Fingerprint()}, &lease); code != http.StatusOK {
+		t.Fatalf("lease: status %d", code)
+	}
+	snap, err := checkpoint.Decode(bytes.NewReader(lease.Snapshot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pattern.Parse(pat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := engine.CompilePlan(store, p, engine.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lease.DataAwareOrder || snap.PlanFP != engine.PlanFingerprint(plan) {
+		t.Fatalf("lease data_aware_order=%v, plan %#x; CompilePlan gives %#x", lease.DataAwareOrder, snap.PlanFP, engine.PlanFingerprint(plan))
 	}
 }
 

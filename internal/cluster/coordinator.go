@@ -135,11 +135,10 @@ type taskLease struct {
 type clusterJob struct {
 	id   string
 	spec JobSpec
-	// plan, opts and planFP exist only while the job can still hand out or
-	// take back work: a job restored from a snapshot in a terminal state
-	// keeps its counters and task table but is never compiled again.
+	// plan and planFP exist only while the job can still hand out or take
+	// back work: a job restored from a snapshot in a terminal state keeps its
+	// counters and task table but is never compiled again.
 	plan   *oig.Plan
-	opts   engine.Options
 	planFP uint64
 	// auto is the pattern's automorphism count (1 when the spec no longer
 	// parses), fixed at admission or restore.
@@ -329,37 +328,36 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /cluster/report", c.handleReport)
 }
 
-// compileSpec turns a job spec into its plan and options. Deterministic over
-// an identical store, which is what lets WAL replay rebuild a job's plan and
-// task partition from its admit record alone.
-func (c *Coordinator) compileSpec(spec JobSpec) (*oig.Plan, engine.Options, error) {
+// compileSpec turns a job spec into its plan. Deterministic over an
+// identical store, which is what lets WAL replay rebuild a job's plan and task
+// partition from its admit record alone.
+func (c *Coordinator) compileSpec(spec JobSpec) (*oig.Plan, error) {
 	p, err := pattern.Parse(spec.Pattern)
 	if err != nil {
-		return nil, engine.Options{}, fmt.Errorf("bad pattern: %w", err)
+		return nil, fmt.Errorf("bad pattern: %w", err)
 	}
 	if err := engine.CheckVariant(spec.Variant); err != nil {
-		return nil, engine.Options{}, err
+		return nil, err
 	}
-	opts := engine.Options{DataAwareOrder: spec.DataAwareOrder}
-	plan, err := engine.CompilePlan(c.store, p, opts)
+	plan, err := engine.CompilePlan(c.store, p, engine.Options{})
 	if err != nil {
-		return nil, engine.Options{}, err
+		return nil, err
 	}
 	// Mirror the engine's preflight checks so a label mismatch fails the
 	// job at creation, not on every worker.
 	if plan.Labeled && !c.store.Hypergraph().Labeled() {
-		return nil, engine.Options{}, errors.New("labeled pattern on unlabeled hypergraph")
+		return nil, errors.New("labeled pattern on unlabeled hypergraph")
 	}
 	if plan.Pattern.EdgeLabeled() && !c.store.Hypergraph().EdgeLabeled() {
-		return nil, engine.Options{}, errors.New("hyperedge-labeled pattern on hypergraph without hyperedge labels")
+		return nil, errors.New("hyperedge-labeled pattern on hypergraph without hyperedge labels")
 	}
-	return plan, opts, nil
+	return plan, nil
 }
 
 // buildJob compiles and partitions a job (id is filled in by the caller).
 // Only the store is read; no coordinator state is touched.
 func (c *Coordinator) buildJob(spec JobSpec) (*clusterJob, error) {
-	plan, opts, err := c.compileSpec(spec)
+	plan, err := c.compileSpec(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -367,9 +365,9 @@ func (c *Coordinator) buildJob(spec JobSpec) (*clusterJob, error) {
 	if parts <= 0 {
 		parts = c.cfg.Parts
 	}
-	frontier := engine.PartitionFrontier(engine.FirstCandidates(c.store, plan, opts), parts)
+	frontier := engine.PartitionFrontier(engine.FirstCandidates(c.store, plan, engine.Options{}), parts)
 	j := &clusterJob{
-		spec: spec, plan: plan, opts: opts,
+		spec: spec, plan: plan,
 		planFP:  engine.PlanFingerprint(plan),
 		auto:    plan.Pattern.Automorphisms(),
 		state:   "running",
@@ -617,11 +615,10 @@ func (c *Coordinator) offerLocked(skip *taskLease) *Lease {
 			}
 			return &Lease{
 				Job: j.id, Task: idx, Epoch: t.epoch + 1,
-				Pattern:        j.spec.Pattern,
-				DataAwareOrder: j.spec.DataAwareOrder,
-				Snapshot:       payload,
-				HeartbeatMS:    c.cfg.HeartbeatEvery.Milliseconds(),
-				TTLMS:          c.cfg.LeaseTTL.Milliseconds(),
+				Pattern:     j.spec.Pattern,
+				Snapshot:    payload,
+				HeartbeatMS: c.cfg.HeartbeatEvery.Milliseconds(),
+				TTLMS:       c.cfg.LeaseTTL.Milliseconds(),
 			}
 		}
 	}
@@ -1132,10 +1129,10 @@ func (c *Coordinator) restoreStateLocked(st *walState) {
 		if j.state == "running" {
 			if st.GraphFP != c.graphFP {
 				c.failJobLocked(j, fmt.Sprintf("replay: snapshot is for dataset %#x, coordinator now serves %#x", st.GraphFP, c.graphFP))
-			} else if plan, opts, err := c.compileSpec(wj.Spec); err != nil {
+			} else if plan, err := c.compileSpec(wj.Spec); err != nil {
 				c.failJobLocked(j, "replay: job spec no longer compiles: "+err.Error())
 			} else {
-				j.plan, j.opts, j.planFP = plan, opts, engine.PlanFingerprint(plan)
+				j.plan, j.planFP = plan, engine.PlanFingerprint(plan)
 			}
 		}
 		for ti := range wj.Tasks {

@@ -47,9 +47,8 @@ type WorkerConfig struct {
 	// transient lease/report errors (0 = 30s).
 	MaxBackoff time.Duration
 	// Engine carries local execution knobs — Workers, SplitDepth,
-	// SplitThreshold, Instrument. The one plan-shaping option,
-	// DataAwareOrder, is overridden per lease from the coordinator's job
-	// spec so every node compiles the identical plan.
+	// SplitThreshold, Instrument. The plan depends only on the lease's
+	// pattern and the store, so every node compiles the identical plan.
 	Engine engine.Options
 	// OnEmbedding, when set, observes every embedding mined locally (test
 	// hook; also where faultinject wraps its triggers).
@@ -70,17 +69,11 @@ type Worker struct {
 	lost      atomic.Uint64 // leases abandoned after a heartbeat fence
 	fenced    atomic.Uint64 // reports the coordinator refused as stale
 
-	// The last compiled plan and what it was compiled from: the leases of one
-	// job name the same pattern, so they parse and compile once. Touched only
-	// by the Run goroutine.
-	planKey planKey
-	plan    *oig.Plan
-}
-
-// planKey is everything of a lease that shapes its plan.
-type planKey struct {
-	pattern        string
-	dataAwareOrder bool
+	// The last compiled plan and the pattern it was compiled from: the leases
+	// of one job name the same pattern, so they parse and compile once.
+	// Touched only by the Run goroutine.
+	planPattern string
+	plan        *oig.Plan
 }
 
 // leaseWait is how long an idle worker asks the coordinator to hold a lease
@@ -235,10 +228,9 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) *Lease {
 }
 
 // planFor returns the plan of lease's job, compiled on the first lease that
-// names this (pattern, order) and reused by the ones that follow.
+// names this pattern and reused by the ones that follow.
 func (w *Worker) planFor(lease *Lease, opts engine.Options) (*oig.Plan, error) {
-	key := planKey{lease.Pattern, lease.DataAwareOrder}
-	if w.plan != nil && w.planKey == key {
+	if w.plan != nil && w.planPattern == lease.Pattern {
 		return w.plan, nil
 	}
 	p, err := pattern.Parse(lease.Pattern)
@@ -249,7 +241,7 @@ func (w *Worker) planFor(lease *Lease, opts engine.Options) (*oig.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.planKey, w.plan = key, plan
+	w.planPattern, w.plan = lease.Pattern, plan
 	return plan, nil
 }
 
@@ -265,7 +257,6 @@ func (w *Worker) mine(ctx context.Context, lease *Lease) (engine.Result, []byte,
 		return engine.Result{}, nil, err
 	}
 	opts := w.cfg.Engine
-	opts.DataAwareOrder = lease.DataAwareOrder
 	opts.OnEmbedding = w.cfg.OnEmbedding
 	mem := &checkpoint.MemSink{}
 	opts.Checkpoint = mem

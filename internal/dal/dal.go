@@ -46,8 +46,9 @@ type Store struct {
 	// Global degree index: degList holds the sorted distinct hyperedge
 	// degrees; the edges of degree degList[k] are
 	// degEdges[degOff[k]:degOff[k+1]], ascending. Built once so
-	// EdgesWithDegree (the first mining step of every run) and data-aware
-	// ordering answer from a CSR lookup instead of an O(E) scan.
+	// EdgesWithDegree (the first mining step of every run) and the
+	// matching-order cost model answer from a CSR lookup instead of an O(E)
+	// scan.
 	degList  []uint32
 	degOff   []uint32
 	degEdges []uint32
@@ -68,6 +69,10 @@ type Store struct {
 	evWords    []uint64
 	evOff      []uint32
 	evBase     []uint32
+
+	// stats are the group sums the matching-order cost model reads
+	// (GroupSum), computed on first use.
+	stats groupStats
 
 	buildTime time.Duration
 }

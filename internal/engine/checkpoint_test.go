@@ -341,7 +341,7 @@ func TestParentSnapshotResumes(t *testing.T) {
 	}
 }
 
-// chainWorkload is what testdata/parent_pr28_chain.ohmc was cut on (see
+// chainWorkload is what testdata/parent_pr30_chain.ohmc was cut on (see
 // internal/tools/goldengen): the path of three 2-vertex hyperedges over the
 // complete graph on 12 vertices, which has 12·11·10·9 ordered embeddings.
 func chainWorkload() (*dal.Store, *pattern.Pattern, uint64) {
@@ -349,14 +349,15 @@ func chainWorkload() (*dal.Store, *pattern.Pattern, uint64) {
 	return completeGraph(n), pattern.MustNew([][]uint32{{0, 1}, {1, 2}, {2, 3}}, nil), n * (n - 1) * (n - 2) * (n - 3)
 }
 
-// TestParentChainSnapshotResumes loads testdata/parent_pr28_chain.ohmc (`make
-// golden TAG=pr28`): its frontier holds last-position ranges, which a worker
+// TestParentChainSnapshotResumes loads testdata/parent_pr30_chain.ohmc (`make
+// golden TAG=pr30`, cut once CompilePlan chose the matching order by cost): its
+// frontier holds last-position ranges, which a worker
 // explores as they are, so every one of their candidates must already avoid
 // the bindings at its Disc positions. The file must validate and resume to
 // the exact total.
 func TestParentChainSnapshotResumes(t *testing.T) {
 	store, p, want := chainWorkload()
-	snap, err := checkpoint.ReadFile("testdata/parent_pr28_chain.ohmc")
+	snap, err := checkpoint.ReadFile("testdata/parent_pr30_chain.ohmc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,9 +450,11 @@ func TestParentCliqueSnapshotResumes(t *testing.T) {
 
 // TestOlderSnapshotRefused: snapshots cut under an older plan of the same
 // query — parent_pr16.ohmc before pairwise overlap sizes moved into
-// generation, the parent_pr21 files before disconnection did, and
-// parent_pr25_clique.ohmc by the engine that interpreted ops — hold
-// candidate ranges today's plan would not have generated or kept. Each must
+// generation, the parent_pr21 files before disconnection did,
+// parent_pr25_clique.ohmc by the engine that interpreted ops, and
+// parent_pr28_chain.ohmc in the structural matching order, which the order
+// chosen by cost on the complete graph replaced — hold candidate ranges
+// today's plan would not have generated or kept. Each must
 // be refused as written for a different plan (ErrWrongPlan) — by
 // ValidateSnapshot and by both resume entry points — never resumed to a
 // count.
@@ -464,6 +467,7 @@ func TestOlderSnapshotRefused(t *testing.T) {
 		{"parent_pr21.ohmc", starWorkload},
 		{"parent_pr21_chain.ohmc", chainWorkload},
 		{"parent_pr25_clique.ohmc", cliqueWorkload},
+		{"parent_pr28_chain.ohmc", chainWorkload},
 	} {
 		store, p, _ := c.workload()
 		snap, err := checkpoint.ReadFile(filepath.Join("testdata", c.file))

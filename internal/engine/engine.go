@@ -78,11 +78,6 @@ type Options struct {
 	// Only consulted by the plan-compiling entry points (Mine/MineContext/
 	// CompilePlan); MineWithPlan follows the plan it is given.
 	NoSymmetryBreak bool
-	// DataAwareOrder derives the matching order from data-hypergraph
-	// selectivity (fewest degree-matching data hyperedges first), the
-	// ordering strategy the paper adopts from HGMatch (Sec. 4.3.2), instead
-	// of the purely structural connectivity order.
-	DataAwareOrder bool
 	// PositionFilter, when set, restricts which data hyperedge may bind to
 	// each matching-order position (anchored enumeration; used by the
 	// incremental miner to count embeddings touching newly inserted
@@ -238,18 +233,6 @@ func MineContext(ctx context.Context, store *dal.Store, p *pattern.Pattern, opts
 		return Result{}, err
 	}
 	return MineWithPlanContext(ctx, store, plan, opts)
-}
-
-// dataAwareOrder scores each pattern hyperedge by the number of data
-// hyperedges sharing its degree (the candidate pool of the first step) and
-// orders the most selective hyperedge first. The counts come straight from
-// the DAL's degree index — no hypergraph scan.
-func dataAwareOrder(store *dal.Store, p *pattern.Pattern) []int {
-	sel := make([]int, p.NumEdges())
-	for i := range sel {
-		sel[i] = store.NumEdgesWithDegree(p.Degree(i))
-	}
-	return p.MatchingOrderWithSelectivity(sel)
 }
 
 // MineWithPlan runs a precompiled merged plan.

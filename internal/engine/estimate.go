@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ohminer/internal/dal"
-	"ohminer/internal/oig"
 	"ohminer/internal/pattern"
 )
 
@@ -38,8 +37,9 @@ func EstimateCount(store *dal.Store, p *pattern.Pattern, fraction float64, seed 
 	}
 	// The estimator's per-root scaling and variance math are defined over
 	// ordered tuples, so the plan is always compiled without
-	// symmetry-breaking restrictions.
-	plan, err := oig.CompileWith(p, oig.ModeMerged, oig.CompileOptions{NoRestrictions: true})
+	// symmetry-breaking restrictions — in the order Mine would run, so the
+	// sampled subtrees are the ones Mine explores.
+	plan, err := CompilePlanOrdered(p, chooseOrder(store, p), Options{NoSymmetryBreak: true})
 	if err != nil {
 		return Estimate{}, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"ohminer/internal/dal"
 	"ohminer/internal/gen"
+	"ohminer/internal/hypergraph"
 	"ohminer/internal/pattern"
 )
 
@@ -122,5 +123,37 @@ func TestEstimateNoRoots(t *testing.T) {
 	}
 	if est.Ordered != 0 || est.TotalRoots != 0 {
 		t.Fatalf("%+v", est)
+	}
+}
+
+// TestEstimateSamplesMinesPlan: EstimateCount samples the roots of the plan
+// Mine runs — the order chosen by cost on the store — not of the structural
+// order's, which starts at the larger degree where the fixture has one
+// hyperedge of the smaller.
+func TestEstimateSamplesMinesPlan(t *testing.T) {
+	edges := [][]uint32{{0, 1}}
+	for i := uint32(0); i < 12; i++ {
+		edges = append(edges, []uint32{i, (i + 1) % 12, (i + 2) % 12, (i + 3) % 12})
+	}
+	store := dal.Build(hypergraph.MustBuild(12, edges, nil))
+	p := pattern.MustNew([][]uint32{{0, 1}, {1, 2, 3, 4}}, nil)
+	mined, err := Mine(store, p, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	structural, err := CompilePlanOrdered(p, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := len(FirstCandidates(store, mined.Plan, Options{}))
+	if other := len(FirstCandidates(store, structural, Options{})); other == roots {
+		t.Fatalf("both orders start from %d roots: the fixture no longer tells them apart", roots)
+	}
+	est, err := EstimateCount(store, p, 1, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.TotalRoots != roots || est.Ordered != float64(mined.Ordered) {
+		t.Fatalf("estimate over %d roots counts %v; Mine's plan has %d roots and counts %d", est.TotalRoots, est.Ordered, roots, mined.Ordered)
 	}
 }

@@ -4,14 +4,13 @@ import (
 	"fmt"
 
 	"ohminer/internal/baseline"
-	"ohminer/internal/engine"
 	"ohminer/internal/intset"
 )
 
 func init() {
 	register(Experiment{
 		ID:    "extras",
-		Title: "Repository ablations: merge optimization, kernels, matching order (beyond the paper's figures)",
+		Title: "Repository ablations: merge optimization, kernels (beyond the paper's figures)",
 		Run:   runExtras,
 	})
 }
@@ -25,14 +24,13 @@ func init() {
 //   - ModeMerged vs ModeSimple plans on identical DAL generation (the OIG
 //     merge optimization in isolation);
 //   - adaptive vs scalar set kernels (the SIMD stand-in, cf. the paper's
-//     3.8x-19.6x no-SIMD claim);
-//   - structural vs data-aware matching order.
+//     3.8x-19.6x no-SIMD claim).
 func runExtras(c *Context, opts RunOpts) ([]*Table, error) {
 	t := &Table{
 		Title:  "Extras: repository-level ablations (times per cell, OHMiner generation)",
-		Header: []string{"dataset", "setting", "merged", "baseline-merged", "simple", "scalar-kernel", "data-aware-order"},
+		Header: []string{"dataset", "setting", "merged", "baseline-merged", "simple", "scalar-kernel"},
 		Notes: []string{
-			"merged = full OHMiner on the production engine; data-aware = the same with the selectivity-first matching order",
+			"merged = full OHMiner on the production engine",
 			"baseline-merged = internal/baseline's OHMiner cell (parity with merged); simple = its IEP-only plan; scalar = its no-SIMD kernels",
 		},
 	}
@@ -41,7 +39,6 @@ func runExtras(c *Context, opts RunOpts) ([]*Table, error) {
 		baselineSys("baseline-merged", baseline.Options{}),
 		baselineSys("simple", baseline.Options{Val: baseline.ValOverlapSimple}),
 		baselineSys("scalar", baseline.Options{Kernel: intset.Scalar}),
-		production("data-aware", engine.Options{DataAwareOrder: true}),
 	}
 	for _, tag := range datasetsFor(opts, []string{"SB", "HB", "WT"}, []string{"SB"}) {
 		store, err := c.Dataset(tag)

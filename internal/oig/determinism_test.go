@@ -45,3 +45,46 @@ func TestModeStrings(t *testing.T) {
 		t.Fatal("mode strings")
 	}
 }
+
+// TestCondStepsMatchCompile: for every hyperedge order of sampled patterns
+// (vertex-labelled ones included), CondSteps.At names exactly the steps the
+// merged plan compiled in that order puts conditions at — the order chooser
+// prices conditions from it instead of compiling each order.
+func TestCondStepsMatchCompile(t *testing.T) {
+	h := gen.MustGenerate(gen.Config{Name: "c", NumVertices: 120, NumEdges: 500,
+		Communities: 6, MemberOverlap: 1.4, EdgeSizeMin: 3, EdgeSizeMax: 10, EdgeSizeMean: 6, Seed: 31})
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 40; trial++ {
+		p, err := pattern.Sample(h, 2+rng.Intn(4), 2, 45, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trial%4 == 3 {
+			labels := make([]uint32, p.NumVertices())
+			for v := range labels {
+				labels[v] = uint32(rng.Intn(2))
+			}
+			if p, err = pattern.New(p.Edges(), labels); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cs := NewCondSteps(p)
+		order := rng.Perm(p.NumEdges())
+		for k := 0; k < 6; k++ {
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			plan, err := CompileOrdered(p, ModeMerged, order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want uint32
+			for st, s := range plan.Steps {
+				if len(s.Conds) > 0 {
+					want |= 1 << st
+				}
+			}
+			if got := cs.At(order); got != want {
+				t.Fatalf("trial %d order %v: CondSteps %b, plan has conditions at %b\n%s", trial, order, got, want, plan)
+			}
+		}
+	}
+}

@@ -1,21 +1,30 @@
 package oig
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 
-	"ohminer/internal/intset"
+	"ohminer/internal/pattern"
+	"ohminer/internal/sig"
 )
 
 // class groups the hyperedge subsets whose pattern overlap is one and the
 // same vertex set X — the merge optimization of Sec. 4.3.1
-// (MergeForUnique). Members are kept in readiness order; the minimal ones
-// contain no other member, and the first minimal is the representative.
+// (MergeForUnique). The minimal members contain no other member; the first of
+// them in readiness order is the class's representative.
 type class struct {
-	members  []uint32
 	minimals []uint32
-	rep      uint32
 	union    uint32 // OR of members
+}
+
+// mergedConds is the part of a merged plan's conditions that does not depend
+// on the matching order, in the hyperedge indexing of the pattern it was
+// derived from: the classes, and the minimal empty subsets. Only each class's
+// representative depends on the order.
+type mergedConds struct {
+	classes []class
+	empty   []uint32
 }
 
 // compileMerged asks for the conditions of the merged plan. With T(M) =
@@ -32,68 +41,120 @@ type class struct {
 // label histogram; every other subset is implied, at the step of its newest
 // hyperedge already.
 func (p *Plan) compileMerged(cs conds) {
-	for _, c := range p.classes() {
-		p.add(cs, c.rep, true)
-		for rest := c.union &^ c.rep; rest != 0; rest &= rest - 1 {
-			p.add(cs, c.rep|rest&-rest, false)
-		}
+	identity := make([]int, p.Sig.M)
+	for i := range identity {
+		identity[i] = i
+	}
+	newMergedConds(p.Sig).each(identity, func(mask uint32, label bool) {
+		p.add(cs, mask, label)
+	})
+}
+
+// each calls emit for every condition the merged plan asks for when
+// hyperedge i is matched at position pos[i].
+func (mc mergedConds) each(pos []int, emit func(mask uint32, label bool)) {
+	for _, c := range mc.classes {
+		rep := c.minimals[0]
 		for _, mk := range c.minimals[1:] {
-			if bits.OnesCount32(mk) >= 3 {
-				p.add(cs, mk, false)
+			if readyBefore(mk, rep, pos) {
+				rep = mk
+			}
+		}
+		emit(rep, true)
+		for rest := c.union &^ rep; rest != 0; rest &= rest - 1 {
+			emit(rep|rest&-rest, false)
+		}
+		for _, mk := range c.minimals {
+			if mk != rep && bits.OnesCount32(mk) >= 3 {
+				emit(mk, false)
 			}
 		}
 	}
-	for mask := uint32(3); mask < 1<<p.Sig.M; mask++ {
-		if p.Sig.Size(mask) == 0 && !p.impliedZero(mask) {
-			p.add(cs, mask, false)
-		}
+	for _, mask := range mc.empty {
+		emit(mask, false)
 	}
 }
 
-// classes groups the non-empty subsets by pattern overlap.
-func (p *Plan) classes() []*class {
-	sets := p.overlapSets()
-	byKey := map[string]*class{}
-	var out []*class
-	for _, mask := range masksByStep(p.Sig.M) {
-		if p.Sig.Size(mask) == 0 {
+// readyBefore reports whether subset a comes before subset b in readiness
+// order — masksByStep's — when hyperedge i is matched at position pos[i].
+func readyBefore(a, b uint32, pos []int) bool {
+	pa, pb := positions(a, pos), positions(b, pos)
+	return cmp.Or(cmp.Compare(maxBit(pa), maxBit(pb)), compareMasks(pa, pb)) < 0
+}
+
+// positions maps a subset of hyperedges to the positions they are matched at,
+// hyperedge i at pos[i].
+func positions(mask uint32, pos []int) uint32 {
+	var at uint32
+	for m := mask; m != 0; m &= m - 1 {
+		at |= 1 << pos[bits.TrailingZeros32(m)]
+	}
+	return at
+}
+
+// newMergedConds groups the non-empty subsets by pattern overlap and collects
+// the minimal empty subsets of three or more hyperedges. Two subsets S and S'
+// overlap in the same vertex set exactly when sig[S] = sig[S ∪ S'] = sig[S'],
+// so the signature alone decides the classes.
+func newMergedConds(s sig.Signature) mergedConds {
+	var mc mergedConds
+	var members [][]uint32
+	for mask := uint32(1); mask < 1<<s.M; mask++ {
+		w := s.Size(mask)
+		if w == 0 {
+			if bits.OnesCount32(mask) >= 3 && !impliedZero(s, mask) {
+				mc.empty = append(mc.empty, mask)
+			}
 			continue
 		}
-		k := setKey(sets[mask])
-		c, ok := byKey[k]
-		if !ok {
-			c = &class{}
-			byKey[k] = c
-			out = append(out, c)
+		ci := slices.IndexFunc(members, func(ms []uint32) bool { return s.Size(ms[0]) == w && s.Size(ms[0]|mask) == w })
+		if ci < 0 {
+			ci = len(members)
+			members = append(members, nil)
+			mc.classes = append(mc.classes, class{})
 		}
-		c.members = append(c.members, mask)
-		c.union |= mask
+		members[ci] = append(members[ci], mask)
+		mc.classes[ci].union |= mask
 	}
-	for _, c := range out {
-		for _, mk := range c.members {
-			if !slices.ContainsFunc(c.members, func(o uint32) bool { return o != mk && o&mk == o }) {
-				c.minimals = append(c.minimals, mk)
+	for ci, ms := range members {
+		for _, mk := range ms {
+			if !slices.ContainsFunc(ms, func(o uint32) bool { return o != mk && o&mk == o }) {
+				mc.classes[ci].minimals = append(mc.classes[ci].minimals, mk)
 			}
 		}
-		c.rep = c.minimals[0]
 	}
-	return out
+	return mc
 }
 
-// overlapSets returns the pattern's overlap set per non-empty hyperedge
-// subset (nil for empty overlaps), derived incrementally.
-func (p *Plan) overlapSets() [][]uint32 {
-	m := p.Sig.M
-	sets := make([][]uint32, 1<<m)
-	for i := 0; i < m; i++ {
-		sets[1<<i] = p.Pattern.Edge(i)
+// CondSteps tells, for any matching order of one pattern, at which steps its
+// merged plan carries conditions — without compiling a plan per order, so a
+// matching-order search can price them.
+type CondSteps struct {
+	mc   mergedConds
+	rule Plan // what Plan.add consults, for the pattern as written
+}
+
+// NewCondSteps derives the order-free part of p's merged conditions.
+func NewCondSteps(p *pattern.Pattern) *CondSteps {
+	return &CondSteps{
+		mc:   newMergedConds(p.Signature()),
+		rule: Plan{Mode: ModeMerged, Labeled: p.Labeled(), Sig: p.Signature()},
 	}
-	for mask := uint32(1); mask < 1<<m; mask++ {
-		if bits.OnesCount32(mask) < 2 || p.Sig.Size(mask) == 0 {
-			continue
+}
+
+// At returns, as a bit mask over steps, where the merged plan of the pattern
+// compiled in order (order[t] = the hyperedge matched at step t) has
+// conditions.
+func (c *CondSteps) At(order []int) uint32 {
+	pos := make([]int, len(order))
+	for t, i := range order {
+		pos[i] = t
+	}
+	var steps uint32
+	c.mc.each(pos, func(mask uint32, label bool) {
+		if c.rule.asks(mask, label) {
+			steps |= 1 << maxBit(positions(mask, pos))
 		}
-		low := mask & -mask
-		sets[mask] = intset.Intersect(sets[mask&^low], sets[low], nil)
-	}
-	return sets
+	})
+	return steps
 }

@@ -124,8 +124,8 @@ type Plan struct {
 type CompileOptions struct {
 	// Order is an explicit matching order (order[i] = index of the pattern
 	// hyperedge matched at step i); nil selects the structural
-	// MatchingOrder. Used for data-aware orderings built from hypergraph
-	// selectivity features.
+	// MatchingOrder. engine.CompilePlan passes the order it chose by cost on
+	// a store, the streaming miner its anchor-first orders.
 	Order []int
 	// NoRestrictions suppresses the symmetry-breaking pass: the plan
 	// enumerates every ordered tuple, |Aut| per unordered embedding — the
@@ -260,17 +260,21 @@ type conds struct{ need, label []bool }
 // (Step.Disc) — and in a merged plan every pair without a label histogram,
 // whose size generation guarantees (Step.ConnOverlap).
 func (p *Plan) add(cs conds, mask uint32, label bool) {
-	label = label && p.Labeled
+	if p.asks(mask, label) {
+		cs.need[mask] = true
+		cs.label[mask] = cs.label[mask] || label && p.Labeled
+	}
+}
+
+// asks reports whether add keeps the condition on mask.
+func (p *Plan) asks(mask uint32, label bool) bool {
 	switch bits.OnesCount32(mask) {
 	case 0, 1:
-		return
+		return false
 	case 2:
-		if p.Sig.Size(mask) == 0 || p.Mode == ModeMerged && !label {
-			return
-		}
+		return p.Sig.Size(mask) > 0 && (p.Mode != ModeMerged || label && p.Labeled)
 	}
-	cs.need[mask] = true
-	cs.label[mask] = cs.label[mask] || label
+	return true
 }
 
 // maxBit returns the highest set bit index — the matching-order step at
@@ -281,9 +285,9 @@ func maxBit(mask uint32) int { return bits.Len32(mask) - 1 }
 // has an empty pattern overlap; if so the emptiness of mask's overlap is
 // implied by that subset's own check (the group-based pruning of
 // Sec. 4.3.2).
-func (p *Plan) impliedZero(mask uint32) bool {
+func impliedZero(s sig.Signature, mask uint32) bool {
 	for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-		if bits.OnesCount32(sub) >= 2 && p.Sig.Size(sub) == 0 {
+		if bits.OnesCount32(sub) >= 2 && s.Size(sub) == 0 {
 			return true
 		}
 	}
@@ -294,7 +298,7 @@ func (p *Plan) impliedZero(mask uint32) bool {
 // label histogram, each minimal empty one of three or more hyperedges.
 func (p *Plan) compileSimple(cs conds) {
 	for mask := uint32(3); mask < 1<<p.Sig.M; mask++ {
-		if p.Sig.Size(mask) > 0 || !p.impliedZero(mask) {
+		if p.Sig.Size(mask) > 0 || !impliedZero(p.Sig, mask) {
 			p.add(cs, mask, true)
 		}
 	}

@@ -190,19 +190,19 @@ func (p *Pattern) LabelSignature() (sig.LabelSignature, error) {
 
 // String renders the pattern in Parse format.
 func (p *Pattern) String() string {
-	var b strings.Builder
+	var b []byte
 	for i, e := range p.edges {
 		if i > 0 {
-			b.WriteString("; ")
+			b = append(b, "; "...)
 		}
 		for j, v := range e {
 			if j > 0 {
-				b.WriteByte(' ')
+				b = append(b, ' ')
 			}
-			b.WriteString(strconv.FormatUint(uint64(v), 10))
+			b = strconv.AppendUint(b, uint64(v), 10)
 		}
 	}
-	return b.String()
+	return string(b)
 }
 
 // connected reports whether the hyperedges form one connected component
@@ -230,12 +230,13 @@ func connected(edges [][]uint32) bool {
 	return seen == m
 }
 
-// MatchingOrder returns a permutation of hyperedge indices: the matching
-// order used by the compiler. Following HGMatch/Sec. 4.3.2, it starts from
-// the hyperedge with the most pattern neighbors (tie: larger degree) and
-// greedily appends the hyperedge most connected to the chosen prefix (tie:
-// larger degree, then smaller index), so each extension is maximally
-// constrained.
+// MatchingOrder returns a permutation of hyperedge indices: the structural
+// matching order a plan compiled without a store uses (engine.CompilePlan
+// chooses its order by cost on the store instead). Following HGMatch/Sec.
+// 4.3.2, it starts from the hyperedge with the most pattern neighbors (tie:
+// larger degree) and greedily appends the hyperedge most connected to the
+// chosen prefix (tie: larger degree, then smaller index), so each extension is
+// maximally constrained.
 func (p *Pattern) MatchingOrder() []int {
 	conn := p.adjacency()
 	neighbors := make([]int, len(p.edges))
@@ -265,26 +266,6 @@ func (p *Pattern) MatchingOrderFrom(first int) []int {
 	return greedyOrder(p.adjacency(), first, p.Degree)
 }
 
-// MatchingOrderWithSelectivity is MatchingOrder informed by data-hypergraph
-// features (the HGMatch-style ordering the paper references in
-// Sec. 4.3.2): sel[i] estimates the number of data candidates for hyperedge
-// i (e.g. the count of data hyperedges sharing its degree). The first
-// hyperedge is the most selective one — fewest candidates, so the parallel
-// root fan-out is smallest — and the rest follow the greedy
-// maximum-connectivity rule (tie: smaller sel, then smaller index).
-func (p *Pattern) MatchingOrderWithSelectivity(sel []int) []int {
-	if len(sel) != len(p.edges) {
-		return p.MatchingOrder()
-	}
-	best := 0
-	for i := 1; i < len(p.edges); i++ {
-		if sel[i] < sel[best] || (sel[i] == sel[best] && len(p.edges[i]) > len(p.edges[best])) {
-			best = i
-		}
-	}
-	return greedyOrder(p.adjacency(), best, func(j int) int { return -sel[j] })
-}
-
 // adjacency returns conn[i][j] = hyperedges i and j share a vertex.
 func (p *Pattern) adjacency() [][]bool {
 	m := len(p.edges)
@@ -302,7 +283,7 @@ func (p *Pattern) adjacency() [][]bool {
 	return conn
 }
 
-// greedyOrder is the one greedy loop behind every matching order: starting
+// greedyOrder is the one greedy loop behind every structural order: starting
 // from first, it repeatedly appends the unused hyperedge connected to the
 // most already-chosen ones, breaking ties by larger rank and then by smaller
 // index.

@@ -42,7 +42,7 @@ type JobSpec struct {
 	// Limit stops the job after this many ordered embeddings (0 = the
 	// server's MaxLimit, which may be unlimited).
 	Limit uint64 `json:"limit,omitempty"`
-	// DataAwareOrder derives the matching order from data selectivity.
+	// DataAwareOrder is accepted and ignored, as in QueryRequest.
 	DataAwareOrder bool `json:"data_aware_order,omitempty"`
 }
 
@@ -468,9 +468,6 @@ func (s *Server) runJob(j *job, snap *ohminer.CheckpointSnapshot) {
 	}
 	if s.cfg.debugOnEmbedding != nil {
 		opts = append(opts, ohminer.WithEmbeddings(s.cfg.debugOnEmbedding))
-	}
-	if j.spec.DataAwareOrder {
-		opts = append(opts, ohminer.WithDataAwareOrder())
 	}
 
 	j.mu.Lock()

@@ -276,7 +276,9 @@ type QueryRequest struct {
 	// TimeoutMS bounds the mining time; an expired query returns partial
 	// counts marked truncated. 0 = the server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// DataAwareOrder derives the matching order from data selectivity.
+	// DataAwareOrder is accepted and ignored: the server always runs the
+	// matching order it chooses by cost on its store. Kept so bodies written
+	// for the selectivity-first order it replaced still decode.
 	DataAwareOrder bool `json:"data_aware_order,omitempty"`
 }
 
@@ -379,9 +381,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ohminer.WithDeadline(timeout),
 		ohminer.WithLimit(limit),
 		ohminer.WithWorkers(s.cfg.Workers),
-	}
-	if req.DataAwareOrder {
-		opts = append(opts, ohminer.WithDataAwareOrder())
 	}
 
 	// One context covers the whole query: the client disconnecting, the

@@ -318,7 +318,6 @@ func (m *Miner) mineOpts(filter func(int, uint32) bool) engine.Options {
 	o.UniqueOnly = false
 	o.Checkpoint = nil
 	o.CheckpointEvery = 0
-	o.DataAwareOrder = false
 	o.PositionFilter = filter
 	if filter != nil {
 		o.NoSymmetryBreak = true

@@ -184,11 +184,6 @@ func WithDeadline(d time.Duration) Option { return func(c *engine.Options) { c.D
 // WithInstrumentation enables the Stats counters and phase timers.
 func WithInstrumentation() Option { return func(c *engine.Options) { c.Instrument = true } }
 
-// WithDataAwareOrder derives the matching order from data-hypergraph
-// selectivity (most selective hyperedge first) instead of the purely
-// structural connectivity order.
-func WithDataAwareOrder() Option { return func(c *engine.Options) { c.DataAwareOrder = true } }
-
 // WithEmbeddings registers a callback receiving every embedding (hyperedge
 // IDs in matching order). The engine serializes calls; copy the slice to
 // retain it.

@@ -2,12 +2,13 @@ package ohminer
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
 // TestFacadeExtensions exercises the extension APIs end-to-end through the
 // public surface: estimation, store persistence, motif census, dynamic
-// mining, data-aware ordering, canonical emission.
+// mining, matching-order choice, canonical emission.
 func TestFacadeExtensions(t *testing.T) {
 	preset, err := DatasetPresetByTag("CH")
 	if err != nil {
@@ -25,16 +26,22 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	exact, err := Mine(store, p, WithWorkers(1), WithDataAwareOrder())
+	exact, err := Mine(store, p, WithWorkers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Mine(store, p, WithWorkers(1))
+	// The same pattern written with its hyperedges the other way round: Mine
+	// picks its order from the store, so both run the same plan.
+	rp, err := p.Reorder([]int{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact.Ordered != plain.Ordered {
-		t.Fatalf("data-aware order changed count: %d vs %d", exact.Ordered, plain.Ordered)
+	rev, err := Mine(store, rp, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rev.Ordered != exact.Ordered || !reflect.DeepEqual(rev.Plan.Steps, exact.Plan.Steps) {
+		t.Fatalf("reversed literal: %d embeddings over\n%s, want %d over\n%s", rev.Ordered, rev.Plan, exact.Ordered, exact.Plan)
 	}
 
 	est, err := EstimateCount(store, p, 1.0, 1)

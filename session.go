@@ -75,7 +75,6 @@ type storeState struct {
 type sessionKey struct {
 	canon      string
 	restricted bool // symmetry-breaking restrictions compiled in
-	dataAware  bool // matching order derived from data selectivity
 }
 
 // planEntry is one plan-cache slot. The sync.Once makes compilation
@@ -113,8 +112,9 @@ func (s *Session) Store() *Store { return s.st.Load().store }
 
 // SetStore repoints the session at a new store version — the streaming
 // subsystem's compaction and reload paths, or any dataset refresh, produce
-// these. The plan cache is retained (plans are compiled from the pattern),
-// while cached results stop matching
+// these. The plan cache is retained — a plan counts correctly on any store,
+// though its matching order was chosen by cost on the store it was first
+// compiled against — while cached results stop matching
 // automatically because they are keyed under the previous dataset
 // fingerprint: a swap to different content misses, a swap back to
 // byte-identical content hits again. In-flight queries complete against
@@ -227,7 +227,6 @@ func (s *Session) plan(p *Pattern, o engine.Options, store *Store) (*Plan, sessi
 		// Mirrors engine.CompilePlan's restriction gating so the key always
 		// names the plan that call will produce.
 		restricted: !o.NoSymmetryBreak && o.PositionFilter == nil,
-		dataAware:  o.DataAwareOrder,
 	}
 	// One canonical search per request: a hit needs only its key, and a miss
 	// realizes the representative from the same search.
