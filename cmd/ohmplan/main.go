@@ -83,7 +83,8 @@ func run() error {
 		out.Printf("plan verification: OK (mode=%s, fingerprint %#x)\n", plan.Mode, plan.FP)
 		return out.Close()
 	}
-	out.Printf("matching order: %v (original indices)\n", plan.Order)
+	out.Printf("matching order: %v (original indices), chosen by cost without a store;\n", plan.Order)
+	out.Println("  Mine orders by cost on its dataset: `ohmstat -partition` prints that order and its plan fingerprint")
 	switch {
 	case plan.Restricted:
 		var rs []string

@@ -22,6 +22,7 @@ import (
 	"ohminer/internal/engine"
 	"ohminer/internal/gen"
 	"ohminer/internal/hypergraph"
+	"ohminer/internal/oig"
 	"ohminer/internal/pattern"
 )
 
@@ -169,8 +170,8 @@ func run() error {
 // candidate counts per range bounds how evenly the leases can spread. (The
 // subtree cost under each candidate still varies — candidate counts are the
 // partitioning's input, not a perfect cost model.) It first prints the
-// matching order the job runs — chosen by cost on this store — with the
-// bindings the cost model expects at each position.
+// matching order the job runs — chosen by cost on this store — with its plan
+// fingerprint and the bindings the cost model expects at each position.
 func reportPartition(out *cliio.Writer, store *dal.Store, pat string, parts int) error {
 	p, err := pattern.Parse(pat)
 	if err != nil {
@@ -184,8 +185,8 @@ func reportPartition(out *cliio.Writer, store *dal.Store, pat string, parts int)
 	if err != nil {
 		return err
 	}
-	out.Printf("  matching order for %q, by estimated cost on this store:\n", pat)
-	for t, b := range engine.EstimatedBindings(store, plan) {
+	out.Printf("  matching order for %q, by estimated cost on this store (plan fingerprint %#x):\n", pat, plan.FP)
+	for t, b := range oig.EstimatedBindings(store, plan) {
 		out.Printf("    position %d: hyperedge %d (degree %d), ~%.3g bindings\n", t, plan.Order[t], plan.Steps[t].Degree, b)
 	}
 	cands := engine.FirstCandidates(store, plan, opts)

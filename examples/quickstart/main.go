@@ -35,7 +35,9 @@ func main() {
 	}
 	fmt.Printf("pattern: %s (%d hyperedges, %d vertices)\n", p, p.NumEdges(), p.NumVertices())
 
-	// Inspect the compiled overlap-centric execution plan (Table 1).
+	// Inspect the compiled overlap-centric execution plan (Table 1). Without
+	// a store the matching order is chosen on flat statistics; Mine chooses
+	// its own on the store, and reports it in res.Plan.
 	plan, err := ohminer.CompilePattern(p)
 	if err != nil {
 		log.Fatal(err)
@@ -49,5 +51,5 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("found %d unique embedding(s) in %v\n", res.Unique, res.Elapsed)
+	fmt.Printf("found %d unique embedding(s) in %v, matching order %v\n", res.Unique, res.Elapsed, res.Plan.Order)
 }

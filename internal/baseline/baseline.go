@@ -155,14 +155,14 @@ type Result struct {
 }
 
 // Mine compiles the plan the options call for — simple for ValOverlapSimple,
-// merged otherwise, in the structural matching order, with symmetry-breaking
-// restrictions — and runs it.
+// merged otherwise, in the matching order the production engine chooses on
+// store (oig.ChooseOrder), with symmetry-breaking restrictions — and runs it.
 func Mine(store *dal.Store, p *pattern.Pattern, opts Options) (Result, error) {
 	mode := oig.ModeMerged
 	if opts.Val == ValOverlapSimple {
 		mode = oig.ModeSimple
 	}
-	plan, err := oig.Compile(p, mode)
+	plan, err := oig.CompileOrdered(p, mode, oig.ChooseOrder(store, p, -1))
 	if err != nil {
 		return Result{}, err
 	}

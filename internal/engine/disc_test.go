@@ -29,26 +29,27 @@ import (
 // offers them again for the last leg. In the 4-cycle the last hyperedge
 // must miss the second, which lies in the group the last one is drawn from
 // around the third but not in the list it is intersected with: a counted
-// leaf takes a bound hyperedge out only when the list holds it.
+// leaf takes a bound hyperedge out only when the list holds it. The shapes
+// were drawn for the plans of the matching order each one lists, which the
+// order Mine chooses by cost need not be.
 var discShapes = []struct {
 	name  string
 	edges [][]uint32
+	order []int
 }{
-	{"path3", [][]uint32{{0, 1}, {1, 2}, {2, 3}}},
-	{"path4", [][]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 4}}},
-	{"path5", [][]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}},
-	{"path3-wide", [][]uint32{{0, 1, 2}, {2, 3}, {3, 4, 5}}},
-	{"star-tail", [][]uint32{{0, 1}, {0, 2}, {0, 3}, {3, 4}}},
-	{"star-tail-wide", [][]uint32{{0, 1, 2}, {0, 3}, {0, 4}, {4, 5, 6}}},
-	{"spider", [][]uint32{{1, 2, 3}, {0, 1}, {2, 5}, {3, 4}}},
-	{"cycle4", [][]uint32{{0, 1, 2}, {0, 1, 3}, {3, 4, 5}, {2, 4, 6}}},
+	{"path3", [][]uint32{{0, 1}, {1, 2}, {2, 3}}, []int{1, 0, 2}},
+	{"path4", [][]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 4}}, []int{1, 0, 2, 3}},
+	{"path5", [][]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}, []int{1, 0, 2, 3, 4}},
+	{"path3-wide", [][]uint32{{0, 1, 2}, {2, 3}, {3, 4, 5}}, []int{1, 0, 2}},
+	{"star-tail", [][]uint32{{0, 1}, {0, 2}, {0, 3}, {3, 4}}, []int{2, 0, 1, 3}},
+	{"star-tail-wide", [][]uint32{{0, 1, 2}, {0, 3}, {0, 4}, {4, 5, 6}}, []int{2, 0, 1, 3}},
+	{"spider", [][]uint32{{1, 2, 3}, {0, 1}, {2, 5}, {3, 4}}, []int{0, 1, 2, 3}},
+	{"cycle4", [][]uint32{{0, 1, 2}, {0, 1, 3}, {3, 4, 5}, {2, 4, 6}}, []int{0, 1, 2, 3}},
 }
 
-// mineStructural mines p in its store-free structural order
-// (pattern.MatchingOrder): the shapes here were drawn for the plans that
-// order gives, which the order Mine chooses by cost need not be.
-func mineStructural(store *dal.Store, p *pattern.Pattern, opts Options) (Result, error) {
-	plan, err := CompilePlanOrdered(p, nil, opts)
+// mineOrdered mines p in the given matching order.
+func mineOrdered(store *dal.Store, p *pattern.Pattern, order []int, opts Options) (Result, error) {
+	plan, err := CompilePlanOrdered(p, order, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -150,24 +151,25 @@ func TestCountedLeafKeepsCounters(t *testing.T) {
 		name  string
 		store *dal.Store
 		edges [][]uint32
+		order []int
 		ops   bool
 	}
 	var cases []counterCase
 	graphLike := dal.Build(randGraphLike(rand.New(rand.NewSource(8)), 9, 20, 12))
 	for _, shape := range discShapes {
-		cases = append(cases, counterCase{shape.name, graphLike, shape.edges, false})
+		cases = append(cases, counterCase{shape.name, graphLike, shape.edges, shape.order, false})
 	}
 	leafy := dal.Build(leafHypergraph(rand.New(rand.NewSource(9)), 9, 28))
 	for _, shape := range leafShapes {
 		if shape.conds > 0 {
-			cases = append(cases, counterCase{shape.name, leafy, shape.edges, true})
+			cases = append(cases, counterCase{shape.name, leafy, shape.edges, shape.order, true})
 		}
 	}
 	for _, c := range cases {
 		p := pattern.MustNew(c.edges, nil)
 		for _, norestrict := range []bool{false, true} {
 			opts := Options{Workers: 1, Instrument: true, NoSymmetryBreak: norestrict}
-			fast, err := mineStructural(c.store, p, opts)
+			fast, err := mineOrdered(c.store, p, c.order, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +181,7 @@ func TestCountedLeafKeepsCounters(t *testing.T) {
 			if newShared(c.store, fast.Plan, opts).countedLeaf >= 0 {
 				t.Fatalf("%s: a run with OnEmbedding still counts its last position", c.name)
 			}
-			slow, err := mineStructural(c.store, p, opts)
+			slow, err := mineOrdered(c.store, p, c.order, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -381,13 +383,14 @@ func TestCountedLeafCheckpointResume(t *testing.T) {
 		name  string
 		store *dal.Store
 		edges [][]uint32
+		order []int
 		// oneLeaf: the leaf keeps at most one hyperedge, so no cut leaves a
 		// remainder at the last depth; every other depth must still have one.
 		oneLeaf bool
 	}
 	var cases []resumeCase
 	for _, shape := range discShapes[:3] {
-		cases = append(cases, resumeCase{shape.name, k8, shape.edges, false})
+		cases = append(cases, resumeCase{shape.name, k8, shape.edges, shape.order, false})
 	}
 	// A graph triangle's leaf condition is an emptiness test (s0 ∩ c2 == ∅);
 	// it keeps only the third side, so a cut leaves no remainder at the last
@@ -399,10 +402,16 @@ func TestCountedLeafCheckpointResume(t *testing.T) {
 	// path4: a middle Disc step, and a leaf that marks two Disc positions as
 	// one; star-tail: Disc positions on two nodes of the leaf's chain.
 	for _, shape := range []int{1, 4} {
-		cases = append(cases, resumeCase{discShapes[shape].name + " on shuffled IDs", sparse, discShapes[shape].edges, false})
+		cases = append(cases, resumeCase{discShapes[shape].name + " on shuffled IDs", sparse, discShapes[shape].edges, discShapes[shape].order, false})
 	}
-	cases = append(cases, resumeCase{leafShapes[2].name, shuffled, leafShapes[2].edges, true},
-		resumeCase{leafShapes[0].name, block, leafShapes[0].edges, false}, resumeCase{leafShapes[1].name, block, leafShapes[1].edges, false})
+	for _, c := range []struct {
+		shape   int
+		store   *dal.Store
+		oneLeaf bool
+	}{{2, shuffled, true}, {0, block, false}, {1, block, false}} {
+		leaf := leafShapes[c.shape]
+		cases = append(cases, resumeCase{leaf.name, c.store, leaf.edges, leaf.order, c.oneLeaf})
+	}
 	for _, shape := range cases {
 		store := shape.store
 		p := pattern.MustNew(shape.edges, nil)
@@ -427,7 +436,7 @@ func TestCountedLeafCheckpointResume(t *testing.T) {
 		for _, norestrict := range []bool{false, true} {
 			for _, workers := range []int{1, 2} {
 				base := Options{Workers: workers, NoSymmetryBreak: norestrict, SplitThreshold: 1}
-				full, err := mineStructural(store, p, base)
+				full, err := mineOrdered(store, p, shape.order, base)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -39,7 +39,7 @@ func EstimateCount(store *dal.Store, p *pattern.Pattern, fraction float64, seed 
 	// ordered tuples, so the plan is always compiled without
 	// symmetry-breaking restrictions — in the order Mine would run, so the
 	// sampled subtrees are the ones Mine explores.
-	plan, err := CompilePlanOrdered(p, chooseOrder(store, p), Options{NoSymmetryBreak: true})
+	plan, err := CompilePlan(store, p, Options{NoSymmetryBreak: true})
 	if err != nil {
 		return Estimate{}, err
 	}

@@ -42,19 +42,19 @@ func stepConds(e *shared, t int) (n int) {
 var leafShapes = []struct {
 	name  string
 	edges [][]uint32
-	order []int // matching order; nil = the structural one
+	order []int // the matching order the form appears in
 	conds int
 }{
-	{"core triangle: |T(012)| = 2 = |T(01)|", [][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 1, 4}}, nil, 1},
-	{"core 4-clique: |T(013)| = 2, Y read at positions 0 and 1", [][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 1, 4}, {0, 1, 5}}, nil, 1},
-	{"graph triangle: |T(012)| = 0", [][]uint32{{0, 1}, {1, 2}, {0, 2}}, nil, 1},
-	{"|T(012)| = 1 < |T(01)| = 2 over 3-vertex hyperedges", [][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 4, 5}}, nil, 1},
-	{"|T(012)| = 1 < |T(01)| = 2 over 4-vertex hyperedges", [][]uint32{{0, 1, 2, 3}, {0, 1, 4, 5}, {0, 2, 4, 6}}, nil, 1},
-	{"c1 ⊆ c0, implied by generation", [][]uint32{{0, 1, 2}, {0, 1}}, nil, 0},
+	{"core triangle: |T(012)| = 2 = |T(01)|", [][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 1, 4}}, []int{0, 1, 2}, 1},
+	{"core 4-clique: |T(013)| = 2, Y read at positions 0 and 1", [][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 1, 4}, {0, 1, 5}}, []int{0, 1, 2, 3}, 1},
+	{"graph triangle: |T(012)| = 0", [][]uint32{{0, 1}, {1, 2}, {0, 2}}, []int{0, 1, 2}, 1},
+	{"|T(012)| = 1 < |T(01)| = 2 over 3-vertex hyperedges", [][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 4, 5}}, []int{0, 1, 2}, 1},
+	{"|T(012)| = 1 < |T(01)| = 2 over 4-vertex hyperedges", [][]uint32{{0, 1, 2, 3}, {0, 1, 4, 5}, {0, 2, 4, 6}}, []int{0, 1, 2}, 1},
+	{"c1 ⊆ c0, implied by generation", [][]uint32{{0, 1, 2}, {0, 1}}, []int{0, 1}, 0},
 	{"c0 ⊆ c1, implied by generation", [][]uint32{{0, 1}, {0, 1, 2}}, []int{0, 1}, 0},
-	{"c3 equal to T(12): |T(123)| = 2 and |T(023)| = 1", [][]uint32{{0, 1, 3}, {0, 2, 3}, {0, 2}, {0, 2, 4}}, nil, 2},
-	{"a 3-way minimal member beside a representative pair at the same step: |T(013)| = |T(023)| = |T(123)| = 1", [][]uint32{{0, 3, 4, 5}, {0, 1, 3}, {0, 1, 2, 3}, {2, 3, 4}}, nil, 3},
-	{"a 3-way minimal member after its representative: |T(012)| = 1 at step 2, |T(013)| = |T(023)| = 1 at step 3", [][]uint32{{0, 1, 4, 5}, {2, 3, 4, 5}, {2, 3, 4}, {1, 3, 4}}, nil, 3},
+	{"c3 equal to T(12): |T(123)| = 2 and |T(023)| = 1", [][]uint32{{0, 1, 3}, {0, 2, 3}, {0, 2}, {0, 2, 4}}, []int{0, 1, 3, 2}, 2},
+	{"a 3-way minimal member beside a representative pair at the same step: |T(013)| = |T(023)| = |T(123)| = 1", [][]uint32{{0, 3, 4, 5}, {0, 1, 3}, {0, 1, 2, 3}, {2, 3, 4}}, []int{0, 2, 1, 3}, 3},
+	{"a 3-way minimal member after its representative: |T(012)| = 1 at step 2, |T(013)| = |T(023)| = 1 at step 3", [][]uint32{{0, 1, 4, 5}, {2, 3, 4, 5}, {2, 3, 4}, {1, 3, 4}}, []int{0, 1, 2, 3}, 3},
 }
 
 // leafHypergraph draws n distinct hyperedges of two to four vertices over nv

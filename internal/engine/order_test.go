@@ -6,7 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
-	"strings"
+	"slices"
 	"testing"
 
 	"ohminer/internal/bruteforce"
@@ -19,7 +19,8 @@ import (
 
 // TestDataAwareOrderCorrectness: the order CompilePlan chooses by cost on the
 // store changes how fast a pattern is mined, never what it counts — on random
-// stores its plans count what the structural order and brute force count.
+// stores its plans count what every other connected order and brute force
+// count.
 func TestDataAwareOrderCorrectness(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		h := gen.MustGenerate(gen.Config{Name: "o", NumVertices: 60, NumEdges: 150,
@@ -38,11 +39,15 @@ func TestDataAwareOrderCorrectness(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				structural, err := CompilePlanOrdered(p, nil, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, plan := range []*oig.Plan{chosen, structural} {
+				plans := []*oig.Plan{chosen}
+				connectedOrders(p, func(order []int) {
+					plan, err := CompilePlanOrdered(p, order, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					plans = append(plans, plan)
+				})
+				for _, plan := range plans {
 					res, err := MineWithPlan(store, plan, opts)
 					if err != nil {
 						t.Fatal(err)
@@ -70,7 +75,7 @@ func TestDataAwareOrderPlansVerify(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		order := chooseOrder(store, p)
+		order := oig.ChooseOrder(store, p, -1)
 		for _, mode := range []oig.Mode{oig.ModeSimple, oig.ModeMerged} {
 			plan, err := oig.CompileOrdered(p, mode, order)
 			if err != nil {
@@ -92,15 +97,16 @@ func TestDataAwareOrderPlansVerify(t *testing.T) {
 	}
 }
 
-// TestChosenOrderGreedy: past exhaustiveEdges the order is extended greedily;
-// it stays connected and counts what the structural order counts.
+// TestChosenOrderGreedy: past six hyperedges the order is extended greedily;
+// it stays connected and counts what the literal order counts (its first
+// connected order, when the literal's is not).
 func TestChosenOrderGreedy(t *testing.T) {
 	h := gen.MustGenerate(gen.Config{Name: "g", NumVertices: 40, NumEdges: 120,
 		Communities: 2, MemberOverlap: 1, EdgeSizeMin: 2, EdgeSizeMax: 4, EdgeSizeMean: 3, Seed: 7})
 	store := dal.Build(h)
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 4; trial++ {
-		p, err := pattern.Sample(h, exhaustiveEdges+1, 2, 40, rng)
+		p, err := pattern.Sample(h, 7, 2, 40, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +120,7 @@ func TestChosenOrderGreedy(t *testing.T) {
 				t.Fatalf("trial %d: position %d of %v overlaps nothing before it", trial, t2, chosen.Order)
 			}
 		}
-		structural, err := CompilePlanOrdered(p, nil, opts)
+		literal, err := CompilePlanOrdered(p, literalOrder(p), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,12 +128,12 @@ func TestChosenOrderGreedy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := MineWithPlan(store, structural, Options{Workers: 1})
+		b, err := MineWithPlan(store, literal, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if a.Ordered != b.Ordered {
-			t.Fatalf("trial %d: chosen order %v counts %d, structural %v counts %d", trial, chosen.Order, a.Ordered, structural.Order, b.Ordered)
+			t.Fatalf("trial %d: chosen order %v counts %d, literal %v counts %d", trial, chosen.Order, a.Ordered, literal.Order, b.Ordered)
 		}
 	}
 }
@@ -145,17 +151,19 @@ func TestChosenOrderStartsAtRareDegree(t *testing.T) {
 	}
 	store := dal.Build(h)
 	p := pattern.MustNew([][]uint32{{0, 1}, {1, 2, 3, 4}}, nil)
-	if order := chooseOrder(store, p); order[0] != 1 {
+	if order := oig.ChooseOrder(store, p, -1); order[0] != 1 {
 		t.Fatalf("order %v should start with the rare degree-4 hyperedge", order)
 	}
 }
 
 // TestChosenOrderIgnoresLiteral is the metamorphic test of the order
 // chooser: every hyperedge permutation of 200 patterns of the matching-order
-// golden file, each with its vertices renamed, compiles on one store to the
-// same steps — the order is chosen by cost and ties are broken by plan
-// structure, not by how the literal names or lists its hyperedges — and
-// counts the same.
+// golden file, each with its vertices renamed, compiles to the same steps — on
+// one store, on flat statistics (no store), and on the store with position 0
+// fixed at each anchor, the anchor followed through the permutation. The order
+// is chosen by cost and ties are broken by plan structure, not by how the
+// literal names or lists its hyperedges. On the store the permuted plans also
+// count the same.
 func TestChosenOrderIgnoresLiteral(t *testing.T) {
 	h := gen.MustGenerate(gen.Config{Name: "m", NumVertices: 120, NumEdges: 300,
 		Communities: 6, MemberOverlap: 1, EdgeSizeMin: 2, EdgeSizeMax: 8, EdgeSizeMean: 4, Seed: 17})
@@ -171,8 +179,7 @@ func TestChosenOrderIgnoresLiteral(t *testing.T) {
 		if line%7 != 0 {
 			continue
 		}
-		lit, _, _ := strings.Cut(sc.Text(), " | ")
-		p, err := pattern.Parse(lit)
+		p, err := pattern.Parse(sc.Text())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,6 +196,28 @@ func TestChosenOrderIgnoresLiteral(t *testing.T) {
 		pats = pats[:40]
 	}
 	opts := Options{Workers: 1, Limit: 5000}
+	// compile returns q's plans: on the store, on flat statistics, and on the
+	// store anchored at each hyperedge of q.
+	compile := func(q *pattern.Pattern) (*oig.Plan, *oig.Plan, []*oig.Plan) {
+		onStore, err := CompilePlan(store, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat, err := oig.Compile(q, oig.ModeMerged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		anchored := make([]*oig.Plan, q.NumEdges())
+		for a := range anchored {
+			if anchored[a], err = CompilePlanOrdered(q, oig.ChooseOrder(store, q, a), opts); err != nil {
+				t.Fatal(err)
+			}
+			if anchored[a].Order[0] != a {
+				t.Fatalf("%s anchored at %d: order %v", q, a, anchored[a].Order)
+			}
+		}
+		return onStore, flat, anchored
+	}
 	rng := rand.New(rand.NewSource(19))
 	for _, p := range pats {
 		rename := rng.Perm(p.NumVertices())
@@ -199,10 +228,7 @@ func TestChosenOrderIgnoresLiteral(t *testing.T) {
 			}
 		}
 		renamed := pattern.MustNew(edges, nil)
-		base, err := CompilePlan(store, p, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		base, baseFlat, baseAnchored := compile(p)
 		want, err := MineWithPlan(store, base, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -212,12 +238,18 @@ func TestChosenOrderIgnoresLiteral(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, err := CompilePlan(store, q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			plan, flat, anchored := compile(q)
 			if !reflect.DeepEqual(plan.Steps, base.Steps) {
 				t.Fatalf("%s as %s: plan\n%s\nwant the steps of\n%s", p, q, plan, base)
+			}
+			if !reflect.DeepEqual(flat.Steps, baseFlat.Steps) {
+				t.Fatalf("%s as %s without a store: plan\n%s\nwant the steps of\n%s", p, q, flat, baseFlat)
+			}
+			// q's hyperedge i is p's perm[i].
+			for i, a := range perm {
+				if !reflect.DeepEqual(anchored[i].Steps, baseAnchored[a].Steps) {
+					t.Fatalf("%s as %s anchored at %d (%d in %s): plan\n%s\nwant the steps of\n%s", p, q, i, a, p, anchored[i], baseAnchored[a])
+				}
 			}
 			res, err := MineWithPlan(store, plan, opts)
 			if err != nil {
@@ -256,6 +288,39 @@ func permutations(n int, f func([]int)) {
 	}
 }
 
+// connectedOrders calls f with every matching order of p in which each
+// position overlaps one before it (f must not keep the slice).
+func connectedOrders(p *pattern.Pattern, f func([]int)) {
+	permutations(p.NumEdges(), func(order []int) {
+		for t := 1; t < len(order); t++ {
+			if !overlapsAny(p, order[t], order[:t]) {
+				return
+			}
+		}
+		f(order)
+	})
+}
+
+// literalOrder is the first connected order of p by hyperedge number: the
+// literal order itself when each hyperedge overlaps one listed before it.
+func literalOrder(p *pattern.Pattern) []int {
+	order := []int{0}
+	for len(order) < p.NumEdges() {
+		for x := 1; x < p.NumEdges(); x++ {
+			if !slices.Contains(order, x) && overlapsAny(p, x, order) {
+				order = append(order, x)
+				break
+			}
+		}
+	}
+	return order
+}
+
+// overlapsAny reports whether hyperedge x of p overlaps one of prefix.
+func overlapsAny(p *pattern.Pattern, x int, prefix []int) bool {
+	return slices.ContainsFunc(prefix, func(y int) bool { return p.Signature().Size(1<<y|1<<x) > 0 })
+}
+
 // TestEstimatedBindingsRegions pins the list estimate of one step to its
 // formula. Pattern hyperedges b = {1, 6, 12}, c = {4, 5, 6, 7, 12} and
 // d = {8, …, 12} are bound; a = {0, 12} is drawn from b's group of degree-2
@@ -273,7 +338,7 @@ func TestEstimatedBindingsRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := EstimatedBindings(store, plan)
+	b := oig.EstimatedBindings(store, plan)
 	g := float64(store.GroupSum(3, 2, 1)) / float64(store.NumEdgesWithDegree(3))
 	if want := b[2] * g / 3; math.Abs(b[3]-want) > 1e-9*want || want == 0 {
 		t.Fatalf("bindings %v: position 3 has %g, want %g (b[2]·ḡ/3)", b, b[3], want)

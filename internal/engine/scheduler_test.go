@@ -39,7 +39,7 @@ func skewedInput(t *testing.T, fan int) (*dal.Store, *oig.Plan) {
 	h := hypergraph.MustBuild(int(base)+fan*fan, edges, nil)
 	p := pattern.MustNew([][]uint32{{0, 1, 2, 3, 4}, {4, 5}, {5, 6}}, nil)
 	// Pin the matching order to pattern index order so pe0 (the hub) is the
-	// first step regardless of structural ordering heuristics.
+	// first step whatever order the cost model would choose.
 	plan, err := oig.CompileOrdered(p, oig.ModeMerged, []int{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)

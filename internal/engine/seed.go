@@ -22,19 +22,19 @@ import (
 
 // CompilePlan compiles the execution plan Mine/MineContext would use for
 // (store, p, opts): a merged plan in the matching order with the lowest
-// estimated cost on the store (order.go), a function of (p, store) alone.
-// Extracted so checkpoint resume and cluster workers compile plans whose
-// fingerprints provably match the original run's — a lease or snapshot
+// estimated cost on the store (oig.ChooseOrder), a function of (p, store)
+// alone. Extracted so checkpoint resume and cluster workers compile plans
+// whose fingerprints provably match the original run's — a lease or snapshot
 // produced against this plan validates against an independently compiled one
 // on any node holding the same store.
 func CompilePlan(store *dal.Store, p *pattern.Pattern, opts Options) (*oig.Plan, error) {
-	return CompilePlanOrdered(p, chooseOrder(store, p), opts)
+	return CompilePlanOrdered(p, oig.ChooseOrder(store, p, -1), opts)
 }
 
 // CompilePlanOrdered is CompilePlan with the matching order given by the
-// caller (order[i] = index of the pattern hyperedge matched at position i;
-// nil selects the store-free structural order, pattern.MatchingOrder). The
-// streaming miner compiles its anchor-first delta plans through it.
+// caller (order[i] = index of the pattern hyperedge matched at position i).
+// The streaming miner compiles its anchor-first delta plans through it, in
+// oig.ChooseOrder's order with position 0 fixed at the anchor.
 func CompilePlanOrdered(p *pattern.Pattern, order []int, opts Options) (*oig.Plan, error) {
 	return oig.CompileWith(p, oig.ModeMerged, oig.CompileOptions{
 		Order: order,

@@ -130,9 +130,6 @@ func (s Set) HasWindow() bool { return s.words != nil }
 // HasWindow).
 func (s Set) Base() uint32 { return s.base }
 
-// Words returns the window word count.
-func (s Set) Words() int { return len(s.words) }
-
 // windowRange returns the covered value range [lo, hi) as uint64 to avoid
 // overflow at the top of the uint32 universe.
 func (s Set) windowRange() (lo, hi uint64) {

@@ -47,9 +47,9 @@ func TestModeStrings(t *testing.T) {
 }
 
 // TestCondStepsMatchCompile: for every hyperedge order of sampled patterns
-// (vertex-labelled ones included), CondSteps.At names exactly the steps the
-// merged plan compiled in that order puts conditions at — the order chooser
-// prices conditions from it instead of compiling each order.
+// (vertex-labelled ones included), condSteps.At names exactly the steps the
+// merged plan compiled in that order puts conditions at — ChooseOrder prices
+// conditions from it instead of compiling each order.
 func TestCondStepsMatchCompile(t *testing.T) {
 	h := gen.MustGenerate(gen.Config{Name: "c", NumVertices: 120, NumEdges: 500,
 		Communities: 6, MemberOverlap: 1.4, EdgeSizeMin: 3, EdgeSizeMax: 10, EdgeSizeMean: 6, Seed: 31})
@@ -68,7 +68,7 @@ func TestCondStepsMatchCompile(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		cs := NewCondSteps(p)
+		cs := newCondSteps(p)
 		order := rng.Perm(p.NumEdges())
 		for k := 0; k < 6; k++ {
 			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -83,7 +83,7 @@ func TestCondStepsMatchCompile(t *testing.T) {
 				}
 			}
 			if got := cs.At(order); got != want {
-				t.Fatalf("trial %d order %v: CondSteps %b, plan has conditions at %b\n%s", trial, order, got, want, plan)
+				t.Fatalf("trial %d order %v: condSteps %b, plan has conditions at %b\n%s", trial, order, got, want, plan)
 			}
 		}
 	}

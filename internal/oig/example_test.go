@@ -9,8 +9,10 @@ import (
 
 // ExampleCompile compiles the paper's Figure 1(a) pattern. Candidate
 // generation guarantees every pairwise overlap size, so of Table 1's plan one
-// condition is left: the merged node's other pair, c1 ∩ c2, must be the
+// condition is left: the merged node's other pair, c0 ∩ c2, must be the
 // representative c0 ∩ c1, which the third hyperedge containing it settles.
+// Without a store the order is chosen by cost on flat statistics: pe1, pe3,
+// pe2.
 func ExampleCompile() {
 	p := pattern.MustNew([][]uint32{
 		{0, 1, 2, 3, 4, 5},
@@ -28,13 +30,13 @@ func ExampleCompile() {
 	fmt.Print(plan)
 	// Output:
 	// steps: 3
-	// generation overlaps: [3] [5 3]
+	// generation overlaps: [3] [3 5]
 	// conditions per step: [0 0 1]
 	// verified: true
-	// plan(mode=merged, order=[2 0 1])
-	// step 0: gen degree=8 conn=[] disc=[]
-	// step 1: gen degree=6 conn=[0:3] disc=[]
-	// step 2: gen degree=6 conn=[0:5 1:3] disc=[]
+	// plan(mode=merged, order=[0 2 1])
+	// step 0: gen degree=6 conn=[] disc=[]
+	// step 1: gen degree=8 conn=[0:3] disc=[]
+	// step 2: gen degree=6 conn=[0:3 1:5] disc=[]
 	//   |c0 ∩ c1 ∩ c2| = 3
 }
 

@@ -126,17 +126,17 @@ func newMergedConds(s sig.Signature) mergedConds {
 	return mc
 }
 
-// CondSteps tells, for any matching order of one pattern, at which steps its
-// merged plan carries conditions — without compiling a plan per order, so a
-// matching-order search can price them.
-type CondSteps struct {
+// condSteps tells, for any matching order of one pattern, at which steps its
+// merged plan carries conditions — without compiling a plan per order, so
+// ChooseOrder can price them.
+type condSteps struct {
 	mc   mergedConds
 	rule Plan // what Plan.add consults, for the pattern as written
 }
 
-// NewCondSteps derives the order-free part of p's merged conditions.
-func NewCondSteps(p *pattern.Pattern) *CondSteps {
-	return &CondSteps{
+// newCondSteps derives the order-free part of p's merged conditions.
+func newCondSteps(p *pattern.Pattern) *condSteps {
+	return &condSteps{
 		mc:   newMergedConds(p.Signature()),
 		rule: Plan{Mode: ModeMerged, Labeled: p.Labeled(), Sig: p.Signature()},
 	}
@@ -145,7 +145,7 @@ func NewCondSteps(p *pattern.Pattern) *CondSteps {
 // At returns, as a bit mask over steps, where the merged plan of the pattern
 // compiled in order (order[t] = the hyperedge matched at step t) has
 // conditions.
-func (c *CondSteps) At(order []int) uint32 {
+func (c *condSteps) At(order []int) uint32 {
 	pos := make([]int, len(order))
 	for t, i := range order {
 		pos[i] = t

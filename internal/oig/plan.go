@@ -123,9 +123,10 @@ type Plan struct {
 // CompileOptions tunes Compile beyond the mode.
 type CompileOptions struct {
 	// Order is an explicit matching order (order[i] = index of the pattern
-	// hyperedge matched at step i); nil selects the structural
-	// MatchingOrder. engine.CompilePlan passes the order it chose by cost on
-	// a store, the streaming miner its anchor-first orders.
+	// hyperedge matched at step i); nil selects ChooseOrder's on flat
+	// statistics, the order a plan has without a store. engine.CompilePlan
+	// passes ChooseOrder's on the store, the streaming miner the same with
+	// position 0 fixed at each anchor.
 	Order []int
 	// NoRestrictions suppresses the symmetry-breaking pass: the plan
 	// enumerates every ordered tuple, |Aut| per unordered embedding — the
@@ -153,7 +154,7 @@ func CompileWith(p *pattern.Pattern, mode Mode, co CompileOptions) (*Plan, error
 	start := time.Now()
 	order := co.Order
 	if order == nil {
-		order = p.MatchingOrder()
+		order = ChooseOrder(flatStats{}, p, -1)
 	}
 	rp, err := p.Reorder(order)
 	if err != nil {

@@ -49,7 +49,7 @@ func TestConditionsImplyTheorem1(t *testing.T) {
 	type workload struct {
 		h     *hypergraph.Hypergraph
 		p     *pattern.Pattern
-		order []int // nil: the structural matching order
+		order []int // nil: the order Compile chooses
 		draws int
 	}
 	var ws []workload
@@ -68,9 +68,9 @@ func TestConditionsImplyTheorem1(t *testing.T) {
 		lit   string
 		order []int
 	}{
-		{"0 1 4 5; 2 3 4 5; 2 3 4; 1 3 4", nil},
-		{"0 3 4 5; 0 1 3; 0 1 2 3; 2 3 4", nil},
-		{"0 1 3; 0 2 3; 0 2; 0 2 4", nil},
+		{"0 1 4 5; 2 3 4 5; 2 3 4; 1 3 4", []int{0, 1, 2, 3}},
+		{"0 3 4 5; 0 1 3; 0 1 2 3; 2 3 4", []int{0, 2, 1, 3}},
+		{"0 1 3; 0 2 3; 0 2; 0 2 4", []int{0, 1, 3, 2}},
 		// R = c0 ∩ c1 = {0}, and c2 ∩ c3 ∩ c4 = {0} a 3-way minimal member
 		// whose pairs overlap in two.
 		{"0 1; 0 2; 0 3 4; 0 3 5; 0 4 5", []int{0, 1, 2, 3, 4}},

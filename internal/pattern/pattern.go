@@ -1,7 +1,7 @@
 // Package pattern defines pattern hypergraphs and the workload machinery of
 // the paper's evaluation: literal patterns, random patterns sampled from a
-// data hypergraph (Table 4), dense patterns (Sec. 5.5), the matching-order
-// heuristic, and automorphism counting.
+// data hypergraph (Table 4), dense patterns (Sec. 5.5), and automorphism
+// counting.
 //
 // A pattern's vertices are dense IDs 0..NumVertices-1 local to the pattern.
 // Hyperedges are sorted vertex sets. Patterns must be connected (the
@@ -228,91 +228,6 @@ func connected(edges [][]uint32) bool {
 		}
 	}
 	return seen == m
-}
-
-// MatchingOrder returns a permutation of hyperedge indices: the structural
-// matching order a plan compiled without a store uses (engine.CompilePlan
-// chooses its order by cost on the store instead). Following HGMatch/Sec.
-// 4.3.2, it starts from the hyperedge with the most pattern neighbors (tie:
-// larger degree) and greedily appends the hyperedge most connected to the
-// chosen prefix (tie: larger degree, then smaller index), so each extension is
-// maximally constrained.
-func (p *Pattern) MatchingOrder() []int {
-	conn := p.adjacency()
-	neighbors := make([]int, len(p.edges))
-	for i, row := range conn {
-		for _, c := range row {
-			if c {
-				neighbors[i]++
-			}
-		}
-	}
-	best := 0
-	for i := 1; i < len(p.edges); i++ {
-		if neighbors[i] > neighbors[best] ||
-			(neighbors[i] == neighbors[best] && len(p.edges[i]) > len(p.edges[best])) {
-			best = i
-		}
-	}
-	return greedyOrder(conn, best, p.Degree)
-}
-
-// MatchingOrderFrom is MatchingOrder with the first hyperedge forced to
-// first (a valid hyperedge index) instead of chosen by neighbor count: the
-// anchor-first order of delta evaluation, where the changed hyperedge is by
-// construction the most constrained position. Patterns are connected, so
-// every later position still shares a vertex with its prefix.
-func (p *Pattern) MatchingOrderFrom(first int) []int {
-	return greedyOrder(p.adjacency(), first, p.Degree)
-}
-
-// adjacency returns conn[i][j] = hyperedges i and j share a vertex.
-func (p *Pattern) adjacency() [][]bool {
-	m := len(p.edges)
-	conn := make([][]bool, m)
-	for i := range conn {
-		conn[i] = make([]bool, m)
-	}
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			if intset.Intersects(p.edges[i], p.edges[j]) {
-				conn[i][j], conn[j][i] = true, true
-			}
-		}
-	}
-	return conn
-}
-
-// greedyOrder is the one greedy loop behind every structural order: starting
-// from first, it repeatedly appends the unused hyperedge connected to the
-// most already-chosen ones, breaking ties by larger rank and then by smaller
-// index.
-func greedyOrder(conn [][]bool, first int, rank func(j int) int) []int {
-	m := len(conn)
-	order := make([]int, 1, m)
-	order[0] = first
-	used := make([]bool, m)
-	used[first] = true
-	for len(order) < m {
-		bestIdx, bestConn, bestRank := -1, -1, 0
-		for j := 0; j < m; j++ {
-			if used[j] {
-				continue
-			}
-			c := 0
-			for _, o := range order {
-				if conn[o][j] {
-					c++
-				}
-			}
-			if r := rank(j); c > bestConn || (c == bestConn && r > bestRank) {
-				bestIdx, bestConn, bestRank = j, c, r
-			}
-		}
-		order = append(order, bestIdx)
-		used[bestIdx] = true
-	}
-	return order
 }
 
 // Reorder returns a new pattern whose hyperedges follow the given

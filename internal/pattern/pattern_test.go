@@ -76,45 +76,6 @@ func TestParseAndString(t *testing.T) {
 	}
 }
 
-func TestMatchingOrderProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	h := gen.MustGenerate(gen.Config{Name: "t", NumVertices: 120, NumEdges: 300,
-		Communities: 8, MemberOverlap: 1, EdgeSizeMin: 2, EdgeSizeMax: 8, EdgeSizeMean: 4, Seed: 21})
-	for trial := 0; trial < 30; trial++ {
-		m := 2 + rng.Intn(4)
-		p, err := Sample(h, m, 2, 40, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		order := p.MatchingOrder()
-		if len(order) != p.NumEdges() {
-			t.Fatalf("order %v for %d edges", order, p.NumEdges())
-		}
-		// Every prefix must stay connected: edge order[i] shares a vertex
-		// with some earlier edge.
-		for i := 1; i < len(order); i++ {
-			ok := false
-			for j := 0; j < i; j++ {
-				if intset.Intersects(p.Edge(order[i]), p.Edge(order[j])) {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				t.Fatalf("matching order %v breaks connectivity at %d (pattern %s)", order, i, p)
-			}
-		}
-		// Reorder must preserve the structure (signature up to permutation).
-		rp, err := p.Reorder(order)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rp.NumEdges() != p.NumEdges() || rp.NumVertices() != p.NumVertices() {
-			t.Fatal("Reorder changed shape")
-		}
-	}
-}
-
 func TestReorderValidation(t *testing.T) {
 	p := fig1Pattern(t)
 	if _, err := p.Reorder([]int{0, 1}); err == nil {

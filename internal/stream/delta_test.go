@@ -5,33 +5,48 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 
 	"ohminer/internal/engine"
 	"ohminer/internal/pattern"
 )
 
-// asymmetricPatterns are mixed-degree patterns whose anchor-first orders
-// differ from the default matching order for every anchor but the default's
-// own first hyperedge — where a filter deciding by matching-order position
-// instead of by original hyperedge index would miscount.
-func asymmetricPatterns(t *testing.T) []*pattern.Pattern {
-	t.Helper()
-	pats := []*pattern.Pattern{
+// asymmetricPatterns are mixed-degree patterns on whose anchor plans the
+// matching-order position and the original hyperedge index of a hyperedge
+// fall on different sides of the anchor (checkAnchorOrders) — where a filter
+// deciding by position instead of by original index would miscount.
+func asymmetricPatterns() []*pattern.Pattern {
+	return []*pattern.Pattern{
 		pattern.MustNew([][]uint32{{0, 1, 2}, {2, 3}, {3, 4}}, nil),
 		pattern.MustNew([][]uint32{{0, 1}, {1, 2, 3}, {3, 4}, {4, 0}}, nil),
 		pattern.MustNew([][]uint32{{0, 1}, {0, 2, 3}, {0, 4}, {0, 5, 6}}, nil), // 4-star of pairs and triples
 	}
-	for _, p := range pats {
-		def := p.MatchingOrder()
-		for a := 0; a < p.NumEdges(); a++ {
-			if a != def[0] && slices.Equal(p.MatchingOrderFrom(a), def) {
-				t.Fatalf("%s: anchor %d keeps the default order %v", p, a, def)
+}
+
+// checkAnchorOrders checks the anchor plans m compiled for its standing
+// queries: plan a starts at hyperedge a, and for every query some anchor a
+// and position pos fall on different sides of a, pos < a against Order[pos] <
+// a, so that a filter deciding by position instead of by original index would
+// miscount on them. Position 0 of any anchor a > 0 is such a place.
+func checkAnchorOrders(t *testing.T, m *Miner) {
+	t.Helper()
+	for _, q := range m.queries {
+		if q.anchorPlans == nil {
+			t.Fatalf("%s: no anchor plans compiled", q.lit)
+		}
+		differ := false
+		for a, plan := range q.anchorPlans {
+			if plan.Order[0] != a {
+				t.Fatalf("%s: the plan anchored at %d has order %v", q.lit, a, plan.Order)
+			}
+			for pos, orig := range plan.Order {
+				differ = differ || (pos < a) != (orig < a)
 			}
 		}
+		if !differ {
+			t.Fatalf("%s: every anchor plan keeps each hyperedge's position on the side of the anchor its index is on", q.lit)
+		}
 	}
-	return pats
 }
 
 // nearbyRaw draws n pairs and triples of nearby vertices, so that the
@@ -65,14 +80,14 @@ func checkTotals(t *testing.T, m *Miner, nv int, pats []*pattern.Pattern, res *B
 }
 
 // TestDeltaExactWhereOrdersDiffer: streamed totals equal a from-scratch mine
-// after every batch on patterns whose anchor-first orders differ from the
-// default, over add-only, add+retire, READD coinciding with window expiry
+// after every batch on patterns whose anchor plans put hyperedges at positions
+// that differ from their indices (checkAnchorOrders), over add-only, add+retire, READD coinciding with window expiry
 // and the first batch after a compaction; LatestDelta for a pattern that is
 // not registered agrees with the difference of two from-scratch mines.
 func TestDeltaExactWhereOrdersDiffer(t *testing.T) {
 	const nv = 16
 	opts := engine.Options{Workers: 2}
-	pats := asymmetricPatterns(t)
+	pats := asymmetricPatterns()
 	adhoc := pattern.MustNew([][]uint32{{0, 1, 2}, {2, 3}, {2, 4}}, nil)
 
 	scenarios := []struct {
@@ -127,6 +142,9 @@ func TestDeltaExactWhereOrdersDiffer(t *testing.T) {
 				if err != nil {
 					t.Fatalf("batch %d: %v", b, err)
 				}
+				if b == 0 {
+					checkAnchorOrders(t, m)
+				}
 				sawCompaction = sawCompaction || res.Compacted
 				for i, n := range checkTotals(t, m, nv, pats, res, opts) {
 					nonzero[i] = nonzero[i] || n > 0
@@ -167,7 +185,7 @@ func TestDeltaInvariantUnderRelabelling(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(8))
-	pats := asymmetricPatterns(t)
+	pats := asymmetricPatterns()
 	for b := 0; b < 6; b++ {
 		batch := Batch{Add: nearbyRaw(rng, nv, 8)}
 		if live := m.LiveEdgeSets(); b%2 == 1 {

@@ -190,9 +190,9 @@ type query struct {
 	lit   string
 	canon string
 	aut   uint64
-	// anchorPlans[a] is the unrestricted plan whose matching order starts
-	// at pattern hyperedge a (delta runs); compiled lazily, they need a
-	// store.
+	// anchorPlans[a] is the unrestricted plan of the delta runs anchored at
+	// pattern hyperedge a: position 0 is a, the rest is ordered by cost on
+	// the store. Compiled lazily, on the first batch that needs them.
 	anchorPlans []*oig.Plan
 	baseEpoch   uint64
 	base        uint64 // ordered count at registration
@@ -333,9 +333,10 @@ func (m *Miner) planOpts() engine.Options {
 	return o
 }
 
-// ensureAnchorPlans lazily compiles q's anchor-first plans against the
-// current store (plans carry only pattern semantics, so a plan compiled once
-// stays correct as the store evolves).
+// ensureAnchorPlans lazily compiles q's anchor-first plans, each in the order
+// oig.ChooseOrder picks on the current store with position 0 fixed at the
+// anchor (plans carry only pattern semantics, so a plan compiled once stays
+// correct as the store evolves).
 func (m *Miner) ensureAnchorPlans(q *query) error {
 	if q.anchorPlans != nil {
 		return nil
@@ -343,7 +344,7 @@ func (m *Miner) ensureAnchorPlans(q *query) error {
 	o, plans := m.planOpts(), make([]*oig.Plan, q.p.NumEdges())
 	for a := range plans {
 		var err error
-		if plans[a], err = engine.CompilePlanOrdered(q.p, q.p.MatchingOrderFrom(a), o); err != nil {
+		if plans[a], err = engine.CompilePlanOrdered(q.p, oig.ChooseOrder(m.store, q.p, a), o); err != nil {
 			return err
 		}
 	}
@@ -754,7 +755,7 @@ func (m *Miner) registerLocked(p *pattern.Pattern, persist bool) (QueryInfo, err
 		baseEpoch: m.epoch,
 	}
 	if m.store != nil {
-		// The baseline is the one run on the default matching order.
+		// The baseline is one full run, in the order Mine would choose.
 		plan, err := engine.CompilePlan(m.store, q.p, m.planOpts())
 		if err != nil {
 			return QueryInfo{}, err

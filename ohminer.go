@@ -150,7 +150,10 @@ var (
 )
 
 // CompilePattern runs the redundancy-free compiler and returns the
-// overlap-centric execution plan (with the merge optimization applied).
+// overlap-centric execution plan (with the merge optimization applied), in
+// the matching order chosen without a store: by cost on flat statistics, so
+// isomorphic patterns compile to equal steps. Mine orders by cost on its
+// store instead; its Result.Plan is the plan that ran.
 func CompilePattern(p *Pattern) (*Plan, error) { return oig.Compile(p, oig.ModeMerged) }
 
 // ErrWorkerPanic wraps a panic recovered on a mining worker goroutine
