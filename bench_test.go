@@ -6,6 +6,7 @@ package ohminer
 // EXPERIMENTS.md records; `cmd/ohmbench` runs the full-scale grids.
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -94,7 +95,7 @@ func BenchmarkMineVariants(b *testing.B) {
 		b.Run(v.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := baseline.Mine(store, p, baseline.Options{Gen: v.Gen, Val: v.Val, Workers: 1})
+				res, err := baseline.Mine(context.Background(), store, p, baseline.Options{Gen: v.Gen, Val: v.Val, Workers: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -123,7 +124,7 @@ func BenchmarkKernelAblation(b *testing.B) {
 	for _, k := range []intset.Kernel{intset.Adaptive, intset.Fast, intset.Scalar} {
 		b.Run(k.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := baseline.Mine(store, p, baseline.Options{Kernel: k, Workers: 1}); err != nil {
+				if _, err := baseline.Mine(context.Background(), store, p, baseline.Options{Kernel: k, Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -155,7 +156,7 @@ func BenchmarkMergeAblation(b *testing.B) {
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := baseline.Mine(store, p, baseline.Options{Val: cfg.val, Workers: 1}); err != nil {
+				if _, err := baseline.Mine(context.Background(), store, p, baseline.Options{Val: cfg.val, Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

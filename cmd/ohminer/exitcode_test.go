@@ -13,9 +13,9 @@ import (
 
 // TestExitCodes is the end-to-end drill for the CLI's truncation contract:
 // build the real ohminer binary and require that a deadline-truncated run
-// exits 124 with its snapshot retained, that -resume completes the run with
-// the exact full-run count and exit 0, and that a SIGINT-truncated run
-// exits 130. Scripts distinguish "finished" from "truncated" by these codes
+// exits 124 with its snapshot retained — a baseline (-variant) run too —
+// that -resume completes the run with the exact full-run count and exit 0,
+// and that a SIGINT-truncated run exits 130. Scripts distinguish "finished" from "truncated" by these codes
 // alone, so they are part of the interface, not cosmetics.
 func TestExitCodes(t *testing.T) {
 	if testing.Short() {
@@ -122,6 +122,17 @@ func TestExitCodes(t *testing.T) {
 	}
 	if !strings.Contains(out, "ordered=") {
 		t.Errorf("deadline run reported no partial counts:\n%s", out)
+	}
+
+	// A baseline run (-variant) stops on -timeout the same way: exit 124
+	// with its partial counts. The 6-edge chain mines far longer than the
+	// timeout on the first-level scheduler.
+	code, out = run("-pattern", pat+"; 5 6", "-variant", "OHM-G", "-timeout", "200ms")
+	if code != exitDeadline {
+		t.Fatalf("-variant deadline run: exit %d want %d\n%s", code, exitDeadline, out)
+	}
+	if !strings.Contains(out, "variant=OHM-G") {
+		t.Errorf("-variant deadline run reported no partial counts:\n%s", out)
 	}
 
 	// Resume: exit 0, exactly the full count, snapshot cleaned up.

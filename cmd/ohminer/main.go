@@ -191,17 +191,11 @@ func run() error {
 	}
 	var res engine.Result
 	if compare {
-		// A baseline run has no cancellation path: Ctrl-C gets its default
-		// action back, and -timeout becomes the run's own deadline.
-		stop()
 		var b baseline.Result
-		b, err = baseline.Mine(store, p, baseline.Options{
-			Gen: v.Gen, Val: v.Val, Kernel: kernel, Workers: *workers, Deadline: *timeout,
+		b, err = baseline.Mine(ctx, store, p, baseline.Options{
+			Gen: v.Gen, Val: v.Val, Kernel: kernel, Workers: *workers,
 		})
 		res = engine.Result{Ordered: b.Ordered, Unique: b.Unique, Automorphisms: b.Automorphisms, Elapsed: b.Elapsed, Plan: b.Plan}
-		if b.Truncated {
-			err = context.DeadlineExceeded
-		}
 	} else if *resume {
 		snap, rerr := checkpoint.ReadFile(*ckptPath)
 		if rerr != nil {

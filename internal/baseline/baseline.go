@@ -21,6 +21,7 @@
 package baseline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -107,9 +108,6 @@ type Options struct {
 	// Instrument adds the phase timers of Fig. 3(a) to the Stats counters
 	// (two clock reads per candidate: measurable overhead).
 	Instrument bool
-	// Deadline aborts the exploration after roughly this duration (0 =
-	// none); a run it cut short is marked Truncated and undercounts.
-	Deadline time.Duration
 }
 
 // Stats carries the counters behind Fig. 3.
@@ -157,7 +155,7 @@ type Result struct {
 // Mine compiles the plan the options call for — simple for ValOverlapSimple,
 // merged otherwise, in the matching order the production engine chooses on
 // store (oig.ChooseOrder), with symmetry-breaking restrictions — and runs it.
-func Mine(store *dal.Store, p *pattern.Pattern, opts Options) (Result, error) {
+func Mine(ctx context.Context, store *dal.Store, p *pattern.Pattern, opts Options) (Result, error) {
 	mode := oig.ModeMerged
 	if opts.Val == ValOverlapSimple {
 		mode = oig.ModeSimple
@@ -166,13 +164,15 @@ func Mine(store *dal.Store, p *pattern.Pattern, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return MineWithPlan(store, plan, opts)
+	return MineWithPlan(ctx, store, plan, opts)
 }
 
 // MineWithPlan runs a compiled plan: merged for ValOverlap, simple for
 // ValOverlapSimple, either for ValProfiles (which reads only the generation
-// constraints).
-func MineWithPlan(store *dal.Store, plan *oig.Plan, opts Options) (Result, error) {
+// constraints). It stops as the production engine does: when ctx ends,
+// every worker stops at its next candidate, and the partial Result, marked
+// Truncated if work was left, comes back with ctx.Err().
+func MineWithPlan(ctx context.Context, store *dal.Store, plan *oig.Plan, opts Options) (Result, error) {
 	h := store.Hypergraph()
 	switch {
 	case opts.Val == ValOverlap && plan.Mode != oig.ModeMerged:
@@ -194,10 +194,7 @@ func MineWithPlan(store *dal.Store, plan *oig.Plan, opts Options) (Result, error
 		r.evals = evals(plan)
 	}
 	start := time.Now()
-	if opts.Deadline > 0 {
-		timer := time.AfterFunc(opts.Deadline, func() { r.stopped.Store(true) })
-		defer timer.Stop()
-	}
+	defer context.AfterFunc(ctx, func() { r.stopped.Store(true) })()
 
 	// The paper's first-level dynamic loop: every worker claims the next
 	// unclaimed candidate of the first pattern hyperedge and mines its whole
@@ -254,7 +251,7 @@ func MineWithPlan(store *dal.Store, plan *oig.Plan, opts Options) (Result, error
 		res.Unique, res.Ordered = tuples/aut, tuples
 	}
 	res.Elapsed = time.Since(start)
-	return res, nil
+	return res, ctx.Err()
 }
 
 // Keep returns the members of cands that extend prefix, bound to positions
@@ -366,7 +363,7 @@ type run struct {
 	kernel   intset.Kernel
 	profiles []map[uint64]int // ValProfiles only
 	evals    [][]eval         // ValOverlap and ValOverlapSimple only
-	stopped  atomic.Bool      // set by the deadline timer
+	stopped  atomic.Bool      // set when the run's context ends
 }
 
 // firstCandidates lists the data hyperedges with the first pattern

@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -45,7 +47,7 @@ func crossCheck(t *testing.T, store *dal.Store, p *pattern.Pattern, what string)
 	for _, v := range Variants() {
 		for _, k := range kernels {
 			for _, workers := range []int{1, 4} {
-				res, err := Mine(store, p, Options{Gen: v.Gen, Val: v.Val, Kernel: k, Workers: workers})
+				res, err := Mine(context.Background(), store, p, Options{Gen: v.Gen, Val: v.Val, Kernel: k, Workers: workers})
 				if err != nil {
 					t.Fatalf("%s: %s: %v", what, v.Name, err)
 				}
@@ -63,7 +65,7 @@ func crossCheck(t *testing.T, store *dal.Store, p *pattern.Pattern, what string)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		res, err := MineWithPlan(store, plan, Options{Gen: v.Gen, Val: v.Val, Workers: 4})
+		res, err := MineWithPlan(context.Background(), store, plan, Options{Gen: v.Gen, Val: v.Val, Workers: 4})
 		if err != nil || res.Ordered != want || res.Unique != want/aut || res.Restricted {
 			t.Fatalf("%s: %s unrestricted: Ordered=%d Unique=%d restricted=%v err=%v, want %d/%d/false\npattern %s",
 				what, v.Name, res.Ordered, res.Unique, res.Restricted, err, want, want/aut, p)
@@ -280,7 +282,7 @@ func TestFirstLevelLoop(t *testing.T) {
 		{pattern.MustNew([][]uint32{{0, 1}}, nil), 12}, // single hyperedge: the loop is the whole search
 	} {
 		for _, workers := range []int{1, 4, 64} {
-			res, err := Mine(store, tc.p, Options{Workers: workers})
+			res, err := Mine(context.Background(), store, tc.p, Options{Workers: workers})
 			if err != nil || res.Ordered != tc.want || res.Truncated {
 				t.Errorf("%s workers=%d: Ordered=%d truncated=%v err=%v, want %d", tc.p, workers, res.Ordered, res.Truncated, err, tc.want)
 			}
@@ -288,28 +290,32 @@ func TestFirstLevelLoop(t *testing.T) {
 	}
 }
 
-// TestDeadlineTruncates: an expired deadline stops every worker at its next
-// candidate and marks the undercount; a generous one changes nothing.
+// TestDeadlineTruncates: a context past its deadline stops every worker at
+// its next candidate, returns context.DeadlineExceeded and marks the
+// undercount; a generous one changes nothing.
 func TestDeadlineTruncates(t *testing.T) {
 	h := gen.MustGenerate(gen.Config{Name: "d", NumVertices: 250, NumEdges: 4000,
 		Communities: 6, MemberOverlap: 2, EdgeSizeMin: 2, EdgeSizeMax: 6, EdgeSizeMean: 3, Seed: 19})
 	store := dal.Build(h)
 	p := pattern.MustNew([][]uint32{{0, 1}, {1, 2}, {2, 3}}, nil)
 	hgm := Options{Gen: GenHGMatch, Val: ValProfiles, Workers: 2}
-	full, err := Mine(store, p, hgm)
+	full, err := Mine(context.Background(), store, p, hgm)
 	if err != nil || full.Truncated {
 		t.Fatalf("full run: %+v, %v", full, err)
 	}
 	if full.Elapsed < 5*time.Millisecond {
 		t.Skipf("workload too fast (%v) to truncate reliably", full.Elapsed)
 	}
-	hgm.Deadline = time.Millisecond
-	cut, err := Mine(store, p, hgm)
-	if err != nil || !cut.Truncated || cut.Ordered >= full.Ordered {
+	mine := func(d time.Duration) (Result, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		defer cancel()
+		return Mine(ctx, store, p, hgm)
+	}
+	cut, err := mine(time.Millisecond)
+	if !errors.Is(err, context.DeadlineExceeded) || !cut.Truncated || cut.Ordered >= full.Ordered {
 		t.Fatalf("1ms deadline: Ordered=%d truncated=%v err=%v, full run counted %d in %v", cut.Ordered, cut.Truncated, err, full.Ordered, full.Elapsed)
 	}
-	hgm.Deadline = time.Hour
-	if res, err := Mine(store, p, hgm); err != nil || res.Truncated || res.Ordered != full.Ordered {
+	if res, err := mine(time.Hour); err != nil || res.Truncated || res.Ordered != full.Ordered {
 		t.Fatalf("1h deadline: Ordered=%d truncated=%v err=%v, want %d", res.Ordered, res.Truncated, err, full.Ordered)
 	}
 }
@@ -319,7 +325,7 @@ func TestDeadlineTruncates(t *testing.T) {
 // redundancy counters must be non-zero; the phase timers need Instrument.
 func TestInstrumentStats(t *testing.T) {
 	store, p := fig1()
-	res, err := Mine(store, p, Options{Gen: GenHGMatch, Val: ValProfiles, Workers: 1, Instrument: true})
+	res, err := Mine(context.Background(), store, p, Options{Gen: GenHGMatch, Val: ValProfiles, Workers: 1, Instrument: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +339,7 @@ func TestInstrumentStats(t *testing.T) {
 	if st.GenTime <= 0 || st.ValTime <= 0 {
 		t.Fatalf("phase timers missing: %+v", st)
 	}
-	plain, err := Mine(store, p, Options{Workers: 1})
+	plain, err := Mine(context.Background(), store, p, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,21 +350,21 @@ func TestInstrumentStats(t *testing.T) {
 
 func TestMineErrors(t *testing.T) {
 	store, p := fig1()
-	if _, err := MineWithPlan(store, oig.MustCompile(p, oig.ModeSimple), Options{Val: ValOverlap}); err == nil {
+	if _, err := MineWithPlan(context.Background(), store, oig.MustCompile(p, oig.ModeSimple), Options{Val: ValOverlap}); err == nil {
 		t.Error("merged validation accepted simple plan")
 	}
-	if _, err := MineWithPlan(store, oig.MustCompile(p, oig.ModeMerged), Options{Val: ValOverlapSimple}); err == nil {
+	if _, err := MineWithPlan(context.Background(), store, oig.MustCompile(p, oig.ModeMerged), Options{Val: ValOverlapSimple}); err == nil {
 		t.Error("simple validation accepted merged plan")
 	}
 	lp := pattern.MustNew([][]uint32{{0, 1}, {1, 2}}, []uint32{0, 0, 1})
-	if _, err := Mine(store, lp, Options{}); err == nil {
+	if _, err := Mine(context.Background(), store, lp, Options{}); err == nil {
 		t.Error("labeled pattern accepted on unlabeled hypergraph")
 	}
 	elp, err := pattern.NewEdgeLabeled([][]uint32{{0, 1}, {1, 2}}, nil, []uint32{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Mine(store, elp, Options{}); err == nil {
+	if _, err := Mine(context.Background(), store, elp, Options{}); err == nil {
 		t.Error("hyperedge-labeled pattern accepted on hypergraph without hyperedge labels")
 	}
 }
@@ -461,7 +467,7 @@ func TestMiningAcrossStampWraparound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := MineWithPlan(store, plan, opts)
+	clean, err := MineWithPlan(context.Background(), store, plan, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

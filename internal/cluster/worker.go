@@ -46,9 +46,9 @@ type WorkerConfig struct {
 	// MaxBackoff caps the jittered exponential backoff applied to
 	// transient lease/report errors (0 = 30s).
 	MaxBackoff time.Duration
-	// Engine carries local execution knobs — Workers, SplitDepth,
-	// SplitThreshold, Instrument. The plan depends only on the lease's
-	// pattern and the store, so every node compiles the identical plan.
+	// Engine carries local execution knobs — Workers, Instrument. The plan
+	// depends only on the lease's pattern and the store, so every node
+	// compiles the identical plan.
 	Engine engine.Options
 	// OnEmbedding, when set, observes every embedding mined locally (test
 	// hook; also where faultinject wraps its triggers).
@@ -177,7 +177,8 @@ func (w *Worker) Run(ctx context.Context) error {
 // that is not draining asks for its next lease on the same round trip and
 // returns it (nil when the coordinator had none, or the report did not earn
 // one). A lease taken over when ctx is already cancelled is not dropped: the
-// engine stops at once and the whole range goes back as the remainder.
+// engine stops before its first candidate and the whole range goes back as
+// the remainder.
 func (w *Worker) runLease(ctx context.Context, lease *Lease) *Lease {
 	report := Report{
 		Worker: w.cfg.Name,
@@ -284,17 +285,11 @@ func (w *Worker) mine(ctx context.Context, lease *Lease) (engine.Result, []byte,
 	if cause := context.Cause(taskCtx); errors.Is(cause, errLeaseLost) {
 		return res, nil, errLeaseLost
 	}
+	// A run the drain stopped is Truncated and its frontier — the whole
+	// range, if the context was done before it started — is the remainder.
 	var remainder []byte
-	switch {
-	case res.Truncated:
+	if res.Truncated {
 		remainder = mem.Bytes()
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		// Stopped by the drain without leaving a frontier: the engine refused
-		// the cancelled context before taking the range (or finished it in
-		// the same instant — the two look alike from here). Reporting that as
-		// a complete task would merge a zero for a range nobody mined, so the
-		// whole range goes back uncounted.
-		res, remainder = engine.Result{}, lease.Snapshot
 	}
 	return res, remainder, err
 }

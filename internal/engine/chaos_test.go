@@ -30,7 +30,6 @@ const chaosTick = 2 * time.Millisecond
 func chaosOpts(sink checkpoint.Sink) Options {
 	return Options{
 		Workers:         3,
-		SplitThreshold:  2,
 		Checkpoint:      sink,
 		CheckpointEvery: chaosTick,
 		OnEmbedding:     faultinject.SlowEmbedding(100 * time.Microsecond),
@@ -45,6 +44,7 @@ func chaosOpts(sink checkpoint.Sink) Options {
 // keep the split=0 component they had while SplitDepth=-1 selected a second
 // scheduler: same cases, same IDs in test history.)
 func TestChaosKillAtKthCheckpoint(t *testing.T) {
+	setSplit(t, defaultSplitDepth, 2)
 	store, p, want := slowWorkload(t)
 	for seed := uint64(1); seed <= 3; seed++ {
 		// Capped at 3: every run reliably reaches 3 checkpoints even
@@ -97,6 +97,7 @@ func TestChaosKillAtKthCheckpoint(t *testing.T) {
 // lengths; the loader must reject every torn file as corrupt — resuming
 // from garbage would be worse than starting over.
 func TestChaosTornCheckpointRejected(t *testing.T) {
+	setSplit(t, defaultSplitDepth, 2)
 	store, p, _ := slowWorkload(t)
 	for seed := uint64(1); seed <= 4; seed++ {
 		// Max tear length stays below the smallest complete snapshot (~204
@@ -124,6 +125,7 @@ func TestChaosTornCheckpointRejected(t *testing.T) {
 // before the panic must resume to the exact total: the partial work of the
 // crashed round is lost, never double-counted.
 func TestChaosPanicThenResume(t *testing.T) {
+	setSplit(t, defaultSplitDepth, 2)
 	store, p, want := slowWorkload(t)
 	// Fault points live in callback space: the symmetry-broken plan fires
 	// OnEmbedding once per orbit, so the run makes want/|Aut| calls total.
@@ -166,6 +168,7 @@ func TestChaosPanicThenResume(t *testing.T) {
 // change the mining result — the run completes exact with the failures
 // merely counted.
 func TestChaosFullDisk(t *testing.T) {
+	setSplit(t, defaultSplitDepth, 2)
 	store, p, want := slowWorkload(t)
 	sink := &faultinject.NoSpaceSink{}
 	res, err := Mine(store, p, chaosOpts(sink))
@@ -177,5 +180,8 @@ func TestChaosFullDisk(t *testing.T) {
 	}
 	if sink.Attempts() == 0 || res.Stats.CheckpointErrors != sink.Attempts() {
 		t.Errorf("%d refused writes, stats count %d", sink.Attempts(), res.Stats.CheckpointErrors)
+	}
+	if res.Stats.Publishes == 0 {
+		t.Error("no publications: the chaos runs no longer exercise stealing")
 	}
 }

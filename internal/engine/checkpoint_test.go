@@ -418,6 +418,7 @@ func cliqueWorkload() (*dal.Store, *pattern.Pattern, uint64) {
 // that a resumed worker explores on caches it never built. The file must
 // validate and resume to the closed form.
 func TestParentCliqueSnapshotResumes(t *testing.T) {
+	setSplit(t, defaultSplitDepth, 1)
 	store, p, want := cliqueWorkload()
 	snap, err := checkpoint.ReadFile("testdata/parent_pr28_clique.ohmc")
 	if err != nil {
@@ -438,7 +439,7 @@ func TestParentCliqueSnapshotResumes(t *testing.T) {
 		t.Fatalf("parent snapshot refused: %v", err)
 	}
 	for _, workers := range []int{1, 2} {
-		res, err := ResumeWithPlanContext(context.Background(), store, plan, snap, Options{Workers: workers, SplitThreshold: 1})
+		res, err := ResumeWithPlanContext(context.Background(), store, plan, snap, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

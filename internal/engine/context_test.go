@@ -15,6 +15,7 @@ import (
 // The OnEmbedding callback throttles the run so it cannot finish before
 // the cancel lands; the observed cancel→return latency is bounded.
 func TestContextCancelPartialResult(t *testing.T) {
+	setSplit(t, defaultSplitDepth, 2)
 	store, plan := skewedInput(t, 24)
 	total := uint64(24 * 24)
 
@@ -28,7 +29,7 @@ func TestContextCancelPartialResult(t *testing.T) {
 		cancel()
 	}()
 	res, err := MineWithPlanContext(ctx, store, plan, Options{
-		Workers: 4, SplitThreshold: 2,
+		Workers: 4,
 		OnEmbedding: func([]uint32) {
 			once.Do(func() { close(started) })
 			time.Sleep(time.Millisecond)
@@ -63,7 +64,8 @@ type atomic2 struct {
 func (a *atomic2) set(t time.Time) { a.mu.Lock(); a.t = t; a.mu.Unlock() }
 func (a *atomic2) get() time.Time  { a.mu.Lock(); defer a.mu.Unlock(); return a.t }
 
-// TestContextPreCancelled: an already-dead context never starts mining.
+// TestContextPreCancelled: an already-dead context never starts mining, and
+// the run reports that it left everything unexplored.
 func TestContextPreCancelled(t *testing.T) {
 	store, plan := skewedInput(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -72,18 +74,19 @@ func TestContextPreCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want context.Canceled", err)
 	}
-	if res.Ordered != 0 {
-		t.Fatalf("pre-cancelled run mined %d embeddings", res.Ordered)
+	if res.Ordered != 0 || !res.Truncated {
+		t.Fatalf("pre-cancelled run mined %d embeddings, truncated=%v", res.Ordered, res.Truncated)
 	}
 }
 
 // TestContextCompletedRunNoError: a context that stays live must not
 // disturb a normal run.
 func TestContextCompletedRunNoError(t *testing.T) {
+	setSplit(t, defaultSplitDepth, 2)
 	store, plan := skewedInput(t, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res, err := MineWithPlanContext(ctx, store, plan, Options{Workers: 2, SplitThreshold: 2})
+	res, err := MineWithPlanContext(ctx, store, plan, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +99,10 @@ func TestContextCompletedRunNoError(t *testing.T) {
 // OnEmbedding callback) must surface as ErrWorkerPanic from Mine instead
 // of killing the process, and must stop the remaining workers.
 func TestWorkerPanicReturnsError(t *testing.T) {
+	setSplit(t, defaultSplitDepth, 2)
 	store, plan := skewedInput(t, 8)
 	res, err := MineWithPlanContext(context.Background(), store, plan, Options{
-		Workers: 4, SplitThreshold: 2,
+		Workers:     4,
 		OnEmbedding: func([]uint32) { panic("callback boom") },
 	})
 	if !errors.Is(err, ErrWorkerPanic) {
@@ -117,11 +121,12 @@ func TestWorkerPanicReturnsError(t *testing.T) {
 // truncated — exploration exhausted the search space — while a limit below
 // the total must.
 func TestLimitExactSemantics(t *testing.T) {
+	setSplit(t, defaultSplitDepth, 2)
 	store, plan := skewedInput(t, 8)
 	total := uint64(64)
 	for _, lim := range []uint64{total, total + 1} {
 		res, err := MineWithPlanContext(context.Background(), store, plan, Options{
-			Workers: 1, Limit: lim, SplitThreshold: 2,
+			Workers: 1, Limit: lim,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -134,7 +139,7 @@ func TestLimitExactSemantics(t *testing.T) {
 		}
 	}
 	res, err := MineWithPlanContext(context.Background(), store, plan, Options{
-		Workers: 1, Limit: total - 1, SplitThreshold: 2,
+		Workers: 1, Limit: total - 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -9,8 +11,9 @@ import (
 	"ohminer/internal/pattern"
 )
 
-// TestDeadlineTruncates: a run with a tiny deadline must stop early, flag
-// Truncated, and undercount relative to the full run.
+// TestDeadlineTruncates: a run under a context with a tiny deadline must
+// stop early, return context.DeadlineExceeded, flag Truncated, and
+// undercount relative to the full run.
 func TestDeadlineTruncates(t *testing.T) {
 	h := gen.MustGenerate(gen.Config{Name: "d", NumVertices: 250, NumEdges: 4000,
 		Communities: 6, MemberOverlap: 2, EdgeSizeMin: 2, EdgeSizeMax: 6, EdgeSizeMean: 3, Seed: 19})
@@ -27,9 +30,11 @@ func TestDeadlineTruncates(t *testing.T) {
 	if full.Elapsed < 5*time.Millisecond {
 		t.Skipf("workload too fast (%v) to truncate reliably", full.Elapsed)
 	}
-	cut, err := Mine(store, p, Options{Workers: 1, Deadline: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	cut, err := MineContext(ctx, store, p, Options{Workers: 1})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err=%v, want context.DeadlineExceeded", err)
 	}
 	if !cut.Truncated {
 		t.Fatalf("deadline run not truncated (full took %v)", full.Elapsed)

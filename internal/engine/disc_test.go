@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -97,10 +98,11 @@ func randGraphLike(rng *rand.Rand, nv, pairs, triples int) *hypergraph.Hypergrap
 
 // TestDiscShapesDifferential: engine = baseline = brute force on the Disc
 // shapes over random graph-like hypergraphs, restricted and not, on 1, 2 and
-// 4 workers that publish at every depth they may (SplitThreshold 1), so the
+// 4 workers that publish at every depth they may (setSplit), so the
 // ranges popped and stolen at a middle Disc depth go through runTask's filter
 // a second time.
 func TestDiscShapesDifferential(t *testing.T) {
+	setSplit(t, math.MaxInt, 1)
 	rng := rand.New(rand.NewSource(2207))
 	trials := 5
 	if testing.Short() {
@@ -114,7 +116,7 @@ func TestDiscShapesDifferential(t *testing.T) {
 			want := oracleCount(t, store, p)
 			for _, norestrict := range []bool{false, true} {
 				for _, workers := range []int{1, 2, 4} {
-					opts := Options{Workers: workers, NoSymmetryBreak: norestrict, SplitThreshold: 1, SplitDepth: p.NumEdges()}
+					opts := Options{Workers: workers, NoSymmetryBreak: norestrict}
 					res, err := Mine(store, p, opts)
 					if err != nil {
 						t.Fatal(err)
@@ -378,6 +380,7 @@ func TestCountedLeafFallsBackOnLabels(t *testing.T) {
 // chains run on a sparse store with shuffled IDs: cached operands and marks a
 // resumed worker has never built.
 func TestCountedLeafCheckpointResume(t *testing.T) {
+	setSplit(t, defaultSplitDepth, 1)
 	k8, block := completeGraph(8), blockStore(10)
 	type resumeCase struct {
 		name  string
@@ -435,7 +438,7 @@ func TestCountedLeafCheckpointResume(t *testing.T) {
 		twoWorkerDepths := map[uint32]bool{}
 		for _, norestrict := range []bool{false, true} {
 			for _, workers := range []int{1, 2} {
-				base := Options{Workers: workers, NoSymmetryBreak: norestrict, SplitThreshold: 1}
+				base := Options{Workers: workers, NoSymmetryBreak: norestrict}
 				full, err := mineOrdered(store, p, shape.order, base)
 				if err != nil {
 					t.Fatal(err)

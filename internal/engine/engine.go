@@ -59,11 +59,6 @@ type Options struct {
 	// NoSymmetryBreak to observe every ordered tuple. Calls are serialized
 	// by the engine; the slice is reused and must be copied to retain.
 	OnEmbedding func([]uint32)
-	// Deadline aborts the exploration after roughly this duration (0 =
-	// none); a run the deadline actually cut short is marked Truncated and
-	// undercounts. Used by the benchmark harness to bound combinatorially
-	// exploding cells.
-	Deadline time.Duration
 	// UniqueOnly filters OnEmbedding to one canonical tuple per unordered
 	// embedding: the callback fires only when the tuple is the
 	// lexicographically smallest among its automorphic reorderings.
@@ -83,17 +78,8 @@ type Options struct {
 	// incremental miner to count embeddings touching newly inserted
 	// hyperedges exactly once).
 	PositionFilter func(pos int, edge uint32) bool
-	// SplitDepth bounds how deep in the search tree workers publish
-	// untouched sibling candidate ranges for work stealing: positions
-	// t < SplitDepth are splittable. 0 selects the default (the first two
-	// levels); negative values are refused.
-	SplitDepth int
-	// SplitThreshold is the minimum number of unexplored candidates that
-	// must remain at a splittable position before half of them are
-	// published (0 = default 4). Lower values split more aggressively.
-	SplitThreshold int
 	// Checkpoint, when set, makes the run crash-safe: on the CheckpointEvery
-	// timer — and on every final stop (cancellation, deadline, limit) — the
+	// timer — and on every final stop (the context done, or the limit) — the
 	// driver quiesces the workers at their per-candidate stop check,
 	// captures the global frontier of unexplored subtree tasks together
 	// with the partial counters, and hands the snapshot to the sink. Sink
@@ -197,8 +183,8 @@ type Result struct {
 	// ordered tuples in UniqueRemainder instead of silently rounding.
 	Unique uint64
 	// UniqueRemainder is Ordered mod Automorphisms on an unrestricted plan:
-	// non-zero only when a limit/deadline/cancellation stopped the run in
-	// the middle of an automorphism orbit, in which case Unique undercounts
+	// non-zero only when the limit or the context stopped the run in the
+	// middle of an automorphism orbit, in which case Unique undercounts
 	// by the partial orbit. Always zero on symmetry-broken plans and on
 	// complete runs.
 	UniqueRemainder uint64
@@ -210,10 +196,10 @@ type Result struct {
 	// Elapsed is the wall-clock mining time (excluding plan compilation).
 	Elapsed time.Duration
 	// Truncated reports that exploration stopped before exhausting the
-	// search space — a worker observed the stop flag (Limit reached,
-	// Deadline fired, or context cancelled) while unexplored work remained
-	// — so Ordered may undercount. A run that reaches Limit on its very
-	// last embedding explored everything and is NOT truncated.
+	// search space — a worker observed the stop flag (Limit reached, or the
+	// context done: cancelled or past its deadline) while unexplored work
+	// remained — so Ordered may undercount. A run that reaches Limit on its
+	// very last embedding explored everything and is NOT truncated.
 	Truncated bool
 	Stats     Stats
 	Plan      *oig.Plan
@@ -241,10 +227,11 @@ func MineWithPlan(store *dal.Store, plan *oig.Plan, opts Options) (Result, error
 }
 
 // MineWithPlanContext is MineWithPlan with caller-controlled cancellation.
-// The ctx-done branch is merged into the engine's single shared stop flag,
-// so the mining hot path still pays exactly one atomic load per candidate
-// regardless of whether a deadline, a limit, or a context is in play. On
-// cancellation the partial Result is returned along with ctx.Err().
+// The context is the one way to stop a run early besides Limit: its done
+// channel sets the engine's single shared stop flag, so the mining hot path
+// pays exactly one atomic load per candidate whichever of the two stops it.
+// A run bounded in time takes a context.WithTimeout. On cancellation or
+// expiry the partial Result is returned along with ctx.Err().
 func MineWithPlanContext(ctx context.Context, store *dal.Store, plan *oig.Plan, opts Options) (Result, error) {
 	return mineResumable(ctx, store, plan, opts, nil)
 }
@@ -266,10 +253,6 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-
-	if err := ctx.Err(); err != nil {
-		return Result{}, err
 	}
 
 	e := newShared(store, plan, opts)
@@ -347,31 +330,18 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 		return res
 	}
 
-	if opts.Deadline > 0 {
-		// A single timer goroutine flips the shared flag; workers check it
-		// with one atomic load per candidate instead of calling time.Now on
-		// the hot path. The deadlineHit latch survives the between-round
-		// flag reset of checkpointed runs.
-		timer := time.AfterFunc(opts.Deadline, func() {
-			e.deadlineHit.Store(true)
-			e.stopped.Store(true)
-		})
-		defer timer.Stop()
+	// The context's end sets the same stop flag the limit uses — no extra
+	// hot-path check, and nothing at all for a context that never ends.
+	// AfterFunc calls its function on a goroutine of its own, so a context
+	// already done sets the flag here, and the workers stop before their
+	// first candidate: the run is Truncated, and with a checkpoint sink its
+	// whole frontier is saved. Between rounds the driver consults ctx.Err()
+	// directly, so the one-shot store cannot be lost to a flag reset.
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, func() { e.stopped.Store(true) })()
 	}
-	if done := ctx.Done(); done != nil {
-		// The context watcher merges cancellation into the same stop flag
-		// the deadline and limit use — no extra hot-path check. Between
-		// rounds the driver consults ctx.Err() directly, so the one-shot
-		// store cannot be lost to a flag reset.
-		finished := make(chan struct{})
-		defer close(finished)
-		go func() {
-			select {
-			case <-done:
-				e.stopped.Store(true)
-			case <-finished:
-			}
-		}()
+	if ctx.Err() != nil {
+		e.stopped.Store(true)
 	}
 
 	var first []uint32
@@ -399,13 +369,12 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 	)
 	for round := 0; ; round++ {
 		if round > 0 {
-			// Reset the stop flag for the next round, then latch any final
-			// condition that raced the reset: the ordering (reset first,
-			// check after) guarantees a cancellation or deadline that fired
-			// in the gap is either still visible in the flag or visible in
-			// the latches checked here.
+			// Reset the stop flag for the next round, then check the context:
+			// the ordering (reset first, check after) guarantees that a
+			// context that ended in the gap is either still visible in the
+			// flag or visible here.
 			e.stopped.Store(false)
-			if ctx.Err() != nil || e.deadlineHit.Load() {
+			if ctx.Err() != nil {
 				truncated = true
 				break
 			}
@@ -465,7 +434,7 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 				ckptBytes += uint64(n)
 			}
 		}
-		if done || panicked || !e.saveOnStop || limitReached || ctx.Err() != nil || e.deadlineHit.Load() {
+		if done || panicked || !e.saveOnStop || limitReached || ctx.Err() != nil {
 			truncated = truncated || len(frontier) > 0
 			break
 		}
@@ -513,9 +482,6 @@ func validateRun(store *dal.Store, plan *oig.Plan, opts Options) error {
 	if plan.Mode != oig.ModeMerged {
 		return fmt.Errorf("%w, got a %s one (simple-plan validation runs in internal/baseline)", ErrPlanMode, plan.Mode)
 	}
-	if opts.SplitDepth < 0 {
-		return errors.New("engine: negative SplitDepth (the first-level scheduler runs in internal/baseline)")
-	}
 	if plan.Labeled && !store.Hypergraph().Labeled() {
 		return errors.New("engine: labeled pattern on unlabeled hypergraph")
 	}
@@ -559,25 +525,10 @@ func (e *shared) runRound(ws []*worker, first []uint32, tasks []task) *scheduler
 	return sched
 }
 
-// splitParams resolves the scheduling knobs: SplitDepth 0 means the default
-// two levels (clamped so the last position is never splittable — splitting
-// there publishes leaves, pure overhead), SplitThreshold 0 means the default.
-func splitParams(plan *oig.Plan, opts Options) (depth, threshold int) {
-	depth = opts.SplitDepth
-	if depth == 0 {
-		depth = defaultSplitDepth
-	}
-	if max := plan.Pattern.NumEdges() - 1; depth > max {
-		depth = max
-	}
-	if depth < 1 {
-		depth = 1
-	}
-	threshold = opts.SplitThreshold
-	if threshold <= 0 {
-		threshold = defaultSplitThreshold
-	}
-	return depth, threshold
+// splitParams clamps the split depth so the last position is never
+// splittable — splitting there publishes leaves, pure overhead.
+func splitParams(plan *oig.Plan) (depth, threshold int) {
+	return max(1, min(publishDepth, plan.Pattern.NumEdges()-1)), publishThreshold
 }
 
 // shared is the per-run state every worker uses. Everything except the
@@ -586,14 +537,14 @@ type shared struct {
 	store *dal.Store
 	plan  *oig.Plan
 	opts  Options
-	// splitDepth/splitThreshold are the resolved scheduling knobs (see
-	// Options.SplitDepth / Options.SplitThreshold and splitParams).
+	// splitDepth/splitThreshold are the run's scheduling parameters (see
+	// splitParams).
 	splitDepth     int
 	splitThreshold int
-	// stopped is the shared cooperative-cancellation flag: set by the
-	// deadline timer, the context watcher, a panicking worker, and the
-	// worker that reaches Limit, checked once per candidate by every worker
-	// (including thieves executing stolen tasks).
+	// stopped is the shared cooperative-cancellation flag: set when the
+	// context ends, by a panicking worker, by the worker that reaches Limit
+	// and by the checkpoint timer, checked once per candidate by every
+	// worker (including thieves executing stolen tasks).
 	stopped atomic.Bool
 	// abandoned records that some worker actually walked away from
 	// unexplored work after observing stopped — the condition under which
@@ -605,10 +556,6 @@ type shared struct {
 	// checkpoint sink is configured, so every quiesce point captures the
 	// exact remaining search space.
 	saveOnStop bool
-	// deadlineHit latches deadline expiry separately from stopped, which
-	// checkpointed runs reset between rounds; the driver consults it to
-	// tell "quiesce for a checkpoint" from "out of time".
-	deadlineHit atomic.Bool
 	// panicErr holds the first worker panic, converted to an error so a
 	// crashing user callback cannot take down the process.
 	panicMu  sync.Mutex
@@ -633,7 +580,7 @@ type shared struct {
 // newShared resolves a run's options into the state its workers share.
 func newShared(store *dal.Store, plan *oig.Plan, opts Options) *shared {
 	e := &shared{store: store, plan: plan, opts: opts, saveOnStop: opts.Checkpoint != nil, countedLeaf: -1}
-	e.splitDepth, e.splitThreshold = splitParams(plan, opts)
+	e.splitDepth, e.splitThreshold = splitParams(plan)
 	e.vdefs, e.nodes, e.last = compileChains(plan)
 	last := len(plan.Steps) - 1
 	if last > 0 && e.last[last] >= 0 && !plan.Labeled && plan.Steps[last].EdgeLabel < 0 &&

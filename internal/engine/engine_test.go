@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -51,7 +52,7 @@ func oracleCount(t *testing.T, store *dal.Store, p *pattern.Pattern) uint64 {
 		}
 	}
 	for _, v := range baseline.Variants() {
-		res, err := baseline.Mine(store, p, baseline.Options{Gen: v.Gen, Val: v.Val, Workers: 2})
+		res, err := baseline.Mine(context.Background(), store, p, baseline.Options{Gen: v.Gen, Val: v.Val, Workers: 2})
 		if err != nil || res.Ordered != want {
 			t.Fatalf("baseline %s: Ordered=%d err=%v, brute force %d\npattern %s", v.Name, res.Ordered, err, want, p)
 		}
@@ -271,10 +272,6 @@ func TestMineErrors(t *testing.T) {
 	plan := oig.MustCompile(p, oig.ModeSimple)
 	if _, err := MineWithPlan(store, plan, Options{}); !errors.Is(err, ErrPlanMode) {
 		t.Errorf("simple plan: err=%v, want ErrPlanMode", err)
-	}
-	// The first-level scheduler SplitDepth<0 used to select is gone.
-	if _, err := Mine(store, p, Options{SplitDepth: -1}); err == nil {
-		t.Error("negative SplitDepth accepted")
 	}
 	// Labeled pattern on unlabeled hypergraph.
 	lp := pattern.MustNew([][]uint32{{0, 1}, {1, 2}}, []uint32{0, 0, 1})

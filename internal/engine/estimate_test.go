@@ -109,9 +109,6 @@ func TestEstimateRefusesWhatMineRefuses(t *testing.T) {
 			t.Errorf("%s: EstimateCount err=%v, Mine err=%v; want the same refusal", name, estErr, mineErr)
 		}
 	}
-	if _, err := EstimateCount(store, labeled, 1, 1, Options{SplitDepth: -1}); err == nil {
-		t.Error("negative SplitDepth accepted")
-	}
 }
 
 func TestEstimateNoRoots(t *testing.T) {

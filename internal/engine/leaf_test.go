@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -86,9 +87,10 @@ func leafHypergraph(rng *rand.Rand, nv, n int) *hypergraph.Hypergraph {
 
 // TestLeafShapesDifferential: engine = baseline = brute force on every row of
 // the translation table over random hypergraphs, restricted and not, on 1, 2
-// and 4 workers that publish at every depth (SplitThreshold 1), so that the
+// and 4 workers that publish at every depth (setSplit), so that the
 // cached nodes of a worker meet bindings rebound by a steal.
 func TestLeafShapesDifferential(t *testing.T) {
+	setSplit(t, math.MaxInt, 1)
 	rng := rand.New(rand.NewSource(2501))
 	trials := 4
 	if testing.Short() {
@@ -104,7 +106,7 @@ func TestLeafShapesDifferential(t *testing.T) {
 			found[i] += want
 			for _, norestrict := range []bool{false, true} {
 				for _, workers := range []int{1, 2, 4} {
-					opts := Options{Workers: workers, NoSymmetryBreak: norestrict, SplitThreshold: 1, SplitDepth: p.NumEdges()}
+					opts := Options{Workers: workers, NoSymmetryBreak: norestrict}
 					plan, err := CompilePlanOrdered(p, shape.order, opts)
 					if err != nil {
 						t.Fatal(err)
@@ -385,10 +387,11 @@ func bindRandomPrefix(w *worker, rng *rand.Rand, from, last int) int {
 // TestStolenPrefixDifferential: the 4- and 5-hyperedge core cliques, whose
 // middle steps share chain nodes with their last, and the pair-class family
 // of TestPairClassesDifferential, restricted and not, on 1, 2 and 4 workers
-// that publish at every depth (SplitThreshold 1): every prefix a thief takes
+// that publish at every depth (setSplit): every prefix a thief takes
 // over meets caches built for another, and the counts stay brute force's and
 // the baseline's.
 func TestStolenPrefixDifferential(t *testing.T) {
+	setSplit(t, math.MaxInt, 1)
 	rng := rand.New(rand.NewSource(2601))
 	pats := []*pattern.Pattern{
 		pattern.MustNew(leafShapes[1].edges, nil),
@@ -406,7 +409,7 @@ func TestStolenPrefixDifferential(t *testing.T) {
 			want := oracleCount(t, store, p)
 			for _, norestrict := range []bool{false, true} {
 				for _, workers := range []int{1, 2, 4} {
-					res, err := Mine(store, p, Options{Workers: workers, NoSymmetryBreak: norestrict, SplitThreshold: 1, SplitDepth: p.NumEdges()})
+					res, err := Mine(store, p, Options{Workers: workers, NoSymmetryBreak: norestrict})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -446,9 +449,10 @@ var markShapes = []struct {
 // each step's list — generated and counted — equals what the signature
 // (baseline.Keep) keeps for prefixes rebound from random positions
 // on, and whole runs on 1, 2 and 4 workers that publish at every depth
-// (SplitThreshold 1) count brute force's total, restricted and not: a
+// (setSplit) count brute force's total, restricted and not: a
 // stolen prefix meets marks keyed for another and must miss.
 func TestMarkedStepsMatchInterpreter(t *testing.T) {
+	setSplit(t, math.MaxInt, 1)
 	rng := rand.New(rand.NewSource(2701))
 	stores := []*dal.Store{dal.Build(leafHypergraph(rng, 12, 50)), dal.Build(randGraphLike(rng, 10, 22, 10))}
 	var lists, discs, overlaps, steps int
@@ -489,7 +493,7 @@ func TestMarkedStepsMatchInterpreter(t *testing.T) {
 					overlaps += len(w.vnodes[i].mark.key)
 				}
 				for _, workers := range []int{1, 2, 4} {
-					res, err := Mine(store, p, Options{Workers: workers, NoSymmetryBreak: norestrict, SplitThreshold: 1, SplitDepth: p.NumEdges()})
+					res, err := Mine(store, p, Options{Workers: workers, NoSymmetryBreak: norestrict})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -47,6 +47,11 @@ const (
 	dequeCap = 32
 )
 
+// publishDepth and publishThreshold are the split parameters every run
+// uses: defaultSplitDepth and defaultSplitThreshold. They are variables only
+// so that tests can make small inputs publish and steal (setSplit).
+var publishDepth, publishThreshold = defaultSplitDepth, defaultSplitThreshold
+
 // deque is a bounded work-stealing deque of tasks. The owner pushes and
 // pops at the tail (LIFO keeps the deepest, most cache-warm task local);
 // thieves take from the head (FIFO hands over the shallowest task, i.e. the

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -94,15 +96,16 @@ func TestDequeSemantics(t *testing.T) {
 // the paper's first-level-only scheduler (internal/baseline's driver). Run
 // under -race this also checks the publish/steal hand-off for data races.
 func TestStealingDeterministic(t *testing.T) {
+	setSplit(t, defaultSplitDepth, 2)
 	store, plan := skewedInput(t, 24)
 	want := uint64(24 * 24)
 
-	first, err := baseline.MineWithPlan(store, plan, baseline.Options{Workers: 4})
+	first, err := baseline.MineWithPlan(context.Background(), store, plan, baseline.Options{Workers: 4})
 	if err != nil || first.Ordered != want {
 		t.Fatalf("first-level: Ordered=%d err=%v, want %d", first.Ordered, err, want)
 	}
 	for _, workers := range []int{1, 4, 16} {
-		res, err := MineWithPlan(store, plan, Options{Workers: workers, SplitThreshold: 2})
+		res, err := MineWithPlan(store, plan, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -127,11 +130,12 @@ func TestStealingDeterministic(t *testing.T) {
 // the CPU and retries a bounded number of times; the counts of every attempt
 // are still verified.
 func TestStealOccurs(t *testing.T) {
+	setSplit(t, defaultSplitDepth, 2)
 	store, plan := skewedInput(t, 24)
 	want := uint64(24 * 24)
 	for attempt := 0; attempt < 50; attempt++ {
 		res, err := MineWithPlan(store, plan, Options{
-			Workers: 8, SplitThreshold: 2,
+			Workers:     8,
 			OnEmbedding: func([]uint32) { runtime.Gosched() },
 		})
 		if err != nil {
@@ -151,6 +155,7 @@ func TestStealOccurs(t *testing.T) {
 // scheduler (internal/baseline's driver) on random inputs, with an aggressive split threshold so
 // publication happens even on small candidate lists.
 func TestStealingMatchesRandom(t *testing.T) {
+	setSplit(t, 3, 1)
 	rng := rand.New(rand.NewSource(77))
 	trials := 12
 	if testing.Short() {
@@ -163,11 +168,11 @@ func TestStealingMatchesRandom(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		first, err := baseline.Mine(store, p, baseline.Options{Workers: 4})
+		first, err := baseline.Mine(context.Background(), store, p, baseline.Options{Workers: 4})
 		if err != nil {
 			t.Fatalf("trial %d first-level: %v", trial, err)
 		}
-		steal, err := Mine(store, p, Options{Workers: 8, SplitDepth: 3, SplitThreshold: 1})
+		steal, err := Mine(store, p, Options{Workers: 8})
 		if err != nil {
 			t.Fatalf("trial %d steal: %v", trial, err)
 		}
@@ -182,11 +187,12 @@ func TestStealingMatchesRandom(t *testing.T) {
 // stop flag: a Limit must truncate the run even when the embeddings are
 // found by workers mining stolen subtrees.
 func TestLimitUnderStealing(t *testing.T) {
+	setSplit(t, defaultSplitDepth, 2)
 	store, plan := skewedInput(t, 24)
 	total := uint64(24 * 24)
 	for _, workers := range []int{1, 8} {
 		res, err := MineWithPlan(store, plan, Options{
-			Workers: workers, Limit: 10, SplitThreshold: 2,
+			Workers: workers, Limit: 10,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -203,18 +209,24 @@ func TestLimitUnderStealing(t *testing.T) {
 	}
 }
 
-// TestDeadlineUnderStealing checks that the deadline timer's shared flag
-// stops workers mid-subtree. The OnEmbedding callback throttles emission so
-// the run cannot finish before the timer fires.
+// TestDeadlineUnderStealing checks that a context deadline stops workers
+// mid-subtree through the shared stop flag. The OnEmbedding callback
+// throttles emission so the run cannot finish before the deadline.
 func TestDeadlineUnderStealing(t *testing.T) {
+	setSplit(t, defaultSplitDepth, 2)
 	store, plan := skewedInput(t, 24)
 	total := uint64(24 * 24)
-	res, err := MineWithPlan(store, plan, Options{
-		Workers: 8, SplitThreshold: 2, Deadline: 30 * time.Millisecond,
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	res, err := MineWithPlanContext(ctx, store, plan, Options{
+		Workers:     8,
 		OnEmbedding: func([]uint32) { time.Sleep(time.Millisecond) },
 	})
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err=%v, want context.DeadlineExceeded", err)
+	}
+	if res.Stats.Publishes == 0 {
+		t.Error("no publications on the skewed input")
 	}
 	if !res.Truncated {
 		t.Error("deadline run not marked truncated")
@@ -222,6 +234,16 @@ func TestDeadlineUnderStealing(t *testing.T) {
 	if res.Ordered >= total {
 		t.Errorf("deadline did not stop the run (Ordered=%d of %d)", res.Ordered, total)
 	}
+}
+
+// setSplit makes every run of the calling test publish the untouched half of
+// a candidate range at positions below depth (clamped as splitParams does)
+// once 2·threshold candidates remain, then restores the defaults. Engine
+// tests do not run in parallel, so the variables are the test's own.
+func setSplit(t *testing.T, depth, threshold int) {
+	t.Helper()
+	publishDepth, publishThreshold = depth, threshold
+	t.Cleanup(func() { publishDepth, publishThreshold = defaultSplitDepth, defaultSplitThreshold })
 }
 
 // TestSchedulerSeed pins the seeding layout: candidates are split into at

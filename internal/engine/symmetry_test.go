@@ -7,6 +7,7 @@ package engine
 // spaces.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestSymmetryDifferentialShapes(t *testing.T) {
 					t.Fatalf("shape %s: result Restricted=%v under NoRestrictions=%v", s.Key(), res.Restricted, norestrict)
 				}
 				for _, kernel := range []intset.Kernel{intset.Adaptive, intset.Fast, intset.Scalar} {
-					ref, err := baseline.MineWithPlan(store, plan, baseline.Options{Workers: 2, Kernel: kernel})
+					ref, err := baseline.MineWithPlan(context.Background(), store, plan, baseline.Options{Workers: 2, Kernel: kernel})
 					if err != nil || ref.Ordered != want || ref.Unique != want/aut || ref.Restricted != wantRestricted {
 						t.Fatalf("shape %s norestrict=%v baseline kernel=%s: Ordered=%d Unique=%d Restricted=%v err=%v, want %d/%d/%v",
 							s.Key(), norestrict, kernel.Name, ref.Ordered, ref.Unique, ref.Restricted, err, want, want/aut, wantRestricted)

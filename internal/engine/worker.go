@@ -222,8 +222,8 @@ func (w *worker) explore(t int, cands []uint32) {
 	last := t == w.e.plan.Pattern.NumEdges()-1
 	instrument := w.e.opts.Instrument
 	for i := 0; i < len(cands); i++ {
-		// Shared cooperative cancellation: the deadline timer, a context
-		// watcher, the checkpoint timer, and the Limit all set one flag,
+		// Shared cooperative cancellation: the context's end, the
+		// checkpoint timer, and the Limit all set one flag,
 		// checked with a single atomic load per candidate at every depth
 		// (stealing workers included). Returning here leaves candidates
 		// i..len-1 unexplored — exactly what Result.Truncated reports, or,

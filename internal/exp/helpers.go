@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -36,7 +38,7 @@ type system struct {
 	Name string
 	// Scheduler labels recorded cells: "stealing" or "first-level".
 	Scheduler string
-	mine      func(store *dal.Store, p *pattern.Pattern, workers int, instrument bool, deadline time.Duration) (cellRun, error)
+	mine      func(ctx context.Context, store *dal.Store, p *pattern.Pattern, workers int, instrument bool) (cellRun, error)
 }
 
 // cellRun is what a cell keeps of one run of either engine.
@@ -48,12 +50,12 @@ type cellRun struct {
 	Steals, Publishes, IdleSpins uint64         // production only
 }
 
-// production is the production engine under the given options (Workers,
-// Instrument and Deadline are the cell's).
+// production is the production engine under the given options (Workers
+// and Instrument are the cell's, and so is the context that bounds it).
 func production(name string, o engine.Options) system {
-	return system{name, "stealing", func(store *dal.Store, p *pattern.Pattern, workers int, instrument bool, deadline time.Duration) (cellRun, error) {
-		o.Workers, o.Instrument, o.Deadline = workers, instrument, deadline
-		res, err := engine.Mine(store, p, o)
+	return system{name, "stealing", func(ctx context.Context, store *dal.Store, p *pattern.Pattern, workers int, instrument bool) (cellRun, error) {
+		o.Workers, o.Instrument = workers, instrument
+		res, err := engine.MineContext(ctx, store, p, o)
 		st := res.Stats
 		return cellRun{
 			Elapsed: res.Elapsed, Ordered: res.Ordered, Truncated: res.Truncated,
@@ -63,12 +65,12 @@ func production(name string, o engine.Options) system {
 	}}
 }
 
-// baselineSys is internal/baseline under the given configuration (Workers,
-// Instrument and Deadline are the cell's).
+// baselineSys is internal/baseline under the given configuration (Workers
+// and Instrument are the cell's, and so is the context that bounds it).
 func baselineSys(name string, o baseline.Options) system {
-	return system{name, "first-level", func(store *dal.Store, p *pattern.Pattern, workers int, instrument bool, deadline time.Duration) (cellRun, error) {
-		o.Workers, o.Instrument, o.Deadline = workers, instrument, deadline
-		res, err := baseline.Mine(store, p, o)
+	return system{name, "first-level", func(ctx context.Context, store *dal.Store, p *pattern.Pattern, workers int, instrument bool) (cellRun, error) {
+		o.Workers, o.Instrument = workers, instrument
+		res, err := baseline.Mine(ctx, store, p, o)
 		return cellRun{Elapsed: res.Elapsed, Ordered: res.Ordered, Truncated: res.Truncated, Stats: res.Stats}, err
 	}}
 }
@@ -90,8 +92,9 @@ func progressf(format string, args ...any) {
 }
 
 // mineSet mines every pattern with the given system and returns the
-// averaged wall time. Counts are cross-checked against check (when
-// non-nil): a mismatch is a correctness bug, so it fails loudly.
+// averaged wall time. One context.WithTimeout bounds the whole cell by
+// opts.CellBudget. Counts are cross-checked against check (when non-nil): a
+// mismatch is a correctness bug, so it fails loudly.
 func mineSet(store *dal.Store, pats []*pattern.Pattern, sys system, opts RunOpts, instrument bool, check []uint64) (measurement, []uint64, error) {
 	start := time.Now()
 	var m measurement
@@ -102,19 +105,22 @@ func mineSet(store *dal.Store, pats []*pattern.Pattern, sys system, opts RunOpts
 		}
 		progressf("    %-8s %d patterns in %v%s\n", sys.Name, len(pats), time.Since(start).Round(time.Millisecond), trunc)
 	}()
+	ctx := context.Background()
+	if opts.CellBudget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opts.CellBudget)
+		defer cancel()
+	}
 	counts := make([]uint64, 0, len(pats))
 	for i, p := range pats {
-		var deadline time.Duration
-		if opts.CellBudget > 0 {
-			remaining := opts.CellBudget - time.Since(start)
-			if remaining <= 0 {
-				m.Truncated = true
-				break
-			}
-			deadline = remaining
+		if ctx.Err() != nil {
+			m.Truncated = true
+			break
 		}
-		res, err := sys.mine(store, p, opts.Workers, instrument, deadline)
-		if err != nil {
+		// A run the budget ends returns context.DeadlineExceeded; it is
+		// Truncated unless it had explored everything.
+		res, err := sys.mine(ctx, store, p, opts.Workers, instrument)
+		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			return m, nil, fmt.Errorf("%s on pattern %d: %w", sys.Name, i, err)
 		}
 		if res.Truncated {

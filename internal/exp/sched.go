@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -88,7 +89,7 @@ func fanInput(hubs, fan int) (*dal.Store, *oig.Plan, uint64, error) {
 func minBaseline(store *dal.Store, plan *oig.Plan, opts baseline.Options, repeats int) (baseline.Result, error) {
 	var best baseline.Result
 	for r := 0; r < repeats; r++ {
-		res, err := baseline.MineWithPlan(store, plan, opts)
+		res, err := baseline.MineWithPlan(context.Background(), store, plan, opts)
 		if err != nil {
 			return res, err
 		}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"ohminer/internal/baseline"
@@ -56,7 +57,7 @@ func runTaxonomy(c *Context, opts RunOpts) ([]*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			hres, err := baseline.Mine(store, p, baseline.Options{
+			hres, err := baseline.Mine(context.Background(), store, p, baseline.Options{
 				Gen: baseline.GenHGMatch, Val: baseline.ValProfiles, Workers: opts.Workers})
 			if err != nil {
 				return nil, err

@@ -1,6 +1,7 @@
 package motif_test
 
 import (
+	"context"
 	"fmt"
 
 	"ohminer/internal/dal"
@@ -16,10 +17,9 @@ func ExampleCensus() {
 	h := hypergraph.MustBuild(6, [][]uint32{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5},
 	}, nil)
-	entries, err := motif.Census(dal.Build(h), motif.Options{
+	entries, err := motif.Census(context.Background(), dal.Build(h), motif.Options{
 		K: 2, MaxRegionSize: 2, MaxVertices: 4,
-		SkipAbsentDegrees: true,
-		Engine:            engine.Options{Workers: 1},
+		Engine: engine.Options{Workers: 1},
 	})
 	if err != nil {
 		panic(err)

@@ -8,6 +8,7 @@
 package motif
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -29,7 +30,8 @@ type Entry struct {
 	Unique  uint64
 	// Elapsed is the mining time for this shape.
 	Elapsed time.Duration
-	// Truncated marks counts cut short by Options.Deadline/Limit.
+	// Truncated marks counts cut short by the census's context or by
+	// Options.Engine.Limit.
 	Truncated bool
 }
 
@@ -41,27 +43,20 @@ type Options struct {
 	MaxRegionSize int
 	// MaxVertices bounds the motif vertex count.
 	MaxVertices int
-	// Engine configures the underlying miner (variant, workers, limits,
-	// per-shape Deadline).
+	// Engine configures the underlying miner (workers, a per-shape limit);
+	// the census's bound in time is its context.
 	Engine engine.Options
-	// SkipAbsentDegrees drops shapes containing a hyperedge degree that no
-	// data hyperedge has — they cannot match and mining them wastes a scan.
-	SkipAbsentDegrees bool
 }
 
-// Census counts every K-hyperedge motif within the bounds. Entries come
-// back sorted by descending Unique count, ties by shape key.
-func Census(store *dal.Store, opts Options) ([]Entry, error) {
+// Census counts every K-hyperedge motif within the bounds. A shape with a
+// hyperedge degree no data hyperedge has cannot match: its entry is zero
+// without a run. Entries come back sorted by descending Unique count, ties
+// by shape key. When ctx ends, the shape being mined and every later one are
+// Truncated, and Census returns all the entries together with ctx.Err().
+func Census(ctx context.Context, store *dal.Store, opts Options) ([]Entry, error) {
 	shapes, err := pattern.EnumerateShapes(opts.K, opts.MaxRegionSize, opts.MaxVertices)
 	if err != nil {
 		return nil, err
-	}
-	degreePresent := map[int]bool{}
-	if opts.SkipAbsentDegrees {
-		h := store.Hypergraph()
-		for e := 0; e < h.NumEdges(); e++ {
-			degreePresent[h.Degree(uint32(e))] = true
-		}
 	}
 	entries := make([]Entry, 0, len(shapes))
 	for _, s := range shapes {
@@ -69,21 +64,12 @@ func Census(store *dal.Store, opts Options) ([]Entry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("motif: realize %s: %w", s, err)
 		}
-		if opts.SkipAbsentDegrees {
-			absent := false
-			for i := 0; i < p.NumEdges(); i++ {
-				if !degreePresent[p.Degree(i)] {
-					absent = true
-					break
-				}
-			}
-			if absent {
-				entries = append(entries, Entry{Shape: s, Pattern: p})
-				continue
-			}
+		if absentDegree(store, p) {
+			entries = append(entries, Entry{Shape: s, Pattern: p})
+			continue
 		}
-		res, err := engine.Mine(store, p, opts.Engine)
-		if err != nil {
+		res, err := engine.MineContext(ctx, store, p, opts.Engine)
+		if err != nil && ctx.Err() == nil {
 			return nil, fmt.Errorf("motif: mine %s: %w", s, err)
 		}
 		entries = append(entries, Entry{
@@ -98,7 +84,18 @@ func Census(store *dal.Store, opts Options) ([]Entry, error) {
 		}
 		return entries[i].Shape.Key() < entries[j].Shape.Key()
 	})
-	return entries, nil
+	return entries, ctx.Err()
+}
+
+// absentDegree reports whether some hyperedge of p has a degree no data
+// hyperedge has.
+func absentDegree(store *dal.Store, p *pattern.Pattern) bool {
+	for i := 0; i < p.NumEdges(); i++ {
+		if store.NumEdgesWithDegree(p.Degree(i)) == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Frequent filters a census to motifs with at least minUnique unordered

@@ -134,29 +134,30 @@ func (s *Server) jobPath(id, ext string) string {
 }
 
 // writeFileAtomic persists data at path via a temp file in the same
-// directory plus rename — the same discipline the checkpoint sink uses, so
-// a crash mid-write never leaves a half-written spec or result behind.
+// directory, fsynced before it is renamed over path — as checkpoint.WriteFile
+// does — so a crash mid-write never leaves a half-written spec or result
+// behind, and a power loss after the rename cannot lose a result whose
+// checkpoint finish has already removed.
 func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".job-*")
+	f, err := os.CreateTemp(filepath.Dir(path), ".job-*")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	return nil
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 func (s *Server) jobsEnabled(w http.ResponseWriter) bool {

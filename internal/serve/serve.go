@@ -38,7 +38,7 @@ type Config struct {
 	// their own timeout). ≤0 selects 2×GOMAXPROCS.
 	MaxConcurrent int
 	// DefaultTimeout applies to requests that carry no timeout_ms
-	// (0 = 10s). The timeout maps to the engine deadline: an expired query
+	// (0 = 10s). The timeout maps to ohminer.WithDeadline: an expired query
 	// returns its partial counts marked truncated, not an error.
 	DefaultTimeout time.Duration
 	// MaxTimeout caps the per-request timeout (0 = 2m).
@@ -385,8 +385,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// One context covers the whole query: the client disconnecting, the
 	// admission wait, the mining run, and a server Abort all cancel it.
-	// The timeout itself is NOT on the context — it maps to the engine
-	// deadline so an expired query answers with truncated partial counts.
+	// The timeout itself is NOT on this context — it maps to
+	// ohminer.WithDeadline, whose own timeout context around the engine
+	// run makes an expired query answer with truncated partial counts.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	stopWatch := context.AfterFunc(s.abortCtx, cancel)

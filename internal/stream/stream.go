@@ -77,10 +77,9 @@ type Config struct {
 	CompactMin int
 
 	// Engine templates the options for all query evaluation (Workers,
-	// SplitDepth/SplitThreshold, Instrument). Run-shaping
-	// fields — Limit, Deadline, OnEmbedding, UniqueOnly, PositionFilter,
-	// Checkpoint — are ignored: delta counting needs complete runs, and the
-	// miner owns the position filters.
+	// Instrument). Run-shaping fields — Limit, OnEmbedding, UniqueOnly,
+	// PositionFilter, Checkpoint — are ignored: delta counting needs
+	// complete runs, and the miner owns the position filters.
 	Engine engine.Options
 
 	// Snapshot, when set, receives a stream snapshot every SnapshotEvery
@@ -313,7 +312,6 @@ func normalize(raw []uint32, nv int) ([]uint32, error) {
 func (m *Miner) mineOpts(filter func(int, uint32) bool) engine.Options {
 	o := m.cfg.Engine
 	o.Limit = 0
-	o.Deadline = 0
 	o.OnEmbedding = nil
 	o.UniqueOnly = false
 	o.Checkpoint = nil

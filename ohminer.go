@@ -17,6 +17,7 @@ package ohminer
 
 import (
 	"context"
+	"errors"
 	"io"
 	"math/rand"
 	"time"
@@ -161,37 +162,67 @@ func CompilePattern(p *Pattern) (*Plan, error) { return oig.Compile(p, oig.ModeM
 var ErrWorkerPanic = engine.ErrWorkerPanic
 
 // Option configures Mine and the other mining entry points.
-type Option func(*engine.Options)
+type Option func(*config)
 
-// buildOptions applies the options and returns the engine configuration.
-func buildOptions(opts []Option) engine.Options {
-	var o engine.Options
+// config is what the options set: the engine's options, and the deadline
+// WithDeadline asks for, which bounded turns into a context.
+type config struct {
+	engine.Options
+	deadline time.Duration
+}
+
+// buildOptions applies the options and returns the configuration.
+func buildOptions(opts []Option) config {
+	var c config
 	for _, fn := range opts {
-		fn(&o)
+		fn(&c)
 	}
-	return o
+	return c
+}
+
+// bounded runs one engine call under a context.WithTimeout of d, or under
+// ctx alone when d ≤ 0. A run that timeout cut short is an answer, not an
+// error: its context.DeadlineExceeded becomes nil — but only while the
+// caller's ctx is still live, so the caller's own cancellation or deadline
+// still reports. Callers make the call right before the engine runs, so a
+// query the Session's result cache answers allocates no timer.
+func bounded[T any](ctx context.Context, d time.Duration, run func(context.Context) (T, error)) (T, error) {
+	if d <= 0 {
+		return run(ctx)
+	}
+	dctx, cancel := context.WithTimeout(ctx, d)
+	defer cancel()
+	res, err := run(dctx)
+	if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
+		err = nil
+	}
+	return res, err
 }
 
 // WithWorkers sets the number of mining goroutines (default GOMAXPROCS).
-func WithWorkers(n int) Option { return func(c *engine.Options) { c.Workers = n } }
+func WithWorkers(n int) Option { return func(c *config) { c.Workers = n } }
 
 // WithLimit stops mining once at least n ordered embeddings were found.
-func WithLimit(n uint64) Option { return func(c *engine.Options) { c.Limit = n } }
+func WithLimit(n uint64) Option { return func(c *config) { c.Limit = n } }
 
-// WithDeadline aborts mining after roughly d (0 = none); a run the
-// deadline actually cut short returns a partial Result marked Truncated.
-// Unlike MineContext cancellation this is not an error: the partial counts
-// are the answer — the serving layer maps per-request timeouts here.
-func WithDeadline(d time.Duration) Option { return func(c *engine.Options) { c.Deadline = d } }
+// WithDeadline aborts mining after roughly d (0 = none): the engine runs
+// under a context.WithTimeout of d, made just before it starts. A run the
+// deadline actually cut short returns a partial Result marked Truncated and
+// a nil error: the partial counts are the answer — the serving layer maps
+// per-request timeouts here. The caller's own context is different: if it
+// is cancelled or expires, the call returns its error as MineContext
+// documents. A Session query its result cache answers returns the cached
+// complete Result, deadline or not.
+func WithDeadline(d time.Duration) Option { return func(c *config) { c.deadline = d } }
 
 // WithInstrumentation enables the Stats counters and phase timers.
-func WithInstrumentation() Option { return func(c *engine.Options) { c.Instrument = true } }
+func WithInstrumentation() Option { return func(c *config) { c.Instrument = true } }
 
 // WithEmbeddings registers a callback receiving every embedding (hyperedge
 // IDs in matching order). The engine serializes calls; copy the slice to
 // retain it.
 func WithEmbeddings(fn func(edges []uint32)) Option {
-	return func(c *engine.Options) { c.OnEmbedding = fn }
+	return func(c *config) { c.OnEmbedding = fn }
 }
 
 // WithCanonicalEmbeddingsOnly filters the WithEmbeddings callback to one
@@ -201,7 +232,7 @@ func WithEmbeddings(fn func(edges []uint32)) Option {
 // already deliver exactly that, so this option matters only together with
 // WithoutSymmetryBreaking.
 func WithCanonicalEmbeddingsOnly() Option {
-	return func(c *engine.Options) { c.UniqueOnly = true }
+	return func(c *config) { c.UniqueOnly = true }
 }
 
 // WithoutSymmetryBreaking compiles the plan without the symmetry-breaking
@@ -215,7 +246,7 @@ func WithCanonicalEmbeddingsOnly() Option {
 // tuple, or to resume checkpoints written by builds without the
 // restriction pass.
 func WithoutSymmetryBreaking() Option {
-	return func(c *engine.Options) { c.NoSymmetryBreak = true }
+	return func(c *config) { c.NoSymmetryBreak = true }
 }
 
 // Mine finds all embeddings of p in the store's hypergraph using the
@@ -231,8 +262,10 @@ func Mine(store *Store, p *Pattern, opts ...Option) (Result, error) {
 // worker — e.g. inside a WithEmbeddings callback — is recovered and
 // returned as an error instead of crashing the process.
 func MineContext(ctx context.Context, store *Store, p *Pattern, opts ...Option) (Result, error) {
-	o := buildOptions(opts)
-	return engine.MineContext(ctx, store, p, o)
+	c := buildOptions(opts)
+	return bounded(ctx, c.deadline, func(ctx context.Context) (Result, error) {
+		return engine.MineContext(ctx, store, p, c.Options)
+	})
 }
 
 // MineBaseline mines p with one of the systems the paper compares OHMiner
@@ -246,7 +279,7 @@ func MineBaseline(store *Store, p *Pattern, variant string, workers int) (Result
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := baseline.Mine(store, p, baseline.Options{Gen: v.Gen, Val: v.Val, Workers: workers})
+	res, err := baseline.Mine(context.Background(), store, p, baseline.Options{Gen: v.Gen, Val: v.Val, Workers: workers})
 	if err != nil {
 		return Result{}, err
 	}
@@ -294,7 +327,7 @@ func ReadCheckpoint(path string) (*CheckpointSnapshot, error) {
 // snapshots only at final stops (a SIGTERM'd run still leaves a resumable
 // snapshot).
 func WithCheckpoint(sink CheckpointSink, every time.Duration) Option {
-	return func(c *engine.Options) {
+	return func(c *config) {
 		c.Checkpoint = sink
 		c.CheckpointEvery = every
 	}
@@ -309,8 +342,10 @@ func WithCheckpoint(sink CheckpointSink, every time.Duration) Option {
 // run used; they may add a fresh WithCheckpoint sink to keep the resumed
 // run crash-safe too.
 func ResumeFromCheckpoint(ctx context.Context, store *Store, p *Pattern, snap *CheckpointSnapshot, opts ...Option) (Result, error) {
-	o := buildOptions(opts)
-	return engine.ResumeFromCheckpoint(ctx, store, p, snap, o)
+	c := buildOptions(opts)
+	return bounded(ctx, c.deadline, func(ctx context.Context) (Result, error) {
+		return engine.ResumeFromCheckpoint(ctx, store, p, snap, c.Options)
+	})
 }
 
 // MotifEntry is one row of a motif census.
@@ -319,11 +354,14 @@ type MotifEntry = motif.Entry
 // MotifCensus enumerates every isomorphism class of k-hyperedge patterns
 // (regions bounded by maxRegionSize, total vertices by maxVertices) and
 // counts each one's occurrences — the motif-counting application layer.
+// WithDeadline bounds the whole census: the shapes it cut short or never
+// reached are Truncated.
 func MotifCensus(store *Store, k, maxRegionSize, maxVertices int, opts ...Option) ([]MotifEntry, error) {
-	o := buildOptions(opts)
-	return motif.Census(store, motif.Options{
-		K: k, MaxRegionSize: maxRegionSize, MaxVertices: maxVertices,
-		SkipAbsentDegrees: true, Engine: o,
+	c := buildOptions(opts)
+	return bounded(context.Background(), c.deadline, func(ctx context.Context) ([]MotifEntry, error) {
+		return motif.Census(ctx, store, motif.Options{
+			K: k, MaxRegionSize: maxRegionSize, MaxVertices: maxVertices, Engine: c.Options,
+		})
 	})
 }
 
@@ -386,6 +424,5 @@ type CountEstimate = engine.Estimate
 // the paper's related work, implemented on the overlap-centric engine.
 // fraction 1 yields the exact count. Deterministic in seed.
 func EstimateCount(store *Store, p *Pattern, fraction float64, seed int64, opts ...Option) (CountEstimate, error) {
-	o := buildOptions(opts)
-	return engine.EstimateCount(store, p, fraction, seed, o)
+	return engine.EstimateCount(store, p, fraction, seed, buildOptions(opts).Options)
 }

@@ -1,8 +1,11 @@
 package ohminer
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestFacadeEndToEnd(t *testing.T) {
@@ -99,5 +102,61 @@ func TestFacadeReadHypergraph(t *testing.T) {
 	}
 	if h.NumEdges() != 2 {
 		t.Fatalf("%s", h)
+	}
+}
+
+// TestWithDeadlineContract: a run WithDeadline cut short returns its
+// partial counts, Truncated and a nil error; the caller's own cancellation
+// still reports; a Session never caches a cut run, and answers a cached
+// query whatever its deadline.
+func TestWithDeadlineContract(t *testing.T) {
+	h, err := GenerateDataset(GeneratorConfig{Name: "d", NumVertices: 250, NumEdges: 4000,
+		Communities: 6, MemberOverlap: 2, EdgeSizeMin: 2, EdgeSizeMax: 6, EdgeSizeMean: 3, Seed: 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewStore(h)
+	p, err := ParsePattern("0 1; 1 2; 2 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := Mine(store, p, WithWorkers(1))
+	if err != nil || full.Truncated {
+		t.Fatalf("full run: truncated=%v err=%v", full.Truncated, err)
+	}
+	if full.Elapsed < 5*time.Millisecond {
+		t.Skipf("workload too fast (%v) to truncate reliably", full.Elapsed)
+	}
+
+	cut, err := Mine(store, p, WithWorkers(1), WithDeadline(time.Millisecond))
+	if err != nil || !cut.Truncated || cut.Ordered >= full.Ordered {
+		t.Fatalf("1ms deadline: Ordered=%d truncated=%v err=%v, full run counted %d", cut.Ordered, cut.Truncated, err, full.Ordered)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := MineContext(ctx, store, p, WithWorkers(1), WithDeadline(time.Millisecond)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled caller: err=%v, want context.Canceled", err)
+	}
+
+	s := NewSession(store)
+	cut, err = s.Mine(p, WithWorkers(1), WithDeadline(time.Millisecond))
+	if err != nil || !cut.Truncated {
+		t.Fatalf("session, 1ms deadline: truncated=%v err=%v", cut.Truncated, err)
+	}
+	if n := s.CachedResults(); n != 0 {
+		t.Fatalf("a cut run was cached (%d results)", n)
+	}
+	res, err := s.Mine(p, WithWorkers(1))
+	if err != nil || res.Truncated || res.Ordered != full.Ordered {
+		t.Fatalf("session, no deadline: Ordered=%d truncated=%v err=%v, want %d", res.Ordered, res.Truncated, err, full.Ordered)
+	}
+	hits, _ := s.ResultCacheStats()
+	res, err = s.Mine(p, WithWorkers(1), WithDeadline(time.Nanosecond))
+	if err != nil || res.Truncated || res.Ordered != full.Ordered {
+		t.Fatalf("session, cached, 1ns deadline: Ordered=%d truncated=%v err=%v, want the cached %d", res.Ordered, res.Truncated, err, full.Ordered)
+	}
+	if after, _ := s.ResultCacheStats(); after != hits+1 {
+		t.Fatalf("result cache hits %d → %d, want one more", hits, after)
 	}
 }

@@ -140,7 +140,8 @@ func (s *Session) Mine(p *Pattern, opts ...Option) (Result, error) {
 // ohmserve query service drives — one context per request covers the
 // client disconnecting, per-request deadlines, and server drain.
 func (s *Session) MineContext(ctx context.Context, p *Pattern, opts ...Option) (Result, error) {
-	o := buildOptions(opts)
+	c := buildOptions(opts)
+	o := c.Options
 	// One atomic load pins this query to a single (store, fingerprint)
 	// pair; a concurrent SetStore cannot split the run across versions.
 	cur := s.st.Load()
@@ -148,14 +149,17 @@ func (s *Session) MineContext(ctx context.Context, p *Pattern, opts ...Option) (
 	if err != nil {
 		return Result{}, err
 	}
-	if !resultCacheable(o) {
+	mine := func(ctx context.Context) (Result, error) {
 		return engine.MineWithPlanContext(ctx, cur.store, plan, o)
+	}
+	if !resultCacheable(o) {
+		return bounded(ctx, c.deadline, mine)
 	}
 	rkey := resultKey{sessionKey: key, fp: cur.fp}
 	if res, ok := s.lookupResult(rkey); ok {
 		return res, nil
 	}
-	res, err := engine.MineWithPlanContext(ctx, cur.store, plan, o)
+	res, err := bounded(ctx, c.deadline, mine)
 	if err == nil && !res.Truncated {
 		// Only complete, successful runs are reusable answers; a partial
 		// count (deadline, cancellation) must never shadow the real one.
@@ -173,13 +177,15 @@ func (s *Session) MineContext(ctx context.Context, p *Pattern, opts ...Option) (
 // Because plans are canonical, a snapshot written through one literal of a
 // pattern resumes through any isomorphic literal.
 func (s *Session) ResumeContext(ctx context.Context, p *Pattern, snap *CheckpointSnapshot, opts ...Option) (Result, error) {
-	o := buildOptions(opts)
+	c := buildOptions(opts)
 	cur := s.st.Load()
-	plan, _, err := s.plan(p, o, cur.store)
+	plan, _, err := s.plan(p, c.Options, cur.store)
 	if err != nil {
 		return Result{}, err
 	}
-	return engine.ResumeWithPlanContext(ctx, cur.store, plan, snap, o)
+	return bounded(ctx, c.deadline, func(ctx context.Context) (Result, error) {
+		return engine.ResumeWithPlanContext(ctx, cur.store, plan, snap, c.Options)
+	})
 }
 
 // CachedPlans reports how many distinct plans the session holds.
@@ -285,9 +291,9 @@ func (s *Session) plan(p *Pattern, o engine.Options, store *Store) (*Plan, sessi
 // (and storing it into) the result cache: nothing about the run may observe
 // per-run state. Limits change the counts themselves, embedding callbacks
 // and checkpoint sinks are side effects the caller expects to fire, and
-// instrumented runs want freshly measured Stats. Deadlines merely bound the
-// run: a cached complete result satisfies any deadline, and truncated runs
-// are never stored.
+// instrumented runs want freshly measured Stats. A deadline (WithDeadline)
+// merely bounds the run: a cached complete result satisfies any deadline,
+// and truncated runs are never stored.
 func resultCacheable(o engine.Options) bool {
 	return o.Limit == 0 && o.OnEmbedding == nil && o.Checkpoint == nil &&
 		o.PositionFilter == nil && !o.Instrument
