@@ -10,7 +10,14 @@
 //	curl -s localhost:8080/healthz
 //	curl -s localhost:8080/debug/vars
 //
-// On SIGINT/SIGTERM the listener closes immediately, in-flight queries
+// With -checkpoint-dir D the server also runs durable jobs (POST /jobs): it
+// is a cluster coordinator with its WAL in D (-cluster -cluster-dir D) plus
+// one cluster worker, "local", inside this process, which dials the
+// listener over loopback and mines one lease at a time with -workers
+// engine threads. A restart on D resumes every running job by itself.
+//
+// On SIGINT/SIGTERM the in-process worker stops first and hands its
+// unfinished lease back, then the listener closes, in-flight queries
 // drain (each bounded by its own deadline) up to -drain, and anything
 // still running after that is cancelled through the engine's context
 // path before the process exits.
@@ -25,11 +32,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
 	"ohminer"
 	"ohminer/internal/cluster"
+	"ohminer/internal/engine"
 	"ohminer/internal/gen"
 	"ohminer/internal/hypergraph"
 	"ohminer/internal/serve"
@@ -51,11 +60,10 @@ func run() error {
 		timeout    = flag.Duration("timeout", 10*time.Second, "default per-query timeout (requests may lower or raise it up to -max-timeout)")
 		maxTimeout = flag.Duration("max-timeout", 2*time.Minute, "cap on per-request timeouts")
 		maxLimit   = flag.Uint64("max-limit", 0, "cap on per-request embedding limits (0 = uncapped)")
-		workers    = flag.Int("workers", 0, "engine workers per query (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "engine workers per query, and for the in-process job worker (0 = GOMAXPROCS)")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight queries")
 		debugDelay = flag.Duration("debug-delay", 0, "inject artificial latency per query (drain/smoke testing only)")
-		ckptDir    = flag.String("checkpoint-dir", "", "enable durable jobs (/jobs endpoints): persist specs and snapshots here")
-		ckptEvery  = flag.Duration("checkpoint-every", 5*time.Second, "snapshot period for jobs")
+		ckptDir    = flag.String("checkpoint-dir", "", "enable durable jobs (/jobs endpoints): -cluster -cluster-dir DIR plus one in-process worker")
 		streamDir  = flag.String("stream-dir", "", "enable the streaming subsystem (/streams endpoints): persist stream specs and snapshots here")
 		streamSnap = flag.Int("stream-snapshot-every", 1, "stream snapshot cadence in applied batches (1 = every batch, the strongest durability)")
 		streamBuf  = flag.Int("stream-buf-events", 0, "per-subscriber event buffer before slow-consumer drops (0 = 64)")
@@ -65,6 +73,15 @@ func run() error {
 		clusterDir = flag.String("cluster-dir", "", "make the coordinator durable: WAL + snapshot of cluster state here, replayed on restart so running jobs survive a coordinator crash")
 	)
 	flag.Parse()
+	if *ckptDir != "" {
+		if *clusterDir != "" && filepath.Clean(*clusterDir) != filepath.Clean(*ckptDir) {
+			return fmt.Errorf("-checkpoint-dir %s and -cluster-dir %s name different directories: jobs keep their state in one", *ckptDir, *clusterDir)
+		}
+		if err := serve.CheckJobDir(*ckptDir); err != nil {
+			return err
+		}
+		*clusterOn, *clusterDir = true, *ckptDir
+	}
 
 	var (
 		h   *hypergraph.Hypergraph
@@ -92,11 +109,6 @@ func run() error {
 	fmt.Fprintf(os.Stderr, "ohmserve: dal built in %v (%.1f MB)\n",
 		store.BuildTime().Round(time.Millisecond), float64(store.MemoryBytes())/(1<<20))
 
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			return fmt.Errorf("checkpoint dir: %w", err)
-		}
-	}
 	cfg := serve.Config{
 		MaxConcurrent:       *maxConc,
 		DefaultTimeout:      *timeout,
@@ -104,8 +116,6 @@ func run() error {
 		MaxLimit:            *maxLimit,
 		Workers:             *workers,
 		DebugDelay:          *debugDelay,
-		CheckpointDir:       *ckptDir,
-		CheckpointEvery:     *ckptEvery,
 		StreamDir:           *streamDir,
 		StreamSnapshotEvery: *streamSnap,
 		StreamBufEvents:     *streamBuf,
@@ -148,6 +158,31 @@ func run() error {
 	// The smoke test parses this line to discover the port chosen for :0.
 	fmt.Fprintf(os.Stderr, "ohmserve: listening on %s\n", ln.Addr())
 
+	// The in-process job worker dials the listener (an unspecified listen
+	// address dials the local system). workerDone closes when Run returns.
+	workerCtx, stopWorker := context.WithCancel(context.Background())
+	defer stopWorker()
+	var workerDone chan struct{}
+	if *ckptDir != "" {
+		w, err := cluster.NewWorker(cluster.WorkerConfig{
+			Coordinator: "http://" + ln.Addr().String(),
+			Name:        "local",
+			Store:       store,
+			Engine:      engine.Options{Workers: *workers},
+		})
+		if err != nil {
+			return err
+		}
+		workerDone = make(chan struct{})
+		go func() {
+			defer close(workerDone)
+			if err := w.Run(workerCtx); workerCtx.Err() == nil {
+				fmt.Fprintln(os.Stderr, "ohmserve: in-process worker stopped, jobs will not progress:", err)
+			}
+		}()
+		fmt.Fprintf(os.Stderr, "ohmserve: durable jobs in %s (in-process worker \"local\")\n", *ckptDir)
+	}
+
 	hs := &http.Server{Handler: srv.Handler()}
 	// Long-lived event subscriptions (SSE) would hold Shutdown open past
 	// its drain budget; disconnect them as soon as the drain begins.
@@ -168,6 +203,16 @@ func run() error {
 	fmt.Fprintf(os.Stderr, "ohmserve: shutting down, draining in-flight queries (budget %v)\n", *drain)
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
+	if workerDone != nil {
+		// The worker stops first: its in-flight lease reports its remainder
+		// over the still-open listener.
+		stopWorker()
+		select {
+		case <-workerDone:
+		case <-drainCtx.Done():
+			fmt.Fprintln(os.Stderr, "ohmserve: in-process worker did not hand its lease back within the drain budget; the lease expires and is mined again")
+		}
+	}
 	if err := hs.Shutdown(drainCtx); err != nil {
 		// Drain budget exceeded: cancel the miners through the engine's
 		// context path, then close the remaining connections.
@@ -177,16 +222,6 @@ func run() error {
 			return cerr
 		}
 		return err
-	}
-	// Queries are drained; now interrupt any background jobs through the
-	// engine's cancellation path, which persists a final snapshot per job
-	// so `-checkpoint-dir` + POST /jobs/{id}/resume continues them after
-	// the restart.
-	srv.Abort()
-	jobCtx, jobCancel := context.WithTimeout(context.Background(), *drain)
-	defer jobCancel()
-	if err := srv.DrainJobs(jobCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "ohmserve: jobs did not quiesce within the drain budget:", err)
 	}
 	fmt.Fprintln(os.Stderr, "ohmserve: drained cleanly, bye")
 	return nil

@@ -41,15 +41,7 @@ func TestStreamSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bin := filepath.Join(dir, "ohmserve")
-	buildArgs := []string{"build"}
-	if raceEnabled {
-		buildArgs = append(buildArgs, "-race")
-	}
-	buildArgs = append(buildArgs, "-o", bin, ".")
-	if out, err := exec.Command("go", buildArgs...).CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildServe(t, dir)
 
 	// The scripted feed. Retiring {0,1} in batch 3 and re-adding it in
 	// batch 4 exercises resurrection across the crash boundary.
@@ -102,7 +94,7 @@ func TestStreamSmoke(t *testing.T) {
 	}
 
 	// ---- Phase 1: fresh server, feed batches 1..3 with an SSE subscriber.
-	cmd, base, logs, wait := startStreamServer(t, bin, data, streamDir)
+	cmd, base, logs, wait := startServer(t, bin, "-input", data, "-stream-dir", streamDir, "-stream-snapshot-every", "1")
 
 	var created streamStatusWire
 	postWire(t, base+"/streams", `{"id":"smoke","num_vertices":10}`, http.StatusCreated, &created)
@@ -182,7 +174,7 @@ func TestStreamSmoke(t *testing.T) {
 	// ---- Phase 2: restart on the same directory and replay the entire
 	// feed. Batches 1..3 were durably applied, so they must come back as
 	// idempotent non-applies; batch 4 applies fresh.
-	cmd2, base2, logs2, wait2 := startStreamServer(t, bin, data, streamDir)
+	cmd2, base2, logs2, wait2 := startServer(t, bin, "-input", data, "-stream-dir", streamDir, "-stream-snapshot-every", "1")
 	if !strings.Contains(logs2(), "streams durable in") {
 		t.Fatalf("restarted server did not announce stream durability; logs:\n%s", logs2())
 	}
@@ -260,14 +252,12 @@ func TestStreamSmoke(t *testing.T) {
 // enabled and waits for its listening announcement. wait reads the server's
 // log to the end, then waits for it to exit: cmd.Wait alone closes the pipe
 // and may lose the last lines.
-func startStreamServer(t *testing.T, bin, data, streamDir string) (cmd *exec.Cmd, base string, logs func() string, wait func() error) {
+// startServer starts bin on a free loopback port with args and returns once
+// it announces its address. wait reads the logs to the end, then waits for
+// the process.
+func startServer(t *testing.T, bin string, args ...string) (cmd *exec.Cmd, base string, logs func() string, wait func() error) {
 	t.Helper()
-	cmd = exec.Command(bin,
-		"-addr", "127.0.0.1:0",
-		"-input", data,
-		"-stream-dir", streamDir,
-		"-stream-snapshot-every", "1",
-		"-drain", "30s")
+	cmd = exec.Command(bin, append([]string{"-addr", "127.0.0.1:0", "-drain", "30s"}, args...)...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)

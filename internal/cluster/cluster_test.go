@@ -552,6 +552,77 @@ func TestJobLifecycleHTTP(t *testing.T) {
 	}
 }
 
+// TestJobsAlias: /jobs is the coordinator's own job surface under a second
+// name. Both routes answer the same JobStatus for the same job,
+// POST /jobs/{id}/resume answers the status (404 for an unknown id), and a
+// "limit" field — which a job never had on this surface — is refused as an
+// unknown field.
+func TestJobsAlias(t *testing.T) {
+	store, pat, want := starWorkload(t)
+	_, srv := testCluster(t, store, Config{Parts: 2})
+	if code := postJSON(t, srv, "/jobs", jobCreateRequest{ID: "alpha", JobSpec: JobSpec{Pattern: pat}}, nil); code != http.StatusAccepted {
+		t.Fatalf("POST /jobs: status %d", code)
+	}
+	drainJob(t, srv, store, "w1")
+
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d err %v", path, resp.StatusCode, err)
+		}
+		return buf.Bytes()
+	}
+	viaJobs, viaCluster := get("/jobs/alpha"), get("/cluster/jobs/alpha")
+	if !bytes.Equal(viaJobs, viaCluster) {
+		t.Fatalf("GET /jobs/alpha and /cluster/jobs/alpha differ:\n%s\n%s", viaJobs, viaCluster)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(viaJobs, &st); err != nil || st.State != "done" || st.Ordered != want {
+		t.Fatalf("job alpha: %+v (err %v), want done with ordered=%d", st, err, want)
+	}
+
+	var resumed JobStatus
+	if code := postJSON(t, srv, "/jobs/alpha/resume", nil, &resumed); code != http.StatusOK || resumed.State != "done" || resumed.Ordered != want {
+		t.Fatalf("resume of a done job: status %d %+v, want 200 done", code, resumed)
+	}
+	if code := postJSON(t, srv, "/jobs/nope/resume", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("resume of an unknown job: status %d, want 404", code)
+	}
+	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{"pattern": "0 1; 0 2", "limit": 5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST /jobs with a limit: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestRequestBodyCap: only a report, which may carry a remainder frontier,
+// gets the large body cap; a job admission over 1 MiB is a 400 on both job
+// routes.
+func TestRequestBodyCap(t *testing.T) {
+	store, _, _ := starWorkload(t)
+	_, srv := testCluster(t, store, Config{})
+	body := `{"pattern": "` + strings.Repeat("0 1; ", 2<<20/5) + `0 2"}`
+	for _, path := range []string{"/jobs", "/cluster/jobs"} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s with a 2 MiB body: status %d, want 400", path, resp.StatusCode)
+		}
+	}
+}
+
 // TestTaskFailureRequeueAndJobFail: an errored task is retried, and the job
 // fails cleanly once one task exhausts MaxTaskFailures.
 func TestTaskFailureRequeueAndJobFail(t *testing.T) {

@@ -102,6 +102,14 @@ func (c Config) withDefaults() Config {
 // errJobExists marks a StartJob id collision (409 on the HTTP surface).
 var errJobExists = errors.New("job already exists")
 
+// malformed marks a job refused for its form — an unparsable pattern or a
+// bad id — a 400 on the HTTP surface. Any other admission error refuses a
+// well-formed pattern the coordinator will not run (a baseline variant, a
+// label mismatch): a 422.
+type malformed struct{ error }
+
+func (e malformed) Unwrap() error { return e.error }
+
 // errDegraded marks work refused because the WAL cannot currently make it
 // durable (503 + Retry-After on the HTTP surface). The condition is
 // self-healing: the flusher probes the log and admission resumes the moment
@@ -292,7 +300,7 @@ func (c *Coordinator) degradedErr() error {
 }
 
 // RejectDegraded sheds one HTTP request with 503 + Retry-After and counts
-// it; serve's /query and /jobs handlers use it so no layer accepts work the
+// it; serve's /query handler uses it too, so no layer accepts work the
 // coordinator cannot make durable.
 func (c *Coordinator) RejectDegraded(w http.ResponseWriter, err error) {
 	c.degradedRejects.Add(1)
@@ -318,7 +326,12 @@ func publish(m *expvar.Map) {
 
 // Register mounts the cluster endpoints on mux: GET /cluster (status),
 // POST /cluster/jobs, GET /cluster/jobs/{id}, and the worker protocol
-// (POST /cluster/lease, /cluster/heartbeat, /cluster/report).
+// (POST /cluster/lease, /cluster/heartbeat, /cluster/report). The same jobs
+// are also served under /jobs — the single-node face of the coordinator,
+// whose one worker lives in the server's process: POST /jobs and
+// GET /jobs/{id} are POST /cluster/jobs and GET /cluster/jobs/{id}, GET /jobs
+// lists every job sorted by id, and POST /jobs/{id}/resume answers the job's
+// status (resume is automatic: WAL replay restarts running jobs).
 func (c *Coordinator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /cluster", c.handleStatus)
 	mux.HandleFunc("POST /cluster/jobs", c.handleJobCreate)
@@ -326,6 +339,10 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /cluster/lease", c.handleLease)
 	mux.HandleFunc("POST /cluster/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /cluster/report", c.handleReport)
+	mux.HandleFunc("GET /jobs", c.handleJobList)
+	mux.HandleFunc("POST /jobs", c.handleJobCreate)
+	mux.HandleFunc("GET /jobs/{id}", c.handleJobStatus)
+	mux.HandleFunc("POST /jobs/{id}/resume", c.handleJobStatus)
 }
 
 // compileSpec turns a job spec into its plan. Deterministic over an
@@ -334,7 +351,7 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 func (c *Coordinator) compileSpec(spec JobSpec) (*oig.Plan, error) {
 	p, err := pattern.Parse(spec.Pattern)
 	if err != nil {
-		return nil, fmt.Errorf("bad pattern: %w", err)
+		return nil, malformed{fmt.Errorf("bad pattern: %w", err)}
 	}
 	if err := engine.CheckVariant(spec.Variant); err != nil {
 		return nil, err
@@ -407,7 +424,7 @@ func (c *Coordinator) StartJob(id string, spec JobSpec) (JobStatus, error) {
 		id = fmt.Sprintf("cjob-%d", c.jobSeq)
 	}
 	if !validJobID(id) {
-		return JobStatus{}, errors.New("bad job id: need 1-64 chars of [A-Za-z0-9_-]")
+		return JobStatus{}, malformed{errors.New("bad job id: need 1-64 chars of [A-Za-z0-9_-]")}
 	}
 	if _, ok := c.jobs[id]; ok {
 		return JobStatus{}, fmt.Errorf("job %q: %w", id, errJobExists)
@@ -1221,12 +1238,16 @@ func (c *Coordinator) encodeStateLocked() (*walState, error) {
 
 // --- HTTP handlers -------------------------------------------------------
 
-// maxBody bounds protocol bodies; remainder frontiers can carry large
-// candidate ranges, so the cap is generous.
-const maxBody = 64 << 20
+// Body caps. A task frontier — a report's remainder, and the lease that hands
+// a spilled remainder on — can carry large candidate ranges, so those bodies
+// get maxTaskBody; every other request body is a few fields and gets maxBody.
+const (
+	maxBody     = 1 << 20
+	maxTaskBody = 64 << 20
+)
 
-func decodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+func decodeStrict(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
@@ -1276,9 +1297,16 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(c.Status())
 }
 
+// handleJobList answers GET /jobs: every job's status row, sorted by id.
+func (c *Coordinator) handleJobList(w http.ResponseWriter, r *http.Request) {
+	jobs := c.Status().Jobs
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].ID < jobs[b].ID })
+	writeJSON(w, http.StatusOK, map[string][]JobStatus{"jobs": jobs})
+}
+
 func (c *Coordinator) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	var req jobCreateRequest
-	if err := decodeStrict(w, r, &req); err != nil {
+	if err := decodeStrict(w, r, &req, maxBody); err != nil {
 		reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -1292,9 +1320,11 @@ func (c *Coordinator) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 			c.RejectDegraded(w, err)
 			return
 		}
-		code := http.StatusBadRequest
+		code := http.StatusUnprocessableEntity
 		if errors.Is(err, errJobExists) {
 			code = http.StatusConflict
+		} else if errors.As(err, new(malformed)) {
+			code = http.StatusBadRequest
 		}
 		reject(w, code, err.Error())
 		return
@@ -1314,7 +1344,7 @@ func (c *Coordinator) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if err := decodeStrict(w, r, &req); err != nil {
+	if err := decodeStrict(w, r, &req, maxBody); err != nil {
 		reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -1341,7 +1371,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var req HeartbeatRequest
-	if err := decodeStrict(w, r, &req); err != nil {
+	if err := decodeStrict(w, r, &req, maxBody); err != nil {
 		reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -1354,7 +1384,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	var req Report
-	if err := decodeStrict(w, r, &req); err != nil {
+	if err := decodeStrict(w, r, &req, maxTaskBody); err != nil {
 		reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

@@ -61,8 +61,8 @@ const (
 	walHdrLen        = 8
 	walFrameOverhead = 8 // u32 length prefix + u32 CRC trailer
 	// maxWALRecord bounds a single record payload; anything larger mid-file
-	// is corruption, not a record (matches the protocol body cap).
-	maxWALRecord = maxBody
+	// is corruption, not a record (matches the report body cap).
+	maxWALRecord = maxTaskBody
 
 	// walCompactBytes is the log size past which a job completion compacts.
 	walCompactBytes = 64 << 10

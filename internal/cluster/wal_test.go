@@ -602,7 +602,7 @@ func TestWALNoSpaceDegradesThenHeals(t *testing.T) {
 
 // TestVariantRefused: "variant" is still a recognised key of a job spec and
 // of a lease, but only to be checked. POST /cluster/jobs answers a baseline's
-// name with a 400 saying where baselines run; a worker handed a lease that
+// name with a 422 saying where baselines run, as POST /query does; a worker handed a lease that
 // names one (an older coordinator's) fails the task instead of mining it as
 // OHMiner; and a WAL admit record carrying one — the frame below is written
 // by hand, as a coordinator that still served baselines would have — replays
@@ -631,7 +631,7 @@ func TestVariantRefused(t *testing.T) {
 		t.Fatalf("replayed HGMatch job: ok=%v %+v, want failed with the refusal and no tasks", ok, old)
 	}
 
-	for variant, want := range map[string]int{"": http.StatusAccepted, "OHMiner": http.StatusAccepted, "HGMatch": http.StatusBadRequest} {
+	for variant, want := range map[string]int{"": http.StatusAccepted, "OHMiner": http.StatusAccepted, "HGMatch": http.StatusUnprocessableEntity} {
 		resp, err := http.Post(srv.URL+"/cluster/jobs", "application/json",
 			strings.NewReader(fmt.Sprintf(`{"pattern":%q,"variant":%q}`, pat, variant)))
 		if err != nil {
@@ -639,7 +639,7 @@ func TestVariantRefused(t *testing.T) {
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != want || (want == http.StatusBadRequest && !refusal(string(body))) {
+		if resp.StatusCode != want || (want == http.StatusUnprocessableEntity && !refusal(string(body))) {
 			t.Errorf("POST /cluster/jobs variant=%q: status %d body %s, want %d", variant, resp.StatusCode, body, want)
 		}
 	}

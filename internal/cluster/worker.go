@@ -438,7 +438,7 @@ func (w *Worker) postStatus(ctx context.Context, path string, body, out any) (bo
 		return false, &protocolError{code: resp.StatusCode, msg: er.Error}
 	}
 	if out != nil {
-		if err := json.NewDecoder(io.LimitReader(resp.Body, maxBody)).Decode(out); err != nil {
+		if err := json.NewDecoder(io.LimitReader(resp.Body, maxTaskBody)).Decode(out); err != nil {
 			return false, fmt.Errorf("decoding %s response: %w", path, err)
 		}
 	}

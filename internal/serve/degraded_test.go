@@ -2,7 +2,7 @@ package serve
 
 // Degraded-mode admission: when the mounted cluster coordinator cannot make
 // its state durable (disk full under the WAL), the whole service surface
-// sheds with 503 + Retry-After — including plain /query, which would
+// sheds with 503 + Retry-After — /jobs, and plain /query too, which would
 // otherwise happily burn CPU on a node whose cluster half is refusing work —
 // and recovers on its own once the WAL heals.
 
@@ -53,6 +53,11 @@ func TestQueryShedsWhileCoordinatorDegraded(t *testing.T) {
 	}
 	if got := s.rejected.Value(); got == 0 {
 		t.Error("degraded shed not counted in the rejected metric")
+	}
+	resp, body = postJSON(t, ts.URL+"/jobs", `{"pattern": "0 1; 1 2"}`)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("job while degraded: status %d Retry-After %q (%s), want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"), body)
 	}
 
 	// Space frees up: the WAL flusher's probe record heals the coordinator

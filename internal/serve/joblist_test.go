@@ -13,7 +13,7 @@ import (
 	"ohminer/internal/cluster"
 )
 
-func listJobs(t *testing.T, url string) (int, []JobStatus) {
+func listJobs(t *testing.T, url string) (int, []cluster.JobStatus) {
 	t.Helper()
 	resp, err := http.Get(url + "/jobs")
 	if err != nil {
@@ -21,7 +21,7 @@ func listJobs(t *testing.T, url string) (int, []JobStatus) {
 	}
 	defer resp.Body.Close()
 	var out struct {
-		Jobs []JobStatus `json:"jobs"`
+		Jobs []cluster.JobStatus `json:"jobs"`
 	}
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
@@ -31,59 +31,50 @@ func listJobs(t *testing.T, url string) (int, []JobStatus) {
 	return resp.StatusCode, out.Jobs
 }
 
-// TestJobListDisabled: GET /jobs is part of the jobs subsystem and refuses
-// with 503 when no checkpoint directory was configured.
+// TestJobListDisabled: GET /jobs is part of the jobs surface and refuses
+// with 503 when no cluster coordinator is mounted.
 func TestJobListDisabled(t *testing.T) {
 	s := testServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	if code, _ := listJobs(t, ts.URL); code != http.StatusServiceUnavailable {
-		t.Fatalf("GET /jobs without checkpoint dir: status %d, want 503", code)
+		t.Fatalf("GET /jobs without a coordinator: status %d, want 503", code)
 	}
 }
 
-// TestJobList: the listing merges live jobs with jobs an earlier process
-// left on disk, sorted by id, each with its reconstructed state.
+// TestJobList: the listing holds every job the coordinator knows, sorted by
+// id whatever order they were created in, each with its state; files in the
+// job directory that are not the coordinator's are not jobs.
 func TestJobList(t *testing.T) {
 	dir := t.TempDir()
-	s := jobsServer(t, Config{CheckpointDir: dir})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	e := startJobs(t, starSession(t), dir, nil)
 
-	if code, jobs := listJobs(t, ts.URL); code != http.StatusOK || len(jobs) != 0 {
+	if code, jobs := listJobs(t, e.url); code != http.StatusOK || len(jobs) != 0 {
 		t.Fatalf("empty listing: status %d, %d jobs; want 200 and none", code, len(jobs))
 	}
-
-	// One live job, run to completion.
-	resp, body := postJSON(t, ts.URL+"/jobs", `{"id": "live", "pattern": "0 1; 0 2"}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("create: status %d (%s)", resp.StatusCode, body)
-	}
-	waitState(t, ts.URL, "live", "done")
-
-	// One job only on disk, as a crashed previous process would leave it:
-	// a spec file with no result.
-	specPath := filepath.Join(dir, "orphan.job")
-	if err := os.WriteFile(specPath, []byte(`{"pattern": "0 1; 0 2"}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Stray files must not show up as jobs.
 	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	for _, id := range []string{"zeta", "alpha"} {
+		resp, body := postJSON(t, e.url+"/jobs", `{"id": "`+id+`", "pattern": "0 1; 0 2"}`)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("create %s: status %d (%s)", id, resp.StatusCode, body)
+		}
+	}
+	waitJob(t, e.url, "zeta", "done", isDone)
+	waitJob(t, e.url, "alpha", "done", isDone)
 
-	code, jobs := listJobs(t, ts.URL)
+	code, jobs := listJobs(t, e.url)
 	if code != http.StatusOK || len(jobs) != 2 {
 		t.Fatalf("listing: status %d, %d jobs (%+v); want 200 and 2", code, len(jobs), jobs)
 	}
-	if jobs[0].ID != "live" || jobs[1].ID != "orphan" {
-		t.Fatalf("listing order %q, %q; want live, orphan (sorted)", jobs[0].ID, jobs[1].ID)
+	if jobs[0].ID != "alpha" || jobs[1].ID != "zeta" {
+		t.Fatalf("listing order %q, %q; want alpha, zeta (sorted)", jobs[0].ID, jobs[1].ID)
 	}
-	if jobs[0].State != "done" || jobs[0].Ordered != starWant {
-		t.Errorf("live job listed as %+v, want done with ordered=%d", jobs[0], starWant)
-	}
-	if jobs[1].State != "interrupted" {
-		t.Errorf("orphan job listed as %q, want interrupted", jobs[1].State)
+	for _, st := range jobs {
+		if st.State != "done" || st.Ordered != starWant {
+			t.Errorf("job listed as %+v, want done with ordered=%d", st, starWant)
+		}
 	}
 }
 

@@ -3,24 +3,28 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"ohminer"
+	"ohminer/internal/cluster"
+	"ohminer/internal/engine"
 )
 
 // jobsFixture: a 60-edge star (edges[i] = {0, i+1}) where "0 1; 0 2" has
-// exactly 60×59 = 3540 ordered embeddings — big enough to straddle several
-// short checkpoint periods when throttled, small enough to finish fast
-// unthrottled. The same construction backs the engine's chaos tests.
+// exactly 60×59 = 3540 ordered embeddings — big enough to span several
+// leases when throttled, small enough to finish fast unthrottled. The same
+// construction backs the engine's and the cluster's chaos tests.
 const starWant = 60 * 59
 
-func jobsServer(t *testing.T, cfg Config) *Server {
+func starSession(t *testing.T) *ohminer.Session {
 	t.Helper()
 	edges := make([][]uint32, 60)
 	for i := range edges {
@@ -30,14 +34,84 @@ func jobsServer(t *testing.T, cfg Config) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(ohminer.NewSession(ohminer.NewStore(h)), cfg)
+	return ohminer.NewSession(ohminer.NewStore(h))
 }
 
-func timeoutCtx(t *testing.T, d time.Duration) context.Context {
+// jobsEnv is ohmserve -checkpoint-dir in miniature: a durable coordinator on
+// dir, a Server mounting it on an httptest server, and one cluster.Worker
+// ("local") leasing from that server.
+type jobsEnv struct {
+	coord *cluster.Coordinator
+	ts    *httptest.Server
+	url   string
+	tp    *http.Transport // the worker's connections
+	stop  context.CancelFunc
+	done  chan struct{} // closed when the worker's Run returns
+}
+
+// startJobs opens the coordinator on dir (replaying whatever an earlier env
+// left there) and starts the worker; onEmbedding, when set, throttles it.
+func startJobs(t *testing.T, sess *ohminer.Session, dir string, onEmbedding func([]uint32)) *jobsEnv {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	t.Cleanup(cancel)
-	return ctx
+	coord, err := cluster.New(sess.Store(), cluster.Config{Dir: dir, Parts: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &jobsEnv{coord: coord, tp: &http.Transport{}, done: make(chan struct{})}
+	e.ts = httptest.NewServer(New(sess, Config{Cluster: coord}).Handler())
+	e.url = e.ts.URL
+	w, err := cluster.NewWorker(cluster.WorkerConfig{
+		Coordinator: e.url,
+		Name:        "local",
+		Store:       sess.Store(),
+		Client:      &http.Client{Transport: e.tp},
+		Poll:        10 * time.Millisecond,
+		Engine:      engine.Options{Workers: 1},
+		OnEmbedding: onEmbedding,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ctx context.Context
+	ctx, e.stop = context.WithCancel(context.Background())
+	go func() {
+		defer close(e.done)
+		w.Run(ctx) // returns ctx's error once stopped
+	}()
+	t.Cleanup(func() { e.drain(t) })
+	return e
+}
+
+// waitWorker cancels the worker and waits for its Run to return.
+func (e *jobsEnv) waitWorker(t *testing.T) {
+	t.Helper()
+	e.stop()
+	select {
+	case <-e.done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker Run did not return after cancel")
+	}
+	e.tp.CloseIdleConnections()
+}
+
+// drain shuts down in ohmserve's order: the worker first (its in-flight
+// lease reports its remainder over the still-open listener), then the
+// server, then the coordinator. Idempotent.
+func (e *jobsEnv) drain(t *testing.T) {
+	t.Helper()
+	e.waitWorker(t)
+	e.ts.Close()
+	e.coord.Close()
+}
+
+// crash drops the coordinator under a worker that still holds a lease, as a
+// SIGKILL would: the WAL closes first, so nothing the worker reports after
+// this point is merged.
+func (e *jobsEnv) crash(t *testing.T) {
+	t.Helper()
+	e.coord.Close()
+	e.ts.Close()
+	e.waitWorker(t)
 }
 
 func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -58,14 +132,14 @@ func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	}
 }
 
-func getStatus(t *testing.T, url, id string) (int, JobStatus) {
+func getStatus(t *testing.T, url, id string) (int, cluster.JobStatus) {
 	t.Helper()
 	resp, err := http.Get(url + "/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st JobStatus
+	var st cluster.JobStatus
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			t.Fatal(err)
@@ -74,24 +148,26 @@ func getStatus(t *testing.T, url, id string) (int, JobStatus) {
 	return resp.StatusCode, st
 }
 
-// waitState polls GET /jobs/{id} until the job reaches want (or fails the
-// test after a few seconds).
-func waitState(t *testing.T, url, id, want string) JobStatus {
+// waitJob polls GET /jobs/{id} until ok holds for the status, failing the
+// test if the job fails — or, unless ok accepts it, finishes — first.
+func waitJob(t *testing.T, url, id, what string, ok func(cluster.JobStatus) bool) cluster.JobStatus {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		code, st := getStatus(t, url, id)
-		if code == http.StatusOK && st.State == want {
+		if code == http.StatusOK && ok(st) {
 			return st
 		}
-		if code == http.StatusOK && (st.State == "failed" || (st.State == "done" && want != "done")) {
-			t.Fatalf("job %s reached terminal state %q (err %q) while waiting for %q", id, st.State, st.Error, want)
+		if code == http.StatusOK && st.State != "running" {
+			t.Fatalf("job %s reached %q (err %q) while waiting for %s", id, st.State, st.Error, what)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatalf("job %s never reached state %q", id, want)
-	return JobStatus{}
+	t.Fatalf("job %s: never %s", id, what)
+	return cluster.JobStatus{}
 }
+
+func isDone(st cluster.JobStatus) bool { return st.State == "done" }
 
 // TestQueryTrailingGarbage: a body holding a second JSON value after the
 // request object is a 400, not a silently half-read query.
@@ -113,8 +189,8 @@ func TestQueryTrailingGarbage(t *testing.T) {
 	}
 }
 
-// TestJobsDisabled: without a checkpoint directory the jobs endpoints
-// refuse with 503 and say why.
+// TestJobsDisabled: without a cluster coordinator the jobs endpoints refuse
+// with 503 and say why.
 func TestJobsDisabled(t *testing.T) {
 	s := testServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -129,219 +205,165 @@ func TestJobsDisabled(t *testing.T) {
 }
 
 func TestJobLifecycle(t *testing.T) {
-	dir := t.TempDir()
-	s := jobsServer(t, Config{CheckpointDir: dir})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	e := startJobs(t, starSession(t), t.TempDir(), nil)
 
-	resp, body := postJSON(t, ts.URL+"/jobs", `{"id": "t1", "pattern": "0 1; 0 2"}`)
+	resp, body := postJSON(t, e.url+"/jobs", `{"id": "t1", "pattern": "0 1; 0 2"}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("create: status %d (%s)", resp.StatusCode, body)
 	}
-	st := waitState(t, ts.URL, "t1", "done")
-	if st.Result == nil || st.Result.Ordered != starWant || st.Result.Truncated {
-		t.Fatalf("done status %+v, want ordered=%d untruncated", st, starWant)
+	st := waitJob(t, e.url, "t1", "done", isDone)
+	if st.Ordered != starWant || st.Pending != 0 || st.Leased != 0 {
+		t.Fatalf("done status %+v, want ordered=%d and no open task", st, starWant)
 	}
 
-	// Durable layout: spec and result persisted, rolling snapshot removed.
-	if _, err := os.Stat(filepath.Join(dir, "t1.job")); err != nil {
-		t.Errorf("t1.job missing: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "t1.done")); err != nil {
-		t.Errorf("t1.done missing: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "t1.ckpt")); !os.IsNotExist(err) {
-		t.Errorf("t1.ckpt survived clean completion (err=%v)", err)
-	}
-
-	// Same id again: 409, both against memory and against the disk spec.
-	if resp, body = postJSON(t, ts.URL+"/jobs", `{"id": "t1", "pattern": "0 1; 0 2"}`); resp.StatusCode != http.StatusConflict {
+	if resp, body = postJSON(t, e.url+"/jobs", `{"id": "t1", "pattern": "0 1; 0 2"}`); resp.StatusCode != http.StatusConflict {
 		t.Errorf("duplicate id: status %d want 409 (%s)", resp.StatusCode, body)
 	}
-	// Hostile ids never reach the filesystem.
-	if resp, body = postJSON(t, ts.URL+"/jobs", `{"id": "a.b", "pattern": "0 1; 0 2"}`); resp.StatusCode != http.StatusBadRequest {
+	if resp, body = postJSON(t, e.url+"/jobs", `{"id": "a.b", "pattern": "0 1; 0 2"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad id: status %d want 400 (%s)", resp.StatusCode, body)
 	}
-	if code, _ := getStatus(t, ts.URL, "nope"); code != http.StatusNotFound {
+	if code, _ := getStatus(t, e.url, "nope"); code != http.StatusNotFound {
 		t.Errorf("unknown job: status %d want 404", code)
 	}
-	// Resuming a finished job is an idempotent no-op answering done.
-	resp, body = postJSON(t, ts.URL+"/jobs/t1/resume", "")
+	// Resuming a finished job answers its status: done.
+	resp, body = postJSON(t, e.url+"/jobs/t1/resume", "")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"done"`) {
 		t.Errorf("resume of done job: status %d body %s, want 200 done", resp.StatusCode, body)
 	}
-	if s.jobsStarted.Value() != 1 {
-		t.Errorf("jobs metric %d want 1", s.jobsStarted.Value())
+	if jobs := e.coord.Status().Jobs; len(jobs) != 1 || jobs[0].ID != "t1" {
+		t.Errorf("GET /cluster lists %+v, want the one job t1", jobs)
 	}
 }
 
 // TestJobInterruptResumeAcrossRestart is the headline robustness scenario:
-// a throttled job checkpoints, the server aborts (SIGTERM-style), a brand
-// new Server over the same directory resumes the job from its snapshot, and
-// the final count is exact — no lost and no double-counted embeddings.
+// a throttled job is mining when its server goes away twice — once drained
+// (the worker hands its lease back first), once crashed (the coordinator
+// dies under a held lease) — and each new server on the same directory
+// carries on without a resume call. The final count is exact: no lost and
+// no double-counted embeddings.
 func TestJobInterruptResumeAcrossRestart(t *testing.T) {
+	before := runtime.NumGoroutine()
 	dir := t.TempDir()
-	// The throttle must stretch the job well past the 10ms checkpoint period
-	// even when the suite starves this test for CPU (a single-core box runs
-	// the busy-wait miners and the Stat poller on the same core): if the job
-	// completes before the plug is pulled, clean completion removes the
-	// snapshot and there is nothing left to interrupt.
-	throttle := func([]uint32) {
-		end := time.Now().Add(200 * time.Microsecond)
-		for time.Now().Before(end) {
+	sess := starSession(t)
+	// The throttle stretches the job over about a second: long enough that
+	// both restarts land while it runs, whatever else the machine is doing.
+	throttle := func([]uint32) { time.Sleep(300 * time.Microsecond) }
+	running := func(what string, ok func(cluster.JobStatus) bool) func(cluster.JobStatus) bool {
+		return func(st cluster.JobStatus) bool {
+			if st.State == "done" {
+				t.Fatalf("job completed before %s (%+v); the throttle is too light for this machine", what, st)
+			}
+			return st.State == "running" && ok(st)
 		}
 	}
-	s1 := jobsServer(t, Config{
-		CheckpointDir:    dir,
-		CheckpointEvery:  10 * time.Millisecond,
-		Workers:          2,
-		debugOnEmbedding: throttle,
-	})
-	ts1 := httptest.NewServer(s1.Handler())
 
-	resp, body := postJSON(t, ts1.URL+"/jobs", `{"id": "big", "pattern": "0 1; 0 2"}`)
+	e1 := startJobs(t, sess, dir, throttle)
+	resp, body := postJSON(t, e1.url+"/jobs", `{"id": "big", "pattern": "0 1; 0 2"}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("create: status %d (%s)", resp.StatusCode, body)
 	}
-	// Wait for at least one durable snapshot, then pull the plug.
-	ckpt := filepath.Join(dir, "big.ckpt")
+	waitJob(t, e1.url, "big", "one part merged", running("the drain", func(st cluster.JobStatus) bool { return st.Done >= 1 }))
+	e1.drain(t)
+
+	e2 := startJobs(t, sess, dir, throttle)
+	if st := e2.coord.Status(); st.ReplayedJobs != 1 || st.ResurrectedLeases != 0 {
+		t.Fatalf("restart after a drain: replayed %d jobs, resurrected %d leases; want 1 and 0 (the drained lease came back as a remainder)",
+			st.ReplayedJobs, st.ResurrectedLeases)
+	}
+	waitJob(t, e2.url, "big", "leased again", running("the crash", func(st cluster.JobStatus) bool { return st.Leased >= 1 }))
+	e2.crash(t)
+
+	e3 := startJobs(t, sess, dir, throttle)
+	if st := e3.coord.Status(); st.ReplayedJobs != 1 || st.ResurrectedLeases < 1 {
+		t.Fatalf("restart after a crash: replayed %d jobs, resurrected %d leases; want 1 and at least 1",
+			st.ReplayedJobs, st.ResurrectedLeases)
+	}
+	final := waitJob(t, e3.url, "big", "done", isDone)
+	if final.Ordered != starWant {
+		t.Fatalf("resumed result %+v, want exactly ordered=%d", final, starWant)
+	}
+	e3.drain(t)
+
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, err := os.Stat(ckpt); err == nil {
-			break
-		}
-		if _, st := getStatus(t, ts1.URL, "big"); st.State == "done" {
-			t.Fatalf("job completed before it could be interrupted (%+v); the throttle is too light for this machine", st)
-		}
+	for runtime.NumGoroutine() > before {
 		if time.Now().After(deadline) {
-			code, st := getStatus(t, ts1.URL, "big")
-			t.Fatalf("no checkpoint appeared (job: %d %+v)", code, st)
+			t.Fatalf("goroutines: %d after the final shutdown, %d before the test", runtime.NumGoroutine(), before)
 		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	s1.Abort()
-	if err := s1.DrainJobs(timeoutCtx(t, 10*time.Second)); err != nil {
-		t.Fatalf("drain after abort: %v", err)
-	}
-	st := waitState(t, ts1.URL, "big", "interrupted")
-	if st.Error == "" {
-		t.Errorf("interrupted status carries no explanation: %+v", st)
-	}
-	ts1.Close()
-
-	// "Restart": a fresh Server (fresh session, same hypergraph bytes) over
-	// the same checkpoint directory. Before resuming, the disk view alone
-	// must already say interrupted-with-progress.
-	s2 := jobsServer(t, Config{CheckpointDir: dir, CheckpointEvery: 10 * time.Millisecond, Workers: 2})
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	code, st2 := getStatus(t, ts2.URL, "big")
-	if code != http.StatusOK || st2.State != "interrupted" || st2.CheckpointSeq == 0 {
-		t.Fatalf("disk status after restart: %d %+v, want interrupted with a snapshot", code, st2)
-	}
-
-	resp, body = postJSON(t, ts2.URL+"/jobs/big/resume", "")
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("resume: status %d (%s)", resp.StatusCode, body)
-	}
-	final := waitState(t, ts2.URL, "big", "done")
-	if final.Result == nil || final.Result.Ordered != starWant || final.Result.Truncated {
-		t.Fatalf("resumed result %+v, want exactly ordered=%d untruncated", final, starWant)
-	}
-	if final.Resumes != 1 {
-		t.Errorf("resumes = %d want 1", final.Resumes)
-	}
-	if s2.jobsResumed.Value() != 1 {
-		t.Errorf("jobs_resumed metric %d want 1", s2.jobsResumed.Value())
-	}
-	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Errorf("big.ckpt survived completion (err=%v)", err)
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-// TestJobResumeCorruptSnapshotRejected: a damaged snapshot is refused with
-// 422 and a descriptive error — never silently restarted from scratch.
+// writeLegacy writes files of the file-per-job layout into dir.
+func writeLegacy(t *testing.T, dir string, files map[string]string) {
+	t.Helper()
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// legacyRefused checks that CheckJobDir refuses dir with ErrLegacyJobDir and
+// names every one of files.
+func legacyRefused(t *testing.T, dir string, files ...string) {
+	t.Helper()
+	err := CheckJobDir(dir)
+	if !errors.Is(err, ErrLegacyJobDir) {
+		t.Fatalf("CheckJobDir: %v, want ErrLegacyJobDir", err)
+	}
+	for _, f := range files {
+		if !strings.Contains(err.Error(), filepath.Join(dir, f)) {
+			t.Errorf("refusal %q does not name %s", err, f)
+		}
+	}
+	if !strings.Contains(err.Error(), "move the files away") {
+		t.Errorf("refusal %q does not say what to do", err)
+	}
+}
+
+// TestJobResumeCorruptSnapshotRejected: a directory left by the file-per-job
+// layout — here a spec and a damaged snapshot — is refused with a typed
+// error naming both files, never adopted or silently restarted.
 func TestJobResumeCorruptSnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "hurt.job"), []byte(`{"pattern": "0 1; 0 2"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "hurt.ckpt"), []byte("not a snapshot at all"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := jobsServer(t, Config{CheckpointDir: dir})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, body := postJSON(t, ts.URL+"/jobs/hurt/resume", "")
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("corrupt snapshot resume: status %d want 422 (%s)", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "snapshot unusable") {
-		t.Errorf("error %q does not explain the snapshot is unusable", body)
-	}
+	writeLegacy(t, dir, map[string]string{
+		"hurt.job":  `{"pattern": "0 1; 0 2"}`,
+		"hurt.ckpt": "not a snapshot at all",
+	})
+	legacyRefused(t, dir, "hurt.job", "hurt.ckpt")
 }
 
-// TestJobResumeWithoutSnapshot: a job that died before its first checkpoint
-// still resumes — from the persisted spec, starting over.
+// TestJobResumeWithoutSnapshot: a legacy job that died before its first
+// snapshot — a spec alone — is refused the same way; a directory without
+// legacy files passes.
 func TestJobResumeWithoutSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "early.job"), []byte(`{"pattern": "0 1; 0 2"}`), 0o644); err != nil {
-		t.Fatal(err)
+	if err := CheckJobDir(dir); err != nil {
+		t.Fatalf("CheckJobDir on an empty dir: %v", err)
 	}
-	s := jobsServer(t, Config{CheckpointDir: dir})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	if resp, body := postJSON(t, ts.URL+"/jobs/early/resume", ""); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("resume without snapshot: status %d (%s)", resp.StatusCode, body)
-	}
-	st := waitState(t, ts.URL, "early", "done")
-	if st.Result == nil || st.Result.Ordered != starWant {
-		t.Fatalf("result %+v, want ordered=%d", st, starWant)
-	}
+	writeLegacy(t, dir, map[string]string{"early.job": `{"pattern": "0 1; 0 2"}`, "notes.txt": "x"})
+	legacyRefused(t, dir, "early.job")
 }
 
-// TestVariantRefused: "variant" is still a recognised key of POST /query,
-// POST /jobs and a persisted .job spec, but only to be checked. The
-// production configuration's own name passes; a baseline's is a 422 naming
-// where baselines run, and a job file written while they were served here
-// comes back as a failed job with that message — not a 400 for an unknown
-// field, and not a silent run of something else.
+// TestVariantRefused: "variant" is still a recognised key of POST /query and
+// POST /jobs, but only to be checked. The production configuration's own
+// name passes; a baseline's is a 422 naming where baselines run — not a 400
+// for an unknown field, and not a silent run of something else.
 func TestVariantRefused(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "old.job"), []byte(`{"pattern": "0 1; 0 2", "variant": "HGMatch"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := jobsServer(t, Config{CheckpointDir: dir})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	e := startJobs(t, starSession(t), t.TempDir(), nil)
 	refusal := func(msg string) bool {
 		return strings.Contains(msg, "HGMatch") && strings.Contains(msg, "ohmbench") && strings.Contains(msg, "ohminer -variant")
 	}
-
 	for _, path := range []string{"/query", "/jobs"} {
-		resp, body := postJSON(t, ts.URL+path, `{"pattern": "0 1; 0 2", "variant": "OHMiner"}`)
+		resp, body := postJSON(t, e.url+path, `{"pattern": "0 1; 0 2", "variant": "OHMiner"}`)
 		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
 			t.Errorf("POST %s variant=OHMiner: status %d (%s)", path, resp.StatusCode, body)
 		}
-		resp, body = postJSON(t, ts.URL+path, `{"pattern": "0 1; 0 2", "variant": "HGMatch"}`)
+		resp, body = postJSON(t, e.url+path, `{"pattern": "0 1; 0 2", "variant": "HGMatch"}`)
 		var er errorResponse
 		if err := json.Unmarshal(body, &er); err != nil || resp.StatusCode != http.StatusUnprocessableEntity || !refusal(er.Error) {
 			t.Errorf("POST %s variant=HGMatch: status %d body %s, want a 422 saying where baselines run", path, resp.StatusCode, body)
 		}
-	}
-
-	if resp, body := postJSON(t, ts.URL+"/jobs/old/resume", ""); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("resume of a persisted spec: status %d (%s)", resp.StatusCode, body)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, st := getStatus(t, ts.URL, "old")
-		if st.State == "failed" && refusal(st.Error) {
-			break
-		}
-		if st.State == "done" || time.Now().After(deadline) {
-			t.Fatalf("persisted HGMatch job: state %q error %q, want failed with the refusal", st.State, st.Error)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -1,7 +1,10 @@
 // Package serve implements the ohmserve HTTP query service: a JSON query
 // endpoint over a plan-cached ohminer.Session, with per-request
 // timeout/limit mapping, concurrency admission control, expvar metrics,
-// pprof, and cooperative drain for graceful shutdown.
+// pprof, and cooperative drain for graceful shutdown. Long runs are not
+// queries: /jobs is served by the mounted cluster coordinator
+// (Config.Cluster), whose workers — in ohmserve -checkpoint-dir, one in the
+// server's own process — mine a job to completion across restarts.
 //
 // The design follows the deployment the paper's API discussion envisions
 // (and HGMatch argues for): the store is built once, queries arrive
@@ -21,7 +24,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"path/filepath"
 	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,15 +59,11 @@ type Config struct {
 	// mining. Test hook for the graceful-drain smoke test; zero in
 	// production.
 	DebugDelay time.Duration
-	// CheckpointDir enables the jobs subsystem (POST /jobs): job specs,
-	// rolling snapshots, and results are persisted there so long runs
-	// survive a restart. Empty disables /jobs.
-	CheckpointDir string
-	// CheckpointEvery is the snapshot period for jobs (0 = 5s).
-	CheckpointEvery time.Duration
 	// Cluster, when set, mounts the distributed-mining coordinator's
-	// endpoints (/cluster, /cluster/jobs, and the worker lease protocol) on
-	// this server — ohmserve's -cluster mode. Nil serves single-node only.
+	// endpoints (/cluster, /cluster/jobs, the worker lease protocol, and
+	// /jobs, their alias) on this server — ohmserve's -cluster and
+	// -checkpoint-dir modes. Nil serves queries and streams only, and /jobs
+	// answers 503.
 	Cluster *cluster.Coordinator
 	// StreamDir enables the streams subsystem (POST /streams): stream
 	// specs and rolling snapshots are persisted there so streams survive a
@@ -78,11 +80,6 @@ type Config struct {
 	// StreamRing bounds the per-query event ring kept for reconnect
 	// backfill (?after=N) (0 = 256).
 	StreamRing int
-
-	// debugOnEmbedding throttles job mining per embedding. Test hook (the
-	// interrupt/resume tests need runs that outlast a checkpoint period);
-	// nil in production.
-	debugOnEmbedding func([]uint32)
 }
 
 func (c Config) withDefaults() Config {
@@ -94,9 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 2 * time.Minute
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 5 * time.Second
 	}
 	if c.StreamSnapshotEvery <= 0 {
 		c.StreamSnapshotEvery = 1
@@ -133,16 +127,8 @@ type Server struct {
 	rejected    expvar.Int // refused before mining (bad request, full queue)
 	errors      expvar.Int // queries that failed after admission
 	truncations expvar.Int // truncated results served
-	inFlight    expvar.Int // queries/jobs currently mining
-	jobsStarted expvar.Int // jobs created via POST /jobs
-	jobsResumed expvar.Int // jobs restarted via POST /jobs/{id}/resume
+	inFlight    expvar.Int // queries currently mining
 	vars        *expvar.Map
-
-	// Jobs subsystem (enabled by Config.CheckpointDir; see jobs.go).
-	jobsMu sync.Mutex
-	jobs   map[string]*job // guarded by jobsMu
-	jobSeq atomic.Uint64
-	jobWG  sync.WaitGroup
 
 	// Streams subsystem (enabled by Config.StreamDir; see stream.go).
 	streamMu  sync.Mutex
@@ -169,7 +155,6 @@ func New(sess *ohminer.Session, cfg Config) *Server {
 		sess:    sess,
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
-		jobs:    map[string]*job{},
 		streams: map[string]*srvStream{},
 	}
 	s.abortCtx, s.abortStop = context.WithCancel(context.Background())
@@ -180,8 +165,6 @@ func New(sess *ohminer.Session, cfg Config) *Server {
 	m.Set("errors", &s.errors)
 	m.Set("truncations", &s.truncations)
 	m.Set("in_flight", &s.inFlight)
-	m.Set("jobs", &s.jobsStarted)
-	m.Set("jobs_resumed", &s.jobsResumed)
 	m.Set("streams", &s.streamsCreated)
 	m.Set("streams_reloaded", &s.streamsReloaded)
 	m.Set("stream_batches", &s.streamBatches)
@@ -229,22 +212,18 @@ func (s *Server) DisconnectStreams() { s.drainStop() }
 // Session returns the underlying query session.
 func (s *Server) Session() *ohminer.Session { return s.sess }
 
-// Handler returns the service mux: POST /query, the jobs endpoints
-// (GET /jobs, POST /jobs, GET /jobs/{id}, POST /jobs/{id}/resume — 503
-// unless Config.CheckpointDir is set), the streams endpoints
+// Handler returns the service mux: POST /query, the streams endpoints
 // (POST /streams, GET /streams/{id}, POST /streams/{id}/batches,
 // POST /streams/{id}/queries, GET /streams/{id}/queries/{qid}/events —
 // 503 unless Config.StreamDir is set), the cluster coordinator endpoints
-// when Config.Cluster is set (GET /cluster, POST /cluster/jobs, and the
-// worker lease protocol), GET /healthz, GET /debug/vars (expvar), and the
-// net/http/pprof endpoints under /debug/pprof/.
+// when Config.Cluster is set (GET /cluster, POST /cluster/jobs, the worker
+// lease protocol, and the jobs endpoints GET /jobs, POST /jobs,
+// GET /jobs/{id}, POST /jobs/{id}/resume — 503 without a coordinator),
+// GET /healthz, GET /debug/vars (expvar), and the net/http/pprof endpoints
+// under /debug/pprof/.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
-	mux.HandleFunc("GET /jobs", s.handleJobList)
-	mux.HandleFunc("POST /jobs", s.handleJobCreate)
-	mux.HandleFunc("GET /jobs/{id}", s.handleJobStatus)
-	mux.HandleFunc("POST /jobs/{id}/resume", s.handleJobResume)
 	mux.HandleFunc("POST /streams", s.handleStreamCreate)
 	mux.HandleFunc("GET /streams/{id}", s.handleStreamStatus)
 	mux.HandleFunc("POST /streams/{id}/batches", s.handleStreamBatch)
@@ -252,6 +231,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /streams/{id}/queries/{qid}/events", s.handleStreamEvents)
 	if s.cfg.Cluster != nil {
 		s.cfg.Cluster.Register(mux)
+	} else {
+		mux.HandleFunc("/jobs", s.handleJobsDisabled)
+		mux.HandleFunc("/jobs/", s.handleJobsDisabled)
 	}
 	mux.HandleFunc("/healthz", s.handleHealth)
 	mux.HandleFunc("/debug/vars", s.handleVars)
@@ -261,6 +243,33 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+func (s *Server) handleJobsDisabled(w http.ResponseWriter, r *http.Request) {
+	s.reject(w, http.StatusServiceUnavailable, "jobs disabled: server started without -checkpoint-dir or -cluster")
+}
+
+// ErrLegacyJobDir marks a job directory holding the per-job files
+// (<id>.job, <id>.ckpt, <id>.done) of the file-per-job subsystem /jobs ran on
+// before it became the cluster coordinator's. Such jobs are refused, not
+// adopted: finish them with the ohmserve that wrote them, or move the files
+// away.
+var ErrLegacyJobDir = errors.New("job directory holds jobs of the older file-per-job layout")
+
+// CheckJobDir refuses dir with an error wrapping ErrLegacyJobDir, naming the
+// files, if it holds any legacy job file; a missing dir passes.
+func CheckJobDir(dir string) error {
+	var legacy []string
+	for _, ext := range []string{"*.job", "*.ckpt", "*.done"} {
+		m, _ := filepath.Glob(filepath.Join(dir, ext)) // the patterns are well-formed
+		legacy = append(legacy, m...)
+	}
+	if len(legacy) == 0 {
+		return nil
+	}
+	sort.Strings(legacy)
+	return fmt.Errorf("%w: %s; finish those jobs with the ohmserve that wrote them, or move the files away",
+		ErrLegacyJobDir, strings.Join(legacy, ", "))
 }
 
 // QueryRequest is the JSON body of POST /query.

@@ -4,9 +4,8 @@ package serve
 // a server-side stream.Miner fed by sequenced batches over HTTP; standing
 // queries registered on it emit one delta event per applied batch, pushed
 // to subscribers over Server-Sent Events (with a long-poll fallback for
-// clients that cannot hold an SSE connection). Durability follows the jobs
-// subsystem's discipline — everything needed to restart lives under
-// StreamDir, all writes atomic:
+// clients that cannot hold an SSE connection). Everything needed to restart
+// lives under StreamDir, all writes atomic (stream.AtomicWriteFile):
 //
 //	<id>.stream  the stream spec — written at creation
 //	<id>.ohmt    the rolling CRC-framed snapshot — replaced on cadence
@@ -249,7 +248,7 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	if spec.ID == "" {
 		spec.ID = fmt.Sprintf("stream-%d", s.streamSeq.Add(1))
 	}
-	if !validJobID(spec.ID) {
+	if !validStreamID(spec.ID) {
 		s.reject(w, http.StatusBadRequest, "bad stream id (letters, digits, '-', '_'; <=64 chars)")
 		return
 	}
@@ -274,7 +273,7 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	data, err := json.MarshalIndent(spec, "", "  ")
 	if err == nil {
-		err = writeFileAtomic(s.streamPath(spec.ID, ".stream"), append(data, '\n'))
+		err = stream.AtomicWriteFile(s.streamPath(spec.ID, ".stream"), append(data, '\n'))
 	}
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "persist spec: " + err.Error()})
@@ -306,7 +305,7 @@ func (s *Server) lookupStream(w http.ResponseWriter, r *http.Request) (*srvStrea
 		return nil, false
 	}
 	id := r.PathValue("id")
-	if !validJobID(id) {
+	if !validStreamID(id) {
 		s.reject(w, http.StatusBadRequest, "bad stream id")
 		return nil, false
 	}
@@ -545,4 +544,23 @@ func (s *Server) longPollEvents(w http.ResponseWriter, r *http.Request, st *srvS
 	}
 	dropped := unsub()
 	writeJSON(w, http.StatusOK, streamEventsEnvelope{Events: events, Dropped: dropped})
+}
+
+// validStreamID accepts exactly the names that are safe as file stems: no
+// separators, no dots, nothing a path traversal could smuggle through.
+func validStreamID(id string) bool {
+	if id == "" || len(id) > 64 {
+		return false
+	}
+	for _, c := range id {
+		switch {
+		case c == '-' || c == '_':
+		case '0' <= c && c <= '9':
+		case 'a' <= c && c <= 'z':
+		case 'A' <= c && c <= 'Z':
+		default:
+			return false
+		}
+	}
+	return true
 }

@@ -315,16 +315,26 @@ func Unmarshal(b []byte) (*Snapshot, error) {
 	return Decode(bytes.NewReader(b))
 }
 
-// WriteFile atomically persists the snapshot at path (temp + one write +
-// fsync + rename), so a crash mid-write leaves the previous snapshot intact.
+// WriteFile atomically persists the snapshot at path (AtomicWriteFile), so a
+// crash mid-write leaves the previous snapshot intact.
 func (s *Snapshot) WriteFile(path string) (int64, error) {
 	b, _ := s.Marshal()
-	f, err := os.CreateTemp(filepath.Dir(path), ".ohmt-*")
-	if err != nil {
+	if err := AtomicWriteFile(path, b); err != nil {
 		return 0, err
 	}
+	return int64(len(b)), nil
+}
+
+// AtomicWriteFile persists data at path through a temp file in the same
+// directory: one write, fsync, rename. A crash mid-write leaves the previous
+// file intact, and a power loss after the rename cannot lose the new one.
+func AtomicWriteFile(path string, data []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), ".ohmt-*")
+	if err != nil {
+		return err
+	}
 	tmp := f.Name()
-	_, err = f.Write(b)
+	_, err = f.Write(data)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -336,9 +346,8 @@ func (s *Snapshot) WriteFile(path string) (int64, error) {
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return 0, err
 	}
-	return int64(len(b)), nil
+	return err
 }
 
 // ReadFile loads and validates a snapshot written by WriteFile.
