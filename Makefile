@@ -53,6 +53,7 @@ fuzz:
 	$(GO) test -fuzz FuzzIntersectKernels -fuzztime 30s ./internal/intset
 	$(GO) test -fuzz FuzzPlanVerify -fuzztime 30s ./internal/engine
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/stream
+	$(GO) test -fuzz FuzzCheckpointDecode -fuzztime 30s ./internal/checkpoint
 
 # Cross-version golden files, written by the encoders of a named revision:
 #   make golden REV=<git rev> TAG=<name>
@@ -137,12 +138,18 @@ vet:
 
 # Project-specific static analysis (see docs/LINTING.md), then the
 # direct-import check: production packages and the service binaries must not
-# name internal/baseline — the paper's comparison systems stay out of them.
-PRODUCTION = ./internal/engine ./internal/oig ./internal/dal ./internal/intset ./internal/stream ./internal/cluster ./internal/serve ./internal/motif ./internal/checkpoint ./cmd/ohmserve ./cmd/ohmworker ./cmd/ohmplan ./cmd/ohmstat
+# name internal/baseline — the paper's comparison systems stay out of them —
+# nor internal/faultinject, whose failures belong in tests. Last, one durable
+# layer: no non-test file outside internal/durable (and bench/, a module of
+# its own) makes a temp file or renames one; atomic replace is
+# durable.WriteFile.
+PRODUCTION = ./internal/engine ./internal/oig ./internal/dal ./internal/intset ./internal/stream ./internal/cluster ./internal/serve ./internal/motif ./internal/checkpoint ./internal/durable ./cmd/ohmserve ./cmd/ohmworker ./cmd/ohmplan ./cmd/ohmstat
 lint:
 	$(GO) run ./cmd/ohmlint ./...
-	@bad=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' $(PRODUCTION) | grep 'ohminer/internal/baseline' | cut -d' ' -f1); \
-	if [ -n "$$bad" ]; then echo "production package imports internal/baseline:"; echo "$$bad"; exit 1; fi
+	@bad=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' $(PRODUCTION) | grep -E 'ohminer/internal/(baseline|faultinject)( |$$)' | cut -d' ' -f1); \
+	if [ -n "$$bad" ]; then echo "production package imports internal/baseline or internal/faultinject:"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rln --include='*.go' --exclude='*_test.go' -e 'os\.CreateTemp' -e 'os\.Rename' . | grep -v -e '^\./internal/durable/' -e '^\./bench/'); \
+	if [ -n "$$bad" ]; then echo "temp file or rename outside internal/durable (use durable.WriteFile):"; echo "$$bad"; exit 1; fi
 
 # Non-test Go lines per package (bench/ is a module of its own; testdata is
 # analyzer input, not code).

@@ -34,6 +34,7 @@ import (
 	"ohminer/internal/checkpoint"
 	"ohminer/internal/cliio"
 	"ohminer/internal/dal"
+	"ohminer/internal/durable"
 	"ohminer/internal/engine"
 	"ohminer/internal/gen"
 	"ohminer/internal/hypergraph"
@@ -176,7 +177,7 @@ func run() error {
 		if *estimate > 0 {
 			return fmt.Errorf("-checkpoint does not apply to -estimate runs")
 		}
-		opts.Checkpoint = &checkpoint.FileSink{Path: *ckptPath}
+		opts.Checkpoint = &durable.FileSink[*checkpoint.Snapshot]{Path: *ckptPath}
 		opts.CheckpointEvery = *ckptInt
 	}
 	if *estimate > 0 {

@@ -11,11 +11,11 @@
 //     snapshot can never be resumed against a different pattern, matching
 //     order, or dataset.
 //
-// The file format is versioned, little-endian, and ends in a CRC32C trailer
-// over every preceding byte (shared with the dal store format via
-// internal/crcio): torn writes and bit-flips are rejected at load time.
-// WriteFile is atomic (temp file in the target directory + rename), so a
-// crash mid-checkpoint leaves the previous snapshot intact.
+// The file format (OHMC) is versioned, little-endian, and ends in a CRC32C
+// trailer over every preceding byte; internal/durable owns the trailer, the
+// bounded reads the decoder uses and the atomic file replace, so torn writes
+// and bit-flips are rejected at load time and a crash mid-checkpoint leaves
+// the previous snapshot intact.
 package checkpoint
 
 import (
@@ -26,10 +26,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sync"
 
-	"ohminer/internal/crcio"
+	"ohminer/internal/durable"
 )
 
 const (
@@ -41,13 +39,11 @@ const (
 	// maxTasks bounds the frontier length a decoder accepts; beyond it the
 	// file is declared corrupt rather than allocating unboundedly.
 	maxTasks = 1 << 26
-	// maxPrefix bounds a task's prefix length (pattern sizes are tiny).
+	// maxPrefix bounds a task's prefix length (pattern sizes are tiny). A
+	// candidate range needs no bound beyond its uint32 length: the decoder
+	// grows it as bytes arrive, so a corrupt length fails on EOF before the
+	// allocation it advertises.
 	maxPrefix = 1 << 12
-	// maxCands bounds a task's candidate-range length (hyperedge IDs are
-	// uint32, so a range can never meaningfully exceed 2^32 entries; the
-	// decoder additionally grows its buffers incrementally so a corrupt
-	// length fails on EOF before the allocation it advertises).
-	maxCands = 1 << 32
 )
 
 // ErrCorrupt tags every snapshot decoding failure; match with errors.Is.
@@ -84,80 +80,55 @@ type Snapshot struct {
 	Frontier []Task
 }
 
-// Sink consumes snapshots as the engine produces them and reports the bytes
-// persisted. Implementations must be safe for sequential calls from the
-// mining driver; a failed write must leave any previously persisted
-// snapshot intact.
-type Sink interface {
-	WriteSnapshot(s *Snapshot) (int64, error)
-}
+// Sink consumes snapshots as the engine produces them (durable.FileSink
+// persists them, durable.MemSink keeps the latest in memory).
+type Sink = durable.Sink[*Snapshot]
 
-// Encode writes the snapshot to w in the versioned binary format,
-// CRC trailer included.
-func (s *Snapshot) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	cw := crcio.NewWriter(bw)
-	head := []uint64{
-		Magic, Version,
-		s.Seq, s.PlanFP, s.GraphFP, s.Ordered,
-		uint64(len(s.Stats)),
+// Marshal encodes the snapshot in the versioned binary format, CRC trailer
+// included, into one exactly sized slice. The error is always nil; the
+// signature is the one durable sinks are written against.
+func (s *Snapshot) Marshal() ([]byte, error) {
+	le := binary.LittleEndian
+	n := 8*8 + 8*len(s.Stats) + 4
+	for i := range s.Frontier {
+		n += 4 * (3 + len(s.Frontier[i].Prefix) + len(s.Frontier[i].Cands))
 	}
-	if err := writeU64s(cw, head); err != nil {
-		return err
+	b := make([]byte, 0, n)
+	for _, v := range [...]uint64{Magic, Version, s.Seq, s.PlanFP, s.GraphFP, s.Ordered, uint64(len(s.Stats))} {
+		b = le.AppendUint64(b, v)
 	}
-	if err := writeU64s(cw, s.Stats); err != nil {
-		return err
+	for _, v := range s.Stats {
+		b = le.AppendUint64(b, v)
 	}
-	if err := writeU64s(cw, []uint64{uint64(len(s.Frontier))}); err != nil {
-		return err
-	}
+	b = le.AppendUint64(b, uint64(len(s.Frontier)))
 	for i := range s.Frontier {
 		t := &s.Frontier[i]
-		hdr := []uint32{t.Depth, uint32(len(t.Prefix)), uint32(len(t.Cands))}
-		for _, arr := range [][]uint32{hdr, t.Prefix, t.Cands} {
-			if err := binary.Write(cw, binary.LittleEndian, arr); err != nil {
-				return fmt.Errorf("checkpoint: encode frontier: %w", err)
-			}
+		b = le.AppendUint32(b, t.Depth)
+		b = le.AppendUint32(b, uint32(len(t.Prefix)))
+		b = le.AppendUint32(b, uint32(len(t.Cands)))
+		for _, v := range t.Prefix {
+			b = le.AppendUint32(b, v)
+		}
+		for _, v := range t.Cands {
+			b = le.AppendUint32(b, v)
 		}
 	}
-	if err := cw.WriteTrailer(); err != nil {
-		return fmt.Errorf("checkpoint: encode trailer: %w", err)
-	}
-	return bw.Flush()
+	return le.AppendUint32(b, durable.Checksum(b)), nil
 }
 
-// Marshal returns the snapshot in the same versioned binary format Encode
-// writes — the convenience used where snapshots are embedded in other
-// containers (cluster lease payloads, the coordinator's WAL state snapshot)
-// rather than stored as files.
-func (s *Snapshot) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal decodes a snapshot produced by Marshal (or Encode), with the
-// same verification Decode performs.
+// Unmarshal decodes a snapshot produced by Marshal, with the same
+// verification Decode performs.
 func Unmarshal(b []byte) (*Snapshot, error) {
 	return Decode(bytes.NewReader(b))
 }
 
-func writeU64s(w io.Writer, vs []uint64) error {
-	if err := binary.Write(w, binary.LittleEndian, vs); err != nil {
-		return fmt.Errorf("checkpoint: encode: %w", err)
-	}
-	return nil
-}
-
-// Decode reads a snapshot written by Encode, verifying the magic, version,
+// Decode reads a snapshot written by Marshal, verifying the magic, version,
 // structural bounds, and the CRC trailer. Every failure wraps ErrCorrupt
 // except a version from a newer format, which gets its own message.
 func Decode(r io.Reader) (*Snapshot, error) {
-	cr := crcio.NewReader(bufio.NewReader(r))
-	head := make([]uint64, 7)
-	if err := binary.Read(cr, binary.LittleEndian, head); err != nil {
+	cr := durable.NewReader(bufio.NewReader(r))
+	var head [7]uint64
+	if err := cr.U64s(head[:]); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
 	}
 	if head[0] != Magic {
@@ -173,14 +144,15 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	}
 	if nstats > 0 {
 		s.Stats = make([]uint64, nstats)
-		if err := binary.Read(cr, binary.LittleEndian, s.Stats); err != nil {
+		if err := cr.U64s(s.Stats); err != nil {
 			return nil, fmt.Errorf("%w: short stats: %v", ErrCorrupt, err)
 		}
 	}
-	var ntasks uint64
-	if err := binary.Read(cr, binary.LittleEndian, &ntasks); err != nil {
+	var nt [1]uint64
+	if err := cr.U64s(nt[:]); err != nil {
 		return nil, fmt.Errorf("%w: short frontier header: %v", ErrCorrupt, err)
 	}
+	ntasks := nt[0]
 	if ntasks > maxTasks {
 		return nil, fmt.Errorf("%w: absurd frontier length %d", ErrCorrupt, ntasks)
 	}
@@ -189,18 +161,21 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	}
 	for i := uint64(0); i < ntasks; i++ {
 		var hdr [3]uint32
-		if err := binary.Read(cr, binary.LittleEndian, hdr[:]); err != nil {
-			return nil, fmt.Errorf("%w: short task header: %v", ErrCorrupt, err)
+		for j := range hdr {
+			var err error
+			if hdr[j], err = cr.U32(); err != nil {
+				return nil, fmt.Errorf("%w: short task header: %v", ErrCorrupt, err)
+			}
 		}
-		if hdr[1] > maxPrefix || uint64(hdr[2]) > maxCands {
+		if hdr[1] > maxPrefix {
 			return nil, fmt.Errorf("%w: absurd task sizes (prefix %d, cands %d)", ErrCorrupt, hdr[1], hdr[2])
 		}
 		t := Task{Depth: hdr[0]}
 		var err error
-		if t.Prefix, err = readU32s(cr, hdr[1]); err != nil {
+		if t.Prefix, err = cr.U32s(hdr[1]); err != nil {
 			return nil, fmt.Errorf("%w: short task prefix: %v", ErrCorrupt, err)
 		}
-		if t.Cands, err = readU32s(cr, hdr[2]); err != nil {
+		if t.Cands, err = cr.U32s(hdr[2]); err != nil {
 			return nil, fmt.Errorf("%w: short task candidates: %v", ErrCorrupt, err)
 		}
 		s.Frontier = append(s.Frontier, t)
@@ -211,65 +186,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	return s, nil
 }
 
-// readU32s reads n little-endian uint32s, growing the buffer incrementally
-// so a corrupt length fails with a short read instead of allocating the
-// advertised size up front.
-func readU32s(r io.Reader, n uint32) ([]uint32, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	const chunkMax = 1 << 16
-	buf := make([]uint32, min(n, chunkMax))
-	out := make([]uint32, 0, len(buf))
-	for remaining := n; remaining > 0; {
-		part := buf[:min(remaining, chunkMax)]
-		if err := binary.Read(r, binary.LittleEndian, part); err != nil {
-			return nil, err
-		}
-		out = append(out, part...)
-		remaining -= uint32(len(part))
-	}
-	return out, nil
-}
-
-// WriteFile atomically persists the snapshot at path: the bytes go to a
-// temporary file in the same directory, are fsynced, and replace path with
-// a rename, so a crash mid-write leaves the previous snapshot intact.
-// It returns the number of bytes written.
-func (s *Snapshot) WriteFile(path string) (int64, error) {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
-		return 0, err
-	}
-	tmp := f.Name()
-	fail := func(err error) (int64, error) {
-		f.Close()
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := s.Encode(f); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	size, err := f.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	return size, nil
-}
-
-// ReadFile loads and validates a snapshot written by WriteFile.
+// ReadFile loads and validates a snapshot written by a durable.FileSink.
 func ReadFile(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -277,64 +194,4 @@ func ReadFile(path string) (*Snapshot, error) {
 	}
 	defer f.Close()
 	return Decode(f)
-}
-
-// FileSink persists every snapshot to one path, atomically replacing the
-// previous one — the standard sink for CLI runs and ohmserve jobs.
-type FileSink struct {
-	Path string
-}
-
-// WriteSnapshot implements Sink.
-func (fs *FileSink) WriteSnapshot(s *Snapshot) (int64, error) {
-	return s.WriteFile(fs.Path)
-}
-
-// MemSink retains the latest snapshot, already encoded, in memory — the sink
-// for callers that consume the final frontier programmatically instead of
-// persisting it: a cluster worker mines its leased task range with a MemSink
-// attached, and when the run is cut short (worker shutdown) the engine's
-// final-stop snapshot lands here as exactly the bytes the worker spills back
-// to the coordinator as the task's unfinished remainder.
-type MemSink struct {
-	mu     sync.Mutex
-	data   []byte
-	seq    uint64
-	writes int
-}
-
-// WriteSnapshot implements Sink.
-func (ms *MemSink) WriteSnapshot(s *Snapshot) (int64, error) {
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
-		return 0, err
-	}
-	ms.mu.Lock()
-	ms.data = buf.Bytes()
-	ms.seq = s.Seq
-	ms.writes++
-	ms.mu.Unlock()
-	return int64(buf.Len()), nil
-}
-
-// Bytes returns the latest encoded snapshot (nil when nothing was written).
-// The slice is not retained by the sink after a subsequent write.
-func (ms *MemSink) Bytes() []byte {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return ms.data
-}
-
-// Seq reports the sequence number of the latest snapshot, 0 when none.
-func (ms *MemSink) Seq() uint64 {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return ms.seq
-}
-
-// Writes reports how many snapshots the sink received.
-func (ms *MemSink) Writes() int {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return ms.writes
 }

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"ohminer/internal/durable"
 )
 
 func sample() *Snapshot {
@@ -26,11 +28,11 @@ func sample() *Snapshot {
 
 func TestRoundTrip(t *testing.T) {
 	want := sample()
-	var buf bytes.Buffer
-	if err := want.Encode(&buf); err != nil {
+	b, err := want.Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(bytes.NewReader(buf.Bytes()))
+	got, err := Decode(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestRoundTrip(t *testing.T) {
 func TestFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	want := sample()
-	n, err := want.WriteFile(path)
+	n, err := (&durable.FileSink[*Snapshot]{Path: path}).WriteSnapshot(want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,36 +72,14 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteFileReplacesAtomically(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	first := sample()
-	if _, err := first.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	second := sample()
-	second.Seq = 4
-	second.Ordered = 500000
-	if _, err := second.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Seq != 4 || got.Ordered != 500000 {
-		t.Fatalf("expected replaced snapshot, got seq=%d ordered=%d", got.Seq, got.Ordered)
-	}
-}
-
 // TestCorruptionRejected flips/truncates bytes all over a valid snapshot and
 // requires every mutation to be rejected (no panic, no silent success with
 // altered content).
 func TestCorruptionRejected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sample().Encode(&buf); err != nil {
+	valid, err := sample().Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	valid := buf.Bytes()
 
 	// Truncations at every prefix length.
 	for cut := 0; cut < len(valid); cut++ {
@@ -129,16 +109,16 @@ func TestCorruptionRejected(t *testing.T) {
 }
 
 func TestVersionAndMagic(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sample().Encode(&buf); err != nil {
+	valid, err := sample().Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	wrongMagic := bytes.Clone(buf.Bytes())
+	wrongMagic := bytes.Clone(valid)
 	wrongMagic[0] ^= 0xff
 	if _, err := Decode(bytes.NewReader(wrongMagic)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bad magic: got %v", err)
 	}
-	wrongVersion := bytes.Clone(buf.Bytes())
+	wrongVersion := bytes.Clone(valid)
 	wrongVersion[8] = 99
 	if _, err := Decode(bytes.NewReader(wrongVersion)); err == nil || errors.Is(err, ErrCorrupt) {
 		t.Fatalf("future version must fail with a version error, got %v", err)
@@ -149,11 +129,10 @@ func TestAbsurdLengthsRejected(t *testing.T) {
 	// A frontier length of 2^40 must error out without trying to allocate
 	// the advertised space.
 	s := sample()
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
+	mut, err := s.Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	mut := buf.Bytes()
 	// Offset of ntasks: 7 header u64s + 5 stats u64s = 12*8 = 96.
 	copy(mut[96:104], []byte{0, 0, 0, 0, 1, 0, 0, 0})
 	if _, err := Decode(bytes.NewReader(mut)); !errors.Is(err, ErrCorrupt) {
@@ -163,11 +142,11 @@ func TestAbsurdLengthsRejected(t *testing.T) {
 
 func TestEmptySnapshot(t *testing.T) {
 	want := &Snapshot{Seq: 1, PlanFP: 1, GraphFP: 2, Ordered: 0}
-	var buf bytes.Buffer
-	if err := want.Encode(&buf); err != nil {
+	b, err := want.Marshal()
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(&buf)
+	got, err := Decode(bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
 	}

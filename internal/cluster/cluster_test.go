@@ -26,6 +26,7 @@ import (
 	"ohminer/internal/bruteforce"
 	"ohminer/internal/checkpoint"
 	"ohminer/internal/dal"
+	"ohminer/internal/durable"
 	"ohminer/internal/engine"
 	"ohminer/internal/hypergraph"
 	"ohminer/internal/pattern"
@@ -337,7 +338,7 @@ func TestRemainderSpill(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		mem := &checkpoint.MemSink{}
+		mem := &durable.MemSink[*checkpoint.Snapshot]{}
 		var seen int
 		opts := engine.Options{
 			Workers:    1,

@@ -5,11 +5,13 @@
 //
 //	wal.log    — 8-byte header (magic "OHMW", version), then a sequence of
 //	             records framed [u32 len][JSON payload][u32 CRC-32C(payload)]
-//	             (little-endian, same Castagnoli polynomial as internal/crcio).
+//	             (little-endian, internal/durable's Castagnoli checksum).
 //	state.ohms — the compacted snapshot: 8-byte header (magic "OHMS",
 //	             version), JSON walState, u32 CRC-32C over everything before
-//	             it. Written atomically (temp + fsync + rename), so it is
-//	             either the old snapshot or the new one, never torn.
+//	             it. Written by durable.WriteFile (temp + fsync + rename +
+//	             directory fsync), so it is either the old snapshot or the
+//	             new one, never torn, and the rename is on disk before the
+//	             log is truncated.
 //
 // Recovery is snapshot ∘ log: load state.ohms if present, then apply every
 // wal.log record whose sequence number is beyond the snapshot's. Sequence
@@ -50,7 +52,7 @@ import (
 	"sync"
 	"time"
 
-	"ohminer/internal/crcio"
+	"ohminer/internal/durable"
 )
 
 const (
@@ -163,7 +165,7 @@ func appendFrame(buf []byte, rec *walRecord) ([]byte, error) {
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crcio.Checksum(payload)), nil
+	return binary.LittleEndian.AppendUint32(buf, durable.Checksum(payload)), nil
 }
 
 // wal owns the coordinator's durable files. All methods are safe for
@@ -291,7 +293,7 @@ func scanWAL(data []byte) ([]walRecord, int64, error) {
 		}
 		payload := data[pos+4 : pos+4+n]
 		crc := binary.LittleEndian.Uint32(data[pos+4+n:])
-		if crcio.Checksum(payload) != crc {
+		if durable.Checksum(payload) != crc {
 			return nil, 0, fmt.Errorf("%w: record checksum mismatch at offset %d", ErrCorrupt, pos)
 		}
 		var rec walRecord
@@ -323,7 +325,7 @@ func loadState(path string) (*walState, error) {
 		return nil, fmt.Errorf("cluster: state snapshot version %d not supported (want %d)", v, stateVersion)
 	}
 	body, trailer := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crcio.Checksum(body) != trailer {
+	if durable.Checksum(body) != trailer {
 		return nil, fmt.Errorf("%w: state snapshot checksum mismatch", ErrCorrupt)
 	}
 	var st walState
@@ -469,8 +471,9 @@ func (w *wal) stats() (records, bytes, compactions int64) {
 
 // compactTo atomically replaces the snapshot with state and truncates the
 // log. Crash ordering is safe without coordination: the snapshot rename is
-// atomic, and replay skips log records the snapshot already folds in (by
-// LastSeq), so dying between rename and truncate only costs dead bytes.
+// atomic and durable (its directory is fsynced) before the truncate, and
+// replay skips log records the snapshot already folds in (by LastSeq), so
+// dying between rename and truncate only costs dead bytes.
 func (w *wal) compactTo(state *walState) error {
 	payload, err := json.Marshal(state)
 	if err != nil {
@@ -480,7 +483,7 @@ func (w *wal) compactTo(state *walState) error {
 	binary.LittleEndian.PutUint32(buf, stateMagic)
 	binary.LittleEndian.PutUint32(buf[4:], stateVersion)
 	copy(buf[walHdrLen:], payload)
-	binary.LittleEndian.PutUint32(buf[walHdrLen+len(payload):], crcio.Checksum(buf[:walHdrLen+len(payload)]))
+	binary.LittleEndian.PutUint32(buf[walHdrLen+len(payload):], durable.Checksum(buf[:walHdrLen+len(payload)]))
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -490,23 +493,7 @@ func (w *wal) compactTo(state *walState) error {
 	if w.wedged {
 		return errWALWedged
 	}
-	tmp, err := os.CreateTemp(w.dir, ".state-*")
-	if err != nil {
-		w.err = err
-		return err
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(buf); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmpName, filepath.Join(w.dir, stateFile))
-	}
-	if err != nil {
-		os.Remove(tmpName)
+	if err := durable.WriteFile(filepath.Join(w.dir, stateFile), buf); err != nil {
 		w.err = err
 		return err
 	}

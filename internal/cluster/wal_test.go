@@ -22,8 +22,8 @@ import (
 	"testing"
 	"time"
 
-	"ohminer/internal/crcio"
 	"ohminer/internal/dal"
+	"ohminer/internal/durable"
 	"ohminer/internal/faultinject"
 )
 
@@ -223,7 +223,7 @@ func TestWALCorruptRecordRefused(t *testing.T) {
 	sdata := make([]byte, walHdrLen+8)
 	binary.LittleEndian.PutUint32(sdata, stateMagic)
 	binary.LittleEndian.PutUint32(sdata[4:], stateVersion)
-	binary.LittleEndian.PutUint32(sdata[len(sdata)-4:], crcio.Checksum(sdata[:len(sdata)-4])^0xdeadbeef)
+	binary.LittleEndian.PutUint32(sdata[len(sdata)-4:], durable.Checksum(sdata[:len(sdata)-4])^0xdeadbeef)
 	if err := os.WriteFile(spath, sdata, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -620,7 +620,7 @@ func TestVariantRefused(t *testing.T) {
 	log = binary.LittleEndian.AppendUint32(log, walVersion)
 	log = binary.LittleEndian.AppendUint32(log, uint32(len(payload)))
 	log = append(log, payload...)
-	log = binary.LittleEndian.AppendUint32(log, crcio.Checksum([]byte(payload)))
+	log = binary.LittleEndian.AppendUint32(log, durable.Checksum([]byte(payload)))
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, walFile), log, 0o644); err != nil {
 		t.Fatal(err)

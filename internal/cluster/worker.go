@@ -13,6 +13,7 @@ import (
 
 	"ohminer/internal/checkpoint"
 	"ohminer/internal/dal"
+	"ohminer/internal/durable"
 	"ohminer/internal/engine"
 	"ohminer/internal/oig"
 	"ohminer/internal/pattern"
@@ -259,7 +260,7 @@ func (w *Worker) mine(ctx context.Context, lease *Lease) (engine.Result, []byte,
 	}
 	opts := w.cfg.Engine
 	opts.OnEmbedding = w.cfg.OnEmbedding
-	mem := &checkpoint.MemSink{}
+	mem := &durable.MemSink[*checkpoint.Snapshot]{}
 	opts.Checkpoint = mem
 	opts.CheckpointEvery = 0 // snapshot only on a final stop
 	plan, err := w.planFor(lease, opts)

@@ -8,7 +8,7 @@ import (
 	"io"
 	"os"
 
-	"ohminer/internal/crcio"
+	"ohminer/internal/durable"
 	"ohminer/internal/hypergraph"
 	"ohminer/internal/intset"
 )
@@ -19,10 +19,9 @@ import (
 // processes load the index in a single sequential read. The header embeds
 // the source hypergraph's fingerprint, so loading against a different
 // hypergraph fails instead of silently mis-indexing, and the file ends in a
-// CRC32C trailer over every preceding byte (shared with the checkpoint
-// snapshot format via internal/crcio), so torn writes and bit-flips are
-// rejected at load time instead of surfacing as silently wrong mining
-// results.
+// CRC32C trailer over every preceding byte (internal/durable's, shared with
+// the snapshot formats), so torn writes and bit-flips are rejected at load
+// time instead of surfacing as silently wrong mining results.
 
 const (
 	dalMagic = 0x4f484d44 // "OHMD"
@@ -48,7 +47,7 @@ var ErrInconsistent = errors.New("dal: inconsistent store")
 // Save writes the store in binary form.
 func (s *Store) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	cw := crcio.NewWriter(bw)
+	cw := durable.NewWriter(bw)
 	header := []uint64{
 		dalMagic,
 		dalVersion,
@@ -100,12 +99,10 @@ func (s *Store) SaveFile(path string) error {
 // Load reads a store previously written by Save and attaches it to h, which
 // must be the identical hypergraph (verified via fingerprint).
 func Load(r io.Reader, h *hypergraph.Hypergraph) (*Store, error) {
-	cr := crcio.NewReader(bufio.NewReader(r))
+	cr := durable.NewReader(bufio.NewReader(r))
 	header := make([]uint64, 8)
-	for i := range header {
-		if err := binary.Read(cr, binary.LittleEndian, &header[i]); err != nil {
-			return nil, fmt.Errorf("dal: corrupt store: short header: %w", err)
-		}
+	if err := cr.U64s(header); err != nil {
+		return nil, fmt.Errorf("dal: corrupt store: short header: %w", err)
 	}
 	if header[0] != dalMagic {
 		return nil, fmt.Errorf("dal: not a DAL store (magic %#x, want %#x)", header[0], dalMagic)

@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"ohminer/internal/crcio"
+	"ohminer/internal/durable"
 	"ohminer/internal/gen"
 	"ohminer/internal/hypergraph"
 )
@@ -118,7 +118,7 @@ func TestLoadRejectsInconsistentTables(t *testing.T) {
 // resealCRC recomputes the trailer of a mutated store file.
 func resealCRC(data []byte) []byte {
 	out := bytes.Clone(data)
-	binary.LittleEndian.PutUint32(out[len(out)-4:], crcio.Checksum(out[:len(out)-4]))
+	binary.LittleEndian.PutUint32(out[len(out)-4:], durable.Checksum(out[:len(out)-4]))
 	return out
 }
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ohminer/internal/checkpoint"
+	"ohminer/internal/durable"
 	"ohminer/internal/faultinject"
 )
 
@@ -54,8 +55,8 @@ func TestChaosKillAtKthCheckpoint(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.ckpt")
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			sink := &faultinject.CrashSink{
-				Inner:   &checkpoint.FileSink{Path: path},
+			sink := &faultinject.CrashSink[*checkpoint.Snapshot]{
+				Inner:   &durable.FileSink[*checkpoint.Snapshot]{Path: path},
 				After:   killAt,
 				OnCrash: cancel,
 			}
@@ -107,8 +108,8 @@ func TestChaosTornCheckpointRejected(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.ckpt")
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			sink := &faultinject.TornSink{Path: path, TearAt: 2, TearBytes: tearBytes}
-			crash := &faultinject.CrashSink{Inner: sink, After: 2, OnCrash: cancel}
+			sink := &faultinject.TornSink[*checkpoint.Snapshot]{Path: path, TearAt: 2, TearBytes: tearBytes}
+			crash := &faultinject.CrashSink[*checkpoint.Snapshot]{Inner: sink, After: 2, OnCrash: cancel}
 			if _, err := MineContext(ctx, store, p, chaosOpts(crash)); !errors.Is(err, context.Canceled) {
 				t.Fatalf("kill missed: %v", err)
 			}
@@ -135,7 +136,7 @@ func TestChaosPanicThenResume(t *testing.T) {
 		panicAt := 500 + faultinject.Derive(seed, "panic", calls-1000)
 		t.Run(fmt.Sprintf("split=0/panicAt=%d", panicAt), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.ckpt")
-			opts := chaosOpts(&checkpoint.FileSink{Path: path})
+			opts := chaosOpts(&durable.FileSink[*checkpoint.Snapshot]{Path: path})
 			opts.OnEmbedding = faultinject.PanicAfter(panicAt,
 				faultinject.SlowEmbedding(100*time.Microsecond))
 			res, err := Mine(store, p, opts)
@@ -170,7 +171,7 @@ func TestChaosPanicThenResume(t *testing.T) {
 func TestChaosFullDisk(t *testing.T) {
 	setSplit(t, defaultSplitDepth, 2)
 	store, p, want := slowWorkload(t)
-	sink := &faultinject.NoSpaceSink{}
+	sink := &faultinject.NoSpaceSink[*checkpoint.Snapshot]{}
 	res, err := Mine(store, p, chaosOpts(sink))
 	if err != nil {
 		t.Fatalf("%v", err)

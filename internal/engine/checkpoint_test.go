@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -33,15 +34,15 @@ func (ms *memSink) WriteSnapshot(s *checkpoint.Snapshot) (int64, error) {
 	if ms.fail != nil {
 		return 0, ms.fail
 	}
-	var buf bytes.Buffer
-	if err := s.Encode(&buf); err != nil {
+	b, err := s.Marshal()
+	if err != nil {
 		return 0, err
 	}
-	ms.data = append(ms.data, buf.Bytes())
+	ms.data = append(ms.data, b)
 	if ms.afterWrite != nil {
 		ms.afterWrite(len(ms.data))
 	}
-	return int64(buf.Len()), nil
+	return int64(len(b)), nil
 }
 
 func (ms *memSink) writes() int {
@@ -302,6 +303,24 @@ func starWorkload() (*dal.Store, *pattern.Pattern, uint64) {
 	return store, pattern.MustNew([][]uint32{{0, 1, 2}, {0, 1, 3}, {0, 1, 4}}, nil), n * (n - 1) * (n - 2)
 }
 
+// readGolden loads testdata/file and requires today's encoder to write the
+// decoded snapshot back byte for byte: the OHMC encoding does not drift.
+func readGolden(t *testing.T, file string) *checkpoint.Snapshot {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Unmarshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := snap.Marshal(); !bytes.Equal(b, raw) {
+		t.Fatalf("%s: OHMC bytes changed: %d bytes re-encoded, %d in the golden file", file, len(b), len(raw))
+	}
+	return snap
+}
+
 // TestParentSnapshotResumes loads testdata/parent_pr28.ohmc, cut by the
 // encoder of the commit whose compiler first emitted conditions (`make golden
 // TAG=pr28`): an instrumented run stopped by Limit part-way, so the frontier
@@ -310,10 +329,7 @@ func starWorkload() (*dal.Store, *pattern.Pattern, uint64) {
 // oig.Fingerprint from that commit on — and resume to the exact total.
 func TestParentSnapshotResumes(t *testing.T) {
 	store, p, want := starWorkload()
-	snap, err := checkpoint.ReadFile("testdata/parent_pr28.ohmc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := readGolden(t, "parent_pr28.ohmc")
 	deepest := 0
 	for _, task := range snap.Frontier {
 		deepest = max(deepest, int(task.Depth))
@@ -357,10 +373,7 @@ func chainWorkload() (*dal.Store, *pattern.Pattern, uint64) {
 // the exact total.
 func TestParentChainSnapshotResumes(t *testing.T) {
 	store, p, want := chainWorkload()
-	snap, err := checkpoint.ReadFile("testdata/parent_pr30_chain.ohmc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := readGolden(t, "parent_pr30_chain.ohmc")
 	plan, err := CompilePlan(store, p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -420,10 +433,7 @@ func cliqueWorkload() (*dal.Store, *pattern.Pattern, uint64) {
 func TestParentCliqueSnapshotResumes(t *testing.T) {
 	setSplit(t, defaultSplitDepth, 1)
 	store, p, want := cliqueWorkload()
-	snap, err := checkpoint.ReadFile("testdata/parent_pr28_clique.ohmc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := readGolden(t, "parent_pr28_clique.ohmc")
 	depths := map[uint32]bool{}
 	for _, task := range snap.Frontier {
 		depths[task.Depth] = true
@@ -471,10 +481,7 @@ func TestOlderSnapshotRefused(t *testing.T) {
 		{"parent_pr28_chain.ohmc", chainWorkload},
 	} {
 		store, p, _ := c.workload()
-		snap, err := checkpoint.ReadFile(filepath.Join("testdata", c.file))
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap := readGolden(t, c.file)
 		if snap.GraphFP != store.Hypergraph().Fingerprint() || len(snap.Frontier) == 0 {
 			t.Fatalf("%s: not its workload's interrupted run: graph %#x, %d frontier tasks", c.file, snap.GraphFP, len(snap.Frontier))
 		}

@@ -43,14 +43,14 @@ func FuzzPlanVerify(f *testing.F) {
 			{Depth: 0, Prefix: nil, Cands: []uint32{9}},
 		},
 	}
-	var buf bytes.Buffer
-	if err := valid.Encode(&buf); err != nil {
+	b, err := valid.Marshal()
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
+	f.Add(b)
 	f.Add([]byte{})
 	f.Add([]byte("OHMC"))
-	trunc := append([]byte(nil), buf.Bytes()...)
+	trunc := append([]byte(nil), b...)
 	f.Add(trunc[:len(trunc)/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {

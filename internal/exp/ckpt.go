@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ohminer/internal/checkpoint"
+	"ohminer/internal/durable"
 	"ohminer/internal/engine"
 )
 
@@ -71,7 +72,7 @@ func runCkpt(c *Context, opts RunOpts) ([]*Table, error) {
 	start := time.Now()
 	for _, every := range periods {
 		o := base
-		o.Checkpoint = &checkpoint.FileSink{Path: filepath.Join(dir, "bench.ckpt")}
+		o.Checkpoint = &durable.FileSink[*checkpoint.Snapshot]{Path: filepath.Join(dir, "bench.ckpt")}
 		o.CheckpointEvery = every
 		res, err := minMine(store, plan, o, repeats)
 		if err != nil {

@@ -1,7 +1,7 @@
 // Package faultinject provides deterministic failure points for robustness
-// testing of the mining engine's checkpoint/resume machinery. Every fault
-// fires at an explicit, reproducible point — the N-th embedding, the K-th
-// checkpoint write — rather than at a random time, so a chaos test that
+// testing of the checkpoint/resume, streaming and cluster machinery. Every
+// fault fires at an explicit, reproducible point — the N-th embedding, the
+// K-th snapshot write — rather than at a random time, so a chaos test that
 // fails replays identically. Derive maps a seed to such points when a table
 // of tests wants variety without hand-picking constants.
 //
@@ -10,16 +10,23 @@
 //   - PanicAfter: a worker dies mid-subtree (a buggy user callback) — the
 //     engine must convert it to ErrWorkerPanic, and the last durable
 //     snapshot must still resume to the exact total.
-//   - CrashSink: the process is killed right after the K-th checkpoint
-//     lands (SIGKILL, OOM) — everything mined since that snapshot is lost,
-//     and resume must reproduce it exactly once.
+//   - CrashSink: the process is killed right after the K-th snapshot
+//     lands (SIGKILL, OOM) — everything since that snapshot is lost, and
+//     resume must reproduce it exactly once.
 //   - TornSink: a non-atomic writer tears the snapshot file mid-write
 //     (power loss without the temp+rename discipline) — the loader must
 //     reject the torn file as corrupt instead of resuming from garbage.
-//   - NoSpaceSink: the disk is full — checkpointing fails persistently,
+//   - NoSpaceSink: the disk is full — snapshotting fails persistently,
 //     which must never affect the mining result.
 //   - SlowEmbedding: a straggling worker stretches the run across many
 //     checkpoint periods, maximizing quiesce/restart cycles.
+//
+// The snapshot sinks are one family, generic over the snapshot type:
+// instantiate CrashSink[*checkpoint.Snapshot] for the engine's checkpoints
+// and CrashSink[*stream.Snapshot] for the stream's, and the method set
+// satisfies checkpoint.Sink or stream.Sink, both durable.Sink. This package
+// imports neither snapshot package, so the engine's and the stream's tests
+// can both use it.
 package faultinject
 
 import (
@@ -33,7 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ohminer/internal/checkpoint"
+	"ohminer/internal/durable"
 )
 
 // ErrNoSpace is the failure NoSpaceSink reports, modeling ENOSPC.
@@ -83,11 +90,11 @@ func SlowEmbedding(d time.Duration) func([]uint32) {
 
 // CrashSink forwards snapshots to Inner and invokes OnCrash exactly once,
 // right after the After-th successful write — the moment a real process
-// would be SIGKILLed with its freshest checkpoint already durable. Writes
+// would be SIGKILLed with its freshest snapshot already durable. Writes
 // after the crash point keep succeeding (the dying process may get a few
 // more in before the kill lands).
-type CrashSink struct {
-	Inner   checkpoint.Sink
+type CrashSink[S any] struct {
+	Inner   durable.Sink[S]
 	After   int
 	OnCrash func()
 
@@ -95,8 +102,8 @@ type CrashSink struct {
 	writes int
 }
 
-// WriteSnapshot implements checkpoint.Sink.
-func (cs *CrashSink) WriteSnapshot(s *checkpoint.Snapshot) (int64, error) {
+// WriteSnapshot implements durable.Sink.
+func (cs *CrashSink[S]) WriteSnapshot(s S) (int64, error) {
 	n, err := cs.Inner.WriteSnapshot(s)
 	if err != nil {
 		return n, err
@@ -112,18 +119,18 @@ func (cs *CrashSink) WriteSnapshot(s *checkpoint.Snapshot) (int64, error) {
 }
 
 // Writes reports the number of successful snapshot writes so far.
-func (cs *CrashSink) Writes() int {
+func (cs *CrashSink[S]) Writes() int {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	return cs.writes
 }
 
-// TornSink persists snapshots to Path like checkpoint.FileSink, except the
-// TearAt-th write is torn: only the first TearBytes bytes reach the file,
-// written in place with no temp+rename discipline — the corruption a
-// non-atomic writer leaves behind on power loss. Later writes stay torn
-// too (the process died; nothing repairs the file).
-type TornSink struct {
+// TornSink persists snapshots to Path like durable.FileSink, except the
+// TearAt-th and later writes are torn: only the first TearBytes bytes reach
+// the file, written in place with no temp+rename discipline — the
+// corruption a non-atomic writer leaves behind on power loss. Later writes
+// stay torn (the process died; nothing repairs the file).
+type TornSink[S durable.Marshaler] struct {
 	Path      string
 	TearAt    int
 	TearBytes int
@@ -132,34 +139,26 @@ type TornSink struct {
 	writes int
 }
 
-// WriteSnapshot implements checkpoint.Sink.
-func (ts *TornSink) WriteSnapshot(s *checkpoint.Snapshot) (int64, error) {
+// WriteSnapshot implements durable.Sink.
+func (ts *TornSink[S]) WriteSnapshot(s S) (int64, error) {
 	ts.mu.Lock()
 	ts.writes++
 	tear := ts.writes >= ts.TearAt
 	ts.mu.Unlock()
-	if !tear {
-		return s.WriteFile(ts.Path)
-	}
-	var buf tornBuffer
-	if err := s.Encode(&buf); err != nil {
+	b, err := s.Marshal()
+	if err != nil {
 		return 0, err
 	}
-	data := buf.data
-	if ts.TearBytes < len(data) {
-		data = data[:ts.TearBytes]
+	if tear {
+		b = b[:min(ts.TearBytes, len(b))]
+		err = os.WriteFile(ts.Path, b, 0o644)
+	} else {
+		err = durable.WriteFile(ts.Path, b)
 	}
-	if err := os.WriteFile(ts.Path, data, 0o644); err != nil {
+	if err != nil {
 		return 0, err
 	}
-	return int64(len(data)), nil
-}
-
-type tornBuffer struct{ data []byte }
-
-func (b *tornBuffer) Write(p []byte) (int, error) {
-	b.data = append(b.data, p...)
-	return len(p), nil
+	return int64(len(b)), nil
 }
 
 // HookAfter wraps an embedding callback so hook fires exactly once, on the
@@ -224,18 +223,20 @@ func (pt *PartitionTransport) RoundTrip(req *http.Request) (*http.Response, erro
 }
 
 // NoSpaceSink fails every write with ErrNoSpace — the full-disk scenario.
-type NoSpaceSink struct {
+// Mining results and applied stream state stay correct in memory;
+// durability (and the acknowledgements it gates) is what suffers.
+type NoSpaceSink[S any] struct {
 	writes atomic.Uint64
 }
 
-// WriteSnapshot implements checkpoint.Sink.
-func (ns *NoSpaceSink) WriteSnapshot(*checkpoint.Snapshot) (int64, error) {
+// WriteSnapshot implements durable.Sink.
+func (ns *NoSpaceSink[S]) WriteSnapshot(S) (int64, error) {
 	ns.writes.Add(1)
 	return 0, ErrNoSpace
 }
 
 // Attempts reports how many writes were refused.
-func (ns *NoSpaceSink) Attempts() uint64 { return ns.writes.Load() }
+func (ns *NoSpaceSink[S]) Attempts() uint64 { return ns.writes.Load() }
 
 // --- io.Writer fault points (the coordinator WAL seam) -------------------
 //

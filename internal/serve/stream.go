@@ -5,7 +5,7 @@ package serve
 // queries registered on it emit one delta event per applied batch, pushed
 // to subscribers over Server-Sent Events (with a long-poll fallback for
 // clients that cannot hold an SSE connection). Everything needed to restart
-// lives under StreamDir, all writes atomic (stream.AtomicWriteFile):
+// lives under StreamDir, all writes atomic (durable.WriteFile):
 //
 //	<id>.stream  the stream spec — written at creation
 //	<id>.ohmt    the rolling CRC-framed snapshot — replaced on cadence
@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"ohminer"
+	"ohminer/internal/durable"
 	"ohminer/internal/engine"
 	"ohminer/internal/stream"
 )
@@ -125,7 +126,7 @@ func (s *Server) streamConfig(spec StreamSpec) stream.Config {
 		NumVertices:   spec.NumVertices,
 		Window:        spec.Window,
 		Engine:        engine.Options{Workers: s.cfg.Workers},
-		Snapshot:      &stream.FileSink{Path: s.streamPath(spec.ID, ".ohmt")},
+		Snapshot:      &durable.FileSink[*stream.Snapshot]{Path: s.streamPath(spec.ID, ".ohmt")},
 		SnapshotEvery: uint64(s.cfg.StreamSnapshotEvery),
 	}
 }
@@ -273,7 +274,7 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	data, err := json.MarshalIndent(spec, "", "  ")
 	if err == nil {
-		err = stream.AtomicWriteFile(s.streamPath(spec.ID, ".stream"), append(data, '\n'))
+		err = durable.WriteFile(s.streamPath(spec.ID, ".stream"), append(data, '\n'))
 	}
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "persist spec: " + err.Error()})

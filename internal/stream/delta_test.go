@@ -287,7 +287,7 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 }
 
 // TestSnapshotOneWrite: a snapshot reaches its destination — the file, for
-// FileSink — as one Write.
+// durable.FileSink — as one Write.
 func TestSnapshotOneWrite(t *testing.T) {
 	snap := buildStream(t, Config{}, 5, 4).SnapshotState()
 	var w countingWriter

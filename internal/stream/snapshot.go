@@ -5,7 +5,9 @@
 // OHMC/OHMS conventions: little-endian u64 framing, magic + version header,
 // incremental allocation during decode so corrupt lengths cannot balloon
 // memory, a trailing checksum so torn or flipped bytes are refused at load
-// time, and atomic temp+fsync+rename persistence.
+// time, and persistence through durable.FileSink (one Write, fsync, rename,
+// directory fsync); internal/durable owns the checksum, the bounded reads
+// and the atomic replace.
 //
 // Retired edges are deliberately absent: resurrection assigns a fresh add
 // epoch anyway, so garbage is not semantic state and every resume starts
@@ -20,11 +22,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sync"
 
-	"ohminer/internal/crcio"
 	"ohminer/internal/dal"
+	"ohminer/internal/durable"
 	"ohminer/internal/hypergraph"
 	"ohminer/internal/pattern"
 )
@@ -99,7 +99,7 @@ func (s *Snapshot) Marshal() ([]byte, error) {
 		b = le.AppendUint32(b, uint32(len(q.Pattern)))
 		b = append(b, q.Pattern...)
 	}
-	return le.AppendUint32(b, crcio.Checksum(b)), nil
+	return le.AppendUint32(b, durable.Checksum(b)), nil
 }
 
 // encodedSize is the exact length of the OHMT encoding.
@@ -126,55 +126,14 @@ func corruptf(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// decoder reads little-endian fields off a checksummed stream through one
-// reusable byte buffer.
-type decoder struct {
-	r   *crcio.Reader
-	buf [1 << 12]byte
-}
-
-func (d *decoder) u32() (uint32, error) {
-	if _, err := io.ReadFull(d.r, d.buf[:4]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(d.buf[:4]), nil
-}
-
-func (d *decoder) u64s(dst []uint64) error {
-	if _, err := io.ReadFull(d.r, d.buf[:8*len(dst)]); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = binary.LittleEndian.Uint64(d.buf[8*i:])
-	}
-	return nil
-}
-
-// u32s reads n uint32s a buffer at a time, growing the result as bytes
-// actually arrive, so a corrupt length cannot allocate unbounded memory
-// before the read fails.
-func (d *decoder) u32s(n uint32) ([]uint32, error) {
-	out := make([]uint32, 0, min(int(n), len(d.buf)/4))
-	for len(out) < int(n) {
-		part := d.buf[:4*min(int(n)-len(out), len(d.buf)/4)]
-		if _, err := io.ReadFull(d.r, part); err != nil {
-			return nil, err
-		}
-		for i := 0; i < len(part); i += 4 {
-			out = append(out, binary.LittleEndian.Uint32(part[i:]))
-		}
-	}
-	return out, nil
-}
-
 // Decode reads, checksums, and validates one snapshot. It never panics on
 // corrupt input: framing errors, truncated tails, flipped bytes (checksum),
 // and semantically inconsistent contents all return an error wrapping
 // ErrCorrupt.
 func Decode(r io.Reader) (*Snapshot, error) {
-	d := &decoder{r: crcio.NewReader(r)}
+	d := durable.NewReader(r)
 	var head [8]uint64
-	if err := d.u64s(head[:]); err != nil {
+	if err := d.U64s(head[:]); err != nil {
 		return nil, corruptf("short header: %v", err)
 	}
 	if head[0] != Magic {
@@ -200,29 +159,29 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		return nil, corruptf("query count %d exceeds limit", numQueries)
 	}
 	for i := uint64(0); i < numEdges; i++ {
-		n, err := d.u32()
+		n, err := d.U32()
 		if err != nil {
 			return nil, corruptf("edge %d: short length: %v", i, err)
 		}
 		if n == 0 || n > maxSnapEdgeLen {
 			return nil, corruptf("edge %d: vertex count %d out of range", i, n)
 		}
-		verts, err := d.u32s(n)
+		verts, err := d.U32s(n)
 		if err != nil {
 			return nil, corruptf("edge %d: short vertex list: %v", i, err)
 		}
 		var ae [1]uint64
-		if err := d.u64s(ae[:]); err != nil {
+		if err := d.U64s(ae[:]); err != nil {
 			return nil, corruptf("edge %d: short epoch: %v", i, err)
 		}
 		s.Edges = append(s.Edges, SnapshotEdge{Verts: verts, AddEpoch: ae[0]})
 	}
 	for i := uint64(0); i < numQueries; i++ {
 		var qh [6]uint64
-		if err := d.u64s(qh[:]); err != nil {
+		if err := d.U64s(qh[:]); err != nil {
 			return nil, corruptf("query %d: short record: %v", i, err)
 		}
-		n, err := d.u32()
+		n, err := d.U32()
 		if err != nil {
 			return nil, corruptf("query %d: short pattern length: %v", i, err)
 		}
@@ -230,7 +189,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 			return nil, corruptf("query %d: pattern length %d out of range", i, n)
 		}
 		lit := make([]byte, n)
-		if _, err := io.ReadFull(d.r, lit); err != nil {
+		if _, err := io.ReadFull(d, lit); err != nil {
 			return nil, corruptf("query %d: short pattern: %v", i, err)
 		}
 		s.Queries = append(s.Queries, SnapshotQuery{
@@ -239,7 +198,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 			Pattern: string(lit),
 		})
 	}
-	if err := d.r.CheckTrailer("stream snapshot"); err != nil {
+	if err := d.CheckTrailer("stream snapshot"); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if err := s.Validate(); err != nil {
@@ -315,42 +274,7 @@ func Unmarshal(b []byte) (*Snapshot, error) {
 	return Decode(bytes.NewReader(b))
 }
 
-// WriteFile atomically persists the snapshot at path (AtomicWriteFile), so a
-// crash mid-write leaves the previous snapshot intact.
-func (s *Snapshot) WriteFile(path string) (int64, error) {
-	b, _ := s.Marshal()
-	if err := AtomicWriteFile(path, b); err != nil {
-		return 0, err
-	}
-	return int64(len(b)), nil
-}
-
-// AtomicWriteFile persists data at path through a temp file in the same
-// directory: one write, fsync, rename. A crash mid-write leaves the previous
-// file intact, and a power loss after the rename cannot lose the new one.
-func AtomicWriteFile(path string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".ohmt-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
-}
-
-// ReadFile loads and validates a snapshot written by WriteFile.
+// ReadFile loads and validates a snapshot written by a durable.FileSink.
 func ReadFile(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -360,65 +284,10 @@ func ReadFile(path string) (*Snapshot, error) {
 	return Decode(bufio.NewReader(f))
 }
 
-// Sink receives stream snapshots on the configured cadence.
-type Sink interface {
-	WriteSnapshot(s *Snapshot) (int64, error)
-}
-
-// FileSink persists every snapshot to one path, atomically replacing the
-// previous one.
-type FileSink struct {
-	Path string
-}
-
-// WriteSnapshot implements Sink.
-func (fs *FileSink) WriteSnapshot(s *Snapshot) (int64, error) {
-	return s.WriteFile(fs.Path)
-}
-
-// MemSink retains the latest snapshot, already encoded, in memory — the
-// test double standing in for durable storage.
-type MemSink struct {
-	mu     sync.Mutex
-	data   []byte
-	epoch  uint64
-	writes int
-}
-
-// WriteSnapshot implements Sink.
-func (ms *MemSink) WriteSnapshot(s *Snapshot) (int64, error) {
-	b, err := s.Marshal()
-	if err != nil {
-		return 0, err
-	}
-	ms.mu.Lock()
-	ms.data = b
-	ms.epoch = s.Epoch
-	ms.writes++
-	ms.mu.Unlock()
-	return int64(len(b)), nil
-}
-
-// Bytes returns the latest encoded snapshot (nil when nothing was written).
-func (ms *MemSink) Bytes() []byte {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return ms.data
-}
-
-// Epoch reports the epoch of the latest snapshot, 0 when none.
-func (ms *MemSink) Epoch() uint64 {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return ms.epoch
-}
-
-// Writes reports how many snapshots the sink received.
-func (ms *MemSink) Writes() int {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	return ms.writes
-}
+// Sink receives stream snapshots on the configured cadence
+// (durable.FileSink persists them, durable.MemSink keeps the latest in
+// memory).
+type Sink = durable.Sink[*Snapshot]
 
 // snapshotLocked captures the miner's durable state. Caller holds m.mu.
 func (m *Miner) snapshotLocked() *Snapshot {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ohminer/internal/durable"
 	"ohminer/internal/engine"
 	"ohminer/internal/faultinject"
 	"ohminer/internal/pattern"
@@ -110,7 +111,7 @@ func TestSnapshotRoundtrip(t *testing.T) {
 // TestSnapshotCadence: snapshots land on the configured cadence and the
 // MemSink sees monotone epochs.
 func TestSnapshotCadence(t *testing.T) {
-	sink := &MemSink{}
+	sink := &durable.MemSink[*Snapshot]{}
 	m := buildStream(t, Config{Snapshot: sink, SnapshotEvery: 2}, 6, 3)
 	if sink.Writes() == 0 {
 		t.Fatal("no snapshots written")
@@ -156,13 +157,13 @@ func TestSnapshotCorruption(t *testing.T) {
 	}
 }
 
-// TestSnapshotFileAtomic: WriteFile leaves no temp droppings and ReadFile
+// TestSnapshotFileAtomic: a FileSink leaves no temp droppings and ReadFile
 // round-trips.
 func TestSnapshotFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.ohmt")
 	m := buildStream(t, Config{}, 3, 3)
-	if _, err := m.SnapshotState().WriteFile(path); err != nil {
+	if _, err := (&durable.FileSink[*Snapshot]{Path: path}).WriteSnapshot(m.SnapshotState()); err != nil {
 		t.Fatal(err)
 	}
 	ents, err := os.ReadDir(dir)
@@ -229,7 +230,7 @@ func TestSnapshotValidateRejects(t *testing.T) {
 // ApplyBatch surfaces the error so callers do not ack durability they
 // don't have, while in-memory state stays usable for retry.
 func TestSnapshotFailureSurfaced(t *testing.T) {
-	fail := faultinject.StreamNoSpaceSink[*Snapshot]{}
+	fail := &faultinject.NoSpaceSink[*Snapshot]{}
 	m, err := NewMiner(Config{NumVertices: 6, Snapshot: fail, SnapshotEvery: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -292,8 +293,8 @@ func TestChaosStreamCrashResume(t *testing.T) {
 	// Victim: crash after the 3rd successful snapshot write (cadence 1 →
 	// after batch 3, but registration also persists, so count writes).
 	crashed := false
-	sink := &faultinject.StreamCrashSink[*Snapshot]{
-		Inner:   &FileSink{Path: path},
+	sink := &faultinject.CrashSink[*Snapshot]{
+		Inner:   &durable.FileSink[*Snapshot]{Path: path},
 		After:   4,
 		OnCrash: func() { crashed = true },
 	}
@@ -315,7 +316,7 @@ func TestChaosStreamCrashResume(t *testing.T) {
 	// victim is abandoned here — the SIGKILL. Resume from disk and replay
 	// the ENTIRE feed: already-applied batches answer ErrStale, the rest
 	// apply.
-	resumed, err := LoadFile(path, Config{NumVertices: nv, Snapshot: &FileSink{Path: path}, SnapshotEvery: 1})
+	resumed, err := LoadFile(path, Config{NumVertices: nv, Snapshot: &durable.FileSink[*Snapshot]{Path: path}, SnapshotEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func TestChaosStreamCrashResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := &faultinject.StreamTornSink[*Snapshot]{Path: torn, TearAt: 1, TearBytes: len(good) / 2}
+	ts := &faultinject.TornSink[*Snapshot]{Path: torn, TearAt: 1, TearBytes: len(good) / 2}
 	if _, err := ts.WriteSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}

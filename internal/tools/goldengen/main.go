@@ -4,8 +4,10 @@
 // mining run (internal/engine/testdata/parent_*.ohmc). `make golden
 // REV=<git rev> TAG=<name>` exports that revision, drops this file into the
 // export and runs it there, so "written by the parent's encoder" is a
-// command; it therefore sticks to API that has not moved since PR 13. The
-// tests that load the files rebuild the same inputs (dal.goldenHypergraph,
+// command; it therefore sticks to API that older revisions have too: a
+// snapshot is written as Marshal's bytes with os.WriteFile, not through
+// internal/durable, which they lack. The tests that load the files rebuild
+// the same inputs (dal.goldenHypergraph,
 // engine.TestParentSnapshotResumes, engine.TestParentChainSnapshotResumes,
 // engine.TestParentCliqueSnapshotResumes).
 package main
@@ -54,8 +56,11 @@ func interrupted(store *dal.Store, p *pattern.Pattern, limit uint64, path string
 	if sink.snap == nil || !res.Truncated {
 		return fmt.Errorf("the run was not interrupted (truncated=%v)", res.Truncated)
 	}
-	_, err = sink.snap.WriteFile(path)
-	return err
+	b, err := sink.snap.Marshal()
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, b, 0o644)
 }
 
 func run(ohmd, ohmc, chain, clique string) error {

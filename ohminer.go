@@ -25,6 +25,7 @@ import (
 	"ohminer/internal/baseline"
 	"ohminer/internal/checkpoint"
 	"ohminer/internal/dal"
+	"ohminer/internal/durable"
 	"ohminer/internal/engine"
 	"ohminer/internal/gen"
 	"ohminer/internal/hypergraph"
@@ -308,10 +309,10 @@ type (
 var ErrCorruptCheckpoint = checkpoint.ErrCorrupt
 
 // NewCheckpointFileSink returns a sink persisting every snapshot to path,
-// atomically replacing the previous one (temp file + rename), so a crash
-// mid-checkpoint always leaves a loadable snapshot behind.
+// atomically replacing the previous one (temp file, fsync, rename, directory
+// fsync), so a crash mid-checkpoint always leaves a loadable snapshot behind.
 func NewCheckpointFileSink(path string) CheckpointSink {
-	return &checkpoint.FileSink{Path: path}
+	return &durable.FileSink[*checkpoint.Snapshot]{Path: path}
 }
 
 // ReadCheckpoint loads a snapshot written by a checkpoint sink, verifying
@@ -403,7 +404,7 @@ type StreamSnapshot = stream.Snapshot
 type StreamSink = stream.Sink
 
 // StreamFileSink persists every stream snapshot atomically to Path.
-type StreamFileSink = stream.FileSink
+type StreamFileSink = durable.FileSink[*stream.Snapshot]
 
 // NewStreamMiner opens a streaming miner over an empty hypergraph.
 func NewStreamMiner(cfg StreamConfig) (*StreamMiner, error) { return stream.NewMiner(cfg) }
