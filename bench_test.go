@@ -13,7 +13,6 @@ import (
 
 	"ohminer/internal/baseline"
 	"ohminer/internal/exp"
-	"ohminer/internal/intset"
 	"ohminer/internal/pattern"
 )
 
@@ -121,7 +120,7 @@ func BenchmarkKernelAblation(b *testing.B) {
 		b.Fatal(err)
 	}
 	p := pats[0]
-	for _, k := range []intset.Kernel{intset.Adaptive, intset.Fast, intset.Scalar} {
+	for _, k := range baseline.Kernels() {
 		b.Run(k.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := baseline.Mine(context.Background(), store, p, baseline.Options{Kernel: k, Workers: 1}); err != nil {

@@ -96,6 +96,12 @@ func TestExitCodes(t *testing.T) {
 		t.Fatalf("baseline counted nothing:\n%s", out)
 	}
 
+	// An unknown -kernel exits 1 before mining, naming the three families.
+	code, out = run("-pattern", pat, "-kernel", "bogus")
+	if code != 1 || !strings.Contains(out, `unknown -kernel "bogus" (have adaptive, fast, scalar)`) {
+		t.Fatalf("-kernel bogus: exit %d want 1\n%s", code, out)
+	}
+
 	// Deadline truncation: exit 124, snapshot retained, counts reported.
 	// The timeout must land after the first checkpoint but before the run
 	// completes; setup time varies with machine load and race

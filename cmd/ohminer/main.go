@@ -25,6 +25,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"os/signal"
 	"syscall"
@@ -138,7 +139,7 @@ func run() error {
 	case *patLit != "":
 		p, err = pattern.Parse(*patLit)
 	case *sampleN > 0:
-		rng := newSeededRand(*seed)
+		rng := rand.New(rand.NewSource(*seed))
 		if *dense {
 			p, err = pattern.SampleDense(h, *sampleN, *sampleN, 64, rng)
 		} else {
@@ -156,9 +157,9 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	kernel, err := kernelByName(*kern)
+	kernel, err := baseline.KernelByName(*kern)
 	if err != nil {
-		return err
+		return fmt.Errorf("unknown -kernel %q (have adaptive, fast, scalar)", *kern)
 	}
 	// Any variant or kernel but production's is one of the paper's
 	// comparison systems, run by internal/baseline.

@@ -8,16 +8,17 @@
 //	OHM-I     = GenHGMatch + ValOverlapSimple  (IEP only, Fig. 15)
 //	HGMatch   = GenHGMatch + ValProfiles       (baseline, Sec. 2.3)
 //
-// each on any intset.Kernel family (the SIMD ablation: Adaptive, Fast,
-// Scalar). It is one plainly written depth-first interpreter of an oig.Plan
-// over a dal.Store, parallelised the way the paper's engine is (Sec. 4.4):
-// workers claim the candidates of the first pattern hyperedge one at a time.
-// It has a deadline, the Fig. 3 instrumentation and symmetry restrictions,
-// and nothing else — no context, checkpoint, limit, callback or stealing.
-// It reads the store through the accessors internal/engine uses and, at
-// Kernel = Adaptive, calls the same intset entry points, so its "OHMiner"
-// cell and a production run differ only by the driver; the experiments and
-// the differential tests hold the two to equal counts.
+// each on any Kernel family (the SIMD ablation of Sec. 5.2: Adaptive, Fast,
+// Scalar; kernels.go). It is one plainly written depth-first interpreter of
+// an oig.Plan over a dal.Store, parallelised the way the paper's engine is
+// (Sec. 4.4): workers claim the candidates of the first pattern hyperedge
+// one at a time. It stops when its context ends, has the Fig. 3
+// instrumentation and symmetry restrictions, and nothing else — no
+// checkpoint, limit, callback or stealing. It reads the store through the
+// accessors internal/engine uses and, at Kernel = Adaptive, calls the same
+// intset pair kernels, so its "OHMiner" cell and a production run differ
+// only by the driver; the experiments and the differential tests hold the
+// two to equal counts.
 package baseline
 
 import (
@@ -101,8 +102,8 @@ type Options struct {
 	Gen GenMode
 	Val ValMode
 	// Kernel selects the set-operation family; the zero value means
-	// intset.Adaptive, the one production runs.
-	Kernel intset.Kernel
+	// Adaptive, the one production runs.
+	Kernel Kernel
 	// Workers is the goroutine count; ≤0 means GOMAXPROCS.
 	Workers int
 	// Instrument adds the phase timers of Fig. 3(a) to the Stats counters
@@ -186,7 +187,7 @@ func MineWithPlan(ctx context.Context, store *dal.Store, plan *oig.Plan, opts Op
 	}
 	r := &run{store: store, plan: plan, opts: opts, kernel: opts.Kernel}
 	if r.kernel.Intersect == nil {
-		r.kernel = intset.Adaptive
+		r.kernel = Adaptive
 	}
 	if opts.Val == ValProfiles {
 		r.profiles = profileCounts(plan)
@@ -360,7 +361,7 @@ type run struct {
 	store    *dal.Store
 	plan     *oig.Plan
 	opts     Options
-	kernel   intset.Kernel
+	kernel   Kernel
 	profiles []map[uint64]int // ValProfiles only
 	evals    [][]eval         // ValOverlap and ValOverlapSimple only
 	stopped  atomic.Bool      // set when the run's context ends

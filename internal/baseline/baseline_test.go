@@ -13,13 +13,10 @@ import (
 	"ohminer/internal/engine"
 	"ohminer/internal/gen"
 	"ohminer/internal/hypergraph"
-	"ohminer/internal/intset"
 	"ohminer/internal/mbv"
 	"ohminer/internal/oig"
 	"ohminer/internal/pattern"
 )
-
-var kernels = []intset.Kernel{intset.Adaptive, intset.Fast, intset.Scalar}
 
 // crossCheck is the differential core of this package: on (store, p) every
 // cell of the 5 variants × 3 kernel families matrix, on 1 worker and on the
@@ -45,7 +42,7 @@ func crossCheck(t *testing.T, store *dal.Store, p *pattern.Pattern, what string)
 		}
 	}
 	for _, v := range Variants() {
-		for _, k := range kernels {
+		for _, k := range Kernels() {
 			for _, workers := range []int{1, 4} {
 				res, err := Mine(context.Background(), store, p, Options{Gen: v.Gen, Val: v.Val, Kernel: k, Workers: workers})
 				if err != nil {
@@ -475,7 +472,7 @@ func TestMiningAcrossStampWraparound(t *testing.T) {
 		t.Fatal("sampled pattern has no embeddings; test would be vacuous")
 	}
 
-	r := &run{store: store, plan: plan, opts: opts, kernel: intset.Fast, profiles: profileCounts(plan)}
+	r := &run{store: store, plan: plan, opts: opts, kernel: Fast, profiles: profileCounts(plan)}
 	w := newWorker(r)
 	first := w.firstCandidates()
 	const start = ^uint32(0) - 2

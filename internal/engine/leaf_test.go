@@ -352,14 +352,19 @@ func TestLeafConditionsMatchInterpreter(t *testing.T) {
 }
 
 // rawCandidates is what generation offers position k: the intersection of
-// its Conn groups, Disc not yet subtracted.
+// its Conn groups, Disc not yet subtracted, folded with the scalar merge so
+// the oracle shares no kernel with the engine's generation.
 func rawCandidates(w *worker, k int) []uint32 {
 	st := &w.e.plan.Steps[k]
-	var sets []intset.Set
+	var out []uint32
 	for i, j := range st.Conn {
-		sets = append(sets, w.e.store.AdjSet(w.c[j], st.Degree, st.ConnOverlap[i]))
+		g := w.e.store.AdjSet(w.c[j], st.Degree, st.ConnOverlap[i]).Elems()
+		if i == 0 {
+			out = append([]uint32(nil), g...)
+		} else {
+			out = intset.Intersect(out, g, nil)
+		}
 	}
-	out, _ := intset.IntersectKAdaptive(sets, nil, nil)
 	return out
 }
 

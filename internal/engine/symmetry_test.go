@@ -15,7 +15,6 @@ import (
 	"ohminer/internal/bruteforce"
 	"ohminer/internal/checkpoint"
 	"ohminer/internal/dal"
-	"ohminer/internal/intset"
 	"ohminer/internal/oig"
 	"ohminer/internal/pattern"
 )
@@ -64,7 +63,7 @@ func TestSymmetryDifferentialShapes(t *testing.T) {
 				if res.Restricted != wantRestricted {
 					t.Fatalf("shape %s: result Restricted=%v under NoRestrictions=%v", s.Key(), res.Restricted, norestrict)
 				}
-				for _, kernel := range []intset.Kernel{intset.Adaptive, intset.Fast, intset.Scalar} {
+				for _, kernel := range baseline.Kernels() {
 					ref, err := baseline.MineWithPlan(context.Background(), store, plan, baseline.Options{Workers: 2, Kernel: kernel})
 					if err != nil || ref.Ordered != want || ref.Unique != want/aut || ref.Restricted != wantRestricted {
 						t.Fatalf("shape %s norestrict=%v baseline kernel=%s: Ordered=%d Unique=%d Restricted=%v err=%v, want %d/%d/%v",

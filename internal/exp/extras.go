@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ohminer/internal/baseline"
-	"ohminer/internal/intset"
 )
 
 func init() {
@@ -38,7 +37,7 @@ func runExtras(c *Context, opts RunOpts) ([]*Table, error) {
 		ohminerSys,
 		baselineSys("baseline-merged", baseline.Options{}),
 		baselineSys("simple", baseline.Options{Val: baseline.ValOverlapSimple}),
-		baselineSys("scalar", baseline.Options{Kernel: intset.Scalar}),
+		baselineSys("scalar", baseline.Options{Kernel: baseline.Scalar}),
 	}
 	for _, tag := range datasetsFor(opts, []string{"SB", "HB", "WT"}, []string{"SB"}) {
 		store, err := c.Dataset(tag)

@@ -3,13 +3,13 @@ package exp
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"ohminer/internal/baseline"
 	"ohminer/internal/dal"
 	"ohminer/internal/engine"
 	"ohminer/internal/hypergraph"
-	"ohminer/internal/intset"
 	"ohminer/internal/oig"
 	"ohminer/internal/pattern"
 )
@@ -174,7 +174,8 @@ func runKern(c *Context, opts RunOpts) ([]*Table, error) {
 		repeats = 2
 	}
 
-	kernels := []intset.Kernel{intset.Scalar, intset.Fast, intset.Adaptive}
+	kernels := baseline.Kernels()
+	slices.Reverse(kernels) // the table's column order: scalar, fast, adaptive
 
 	t := &Table{
 		Title:  "Kernel ablation: scalar merge vs gallop (fast) vs adaptive containers",

@@ -1,6 +1,6 @@
 package intset
 
-// This file holds the "fast" kernel family: the stand-in for the paper's
+// This file holds the fast array kernels: the stand-in for the paper's
 // AVX-512 set intersection. The kernels combine
 //
 //   - galloping (binary-search probing) when operand sizes are skewed by
@@ -9,102 +9,8 @@ package intset
 //     compiler keep both cursors in registers and shortens the dependency
 //     chain compared to the textbook merge.
 //
-// The production engine calls the Adaptive entry points directly; the Kernel
-// table below exists for internal/baseline, which runs the SIMD ablation
-// (Sec. 5.2 of the paper) by selecting a family at run time.
-
-// Kernel bundles one family of set-intersection primitives. The slice entry
-// points (Intersect, IntersectCount) operate on sorted []uint32 operands; the
-// Set entry points additionally see the adaptive container metadata (bitmap
-// windows, value ranges). For the Scalar and Fast families the Set entry
-// points simply forward to the slice kernels over Set.Elems, so every family
-// is interchangeable behind the seam.
-type Kernel struct {
-	// Intersect computes a ∩ b into dst and returns it. dst is reused via
-	// dst[:0] (nil allocates) and must not alias a or b.
-	Intersect func(a, b, dst []uint32) []uint32
-	// IntersectCount returns |a ∩ b|.
-	IntersectCount func(a, b []uint32) int
-	// IntersectSets computes a ∩ b into dst using the containers' native
-	// representations. Same dst contract as Intersect.
-	IntersectSets func(a, b Set, dst []uint32) []uint32
-	// IntersectCountSets returns |a ∩ b| without materializing.
-	IntersectCountSets func(a, b Set) int
-	// SetsIntersect reports whether a and b share an element (early exit).
-	SetsIntersect func(a, b Set) bool
-	// IntersectK intersects all sets into one of dst/tmp (rarest-first,
-	// short-circuiting) and returns (result, spare) so the caller can retain
-	// both backing buffers across calls. sets is reordered in place.
-	IntersectK func(sets []Set, dst, tmp []uint32) (res, spare []uint32)
-	// IntersectCountK is the count-only demotion of IntersectK.
-	IntersectCountK func(sets []Set, dst, tmp []uint32) (n int, d, t []uint32)
-	// Name identifies the kernel family in logs and benchmarks.
-	Name string
-}
-
-// Scalar is the textbook two-pointer kernel family (the no-SIMD ablation).
-var Scalar = Kernel{
-	Intersect:          Intersect,
-	IntersectCount:     IntersectCount,
-	IntersectSets:      intersectSetsScalar,
-	IntersectCountSets: intersectCountSetsScalar,
-	SetsIntersect:      setsIntersectArrays,
-	IntersectK:         intersectKScalar,
-	IntersectCountK:    intersectCountKScalar,
-	Name:               "scalar",
-}
-
-// Fast is the galloping + unrolled kernel family (the SIMD stand-in).
-var Fast = Kernel{
-	Intersect:          IntersectFast,
-	IntersectCount:     IntersectCountFast,
-	IntersectSets:      intersectSetsFast,
-	IntersectCountSets: intersectCountSetsFast,
-	SetsIntersect:      setsIntersectArrays,
-	IntersectK:         intersectKFast,
-	IntersectCountK:    intersectCountKFast,
-	Name:               "fast",
-}
-
-// Adaptive is the density-aware family: SWAR word kernels over bitmap
-// windows, probe kernels on mixed pairs, the Fast array kernels otherwise,
-// and rarest-first k-way intersection with per-operand resume cursors.
-var Adaptive = Kernel{
-	Intersect:          IntersectFast,
-	IntersectCount:     IntersectCountFast,
-	IntersectSets:      IntersectSetsAdaptive,
-	IntersectCountSets: IntersectCountSetsAdaptive,
-	SetsIntersect:      SetsIntersectAdaptive,
-	IntersectK:         IntersectKAdaptive,
-	IntersectCountK:    IntersectCountKAdaptive,
-	Name:               "adaptive",
-}
-
-// Array-only Set adapters for the Scalar and Fast families. Method values
-// would allocate closures at package init only, but plain functions keep the
-// kernels comparable in profiles.
-
-func intersectSetsScalar(a, b Set, dst []uint32) []uint32 { return Intersect(a.arr, b.arr, dst) }
-func intersectCountSetsScalar(a, b Set) int               { return IntersectCount(a.arr, b.arr) }
-func intersectSetsFast(a, b Set, dst []uint32) []uint32   { return IntersectFast(a.arr, b.arr, dst) }
-func intersectCountSetsFast(a, b Set) int                 { return IntersectCountFast(a.arr, b.arr) }
-func setsIntersectArrays(a, b Set) bool                   { return Intersects(a.arr, b.arr) }
-
-func intersectKScalar(sets []Set, dst, tmp []uint32) ([]uint32, []uint32) {
-	return intersectKPairwise(Intersect, sets, dst, tmp)
-}
-
-func intersectCountKScalar(sets []Set, dst, tmp []uint32) (int, []uint32, []uint32) {
-	return intersectCountKPairwise(Intersect, IntersectCount, sets, dst, tmp)
-}
-
-func intersectKFast(sets []Set, dst, tmp []uint32) ([]uint32, []uint32) {
-	return intersectKPairwise(IntersectFast, sets, dst, tmp)
-}
-
-func intersectCountKFast(sets []Set, dst, tmp []uint32) (int, []uint32, []uint32) {
-	return intersectCountKPairwise(IntersectFast, IntersectCountFast, sets, dst, tmp)
-}
+// The adaptive Set kernels run them on array-only pairs; internal/baseline
+// also runs them on their own as the Fast family of the SIMD ablation.
 
 // IntersectFast computes a ∩ b into dst using galloping for skewed sizes and
 // an unrolled merge otherwise. dst is reused via dst[:0] (nil allocates) and

@@ -3,14 +3,21 @@
 // Hypergraph pattern mining reduces almost entirely to intersections of
 // sorted integer sequences: hyperedge vertex lists, adjacency lists, and
 // previously computed overlap buffers. The paper's C++ implementation leans
-// on AVX-512 for these kernels; this package provides two pure-Go kernel
-// families instead:
+// on AVX-512 for these kernels; this package is pure Go:
 //
 //   - the scalar kernels (Intersect, IntersectCount, ...) are textbook
-//     two-pointer merges and serve as the "no-SIMD" ablation baseline;
-//   - the fast kernels (IntersectFast, IntersectCountFast, ...) combine a
+//     two-pointer merges, used where operands are small and calls rare: the
+//     pattern signature, the overlap graph, the DAL's load-time checks;
+//   - the fast kernels (IntersectFast, IntersectCountFast) combine a
 //     branch-reduced unrolled merge with galloping for skewed operand sizes,
-//     standing in for the data-parallel speedup of SIMD set intersection.
+//     standing in for the data-parallel speedup of SIMD set intersection;
+//   - the adaptive Set kernels (set.go) pick per call among SWAR AND over
+//     bitmap windows, window probes and the fast kernels — the path the
+//     mining engine runs — and a Mark (mark.go) holds an operand that stays
+//     fixed across an inner loop.
+//
+// internal/baseline bundles the scalar, fast and adaptive kernels into the
+// kernel families of the SIMD ablation (Sec. 5.2).
 //
 // All functions require their inputs to be strictly increasing sequences and
 // produce strictly increasing outputs. Output buffers may be nil; when a

@@ -4,13 +4,13 @@ import "math/bits"
 
 // This file implements the adaptive container layer: a Set that pairs the
 // sorted []uint32 view every existing kernel understands with an optional
-// packed bitmap window over the set's dense core, chosen by density at build
-// time (and re-chosen on mutation). The bitmap enables
+// packed bitmap window over the set's dense core, chosen by density when the
+// DAL builds its containers (PlanWords, FillWords). The bitmap enables
 //
 //   - word-parallel SWAR AND/popcount when both operands carry overlapping
 //     windows (the dominant case for hub-adjacency intersections),
 //   - O(1) membership probes when one operand is a long dense list and the
-//     other a short one (rarest-first k-way intersection), and
+//     other a short one, and
 //   - value-range pruning for free: the window bounds tell both kernels
 //     where an intersection can possibly live, so sets with nearly disjoint
 //     spans short-circuit after a couple of comparisons.
@@ -34,22 +34,17 @@ const (
 	// run) are dense except for a few far-away elements; trimming those keeps
 	// the window packed while membership falls back to the array for them.
 	maxTrim = 4
-	// maxK bounds the operand count of the stack-allocated k-way state. The
-	// engine's operand counts are bounded by the pattern arity (≤ 32 since
-	// subset masks are uint32), so mining never exceeds it.
-	maxK = 32
 )
 
 // Set is an adaptive integer set: a strictly increasing []uint32 view plus
-// an optional packed bitmap window covering the contiguous word range
-// [Base()·64, (Base()+Words())·64). Every element inside that value range is
-// mirrored in the window and every window bit mirrors an element, so
-// membership inside the window is a word test and membership outside falls
-// back to binary search. The zero Set is the empty set.
+// an optional packed bitmap window covering a contiguous range of 64-bit
+// words. Every element inside that value range is mirrored in the window and
+// every window bit mirrors an element, so membership inside the window is a
+// word test and membership outside falls back to binary search. The zero Set
+// is the empty set.
 //
 // Sets built by View/ArrayView alias their inputs and must be treated as
-// immutable; BuildSet copies and owns its storage, and only owned sets may
-// be mutated through Add.
+// immutable.
 type Set struct {
 	arr   []uint32
 	words []uint64
@@ -71,46 +66,6 @@ func View(arr []uint32, words []uint64, base uint32) Set {
 	return Set{arr: arr, words: words, base: base}
 }
 
-// BuildSet copies the sorted slice into an owned Set and builds a bitmap
-// window if the density rule warrants one. Build-time only: it allocates.
-func BuildSet(arr []uint32) Set {
-	s := Set{arr: append([]uint32(nil), arr...)}
-	s.rebuildWindow()
-	return s
-}
-
-// Add inserts x, keeping the array sorted and re-choosing the container
-// (window rebuilt or dropped) — the mutation path of the adaptive rule.
-// Only owned sets (BuildSet) may be mutated; Add on a view would write
-// through to the aliased storage. Build-time only: it allocates.
-func (s *Set) Add(x uint32) {
-	k := searchFrom(s.arr, 0, x)
-	if k < len(s.arr) && s.arr[k] == x {
-		return
-	}
-	s.arr = append(s.arr, 0)
-	copy(s.arr[k+1:], s.arr[k:])
-	s.arr[k] = x
-	s.rebuildWindow()
-}
-
-// rebuildWindow re-evaluates the density rule for the current elements.
-func (s *Set) rebuildWindow() {
-	base, nw, lo, hi, ok := PlanWords(s.arr)
-	if !ok {
-		s.words, s.base = nil, 0
-		return
-	}
-	if cap(s.words) >= nw {
-		s.words = s.words[:nw]
-		clear(s.words)
-	} else {
-		s.words = make([]uint64, nw)
-	}
-	s.base = base
-	FillWords(s.words, base, s.arr[lo:hi])
-}
-
 // Len returns the cardinality.
 //
 //ohmlint:hotpath
@@ -126,20 +81,11 @@ func (s Set) Elems() []uint32 { return s.arr }
 //ohmlint:hotpath
 func (s Set) HasWindow() bool { return s.words != nil }
 
-// Base returns the first word index the window covers (meaningful only when
-// HasWindow).
-func (s Set) Base() uint32 { return s.base }
-
-// windowRange returns the covered value range [lo, hi) as uint64 to avoid
-// overflow at the top of the uint32 universe.
-func (s Set) windowRange() (lo, hi uint64) {
-	return uint64(s.base) << 6, (uint64(s.base) + uint64(len(s.words))) << 6
-}
-
-// inWindow reports whether x falls inside the window's value range.
+// InWindow reports whether x falls inside the window's value range (never
+// without a window): there Contains is one word test.
 //
 //ohmlint:hotpath
-func (s Set) inWindow(x uint32) bool {
+func (s Set) InWindow(x uint32) bool {
 	w := x >> 6
 	return w >= s.base && w < s.base+uint32(len(s.words))
 }
@@ -149,7 +95,7 @@ func (s Set) inWindow(x uint32) bool {
 //
 //ohmlint:hotpath
 func (s Set) Contains(x uint32) bool {
-	if s.words != nil && s.inWindow(x) {
+	if s.words != nil && s.InWindow(x) {
 		return s.words[(x>>6)-s.base]&(1<<(x&63)) != 0
 	}
 	k := searchFrom(s.arr, 0, x)
@@ -410,7 +356,7 @@ func IsSubsetSets(a, b Set) bool {
 func probeSubset(a []uint32, b Set) bool {
 	cur := 0
 	for _, x := range a {
-		if b.inWindow(x) {
+		if b.InWindow(x) {
 			if b.words[(x>>6)-b.base]&(1<<(x&63)) == 0 {
 				return false
 			}
@@ -553,7 +499,7 @@ func intersectProbe(a, b Set, lo, hi uint32, dst []uint32) []uint32 {
 		if x > hi {
 			break
 		}
-		if b.words != nil && b.inWindow(x) {
+		if b.words != nil && b.InWindow(x) {
 			if b.words[(x>>6)-b.base]&(1<<(x&63)) != 0 {
 				dst = append(dst, x)
 			}
@@ -580,7 +526,7 @@ func intersectProbeCount(a, b Set, lo, hi uint32) int {
 		if x > hi {
 			break
 		}
-		if b.words != nil && b.inWindow(x) {
+		if b.words != nil && b.InWindow(x) {
 			if b.words[(x>>6)-b.base]&(1<<(x&63)) != 0 {
 				n++
 			}
@@ -606,7 +552,7 @@ func probeIntersects(a, b Set, lo, hi uint32) bool {
 		if x > hi {
 			return false
 		}
-		if b.words != nil && b.inWindow(x) {
+		if b.words != nil && b.InWindow(x) {
 			if b.words[(x>>6)-b.base]&(1<<(x&63)) != 0 {
 				return true
 			}
@@ -622,205 +568,4 @@ func probeIntersects(a, b Set, lo, hi uint32) bool {
 		cur = k
 	}
 	return false
-}
-
-// sortSetsByLen orders sets ascending by cardinality in place (insertion
-// sort: operand counts are pattern-arity small). Rarest-first ordering makes
-// the smallest set the seed of the k-way intersection, bounding every later
-// probe pass by its length.
-//
-//ohmlint:hotpath
-func sortSetsByLen(sets []Set) {
-	for i := 1; i < len(sets); i++ {
-		x := sets[i]
-		j := i - 1
-		for j >= 0 && sets[j].Len() > x.Len() {
-			sets[j+1] = sets[j]
-			j--
-		}
-		sets[j+1] = x
-	}
-}
-
-// IntersectKAdaptive intersects every set into dst: operands are ordered by
-// ascending cardinality, the rarest seeds the result, and each of its
-// elements is probed through the remaining operands (window test or resumed
-// binary search). The scan short-circuits the moment the candidate value
-// range empties or any operand is exhausted — no intermediate result is ever
-// materialized. sets is reordered in place. For k = 2 it defers to the
-// binary adaptive kernel (which additionally exploits the SWAR path).
-//
-// Operand counts above maxK (32) fall back to progressive pairwise
-// intersection — impossible for mining plans, whose arity is bounded by the
-// uint32 subset masks.
-//
-//ohmlint:hotpath
-func IntersectKAdaptive(sets []Set, dst, tmp []uint32) (res, spare []uint32) {
-	sortSetsByLen(sets)
-	switch len(sets) {
-	case 0:
-		return dst[:0], tmp
-	case 1:
-		return append(dst[:0], sets[0].arr...), tmp
-	case 2:
-		return IntersectSetsAdaptive(sets[0], sets[1], dst), tmp
-	}
-	if len(sets) > maxK {
-		return intersectKPairwise(IntersectFast, sets, dst, tmp)
-	}
-	dst = dst[:0]
-	seed := sets[0]
-	if seed.Len() == 0 {
-		return dst, tmp
-	}
-	lo, hi := seed.Min(), seed.Max()
-	for i := 1; i < len(sets); i++ {
-		if m := sets[i].Min(); m > lo {
-			lo = m
-		}
-		if m := sets[i].Max(); m < hi {
-			hi = m
-		}
-	}
-	if lo > hi {
-		return dst, tmp
-	}
-	var cur [maxK]int
-scan:
-	for _, x := range seed.arr[searchFrom(seed.arr, 0, lo):] {
-		if x > hi {
-			break
-		}
-		for i := 1; i < len(sets); i++ {
-			s := &sets[i]
-			if s.words != nil && s.inWindow(x) {
-				if s.words[(x>>6)-s.base]&(1<<(x&63)) == 0 {
-					continue scan
-				}
-				continue
-			}
-			k := searchFrom(s.arr, cur[i], x)
-			if k == len(s.arr) {
-				break scan // operand exhausted: no later x can match
-			}
-			cur[i] = k
-			if s.arr[k] != x {
-				continue scan
-			}
-			cur[i] = k + 1
-		}
-		dst = append(dst, x)
-	}
-	return dst, tmp
-}
-
-// IntersectCountKAdaptive is the demoted form of IntersectKAdaptive for
-// count-only consumers: same rarest-first
-// probe order and short-circuits, no materialization at all.
-//
-//ohmlint:hotpath
-func IntersectCountKAdaptive(sets []Set, dst, tmp []uint32) (n int, d, t []uint32) {
-	sortSetsByLen(sets)
-	switch len(sets) {
-	case 0:
-		return 0, dst, tmp
-	case 1:
-		return len(sets[0].arr), dst, tmp
-	case 2:
-		return IntersectCountSetsAdaptive(sets[0], sets[1]), dst, tmp
-	}
-	if len(sets) > maxK {
-		return intersectCountKPairwise(IntersectFast, IntersectCountFast, sets, dst, tmp)
-	}
-	seed := sets[0]
-	if seed.Len() == 0 {
-		return 0, dst, tmp
-	}
-	lo, hi := seed.Min(), seed.Max()
-	for i := 1; i < len(sets); i++ {
-		if m := sets[i].Min(); m > lo {
-			lo = m
-		}
-		if m := sets[i].Max(); m < hi {
-			hi = m
-		}
-	}
-	if lo > hi {
-		return 0, dst, tmp
-	}
-	var cur [maxK]int
-scan:
-	for _, x := range seed.arr[searchFrom(seed.arr, 0, lo):] {
-		if x > hi {
-			break
-		}
-		for i := 1; i < len(sets); i++ {
-			s := &sets[i]
-			if s.words != nil && s.inWindow(x) {
-				if s.words[(x>>6)-s.base]&(1<<(x&63)) == 0 {
-					continue scan
-				}
-				continue
-			}
-			k := searchFrom(s.arr, cur[i], x)
-			if k == len(s.arr) {
-				break scan
-			}
-			cur[i] = k
-			if s.arr[k] != x {
-				continue scan
-			}
-			cur[i] = k + 1
-		}
-		n++
-	}
-	return n, dst, tmp
-}
-
-// intersectKPairwise is the progressive k-way fold the Scalar and Fast
-// families use: operands ordered ascending, the running accumulator
-// ping-pongs between dst and tmp, and the fold short-circuits the moment the
-// accumulator empties. The returned spare buffer is whichever of dst/tmp the
-// result did not land in, so callers can retain both backings across calls.
-//
-//ohmlint:hotpath
-func intersectKPairwise(ints func(a, b, dst []uint32) []uint32, sets []Set, dst, tmp []uint32) (res, spare []uint32) {
-	sortSetsByLen(sets)
-	if len(sets) == 0 {
-		return dst[:0], tmp
-	}
-	acc := append(dst[:0], sets[0].arr...)
-	for i := 1; i < len(sets); i++ {
-		out := ints(acc, sets[i].arr, tmp[:0])
-		tmp, acc = acc, out
-		if len(acc) == 0 {
-			break
-		}
-	}
-	return acc, tmp
-}
-
-// intersectCountKPairwise folds like intersectKPairwise but demotes the last
-// step to a pure count.
-//
-//ohmlint:hotpath
-func intersectCountKPairwise(ints func(a, b, dst []uint32) []uint32, cnt func(a, b []uint32) int, sets []Set, dst, tmp []uint32) (n int, d, t []uint32) {
-	sortSetsByLen(sets)
-	switch len(sets) {
-	case 0:
-		return 0, dst, tmp
-	case 1:
-		return len(sets[0].arr), dst, tmp
-	case 2:
-		return cnt(sets[0].arr, sets[1].arr), dst, tmp
-	}
-	acc := append(dst[:0], sets[0].arr...)
-	for i := 1; i < len(sets)-1; i++ {
-		out := ints(acc, sets[i].arr, tmp[:0])
-		tmp, acc = acc, out
-		if len(acc) == 0 {
-			return 0, acc, tmp
-		}
-	}
-	return cnt(acc, sets[len(sets)-1].arr), acc, tmp
 }

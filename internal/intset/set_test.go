@@ -58,6 +58,19 @@ func randShapedSet(r *rand.Rand) []uint32 {
 	return setGens[r.Intn(len(setGens))].gen(r)
 }
 
+// buildSet builds a Set the way the DAL builds its containers: the window
+// PlanWords picks, filled by FillWords, assembled by View. The Set aliases
+// arr.
+func buildSet(arr []uint32) Set {
+	base, nw, lo, hi, ok := PlanWords(arr)
+	if !ok {
+		return ArrayView(arr)
+	}
+	words := make([]uint64, nw)
+	FillWords(words, base, arr[lo:hi])
+	return View(arr, words, base)
+}
+
 func TestPlanWordsInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 2000; iter++ {
@@ -87,7 +100,7 @@ func TestSetContains(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 500; iter++ {
 		arr := randShapedSet(r)
-		s := BuildSet(arr)
+		s := buildSet(arr)
 		if s.Len() != len(arr) {
 			t.Fatalf("Len=%d want %d", s.Len(), len(arr))
 		}
@@ -107,65 +120,26 @@ func TestSetContains(t *testing.T) {
 	}
 }
 
-func TestSetAdd(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	s := BuildSet(nil)
-	member := map[uint32]bool{}
-	for i := 0; i < 400; i++ {
-		var x uint32
-		if i%3 == 0 {
-			x = uint32(50000 + i) // dense run: should eventually earn a window
-		} else {
-			x = r.Uint32() % 1000000
-		}
-		s.Add(x)
-		member[x] = true
-		s.Add(x) // idempotent
-	}
-	if s.Len() != len(member) {
-		t.Fatalf("Len=%d want %d", s.Len(), len(member))
-	}
-	prev := int64(-1)
-	for _, x := range s.Elems() {
-		if int64(x) <= prev {
-			t.Fatalf("not strictly increasing at %d", x)
-		}
-		prev = int64(x)
-		if !member[x] {
-			t.Fatalf("stray element %d", x)
-		}
-	}
-	for x := range member {
-		if !s.Contains(x) {
-			t.Fatalf("lost element %d", x)
-		}
-	}
-}
-
-// kernels under differential test: every family must agree with the scalar
-// reference on every entry point.
-var allKernels = []Kernel{Scalar, Fast, Adaptive}
-
+// checkPair holds the adaptive pair kernels to the map oracle on a and b,
+// windowed where density earns one, and on a as a plain view (engine slot
+// buffers are views).
 func checkPair(t *testing.T, a, b []uint32) {
 	t.Helper()
 	want := refIntersect(a, b)
-	sa, sb := BuildSet(a), BuildSet(b)
-	for _, k := range allKernels {
-		if got := k.IntersectSets(sa, sb, nil); !eq(got, want) {
-			t.Fatalf("%s.IntersectSets(%v,%v)=%v want %v", k.Name, a, b, got, want)
-		}
-		if got := k.IntersectSets(sa, sb, make([]uint32, 0, 4)); !eq(got, want) {
-			t.Fatalf("%s.IntersectSets scratch reuse mismatch", k.Name)
-		}
-		if got := k.IntersectCountSets(sa, sb); got != len(want) {
-			t.Fatalf("%s.IntersectCountSets=%d want %d", k.Name, got, len(want))
-		}
-		if got := k.SetsIntersect(sa, sb); got != (len(want) > 0) {
-			t.Fatalf("%s.SetsIntersect=%v want %v", k.Name, got, len(want) > 0)
-		}
+	sa, sb := buildSet(a), buildSet(b)
+	if got := IntersectSetsAdaptive(sa, sb, nil); !eq(got, want) {
+		t.Fatalf("IntersectSetsAdaptive(%v,%v)=%v want %v", a, b, got, want)
 	}
-	// Views without windows must agree too (engine slot buffers are views).
-	if got := Adaptive.IntersectSets(ArrayView(a), sb, nil); !eq(got, want) {
+	if got := IntersectSetsAdaptive(sa, sb, make([]uint32, 0, 4)); !eq(got, want) {
+		t.Fatalf("IntersectSetsAdaptive scratch reuse mismatch")
+	}
+	if got := IntersectCountSetsAdaptive(sa, sb); got != len(want) {
+		t.Fatalf("IntersectCountSetsAdaptive=%d want %d", got, len(want))
+	}
+	if got := SetsIntersectAdaptive(sa, sb); got != (len(want) > 0) {
+		t.Fatalf("SetsIntersectAdaptive=%v want %v", got, len(want) > 0)
+	}
+	if got := IntersectSetsAdaptive(ArrayView(a), sb, nil); !eq(got, want) {
 		t.Fatalf("adaptive view×set mismatch: %v want %v", got, want)
 	}
 	if got := Classify(sa, sb); got > ClassBitmap {
@@ -193,8 +167,8 @@ func refSubset(a, b []uint32) bool {
 func checkSubset(t *testing.T, a, b []uint32) {
 	t.Helper()
 	want := refSubset(a, b)
-	for _, sa := range []Set{BuildSet(a), ArrayView(a)} {
-		for _, sb := range []Set{BuildSet(b), ArrayView(b)} {
+	for _, sa := range []Set{buildSet(a), ArrayView(a)} {
+		for _, sb := range []Set{buildSet(b), ArrayView(b)} {
 			if got := IsSubsetSets(sa, sb); got != want {
 				t.Fatalf("IsSubsetSets(%v, %v, windows %v/%v)=%v want %v", a, b, sa.HasWindow(), sb.HasWindow(), got, want)
 			}
@@ -268,7 +242,7 @@ func TestIsSubsetSets(t *testing.T) {
 	// Both windowed and the answer decided word by word: one missing bit.
 	b := dense(640, 300)
 	a := append(append([]uint32(nil), b[:150]...), b[151:]...)
-	if !IsSubsetSets(BuildSet(a), BuildSet(b)) || IsSubsetSets(BuildSet(b), BuildSet(a)) {
+	if !IsSubsetSets(buildSet(a), buildSet(b)) || IsSubsetSets(buildSet(b), buildSet(a)) {
 		t.Fatal("one-bit difference between two windows decided wrongly")
 	}
 }
@@ -385,76 +359,13 @@ func TestAdaptivePairsEdgeCases(t *testing.T) {
 	}
 }
 
-func refIntersectK(sets [][]uint32) []uint32 {
-	if len(sets) == 0 {
-		return nil
-	}
-	acc := append([]uint32(nil), sets[0]...)
-	for _, s := range sets[1:] {
-		acc = refIntersect(acc, s)
-	}
-	return acc
-}
-
-func TestIntersectKDifferential(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	for iter := 0; iter < 1500; iter++ {
-		k := 1 + r.Intn(6)
-		arrs := make([][]uint32, k)
-		for i := range arrs {
-			arrs[i] = randShapedSet(r)
-		}
-		want := refIntersectK(arrs)
-		for _, kn := range allKernels {
-			sets := make([]Set, k)
-			for i := range arrs {
-				sets[i] = BuildSet(arrs[i])
-			}
-			got, _ := kn.IntersectK(sets, nil, nil)
-			if !eq(got, want) {
-				t.Fatalf("%s.IntersectK(%v)=%v want %v", kn.Name, arrs, got, want)
-			}
-			for i := range arrs {
-				sets[i] = BuildSet(arrs[i])
-			}
-			n, _, _ := kn.IntersectCountK(sets, nil, nil)
-			if n != len(want) {
-				t.Fatalf("%s.IntersectCountK=%d want %d", kn.Name, n, len(want))
-			}
-		}
-	}
-}
-
-func TestIntersectKBufferReuse(t *testing.T) {
-	// The (result, spare) return must let a caller ping-pong the same two
-	// backing buffers across calls without growth once warm.
-	r := rand.New(rand.NewSource(29))
-	dst, tmp := make([]uint32, 0, 4096), make([]uint32, 0, 4096)
-	for iter := 0; iter < 200; iter++ {
-		k := 2 + r.Intn(4)
-		arrs := make([][]uint32, k)
-		sets := make([]Set, k)
-		for i := range arrs {
-			arrs[i] = randShapedSet(r)
-			sets[i] = BuildSet(arrs[i])
-		}
-		want := refIntersectK(arrs)
-		var got []uint32
-		got, tmp = Adaptive.IntersectK(sets, dst, tmp)
-		if !eq(got, want) {
-			t.Fatalf("reused-buffer IntersectK mismatch: %v want %v", got, want)
-		}
-		dst = got
-	}
-}
-
-// FuzzIntersectKernels differentially fuzzes every kernel family — array,
-// bitmap-window, mixed, and k-way paths — against the scalar reference, the
-// difference and subset kernels against their map oracles, and a Mark
-// re-marked with each decoded set against the intersection and difference
-// oracles.
-// Inputs are raw bytes decoded into up to four sets so the fuzzer controls
-// density, overlap, and trim shapes directly.
+// FuzzIntersectKernels differentially fuzzes the adaptive pair kernels —
+// array, bitmap-window and mixed paths — and the subset kernel against their
+// map oracles, and a Mark re-marked with each decoded set against the
+// intersection and difference oracles. Inputs are raw bytes decoded into up
+// to four sets so the fuzzer controls density, overlap, and trim shapes
+// directly. internal/baseline's FuzzKernelFamilies covers the kernel
+// families of the ablation.
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(2), false)
 	f.Add([]byte{0, 0, 0, 0, 255, 255, 255, 255}, uint8(3), true)
@@ -478,32 +389,14 @@ func FuzzIntersectKernels(f *testing.F) {
 			arrs[j] = mkSet(arrs[j])
 		}
 
-		// Pairwise: every family, every entry point, against the reference.
+		// Pairwise: every adaptive entry point against the reference, both
+		// ways round.
 		a, b := arrs[0], arrs[1]
-		want := refIntersect(a, b)
-		sa, sb := BuildSet(a), BuildSet(b)
-		for _, kn := range allKernels {
-			if got := kn.IntersectSets(sa, sb, nil); !eq(got, want) {
-				t.Fatalf("%s.IntersectSets mismatch: %v want %v", kn.Name, got, want)
-			}
-			if got := kn.IntersectCountSets(sa, sb); got != len(want) {
-				t.Fatalf("%s.IntersectCountSets=%d want %d", kn.Name, got, len(want))
-			}
-			if got := kn.SetsIntersect(sa, sb); got != (len(want) > 0) {
-				t.Fatalf("%s.SetsIntersect=%v want %v", kn.Name, got, len(want) > 0)
-			}
-			if got := kn.Intersect(a, b, nil); !eq(got, want) {
-				t.Fatalf("%s.Intersect mismatch: %v want %v", kn.Name, got, want)
-			}
-			if got := kn.IntersectCount(a, b); got != len(want) {
-				t.Fatalf("%s.IntersectCount=%d want %d", kn.Name, got, len(want))
-			}
-		}
-		// Subset: random pairs both ways (|a| > |b| included), and the
-		// subset-shaped derivations of b — empty, sparser, trimmed, with
-		// outliers below, above and inside — against b and a prefix of b.
-		checkSubset(t, a, b)
-		checkSubset(t, b, a)
+		checkPair(t, a, b)
+		checkPair(t, b, a)
+		// Subset: the subset-shaped derivations of b — empty, sparser,
+		// trimmed, with outliers below, above and inside — against b and a
+		// prefix of b.
 		for _, s := range subsetShapes(b) {
 			checkSubset(t, s, b)
 			checkSubset(t, s, b[:len(b)/2])
@@ -521,26 +414,6 @@ func FuzzIntersectKernels(f *testing.F) {
 		for _, marked := range arrs {
 			for _, probe := range arrs {
 				checkMark(t, &m, probe, marked)
-			}
-		}
-
-		// K-way across all decoded sets.
-		wantK := refIntersectK(arrs)
-		for _, kn := range allKernels {
-			sets := make([]Set, nsets)
-			for i := range arrs {
-				sets[i] = BuildSet(arrs[i])
-			}
-			got, _ := kn.IntersectK(sets, nil, nil)
-			if !eq(got, wantK) {
-				t.Fatalf("%s.IntersectK mismatch: %v want %v", kn.Name, got, wantK)
-			}
-			for i := range arrs {
-				sets[i] = BuildSet(arrs[i])
-			}
-			n, _, _ := kn.IntersectCountK(sets, nil, nil)
-			if n != len(wantK) {
-				t.Fatalf("%s.IntersectCountK=%d want %d", kn.Name, n, len(wantK))
 			}
 		}
 	})
