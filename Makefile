@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPlanVerify -fuzztime 30s ./internal/engine
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/stream
 	$(GO) test -fuzz FuzzCheckpointDecode -fuzztime 30s ./internal/checkpoint
+	$(GO) test -fuzz FuzzLogScan -fuzztime 30s ./internal/durable
 
 # Cross-version golden files, written by the encoders of a named revision:
 #   make golden REV=<git rev> TAG=<name>
@@ -62,12 +63,14 @@ fuzz:
 # behind), drops internal/tools/goldengen into the export, runs it there and
 # writes internal/dal/testdata/parent_<TAG>.ohmd and
 # internal/engine/testdata/parent_<TAG>.ohmc (the interrupted star run),
-# parent_<TAG>_chain.ohmc (the interrupted chain run) and
-# parent_<TAG>_clique.ohmc (the interrupted 4-clique run). Without REV the files
-# are cut by this tree's encoders. Commit only the file a test names.
+# parent_<TAG>_chain.ohmc (the interrupted chain run),
+# parent_<TAG>_clique.ohmc (the interrupted 4-clique run) and
+# internal/stream/testdata/parent_<TAG>.ohmt with, where REV keeps one, its
+# .ohmt.log (a persisted stream, the log's last record torn). Without REV the
+# files are cut by this tree's encoders. Commit only the file a test names.
 golden:
 	@test -n "$(TAG)" || { echo 'usage: make golden [REV=<git rev>] TAG=<name>'; exit 2; }
-	mkdir -p internal/dal/testdata internal/engine/testdata
+	mkdir -p internal/dal/testdata internal/engine/testdata internal/stream/testdata
 	rm -rf .golden_build
 ifneq ($(REV),)
 	mkdir -p .golden_build/internal/tools/goldengen
@@ -77,7 +80,8 @@ endif
 	cd $(if $(REV),.golden_build,.) && $(GO) run ./internal/tools/goldengen \
 		-ohmd $(CURDIR)/internal/dal/testdata/parent_$(TAG).ohmd -ohmc $(CURDIR)/internal/engine/testdata/parent_$(TAG).ohmc \
 		-chain $(CURDIR)/internal/engine/testdata/parent_$(TAG)_chain.ohmc \
-		-clique $(CURDIR)/internal/engine/testdata/parent_$(TAG)_clique.ohmc
+		-clique $(CURDIR)/internal/engine/testdata/parent_$(TAG)_clique.ohmc \
+		-ohmt $(CURDIR)/internal/stream/testdata/parent_$(TAG).ohmt
 	rm -rf .golden_build
 
 # Regenerate the paper's tables and figures (minutes; see EXPERIMENTS.md).
@@ -142,15 +146,16 @@ vet:
 # name internal/baseline — the paper's comparison systems stay out of them —
 # nor internal/faultinject, whose failures belong in tests. Last, one durable
 # layer: no non-test file outside internal/durable (and bench/, a module of
-# its own) makes a temp file or renames one; atomic replace is
-# durable.WriteFile.
+# its own) makes a temp file, renames one, syncs one, truncates one or opens
+# one for appending; atomic replace is durable.WriteFile and appends go
+# through durable.Log.
 PRODUCTION = ./internal/engine ./internal/oig ./internal/dal ./internal/intset ./internal/stream ./internal/cluster ./internal/serve ./internal/motif ./internal/checkpoint ./internal/durable ./cmd/ohmserve ./cmd/ohmworker ./cmd/ohmplan ./cmd/ohmstat
 lint:
 	$(GO) run ./cmd/ohmlint ./...
 	@bad=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' $(PRODUCTION) | grep -E 'ohminer/internal/(baseline|faultinject)( |$$)' | cut -d' ' -f1); \
 	if [ -n "$$bad" ]; then echo "production package imports internal/baseline or internal/faultinject:"; echo "$$bad"; exit 1; fi
-	@bad=$$(grep -rln --include='*.go' --exclude='*_test.go' -e 'os\.CreateTemp' -e 'os\.Rename' . | grep -v -e '^\./internal/durable/' -e '^\./bench/'); \
-	if [ -n "$$bad" ]; then echo "temp file or rename outside internal/durable (use durable.WriteFile):"; echo "$$bad"; exit 1; fi
+	@bad=$$(grep -rln --include='*.go' --exclude='*_test.go' -e 'os\.CreateTemp' -e 'os\.Rename' -e '\.Sync()' -e '\.Truncate(' -e 'O_APPEND' . | grep -v -e '^\./internal/durable/' -e '^\./bench/'); \
+	if [ -n "$$bad" ]; then echo "temp file, rename, sync, truncate or append outside internal/durable (use durable.WriteFile or durable.Log):"; echo "$$bad"; exit 1; fi
 
 # Non-test Go lines per package (bench/ is a module of its own; testdata is
 # analyzer input, not code).

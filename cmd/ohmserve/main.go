@@ -64,8 +64,7 @@ func run() error {
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight queries")
 		debugDelay = flag.Duration("debug-delay", 0, "inject artificial latency per query (drain/smoke testing only)")
 		ckptDir    = flag.String("checkpoint-dir", "", "enable durable jobs (/jobs endpoints): -cluster -cluster-dir DIR plus one in-process worker")
-		streamDir  = flag.String("stream-dir", "", "enable the streaming subsystem (/streams endpoints): persist stream specs and snapshots here")
-		streamSnap = flag.Int("stream-snapshot-every", 1, "stream snapshot cadence in applied batches (1 = every batch, the strongest durability)")
+		streamDir  = flag.String("stream-dir", "", "enable the streaming subsystem (/streams endpoints): persist stream specs, snapshots and batch logs here")
 		streamBuf  = flag.Int("stream-buf-events", 0, "per-subscriber event buffer before slow-consumer drops (0 = 64)")
 		clusterOn  = flag.Bool("cluster", false, "run as distributed-mining coordinator (/cluster endpoints; pair with ohmworker)")
 		parts      = flag.Int("cluster-parts", 16, "task partitions per distributed job (more parts = finer reassignment granularity)")
@@ -110,23 +109,21 @@ func run() error {
 		store.BuildTime().Round(time.Millisecond), float64(store.MemoryBytes())/(1<<20))
 
 	cfg := serve.Config{
-		MaxConcurrent:       *maxConc,
-		DefaultTimeout:      *timeout,
-		MaxTimeout:          *maxTimeout,
-		MaxLimit:            *maxLimit,
-		Workers:             *workers,
-		DebugDelay:          *debugDelay,
-		StreamDir:           *streamDir,
-		StreamSnapshotEvery: *streamSnap,
-		StreamBufEvents:     *streamBuf,
+		MaxConcurrent:   *maxConc,
+		DefaultTimeout:  *timeout,
+		MaxTimeout:      *maxTimeout,
+		MaxLimit:        *maxLimit,
+		Workers:         *workers,
+		DebugDelay:      *debugDelay,
+		StreamDir:       *streamDir,
+		StreamBufEvents: *streamBuf,
 	}
 	if *streamDir != "" {
 		if err := os.MkdirAll(*streamDir, 0o755); err != nil {
 			return fmt.Errorf("stream dir: %w", err)
 		}
 		// The stream smoke test parses this line.
-		fmt.Fprintf(os.Stderr, "ohmserve: streams durable in %s (snapshot every %d batches)\n",
-			*streamDir, *streamSnap)
+		fmt.Fprintf(os.Stderr, "ohmserve: streams durable in %s (every acknowledged batch logged)\n", *streamDir)
 	}
 	if *clusterOn {
 		coord, err := cluster.New(store, cluster.Config{
@@ -188,6 +185,9 @@ func run() error {
 	// its drain budget; disconnect them as soon as the drain begins.
 	// Subscribers reconnect with ?after=N and lose nothing.
 	hs.RegisterOnShutdown(srv.DisconnectStreams)
+	// After the drain, close the streams' log files; every acknowledged
+	// batch is on disk already.
+	defer srv.CloseStreams()
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 

@@ -94,7 +94,7 @@ func TestStreamSmoke(t *testing.T) {
 	}
 
 	// ---- Phase 1: fresh server, feed batches 1..3 with an SSE subscriber.
-	cmd, base, logs, wait := startServer(t, bin, "-input", data, "-stream-dir", streamDir, "-stream-snapshot-every", "1")
+	cmd, base, logs, wait := startServer(t, bin, "-input", data, "-stream-dir", streamDir)
 
 	var created streamStatusWire
 	postWire(t, base+"/streams", `{"id":"smoke","num_vertices":10}`, http.StatusCreated, &created)
@@ -165,7 +165,7 @@ func TestStreamSmoke(t *testing.T) {
 	}
 
 	// ---- SIGKILL mid-stream: no drain, no goodbye. Durability must come
-	// from the per-batch snapshots alone.
+	// from the base and the per-batch log alone.
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestStreamSmoke(t *testing.T) {
 	// ---- Phase 2: restart on the same directory and replay the entire
 	// feed. Batches 1..3 were durably applied, so they must come back as
 	// idempotent non-applies; batch 4 applies fresh.
-	cmd2, base2, logs2, wait2 := startServer(t, bin, "-input", data, "-stream-dir", streamDir, "-stream-snapshot-every", "1")
+	cmd2, base2, logs2, wait2 := startServer(t, bin, "-input", data, "-stream-dir", streamDir)
 	if !strings.Contains(logs2(), "streams durable in") {
 		t.Fatalf("restarted server did not announce stream durability; logs:\n%s", logs2())
 	}

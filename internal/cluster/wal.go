@@ -3,9 +3,14 @@
 //
 // Layout under Config.Dir:
 //
-//	wal.log    — 8-byte header (magic "OHMW", version), then a sequence of
-//	             records framed [u32 len][JSON payload][u32 CRC-32C(payload)]
-//	             (little-endian, internal/durable's Castagnoli checksum).
+//	wal.log    — a durable.Log under magic "OHMW": 8-byte header (magic,
+//	             version), then a sequence of records framed
+//	             [u32 len][JSON payload][u32 CRC-32C(payload)]
+//	             (little-endian). internal/durable owns the framing, the
+//	             scan, the single-Write append with its rollback, the
+//	             truncate after compaction and the directory fsync when the
+//	             file is created; this file owns the JSON records, the
+//	             sequence numbers, the flusher and the degraded mode.
 //	state.ohms — the compacted snapshot: 8-byte header (magic "OHMS",
 //	             version), JSON walState, u32 CRC-32C over everything before
 //	             it. Written by durable.WriteFile (temp + fsync + rename +
@@ -56,12 +61,11 @@ import (
 )
 
 const (
-	walMagic         = 0x4f484d57 // "OHMW"
-	walVersion       = 1
-	stateMagic       = 0x4f484d53 // "OHMS"
-	stateVersion     = 1
-	walHdrLen        = 8
-	walFrameOverhead = 8 // u32 length prefix + u32 CRC trailer
+	walMagic     = 0x4f484d57 // "OHMW"
+	walVersion   = 1
+	stateMagic   = 0x4f484d53 // "OHMS"
+	stateVersion = 1
+	walHdrLen    = durable.LogHeaderLen // the OHMW and OHMS headers
 	// maxWALRecord bounds a single record payload; anything larger mid-file
 	// is corruption, not a record (matches the report body cap).
 	maxWALRecord = maxTaskBody
@@ -81,10 +85,8 @@ var ErrCorrupt = errors.New("cluster: corrupt coordinator WAL")
 // errWALClosed is returned by appends after close/kill.
 var errWALClosed = errors.New("cluster: WAL closed")
 
-// errWALWedged is the sticky failure after a torn append could not be rolled
-// back: the on-disk tail is garbage, so any further append would turn a
-// tolerable torn-tail into mid-file corruption.
-var errWALWedged = errors.New("cluster: WAL wedged by an unrecoverable torn write")
+// walFormat is the OHMW log.
+var walFormat = durable.LogFormat{Name: "cluster WAL", Magic: walMagic, Version: walVersion, MaxRecord: maxWALRecord}
 
 // WAL record types.
 const (
@@ -157,34 +159,20 @@ type walTask struct {
 	Frontier []byte `json:"frontier,omitempty"`
 }
 
-// appendFrame appends rec to buf as one WAL frame: [u32 len][payload][u32 crc].
-func appendFrame(buf []byte, rec *walRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, durable.Checksum(payload)), nil
-}
-
 // wal owns the coordinator's durable files. All methods are safe for
 // concurrent use; the flusher goroutine runs until close/kill.
 type wal struct {
 	dir string
 
 	mu      sync.Mutex
-	f       *os.File  // guarded by mu
-	w       io.Writer // guarded by mu — f, or a fault-injection wrapper over it
-	off     int64     // guarded by mu — end offset of the last intact append
-	seq     uint64    // guarded by mu — last sequence number handed out
-	dirty   bool      // guarded by mu — bytes written since the last fsync
-	err     error     // guarded by mu — last append/sync failure (nil = healthy)
-	wedged  bool      // guarded by mu — torn tail could not be rolled back
-	closed  bool      // guarded by mu
-	records int64     // guarded by mu — appends (one Write each) this process lifetime
-	bytes   int64     // guarded by mu
-	compact int64     // guarded by mu — compactions this process lifetime
+	log     *durable.Log // guarded by mu
+	seq     uint64       // guarded by mu — last sequence number handed out
+	dirty   bool         // guarded by mu — bytes written since the last fsync
+	err     error        // guarded by mu — last append/sync failure (nil = healthy)
+	closed  bool         // guarded by mu
+	records int64        // guarded by mu — appends (one Write each) this process lifetime
+	bytes   int64        // guarded by mu
+	compact int64        // guarded by mu — compactions this process lifetime
 
 	started     bool          // flusher launched (guards the stop handshake)
 	done        chan struct{} // closed to stop the flusher
@@ -202,47 +190,25 @@ func openWAL(dir string, wrap func(io.Writer) io.Writer) (*wal, *walState, []wal
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	path := filepath.Join(dir, walFile)
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, nil, nil, fmt.Errorf("cluster: read WAL: %w", err)
+	// A torn tail from a crash mid-append is truncated away: the intact
+	// prefix is the log.
+	log, frames, err := durable.OpenLog(filepath.Join(dir, walFile), walFormat, wrap)
+	if errors.Is(err, durable.ErrCorrupt) {
+		return nil, nil, nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	recs, valid, err := scanWAL(data)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if valid < int64(len(data)) {
-		// Torn tail from a crash mid-append: keep the intact prefix.
-		if err := os.Truncate(path, valid); err != nil {
-			return nil, nil, nil, fmt.Errorf("cluster: truncate torn WAL tail: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("cluster: open WAL: %w", err)
 	}
+	recs, err := decodeWAL(frames)
+	if err != nil {
+		log.Close()
+		return nil, nil, nil, err
+	}
 	w := &wal{
 		dir:         dir,
-		f:           f,
-		off:         valid,
+		log:         log,
 		done:        make(chan struct{}),
 		flusherDone: make(chan struct{}),
-	}
-	w.w = io.Writer(f)
-	if wrap != nil {
-		w.w = wrap(f)
-	}
-	if valid == 0 {
-		// Fresh (or fully truncated) log: write the header eagerly so every
-		// later append is exactly one record-frame write.
-		var hdr [walHdrLen]byte
-		binary.LittleEndian.PutUint32(hdr[0:], walMagic)
-		binary.LittleEndian.PutUint32(hdr[4:], walVersion)
-		if _, err := f.Write(hdr[:]); err != nil {
-			f.Close()
-			return nil, nil, nil, fmt.Errorf("cluster: write WAL header: %w", err)
-		}
-		w.off = walHdrLen
 	}
 	// Resume the sequence counter past everything on disk.
 	if state != nil {
@@ -256,54 +222,16 @@ func openWAL(dir string, wrap func(io.Writer) io.Writer) (*wal, *walState, []wal
 	return w, state, recs, nil
 }
 
-// scanWAL parses the raw log bytes, returning the intact records and the
-// offset where the intact prefix ends. A short tail (crash mid-append) stops
-// the scan cleanly; a checksum or structure failure on a complete frame is
-// ErrCorrupt.
-func scanWAL(data []byte) ([]walRecord, int64, error) {
-	if len(data) == 0 {
-		return nil, 0, nil
-	}
-	if len(data) < walHdrLen {
-		// Torn header: treat the whole file as a torn tail.
-		return nil, 0, nil
-	}
-	if m := binary.LittleEndian.Uint32(data); m != walMagic {
-		return nil, 0, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, m)
-	}
-	if v := binary.LittleEndian.Uint32(data[4:]); v != walVersion {
-		return nil, 0, fmt.Errorf("cluster: WAL version %d not supported (want %d)", v, walVersion)
-	}
-	var recs []walRecord
-	pos := int64(walHdrLen)
-	for pos < int64(len(data)) {
-		if pos+4 > int64(len(data)) {
-			break // torn length prefix
+// decodeWAL decodes the intact frames' JSON records; a frame that passed its
+// checksum but is not a record is ErrCorrupt.
+func decodeWAL(frames [][]byte) ([]walRecord, error) {
+	recs := make([]walRecord, len(frames))
+	for i, payload := range frames {
+		if err := json.Unmarshal(payload, &recs[i]); err != nil {
+			return nil, fmt.Errorf("%w: record %d decode: %v", ErrCorrupt, i, err)
 		}
-		n := int64(binary.LittleEndian.Uint32(data[pos:]))
-		if pos+walFrameOverhead+n > int64(len(data)) {
-			if n <= maxWALRecord {
-				break // torn payload/trailer
-			}
-			// An absurd length that also overruns the file: unparseable tail.
-			break
-		}
-		if n > maxWALRecord {
-			return nil, 0, fmt.Errorf("%w: record at offset %d claims %d bytes", ErrCorrupt, pos, n)
-		}
-		payload := data[pos+4 : pos+4+n]
-		crc := binary.LittleEndian.Uint32(data[pos+4+n:])
-		if durable.Checksum(payload) != crc {
-			return nil, 0, fmt.Errorf("%w: record checksum mismatch at offset %d", ErrCorrupt, pos)
-		}
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return nil, 0, fmt.Errorf("%w: record decode at offset %d: %v", ErrCorrupt, pos, err)
-		}
-		recs = append(recs, rec)
-		pos += walFrameOverhead + n
 	}
-	return recs, pos, nil
+	return recs, nil
 }
 
 // loadState reads and verifies the compacted snapshot (nil when absent).
@@ -360,13 +288,13 @@ func (w *wal) flusher(every time.Duration) {
 		}
 		w.mu.Lock()
 		switch {
-		case w.closed || w.wedged:
+		case w.closed || w.log.Wedged():
 		case w.err != nil:
 			// Degraded: probe the sink with a no-op record. Success clears
 			// w.err inside appendLocked — the self-heal path.
 			_ = w.appendLocked(true, &walRecord{T: recProbe})
 		case w.dirty:
-			if serr := w.f.Sync(); serr != nil {
+			if serr := w.log.Fsync(); serr != nil {
 				w.err = serr
 			} else {
 				w.dirty = false
@@ -387,45 +315,37 @@ func (w *wal) append(durable bool, recs ...*walRecord) error {
 }
 
 // appendLocked is append for callers holding w.mu. A failed write is rolled
-// back whole (Truncate to the end of the last intact append) so the on-disk
-// log never carries a torn frame mid-file; if even the rollback fails the
-// WAL wedges permanently. A failed fsync after a successful write degrades
-// the WAL but keeps the records — they are in the file and will replay, so
-// the in-memory state may (and must) reflect them.
-func (w *wal) appendLocked(durable bool, recs ...*walRecord) error {
+// back whole by the log, so the on-disk log never carries a torn frame
+// mid-file; if even the rollback fails the WAL wedges permanently
+// (Log.Wedged). A failed fsync after a successful write degrades the
+// WAL but keeps the records — they are in the file and will replay, so the
+// in-memory state may (and must) reflect them.
+func (w *wal) appendLocked(sync bool, recs ...*walRecord) error {
 	if w.closed {
 		return errWALClosed
 	}
-	if w.wedged {
-		return errWALWedged
+	if w.log.Wedged() {
+		return w.err
 	}
 	var buf []byte
 	for i, rec := range recs {
 		rec.Seq = w.seq + uint64(i) + 1
-		var err error
-		if buf, err = appendFrame(buf, rec); err != nil {
+		payload, err := json.Marshal(rec)
+		if err != nil {
 			return err
 		}
+		buf = durable.AppendFrame(buf, payload)
 	}
 	w.seq += uint64(len(recs))
-	n, err := w.w.Write(buf)
-	if err != nil {
-		if n > 0 {
-			if terr := w.f.Truncate(w.off); terr != nil {
-				w.wedged = true
-				w.err = fmt.Errorf("%w (truncate: %v, after write error: %v)", errWALWedged, terr, err)
-				return w.err
-			}
-		}
+	if err := w.log.Append(buf); err != nil {
 		w.err = err
 		return err
 	}
-	w.off += int64(n)
 	w.records++
-	w.bytes += int64(n)
+	w.bytes += int64(len(buf))
 	w.dirty = true
-	if durable {
-		if serr := w.f.Sync(); serr != nil {
+	if sync {
+		if serr := w.log.Fsync(); serr != nil {
 			// The record reached the file; only its durability is deferred.
 			// Degrade (shed new work) but let the caller apply and ack.
 			w.err = serr
@@ -442,9 +362,6 @@ func (w *wal) appendLocked(durable bool, recs ...*walRecord) error {
 func (w *wal) degraded() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.wedged {
-		return errWALWedged
-	}
 	return w.err
 }
 
@@ -459,7 +376,7 @@ func (w *wal) lastSeq() uint64 {
 func (w *wal) wantsCompaction() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.off > walCompactBytes
+	return w.log.Size() > walCompactBytes
 }
 
 // stats snapshots the durability counters (records, bytes, compactions).
@@ -490,20 +407,19 @@ func (w *wal) compactTo(state *walState) error {
 	if w.closed {
 		return errWALClosed
 	}
-	if w.wedged {
-		return errWALWedged
+	if w.log.Wedged() {
+		return w.err
 	}
 	if err := durable.WriteFile(filepath.Join(w.dir, stateFile), buf); err != nil {
 		w.err = err
 		return err
 	}
-	if err := w.f.Truncate(walHdrLen); err != nil {
+	if err := w.log.Reset(); err != nil {
 		// The snapshot landed; a stale log tail is merely wasted bytes
 		// (replay skips it by sequence). Keep going.
 		w.err = err
 		return nil
 	}
-	w.off = walHdrLen
 	w.dirty = false
 	w.compact++
 	w.err = nil
@@ -520,10 +436,10 @@ func (w *wal) close() error {
 	}
 	w.closed = true
 	var err error
-	if w.dirty && !w.wedged {
-		err = w.f.Sync()
+	if w.dirty && !w.log.Wedged() {
+		err = w.log.Fsync()
 	}
-	if cerr := w.f.Close(); err == nil {
+	if cerr := w.log.Close(); err == nil {
 		err = cerr
 	}
 	return err
@@ -539,7 +455,7 @@ func (w *wal) kill() {
 	defer w.mu.Unlock()
 	if !w.closed {
 		w.closed = true
-		_ = w.f.Close()
+		_ = w.log.Close()
 	}
 }
 

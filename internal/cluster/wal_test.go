@@ -10,6 +10,7 @@ package cluster
 import (
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -340,7 +341,7 @@ func walFrameBounds(t *testing.T, path string) []int64 {
 	}
 	bounds := []int64{walHdrLen}
 	for pos := int64(walHdrLen); pos < int64(len(data)); {
-		pos += walFrameOverhead + int64(binary.LittleEndian.Uint32(data[pos:]))
+		pos += durable.FrameOverhead + int64(binary.LittleEndian.Uint32(data[pos:]))
 		bounds = append(bounds, pos)
 	}
 	return bounds
@@ -498,6 +499,41 @@ func TestWALParentFilesReplay(t *testing.T) {
 	j2, _ = c.JobStatusByID("j2")
 	if j2.State != "done" || j2.Ordered != want {
 		t.Fatalf("j2 finished on the new coordinator: %+v, want done/%d", j2, want)
+	}
+}
+
+// TestWALFrameBytesPinned: a fresh wal.log holding one append of an admit
+// and a grant is byte for byte what the coordinator wrote before the framing
+// moved into internal/durable — header, length prefixes, JSON payloads and
+// CRC trailers — so logs written by either replay on the other.
+func TestWALFrameBytesPinned(t *testing.T) {
+	const want = "574d484f01000000580000007b22736571223a312c2274223a2261646d6974222c226a6f62223a226a31222c2273706563223a7b227061747465726e223a223020313b20302032227d2c2267726170685f6670223a34322c226a6f625f736571223a317dbea593b6410000007b22736571223a322c2274223a226772616e74222c226a6f62223a226a31222c227461736b223a322c2265706f6368223a332c22776f726b6572223a227731227d6f2653bc"
+	dir := t.TempDir()
+	w, _, _, err := openWAL(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.append(true, &walRecord{T: recAdmit, Job: "j1", Spec: &JobSpec{Pattern: "0 1; 0 2"}, GraphFP: 42, JobSeq: 1},
+		&walRecord{T: recGrant, Job: "j1", Task: 2, Epoch: 3, Worker: "w1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, walFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("OHMW bytes changed:\n got %x\nwant %s", got, want)
+	}
+	w, _, recs, err := openWAL(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	if len(recs) != 2 || recs[0].Seq != 1 || recs[1].Worker != "w1" {
+		t.Fatalf("pinned log reopens to %+v", recs)
 	}
 }
 

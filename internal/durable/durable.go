@@ -3,7 +3,7 @@
 // goes through it:
 //
 //   - the CRC32-Castagnoli trailer: the dal store (OHMD), the checkpoint
-//     snapshot (OHMC), the stream snapshot (OHMT) and the cluster WAL all end
+//     snapshot (OHMC), the stream snapshot (OHMT) and the append logs all end
 //     their files or records in a little-endian CRC32C over the preceding
 //     bytes, so torn writes and bit-flips are refused at load time instead of
 //     surfacing as silently wrong mining results;
@@ -13,6 +13,11 @@
 //   - WriteFile, the one atomic replace: temp file, one Write, fsync,
 //     rename, and an fsync of the directory so the rename survives a power
 //     loss;
+//   - Log, the one append log (log.go): CRC-framed records behind a
+//     magic/version header, one Write per append rolled back on failure, a
+//     scan that keeps the intact prefix and truncates a torn tail, and the
+//     io.Writer seam faults are injected through. The cluster WAL and the
+//     stream's per-batch log are both one;
 //   - the snapshot sinks FileSink and MemSink, over any type that marshals
 //     itself.
 package durable
@@ -154,15 +159,7 @@ func WriteFile(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return syncDir(dir)
 }
 
 // Marshaler is a snapshot that encodes itself, checksum trailer included.

@@ -21,12 +21,13 @@
 //   - SlowEmbedding: a straggling worker stretches the run across many
 //     checkpoint periods, maximizing quiesce/restart cycles.
 //
-// The snapshot sinks are one family, generic over the snapshot type:
-// instantiate CrashSink[*checkpoint.Snapshot] for the engine's checkpoints
-// and CrashSink[*stream.Snapshot] for the stream's, and the method set
-// satisfies checkpoint.Sink or stream.Sink, both durable.Sink. This package
-// imports neither snapshot package, so the engine's and the stream's tests
-// can both use it.
+// The snapshot sinks are one family, generic over the snapshot type (the
+// engine's checkpoints instantiate CrashSink[*checkpoint.Snapshot], whose
+// method set satisfies checkpoint.Sink, a durable.Sink); this package
+// imports no snapshot package. The append logs — the cluster WAL and the
+// stream's batch log, both a durable.Log — take their faults on the
+// io.Writer seam of their appends instead: CrashWriter, TornWriter and
+// NoSpaceWriter below.
 package faultinject
 
 import (
@@ -238,15 +239,16 @@ func (ns *NoSpaceSink[S]) WriteSnapshot(S) (int64, error) {
 // Attempts reports how many writes were refused.
 func (ns *NoSpaceSink[S]) Attempts() uint64 { return ns.writes.Load() }
 
-// --- io.Writer fault points (the coordinator WAL seam) -------------------
+// --- io.Writer fault points (the append-log seam) -------------------------
 //
-// The cluster coordinator's WAL issues exactly one Write per append — the
-// record, or the few records, behind one acknowledgement — so these writers
-// count appends, not bytes: "After: 3" means the fault fires around the 3rd
-// acknowledged state transition. They plug into
-// cluster.Config.WALWrap. The OnCrash/Break hooks run under the
-// coordinator's internal locks — they must only signal (close a channel,
-// set a flag), never call back into the coordinator.
+// A durable.Log issues exactly one Write per append — for the coordinator
+// WAL the record, or the few records, behind one acknowledgement; for the
+// stream log one applied batch — so these writers count appends, not bytes:
+// "After: 3" means the fault fires around the 3rd acknowledged state
+// transition. They plug into cluster.Config.WALWrap and, in the stream's
+// tests, its FileSink's seam. The OnCrash/Break hooks run under the
+// writer's internal locks — they must only signal (close a channel, set a
+// flag), never call back into the coordinator or the miner.
 
 // ErrKilled is the failure CrashWriter reports after its crash point.
 var ErrKilled = errors.New("faultinject: process killed")

@@ -66,13 +66,9 @@ type Config struct {
 	// answers 503.
 	Cluster *cluster.Coordinator
 	// StreamDir enables the streams subsystem (POST /streams): stream
-	// specs and rolling snapshots are persisted there so streams survive a
-	// restart. Empty disables /streams.
+	// specs, base snapshots and per-batch logs are persisted there, so every
+	// acknowledged batch survives a SIGKILL. Empty disables /streams.
 	StreamDir string
-	// StreamSnapshotEvery is the snapshot cadence in applied batches
-	// (0 = every batch — the strongest durability, and what makes a
-	// feeder's ack imply its batch survives a SIGKILL).
-	StreamSnapshotEvery int
 	// StreamBufEvents bounds each event subscriber's buffer; a subscriber
 	// that falls further behind has events dropped (and counted) rather
 	// than stalling batch application (0 = 64).
@@ -91,9 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 2 * time.Minute
-	}
-	if c.StreamSnapshotEvery <= 0 {
-		c.StreamSnapshotEvery = 1
 	}
 	if c.StreamBufEvents <= 0 {
 		c.StreamBufEvents = 64
@@ -208,6 +201,24 @@ func (s *Server) Abort() { s.abortStop() }
 // shutdown — typically via http.Server.RegisterOnShutdown — where the open
 // connections would otherwise hold Shutdown past its drain budget.
 func (s *Server) DisconnectStreams() { s.drainStop() }
+
+// CloseStreams closes every loaded stream's files, after each one's batch in
+// flight; call it once the HTTP server has drained. Everything acknowledged
+// is already on disk.
+func (s *Server) CloseStreams() error {
+	s.streamMu.Lock()
+	defer s.streamMu.Unlock()
+	var first error
+	for id, st := range s.streams {
+		st.mu.Lock()
+		if err := st.m.Close(); err != nil && first == nil {
+			first = err
+		}
+		st.mu.Unlock()
+		delete(s.streams, id)
+	}
+	return first
+}
 
 // Session returns the underlying query session.
 func (s *Server) Session() *ohminer.Session { return s.sess }

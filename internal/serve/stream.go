@@ -5,12 +5,14 @@ package serve
 // queries registered on it emit one delta event per applied batch, pushed
 // to subscribers over Server-Sent Events (with a long-poll fallback for
 // clients that cannot hold an SSE connection). Everything needed to restart
-// lives under StreamDir, all writes atomic (durable.WriteFile):
+// lives under StreamDir:
 //
-//	<id>.stream  the stream spec — written at creation
-//	<id>.ohmt    the rolling CRC-framed snapshot — replaced on cadence
+//	<id>.stream    the stream spec — written at creation (durable.WriteFile)
+//	<id>.ohmt      the CRC-framed base snapshot — replaced atomically on
+//	               registration and when the log outgrows it
+//	<id>.ohmt.log  one fsynced record per batch applied since the base
 //
-// On restart a stream is lazily reloaded from its snapshot on first touch;
+// On restart a stream is lazily reloaded from base and log on first touch;
 // feeders replay their batch log from their last acked seq and the miner's
 // ErrStale answers make the replay idempotent (exactly-once counting).
 //
@@ -119,22 +121,21 @@ func (s *Server) streamPath(id, ext string) string {
 }
 
 // streamConfig assembles the miner config for a stream: engine options
-// bounded by the server's worker budget, snapshots to the stream's file on
-// the configured cadence.
+// bounded by the server's worker budget, every acknowledged batch durable in
+// the stream's files.
 func (s *Server) streamConfig(spec StreamSpec) stream.Config {
 	return stream.Config{
-		NumVertices:   spec.NumVertices,
-		Window:        spec.Window,
-		Engine:        engine.Options{Workers: s.cfg.Workers},
-		Snapshot:      &durable.FileSink[*stream.Snapshot]{Path: s.streamPath(spec.ID, ".ohmt")},
-		SnapshotEvery: uint64(s.cfg.StreamSnapshotEvery),
+		NumVertices: spec.NumVertices,
+		Window:      spec.Window,
+		Engine:      engine.Options{Workers: s.cfg.Workers},
+		Snapshot:    &stream.FileSink{Path: s.streamPath(spec.ID, ".ohmt")},
 	}
 }
 
 // getStream returns the in-memory stream for id, lazily reloading it from
-// StreamDir after a restart: the spec names the universe, the snapshot (if
-// any) restores epoch, live edges, and every standing query's cumulative
-// counters exactly.
+// StreamDir after a restart: the spec names the universe, the base and its
+// log (if any) restore epoch, live edges, and every standing query's
+// cumulative counters exactly.
 func (s *Server) getStream(id string) (*srvStream, error) {
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()

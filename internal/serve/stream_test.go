@@ -276,8 +276,9 @@ func TestStreamSlowConsumerDrops(t *testing.T) {
 }
 
 // TestStreamRestartReload: a second Server over the same StreamDir resumes
-// the stream from its snapshot — epoch, live edges, and cumulative query
-// counters intact — and replayed batches ack idempotently.
+// the stream from its base and log — epoch, live edges, and cumulative query
+// counters intact — and replayed batches ack idempotently; after
+// CloseStreams a request reloads the stream again.
 func TestStreamRestartReload(t *testing.T) {
 	dir := t.TempDir()
 	s1 := testServer(t, Config{StreamDir: dir, Workers: 1})
@@ -289,7 +290,7 @@ func TestStreamRestartReload(t *testing.T) {
 	postJSON(t, ts1.URL+"/streams/dur/batches", `{"seq": 2, "add": [[2,3]], "retire": [[0,1]]}`)
 	var before StreamStatus
 	getJSON(t, ts1.URL+"/streams/dur", &before)
-	ts1.Close() // the "crash": nothing flushed beyond the per-batch snapshots
+	ts1.Close() // the "crash": nothing flushed beyond the per-batch log records
 
 	s2 := testServer(t, Config{StreamDir: dir, Workers: 1})
 	ts2 := httptest.NewServer(s2.Handler())
@@ -327,6 +328,17 @@ func TestStreamRestartReload(t *testing.T) {
 	}
 	if got := s2.streamsReloaded.Value(); got != 1 {
 		t.Fatalf("streams_reloaded %d", got)
+	}
+
+	// CloseStreams releases the stream's files; the next request reloads
+	// it from them, seq 3 included.
+	if err := s2.CloseStreams(); err != nil {
+		t.Fatal(err)
+	}
+	var closed StreamStatus
+	getJSON(t, ts2.URL+"/streams/dur", &closed)
+	if closed.Epoch != 3 || s2.streamsReloaded.Value() != 2 {
+		t.Fatalf("after CloseStreams: epoch %d, streams_reloaded %d", closed.Epoch, s2.streamsReloaded.Value())
 	}
 }
 

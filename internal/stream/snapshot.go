@@ -4,10 +4,9 @@
 // watermark) and every standing query's cumulative counters. Follows the
 // OHMC/OHMS conventions: little-endian u64 framing, magic + version header,
 // incremental allocation during decode so corrupt lengths cannot balloon
-// memory, a trailing checksum so torn or flipped bytes are refused at load
-// time, and persistence through durable.FileSink (one Write, fsync, rename,
-// directory fsync); internal/durable owns the checksum, the bounded reads
-// and the atomic replace.
+// memory, and a trailing checksum so torn or flipped bytes are refused at
+// load time; internal/durable owns the checksum and the bounded reads. A
+// FileSink keeps it as the base the stream's per-batch log extends (log.go).
 //
 // Retired edges are deliberately absent: resurrection assigns a fresh add
 // epoch anyway, so garbage is not semantic state and every resume starts
@@ -274,8 +273,8 @@ func Unmarshal(b []byte) (*Snapshot, error) {
 	return Decode(bytes.NewReader(b))
 }
 
-// ReadFile loads and validates a snapshot written by a durable.FileSink.
-func ReadFile(path string) (*Snapshot, error) {
+// readBase loads and validates one OHMT file.
+func readBase(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -283,11 +282,6 @@ func ReadFile(path string) (*Snapshot, error) {
 	defer f.Close()
 	return Decode(bufio.NewReader(f))
 }
-
-// Sink receives stream snapshots on the configured cadence
-// (durable.FileSink persists them, durable.MemSink keeps the latest in
-// memory).
-type Sink = durable.Sink[*Snapshot]
 
 // snapshotLocked captures the miner's durable state. Caller holds m.mu.
 func (m *Miner) snapshotLocked() *Snapshot {
@@ -340,15 +334,6 @@ func sortU64(v []uint64) {
 	}
 }
 
-func (m *Miner) writeSnapshotLocked() error {
-	if _, err := m.cfg.Snapshot.WriteSnapshot(m.snapshotLocked()); err != nil {
-		return fmt.Errorf("stream: snapshot write: %w", err)
-	}
-	m.sinceSnap = 0
-	m.dirty = false
-	return nil
-}
-
 // SnapshotState captures the current durable state without writing it.
 func (m *Miner) SnapshotState() *Snapshot {
 	m.mu.Lock()
@@ -356,33 +341,20 @@ func (m *Miner) SnapshotState() *Snapshot {
 	return m.snapshotLocked()
 }
 
-// WriteSnapshot forces a snapshot to the configured sink regardless of
-// cadence.
-func (m *Miner) WriteSnapshot() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.err != nil {
-		return m.err
-	}
-	if m.cfg.Snapshot == nil {
-		return errors.New("stream: no snapshot sink configured")
-	}
-	return m.writeSnapshotLocked()
-}
-
 // Load reconstructs a miner from a snapshot. The snapshot's semantic fields
 // (vertex universe, window, epoch, query counters) override cfg's; cfg
-// supplies the runtime knobs (engine options, compaction, sink, cadence).
+// supplies the runtime knobs (engine options, compaction, sink).
 // Cumulative query totals continue exactly where the snapshot left them —
-// nothing is re-mined on load except nothing at all: baselines and deltas
-// are durable state.
+// nothing is re-mined on load: baselines and deltas are durable state. With
+// cfg.Snapshot the miner starts compacted: the snapshot becomes the base
+// and the log starts empty.
 func Load(s *Snapshot, cfg Config) (*Miner, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	cfg.NumVertices = int(s.NumVertices)
 	cfg.Window = s.Window
-	m, err := NewMiner(cfg)
+	m, err := newMiner(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -437,10 +409,17 @@ func Load(s *Snapshot, cfg Config) (*Miner, error) {
 		m.queries[q.id] = q
 		m.byCanon[canon] = q.id
 	}
+	if cfg.Snapshot != nil {
+		if err := m.rebase(); err != nil {
+			m.Close()
+			return nil, err
+		}
+	}
 	return m, nil
 }
 
-// LoadFile is Load over a snapshot file.
+// LoadFile is Load over the files a FileSink writes: the base at path with
+// its log folded in (ReadFile).
 func LoadFile(path string, cfg Config) (*Miner, error) {
 	s, err := ReadFile(path)
 	if err != nil {

@@ -1,7 +1,8 @@
 // Package stream is the streaming hypergraph pattern-mining subsystem
 // (ROADMAP item 4): a batch log with monotonically increasing edge epochs,
 // windowed deletion/expiry, standing pattern queries evaluated as exact
-// per-batch deltas, and a CRC-framed snapshot for exactly-once resume.
+// per-batch deltas, and a CRC-framed base snapshot plus a per-batch append
+// log for exactly-once resume.
 //
 // The model. A Miner owns an evolving hypergraph over a fixed vertex
 // universe. Time advances in batches: applying batch t (epoch t, starting
@@ -46,6 +47,7 @@ import (
 	"time"
 
 	"ohminer/internal/dal"
+	"ohminer/internal/durable"
 	"ohminer/internal/engine"
 	"ohminer/internal/hypergraph"
 	"ohminer/internal/oig"
@@ -82,14 +84,12 @@ type Config struct {
 	// complete runs, and the miner owns the position filters.
 	Engine engine.Options
 
-	// Snapshot, when set, receives a stream snapshot every SnapshotEvery
-	// applied batches and after every (non-deduplicated) query
-	// registration, making the stream durable.
-	Snapshot Sink
-
-	// SnapshotEvery is the snapshot cadence in batches (0 = every batch).
-	// Ignored without Snapshot.
-	SnapshotEvery uint64
+	// Snapshot, when set, makes the stream durable: every applied batch
+	// appends one record to its log, fsynced before ApplyBatch returns, and
+	// the base snapshot is rewritten when the miner opens, on every
+	// (non-deduplicated) query registration and when the log outgrows it
+	// (log.go).
+	Snapshot *FileSink
 }
 
 // Batch is one unit of stream input.
@@ -244,18 +244,34 @@ type Miner struct {
 	lastRetired []bool
 	haveLast    bool
 
-	queries   map[uint64]*query
-	byCanon   map[string]uint64
-	nextQID   uint64
-	sinceSnap uint64
-	// dirty is set when applied state has not yet reached the snapshot
-	// sink; stale replays re-attempt the write before confirming, closing
-	// the ack-crash gap.
-	dirty bool
+	queries map[uint64]*query
+	byCanon map[string]uint64
+	nextQID uint64
+
+	// The durable files (log.go), with Config.Snapshot: the open log, the
+	// size of the base it extends, and dirty, set when applied state did not
+	// reach them; stale replays re-attempt the write before confirming,
+	// closing the ack-crash gap.
+	log      *durable.Log
+	baseSize int64
+	dirty    bool
 }
 
-// NewMiner creates an empty stream at epoch 0.
+// NewMiner creates an empty stream at epoch 0. With Config.Snapshot it
+// writes the empty base and log, replacing any stream persisted there.
 func NewMiner(cfg Config) (*Miner, error) {
+	m, err := newMiner(cfg)
+	if err == nil && cfg.Snapshot != nil {
+		err = m.rebase()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// newMiner creates an empty stream without touching the durable files.
+func newMiner(cfg Config) (*Miner, error) {
 	if cfg.NumVertices <= 0 {
 		return nil, errors.New("stream: NumVertices must be positive")
 	}
@@ -353,14 +369,14 @@ func (m *Miner) ensureAnchorPlans(q *query) error {
 // applyPlan is the fully validated mutation plan for one batch, computed
 // against pre-batch state before anything is touched.
 type applyPlan struct {
-	seqChecked bool
-	newEdges   [][]uint32 // fresh physical edges, in batch order
-	newKeys    []string
-	resurrect  []uint32 // retired physical edges coming back live
-	refresh    []uint32 // live edges whose window clock resets
-	retire     []uint32 // live edges to retire (explicit)
-	expire     []uint32 // live edges to retire (window)
-	readd      []uint32 // live edges retired AND re-added in this batch
+	adds, retires [][]uint32 // the batch's distinct normalized sets: its log record
+	newEdges      [][]uint32 // fresh physical edges, in batch order
+	newKeys       []string
+	resurrect     []uint32 // retired physical edges coming back live
+	refresh       []uint32 // live edges whose window clock resets
+	retire        []uint32 // live edges to retire (explicit)
+	expire        []uint32 // live edges to retire (window)
+	readd         []uint32 // live edges retired AND re-added in this batch
 }
 
 // planBatch validates b against current state; any error means no mutation
@@ -393,6 +409,7 @@ func (m *Miner) planBatch(b Batch) (*applyPlan, error) {
 		}
 		retiring[id] = true
 		ap.retire = append(ap.retire, id)
+		ap.retires = append(ap.retires, e)
 	}
 
 	// Adds: classify each set against pre-batch state and the retire set.
@@ -407,6 +424,7 @@ func (m *Miner) planBatch(b Batch) (*applyPlan, error) {
 			continue // duplicate within the batch: absorbed
 		}
 		adding[key] = true
+		ap.adds = append(ap.adds, e)
 		id, known := m.index[key]
 		switch {
 		case !known:
@@ -440,7 +458,7 @@ func (m *Miner) planBatch(b Batch) (*applyPlan, error) {
 
 // ApplyBatch validates and applies one batch, advancing the epoch,
 // maintaining derived state incrementally, evaluating every standing query,
-// and (when configured) writing a snapshot. On a validation error — bad
+// and (when configured) appending its log record. On a validation error — bad
 // vertex, retire of a non-live edge, stale or gapping Seq — no state
 // changes. ErrStale is returned for already-applied sequenced batches so
 // feeders can replay idempotently after a crash.
@@ -465,10 +483,10 @@ func (m *Miner) ApplyBatch(b Batch) (*BatchResult, error) {
 	ap, err := m.planBatch(b)
 	if err != nil {
 		// A stale sequenced batch is the feeder replaying after a crash; if
-		// the applied state it is confirming never reached the sink, write
+		// the applied state it is confirming never reached the files, write
 		// it now so the idempotent ack implies durability.
-		if errors.Is(err, ErrStale) && m.cfg.Snapshot != nil && m.dirty {
-			if serr := m.writeSnapshotLocked(); serr != nil {
+		if errors.Is(err, ErrStale) && m.dirty {
+			if serr := m.rebase(); serr != nil {
 				return nil, serr
 			}
 		}
@@ -477,7 +495,7 @@ func (m *Miner) ApplyBatch(b Batch) (*BatchResult, error) {
 	start := time.Now()
 	t := m.epoch + 1
 
-	// Mutate. Everything below must succeed or latch m.err: the snapshot
+	// Mutate. Everything below must succeed or latch m.err: the log record
 	// simply isn't written on failure, so a restart recovers consistency.
 	res := &BatchResult{
 		Epoch:     t,
@@ -529,7 +547,6 @@ func (m *Miner) ApplyBatch(b Batch) (*BatchResult, error) {
 		m.addEpoch[id] = t
 	}
 	m.epoch = t
-	m.dirty = true
 
 	// Evaluate standing queries against the fresh marks.
 	res.Deltas, err = m.evaluate(&res.Stats)
@@ -540,17 +557,10 @@ func (m *Miner) ApplyBatch(b Batch) (*BatchResult, error) {
 	res.Elapsed = time.Since(start)
 
 	if m.cfg.Snapshot != nil {
-		m.sinceSnap++
-		every := m.cfg.SnapshotEvery
-		if every == 0 {
-			every = 1
-		}
-		if m.sinceSnap >= every {
-			if err := m.writeSnapshotLocked(); err != nil {
-				// State is applied but not durable; surface the error with
-				// the result so the caller can refuse the ack.
-				return res, err
-			}
+		if err := m.persist(ap, res.Deltas); err != nil {
+			// State is applied but not durable; surface the error with the
+			// result so the caller can refuse the ack.
+			return res, err
 		}
 	}
 	return res, nil
@@ -713,18 +723,14 @@ func (m *Miner) liveFilter() func(int, uint32) bool {
 // RegisterQuery registers a standing pattern query. Isomorphic patterns
 // (same canonical key) share one query: re-registering returns the existing
 // query's info with Existing set. A fresh registration mines the current
-// live graph for its baseline count and, when a snapshot sink is
-// configured, persists immediately.
+// live graph for its baseline count and, with Config.Snapshot, rewrites the
+// base before it returns.
 func (m *Miner) RegisterQuery(p *pattern.Pattern) (QueryInfo, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err != nil {
 		return QueryInfo{}, m.err
 	}
-	return m.registerLocked(p, true)
-}
-
-func (m *Miner) registerLocked(p *pattern.Pattern, persist bool) (QueryInfo, error) {
 	if p.Labeled() || p.EdgeLabeled() {
 		return QueryInfo{}, errors.New("stream: labeled standing queries are not supported")
 	}
@@ -737,8 +743,8 @@ func (m *Miner) registerLocked(p *pattern.Pattern, persist bool) (QueryInfo, err
 		info.Existing = true
 		// Same ack-crash healing as stale batches: a replayed registration
 		// whose original ack was lost must not confirm undurable state.
-		if m.cfg.Snapshot != nil && m.dirty {
-			if err := m.writeSnapshotLocked(); err != nil {
+		if m.dirty {
+			if err := m.rebase(); err != nil {
 				return info, err
 			}
 		}
@@ -767,9 +773,8 @@ func (m *Miner) registerLocked(p *pattern.Pattern, persist bool) (QueryInfo, err
 	m.queries[q.id] = q
 	m.byCanon[canon] = q.id
 	m.nextQID++
-	m.dirty = true
-	if persist && m.cfg.Snapshot != nil {
-		if err := m.writeSnapshotLocked(); err != nil {
+	if m.cfg.Snapshot != nil {
+		if err := m.rebase(); err != nil {
 			return q.info(), err
 		}
 	}

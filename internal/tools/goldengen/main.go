@@ -1,28 +1,34 @@
 // Command goldengen writes the cross-version golden files with the encoders
 // of whatever revision of this module it is compiled in: a DAL store
-// (internal/dal/testdata/parent_*.ohmd) and the snapshot of an interrupted
-// mining run (internal/engine/testdata/parent_*.ohmc). `make golden
+// (internal/dal/testdata/parent_*.ohmd), the snapshot of an interrupted
+// mining run (internal/engine/testdata/parent_*.ohmc) and a persisted stream
+// (internal/stream/testdata/parent_*.ohmt, with its .log where the revision
+// keeps one). `make golden
 // REV=<git rev> TAG=<name>` exports that revision, drops this file into the
 // export and runs it there, so "written by the parent's encoder" is a
 // command; it therefore sticks to API that older revisions have too: a
 // snapshot is written as Marshal's bytes with os.WriteFile, not through
-// internal/durable, which they lack. The tests that load the files rebuild
-// the same inputs (dal.goldenHypergraph,
-// engine.TestParentSnapshotResumes, engine.TestParentChainSnapshotResumes,
-// engine.TestParentCliqueSnapshotResumes).
+// internal/durable, which they lack, and a stream is persisted through the
+// root package's StreamFileSink. The tests that load the files rebuild the
+// same inputs (dal.goldenHypergraph, engine.TestParentSnapshotResumes,
+// engine.TestParentChainSnapshotResumes,
+// engine.TestParentCliqueSnapshotResumes, stream.TestSnapshotLogGolden).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 
+	"ohminer"
 	"ohminer/internal/checkpoint"
 	"ohminer/internal/dal"
 	"ohminer/internal/engine"
 	"ohminer/internal/gen"
 	"ohminer/internal/hypergraph"
 	"ohminer/internal/pattern"
+	"ohminer/internal/stream"
 )
 
 // lastSink keeps the latest snapshot of a run.
@@ -38,8 +44,9 @@ func main() {
 	ohmc := flag.String("ohmc", "", "write the snapshot of the interrupted star run here")
 	chain := flag.String("chain", "", "write the snapshot of the interrupted chain run here")
 	clique := flag.String("clique", "", "write the snapshot of the interrupted 4-clique run here")
+	ohmt := flag.String("ohmt", "", "persist the golden stream here (and its log at this path + .log)")
 	flag.Parse()
-	if err := run(*ohmd, *ohmc, *chain, *clique); err != nil {
+	if err := run(*ohmd, *ohmc, *chain, *clique, *ohmt); err != nil {
 		fmt.Fprintln(os.Stderr, "goldengen:", err)
 		os.Exit(1)
 	}
@@ -63,7 +70,70 @@ func interrupted(store *dal.Store, p *pattern.Pattern, limit uint64, path string
 	return os.WriteFile(path, b, 0o644)
 }
 
-func run(ohmd, ohmc, chain, clique string) error {
+// streamFeed is the golden stream's feed over 48 vertices: 40 hyperedges at
+// epoch 1, then two per epoch, each batch retiring the first hyperedge the
+// one before it added. stream.goldenFeed rebuilds it.
+func streamFeed() []stream.Batch {
+	rng := rand.New(rand.NewSource(40))
+	feed := make([]stream.Batch, 7)
+	for i := range feed {
+		feed[i].Seq = uint64(i + 1)
+		for n := 0; n < 2 || (i == 0 && n < 40); n++ {
+			v := uint32(rng.Intn(44))
+			feed[i].Add = append(feed[i].Add, []uint32{v, v + 1 + uint32(rng.Intn(3))})
+		}
+		if i > 0 {
+			feed[i].Retire = feed[i-1].Add[:1]
+		}
+	}
+	return feed
+}
+
+// streamGolden persists the golden stream — window 5, two standing queries
+// registered after epoch 1 — and tears the log's last append in half, as a
+// crash in the middle of it leaves the file. A revision without a log
+// leaves the snapshot alone.
+func streamGolden(path string) error {
+	m, err := stream.NewMiner(stream.Config{NumVertices: 48, Window: 5, Snapshot: &ohminer.StreamFileSink{Path: path}})
+	if err != nil {
+		return err
+	}
+	logSize := func() int64 {
+		fi, err := os.Stat(path + ".log")
+		if err != nil {
+			return 0
+		}
+		return fi.Size()
+	}
+	var before int64
+	for i, b := range streamFeed() {
+		before = logSize()
+		if _, err := m.ApplyBatch(b); err != nil {
+			return err
+		}
+		if i == 0 {
+			for _, lit := range [][][]uint32{{{0, 1}, {1, 2}}, {{0, 1, 2}, {2, 3}}} {
+				if _, err := m.RegisterQuery(pattern.MustNew(lit, nil)); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	after := logSize()
+	switch {
+	case after == 0:
+		return nil // no log: the revision writes whole snapshots
+	case after <= before:
+		return fmt.Errorf("the last batch did not append to the log (%d → %d bytes)", before, after)
+	}
+	b, err := os.ReadFile(path + ".log")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path+".log", b[:before+(after-before)/2], 0o644)
+}
+
+func run(ohmd, ohmc, chain, clique, ohmt string) error {
 	if ohmd != "" {
 		// Dense enough for overlap sizes to vary inside a degree group, and
 		// for some groups to be longer than the sort's insertion cut-off.
@@ -120,6 +190,9 @@ func run(ohmd, ohmc, chain, clique string) error {
 		if err := interrupted(store, pattern.MustNew(edges[:4], nil), 20000, clique); err != nil {
 			return err
 		}
+	}
+	if ohmt != "" {
+		return streamGolden(ohmt)
 	}
 	return nil
 }

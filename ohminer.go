@@ -400,18 +400,17 @@ type StreamQueryInfo = stream.QueryInfo
 // StreamSnapshot is a decoded durable stream snapshot.
 type StreamSnapshot = stream.Snapshot
 
-// StreamSink receives durable stream snapshots (StreamConfig.Snapshot).
-type StreamSink = stream.Sink
-
-// StreamFileSink persists every stream snapshot atomically to Path.
-type StreamFileSink = durable.FileSink[*stream.Snapshot]
+// StreamFileSink makes a stream durable (StreamConfig.Snapshot): the base
+// snapshot at Path, replaced atomically, and one fsynced append per applied
+// batch to Path+".log". A miner with one holds the log open until Close.
+type StreamFileSink = stream.FileSink
 
 // NewStreamMiner opens a streaming miner over an empty hypergraph.
 func NewStreamMiner(cfg StreamConfig) (*StreamMiner, error) { return stream.NewMiner(cfg) }
 
-// LoadStreamMiner resumes a streaming miner from a snapshot file written by
-// its snapshot sink; cumulative query counts continue exactly where the
-// snapshot left them.
+// LoadStreamMiner resumes a streaming miner from the files a StreamFileSink
+// wrote at path (the base with its log replayed); cumulative query counts
+// continue exactly where the last acknowledged batch left them.
 func LoadStreamMiner(path string, cfg StreamConfig) (*StreamMiner, error) {
 	return stream.LoadFile(path, cfg)
 }
