@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test -fuzz FuzzKernelFamilies -fuzztime 30s ./internal/baseline
 	$(GO) test -fuzz FuzzPlanVerify -fuzztime 30s ./internal/engine
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/stream
+	$(GO) test -fuzz FuzzStreamLogReplay -fuzztime 30s ./internal/stream
 	$(GO) test -fuzz FuzzCheckpointDecode -fuzztime 30s ./internal/checkpoint
 	$(GO) test -fuzz FuzzLogScan -fuzztime 30s ./internal/durable
 
@@ -127,8 +128,8 @@ stream-smoke:
 # panics, full-disk runs, the cluster's kill/zombie scenarios, and the
 # coordinator's own WAL crash/restart (kill-after-kth-record and torn
 # append) must all recover (or refuse) with exact counts,
-# race-instrumented (see docs/ROBUSTNESS.md and docs/DISTRIBUTED.md). The stream leg crashes a snapshotting miner
-# mid-feed and resumes it from the last durable snapshot.
+# race-instrumented (see docs/ROBUSTNESS.md and docs/DISTRIBUTED.md). The stream leg kills a persisting miner
+# after each batch's log append and resumes it from its base snapshot plus the log's intact records.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/engine ./internal/cluster ./internal/stream
 

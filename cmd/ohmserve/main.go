@@ -64,7 +64,7 @@ func run() error {
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight queries")
 		debugDelay = flag.Duration("debug-delay", 0, "inject artificial latency per query (drain/smoke testing only)")
 		ckptDir    = flag.String("checkpoint-dir", "", "enable durable jobs (/jobs endpoints): -cluster -cluster-dir DIR plus one in-process worker")
-		streamDir  = flag.String("stream-dir", "", "enable the streaming subsystem (/streams endpoints): persist stream specs, snapshots and batch logs here")
+		streamDir  = flag.String("stream-dir", "", "enable the streaming subsystem (/streams endpoints): persist each stream's base snapshot and batch log here")
 		streamBuf  = flag.Int("stream-buf-events", 0, "per-subscriber event buffer before slow-consumer drops (0 = 64)")
 		clusterOn  = flag.Bool("cluster", false, "run as distributed-mining coordinator (/cluster endpoints; pair with ohmworker)")
 		parts      = flag.Int("cluster-parts", 16, "task partitions per distributed job (more parts = finer reassignment granularity)")

@@ -49,11 +49,9 @@ import (
 // Config bounds the coordinator's lease protocol.
 type Config struct {
 	// LeaseTTL is how long a lease survives without a heartbeat before the
-	// task is reclaimed and reassigned (0 = 10s).
+	// task is reclaimed and reassigned (0 = 10s); workers are told to renew
+	// every LeaseTTL/3.
 	LeaseTTL time.Duration
-	// HeartbeatEvery is the renewal period advertised to workers
-	// (0 = LeaseTTL/3).
-	HeartbeatEvery time.Duration
 	// Parts is the default task partition count per job (0 = 16). More
 	// parts than workers keeps slow nodes from stalling the tail.
 	Parts int
@@ -83,9 +81,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 10 * time.Second
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = c.LeaseTTL / 3
 	}
 	if c.Parts <= 0 {
 		c.Parts = 16
@@ -634,7 +629,7 @@ func (c *Coordinator) offerLocked(skip *taskLease) *Lease {
 				Job: j.id, Task: idx, Epoch: t.epoch + 1,
 				Pattern:     j.spec.Pattern,
 				Snapshot:    payload,
-				HeartbeatMS: c.cfg.HeartbeatEvery.Milliseconds(),
+				HeartbeatMS: (c.cfg.LeaseTTL / 3).Milliseconds(),
 				TTLMS:       c.cfg.LeaseTTL.Milliseconds(),
 			}
 		}

@@ -636,6 +636,58 @@ func TestWALNoSpaceDegradesThenHeals(t *testing.T) {
 	}
 }
 
+// TestWALSyncFailureDegradesThenHeals: an fsync that fails after its
+// append's write went through keeps the record — it is in the file and will
+// replay — but degrades the coordinator, so the next admission is shed with
+// 503; the flusher's probe heals it once fsyncs succeed again, and the job
+// admitted when the fault hit finishes with the exact count.
+func TestWALSyncFailureDegradesThenHeals(t *testing.T) {
+	store, pat, want := starWorkload(t)
+	sw := &faultinject.SyncWriter{}
+	c, err := New(store, Config{
+		LeaseTTL: 10 * time.Second, Parts: 4, Dir: t.TempDir(), now: newFakeClock().Now,
+		FlushEvery: 5 * time.Millisecond,
+		WALWrap:    func(w io.Writer) io.Writer { sw.W = w; return sw },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	mux := http.NewServeMux()
+	c.Register(mux)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+
+	sw.Break()
+	if code := postJSON(t, srv, "/cluster/jobs", jobCreateRequest{ID: "j", JobSpec: JobSpec{Pattern: pat}}, nil); code != http.StatusAccepted {
+		t.Fatalf("job create with a failing fsync: status %d, want 202 (its record is in the file)", code)
+	}
+	if !c.Degraded() {
+		t.Fatal("coordinator not degraded after a failed fsync")
+	}
+	if code := postJSON(t, srv, "/cluster/jobs", jobCreateRequest{ID: "k", JobSpec: JobSpec{Pattern: pat}}, nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("job create while degraded: status %d, want 503", code)
+	}
+	sw.Heal()
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Degraded() {
+		if time.Now().After(deadline) {
+			t.Fatal("coordinator did not self-heal after fsyncs came back")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	drainJob(t, srv, store, "w1")
+	if st, _ := c.JobStatusByID("j"); st.State != "done" || st.Ordered != want {
+		t.Fatalf("after heal: state=%s ordered=%d, want done/%d", st.State, st.Ordered, want)
+	}
+	if _, ok := c.JobStatusByID("k"); ok {
+		t.Fatal("the shed job was admitted")
+	}
+	if sw.Syncs() < 2 {
+		t.Fatalf("%d fsyncs reached the fault writer", sw.Syncs())
+	}
+}
+
 // TestVariantRefused: "variant" is still a recognised key of a job spec and
 // of a lease, but only to be checked. POST /cluster/jobs answers a baseline's
 // name with a 422 saying where baselines run, as POST /query does; a worker handed a lease that

@@ -201,8 +201,22 @@ func (l *Log) Append(buf []byte) error {
 	return nil
 }
 
-// Fsync makes every append so far durable.
-func (l *Log) Fsync() error { return l.f.Sync() }
+// SyncVetoer is implemented by a writer wrapper (OpenLog's wrap) that stands
+// between a Log and its fsyncs — the fault-injection seam of a failing
+// fsync: Fsync calls VetoSync first and, when it fails, returns its error
+// without syncing.
+type SyncVetoer interface{ VetoSync() error }
+
+// Fsync makes every append so far durable, unless the writer wrapper vetoes
+// it (SyncVetoer).
+func (l *Log) Fsync() error {
+	if v, ok := l.w.(SyncVetoer); ok {
+		if err := v.VetoSync(); err != nil {
+			return err
+		}
+	}
+	return l.f.Sync()
+}
 
 // Reset truncates the log back to its header, once its records are folded
 // into a durable base. It heals a wedged log.

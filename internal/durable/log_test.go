@@ -206,6 +206,36 @@ type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
+// vetoWriter is a writer wrapper that answers every fsync with veto.
+type vetoWriter struct {
+	io.Writer
+	veto  error
+	calls int
+}
+
+func (v *vetoWriter) VetoSync() error { v.calls++; return v.veto }
+
+// TestLogFsyncVeto: Fsync asks the writer wrapper first, once per call, and
+// a veto is Fsync's error; without one it syncs.
+func TestLogFsyncVeto(t *testing.T) {
+	vw := &vetoWriter{veto: errors.New("eio")}
+	l, err := CreateLog(filepath.Join(t.TempDir(), "v.log"), testLog, func(w io.Writer) io.Writer { vw.Writer = w; return vw })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Append(AppendFrame(nil, []byte("one"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Fsync(); err != vw.veto {
+		t.Fatalf("vetoed Fsync: %v", err)
+	}
+	vw.veto = nil
+	if err := l.Fsync(); err != nil || vw.calls != 2 {
+		t.Fatalf("Fsync: %v after %d vetoes asked, want nil after 2", err, vw.calls)
+	}
+}
+
 // FuzzLogScan: the scan never panics, and whatever it accepts is a
 // fixpoint — the intact prefix scans to the same records, and re-framing
 // those records rebuilds the prefix byte for byte.

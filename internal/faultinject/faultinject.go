@@ -26,8 +26,8 @@
 // method set satisfies checkpoint.Sink, a durable.Sink); this package
 // imports no snapshot package. The append logs — the cluster WAL and the
 // stream's batch log, both a durable.Log — take their faults on the
-// io.Writer seam of their appends instead: CrashWriter, TornWriter and
-// NoSpaceWriter below.
+// io.Writer seam of their appends instead: CrashWriter, TornWriter,
+// NoSpaceWriter and SyncWriter below.
 package faultinject
 
 import (
@@ -46,6 +46,9 @@ import (
 
 // ErrNoSpace is the failure NoSpaceSink reports, modeling ENOSPC.
 var ErrNoSpace = errors.New("faultinject: no space left on device")
+
+// ErrIO is the failure SyncWriter reports, modeling an fsync's EIO.
+var ErrIO = errors.New("faultinject: input/output error")
 
 // Derive maps (seed, salt) to a deterministic value in [1, max] — the
 // standard way to pick fault points in a test table without hand-chosen
@@ -357,4 +360,37 @@ func (nw *NoSpaceWriter) Write(p []byte) (int, error) {
 		return 0, ErrNoSpace
 	}
 	return nw.W.Write(p)
+}
+
+// SyncWriter passes writes through and vetoes the log's fsyncs
+// (durable.SyncVetoer): it counts them and, while broken, fails them with
+// ErrIO — the disk that takes an append into the page cache and then cannot
+// flush it. The writer under test must not acknowledge what it could not
+// sync, and should recover on its own after Heal.
+type SyncWriter struct {
+	W io.Writer
+
+	broken atomic.Bool
+	syncs  atomic.Uint64
+}
+
+// Break makes every subsequent fsync fail with ErrIO.
+func (sw *SyncWriter) Break() { sw.broken.Store(true) }
+
+// Heal lets fsyncs through again.
+func (sw *SyncWriter) Heal() { sw.broken.Store(false) }
+
+// Syncs reports how many fsyncs the log asked for, failed ones included.
+func (sw *SyncWriter) Syncs() uint64 { return sw.syncs.Load() }
+
+// Write implements io.Writer.
+func (sw *SyncWriter) Write(p []byte) (int, error) { return sw.W.Write(p) }
+
+// VetoSync implements durable.SyncVetoer.
+func (sw *SyncWriter) VetoSync() error {
+	sw.syncs.Add(1)
+	if sw.broken.Load() {
+		return ErrIO
+	}
+	return nil
 }

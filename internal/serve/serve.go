@@ -65,17 +65,14 @@ type Config struct {
 	// -checkpoint-dir modes. Nil serves queries and streams only, and /jobs
 	// answers 503.
 	Cluster *cluster.Coordinator
-	// StreamDir enables the streams subsystem (POST /streams): stream
-	// specs, base snapshots and per-batch logs are persisted there, so every
+	// StreamDir enables the streams subsystem (POST /streams): each
+	// stream's base snapshot and per-batch log are persisted there, so every
 	// acknowledged batch survives a SIGKILL. Empty disables /streams.
 	StreamDir string
 	// StreamBufEvents bounds each event subscriber's buffer; a subscriber
 	// that falls further behind has events dropped (and counted) rather
 	// than stalling batch application (0 = 64).
 	StreamBufEvents int
-	// StreamRing bounds the per-query event ring kept for reconnect
-	// backfill (?after=N) (0 = 256).
-	StreamRing int
 }
 
 func (c Config) withDefaults() Config {
@@ -90,9 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StreamBufEvents <= 0 {
 		c.StreamBufEvents = 64
-	}
-	if c.StreamRing <= 0 {
-		c.StreamRing = 256
 	}
 	return c
 }

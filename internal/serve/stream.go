@@ -5,16 +5,17 @@ package serve
 // queries registered on it emit one delta event per applied batch, pushed
 // to subscribers over Server-Sent Events (with a long-poll fallback for
 // clients that cannot hold an SSE connection). Everything needed to restart
-// lives under StreamDir:
+// lives under StreamDir, in the two files the miner's stream.FileSink keeps:
 //
-//	<id>.stream    the stream spec — written at creation (durable.WriteFile)
-//	<id>.ohmt      the CRC-framed base snapshot — replaced atomically on
+//	<id>.ohmt      the CRC-framed base snapshot, which also holds the vertex
+//	               universe and window — replaced atomically at creation, on
 //	               registration and when the log outgrows it
 //	<id>.ohmt.log  one fsynced record per batch applied since the base
 //
-// On restart a stream is lazily reloaded from base and log on first touch;
-// feeders replay their batch log from their last acked seq and the miner's
-// ErrStale answers make the replay idempotent (exactly-once counting).
+// On restart a stream is lazily reloaded from base and log on first touch
+// (older servers' <id>.stream spec files are ignored); feeders replay their
+// batch log from their last acked seq and the miner's ErrStale answers make
+// the replay idempotent (exactly-once counting).
 //
 // Delivery is at-most-once per subscriber with bounded buffering: a
 // subscriber that cannot keep up has events dropped (counted, surfaced in
@@ -35,13 +36,11 @@ import (
 	"time"
 
 	"ohminer"
-	"ohminer/internal/durable"
 	"ohminer/internal/engine"
 	"ohminer/internal/stream"
 )
 
-// StreamSpec is the persisted description of a stream and the body of
-// POST /streams (plus the optional "id").
+// StreamSpec is the body of POST /streams.
 type StreamSpec struct {
 	// ID names the stream (same charset as job IDs). Empty picks one.
 	ID string `json:"id,omitempty"`
@@ -120,46 +119,34 @@ func (s *Server) streamPath(id, ext string) string {
 	return filepath.Join(s.cfg.StreamDir, id+ext)
 }
 
-// streamConfig assembles the miner config for a stream: engine options
+// streamRing bounds the per-query event ring kept for reconnect backfill
+// (?after=N).
+const streamRing = 256
+
+// streamConfig assembles the miner config for stream id: engine options
 // bounded by the server's worker budget, every acknowledged batch durable in
-// the stream's files.
-func (s *Server) streamConfig(spec StreamSpec) stream.Config {
+// the stream's files. The universe and window are the caller's to set on
+// creation; a reload takes them from the base.
+func (s *Server) streamConfig(id string) stream.Config {
 	return stream.Config{
-		NumVertices: spec.NumVertices,
-		Window:      spec.Window,
-		Engine:      engine.Options{Workers: s.cfg.Workers},
-		Snapshot:    &stream.FileSink{Path: s.streamPath(spec.ID, ".ohmt")},
+		Engine:   engine.Options{Workers: s.cfg.Workers},
+		Snapshot: &stream.FileSink{Path: s.streamPath(id, ".ohmt")},
 	}
 }
 
 // getStream returns the in-memory stream for id, lazily reloading it from
-// StreamDir after a restart: the spec names the universe, the base and its
-// log (if any) restore epoch, live edges, and every standing query's
-// cumulative counters exactly.
+// StreamDir after a restart: the base and its log restore the universe,
+// window, epoch, live edges, and every standing query's cumulative counters
+// exactly. No base means no stream.
 func (s *Server) getStream(id string) (*srvStream, error) {
 	s.streamMu.Lock()
 	defer s.streamMu.Unlock()
 	if st, ok := s.streams[id]; ok {
 		return st, nil
 	}
-	data, err := os.ReadFile(s.streamPath(id, ".stream"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, errStreamNotFound
-		}
-		return nil, err
-	}
-	var spec StreamSpec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return nil, fmt.Errorf("stream %s: corrupt spec: %w", id, err)
-	}
-	spec.ID = id
-	cfg := s.streamConfig(spec)
-	var m *ohminer.StreamMiner
-	if _, serr := os.Stat(s.streamPath(id, ".ohmt")); serr == nil {
-		m, err = stream.LoadFile(s.streamPath(id, ".ohmt"), cfg)
-	} else {
-		m, err = stream.NewMiner(cfg)
+	m, err := stream.LoadFile(s.streamPath(id, ".ohmt"), s.streamConfig(id))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, errStreamNotFound
 	}
 	if err != nil {
 		return nil, fmt.Errorf("stream %s: %w", id, err)
@@ -193,11 +180,10 @@ var errStreamNotFound = errors.New("no such stream")
 // for that subscriber only (accounted) — the apply path never blocks on a
 // slow consumer.
 func (s *Server) publish(st *srvStream, deltas []ohminer.StreamDelta) {
-	ring := s.cfg.StreamRing
 	for _, d := range deltas {
 		r := append(st.rings[d.QueryID], d)
-		if len(r) > ring {
-			r = r[len(r)-ring:]
+		if len(r) > streamRing {
+			r = r[len(r)-streamRing:]
 		}
 		st.rings[d.QueryID] = r
 		for sub := range st.subs[d.QueryID] {
@@ -264,21 +250,15 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusConflict, "stream exists: "+spec.ID)
 		return
 	}
-	if _, err := os.Stat(s.streamPath(spec.ID, ".stream")); err == nil {
+	if _, err := os.Stat(s.streamPath(spec.ID, ".ohmt")); err == nil {
 		s.reject(w, http.StatusConflict, "stream exists on disk: "+spec.ID)
 		return
 	}
-	m, err := stream.NewMiner(s.streamConfig(spec))
+	cfg := s.streamConfig(spec.ID)
+	cfg.NumVertices, cfg.Window = spec.NumVertices, spec.Window
+	m, err := stream.NewMiner(cfg)
 	if err != nil {
 		s.reject(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	data, err := json.MarshalIndent(spec, "", "  ")
-	if err == nil {
-		err = durable.WriteFile(s.streamPath(spec.ID, ".stream"), append(data, '\n'))
-	}
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "persist spec: " + err.Error()})
 		return
 	}
 	s.installStreamLocked(spec.ID, m)

@@ -7,11 +7,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"ohminer"
+	"ohminer/internal/stream"
 )
 
 func getJSON(t *testing.T, url string, v any) {
@@ -339,6 +342,70 @@ func TestStreamRestartReload(t *testing.T) {
 	getJSON(t, ts2.URL+"/streams/dur", &closed)
 	if closed.Epoch != 3 || s2.streamsReloaded.Value() != 2 {
 		t.Fatalf("after CloseStreams: epoch %d, streams_reloaded %d", closed.Epoch, s2.streamsReloaded.Value())
+	}
+}
+
+// TestStreamParentDirReloads: a StreamDir written by an older server, which
+// kept a JSON <id>.stream spec beside each stream's base and log, still
+// serves its streams. "old" (spec, base and log: the parent_log golden)
+// reloads from base and log at the golden's epoch with its queries, and its
+// ID stays taken; "bare" (a base alone) reloads too; "lost" (a spec with no
+// base, an empty stream that never persisted one) is unknown and can be
+// created afresh.
+func TestStreamParentDirReloads(t *testing.T) {
+	golden := filepath.Join("..", "stream", "testdata", "parent_log.ohmt")
+	dir := t.TempDir()
+	for dst, src := range map[string]string{
+		"old.ohmt": golden, "old.ohmt.log": golden + ".log", "bare.ohmt": golden,
+	} {
+		b, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, dst), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{"old", "lost"} {
+		spec := fmt.Sprintf("{\n  \"id\": %q,\n  \"num_vertices\": 48,\n  \"window\": 5\n}\n", id)
+		if err := os.WriteFile(filepath.Join(dir, id+".stream"), []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := testServer(t, Config{StreamDir: dir, Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	if resp, body := postJSON(t, ts.URL+"/streams", `{"id": "old", "num_vertices": 48}`); resp.StatusCode != http.StatusConflict {
+		t.Fatalf("create over a persisted stream: %d %s", resp.StatusCode, body)
+	}
+	for id, path := range map[string]string{"old": golden, "bare": filepath.Join(dir, "bare.ohmt")} {
+		want, err := stream.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got StreamStatus
+		getJSON(t, ts.URL+"/streams/"+id, &got)
+		if got.Epoch != want.Epoch || got.LiveEdges != len(want.Edges) || len(got.Queries) != len(want.Queries) {
+			t.Fatalf("%s: epoch %d, %d live edges, %d queries; the files hold %d, %d, %d",
+				id, got.Epoch, got.LiveEdges, len(got.Queries), want.Epoch, len(want.Edges), len(want.Queries))
+		}
+		for i, q := range got.Queries {
+			if w := want.Queries[i]; q.ID != w.ID || q.Total != w.Base+w.CumAdded-w.CumRetired || q.EventSeq != w.EventSeq {
+				t.Fatalf("%s: query %+v, the files hold %+v", id, q, w)
+			}
+		}
+	}
+	resp, err := http.Get(ts.URL + "/streams/lost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("spec without a base: status %d, want 404", resp.StatusCode)
+	}
+	if resp, body := postJSON(t, ts.URL+"/streams", `{"id": "lost", "num_vertices": 48}`); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("re-create over a bare spec: %d %s", resp.StatusCode, body)
 	}
 }
 

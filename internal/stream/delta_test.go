@@ -93,12 +93,13 @@ func TestDeltaExactWhereOrdersDiffer(t *testing.T) {
 	scenarios := []struct {
 		name    string
 		cfg     Config
+		compact func(*Miner) // nil keeps the default threshold
 		retires bool
 	}{
-		{"addonly", Config{}, false},
-		{"retire", Config{CompactFraction: -1}, true},
-		{"window+readd", Config{Window: 3, CompactFraction: -1}, true},
-		{"compaction", Config{CompactFraction: 0.01, CompactMin: 1}, true},
+		{"addonly", Config{}, nil, false},
+		{"retire", Config{}, forbidCompaction, true},
+		{"window+readd", Config{Window: 3}, forbidCompaction, true},
+		{"compaction", Config{}, forceCompaction, true},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -106,6 +107,9 @@ func TestDeltaExactWhereOrdersDiffer(t *testing.T) {
 			m, err := NewMiner(sc.cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if sc.compact != nil {
+				sc.compact(m)
 			}
 			rng := rand.New(rand.NewSource(31))
 			if _, err := m.ApplyBatch(Batch{Add: nearbyRaw(rng, nv, 14)}); err != nil {
@@ -164,7 +168,7 @@ func TestDeltaExactWhereOrdersDiffer(t *testing.T) {
 					t.Errorf("%s never had an embedding: the scenario checks nothing for it", pats[i])
 				}
 			}
-			if sc.cfg.CompactMin == 1 && !sawCompaction {
+			if m.compactMin == 1 && !sawCompaction {
 				t.Error("no compaction happened")
 			}
 			if sc.cfg.Window > 0 && !sawReadd {
@@ -275,30 +279,14 @@ func TestDeltaWorkFollowsTheBatch(t *testing.T) {
 	}
 }
 
-// countingWriter counts the Write calls that reach it.
-type countingWriter struct {
-	bytes.Buffer
-	writes int
-}
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.writes++
-	return w.Buffer.Write(p)
-}
-
-// TestSnapshotOneWrite: a snapshot reaches its destination — the file, for
-// durable.FileSink — as one Write.
+// TestSnapshotOneWrite: a snapshot reaches its base file as one Write —
+// durable.WriteFile writes Marshal's slice whole — and Marshal sizes that
+// slice exactly, so encoding never reallocates.
 func TestSnapshotOneWrite(t *testing.T) {
 	snap := buildStream(t, Config{}, 5, 4).SnapshotState()
-	var w countingWriter
-	if err := snap.Encode(&w); err != nil {
-		t.Fatal(err)
-	}
-	if w.writes != 1 {
-		t.Fatalf("Encode issued %d writes", w.writes)
-	}
-	if b, _ := snap.Marshal(); !bytes.Equal(b, w.Bytes()) || len(b) != snap.encodedSize() {
-		t.Fatalf("Encode wrote %d bytes, Marshal %d, encodedSize %d", w.Len(), len(b), snap.encodedSize())
+	b, _ := snap.Marshal()
+	if len(b) != snap.encodedSize() || cap(b) != len(b) {
+		t.Fatalf("Marshal: %d bytes in a %d-byte slice, encodedSize %d", len(b), cap(b), snap.encodedSize())
 	}
 }
 

@@ -1,8 +1,11 @@
 package stream
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ohminer/internal/pattern"
@@ -75,6 +78,41 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		if _, err := Load(s, Config{}); err != nil {
 			t.Fatalf("accepted snapshot fails Load: %v", err)
+		}
+	})
+}
+
+// FuzzStreamLogReplay drives arbitrary bytes through the stream log's
+// replay: the parent_log golden is the base and the fuzzed bytes are its
+// .log. ReadFile must never panic; it either refuses the log (ErrCorrupt, or
+// the version error) or returns a snapshot that validates and round-trips
+// through Marshal and Unmarshal byte for byte.
+func FuzzStreamLogReplay(f *testing.F) {
+	log, err := os.ReadFile(filepath.Join("testdata", "parent_log.ohmt.log"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(log)
+	f.Add(log[:len(log)/2]) // torn mid-record
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ReadFile(logWith(t, data))
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !strings.Contains(err.Error(), "version") {
+				t.Fatalf("refused with neither ErrCorrupt nor the version error: %v", err)
+			}
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("replayed snapshot fails Validate: %v", err)
+		}
+		enc, _ := s.Marshal()
+		s2, err := Unmarshal(enc)
+		if err != nil {
+			t.Fatalf("re-decode: %v", err)
+		}
+		if enc2, _ := s2.Marshal(); !bytes.Equal(enc, enc2) {
+			t.Fatal("Marshal → Unmarshal → Marshal changed the bytes")
 		}
 	})
 }

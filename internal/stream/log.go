@@ -13,7 +13,7 @@ package stream
 // retires, and every standing query's counters after it:
 //
 //	u64 epoch
-//	u32 #adds,    then per set: u32 n, n × u32 vertex
+//	u32 #adds,    then per set: u32 n, n × u32 vertex (as in the base)
 //	u32 #retires, then per set: u32 n, n × u32 vertex
 //	u32 #queries, then per query: u64 id, cumAdded, cumRetired, eventSeq
 //
@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 
 	"ohminer/internal/durable"
 )
@@ -106,10 +107,7 @@ func (m *Miner) logRecord(ap *applyPlan, deltas []Delta) []byte {
 	for _, sets := range [2][][]uint32{ap.adds, ap.retires} {
 		b = le.AppendUint32(b, uint32(len(sets)))
 		for _, e := range sets {
-			b = le.AppendUint32(b, uint32(len(e)))
-			for _, v := range e {
-				b = le.AppendUint32(b, v)
-			}
+			b = appendVerts(b, e)
 		}
 	}
 	b = le.AppendUint32(b, uint32(len(deltas)))
@@ -146,13 +144,9 @@ func decodeRecord(p []byte) (*logRecord, error) {
 			return nil, corruptf("log record %d: bad edge count %d (%v)", rec.epoch, n, err)
 		}
 		for i := uint32(0); i < n; i++ {
-			k, err := d.U32()
-			if err != nil || k == 0 || k > maxSnapEdgeLen {
-				return nil, corruptf("log record %d: bad edge length %d (%v)", rec.epoch, k, err)
-			}
-			verts, err := d.U32s(k)
+			verts, err := readVerts(d)
 			if err != nil {
-				return nil, corruptf("log record %d: short edge: %v", rec.epoch, err)
+				return nil, corruptf("log record %d: %v", rec.epoch, err)
 			}
 			*sets = append(*sets, verts)
 		}
@@ -183,10 +177,6 @@ func (s *Snapshot) replay(recs []*logRecord) error {
 	for i, e := range s.Edges {
 		keys[i] = edgeKey(e.Verts)
 		live[keys[i]] = true
-	}
-	queries := make(map[uint64]*SnapshotQuery, len(s.Queries))
-	for i := range s.Queries {
-		queries[s.Queries[i].ID] = &s.Queries[i]
 	}
 	for _, r := range recs {
 		if r.epoch <= s.Epoch {
@@ -237,10 +227,11 @@ func (s *Snapshot) replay(recs []*logRecord) error {
 		if len(r.queries) != len(s.Queries) {
 			return corruptf("log record %d has %d queries, the base %d", t, len(r.queries), len(s.Queries))
 		}
-		for _, c := range r.queries {
-			q := queries[c.ID]
-			if q == nil {
-				return corruptf("log record %d names unknown query %d", t, c.ID)
+		// Both list the queries in ID order, so position i names one query.
+		for i, c := range r.queries {
+			q := &s.Queries[i]
+			if c.ID != q.ID {
+				return corruptf("log record %d names query %d where the base has %d", t, c.ID, q.ID)
 			}
 			q.CumAdded, q.CumRetired, q.EventSeq = c.CumAdded, c.CumRetired, c.EventSeq
 		}
@@ -254,7 +245,11 @@ func (s *Snapshot) replay(recs []*logRecord) error {
 // record (a crash mid-append, before its batch was acknowledged) is
 // dropped; a damaged complete one is ErrCorrupt.
 func ReadFile(path string) (*Snapshot, error) {
-	s, err := readBase(path)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	s, err := Unmarshal(b)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -348,53 +349,152 @@ func TestChaosStreamCrashResume(t *testing.T) {
 	}
 }
 
-// TestSnapshotFailureSurfaced: ENOSPC on an append is surfaced with the
-// batch's result — applied in memory, not acknowledged durable — and the
-// same-seq retry answers ErrStale only after rewriting the base, so the ack
-// it gives holds across a reload; later batches append again.
+// TestSnapshotFailureSurfaced: a batch whose log append fails (a full disk)
+// or whose fsync fails is applied in memory but not acknowledged durable:
+// the error is surfaced with the batch's result, and the same-seq retry
+// answers ErrStale only after rewriting the base, so the ack it gives holds
+// across a reload, at totals equal to a from-scratch mine; later batches
+// append again. Every acknowledged append costs the log one fsync.
 func TestSnapshotFailureSurfaced(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.ohmt")
-	nw := &faultinject.NoSpaceWriter{}
-	m, err := NewMiner(Config{NumVertices: 6, Snapshot: &FileSink{Path: path, wrap: func(w io.Writer) io.Writer { nw.W = w; return nw }}})
+	type fault interface {
+		io.Writer
+		Break()
+		Heal()
+	}
+	rows := []struct {
+		name  string
+		fault func(io.Writer) fault
+		err   error
+		recs  int // log records before the retry: the failed batch's, too, if its write landed
+	}{
+		{"full disk", func(w io.Writer) fault { return &faultinject.NoSpaceWriter{W: w} }, faultinject.ErrNoSpace, 1},
+		{"failed fsync", func(w io.Writer) fault { return &faultinject.SyncWriter{W: w} }, faultinject.ErrIO, 2},
+	}
+	p := pattern.MustNew([][]uint32{{0, 1}, {1, 2}}, nil)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "s.ohmt")
+			var f fault
+			m, err := NewMiner(Config{NumVertices: 6, Snapshot: &FileSink{Path: path, wrap: func(w io.Writer) io.Writer { f = r.fault(w); return f }}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			if _, err := m.RegisterQuery(p); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.ApplyBatch(Batch{Seq: 1, Add: [][]uint32{{0, 1}}}); err != nil {
+				t.Fatal(err)
+			}
+			f.Break()
+			b2 := Batch{Seq: 2, Add: [][]uint32{{1, 2}, {2, 3}}}
+			res, err := m.ApplyBatch(b2)
+			if !errors.Is(err, r.err) || res == nil || res.Epoch != 2 {
+				t.Fatalf("res %+v, err %v; want the result with %v", res, err, r.err)
+			}
+			if m.Epoch() != 2 || m.LiveEdges() != 3 {
+				t.Fatalf("state lost: epoch %d live %d", m.Epoch(), m.LiveEdges())
+			}
+			if _, base, recs := streamFiles(t, path); base.Epoch != 0 || len(recs) != r.recs {
+				t.Fatalf("before the retry: base epoch %d, %d records; want epoch 0, %d", base.Epoch, len(recs), r.recs)
+			}
+			f.Heal()
+			if _, err := m.ApplyBatch(b2); !errors.Is(err, ErrStale) {
+				t.Fatalf("same-seq retry: %v, want ErrStale", err)
+			}
+			if _, base, recs := streamFiles(t, path); base.Epoch != 2 || len(recs) != 0 {
+				t.Fatalf("after the retry: base epoch %d, %d records", base.Epoch, len(recs))
+			}
+			loadEquivalent(t, m, path)
+			if _, err := m.ApplyBatch(Batch{Seq: 3, Add: [][]uint32{{3, 4}}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, recs := streamFiles(t, path); len(recs) != 1 {
+				t.Fatalf("batch after the heal: %d records, want 1", len(recs))
+			}
+			loadEquivalent(t, m, path)
+			if got, want := m.Queries()[0].Total, oracle(t, 6, m.LiveEdgeSets(), p, engine.Options{}); got != want {
+				t.Fatalf("total %d, from-scratch mine %d", got, want)
+			}
+			switch f := f.(type) {
+			case *faultinject.NoSpaceWriter:
+				if f.Dropped() != 1 {
+					t.Fatalf("%d appends refused, want 1", f.Dropped())
+				}
+			case *faultinject.SyncWriter:
+				if f.Syncs() != 3 {
+					t.Fatalf("%d fsyncs of the log for batches 1 and 3 and the failed 2, want 3", f.Syncs())
+				}
+			}
+		})
+	}
+}
+
+// logWith writes the parent_log golden base to a temporary stream path with
+// log as its .log and returns the path.
+func logWith(t *testing.T, log []byte) string {
+	t.Helper()
+	base, err := os.ReadFile(filepath.Join("testdata", "parent_log.ohmt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	if _, err := m.RegisterQuery(pattern.MustNew([][]uint32{{0, 1}, {1, 2}}, nil)); err != nil {
+	path := filepath.Join(t.TempDir(), "s.ohmt")
+	if err := os.WriteFile(path, base, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ApplyBatch(Batch{Seq: 1, Add: [][]uint32{{0, 1}}}); err != nil {
+	if err := os.WriteFile(path+".log", log, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	nw.Break()
-	b2 := Batch{Seq: 2, Add: [][]uint32{{1, 2}, {2, 3}}}
-	res, err := m.ApplyBatch(b2)
-	if !errors.Is(err, faultinject.ErrNoSpace) || res == nil || res.Epoch != 2 {
-		t.Fatalf("append on a full disk: res %+v, err %v; want the result with ErrNoSpace", res, err)
+	return path
+}
+
+// TestReplayRefusesInconsistentRecords: a log record whose frame and
+// checksum are intact but whose content cannot follow the base is
+// ErrCorrupt. Each row is one record after the parent_log golden base
+// (epoch 1, window 5, queries 1 and 2); the first row is well-formed, so the
+// refusals come from the checks they name.
+func TestReplayRefusesInconsistentRecords(t *testing.T) {
+	fresh := []uint32{0, 47} // no golden hyperedge spans 47 vertices
+	record := func(epoch uint64, adds, retires [][]uint32, qids ...uint64) []byte {
+		le := binary.LittleEndian
+		b := le.AppendUint64(nil, epoch)
+		for _, sets := range [2][][]uint32{adds, retires} {
+			b = le.AppendUint32(b, uint32(len(sets)))
+			for _, e := range sets {
+				b = le.AppendUint32(b, uint32(len(e)))
+				for _, v := range e {
+					b = le.AppendUint32(b, v)
+				}
+			}
+		}
+		b = le.AppendUint32(b, uint32(len(qids)))
+		for _, id := range qids {
+			b = append(le.AppendUint64(b, id), make([]byte, 3*8)...) // zero counters
+		}
+		return b
 	}
-	if m.Epoch() != 2 || m.LiveEdges() != 3 {
-		t.Fatalf("state lost: epoch %d live %d", m.Epoch(), m.LiveEdges())
+	rows := []struct {
+		name string
+		rec  []byte
+		ok   bool
+	}{
+		{"well-formed", record(2, [][]uint32{fresh}, nil, 1, 2), true},
+		{"epoch gap", record(3, [][]uint32{fresh}, nil, 1, 2), false},
+		{"retire of a non-live edge", record(2, nil, [][]uint32{fresh}, 1, 2), false},
+		{"edge added twice", record(2, [][]uint32{fresh, fresh}, nil, 1, 2), false},
+		{"wrong query count", record(2, nil, nil, 1), false},
+		{"unknown query", record(2, nil, nil, 1, 9), false},
+		{"query named twice", record(2, nil, nil, 1, 1), false},
 	}
-	if _, base, recs := streamFiles(t, path); base.Epoch != 0 || len(recs) != 1 {
-		t.Fatalf("before the retry: base epoch %d, %d records; want batch 1's record alone", base.Epoch, len(recs))
-	}
-	nw.Heal()
-	if _, err := m.ApplyBatch(b2); !errors.Is(err, ErrStale) {
-		t.Fatalf("same-seq retry: %v, want ErrStale", err)
-	}
-	if _, base, recs := streamFiles(t, path); base.Epoch != 2 || len(recs) != 0 {
-		t.Fatalf("after the retry: base epoch %d, %d records", base.Epoch, len(recs))
-	}
-	loadEquivalent(t, m, path)
-	if _, err := m.ApplyBatch(Batch{Seq: 3, Add: [][]uint32{{3, 4}}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, recs := streamFiles(t, path); len(recs) != 1 {
-		t.Fatalf("batch after the heal: %d records, want 1", len(recs))
-	}
-	loadEquivalent(t, m, path)
-	if nw.Dropped() != 1 {
-		t.Fatalf("%d appends refused, want 1", nw.Dropped())
+	header := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, logFormat.Magic), logFormat.Version)
+	for _, r := range rows {
+		s, err := ReadFile(logWith(t, durable.AppendFrame(bytes.Clone(header), r.rec)))
+		switch {
+		case r.ok && (err != nil || s.Epoch != 2):
+			t.Errorf("%s: refused (%v)", r.name, err)
+		case !r.ok && !errors.Is(err, ErrCorrupt):
+			t.Errorf("%s: %v, want ErrCorrupt", r.name, err)
+		}
 	}
 }
 

@@ -14,17 +14,13 @@
 package stream
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
-	"ohminer/internal/dal"
 	"ohminer/internal/durable"
-	"ohminer/internal/hypergraph"
 	"ohminer/internal/pattern"
 )
 
@@ -85,11 +81,7 @@ func (s *Snapshot) Marshal() ([]byte, error) {
 		b = le.AppendUint64(b, v)
 	}
 	for _, e := range s.Edges {
-		b = le.AppendUint32(b, uint32(len(e.Verts)))
-		for _, v := range e.Verts {
-			b = le.AppendUint32(b, v)
-		}
-		b = le.AppendUint64(b, e.AddEpoch)
+		b = le.AppendUint64(appendVerts(b, e.Verts), e.AddEpoch)
 	}
 	for _, q := range s.Queries {
 		for _, v := range [...]uint64{q.ID, q.BaseEpoch, q.Base, q.CumAdded, q.CumRetired, q.EventSeq} {
@@ -113,12 +105,32 @@ func (s *Snapshot) encodedSize() int {
 	return n
 }
 
-// Encode writes the snapshot in OHMT framing with a single Write, so an
-// unbuffered destination (a file) sees one system call per snapshot.
-func (s *Snapshot) Encode(w io.Writer) error {
-	b, _ := s.Marshal()
-	_, err := w.Write(b)
-	return err
+// appendVerts appends one vertex set — u32 n, then n × u32 — the encoding
+// of a hyperedge in both the OHMT base and the OHML log records.
+func appendVerts(b []byte, e []uint32) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(e)))
+	for _, v := range e {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	return b
+}
+
+// readVerts reads one vertex set written by appendVerts. An empty set, one
+// of more than maxSnapEdgeLen vertices and one cut short are errors, which
+// both decoders report as ErrCorrupt.
+func readVerts(d *durable.Reader) ([]uint32, error) {
+	n, err := d.U32()
+	if err != nil {
+		return nil, fmt.Errorf("short vertex count: %v", err)
+	}
+	if n == 0 || n > maxSnapEdgeLen {
+		return nil, fmt.Errorf("vertex count %d out of range", n)
+	}
+	verts, err := d.U32s(n)
+	if err != nil {
+		return nil, fmt.Errorf("short vertex list: %v", err)
+	}
+	return verts, nil
 }
 
 func corruptf(format string, args ...interface{}) error {
@@ -158,16 +170,9 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		return nil, corruptf("query count %d exceeds limit", numQueries)
 	}
 	for i := uint64(0); i < numEdges; i++ {
-		n, err := d.U32()
+		verts, err := readVerts(d)
 		if err != nil {
-			return nil, corruptf("edge %d: short length: %v", i, err)
-		}
-		if n == 0 || n > maxSnapEdgeLen {
-			return nil, corruptf("edge %d: vertex count %d out of range", i, n)
-		}
-		verts, err := d.U32s(n)
-		if err != nil {
-			return nil, corruptf("edge %d: short vertex list: %v", i, err)
+			return nil, corruptf("edge %d: %v", i, err)
 		}
 		var ae [1]uint64
 		if err := d.U64s(ae[:]); err != nil {
@@ -256,10 +261,7 @@ func (s *Snapshot) Validate() error {
 		if p.Labeled() || p.EdgeLabeled() {
 			return corruptf("query %d: labeled pattern", i)
 		}
-		ck, ok := pattern.CanonicalKey(p)
-		if !ok {
-			ck = "lit:" + p.String()
-		}
+		ck := canonKey(p)
 		if canon[ck] {
 			return corruptf("query %d: duplicate canonical pattern", i)
 		}
@@ -273,16 +275,6 @@ func Unmarshal(b []byte) (*Snapshot, error) {
 	return Decode(bytes.NewReader(b))
 }
 
-// readBase loads and validates one OHMT file.
-func readBase(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Decode(bufio.NewReader(f))
-}
-
 // snapshotLocked captures the miner's durable state. Caller holds m.mu.
 func (m *Miner) snapshotLocked() *Snapshot {
 	s := &Snapshot{
@@ -290,32 +282,9 @@ func (m *Miner) snapshotLocked() *Snapshot {
 		Window:      m.cfg.Window,
 		Epoch:       m.epoch,
 		NextQID:     m.nextQID,
+		Edges:       m.liveEdges(),
 	}
-	// The vertex sets are copied (the snapshot outlives the lock) into one
-	// arena, sized up front so that no append reallocates under the
-	// sub-slices already handed out.
-	size := 0
-	for id, re := range m.retireEpoch {
-		if re == 0 {
-			size += m.h.Degree(uint32(id))
-		}
-	}
-	arena := make([]uint32, 0, size)
-	s.Edges = make([]SnapshotEdge, 0, m.live)
-	for id, re := range m.retireEpoch {
-		if re != 0 {
-			continue
-		}
-		at := len(arena)
-		arena = append(arena, m.h.EdgeVertices(uint32(id))...)
-		s.Edges = append(s.Edges, SnapshotEdge{Verts: arena[at:len(arena):len(arena)], AddEpoch: m.addEpoch[id]})
-	}
-	qids := make([]uint64, 0, len(m.queries))
-	for id := range m.queries {
-		qids = append(qids, id)
-	}
-	sortU64(qids)
-	for _, id := range qids {
+	for _, id := range m.queryIDs() {
 		q := m.queries[id]
 		s.Queries = append(s.Queries, SnapshotQuery{
 			ID: q.id, BaseEpoch: q.baseEpoch, Base: q.base,
@@ -326,12 +295,29 @@ func (m *Miner) snapshotLocked() *Snapshot {
 	return s
 }
 
-func sortU64(v []uint64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j-1] > v[j]; j-- {
-			v[j-1], v[j] = v[j], v[j-1]
+// liveEdges copies the live edges, in physical-ID order, with their add
+// epochs: the one walk behind snapshots, compaction and LiveEdgeSets. The
+// vertex sets share one arena, sized up front so that no append reallocates
+// under the sets already handed out, and each set's capacity ends at its
+// length. Caller holds m.mu.
+func (m *Miner) liveEdges() []SnapshotEdge {
+	size := 0
+	for id, re := range m.retireEpoch {
+		if re == 0 {
+			size += m.h.Degree(uint32(id))
 		}
 	}
+	arena := make([]uint32, 0, size)
+	edges := make([]SnapshotEdge, 0, m.live)
+	for id, re := range m.retireEpoch {
+		if re != 0 {
+			continue
+		}
+		at := len(arena)
+		arena = append(arena, m.h.EdgeVertices(uint32(id))...)
+		edges = append(edges, SnapshotEdge{Verts: arena[at:len(arena):len(arena)], AddEpoch: m.addEpoch[id]})
+	}
+	return edges
 }
 
 // SnapshotState captures the current durable state without writing it.
@@ -343,7 +329,7 @@ func (m *Miner) SnapshotState() *Snapshot {
 
 // Load reconstructs a miner from a snapshot. The snapshot's semantic fields
 // (vertex universe, window, epoch, query counters) override cfg's; cfg
-// supplies the runtime knobs (engine options, compaction, sink).
+// supplies the runtime knobs (engine options, sink).
 // Cumulative query totals continue exactly where the snapshot left them —
 // nothing is re-mined on load: baselines and deltas are durable state. With
 // cfg.Snapshot the miner starts compacted: the snapshot becomes the base
@@ -359,55 +345,17 @@ func Load(s *Snapshot, cfg Config) (*Miner, error) {
 		return nil, err
 	}
 	m.epoch = s.Epoch
-	m.nextQID = s.NextQID
-	if m.nextQID == 0 {
-		m.nextQID = 1
-	}
-	if len(s.Edges) > 0 {
-		edges := make([][]uint32, len(s.Edges))
-		for i, e := range s.Edges {
-			edges[i] = e.Verts
-		}
-		h, err := hypergraph.Build(cfg.NumVertices, edges, nil)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		if h.NumEdges() != len(edges) {
-			return nil, corruptf("edge log deduplicated on rebuild")
-		}
-		m.h = h
-		m.store = dal.Build(h)
-		m.addEpoch = make([]uint64, len(edges))
-		m.retireEpoch = make([]uint64, len(edges))
-		for i, e := range s.Edges {
-			m.addEpoch[i] = e.AddEpoch
-			m.index[edgeKey(e.Verts)] = uint32(i)
-		}
-		m.live = len(edges)
+	m.nextQID = max(s.NextQID, 1)
+	if err := m.rebuild(s.Edges); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	for _, sq := range s.Queries {
 		p, err := pattern.Parse(sq.Pattern)
 		if err != nil {
 			return nil, corruptf("query %d: bad pattern: %v", sq.ID, err)
 		}
-		canon, ok := pattern.CanonicalKey(p)
-		if !ok {
-			canon = "lit:" + p.String()
-		}
-		q := &query{
-			id:        sq.ID,
-			p:         p,
-			lit:       p.String(),
-			canon:     canon,
-			aut:       uint64(p.Automorphisms()),
-			baseEpoch: sq.BaseEpoch,
-			base:      sq.Base,
-			cumAdd:    sq.CumAdded,
-			cumRet:    sq.CumRetired,
-			seq:       sq.EventSeq,
-		}
-		m.queries[q.id] = q
-		m.byCanon[canon] = q.id
+		q := m.addQuery(sq.ID, p, canonKey(p), sq.BaseEpoch)
+		q.base, q.cumAdd, q.cumRet, q.seq = sq.Base, sq.CumAdded, sq.CumRetired, sq.EventSeq
 	}
 	if cfg.Snapshot != nil {
 		if err := m.rebase(); err != nil {

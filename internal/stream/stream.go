@@ -42,7 +42,7 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -68,16 +68,6 @@ type Config struct {
 	// explicitly retired.
 	Window uint64
 
-	// CompactFraction triggers a compaction — a rebuild of the physical
-	// hypergraph from live edges only, dropping retired garbage — when
-	// retired edges exceed this fraction of physical edges (and CompactMin).
-	// 0 selects the default 0.25; negative disables compaction.
-	CompactFraction float64
-
-	// CompactMin is the minimum number of retired edges before a compaction
-	// is considered (0 = default 64).
-	CompactMin int
-
 	// Engine templates the options for all query evaluation (Workers,
 	// Instrument). Run-shaping fields — Limit, OnEmbedding, UniqueOnly,
 	// PositionFilter, Checkpoint — are ignored: delta counting needs
@@ -91,6 +81,14 @@ type Config struct {
 	// (log.go).
 	Snapshot *FileSink
 }
+
+// A compaction — a rebuild of the physical hypergraph from live edges only,
+// dropping retired garbage — runs before a batch once at least compactMin
+// retired edges exceed compactFraction of the physical edges.
+const (
+	compactFraction = 0.25
+	compactMin      = 64
+)
 
 // Batch is one unit of stream input.
 type Batch struct {
@@ -184,11 +182,10 @@ var (
 )
 
 type query struct {
-	id    uint64
-	p     *pattern.Pattern
-	lit   string
-	canon string
-	aut   uint64
+	id  uint64
+	p   *pattern.Pattern
+	lit string
+	aut uint64
 	// anchorPlans[a] is the unrestricted plan of the delta runs anchored at
 	// pattern hyperedge a: position 0 is a, the rest is ordered by cost on
 	// the store. Compiled lazily, on the first batch that needs them.
@@ -248,6 +245,11 @@ type Miner struct {
 	byCanon map[string]uint64
 	nextQID uint64
 
+	// The compaction threshold: compactMin and compactFraction, which tests
+	// lower to force compaction or raise to forbid it.
+	compactMin      int
+	compactFraction float64
+
 	// The durable files (log.go), with Config.Snapshot: the open log, the
 	// size of the base it extends, and dirty, set when applied state did not
 	// reach them; stale replays re-attempt the write before confirming,
@@ -275,18 +277,14 @@ func newMiner(cfg Config) (*Miner, error) {
 	if cfg.NumVertices <= 0 {
 		return nil, errors.New("stream: NumVertices must be positive")
 	}
-	if cfg.CompactFraction == 0 {
-		cfg.CompactFraction = 0.25
-	}
-	if cfg.CompactMin == 0 {
-		cfg.CompactMin = 64
-	}
 	return &Miner{
-		cfg:     cfg,
-		index:   map[string]uint32{},
-		queries: map[uint64]*query{},
-		byCanon: map[string]uint64{},
-		nextQID: 1,
+		cfg:             cfg,
+		index:           map[string]uint32{},
+		queries:         map[uint64]*query{},
+		byCanon:         map[string]uint64{},
+		nextQID:         1,
+		compactMin:      compactMin,
+		compactFraction: compactFraction,
 	}, nil
 }
 
@@ -308,7 +306,7 @@ func normalize(raw []uint32, nv int) ([]uint32, error) {
 		return nil, errors.New("stream: empty hyperedge")
 	}
 	e := append([]uint32(nil), raw...)
-	sort.Slice(e, func(a, b int) bool { return e[a] < e[b] })
+	slices.Sort(e)
 	w := 1
 	for k := 1; k < len(e); k++ {
 		if e[k] != e[w-1] {
@@ -571,23 +569,18 @@ func (m *Miner) grow(newEdges [][]uint32, newKeys []string, t uint64) error {
 	if m.h == nil {
 		// First growth of an empty stream: Extend cannot invent the vertex
 		// universe, so bootstrap with a full build.
-		h, err := hypergraph.Build(m.cfg.NumVertices, newEdges, nil)
-		if err != nil {
-			return err
+		edges := make([]SnapshotEdge, len(newEdges))
+		for i, e := range newEdges {
+			edges[i] = SnapshotEdge{Verts: e, AddEpoch: t}
 		}
-		if h.NumEdges() != len(newEdges) {
-			return errors.New("stream: bootstrap build deduplicated edges")
-		}
-		m.h = h
-		m.store = dal.Build(h)
-	} else {
-		h, err := hypergraph.Extend(m.h, newEdges)
-		if err != nil {
-			return err
-		}
-		m.store = dal.BuildDelta(m.store, h)
-		m.h = h
+		return m.rebuild(edges)
 	}
+	h, err := hypergraph.Extend(m.h, newEdges)
+	if err != nil {
+		return err
+	}
+	m.store = dal.BuildDelta(m.store, h)
+	m.h = h
 	base := uint32(len(m.addEpoch))
 	for i, key := range newKeys {
 		m.index[key] = base + uint32(i)
@@ -607,12 +600,7 @@ func (m *Miner) evaluate(stats *engine.Stats) ([]Delta, error) {
 	if len(m.queries) == 0 {
 		return nil, nil
 	}
-	ids := make([]uint64, 0, len(m.queries))
-	for id := range m.queries {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
+	ids := m.queryIDs()
 	deltas := make([]Delta, 0, len(ids))
 	for _, id := range ids {
 		q := m.queries[id]
@@ -734,10 +722,7 @@ func (m *Miner) RegisterQuery(p *pattern.Pattern) (QueryInfo, error) {
 	if p.Labeled() || p.EdgeLabeled() {
 		return QueryInfo{}, errors.New("stream: labeled standing queries are not supported")
 	}
-	canon, ok := pattern.CanonicalKey(p)
-	if !ok {
-		canon = "lit:" + p.String()
-	}
+	canon := canonKey(p)
 	if id, dup := m.byCanon[canon]; dup {
 		info := m.queries[id].info()
 		info.Existing = true
@@ -750,17 +735,10 @@ func (m *Miner) RegisterQuery(p *pattern.Pattern) (QueryInfo, error) {
 		}
 		return info, nil
 	}
-	q := &query{
-		id:        m.nextQID,
-		p:         p,
-		lit:       p.String(),
-		canon:     canon,
-		aut:       uint64(p.Automorphisms()),
-		baseEpoch: m.epoch,
-	}
+	var base uint64
 	if m.store != nil {
 		// The baseline is one full run, in the order Mine would choose.
-		plan, err := engine.CompilePlan(m.store, q.p, m.planOpts())
+		plan, err := engine.CompilePlan(m.store, p, m.planOpts())
 		if err != nil {
 			return QueryInfo{}, err
 		}
@@ -768,10 +746,10 @@ func (m *Miner) RegisterQuery(p *pattern.Pattern) (QueryInfo, error) {
 		if err != nil {
 			return QueryInfo{}, err
 		}
-		q.base = res.Ordered
+		base = res.Ordered
 	}
-	m.queries[q.id] = q
-	m.byCanon[canon] = q.id
+	q := m.addQuery(m.nextQID, p, canon, m.epoch)
+	q.base = base
 	m.nextQID++
 	if m.cfg.Snapshot != nil {
 		if err := m.rebase(); err != nil {
@@ -781,16 +759,43 @@ func (m *Miner) RegisterQuery(p *pattern.Pattern) (QueryInfo, error) {
 	return q.info(), nil
 }
 
+// canonKey is the key isomorphic patterns share, so they share one standing
+// query.
+func canonKey(p *pattern.Pattern) string {
+	if k, ok := pattern.CanonicalKey(p); ok {
+		return k
+	}
+	return "lit:" + p.String()
+}
+
+// addQuery installs a standing query for p with zero counters.
+func (m *Miner) addQuery(id uint64, p *pattern.Pattern, canon string, baseEpoch uint64) *query {
+	q := &query{id: id, p: p, lit: p.String(), aut: uint64(p.Automorphisms()), baseEpoch: baseEpoch}
+	m.queries[id] = q
+	m.byCanon[canon] = id
+	return q
+}
+
 // Queries lists all standing queries in ID order.
 func (m *Miner) Queries() []QueryInfo {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]QueryInfo, 0, len(m.queries))
-	for _, q := range m.queries {
-		out = append(out, q.info())
+	for _, id := range m.queryIDs() {
+		out = append(out, m.queries[id].info())
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// queryIDs lists the standing queries' IDs in ascending order, the order of
+// deltas, snapshots and log records. Caller holds m.mu.
+func (m *Miner) queryIDs() []uint64 {
+	ids := make([]uint64, 0, len(m.queries))
+	for id := range m.queries {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // Query returns one standing query's info.
@@ -860,53 +865,53 @@ func (m *Miner) LatestDelta(p *pattern.Pattern) (Delta, error) {
 
 // shouldCompact reports whether retired garbage crossed the threshold.
 func (m *Miner) shouldCompact() bool {
-	if m.cfg.CompactFraction < 0 {
-		return false
-	}
 	garbage := len(m.retireEpoch) - m.live
-	return garbage >= m.cfg.CompactMin &&
-		float64(garbage) > m.cfg.CompactFraction*float64(len(m.retireEpoch))
+	return garbage >= m.compactMin && float64(garbage) > m.compactFraction*float64(len(m.retireEpoch))
 }
 
 // compact rebuilds the physical hypergraph from live edges only, remapping
 // physical IDs (relative order preserved) and invalidating latest-batch
-// marks.
+// marks. Cached query plans stay valid (IDs are runtime state, not plan
+// state).
 func (m *Miner) compact() error {
-	liveEdges := make([][]uint32, 0, m.live)
-	addE := make([]uint64, 0, m.live)
-	for id := range m.retireEpoch {
-		if m.retireEpoch[id] == 0 {
-			liveEdges = append(liveEdges, append([]uint32(nil), m.h.EdgeVertices(uint32(id))...))
-			addE = append(addE, m.addEpoch[id])
-		}
+	if err := m.rebuild(m.liveEdges()); err != nil {
+		return err
 	}
-	m.index = make(map[string]uint32, len(liveEdges))
-	if len(liveEdges) == 0 {
-		m.h = nil
-		m.store = nil
-		m.addEpoch = nil
-		m.retireEpoch = nil
-	} else {
-		h, err := hypergraph.Build(m.cfg.NumVertices, liveEdges, nil)
-		if err != nil {
-			return err
-		}
-		if h.NumEdges() != len(liveEdges) {
-			return errors.New("stream: compaction changed the live edge count")
-		}
-		m.h = h
-		m.store = dal.Build(h)
-		m.addEpoch = addE
-		m.retireEpoch = make([]uint64, len(liveEdges))
-		for id, e := range liveEdges {
-			m.index[edgeKey(e)] = uint32(id)
-		}
-	}
-	m.live = len(liveEdges)
 	m.haveLast = false
 	m.addedIDs, m.retiredIDs = nil, nil
 	m.lastAdded, m.lastRetired = nil, nil
-	// Cached query plans stay valid (IDs are runtime state, not plan state).
+	return nil
+}
+
+// rebuild makes edges, in order and all live, the whole physical state: the
+// hypergraph, its DAL, the vertex-set index and the epochs. It is the one
+// full build, shared by Load, compaction and an empty stream's first growth;
+// on error the miner is left as it was.
+func (m *Miner) rebuild(edges []SnapshotEdge) error {
+	var h *hypergraph.Hypergraph
+	var store *dal.Store
+	if len(edges) > 0 {
+		sets := make([][]uint32, len(edges))
+		for i, e := range edges {
+			sets[i] = e.Verts
+		}
+		var err error
+		if h, err = hypergraph.Build(m.cfg.NumVertices, sets, nil); err != nil {
+			return err
+		}
+		if h.NumEdges() != len(sets) {
+			return errors.New("stream: rebuild deduplicated edges")
+		}
+		store = dal.Build(h)
+	}
+	m.h, m.store = h, store
+	m.index = make(map[string]uint32, len(edges))
+	m.addEpoch, m.retireEpoch = make([]uint64, len(edges)), make([]uint64, len(edges))
+	for i, e := range edges {
+		m.addEpoch[i] = e.AddEpoch
+		m.index[edgeKey(e.Verts)] = uint32(i)
+	}
+	m.live = len(edges)
 	return nil
 }
 
@@ -954,11 +959,10 @@ func (m *Miner) Store() *dal.Store {
 func (m *Miner) LiveEdgeSets() [][]uint32 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([][]uint32, 0, m.live)
-	for id := range m.retireEpoch {
-		if m.retireEpoch[id] == 0 {
-			out = append(out, append([]uint32(nil), m.h.EdgeVertices(uint32(id))...))
-		}
+	edges := m.liveEdges()
+	out := make([][]uint32, len(edges))
+	for i, e := range edges {
+		out[i] = e.Verts
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -264,13 +265,20 @@ func TestRebuildMatchesIncremental(t *testing.T) {
 	}
 }
 
+// forceCompaction lowers m's threshold so that almost any garbage compacts.
+func forceCompaction(m *Miner) { m.compactMin, m.compactFraction = 1, 0.01 }
+
+// forbidCompaction raises m's threshold beyond any garbage count.
+func forbidCompaction(m *Miner) { m.compactMin = math.MaxInt }
+
 // TestCompaction: aggressive thresholds trigger compaction; counts are
 // unaffected and garbage is reclaimed.
 func TestCompaction(t *testing.T) {
-	m, err := NewMiner(Config{NumVertices: 14, CompactFraction: 0.01, CompactMin: 1})
+	m, err := NewMiner(Config{NumVertices: 14})
 	if err != nil {
 		t.Fatal(err)
 	}
+	forceCompaction(m)
 	p := pattern.MustNew([][]uint32{{0, 1}, {1, 2}}, nil)
 	if _, err := m.RegisterQuery(p); err != nil {
 		t.Fatal(err)
