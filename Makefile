@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPlanVerify -fuzztime 30s ./internal/engine
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/stream
 	$(GO) test -fuzz FuzzStreamLogReplay -fuzztime 30s ./internal/stream
+	$(GO) test -fuzz FuzzStreamDelta -fuzztime 30s ./internal/stream
 	$(GO) test -fuzz FuzzCheckpointDecode -fuzztime 30s ./internal/checkpoint
 	$(GO) test -fuzz FuzzLogScan -fuzztime 30s ./internal/durable
 

@@ -74,10 +74,11 @@ type Options struct {
 	// CompilePlan); MineWithPlan follows the plan it is given.
 	NoSymmetryBreak bool
 	// PositionFilter, when set, restricts which data hyperedge may bind to
-	// each matching-order position (anchored enumeration; used by the
-	// incremental miner to count embeddings touching newly inserted
-	// hyperedges exactly once).
-	PositionFilter func(pos int, edge uint32) bool
+	// each matching-order position, given the anchor: the hyperedge bound at
+	// position 0 (the edge itself at position 0). Anchored enumeration; the
+	// stream miner uses it to count each embedding that touches a changed
+	// hyperedge in exactly one run.
+	PositionFilter func(pos int, edge, anchor uint32) bool
 	// Checkpoint, when set, makes the run crash-safe: on the CheckpointEvery
 	// timer — and on every final stop (the context done, or the limit) — the
 	// driver quiesces the workers at their per-candidate stop check,
@@ -643,7 +644,7 @@ func admitFirst(store *dal.Store, plan *oig.Plan, opts Options, cands []uint32) 
 		if plan.Labeled && !sig.HistogramMatches(h.Labels(), h.EdgeVertices(c), st.EdgeLabels, scratch) {
 			continue
 		}
-		if f := opts.PositionFilter; f != nil && !f(0, c) {
+		if f := opts.PositionFilter; f != nil && !f(0, c, c) {
 			continue
 		}
 		out = append(out, c)

@@ -199,7 +199,7 @@ func TestLeafRefusedFormsFallBack(t *testing.T) {
 	calls := uint64(0)
 	for _, opts := range []Options{
 		{Workers: 1, NoSymmetryBreak: true, OnEmbedding: func([]uint32) { calls++ }},
-		{Workers: 1, PositionFilter: func(int, uint32) bool { return true }},
+		{Workers: 1, PositionFilter: func(int, uint32, uint32) bool { return true }},
 	} {
 		res, err := Mine(store, p, opts)
 		if err != nil {

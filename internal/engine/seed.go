@@ -34,7 +34,8 @@ func CompilePlan(store *dal.Store, p *pattern.Pattern, opts Options) (*oig.Plan,
 // CompilePlanOrdered is CompilePlan with the matching order given by the
 // caller (order[i] = index of the pattern hyperedge matched at position i).
 // The streaming miner compiles its anchor-first delta plans through it, in
-// oig.ChooseOrder's order with position 0 fixed at the anchor.
+// oig.ChooseOrder's order with position 0 fixed at an automorphism orbit's
+// smallest member.
 func CompilePlanOrdered(p *pattern.Pattern, order []int, opts Options) (*oig.Plan, error) {
 	return oig.CompileWith(p, oig.ModeMerged, oig.CompileOptions{
 		Order: order,

@@ -350,7 +350,7 @@ next:
 				continue next
 			}
 		}
-		if f != nil && !f(t, c) {
+		if f != nil && !f(t, c, w.c[0]) {
 			continue
 		}
 		if st.EdgeLabel >= 0 && (!h.EdgeLabeled() || int64(h.EdgeLabel(c)) != st.EdgeLabel) {

@@ -11,10 +11,12 @@ import (
 	"ohminer/internal/pattern"
 )
 
-// asymmetricPatterns are mixed-degree patterns on whose anchor plans the
-// matching-order position and the original hyperedge index of a hyperedge
-// fall on different sides of the anchor (checkAnchorOrders) — where a filter
-// deciding by position instead of by original index would miscount.
+// asymmetricPatterns are mixed-degree patterns with few automorphisms: the
+// first has none, so each side of a delta makes one anchored run per
+// hyperedge; the second's 4 hyperedges form 3 orbits, the third's 2.
+// Their anchor plans bind hyperedges at positions other than their indices
+// (checkAnchorOrders), and an embedding's smallest changed edge ID may sit
+// at any of its positions.
 func asymmetricPatterns() []*pattern.Pattern {
 	return []*pattern.Pattern{
 		pattern.MustNew([][]uint32{{0, 1, 2}, {2, 3}, {3, 4}}, nil),
@@ -23,28 +25,66 @@ func asymmetricPatterns() []*pattern.Pattern {
 	}
 }
 
+// symmetricPatterns have automorphisms and, but for the 4-cycle, more than
+// one orbit: the 3-path's ends and middle, and the bowtie's four spokes and
+// two rims. Each orbit's run is weighted by its size.
+func symmetricPatterns() []*pattern.Pattern {
+	return []*pattern.Pattern{
+		pattern.MustNew([][]uint32{{0, 1}, {1, 2}, {2, 3}}, nil),                         // 3-path
+		pattern.MustNew([][]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 0}}, nil),                 // 4-cycle
+		pattern.MustNew([][]uint32{{0, 1}, {1, 2}, {2, 0}, {0, 3}, {3, 4}, {4, 0}}, nil), // bowtie
+	}
+}
+
+// plantedSymmetric is a bowtie centred at vertex 5 and a 4-cycle on 10–13,
+// of pairs the nearby generator may also draw.
+var plantedSymmetric = [][]uint32{
+	{5, 6}, {6, 7}, {5, 7}, {3, 5}, {3, 4}, {4, 5},
+	{10, 11}, {11, 13}, {12, 13}, {10, 12},
+}
+
 // checkAnchorOrders checks the anchor plans m compiled for its standing
-// queries: plan a starts at hyperedge a, and for every query some anchor a
-// and position pos fall on different sides of a, pos < a against Order[pos] <
-// a, so that a filter deciding by position instead of by original index would
-// miscount on them. Position 0 of any anchor a > 0 is such a place.
+// queries against the partition by smallest changed edge ID: one plan per
+// automorphism orbit, whose position 0 is the orbit's smallest member and
+// whose weight is the orbit's size, the weights summing to the pattern's
+// hyperedge count. Where a query has more than one orbit, some plan binds a
+// hyperedge at a position other than its index: the filters read neither,
+// so the runs must count alike whatever their matching orders are.
 func checkAnchorOrders(t *testing.T, m *Miner) {
 	t.Helper()
 	for _, q := range m.queries {
 		if q.anchorPlans == nil {
 			t.Fatalf("%s: no anchor plans compiled", q.lit)
 		}
+		perms := q.p.AutomorphismPerms()
+		covered := make([]bool, q.p.NumEdges())
+		var sum uint64
 		differ := false
-		for a, plan := range q.anchorPlans {
-			if plan.Order[0] != a {
-				t.Fatalf("%s: the plan anchored at %d has order %v", q.lit, a, plan.Order)
+		for _, ap := range q.anchorPlans {
+			r := ap.plan.Order[0]
+			orbit := map[int]bool{}
+			for _, perm := range perms {
+				orbit[perm[r]] = true
 			}
-			for pos, orig := range plan.Order {
-				differ = differ || (pos < a) != (orig < a)
+			for j := range orbit {
+				if j < r || covered[j] {
+					t.Fatalf("%s: the plan anchored at %d is not its orbit's only plan at its smallest member (%d)", q.lit, r, j)
+				}
+				covered[j] = true
+			}
+			if ap.weight != uint64(len(orbit)) {
+				t.Fatalf("%s: the plan anchored at %d weighs %d, its orbit holds %d", q.lit, r, ap.weight, len(orbit))
+			}
+			sum += ap.weight
+			for pos, orig := range ap.plan.Order {
+				differ = differ || pos != orig
 			}
 		}
-		if !differ {
-			t.Fatalf("%s: every anchor plan keeps each hyperedge's position on the side of the anchor its index is on", q.lit)
+		if sum != uint64(q.p.NumEdges()) {
+			t.Fatalf("%s: weights sum to %d, want %d", q.lit, sum, q.p.NumEdges())
+		}
+		if len(q.anchorPlans) > 1 && !differ {
+			t.Fatalf("%s: every anchor plan binds each hyperedge at its own index", q.lit)
 		}
 	}
 }
@@ -80,14 +120,16 @@ func checkTotals(t *testing.T, m *Miner, nv int, pats []*pattern.Pattern, res *B
 }
 
 // TestDeltaExactWhereOrdersDiffer: streamed totals equal a from-scratch mine
-// after every batch on patterns whose anchor plans put hyperedges at positions
-// that differ from their indices (checkAnchorOrders), over add-only, add+retire, READD coinciding with window expiry
-// and the first batch after a compaction; LatestDelta for a pattern that is
-// not registered agrees with the difference of two from-scratch mines.
+// after every batch on asymmetric patterns, whose anchor plans put
+// hyperedges at positions that differ from their indices, and on symmetric
+// ones with weighted orbit runs (checkAnchorOrders), over add-only,
+// add+retire, READD coinciding with window expiry and the first batch after
+// a compaction; LatestDelta for a pattern that is not registered agrees with
+// the difference of two from-scratch mines.
 func TestDeltaExactWhereOrdersDiffer(t *testing.T) {
 	const nv = 16
 	opts := engine.Options{Workers: 2}
-	pats := asymmetricPatterns()
+	pats := append(asymmetricPatterns(), symmetricPatterns()...)
 	adhoc := pattern.MustNew([][]uint32{{0, 1, 2}, {2, 3}, {2, 4}}, nil)
 
 	scenarios := []struct {
@@ -129,6 +171,12 @@ func TestDeltaExactWhereOrdersDiffer(t *testing.T) {
 					live := m.LiveEdgeSets()
 					rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
 					batch.Retire = live[:min(2, len(live))]
+				}
+				if b == 1 {
+					// Nearby pairs rarely close a bowtie or a 4-cycle: add one
+					// of each whole, so that one batch changes several edges of
+					// one embedding.
+					batch.Add = append(batch.Add, plantedSymmetric...)
 				}
 				if sc.cfg.Window > 0 {
 					// Retire and re-add, in the batch they are due to expire
@@ -217,6 +265,70 @@ func TestDeltaInvariantUnderRelabelling(t *testing.T) {
 					b, p, perm, got.Added, got.Retired, want.Added, want.Retired)
 			}
 		}
+	}
+}
+
+// TestDeltaOrbitRuns: a batch makes one anchored run per automorphism orbit
+// on each side of its delta that changed an edge — one for the fully
+// symmetric 2-chain, triangle and 3-star, m for a pattern of m hyperedges
+// without automorphisms — and the orbit weights sum to m.
+func TestDeltaOrbitRuns(t *testing.T) {
+	const nv = 16
+	cases := []struct {
+		lit    string
+		orbits int
+	}{
+		{"0 1; 1 2", 1},
+		{"0 1; 1 2; 2 0", 1},
+		{"0 1; 0 2; 0 3", 1},
+		{"0 1; 1 2; 2 3", 2},
+		{"0 1; 1 2 3; 3 4; 4 0", 3},
+		{"0 1 2; 2 3; 3 4", 3},
+		{"0 1 2; 2 3; 3 4 5; 5 6", 4},
+	}
+	for _, tc := range cases {
+		p, err := pattern.Parse(tc.lit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMiner(Config{NumVertices: nv, Engine: engine.Options{Workers: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		if _, err := m.ApplyBatch(Batch{Add: nearbyRaw(rng, nv, 20)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.RegisterQuery(p); err != nil {
+			t.Fatal(err)
+		}
+		for _, step := range []struct {
+			name  string
+			batch func() Batch
+			sides int
+		}{
+			{"add", func() Batch { return Batch{Add: nearbyRaw(rng, nv, 4)} }, 1},
+			{"add+retire", func() Batch { return Batch{Add: nearbyRaw(rng, nv, 4), Retire: m.LiveEdgeSets()[:3]} }, 2},
+			{"retire", func() Batch { return Batch{Retire: m.LiveEdgeSets()[:3]} }, 1},
+		} {
+			before := m.runs
+			res, err := m.ApplyBatch(step.batch())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := m.runs-before, step.sides*tc.orbits; got != want {
+				t.Errorf("%s, %s batch: %d anchored runs, want %d", tc.lit, step.name, got, want)
+			}
+			checkTotals(t, m, nv, []*pattern.Pattern{p}, res, engine.Options{Workers: 1})
+		}
+		var sum uint64
+		for _, ap := range m.queries[1].anchorPlans {
+			sum += ap.weight
+		}
+		if sum != uint64(p.NumEdges()) {
+			t.Errorf("%s: orbit weights sum to %d, want %d", tc.lit, sum, p.NumEdges())
+		}
+		checkAnchorOrders(t, m)
 	}
 }
 

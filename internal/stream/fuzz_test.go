@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"ohminer/internal/engine"
 	"ohminer/internal/pattern"
 )
 
@@ -113,6 +114,114 @@ func FuzzStreamLogReplay(f *testing.F) {
 		}
 		if enc2, _ := s2.Marshal(); !bytes.Equal(enc, enc2) {
 			t.Fatal("Marshal → Unmarshal → Marshal changed the bytes")
+		}
+	})
+}
+
+// fuzzDeltaPatterns are FuzzStreamDelta's standing queries: fully symmetric
+// ones (one orbit), symmetric ones with several orbits, and patterns with
+// few or no automorphisms.
+var fuzzDeltaPatterns = []string{
+	"0 1; 1 2",
+	"0 1; 1 2; 2 0",
+	"0 1; 0 2; 0 3",
+	"0 1; 1 2; 2 3",
+	"0 1; 1 2; 2 3; 3 0",
+	"0 1 2; 2 3; 3 4",
+	"0 1; 1 2 3; 3 4; 4 0",
+	"0 1 2; 2 3; 3 4 5; 5 6",
+}
+
+// FuzzStreamDelta reads the fuzz bytes as a script: a pattern from
+// fuzzDeltaPatterns, a window of 0–3 batches, whether compaction is forced,
+// then up to 10 batches over 12 vertices, each an add, a retire, a re-add
+// (retire and add of a live edge, plus an add of an edge seen before) or an
+// empty batch that only moves the window. After every batch the query's
+// streamed total must equal TotalCount, and each side of the delta must be
+// its unique count times |Aut|.
+func FuzzStreamDelta(f *testing.F) {
+	// A 2-chain: add {5,6}; add both edges of one embedding; retire them.
+	f.Add([]byte{0, 0, 0, 0, 5, 6, 4, 0, 0, 1, 0, 1, 2, 5, 1, 2})
+	f.Add([]byte{0, 0, 0x0c, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 0, 2, 3, 0x0c, 4, 5, 6, 7, 8, 9, 3})
+	f.Add([]byte{1, 2, 0x0c, 0, 1, 1, 2, 0, 2, 2, 0, 1, 4, 3, 3, 0x08, 5, 6, 2, 7, 5, 1, 1, 9, 3, 3})
+	f.Add([]byte{4, 5, 0x0c, 0, 1, 1, 2, 2, 3, 3, 0, 0x06, 2, 4, 0x09, 0, 0x0e, 1, 3, 5, 6, 8, 1, 1, 2, 3})
+	f.Add([]byte{6, 1, 0x0c, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 0x05, 1, 2, 0x02, 3, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const nv = 12
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := int(data[0])
+			data = data[1:]
+			return b
+		}
+		p, err := pattern.Parse(fuzzDeltaPatterns[next()%len(fuzzDeltaPatterns)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		flags := next()
+		m, err := NewMiner(Config{NumVertices: nv, Window: uint64(flags % 4), Engine: engine.Options{Workers: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flags&4 != 0 {
+			forceCompaction(m)
+		}
+		aut := uint64(p.Automorphisms())
+		var ever [][]uint32
+		edge := func() []uint32 {
+			e := make([]uint32, 2+next()%2)
+			for i := range e {
+				e[i] = uint32(next() % nv)
+			}
+			ever = append(ever, e)
+			return e
+		}
+		pick := func(from [][]uint32) []uint32 { return from[next()%len(from)] }
+		for b := 0; b < 10 && len(data) > 0; b++ {
+			op := next()
+			var batch Batch
+			live := m.LiveEdgeSets()
+			switch n := 1 + (op>>2)%4; op % 4 {
+			case 0:
+				for range n {
+					batch.Add = append(batch.Add, edge())
+				}
+			case 1:
+				for i := 0; i < n && len(live) > 0; i++ {
+					batch.Retire = append(batch.Retire, pick(live))
+				}
+			case 2:
+				if len(live) > 0 {
+					e := pick(live)
+					batch.Retire, batch.Add = [][]uint32{e}, [][]uint32{e}
+				}
+				if len(ever) > 0 {
+					batch.Add = append(batch.Add, pick(ever))
+				}
+			}
+			res, err := m.ApplyBatch(batch)
+			if err != nil {
+				t.Fatalf("batch %d %+v: %v", b, batch, err)
+			}
+			if b == 0 {
+				if _, err := m.RegisterQuery(p); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			d := res.Deltas[0]
+			want, err := m.TotalCount(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Total != want.Ordered {
+				t.Fatalf("batch %d, %s: streamed total %d (+%d −%d), TotalCount %d", b, p, d.Total, d.Added, d.Retired, want.Ordered)
+			}
+			if d.Added != d.AddedUnique*aut || d.Retired != d.RetiredUnique*aut {
+				t.Fatalf("batch %d, %s: +%d −%d is not a multiple of |Aut| = %d", b, p, d.Added, d.Retired, aut)
+			}
 		}
 	})
 }

@@ -19,20 +19,21 @@
 //	added(t)   = embeddings of graph(t) using ≥1 edge added at t
 //	retired(t) = embeddings of graph(t−1) using ≥1 edge retired at t
 //
-// each by anchoring on the first pattern hyperedge (in the order the pattern
-// was written) that binds a changed edge, so every embedding is counted
-// exactly once and
+// each by anchoring on the embedding's smallest changed data-hyperedge ID:
+// one run per automorphism orbit O of the pattern's hyperedges, in which
+// O's smallest member binds that edge, weighted by |O|. The weighted runs
+// count each embedding that touches a change |Aut| times, once per
+// ordering, as a full unrestricted mine would, so
 //
 //	total(t) = total(t−1) + added(t) − retired(t)
 //
 // holds exactly (differential-tested against a from-scratch TotalCount in
-// stream_test.go). The run for anchor a uses a plan whose matching order
-// starts at a and is seeded with the batch's changed edges, so its cost
-// follows their neighbourhoods, not the live graph (docs/STREAMING.md,
-// "Delta evaluation"). Both classes need every ordered tuple visible, so
-// query plans are compiled without symmetry-breaking restrictions; unique
-// counts divide by the automorphism count, exact because the runs are
-// complete.
+// stream_test.go). An orbit's run uses a plan whose matching order starts at
+// its smallest member and is seeded with the batch's changed edges, so its
+// cost follows their neighbourhoods, not the live graph (docs/STREAMING.md,
+// "Delta evaluation"). The runs need every ordered tuple visible, so anchor
+// plans are compiled without symmetry-breaking restrictions; counts are
+// ordered, and unique counts divide by the automorphism count.
 //
 // Batches are fully validated before any state is touched: a rejected
 // batch leaves the miner exactly as it was (the internal/dynamic
@@ -142,8 +143,8 @@ type Delta struct {
 	Seq uint64 `json:"seq"`
 	// Added/Retired count ordered embedding tuples entering/leaving the
 	// match set this batch; the Unique variants divide by the pattern's
-	// automorphism count (exact: anchored runs are complete, and "touches a
-	// changed edge" is an orbit-invariant property).
+	// automorphism count (exact: the orbit-weighted anchored runs count each
+	// embedding once per automorphism).
 	Added         uint64 `json:"added"`
 	Retired       uint64 `json:"retired"`
 	AddedUnique   uint64 `json:"added_unique"`
@@ -186,15 +187,23 @@ type query struct {
 	p   *pattern.Pattern
 	lit string
 	aut uint64
-	// anchorPlans[a] is the unrestricted plan of the delta runs anchored at
-	// pattern hyperedge a: position 0 is a, the rest is ordered by cost on
-	// the store. Compiled lazily, on the first batch that needs them.
-	anchorPlans []*oig.Plan
+	// anchorPlans holds one anchored run per automorphism orbit of the
+	// pattern's hyperedges. Compiled lazily, on the first batch that needs
+	// them.
+	anchorPlans []anchorPlan
 	baseEpoch   uint64
 	base        uint64 // ordered count at registration
 	cumAdd      uint64
 	cumRet      uint64
 	seq         uint64
+}
+
+// anchorPlan is the delta run of one orbit O: an unrestricted plan whose
+// position 0 is O's smallest member and the rest is ordered by cost on the
+// store, and |O|, the weight of its count.
+type anchorPlan struct {
+	plan   *oig.Plan
+	weight uint64
 }
 
 func (q *query) total() uint64  { return q.base + q.cumAdd - q.cumRet }
@@ -257,6 +266,9 @@ type Miner struct {
 	log      *durable.Log
 	baseSize int64
 	dirty    bool
+
+	// runs counts the anchored engine runs made so far.
+	runs int
 }
 
 // NewMiner creates an empty stream at epoch 0. With Config.Snapshot it
@@ -323,7 +335,7 @@ func normalize(raw []uint32, nv int) ([]uint32, error) {
 
 // mineOpts derives engine options from the config template, clearing the
 // run-shaping fields the miner must own.
-func (m *Miner) mineOpts(filter func(int, uint32) bool) engine.Options {
+func (m *Miner) mineOpts(filter func(pos int, edge, anchor uint32) bool) engine.Options {
 	o := m.cfg.Engine
 	o.Limit = 0
 	o.OnEmbedding = nil
@@ -337,31 +349,47 @@ func (m *Miner) mineOpts(filter func(int, uint32) bool) engine.Options {
 	return o
 }
 
-// planOpts are the options every query plan is compiled with: unrestricted,
-// because anchored counting must see every ordered tuple.
-func (m *Miner) planOpts() engine.Options {
-	o := m.mineOpts(nil)
-	o.NoSymmetryBreak = true
-	return o
-}
-
-// ensureAnchorPlans lazily compiles q's anchor-first plans, each in the order
-// oig.ChooseOrder picks on the current store with position 0 fixed at the
-// anchor (plans carry only pattern semantics, so a plan compiled once stays
-// correct as the store evolves).
+// ensureAnchorPlans lazily compiles q's anchor-first plans, one per orbit,
+// each in the order oig.ChooseOrder picks on the current store with position
+// 0 fixed at the orbit's smallest member (plans carry only pattern
+// semantics, so a plan compiled once stays correct as the store evolves).
 func (m *Miner) ensureAnchorPlans(q *query) error {
 	if q.anchorPlans != nil {
 		return nil
 	}
-	o, plans := m.planOpts(), make([]*oig.Plan, q.p.NumEdges())
-	for a := range plans {
-		var err error
-		if plans[a], err = engine.CompilePlanOrdered(q.p, oig.ChooseOrder(m.store, q.p, a), o); err != nil {
+	reps, sizes := orbits(q.p)
+	plans := make([]anchorPlan, len(reps))
+	for i, r := range reps {
+		// Unrestricted: anchored counting must see every ordered tuple.
+		plan, err := engine.CompilePlanOrdered(q.p, oig.ChooseOrder(m.store, q.p, r), engine.Options{NoSymmetryBreak: true})
+		if err != nil {
 			return err
 		}
+		plans[i] = anchorPlan{plan: plan, weight: uint64(sizes[i])}
 	}
 	q.anchorPlans = plans
 	return nil
+}
+
+// orbits partitions p's hyperedges into orbits under its automorphisms and
+// returns each orbit's smallest member, ascending, with the orbit's size.
+func orbits(p *pattern.Pattern) (reps, sizes []int) {
+	perms := p.AutomorphismPerms()
+	seen := make([]bool, p.NumEdges())
+	for i := range seen {
+		if seen[i] {
+			continue
+		}
+		n := 0
+		for _, perm := range perms {
+			if j := perm[i]; !seen[j] {
+				seen[j] = true
+				n++
+			}
+		}
+		reps, sizes = append(reps, i), append(sizes, n)
+	}
+	return reps, sizes
 }
 
 // applyPlan is the fully validated mutation plan for one batch, computed
@@ -631,81 +659,86 @@ func (m *Miner) evaluate(stats *engine.Stats) ([]Delta, error) {
 // latestDelta counts q's added(t) and retired(t) for the latest batch.
 // The runs' engine counters are added to stats.
 func (m *Miner) latestDelta(q *query, stats *engine.Stats) (added, retired uint64, err error) {
-	if added, err = m.anchored(q, m.addedIDs, m.addFilter, stats); err != nil {
+	if added, err = m.anchored(q, m.addedIDs, m.addFilter(), stats); err != nil {
 		return 0, 0, err
 	}
-	retired, err = m.anchored(q, m.retiredIDs, m.retireFilter, stats)
+	retired, err = m.anchored(q, m.retiredIDs, m.retireFilter(), stats)
 	return added, retired, err
 }
 
-// The anchored filter families. The anchor of an embedding is the first
-// pattern hyperedge — by original index, order[pos], one fixed total order
-// whatever each plan's matching order is — bound to a changed edge, so the
-// runs over all anchors partition the embeddings that touch a change.
+// The anchored filters. An embedding that touches a change is counted in
+// the run of the orbit that holds the pattern hyperedge bound to its
+// smallest changed data-hyperedge ID: position 0 binds that edge, the
+// anchor, and no other position binds a changed edge with a smaller ID.
 
-// addFilter is the anchored filter family for added(t): hyperedges before
-// the anchor bind unchanged live edges, the anchor binds an edge added this
-// batch, later ones bind any live edge.
-func (m *Miner) addFilter(order []int, anchor int) func(int, uint32) bool {
+// addFilter is the anchored filter for added(t): the anchor is an edge
+// added this batch, every other position a live edge that is not an added
+// edge with a smaller ID.
+func (m *Miner) addFilter() func(int, uint32, uint32) bool {
 	live, added := m.retireEpoch, m.lastAdded
-	return func(pos int, e uint32) bool {
-		switch orig := order[pos]; {
-		case orig < anchor:
-			return live[e] == 0 && !added[e]
-		case orig == anchor:
+	return func(pos int, e, anchor uint32) bool {
+		switch {
+		case pos == 0:
 			return added[e]
+		case added[e]:
+			return e > anchor
 		default:
 			return live[e] == 0
 		}
 	}
 }
 
-// retireFilter is the anchored filter family for retired(t): it enumerates
+// retireFilter is the anchored filter for retired(t): it enumerates
 // embeddings of graph(t−1) — survivors plus this batch's retirees — whose
-// anchor binds an edge retired this batch.
-func (m *Miner) retireFilter(order []int, anchor int) func(int, uint32) bool {
+// anchor is an edge retired this batch and whose other positions bind no
+// retiree with a smaller ID.
+func (m *Miner) retireFilter() func(int, uint32, uint32) bool {
 	live, added, retired := m.retireEpoch, m.lastAdded, m.lastRetired
-	return func(pos int, e uint32) bool {
-		survivor := live[e] == 0 && !added[e]
-		switch orig := order[pos]; {
-		case orig < anchor:
-			return survivor
-		case orig == anchor:
+	return func(pos int, e, anchor uint32) bool {
+		switch {
+		case pos == 0:
 			return retired[e]
+		case retired[e]:
+			return e > anchor
 		default:
-			return survivor || retired[e]
+			return live[e] == 0 && !added[e]
 		}
 	}
 }
 
-// anchored sums one complete enumeration per anchor hyperedge, each on the
-// anchor's own plan and seeded at position 0 with the changed edges.
-func (m *Miner) anchored(q *query, changed []uint32, family func(order []int, anchor int) func(int, uint32) bool, stats *engine.Stats) (uint64, error) {
+// anchored sums, over q's orbits, the orbit's weight times one complete
+// enumeration on its plan, seeded at position 0 with the changed edges.
+// Each unordered embedding's minimum changed edge lies in one orbit O, and
+// |Aut|/|O| of its orderings bind it at O's plan's position 0, so the sum is
+// the ordered count of the embeddings that touch a change.
+func (m *Miner) anchored(q *query, changed []uint32, filter func(int, uint32, uint32) bool, stats *engine.Stats) (uint64, error) {
 	if len(changed) == 0 {
 		return 0, nil
 	}
 	if err := m.ensureAnchorPlans(q); err != nil {
 		return 0, err
 	}
+	opts := m.mineOpts(filter)
 	var sum uint64
-	for a, plan := range q.anchorPlans {
-		res, err := engine.MineSeeded(m.store, plan, changed, m.mineOpts(family(plan.Order, a)))
+	for _, ap := range q.anchorPlans {
+		res, err := engine.MineSeeded(m.store, ap.plan, changed, opts)
 		if err != nil {
 			return 0, err
 		}
-		sum += res.Ordered
+		m.runs++
+		sum += ap.weight * res.Ordered
 		stats.Add(res.Stats)
 	}
 	return sum, nil
 }
 
 // liveFilter masks retired physical edges out of a full mine.
-func (m *Miner) liveFilter() func(int, uint32) bool {
+func (m *Miner) liveFilter() func(int, uint32, uint32) bool {
 	if m.live == len(m.retireEpoch) {
 		return nil // no garbage: unmasked mining is exact
 	}
 	live := m.retireEpoch
-	return func(_ int, e uint32) bool { return live[e] == 0 }
+	return func(_ int, e, _ uint32) bool { return live[e] == 0 }
 }
 
 // RegisterQuery registers a standing pattern query. Isomorphic patterns
@@ -737,12 +770,9 @@ func (m *Miner) RegisterQuery(p *pattern.Pattern) (QueryInfo, error) {
 	}
 	var base uint64
 	if m.store != nil {
-		// The baseline is one full run, in the order Mine would choose.
-		plan, err := engine.CompilePlan(m.store, p, m.planOpts())
-		if err != nil {
-			return QueryInfo{}, err
-		}
-		res, err := engine.MineWithPlan(m.store, plan, m.mineOpts(m.liveFilter()))
+		// The baseline is one full run, as TotalCount mines it: restricted
+		// when no retired garbage has to be masked.
+		res, err := engine.Mine(m.store, p, m.mineOpts(m.liveFilter()))
 		if err != nil {
 			return QueryInfo{}, err
 		}
@@ -821,10 +851,10 @@ func (m *Miner) TotalCount(p *pattern.Pattern) (engine.Result, error) {
 		return engine.Result{}, m.err
 	}
 	store := m.store
-	var filter func(int, uint32) bool
+	var filter func(int, uint32, uint32) bool
 	if store != nil && m.live != len(m.retireEpoch) {
 		live := append([]uint64(nil), m.retireEpoch...)
-		filter = func(_ int, e uint32) bool { return live[e] == 0 }
+		filter = func(_ int, e, _ uint32) bool { return live[e] == 0 }
 	}
 	opts := m.mineOpts(filter)
 	m.mu.Unlock()

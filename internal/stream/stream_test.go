@@ -351,6 +351,50 @@ func TestRegisterDedup(t *testing.T) {
 	}
 }
 
+// TestRegisterBaseline: a registration's baseline equals TotalCount on the
+// live graph, both before retired garbage exists, when it is mined with the
+// symmetry-broken plan, and with garbage masked out.
+func TestRegisterBaseline(t *testing.T) {
+	const nv = 14
+	m, err := NewMiner(Config{NumVertices: nv, Engine: engine.Options{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forbidCompaction(m)
+	rng := rand.New(rand.NewSource(3))
+	if _, err := m.ApplyBatch(Batch{Add: randRaw(rng, nv, 24)}); err != nil {
+		t.Fatal(err)
+	}
+	pats := testPatterns()
+	check := func(p *pattern.Pattern, garbage bool) {
+		t.Helper()
+		if got := m.RetiredEdges() > 0; got != garbage {
+			t.Fatalf("retired garbage present = %v, want %v", got, garbage)
+		}
+		info, err := m.RegisterQuery(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.TotalCount(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Total != want.Ordered || want.Ordered == 0 {
+			t.Fatalf("%s (garbage %v): baseline %d, TotalCount %d", p, garbage, info.Total, want.Ordered)
+		}
+	}
+	half := len(pats) / 2
+	for _, p := range pats[:half] {
+		check(p, false)
+	}
+	if _, err := m.ApplyBatch(Batch{Retire: m.LiveEdgeSets()[:6]}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pats[half:] {
+		check(p, true)
+	}
+}
+
 // TestSeqDiscipline: sequenced batches replay idempotently and refuse gaps.
 func TestSeqDiscipline(t *testing.T) {
 	m, err := NewMiner(Config{NumVertices: 8})
