@@ -172,9 +172,10 @@ lint-fix-check:
 
 # The full local gate: formatting, vet, ohmlint + suppression audit, the
 # race-enabled tests, the end-to-end smokes (query service + distributed
-# cluster + streaming), the cross-kernel count agreement smoke, and the
-# benchmark harness's own vet + tests.
-ci: fmt-check vet lint lint-fix-check race serve-smoke cluster-smoke stream-smoke chaos bench-smoke bench-check
+# cluster + streaming), the examples (the in-repo callers of the root API),
+# the cross-kernel count agreement smoke, and the benchmark harness's own
+# vet + tests.
+ci: fmt-check vet lint lint-fix-check race serve-smoke cluster-smoke stream-smoke chaos examples bench-smoke bench-check
 
 clean:
 	$(GO) clean ./...

@@ -127,10 +127,8 @@ func run() error {
 	}
 	fmt.Fprintln(os.Stderr, "data:", h)
 
-	t0 := time.Now()
 	store := dal.Build(h)
 	fmt.Fprintf(os.Stderr, "dal: built in %v (%.1f MB)\n", store.BuildTime().Round(time.Millisecond), float64(store.MemoryBytes())/(1<<20))
-	_ = t0
 
 	var p *pattern.Pattern
 	switch {

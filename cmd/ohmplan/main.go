@@ -101,14 +101,15 @@ func run() error {
 	}
 
 	out.Println("\nOverlap Intersection Graph (reordered pattern):")
-	out.Print(plan.Graph)
+	g := oig.BuildGraph(plan.Pattern.Edges())
+	out.Print(g)
 
-	out.Println("overlap order (node IDs):", plan.Graph.OverlapOrder())
+	out.Println("overlap order (node IDs):", g.OverlapOrder())
 
 	s := plan.Sig
 	pairConn := func(i, j int) bool { return s.Size(uint32(1<<i|1<<j)) > 0 }
-	for lvl := 1; lvl <= plan.Graph.NumLevels(); lvl++ {
-		groups := plan.Graph.Groups(lvl, pairConn)
+	for lvl := 1; lvl <= g.NumLevels(); lvl++ {
+		groups := g.Groups(lvl, pairConn)
 		if len(groups) > 1 {
 			out.Printf("level %d pruning groups: %v\n", lvl, groups)
 		}

@@ -455,21 +455,28 @@ func TestGraphFingerprintMismatch(t *testing.T) {
 	}
 }
 
-// TestJobDataAwareOrderIgnored: "data_aware_order" named a matching-order
-// option that no longer exists. A job body carrying it still decodes under
-// DisallowUnknownFields, and its leases carry the plan engine.CompilePlan
-// compiles — the one every worker on this store compiles too.
-func TestJobDataAwareOrderIgnored(t *testing.T) {
+// TestJobDataAwareOrderRefused: "data_aware_order" named a matching-order
+// option that no longer exists, so a job body carrying it is refused with a
+// 400 under DisallowUnknownFields, whatever its value; the same body without
+// it is admitted, and its leases carry the plan engine.CompilePlan compiles —
+// the one every worker on this store compiles too.
+func TestJobDataAwareOrderRefused(t *testing.T) {
 	store, pat, _ := starWorkload(t)
 	_, srv := testCluster(t, store, Config{Parts: 2})
-	body := fmt.Sprintf(`{"id": "d", "pattern": %q, "data_aware_order": true}`, pat)
-	resp, err := http.Post(srv.URL+"/cluster/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("create with data_aware_order: status %d", resp.StatusCode)
+	for extra, want := range map[string]int{
+		`, "data_aware_order": true`:  http.StatusBadRequest,
+		`, "data_aware_order": false`: http.StatusBadRequest,
+		``:                            http.StatusAccepted,
+	} {
+		body := fmt.Sprintf(`{"id": "d", "pattern": %q%s}`, pat, extra)
+		resp, err := http.Post(srv.URL+"/cluster/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s: status %d, want %d", body, resp.StatusCode, want)
+		}
 	}
 	var lease Lease
 	if code := postJSON(t, srv, "/cluster/lease", LeaseRequest{Worker: "w", GraphFP: store.Hypergraph().Fingerprint()}, &lease); code != http.StatusOK {
@@ -487,8 +494,8 @@ func TestJobDataAwareOrderIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lease.DataAwareOrder || snap.PlanFP != engine.PlanFingerprint(plan) {
-		t.Fatalf("lease data_aware_order=%v, plan %#x; CompilePlan gives %#x", lease.DataAwareOrder, snap.PlanFP, engine.PlanFingerprint(plan))
+	if snap.PlanFP != engine.PlanFingerprint(plan) {
+		t.Fatalf("lease plan %#x; CompilePlan gives %#x", snap.PlanFP, engine.PlanFingerprint(plan))
 	}
 }
 

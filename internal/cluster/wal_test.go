@@ -688,6 +688,39 @@ func TestWALSyncFailureDegradesThenHeals(t *testing.T) {
 	}
 }
 
+// writeAdmitFrame writes dir's wal.log holding one hand-framed record, as a
+// coordinator of an older build would have appended it.
+func writeAdmitFrame(t *testing.T, dir, payload string) {
+	t.Helper()
+	log := binary.LittleEndian.AppendUint32(nil, walMagic)
+	log = binary.LittleEndian.AppendUint32(log, walVersion)
+	log = binary.LittleEndian.AppendUint32(log, uint32(len(payload)))
+	log = append(log, payload...)
+	log = binary.LittleEndian.AppendUint32(log, durable.Checksum([]byte(payload)))
+	if err := os.WriteFile(filepath.Join(dir, walFile), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALDataAwareOrderReplays: job specs no longer have "data_aware_order",
+// and POST /cluster/jobs refuses it, but the WAL decodes leniently: an admit
+// record carrying it, as a coordinator that still accepted the key wrote it,
+// replays into a running job that finishes with the exact count.
+func TestWALDataAwareOrderReplays(t *testing.T) {
+	store, pat, want := starWorkload(t)
+	dir := t.TempDir()
+	writeAdmitFrame(t, dir, fmt.Sprintf(`{"seq":1,"t":"admit","job":"old","spec":{"pattern":%q,"data_aware_order":true},"graph_fp":%d,"job_seq":1}`,
+		pat, store.Hypergraph().Fingerprint()))
+	c, srv := durableCluster(t, store, dir, newFakeClock())
+	if old, ok := c.JobStatusByID("old"); !ok || old.State != "running" || old.Parts == 0 {
+		t.Fatalf("replayed job: ok=%v %+v, want running with its tasks", ok, old)
+	}
+	drainJob(t, srv, store, "w1")
+	if old, _ := c.JobStatusByID("old"); old.State != "done" || old.Ordered != want || old.Unique != want/2 {
+		t.Fatalf("replayed job finished: %+v, want done/%d", old, want)
+	}
+}
+
 // TestVariantRefused: "variant" is still a recognised key of a job spec and
 // of a lease, but only to be checked. POST /cluster/jobs answers a baseline's
 // name with a 422 saying where baselines run, as POST /query does; a worker handed a lease that
@@ -702,17 +735,9 @@ func TestVariantRefused(t *testing.T) {
 		return strings.Contains(msg, "HGMatch") && strings.Contains(msg, "ohmbench") && strings.Contains(msg, "ohminer -variant")
 	}
 
-	payload := fmt.Sprintf(`{"seq":1,"t":"admit","job":"old","spec":{"pattern":%q,"variant":"HGMatch"},"graph_fp":%d,"job_seq":1}`,
-		pat, store.Hypergraph().Fingerprint())
-	log := binary.LittleEndian.AppendUint32(nil, walMagic)
-	log = binary.LittleEndian.AppendUint32(log, walVersion)
-	log = binary.LittleEndian.AppendUint32(log, uint32(len(payload)))
-	log = append(log, payload...)
-	log = binary.LittleEndian.AppendUint32(log, durable.Checksum([]byte(payload)))
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, walFile), log, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeAdmitFrame(t, dir, fmt.Sprintf(`{"seq":1,"t":"admit","job":"old","spec":{"pattern":%q,"variant":"HGMatch"},"graph_fp":%d,"job_seq":1}`,
+		pat, store.Hypergraph().Fingerprint()))
 	c, srv := durableCluster(t, store, dir, newFakeClock())
 	old, ok := c.JobStatusByID("old")
 	if !ok || old.State != "failed" || !refusal(old.Error) || old.Parts != 0 {

@@ -16,12 +16,6 @@ type JobSpec struct {
 	// Variant is recognised only to be refused (engine.CheckVariant): ""
 	// and "OHMiner" pass, a baseline's name fails the job.
 	Variant string `json:"variant,omitempty"`
-	// DataAwareOrder is accepted and ignored: every job runs the matching
-	// order engine.CompilePlan chooses by cost on the store, which workers
-	// choose alike from their local copy. Kept so specs written for the
-	// selectivity-first order it replaced, WAL records among them, still
-	// decode.
-	DataAwareOrder bool `json:"data_aware_order,omitempty"`
 	// Parts overrides the coordinator's default task partition count.
 	Parts int `json:"parts,omitempty"`
 }
@@ -60,11 +54,9 @@ type Lease struct {
 	// Pattern lets the worker compile the job's exact plan locally; the
 	// snapshot's embedded fingerprint then proves the compilation matched.
 	// Variant is recognised only to be refused, as on JobSpec: a lease naming
-	// a baseline is reported back as a task error. DataAwareOrder is never
-	// set and ignored, as on JobSpec.
-	Pattern        string `json:"pattern"`
-	Variant        string `json:"variant,omitempty"`
-	DataAwareOrder bool   `json:"data_aware_order,omitempty"`
+	// a baseline is reported back as a task error.
+	Pattern string `json:"pattern"`
+	Variant string `json:"variant,omitempty"`
 	// Snapshot is the OHMC-encoded task payload: a zero-counter snapshot
 	// whose frontier is exactly the leased task range.
 	Snapshot []byte `json:"snapshot"`

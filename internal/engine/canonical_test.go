@@ -10,8 +10,10 @@ import (
 	"ohminer/internal/pattern"
 )
 
-// TestCanonicalEmissionCount: with UniqueOnly, the callback fires exactly
-// Unique times, once per unordered embedding.
+// TestCanonicalEmissionCount: on the default symmetry-broken plan the
+// callback fires exactly Unique times, once per unordered embedding, and
+// each emitted tuple is the lexicographically smallest of its automorphic
+// reorderings.
 func TestCanonicalEmissionCount(t *testing.T) {
 	h := hypergraph.MustBuild(8, [][]uint32{
 		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5},
@@ -19,7 +21,7 @@ func TestCanonicalEmissionCount(t *testing.T) {
 	store := dal.Build(h)
 	p := pattern.MustNew([][]uint32{{0, 1}, {1, 2}, {2, 3}}, nil) // 2 automorphisms
 	var emitted [][]uint32
-	res, err := Mine(store, p, Options{Workers: 1, UniqueOnly: true, OnEmbedding: func(c []uint32) {
+	res, err := Mine(store, p, Options{Workers: 1, OnEmbedding: func(c []uint32) {
 		emitted = append(emitted, append([]uint32(nil), c...))
 	}})
 	if err != nil {
@@ -30,6 +32,12 @@ func TestCanonicalEmissionCount(t *testing.T) {
 	}
 	if len(emitted) != int(res.Unique) {
 		t.Fatalf("emitted %d canonical tuples, want %d", len(emitted), res.Unique)
+	}
+	perms := res.Plan.Pattern.AutomorphismPerms()
+	for _, c := range emitted {
+		if !lexSmallest(c, perms) {
+			t.Fatalf("emitted %v, but an automorphic reordering is smaller", c)
+		}
 	}
 	// No two emitted tuples may be automorphic images of each other: as
 	// sets they must be distinct.
@@ -53,8 +61,9 @@ func TestCanonicalEmissionCount(t *testing.T) {
 	}
 }
 
-// TestCanonicalEmissionRandom: canonical emission count equals Unique on
-// random workloads with symmetric patterns, for both 1 and 3 workers.
+// TestCanonicalEmissionRandom: on the default symmetry-broken plan the
+// emission count equals Unique on random workloads with symmetric patterns,
+// for both 1 and 3 workers.
 func TestCanonicalEmissionRandom(t *testing.T) {
 	h := gen.MustGenerate(gen.Config{Name: "c", NumVertices: 80, NumEdges: 250,
 		Communities: 5, MemberOverlap: 1, EdgeSizeMin: 2, EdgeSizeMax: 5, EdgeSizeMean: 3, Seed: 91})
@@ -70,21 +79,43 @@ func TestCanonicalEmissionRandom(t *testing.T) {
 			checkedSymmetric = true
 		}
 		for _, workers := range []int{1, 3} {
-			emitted := 0
-			res, err := Mine(store, p, Options{Workers: workers, UniqueOnly: true,
-				OnEmbedding: func([]uint32) { emitted++ }})
+			var emitted [][]uint32
+			res, err := Mine(store, p, Options{Workers: workers,
+				OnEmbedding: func(c []uint32) { emitted = append(emitted, append([]uint32(nil), c...)) }})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if uint64(emitted) != res.Unique {
+			if uint64(len(emitted)) != res.Unique {
 				t.Fatalf("trial %d workers=%d: emitted %d want %d (aut=%d, pattern %s)",
-					trial, workers, emitted, res.Unique, res.Automorphisms, p)
+					trial, workers, len(emitted), res.Unique, res.Automorphisms, p)
+			}
+			perms := res.Plan.Pattern.AutomorphismPerms()
+			for _, c := range emitted {
+				if !lexSmallest(c, perms) {
+					t.Fatalf("trial %d: emitted %v, but an automorphic reordering is smaller (pattern %s)", trial, c, p)
+				}
 			}
 		}
 	}
 	if !checkedSymmetric {
 		t.Log("warning: no symmetric pattern sampled; only identity automorphisms exercised")
 	}
+}
+
+// lexSmallest reports whether the tuple c is the lexicographically smallest
+// of its reorderings c∘perm over the automorphism permutations perms.
+func lexSmallest(c []uint32, perms [][]int) bool {
+	for _, perm := range perms {
+		for i := range c {
+			if pc := c[perm[i]]; pc != c[i] {
+				if pc < c[i] {
+					return false
+				}
+				break
+			}
+		}
+	}
+	return true
 }
 
 func TestAutomorphismPermsIdentityFirst(t *testing.T) {

@@ -30,28 +30,30 @@ import (
 // would have kept.
 var ErrWrongPlan = errors.New("engine: snapshot was written for a different plan")
 
-// planFingerprint hashes everything that fixes the meaning of a frontier
+// PlanFingerprint hashes everything that fixes the meaning of a frontier
 // task. It delegates to the plan verifier's semantic fingerprint, which
 // covers the pattern structure rendered in matching order, the vertex and
 // hyperedge labels, the matching-order permutation, the plan mode, and every
 // compiled step and condition that affects counting. A snapshot resumed
 // against a plan with a different fingerprint would interpret bound prefixes
 // against the wrong positions (or explore ranges the plan would not have
-// kept), so resume refuses it. Compilation is deterministic, so two nodes compiling
-// the same (pattern, mode, order) agree on the fingerprint.
-func planFingerprint(plan *oig.Plan) uint64 {
+// kept), so resume refuses it; the cluster coordinator stamps the snapshots
+// it leases out with it, so workers get the same protection. Compilation is
+// deterministic, so two nodes compiling the same (pattern, mode, order)
+// agree on the fingerprint.
+func PlanFingerprint(plan *oig.Plan) uint64 {
 	return oig.Fingerprint(plan)
 }
 
-// packStats flattens the Stats counters into the opaque slice a snapshot
-// carries; unpackStats inverts it. The order is part of the snapshot format
-// (bump checkpoint.Version when it changes); new counters are appended at
-// the end, which unpackStats tolerates missing, so old snapshots resume
-// with those counters zeroed instead of failing. Slots 3-6 held the HGMatch
-// redundancy counters, which left with that baseline (internal/baseline):
-// they are written as zeros and ignored on read, so snapshots stay
-// exchangeable with builds that still count them.
-func packStats(s Stats) []uint64 {
+// PackStats flattens the Stats counters into the opaque slice snapshots and
+// cluster task reports carry; UnpackStats inverts it. The order is part of
+// the snapshot format (bump checkpoint.Version when it changes); new
+// counters are appended at the end, which UnpackStats tolerates missing, so
+// old snapshots resume with those counters zeroed instead of failing. Slots
+// 3-6 held the HGMatch redundancy counters, which left with that baseline
+// (internal/baseline): they are written as zeros and ignored on read, so
+// snapshots stay exchangeable with builds that still count them.
+func PackStats(s Stats) []uint64 {
 	return []uint64{
 		s.Candidates, s.Embeddings, s.SetOps,
 		0, 0, 0, 0,
@@ -62,11 +64,12 @@ func packStats(s Stats) []uint64 {
 	}
 }
 
-func unpackStats(vs []uint64) Stats {
+// UnpackStats is the inverse of PackStats.
+func UnpackStats(vs []uint64) Stats {
 	var s Stats
 	dst := []*uint64{
 		&s.Candidates, &s.Embeddings, &s.SetOps,
-		nil, nil, nil, nil, // retired slots, see packStats
+		nil, nil, nil, nil, // retired slots, see PackStats
 		nil, nil, // GenTime/ValTime handled below
 		&s.Publishes, &s.Steals, &s.IdleSpins,
 		&s.Checkpoints, &s.CheckpointBytes, &s.CheckpointErrors,
@@ -101,7 +104,7 @@ func ValidateSnapshot(store *dal.Store, plan *oig.Plan, snap *checkpoint.Snapsho
 	if err := oig.VerifyProgram(plan); err != nil {
 		return fmt.Errorf("engine: refusing to resume onto an invalid plan: %w", err)
 	}
-	if got, want := snap.PlanFP, planFingerprint(plan); got != want {
+	if got, want := snap.PlanFP, PlanFingerprint(plan); got != want {
 		return fmt.Errorf("%w (fingerprint %#x, want %#x): pattern, labels, matching order and the plan's conditions must all match", ErrWrongPlan, got, want)
 	}
 	if got, want := snap.GraphFP, store.Hypergraph().Fingerprint(); got != want {
@@ -178,10 +181,10 @@ func (e *shared) buildSnapshot(seq uint64, frontier []task, ordered uint64, stat
 	}
 	return &checkpoint.Snapshot{
 		Seq:      seq,
-		PlanFP:   planFingerprint(e.plan),
+		PlanFP:   PlanFingerprint(e.plan),
 		GraphFP:  e.store.Hypergraph().Fingerprint(),
 		Ordered:  ordered,
-		Stats:    packStats(stats),
+		Stats:    PackStats(stats),
 		Frontier: fr,
 	}
 }

@@ -226,7 +226,7 @@ func TestResumeRejectsMismatchedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := res.Plan
-	goodFP := planFingerprint(plan)
+	goodFP := PlanFingerprint(plan)
 	graphFP := store.Hypergraph().Fingerprint()
 	base := func() *checkpoint.Snapshot {
 		return &checkpoint.Snapshot{
@@ -273,10 +273,10 @@ func TestResumeEmptyFrontier(t *testing.T) {
 	}
 	snap := &checkpoint.Snapshot{
 		Seq:     7,
-		PlanFP:  planFingerprint(res.Plan),
+		PlanFP:  PlanFingerprint(res.Plan),
 		GraphFP: store.Hypergraph().Fingerprint(),
 		Ordered: 42,
-		Stats:   packStats(Stats{Candidates: 9, Checkpoints: 7}),
+		Stats:   PackStats(Stats{Candidates: 9, Checkpoints: 7}),
 	}
 	got, err := ResumeFromCheckpoint(context.Background(), store, p, snap, Options{Workers: 1})
 	if err != nil {
@@ -352,7 +352,7 @@ func TestParentSnapshotResumes(t *testing.T) {
 	if res.Ordered != want || res.Unique != want/6 || res.Truncated {
 		t.Fatalf("resumed to Ordered=%d Unique=%d truncated=%v, want %d/%d/false", res.Ordered, res.Unique, res.Truncated, want, want/6)
 	}
-	if st := unpackStats(snap.Stats); res.Stats.Candidates < st.Candidates || res.Stats.Checkpoints != st.Checkpoints {
+	if st := UnpackStats(snap.Stats); res.Stats.Candidates < st.Candidates || res.Stats.Checkpoints != st.Checkpoints {
 		t.Errorf("resume dropped the snapshot's live counters: %+v, snapshot had %+v", res.Stats, st)
 	}
 }
@@ -510,26 +510,26 @@ func TestStatsPackRoundTrip(t *testing.T) {
 		Publishes: 10, Steals: 11, IdleSpins: 12,
 		Checkpoints: 13, CheckpointBytes: 14, CheckpointErrors: 15,
 	}
-	if got := unpackStats(packStats(want)); got != want {
+	if got := UnpackStats(PackStats(want)); got != want {
 		t.Errorf("round trip mismatch:\nwant %+v\ngot  %+v", want, got)
 	}
 	// Slots 3-6 carried the HGMatch redundancy counters: written as zeros,
 	// ignored when a snapshot of an older build has them set.
-	packed := packStats(want)
+	packed := PackStats(want)
 	for i := 3; i <= 6; i++ {
 		if packed[i] != 0 {
 			t.Errorf("retired slot %d packed as %d", i, packed[i])
 		}
 		packed[i] = 1000 + uint64(i)
 	}
-	if got := unpackStats(packed); got != want {
+	if got := UnpackStats(packed); got != want {
 		t.Errorf("retired slots leaked into Stats:\nwant %+v\ngot  %+v", want, got)
 	}
 	// Older (shorter) and newer (longer) packed slices must not panic.
-	if got := unpackStats(packStats(want)[:5]); got.SetOps != 3 || got.Steals != 0 {
+	if got := UnpackStats(PackStats(want)[:5]); got.SetOps != 3 || got.Steals != 0 {
 		t.Errorf("short unpack: %+v", got)
 	}
-	if got := unpackStats(append(packStats(want), 99, 98)); got != want {
+	if got := UnpackStats(append(PackStats(want), 99, 98)); got != want {
 		t.Errorf("long unpack: %+v", got)
 	}
 }

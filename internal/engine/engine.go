@@ -59,13 +59,6 @@ type Options struct {
 	// NoSymmetryBreak to observe every ordered tuple. Calls are serialized
 	// by the engine; the slice is reused and must be copied to retain.
 	OnEmbedding func([]uint32)
-	// UniqueOnly filters OnEmbedding to one canonical tuple per unordered
-	// embedding: the callback fires only when the tuple is the
-	// lexicographically smallest among its automorphic reorderings.
-	// Ordered/Unique counts are unaffected. Symmetry-broken plans already
-	// enumerate exactly that canonical tuple, so the filter is a no-op (and
-	// skipped) for them.
-	UniqueOnly bool
 	// NoSymmetryBreak compiles the plan without symmetry-breaking
 	// restrictions, so every ordered tuple is enumerated — |Aut(P)| per
 	// unordered embedding. The ablation baseline of the sym experiment;
@@ -257,11 +250,6 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 	}
 
 	e := newShared(store, plan, opts)
-	if opts.UniqueOnly && opts.OnEmbedding != nil && !plan.Restricted {
-		// Restricted plans enumerate only canonical tuples; the filter
-		// would accept every one of them, so it is skipped.
-		e.autoPerms = plan.Pattern.AutomorphismPerms()[1:]
-	}
 
 	// autFactor maps between the enumerated-tuple space the workers count in
 	// and the ordered-embedding space snapshots and results report: a
@@ -288,7 +276,7 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 	)
 	if snap != nil {
 		baseOrdered = snap.Ordered / autFactor
-		baseStats = unpackStats(snap.Stats)
+		baseStats = UnpackStats(snap.Stats)
 		seq = snap.Seq
 		tasks = make([]task, len(snap.Frontier))
 		for i := range snap.Frontier {
@@ -561,10 +549,7 @@ type shared struct {
 	// crashing user callback cannot take down the process.
 	panicMu  sync.Mutex
 	panicErr error // guarded by panicMu
-	// autoPerms holds the non-identity automorphism permutations when
-	// UniqueOnly filtering is active.
-	autoPerms [][]int
-	emitMu    sync.Mutex
+	emitMu   sync.Mutex
 	// countedLeaf is the last matching-order position if nothing there needs
 	// a look at single hyperedges — no label test, and the caller neither
 	// receives (OnEmbedding) nor filters (PositionFilter) single bindings —

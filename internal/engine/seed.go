@@ -110,16 +110,3 @@ func PartitionFrontier(cands []uint32, parts int) []checkpoint.Task {
 	}
 	return out
 }
-
-// PlanFingerprint exposes the snapshot plan fingerprint (pattern structure,
-// labels, matching order, plan mode) so the cluster coordinator can stamp
-// the OHMC snapshots it leases out; workers then get the same
-// wrong-plan/wrong-dataset protection resume has.
-func PlanFingerprint(plan *oig.Plan) uint64 { return planFingerprint(plan) }
-
-// PackStats flattens the Stats counters into the opaque slice snapshots and
-// cluster task reports carry; UnpackStats inverts it.
-func PackStats(s Stats) []uint64 { return packStats(s) }
-
-// UnpackStats is the inverse of PackStats.
-func UnpackStats(vs []uint64) Stats { return unpackStats(vs) }

@@ -156,7 +156,7 @@ func TestSnapshotRejectsCountingSpaceMismatch(t *testing.T) {
 	mkSnap := func(plan *oig.Plan, ordered uint64) *checkpoint.Snapshot {
 		return &checkpoint.Snapshot{
 			Seq:     1,
-			PlanFP:  planFingerprint(plan),
+			PlanFP:  PlanFingerprint(plan),
 			GraphFP: store.Hypergraph().Fingerprint(),
 			Ordered: ordered,
 			Frontier: []checkpoint.Task{

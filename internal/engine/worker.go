@@ -289,7 +289,7 @@ func (w *worker) saveTask(t int, cands []uint32) {
 
 func (w *worker) emit() {
 	w.count++
-	if w.e.opts.OnEmbedding != nil && w.isCanonical() {
+	if w.e.opts.OnEmbedding != nil {
 		w.emitCallback()
 	}
 	if w.e.opts.Limit > 0 && w.found.Add(1) >= w.e.opts.Limit {
@@ -298,27 +298,6 @@ func (w *worker) emit() {
 		// stolen subtrees) observe the flag at their next candidate.
 		w.e.stopped.Store(true)
 	}
-}
-
-// isCanonical reports whether the bound tuple is the lexicographically
-// smallest among its automorphic reorderings — the UniqueOnly filter. Each
-// unordered embedding has exactly one canonical tuple because the bound
-// hyperedges are distinct... up to co-extensive labeled duplicates, whose
-// tie keeps the original (a permuted tuple must be strictly smaller to
-// disqualify).
-func (w *worker) isCanonical() bool {
-	for _, perm := range w.e.autoPerms {
-		for i := range w.c {
-			pc := w.c[perm[i]]
-			if pc < w.c[i] {
-				return false // a strictly smaller reordering exists
-			}
-			if pc > w.c[i] {
-				break
-			}
-		}
-	}
-	return true
 }
 
 // admit keeps, from in into out (which may be in[:0]), the candidates of

@@ -116,17 +116,6 @@ func (h *Hypergraph) AvgEdgeDegree() float64 {
 	return float64(len(h.edgeVerts)) / float64(h.NumEdges())
 }
 
-// MaxEdgeDegree returns the largest hyperedge degree.
-func (h *Hypergraph) MaxEdgeDegree() int {
-	max := 0
-	for e := 0; e < h.NumEdges(); e++ {
-		if d := h.Degree(uint32(e)); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // MemoryBytes estimates the resident size of the CSR arrays. Used for the
 // Table 6 memory accounting.
 func (h *Hypergraph) MemoryBytes() int64 {

@@ -1,17 +1,20 @@
 // Package oig implements the redundancy-free compiler of Sec. 4.3.
 //
-// The compiler's front-end constructs the Overlap Intersection Graph (OIG)
-// of a pattern (Algorithm 1): a DAG whose level-1 vertices are the pattern's
-// hyperedges and whose deeper vertices are overlaps formed by intersecting
-// two vertices of the previous level, with identical overlaps merged
-// (MergeForUnique) so no intersection is ever computed twice. The middle-end
-// derives the overlap order (a topological order consistent with the
-// matching order) and the group-based pruning of empty overlaps; the
-// back-end emits the overlap-centric execution plan (plan.go, merged.go):
-// per matching step, the candidate-generation contract and the conditions
+// Plans come from the pattern's Venn signature (package sig): the compiler
+// picks the matching order by cost (order.go), groups the non-empty overlaps
+// into classes by their vertex set — the paper's MergeForUnique, done on the
+// signature — prunes the empty overlaps another condition already implies,
+// and emits the overlap-centric execution plan (plan.go, merged.go): per
+// matching step, the candidate-generation contract and the conditions
 // |∩_{i∈M} c_i| = w that, by Theorem 1, make a tuple an embedding — the one
 // plan language the engine and internal/baseline run and VerifyProgram
 // (verify.go) checks.
+//
+// The Overlap Intersection Graph (OIG) of Algorithm 1 — a DAG whose level-1
+// vertices are the pattern's hyperedges and whose deeper vertices are
+// overlaps formed by intersecting two vertices of the previous level, with
+// identical overlaps merged — is built (BuildGraph, this file) only for
+// cmd/ohmplan, which prints it with its overlap order and pruning groups.
 package oig
 
 import (

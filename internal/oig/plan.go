@@ -110,8 +110,6 @@ type Plan struct {
 	// on symmetric patterns. Asymmetric patterns compile identically with or
 	// without restrictions and leave this false.
 	Restricted bool
-	// Graph is the pattern's OIG (diagnostics, Table 6 accounting).
-	Graph *Graph
 	// CompileTime is the wall-clock compilation duration (OIG-T, Table 6).
 	CompileTime time.Duration
 	// FP is the semantic fingerprint computed by Fingerprint at the end of
@@ -170,7 +168,6 @@ func CompileWith(p *pattern.Pattern, mode Mode, co CompileOptions) (*Plan, error
 		Mode:    mode,
 		Labeled: rp.Labeled(),
 		Sig:     s,
-		Graph:   BuildGraph(rp.Edges()),
 	}
 	if plan.Labeled {
 		ls, err := rp.LabelSignature()

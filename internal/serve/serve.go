@@ -290,10 +290,6 @@ type QueryRequest struct {
 	// TimeoutMS bounds the mining time; an expired query returns partial
 	// counts marked truncated. 0 = the server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// DataAwareOrder is accepted and ignored: the server always runs the
-	// matching order it chooses by cost on its store. Kept so bodies written
-	// for the selectivity-first order it replaced still decode.
-	DataAwareOrder bool `json:"data_aware_order,omitempty"`
 }
 
 // QueryResponse is the JSON body of a successful query.

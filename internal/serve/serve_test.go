@@ -66,22 +66,20 @@ func TestQueryOK(t *testing.T) {
 	}
 }
 
-// TestQueryDataAwareOrderIgnored: "data_aware_order" named a matching-order
-// option that no longer exists. A body carrying it still decodes under
-// DisallowUnknownFields and runs the one plan, from the plan cache.
-func TestQueryDataAwareOrderIgnored(t *testing.T) {
+// TestQueryDataAwareOrderRefused: "data_aware_order" named a matching-order
+// option that no longer exists, so a body carrying it is refused with a 400
+// under DisallowUnknownFields, whatever its value, and compiles no plan.
+func TestQueryDataAwareOrderRefused(t *testing.T) {
 	s := testServer(t, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	for _, body := range []string{`{"pattern": "0 1; 1 2"}`, `{"pattern": "0 1; 1 2", "data_aware_order": true}`} {
-		resp, out := postQuery(t, ts.URL, body)
-		var qr QueryResponse
-		if err := json.Unmarshal(out, &qr); err != nil || resp.StatusCode != http.StatusOK || qr.Ordered != 4 || qr.Unique != 2 {
+	for _, body := range []string{`{"pattern": "0 1; 1 2", "data_aware_order": true}`, `{"pattern": "0 1; 1 2", "data_aware_order": false}`} {
+		if resp, out := postQuery(t, ts.URL, body); resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, %s", body, resp.StatusCode, out)
 		}
 	}
-	if hits, misses := s.Session().CacheStats(); hits != 1 || misses != 1 {
-		t.Errorf("cache hits/misses = %d/%d, want 1/1: the field must not key another plan", hits, misses)
+	if hits, misses := s.Session().CacheStats(); hits != 0 || misses != 0 {
+		t.Errorf("cache hits/misses = %d/%d, want 0/0: a refused body must not reach the session", hits, misses)
 	}
 }
 

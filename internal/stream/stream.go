@@ -70,7 +70,7 @@ type Config struct {
 	Window uint64
 
 	// Engine templates the options for all query evaluation (Workers,
-	// Instrument). Run-shaping fields — Limit, OnEmbedding, UniqueOnly,
+	// Instrument). Run-shaping fields — Limit, OnEmbedding,
 	// PositionFilter, Checkpoint — are ignored: delta counting needs
 	// complete runs, and the miner owns the position filters.
 	Engine engine.Options
@@ -339,7 +339,6 @@ func (m *Miner) mineOpts(filter func(pos int, edge, anchor uint32) bool) engine.
 	o := m.cfg.Engine
 	o.Limit = 0
 	o.OnEmbedding = nil
-	o.UniqueOnly = false
 	o.Checkpoint = nil
 	o.CheckpointEvery = 0
 	o.PositionFilter = filter

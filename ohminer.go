@@ -220,20 +220,12 @@ func WithDeadline(d time.Duration) Option { return func(c *config) { c.deadline 
 func WithInstrumentation() Option { return func(c *config) { c.Instrument = true } }
 
 // WithEmbeddings registers a callback receiving every embedding (hyperedge
-// IDs in matching order). The engine serializes calls; copy the slice to
-// retain it.
+// IDs in matching order). Under the default symmetry breaking it fires once
+// per unordered embedding, with the lexicographically smallest of its
+// automorphic orderings; under WithoutSymmetryBreaking, once per ordered
+// tuple. The engine serializes calls; copy the slice to retain it.
 func WithEmbeddings(fn func(edges []uint32)) Option {
 	return func(c *config) { c.OnEmbedding = fn }
-}
-
-// WithCanonicalEmbeddingsOnly filters the WithEmbeddings callback to one
-// canonical tuple per unordered embedding (counts are unaffected): useful
-// when the pattern has automorphisms and each match should be reported
-// once. Plans compiled with symmetry-breaking restrictions (the default)
-// already deliver exactly that, so this option matters only together with
-// WithoutSymmetryBreaking.
-func WithCanonicalEmbeddingsOnly() Option {
-	return func(c *config) { c.UniqueOnly = true }
 }
 
 // WithoutSymmetryBreaking compiles the plan without the symmetry-breaking

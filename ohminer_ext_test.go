@@ -71,7 +71,7 @@ func TestFacadeExtensions(t *testing.T) {
 
 	// Canonical emission.
 	emitted := 0
-	res, err := Mine(store, p, WithWorkers(1), WithCanonicalEmbeddingsOnly(),
+	res, err := Mine(store, p, WithWorkers(1),
 		WithEmbeddings(func([]uint32) { emitted++ }))
 	if err != nil {
 		t.Fatal(err)

@@ -168,26 +168,6 @@ func (s *Session) MineContext(ctx context.Context, p *Pattern, opts ...Option) (
 	return res, err
 }
 
-// ResumeContext continues an interrupted checkpointed run (see
-// ResumeFromCheckpoint) through the session's plan cache: the pattern
-// compiles (or is fetched) exactly as MineContext would, the snapshot's
-// fingerprints are verified against that plan and the store, and mining
-// proceeds from the saved frontier with exactly-once counting. This is the
-// entry point the ohmserve jobs subsystem drives to survive restarts.
-// Because plans are canonical, a snapshot written through one literal of a
-// pattern resumes through any isomorphic literal.
-func (s *Session) ResumeContext(ctx context.Context, p *Pattern, snap *CheckpointSnapshot, opts ...Option) (Result, error) {
-	c := buildOptions(opts)
-	cur := s.st.Load()
-	plan, _, err := s.plan(p, c.Options, cur.store)
-	if err != nil {
-		return Result{}, err
-	}
-	return bounded(ctx, c.deadline, func(ctx context.Context) (Result, error) {
-		return engine.ResumeWithPlanContext(ctx, cur.store, plan, snap, c.Options)
-	})
-}
-
 // CachedPlans reports how many distinct plans the session holds.
 func (s *Session) CachedPlans() int {
 	s.mu.Lock()
