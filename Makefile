@@ -48,6 +48,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/hypergraph
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/pattern
 	$(GO) test -fuzz FuzzCanonicalKey -fuzztime 30s ./internal/pattern
+	$(GO) test -fuzz FuzzSymmetry -fuzztime 30s ./internal/pattern
 	$(GO) test -fuzz FuzzChooseOrder -fuzztime 30s ./internal/oig
 	$(GO) test -fuzz FuzzLoad -fuzztime 30s ./internal/dal
 	$(GO) test -fuzz FuzzIntersectKernels -fuzztime 30s ./internal/intset

@@ -61,15 +61,9 @@ func run() error {
 
 	out.Printf("pattern: %s  (%d hyperedges, %d vertices, %d automorphisms)\n",
 		p, p.NumEdges(), p.NumVertices(), p.Automorphisms())
-	if c, ok := pattern.Canonicalize(p); ok {
-		cp, err := c.Pattern()
-		if err != nil {
-			return err
-		}
-		out.Printf("canonical form: %s  (key %x)\n", cp, c.Key)
-	} else {
-		out.Printf("canonical form: (skipped: more than %d hyperedges)\n", pattern.CanonMaxEdges)
-	}
+	key, _ := pattern.CanonicalKey(p)
+	cp, _ := pattern.Canonical(p)
+	out.Printf("canonical form: %s  (key %x)\n", cp, key)
 
 	plan, err := oig.CompileWith(p, m, oig.CompileOptions{NoRestrictions: *norestrict})
 	if err != nil {

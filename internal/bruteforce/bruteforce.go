@@ -18,6 +18,14 @@ import (
 // Count returns the number of ordered embeddings of p in h (one per pattern
 // automorphism for each unordered embedding).
 func Count(h *hypergraph.Hypergraph, p *pattern.Pattern) uint64 {
+	var n uint64
+	embeddings(h, p, func([]uint32) { n++ })
+	return n
+}
+
+// embeddings calls fn with every ordered embedding of p in h, in ascending
+// lexicographic order of the data-hyperedge tuple.
+func embeddings(h *hypergraph.Hypergraph, p *pattern.Pattern, fn func(tuple []uint32)) {
 	m := p.NumEdges()
 	want := p.Signature()
 	var wantLab sig.LabelSignature
@@ -35,7 +43,6 @@ func Count(h *hypergraph.Hypergraph, p *pattern.Pattern) uint64 {
 
 	tuple := make([]uint32, m)
 	edges := make([][]uint32, m)
-	var count uint64
 	var rec func(pos int)
 	rec = func(pos int) {
 		if pos == m {
@@ -49,7 +56,7 @@ func Count(h *hypergraph.Hypergraph, p *pattern.Pattern) uint64 {
 					return
 				}
 			}
-			count++
+			fn(tuple)
 			return
 		}
 		for _, c := range byDegree[p.Degree(pos)] {
@@ -72,7 +79,6 @@ func Count(h *hypergraph.Hypergraph, p *pattern.Pattern) uint64 {
 		}
 	}
 	rec(0)
-	return count
 }
 
 func labelSigEqual(a, b sig.LabelSignature) bool {
@@ -91,4 +97,30 @@ func labelSigEqual(a, b sig.LabelSignature) bool {
 		}
 	}
 	return true
+}
+
+// AutomorphismPerms returns p's automorphisms as permutations (perm[i] =
+// hyperedge at position i), the identity first: p's embeddings in its own
+// hyperedges, found among all K! orders — the symmetry search's test oracle.
+func AutomorphismPerms(p *pattern.Pattern) [][]int {
+	var labels, edgeLabels []uint32
+	for v := 0; p.Labeled() && v < p.NumVertices(); v++ {
+		labels = append(labels, p.Label(uint32(v)))
+	}
+	for i := 0; p.EdgeLabeled() && i < p.NumEdges(); i++ {
+		edgeLabels = append(edgeLabels, p.EdgeLabel(i))
+	}
+	h, err := hypergraph.BuildEdgeLabeled(p.NumVertices(), p.Edges(), labels, edgeLabels)
+	if err != nil {
+		return nil // unreachable: a valid pattern is a valid hypergraph
+	}
+	var perms [][]int
+	embeddings(h, p, func(tuple []uint32) {
+		perm := make([]int, len(tuple))
+		for i, e := range tuple {
+			perm[i] = int(e)
+		}
+		perms = append(perms, perm)
+	})
+	return perms
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ohminer/internal/bruteforce"
 	"ohminer/internal/dal"
 	"ohminer/internal/gen"
 	"ohminer/internal/hypergraph"
@@ -33,7 +34,7 @@ func TestCanonicalEmissionCount(t *testing.T) {
 	if len(emitted) != int(res.Unique) {
 		t.Fatalf("emitted %d canonical tuples, want %d", len(emitted), res.Unique)
 	}
-	perms := res.Plan.Pattern.AutomorphismPerms()
+	perms := bruteforce.AutomorphismPerms(res.Plan.Pattern)
 	for _, c := range emitted {
 		if !lexSmallest(c, perms) {
 			t.Fatalf("emitted %v, but an automorphic reordering is smaller", c)
@@ -89,7 +90,7 @@ func TestCanonicalEmissionRandom(t *testing.T) {
 				t.Fatalf("trial %d workers=%d: emitted %d want %d (aut=%d, pattern %s)",
 					trial, workers, len(emitted), res.Unique, res.Automorphisms, p)
 			}
-			perms := res.Plan.Pattern.AutomorphismPerms()
+			perms := bruteforce.AutomorphismPerms(res.Plan.Pattern)
 			for _, c := range emitted {
 				if !lexSmallest(c, perms) {
 					t.Fatalf("trial %d: emitted %v, but an automorphic reordering is smaller (pattern %s)", trial, c, p)
@@ -120,7 +121,7 @@ func lexSmallest(c []uint32, perms [][]int) bool {
 
 func TestAutomorphismPermsIdentityFirst(t *testing.T) {
 	p := pattern.MustNew([][]uint32{{0, 1}, {1, 2}, {0, 2}}, nil)
-	perms := p.AutomorphismPerms()
+	perms := bruteforce.AutomorphismPerms(p)
 	if len(perms) != 6 {
 		t.Fatalf("triangle perms: %d", len(perms))
 	}

@@ -23,9 +23,11 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -256,7 +258,7 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 	// symmetry-broken plan enumerates one canonical tuple per orbit of
 	// |Aut| ordered embeddings, an unrestricted plan enumerates each ordered
 	// embedding itself.
-	aut := plan.Pattern.Automorphisms() // a search over permutations: once per run
+	aut := plan.Pattern.Automorphisms() // memoized on the pattern by its symmetry search
 	autFactor := uint64(1)
 	if plan.Restricted {
 		autFactor = uint64(aut)
@@ -305,18 +307,19 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 	// unrestricted enumeration would have counted. An unrestricted plan
 	// enumerated ordered tuples: Unique is the floor division and any
 	// mid-orbit remainder of a truncated run is surfaced honestly in
-	// UniqueRemainder instead of vanishing.
-	finalizeCounts := func(res Result) Result {
+	// UniqueRemainder instead of vanishing. A product past uint64 is refused
+	// with ErrCountOverflow rather than wrapped; otherwise err is returned.
+	finalizeCounts := func(res Result, err error) (Result, error) {
 		aut := uint64(res.Automorphisms)
 		res.Restricted = plan.Restricted
 		if plan.Restricted {
-			res.Unique = res.Ordered
-			res.Ordered = res.Unique * aut
+			ordered, overflow := MulAdd(0, res.Ordered, aut)
+			res.Unique, res.Ordered, err = res.Ordered, ordered, cmp.Or(overflow, err)
 		} else {
 			res.Unique = res.Ordered / aut
 			res.UniqueRemainder = res.Ordered % aut
 		}
-		return res
+		return res, err
 	}
 
 	// The context's end sets the same stop flag the limit uses — no extra
@@ -337,11 +340,11 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 	if snap == nil {
 		first = firstCandidates(store, plan, opts)
 		if len(first) == 0 {
-			return finalizeCounts(baseResult()), ctx.Err()
+			return finalizeCounts(baseResult(), ctx.Err())
 		}
 	} else if len(tasks) == 0 {
 		// The snapshot captured a fully drained run: nothing left to mine.
-		return finalizeCounts(baseResult()), ctx.Err()
+		return finalizeCounts(baseResult(), ctx.Err())
 	}
 
 	var found atomic.Uint64
@@ -413,8 +416,11 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 			// Snapshots carry Ordered in ordered-embedding space (the
 			// documented contract), so the enumerated total is scaled by
 			// |Aut| for restricted plans — exact, since every counted
-			// canonical tuple stands for a whole orbit.
-			if n, err := opts.Checkpoint.WriteSnapshot(e.buildSnapshot(seq, frontier, ordered*autFactor, st)); err != nil {
+			// canonical tuple stands for a whole orbit (and a total past uint64
+			// is not written at all).
+			if ordered, err := MulAdd(0, ordered, autFactor); err != nil {
+				ckptErrors++
+			} else if n, err := opts.Checkpoint.WriteSnapshot(e.buildSnapshot(seq, frontier, ordered, st)); err != nil {
 				// A failed write leaves the previous snapshot intact (sinks
 				// are atomic); losing a checkpoint must not kill the run.
 				ckptErrors++
@@ -439,15 +445,25 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 	res.Stats.CheckpointBytes += ckptBytes
 	res.Stats.CheckpointErrors += ckptErrors
 	res.Truncated = e.abandoned.Load() || truncated
-	res = finalizeCounts(res)
 	res.Elapsed = time.Since(start)
 	e.panicMu.Lock()
 	panicErr := e.panicErr
 	e.panicMu.Unlock()
-	if panicErr != nil {
-		return res, panicErr
+	return finalizeCounts(res, cmp.Or(panicErr, ctx.Err()))
+}
+
+// ErrCountOverflow refuses a count past 2^64−1 instead of wrapping it: a
+// restricted run's ordered total is Unique × |Aut|, and |Aut| reaches 14!.
+var ErrCountOverflow = errors.New("engine: ordered embedding count overflows uint64")
+
+// MulAdd returns sum + a×b, or ErrCountOverflow when it exceeds uint64.
+func MulAdd(sum, a, b uint64) (uint64, error) {
+	hi, lo := bits.Mul64(a, b)
+	s, carry := bits.Add64(sum, lo, 0)
+	if hi|carry != 0 {
+		return 0, ErrCountOverflow
 	}
-	return res, ctx.Err()
+	return s, nil
 }
 
 // CheckVariant vets the "variant" key with which query, job and lease bodies

@@ -8,6 +8,8 @@ package engine
 
 import (
 	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -179,5 +181,34 @@ func TestSnapshotRejectsCountingSpaceMismatch(t *testing.T) {
 	}
 	if err := ValidateSnapshot(store, restricted, mkSnap(restricted, 10)); err != nil {
 		t.Errorf("valid restricted snapshot rejected: %v", err)
+	}
+}
+
+// TestMulAddBoundary: ordered totals at the uint64 boundary are exact or
+// refused with ErrCountOverflow, never wrapped.
+func TestMulAddBoundary(t *testing.T) {
+	const maxU = math.MaxUint64
+	const fact14 = 87178291200 // |Aut| of a 14-petal sunflower
+	for _, tc := range []struct {
+		sum, a, b, want uint64
+		overflow        bool
+	}{
+		{0, maxU, 1, maxU, false},
+		{0, 1, maxU, maxU, false},
+		{maxU - 6, 2, 3, maxU, false},
+		{maxU - 5, 2, 3, 0, true},
+		{0, 1 << 32, 1 << 32, 0, true},
+		{0, 1<<32 - 1, 1<<32 + 1, maxU, false},
+		{0, maxU / fact14, fact14, maxU / fact14 * fact14, false},
+		{0, maxU/fact14 + 1, fact14, 0, true},
+		{1, 0, maxU, 1, false},
+	} {
+		got, err := MulAdd(tc.sum, tc.a, tc.b)
+		if tc.overflow != (err != nil) || !tc.overflow && got != tc.want {
+			t.Errorf("MulAdd(%d, %d, %d) = %d, %v; want %d, overflow %v", tc.sum, tc.a, tc.b, got, err, tc.want, tc.overflow)
+		}
+		if err != nil && !errors.Is(err, ErrCountOverflow) {
+			t.Errorf("MulAdd(%d, %d, %d): error %v is not ErrCountOverflow", tc.sum, tc.a, tc.b, err)
+		}
 	}
 }

@@ -1,59 +1,185 @@
 package pattern
 
-// Canonical forms and symmetry-breaking restrictions.
+// Canonical forms, automorphisms and symmetry-breaking restrictions, all
+// from one search over hyperedge orders (search).
 //
-// Canonicalization maps every member of an isomorphism class of patterns to
-// one representative: hyperedges are permuted to minimize the rendered
-// (region-vector, region-labels, edge-labels) byte string, and vertices are
-// renamed region by region in mask order — the same realization ShapeOf's
-// canonical region vector produces for unlabeled patterns. Two patterns are
-// isomorphic iff their canonical keys are equal (Theorem 1 extended with
-// per-region label multisets), so a query cache keyed on the canonical form
-// deduplicates every way of writing the same pattern. One branch-and-bound
-// search over hyperedge positions (canonSearch) finds the minimum for
-// patterns and shapes alike.
-//
-// Symmetry-breaking restrictions are the GraphZero-style ordering
-// constraints derived from the automorphism group: for each non-trivial
-// orbit of matching-order positions a chain of "data-edge ID at position i <
-// ID at position j" comparisons is emitted, so an engine that enforces them
-// enumerates exactly one ordered tuple — the lexicographically smallest —
-// per unordered embedding.
+// The canonical key renders the admitted hyperedge order (exactMaxEdges) with
+// the smallest (region vector, region labels, hyperedge labels) string; two
+// patterns are isomorphic iff their keys are equal (Theorem 1 with per-region
+// label multisets), so a query cache keyed on it deduplicates every way of
+// writing a pattern. An automorphism is an order that renders like the
+// identity; the search finds generators of the group (McKay & Piperno), and
+// the restrictions follow GraphZero's stabilizer chain: every other member q
+// of position i's orbit under the automorphisms fixing 0…i−1 gets "data-edge
+// ID at i < ID at q", so an engine enforcing them enumerates exactly one
+// ordered tuple — the lexicographically smallest — per unordered embedding.
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"slices"
-	"sort"
+
+	"ohminer/internal/sig"
 )
 
-// CanonMaxEdges bounds canonicalization; patterns with more hyperedges fall
-// back to literal identity (Canonicalize returns ok=false). The rendering is
-// 2^K entries long, and a symmetric pattern's orders all tie, so the search
-// still visits K! leaves: a six-petal sunflower costs 0.17 ms, a sampled
-// six-hyperedge pattern 6 µs (one Xeon core; EXPERIMENTS.md "Canonical
-// keys"). The bound stays at 6 until automorphism pruning cuts tied subtrees.
-const CanonMaxEdges = 6
+// The search keeps hyperedge sets in uint32 masks; this fails the build if
+// the pattern bound ever outgrows them.
+const _ = uint(32 - sig.MaxEdges)
 
-// Canon is the outcome of one canonical search over a pattern: the class key
-// and the hyperedge order that realizes the canonical representative.
-type Canon struct {
-	Key string
-	s   *canonSearch
+// canonical runs the canonical search once per pattern.
+func (p *Pattern) canonical() {
+	p.canonOnce.Do(func() {
+		s := newSearch(p)
+		s.bind(0, true)
+		key := make([]byte, 0, 8+4*(len(s.best)+s.k))
+		key = binary.BigEndian.AppendUint32(key, uint32(s.k))
+		flags := uint32(0)
+		if p.labels != nil {
+			flags |= 1
+		}
+		if p.edgeLabels != nil {
+			flags |= 2
+		}
+		key = binary.BigEndian.AppendUint32(key, flags)
+		for _, x := range s.best {
+			key = binary.BigEndian.AppendUint32(key, x)
+		}
+		for _, e := range s.bestPerm {
+			key = binary.BigEndian.AppendUint32(key, s.p.edgeLabel(e))
+		}
+		p.canonKey, p.canonPerm = string(key), s.bestPerm
+	})
 }
 
-// Canonicalize runs the canonical search once and returns its key, or
-// ok=false when the pattern exceeds CanonMaxEdges. Keys of isomorphic
-// patterns are equal; keys of non-isomorphic patterns differ. The canonical
-// representative is built only when Pattern is called.
-func Canonicalize(p *Pattern) (Canon, bool) {
-	k := len(p.edges)
-	if k > CanonMaxEdges {
-		return Canon{}, false
+// CanonicalKey returns p's canonical key and ok=true: isomorphic patterns get
+// equal keys, non-isomorphic ones different keys.
+func CanonicalKey(p *Pattern) (string, bool) {
+	p.canonical()
+	return p.canonKey, true
+}
+
+// Canonical returns the representative of p's isomorphism class and ok=true:
+// hyperedges in the key's order, vertices numbered region by region
+// (regionEdges), then by label; isomorphic patterns get the same one.
+func Canonical(p *Pattern) (*Pattern, bool) {
+	p.canonical()
+	// The representative is isomorphic to p, so this cannot fail for a
+	// valid pattern, but fail safe to literal identity.
+	if cp, err := NewEdgeLabeled(newSearch(p).realize(p.canonPerm)); err == nil {
+		return cp, true
 	}
-	s := newCanonSearch(k, p.labels != nil, p.edgeLabels)
-	// Region mask of every vertex (bit i ⇔ vertex ∈ hyperedge i). Vertex IDs
-	// never referenced by an edge keep mask 0 and drop out of the canonical
-	// form — they carry no structure.
+	return p, false
+}
+
+// symmetry runs the automorphism search once per pattern. |Aut| is the product
+// of the basic orbits, i's being its orbit under the generators fixing 0…i−1.
+func (p *Pattern) symmetry() *Pattern {
+	p.symOnce.Do(func() {
+		s := newSearch(p)
+		s.aut, s.idColor = true, make([]int, s.k)
+		for j := range s.k {
+			s.chunk(j, j)
+			s.bestPerm[j], s.idColor[j] = j, -1
+		}
+		s.best, s.cur = s.cur, s.best
+		s.bind(0, false)
+		p.aut, p.restrict = 1, make([][]int, s.k)
+		for i := range s.k {
+			n := 1
+			s.orbits(s.g, s.bestPerm[:i])
+			for q := i + 1; q < s.k; q++ {
+				if s.g[q] == i {
+					p.restrict[q] = append(p.restrict[q], i)
+					n++
+				}
+			}
+			p.aut *= n
+		}
+		p.orbitOf = make([]int, s.k)
+		s.orbits(p.orbitOf, nil)
+	})
+	return p
+}
+
+// Automorphisms counts the hyperedge permutations that map the pattern onto
+// itself (Theorem 1 with labels). An unrestricted ordered miner finds every
+// unordered embedding once per automorphism, so unique = ordered /
+// Automorphisms() for complete runs.
+func (p *Pattern) Automorphisms() int { return p.symmetry().aut }
+
+// SymmetryRestrictions returns, per hyperedge position t, the earlier
+// positions j (ascending) whose bound data-hyperedge ID must stay below t's:
+// of each ordered tuple's |Aut| reorderings exactly the lexicographically
+// smallest satisfies them all. The lists are the caller's to keep.
+func (p *Pattern) SymmetryRestrictions() [][]int {
+	out := make([][]int, len(p.edges))
+	for t, rs := range p.symmetry().restrict {
+		out[t] = slices.Clone(rs)
+	}
+	return out
+}
+
+// Orbits partitions the hyperedges into orbits under the automorphism group
+// and returns each orbit's smallest member, ascending, with the orbit's size.
+func (p *Pattern) Orbits() (reps, sizes []int) {
+	n := make([]int, len(p.edges))
+	for _, r := range p.symmetry().orbitOf {
+		n[r]++
+	}
+	for e, c := range n {
+		if c > 0 {
+			reps, sizes = append(reps, e), append(sizes, c)
+		}
+	}
+	return reps, sizes
+}
+
+// exactMaxEdges is the most hyperedges whose key is the minimum over all K!
+// orders. Beyond it prefixes tie with no automorphism to explain them (a
+// 14-hyperedge path has millions), so each position only admits the first
+// cell of the refinement, an isomorphism-invariant subset of the orders.
+const exactMaxEdges = 6
+
+// search binds hyperedge positions in turn. The rendering is, per permuted
+// region mask in ascending order, the region's vertex count and sorted
+// labels, then the hyperedge labels in order; the chunk for masks in [2^j,
+// 2^(j+1)) depends only on positions 0…j, so prefixes rendering above best's
+// are cut and ties kept. An order tying with bestPerm yields the automorphism
+// mapping one onto the other, and the search resumes where the two part (the
+// rest is the image of a searched subtree); a child in the orbit of a tried
+// one under the generators fixing the prefix is skipped alike.
+type search struct {
+	p       *Pattern
+	k       int
+	counts  []uint32   // vertices per region, by original mask
+	labels  [][]uint32 // sorted vertex labels per region; nil when unlabeled
+	regions []uint32   // the original masks of the non-empty regions
+	aut     bool       // find the orders rendering like the identity, not the minimum
+
+	orig     []uint32 // orig[m]: original mask of permuted mask m, for bound positions
+	perm     []int    // perm[i]: original hyperedge at position i
+	used     uint32
+	cur      []uint32 // rendering of the bound positions
+	best     []uint32 // rendering of bestPerm
+	bestPerm []int
+	replaced int     // times best was replaced
+	gens     [][]int // automorphisms found: gens[g][e] is e's image
+	jump     int     // after a tie, the position whose frame resumes; else -1
+	idColor  []int   // aut, refining: the color of hyperedge j given prefix 0…j−1
+	g        []int   // mapsBest's candidate
+	reps     []int   // reps[j*k:][:k]: orbit representatives of position j's children
+}
+
+// newSearch counts p's vertices and sorts their labels per original region
+// mask (bit i ⇔ vertex ∈ hyperedge i); an isolated vertex has mask 0.
+func newSearch(p *Pattern) *search {
+	k := len(p.edges)
+	words, ints := make([]uint32, 2<<k), make([]int, (3+k)*k) // one allocation each
+	s := &search{p: p, k: k, counts: words[:1<<k], orig: words[1<<k:], regions: make([]uint32, 0, p.numVertices),
+		perm: ints[:k], bestPerm: ints[k : 2*k], g: ints[2*k : 3*k], reps: ints[3*k:], jump: -1}
+	if p.labels != nil {
+		s.labels = make([][]uint32, 1<<k)
+	}
 	vmask := make([]uint32, p.numVertices)
 	for i, e := range p.edges {
 		for _, v := range e {
@@ -66,217 +192,263 @@ func Canonicalize(p *Pattern) (Canon, bool) {
 			s.labels[m] = append(s.labels[m], p.labels[v])
 		}
 	}
-	for _, ls := range s.labels {
-		slices.Sort(ls)
-	}
-	s.bind(0, true)
-
-	key := make([]byte, 0, 8+4*len(s.best))
-	key = binary.BigEndian.AppendUint32(key, uint32(k))
-	flags := uint32(0)
-	if p.labels != nil {
-		flags |= 1
-	}
-	if p.edgeLabels != nil {
-		flags |= 2
-	}
-	key = binary.BigEndian.AppendUint32(key, flags)
-	for _, x := range s.best {
-		key = binary.BigEndian.AppendUint32(key, x)
-	}
-	return Canon{Key: string(key), s: s}, true
-}
-
-// Pattern builds the canonical representative from the winning order, vertex
-// IDs assigned region by region (regionEdges), within a region by label.
-// Every order with the minimal rendering yields this same pattern.
-func (c Canon) Pattern() (*Pattern, error) {
-	edges, labels, edgeLabels := c.s.realize()
-	return NewEdgeLabeled(edges, labels, edgeLabels)
-}
-
-// Canonical returns the canonical representative of p's isomorphism class
-// and ok=true, or (p, false) when the pattern exceeds CanonMaxEdges. The
-// representative is deterministic: every pattern isomorphic to p — same
-// structure, same vertex-label multiset per overlap region, same hyperedge
-// labels up to the permutation — canonicalizes to the identical pattern.
-// For unlabeled patterns it coincides with ShapeOf(p)'s realization.
-func Canonical(p *Pattern) (*Pattern, bool) {
-	if c, ok := Canonicalize(p); ok {
-		// Pattern cannot fail for valid inputs (the canonical form is
-		// isomorphic to p), but fail safe to literal identity.
-		if cp, err := c.Pattern(); err == nil {
-			return cp, true
+	n := 1<<k - 1 // the rendering's length
+	for m := uint32(1); m < 1<<k; m++ {
+		if s.counts[m] > 0 {
+			s.regions = append(s.regions, m)
+			if s.labels != nil {
+				slices.Sort(s.labels[m])
+				n += len(s.labels[m])
+			}
 		}
 	}
-	return p, false
-}
-
-// CanonicalKey returns Canonicalize's key, or ("", false) beyond
-// CanonMaxEdges.
-func CanonicalKey(p *Pattern) (string, bool) {
-	c, ok := Canonicalize(p)
-	return c.Key, ok
-}
-
-// canonSearch finds the hyperedge order whose rendering is smallest. The
-// rendering is, per permuted region mask in ascending order, the region's
-// vertex count and then (labeled patterns) its sorted label multiset,
-// followed by the hyperedge labels in order (0 when unlabeled). The chunk
-// for masks in [2^j, 2^(j+1)) depends only on positions 0…j, so the search
-// binds positions in turn and cuts a prefix whose rendering already exceeds
-// the best one's; tied prefixes are kept, so the minimum is exact.
-type canonSearch struct {
-	k          int
-	counts     []uint32   // vertices per region, by original mask
-	labels     [][]uint32 // sorted vertex labels per region; nil when unlabeled
-	edgeLabels []uint32   // nil when unlabeled
-
-	orig     []uint32 // orig[m]: original mask of permuted mask m, for bound positions
-	perm     []int    // perm[i]: original hyperedge at position i
-	used     uint32
-	cur      []uint32 // rendering of the bound positions
-	best     []uint32 // smallest complete rendering found
-	bestOrig []uint32 // orig of the order that rendered best
-}
-
-func newCanonSearch(k int, labeled bool, edgeLabels []uint32) *canonSearch {
-	s := &canonSearch{k: k, counts: make([]uint32, 1<<k), edgeLabels: edgeLabels,
-		orig: make([]uint32, 1<<k), perm: make([]int, k), bestOrig: make([]uint32, 1<<k)}
-	if labeled {
-		s.labels = make([][]uint32, 1<<k)
-	}
+	buf := make([]uint32, 2*n)
+	s.cur, s.best = buf[:0:n], buf[n:n]
 	return s
 }
 
-// bind tries every unused hyperedge at position j. less reports that the
-// rendering of positions before j is already below best's (or no best exists
-// yet: bind(0, true) runs the search), so nothing under it can be cut. It
-// returns whether best was replaced in this subtree; best then shares this
-// node's prefix, which is no longer below it.
-func (s *canonSearch) bind(j int, less bool) bool {
-	start := len(s.cur)
-	if j == s.k {
-		for _, e := range s.perm {
-			if s.edgeLabels != nil {
-				s.cur = append(s.cur, s.edgeLabels[e])
-			} else {
-				s.cur = append(s.cur, 0)
-			}
-		}
-		replace := less || slices.Compare(s.cur[start:], s.best[start:]) < 0
-		if replace {
-			s.best = append(s.best[:0], s.cur...)
-			copy(s.bestOrig, s.orig)
-		}
-		s.cur = s.cur[:start]
-		return replace
-	}
-	replaced := false
+// chunk binds hyperedge e at position j in orig and renders it onto cur.
+func (s *search) chunk(j, e int) {
 	lo := 1 << j
+	for m := lo; m < 2*lo; m++ {
+		o := s.orig[m-lo] | 1<<e
+		s.orig[m] = o
+		s.cur = append(s.cur, s.counts[o])
+		if s.labels != nil {
+			s.cur = append(s.cur, s.labels[o]...)
+		}
+	}
+}
+
+// bind tries the unused hyperedges at position j; less reports that the order
+// so far renders below best, or that there is no best yet (bind(0, true)).
+func (s *search) bind(j int, less bool) {
+	if j == s.k {
+		s.leaf(less)
+		return
+	}
+	start := len(s.cur)
+	var rep, col []int
+	ngens, target := -1, j // target: the color of the cell position j binds from
+	if s.k > exactMaxEdges {
+		col = s.refine(s.perm[:j])
+		if s.aut {
+			if s.idColor[j] < 0 { // on the identity path, entered first
+				s.idColor[j] = col[j]
+			}
+			target = s.idColor[j]
+		}
+	}
+	var tried uint32
+children:
 	for e := 0; e < s.k; e++ {
 		bit := uint32(1) << e
-		if s.used&bit != 0 {
+		if s.used&bit != 0 || col != nil && col[e] != target {
 			continue
 		}
-		s.cur = s.cur[:start]
-		for m := lo; m < 2*lo; m++ {
-			o := s.orig[m-lo] | bit
-			s.orig[m] = o
-			s.cur = append(s.cur, s.counts[o])
-			if s.labels != nil {
-				s.cur = append(s.cur, s.labels[o]...)
+		if len(s.gens) > 0 {
+			if ngens != len(s.gens) {
+				ngens, rep = len(s.gens), s.reps[j*s.k:(j+1)*s.k]
+				s.orbits(rep, s.perm[:j])
 			}
-		}
-		c := -1 // this prefix against best's
-		if !less {
-			c = slices.Compare(s.cur[start:], s.best[start:len(s.cur)])
-		}
-		if c > 0 {
-			continue
-		}
-		s.perm[j] = e
-		s.used |= bit
-		if s.bind(j+1, c < 0) {
-			replaced, less = true, false
-		}
-		s.used &^= bit
-	}
-	s.cur = s.cur[:start]
-	return replaced
-}
-
-// realize lays out the canonical representative of the winning order.
-func (s *canonSearch) realize() (edges [][]uint32, labels, edgeLabels []uint32) {
-	edges = regionEdges(s.k, func(m int) int { return int(s.counts[s.bestOrig[m]]) })
-	if s.labels != nil {
-		labels = []uint32{}
-		for m := 1; m < 1<<s.k; m++ {
-			labels = append(labels, s.labels[s.bestOrig[m]]...)
-		}
-	}
-	if s.edgeLabels != nil {
-		// The rendering ends with the winning order's hyperedge labels.
-		edgeLabels = slices.Clone(s.best[len(s.best)-s.k:])
-	}
-	return edges, labels, edgeLabels
-}
-
-// SymmetryRestrictions returns per-position symmetry-breaking restrictions
-// for the pattern's hyperedge positions: Restrict[t] lists earlier positions
-// j whose bound data-hyperedge ID must stay strictly below position t's
-// (c[j] < c[t]). The constraints are derived from the automorphism group by
-// a stabilizer chain (GraphZero): of each ordered tuple's |Aut| automorphic
-// reorderings exactly one — the lexicographically smallest — satisfies every
-// restriction, so an engine enforcing them counts each unordered embedding
-// exactly once. All lists are empty when the pattern is asymmetric.
-func (p *Pattern) SymmetryRestrictions() [][]int {
-	return restrictionsFromPerms(len(p.edges), p.AutomorphismPerms())
-}
-
-// restrictionsFromPerms derives the stabilizer-chain restrictions from an
-// automorphism group given as explicit permutations over m positions. At
-// each level the first position p1 moved by the remaining subgroup anchors
-// its orbit: every other orbit member q (necessarily q > p1, since positions
-// below p1 are fixed) receives the restriction c[p1] < c[q], checkable the
-// moment position q binds; then the subgroup is cut to the stabilizer of p1
-// and the chain repeats until only the identity remains.
-func restrictionsFromPerms(m int, perms [][]int) [][]int {
-	out := make([][]int, m)
-	group := perms
-	for len(group) > 1 {
-		p1 := -1
-	findMoved:
-		for i := 0; i < m; i++ {
-			for _, pm := range group {
-				if pm[i] != i {
-					p1 = i
-					break findMoved
+			for t := range e {
+				if tried&(1<<t) != 0 && rep[t] == rep[e] {
+					continue children // its subtree is the image of a tried one's
 				}
 			}
 		}
-		if p1 < 0 {
-			break // duplicate identities; nothing left to break
+		tried |= bit
+		s.cur = s.cur[:start]
+		s.chunk(j, e)
+		c := 0 // this chunk against best's
+		if !less {
+			c = slices.Compare(s.cur[start:], s.best[start:len(s.cur)])
 		}
-		inOrbit := make(map[int]bool, len(group))
-		for _, pm := range group {
-			inOrbit[pm[p1]] = true
+		if c > 0 || c < 0 && s.aut {
+			continue
 		}
-		for q := range inOrbit {
-			if q != p1 {
-				out[q] = append(out[q], p1)
+		s.perm[j] = e
+		// Once the pattern has shown an automorphism, a tied prefix is first
+		// tried as the image of best's under another one.
+		if c < 0 || less || len(s.gens) == 0 || !s.mapsBest(j) {
+			s.used |= bit
+			n := s.replaced
+			s.bind(j+1, less || c < 0)
+			s.used &^= bit
+			if s.replaced != n {
+				less = false // best now shares this prefix
 			}
 		}
-		var stab [][]int
-		for _, pm := range group {
-			if pm[p1] == p1 {
-				stab = append(stab, pm)
+		if s.jump >= 0 {
+			if s.jump < j {
+				break
+			}
+			s.jump = -1
+		}
+	}
+	s.cur = s.cur[:start]
+}
+
+// leaf takes a complete order whose regions render no higher than best's:
+// with lower hyperedge labels it is the new best, with equal ones a tie.
+func (s *search) leaf(less bool) {
+	c := 0
+	for i := 0; i < s.k && c == 0 && !less; i++ {
+		c = int(s.p.edgeLabel(s.perm[i])) - int(s.p.edgeLabel(s.bestPerm[i]))
+	}
+	switch {
+	case less || c < 0 && !s.aut:
+		s.best = append(s.best[:0], s.cur...)
+		copy(s.bestPerm, s.perm)
+		s.replaced++
+	case c == 0:
+		s.mapsBest(s.k - 1)
+	}
+}
+
+// mapsBest reports whether the map taking bestPerm[0…j] onto the tied prefix
+// perm[0…j], fixing the hyperedges outside both and pairing the rest in
+// ascending order, is an automorphism, and if so records it and where to resume.
+func (s *search) mapsBest(j int) bool {
+	d := 0
+	for d <= j && s.perm[d] == s.bestPerm[d] {
+		d++
+	}
+	if d > j {
+		return false
+	}
+	g, dom, img := s.g, uint32(0), uint32(0)
+	for i, e := range s.perm[:j+1] {
+		g[s.bestPerm[i]], dom, img = e, dom|1<<s.bestPerm[i], img|1<<e
+	}
+	for e := range g {
+		switch {
+		case dom&(1<<e) != 0:
+		case img&(1<<e) == 0:
+			g[e] = e
+		default:
+			g[e] = bits.TrailingZeros32(dom &^ img)
+			img |= 1 << g[e]
+		}
+	}
+	// g keeps the rendering iff it maps every hyperedge onto one of equal
+	// label and every non-empty region onto one of equal count and labels
+	// (the non-empty regions then map onto each other).
+	for e, x := range g {
+		if s.p.edgeLabel(e) != s.p.edgeLabel(x) {
+			return false
+		}
+	}
+	for _, o := range s.regions {
+		img := uint32(0)
+		for b := o; b != 0; b &= b - 1 {
+			img |= 1 << g[bits.TrailingZeros32(b)]
+		}
+		if s.counts[img] != s.counts[o] || s.labels != nil && !slices.Equal(s.labels[img], s.labels[o]) {
+			return false
+		}
+	}
+	s.gens = append(s.gens, slices.Clone(g))
+	s.jump = d
+	return true
+}
+
+// refine colors the hyperedges given the bound prefix (1-dimensional
+// Weisfeiler–Leman): a prefix hyperedge gets its position, the rest are split
+// round by round by their labels and their regions' colors (vertex count,
+// hyperedge colors). Colors rank sorted signatures, so an isomorphism mapping
+// one prefix onto another keeps them; the unbound ones start at len(prefix).
+func (s *search) refine(prefix []int) []int {
+	col := make([]int, s.k)
+	for e := range col {
+		col[e] = len(prefix)
+	}
+	for i, e := range prefix {
+		col[e] = i
+	}
+	for classes := len(prefix) + 1; ; {
+		rsig := make([][]uint32, len(s.regions))
+		for r, o := range s.regions {
+			rsig[r] = []uint32{s.counts[o]}
+			for b := o; b != 0; b &= b - 1 {
+				rsig[r] = append(rsig[r], uint32(col[bits.TrailingZeros32(b)]))
+			}
+			slices.Sort(rsig[r][1:])
+		}
+		rcol, _ := rank(rsig)
+		esig := make([][]uint32, s.k)
+		for e := range esig {
+			esig[e] = []uint32{uint32(col[e]), s.p.edgeLabel(e)}
+			for r, o := range s.regions {
+				if o&(1<<e) != 0 {
+					esig[e] = append(esig[e], uint32(rcol[r]))
+				}
+			}
+			slices.Sort(esig[e][2:])
+		}
+		next, n := rank(esig)
+		if n == classes {
+			return col
+		}
+		col, classes = next, n
+	}
+}
+
+// rank numbers the distinct signatures in ascending order and returns each
+// signature's number and how many there are.
+func rank(sigs [][]uint32) ([]int, int) {
+	sorted := slices.Clone(sigs)
+	slices.SortFunc(sorted, slices.Compare)
+	sorted = slices.CompactFunc(sorted, slices.Equal)
+	out := make([]int, len(sigs))
+	for i, sg := range sigs {
+		out[i], _ = slices.BinarySearchFunc(sorted, sg, slices.Compare)
+	}
+	return out, len(sorted)
+}
+
+// orbits sets rep[e] to the smallest hyperedge in e's orbit under the
+// generators found so far that fix every hyperedge in fixed.
+func (s *search) orbits(rep, fixed []int) {
+	for e := range rep {
+		rep[e] = e
+	}
+	root := func(e int) int {
+		for rep[e] != e {
+			e = rep[e]
+		}
+		return e
+	}
+	for _, g := range s.gens {
+		if !slices.ContainsFunc(fixed, func(f int) bool { return g[f] != f }) {
+			for e, ge := range g {
+				a, b := root(e), root(ge)
+				rep[max(a, b)] = min(a, b)
 			}
 		}
-		group = stab
 	}
-	for t := range out {
-		sort.Ints(out[t])
+	for e := range rep {
+		rep[e] = rep[rep[e]] // parents are smaller, so already flattened
 	}
-	return out
+}
+
+// realize lays out the canonical representative of the order perm.
+func (s *search) realize(perm []int) (edges [][]uint32, labels, edgeLabels []uint32) {
+	for j, e := range perm {
+		s.chunk(j, e)
+	}
+	edges = regionEdges(s.k, func(m int) int { return int(s.counts[s.orig[m]]) })
+	if s.labels != nil {
+		labels = []uint32{}
+		for m := 1; m < 1<<s.k; m++ {
+			labels = append(labels, s.labels[s.orig[m]]...)
+		}
+	}
+	if s.p.edgeLabels != nil {
+		edgeLabels = make([]uint32, s.k)
+		for i, e := range perm {
+			edgeLabels[i] = s.p.edgeLabels[e]
+		}
+	}
+	return edges, labels, edgeLabels
 }

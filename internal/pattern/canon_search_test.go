@@ -12,6 +12,10 @@ import (
 	"ohminer/internal/gen"
 )
 
+// exhaustiveMaxEdges bounds the exhaustive oracle, which renders all K!
+// hyperedge orders.
+const exhaustiveMaxEdges = 6
+
 // canonForm is a canonical result laid out for comparison: the key and the
 // realized representative (edges, vertex labels, hyperedge labels).
 type canonForm struct {
@@ -148,17 +152,14 @@ func exhaustiveCanon(edges [][]uint32, numVertices int, labels, edgeLabels []uin
 	return out
 }
 
-// searchCanon runs Canonicalize on raw hyperedges without the Pattern
+// searchCanon runs the canonical search on raw hyperedges without the Pattern
 // constructor's checks, so inputs no Pattern admits reach the search.
 func searchCanon(t testing.TB, edges [][]uint32, numVertices int, labels, edgeLabels []uint32) canonForm {
 	t.Helper()
 	p := &Pattern{edges: edges, labels: labels, edgeLabels: edgeLabels, numVertices: numVertices}
-	c, ok := Canonicalize(p)
-	if !ok {
-		t.Fatalf("%d hyperedges refused", len(edges))
-	}
-	out := canonForm{key: c.Key}
-	out.edges, out.labels, out.edgeLabels = c.s.realize()
+	key, _ := CanonicalKey(p)
+	out := canonForm{key: key}
+	out.edges, out.labels, out.edgeLabels = newSearch(p).realize(p.canonPerm)
 	return out
 }
 
@@ -296,7 +297,7 @@ func TestCanonicalMatchesExhaustive(t *testing.T) {
 		trials = 300
 	}
 	for trial, built := 0, 0; built < trials; trial++ {
-		k := 1 + trial%CanonMaxEdges
+		k := 1 + trial%exhaustiveMaxEdges
 		nv := 2 + rng.Intn(11)
 		edges := randomEdges(rng, k, nv)
 		var labels, edgeLabels []uint32
@@ -317,7 +318,7 @@ func TestCanonicalMatchesExhaustive(t *testing.T) {
 		checkPattern(t, p, rng)
 	}
 
-	for k := 1; k <= CanonMaxEdges; k++ {
+	for k := 1; k <= exhaustiveMaxEdges; k++ {
 		disjoint := make([][]uint32, k)
 		sunflower := make([][]uint32, k)
 		copies := make([][]uint32, k)
@@ -347,8 +348,8 @@ func FuzzCanonicalKey(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		k := 1 + int(data[0])%CanonMaxEdges
-		flags := int(data[0]) / CanonMaxEdges
+		k := 1 + int(data[0])%exhaustiveMaxEdges
+		flags := int(data[0]) / exhaustiveMaxEdges
 		next := func(i int) byte {
 			if i < len(data) {
 				return data[i]
@@ -390,10 +391,26 @@ func FuzzCanonicalKey(f *testing.F) {
 	})
 }
 
+// fresh copies p without its memoized searches, so a benchmark iteration
+// pays for them again.
+func fresh(p *Pattern) *Pattern {
+	return &Pattern{edges: p.edges, labels: p.labels, edgeLabels: p.edgeLabels, numVertices: p.numVertices}
+}
+
+// sunflower has n petals of two vertices each around a two-vertex core: all
+// n! hyperedge orders tie.
+func sunflower(n int) *Pattern {
+	petals := make([][]uint32, n)
+	for i := range petals {
+		petals[i] = []uint32{0, 1, uint32(2 + 2*i), uint32(3 + 2*i)}
+	}
+	return MustNew(petals, nil)
+}
+
 // BenchmarkCanonicalKey times one key per request the way Session makes it,
 // over patterns sampled from the CH preset in serve_mix's catalogue bands (K
-// hyperedges, 2K…4K vertices), and over a six-petal sunflower whose 720
-// hyperedge orders all tie, so no prefix is ever cut.
+// hyperedges, 2K…4K vertices), and over sunflowers of 6 to 14 petals, whose
+// K! hyperedge orders all tie.
 func BenchmarkCanonicalKey(b *testing.B) {
 	ps, err := gen.PresetByTag("CH")
 	if err != nil {
@@ -402,12 +419,12 @@ func BenchmarkCanonicalKey(b *testing.B) {
 	h := gen.MustGenerate(ps.Config)
 	run := func(b *testing.B, pats []*Pattern) {
 		for i := 0; i < b.N; i++ {
-			if _, ok := CanonicalKey(pats[i%len(pats)]); !ok {
+			if _, ok := CanonicalKey(fresh(pats[i%len(pats)])); !ok {
 				b.Fatal("refused")
 			}
 		}
 	}
-	for k := 2; k <= CanonMaxEdges; k++ {
+	for k := 2; k <= 6; k++ {
 		rng := rand.New(rand.NewSource(int64(k)))
 		var pats []*Pattern
 		for len(pats) < 64 {
@@ -419,9 +436,23 @@ func BenchmarkCanonicalKey(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) { run(b, pats) })
 	}
-	petals := make([][]uint32, CanonMaxEdges)
-	for i := range petals {
-		petals[i] = []uint32{0, 1, uint32(2 + 2*i), uint32(3 + 2*i)}
+	for k := 6; k <= 14; k++ {
+		b.Run(fmt.Sprintf("K=%d/sunflower", k), func(b *testing.B) { run(b, []*Pattern{sunflower(k)}) })
 	}
-	b.Run("K=6/sunflower", func(b *testing.B) { run(b, []*Pattern{MustNew(petals, nil)}) })
+}
+
+// BenchmarkSymmetry times the automorphism search and what is read off it —
+// |Aut|, the restrictions and the orbits — on sunflowers of 6 to 14 petals.
+func BenchmarkSymmetry(b *testing.B) {
+	for k := 6; k <= 14; k++ {
+		p := sunflower(k)
+		b.Run(fmt.Sprintf("K=%d/sunflower", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				q := fresh(p)
+				q.Automorphisms()
+				q.SymmetryRestrictions()
+				q.Orbits()
+			}
+		})
+	}
 }

@@ -1,6 +1,8 @@
 package pattern
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -147,22 +149,50 @@ func TestCanonicalLabeled(t *testing.T) {
 	}
 }
 
-// TestCanonicalBeyondMaxEdges: patterns past the K! bound fall back to
-// literal identity.
-func TestCanonicalBeyondMaxEdges(t *testing.T) {
-	edges := make([][]uint32, CanonMaxEdges+1)
-	for i := range edges {
-		edges[i] = []uint32{uint32(i), uint32(i + 1)}
-	}
-	p, err := New(edges, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := Canonical(p); ok {
-		t.Errorf("Canonical accepted %d hyperedges (bound %d)", len(edges), CanonMaxEdges)
-	}
-	if _, ok := CanonicalKey(p); ok {
-		t.Error("CanonicalKey accepted a pattern beyond the bound")
+// TestCanonicalManyEdges: patterns of 7 to 14 hyperedges — far past where
+// K! orders could be rendered — canonicalize; a scrambled copy gets the same
+// key and representative, and no two of the non-isomorphic families share a
+// key.
+func TestCanonicalManyEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	owner := map[string]string{}
+	for k := 7; k <= 14; k++ {
+		families := map[string][][]uint32{}
+		var path, cycle, petals, twoOrbit [][]uint32
+		for i := 0; i < k; i++ {
+			path = append(path, []uint32{uint32(i), uint32(i + 1)})
+			cycle = append(cycle, []uint32{uint32(i), uint32((i + 1) % k)})
+			petals = append(petals, []uint32{0, uint32(1 + i)})
+			if i%2 == 0 {
+				twoOrbit = append(twoOrbit, []uint32{0, uint32(1 + 2*i)})
+			} else {
+				twoOrbit = append(twoOrbit, []uint32{0, uint32(1 + 2*i), uint32(2 + 2*i)})
+			}
+		}
+		families["path"], families["cycle"], families["sunflower"], families["two-orbit"] = path, cycle, petals, twoOrbit
+		for name, edges := range families {
+			what := fmt.Sprintf("%d-edge %s", k, name)
+			p, err := New(edges, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			key, ok := CanonicalKey(p)
+			if !ok {
+				t.Fatalf("%s: refused", what)
+			}
+			if prev, dup := owner[key]; dup {
+				t.Fatalf("%s and %s share a key", prev, what)
+			}
+			owner[key] = what
+			cp, _ := Canonical(p)
+			q := scramble(t, p, rng)
+			if qk, _ := CanonicalKey(q); qk != key {
+				t.Fatalf("%s: a scramble got another key", what)
+			}
+			if cq, _ := Canonical(q); !reflect.DeepEqual(cq.Edges(), cp.Edges()) {
+				t.Fatalf("%s: scramble's representative %q, want %q", what, cq, cp)
+			}
+		}
 	}
 }
 
@@ -193,47 +223,5 @@ func TestSymmetryRestrictions(t *testing.T) {
 				t.Errorf("%q position %d: restrictions %v, want %v", tc.lit, i, got[i], tc.want[i])
 			}
 		}
-	}
-}
-
-// TestRestrictionsFromPermsWide: the helper is defined over arbitrary
-// position counts; a transposition of positions 35 and 36 in a 40-position
-// group must yield exactly c35<c36 — this is the regression test for the
-// orbit bookkeeping that a 32-bit mask would have silently wrapped.
-func TestRestrictionsFromPermsWide(t *testing.T) {
-	const m = 40
-	id := make([]int, m)
-	swap := make([]int, m)
-	for i := range id {
-		id[i] = i
-		swap[i] = i
-	}
-	swap[35], swap[36] = 36, 35
-	got := restrictionsFromPerms(m, [][]int{id, swap})
-	for i, rs := range got {
-		switch i {
-		case 36:
-			if !reflect.DeepEqual(rs, []int{35}) {
-				t.Errorf("position 36: restrictions %v, want [35]", rs)
-			}
-		default:
-			if len(rs) != 0 {
-				t.Errorf("position %d: unexpected restrictions %v", i, rs)
-			}
-		}
-	}
-
-	// A 3-cycle over {10, 20, 30} plus its square: one orbit anchored at 10,
-	// both other members restricted against it, then the stabilizer of 10 is
-	// trivial.
-	rot := make([]int, m)
-	rot2 := make([]int, m)
-	copy(rot, id)
-	copy(rot2, id)
-	rot[10], rot[20], rot[30] = 20, 30, 10
-	rot2[10], rot2[20], rot2[30] = 30, 10, 20
-	got = restrictionsFromPerms(m, [][]int{id, rot, rot2})
-	if !reflect.DeepEqual(got[20], []int{10}) || !reflect.DeepEqual(got[30], []int{10}) {
-		t.Errorf("3-cycle: got %v/%v at 20/30, want [10]/[10]", got[20], got[30])
 	}
 }

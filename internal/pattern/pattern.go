@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"ohminer/internal/intset"
 	"ohminer/internal/sig"
@@ -28,6 +29,14 @@ type Pattern struct {
 	edgeLabels  []uint32 // per-hyperedge label; nil when unlabeled
 	numVertices int
 	signature   sig.Signature
+
+	symOnce   sync.Once // runs symmetry on first use
+	aut       int
+	restrict  [][]int   // see SymmetryRestrictions
+	orbitOf   []int     // orbitOf[e]: the smallest hyperedge in e's orbit
+	canonOnce sync.Once // runs canonical on first use
+	canonKey  string
+	canonPerm []int // canonPerm[i]: the hyperedge at canonical position i
 }
 
 // Common construction errors.
@@ -254,104 +263,4 @@ func (p *Pattern) Reorder(order []int) (*Pattern, error) {
 		}
 	}
 	return NewEdgeLabeled(edges, p.labels, edgeLabels)
-}
-
-// Automorphisms counts hyperedge permutations π such that the permuted
-// pattern is isomorphic to the original (equal overlap signatures — Theorem
-// 1 — and, for labeled patterns, equal label signatures). Every unordered
-// embedding is discovered once per automorphism by an unrestricted ordered
-// miner, so unique-count = ordered-count / Automorphisms() for complete
-// runs; symmetry-broken plans (SymmetryRestrictions) instead count each
-// unordered embedding directly.
-func (p *Pattern) Automorphisms() int {
-	return len(p.AutomorphismPerms())
-}
-
-// The automorphism search tracks used hyperedge positions in a uint64
-// bitmask, so it is only correct for patterns of at most 64 hyperedges.
-// Every constructible Pattern is bounded far below that by sig.MaxEdges
-// (NewEdgeLabeled rejects larger inputs with a clear error); this
-// compile-time assertion fails the build if the signature bound ever grows
-// past the mask width instead of letting 1<<j wrap silently.
-const _ = uint(64 - sig.MaxEdges)
-
-// AutomorphismPerms returns the hyperedge automorphism group as explicit
-// permutations (perm[i] = original index placed at position i). The
-// identity is always first.
-func (p *Pattern) AutomorphismPerms() [][]int {
-	m := len(p.edges)
-	var labelSig sig.LabelSignature
-	if p.Labeled() {
-		labelSig, _ = p.LabelSignature()
-	}
-	perm := make([]int, m)
-	used := uint64(0)
-	var perms [][]int
-	var rec func(pos int)
-	rec = func(pos int) {
-		if pos == m {
-			if !p.signature.Permute(perm).Equal(p.signature) {
-				return
-			}
-			if p.Labeled() && !labelPermEqual(labelSig, perm) {
-				return
-			}
-			perms = append(perms, append([]int(nil), perm...))
-			return
-		}
-		for j := 0; j < m; j++ {
-			if used&(1<<uint(j)) != 0 || len(p.edges[j]) != len(p.edges[pos]) ||
-				p.edgeLabel(j) != p.edgeLabel(pos) {
-				continue
-			}
-			perm[pos] = j
-			used |= 1 << uint(j)
-			rec(pos + 1)
-			used &^= 1 << uint(j)
-		}
-	}
-	rec(0)
-	// The identity is found first by construction (j ascending), but make
-	// the invariant explicit for callers.
-	for i, pm := range perms {
-		if isIdentity(pm) && i != 0 {
-			perms[0], perms[i] = perms[i], perms[0]
-			break
-		}
-	}
-	return perms
-}
-
-func isIdentity(perm []int) bool {
-	for i, v := range perm {
-		if i != v {
-			return false
-		}
-	}
-	return true
-}
-
-// labelPermEqual checks that the permuted label signature matches the
-// original: for every mask, the label histogram of the permuted subset must
-// equal the original's.
-func labelPermEqual(ls sig.LabelSignature, perm []int) bool {
-	m := ls.M
-	for mask := 1; mask < 1<<m; mask++ {
-		var orig uint32
-		for i := 0; i < m; i++ {
-			if mask&(1<<i) != 0 {
-				orig |= 1 << uint(perm[i])
-			}
-		}
-		a, b := ls.Counts[mask], ls.Counts[orig]
-		if len(a) != len(b) {
-			return false
-		}
-		for k := range a {
-			if a[k] != b[k] {
-				return false
-			}
-		}
-	}
-	return true
 }

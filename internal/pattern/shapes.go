@@ -78,22 +78,19 @@ func regionEdges(k int, count func(mask int) int) [][]uint32 {
 
 // ShapeOf returns the canonical shape of an unlabeled pattern.
 func ShapeOf(p *Pattern) Shape {
-	return canonicalShape(p.NumEdges(), p.Signature().RegionSizes())
+	return canonicalShape(&Pattern{edges: p.edges, numVertices: p.numVertices})
 }
 
-// canonicalShape returns the lexicographically minimal region vector over all
-// permutations of hyperedge bits, found by the canonical search.
-func canonicalShape(k int, regions []int) Shape {
-	s := newCanonSearch(k, false, nil)
-	for mask := 1; mask < 1<<k; mask++ {
-		s.counts[mask] = uint32(regions[mask])
-	}
+// canonicalShape returns the region vector of p's canonical hyperedge order
+// (for up to exactMaxEdges hyperedges, the lexicographically minimal one).
+func canonicalShape(p *Pattern) Shape {
+	s := newSearch(p)
 	s.bind(0, true)
-	canon := make([]int, 1<<k)
-	for mask := 1; mask < 1<<k; mask++ {
+	canon := make([]int, 1<<s.k)
+	for mask := 1; mask < 1<<s.k; mask++ {
 		canon[mask] = int(s.best[mask-1])
 	}
-	return Shape{K: k, Regions: canon}
+	return Shape{K: s.k, Regions: canon}
 }
 
 // EnumerateShapes lists every connected K-hyperedge shape whose regions
@@ -119,7 +116,7 @@ func EnumerateShapes(k, maxRegionSize, maxVertices int) ([]Shape, error) {
 			if !shapeValid(k, regions) {
 				return
 			}
-			s := canonicalShape(k, regions)
+			s := canonicalShape(&Pattern{edges: regionEdges(k, func(m int) int { return regions[m] }), numVertices: total})
 			key := s.Key()
 			if !seen[key] {
 				seen[key] = true

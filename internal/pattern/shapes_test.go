@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ohminer/internal/gen"
-	"ohminer/internal/venn"
 )
 
 func TestEnumerateShapesK2(t *testing.T) {
@@ -32,35 +31,6 @@ func TestEnumerateShapesK2(t *testing.T) {
 		}
 		if got := ShapeOf(p); got.Key() != s.Key() {
 			t.Fatalf("roundtrip: %s → %s", s, got)
-		}
-	}
-}
-
-func TestEnumerateShapesPairwiseNonIsomorphic(t *testing.T) {
-	shapes, err := EnumerateShapes(3, 1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(shapes) < 5 {
-		t.Fatalf("K=3 maxRegion=1: only %d shapes", len(shapes))
-	}
-	pats := make([]*Pattern, len(shapes))
-	for i, s := range shapes {
-		p, err := s.Pattern()
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		pats[i] = p
-	}
-	for i := 0; i < len(pats); i++ {
-		for j := i + 1; j < len(pats); j++ {
-			iso, err := venn.IsomorphicAnyOrder(pats[i].Edges(), pats[j].Edges())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if iso {
-				t.Fatalf("shapes %s and %s realize isomorphic patterns", shapes[i], shapes[j])
-			}
 		}
 	}
 }

@@ -13,7 +13,7 @@
 //
 // The signature is the single correctness object shared by the compiler (it
 // derives the execution plan's size targets from it), the brute-force
-// reference miner, the automorphism counter, and the Venn model.
+// reference miner with its automorphism oracle, and the Venn model.
 package sig
 
 import (
@@ -113,22 +113,6 @@ func (s Signature) RegionSizes() []int {
 		}
 	}
 	return region
-}
-
-// Permute returns the signature of the same edges reordered by perm
-// (perm[i] = original index placed at position i).
-func (s Signature) Permute(perm []int) Signature {
-	out := Signature{M: s.M, Sizes: make([]int, len(s.Sizes))}
-	for mask := 1; mask < len(s.Sizes); mask++ {
-		var orig uint32
-		for i := 0; i < s.M; i++ {
-			if mask&(1<<i) != 0 {
-				orig |= 1 << uint(perm[i])
-			}
-		}
-		out.Sizes[mask] = s.Sizes[orig]
-	}
-	return out
 }
 
 // LabelCount pairs a vertex label with a count.

@@ -157,23 +157,6 @@ func TestRegionRoundtrip(t *testing.T) {
 	}
 }
 
-func TestPermute(t *testing.T) {
-	edges := fig4Pattern()
-	s := MustCompute(edges)
-	perm := []int{2, 0, 1} // position i holds original perm[i]
-	p := s.Permute(perm)
-	reordered := [][]uint32{edges[2], edges[0], edges[1]}
-	want := MustCompute(reordered)
-	if !p.Equal(want) {
-		t.Fatalf("Permute mismatch:\n got %v\nwant %v", p.Sizes, want.Sizes)
-	}
-	// Identity permutation is a no-op.
-	id := s.Permute([]int{0, 1, 2})
-	if !id.Equal(s) {
-		t.Fatal("identity permutation changed signature")
-	}
-}
-
 func TestEqual(t *testing.T) {
 	a := MustCompute(fig4Pattern())
 	b := MustCompute(fig4Pattern())

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ohminer/internal/bruteforce"
 	"ohminer/internal/engine"
 	"ohminer/internal/pattern"
 )
@@ -56,7 +57,7 @@ func checkAnchorOrders(t *testing.T, m *Miner) {
 		if q.anchorPlans == nil {
 			t.Fatalf("%s: no anchor plans compiled", q.lit)
 		}
-		perms := q.p.AutomorphismPerms()
+		perms := bruteforce.AutomorphismPerms(q.p)
 		covered := make([]bool, q.p.NumEdges())
 		var sum uint64
 		differ := false
@@ -226,10 +227,11 @@ func TestDeltaExactWhereOrdersDiffer(t *testing.T) {
 	}
 }
 
-// TestDeltaInvariantUnderRelabelling: the anchor is the first changed
-// hyperedge in the order the pattern was written, so writing the hyperedges
-// in another order moves embeddings between anchors — and must move no
-// delta.
+// TestDeltaInvariantUnderRelabelling: the anchor is an embedding's smallest
+// changed data-hyperedge ID, bound at position 0 of its orbit's plan, and the
+// orbits and their plans follow the order the pattern was written in; writing
+// the hyperedges in another order moves embeddings between orbit runs — and
+// must move no delta.
 func TestDeltaInvariantUnderRelabelling(t *testing.T) {
 	const nv = 16
 	m, err := NewMiner(Config{NumVertices: nv, Window: 4, Engine: engine.Options{Workers: 2}})

@@ -261,7 +261,7 @@ func (s *Snapshot) Validate() error {
 		if p.Labeled() || p.EdgeLabeled() {
 			return corruptf("query %d: labeled pattern", i)
 		}
-		ck := canonKey(p)
+		ck, _ := pattern.CanonicalKey(p)
 		if canon[ck] {
 			return corruptf("query %d: duplicate canonical pattern", i)
 		}
@@ -354,7 +354,8 @@ func Load(s *Snapshot, cfg Config) (*Miner, error) {
 		if err != nil {
 			return nil, corruptf("query %d: bad pattern: %v", sq.ID, err)
 		}
-		q := m.addQuery(sq.ID, p, canonKey(p), sq.BaseEpoch)
+		ck, _ := pattern.CanonicalKey(p)
+		q := m.addQuery(sq.ID, p, ck, sq.BaseEpoch)
 		q.base, q.cumAdd, q.cumRet, q.seq = sq.Base, sq.CumAdded, sq.CumRetired, sq.EventSeq
 	}
 	if cfg.Snapshot != nil {

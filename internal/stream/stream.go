@@ -356,7 +356,7 @@ func (m *Miner) ensureAnchorPlans(q *query) error {
 	if q.anchorPlans != nil {
 		return nil
 	}
-	reps, sizes := orbits(q.p)
+	reps, sizes := q.p.Orbits()
 	plans := make([]anchorPlan, len(reps))
 	for i, r := range reps {
 		// Unrestricted: anchored counting must see every ordered tuple.
@@ -368,27 +368,6 @@ func (m *Miner) ensureAnchorPlans(q *query) error {
 	}
 	q.anchorPlans = plans
 	return nil
-}
-
-// orbits partitions p's hyperedges into orbits under its automorphisms and
-// returns each orbit's smallest member, ascending, with the orbit's size.
-func orbits(p *pattern.Pattern) (reps, sizes []int) {
-	perms := p.AutomorphismPerms()
-	seen := make([]bool, p.NumEdges())
-	for i := range seen {
-		if seen[i] {
-			continue
-		}
-		n := 0
-		for _, perm := range perms {
-			if j := perm[i]; !seen[j] {
-				seen[j] = true
-				n++
-			}
-		}
-		reps, sizes = append(reps, i), append(sizes, n)
-	}
-	return reps, sizes
 }
 
 // applyPlan is the fully validated mutation plan for one batch, computed
@@ -725,7 +704,9 @@ func (m *Miner) anchored(q *query, changed []uint32, filter func(int, uint32, ui
 			return 0, err
 		}
 		m.runs++
-		sum += ap.weight * res.Ordered
+		if sum, err = engine.MulAdd(sum, ap.weight, res.Ordered); err != nil {
+			return 0, err
+		}
 		stats.Add(res.Stats)
 	}
 	return sum, nil
@@ -754,7 +735,7 @@ func (m *Miner) RegisterQuery(p *pattern.Pattern) (QueryInfo, error) {
 	if p.Labeled() || p.EdgeLabeled() {
 		return QueryInfo{}, errors.New("stream: labeled standing queries are not supported")
 	}
-	canon := canonKey(p)
+	canon, _ := pattern.CanonicalKey(p)
 	if id, dup := m.byCanon[canon]; dup {
 		info := m.queries[id].info()
 		info.Existing = true
@@ -786,15 +767,6 @@ func (m *Miner) RegisterQuery(p *pattern.Pattern) (QueryInfo, error) {
 		}
 	}
 	return q.info(), nil
-}
-
-// canonKey is the key isomorphic patterns share, so they share one standing
-// query.
-func canonKey(p *pattern.Pattern) string {
-	if k, ok := pattern.CanonicalKey(p); ok {
-		return k
-	}
-	return "lit:" + p.String()
 }
 
 // addQuery installs a standing query for p with zero counters.

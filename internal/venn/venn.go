@@ -107,44 +107,6 @@ func Isomorphic(a, b [][]uint32) (bool, error) {
 	return sa.Equal(sb), nil
 }
 
-// IsomorphicAnyOrder reports whether some reordering of b makes it
-// isomorphic to a, searching hyperedge permutations pruned by degree.
-func IsomorphicAnyOrder(a, b [][]uint32) (bool, error) {
-	if len(a) != len(b) {
-		return false, nil
-	}
-	sa, err := sig.Compute(a)
-	if err != nil {
-		return false, err
-	}
-	sb, err := sig.Compute(b)
-	if err != nil {
-		return false, err
-	}
-	m := len(a)
-	perm := make([]int, m)
-	used := uint32(0)
-	var rec func(pos int) bool
-	rec = func(pos int) bool {
-		if pos == m {
-			return sb.Permute(perm).Equal(sa)
-		}
-		for j := 0; j < m; j++ {
-			if used&(1<<j) != 0 || len(b[j]) != len(a[pos]) {
-				continue
-			}
-			perm[pos] = j
-			used |= 1 << j
-			if rec(pos + 1) {
-				return true
-			}
-			used &^= 1 << j
-		}
-		return false
-	}
-	return rec(0), nil
-}
-
 // CheckTheorem1 verifies on a concrete pair of hyperedge sequences that the
 // IEP-derived region sizes equal the profile-derived region sizes, and
 // returns the ordered-isomorphism verdict. Tests use it as the Theorem-1

@@ -16,9 +16,6 @@ func TestIsomorphicErrorPaths(t *testing.T) {
 	if _, err := Isomorphic(good, bad); err == nil {
 		t.Error("unsorted second operand accepted")
 	}
-	if _, err := IsomorphicAnyOrder(bad, good); err == nil {
-		t.Error("any-order unsorted operand accepted")
-	}
 	if _, err := Regions(bad); err == nil {
 		t.Error("Regions accepted unsorted input")
 	}

@@ -90,26 +90,6 @@ func TestRegionsMatchProfiles(t *testing.T) {
 	}
 }
 
-func TestIsomorphicAnyOrder(t *testing.T) {
-	p := fig5Pattern()
-	// Reorder the embedding's hyperedges; ordered check fails, any-order
-	// succeeds.
-	good := fig5Valid()
-	shuffled := [][]uint32{good[2], good[0], good[1]}
-	if iso, _ := Isomorphic(p, shuffled); iso {
-		t.Fatal("ordered isomorphism should fail on shuffled edges (degree mismatch)")
-	}
-	if iso, err := IsomorphicAnyOrder(p, shuffled); err != nil || !iso {
-		t.Fatalf("any-order failed: %v %v", iso, err)
-	}
-	if iso, _ := IsomorphicAnyOrder(p, fig5Invalid()); iso {
-		t.Fatal("any-order accepted a non-isomorphic pair")
-	}
-	if iso, _ := IsomorphicAnyOrder(p, p[:2]); iso {
-		t.Fatal("different edge counts accepted")
-	}
-}
-
 func TestRegionExpr(t *testing.T) {
 	r := Region{Mask: 0b011}
 	got := r.Expr(3)

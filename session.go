@@ -3,7 +3,6 @@ package ohminer
 import (
 	"container/list"
 	"context"
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -67,9 +66,8 @@ type storeState struct {
 	fp    uint64
 }
 
-// sessionKey identifies one compiled plan: the pattern's identity (canonical
-// key when canonicalization applies, exact literal plus labels beyond
-// pattern.CanonMaxEdges) plus every option that changes what the compiler
+// sessionKey identifies one compiled plan: the pattern's canonical key, which
+// isomorphic literals share, plus every option that changes what the compiler
 // emits. Two queries with equal keys are answered by the same computation,
 // so the key doubles as the result-cache identity.
 type sessionKey struct {
@@ -216,19 +214,10 @@ func (s *Session) plan(p *Pattern, o engine.Options, store *Store) (*Plan, sessi
 	}
 	// One canonical search per request: a hit needs only its key, and a miss
 	// realizes the representative from the same search.
-	canon, canonical := pattern.Canonicalize(p)
-	if canonical {
-		// Isomorphic literals share this key (Theorem 1 extended with label
-		// multisets); the plan itself is compiled from the canonical
-		// representative so every literal maps onto the identical plan.
-		key.canon = canon.Key
-	} else {
-		// Beyond pattern.CanonMaxEdges canonicalization is too expensive;
-		// fall back to exact literal identity. The "lit:" prefix cannot
-		// collide with a canonical key, whose first byte is a length-field
-		// zero.
-		key.canon = "lit:" + p.String() + "|" + labelFingerprint(p)
-	}
+	// Isomorphic literals share this key (Theorem 1 extended with label
+	// multisets); the plan itself is compiled from the canonical
+	// representative so every literal maps onto the identical plan.
+	key.canon, _ = pattern.CanonicalKey(p)
 
 	s.mu.Lock()
 	e, ok := s.plans[key]
@@ -241,12 +230,7 @@ func (s *Session) plan(p *Pattern, o engine.Options, store *Store) (*Plan, sessi
 	compiled := false
 	e.once.Do(func() {
 		compiled = true
-		cp := p
-		if canonical {
-			if c, err := canon.Pattern(); err == nil {
-				cp = c
-			}
-		}
+		cp, _ := pattern.Canonical(p)
 		e.plan, e.err = engine.CompilePlan(store, cp, o)
 	})
 	if compiled {
@@ -329,27 +313,4 @@ func (s *Session) evictOver() {
 		s.lru.Remove(back)
 		delete(s.results, back.Value.(*resultEntry).key)
 	}
-}
-
-// labelFingerprint renders the pattern's vertex and hyperedge labels into
-// the cache key. Labels are full 32-bit values and must be encoded as such:
-// truncating to one byte would make labels differing by a multiple of 256
-// collide on the key and silently reuse a plan compiled for the wrong
-// labels.
-func labelFingerprint(p *Pattern) string {
-	out := make([]byte, 0, 5*p.NumVertices()+5*p.NumEdges()+1)
-	if p.Labeled() {
-		for v := 0; v < p.NumVertices(); v++ {
-			out = binary.BigEndian.AppendUint32(out, p.Label(uint32(v)))
-			out = append(out, ':')
-		}
-	}
-	out = append(out, '|')
-	if p.EdgeLabeled() {
-		for e := 0; e < p.NumEdges(); e++ {
-			out = binary.BigEndian.AppendUint32(out, p.EdgeLabel(e))
-			out = append(out, ':')
-		}
-	}
-	return string(out)
 }
