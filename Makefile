@@ -147,16 +147,17 @@ vet:
 # Project-specific static analysis (see docs/LINTING.md), then the
 # direct-import check: production packages and the service binaries must not
 # name internal/baseline — the paper's comparison systems stay out of them —
-# nor internal/faultinject, whose failures belong in tests. Last, one durable
-# layer: no non-test file outside internal/durable (and bench/, a module of
-# its own) makes a temp file, renames one, syncs one, truncates one or opens
-# one for appending; atomic replace is durable.WriteFile and appends go
-# through durable.Log.
-PRODUCTION = ./internal/engine ./internal/oig ./internal/dal ./internal/intset ./internal/stream ./internal/cluster ./internal/serve ./internal/motif ./internal/checkpoint ./internal/durable ./cmd/ohmserve ./cmd/ohmworker ./cmd/ohmplan ./cmd/ohmstat
+# nor internal/faultinject, whose failures belong in tests, nor the counting
+# oracles internal/bruteforce and internal/mbv. Last, one durable layer: no
+# non-test file outside internal/durable (and bench/, a module of its own)
+# makes a temp file, renames one, syncs one, truncates one or opens one for
+# appending; atomic replace is durable.WriteFile and appends go through
+# durable.Log.
+PRODUCTION = ./internal/engine ./internal/oig ./internal/dal ./internal/intset ./internal/stream ./internal/cluster ./internal/serve ./internal/motif ./internal/checkpoint ./internal/durable ./internal/pattern ./internal/sig ./internal/hypergraph ./cmd/ohmserve ./cmd/ohmworker ./cmd/ohmplan ./cmd/ohmstat
 lint:
 	$(GO) run ./cmd/ohmlint ./...
-	@bad=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' $(PRODUCTION) | grep -E 'ohminer/internal/(baseline|faultinject)( |$$)' | cut -d' ' -f1); \
-	if [ -n "$$bad" ]; then echo "production package imports internal/baseline or internal/faultinject:"; echo "$$bad"; exit 1; fi
+	@bad=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' $(PRODUCTION) | grep -E 'ohminer/internal/(baseline|faultinject|bruteforce|mbv)( |$$)' | cut -d' ' -f1); \
+	if [ -n "$$bad" ]; then echo "production package imports internal/baseline, internal/faultinject, internal/bruteforce or internal/mbv:"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -rln --include='*.go' --exclude='*_test.go' -e 'os\.CreateTemp' -e 'os\.Rename' -e '\.Sync()' -e '\.Truncate(' -e 'O_APPEND' . | grep -v -e '^\./internal/durable/' -e '^\./bench/'); \
 	if [ -n "$$bad" ]; then echo "temp file, rename, sync, truncate or append outside internal/durable (use durable.WriteFile or durable.Log):"; echo "$$bad"; exit 1; fi
 

@@ -203,7 +203,11 @@ func run() error {
 		}
 		fmt.Fprintf(os.Stderr, "resume: snapshot seq=%d ordered=%d frontier=%d tasks\n",
 			snap.Seq, snap.Ordered, len(snap.Frontier))
-		res, err = engine.ResumeFromCheckpoint(ctx, store, p, snap, opts)
+		plan, perr := engine.CompilePlan(store, p, opts)
+		if perr != nil {
+			return perr
+		}
+		res, err = engine.ResumeWithPlanContext(ctx, store, plan, snap, opts)
 	} else {
 		res, err = engine.MineContext(ctx, store, p, opts)
 	}

@@ -180,8 +180,7 @@ func reportPartition(out *cliio.Writer, store *dal.Store, pat string, parts int)
 	if parts <= 0 {
 		return fmt.Errorf("-parts must be positive")
 	}
-	var opts engine.Options
-	plan, err := engine.CompilePlan(store, p, opts)
+	plan, err := engine.CompilePlan(store, p, engine.Options{})
 	if err != nil {
 		return err
 	}
@@ -189,16 +188,16 @@ func reportPartition(out *cliio.Writer, store *dal.Store, pat string, parts int)
 	for t, b := range oig.EstimatedBindings(store, plan) {
 		out.Printf("    position %d: hyperedge %d (degree %d), ~%.3g bindings\n", t, plan.Order[t], plan.Steps[t].Degree, b)
 	}
-	cands := engine.FirstCandidates(store, plan, opts)
-	tasks := engine.PartitionFrontier(cands, parts)
+	tasks := engine.Frontier(store, plan, parts)
 	out.Printf("  partition preview for %q into %d parts:\n", pat, parts)
 	if len(tasks) == 0 {
 		out.Printf("    no first-step candidates: the pattern cannot match this data\n")
 		return nil
 	}
-	minC, maxC := len(tasks[0].Cands), len(tasks[0].Cands)
+	total, minC, maxC := 0, len(tasks[0].Cands), len(tasks[0].Cands)
 	for i, t := range tasks {
 		out.Printf("    task %2d: %d candidates\n", i, len(t.Cands))
+		total += len(t.Cands)
 		if len(t.Cands) < minC {
 			minC = len(t.Cands)
 		}
@@ -213,6 +212,6 @@ func reportPartition(out *cliio.Writer, store *dal.Store, pat string, parts int)
 		imbalance = "degenerate (empty ranges)"
 	}
 	out.Printf("    %d candidates total across %d tasks; min %d, max %d, imbalance %s\n",
-		len(cands), len(tasks), minC, maxC, imbalance)
+		total, len(tasks), minC, maxC, imbalance)
 	return nil
 }

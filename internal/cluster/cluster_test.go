@@ -673,9 +673,12 @@ func TestPartitionCoversCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	cands := engine.FirstCandidates(store, plan, engine.Options{})
+	cands := engine.Frontier(store, plan, 1)[0].Cands
 	for _, parts := range []int{1, 3, 16, len(cands), len(cands) + 7} {
-		tasks := engine.PartitionFrontier(cands, parts)
+		tasks := engine.Frontier(store, plan, parts)
+		if len(tasks) > parts {
+			t.Fatalf("parts=%d: %d tasks", parts, len(tasks))
+		}
 		var got []uint32
 		for _, task := range tasks {
 			if task.Depth != 0 || len(task.Prefix) != 0 {

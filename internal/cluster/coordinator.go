@@ -355,13 +355,9 @@ func (c *Coordinator) compileSpec(spec JobSpec) (*oig.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Mirror the engine's preflight checks so a label mismatch fails the
-	// job at creation, not on every worker.
-	if plan.Labeled && !c.store.Hypergraph().Labeled() {
-		return nil, errors.New("labeled pattern on unlabeled hypergraph")
-	}
-	if plan.Pattern.EdgeLabeled() && !c.store.Hypergraph().EdgeLabeled() {
-		return nil, errors.New("hyperedge-labeled pattern on hypergraph without hyperedge labels")
+	// A label mismatch fails the job at creation, not on every worker.
+	if err := engine.CheckLabels(c.store, plan); err != nil {
+		return nil, err
 	}
 	return plan, nil
 }
@@ -377,7 +373,7 @@ func (c *Coordinator) buildJob(spec JobSpec) (*clusterJob, error) {
 	if parts <= 0 {
 		parts = c.cfg.Parts
 	}
-	frontier := engine.PartitionFrontier(engine.FirstCandidates(c.store, plan, engine.Options{}), parts)
+	frontier := engine.Frontier(c.store, plan, parts)
 	j := &clusterJob{
 		spec: spec, plan: plan,
 		planFP:  engine.PlanFingerprint(plan),
@@ -834,9 +830,7 @@ func (c *Coordinator) applyReportLocked(j *clusterJob, t *taskLease, rep Report,
 		j.failures++
 		j.queue = append(j.queue, rep.Task)
 		if t.failures >= c.cfg.MaxTaskFailures {
-			j.state = "failed"
-			j.errMsg = fmt.Sprintf("task %d failed %d times, last: %s", rep.Task, t.failures, rep.Error)
-			j.elapsed = c.cfg.now().Sub(j.created)
+			c.failJobLocked(j, fmt.Sprintf("task %d failed %d times, last: %s", rep.Task, t.failures, rep.Error))
 		} else if live {
 			c.wakeLocked()
 		}
@@ -846,8 +840,14 @@ func (c *Coordinator) applyReportLocked(j *clusterJob, t *taskLease, rep Report,
 	t.state = taskDone
 	t.ordered = rep.Ordered
 	j.doneN++
-	j.ordered += rep.Ordered
 	j.stats.Add(engine.UnpackStats(rep.Stats))
+	// A sum past uint64 fails the job rather than wrapping to a wrong count.
+	ordered, err := engine.MulAdd(j.ordered, rep.Ordered, 1)
+	if err != nil {
+		c.failJobLocked(j, err.Error())
+		return
+	}
+	j.ordered = ordered
 
 	// A job without a plan failed before the restart that restored it; there
 	// is nothing left to re-enqueue a remainder into.
@@ -859,9 +859,7 @@ func (c *Coordinator) applyReportLocked(j *clusterJob, t *taskLease, rep Report,
 		if derr != nil {
 			// A bad remainder means part of the search space would silently
 			// vanish; fail loudly instead of undercounting.
-			j.state = "failed"
-			j.errMsg = fmt.Sprintf("task %d spilled an unusable remainder: %v", rep.Task, derr)
-			j.elapsed = c.cfg.now().Sub(j.created)
+			c.failJobLocked(j, fmt.Sprintf("task %d spilled an unusable remainder: %v", rep.Task, derr))
 			return
 		}
 		cands := 0

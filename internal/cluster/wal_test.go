@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -25,6 +26,7 @@ import (
 
 	"ohminer/internal/dal"
 	"ohminer/internal/durable"
+	"ohminer/internal/engine"
 	"ohminer/internal/faultinject"
 )
 
@@ -120,6 +122,43 @@ func TestWALReplayThenMergeExactlyOnce(t *testing.T) {
 			t.Fatalf("second restart: ok=%v state=%s ordered=%d, want done/%d", ok, st.State, st.Ordered, want)
 		}
 	})
+}
+
+// TestReportSumOverflowFailsJob: two reports whose ordered counts sum past
+// 2^64−1 fail the job with ErrCountOverflow's text instead of wrapping the
+// merged count — as they arrive, and again when a restarted coordinator
+// replays them from its WAL. The merged count stays at the first report's.
+func TestReportSumOverflowFailsJob(t *testing.T) {
+	store, pat, _ := starWorkload(t)
+	dir := t.TempDir()
+	clk := newFakeClock()
+	c1, srv1 := durableCluster(t, store, dir, clk)
+	if _, err := c1.StartJob("j", JobSpec{Pattern: pat}); err != nil {
+		t.Fatalf("start job: %v", err)
+	}
+	const half = math.MaxUint64/2 + 1
+	for i := 0; i < 2; i++ {
+		lease := leaseAs(t, srv1, store, "w1")
+		if lease == nil {
+			t.Fatalf("no lease %d granted", i)
+		}
+		rep := mineLease(t, store, lease)
+		rep.Worker, rep.Ordered = "w1", half
+		if code := postJSON(t, srv1, "/cluster/report", rep, nil); code != http.StatusOK {
+			t.Fatalf("report %d: status %d", i, code)
+		}
+	}
+	check := func(c *Coordinator, when string) {
+		t.Helper()
+		st, _ := c.JobStatusByID("j")
+		if st.State != "failed" || st.Error != engine.ErrCountOverflow.Error() || st.Ordered != half {
+			t.Fatalf("%s: state=%s error=%q ordered=%d, want failed/%q/%d", when, st.State, st.Error, st.Ordered, engine.ErrCountOverflow, uint64(half))
+		}
+	}
+	check(c1, "live")
+	crash(c1)
+	c2, _ := durableCluster(t, store, dir, clk)
+	check(c2, "replayed")
 }
 
 // TestWALTornFinalRecordTolerated crashes mid-append: a torn final frame

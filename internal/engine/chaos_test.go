@@ -76,7 +76,7 @@ func TestChaosKillAtKthCheckpoint(t *testing.T) {
 				t.Fatalf("read snapshot: %v", err)
 			}
 			for attempt := 1; attempt <= 2; attempt++ {
-				res, err := ResumeFromCheckpoint(context.Background(), store, p,
+				res, err := resume(store, p,
 					snap, chaosOpts(nil))
 				if err != nil {
 					t.Fatalf("resume attempt %d: %v", attempt, err)
@@ -153,7 +153,7 @@ func TestChaosPanicThenResume(t *testing.T) {
 			if err != nil {
 				t.Fatalf("read snapshot: %v", err)
 			}
-			got, err := ResumeFromCheckpoint(context.Background(), store, p,
+			got, err := resume(store, p,
 				snap, chaosOpts(nil))
 			if err != nil {
 				t.Fatalf("resume: %v", err)

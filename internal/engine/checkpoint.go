@@ -20,7 +20,6 @@ import (
 	"ohminer/internal/checkpoint"
 	"ohminer/internal/dal"
 	"ohminer/internal/oig"
-	"ohminer/internal/pattern"
 )
 
 // ErrWrongPlan is returned, wrapped, for a snapshot or lease whose plan
@@ -142,22 +141,12 @@ func ValidateSnapshot(store *dal.Store, plan *oig.Plan, snap *checkpoint.Snapsho
 	return nil
 }
 
-// ResumeFromCheckpoint compiles the plan for (p, opts) — exactly as
-// MineContext would — and continues the interrupted run the snapshot
-// captured. The returned Result accumulates on top of the snapshot's
-// counters: its Ordered includes every embedding counted before the crash,
-// so a resumed run that finishes reports the same totals as an
+// ResumeWithPlanContext continues the interrupted run the snapshot captured,
+// on the plan the snapshot fingerprints (CompilePlan with the original
+// run's pattern and options). The returned Result accumulates on top of the
+// snapshot's counters: its Ordered includes every embedding counted before
+// the crash, so a resumed run that finishes reports the same totals as an
 // uninterrupted one.
-func ResumeFromCheckpoint(ctx context.Context, store *dal.Store, p *pattern.Pattern, snap *checkpoint.Snapshot, opts Options) (Result, error) {
-	plan, err := CompilePlan(store, p, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	return ResumeWithPlanContext(ctx, store, plan, snap, opts)
-}
-
-// ResumeWithPlanContext is ResumeFromCheckpoint over a precompiled plan
-// (which must be the plan the snapshot fingerprints).
 func ResumeWithPlanContext(ctx context.Context, store *dal.Store, plan *oig.Plan, snap *checkpoint.Snapshot, opts Options) (Result, error) {
 	if snap == nil {
 		return Result{}, errors.New("engine: resume needs a snapshot")
@@ -165,27 +154,22 @@ func ResumeWithPlanContext(ctx context.Context, store *dal.Store, plan *oig.Plan
 	if err := ValidateSnapshot(store, plan, snap); err != nil {
 		return Result{}, err
 	}
-	return mineResumable(ctx, store, plan, opts, snap)
+	if err := validateRun(store, plan, opts); err != nil {
+		return Result{}, err
+	}
+	return mineFrontier(ctx, store, plan, opts, snap)
 }
 
 // buildSnapshot assembles the serializable snapshot for the current quiesce
 // point.
-func (e *shared) buildSnapshot(seq uint64, frontier []task, ordered uint64, stats Stats) *checkpoint.Snapshot {
-	fr := make([]checkpoint.Task, len(frontier))
-	for i := range frontier {
-		fr[i] = checkpoint.Task{
-			Depth:  uint32(frontier[i].depth),
-			Prefix: frontier[i].prefix,
-			Cands:  frontier[i].cands,
-		}
-	}
+func (e *shared) buildSnapshot(seq uint64, frontier []checkpoint.Task, ordered uint64, stats Stats) *checkpoint.Snapshot {
 	return &checkpoint.Snapshot{
 		Seq:      seq,
 		PlanFP:   PlanFingerprint(e.plan),
 		GraphFP:  e.store.Hypergraph().Fingerprint(),
 		Ordered:  ordered,
 		Stats:    PackStats(stats),
-		Frontier: fr,
+		Frontier: frontier,
 	}
 }
 
@@ -193,8 +177,8 @@ func (e *shared) buildSnapshot(seq uint64, frontier []task, ordered uint64, stat
 // remainders each worker saved while unwinding, plus whatever never left the
 // scheduler — its queued deque and overflow tasks. Together these partition
 // the unexplored search space.
-func collectFrontier(ws []*worker, sched *scheduler) []task {
-	var out []task
+func collectFrontier(ws []*worker, sched *scheduler) []checkpoint.Task {
+	var out []checkpoint.Task
 	for _, w := range ws {
 		out = append(out, w.saved...)
 		w.saved = nil

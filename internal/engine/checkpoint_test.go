@@ -167,7 +167,7 @@ func TestCrashResumeExactCount(t *testing.T) {
 				killAt, res1.Ordered, want)
 		}
 
-		res2, err := ResumeFromCheckpoint(context.Background(), store, p, snap, opts)
+		res2, err := resume(store, p, snap, opts)
 		if err != nil {
 			t.Fatalf("killAt=%d: resume: %v", killAt, err)
 		}
@@ -181,7 +181,7 @@ func TestCrashResumeExactCount(t *testing.T) {
 
 		// Resume is idempotent: replaying the same snapshot must land on
 		// the same total (the snapshot is read-only to the engine).
-		res3, err := ResumeFromCheckpoint(context.Background(), store, p, sink.latest(t), opts)
+		res3, err := resume(store, p, sink.latest(t), opts)
 		if err != nil || res3.Ordered != want {
 			t.Errorf("killAt=%d: second resume got (%d, %v), want (%d, nil)",
 				killAt, res3.Ordered, err, want)
@@ -263,6 +263,15 @@ func TestResumeRejectsMismatchedSnapshot(t *testing.T) {
 	}
 }
 
+// resume compiles p's plan as the interrupted run did and resumes snap on it.
+func resume(store *dal.Store, p *pattern.Pattern, snap *checkpoint.Snapshot, opts Options) (Result, error) {
+	plan, err := CompilePlan(store, p, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	return ResumeWithPlanContext(context.Background(), store, plan, snap, opts)
+}
+
 // TestResumeEmptyFrontier: a snapshot whose frontier drained to nothing
 // resumes to an immediately complete run carrying the saved counters.
 func TestResumeEmptyFrontier(t *testing.T) {
@@ -278,7 +287,7 @@ func TestResumeEmptyFrontier(t *testing.T) {
 		Ordered: 42,
 		Stats:   PackStats(Stats{Candidates: 9, Checkpoints: 7}),
 	}
-	got, err := ResumeFromCheckpoint(context.Background(), store, p, snap, Options{Workers: 1})
+	got, err := resume(store, p, snap, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,8 +476,7 @@ func TestParentCliqueSnapshotResumes(t *testing.T) {
 // chosen by cost on the complete graph replaced — hold candidate ranges
 // today's plan would not have generated or kept. Each must
 // be refused as written for a different plan (ErrWrongPlan) — by
-// ValidateSnapshot and by both resume entry points — never resumed to a
-// count.
+// ValidateSnapshot and by ResumeWithPlanContext — never resumed to a count.
 func TestOlderSnapshotRefused(t *testing.T) {
 	for _, c := range []struct {
 		file     string
@@ -494,9 +502,6 @@ func TestOlderSnapshotRefused(t *testing.T) {
 		}
 		if res, err := ResumeWithPlanContext(context.Background(), store, plan, snap, Options{Workers: 1}); !errors.Is(err, ErrWrongPlan) || res.Ordered != 0 {
 			t.Fatalf("%s: ResumeWithPlanContext: Ordered=%d err=%v, want 0 and ErrWrongPlan", c.file, res.Ordered, err)
-		}
-		if res, err := ResumeFromCheckpoint(context.Background(), store, p, snap, Options{Workers: 1}); !errors.Is(err, ErrWrongPlan) || res.Ordered != 0 {
-			t.Fatalf("%s: ResumeFromCheckpoint: Ordered=%d err=%v, want 0 and ErrWrongPlan", c.file, res.Ordered, err)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func mineOrdered(store *dal.Store, p *pattern.Pattern, order []int, opts Options
 	if err != nil {
 		return Result{}, err
 	}
-	return MineWithPlan(store, plan, opts)
+	return MineWithPlanContext(context.Background(), store, plan, opts)
 }
 
 // completeGraph returns K_n as a hypergraph of 2-vertex hyperedges, numbered

@@ -66,7 +66,7 @@ type Options struct {
 	// unordered embedding. The ablation baseline of the sym experiment;
 	// also what OnEmbedding consumers that need all orderings should set.
 	// Only consulted by the plan-compiling entry points (Mine/MineContext/
-	// CompilePlan); MineWithPlan follows the plan it is given.
+	// CompilePlan); MineWithPlanContext follows the plan it is given.
 	NoSymmetryBreak bool
 	// PositionFilter, when set, restricts which data hyperedge may bind to
 	// each matching-order position, given the anchor: the hyperedge bound at
@@ -217,40 +217,37 @@ func MineContext(ctx context.Context, store *dal.Store, p *pattern.Pattern, opts
 	return MineWithPlanContext(ctx, store, plan, opts)
 }
 
-// MineWithPlan runs a precompiled merged plan.
-func MineWithPlan(store *dal.Store, plan *oig.Plan, opts Options) (Result, error) {
-	return MineWithPlanContext(context.Background(), store, plan, opts)
-}
-
-// MineWithPlanContext is MineWithPlan with caller-controlled cancellation.
+// MineWithPlanContext runs a precompiled merged plan from the candidates of
+// its first position, split into at most Workers depth-0 tasks.
 // The context is the one way to stop a run early besides Limit: its done
 // channel sets the engine's single shared stop flag, so the mining hot path
 // pays exactly one atomic load per candidate whichever of the two stops it.
 // A run bounded in time takes a context.WithTimeout. On cancellation or
 // expiry the partial Result is returned along with ctx.Err().
 func MineWithPlanContext(ctx context.Context, store *dal.Store, plan *oig.Plan, opts Options) (Result, error) {
-	return mineResumable(ctx, store, plan, opts, nil)
-}
-
-// mineResumable is the mining driver behind MineWithPlanContext and
-// ResumeWithPlanContext. Without a checkpoint sink it runs exactly one
-// round of workers; with one, the run becomes a sequence of rounds
-// separated by quiesce points: the round stops (checkpoint timer or a final
-// stop reason), the workers drain their unexplored remainders into frontier
-// tasks instead of abandoning them, the frontier is snapshotted to the
-// sink, and — unless the stop was final — the next round reseeds from the
-// frontier and continues. snap, when non-nil, is the validated snapshot to
-// resume from; its frontier seeds round zero and its counters become the
-// result's base.
-func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts Options, snap *checkpoint.Snapshot) (Result, error) {
 	if err := validateRun(store, plan, opts); err != nil {
 		return Result{}, err
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	return mineFrontier(ctx, store, plan, opts, &checkpoint.Snapshot{Frontier: partition(firstCandidates(store, plan, opts), workerCount(opts))})
+}
 
+// workerCount resolves Options.Workers: ≤0 means GOMAXPROCS.
+func workerCount(opts Options) int {
+	return cmp.Or(max(opts.Workers, 0), runtime.GOMAXPROCS(0))
+}
+
+// mineFrontier is the mining driver behind every run, fresh
+// (MineWithPlanContext, MineSeeded) or resumed (ResumeWithPlanContext): snap
+// is a validated snapshot — a fresh run's holds only its partitioned first
+// candidates — whose frontier seeds round zero and whose counters become the
+// result's base. Without a checkpoint sink it runs exactly one round of
+// workers; with one, the run is a sequence of rounds separated by quiesce
+// points: the round stops (checkpoint timer or a final stop reason), the
+// workers drain their unexplored remainders into frontier tasks, the
+// frontier is snapshotted to the sink, and — unless the stop was final — the
+// next round reseeds from it.
+func mineFrontier(ctx context.Context, store *dal.Store, plan *oig.Plan, opts Options, snap *checkpoint.Snapshot) (Result, error) {
+	workers := workerCount(opts)
 	e := newShared(store, plan, opts)
 
 	// autFactor maps between the enumerated-tuple space the workers count in
@@ -264,28 +261,14 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 		autFactor = uint64(aut)
 	}
 
-	// Resume state: the snapshot's counters become the base the new
-	// exploration accumulates on, and its frontier replaces the first-level
-	// candidates as the seed work. Snapshot.Ordered is stored in ordered
-	// space (see buildSnapshot's call site); divide it back to the
+	// The snapshot's counters become the base the exploration accumulates
+	// on, and its frontier is the seed work. Snapshot.Ordered is stored in
+	// ordered space (see buildSnapshot's call site); divide it back to the
 	// enumerated space the workers accumulate in. ValidateSnapshot already
 	// proved divisibility for restricted plans.
-	var (
-		baseOrdered uint64
-		baseStats   Stats
-		tasks       []task
-		seq         uint64
-	)
-	if snap != nil {
-		baseOrdered = snap.Ordered / autFactor
-		baseStats = UnpackStats(snap.Stats)
-		seq = snap.Seq
-		tasks = make([]task, len(snap.Frontier))
-		for i := range snap.Frontier {
-			t := &snap.Frontier[i]
-			tasks[i] = task{depth: int(t.Depth), prefix: t.Prefix, cands: t.Cands}
-		}
-	}
+	baseOrdered := snap.Ordered / autFactor
+	baseStats := UnpackStats(snap.Stats)
+	tasks, seq := snap.Frontier, snap.Seq
 
 	start := time.Now()
 	baseResult := func() Result {
@@ -336,14 +319,9 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 		e.stopped.Store(true)
 	}
 
-	var first []uint32
-	if snap == nil {
-		first = firstCandidates(store, plan, opts)
-		if len(first) == 0 {
-			return finalizeCounts(baseResult(), ctx.Err())
-		}
-	} else if len(tasks) == 0 {
-		// The snapshot captured a fully drained run: nothing left to mine.
+	if len(tasks) == 0 {
+		// No first candidates, or a snapshot of a fully drained run: nothing
+		// to mine.
 		return finalizeCounts(baseResult(), ctx.Err())
 	}
 
@@ -356,7 +334,7 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 
 	var (
 		ckptWritten, ckptBytes, ckptErrors uint64
-		frontier                           []task
+		frontier                           []checkpoint.Task
 		truncated                          bool
 	)
 	for round := 0; ; round++ {
@@ -375,7 +353,7 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 		if e.saveOnStop && opts.CheckpointEvery > 0 {
 			ckptTimer = time.AfterFunc(opts.CheckpointEvery, func() { e.stopped.Store(true) })
 		}
-		sched := e.runRound(ws, first, tasks)
+		sched := e.runRound(ws, tasks)
 		if ckptTimer != nil {
 			ckptTimer.Stop()
 		}
@@ -433,7 +411,7 @@ func mineResumable(ctx context.Context, store *dal.Store, plan *oig.Plan, opts O
 			truncated = truncated || len(frontier) > 0
 			break
 		}
-		tasks, first = frontier, nil
+		tasks = frontier
 	}
 
 	res := baseResult()
@@ -487,11 +465,8 @@ func validateRun(store *dal.Store, plan *oig.Plan, opts Options) error {
 	if plan.Mode != oig.ModeMerged {
 		return fmt.Errorf("%w, got a %s one (simple-plan validation runs in internal/baseline)", ErrPlanMode, plan.Mode)
 	}
-	if plan.Labeled && !store.Hypergraph().Labeled() {
-		return errors.New("engine: labeled pattern on unlabeled hypergraph")
-	}
-	if plan.Pattern.EdgeLabeled() && !store.Hypergraph().EdgeLabeled() {
-		return errors.New("engine: hyperedge-labeled pattern on hypergraph without hyperedge labels")
+	if err := CheckLabels(store, plan); err != nil {
+		return err
 	}
 	if plan.Restricted && opts.PositionFilter != nil {
 		// A restriction can reject the one tuple of an orbit the filter
@@ -504,17 +479,24 @@ func validateRun(store *dal.Store, plan *oig.Plan, opts Options) error {
 	return nil
 }
 
-// runRound spawns the round's workers, waits for them to finish or quiesce,
-// and returns the round's scheduler for frontier collection and
-// definitive-skip accounting. Round-zero work comes from first (fresh runs);
-// resumed and post-checkpoint rounds carry their work in tasks.
-func (e *shared) runRound(ws []*worker, first []uint32, tasks []task) *scheduler {
-	sched := newScheduler(len(ws))
-	if tasks != nil {
-		sched.seedTasks(tasks)
-	} else {
-		sched.seed(first)
+// CheckLabels refuses a plan whose pattern carries vertex or hyperedge labels
+// the store's hypergraph lacks: every run, and every cluster job on creation.
+func CheckLabels(store *dal.Store, plan *oig.Plan) error {
+	if plan.Labeled && !store.Hypergraph().Labeled() {
+		return errors.New("engine: labeled pattern on unlabeled hypergraph")
 	}
+	if plan.Pattern.EdgeLabeled() && !store.Hypergraph().EdgeLabeled() {
+		return errors.New("engine: hyperedge-labeled pattern on hypergraph without hyperedge labels")
+	}
+	return nil
+}
+
+// runRound seeds the round's tasks, spawns its workers, waits for them to
+// finish or quiesce, and returns the round's scheduler for frontier
+// collection and definitive-skip accounting.
+func (e *shared) runRound(ws []*worker, tasks []checkpoint.Task) *scheduler {
+	sched := newScheduler(len(ws))
+	sched.seedTasks(tasks)
 	var wg sync.WaitGroup
 	for wi, w := range ws {
 		w.stop = false

@@ -270,7 +270,7 @@ func TestMineErrors(t *testing.T) {
 	store, p := fig1(t)
 	// The engine executes merged plans only.
 	plan := oig.MustCompile(p, oig.ModeSimple)
-	if _, err := MineWithPlan(store, plan, Options{}); !errors.Is(err, ErrPlanMode) {
+	if _, err := MineWithPlanContext(context.Background(), store, plan, Options{}); !errors.Is(err, ErrPlanMode) {
 		t.Errorf("simple plan: err=%v, want ErrPlanMode", err)
 	}
 	// Labeled pattern on unlabeled hypergraph.

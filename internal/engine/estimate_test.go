@@ -142,8 +142,8 @@ func TestEstimateSamplesMinesPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	roots := len(FirstCandidates(store, mined.Plan, Options{}))
-	if other := len(FirstCandidates(store, larger, Options{})); other == roots {
+	roots := len(firstCandidates(store, mined.Plan, Options{}))
+	if other := len(firstCandidates(store, larger, Options{})); other == roots {
 		t.Fatalf("both orders start from %d roots: the fixture no longer tells them apart", roots)
 	}
 	est, err := EstimateCount(store, p, 1, 1, Options{})

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -115,7 +116,7 @@ func TestLeafShapesDifferential(t *testing.T) {
 					if last := len(plan.Steps) - 1; e.countedLeaf != last || stepConds(e, last) != shape.conds {
 						t.Fatalf("%s: counted leaf %d with %d conditions, want position %d with %d\nplan:\n%s", shape.name, e.countedLeaf, stepConds(e, last), last, shape.conds, plan)
 					}
-					res, err := MineWithPlan(store, plan, opts)
+					res, err := MineWithPlanContext(context.Background(), store, plan, opts)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bufio"
+	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -48,7 +49,7 @@ func TestDataAwareOrderCorrectness(t *testing.T) {
 					plans = append(plans, plan)
 				})
 				for _, plan := range plans {
-					res, err := MineWithPlan(store, plan, opts)
+					res, err := MineWithPlanContext(context.Background(), store, plan, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -124,11 +125,11 @@ func TestChosenOrderGreedy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := MineWithPlan(store, chosen, Options{Workers: 1})
+		a, err := MineWithPlanContext(context.Background(), store, chosen, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := MineWithPlan(store, literal, Options{Workers: 1})
+		b, err := MineWithPlanContext(context.Background(), store, literal, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +230,7 @@ func TestChosenOrderIgnoresLiteral(t *testing.T) {
 		}
 		renamed := pattern.MustNew(edges, nil)
 		base, baseFlat, baseAnchored := compile(p)
-		want, err := MineWithPlan(store, base, opts)
+		want, err := MineWithPlanContext(context.Background(), store, base, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +252,7 @@ func TestChosenOrderIgnoresLiteral(t *testing.T) {
 					t.Fatalf("%s as %s anchored at %d (%d in %s): plan\n%s\nwant the steps of\n%s", p, q, i, a, p, anchored[i], baseAnchored[a])
 				}
 			}
-			res, err := MineWithPlan(store, plan, opts)
+			res, err := MineWithPlanContext(context.Background(), store, plan, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ohminer/internal/checkpoint"
 )
 
 // This file implements the work-stealing subtree scheduler. The paper's
@@ -20,19 +22,10 @@ import (
 // continuation, and whoever executes it explores exactly the subtrees the
 // publisher would have explored, in the same per-subtree depth-first order.
 // Only the interleaving across subtrees changes, which the embedding counts
-// are invariant to.
-
-// task packages one stealable unit of work: continue the depth-first search
-// at matching-order position depth, binding each candidate in cands, with
-// the first depth positions already bound to prefix. Both slices are owned
-// by whatever structure holds the task (a deque slot or a worker's run
-// buffer) and are copied on every hand-off — worker scratch never crosses
+// are invariant to. A task is a checkpoint.Task, the frontier's wire type.
+// Its slices are owned by whatever holds it (a deque slot or a worker's run
+// buffer) and copied on every hand-off — worker scratch never crosses
 // goroutines.
-type task struct {
-	depth  int
-	prefix []uint32
-	cands  []uint32
-}
 
 const (
 	// defaultSplitDepth is the number of top tree levels at which sibling
@@ -61,7 +54,7 @@ var publishDepth, publishThreshold = defaultSplitDepth, defaultSplitThreshold
 type deque struct {
 	mu sync.Mutex
 	// ring holds the queued tasks; guarded by mu.
-	ring [dequeCap]task
+	ring [dequeCap]checkpoint.Task
 	head uint64 // next slot a thief takes; tasks live in [head, tail); guarded by mu
 	tail uint64 // next free slot for the owner; guarded by mu
 }
@@ -75,9 +68,9 @@ func (d *deque) push(depth int, prefix, cands []uint32) bool {
 		return false
 	}
 	sl := &d.ring[d.tail%dequeCap]
-	sl.depth = depth
-	sl.prefix = append(sl.prefix[:0], prefix...)
-	sl.cands = append(sl.cands[:0], cands...)
+	sl.Depth = uint32(depth)
+	sl.Prefix = append(sl.Prefix[:0], prefix...)
+	sl.Cands = append(sl.Cands[:0], cands...)
 	d.tail++
 	d.mu.Unlock()
 	return true
@@ -85,7 +78,7 @@ func (d *deque) push(depth int, prefix, cands []uint32) bool {
 
 // pop moves the most recently pushed task into dst (copying, so the slot
 // can be reused immediately). Called only by the owning worker.
-func (d *deque) pop(dst *task) bool {
+func (d *deque) pop(dst *checkpoint.Task) bool {
 	d.mu.Lock()
 	if d.tail == d.head {
 		d.mu.Unlock()
@@ -93,24 +86,20 @@ func (d *deque) pop(dst *task) bool {
 	}
 	d.tail--
 	sl := &d.ring[d.tail%dequeCap]
-	dst.depth = sl.depth
-	dst.prefix = append(dst.prefix[:0], sl.prefix...)
-	dst.cands = append(dst.cands[:0], sl.cands...)
+	copyTask(dst, sl)
 	d.mu.Unlock()
 	return true
 }
 
 // steal moves the oldest task into dst. Called by other workers.
-func (d *deque) steal(dst *task) bool {
+func (d *deque) steal(dst *checkpoint.Task) bool {
 	d.mu.Lock()
 	if d.tail == d.head {
 		d.mu.Unlock()
 		return false
 	}
 	sl := &d.ring[d.head%dequeCap]
-	dst.depth = sl.depth
-	dst.prefix = append(dst.prefix[:0], sl.prefix...)
-	dst.cands = append(dst.cands[:0], sl.cands...)
+	copyTask(dst, sl)
 	d.head++
 	d.mu.Unlock()
 	return true
@@ -120,15 +109,12 @@ func (d *deque) steal(dst *task) bool {
 // deque — frontier collection after a quiesce (checkpoint.go). Copies are
 // deliberate: the slot buffers belong to the deque and a next round would
 // overwrite them.
-func (d *deque) drainTasks(out []task) []task {
+func (d *deque) drainTasks(out []checkpoint.Task) []checkpoint.Task {
 	d.mu.Lock()
 	for ; d.head != d.tail; d.head++ {
-		sl := &d.ring[d.head%dequeCap]
-		out = append(out, task{
-			depth:  sl.depth,
-			prefix: append([]uint32(nil), sl.prefix...),
-			cands:  append([]uint32(nil), sl.cands...),
-		})
+		var t checkpoint.Task
+		copyTask(&t, &d.ring[d.head%dequeCap])
+		out = append(out, t)
 	}
 	d.mu.Unlock()
 	return out
@@ -142,7 +128,7 @@ type scheduler struct {
 	// fall back to it when their own deque is empty and nothing is
 	// stealable.
 	ovMu     sync.Mutex
-	overflow []task // guarded by ovMu
+	overflow []checkpoint.Task // guarded by ovMu
 	// pending counts unfinished tasks: seeded root tasks plus every
 	// publication, decremented when a task's whole subtree is done. A task
 	// is counted before it becomes visible in any deque, so pending == 0
@@ -155,40 +141,19 @@ func newScheduler(workers int) *scheduler {
 	return &scheduler{deques: make([]deque, workers)}
 }
 
-// seed distributes the first-position candidates over the deques as
-// depth-0 tasks, one contiguous chunk per worker (stealing rebalances any
-// skew between the chunks afterwards).
-func (s *scheduler) seed(first []uint32) {
-	workers := len(s.deques)
-	chunks := workers
-	if chunks > len(first) {
-		chunks = len(first)
-	}
-	per := (len(first) + chunks - 1) / chunks
-	n := 0
-	for i := 0; i < len(first); i += per {
-		end := i + per
-		if end > len(first) {
-			end = len(first)
-		}
-		s.deques[n%workers].push(0, nil, first[i:end])
-		n++
-	}
-	s.pending.Store(int64(n))
-}
-
-// seedTasks distributes an already-materialized task list — a resumed or
-// post-quiesce frontier — over the deques round-robin. Tasks beyond the
-// bounded deque capacity land in the overflow list, which workers drain
-// once the deques run dry. The task slices stay owned by the caller's
-// frontier (never mutated during a round) until a worker copies them into
-// its run buffer.
-func (s *scheduler) seedTasks(tasks []task) {
+// seedTasks distributes a frontier — a fresh run's partitioned first
+// candidates, a resumed snapshot's or lease's tasks, or a post-quiesce
+// remainder — over the deques round-robin; it is the only way tasks enter a
+// round. Tasks beyond the bounded deque capacity land in the overflow list,
+// which workers drain once the deques run dry. The task slices stay owned by
+// the caller's frontier (never mutated during a round) until a worker copies
+// them into its run buffer.
+func (s *scheduler) seedTasks(tasks []checkpoint.Task) {
 	workers := len(s.deques)
 	s.ovMu.Lock()
 	for i := range tasks {
 		t := &tasks[i]
-		if !s.deques[i%workers].push(t.depth, t.prefix, t.cands) {
+		if !s.deques[i%workers].push(int(t.Depth), t.Prefix, t.Cands) {
 			s.overflow = append(s.overflow, *t)
 		}
 	}
@@ -198,17 +163,14 @@ func (s *scheduler) seedTasks(tasks []task) {
 
 // takeOverflow copies one overflow task into dst; it reports false when the
 // overflow list is empty.
-func (s *scheduler) takeOverflow(dst *task) bool {
+func (s *scheduler) takeOverflow(dst *checkpoint.Task) bool {
 	s.ovMu.Lock()
 	n := len(s.overflow)
 	if n == 0 {
 		s.ovMu.Unlock()
 		return false
 	}
-	t := &s.overflow[n-1]
-	dst.depth = t.depth
-	dst.prefix = append(dst.prefix[:0], t.prefix...)
-	dst.cands = append(dst.cands[:0], t.cands...)
+	copyTask(dst, &s.overflow[n-1])
 	s.overflow = s.overflow[:n-1]
 	s.ovMu.Unlock()
 	return true
@@ -260,13 +222,20 @@ func (w *worker) trySteal() bool {
 	return false
 }
 
+// copyTask copies src into dst, reusing dst's buffers.
+func copyTask(dst, src *checkpoint.Task) {
+	dst.Depth = src.Depth
+	dst.Prefix = append(dst.Prefix[:0], src.Prefix...)
+	dst.Cands = append(dst.Cands[:0], src.Cands...)
+}
+
 // runTask executes a task: rebind the prefix and explore the range. Every
 // range this engine publishes, checkpoints or leases is a list step or
 // firstCandidates already filtered, and a snapshot cut under another plan is
 // refused by its fingerprint, so the range is explored as it is.
-func (w *worker) runTask(t *task) {
-	copy(w.c[:t.depth], t.prefix)
-	w.explore(t.depth, t.cands)
+func (w *worker) runTask(t *checkpoint.Task) {
+	copy(w.c[:t.Depth], t.Prefix)
+	w.explore(int(t.Depth), t.Cands)
 }
 
 // publish copies the current prefix and an untouched sibling candidate

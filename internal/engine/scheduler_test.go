@@ -5,10 +5,12 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"ohminer/internal/baseline"
+	"ohminer/internal/checkpoint"
 	"ohminer/internal/dal"
 	"ohminer/internal/hypergraph"
 	"ohminer/internal/oig"
@@ -63,12 +65,12 @@ func TestDequeSemantics(t *testing.T) {
 		t.Fatal("second push failed")
 	}
 
-	var tk task
-	if !d.steal(&tk) || tk.depth != 1 || tk.cands[0] != 1 {
-		t.Fatalf("steal got depth=%d cands=%v, want the oldest task (1, [1 2 3])", tk.depth, tk.cands)
+	var tk checkpoint.Task
+	if !d.steal(&tk) || tk.Depth != 1 || tk.Cands[0] != 1 {
+		t.Fatalf("steal got depth=%d cands=%v, want the oldest task (1, [1 2 3])", tk.Depth, tk.Cands)
 	}
-	if !d.pop(&tk) || tk.depth != 2 || len(tk.prefix) != 2 {
-		t.Fatalf("pop got depth=%d prefix=%v, want the newest task", tk.depth, tk.prefix)
+	if !d.pop(&tk) || tk.Depth != 2 || len(tk.Prefix) != 2 {
+		t.Fatalf("pop got depth=%d prefix=%v, want the newest task", tk.Depth, tk.Prefix)
 	}
 	if d.pop(&tk) || d.steal(&tk) {
 		t.Fatal("empty deque yielded a task")
@@ -84,8 +86,8 @@ func TestDequeSemantics(t *testing.T) {
 	}
 	// FIFO steal order across the whole ring.
 	for i := 0; i < dequeCap; i++ {
-		if !d.steal(&tk) || tk.cands[0] != uint32(i) {
-			t.Fatalf("steal %d got %v", i, tk.cands)
+		if !d.steal(&tk) || tk.Cands[0] != uint32(i) {
+			t.Fatalf("steal %d got %v", i, tk.Cands)
 		}
 	}
 }
@@ -105,7 +107,7 @@ func TestStealingDeterministic(t *testing.T) {
 		t.Fatalf("first-level: Ordered=%d err=%v, want %d", first.Ordered, err, want)
 	}
 	for _, workers := range []int{1, 4, 16} {
-		res, err := MineWithPlan(store, plan, Options{Workers: workers})
+		res, err := MineWithPlanContext(context.Background(), store, plan, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -134,7 +136,7 @@ func TestStealOccurs(t *testing.T) {
 	store, plan := skewedInput(t, 24)
 	want := uint64(24 * 24)
 	for attempt := 0; attempt < 50; attempt++ {
-		res, err := MineWithPlan(store, plan, Options{
+		res, err := MineWithPlanContext(context.Background(), store, plan, Options{
 			Workers:     8,
 			OnEmbedding: func([]uint32) { runtime.Gosched() },
 		})
@@ -191,7 +193,7 @@ func TestLimitUnderStealing(t *testing.T) {
 	store, plan := skewedInput(t, 24)
 	total := uint64(24 * 24)
 	for _, workers := range []int{1, 8} {
-		res, err := MineWithPlan(store, plan, Options{
+		res, err := MineWithPlanContext(context.Background(), store, plan, Options{
 			Workers: workers, Limit: 10,
 		})
 		if err != nil {
@@ -246,33 +248,42 @@ func setSplit(t *testing.T, depth, threshold int) {
 	t.Cleanup(func() { publishDepth, publishThreshold = defaultSplitDepth, defaultSplitThreshold })
 }
 
-// TestSchedulerSeed pins the seeding layout: candidates are split into at
-// most one contiguous chunk per worker and pending counts the chunks.
+// TestSchedulerSeed pins how a fresh run's first candidates enter a round:
+// partition splits them into at most one contiguous depth-0 task per worker,
+// seedTasks queues one per deque (copying) and pending counts the tasks.
 func TestSchedulerSeed(t *testing.T) {
 	// 5 candidates over 4 workers: ceil(5/4) = 2 per chunk → 3 chunks.
+	first := []uint32{1, 2, 3, 4, 5}
 	s := newScheduler(4)
-	s.seed([]uint32{1, 2, 3, 4, 5})
+	s.seedTasks(partition(first, 4))
 	if got := s.pending.Load(); got != 3 {
 		t.Fatalf("pending=%d after seeding 5 candidates over 4 workers, want 3 chunks", got)
 	}
+	first[0] = 77 // the deques hold copies
 	var seen []uint32
-	var tk task
+	var tk checkpoint.Task
 	for i := range s.deques {
 		for s.deques[i].pop(&tk) {
-			if tk.depth != 0 || len(tk.prefix) != 0 {
-				t.Fatalf("seeded task depth=%d prefix=%v", tk.depth, tk.prefix)
+			if tk.Depth != 0 || len(tk.Prefix) != 0 {
+				t.Fatalf("seeded task depth=%d prefix=%v", tk.Depth, tk.Prefix)
 			}
-			seen = append(seen, tk.cands...)
+			seen = append(seen, tk.Cands...)
 		}
 	}
-	if len(seen) != 5 {
-		t.Fatalf("seeded candidates %v, want all 5", seen)
+	if !slices.Equal(seen, []uint32{1, 2, 3, 4, 5}) {
+		t.Fatalf("seeded candidates %v, want 1…5 in order", seen)
 	}
 
 	// More workers than candidates: one single-candidate task each.
 	s = newScheduler(16)
-	s.seed([]uint32{7, 8})
+	s.seedTasks(partition([]uint32{7, 8}, 16))
 	if got := s.pending.Load(); got != 2 {
 		t.Fatalf("pending=%d after seeding 2 candidates over 16 workers", got)
+	}
+	// The views are capped: appending to one task cannot overwrite the next.
+	tasks := partition([]uint32{1, 2, 3, 4}, 2)
+	_ = append(tasks[0].Cands, 99)
+	if tasks[1].Cands[0] != 3 {
+		t.Fatalf("append to task 0 reached task 1: %v", tasks[1].Cands)
 	}
 }

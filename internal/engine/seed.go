@@ -1,18 +1,18 @@
 package engine
 
-// Task-range seeding: the pieces of the mining driver that the distributed
-// layer (internal/cluster) needs as standalone steps. A single-node run
-// compiles a plan, enumerates the candidates of the first pattern hyperedge,
-// and explores them; a cluster coordinator performs exactly the first two
-// steps, partitions the candidate pool into depth-0 frontier tasks, and
-// ships each range to a worker as an OHMC snapshot (the checkpoint wire
-// format). The frontier tasks partition the search space, so per-range
-// counts merged exactly once equal the single-node total — the same
-// invariant checkpoint/resume rests on, extracted from that machinery.
+// Frontiers: every run starts from a frontier of checkpoint.Tasks. A fresh
+// run's is its first pattern hyperedge's candidates split into at most
+// Workers contiguous depth-0 tasks (partition); MineSeeded's is the same
+// split over the seeds it is given; a resumed run's is the snapshot's. A
+// cluster coordinator builds the same depth-0 frontier with Frontier and
+// ships each task to a worker as an OHMC snapshot (the checkpoint wire
+// format). The tasks partition the search space, so per-task counts merged
+// exactly once equal the single-node total — the invariant checkpoint/resume
+// rests on.
 
 import (
 	"context"
-	"runtime"
+	"slices"
 
 	"ohminer/internal/checkpoint"
 	"ohminer/internal/dal"
@@ -45,15 +45,15 @@ func CompilePlanOrdered(p *pattern.Pattern, order []int, opts Options) (*oig.Pla
 	})
 }
 
-// FirstCandidates enumerates the candidate pool of the first pattern
-// hyperedge — every data hyperedge passing the degree, label, and
-// PositionFilter constraints — exactly as the mining driver seeds it. The
-// returned slice is freshly allocated and safe to retain or repartition.
-func FirstCandidates(store *dal.Store, plan *oig.Plan, opts Options) []uint32 {
-	cands := firstCandidates(store, plan, opts)
-	// firstCandidates may return the DAL's shared degree-index storage when
-	// no filtering applies; copy so callers own what they hold.
-	return append([]uint32(nil), cands...)
+// Frontier splits the first pattern hyperedge's candidates — every data
+// hyperedge passing its degree and label constraints — into at most parts
+// contiguous depth-0 tasks of near-equal candidate count. Each task is
+// independently minable (ResumeWithPlanContext over a snapshot holding just
+// that task), and together they cover the candidates exactly once. The tasks
+// own their candidates: they are safe to retain and to encode.
+func Frontier(store *dal.Store, plan *oig.Plan, parts int) []checkpoint.Task {
+	// firstCandidates may return the DAL's shared degree-index storage.
+	return partition(slices.Clone(firstCandidates(store, plan, Options{})), parts)
 }
 
 // MineSeeded runs plan with matching-order position 0 bound only to the
@@ -75,38 +75,23 @@ func MineSeeded(store *dal.Store, plan *oig.Plan, seeds []uint32, opts Options) 
 			pool = append(pool, c)
 		}
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	snap := &checkpoint.Snapshot{Frontier: PartitionFrontier(admitFirst(store, plan, opts, pool), workers)}
-	return mineResumable(context.Background(), store, plan, opts, snap)
+	first := admitFirst(store, plan, opts, pool)
+	return mineFrontier(context.Background(), store, plan, opts, &checkpoint.Snapshot{Frontier: partition(first, workerCount(opts))})
 }
 
-// PartitionFrontier splits a first-position candidate pool into at most
-// parts contiguous depth-0 frontier tasks of near-equal candidate count.
-// Each task is independently minable (ResumeWithPlanContext over a snapshot
-// holding just that task), and together they cover the pool exactly once.
-func PartitionFrontier(cands []uint32, parts int) []checkpoint.Task {
+// partition splits cands into at most parts contiguous depth-0 tasks of
+// near-equal length. The tasks are views of cands, capped so that an append
+// to one cannot reach the next.
+func partition(cands []uint32, parts int) []checkpoint.Task {
 	if len(cands) == 0 {
 		return nil
 	}
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > len(cands) {
-		parts = len(cands)
-	}
+	parts = min(max(parts, 1), len(cands))
 	per := (len(cands) + parts - 1) / parts
 	out := make([]checkpoint.Task, 0, parts)
 	for i := 0; i < len(cands); i += per {
-		end := i + per
-		if end > len(cands) {
-			end = len(cands)
-		}
-		out = append(out, checkpoint.Task{
-			Cands: append([]uint32(nil), cands[i:end]...),
-		})
+		end := min(i+per, len(cands))
+		out = append(out, checkpoint.Task{Cands: cands[i:end:end]})
 	}
 	return out
 }

@@ -54,7 +54,7 @@ func TestSymmetryDifferentialShapes(t *testing.T) {
 					t.Fatalf("shape %s: Restricted=%v with NoRestrictions=%v (aut=%d)",
 						s.Key(), plan.Restricted, norestrict, aut)
 				}
-				res, err := MineWithPlan(store, plan, Options{Workers: 2})
+				res, err := MineWithPlanContext(context.Background(), store, plan, Options{Workers: 2})
 				if err != nil {
 					t.Fatalf("shape %s norestrict=%v: %v", s.Key(), norestrict, err)
 				}

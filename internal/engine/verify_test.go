@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestEmittedEmbeddingsAreIsomorphic(t *testing.T) {
 			t.Fatal(err)
 		}
 		checked := 0
-		_, err = MineWithPlan(store, plan, Options{Workers: 1, OnEmbedding: func(c []uint32) {
+		_, err = MineWithPlanContext(context.Background(), store, plan, Options{Workers: 1, OnEmbedding: func(c []uint32) {
 			if checked >= 50 { // cap the expensive per-embedding verification
 				return
 			}

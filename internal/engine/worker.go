@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ohminer/internal/checkpoint"
 	"ohminer/internal/intset"
 	"ohminer/internal/oig"
 	"ohminer/internal/sig"
@@ -25,7 +26,7 @@ type worker struct {
 	// both stay zero for standalone workers (EstimateCount).
 	sched *scheduler
 	id    int
-	task  task // run buffer: deque hand-offs are copied in here
+	task  checkpoint.Task // run buffer: deque hand-offs are copied in here
 
 	c    []uint32   // bound hyperedge IDs, c[0..t]
 	cand [][]uint32 // candidate list buffer per step
@@ -41,7 +42,7 @@ type worker struct {
 	// saved collects the frontier remainders this worker walked away from
 	// while unwinding after a quiesce (checkpointed runs only); the driver
 	// drains it between rounds (collectFrontier).
-	saved []task
+	saved []checkpoint.Task
 	stats Stats
 }
 
@@ -280,10 +281,10 @@ func (w *worker) emitCallback() {
 // The copies below allocate, but only once per frame while unwinding after
 // a quiesce — never in steady state.
 func (w *worker) saveTask(t int, cands []uint32) {
-	w.saved = append(w.saved, task{
-		depth:  t,
-		prefix: append([]uint32(nil), w.c[:t]...), //ohmlint:allow hotpath-alloc -- quiesce unwind only
-		cands:  append([]uint32(nil), cands...),   //ohmlint:allow hotpath-alloc -- quiesce unwind only
+	w.saved = append(w.saved, checkpoint.Task{
+		Depth:  uint32(t),
+		Prefix: append([]uint32(nil), w.c[:t]...), //ohmlint:allow hotpath-alloc -- quiesce unwind only
+		Cands:  append([]uint32(nil), cands...),   //ohmlint:allow hotpath-alloc -- quiesce unwind only
 	})
 }
 

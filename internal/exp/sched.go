@@ -105,7 +105,7 @@ func minBaseline(store *dal.Store, plan *oig.Plan, opts baseline.Options, repeat
 func minMine(store *dal.Store, plan *oig.Plan, opts engine.Options, repeats int) (engine.Result, error) {
 	var best engine.Result
 	for r := 0; r < repeats; r++ {
-		res, err := engine.MineWithPlan(store, plan, opts)
+		res, err := engine.MineWithPlanContext(context.Background(), store, plan, opts)
 		if err != nil {
 			return res, err
 		}

@@ -337,7 +337,11 @@ func WithCheckpoint(sink CheckpointSink, every time.Duration) Option {
 func ResumeFromCheckpoint(ctx context.Context, store *Store, p *Pattern, snap *CheckpointSnapshot, opts ...Option) (Result, error) {
 	c := buildOptions(opts)
 	return bounded(ctx, c.deadline, func(ctx context.Context) (Result, error) {
-		return engine.ResumeFromCheckpoint(ctx, store, p, snap, c.Options)
+		plan, err := engine.CompilePlan(store, p, c.Options)
+		if err != nil {
+			return engine.Result{}, err
+		}
+		return engine.ResumeWithPlanContext(ctx, store, plan, snap, c.Options)
 	})
 }
 

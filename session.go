@@ -14,6 +14,11 @@ import (
 // with; SetResultCacheCapacity overrides it.
 const DefaultResultCacheCapacity = 256
 
+// maxCachedPlans bounds the plan cache, so a client sending ever new
+// patterns cannot grow a serving Session without bound; serve_mix's
+// patterns fit many times over.
+const maxCachedPlans = 4096
+
 // Session binds a store to two caches so repeated queries skip redundant
 // work:
 //
@@ -22,8 +27,9 @@ const DefaultResultCacheCapacity = 256
 //     plan. Compilation is sub-millisecond (Table 6's OIG-T), but a service
 //     answering thousands of queries per second over the same store — the
 //     deployment the paper's API discussion envisions — should not redo
-//     pattern analysis per request. Concurrent first requests for the same
-//     pattern compile once (the laggards wait for the winner);
+//     pattern analysis per request. It holds at most maxCachedPlans plans
+//     and drops an arbitrary one when full. Concurrent first requests for
+//     the same pattern compile once (the laggards wait for the winner);
 //   - a bounded LRU result cache over complete counting runs: a repeat of a
 //     query whose options do not observe per-run state (no limit, no
 //     embedding callback, no checkpointing, no instrumentation) returns the
@@ -222,6 +228,12 @@ func (s *Session) plan(p *Pattern, o engine.Options, store *Store) (*Plan, sessi
 	s.mu.Lock()
 	e, ok := s.plans[key]
 	if !ok {
+		if len(s.plans) >= maxCachedPlans {
+			for k := range s.plans { // evict one; a waiter on it still reads its outcome
+				delete(s.plans, k)
+				break
+			}
+		}
 		e = &planEntry{}
 		s.plans[key] = e
 	}

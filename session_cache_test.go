@@ -242,3 +242,55 @@ func TestSessionSetStoreInvalidatesResults(t *testing.T) {
 		t.Fatalf("plan cache changed across identical-content swap")
 	}
 }
+
+// TestSessionPlanCacheBounded: 10 000 distinct patterns — two hyperedges of
+// sizes a ≤ b overlapping in c vertices — leave at most maxCachedPlans plans
+// behind, and a pattern sent again after them still counts correctly.
+func TestSessionPlanCacheBounded(t *testing.T) {
+	s, p := sessionFixture(t)
+	want, err := Mine(s.Store(), p, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Mine(p, WithWorkers(1)); err != nil {
+		t.Fatal(err)
+	}
+	sent := 0
+	for b := uint32(1); sent < 10000; b++ {
+		for a := uint32(1); a <= b && sent < 10000; a++ {
+			for c := uint32(1); c <= a && sent < 10000; c++ {
+				if a == b && b == c {
+					continue // one hyperedge twice
+				}
+				e0, e1 := make([]uint32, a), make([]uint32, b)
+				for i := range e0 {
+					e0[i] = uint32(i)
+				}
+				for i := range e1 {
+					e1[i] = a - c + uint32(i)
+				}
+				q, err := NewPattern([][]uint32{e0, e1}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Mine(q, WithWorkers(1)); err != nil {
+					t.Fatalf("pattern (%d, %d, %d): %v", a, b, c, err)
+				}
+				sent++
+			}
+		}
+	}
+	if hits, misses := s.CacheStats(); hits != 0 || misses != 10001 {
+		t.Fatalf("plan cache hits/misses %d/%d, want 0/10001: the patterns are not all distinct", hits, misses)
+	}
+	if got := s.CachedPlans(); got > maxCachedPlans {
+		t.Fatalf("%d cached plans after 10001 distinct patterns, cap %d", got, maxCachedPlans)
+	}
+	got, err := s.Mine(p, WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Ordered != want.Ordered || got.Unique != want.Unique {
+		t.Fatalf("re-sent pattern counts %d/%d, want %d/%d", got.Ordered, got.Unique, want.Ordered, want.Unique)
+	}
+}
