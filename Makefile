@@ -46,6 +46,7 @@ bench-check:
 
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/hypergraph
+	$(GO) test -fuzz FuzzBuild -fuzztime 30s ./internal/hypergraph
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/pattern
 	$(GO) test -fuzz FuzzCanonicalKey -fuzztime 30s ./internal/pattern
 	$(GO) test -fuzz FuzzSymmetry -fuzztime 30s ./internal/pattern

@@ -11,7 +11,10 @@ package cluster
 // JobSpec describes one distributed mining job — the body of
 // POST /cluster/jobs (plus an optional "id").
 type JobSpec struct {
-	// Pattern is the pattern literal, e.g. "0 1 2; 2 3 4".
+	// Pattern is the pattern literal, e.g. "0 1 2; 2 3 4". The literal
+	// syntax (pattern.Parse) has no labels, so a job's pattern is always
+	// unlabeled; compileSpec's engine.CheckLabels preflight is a guard for
+	// the day it is not, and no job body can trigger it today.
 	Pattern string `json:"pattern"`
 	// Variant is recognised only to be refused (engine.CheckVariant): ""
 	// and "OHMiner" pass, a baseline's name fails the job.

@@ -11,9 +11,10 @@
 // not an array beside adj: they cost memory per group, not per entry.
 //
 // Construction happens once per hypergraph (offline preprocessing in the
-// paper), in two traversals and no comparison sort (buildAdjacency, DESIGN.md
-// "DAL layout and build"); BuildTime and MemoryBytes feed the Table 6
-// overhead accounting.
+// paper): one walk over each hyperedge's neighbourhood, one radix sort of its
+// packed (degree, overlap, ID) keys and one sequential write of its segment
+// and groups (buildAdjacency, DESIGN.md "DAL layout and build"); BuildTime
+// and MemoryBytes feed the Table 6 overhead accounting.
 package dal
 
 import (
@@ -81,182 +82,168 @@ type Store struct {
 func Build(h *hypergraph.Hypergraph) *Store {
 	start := time.Now()
 	s := &Store{h: h}
-	s.buildAdjacency()
 	s.buildDegreeIndex()
+	s.buildAdjacency()
 	s.buildContainers(nil, nil)
 	s.buildTime = time.Since(start)
 	return s
 }
 
-// buildAdjacency fills the adjacency CSR and its group table: count every
-// hyperedge's neighbours with a stamp array; prefix-sum the counts into
-// adjOff; visit every hyperedge o in ID order, re-discover its (neighbour,
-// |o∩n|) pairs and append (o, |o∩n|) to each neighbour's segment — adjacency
-// and overlap size are symmetric, so every segment comes out ID-ascending —
-// then stable-sort each segment on (degree, overlap).
+// buildAdjacency fills the adjacency CSR and its group table, one hyperedge
+// at a time: gather e's neighbours with their overlap sizes
+// (gatherNeighbours), order them by one sort on their packed keys
+// (sortKeys) and append the segment with its groups (appendSegment). The
+// degree index must be built. Segments go into chunks of 4 MiB, joined into
+// the exact-length adj at the end: no bound on the total is needed (Σ_v
+// deg(v)·(deg(v)−1), the one a vertex walk gives, is 6× the adjacency of the
+// dense block hypergraph) and no slack outlives the build.
 func (s *Store) buildAdjacency() {
 	h := s.h
 	m := h.NumEdges()
-
-	// Traversal 1: neighbour counts. Every hyperedge stamps itself through
-	// its own vertices, hence the −1.
-	mark := make([]uint32, m)
-	s.adjOff = make([]uint32, m+1)
-	longest := 0
-	for e := 0; e < m; e++ {
-		n := 0
-		for _, v := range h.EdgeVertices(uint32(e)) {
-			for _, o := range h.VertexEdges(v) {
-				if mark[o] != uint32(e)+1 {
-					mark[o] = uint32(e) + 1
-					n++
-				}
+	base := s.keyBase()
+	// The first chunk is no larger than the walk can fill: neighbours share
+	// a vertex, so Σ_v deg(v)·(deg(v)−1) bounds the adjacency entries.
+	const chunk = 1 << 20
+	first := 0
+	for v := 0; v < h.NumVertices() && first < chunk; v++ {
+		d := min(h.VertexDegree(uint32(v)), chunk)
+		first += d * (d - 1)
+	}
+	s.adj = make([]uint32, 0, min(first, chunk))
+	var full [][]uint32
+	s.adjOff = append(make([]uint32, 0, m+1), 0)
+	s.grpOff = append(make([]uint32, 0, m+1), 0)
+	hits := make([]uint32, m)
+	var touched []uint32
+	var keys, tmp []uint64
+	for e := uint32(0); e < uint32(m); e++ {
+		touched = gatherNeighbours(h, e, hits, touched[:0])
+		keys = keys[:0]
+		for _, o := range touched {
+			if o != e {
+				keys = append(keys, packKey(base, o, hits[o]))
 			}
+			hits[o] = 0
 		}
-		s.adjOff[e+1] = s.adjOff[e] + uint32(n-1)
-		longest = max(longest, n-1)
-	}
-
-	// Traversal 2: transposed fill. mark turns into the per-neighbour hit
-	// counter of the hyperedge being visited — how often the walk re-hits n
-	// is |o∩n| — and is zeroed again through the touched list.
-	s.adj = make([]uint32, s.adjOff[m])
-	ovl := make([]uint32, len(s.adj))
-	cursor := slices.Clone(s.adjOff[:m])
-	touched := make([]uint32, 0, longest+1)
-	clear(mark)
-	for o := 0; o < m; o++ {
-		touched = touched[:0]
-		for _, v := range h.EdgeVertices(uint32(o)) {
-			for _, n := range h.VertexEdges(v) {
-				if mark[n] == 0 {
-					touched = append(touched, n)
-				}
-				mark[n]++
-			}
+		if len(tmp) < len(keys) {
+			tmp = make([]uint64, max(len(keys), 2*len(tmp)))
 		}
-		for _, n := range touched {
-			if n != uint32(o) {
-				s.adj[cursor[n]], ovl[cursor[n]] = uint32(o), mark[n]
-				cursor[n]++
-			}
-			mark[n] = 0
+		if len(s.adj)+len(keys) > cap(s.adj) {
+			full = append(full, s.adj)
+			s.adj = make([]uint32, 0, max(chunk, len(keys)))
 		}
+		s.appendSegment(base, sortKeys(keys, tmp))
 	}
-
-	// Sort every segment on (degree, overlap) and size the group table
-	// exactly before filling it.
-	sorter := segSorter{h: h}
-	if longest > insertionMax {
-		sorter.key, sorter.key2 = make([]uint64, longest), make([]uint64, longest)
-		sorter.id2 = make([]uint32, longest)
-	}
-	s.grpOff = make([]uint32, m+1)
-	for e := 0; e < m; e++ {
-		lo, hi := s.adjOff[e], s.adjOff[e+1]
-		s.grpOff[e+1] = s.grpOff[e] + uint32(sorter.sort(s.adj[lo:hi], ovl[lo:hi]))
-	}
-	s.grpDeg = make([]uint32, 0, s.grpOff[m])
-	s.grpOvl = make([]uint32, 0, s.grpOff[m])
-	s.grpStart = make([]uint32, 0, s.grpOff[m])
-	for e := 0; e < m; e++ {
-		s.appendGroups(uint32(e), ovl[s.adjOff[e]:s.adjOff[e+1]])
-	}
+	s.adj = slices.Concat(append(full, s.adj)...)
+	s.grpDeg, s.grpOvl, s.grpStart = slices.Clone(s.grpDeg), slices.Clone(s.grpOvl), slices.Clone(s.grpStart)
 }
 
-// appendGroups appends the group-table entries of edge e's sorted segment;
-// ovl holds the overlap size of every segment entry.
-func (s *Store) appendGroups(e uint32, ovl []uint32) {
-	base := s.adjOff[e]
-	seg := s.adj[base:s.adjOff[e+1]]
-	for i := 0; i < len(seg); {
-		d, ov := uint32(s.h.Degree(seg[i])), ovl[i]
-		s.grpDeg = append(s.grpDeg, d)
-		s.grpOvl = append(s.grpOvl, ov)
-		s.grpStart = append(s.grpStart, base+uint32(i))
-		for i++; i < len(seg) && ovl[i] == ov && uint32(s.h.Degree(seg[i])) == d; i++ {
+// gatherNeighbours appends to dst every hyperedge that shares a vertex with
+// e, e itself included, each once and in the order the walk over e's
+// vertices first meets it, and counts in hits[o] how often the walk met o:
+// |e∩o|. hits must be zero for all of them on entry; the caller zeroes it
+// again through dst.
+func gatherNeighbours(h *hypergraph.Hypergraph, e uint32, hits, dst []uint32) []uint32 {
+	for _, v := range h.EdgeVertices(e) {
+		for _, o := range h.VertexEdges(v) {
+			if hits[o] == 0 {
+				dst = append(dst, o)
+			}
+			hits[o]++
 		}
 	}
+	return dst
 }
 
-// insertionMax is the segment length up to which segSorter sorts by
+// keyBase returns, per hyperedge o, the sum of the distinct hyperedge degrees
+// below deg(o). rank(o, ov) = keyBase[o] + ov − 1 then orders (deg(o), ov)
+// pairs lexicographically for every overlap 1 ≤ ov ≤ deg(o), and stays
+// below the total incidence, a uint32: the key of an adjacency entry packs
+// rank and neighbour ID into one uint64 whatever the degrees, overlap sizes
+// and IDs are. The degree index must be built.
+func (s *Store) keyBase() []uint32 {
+	base := make([]uint32, s.h.NumEdges())
+	sum := uint32(0)
+	for k, d := range s.degList {
+		for _, o := range s.degEdges[s.degOff[k]:s.degOff[k+1]] {
+			base[o] = sum
+		}
+		sum += d
+	}
+	return base
+}
+
+// packKey is the sort key of neighbour o overlapping in ov vertices: (degree,
+// overlap) rank above, ID below.
+func packKey(base []uint32, o, ov uint32) uint64 {
+	return uint64(base[o]+ov-1)<<32 | uint64(o)
+}
+
+// appendSegment appends the next hyperedge's adjacency segment, given as its
+// packed keys in ascending order, and the segment's group-table entries.
+func (s *Store) appendSegment(base []uint32, keys []uint64) {
+	at := s.adjOff[len(s.adjOff)-1]
+	for i, k := range keys {
+		o := uint32(k)
+		if i == 0 || k>>32 != keys[i-1]>>32 {
+			s.grpDeg = append(s.grpDeg, uint32(s.h.Degree(o)))
+			s.grpOvl = append(s.grpOvl, uint32(k>>32)-base[o]+1)
+			s.grpStart = append(s.grpStart, at+uint32(i))
+		}
+		s.adj = append(s.adj, o)
+	}
+	s.adjOff = append(s.adjOff, at+uint32(len(keys)))
+	s.grpOff = append(s.grpOff, uint32(len(s.grpDeg)))
+}
+
+// insertionMax is the segment length up to which sortKeys sorts by
 // insertion: on the dense block hypergraph (141 k segments of ≤ 12
 // neighbours) a radix pass's bucket set-up costs more than the moves.
 const insertionMax = 48
 
-// segSorter stable-sorts one adjacency segment — ids ascending on entry,
-// their overlap sizes beside them — on (degree, overlap), which leaves it in
-// (degree, overlap, id) order; the radix scratch holds the longest segment.
-type segSorter struct {
-	h         *hypergraph.Hypergraph
-	key, key2 []uint64
-	id2       []uint32
-}
-
-// sort returns the number of distinct (degree, overlap) keys in the segment.
-func (ss *segSorter) sort(ids, ovl []uint32) (groups int) {
-	n := len(ids)
-	if n == 0 {
-		return 0
-	}
-	var short [insertionMax]uint64
-	key := short[:]
-	if n > insertionMax {
-		key = ss.key
-	}
-	key = key[:n]
-	var diff uint64
-	for i, o := range ids {
-		key[i] = uint64(ss.h.Degree(o))<<32 | uint64(ovl[i])
-		diff |= key[i] ^ key[0]
-	}
-	switch {
-	case diff == 0:
-	case n <= insertionMax:
+// sortKeys sorts one segment's keys and returns them: in place by insertion
+// up to insertionMax, else by byte-wise LSD radix over the key bytes that
+// differ anywhere in the segment — 256 buckets a pass, whatever the keys
+// hold — with tmp (at least as long) as the other buffer; the result is
+// keys or tmp.
+func sortKeys(keys, tmp []uint64) []uint64 {
+	n := len(keys)
+	if n <= insertionMax {
 		for i := 1; i < n; i++ {
-			k, id := key[i], ids[i]
+			k := keys[i]
 			j := i
-			for ; j > 0 && key[j-1] > k; j-- {
-				key[j], ids[j] = key[j-1], ids[j-1]
+			for ; j > 0 && keys[j-1] > k; j-- {
+				keys[j] = keys[j-1]
 			}
-			key[j], ids[j] = k, id
+			keys[j] = k
 		}
-	default:
-		// LSD radix over the key bytes that differ anywhere in the segment:
-		// 256 buckets a pass whatever the largest degree is.
-		src, dst, srcID, dstID := key, ss.key2[:n], ids, ss.id2[:n]
-		for shift := 0; shift < 64; shift += 8 {
-			if diff>>shift&0xff == 0 {
-				continue
-			}
-			var pos [257]int
-			for _, k := range src {
-				pos[(k>>shift&0xff)+1]++
-			}
-			for b := 1; b < 256; b++ {
-				pos[b] += pos[b-1]
-			}
-			for i, k := range src {
-				b := k >> shift & 0xff
-				dst[pos[b]], dstID[pos[b]] = k, srcID[i]
-				pos[b]++
-			}
-			src, dst, srcID, dstID = dst, src, dstID, srcID
-		}
-		if &srcID[0] != &ids[0] {
-			copy(ids, srcID)
-		}
-		key = src
+		return keys
 	}
-	groups = 1
-	ovl[0] = uint32(key[0])
-	for i := 1; i < n; i++ {
-		ovl[i] = uint32(key[i])
-		if key[i] != key[i-1] {
-			groups++
-		}
+	var diff uint64
+	for _, k := range keys {
+		diff |= k ^ keys[0]
 	}
-	return groups
+	src, dst := keys, tmp[:n]
+	for shift := 0; shift < 64; shift += 8 {
+		if diff>>shift&0xff == 0 {
+			continue
+		}
+		var pos [256]int
+		for _, k := range src {
+			pos[k>>shift&0xff]++
+		}
+		sum := 0
+		for b, n := range pos {
+			pos[b], sum = sum, sum+n
+		}
+		for _, k := range src {
+			b := k >> shift & 0xff
+			dst[pos[b]] = k
+			pos[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // buildContainers plans a bitmap window for every adjacency group and every

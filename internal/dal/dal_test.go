@@ -307,13 +307,59 @@ func TestOverheadAccounting(t *testing.T) {
 	}
 }
 
+// benchStores are the hypergraphs the set-up benchmarks build stores for: a
+// small generated one, the TC preset (mine_sparse's store) and the full-size
+// dense block layout (mine_dense's).
+func benchStores(b *testing.B) []struct {
+	name string
+	h    *hypergraph.Hypergraph
+} {
+	pr, err := gen.PresetByTag("TC")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cores []int
+	for c := 64; c <= 256; c += 8 {
+		cores = append(cores, c)
+	}
+	return []struct {
+		name string
+		h    *hypergraph.Hypergraph
+	}{
+		{"gen", gen.MustGenerate(gen.Config{Name: "b", NumVertices: 2000, NumEdges: 4000,
+			Communities: 80, MemberOverlap: 1, EdgeSizeMin: 2, EdgeSizeMax: 12, EdgeSizeMean: 6, Seed: 11})},
+		{"TC", gen.MustGenerate(pr.Config)},
+		{"dense-block", denseBlocks(b, cores, 36, 400, 12)},
+	}
+}
+
 func BenchmarkBuild(b *testing.B) {
-	h := gen.MustGenerate(gen.Config{Name: "b", NumVertices: 2000, NumEdges: 4000,
-		Communities: 80, MemberOverlap: 1, EdgeSizeMin: 2, EdgeSizeMax: 12, EdgeSizeMean: 6, Seed: 11})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Build(h)
+	for _, in := range benchStores(b) {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Build(in.h)
+			}
+		})
+	}
+}
+
+// BenchmarkLoad times Load of a saved store (the bytes held in memory, so
+// the file system is not timed).
+func BenchmarkLoad(b *testing.B) {
+	for _, in := range benchStores(b) {
+		var buf bytes.Buffer
+		if err := Build(in.h).Save(&buf); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Load(bytes.NewReader(buf.Bytes()), in.h); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -161,16 +161,16 @@ func Load(r io.Reader, h *hypergraph.Hypergraph) (*Store, error) {
 	if err := cr.CheckTrailer("dal"); err != nil {
 		return nil, err
 	}
-	if header[1] == dalVersionDeg {
-		s.buildAdjacency()
-	} else if err := s.validate(); err != nil {
-		return nil, err
-	}
 	// The global degree index and the adaptive-container arenas are derived
 	// state, so they are rebuilt here instead of being part of the file
 	// format (the density rule may also evolve across builds; a stale
 	// serialized window layout would pin old thresholds).
 	s.buildDegreeIndex()
+	if header[1] == dalVersionDeg {
+		s.buildAdjacency()
+	} else if err := s.validate(); err != nil {
+		return nil, err
+	}
 	s.buildContainers(nil, nil)
 	return s, nil
 }

@@ -1,7 +1,6 @@
 package hypergraph
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -36,82 +35,70 @@ func BuildEdgeLabeled(numVertices int, edges [][]uint32, labels, edgeLabels []ui
 		return nil, fmt.Errorf("hypergraph: %d edge labels for %d hyperedges", len(edgeLabels), len(edges))
 	}
 
-	// Normalize each edge: sort and dedup vertices. An edge that arrives
-	// strictly ascending already is normal and is used as it is (nothing
-	// below writes to it); any other is copied first.
-	norm := make([][]uint32, 0, len(edges))
-	var normLabels []uint32
-	if edgeLabels != nil {
-		normLabels = make([]uint32, 0, len(edges))
+	// Edge CSR, one edge at a time: copy the edge into place, normalize it
+	// there (sort and dedup its vertices) unless it arrived strictly
+	// ascending, and keep it unless an earlier edge has the same vertex set
+	// and edge label. Duplicates are found through an open-addressing table
+	// of edge IDs under a per-build seeded hash, with full comparison on
+	// collisions, so the first occurrence wins.
+	total := 0
+	for _, raw := range edges {
+		total += len(raw)
 	}
+	h := &Hypergraph{
+		edgeOff:   make([]uint32, 1, len(edges)+1),
+		edgeVerts: make([]uint32, 0, total),
+	}
+	if edgeLabels != nil {
+		h.edgeLabels = make([]uint32, 0, len(edges))
+	}
+	bits := 1
+	for 1<<bits < 2*len(edges) {
+		bits++
+	}
+	table := make([]uint32, 1<<bits)  // edge ID + 1; 0 is an empty slot
+	seed := new(maphash.Hash).Sum64() // random per build
+next:
 	for i, raw := range edges {
 		if len(raw) == 0 {
 			continue
 		}
-		e := raw
+		start := len(h.edgeVerts)
+		h.edgeVerts = append(h.edgeVerts, raw...)
+		e := h.edgeVerts[start:]
 		if !strictlyAscending(e) {
-			e = slices.Clone(raw)
 			slices.Sort(e)
 			e = slices.Compact(e)
+			h.edgeVerts = h.edgeVerts[:start+len(e)]
 		}
 		if int(e[len(e)-1]) >= numVertices {
 			return nil, fmt.Errorf("hypergraph: vertex %d out of range [0,%d)", e[len(e)-1], numVertices)
 		}
-		norm = append(norm, e)
+		var label uint32
 		if edgeLabels != nil {
-			normLabels = append(normLabels, edgeLabels[i])
+			label = edgeLabels[i]
 		}
-	}
-	if len(norm) == 0 {
-		return nil, ErrEmpty
-	}
-
-	// Remove duplicate hyperedges via content hashing with full comparison
-	// on collisions; an edge label is part of the identity.
-	seed := maphash.MakeSeed()
-	byHash := make(map[uint64][]int, len(norm))
-	uniq := norm[:0]
-	uniqLabels := normLabels[:0]
-	labelOf := func(idx int) uint32 {
-		if normLabels == nil {
-			return 0
-		}
-		return normLabels[idx]
-	}
-	uniqLabelOf := func(idx int) uint32 {
-		if normLabels == nil {
-			return 0
-		}
-		return uniqLabels[idx]
-	}
-	var enc []byte
-	for i, e := range norm {
-		enc = enc[:0]
-		for _, v := range e {
-			enc = binary.LittleEndian.AppendUint32(enc, v)
-		}
-		hv := maphash.Bytes(seed, enc)
-		dup := false
-		for _, k := range byHash[hv] {
-			if slices.Equal(uniq[k], e) && uniqLabelOf(k) == labelOf(i) {
-				dup = true
-				break
+		slot := hashEdge(seed, e, label) >> (64 - bits)
+		for ; table[slot] != 0; slot = (slot + 1) & (1<<bits - 1) {
+			k := table[slot] - 1
+			if slices.Equal(h.EdgeVertices(k), e) && (edgeLabels == nil || h.edgeLabels[k] == label) {
+				h.edgeVerts = h.edgeVerts[:start]
+				continue next
 			}
 		}
-		if dup {
-			continue
-		}
-		byHash[hv] = append(byHash[hv], len(uniq))
-		uniq = append(uniq, e)
-		if normLabels != nil {
-			uniqLabels = append(uniqLabels, normLabels[i])
+		table[slot] = uint32(len(h.edgeOff))
+		h.edgeOff = append(h.edgeOff, uint32(len(h.edgeVerts)))
+		if edgeLabels != nil {
+			h.edgeLabels = append(h.edgeLabels, label)
 		}
 	}
+	if len(h.edgeOff) == 1 {
+		return nil, ErrEmpty
+	}
+	// Dropped duplicates and repeated vertices leave spare capacity; the
+	// hypergraph lives as long as its store, so it keeps exact-size tables.
+	h.edgeOff, h.edgeVerts, h.edgeLabels = exact(h.edgeOff), exact(h.edgeVerts), exact(h.edgeLabels)
 
-	h := &Hypergraph{}
-	if normLabels != nil {
-		h.edgeLabels = append([]uint32(nil), uniqLabels...)
-	}
 	if labels != nil {
 		h.labels = append([]uint32(nil), labels...)
 		maxL := uint32(0)
@@ -123,37 +110,24 @@ func BuildEdgeLabeled(numVertices int, edges [][]uint32, labels, edgeLabels []ui
 		h.numLabels = int(maxL) + 1
 	}
 
-	// Edge CSR.
-	total := 0
-	for _, e := range uniq {
-		total += len(e)
-	}
-	h.edgeOff = make([]uint32, len(uniq)+1)
-	h.edgeVerts = make([]uint32, 0, total)
-	for i, e := range uniq {
-		h.edgeVerts = append(h.edgeVerts, e...)
-		h.edgeOff[i+1] = uint32(len(h.edgeVerts))
-	}
-
-	// Vertex CSR (counting sort; edges visited in increasing ID order, so
-	// each vertex's incident list comes out sorted).
-	counts := make([]uint32, numVertices+1)
+	// Vertex CSR by counting sort: count[v] ends as the end of v's segment;
+	// edges are placed in decreasing ID order, each one cursor step down, so
+	// every incident list comes out ascending and count[v] ends at its start.
+	count := make([]uint32, numVertices+1)
 	for _, v := range h.edgeVerts {
-		counts[v+1]++
+		count[v]++
 	}
 	for v := 1; v <= numVertices; v++ {
-		counts[v] += counts[v-1]
+		count[v] += count[v-1]
 	}
-	h.vertOff = counts
-	h.vertEdges = make([]uint32, total)
-	cursor := make([]uint32, numVertices)
-	copy(cursor, h.vertOff[:numVertices])
-	for e := range uniq {
-		for _, v := range uniq[e] {
-			h.vertEdges[cursor[v]] = uint32(e)
-			cursor[v]++
+	h.vertEdges = make([]uint32, len(h.edgeVerts))
+	for e := h.NumEdges() - 1; e >= 0; e-- {
+		for _, v := range h.EdgeVertices(uint32(e)) {
+			count[v]--
+			h.vertEdges[count[v]] = uint32(e)
 		}
 	}
+	h.vertOff = count
 	return h, nil
 }
 
@@ -174,4 +148,24 @@ func strictlyAscending(e []uint32) bool {
 		}
 	}
 	return true
+}
+
+// hashEdge mixes a normalized edge and its label into 64 bits under seed;
+// the high bits pick the slot.
+func hashEdge(seed uint64, e []uint32, label uint32) uint64 {
+	const m = 0x9e3779b97f4a7c15
+	x := (seed ^ uint64(label)) * m
+	for _, v := range e {
+		x = (x ^ uint64(v)) * m
+		x ^= x >> 32
+	}
+	return x * m
+}
+
+// exact returns s itself when it has no spare capacity, else a copy without.
+func exact(s []uint32) []uint32 {
+	if cap(s) == len(s) {
+		return s
+	}
+	return slices.Clone(s)
 }

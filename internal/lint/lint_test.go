@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // -update regenerates the golden files from current analyzer output:
@@ -176,5 +177,58 @@ func TestTreeIsClean(t *testing.T) {
 	}
 	for _, d := range Run(pkgs, Analyzers()) {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestLoadImportCycle: a module whose packages import each other loads in
+// bounded time, and both packages carry a type error naming the cycle (the
+// analyzers then fall back to syntax) instead of the loader handing the
+// unchecked in-module path to the stdlib importer, which never returns.
+func TestLoadImportCycle(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod": "module cyc\n\ngo 1.21\n",
+		"a/a.go": "package a\n\nimport \"cyc/b\"\n\nfunc A() int { return b.B() }\n",
+		"b/b.go": "package b\n\nimport \"cyc/a\"\n\nfunc B() int { return a.A() }\n",
+		"c/c.go": "package c\n\nfunc C() int { return 1 }\n",
+	}
+	for name, src := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type result struct {
+		pkgs []*Package
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		pkgs, err := Load(dir, []string{filepath.Join(dir, "a"), filepath.Join(dir, "b"), filepath.Join(dir, "c")})
+		done <- result{pkgs, err}
+	}()
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Load did not return within 5 s on an import cycle")
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	for _, pkg := range r.pkgs {
+		if pkg.Path == "cyc/c" {
+			if pkg.TypeError != nil || pkg.Types == nil {
+				t.Errorf("cyc/c is off the cycle but did not type-check: %v", pkg.TypeError)
+			}
+			continue
+		}
+		if pkg.TypeError == nil || !strings.Contains(pkg.TypeError.Error(), "import cycle") ||
+			!strings.Contains(pkg.TypeError.Error(), "cyc/a") || !strings.Contains(pkg.TypeError.Error(), "cyc/b") {
+			t.Errorf("%s: type error %v, want one naming the cycle cyc/a ↔ cyc/b", pkg.Path, pkg.TypeError)
+		}
 	}
 }

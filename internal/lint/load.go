@@ -9,6 +9,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -207,11 +208,13 @@ func (p *Package) recordAllows(f *ast.File) {
 // imports resolve against already-checked packages. Failures are recorded
 // per package, never fatal — analyzers fall back to syntax.
 func typeCheck(fset *token.FileSet, modPath string, all map[string]*Package) {
+	order, cycles := topoOrder(all)
 	imp := &moduleImporter{
-		std:  importer.ForCompiler(fset, "source", nil),
-		pkgs: map[string]*types.Package{},
+		std:     importer.ForCompiler(fset, "source", nil),
+		modPath: modPath,
+		pkgs:    map[string]*types.Package{},
+		cycles:  cycles,
 	}
-	order := topoOrder(modPath, all)
 	for _, path := range order {
 		pkg := all[path]
 		info := &types.Info{
@@ -233,29 +236,43 @@ func typeCheck(fset *token.FileSet, modPath string, all map[string]*Package) {
 }
 
 // moduleImporter serves in-module packages from the checked set and
-// everything else from the stdlib source importer.
+// everything else from the stdlib source importer. An in-module path that is
+// not checked (it is on an import cycle, failed to type-check, or does not
+// exist) is refused: the source importer would try to load it from GOROOT
+// and, for a cyclic package, never return.
 type moduleImporter struct {
-	std  types.Importer
-	pkgs map[string]*types.Package
+	std     types.Importer
+	modPath string
+	pkgs    map[string]*types.Package
+	cycles  map[string]string // package → the import cycle it is on
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	if p, ok := m.pkgs[path]; ok {
 		return p, nil
 	}
+	if path == m.modPath || strings.HasPrefix(path, m.modPath+"/") {
+		if c, ok := m.cycles[path]; ok {
+			return nil, fmt.Errorf("lint: import cycle %s", c)
+		}
+		return nil, fmt.Errorf("lint: in-module package %s did not type-check", path)
+	}
 	return m.std.Import(path)
 }
 
-// topoOrder sorts the module packages so dependencies precede dependents.
-func topoOrder(modPath string, all map[string]*Package) []string {
-	var order []string
+// topoOrder sorts the module packages so dependencies precede dependents,
+// and names the import cycle (as "a → b → a") each package on one is on.
+func topoOrder(all map[string]*Package) (order []string, cycles map[string]string) {
+	cycles = map[string]string{}
 	state := map[string]int{} // 0 unvisited, 1 visiting, 2 done
+	var stack []string
 	var visit func(path string)
 	visit = func(path string) {
 		if state[path] != 0 {
 			return
 		}
 		state[path] = 1
+		stack = append(stack, path)
 		pkg := all[path]
 		for _, f := range pkg.Files {
 			for _, spec := range f.Imports {
@@ -263,11 +280,22 @@ func topoOrder(modPath string, all map[string]*Package) []string {
 				if err != nil {
 					continue
 				}
-				if _, ok := all[dep]; ok && state[dep] != 1 {
-					visit(dep)
+				if _, ok := all[dep]; !ok {
+					continue
 				}
+				if state[dep] == 1 {
+					cyc := append(stack[slices.Index(stack, dep):len(stack):len(stack)], dep)
+					for _, p := range cyc {
+						if _, seen := cycles[p]; !seen {
+							cycles[p] = strings.Join(cyc, " → ")
+						}
+					}
+					continue
+				}
+				visit(dep)
 			}
 		}
+		stack = stack[:len(stack)-1]
 		state[path] = 2
 		order = append(order, path)
 	}
@@ -279,7 +307,7 @@ func topoOrder(modPath string, all map[string]*Package) []string {
 	for _, p := range paths {
 		visit(p)
 	}
-	return order
+	return order, cycles
 }
 
 // modulePath extracts the module path from a go.mod file.
@@ -311,6 +339,6 @@ func LoadDir(dir string) (*Package, error) {
 	}
 	pkg.Path = filepath.Base(dir)
 	all := map[string]*Package{pkg.Path: pkg}
-	typeCheck(fset, pkg.Path, all)
+	typeCheck(fset, "", all) // no module: every import goes to the stdlib importer
 	return pkg, nil
 }
