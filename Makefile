@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSymmetry -fuzztime 30s ./internal/pattern
 	$(GO) test -fuzz FuzzChooseOrder -fuzztime 30s ./internal/oig
 	$(GO) test -fuzz FuzzLoad -fuzztime 30s ./internal/dal
+	$(GO) test -fuzz FuzzBuildDelta -fuzztime 30s ./internal/dal
 	$(GO) test -fuzz FuzzIntersectKernels -fuzztime 30s ./internal/intset
 	$(GO) test -fuzz FuzzKernelFamilies -fuzztime 30s ./internal/baseline
 	$(GO) test -fuzz FuzzPlanVerify -fuzztime 30s ./internal/engine

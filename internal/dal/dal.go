@@ -14,62 +14,84 @@
 // paper): one walk over each hyperedge's neighbourhood, one radix sort of its
 // packed (degree, overlap, ID) keys and one sequential write of its segment
 // and groups (buildAdjacency, DESIGN.md "DAL layout and build"); BuildTime
-// and MemoryBytes feed the Table 6 overhead accounting.
+// and MemoryBytes feed the Table 6 overhead accounting. Each hyperedge's
+// segment and groups are located by their own bounds, not by prefix
+// offsets, so a streaming store grows by rewriting the segments a batch
+// touches at the end of its arenas, which it shares with the store it grew
+// from (BuildDelta, delta.go); Save writes the same compressed sparse rows
+// either way.
 package dal
 
 import (
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"ohminer/internal/hypergraph"
 	"ohminer/internal/intset"
 )
 
+// span locates one hyperedge's part of the store by its own bounds: its
+// adjacency segment adj[adjLo:adjHi] and its groups k ∈ [grpLo, grpHi).
+type span struct {
+	adjLo, adjHi uint32
+	grpLo, grpHi uint32
+}
+
 // Store is the immutable degree- and overlap-aware adjacency structure over
 // one hypergraph.
 type Store struct {
 	h *hypergraph.Hypergraph
 
-	// CSR of neighbor IDs per edge, each segment sorted by (degree, |e∩o|,
-	// id).
-	adjOff []uint32
-	adj    []uint32
+	// Hyperedge e's segment and groups are located by spans[e], one 16-byte
+	// row, so AdjSet reads both bounds from one cache line. Build and Load
+	// write the segments back to back in ID order, exactly as long as they
+	// are; BuildDelta rewrites a segment that gains neighbours at the end of
+	// the arenas, and the entries it leaves behind are garbage. adjLive and
+	// grpLive count the live entries of adj and of the group table.
+	spans            []span
+	adj              []uint32 // segments, each sorted by (degree, |e∩o|, id)
+	adjLive, grpLive int
 
-	// Group index: edge e's groups are k ∈ [grpOff[e], grpOff[e+1]), keyed
-	// (grpDeg[k], grpOvl[k]) in strictly ascending order; group k spans
-	// adj[grpStart[k]:end], where end is the next group's start (or
-	// adjOff[e+1] for e's last group).
-	grpOff   []uint32
+	// Group table: group k is keyed (grpDeg[k], grpOvl[k]) — a hyperedge's
+	// groups in strictly ascending key order — and spans adj[grpStart[k]:end],
+	// where end is the next group's start, or the segment's end for the
+	// hyperedge's last group.
 	grpDeg   []uint32
 	grpOvl   []uint32
 	grpStart []uint32
 
 	// Global degree index: degList holds the sorted distinct hyperedge
-	// degrees; the edges of degree degList[k] are
-	// degEdges[degOff[k]:degOff[k+1]], ascending. Built once so
-	// EdgesWithDegree (the first mining step of every run) and the
-	// matching-order cost model answer from a CSR lookup instead of an O(E)
-	// scan.
+	// degrees; the edges of degree degList[k] are degEdges[k], ascending.
+	// Built once so EdgesWithDegree (the first mining step of every run) and
+	// the matching-order cost model answer from a lookup instead of an O(E)
+	// scan; BuildDelta appends the new IDs to their degrees' lists.
 	degList  []uint32
-	degOff   []uint32
-	degEdges []uint32
+	degEdges [][]uint32
 
 	// Adaptive-container arenas: bitmap windows (intset.PlanWords density
-	// rule) packed back to back for the groups of the adjacency CSR and for
-	// the hyperedge vertex sets. Group k's window words are
+	// rule) packed back to back for the adjacency groups and for the
+	// hyperedge vertex sets. Group k's window words are
 	// winWords[grpWinOff[k]:grpWinOff[k+1]] at base grpWinBase[k] (equal
-	// offsets mean the group stayed array-only; both tables are nil when no
-	// group earned a window, as on every sparse preset); edge e's vertex-set
-	// window is evWords[evOff[e]:evOff[e+1]] at base evBase[e]. Built once
-	// here so the engine's hot paths assemble intset.Set views without ever
-	// converting or allocating; like the degree index, the arenas are derived
-	// state rebuilt after Load rather than serialized.
+	// offsets mean the group is array-only; both tables stay nil until a
+	// group earns a window, so on every sparse preset they are nil); edge
+	// e's vertex-set window is evWords[evOff[e]:evOff[e+1]] at base
+	// evBase[e]. The windows are planned as the groups are written, in the
+	// group table's order, so the engine's hot paths assemble intset.Set
+	// views without ever converting or allocating; like the degree index,
+	// the arenas are derived state rebuilt after Load rather than
+	// serialized.
 	winWords   []uint64
 	grpWinOff  []uint32
 	grpWinBase []uint32
 	evWords    []uint64
 	evOff      []uint32
 	evBase     []uint32
+
+	// extended is claimed by the first BuildDelta from this store, which
+	// appends into the spare capacity of its arenas, where this store's
+	// readers never index; any later BuildDelta from it copies them first.
+	extended atomic.Bool
 
 	// stats are the group sums the matching-order cost model reads
 	// (GroupSum), computed on first use.
@@ -84,58 +106,72 @@ func Build(h *hypergraph.Hypergraph) *Store {
 	s := &Store{h: h}
 	s.buildDegreeIndex()
 	s.buildAdjacency()
-	s.buildContainers(nil, nil)
+	s.buildContainers()
 	s.buildTime = time.Since(start)
 	return s
 }
 
-// buildAdjacency fills the adjacency CSR and its group table, one hyperedge
-// at a time: gather e's neighbours with their overlap sizes
-// (gatherNeighbours), order them by one sort on their packed keys
-// (sortKeys) and append the segment with its groups (appendSegment). The
-// degree index must be built. Segments go into chunks of 4 MiB, joined into
-// the exact-length adj at the end: no bound on the total is needed (Σ_v
-// deg(v)·(deg(v)−1), the one a vertex walk gives, is 6× the adjacency of the
-// dense block hypergraph) and no slack outlives the build.
+// buildAdjacency fills the adjacency and group tables, one hyperedge at a
+// time: gather e's neighbours with their overlap sizes (gatherNeighbours),
+// order them by one sort on their packed keys (sortKeys) and append the
+// segment with its groups (appendSegment). The degree index must be built.
+// Each table goes into chunks of 4 MiB, joined into an exact-length table at
+// the end: no bound on the total is needed (Σ_v deg(v)·(deg(v)−1), the one a
+// vertex walk gives, is 6× the adjacency of the dense block hypergraph) and
+// no slack outlives the build.
 func (s *Store) buildAdjacency() {
 	h := s.h
 	m := h.NumEdges()
-	base := s.keyBase()
+	base := keyBase(s.degList)
 	// The first chunk is no larger than the walk can fill: neighbours share
-	// a vertex, so Σ_v deg(v)·(deg(v)−1) bounds the adjacency entries.
+	// a vertex, so Σ_v deg(v)·(deg(v)−1) bounds the adjacency entries, and
+	// the groups are fewer.
 	const chunk = 1 << 20
 	first := 0
 	for v := 0; v < h.NumVertices() && first < chunk; v++ {
 		d := min(h.VertexDegree(uint32(v)), chunk)
 		first += d * (d - 1)
 	}
-	s.adj = make([]uint32, 0, min(first, chunk))
-	var full [][]uint32
-	s.adjOff = append(make([]uint32, 0, m+1), 0)
-	s.grpOff = append(make([]uint32, 0, m+1), 0)
+	tables := [4]*[]uint32{&s.adj, &s.grpDeg, &s.grpOvl, &s.grpStart}
+	var full [4][][]uint32
+	for _, t := range tables {
+		*t = make([]uint32, 0, min(first, chunk))
+	}
+	s.spans = make([]span, m)
 	hits := make([]uint32, m)
 	var touched []uint32
 	var keys, tmp []uint64
+	var at span // the previous segment's: the next one starts at its ends
 	for e := uint32(0); e < uint32(m); e++ {
 		touched = gatherNeighbours(h, e, hits, touched[:0])
 		keys = keys[:0]
 		for _, o := range touched {
 			if o != e {
-				keys = append(keys, packKey(base, o, hits[o]))
+				keys = append(keys, packKey(base, uint32(h.Degree(o)), o, hits[o]))
 			}
 			hits[o] = 0
 		}
 		if len(tmp) < len(keys) {
 			tmp = make([]uint64, max(len(keys), 2*len(tmp)))
 		}
-		if len(s.adj)+len(keys) > cap(s.adj) {
-			full = append(full, s.adj)
-			s.adj = make([]uint32, 0, max(chunk, len(keys)))
+		// A segment has at most as many groups as entries.
+		if len(s.adj)+len(keys) > cap(s.adj) || len(s.grpDeg)+len(keys) > cap(s.grpDeg) {
+			for i, t := range tables {
+				if len(*t)+len(keys) > cap(*t) {
+					full[i] = append(full[i], *t)
+					*t = make([]uint32, 0, max(chunk, len(keys)))
+				}
+			}
 		}
-		s.appendSegment(base, sortKeys(keys, tmp))
+		s.appendSegment(e, base, sortKeys(keys, tmp), nil, span{}, at.adjHi, at.grpHi)
+		at = s.spans[e]
 	}
-	s.adj = slices.Concat(append(full, s.adj)...)
-	s.grpDeg, s.grpOvl, s.grpStart = slices.Clone(s.grpDeg), slices.Clone(s.grpOvl), slices.Clone(s.grpStart)
+	for i, t := range tables {
+		if len(full[i]) > 0 || len(*t) < cap(*t) {
+			*t = slices.Concat(append(full[i], *t)...)
+		}
+	}
+	s.adjLive, s.grpLive = len(s.adj), len(s.grpDeg)
 }
 
 // gatherNeighbours appends to dst every hyperedge that shares a vertex with
@@ -155,45 +191,64 @@ func gatherNeighbours(h *hypergraph.Hypergraph, e uint32, hits, dst []uint32) []
 	return dst
 }
 
-// keyBase returns, per hyperedge o, the sum of the distinct hyperedge degrees
-// below deg(o). rank(o, ov) = keyBase[o] + ov − 1 then orders (deg(o), ov)
-// pairs lexicographically for every overlap 1 ≤ ov ≤ deg(o), and stays
-// below the total incidence, a uint32: the key of an adjacency entry packs
-// rank and neighbour ID into one uint64 whatever the degrees, overlap sizes
-// and IDs are. The degree index must be built.
-func (s *Store) keyBase() []uint32 {
-	base := make([]uint32, s.h.NumEdges())
+// keyBase returns, for each degree d in degList (the table is indexed by
+// degree; other entries are unused), the sum of the listed degrees below d.
+// rank(d, ov) = base[d] + ov − 1 then orders (degree, overlap) pairs
+// lexicographically for every overlap 1 ≤ ov ≤ d, and stays below the total
+// incidence, a uint32: the key of an adjacency entry packs rank and
+// neighbour ID into one uint64 whatever the degrees, overlap sizes and IDs
+// are.
+func keyBase(degList []uint32) []uint32 {
+	if len(degList) == 0 {
+		return nil
+	}
+	base := make([]uint32, degList[len(degList)-1]+1)
 	sum := uint32(0)
-	for k, d := range s.degList {
-		for _, o := range s.degEdges[s.degOff[k]:s.degOff[k+1]] {
-			base[o] = sum
-		}
+	for _, d := range degList {
+		base[d] = sum
 		sum += d
 	}
 	return base
 }
 
-// packKey is the sort key of neighbour o overlapping in ov vertices: (degree,
-// overlap) rank above, ID below.
-func packKey(base []uint32, o, ov uint32) uint64 {
-	return uint64(base[o]+ov-1)<<32 | uint64(o)
+// packKey is the sort key of neighbour o, of degree d, overlapping in ov
+// vertices: (degree, overlap) rank above, ID below.
+func packKey(base []uint32, d, o, ov uint32) uint64 {
+	return uint64(base[d]+ov-1)<<32 | uint64(o)
 }
 
-// appendSegment appends the next hyperedge's adjacency segment, given as its
-// packed keys in ascending order, and the segment's group-table entries.
-func (s *Store) appendSegment(base []uint32, keys []uint64) {
-	at := s.adjOff[len(s.adjOff)-1]
-	for i, k := range keys {
-		o := uint32(k)
-		if i == 0 || k>>32 != keys[i-1]>>32 {
-			s.grpDeg = append(s.grpDeg, uint32(s.h.Degree(o)))
-			s.grpOvl = append(s.grpOvl, uint32(k>>32)-base[o]+1)
-			s.grpStart = append(s.grpStart, at+uint32(i))
+// appendSegment appends hyperedge e's adjacency segment with its groups and
+// points spans[e] at them: the segment starts at adjacency position at and
+// its groups at group position k0, where the tables end. The segment is
+// old, a segment of prev (the zero span when there is none), merged with
+// keys, packed keys in ascending order whose IDs are above all of old's: a
+// key of an old group's (degree, overlap) joins that group at its end.
+func (s *Store) appendSegment(e uint32, base []uint32, keys []uint64, prev *Store, old span, at, k0 uint32) {
+	sp := span{adjLo: at, adjHi: at, grpLo: k0, grpHi: k0}
+	for i, k := 0, old.grpLo; i < len(keys) || k < old.grpHi; sp.grpHi++ {
+		var d, ov uint32
+		var grp []uint32
+		if k < old.grpHi && (i == len(keys) || uint64(base[prev.grpDeg[k]]+prev.grpOvl[k]-1) <= keys[i]>>32) {
+			d, ov, grp = prev.grpDeg[k], prev.grpOvl[k], prev.groupSlice(old, k)
+			k++
+		} else {
+			d = uint32(s.h.Degree(uint32(keys[i])))
+			ov = uint32(keys[i]>>32) - base[d] + 1
 		}
-		s.adj = append(s.adj, o)
+		s.grpDeg = append(s.grpDeg, d)
+		s.grpOvl = append(s.grpOvl, ov)
+		s.grpStart = append(s.grpStart, sp.adjHi)
+		if len(grp) > 0 {
+			s.adj = append(s.adj, grp...)
+		}
+		j := i
+		for rank := uint64(base[d] + ov - 1); j < len(keys) && keys[j]>>32 == rank; j++ {
+			s.adj = append(s.adj, uint32(keys[j]))
+		}
+		sp.adjHi += uint32(len(grp) + j - i)
+		i = j
 	}
-	s.adjOff = append(s.adjOff, at+uint32(len(keys)))
-	s.grpOff = append(s.grpOff, uint32(len(s.grpDeg)))
+	s.spans[e] = sp
 }
 
 // insertionMax is the segment length up to which sortKeys sorts by
@@ -246,72 +301,72 @@ func sortKeys(keys, tmp []uint64) []uint64 {
 	return src
 }
 
-// buildContainers plans a bitmap window for every adjacency group and every
-// hyperedge vertex set that passes intset's density rule, packing the words
-// into shared arenas. Also invoked after Load (derived state, not part of the
-// serialized format). With a prev store that s extends (BuildDelta) it reuses
-// prev's work: the windows of hyperedges that are not affected are copied out
-// of prev's arena — their groups are byte-identical, only the arena offsets
-// move — and so is the vertex-set arena, which never changes for an existing
-// hyperedge.
-func (s *Store) buildContainers(prev *Store, affected func(e int) bool) {
-	m, m0 := s.h.NumEdges(), 0
-	s.grpWinOff = make([]uint32, len(s.grpDeg)+1)
-	s.grpWinBase = make([]uint32, len(s.grpDeg))
-	s.evOff = make([]uint32, m+1)
-	s.evBase = make([]uint32, m)
-	if prev != nil {
-		m0 = prev.h.NumEdges()
-		s.winWords = make([]uint64, 0, len(prev.winWords))
-		s.evWords = append(make([]uint64, 0, len(prev.evWords)+m-m0), prev.evWords...)
-		copy(s.evOff, prev.evOff[:m0])
-		copy(s.evBase, prev.evBase)
+// buildContainers plans the bitmap windows of every group and of every
+// hyperedge vertex set, in ID order: the last step of Build and of Load.
+func (s *Store) buildContainers() {
+	m := s.h.NumEdges()
+	s.evOff = append(make([]uint32, 0, m+1), 0)
+	s.evBase = make([]uint32, 0, m)
+	for e := uint32(0); e < uint32(m); e++ {
+		s.appendGroupWindows(e)
+		s.appendVertexWindow(e)
 	}
-	for e := 0; e < m; e++ {
-		replan := prev == nil || affected(e)
-		for k := s.grpOff[e]; k < s.grpOff[e+1]; k++ {
-			s.grpWinOff[k] = uint32(len(s.winWords))
-			if replan {
-				s.winWords, s.grpWinBase[k] = appendWindow(s.winWords, s.groupSlice(uint32(e), k))
-			} else if pk := prev.grpOff[e] + k - s.grpOff[e]; prev.grpWinOff != nil {
-				s.winWords = append(s.winWords, prev.winWords[prev.grpWinOff[pk]:prev.grpWinOff[pk+1]]...)
-				s.grpWinBase[k] = prev.grpWinBase[pk]
-			}
+}
+
+// appendGroupWindows plans the windows of e's groups, which must be the
+// groups after the last one planned: a group whose density earns a window
+// gets its words at the end of winWords, any other an empty range. The
+// window tables are allocated when the first group earns one, empty ranges
+// for every group before it.
+func (s *Store) appendGroupWindows(e uint32) {
+	sp := s.spans[e]
+	for k := sp.grpLo; k < sp.grpHi; k++ {
+		grp := s.groupSlice(sp, k)
+		base, nw, lo, hi, ok := intset.PlanWords(grp)
+		if ok && s.grpWinOff == nil {
+			s.grpWinOff = make([]uint32, k+1, len(s.grpDeg)+1)
+			s.grpWinBase = make([]uint32, k, len(s.grpDeg))
 		}
+		if s.grpWinOff == nil {
+			continue
+		}
+		if !ok {
+			base = 0
+		} else {
+			at := len(s.winWords)
+			s.winWords = append(s.winWords, make([]uint64, nw)...)
+			intset.FillWords(s.winWords[at:], base, grp[lo:hi])
+		}
+		s.grpWinOff = append(s.grpWinOff, uint32(len(s.winWords)))
+		s.grpWinBase = append(s.grpWinBase, base)
 	}
-	// No group earned a window (every sparse preset): drop the table, 8
-	// bytes of zeros a group.
-	if s.grpWinOff[len(s.grpDeg)] = uint32(len(s.winWords)); len(s.winWords) == 0 {
-		s.grpWinOff, s.grpWinBase = nil, nil
-	}
-	for e := m0; e < m; e++ {
-		s.evOff[e] = uint32(len(s.evWords))
-		s.evWords, s.evBase[e] = appendWindow(s.evWords, s.h.EdgeVertices(uint32(e)))
-	}
-	s.evOff[m] = uint32(len(s.evWords))
 }
 
-// appendWindow appends the bitmap window of a sorted set to arena when its
-// density earns one, returning the arena and the window's base word.
-func appendWindow(arena []uint64, set []uint32) ([]uint64, uint32) {
-	base, nw, lo, hi, ok := intset.PlanWords(set)
-	if !ok {
-		return arena, 0
+// appendVertexWindow plans the window of hyperedge e's vertex set, the next
+// after the last one planned.
+func (s *Store) appendVertexWindow(e uint32) {
+	verts := s.h.EdgeVertices(e)
+	var b uint32
+	if base, nw, lo, hi, ok := intset.PlanWords(verts); ok {
+		at := len(s.evWords)
+		s.evWords = append(s.evWords, make([]uint64, nw)...)
+		intset.FillWords(s.evWords[at:], base, verts[lo:hi])
+		b = base
 	}
-	start := len(arena)
-	arena = append(arena, make([]uint64, nw)...)
-	intset.FillWords(arena[start:], base, set[lo:hi])
-	return arena, base
+	s.evOff = append(s.evOff, uint32(len(s.evWords)))
+	s.evBase = append(s.evBase, b)
 }
 
-// groupSlice returns the adjacency slice of group k of edge e.
-func (s *Store) groupSlice(e, k uint32) []uint32 {
-	start := s.grpStart[k]
-	end := s.adjOff[e+1]
-	if k+1 < s.grpOff[e+1] {
+// groupSlice returns the adjacency slice of group k of the hyperedge whose
+// span is sp.
+//
+//ohmlint:hotpath
+func (s *Store) groupSlice(sp span, k uint32) []uint32 {
+	end := sp.adjHi
+	if k+1 < sp.grpHi {
 		end = s.grpStart[k+1]
 	}
-	return s.adj[start:end]
+	return s.adj[s.grpStart[k]:end]
 }
 
 // groupWindow returns the arena range of group k's bitmap window; empty when
@@ -323,12 +378,13 @@ func (s *Store) groupWindow(k uint32) (lo, hi uint32) {
 	return s.grpWinOff[k], s.grpWinOff[k+1]
 }
 
-// groupSet wraps group k of edge e as an adaptive container carrying its
-// prebuilt bitmap window, if it has one. The Set aliases arena storage.
+// groupSet wraps group k of the hyperedge whose span is sp as an adaptive
+// container carrying its prebuilt bitmap window, if it has one. The Set
+// aliases arena storage.
 //
 //ohmlint:hotpath
-func (s *Store) groupSet(e, k uint32) intset.Set {
-	grp := s.groupSlice(e, k)
+func (s *Store) groupSet(sp span, k uint32) intset.Set {
+	grp := s.groupSlice(sp, k)
 	lo, hi := s.groupWindow(k)
 	if lo == hi {
 		return intset.ArrayView(grp)
@@ -336,9 +392,11 @@ func (s *Store) groupSet(e, k uint32) intset.Set {
 	return intset.View(grp, s.winWords[lo:hi], s.grpWinBase[k])
 }
 
-// buildDegreeIndex derives the global degree→edges CSR from the hypergraph
-// by counting sort. Also invoked after Load: the index is cheap to rebuild,
-// so it is not part of the serialized format.
+// buildDegreeIndex derives the global degree index from the hypergraph by
+// counting sort, into one table that the per-degree lists share (each one
+// clipped to its length, so that BuildDelta's appends move it). Also invoked
+// after Load: the index is cheap to rebuild, so it is not part of the
+// serialized format.
 func (s *Store) buildDegreeIndex() {
 	m := s.h.NumEdges()
 	maxDeg := 0
@@ -349,18 +407,18 @@ func (s *Store) buildDegreeIndex() {
 	for e := 0; e < m; e++ {
 		first[s.h.Degree(uint32(e))+1]++
 	}
-	s.degList, s.degOff = nil, []uint32{0}
+	flat := make([]uint32, m)
+	s.degList, s.degEdges = nil, nil
 	for d := 0; d <= maxDeg; d++ {
 		if n := first[d+1]; n > 0 {
 			s.degList = append(s.degList, uint32(d))
-			s.degOff = append(s.degOff, first[d]+n)
+			s.degEdges = append(s.degEdges, flat[first[d]:first[d]+n:first[d]+n])
 		}
 		first[d+1] += first[d]
 	}
-	s.degEdges = make([]uint32, m)
 	for e := 0; e < m; e++ {
 		d := s.h.Degree(uint32(e))
-		s.degEdges[first[d]] = uint32(e)
+		flat[first[d]] = uint32(e)
 		first[d]++
 	}
 }
@@ -382,22 +440,25 @@ func (s *Store) Hypergraph() *hypergraph.Hypergraph { return s.h }
 //
 //ohmlint:hotpath
 func (s *Store) Adj(e uint32) []uint32 {
-	return s.adj[s.adjOff[e]:s.adjOff[e+1]]
+	sp := s.spans[e]
+	return s.adj[sp.adjLo:sp.adjHi]
 }
 
 // NumNeighbors returns |A(e)|.
 //
 //ohmlint:hotpath
 func (s *Store) NumNeighbors(e uint32) int {
-	return int(s.adjOff[e+1] - s.adjOff[e])
+	sp := s.spans[e]
+	return int(sp.adjHi - sp.adjLo)
 }
 
-// adjGroup binary-searches the (small) per-edge group table for e's first
-// group keyed (d, ov) or above; it returns grpOff[e+1] when there is none.
+// adjGroup binary-searches the (small) group run of the hyperedge whose span
+// is sp for its first group keyed (d, ov) or above; it returns sp.grpHi when
+// there is none.
 //
 //ohmlint:hotpath
-func (s *Store) adjGroup(e uint32, d, ov int) uint32 {
-	lo, hi := s.grpOff[e], s.grpOff[e+1]
+func (s *Store) adjGroup(sp span, d, ov int) uint32 {
+	lo, hi := sp.grpLo, sp.grpHi
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if gd := s.grpDeg[mid]; gd < uint32(d) || gd == uint32(d) && s.grpOvl[mid] < uint32(ov) {
@@ -418,11 +479,12 @@ func (s *Store) adjGroup(e uint32, d, ov int) uint32 {
 //
 //ohmlint:hotpath
 func (s *Store) AdjSet(e uint32, d, ov int) intset.Set {
-	k := s.adjGroup(e, d, ov)
-	if d < 0 || ov < 0 || k == s.grpOff[e+1] || s.grpDeg[k] != uint32(d) || s.grpOvl[k] != uint32(ov) {
+	sp := s.spans[e]
+	k := s.adjGroup(sp, d, ov)
+	if d < 0 || ov < 0 || k == sp.grpHi || s.grpDeg[k] != uint32(d) || s.grpOvl[k] != uint32(ov) {
 		return intset.Set{}
 	}
-	return s.groupSet(e, k)
+	return s.groupSet(sp, k)
 }
 
 // AdjSets appends to dst every group of e's neighbours of degree d, one
@@ -436,8 +498,9 @@ func (s *Store) AdjSets(e uint32, d int, dst []intset.Set) []intset.Set {
 	if d < 0 {
 		return dst
 	}
-	for k := s.adjGroup(e, d, 0); k < s.grpOff[e+1] && s.grpDeg[k] == uint32(d); k++ {
-		dst = append(dst, s.groupSet(e, k))
+	sp := s.spans[e]
+	for k := s.adjGroup(sp, d, 0); k < sp.grpHi && s.grpDeg[k] == uint32(d); k++ {
+		dst = append(dst, s.groupSet(sp, k))
 	}
 	return dst
 }
@@ -470,8 +533,9 @@ func (s *Store) Connected(a, b uint32) bool {
 		a, b = b, a
 	}
 	d := s.h.Degree(b)
-	for k := s.adjGroup(a, d, 0); k < s.grpOff[a+1] && s.grpDeg[k] == uint32(d); k++ {
-		if s.groupSet(a, k).Contains(b) {
+	sp := s.spans[a]
+	for k := s.adjGroup(sp, d, 0); k < sp.grpHi && s.grpDeg[k] == uint32(d); k++ {
+		if s.groupSet(sp, k).Contains(b) {
 			return true
 		}
 	}
@@ -497,7 +561,7 @@ func (s *Store) EdgesWithDegree(d int) []uint32 {
 	if k < 0 {
 		return nil
 	}
-	return s.degEdges[s.degOff[k]:s.degOff[k+1]]
+	return slices.Clip(s.degEdges[k])
 }
 
 // NumEdgesWithDegree returns the number of hyperedges of degree d without
@@ -507,7 +571,7 @@ func (s *Store) NumEdgesWithDegree(d int) int {
 	if k < 0 {
 		return 0
 	}
-	return int(s.degOff[k+1] - s.degOff[k])
+	return len(s.degEdges[k])
 }
 
 // BuildTime returns the wall-clock construction duration (DAL-T, Table 6).
@@ -524,46 +588,52 @@ type ContainerStats struct {
 	DegreeGroups int
 	AdjGroups    int
 	AdjWindowed  int
-	// GroupBytes is the size of the group table, window metadata included.
+	// GroupBytes is the size of the group index, window metadata included.
 	GroupBytes int64
 	// EdgeSets is the hyperedge count; EdgeWindowed of their vertex sets are
 	// bitmap-backed.
 	EdgeSets     int
 	EdgeWindowed int
-	// WindowBytes is the total arena size of all window words.
+	// WindowBytes is the total size of all window words.
 	WindowBytes int64
 }
 
 // Containers reports the group-index and adaptive-container statistics of
-// the store.
+// the store: of what its hyperedges read, so a store grown by BuildDelta
+// reports what Build reports on the same hypergraph.
 func (s *Store) Containers() ContainerStats {
-	st := ContainerStats{
-		AdjGroups:  len(s.grpDeg),
-		GroupBytes: 4 * int64(len(s.grpOff)+len(s.grpDeg)+len(s.grpOvl)+len(s.grpStart)+len(s.grpWinOff)+len(s.grpWinBase)),
-		EdgeSets:   s.h.NumEdges(),
-	}
-	for e := 0; e < st.EdgeSets; e++ {
-		for k := s.grpOff[e]; k < s.grpOff[e+1]; k++ {
-			if k == s.grpOff[e] || s.grpDeg[k] != s.grpDeg[k-1] {
+	st := ContainerStats{AdjGroups: s.grpLive, EdgeSets: s.h.NumEdges()}
+	words := len(s.evWords)
+	for e, sp := range s.spans {
+		for k := sp.grpLo; k < sp.grpHi; k++ {
+			if k == sp.grpLo || s.grpDeg[k] != s.grpDeg[k-1] {
 				st.DegreeGroups++
 			}
 			if lo, hi := s.groupWindow(k); lo != hi {
 				st.AdjWindowed++
+				words += int(hi - lo)
 			}
 		}
 		if s.evOff[e] != s.evOff[e+1] {
 			st.EdgeWindowed++
 		}
 	}
-	st.WindowBytes = int64(len(s.winWords)+len(s.evWords)) * 8
+	// Group bounds (8 bytes a hyperedge), keys and starts (12 bytes a
+	// group) and, once a group has a window, the window tables (8 more).
+	st.GroupBytes = 8*int64(st.EdgeSets) + 12*int64(st.AdjGroups)
+	if st.AdjWindowed > 0 {
+		st.GroupBytes += 8*int64(st.AdjGroups) + 4
+	}
+	st.WindowBytes = int64(words) * 8
 	return st
 }
 
 // MemoryBytes estimates the resident size of the DAL arrays (DAL-M,
-// Table 6), including the global degree index and the container arenas.
+// Table 6), including the global degree index, the container arenas and a
+// grown store's garbage.
 func (s *Store) MemoryBytes() int64 {
-	n := len(s.adjOff) + len(s.adj) + len(s.grpOff) + len(s.grpDeg) + len(s.grpOvl) + len(s.grpStart) +
-		len(s.degList) + len(s.degOff) + len(s.degEdges) +
+	n := 4*len(s.spans) + len(s.adj) + len(s.grpDeg) + len(s.grpOvl) + len(s.grpStart) +
+		len(s.degList) + s.h.NumEdges() +
 		len(s.grpWinOff) + len(s.grpWinBase) + len(s.evOff) + len(s.evBase)
 	return int64(n)*4 + int64(len(s.winWords)+len(s.evWords))*8
 }

@@ -184,8 +184,8 @@ func TestAgainstDefinition(t *testing.T) {
 			if !slices.Equal(s.Adj(e), concat) {
 				t.Fatalf("%s: Adj(%d)=%v, groups in key order give %v", name, e, s.Adj(e), concat)
 			}
-			if int(s.grpOff[e+1]-s.grpOff[e]) != len(keys) {
-				t.Fatalf("%s: hyperedge %d has %d groups, want %d", name, e, s.grpOff[e+1]-s.grpOff[e], len(keys))
+			if sp := s.spans[e]; int(sp.grpHi-sp.grpLo) != len(keys) {
+				t.Fatalf("%s: hyperedge %d has %d groups, want %d", name, e, sp.grpHi-sp.grpLo, len(keys))
 			}
 		}
 		if st := s.Containers(); st.AdjWindowed != windowed || (windowed == 0) != (s.grpWinOff == nil) {

@@ -1,6 +1,7 @@
 package dal
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -39,50 +40,64 @@ func randomUniqueEdges(rng *rand.Rand, nv, n int) [][]uint32 {
 	return out
 }
 
-// storesEqual compares every derived array of two stores. BuildDelta's
-// contract is bit-identical state, not just equivalent answers, so the
-// comparison is white-box; buildTime is the one field allowed to differ.
+// storesEqual compares what every hyperedge of two stores reads, wherever
+// it lies in the arenas: its segment, its groups' keys and their offsets
+// inside the segment, each group's window, its vertex set's window; then
+// the degree index, the live counts, and the bytes Save writes. buildTime is
+// the one field allowed to differ.
 func storesEqual(t *testing.T, want, got *Store) {
 	t.Helper()
-	check := func(name string, w, g []uint32) {
-		t.Helper()
-		if len(w) != len(g) {
-			t.Fatalf("%s length: want %d got %d", name, len(w), len(g))
+	m := want.h.NumEdges()
+	if got.h.NumEdges() != m || len(want.spans) != m || len(got.spans) != m {
+		t.Fatalf("hyperedges: want %d got %d (spans %d, %d)", m, got.h.NumEdges(), len(want.spans), len(got.spans))
+	}
+	if want.adjLive != got.adjLive || want.grpLive != got.grpLive {
+		t.Fatalf("live entries: want %d/%d got %d/%d", want.adjLive, want.grpLive, got.adjLive, got.grpLive)
+	}
+	for e := uint32(0); e < uint32(m); e++ {
+		ws, gs := want.spans[e], got.spans[e]
+		if !slices.Equal(want.Adj(e), got.Adj(e)) {
+			t.Fatalf("Adj(%d): want %v got %v", e, want.Adj(e), got.Adj(e))
 		}
-		for i := range w {
-			if w[i] != g[i] {
-				t.Fatalf("%s[%d]: want %d got %d", name, i, w[i], g[i])
+		if ws.grpHi-ws.grpLo != gs.grpHi-gs.grpLo {
+			t.Fatalf("hyperedge %d: want %d groups got %d", e, ws.grpHi-ws.grpLo, gs.grpHi-gs.grpLo)
+		}
+		for i := uint32(0); i < ws.grpHi-ws.grpLo; i++ {
+			wk, gk := ws.grpLo+i, gs.grpLo+i
+			if want.grpDeg[wk] != got.grpDeg[gk] || want.grpOvl[wk] != got.grpOvl[gk] || want.grpStart[wk]-ws.adjLo != got.grpStart[gk]-gs.adjLo {
+				t.Fatalf("hyperedge %d group %d: want (%d, %d) at %d got (%d, %d) at %d", e, i,
+					want.grpDeg[wk], want.grpOvl[wk], want.grpStart[wk]-ws.adjLo, got.grpDeg[gk], got.grpOvl[gk], got.grpStart[gk]-gs.adjLo)
+			}
+			wlo, whi := want.groupWindow(wk)
+			glo, ghi := got.groupWindow(gk)
+			if !slices.Equal(want.winWords[wlo:whi], got.winWords[glo:ghi]) || whi > wlo && want.grpWinBase[wk] != got.grpWinBase[gk] {
+				t.Fatalf("hyperedge %d group %d: window differs", e, i)
 			}
 		}
-	}
-	check("adjOff", want.adjOff, got.adjOff)
-	check("adj", want.adj, got.adj)
-	check("grpOff", want.grpOff, got.grpOff)
-	check("grpDeg", want.grpDeg, got.grpDeg)
-	check("grpOvl", want.grpOvl, got.grpOvl)
-	check("grpStart", want.grpStart, got.grpStart)
-	check("degList", want.degList, got.degList)
-	check("degOff", want.degOff, got.degOff)
-	check("degEdges", want.degEdges, got.degEdges)
-	check("grpWinOff", want.grpWinOff, got.grpWinOff)
-	check("grpWinBase", want.grpWinBase, got.grpWinBase)
-	check("evOff", want.evOff, got.evOff)
-	check("evBase", want.evBase, got.evBase)
-	if len(want.winWords) != len(got.winWords) {
-		t.Fatalf("winWords length: want %d got %d", len(want.winWords), len(got.winWords))
-	}
-	for i := range want.winWords {
-		if want.winWords[i] != got.winWords[i] {
-			t.Fatalf("winWords[%d]: want %#x got %#x", i, want.winWords[i], got.winWords[i])
+		if !slices.Equal(want.evWords[want.evOff[e]:want.evOff[e+1]], got.evWords[got.evOff[e]:got.evOff[e+1]]) || want.evBase[e] != got.evBase[e] {
+			t.Fatalf("hyperedge %d: vertex-set window differs", e)
 		}
 	}
-	if len(want.evWords) != len(got.evWords) {
-		t.Fatalf("evWords length: want %d got %d", len(want.evWords), len(got.evWords))
+	if len(want.evOff) != m+1 || len(got.evOff) != m+1 {
+		t.Fatalf("vertex-set windows: want %d got %d, for %d hyperedges", len(want.evOff)-1, len(got.evOff)-1, m)
 	}
-	for i := range want.evWords {
-		if want.evWords[i] != got.evWords[i] {
-			t.Fatalf("evWords[%d]: want %#x got %#x", i, want.evWords[i], got.evWords[i])
+	if !slices.Equal(want.degList, got.degList) || len(want.degEdges) != len(got.degEdges) {
+		t.Fatalf("degList: want %v got %v", want.degList, got.degList)
+	}
+	for k := range want.degEdges {
+		if !slices.Equal(want.degEdges[k], got.degEdges[k]) {
+			t.Fatalf("degEdges[%d] (degree %d): want %v got %v", k, want.degList[k], want.degEdges[k], got.degEdges[k])
 		}
+	}
+	var wb, gb bytes.Buffer
+	if err := want.Save(&wb); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Save(&gb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wb.Bytes(), gb.Bytes()) {
+		t.Fatal("saved bytes differ")
 	}
 }
 

@@ -31,7 +31,7 @@ func FuzzLoad(f *testing.F) {
 	}
 	// A version-2 file over the same hypergraph — the same header, one group
 	// array fewer, the payload checksummed but not kept — whole and damaged.
-	v3 := Build(h)
+	v3 := fileTables(f, Build(h))
 	var old []byte
 	for _, w := range []uint64{dalMagic, dalVersionDeg, h.Fingerprint(), uint64(len(v3.adjOff)), uint64(len(v3.adj)),
 		uint64(len(v3.grpOff)), uint64(len(v3.grpDeg)), uint64(len(v3.grpStart))} {

@@ -44,38 +44,129 @@ const (
 // the accessors would mis-index or panic on it.
 var ErrInconsistent = errors.New("dal: inconsistent store")
 
-// Save writes the store in binary form.
+// csr is the store's tables as an OHMD file holds them: compressed sparse
+// rows in hyperedge order, adjOff and grpOff the running totals of the
+// segment and group counts, grpStart positions in the adj written.
+type csr struct {
+	adjOff, adj, grpOff, grpDeg, grpOvl, grpStart []uint32
+}
+
+// tables lists the tables in file order.
+func (c *csr) tables() [][]uint32 {
+	return [][]uint32{c.adjOff, c.adj, c.grpOff, c.grpDeg, c.grpOvl, c.grpStart}
+}
+
+// encoder writes uint32s little-endian through a chunk buffer, latching the
+// first write error.
+type encoder struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// u32s writes vs, shift added to each value.
+func (c *encoder) u32s(vs []uint32, shift uint32) {
+	for len(vs) > 0 {
+		buf := c.buf
+		n := min(len(vs), (cap(buf)-len(buf))/4)
+		for _, v := range vs[:n] {
+			buf = binary.LittleEndian.AppendUint32(buf, v+shift)
+		}
+		if c.buf, vs = buf, vs[n:]; len(buf) == cap(buf) {
+			c.flush()
+		}
+	}
+}
+
+func (c *encoder) flush() {
+	if c.err == nil && len(c.buf) > 0 {
+		_, c.err = c.w.Write(c.buf)
+	}
+	c.buf = c.buf[:0]
+}
+
+// bounds returns a hyperedge's group range, or with adj its segment.
+func (sp span) bounds(adj bool) (lo, hi uint32) {
+	if adj {
+		return sp.adjLo, sp.adjHi
+	}
+	return sp.grpLo, sp.grpHi
+}
+
+// offsets writes the running totals of the sizes of every hyperedge's
+// segment (adj) or group range, from 0: a CSR offset table.
+func (c *encoder) offsets(spans []span, adj bool) {
+	out := make([]uint32, 1, ioChunk/4)
+	var at uint32
+	for _, sp := range spans {
+		lo, hi := sp.bounds(adj)
+		at += hi - lo
+		if out = append(out, at); len(out) == cap(out) {
+			c.u32s(out, 0)
+			out = out[:0]
+		}
+	}
+	c.u32s(out, 0)
+}
+
+// ranges writes tab[lo:hi] for every hyperedge's segment (adj) or group
+// range, in ID order. With rebase, each value is an adjacency position,
+// moved from where the hyperedge's segment lies to where the file puts it.
+// Back-to-back ranges under the same move are one write: one for a store as
+// Build lays it out.
+func (c *encoder) ranges(tab []uint32, spans []span, adj, rebase bool) {
+	var lo, hi, shift, at uint32
+	for _, sp := range spans {
+		l, h := sp.bounds(adj)
+		var d uint32
+		if rebase {
+			d, at = at-sp.adjLo, at+sp.adjHi-sp.adjLo
+		}
+		if l != hi || d != shift {
+			c.u32s(tab[lo:hi], shift)
+			lo, shift = l, d
+		}
+		hi = h
+	}
+	c.u32s(tab[lo:hi], shift)
+}
+
+// Save writes the store in binary form: its tables in CSR form (csr),
+// hyperedge by hyperedge wherever their segments lie, so a store grown by
+// BuildDelta writes the bytes Build's store on the same hypergraph writes.
 func (s *Store) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	cw := durable.NewWriter(bw)
+	m := len(s.spans)
+	var nAdj, nGrp uint64
+	for _, sp := range s.spans {
+		nAdj += uint64(sp.adjHi - sp.adjLo)
+		nGrp += uint64(sp.grpHi - sp.grpLo)
+	}
 	header := []uint64{
 		dalMagic,
 		dalVersion,
 		s.h.Fingerprint(),
-		uint64(len(s.adjOff)),
-		uint64(len(s.adj)),
-		uint64(len(s.grpOff)),
-		uint64(len(s.grpDeg)),
-		uint64(len(s.grpStart)),
+		uint64(m + 1),
+		nAdj,
+		uint64(m + 1),
+		nGrp,
+		nGrp,
 	}
 	for _, v := range header {
 		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
 			return fmt.Errorf("dal: save header: %w", err)
 		}
 	}
-	chunk := make([]byte, 0, ioChunk)
-	for _, arr := range [][]uint32{s.adjOff, s.adj, s.grpOff, s.grpDeg, s.grpOvl, s.grpStart} {
-		for len(arr) > 0 {
-			n := min(len(arr), ioChunk/4)
-			chunk = chunk[:0]
-			for _, v := range arr[:n] {
-				chunk = binary.LittleEndian.AppendUint32(chunk, v)
-			}
-			if _, err := cw.Write(chunk); err != nil {
-				return fmt.Errorf("dal: save data: %w", err)
-			}
-			arr = arr[n:]
-		}
+	enc := &encoder{w: cw, buf: make([]byte, 0, ioChunk)}
+	enc.offsets(s.spans, true)
+	enc.ranges(s.adj, s.spans, true, false)
+	enc.offsets(s.spans, false)
+	enc.ranges(s.grpDeg, s.spans, false, false)
+	enc.ranges(s.grpOvl, s.spans, false, false)
+	enc.ranges(s.grpStart, s.spans, false, true)
+	if enc.flush(); enc.err != nil {
+		return fmt.Errorf("dal: save data: %w", enc.err)
 	}
 	if err := cw.WriteTrailer(); err != nil {
 		return fmt.Errorf("dal: save trailer: %w", err)
@@ -133,6 +224,7 @@ func Load(r io.Reader, h *hypergraph.Hypergraph) (*Store, error) {
 		return nil, fmt.Errorf("dal: corrupt store: %d groups over %d adjacency entries", header[6], header[4])
 	}
 	s := &Store{h: h}
+	var c csr
 	if header[1] == dalVersionDeg {
 		// Nothing of the old layout is kept: read it through for the checksum.
 		n := 4 * int64(header[3]+header[4]+header[5]+header[6]+header[7])
@@ -140,10 +232,10 @@ func Load(r io.Reader, h *hypergraph.Hypergraph) (*Store, error) {
 			return nil, fmt.Errorf("dal: corrupt store: short data: %w", err)
 		}
 	} else {
-		s.adjOff, s.adj, s.grpOff = make([]uint32, header[3]), make([]uint32, header[4]), make([]uint32, header[5])
-		s.grpDeg, s.grpOvl, s.grpStart = make([]uint32, header[6]), make([]uint32, header[6]), make([]uint32, header[6])
+		c.adjOff, c.adj, c.grpOff = make([]uint32, header[3]), make([]uint32, header[4]), make([]uint32, header[5])
+		c.grpDeg, c.grpOvl, c.grpStart = make([]uint32, header[6]), make([]uint32, header[6]), make([]uint32, header[6])
 		chunk := make([]byte, ioChunk)
-		for _, arr := range [][]uint32{s.adjOff, s.adj, s.grpOff, s.grpDeg, s.grpOvl, s.grpStart} {
+		for _, arr := range c.tables() {
 			for len(arr) > 0 {
 				n := min(len(arr), ioChunk/4)
 				if _, err := io.ReadFull(cr, chunk[:4*n]); err != nil {
@@ -168,10 +260,18 @@ func Load(r io.Reader, h *hypergraph.Hypergraph) (*Store, error) {
 	s.buildDegreeIndex()
 	if header[1] == dalVersionDeg {
 		s.buildAdjacency()
-	} else if err := s.validate(); err != nil {
+	} else if err := validate(h, &c); err != nil {
 		return nil, err
+	} else {
+		// The file's segments lie back to back, as Build writes them.
+		s.adj, s.grpDeg, s.grpOvl, s.grpStart = c.adj, c.grpDeg, c.grpOvl, c.grpStart
+		s.adjLive, s.grpLive = len(c.adj), len(c.grpDeg)
+		s.spans = make([]span, m)
+		for e := range s.spans {
+			s.spans[e] = span{c.adjOff[e], c.adjOff[e+1], c.grpOff[e], c.grpOff[e+1]}
+		}
 	}
-	s.buildContainers(nil, nil)
+	s.buildContainers()
 	return s, nil
 }
 
@@ -185,8 +285,8 @@ func LoadFile(path string, h *hypergraph.Hypergraph) (*Store, error) {
 	return Load(f, h)
 }
 
-// validate checks, in one pass over the adjacency, everything the accessors
-// rely on, so that a file that is intact on the wire but wrong inside is
+// validate checks, in one pass over the adjacency of a file's tables,
+// everything the accessors rely on, so that a file that is intact on the wire but wrong inside is
 // refused with ErrInconsistent instead of panicking or mis-indexing during
 // mining: offsets monotonic and closed, every segment tiled by its groups
 // from its first entry on, group keys strictly ascending per hyperedge, every
@@ -195,11 +295,11 @@ func LoadFile(path string, h *hypergraph.Hypergraph) (*Store, error) {
 // re-derived only for every hyperedge's first neighbor (one intersection a
 // hyperedge: ≈ 2.5 ms of the pass's ≈ 29 on TC, where dal.load_ms is ≈ 65):
 // re-deriving all of them is Build's second traversal, most of a rebuild.
-func (s *Store) validate() error {
+func validate(h *hypergraph.Hypergraph, s *csr) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%w: "+format, append([]any{ErrInconsistent}, args...)...)
 	}
-	m := s.h.NumEdges()
+	m := h.NumEdges()
 	if s.adjOff[0] != 0 || int(s.adjOff[m]) != len(s.adj) || s.grpOff[0] != 0 || int(s.grpOff[m]) != len(s.grpDeg) {
 		return bad("offset tables do not close over %d adjacency entries and %d groups", len(s.adj), len(s.grpDeg))
 	}
@@ -225,17 +325,17 @@ func (s *Store) validate() error {
 			}
 			grp := s.adj[start:end]
 			for i, o := range grp {
-				if int(o) >= m || o == e || uint32(s.h.Degree(o)) != s.grpDeg[k] || i > 0 && o <= grp[i-1] {
+				if int(o) >= m || o == e || uint32(h.Degree(o)) != s.grpDeg[k] || i > 0 && o <= grp[i-1] {
 					return bad("hyperedge %d: neighbor %d misplaced in group (%d, %d)", e, o, s.grpDeg[k], s.grpOvl[k])
 				}
 			}
-			if ov := s.grpOvl[k]; ov == 0 || ov > s.grpDeg[k] || int(ov) > s.h.Degree(e) {
+			if ov := s.grpOvl[k]; ov == 0 || ov > s.grpDeg[k] || int(ov) > h.Degree(e) {
 				return bad("hyperedge %d: group (%d, %d) claims an impossible overlap size", e, s.grpDeg[k], ov)
 			}
 		}
 		if k0 < k1 {
 			o := s.adj[lo]
-			if got := intset.IntersectCount(s.h.EdgeVertices(e), s.h.EdgeVertices(o)); uint32(got) != s.grpOvl[k0] {
+			if got := intset.IntersectCount(h.EdgeVertices(e), h.EdgeVertices(o)); uint32(got) != s.grpOvl[k0] {
 				return bad("hyperedge %d: group (%d, %d) holds neighbor %d, which overlaps it in %d vertices", e, s.grpDeg[k0], s.grpOvl[k0], o, got)
 			}
 		}

@@ -63,15 +63,41 @@ func TestParentStoreLoads(t *testing.T) {
 	}
 }
 
-// resealed serializes s as it stands — tables edited by the caller — under a
-// fresh, correct checksum: the file a buggy or hostile encoder would write.
-func resealed(t *testing.T, s *Store) []byte {
+// fileTables decodes the tables Save writes for s.
+func fileTables(t testing.TB, s *Store) *csr {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	data := buf.Bytes()
+	c := &csr{}
+	at := 64
+	for i, tab := range []*[]uint32{&c.adjOff, &c.adj, &c.grpOff, &c.grpDeg, &c.grpOvl, &c.grpStart} {
+		*tab = make([]uint32, binary.LittleEndian.Uint64(data[8*[]int{3, 4, 5, 6, 6, 7}[i]:]))
+		for j := range *tab {
+			(*tab)[j] = binary.LittleEndian.Uint32(data[at:])
+			at += 4
+		}
+	}
+	return c
+}
+
+// resealed encodes c, tables edited by the caller, as a version-3 file over
+// h under a fresh, correct checksum: the file a buggy or hostile encoder
+// would write.
+func resealed(h *hypergraph.Hypergraph, c *csr) []byte {
+	var out []byte
+	for _, w := range []uint64{dalMagic, dalVersion, h.Fingerprint(), uint64(len(c.adjOff)), uint64(len(c.adj)),
+		uint64(len(c.grpOff)), uint64(len(c.grpDeg)), uint64(len(c.grpStart))} {
+		out = binary.LittleEndian.AppendUint64(out, w)
+	}
+	for _, tab := range c.tables() {
+		for _, v := range tab {
+			out = binary.LittleEndian.AppendUint32(out, v)
+		}
+	}
+	return resealCRC(append(out, 0, 0, 0, 0))
 }
 
 // TestLoadRejectsInconsistentTables: a correctly checksummed file whose
@@ -84,31 +110,31 @@ func TestLoadRejectsInconsistentTables(t *testing.T) {
 	h := hypergraph.MustBuild(8, [][]uint32{
 		{0, 1, 2}, {1, 2, 3}, {2, 3, 4}, {4, 5}, {5, 6, 7}, {0, 7},
 	}, nil)
-	for name, corrupt := range map[string]func(s *Store){
-		"group start moved to len(adj)": func(s *Store) { s.grpStart[0] = uint32(len(s.adj)) },
-		"wrong group degree":            func(s *Store) { s.grpDeg[0] = 1 },
-		"group start past the next":     func(s *Store) { s.grpStart[1] = s.grpStart[2] + 1 },
-		"last group start outside":      func(s *Store) { s.grpStart[len(s.grpStart)-1] = uint32(len(s.adj)) },
-		"group keys descending":         func(s *Store) { s.grpOvl[0], s.grpOvl[1] = 2, 1 },
-		"ids descending in a group": func(s *Store) {
+	for name, corrupt := range map[string]func(s *csr){
+		"group start moved to len(adj)": func(s *csr) { s.grpStart[0] = uint32(len(s.adj)) },
+		"wrong group degree":            func(s *csr) { s.grpDeg[0] = 1 },
+		"group start past the next":     func(s *csr) { s.grpStart[1] = s.grpStart[2] + 1 },
+		"last group start outside":      func(s *csr) { s.grpStart[len(s.grpStart)-1] = uint32(len(s.adj)) },
+		"group keys descending":         func(s *csr) { s.grpOvl[0], s.grpOvl[1] = 2, 1 },
+		"ids descending in a group": func(s *csr) {
 			e1 := s.adj[s.adjOff[1]:s.adjOff[2]] // A(e1) = [0 2], one group
 			e1[0], e1[1] = e1[1], e1[0]
 		},
-		"self neighbor":            func(s *Store) { s.adj[0] = 0 },
-		"neighbor out of range":    func(s *Store) { s.adj[0] = 99 },
-		"overlap label off by one": func(s *Store) { s.grpOvl[0]++ },
-		"overlap label zero":       func(s *Store) { s.grpOvl[len(s.grpOvl)-1] = 0 },
-		"group offsets not closed": func(s *Store) { s.grpOff[len(s.grpOff)-1]-- },
-		"empty segment with a group": func(s *Store) {
+		"self neighbor":            func(s *csr) { s.adj[0] = 0 },
+		"neighbor out of range":    func(s *csr) { s.adj[0] = 99 },
+		"overlap label off by one": func(s *csr) { s.grpOvl[0]++ },
+		"overlap label zero":       func(s *csr) { s.grpOvl[len(s.grpOvl)-1] = 0 },
+		"group offsets not closed": func(s *csr) { s.grpOff[len(s.grpOff)-1]-- },
+		"empty segment with a group": func(s *csr) {
 			s.adjOff[1] = 0 // e0 loses its segment, keeps its groups
 		},
 	} {
-		s := Build(h)
-		if _, err := Load(bytes.NewReader(resealed(t, s)), h); err != nil {
+		c := fileTables(t, Build(h))
+		if _, err := Load(bytes.NewReader(resealed(h, c)), h); err != nil {
 			t.Fatalf("%s: pristine store refused: %v", name, err)
 		}
-		corrupt(s)
-		got, err := Load(bytes.NewReader(resealed(t, s)), h)
+		corrupt(c)
+		got, err := Load(bytes.NewReader(resealed(h, c)), h)
 		if !errors.Is(err, ErrInconsistent) {
 			t.Errorf("%s: Load returned (%v, %v), want ErrInconsistent", name, got != nil, err)
 		}

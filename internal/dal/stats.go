@@ -30,10 +30,10 @@ type groupStats struct {
 func (s *Store) groupSums() []groupSum {
 	s.stats.once.Do(func() {
 		acc := map[groupSum]uint64{}
-		for e := uint32(0); e < uint32(s.h.NumEdges()); e++ {
-			d := uint32(s.h.Degree(e))
-			for k := s.grpOff[e]; k < s.grpOff[e+1]; k++ {
-				acc[groupSum{deg: d, nbr: s.grpDeg[k], ov: s.grpOvl[k]}] += uint64(len(s.groupSlice(e, k)))
+		for e, sp := range s.spans {
+			d := uint32(s.h.Degree(uint32(e)))
+			for k := sp.grpLo; k < sp.grpHi; k++ {
+				acc[groupSum{deg: d, nbr: s.grpDeg[k], ov: s.grpOvl[k]}] += uint64(len(s.groupSlice(sp, k)))
 			}
 		}
 		sums := make([]groupSum, 0, len(acc))

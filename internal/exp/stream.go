@@ -191,9 +191,11 @@ func runStream(c *Context, opts RunOpts) ([]*Table, error) {
 // density of the stream_window benchmark), three standing queries, then
 // batches that each add 60 fresh hyperedges and retire 60 live ones, so |E|
 // stays put. Anchor-first plans seeded with the changed hyperedges make the
-// evaluation follow the batch's neighbourhoods; the maintenance column still
-// carries the O(E) CSR copies of hypergraph.Extend and dal.BuildDelta. The
-// final totals are checked against a from-scratch mine.
+// evaluation follow the batch's neighbourhoods, and hypergraph.Extend and
+// dal.BuildDelta rewrite only the segments and vertex lists the batch
+// touches, so the maintenance column follows it too, but for one copy of
+// the per-hyperedge and per-vertex bounds tables. The final totals are
+// checked against a from-scratch mine.
 func streamDeltaSweep(opts RunOpts, workers int) (*Table, error) {
 	const batchEdges = 60
 	sizes, batches := []int{2400, 9600, 38400}, 30
@@ -206,7 +208,7 @@ func streamDeltaSweep(opts RunOpts, workers int) (*Table, error) {
 		Header: []string{"|E|", "eval/batch", "vs smallest", "maintain/batch", "candidates/batch"},
 		Notes: []string{
 			fmt.Sprintf("%d batches of %d adds + %d retires per size; medians over the batches; queries: 2-chain, triangle, 3-star over pairs", batches, batchEdges, batchEdges),
-			"eval = Σ Delta.ElapsedMS of the standing queries; maintain = BatchResult.Elapsed − eval (hypergraph.Extend + dal.BuildDelta, still O(E))",
+			"eval = Σ Delta.ElapsedMS of the standing queries; maintain = BatchResult.Elapsed − eval (hypergraph.Extend + dal.BuildDelta: the touched segments and vertex lists, plus a copy of the bounds tables)",
 			"candidates = Σ engine Stats.Candidates of the batch's anchored runs (instrumented)",
 		},
 	}

@@ -114,14 +114,15 @@ func referenceBuild(numVertices int, edges [][]uint32, labels, edgeLabels []uint
 		h.edgeVerts = append(h.edgeVerts, e...)
 		h.edgeOff = append(h.edgeOff, uint32(len(h.edgeVerts)))
 	}
-	h.vertOff = make([]uint32, numVertices+1)
+	h.vertSpan = make([]span, numVertices)
 	for v := 0; v < numVertices; v++ {
+		lo := uint32(len(h.vertEdges))
 		for e, verts := range uniq {
 			if _, ok := slices.BinarySearch(verts, uint32(v)); ok {
 				h.vertEdges = append(h.vertEdges, uint32(e))
 			}
 		}
-		h.vertOff[v+1] = uint32(len(h.vertEdges))
+		h.vertSpan[v] = span{lo, uint32(len(h.vertEdges))}
 	}
 	return h, nil
 }
@@ -200,7 +201,6 @@ func FuzzBuild(f *testing.F) {
 		}{
 			{"edgeOff", want.edgeOff, got.edgeOff},
 			{"edgeVerts", want.edgeVerts, got.edgeVerts},
-			{"vertOff", want.vertOff, got.vertOff},
 			{"vertEdges", want.vertEdges, got.vertEdges},
 			{"labels", want.labels, got.labels},
 			{"edgeLabels", want.edgeLabels, got.edgeLabels},
@@ -208,6 +208,9 @@ func FuzzBuild(f *testing.F) {
 			if !slices.Equal(tab.want, tab.got) || (tab.want == nil) != (tab.got == nil) {
 				t.Fatalf("%s: %v, reference %v", tab.name, tab.got, tab.want)
 			}
+		}
+		if !slices.Equal(got.vertSpan, want.vertSpan) {
+			t.Fatalf("vertSpan: %v, reference %v", got.vertSpan, want.vertSpan)
 		}
 		if got.numLabels != want.numLabels || got.Fingerprint() != want.Fingerprint() {
 			t.Fatalf("numLabels %d fingerprint %#x, reference %d %#x", got.numLabels, got.Fingerprint(), want.numLabels, want.Fingerprint())

@@ -41,6 +41,7 @@
 package stream
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -241,9 +242,16 @@ type Miner struct {
 	live        int
 	index       map[string]uint32 // normalized vertex set → physical ID
 
+	// expiry holds an entry for each time an edge's window clock was set —
+	// on add, refresh and resurrection — in add-epoch order, so planBatch
+	// finds the expired edges at its head instead of scanning every edge. An
+	// entry whose edge was retired or re-clocked since is stale and skipped.
+	// Kept only with Config.Window; rebuild sorts it afresh.
+	expiry []clockEntry
+
 	// Latest-batch changes, valid between applies: the ID lists seed the
 	// anchored delta runs, the marks (indexed by physical edge ID) drive
-	// their filters.
+	// their filters. The next apply clears the marks through the ID lists.
 	addedIDs    []uint32
 	retiredIDs  []uint32
 	lastAdded   []bool
@@ -282,6 +290,13 @@ func NewMiner(cfg Config) (*Miner, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// clockEntry is one setting of an edge's window clock: the edge and the
+// epoch it was set to.
+type clockEntry struct {
+	epoch uint64
+	id    uint32
 }
 
 // newMiner creates an empty stream without touching the durable files.
@@ -379,8 +394,9 @@ type applyPlan struct {
 	resurrect     []uint32 // retired physical edges coming back live
 	refresh       []uint32 // live edges whose window clock resets
 	retire        []uint32 // live edges to retire (explicit)
-	expire        []uint32 // live edges to retire (window)
+	expire        []uint32 // live edges to retire (window), ascending
 	readd         []uint32 // live edges retired AND re-added in this batch
+	clocks        int      // expiry entries examined, dropped on apply
 }
 
 // planBatch validates b against current state; any error means no mutation
@@ -443,21 +459,32 @@ func (m *Miner) planBatch(b Batch) (*applyPlan, error) {
 		}
 	}
 
-	// Window expiry over pre-batch live edges, skipping edges this batch
-	// refreshes, retires, or re-adds (their clocks are handled above).
+	// Window expiry over pre-batch live edges: the clock entries up to the
+	// cutoff that are still current, skipping edges this batch refreshes,
+	// retires, or re-adds (their clocks are handled above).
 	if w := m.cfg.Window; w > 0 && t > w {
 		cutoff := t - w
 		refreshing := map[uint32]bool{}
 		for _, id := range ap.refresh {
 			refreshing[id] = true
 		}
-		for id, re := range m.retireEpoch {
-			if re == 0 && m.addEpoch[id] <= cutoff && !retiring[uint32(id)] && !refreshing[uint32(id)] {
-				ap.expire = append(ap.expire, uint32(id))
+		for ; ap.clocks < len(m.expiry) && m.expiry[ap.clocks].epoch <= cutoff; ap.clocks++ {
+			c := m.expiry[ap.clocks]
+			if m.retireEpoch[c.id] == 0 && m.addEpoch[c.id] == c.epoch && !retiring[c.id] && !refreshing[c.id] {
+				ap.expire = append(ap.expire, c.id)
 			}
 		}
+		slices.Sort(ap.expire)
 	}
 	return ap, nil
+}
+
+// setClock sets edge id's window clock to epoch t.
+func (m *Miner) setClock(id uint32, t uint64) {
+	m.addEpoch[id] = t
+	if m.cfg.Window > 0 {
+		m.expiry = append(m.expiry, clockEntry{t, id})
+	}
 }
 
 // ApplyBatch validates and applies one batch, advancing the epoch,
@@ -509,15 +536,22 @@ func (m *Miner) ApplyBatch(b Batch) (*BatchResult, error) {
 		Refreshed: len(ap.refresh),
 		Compacted: compacted,
 	}
+	for _, id := range m.addedIDs {
+		m.lastAdded[id] = false
+	}
+	for _, id := range m.retiredIDs {
+		m.lastRetired[id] = false
+	}
+	m.addedIDs, m.retiredIDs = m.addedIDs[:0], m.retiredIDs[:0]
+	m.expiry = m.expiry[ap.clocks:]
 	if len(ap.newEdges) > 0 {
 		if err := m.grow(ap.newEdges, ap.newKeys, t); err != nil {
 			m.err = fmt.Errorf("stream: apply failed mid-mutation, miner poisoned (restart from snapshot): %w", err)
 			return nil, m.err
 		}
 	}
-	m.lastAdded = make([]bool, len(m.addEpoch))
-	m.lastRetired = make([]bool, len(m.addEpoch))
-	m.addedIDs, m.retiredIDs = m.addedIDs[:0], m.retiredIDs[:0]
+	m.lastAdded = append(m.lastAdded, make([]bool, len(m.addEpoch)-len(m.lastAdded))...)
+	m.lastRetired = append(m.lastRetired, make([]bool, len(m.addEpoch)-len(m.lastRetired))...)
 	m.haveLast = true
 	markRetired := func(ids []uint32) {
 		for _, id := range ids {
@@ -530,7 +564,7 @@ func (m *Miner) ApplyBatch(b Batch) (*BatchResult, error) {
 	markAdded := func(ids []uint32) {
 		for _, id := range ids {
 			m.retireEpoch[id] = 0
-			m.addEpoch[id] = t
+			m.setClock(id, t)
 			m.lastAdded[id] = true
 			m.live++
 		}
@@ -548,7 +582,7 @@ func (m *Miner) ApplyBatch(b Batch) (*BatchResult, error) {
 	markAdded(ap.readd)
 	for _, id := range ap.refresh {
 		// Re-adding a live edge resets its window clock only — no delta.
-		m.addEpoch[id] = t
+		m.setClock(id, t)
 	}
 	m.epoch = t
 
@@ -594,7 +628,7 @@ func (m *Miner) grow(newEdges [][]uint32, newKeys []string, t uint64) error {
 	m.addEpoch = append(m.addEpoch, make([]uint64, len(newEdges))...)
 	m.retireEpoch = append(m.retireEpoch, make([]uint64, len(newEdges))...)
 	for i := range newEdges {
-		m.addEpoch[int(base)+i] = t
+		m.setClock(base+uint32(i), t)
 	}
 	m.live += len(newEdges)
 	return nil
@@ -908,10 +942,12 @@ func (m *Miner) rebuild(edges []SnapshotEdge) error {
 	m.h, m.store = h, store
 	m.index = make(map[string]uint32, len(edges))
 	m.addEpoch, m.retireEpoch = make([]uint64, len(edges)), make([]uint64, len(edges))
+	m.expiry = nil
 	for i, e := range edges {
-		m.addEpoch[i] = e.AddEpoch
+		m.setClock(uint32(i), e.AddEpoch)
 		m.index[edgeKey(e.Verts)] = uint32(i)
 	}
+	slices.SortStableFunc(m.expiry, func(a, b clockEntry) int { return cmp.Compare(a.epoch, b.epoch) })
 	m.live = len(edges)
 	return nil
 }

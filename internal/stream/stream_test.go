@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"ohminer/internal/dal"
@@ -523,5 +524,90 @@ func TestEmptyStream(t *testing.T) {
 	tc, err = m.TotalCount(p)
 	if err != nil || tc.Ordered != 0 {
 		t.Fatalf("emptied TotalCount %v %v", tc.Ordered, err)
+	}
+}
+
+// TestChaosStreamConcurrentReaders: while 60 batches are applied — adds,
+// explicit retires and window expiry, so the store grows in place, moves
+// segments, compacts and is rebuilt — two goroutines call TotalCount in a
+// loop. TotalCount mines the store it took outside the miner's lock, while
+// the next batches append to the arenas that store shares with its
+// successors. Every count must equal a from-scratch mine of the live edges
+// of an epoch the call overlapped; run under -race (make chaos), the reads
+// and the appends must not touch the same memory.
+func TestChaosStreamConcurrentReaders(t *testing.T) {
+	const nv, batches = 60, 60
+	opts := engine.Options{Workers: 2}
+	m, err := NewMiner(Config{NumVertices: nv, Window: 10, Engine: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pats := testPatterns()
+	type observed struct {
+		lo, hi uint64 // the epochs before and after the call
+		pat    int
+		got    uint64
+	}
+	var mu sync.Mutex
+	want := [][]uint64{make([]uint64, len(pats))} // want[t][i]: pattern i after epoch t
+	var seen []observed
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				lo := m.Epoch()
+				res, err := m.TotalCount(pats[i%len(pats)])
+				hi := m.Epoch()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				seen = append(seen, observed{lo, hi, i % len(pats), res.Ordered})
+				mu.Unlock()
+			}
+		}()
+	}
+	rng := rand.New(rand.NewSource(61))
+	for b := 1; b <= batches; b++ {
+		batch := Batch{Add: randRaw(rng, nv, 6+rng.Intn(8))}
+		if b%3 == 0 {
+			live := m.LiveEdgeSets()
+			rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+			batch.Retire = live[:min(len(live), 1+rng.Intn(4))]
+		}
+		if _, err := m.ApplyBatch(batch); err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		sets := m.LiveEdgeSets()
+		counts := make([]uint64, len(pats))
+		for i, p := range pats {
+			counts[i] = oracle(t, nv, sets, p, opts)
+		}
+		mu.Lock()
+		want = append(want, counts)
+		mu.Unlock()
+	}
+	close(stop)
+	wg.Wait()
+	if len(seen) < batches {
+		t.Fatalf("only %d concurrent counts over %d batches", len(seen), batches)
+	}
+	for _, o := range seen {
+		ok := false
+		for ep := o.lo; ep <= o.hi && !ok; ep++ {
+			ok = want[ep][o.pat] == o.got
+		}
+		if !ok {
+			t.Fatalf("pattern %d counted %d between epochs %d and %d, want one of %v", o.pat, o.got, o.lo, o.hi, want[o.lo:o.hi+1])
+		}
 	}
 }
