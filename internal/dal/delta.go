@@ -10,7 +10,9 @@
 // new edges' segments follow. Untouched segments stay where they are: only
 // the per-hyperedge bounds table is copied. Every accessor then answers as
 // Build's store on the same hypergraph does, and Save writes the same bytes
-// (differential-tested in delta_test.go and FuzzBuildDelta).
+// (differential-tested in delta_test.go and FuzzBuildDelta). BuildDelta only
+// appends: what a rewritten segment leaves behind stays until the owner lays
+// the store out afresh with Build, when Moved says so (internal/stream).
 package dal
 
 import (
@@ -27,20 +29,12 @@ import (
 // hypergraph.Extend provides. prev is not modified and remains valid — a
 // concurrent reader mining the old store is unaffected: the first BuildDelta
 // from prev writes beyond prev's table lengths, where its readers never
-// index, and a second one from the same prev copies the arenas first. Once
-// the entries that rewritten segments left behind outnumber the live ones,
-// or when prev is nil, the store is built from scratch.
+// index, and a second one from the same prev copies the arenas first.
 func BuildDelta(prev *Store, h *hypergraph.Hypergraph) *Store {
-	if prev == nil {
-		return Build(h)
-	}
 	m0 := prev.h.NumEdges()
 	m := h.NumEdges()
 	if m == m0 {
 		return prev
-	}
-	if len(prev.adj) > 2*prev.adjLive || len(prev.grpDeg) > 2*prev.grpLive {
-		return Build(h)
 	}
 	start := time.Now()
 	s := &Store{
@@ -169,10 +163,16 @@ func (s *Store) writeSegment(e uint32, base []uint32, keys []uint64, prev *Store
 
 // reserve makes room in *t for n more entries. A table without it moves to
 // one with room for n more besides and for as many entries as the table
-// holds live, so the table would fill with garbage, which makes the next
-// delta rebuild the store, before it has to move again.
+// holds live, so that it can take as much garbage as it holds live before
+// it has to move again.
 func reserve(t *[]uint32, n, live int) {
 	if cap(*t)-len(*t) < n {
 		*t = append(make([]uint32, 0, len(*t)+n+max(n, live)), *t...)
 	}
+}
+
+// Moved reports the adjacency and group entries rewritten segments left
+// behind, and the live entries of both tables; Build and Load move none.
+func (s *Store) Moved() (moved, live int) {
+	return len(s.adj) - s.adjLive + len(s.grpDeg) - s.grpLive, s.adjLive + s.grpLive
 }

@@ -256,6 +256,4 @@ func TestBuildDeltaPreservesPrev(t *testing.T) {
 	if got := BuildDelta(next, extH); got != next {
 		t.Fatal("no-op BuildDelta should return prev")
 	}
-	// Nil prev falls back to full build.
-	storesEqual(t, Build(extH), BuildDelta(nil, extH))
 }

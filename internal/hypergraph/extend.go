@@ -18,8 +18,8 @@ var ErrExtendLabeled = errors.New("hypergraph: cannot extend an edge-labeled hyp
 // index across batches) guarantees each new edge is sorted, duplicate-free,
 // non-empty, within the vertex universe, and not a duplicate of any existing
 // edge; violations of the locally checkable invariants are reported as
-// errors, cross-edge uniqueness is the caller's contract. Extending a nil
-// hypergraph builds the initial one.
+// errors, cross-edge uniqueness is the caller's contract. A nil h has no
+// vertex universe to extend and is refused with ErrEmpty.
 //
 // The work follows the batch, not h. The new edges are appended to h's edge
 // arenas, and every vertex they touch gets its list rewritten at the end of
@@ -27,22 +27,19 @@ var ErrExtendLabeled = errors.New("hypergraph: cannot extend an edge-labeled hyp
 // every old one. Only the vertex bounds table is copied. h itself is not
 // modified and stays valid: the first Extend of h writes into the spare
 // capacity beyond h's lengths, where h's readers never index, and a second
-// one copies the arenas first. Once the entries left behind outnumber the
-// live ones, the vertex lists are written afresh, as Build writes them.
-// Per-vertex labels (a property of the fixed vertex universe) are shared
-// with the result.
+// one copies the arenas first. Extend only appends: the lists left behind
+// stay garbage until the owner builds the hypergraph afresh (Moved reports
+// them). Per-vertex labels (a property of the fixed vertex universe) are
+// shared with the result.
 func Extend(h *Hypergraph, edges [][]uint32) (*Hypergraph, error) {
-	if h != nil && h.EdgeLabeled() {
+	if h == nil {
+		return nil, ErrEmpty
+	}
+	if h.EdgeLabeled() {
 		return nil, ErrExtendLabeled
 	}
 	if len(edges) == 0 {
-		if h == nil {
-			return nil, ErrEmpty
-		}
 		return h, nil
-	}
-	if h == nil {
-		h = &Hypergraph{}
 	}
 	numVertices, oldEdges := h.NumVertices(), h.NumEdges()
 	// inc holds every new incidence as vertex<<32 | edge ID: sorted, it
@@ -78,10 +75,6 @@ func Extend(h *Hypergraph, edges [][]uint32) (*Hypergraph, error) {
 		labels:    h.labels,
 		numLabels: h.numLabels,
 	}
-	if len(h.vertEdges) > 2*len(h.edgeVerts) {
-		out.indexVertices(numVertices)
-		return out, nil
-	}
 	// Room for the lists this extension writes plus, when the arena has to
 	// move, as many entries again as it holds live, so that it fills with
 	// garbage before it has to move again.
@@ -107,4 +100,11 @@ func Extend(h *Hypergraph, edges [][]uint32) (*Hypergraph, error) {
 	}
 	out.vertEdges = vertEdges
 	return out, nil
+}
+
+// Moved reports the vertex-list entries that Extend's rewritten lists left
+// behind, and the live ones: one per incidence. A hypergraph laid out by
+// Build has moved none.
+func (h *Hypergraph) Moved() (moved, live int) {
+	return len(h.vertEdges) - len(h.edgeVerts), len(h.edgeVerts)
 }

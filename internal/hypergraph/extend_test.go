@@ -101,17 +101,13 @@ func TestExtendEqualsBuild(t *testing.T) {
 	}
 }
 
+// TestExtendFromNil: a nil hypergraph has no vertex universe to extend, so
+// Extend refuses it with ErrEmpty, with or without edges.
 func TestExtendFromNil(t *testing.T) {
-	edges := [][]uint32{{0, 1}, {1, 2}}
-	// Extending nil needs the vertex universe — which nil cannot carry — so
-	// it only succeeds when the edges themselves define it as empty (no
-	// edges → ErrEmpty), mirroring Build's contract.
-	if _, err := Extend(nil, nil); err != ErrEmpty {
-		t.Fatalf("Extend(nil, nil): want ErrEmpty, got %v", err)
-	}
-	// With a zero-vertex universe every vertex is out of range.
-	if _, err := Extend(nil, edges); err == nil {
-		t.Fatal("Extend(nil, edges) with no universe should fail")
+	for _, edges := range [][][]uint32{nil, {{0, 1}, {1, 2}}} {
+		if _, err := Extend(nil, edges); err != ErrEmpty {
+			t.Fatalf("Extend(nil, %v): want ErrEmpty, got %v", edges, err)
+		}
 	}
 }
 
@@ -246,31 +242,6 @@ func TestExtendForks(t *testing.T) {
 			t.Fatalf("trial %d: base changed: %d edges, fingerprint %#x want %#x", trial, prev.NumEdges(), prev.Fingerprint(), fp)
 		}
 	}
-}
-
-// TestExtendCompacts: edge-at-a-time growth leaves moved vertex lists
-// behind, and the arena is rewritten compact once they outnumber the live
-// entries, so it never holds more than twice the incidences plus one batch.
-func TestExtendCompacts(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	edges := randomUniqueEdges(rng, 12, 200)
-	h := MustBuild(12, edges[:1], nil)
-	compacted := false
-	for i := 1; i < len(edges); i++ {
-		next, err := Extend(h, edges[i:i+1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(next.vertEdges) > 3*len(next.edgeVerts) {
-			t.Fatalf("edge %d: vertex arena %d entries for %d incidences", i, len(next.vertEdges), len(next.edgeVerts))
-		}
-		compacted = compacted || len(next.vertEdges) < len(h.vertEdges)
-		h = next
-	}
-	if !compacted {
-		t.Fatal("the vertex arena was never compacted")
-	}
-	hypergraphsEqual(t, MustBuild(12, edges, nil), h)
 }
 
 // TestExtendWorkFollowsTheBatch: the arena entries a 60-edge batch writes

@@ -30,8 +30,8 @@ type Hypergraph struct {
 	// Vertex v's sorted incident-edge list is vertEdges[vertSpan[v].lo:
 	// vertSpan[v].hi]. Build writes the lists back to back; Extend rewrites
 	// a list that grows at the arena's end, and the entries it leaves behind
-	// are garbage until an Extend writes the lists afresh
-	// (len(vertEdges) − len(edgeVerts) of them: the live entries are the
+	// are garbage until the hypergraph is built afresh (Moved counts them:
+	// len(vertEdges) − len(edgeVerts), as the live entries are the
 	// incidences).
 	vertSpan   []span
 	vertEdges  []uint32

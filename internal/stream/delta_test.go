@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -219,6 +220,9 @@ func TestDeltaExactWhereOrdersDiffer(t *testing.T) {
 			}
 			if m.compactMin == 1 && !sawCompaction {
 				t.Error("no compaction happened")
+			}
+			if m.compactMin == math.MaxInt && sawCompaction {
+				t.Error("a compaction happened though forbidden")
 			}
 			if sc.cfg.Window > 0 && !sawReadd {
 				t.Error("no READD coincided with a window expiry")

@@ -84,12 +84,16 @@ type Config struct {
 	Snapshot *FileSink
 }
 
-// A compaction — a rebuild of the physical hypergraph from live edges only,
-// dropping retired garbage — runs before a batch once at least compactMin
-// retired edges exceed compactFraction of the physical edges.
+// A compaction — a rebuild of the hypergraph and its DAL from live edges
+// only, the one full layout of a non-empty stream — runs before a batch once
+// at least compactMin retired edges (each costs every candidate a mask test)
+// exceed compactFraction of the physical edges, or once the arena entries
+// growth in place moved (they cost only memory) exceed twice the live ones
+// and compactMoved (never less than compactMin).
 const (
 	compactFraction = 0.25
 	compactMin      = 64
+	compactMoved    = 4096
 )
 
 // Batch is one unit of stream input.
@@ -123,11 +127,11 @@ type BatchResult struct {
 	Added, Retired, Expired, Refreshed int
 	// Deltas holds one entry per standing query, in query-ID order.
 	Deltas []Delta
-	// Compacted reports that this apply began by compacting retired
-	// garbage out of the physical hypergraph.
+	// Compacted reports that this apply began by laying the store out afresh
+	// from its live edges, renumbered, without the moved arena entries.
 	Compacted bool
-	// Elapsed is the wall-clock time of the whole apply (derived-state
-	// maintenance + query evaluation, excluding snapshot I/O).
+	// Elapsed is the wall-clock time of the whole apply (compaction,
+	// derived-state maintenance + query evaluation, excluding snapshot I/O).
 	Elapsed time.Duration
 	// Stats sums the engine counters of the batch's anchored delta runs
 	// (Candidates and the phase timers only with Config.Engine.Instrument):
@@ -499,16 +503,15 @@ func (m *Miner) ApplyBatch(b Batch) (*BatchResult, error) {
 	if m.err != nil {
 		return nil, m.err
 	}
+	start := time.Now()
 
-	// Compact retired garbage before this batch when it crossed the
-	// threshold; done up front so the previous batch's change marks (still
-	// serving LatestDelta) were valid until now.
-	compacted := false
-	if m.shouldCompact() {
-		if err := m.compact(); err != nil {
+	// Compact first: the previous batch's change marks served LatestDelta
+	// until now.
+	compacted := m.shouldCompact()
+	if compacted {
+		if err := m.rebuild(m.liveEdges()); err != nil {
 			return nil, err
 		}
-		compacted = true
 	}
 
 	ap, err := m.planBatch(b)
@@ -523,7 +526,6 @@ func (m *Miner) ApplyBatch(b Batch) (*BatchResult, error) {
 		}
 		return nil, err
 	}
-	start := time.Now()
 	t := m.epoch + 1
 
 	// Mutate. Everything below must succeed or latch m.err: the log record
@@ -898,30 +900,25 @@ func (m *Miner) LatestDelta(p *pattern.Pattern) (Delta, error) {
 	}, nil
 }
 
-// shouldCompact reports whether retired garbage crossed the threshold.
+// shouldCompact reports whether the retired edges or the entries moved in
+// the store's adjacency, group and vertex-list arenas crossed their bound.
 func (m *Miner) shouldCompact() bool {
-	garbage := len(m.retireEpoch) - m.live
-	return garbage >= m.compactMin && float64(garbage) > m.compactFraction*float64(len(m.retireEpoch))
-}
-
-// compact rebuilds the physical hypergraph from live edges only, remapping
-// physical IDs (relative order preserved) and invalidating latest-batch
-// marks. Cached query plans stay valid (IDs are runtime state, not plan
-// state).
-func (m *Miner) compact() error {
-	if err := m.rebuild(m.liveEdges()); err != nil {
-		return err
+	if m.store == nil {
+		return false
 	}
-	m.haveLast = false
-	m.addedIDs, m.retiredIDs = nil, nil
-	m.lastAdded, m.lastRetired = nil, nil
-	return nil
+	retired := len(m.retireEpoch) - m.live
+	sm, sl := m.store.Moved()
+	hm, hl := m.h.Moved()
+	return retired >= m.compactMin && float64(retired) > m.compactFraction*float64(len(m.retireEpoch)) ||
+		sm+hm > max(2*(sl+hl), compactMoved, m.compactMin)
 }
 
 // rebuild makes edges, in order and all live, the whole physical state: the
-// hypergraph, its DAL, the vertex-set index and the epochs. It is the one
-// full build, shared by Load, compaction and an empty stream's first growth;
-// on error the miner is left as it was.
+// hypergraph, its DAL, the vertex-set index and the epochs, renumbering
+// physical IDs (relative order preserved) and dropping the latest-batch
+// marks. It is the one full layout, shared by Load, compaction and an empty
+// stream's first growth; cached query plans stay valid (IDs are runtime
+// state, not plan state). On error the miner is left as it was.
 func (m *Miner) rebuild(edges []SnapshotEdge) error {
 	var h *hypergraph.Hypergraph
 	var store *dal.Store
@@ -940,6 +937,8 @@ func (m *Miner) rebuild(edges []SnapshotEdge) error {
 		store = dal.Build(h)
 	}
 	m.h, m.store = h, store
+	m.haveLast = false
+	m.addedIDs, m.retiredIDs, m.lastAdded, m.lastRetired = nil, nil, nil, nil
 	m.index = make(map[string]uint32, len(edges))
 	m.addEpoch, m.retireEpoch = make([]uint64, len(edges)), make([]uint64, len(edges))
 	m.expiry = nil

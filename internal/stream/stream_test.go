@@ -269,7 +269,8 @@ func TestRebuildMatchesIncremental(t *testing.T) {
 // forceCompaction lowers m's threshold so that almost any garbage compacts.
 func forceCompaction(m *Miner) { m.compactMin, m.compactFraction = 1, 0.01 }
 
-// forbidCompaction raises m's threshold beyond any garbage count.
+// forbidCompaction raises m's threshold beyond any count of retired edges
+// or moved entries.
 func forbidCompaction(m *Miner) { m.compactMin = math.MaxInt }
 
 // TestCompaction: aggressive thresholds trigger compaction; counts are
@@ -529,12 +530,13 @@ func TestEmptyStream(t *testing.T) {
 
 // TestChaosStreamConcurrentReaders: while 60 batches are applied — adds,
 // explicit retires and window expiry, so the store grows in place, moves
-// segments, compacts and is rebuilt — two goroutines call TotalCount in a
-// loop. TotalCount mines the store it took outside the miner's lock, while
-// the next batches append to the arenas that store shares with its
-// successors. Every count must equal a from-scratch mine of the live edges
-// of an epoch the call overlapped; run under -race (make chaos), the reads
-// and the appends must not touch the same memory.
+// segments and is compacted — two goroutines call TotalCount in a loop.
+// TotalCount mines the store it took outside the miner's lock, while the
+// next batches append to the arenas that store shares with its successors
+// or lay the store out afresh. Every count must equal a from-scratch mine of
+// the live edges of an epoch the call overlapped, and some call must overlap
+// a compacting batch; run under -race (make chaos), the reads and the
+// appends must not touch the same memory.
 func TestChaosStreamConcurrentReaders(t *testing.T) {
 	const nv, batches = 60, 60
 	opts := engine.Options{Workers: 2}
@@ -577,6 +579,7 @@ func TestChaosStreamConcurrentReaders(t *testing.T) {
 		}()
 	}
 	rng := rand.New(rand.NewSource(61))
+	var compacted []uint64 // the epochs of the batches that compacted
 	for b := 1; b <= batches; b++ {
 		batch := Batch{Add: randRaw(rng, nv, 6+rng.Intn(8))}
 		if b%3 == 0 {
@@ -584,8 +587,12 @@ func TestChaosStreamConcurrentReaders(t *testing.T) {
 			rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
 			batch.Retire = live[:min(len(live), 1+rng.Intn(4))]
 		}
-		if _, err := m.ApplyBatch(batch); err != nil {
+		res, err := m.ApplyBatch(batch)
+		if err != nil {
 			t.Fatalf("batch %d: %v", b, err)
+		}
+		if res.Compacted {
+			compacted = append(compacted, res.Epoch)
 		}
 		sets := m.LiveEdgeSets()
 		counts := make([]uint64, len(pats))
@@ -601,7 +608,13 @@ func TestChaosStreamConcurrentReaders(t *testing.T) {
 	if len(seen) < batches {
 		t.Fatalf("only %d concurrent counts over %d batches", len(seen), batches)
 	}
+	overlapped := 0
 	for _, o := range seen {
+		for _, c := range compacted {
+			if o.lo < c && c <= o.hi {
+				overlapped++
+			}
+		}
 		ok := false
 		for ep := o.lo; ep <= o.hi && !ok; ep++ {
 			ok = want[ep][o.pat] == o.got
@@ -609,5 +622,9 @@ func TestChaosStreamConcurrentReaders(t *testing.T) {
 		if !ok {
 			t.Fatalf("pattern %d counted %d between epochs %d and %d, want one of %v", o.pat, o.got, o.lo, o.hi, want[o.lo:o.hi+1])
 		}
+	}
+	t.Logf("%d compacting batches %v, overlapped by %d counts", len(compacted), compacted, overlapped)
+	if overlapped == 0 {
+		t.Fatalf("no count overlapped a compacting batch (compacted at epochs %v)", compacted)
 	}
 }
