@@ -141,6 +141,17 @@ func TestExitCodes(t *testing.T) {
 		t.Errorf("-variant deadline run reported no partial counts:\n%s", out)
 	}
 
+	// An estimate stops on -timeout the same way: exit 124 with the estimate
+	// over the roots it finished. Unrestricted, the 6-edge chain's sample
+	// mines far longer than the timeout.
+	code, out = run("-pattern", pat+"; 5 6", "-estimate", "0.99", "-workers", "1", "-timeout", "200ms")
+	if code != exitDeadline {
+		t.Fatalf("-estimate deadline run: exit %d want %d\n%s", code, exitDeadline, out)
+	}
+	if !strings.Contains(out, "estimate: ordered≈") {
+		t.Errorf("-estimate deadline run reported no estimate:\n%s", out)
+	}
+
 	// Resume: exit 0, exactly the full count, snapshot cleaned up.
 	code, out = run("-pattern", pat, "-checkpoint", ckpt, "-resume")
 	if code != 0 {
@@ -153,23 +164,25 @@ func TestExitCodes(t *testing.T) {
 		t.Errorf("snapshot survived clean completion (err=%v)", err)
 	}
 
-	// SIGINT truncation: exit 130. The 6-edge pattern mines long enough for
-	// the signal to land mid-run; if it arrives during setup the run starts
-	// cancelled and still exits 130.
-	cmd := exec.Command(bin, "-input", data, "-pattern", pat+"; 5 6")
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(300 * time.Millisecond)
-	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
-		t.Fatal(err)
-	}
-	err := cmd.Wait()
-	ee, ok := err.(*exec.ExitError)
-	if !ok {
-		t.Fatalf("interrupted run exited cleanly (err=%v), want exit %d", err, exitInterrupted)
-	}
-	if ee.ExitCode() != exitInterrupted {
-		t.Fatalf("interrupted run: exit %d want %d", ee.ExitCode(), exitInterrupted)
+	// SIGINT truncation: exit 130, for a mine and for an estimate. The 6-edge
+	// pattern mines long enough for the signal to land mid-run; if it
+	// arrives during setup the run starts cancelled and still exits 130.
+	for _, extra := range [][]string{nil, {"-estimate", "0.99", "-workers", "1"}} {
+		cmd := exec.Command(bin, append([]string{"-input", data, "-pattern", pat + "; 5 6"}, extra...)...)
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(300 * time.Millisecond)
+		if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
+			t.Fatal(err)
+		}
+		err := cmd.Wait()
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatalf("interrupted run %v exited cleanly (err=%v), want exit %d", extra, err, exitInterrupted)
+		}
+		if ee.ExitCode() != exitInterrupted {
+			t.Fatalf("interrupted run %v: exit %d want %d", extra, ee.ExitCode(), exitInterrupted)
+		}
 	}
 }

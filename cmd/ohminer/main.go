@@ -37,8 +37,6 @@ import (
 	"ohminer/internal/dal"
 	"ohminer/internal/durable"
 	"ohminer/internal/engine"
-	"ohminer/internal/gen"
-	"ohminer/internal/hypergraph"
 	"ohminer/internal/pattern"
 )
 
@@ -105,23 +103,7 @@ func run() error {
 	// pipe or full disk must fail the run, not truncate it silently.
 	out := cliio.NewWriter(os.Stdout)
 
-	var (
-		h   *hypergraph.Hypergraph
-		err error
-	)
-	switch {
-	case *input != "" && *dataset != "":
-		return fmt.Errorf("-input and -dataset are mutually exclusive")
-	case *input != "":
-		h, err = hypergraph.Load(*input)
-	case *dataset != "":
-		var p gen.Preset
-		if p, err = gen.PresetByTag(*dataset); err == nil {
-			h, err = gen.Generate(p.Config)
-		}
-	default:
-		return fmt.Errorf("need -input FILE or -dataset TAG")
-	}
+	h, err := cliio.LoadData(*input, *dataset)
 	if err != nil {
 		return err
 	}
@@ -180,14 +162,18 @@ func run() error {
 		opts.CheckpointEvery = *ckptInt
 	}
 	if *estimate > 0 {
-		est, err := engine.EstimateCount(store, p, *estimate, *seed, opts)
+		est, err := engine.EstimateCount(ctx, store, p, *estimate, *seed, opts)
+		truncCause, err := truncation(err)
 		if err != nil {
 			return err
 		}
 		out.Printf("estimate: ordered≈%.0f (±%.0f stderr) unique≈%.0f from %d/%d roots in %v\n",
 			est.Ordered, est.StdErr, est.Unique, est.SampledRoots, est.TotalRoots,
 			est.Elapsed.Round(time.Microsecond))
-		return out.Close()
+		if cerr := out.Close(); cerr != nil {
+			return cerr
+		}
+		return truncCause
 	}
 	var res engine.Result
 	if compare {
@@ -211,17 +197,9 @@ func run() error {
 	} else {
 		res, err = engine.MineContext(ctx, store, p, opts)
 	}
-	var truncCause error
+	truncCause, err := truncation(err)
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			truncCause = errDeadline
-		case errors.Is(err, context.Canceled):
-			truncCause = errInterrupted
-		default:
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "ohminer: %v — partial counts follow\n", err)
+		return err
 	}
 	if *showPlan {
 		fmt.Fprintf(os.Stderr, "%s", res.Plan)
@@ -251,4 +229,22 @@ func run() error {
 		os.Remove(*ckptPath)
 	}
 	return nil
+}
+
+// truncation sorts a run's error: a deadline or an interrupt cut the run
+// short, and is returned as the cause its partial counts are reported under
+// (announced on stderr); any other error fails the run.
+func truncation(err error) (cause, fail error) {
+	switch {
+	case err == nil:
+		return nil, nil
+	case errors.Is(err, context.DeadlineExceeded):
+		cause = errDeadline
+	case errors.Is(err, context.Canceled):
+		cause = errInterrupted
+	default:
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "ohminer: %v — partial counts follow\n", err)
+	return cause, nil
 }

@@ -37,10 +37,9 @@ import (
 	"time"
 
 	"ohminer"
+	"ohminer/internal/cliio"
 	"ohminer/internal/cluster"
 	"ohminer/internal/engine"
-	"ohminer/internal/gen"
-	"ohminer/internal/hypergraph"
 	"ohminer/internal/serve"
 )
 
@@ -82,23 +81,7 @@ func run() error {
 		*clusterOn, *clusterDir = true, *ckptDir
 	}
 
-	var (
-		h   *hypergraph.Hypergraph
-		err error
-	)
-	switch {
-	case *input != "" && *dataset != "":
-		return fmt.Errorf("-input and -dataset are mutually exclusive")
-	case *input != "":
-		h, err = hypergraph.Load(*input)
-	case *dataset != "":
-		var p gen.Preset
-		if p, err = gen.PresetByTag(*dataset); err == nil {
-			h, err = gen.Generate(p.Config)
-		}
-	default:
-		return fmt.Errorf("need -input FILE or -dataset TAG")
-	}
+	h, err := cliio.LoadData(*input, *dataset)
 	if err != nil {
 		return err
 	}

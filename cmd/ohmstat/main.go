@@ -20,7 +20,6 @@ import (
 	"ohminer/internal/cliio"
 	"ohminer/internal/dal"
 	"ohminer/internal/engine"
-	"ohminer/internal/gen"
 	"ohminer/internal/hypergraph"
 	"ohminer/internal/oig"
 	"ohminer/internal/pattern"
@@ -45,23 +44,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	var (
-		h   *hypergraph.Hypergraph
-		err error
-	)
-	switch {
-	case *input != "" && *dataset != "":
-		return fmt.Errorf("-input and -dataset are mutually exclusive")
-	case *input != "":
-		h, err = hypergraph.Load(*input)
-	case *dataset != "":
-		var p gen.Preset
-		if p, err = gen.PresetByTag(*dataset); err == nil {
-			h, err = gen.Generate(p.Config)
-		}
-	default:
-		return fmt.Errorf("need -input FILE or -dataset TAG")
-	}
+	h, err := cliio.LoadData(*input, *dataset)
 	if err != nil {
 		return err
 	}

@@ -28,10 +28,9 @@ import (
 	"time"
 
 	"ohminer"
+	"ohminer/internal/cliio"
 	"ohminer/internal/cluster"
 	"ohminer/internal/engine"
-	"ohminer/internal/gen"
-	"ohminer/internal/hypergraph"
 )
 
 func main() {
@@ -58,23 +57,7 @@ func run() error {
 	if *coord == "" {
 		return fmt.Errorf("need -coordinator URL")
 	}
-	var (
-		h   *hypergraph.Hypergraph
-		err error
-	)
-	switch {
-	case *input != "" && *dataset != "":
-		return fmt.Errorf("-input and -dataset are mutually exclusive")
-	case *input != "":
-		h, err = hypergraph.Load(*input)
-	case *dataset != "":
-		var p gen.Preset
-		if p, err = gen.PresetByTag(*dataset); err == nil {
-			h, err = gen.Generate(p.Config)
-		}
-	default:
-		return fmt.Errorf("need -input FILE or -dataset TAG")
-	}
+	h, err := cliio.LoadData(*input, *dataset)
 	if err != nil {
 		return err
 	}

@@ -134,7 +134,7 @@ func TestSinksRoundTrip(t *testing.T) {
 	if got, err := checkpoint.ReadFile(ckFile.Path); err != nil || !reflect.DeepEqual(got, ck) {
 		t.Fatalf("OHMC file decodes to %+v, %v", got, err)
 	}
-	if got, err := stream.ReadFile(stFile.Path); err != nil || !reflect.DeepEqual(got, st) {
+	if got, err := stream.Unmarshal(stBytes); err != nil || !reflect.DeepEqual(got, st) {
 		t.Fatalf("OHMT file decodes to %+v, %v", got, err)
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -28,7 +29,7 @@ func BenchmarkEstimateFractions(b *testing.B) {
 	for _, f := range []float64{0.05, 0.25, 1.0} {
 		b.Run(intsetName(f), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := EstimateCount(store, p, f, int64(i), Options{Workers: 1}); err != nil {
+				if _, err := EstimateCount(context.Background(), store, p, f, int64(i), Options{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -497,7 +497,7 @@ func TestEstimateFullFractionOnDiscShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := EstimateCount(store, p, 1, 1, Options{})
+		est, err := EstimateCount(context.Background(), store, p, 1, 1, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

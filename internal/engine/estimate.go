@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -31,7 +32,11 @@ type Estimate struct {
 // subtrees of a uniform sample of first-hyperedge candidates ("roots") and
 // scaling by the inverse sampling fraction. fraction ∈ (0, 1]; fraction 1
 // degenerates to an exact count. Deterministic in seed.
-func EstimateCount(store *dal.Store, p *pattern.Pattern, fraction float64, seed int64, opts Options) (Estimate, error) {
+//
+// The context stops the estimate as it stops a mine, through the shared stop
+// flag. A stopped estimate scales over the sampled roots whose subtrees were
+// finished before the stop (SampledRoots of them) and returns ctx.Err().
+func EstimateCount(ctx context.Context, store *dal.Store, p *pattern.Pattern, fraction float64, seed int64, opts Options) (Estimate, error) {
 	if fraction <= 0 || fraction > 1 {
 		return Estimate{}, errors.New("engine: fraction must be in (0, 1]")
 	}
@@ -52,6 +57,12 @@ func EstimateCount(store *dal.Store, p *pattern.Pattern, fraction float64, seed 
 	// sampled subtrees to completion.
 	opts.Limit = 0
 	e := newShared(store, plan, opts)
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, func() { e.stopped.Store(true) })()
+	}
+	if ctx.Err() != nil {
+		e.stopped.Store(true)
+	}
 	roots := firstCandidates(store, plan, opts)
 	n := len(roots)
 	est := Estimate{TotalRoots: n}
@@ -74,21 +85,31 @@ func EstimateCount(store *dal.Store, p *pattern.Pattern, fraction float64, seed 
 	}
 	sample = sample[:k]
 
-	// Mine each sampled root's complete subtree.
+	// Mine each sampled root's complete subtree; a root the stop cut short
+	// is no sample, and ends the estimate.
 	w := newWorker(e, nil)
-	perRoot := make([]float64, k)
+	perRoot := make([]float64, 0, k)
 	var total uint64
 	for i := range sample {
 		before := w.count
 		w.explore(0, sample[i:i+1])
-		perRoot[i] = float64(w.count - before)
+		if w.stop {
+			err = ctx.Err()
+			break
+		}
+		perRoot = append(perRoot, float64(w.count-before))
 		total = w.count
+	}
+	k = len(perRoot)
+	est.SampledRoots = k
+	est.Elapsed = time.Since(start)
+	if k == 0 {
+		return est, err
 	}
 
 	scale := float64(n) / float64(k)
 	est.Ordered = float64(total) * scale
 	est.Unique = est.Ordered / float64(aut)
-	est.SampledRoots = k
 	if k > 1 {
 		mean := float64(total) / float64(k)
 		var ss float64
@@ -101,6 +122,5 @@ func EstimateCount(store *dal.Store, p *pattern.Pattern, fraction float64, seed 
 		fpc := float64(n-k) / float64(n-1)
 		est.StdErr = float64(n) * math.Sqrt(variance*fpc/float64(k))
 	}
-	est.Elapsed = time.Since(start)
-	return est, nil
+	return est, err
 }

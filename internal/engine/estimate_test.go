@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"ohminer/internal/dal"
 	"ohminer/internal/gen"
@@ -33,7 +36,7 @@ func estimateFixture(t *testing.T) (*dal.Store, *pattern.Pattern, uint64) {
 
 func TestEstimateExactAtFullFraction(t *testing.T) {
 	store, p, exact := estimateFixture(t)
-	est, err := EstimateCount(store, p, 1.0, 1, Options{})
+	est, err := EstimateCount(context.Background(), store, p, 1.0, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +55,7 @@ func TestEstimateConverges(t *testing.T) {
 	var sum float64
 	const seeds = 12
 	for s := int64(0); s < seeds; s++ {
-		est, err := EstimateCount(store, p, 0.3, s, Options{})
+		est, err := EstimateCount(context.Background(), store, p, 0.3, s, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,11 +72,11 @@ func TestEstimateConverges(t *testing.T) {
 
 func TestEstimateDeterministic(t *testing.T) {
 	store, p, _ := estimateFixture(t)
-	a, err := EstimateCount(store, p, 0.25, 9, Options{})
+	a, err := EstimateCount(context.Background(), store, p, 0.25, 9, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EstimateCount(store, p, 0.25, 9, Options{})
+	b, err := EstimateCount(context.Background(), store, p, 0.25, 9, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +88,7 @@ func TestEstimateDeterministic(t *testing.T) {
 func TestEstimateErrors(t *testing.T) {
 	store, p, _ := estimateFixture(t)
 	for _, f := range []float64{0, -0.5, 1.5} {
-		if _, err := EstimateCount(store, p, f, 1, Options{}); err == nil {
+		if _, err := EstimateCount(context.Background(), store, p, f, 1, Options{}); err == nil {
 			t.Errorf("fraction %f accepted", f)
 		}
 	}
@@ -104,7 +107,7 @@ func TestEstimateRefusesWhatMineRefuses(t *testing.T) {
 	}
 	for name, p := range map[string]*pattern.Pattern{"vertex labels": labeled, "hyperedge labels": edgeLabeled} {
 		_, mineErr := Mine(store, p, Options{})
-		_, estErr := EstimateCount(store, p, 1, 1, Options{})
+		_, estErr := EstimateCount(context.Background(), store, p, 1, 1, Options{})
 		if mineErr == nil || estErr == nil || estErr.Error() != mineErr.Error() {
 			t.Errorf("%s: EstimateCount err=%v, Mine err=%v; want the same refusal", name, estErr, mineErr)
 		}
@@ -114,7 +117,7 @@ func TestEstimateRefusesWhatMineRefuses(t *testing.T) {
 func TestEstimateNoRoots(t *testing.T) {
 	store, _ := fig1(t)
 	p := pattern.MustNew([][]uint32{{0, 1, 2}}, nil) // degree 3 absent
-	est, err := EstimateCount(store, p, 0.5, 1, Options{})
+	est, err := EstimateCount(context.Background(), store, p, 0.5, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +149,39 @@ func TestEstimateSamplesMinesPlan(t *testing.T) {
 	if other := len(firstCandidates(store, larger, Options{})); other == roots {
 		t.Fatalf("both orders start from %d roots: the fixture no longer tells them apart", roots)
 	}
-	est, err := EstimateCount(store, p, 1, 1, Options{})
+	est, err := EstimateCount(context.Background(), store, p, 1, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if est.TotalRoots != roots || est.Ordered != float64(mined.Ordered) {
 		t.Fatalf("estimate over %d roots counts %v; Mine's plan has %d roots and counts %d", est.TotalRoots, est.Ordered, roots, mined.Ordered)
+	}
+}
+
+// TestEstimateStopsOnContext: the context stops an estimate as it stops a
+// mine. A context done before the start samples no root; one cancelled
+// mid-run scales over the roots finished before the stop. Both return the
+// context's error.
+func TestEstimateStopsOnContext(t *testing.T) {
+	store, p, _ := estimateFixture(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	est, err := EstimateCount(ctx, store, p, 1, 1, Options{})
+	if !errors.Is(err, context.Canceled) || est.SampledRoots != 0 || est.Ordered != 0 {
+		t.Fatalf("cancelled before the start: %+v, %v", est, err)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	once := false
+	est, err = EstimateCount(ctx, store, p, 1, 1, Options{OnEmbedding: func([]uint32) {
+		if !once {
+			once = true
+			cancel()
+			time.Sleep(20 * time.Millisecond) // the stop flag is set off this goroutine
+		}
+	}})
+	if !errors.Is(err, context.Canceled) || est.SampledRoots >= est.TotalRoots {
+		t.Fatalf("cancelled at the first embedding: %d of %d roots, %v", est.SampledRoots, est.TotalRoots, err)
 	}
 }

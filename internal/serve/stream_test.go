@@ -380,10 +380,11 @@ func TestStreamParentDirReloads(t *testing.T) {
 		t.Fatalf("create over a persisted stream: %d %s", resp.StatusCode, body)
 	}
 	for id, path := range map[string]string{"old": golden, "bare": filepath.Join(dir, "bare.ohmt")} {
-		want, err := stream.ReadFile(path)
+		loaded, err := stream.LoadFile(path, stream.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := loaded.SnapshotState()
 		var got StreamStatus
 		getJSON(t, ts.URL+"/streams/"+id, &got)
 		if got.Epoch != want.Epoch || got.LiveEdges != len(want.Edges) || len(got.Queries) != len(want.Queries) {

@@ -7,14 +7,14 @@ import (
 	"ohminer/internal/engine"
 )
 
-// windowFeed generates a feed shaped like the stream_window benchmark's:
-// over 1 800 vertices, each batch adds 60 pairs and triples of nearby
-// vertices that are not live, and from batch window+2 on every second batch
-// also retires 36 live hyperedges that are not about to expire, for
-// window+batches batches in all. A Miner with Window = window expires the
-// rest.
-func windowFeed(seed int64, window, batches int) []Batch {
-	const nv, adds, retires = 1800, 60, 36
+// windowFeed generates a feed shaped like the stream_window benchmark's
+// (which runs it over 1 800 vertices): over nv vertices, each batch adds 60
+// pairs and triples of nearby vertices that are not live, and from batch
+// window+2 on every second batch also retires 36 live hyperedges that are
+// not about to expire, for window+batches batches in all. A Miner with
+// Window = window expires the rest.
+func windowFeed(seed int64, nv, window, batches int) []Batch {
+	const adds, retires = 60, 36
 	rng := rand.New(rand.NewSource(seed))
 	// live maps a live hyperedge to the epoch it was added at; order keeps
 	// the draws reproducible.
@@ -94,7 +94,7 @@ func TestEveryLayoutReported(t *testing.T) {
 			t.Fatal(err)
 		}
 		prev, compactions := 0, 0
-		for i, b := range windowFeed(seed, window, batches) {
+		for i, b := range windowFeed(seed, 1800, window, batches) {
 			res, err := m.ApplyBatch(b)
 			if err != nil {
 				t.Fatalf("seed %d batch %d: %v", seed, i+1, err)

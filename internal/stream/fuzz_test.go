@@ -85,8 +85,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 
 // FuzzStreamLogReplay drives arbitrary bytes through the stream log's
 // replay: the parent_log golden is the base and the fuzzed bytes are its
-// .log. ReadFile must never panic; it either refuses the log (ErrCorrupt, or
-// the version error) or returns a snapshot that validates and round-trips
+// .log. LoadFile must never panic; it either refuses the log (ErrCorrupt, or
+// the version error) or loads a miner whose state validates and round-trips
 // through Marshal and Unmarshal byte for byte.
 func FuzzStreamLogReplay(f *testing.F) {
 	log, err := os.ReadFile(filepath.Join("testdata", "parent_log.ohmt.log"))
@@ -95,15 +95,19 @@ func FuzzStreamLogReplay(f *testing.F) {
 	}
 	f.Add(log)
 	f.Add(log[:len(log)/2]) // torn mid-record
+	live := goldenBaseEdge(f)
+	f.Add(logOf(recordBytes(2, nil, [][]uint32{live, live}, 1, 2)))         // edge retired twice
+	f.Add(logOf(recordBytes(2, [][]uint32{{47, 0}, {3, 3, 9}}, nil, 1, 2))) // sets not strictly ascending
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := ReadFile(logWith(t, data))
+		m, err := LoadFile(logWith(t, data), Config{})
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !strings.Contains(err.Error(), "version") {
 				t.Fatalf("refused with neither ErrCorrupt nor the version error: %v", err)
 			}
 			return
 		}
+		s := m.SnapshotState()
 		if err := s.Validate(); err != nil {
 			t.Fatalf("replayed snapshot fails Validate: %v", err)
 		}

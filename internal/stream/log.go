@@ -17,15 +17,17 @@ package stream
 //	u32 #retires, then per set: u32 n, n × u32 vertex
 //	u32 #queries, then per query: u64 id, cumAdded, cumRetired, eventSeq
 //
-// (little-endian). Replay folds the records into the base's edge log and
-// re-derives refresh, resurrection and window expiry from the base's
-// window, so nothing is re-mined. The base is rewritten — and the log
-// truncated after the rename — when the miner opens (NewMiner, Load), on a
-// query registration (a record does not carry patterns or baselines), on
-// the first durable operation after a failed one (the log then misses a
-// record), and when the log grows past the base, which keeps a batch's
-// amortized cost O(batch) and the log a load replays no larger than the
-// base.
+// (little-endian). A load (LoadFile) replays the records through the
+// batch path's own rules — planBatch classifies each record's sets into
+// refresh, resurrection, retire-and-re-add and window expiry, commit applies
+// its bookkeeping — and takes the counters from the record, so nothing is
+// re-mined and the store is laid out once, after the last record. The base
+// is rewritten — and the log truncated after the rename — when the miner
+// opens (NewMiner, Load), on a query registration (a record does not carry
+// patterns or baselines), on the first durable operation after a failed one
+// (the log then misses a record), and when the log grows past the base,
+// which keeps a batch's amortized cost O(batch) and the log a load replays
+// no larger than the base.
 // Records at or below the base's epoch are skipped on replay, so a crash
 // between the base's rename and the log's truncate loses nothing.
 
@@ -35,7 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
+	"slices"
 
 	"ohminer/internal/durable"
 )
@@ -168,114 +170,50 @@ func decodeRecord(p []byte) (*logRecord, error) {
 	return rec, nil
 }
 
-// replay folds log records into s as ApplyBatch changed the live edges and
-// the counters. Records at or below s's epoch are already in it and are
-// skipped; the rest must follow on epoch by epoch.
-func (s *Snapshot) replay(recs []*logRecord) error {
-	keys := make([]string, len(s.Edges))
-	live := make(map[string]bool, len(s.Edges))
-	for i, e := range s.Edges {
-		keys[i] = edgeKey(e.Verts)
-		live[keys[i]] = true
+// replay applies one log record as ApplyBatch applied its batch — planBatch,
+// then commit — and takes the query counters the record carries, so nothing
+// is laid out or mined per record. A record at or below the epoch is already
+// in the base and is skipped. A record that cannot follow on is ErrCorrupt:
+// one past the next epoch, or one that is not the distinct, strictly
+// ascending sets ApplyBatch logs, or one planBatch refuses, or one whose
+// queries are not the miner's.
+func (m *Miner) replay(frame []byte) error {
+	r, err := decodeRecord(frame)
+	if err != nil || r.epoch <= m.epoch {
+		return err
 	}
-	for _, r := range recs {
-		if r.epoch <= s.Epoch {
-			continue
+	t := r.epoch
+	if t != m.epoch+1 {
+		return corruptf("log record %d follows epoch %d", t, m.epoch)
+	}
+	ap, err := m.planBatch(Batch{Add: r.adds, Retire: r.retires})
+	if err != nil {
+		return corruptf("log record %d: %v", t, err)
+	}
+	// planBatch absorbs a repeated set and normalize repairs an unsorted one;
+	// a record holds what they leave.
+	if !slices.EqualFunc(ap.adds, r.adds, slices.Equal) || !slices.EqualFunc(ap.retires, r.retires, slices.Equal) {
+		return corruptf("log record %d repeats a vertex set or holds one not strictly ascending", t)
+	}
+	if len(r.queries) != len(m.queries) {
+		return corruptf("log record %d has %d queries, the base %d", t, len(r.queries), len(m.queries))
+	}
+	// Both list the queries in ID order, so position i names one query.
+	ids := m.queryIDs()
+	for i, c := range r.queries {
+		if c.ID != ids[i] {
+			return corruptf("log record %d names query %d where the base has %d", t, c.ID, ids[i])
 		}
-		t := r.epoch
-		if t != s.Epoch+1 {
-			return corruptf("log record %d follows epoch %d", t, s.Epoch)
+		if m.queries[c.ID].base+c.CumAdded < c.CumRetired {
+			return corruptf("log record %d: query %d: negative cumulative total", t, c.ID)
 		}
-		// Retired, refreshed and re-added sets leave their place; the adds
-		// come back at the end with epoch t, and whatever the window expires
-		// is dropped.
-		drop := make(map[string]bool, len(r.adds)+len(r.retires))
-		for _, e := range r.retires {
-			k := edgeKey(e)
-			if !live[k] {
-				return corruptf("log record %d retires an edge that is not live", t)
-			}
-			drop[k] = true
-		}
-		addKeys := make([]string, len(r.adds))
-		for i, e := range r.adds {
-			addKeys[i] = edgeKey(e)
-			drop[addKeys[i]] = true
-		}
-		var cutoff uint64
-		if s.Window > 0 && t > s.Window {
-			cutoff = t - s.Window
-		}
-		n := 0
-		for i, e := range s.Edges {
-			if drop[keys[i]] || e.AddEpoch <= cutoff {
-				delete(live, keys[i])
-				continue
-			}
-			s.Edges[n], keys[n] = e, keys[i]
-			n++
-		}
-		s.Edges, keys = s.Edges[:n], keys[:n]
-		for i, e := range r.adds {
-			if live[addKeys[i]] {
-				return corruptf("log record %d adds an edge twice", t)
-			}
-			live[addKeys[i]] = true
-			s.Edges = append(s.Edges, SnapshotEdge{Verts: e, AddEpoch: t})
-			keys = append(keys, addKeys[i])
-		}
-		if len(r.queries) != len(s.Queries) {
-			return corruptf("log record %d has %d queries, the base %d", t, len(r.queries), len(s.Queries))
-		}
-		// Both list the queries in ID order, so position i names one query.
-		for i, c := range r.queries {
-			q := &s.Queries[i]
-			if c.ID != q.ID {
-				return corruptf("log record %d names query %d where the base has %d", t, c.ID, q.ID)
-			}
-			q.CumAdded, q.CumRetired, q.EventSeq = c.CumAdded, c.CumRetired, c.EventSeq
-		}
-		s.Epoch = t
+	}
+	m.commit(ap)
+	for _, c := range r.queries {
+		q := m.queries[c.ID]
+		q.cumAdd, q.cumRet, q.seq = c.CumAdded, c.CumRetired, c.EventSeq
 	}
 	return nil
-}
-
-// ReadFile loads the stream a FileSink persisted at path: the base snapshot
-// with the intact records of path+".log" folded in, validated. A torn final
-// record (a crash mid-append, before its batch was acknowledged) is
-// dropped; a damaged complete one is ErrCorrupt.
-func ReadFile(path string) (*Snapshot, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := Unmarshal(b)
-	if err != nil {
-		return nil, err
-	}
-	frames, err := durable.ReadLog(path+".log", logFormat)
-	if errors.Is(err, durable.ErrCorrupt) {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if len(frames) == 0 {
-		return s, nil
-	}
-	recs := make([]*logRecord, len(frames))
-	for i, f := range frames {
-		if recs[i], err = decodeRecord(f); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.replay(recs); err != nil {
-		return nil, err
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
 }
 
 // Close releases the stream's log file. Afterwards the miner refuses

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -18,7 +19,7 @@ import (
 
 // streamFiles reads the base and the intact log records a FileSink at path
 // holds.
-func streamFiles(t *testing.T, path string) ([]byte, *Snapshot, [][]byte) {
+func streamFiles(t testing.TB, path string) ([]byte, *Snapshot, [][]byte) {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -448,49 +449,76 @@ func logWith(t *testing.T, log []byte) string {
 	return path
 }
 
+// recordBytes encodes one log record with zero counters for the queries
+// qids, as Miner.logRecord lays a record out.
+func recordBytes(epoch uint64, adds, retires [][]uint32, qids ...uint64) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint64(nil, epoch)
+	for _, sets := range [2][][]uint32{adds, retires} {
+		b = le.AppendUint32(b, uint32(len(sets)))
+		for _, e := range sets {
+			b = appendVerts(b, e)
+		}
+	}
+	b = le.AppendUint32(b, uint32(len(qids)))
+	for _, id := range qids {
+		b = append(le.AppendUint64(b, id), make([]byte, 3*8)...)
+	}
+	return b
+}
+
+// logOf frames records into the bytes of a stream log file.
+func logOf(recs ...[]byte) []byte {
+	b := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, logFormat.Magic), logFormat.Version)
+	for _, r := range recs {
+		b = durable.AppendFrame(b, r)
+	}
+	return b
+}
+
+// goldenBaseEdge is a live hyperedge of the parent_log golden base.
+func goldenBaseEdge(tb testing.TB) []uint32 {
+	tb.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "parent_log.ohmt"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := Unmarshal(b)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s.Edges[0].Verts
+}
+
 // TestReplayRefusesInconsistentRecords: a log record whose frame and
 // checksum are intact but whose content cannot follow the base is
 // ErrCorrupt. Each row is one record after the parent_log golden base
-// (epoch 1, window 5, queries 1 and 2); the first row is well-formed, so the
-// refusals come from the checks they name.
+// (epoch 1, window 5, 48 vertices, queries 1 and 2); the first row is
+// well-formed, so the refusals come from the checks they name.
 func TestReplayRefusesInconsistentRecords(t *testing.T) {
 	fresh := []uint32{0, 47} // no golden hyperedge spans 47 vertices
-	record := func(epoch uint64, adds, retires [][]uint32, qids ...uint64) []byte {
-		le := binary.LittleEndian
-		b := le.AppendUint64(nil, epoch)
-		for _, sets := range [2][][]uint32{adds, retires} {
-			b = le.AppendUint32(b, uint32(len(sets)))
-			for _, e := range sets {
-				b = le.AppendUint32(b, uint32(len(e)))
-				for _, v := range e {
-					b = le.AppendUint32(b, v)
-				}
-			}
-		}
-		b = le.AppendUint32(b, uint32(len(qids)))
-		for _, id := range qids {
-			b = append(le.AppendUint64(b, id), make([]byte, 3*8)...) // zero counters
-		}
-		return b
-	}
+	live := goldenBaseEdge(t)
 	rows := []struct {
 		name string
 		rec  []byte
 		ok   bool
 	}{
-		{"well-formed", record(2, [][]uint32{fresh}, nil, 1, 2), true},
-		{"epoch gap", record(3, [][]uint32{fresh}, nil, 1, 2), false},
-		{"retire of a non-live edge", record(2, nil, [][]uint32{fresh}, 1, 2), false},
-		{"edge added twice", record(2, [][]uint32{fresh, fresh}, nil, 1, 2), false},
-		{"wrong query count", record(2, nil, nil, 1), false},
-		{"unknown query", record(2, nil, nil, 1, 9), false},
-		{"query named twice", record(2, nil, nil, 1, 1), false},
+		{"well-formed", recordBytes(2, [][]uint32{fresh}, nil, 1, 2), true},
+		{"epoch gap", recordBytes(3, [][]uint32{fresh}, nil, 1, 2), false},
+		{"retire of a non-live edge", recordBytes(2, nil, [][]uint32{fresh}, 1, 2), false},
+		{"edge added twice", recordBytes(2, [][]uint32{fresh, fresh}, nil, 1, 2), false},
+		{"edge retired twice", recordBytes(2, nil, [][]uint32{live, live}, 1, 2), false},
+		{"vertex set not strictly ascending", recordBytes(2, [][]uint32{{47, 0}}, nil, 1, 2), false},
+		{"vertex set with a repeated vertex", recordBytes(2, [][]uint32{{3, 3, 9}}, nil, 1, 2), false},
+		{"vertex outside the universe", recordBytes(2, [][]uint32{{0, 48}}, nil, 1, 2), false},
+		{"wrong query count", recordBytes(2, nil, nil, 1), false},
+		{"unknown query", recordBytes(2, nil, nil, 1, 9), false},
+		{"query named twice", recordBytes(2, nil, nil, 1, 1), false},
 	}
-	header := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, logFormat.Magic), logFormat.Version)
 	for _, r := range rows {
-		s, err := ReadFile(logWith(t, durable.AppendFrame(bytes.Clone(header), r.rec)))
+		m, err := LoadFile(logWith(t, logOf(r.rec)), Config{})
 		switch {
-		case r.ok && (err != nil || s.Epoch != 2):
+		case r.ok && (err != nil || m.Epoch() != 2):
 			t.Errorf("%s: refused (%v)", r.name, err)
 		case !r.ok && !errors.Is(err, ErrCorrupt):
 			t.Errorf("%s: %v, want ErrCorrupt", r.name, err)
@@ -562,4 +590,169 @@ func TestSnapshotLogGolden(t *testing.T) {
 		t.Fatalf("epoch 7 diverged: %+v vs %+v", r1, r2)
 	}
 	minersEquivalent(t, control, loaded)
+}
+
+// windowQueries are the stream_window benchmark's standing queries: the
+// 2-chain, the triangle and the 3-star over pair hyperedges.
+func windowQueries(tb testing.TB) []*pattern.Pattern {
+	tb.Helper()
+	var pats []*pattern.Pattern
+	for _, lit := range []string{"0 1; 1 2", "0 1; 1 2; 2 0", "0 1; 0 2; 0 3"} {
+		p, err := pattern.Parse(lit)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		pats = append(pats, p)
+	}
+	return pats
+}
+
+// TestReloadFollowsLiveMiner: on the stream_window feed with its three
+// standing queries, the files reload at every epoch whose log holds 12
+// records, resurrections and window expiry among them, to a miner with no
+// latest batch that goes on in step with the live one: over the next 5
+// batches both report the same added, retired, expired and refreshed counts,
+// the same deltas and the same TotalCounts.
+func TestReloadFollowsLiveMiner(t *testing.T) {
+	const window, batches, follow = 20, 60, 5
+	path := filepath.Join(t.TempDir(), "s.ohmt")
+	live, err := NewMiner(Config{NumVertices: 1800, Window: window, Engine: engine.Options{Workers: 1}, Snapshot: &FileSink{Path: path}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	pats := windowQueries(t)
+	type follower struct {
+		m    *Miner
+		from uint64
+	}
+	var followers []follower
+	seen := map[string]bool{}
+	var resurrected, expired []int // per epoch, from 1
+	reloads := 0
+	for i, b := range windowFeed(7, 1800, window, batches) {
+		res, err := live.ApplyBatch(b)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i+1, err)
+		}
+		for _, f := range followers {
+			if res.Epoch > f.from+follow {
+				continue
+			}
+			got, err := f.m.ApplyBatch(b)
+			if err != nil {
+				t.Fatalf("reloaded at %d, batch %d: %v", f.from, res.Epoch, err)
+			}
+			if got.Added != res.Added || got.Retired != res.Retired || got.Expired != res.Expired || got.Refreshed != res.Refreshed {
+				t.Fatalf("reloaded at %d, batch %d: %+v, live %+v", f.from, res.Epoch, got, res)
+			}
+			for j, d := range got.Deltas {
+				d.ElapsedMS, res.Deltas[j].ElapsedMS = 0, 0
+				if d != res.Deltas[j] {
+					t.Fatalf("reloaded at %d, batch %d: delta %+v, live %+v", f.from, res.Epoch, d, res.Deltas[j])
+				}
+			}
+			for _, p := range pats {
+				a, err := live.TotalCount(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c, err := f.m.TotalCount(p); err != nil || c.Ordered != a.Ordered {
+					t.Fatalf("reloaded at %d, batch %d, %s: TotalCount %d (%v), live %d", f.from, res.Epoch, p, c.Ordered, err, a.Ordered)
+				}
+			}
+		}
+		if i == 0 {
+			for _, p := range pats {
+				if _, err := live.RegisterQuery(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		r := 0
+		for _, e := range b.Add {
+			if k := edgeKey(e); seen[k] {
+				r++
+			} else {
+				seen[k] = true
+			}
+		}
+		resurrected, expired = append(resurrected, r), append(expired, res.Expired)
+		_, _, recs := streamFiles(t, path)
+		if len(recs) != 12 {
+			continue
+		}
+		r, x := 0, 0
+		for e := len(expired) - len(recs); e < len(expired); e++ {
+			r, x = r+resurrected[e], x+expired[e]
+		}
+		if r == 0 || x == 0 {
+			t.Fatalf("epoch %d: the log's 12 records hold %d resurrections and %d expired edges", res.Epoch, r, x)
+		}
+		m, err := LoadFile(path, Config{Engine: engine.Options{Workers: 1}})
+		if err != nil {
+			t.Fatalf("reload at epoch %d: %v", res.Epoch, err)
+		}
+		minersEquivalent(t, live, m)
+		if _, err := m.LatestDelta(pats[0]); err == nil {
+			t.Fatalf("reload at epoch %d: LatestDelta answers for a batch applied before the load", res.Epoch)
+		}
+		followers = append(followers, follower{m, res.Epoch})
+		reloads++
+	}
+	t.Logf("%d reloads", reloads)
+	if reloads < 2 {
+		t.Fatalf("%d reloads over %d batches, want at least 2", reloads, window+batches)
+	}
+}
+
+// BenchmarkLoadFile times LoadFile on the files the stream_window feed leaves
+// behind, with its three standing queries, at 2 400, 9 600 and 38 400 live
+// hyperedges (window 40, 160 and 640 over 1 800, 7 200 and 28 800
+// vertices), fed on until the log holds window/2 records past a full window.
+// It reports the log's records and the live edges.
+func BenchmarkLoadFile(b *testing.B) {
+	dir := b.TempDir()
+	for _, scale := range []int{1, 4, 16} {
+		window, nv := 40*scale, 1800*scale
+		var path string
+		var records, liveEdges int
+		b.Run(fmt.Sprintf("live=%d", 60*window), func(b *testing.B) {
+			if path == "" {
+				path = filepath.Join(dir, fmt.Sprintf("s%d.ohmt", scale))
+				m, err := NewMiner(Config{NumVertices: nv, Window: uint64(window), Engine: engine.Options{Workers: 1}, Snapshot: &FileSink{Path: path}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i, batch := range windowFeed(1, nv, window, 4*window) {
+					if _, err := m.ApplyBatch(batch); err != nil {
+						b.Fatal(err)
+					}
+					if i == 0 {
+						for _, p := range windowQueries(b) {
+							if _, err := m.RegisterQuery(p); err != nil {
+								b.Fatal(err)
+							}
+						}
+					}
+					if i >= window {
+						if _, _, recs := streamFiles(b, path); len(recs) >= window/2 {
+							records = len(recs)
+							break
+						}
+					}
+				}
+				liveEdges = m.LiveEdges()
+				m.Close()
+			}
+			b.ResetTimer()
+			for range b.N {
+				if _, err := LoadFile(path, Config{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(records), "records")
+			b.ReportMetric(float64(liveEdges), "live")
+		})
+	}
 }

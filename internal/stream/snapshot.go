@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 
 	"ohminer/internal/durable"
 	"ohminer/internal/pattern"
@@ -304,7 +305,7 @@ func (m *Miner) liveEdges() []SnapshotEdge {
 	size := 0
 	for id, re := range m.retireEpoch {
 		if re == 0 {
-			size += m.h.Degree(uint32(id))
+			size += len(m.verts(uint32(id)))
 		}
 	}
 	arena := make([]uint32, 0, size)
@@ -314,7 +315,7 @@ func (m *Miner) liveEdges() []SnapshotEdge {
 			continue
 		}
 		at := len(arena)
-		arena = append(arena, m.h.EdgeVertices(uint32(id))...)
+		arena = append(arena, m.verts(uint32(id))...)
 		edges = append(edges, SnapshotEdge{Verts: arena[at:len(arena):len(arena)], AddEpoch: m.addEpoch[id]})
 	}
 	return edges
@@ -338,6 +339,36 @@ func Load(s *Snapshot, cfg Config) (*Miner, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	return open(s, nil, cfg)
+}
+
+// LoadFile is Load over the files a FileSink writes: the base at path, with
+// the intact records of path+".log" replayed (log.go). A torn final record
+// (a crash mid-append, before its batch was acknowledged) is dropped; a
+// damaged complete one is ErrCorrupt.
+func LoadFile(path string, cfg Config) (*Miner, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	s, err := Unmarshal(b)
+	if err != nil {
+		return nil, err
+	}
+	frames, err := durable.ReadLog(path+".log", logFormat)
+	if errors.Is(err, durable.ErrCorrupt) {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return open(s, frames, cfg)
+}
+
+// open makes a miner of the validated base s: it installs the base's edges
+// and queries, replays the log records frames, lays the store out once and,
+// with cfg.Snapshot, rewrites the base and empties the log.
+func open(s *Snapshot, frames [][]byte, cfg Config) (*Miner, error) {
 	cfg.NumVertices = int(s.NumVertices)
 	cfg.Window = s.Window
 	m, err := newMiner(cfg)
@@ -346,9 +377,7 @@ func Load(s *Snapshot, cfg Config) (*Miner, error) {
 	}
 	m.epoch = s.Epoch
 	m.nextQID = max(s.NextQID, 1)
-	if err := m.rebuild(s.Edges); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
+	m.install(s.Edges)
 	for _, sq := range s.Queries {
 		p, err := pattern.Parse(sq.Pattern)
 		if err != nil {
@@ -358,6 +387,14 @@ func Load(s *Snapshot, cfg Config) (*Miner, error) {
 		q := m.addQuery(sq.ID, p, ck, sq.BaseEpoch)
 		q.base, q.cumAdd, q.cumRet, q.seq = sq.Base, sq.CumAdded, sq.CumRetired, sq.EventSeq
 	}
+	for _, f := range frames {
+		if err := m.replay(f); err != nil {
+			return nil, err
+		}
+	}
+	if err := m.rebuild(m.liveEdges()); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
 	if cfg.Snapshot != nil {
 		if err := m.rebase(); err != nil {
 			m.Close()
@@ -365,14 +402,4 @@ func Load(s *Snapshot, cfg Config) (*Miner, error) {
 		}
 	}
 	return m, nil
-}
-
-// LoadFile is Load over the files a FileSink writes: the base at path with
-// its log folded in (ReadFile).
-func LoadFile(path string, cfg Config) (*Miner, error) {
-	s, err := ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Load(s, cfg)
 }

@@ -235,16 +235,19 @@ type Miner struct {
 
 	epoch uint64
 
-	// Physical state. h/store are nil until the first edge exists; both are
-	// replaced wholesale on growth (old values stay valid for concurrent
+	// Physical state. h/store are nil until the first edge is laid out; both
+	// are replaced wholesale on growth (old values stay valid for concurrent
 	// readers). addEpoch/retireEpoch are indexed by physical edge ID;
-	// retireEpoch 0 means live.
+	// retireEpoch 0 means live. pending holds the vertex sets of the last
+	// len(pending) IDs, committed but not laid out yet: a batch's new edges
+	// until its layout, every edge while a load replays its log.
 	h           *hypergraph.Hypergraph
 	store       *dal.Store
 	addEpoch    []uint64
 	retireEpoch []uint64
 	live        int
 	index       map[string]uint32 // normalized vertex set → physical ID
+	pending     [][]uint32
 
 	// expiry holds an entry for each time an edge's window clock was set —
 	// on add, refresh and resurrection — in add-epoch order, so planBatch
@@ -510,7 +513,8 @@ func (m *Miner) ApplyBatch(b Batch) (*BatchResult, error) {
 	compacted := m.shouldCompact()
 	if compacted {
 		if err := m.rebuild(m.liveEdges()); err != nil {
-			return nil, err
+			m.err = fmt.Errorf("stream: compaction failed, miner poisoned (restart from snapshot): %w", err)
+			return nil, m.err
 		}
 	}
 
@@ -526,67 +530,23 @@ func (m *Miner) ApplyBatch(b Batch) (*BatchResult, error) {
 		}
 		return nil, err
 	}
-	t := m.epoch + 1
 
 	// Mutate. Everything below must succeed or latch m.err: the log record
 	// simply isn't written on failure, so a restart recovers consistency.
 	res := &BatchResult{
-		Epoch:     t,
+		Epoch:     m.epoch + 1,
 		Added:     len(ap.newEdges) + len(ap.resurrect) + len(ap.readd),
 		Retired:   len(ap.retire),
 		Expired:   len(ap.expire),
 		Refreshed: len(ap.refresh),
 		Compacted: compacted,
 	}
-	for _, id := range m.addedIDs {
-		m.lastAdded[id] = false
+	m.commit(ap)
+	if err := m.layout(); err != nil {
+		m.err = fmt.Errorf("stream: apply failed mid-mutation, miner poisoned (restart from snapshot): %w", err)
+		return nil, m.err
 	}
-	for _, id := range m.retiredIDs {
-		m.lastRetired[id] = false
-	}
-	m.addedIDs, m.retiredIDs = m.addedIDs[:0], m.retiredIDs[:0]
-	m.expiry = m.expiry[ap.clocks:]
-	if len(ap.newEdges) > 0 {
-		if err := m.grow(ap.newEdges, ap.newKeys, t); err != nil {
-			m.err = fmt.Errorf("stream: apply failed mid-mutation, miner poisoned (restart from snapshot): %w", err)
-			return nil, m.err
-		}
-	}
-	m.lastAdded = append(m.lastAdded, make([]bool, len(m.addEpoch)-len(m.lastAdded))...)
-	m.lastRetired = append(m.lastRetired, make([]bool, len(m.addEpoch)-len(m.lastRetired))...)
-	m.haveLast = true
-	markRetired := func(ids []uint32) {
-		for _, id := range ids {
-			m.retireEpoch[id] = t
-			m.lastRetired[id] = true
-			m.live--
-		}
-		m.retiredIDs = append(m.retiredIDs, ids...)
-	}
-	markAdded := func(ids []uint32) {
-		for _, id := range ids {
-			m.retireEpoch[id] = 0
-			m.setClock(id, t)
-			m.lastAdded[id] = true
-			m.live++
-		}
-		m.addedIDs = append(m.addedIDs, ids...)
-	}
-	for id := len(m.addEpoch) - len(ap.newEdges); id < len(m.addEpoch); id++ {
-		m.lastAdded[id] = true
-		m.addedIDs = append(m.addedIDs, uint32(id))
-	}
-	markRetired(ap.retire)
-	markRetired(ap.expire)
-	markAdded(ap.resurrect)
-	// Retired (marked just above — readd IDs are a subset of ap.retire) and
-	// re-added in one batch: counted on both sides of the delta.
-	markAdded(ap.readd)
-	for _, id := range ap.refresh {
-		// Re-adding a live edge resets its window clock only — no delta.
-		m.setClock(id, t)
-	}
-	m.epoch = t
+	m.mark(ap)
 
 	// Evaluate standing queries against the fresh marks.
 	res.Deltas, err = m.evaluate(&res.Stats)
@@ -606,34 +566,100 @@ func (m *Miner) ApplyBatch(b Batch) (*BatchResult, error) {
 	return res, nil
 }
 
-// grow extends the physical hypergraph and DAL by fresh edges.
-func (m *Miner) grow(newEdges [][]uint32, newKeys []string, t uint64) error {
-	if m.h == nil {
-		// First growth of an empty stream: Extend cannot invent the vertex
-		// universe, so bootstrap with a full build.
-		edges := make([]SnapshotEdge, len(newEdges))
-		for i, e := range newEdges {
-			edges[i] = SnapshotEdge{Verts: e, AddEpoch: t}
-		}
-		return m.rebuild(edges)
-	}
-	h, err := hypergraph.Extend(m.h, newEdges)
-	if err != nil {
-		return err
-	}
-	m.store = dal.BuildDelta(m.store, h)
-	m.h = h
+// commit applies ap's bookkeeping as batch m.epoch+1: it gives the new edges
+// their IDs and keeps their vertex sets pending for layout, drops the clock
+// entries planBatch examined, sets the retire epochs and window clocks, and
+// advances the epoch. It touches no store and no latest-batch mark, so a
+// load replays its log through planBatch and commit alone (log.go).
+func (m *Miner) commit(ap *applyPlan) {
+	t := m.epoch + 1
+	m.expiry = m.expiry[ap.clocks:]
 	base := uint32(len(m.addEpoch))
-	for i, key := range newKeys {
+	m.addEpoch = append(m.addEpoch, make([]uint64, len(ap.newEdges))...)
+	m.retireEpoch = append(m.retireEpoch, make([]uint64, len(ap.newEdges))...)
+	for i, key := range ap.newKeys {
 		m.index[key] = base + uint32(i)
-	}
-	m.addEpoch = append(m.addEpoch, make([]uint64, len(newEdges))...)
-	m.retireEpoch = append(m.retireEpoch, make([]uint64, len(newEdges))...)
-	for i := range newEdges {
 		m.setClock(base+uint32(i), t)
 	}
-	m.live += len(newEdges)
+	m.pending = append(m.pending, ap.newEdges...)
+	m.live += len(ap.newEdges)
+	for _, ids := range [...][]uint32{ap.retire, ap.expire} {
+		for _, id := range ids {
+			m.retireEpoch[id] = t
+			m.live--
+		}
+	}
+	// Readd IDs are a subset of ap.retire, retired just above: they come
+	// back live, counted on both sides of the delta.
+	for _, ids := range [...][]uint32{ap.resurrect, ap.readd} {
+		for _, id := range ids {
+			m.retireEpoch[id] = 0
+			m.setClock(id, t)
+			m.live++
+		}
+	}
+	for _, id := range ap.refresh {
+		// Re-adding a live edge resets its window clock only — no delta.
+		m.setClock(id, t)
+	}
+	m.epoch = t
+}
+
+// layout lays the pending edges out: appended in place to the hypergraph
+// and its DAL (Extend, BuildDelta), or, while the miner has no store, built
+// afresh (Build). On error they stay pending.
+func (m *Miner) layout() error {
+	if len(m.pending) == 0 {
+		return nil
+	}
+	var h *hypergraph.Hypergraph
+	var err error
+	if m.h == nil {
+		h, err = hypergraph.Build(m.cfg.NumVertices, m.pending, nil)
+	} else {
+		h, err = hypergraph.Extend(m.h, m.pending)
+	}
+	switch {
+	case err != nil:
+		return err
+	case h.NumEdges() != len(m.addEpoch):
+		return errors.New("stream: layout deduplicated edges")
+	case m.store == nil:
+		m.store = dal.Build(h)
+	default:
+		m.store = dal.BuildDelta(m.store, h)
+	}
+	m.h, m.pending = h, nil
 	return nil
+}
+
+// mark makes the batch just committed and laid out the latest change: its
+// added and retired IDs seed the anchored delta runs, and their marks drive
+// the runs' filters. The previous batch's marks are cleared through its ID
+// lists.
+func (m *Miner) mark(ap *applyPlan) {
+	for _, id := range m.addedIDs {
+		m.lastAdded[id] = false
+	}
+	for _, id := range m.retiredIDs {
+		m.lastRetired[id] = false
+	}
+	n := len(m.addEpoch)
+	m.lastAdded = append(m.lastAdded, make([]bool, n-len(m.lastAdded))...)
+	m.lastRetired = append(m.lastRetired, make([]bool, n-len(m.lastRetired))...)
+	m.addedIDs, m.retiredIDs = m.addedIDs[:0], m.retiredIDs[:0]
+	for id := n - len(ap.newEdges); id < n; id++ {
+		m.addedIDs = append(m.addedIDs, uint32(id))
+	}
+	m.addedIDs = append(append(m.addedIDs, ap.resurrect...), ap.readd...)
+	m.retiredIDs = append(append(m.retiredIDs, ap.retire...), ap.expire...)
+	for _, id := range m.addedIDs {
+		m.lastAdded[id] = true
+	}
+	for _, id := range m.retiredIDs {
+		m.lastRetired[id] = true
+	}
+	m.haveLast = true
 }
 
 // evaluate runs the anchored delta counts for every standing query, in ID
@@ -913,42 +939,42 @@ func (m *Miner) shouldCompact() bool {
 		sm+hm > max(2*(sl+hl), compactMoved, m.compactMin)
 }
 
-// rebuild makes edges, in order and all live, the whole physical state: the
-// hypergraph, its DAL, the vertex-set index and the epochs, renumbering
-// physical IDs (relative order preserved) and dropping the latest-batch
-// marks. It is the one full layout, shared by Load, compaction and an empty
-// stream's first growth; cached query plans stay valid (IDs are runtime
-// state, not plan state). On error the miner is left as it was.
-func (m *Miner) rebuild(edges []SnapshotEdge) error {
-	var h *hypergraph.Hypergraph
-	var store *dal.Store
-	if len(edges) > 0 {
-		sets := make([][]uint32, len(edges))
-		for i, e := range edges {
-			sets[i] = e.Verts
-		}
-		var err error
-		if h, err = hypergraph.Build(m.cfg.NumVertices, sets, nil); err != nil {
-			return err
-		}
-		if h.NumEdges() != len(sets) {
-			return errors.New("stream: rebuild deduplicated edges")
-		}
-		store = dal.Build(h)
-	}
-	m.h, m.store = h, store
+// install makes edges, in order and all live, the whole bookkeeping: the
+// vertex-set index, the epochs and the expiry queue, renumbering physical
+// IDs (relative order preserved) and dropping the latest-batch marks. The
+// miner then has no store: every vertex set is pending until layout.
+func (m *Miner) install(edges []SnapshotEdge) {
+	m.h, m.store = nil, nil
 	m.haveLast = false
 	m.addedIDs, m.retiredIDs, m.lastAdded, m.lastRetired = nil, nil, nil, nil
 	m.index = make(map[string]uint32, len(edges))
 	m.addEpoch, m.retireEpoch = make([]uint64, len(edges)), make([]uint64, len(edges))
 	m.expiry = nil
+	m.pending = make([][]uint32, len(edges))
 	for i, e := range edges {
 		m.setClock(uint32(i), e.AddEpoch)
 		m.index[edgeKey(e.Verts)] = uint32(i)
+		m.pending[i] = e.Verts
 	}
 	slices.SortStableFunc(m.expiry, func(a, b clockEntry) int { return cmp.Compare(a.epoch, b.epoch) })
 	m.live = len(edges)
-	return nil
+}
+
+// rebuild makes edges, in order and all live, the whole physical state:
+// install's bookkeeping, laid out afresh. It is the one full layout, shared
+// by loads and compaction; cached query plans stay valid (IDs are runtime
+// state, not plan state).
+func (m *Miner) rebuild(edges []SnapshotEdge) error {
+	m.install(edges)
+	return m.layout()
+}
+
+// verts returns physical edge id's vertex set, laid out or pending.
+func (m *Miner) verts(id uint32) []uint32 {
+	if laid := len(m.addEpoch) - len(m.pending); int(id) >= laid {
+		return m.pending[int(id)-laid]
+	}
+	return m.h.EdgeVertices(id)
 }
 
 // Epoch returns the number of batches applied.

@@ -419,6 +419,13 @@ type CountEstimate = engine.Estimate
 // scaling up — the sampling-based approximation direction (ASAP/Arya) from
 // the paper's related work, implemented on the overlap-centric engine.
 // fraction 1 yields the exact count. Deterministic in seed.
+//
+// WithDeadline bounds it as it bounds Mine: an estimate the deadline cut
+// short scales over the sampled roots finished before it (SampledRoots) and
+// returns a nil error.
 func EstimateCount(store *Store, p *Pattern, fraction float64, seed int64, opts ...Option) (CountEstimate, error) {
-	return engine.EstimateCount(store, p, fraction, seed, buildOptions(opts).Options)
+	c := buildOptions(opts)
+	return bounded(context.Background(), c.deadline, func(ctx context.Context) (CountEstimate, error) {
+		return engine.EstimateCount(ctx, store, p, fraction, seed, c.Options)
+	})
 }

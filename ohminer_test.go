@@ -133,6 +133,11 @@ func TestWithDeadlineContract(t *testing.T) {
 		t.Fatalf("1ms deadline: Ordered=%d truncated=%v err=%v, full run counted %d", cut.Ordered, cut.Truncated, err, full.Ordered)
 	}
 
+	est, err := EstimateCount(store, p, 1, 1, WithWorkers(1), WithDeadline(time.Millisecond))
+	if err != nil || est.SampledRoots >= est.TotalRoots {
+		t.Fatalf("estimate, 1ms deadline: %d of %d roots, err=%v", est.SampledRoots, est.TotalRoots, err)
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := MineContext(ctx, store, p, WithWorkers(1), WithDeadline(time.Millisecond)); !errors.Is(err, context.Canceled) {
