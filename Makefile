@@ -57,7 +57,7 @@ fuzz:
 	$(GO) test -fuzz FuzzKernelFamilies -fuzztime 30s ./internal/baseline
 	$(GO) test -fuzz FuzzPlanVerify -fuzztime 30s ./internal/engine
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/stream
-	$(GO) test -fuzz FuzzStreamLogReplay -fuzztime 30s ./internal/stream
+	$(GO) test -fuzz FuzzStreamLogReplay -fuzztime 30s -fuzzminimizetime 0 ./internal/stream
 	$(GO) test -fuzz FuzzStreamDelta -fuzztime 30s ./internal/stream
 	$(GO) test -fuzz FuzzCheckpointDecode -fuzztime 30s ./internal/checkpoint
 	$(GO) test -fuzz FuzzLogScan -fuzztime 30s ./internal/durable
@@ -146,7 +146,8 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis (see docs/LINTING.md), then the
+# Project-specific static analysis (see docs/LINTING.md) over the module and
+# over bench/, a module of its own that ./... does not reach; then the
 # direct-import check: production packages and the service binaries must not
 # name internal/baseline — the paper's comparison systems stay out of them —
 # nor internal/faultinject, whose failures belong in tests, nor the counting
@@ -158,6 +159,7 @@ vet:
 PRODUCTION = ./internal/engine ./internal/oig ./internal/dal ./internal/intset ./internal/stream ./internal/cluster ./internal/serve ./internal/motif ./internal/checkpoint ./internal/durable ./internal/pattern ./internal/sig ./internal/hypergraph ./cmd/ohmserve ./cmd/ohmworker ./cmd/ohmplan ./cmd/ohmstat
 lint:
 	$(GO) run ./cmd/ohmlint ./...
+	$(GO) -C bench run ohminer/cmd/ohmlint ./...
 	@bad=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' $(PRODUCTION) | grep -E 'ohminer/internal/(baseline|faultinject|bruteforce|mbv)( |$$)' | cut -d' ' -f1); \
 	if [ -n "$$bad" ]; then echo "production package imports internal/baseline, internal/faultinject, internal/bruteforce or internal/mbv:"; echo "$$bad"; exit 1; fi
 	@bad=$$(grep -rln --include='*.go' --exclude='*_test.go' -e 'os\.CreateTemp' -e 'os\.Rename' -e '\.Sync()' -e '\.Truncate(' -e 'O_APPEND' . | grep -v -e '^\./internal/durable/' -e '^\./bench/'); \

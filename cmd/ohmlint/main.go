@@ -12,6 +12,7 @@
 //	ohmlint -suppressions ./...          # audit directives lacking a reason
 //	ohmlint -list                        # describe the analyzers
 //
+// Package arguments are go list patterns: a directory needs its ./ prefix.
 // Exit status is 1 when any diagnostic survives suppression (or, under
 // -suppressions, when any directive lacks a reason), 2 on usage or load
 // errors.
@@ -40,7 +41,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		list     = fs.Bool("list", false, "list analyzers and exit")
 		only     = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-		runOn    = fs.String("run", "", "alias for -only, kept for compatibility")
 		skip     = fs.String("skip", "", "comma-separated analyzer names to exclude")
 		debug    = fs.Bool("debug", false, "report packages whose type-checking failed (analysis degrades to syntax there)")
 		jsonOut  = fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
@@ -57,31 +57,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	analyzers, err := selectAnalyzers(*only, *runOn, *skip)
+	analyzers, err := selectAnalyzers(*only, *skip)
 	if err != nil {
 		fmt.Fprintln(stderr, "ohmlint:", err)
 		return 2
 	}
 
-	moduleDir, err := findModuleRoot()
-	if err != nil {
-		fmt.Fprintln(stderr, "ohmlint:", err)
-		return 2
-	}
 	pkgArgs := fs.Args()
 	if len(pkgArgs) == 0 {
 		pkgArgs = []string{"./..."}
 	}
-	dirs, err := expandArgs(moduleDir, pkgArgs)
+	pkgs, err := lint.Load(".", pkgArgs)
 	if err != nil {
 		fmt.Fprintln(stderr, "ohmlint:", err)
 		return 2
 	}
-
-	pkgs, err := lint.Load(moduleDir, dirs)
-	if err != nil {
-		fmt.Fprintln(stderr, "ohmlint:", err)
-		return 2
+	root := "" // output paths are relative to the listed packages' module
+	if len(pkgs) > 0 {
+		root = pkgs[0].ModuleDir
 	}
 	if *debug {
 		for _, p := range pkgs {
@@ -99,13 +92,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *jsonOut {
-		if err := writeJSON(stdout, moduleDir, diags); err != nil {
+		if err := writeJSON(stdout, root, diags); err != nil {
 			fmt.Fprintln(stderr, "ohmlint:", err)
 			return 2
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", relPath(moduleDir, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
+			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", relPath(root, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 		}
 	}
 	if len(diags) > 0 {
@@ -115,15 +108,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// selectAnalyzers resolves the -only/-run/-skip flags into the analyzer
-// subset to execute.
-func selectAnalyzers(only, runOn, skip string) ([]*lint.Analyzer, error) {
-	if only != "" && runOn != "" {
-		return nil, fmt.Errorf("-only and -run are aliases; give just one")
-	}
-	if only == "" {
-		only = runOn
-	}
+// selectAnalyzers resolves the -only/-skip flags into the analyzer subset
+// to execute.
+func selectAnalyzers(only, skip string) ([]*lint.Analyzer, error) {
 	analyzers := lint.Analyzers()
 	if only != "" {
 		analyzers = analyzers[:0:0]
@@ -231,67 +218,4 @@ func relPath(moduleDir, filename string) string {
 		return filename
 	}
 	return rel
-}
-
-// findModuleRoot walks up from the working directory to the nearest
-// go.mod.
-func findModuleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod above %s", dir)
-		}
-		dir = parent
-	}
-}
-
-// expandArgs resolves package arguments: a plain directory stands for
-// itself, a trailing /... walks the subtree for every directory holding
-// Go files (skipping testdata and hidden directories).
-func expandArgs(moduleDir string, args []string) ([]string, error) {
-	var dirs []string
-	seen := map[string]bool{}
-	add := func(dir string) {
-		if !seen[dir] {
-			seen[dir] = true
-			dirs = append(dirs, dir)
-		}
-	}
-	for _, arg := range args {
-		root, recursive := strings.CutSuffix(arg, "/...")
-		if root == "" || root == "." {
-			root = moduleDir
-		}
-		if !recursive {
-			add(root)
-			continue
-		}
-		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				base := d.Name()
-				if path != root && (strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_") || base == "testdata") {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if strings.HasSuffix(d.Name(), ".go") && !strings.HasSuffix(d.Name(), "_test.go") {
-				add(filepath.Dir(path))
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return dirs, nil
 }

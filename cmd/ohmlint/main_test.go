@@ -72,7 +72,6 @@ func TestExitCodeUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{"-only", "no-such-analyzer", "./..."},
 		{"-skip", "no-such-analyzer", "./..."},
-		{"-only", "ctxflow", "-run", "ctxflow", "./..."},
 		{"-skip", "hotpath-alloc,scratch-escape,stamp-discipline,no-panic-lib,guardedby,atomicmix,ctxflow,goroutinestop", "./..."},
 		{"-not-a-flag"},
 		{"./no/such/dir/..."},
@@ -120,11 +119,11 @@ func TestOnlyAndSkipFilter(t *testing.T) {
 		t.Fatalf("-skip ctxflow: exit = %d, want 0; stdout:\n%s", code, stdout.String())
 	}
 
-	// -run stays a working alias for -only.
+	// Restricting to ctxflow keeps it.
 	stdout.Reset()
 	stderr.Reset()
-	if code := run([]string{"-run", "ctxflow", "./..."}, &stdout, &stderr); code != 1 {
-		t.Fatalf("-run ctxflow: exit = %d, want 1", code)
+	if code := run([]string{"-only", "ctxflow", "./..."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("-only ctxflow: exit = %d, want 1", code)
 	}
 }
 
@@ -155,5 +154,38 @@ func Detached(ctx context.Context) error {
 	stderr.Reset()
 	if code := run([]string{"-suppressions", "./..."}, &stdout, &stderr); code != 0 {
 		t.Fatalf("justified directive: exit = %d, want 0; stdout:\n%s", code, stdout.String())
+	}
+}
+
+// TestPlainDirectoryRefused: package arguments are go list patterns, so a
+// directory named without ./ is an import path, which the module does not
+// hold; ohmlint refuses it with exit 2 and go list's message.
+func TestPlainDirectoryRefused(t *testing.T) {
+	t.Chdir(writeModule(t, cleanSrc))
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"pkg"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit = %d, want 2; stderr:\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "package pkg ") {
+		t.Errorf("stderr does not name the argument: %q", stderr.String())
+	}
+	if code := run([]string{"./pkg"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("./pkg: exit = %d, want 0; stderr:\n%s", code, stderr.String())
+	}
+}
+
+// TestDebugReportsTypeError: a package that does not compile is still
+// analyzed, by syntax, and -debug names its type error.
+func TestDebugReportsTypeError(t *testing.T) {
+	t.Chdir(writeModule(t, detachedSrc+"\nvar broken int = \"s\"\n"))
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-debug", "./..."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit = %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "[ctxflow]") {
+		t.Errorf("syntax fallback lost the ctxflow finding:\n%s", stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "scratchmod/pkg: type-checking degraded") {
+		t.Errorf("-debug did not report the type error: %q", stderr.String())
 	}
 }

@@ -20,10 +20,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func runGolden(t *testing.T, a *Analyzer, name string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", name)
-	pkg, err := LoadDir(dir)
-	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", dir, err)
-	}
+	pkg := loadFixture(t, name)
 	if pkg.TypeError != nil {
 		t.Fatalf("testdata package %s must type-check, got: %v", name, pkg.TypeError)
 	}
@@ -54,6 +51,17 @@ func runGolden(t *testing.T, a *Analyzer, name string) {
 	if strings.TrimSpace(got) == "" {
 		t.Errorf("%s: golden run produced no diagnostics — analyzer finds nothing", name)
 	}
+}
+
+// loadFixture loads testdata/src/<name> as the tree loads: through go list,
+// which lists a testdata package when it is named.
+func loadFixture(t *testing.T, name string) *Package {
+	t.Helper()
+	pkgs, err := Load(".", []string{"./testdata/src/" + name})
+	if err != nil || len(pkgs) != 1 {
+		t.Fatalf("Load(./testdata/src/%s) = %d packages, %v", name, len(pkgs), err)
+	}
+	return pkgs[0]
 }
 
 func TestGoldenHotPathAlloc(t *testing.T)    { runGolden(t, HotPathAlloc, "hotpath") }
@@ -123,10 +131,7 @@ func TestParseSuppression(t *testing.T) {
 func TestNoPanicLibSkipsCommands(t *testing.T) {
 	// The analyzer exempts cmd/ and examples/ packages by import path;
 	// build a fake package from the nopanic fixture under a cmd path.
-	pkg, err := LoadDir(filepath.Join("testdata", "src", "nopanic"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkg := loadFixture(t, "nopanic")
 	for _, path := range []string{"ohminer/cmd/ohmtool", "cmd/tool", "ohminer/examples/quickstart"} {
 		pkg.Path = path
 		diags := Run([]*Package{pkg}, []*Analyzer{NoPanicLib})
@@ -142,36 +147,7 @@ func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	moduleDir := filepath.Join("..", "..")
-	var dirs []string
-	err := filepath.WalkDir(moduleDir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			base := d.Name()
-			if base != filepath.Base(moduleDir) && (strings.HasPrefix(base, ".") || base == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if strings.HasSuffix(d.Name(), ".go") && !strings.HasSuffix(d.Name(), "_test.go") {
-			dirs = append(dirs, filepath.Dir(path))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	var uniq []string
-	for _, d := range dirs {
-		if !seen[d] {
-			seen[d] = true
-			uniq = append(uniq, d)
-		}
-	}
-	pkgs, err := Load(moduleDir, uniq)
+	pkgs, err := Load(filepath.Join("..", ".."), []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,5 +206,54 @@ func TestLoadImportCycle(t *testing.T) {
 			!strings.Contains(pkg.TypeError.Error(), "cyc/a") || !strings.Contains(pkg.TypeError.Error(), "cyc/b") {
 			t.Errorf("%s: type error %v, want one naming the cycle cyc/a ↔ cyc/b", pkg.Path, pkg.TypeError)
 		}
+	}
+}
+
+// TestLoadFollowsGoList: Load selects what go build would. ./... leaves a
+// nested module and a directory of tests alone out, a file excluded by a
+// build constraint is not analyzed, and a package that does not compile
+// records a TypeError while the analyzers still find its violations by
+// syntax.
+func TestLoadFollowsGoList(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"go.mod":          "module tmod\n\ngo 1.22\n",
+		"a/a.go":          "package a\n\nfunc A(x int) { panic(x) }\n",
+		"a/ignored.go":    "//go:build ignore\n\npackage a\n\nfunc I(x int) { panic(x) }\n",
+		"broken/b.go":     "package broken\n\nvar bad int = \"s\"\n\nfunc B(x int) { panic(x) }\n",
+		"nested/go.mod":   "module tmod/nested\n\ngo 1.22\n",
+		"nested/n/n.go":   "package n\n\nfunc N(x int) { panic(x) }\n",
+		"tests/t_test.go": "package tests\n",
+	}
+	for name, src := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := Load(dir, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, p := range pkgs {
+		paths = append(paths, p.Path)
+		broken := p.Path == "tmod/broken"
+		if (p.TypeError != nil) != broken || (p.Types == nil) != broken {
+			t.Errorf("%s: TypeError %v, Types %v", p.Path, p.TypeError, p.Types)
+		}
+	}
+	if got := strings.Join(paths, " "); got != "tmod/a tmod/broken" {
+		t.Errorf("loaded %q, want \"tmod/a tmod/broken\"", got)
+	}
+	var found []string
+	for _, d := range Run(pkgs, []*Analyzer{NoPanicLib}) {
+		found = append(found, fmt.Sprintf("%s:%d", filepath.Base(d.Pos.Filename), d.Pos.Line))
+	}
+	if got := strings.Join(found, " "); got != "a.go:3 b.go:5" {
+		t.Errorf("no-panic-lib found %q, want \"a.go:3 b.go:5\"", got)
 	}
 }

@@ -1,17 +1,18 @@
 package lint
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"slices"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -19,8 +20,9 @@ import (
 type Package struct {
 	// Path is the import path ("ohminer/internal/engine").
 	Path string
-	// Dir is the absolute source directory.
-	Dir string
+	// ModuleDir is the root directory of the package's module ("" in the
+	// standard library).
+	ModuleDir string
 	// Fset is shared by every package of one Load call.
 	Fset *token.FileSet
 	// Files holds the non-test source files.
@@ -62,108 +64,101 @@ func (p *Package) allows(analyzer string, pos token.Position) bool {
 	return false
 }
 
-// Load parses and type-checks the requested package directories plus every
-// in-module package they depend on (so go/types can resolve cross-package
-// references), and returns Packages for the requested dirs only. moduleDir
-// must contain go.mod. Test files (_test.go) are not analyzed: tests may
-// allocate, panic, and share freely.
-func Load(moduleDir string, dirs []string) ([]*Package, error) {
-	moduleDir, err := filepath.Abs(moduleDir)
+// Load lists the packages that patterns match with the go command, run in
+// dir: `go list -e -deps -export`, so patterns mean what they mean to go
+// build (./... stops at nested modules and skips testdata directories, which
+// are listed when named), and every dependency gets export data. It parses
+// the non-test files go list selects for each matched package (GoFiles:
+// build constraints apply) and type-checks them, resolving every import from
+// that export data. A package that does not type-check — it does not
+// compile, or an import cycle lies on its imports — keeps its syntax and
+// records TypeError; analyzers then degrade to syntactic resolution. A
+// pattern go list cannot resolve is an error. Test files (_test.go) are not
+// analyzed: tests may allocate, panic, and share freely.
+func Load(dir string, patterns []string) ([]*Package, error) {
+	cmd := exec.Command("go", append([]string{"list", "-e", "-deps", "-export", "-json"}, patterns...)...)
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("lint: go list: %v: %s", err, bytes.TrimSpace(stderr.Bytes()))
 	}
-	modPath, err := modulePath(filepath.Join(moduleDir, "go.mod"))
-	if err != nil {
-		return nil, err
+	var list []*listed
+	export := map[string]string{} // import path → export data file
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		lp := new(listed)
+		if err := dec.Decode(lp); err != nil {
+			return nil, fmt.Errorf("lint: go list: %v", err)
+		}
+		list = append(list, lp)
+		export[lp.ImportPath] = lp.Export
 	}
+
 	fset := token.NewFileSet()
-
-	// Parse every package in the module once; the module is small and the
-	// type checker needs local dependencies regardless of the request.
-	all := map[string]*Package{} // by import path
-	err = filepath.WalkDir(moduleDir, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if export[path] == "" {
+			return nil, fmt.Errorf("lint: no export data for %s", path)
 		}
-		if !d.IsDir() {
-			return nil
-		}
-		base := d.Name()
-		if path != moduleDir && (strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_") || base == "testdata") {
-			return filepath.SkipDir
-		}
-		pkg, perr := parseDir(fset, path)
-		if perr != nil {
-			return perr
-		}
-		if pkg == nil {
-			return nil
-		}
-		rel, rerr := filepath.Rel(moduleDir, path)
-		if rerr != nil {
-			return rerr
-		}
-		if rel == "." {
-			pkg.Path = modPath
-		} else {
-			pkg.Path = modPath + "/" + filepath.ToSlash(rel)
-		}
-		all[pkg.Path] = pkg
-		return nil
+		return os.Open(export[path])
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	typeCheck(fset, modPath, all)
-
-	var want []*Package
-	for _, dir := range dirs {
-		abs, aerr := filepath.Abs(dir)
-		if aerr != nil {
-			return nil, aerr
-		}
-		found := false
-		for _, pkg := range all {
-			if pkg.Dir == abs {
-				want = append(want, pkg)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("lint: no Go package in %s", dir)
-		}
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i].Path < want[j].Path })
-	return want, nil
-}
-
-// parseDir parses the non-test Go files of one directory, returning nil
-// when the directory holds no Go source.
-func parseDir(fset *token.FileSet, dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	pkg := &Package{Dir: dir, Fset: fset, allowed: map[string]map[int]map[string]bool{}}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+	var pkgs []*Package
+	for _, lp := range list {
+		if lp.DepOnly {
 			continue
 		}
-		path := filepath.Join(dir, name)
-		f, perr := parser.ParseFile(fset, path, nil, parser.ParseComments)
-		if perr != nil {
-			return nil, perr
+		if len(lp.GoFiles) == 0 {
+			if lp.Error != nil {
+				return nil, fmt.Errorf("lint: %s", lp.Error.Err)
+			}
+			continue // test files only
 		}
-		pkg.Files = append(pkg.Files, f)
-		pkg.recordAllows(f)
+		pkg := &Package{Path: lp.ImportPath, Fset: fset, allowed: map[string]map[int]map[string]bool{}}
+		if lp.Module != nil {
+			pkg.ModuleDir = lp.Module.Dir
+		}
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
+			if err != nil {
+				return nil, err
+			}
+			pkg.Files = append(pkg.Files, f)
+			pkg.recordAllows(f)
+		}
+		if pkg.TypeError = lp.cycle(); pkg.TypeError == nil {
+			pkg.typeCheck(imp)
+		}
+		pkgs = append(pkgs, pkg)
 	}
-	if len(pkg.Files) == 0 {
-		return nil, nil
+	return pkgs, nil
+}
+
+// listed is the part of one `go list -json` package that Load reads.
+type listed struct {
+	ImportPath string
+	Dir        string
+	GoFiles    []string
+	Export     string
+	DepOnly    bool
+	Module     *struct{ Dir string }
+	Error      *listError
+	DepsErrors []*listError
+}
+
+type listError struct {
+	ImportStack []string
+	Err         string
+}
+
+// cycle is the import cycle go list found on the package's imports, named
+// by its import stack, or nil.
+func (lp *listed) cycle() error {
+	for _, e := range append([]*listError{lp.Error}, lp.DepsErrors...) {
+		if e != nil && strings.Contains(e.Err, "import cycle") {
+			return fmt.Errorf("lint: import cycle %s", strings.Join(e.ImportStack, " → "))
+		}
 	}
-	return pkg, nil
+	return nil
 }
 
 // recordAllows indexes every //ohmlint:allow and //lint:ignore comment of
@@ -203,142 +198,20 @@ func (p *Package) recordAllows(f *ast.File) {
 	}
 }
 
-// typeCheck checks the module packages in dependency order. Stdlib imports
-// resolve through the source importer (no export data needed); in-module
-// imports resolve against already-checked packages. Failures are recorded
-// per package, never fatal — analyzers fall back to syntax.
-func typeCheck(fset *token.FileSet, modPath string, all map[string]*Package) {
-	order, cycles := topoOrder(all)
-	imp := &moduleImporter{
-		std:     importer.ForCompiler(fset, "source", nil),
-		modPath: modPath,
-		pkgs:    map[string]*types.Package{},
-		cycles:  cycles,
+// typeCheck type-checks the package's files. A failure is recorded, never
+// fatal: analyzers fall back to syntax.
+func (p *Package) typeCheck(imp types.Importer) {
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	for _, path := range order {
-		pkg := all[path]
-		info := &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Defs:       map[*ast.Ident]types.Object{},
-			Uses:       map[*ast.Ident]types.Object{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		}
-		conf := types.Config{Importer: imp, Error: func(error) {}}
-		tpkg, err := conf.Check(path, fset, pkg.Files, info)
-		if err != nil {
-			pkg.TypeError = err
-			continue
-		}
-		pkg.Types = tpkg
-		pkg.Info = info
-		imp.pkgs[path] = tpkg
-	}
-}
-
-// moduleImporter serves in-module packages from the checked set and
-// everything else from the stdlib source importer. An in-module path that is
-// not checked (it is on an import cycle, failed to type-check, or does not
-// exist) is refused: the source importer would try to load it from GOROOT
-// and, for a cyclic package, never return.
-type moduleImporter struct {
-	std     types.Importer
-	modPath string
-	pkgs    map[string]*types.Package
-	cycles  map[string]string // package → the import cycle it is on
-}
-
-func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	if p, ok := m.pkgs[path]; ok {
-		return p, nil
-	}
-	if path == m.modPath || strings.HasPrefix(path, m.modPath+"/") {
-		if c, ok := m.cycles[path]; ok {
-			return nil, fmt.Errorf("lint: import cycle %s", c)
-		}
-		return nil, fmt.Errorf("lint: in-module package %s did not type-check", path)
-	}
-	return m.std.Import(path)
-}
-
-// topoOrder sorts the module packages so dependencies precede dependents,
-// and names the import cycle (as "a → b → a") each package on one is on.
-func topoOrder(all map[string]*Package) (order []string, cycles map[string]string) {
-	cycles = map[string]string{}
-	state := map[string]int{} // 0 unvisited, 1 visiting, 2 done
-	var stack []string
-	var visit func(path string)
-	visit = func(path string) {
-		if state[path] != 0 {
-			return
-		}
-		state[path] = 1
-		stack = append(stack, path)
-		pkg := all[path]
-		for _, f := range pkg.Files {
-			for _, spec := range f.Imports {
-				dep, err := strconv.Unquote(spec.Path.Value)
-				if err != nil {
-					continue
-				}
-				if _, ok := all[dep]; !ok {
-					continue
-				}
-				if state[dep] == 1 {
-					cyc := append(stack[slices.Index(stack, dep):len(stack):len(stack)], dep)
-					for _, p := range cyc {
-						if _, seen := cycles[p]; !seen {
-							cycles[p] = strings.Join(cyc, " → ")
-						}
-					}
-					continue
-				}
-				visit(dep)
-			}
-		}
-		stack = stack[:len(stack)-1]
-		state[path] = 2
-		order = append(order, path)
-	}
-	paths := make([]string, 0, len(all))
-	for p := range all {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		visit(p)
-	}
-	return order, cycles
-}
-
-// modulePath extracts the module path from a go.mod file.
-func modulePath(gomod string) (string, error) {
-	data, err := os.ReadFile(gomod)
+	conf := types.Config{Importer: imp, Error: func(error) {}}
+	tpkg, err := conf.Check(p.Path, p.Fset, p.Files, info)
 	if err != nil {
-		return "", err
+		p.TypeError = err
+		return
 	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "module "); ok {
-			return strings.TrimSpace(rest), nil
-		}
-	}
-	return "", fmt.Errorf("lint: no module line in %s", gomod)
-}
-
-// LoadDir parses and type-checks a single standalone directory (no module
-// context) — the golden-test entry point. Imports beyond the stdlib fail
-// type-checking gracefully.
-func LoadDir(dir string) (*Package, error) {
-	fset := token.NewFileSet()
-	pkg, err := parseDir(fset, dir)
-	if err != nil {
-		return nil, err
-	}
-	if pkg == nil {
-		return nil, fmt.Errorf("lint: no Go package in %s", dir)
-	}
-	pkg.Path = filepath.Base(dir)
-	all := map[string]*Package{pkg.Path: pkg}
-	typeCheck(fset, "", all) // no module: every import goes to the stdlib importer
-	return pkg, nil
+	p.Types, p.Info = tpkg, info
 }

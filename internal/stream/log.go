@@ -21,7 +21,8 @@ package stream
 // batch path's own rules — planBatch classifies each record's sets into
 // refresh, resurrection, retire-and-re-add and window expiry, commit applies
 // its bookkeeping — and takes the counters from the record, so nothing is
-// re-mined and the store is laid out once, after the last record. The base
+// re-mined and the store is laid out once, after the last record; the edges
+// the records retired stay in it, masked, until the miner compacts. The base
 // is rewritten — and the log truncated after the rename — when the miner
 // opens (NewMiner, Load), on a query registration (a record does not carry
 // patterns or baselines), on the first durable operation after a failed one

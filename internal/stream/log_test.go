@@ -706,6 +706,81 @@ func TestReloadFollowsLiveMiner(t *testing.T) {
 	}
 }
 
+// TestReloadKeepsRetiredEdges: a load lays the base's and the log's edges
+// out once, so the edges the log's records retired stay in the store, masked,
+// as in a live miner. On the stream_window feed, reloaded once the log holds
+// 8 records past a full window, the loaded miner has retired edges, its
+// TotalCounts are the live miner's before and after every later batch, and
+// each later batch reports Compacted exactly when shouldCompact said so
+// before it; at least one does.
+func TestReloadKeepsRetiredEdges(t *testing.T) {
+	const window, batches = 20, 50
+	path := filepath.Join(t.TempDir(), "s.ohmt")
+	live, err := NewMiner(Config{NumVertices: 1800, Window: window, Engine: engine.Options{Workers: 1}, Snapshot: &FileSink{Path: path}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	pats := windowQueries(t)
+	sameTotals := func(m *Miner, epoch uint64) {
+		t.Helper()
+		for _, p := range pats {
+			a, err := live.TotalCount(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c, err := m.TotalCount(p); err != nil || c.Ordered != a.Ordered {
+				t.Fatalf("epoch %d, %s: TotalCount %d (%v), live %d", epoch, p, c.Ordered, err, a.Ordered)
+			}
+		}
+	}
+	var loaded *Miner
+	compactions := 0
+	for i, b := range windowFeed(7, 1800, window, batches) {
+		if loaded != nil {
+			want := loaded.shouldCompact()
+			got, err := loaded.ApplyBatch(b)
+			if err != nil {
+				t.Fatalf("loaded, batch %d: %v", i+1, err)
+			}
+			if got.Compacted != want {
+				t.Fatalf("loaded, batch %d: Compacted %v, shouldCompact said %v", i+1, got.Compacted, want)
+			}
+			if want {
+				compactions++
+			}
+		}
+		res, err := live.ApplyBatch(b)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i+1, err)
+		}
+		if i == 0 {
+			for _, p := range pats {
+				if _, err := live.RegisterQuery(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if loaded != nil {
+			sameTotals(loaded, res.Epoch)
+			continue
+		}
+		if _, _, recs := streamFiles(t, path); i < window || len(recs) < 8 {
+			continue
+		}
+		if loaded, err = LoadFile(path, Config{Engine: engine.Options{Workers: 1}}); err != nil {
+			t.Fatalf("reload at epoch %d: %v", res.Epoch, err)
+		}
+		if loaded.RetiredEdges() == 0 {
+			t.Fatalf("reload at epoch %d: no retired edges, the load compacted", res.Epoch)
+		}
+		sameTotals(loaded, res.Epoch)
+	}
+	if loaded == nil || compactions == 0 {
+		t.Fatalf("reloaded %v, %d compactions after the reload, want a reload and at least one", loaded != nil, compactions)
+	}
+}
+
 // BenchmarkLoadFile times LoadFile on the files the stream_window feed leaves
 // behind, with its three standing queries, at 2 400, 9 600 and 38 400 live
 // hyperedges (window 40, 160 and 640 over 1 800, 7 200 and 28 800

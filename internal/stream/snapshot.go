@@ -9,8 +9,9 @@
 // FileSink keeps it as the base the stream's per-batch log extends (log.go).
 //
 // Retired edges are deliberately absent: resurrection assigns a fresh add
-// epoch anyway, so garbage is not semantic state and every resume starts
-// compacted.
+// epoch anyway, so garbage is not semantic state. A resume from a base alone
+// starts compacted; one that replays a log keeps the edges its records
+// retired as garbage until the miner compacts.
 package stream
 
 import (
@@ -366,8 +367,10 @@ func LoadFile(path string, cfg Config) (*Miner, error) {
 }
 
 // open makes a miner of the validated base s: it installs the base's edges
-// and queries, replays the log records frames, lays the store out once and,
-// with cfg.Snapshot, rewrites the base and empties the log.
+// and queries, replays the log records frames, lays the store out once —
+// the edges the records retired stay in it, masked, until shouldCompact
+// removes them, as in a live miner — and, with cfg.Snapshot, rewrites the
+// base and empties the log.
 func open(s *Snapshot, frames [][]byte, cfg Config) (*Miner, error) {
 	cfg.NumVertices = int(s.NumVertices)
 	cfg.Window = s.Window
@@ -392,7 +395,7 @@ func open(s *Snapshot, frames [][]byte, cfg Config) (*Miner, error) {
 			return nil, err
 		}
 	}
-	if err := m.rebuild(m.liveEdges()); err != nil {
+	if err := m.layout(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if cfg.Snapshot != nil {
