@@ -133,7 +133,8 @@ stream-smoke:
 # coordinator's own WAL crash/restart (kill-after-kth-record and torn
 # append) must all recover (or refuse) with exact counts,
 # race-instrumented (see docs/ROBUSTNESS.md and docs/DISTRIBUTED.md). The stream leg kills a persisting miner
-# after each batch's log append and resumes it from its base snapshot plus the log's intact records.
+# after each batch's log append and resumes it from its base snapshot plus the log's intact records; a resume
+# with the sink (after a kill, a torn append or a clean restart) rewrites no base and appends to that log.
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/engine ./internal/cluster ./internal/stream
 

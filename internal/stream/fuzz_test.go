@@ -14,7 +14,7 @@ import (
 
 // FuzzSnapshotDecode drives arbitrary bytes through the OHMT snapshot
 // decoder: it must never panic, refuse torn and mutated inputs with an
-// error, and any input it does accept must re-marshal, re-decode, and Load
+// error, and any input it does accept must re-marshal, re-decode, and load
 // cleanly — the decoder defines the format, so acceptance implies validity.
 func FuzzSnapshotDecode(f *testing.F) {
 	// Seed with real snapshots so the fuzzer starts from the valid format.
@@ -77,8 +77,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if s2.Epoch != s.Epoch || len(s2.Edges) != len(s.Edges) || len(s2.Queries) != len(s.Queries) {
 			t.Fatalf("re-decode drifted: %+v vs %+v", s2, s)
 		}
-		if _, err := Load(s, Config{}); err != nil {
-			t.Fatalf("accepted snapshot fails Load: %v", err)
+		if _, err := loadSnapshot(s); err != nil {
+			t.Fatalf("accepted snapshot fails to load: %v", err)
 		}
 	})
 }
@@ -87,7 +87,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 // replay: the parent_log golden is the base and the fuzzed bytes are its
 // .log. LoadFile must never panic; it either refuses the log (ErrCorrupt, or
 // the version error) or loads a miner whose state validates and round-trips
-// through Marshal and Unmarshal byte for byte.
+// through Marshal and Unmarshal byte for byte. A log it loads also opens
+// with the sink, to the same miner, and takes one more batch; the files then
+// reload to the miner that applied it.
 func FuzzStreamLogReplay(f *testing.F) {
 	log, err := os.ReadFile(filepath.Join("testdata", "parent_log.ohmt.log"))
 	if err != nil {
@@ -100,7 +102,8 @@ func FuzzStreamLogReplay(f *testing.F) {
 	f.Add(logOf(recordBytes(2, [][]uint32{{47, 0}, {3, 3, 9}}, nil, 1, 2))) // sets not strictly ascending
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := LoadFile(logWith(t, data), Config{})
+		path := logWith(t, data)
+		m, err := LoadFile(path, Config{})
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !strings.Contains(err.Error(), "version") {
 				t.Fatalf("refused with neither ErrCorrupt nor the version error: %v", err)
@@ -119,6 +122,21 @@ func FuzzStreamLogReplay(f *testing.F) {
 		if enc2, _ := s2.Marshal(); !bytes.Equal(enc, enc2) {
 			t.Fatal("Marshal → Unmarshal → Marshal changed the bytes")
 		}
+
+		w, err := LoadFile(path, Config{Snapshot: &FileSink{Path: path}})
+		if err != nil {
+			t.Fatalf("loads read-only, refused with the sink: %v", err)
+		}
+		defer w.Close()
+		minersEquivalent(t, m, w)
+		if _, err := w.ApplyBatch(Batch{Add: [][]uint32{{0, 47}}}); err != nil {
+			t.Fatalf("batch after the load with the sink: %v", err)
+		}
+		r, err := LoadFile(path, Config{})
+		if err != nil {
+			t.Fatalf("reload after the batch: %v", err)
+		}
+		minersEquivalent(t, w, r)
 	})
 }
 

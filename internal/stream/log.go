@@ -23,12 +23,12 @@ package stream
 // its bookkeeping — and takes the counters from the record, so nothing is
 // re-mined and the store is laid out once, after the last record; the edges
 // the records retired stay in it, masked, until the miner compacts. The base
-// is rewritten — and the log truncated after the rename — when the miner
-// opens (NewMiner, Load), on a query registration (a record does not carry
-// patterns or baselines), on the first durable operation after a failed one
-// (the log then misses a record), and when the log grows past the base,
-// which keeps a batch's amortized cost O(batch) and the log a load replays
-// no larger than the base.
+// is written — and the log emptied after the rename — by NewMiner, on a
+// query registration (a record does not carry patterns or baselines), on the
+// first durable operation after a failed one (the log then misses a record),
+// and when the log grows past the base, which keeps a batch's amortized cost
+// O(batch) and the log a load replays no larger than the base. A load with
+// the sink writes no base: the next batch appends to the log it replayed.
 // Records at or below the base's epoch are skipped on replay, so a crash
 // between the base's rename and the log's truncate loses nothing.
 

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ohminer/internal/durable"
@@ -55,12 +57,14 @@ func loadEquivalent(t *testing.T, m *Miner, path string) {
 	minersEquivalent(t, m, loaded)
 }
 
-// TestSnapshotCadence: the base-rewrite rule. The base is written when the
-// miner opens and on every registration; a batch appends exactly one record
-// and leaves the base alone, unless the log has outgrown the base, when the
-// base is rewritten at the batch's epoch and the log emptied; the log never
-// stays larger than the base. Whatever the split, the files reload to the
-// miner.
+// TestSnapshotCadence: the base-rewrite rule. The base is written when
+// NewMiner creates the stream and on every registration; a batch appends
+// exactly one record and leaves the base alone, unless the log has outgrown
+// the base, when the base is rewritten at the batch's epoch and the log
+// emptied; the log never stays larger than the base. Whatever the split, the
+// files reload to the miner. A reload with the sink writes nothing: the base
+// keeps its file and bytes, the log its records, and the next batch appends
+// one record after them.
 func TestSnapshotCadence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.ohmt")
 	m, err := NewMiner(Config{NumVertices: 14, Window: 5, Snapshot: &FileSink{Path: path}})
@@ -112,16 +116,44 @@ func TestSnapshotCadence(t *testing.T) {
 		t.Fatalf("%d appends and %d rebases over 40 batches", appends, rebases)
 	}
 
-	// Load starts compacted: its base holds everything, its log nothing.
+	// The restart: the live miner lets go of its files and a reload with the
+	// sink takes them over.
+	m.Close()
+	before, _, recsBefore := streamFiles(t, path)
+	fiBefore, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	loaded, err := LoadFile(path, Config{Snapshot: &FileSink{Path: path}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	if _, base, recs := streamFiles(t, path); base.Epoch != m.Epoch() || len(recs) != 0 {
-		t.Fatalf("after Load: base epoch %d, %d records", base.Epoch, len(recs))
-	}
+	sameFiles(t, path, fiBefore, before, recsBefore)
 	minersEquivalent(t, m, loaded)
+	if _, err := loaded.ApplyBatch(Batch{Seq: 41, Add: randRaw(rng, 14, 3)}); err != nil {
+		t.Fatal(err)
+	}
+	after, _, recs := streamFiles(t, path)
+	if !bytes.Equal(before, after) || len(recs) != len(recsBefore)+1 || !slices.EqualFunc(recs[:len(recsBefore)], recsBefore, bytes.Equal) {
+		t.Fatalf("the batch after the reload: base changed %v, records %d → %d", !bytes.Equal(before, after), len(recsBefore), len(recs))
+	}
+	loadEquivalent(t, loaded, path)
+}
+
+// sameFiles checks that the stream at path is still the base file fi with
+// the bytes base and the log records recs: nothing renamed, rewritten or
+// truncated.
+func sameFiles(t *testing.T, path string, fi os.FileInfo, base []byte, recs [][]byte) {
+	t.Helper()
+	fiNow, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, recsNow := streamFiles(t, path)
+	if !os.SameFile(fi, fiNow) || !bytes.Equal(b, base) || !slices.EqualFunc(recsNow, recs, bytes.Equal) {
+		t.Fatalf("the files changed: same base file %v, same base bytes %v, records %d → %d", os.SameFile(fi, fiNow), bytes.Equal(b, base), len(recs), len(recsNow))
+	}
 }
 
 // TestSnapshotRebaseCrashWindow: a crash after a base rewrite's rename but
@@ -226,32 +258,21 @@ func sameState(t *testing.T, what string, m *Miner, epoch uint64, want chaosStat
 	}
 }
 
-// TestChaosStreamCrashResume is the stream log's fault table, on the
-// io.Writer seam of its appends:
-//
-//   - kill: the process dies right after the k-th append, for every k of a
-//     20-batch windowed feed; the files reload to epoch k, and replaying the
-//     whole feed (ErrStale for what was applied) ends at the uninterrupted
-//     totals, which equal a from-scratch mine;
-//   - torn: the last record cut at every byte offset (a crash mid-append,
-//     before the batch was acknowledged) loads the previous epoch;
-//   - flip: a flipped byte in a complete record is ErrCorrupt.
-func TestChaosStreamCrashResume(t *testing.T) {
-	const nv, nBatches = 12, 20
-	p := pattern.MustNew([][]uint32{{0, 1}, {1, 2}}, nil)
-	feed := chaosFeed(nv, nBatches, 99)
-	cfg := func(path string, wrap func(io.Writer) io.Writer) Config {
-		return Config{NumVertices: nv, Window: 6, Snapshot: &FileSink{Path: path, wrap: wrap}}
-	}
-	run := func(m *Miner, feed []Batch) {
-		t.Helper()
-		for _, b := range feed {
-			if _, err := m.ApplyBatch(b); err != nil && !errors.Is(err, ErrStale) {
-				t.Fatalf("batch %d: %v", b.Seq, err)
-			}
+// runFeed applies feed to m; a batch it applied before answers ErrStale.
+func runFeed(t *testing.T, m *Miner, feed []Batch) {
+	t.Helper()
+	for _, b := range feed {
+		if _, err := m.ApplyBatch(b); err != nil && !errors.Is(err, ErrStale) {
+			t.Fatalf("batch %d: %v", b.Seq, err)
 		}
 	}
+}
 
+// chaosControl runs feed on a miner with no sink and the standing query p,
+// windowed as the chaos tests' persisting miners are, and returns it with
+// its state at every epoch from 0.
+func chaosControl(t *testing.T, nv int, p *pattern.Pattern, feed []Batch) (*Miner, []chaosState) {
+	t.Helper()
 	control, err := NewMiner(Config{NumVertices: nv, Window: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -261,9 +282,33 @@ func TestChaosStreamCrashResume(t *testing.T) {
 	}
 	want := []chaosState{stateOf(control)}
 	for _, b := range feed {
-		run(control, []Batch{b})
+		runFeed(t, control, []Batch{b})
 		want = append(want, stateOf(control))
 	}
+	return control, want
+}
+
+// TestChaosStreamCrashResume is the stream log's fault table, on the
+// io.Writer seam of its appends:
+//
+//   - kill: the process dies right after the k-th append, for every k of a
+//     20-batch windowed feed; the files reload to epoch k, and replaying the
+//     whole feed (ErrStale for what was applied) ends at the uninterrupted
+//     totals, which equal a from-scratch mine;
+//   - torn: the last record cut at every byte offset (a crash mid-append,
+//     before the batch was acknowledged) loads the previous epoch, read-only
+//     and with the sink; resumed with the sink, the feed appends after the
+//     intact records and reaches the uninterrupted totals, and so does a
+//     reload of the files it leaves;
+//   - flip: a flipped byte in a complete record is ErrCorrupt.
+func TestChaosStreamCrashResume(t *testing.T) {
+	const nv, nBatches = 12, 20
+	p := pattern.MustNew([][]uint32{{0, 1}, {1, 2}}, nil)
+	feed := chaosFeed(nv, nBatches, 99)
+	cfg := func(path string, wrap func(io.Writer) io.Writer) Config {
+		return Config{NumVertices: nv, Window: 6, Snapshot: &FileSink{Path: path, wrap: wrap}}
+	}
+	control, want := chaosControl(t, nv, p, feed)
 
 	for k := 1; k <= nBatches; k++ {
 		path := filepath.Join(t.TempDir(), "s.ohmt")
@@ -288,7 +333,7 @@ func TestChaosStreamCrashResume(t *testing.T) {
 			t.Fatalf("kill after %d: %v", k, err)
 		}
 		sameState(t, "resumed", resumed, uint64(k), want[k])
-		run(resumed, feed)
+		runFeed(t, resumed, feed)
 		sameState(t, "replayed", resumed, nBatches, want[nBatches])
 		resumed.Close()
 	}
@@ -308,7 +353,7 @@ func TestChaosStreamCrashResume(t *testing.T) {
 	}
 	var recs [][]byte
 	for i := 0; len(recs) < 2; i++ {
-		run(m, feed[i:i+1])
+		runFeed(t, m, feed[i:i+1])
 		_, _, recs = streamFiles(t, path)
 	}
 	m.Close()
@@ -321,7 +366,7 @@ func TestChaosStreamCrashResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	load := func(log []byte) (*Miner, error) {
+	files := func(log []byte) string {
 		t.Helper()
 		dst := filepath.Join(t.TempDir(), "s.ohmt")
 		if err := os.WriteFile(dst, base, 0o644); err != nil {
@@ -330,24 +375,207 @@ func TestChaosStreamCrashResume(t *testing.T) {
 		if err := os.WriteFile(dst+".log", log, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return LoadFile(dst, Config{})
+		return dst
 	}
 	last := len(log) - durable.FrameOverhead - len(recs[len(recs)-1])
 	for off := last; off < len(log); off++ {
-		torn, err := load(log[:off])
+		dst := files(log[:off])
+		torn, err := LoadFile(dst, Config{})
 		if err != nil {
 			t.Fatalf("last record torn at %d: %v", off, err)
 		}
 		sameState(t, "torn", torn, epoch-1, want[epoch-1])
+		// With the sink the torn tail is cut off and the feed appends after
+		// the intact records.
+		resumed, err := LoadFile(dst, cfg(dst, nil))
+		if err != nil {
+			t.Fatalf("last record torn at %d, resumed with the sink: %v", off, err)
+		}
+		sameState(t, "torn, resumed", resumed, epoch-1, want[epoch-1])
+		runFeed(t, resumed, feed)
+		sameState(t, "torn, replayed", resumed, nBatches, want[nBatches])
+		resumed.Close()
+		reloaded, err := LoadFile(dst, Config{})
+		if err != nil {
+			t.Fatalf("last record torn at %d, reloaded after the feed: %v", off, err)
+		}
+		sameState(t, "torn, reloaded", reloaded, nBatches, want[nBatches])
 	}
 	first := durable.LogHeaderLen
 	for i := first + 4; i < first+durable.FrameOverhead+len(recs[0]); i++ {
 		bad := bytes.Clone(log)
 		bad[i] ^= 0x01
-		if _, err := load(bad); !errors.Is(err, ErrCorrupt) {
+		if _, err := LoadFile(files(bad), Config{}); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("flip at %d of the first record: %v", i, err)
 		}
 	}
+}
+
+// TestChaosStreamRestartAppends: a restart with the sink reopens the log
+// and appends to it. Two restarts with no batch between them each leave the
+// base's file and bytes and the log's records as they were; the feed goes on
+// from the second until the process dies in the middle of an append, and a
+// reload is at the last acknowledged epoch; a restart with the sink that
+// replays the whole feed (ErrStale for what was applied) ends at the
+// uninterrupted totals, which equal a from-scratch mine.
+func TestChaosStreamRestartAppends(t *testing.T) {
+	const nv, nBatches = 12, 20
+	p := pattern.MustNew([][]uint32{{0, 1}, {1, 2}}, nil)
+	feed := chaosFeed(nv, nBatches, 41)
+	path := filepath.Join(t.TempDir(), "s.ohmt")
+	cfg := func(wrap func(io.Writer) io.Writer) Config {
+		return Config{NumVertices: nv, Window: 6, Snapshot: &FileSink{Path: path, wrap: wrap}}
+	}
+	control, want := chaosControl(t, nv, p, feed)
+
+	m, err := NewMiner(cfg(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RegisterQuery(p); err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for recs := [][]byte(nil); len(recs) < 2; next++ {
+		runFeed(t, m, feed[next:next+1])
+		_, _, recs = streamFiles(t, path)
+	}
+	m.Close()
+
+	for i := 1; i <= 2; i++ {
+		base, _, recs := streamFiles(t, path)
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := LoadFile(path, cfg(nil))
+		if err != nil {
+			t.Fatalf("restart %d: %v", i, err)
+		}
+		sameState(t, fmt.Sprintf("restart %d", i), r, uint64(next), want[next])
+		sameFiles(t, path, fi, base, recs)
+		r.Close()
+	}
+
+	start, acked := uint64(next), uint64(next)
+	r, err := LoadFile(path, cfg(func(w io.Writer) io.Writer { return &faultinject.CrashWriter{W: w, After: 4} }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ; ; next++ {
+		res, err := r.ApplyBatch(feed[next])
+		if errors.Is(err, faultinject.ErrKilled) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("batch %d: %v", feed[next].Seq, err)
+		}
+		acked = res.Epoch
+	}
+	r.Close() // the SIGKILL: the append in flight never landed
+	if acked != uint64(next) || acked != start+4 {
+		t.Fatalf("restarted at epoch %d, acknowledged up to epoch %d, died in batch %d; want 4 appends acknowledged", start, acked, next+1)
+	}
+	crashed, err := LoadFile(path, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameState(t, "after the crash", crashed, acked, want[acked])
+
+	resumed, err := LoadFile(path, cfg(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	runFeed(t, resumed, feed)
+	sameState(t, "replayed", resumed, nBatches, want[nBatches])
+	loadEquivalent(t, resumed, path)
+	if got, oracle := resumed.Queries()[0].Total, oracle(t, nv, control.LiveEdgeSets(), p, engine.Options{}); got != oracle {
+		t.Fatalf("resumed total %d, from-scratch mine %d", got, oracle)
+	}
+}
+
+// TestSnapshotRebaseRenameFails: a base rewrite whose rename fails (the
+// base's name is taken by a non-empty directory) fails the registration that
+// needed it and leaves the miner dirty; once the name is free again, the
+// next batch rewrites the base and is acknowledged, and the files reload to
+// the miner.
+func TestSnapshotRebaseRenameFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.ohmt")
+	m := buildStream(t, Config{Window: 4, Snapshot: &FileSink{Path: path}}, 1, 9)
+	defer m.Close()
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(path, "keep"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RegisterQuery(pattern.MustNew([][]uint32{{0, 1}, {1, 2}, {2, 3}}, nil)); err == nil {
+		t.Fatal("registration acknowledged with the base's rename failing")
+	}
+	if !m.dirty {
+		t.Fatal("the failed rewrite left the miner clean")
+	}
+	if err := os.RemoveAll(path); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	if _, err := m.ApplyBatch(Batch{Seq: 2, Add: randRaw(rng, 14, 3)}); err != nil {
+		t.Fatalf("the batch after the heal: %v", err)
+	}
+	if _, base, recs := streamFiles(t, path); m.dirty || base.Epoch != 2 || len(base.Queries) != 3 || len(recs) != 0 {
+		t.Fatalf("after the heal: dirty %v, base epoch %d with %d queries, %d records", m.dirty, base.Epoch, len(base.Queries), len(recs))
+	}
+	loadEquivalent(t, m, path)
+}
+
+// TestLoadFileRefusesOtherSink: LoadFile with a sink that names files other
+// than the ones it loads is refused, and neither stream's directory changes.
+// A sink naming the same files by another spelling is accepted.
+func TestLoadFileRefusesOtherSink(t *testing.T) {
+	dir, other := t.TempDir(), t.TempDir()
+	path := filepath.Join(dir, "s.ohmt")
+	m := buildStream(t, Config{Snapshot: &FileSink{Path: path}}, 4, 2)
+	m.Close()
+	if err := os.WriteFile(filepath.Join(other, "t.ohmt"), []byte("other"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() map[string]string {
+		files := map[string]string{}
+		for _, d := range []string{dir, other} {
+			ents, err := os.ReadDir(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range ents {
+				b, err := os.ReadFile(filepath.Join(d, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				files[filepath.Join(d, e.Name())] = string(b)
+			}
+		}
+		return files
+	}
+	before := listing()
+	for _, sink := range []string{filepath.Join(other, "t.ohmt"), filepath.Join(other, "s.ohmt"), filepath.Join(dir, "t.ohmt")} {
+		if loaded, err := LoadFile(path, Config{Snapshot: &FileSink{Path: sink}}); err == nil {
+			loaded.Close()
+			t.Fatalf("sink %s accepted for the stream at %s", sink, path)
+		}
+		if after := listing(); !maps.Equal(before, after) {
+			t.Fatalf("sink %s: the files changed from %v to %v", sink, before, after)
+		}
+	}
+	loaded, err := LoadFile(path, Config{Snapshot: &FileSink{Path: filepath.Join(dir, ".", "..", filepath.Base(dir), "s.ohmt")}})
+	if err != nil {
+		t.Fatalf("the same files spelled another way: %v", err)
+	}
+	defer loaded.Close()
+	minersEquivalent(t, m, loaded)
 }
 
 // TestSnapshotFailureSurfaced: a batch whose log append fails (a full disk)

@@ -9,9 +9,9 @@
 // FileSink keeps it as the base the stream's per-batch log extends (log.go).
 //
 // Retired edges are deliberately absent: resurrection assigns a fresh add
-// epoch anyway, so garbage is not semantic state. A resume from a base alone
-// starts compacted; one that replays a log keeps the edges its records
-// retired as garbage until the miner compacts.
+// epoch anyway, so garbage is not semantic state. A resume that replays a
+// log keeps the edges its records retired as garbage until the miner
+// compacts.
 package stream
 
 import (
@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"ohminer/internal/durable"
 	"ohminer/internal/pattern"
@@ -329,25 +330,18 @@ func (m *Miner) SnapshotState() *Snapshot {
 	return m.snapshotLocked()
 }
 
-// Load reconstructs a miner from a snapshot. The snapshot's semantic fields
-// (vertex universe, window, epoch, query counters) override cfg's; cfg
-// supplies the runtime knobs (engine options, sink).
-// Cumulative query totals continue exactly where the snapshot left them —
-// nothing is re-mined on load: baselines and deltas are durable state. With
-// cfg.Snapshot the miner starts compacted: the snapshot becomes the base
-// and the log starts empty.
-func Load(s *Snapshot, cfg Config) (*Miner, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return open(s, nil, cfg)
-}
-
-// LoadFile is Load over the files a FileSink writes: the base at path, with
-// the intact records of path+".log" replayed (log.go). A torn final record
-// (a crash mid-append, before its batch was acknowledged) is dropped; a
-// damaged complete one is ErrCorrupt.
+// LoadFile reconstructs a miner from the files a FileSink writes: the base
+// at path, whose semantic fields override cfg's, with the intact records of
+// path+".log" replayed (log.go); nothing is re-mined. A torn final record (a
+// crash mid-append, before its batch was acknowledged) is dropped; a damaged
+// complete one is ErrCorrupt. Without cfg.Snapshot the files are only read;
+// with it the log is reopened for appending as the cluster coordinator
+// reopens its WAL (a torn tail cut off, the base left as it is), and a sink
+// naming other files than path is refused.
 func LoadFile(path string, cfg Config) (*Miner, error) {
+	if cfg.Snapshot != nil && filepath.Clean(cfg.Snapshot.Path) != filepath.Clean(path) {
+		return nil, fmt.Errorf("stream: sink %q does not name the stream loaded from %q", cfg.Snapshot.Path, path)
+	}
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -356,21 +350,32 @@ func LoadFile(path string, cfg Config) (*Miner, error) {
 	if err != nil {
 		return nil, err
 	}
-	frames, err := durable.ReadLog(path+".log", logFormat)
+	var log *durable.Log
+	var frames [][]byte
+	if cfg.Snapshot != nil {
+		log, frames, err = durable.OpenLog(path+".log", logFormat, cfg.Snapshot.wrap)
+	} else {
+		frames, err = durable.ReadLog(path+".log", logFormat)
+	}
 	if errors.Is(err, durable.ErrCorrupt) {
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return open(s, frames, cfg)
+	m, err := open(s, frames, cfg)
+	if err == nil {
+		m.log, m.baseSize = log, int64(len(b))
+	} else if log != nil {
+		log.Close()
+	}
+	return m, err
 }
 
 // open makes a miner of the validated base s: it installs the base's edges
-// and queries, replays the log records frames, lays the store out once —
+// and queries, replays the log records frames and lays the store out once —
 // the edges the records retired stay in it, masked, until shouldCompact
-// removes them, as in a live miner — and, with cfg.Snapshot, rewrites the
-// base and empties the log.
+// removes them, as in a live miner. It writes nothing.
 func open(s *Snapshot, frames [][]byte, cfg Config) (*Miner, error) {
 	cfg.NumVertices = int(s.NumVertices)
 	cfg.Window = s.Window
@@ -397,12 +402,6 @@ func open(s *Snapshot, frames [][]byte, cfg Config) (*Miner, error) {
 	}
 	if err := m.layout(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if cfg.Snapshot != nil {
-		if err := m.rebase(); err != nil {
-			m.Close()
-			return nil, err
-		}
 	}
 	return m, nil
 }

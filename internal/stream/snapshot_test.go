@@ -39,6 +39,15 @@ func buildStream(t *testing.T, cfg Config, batches int, seed int64) *Miner {
 	return m
 }
 
+// loadSnapshot makes a read-only miner of a decoded snapshot, as LoadFile
+// does of a base with an empty log.
+func loadSnapshot(s *Snapshot) (*Miner, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return open(s, nil, Config{})
+}
+
 func minersEquivalent(t *testing.T, a, b *Miner) {
 	t.Helper()
 	if a.Epoch() != b.Epoch() || a.LiveEdges() != b.LiveEdges() {
@@ -55,7 +64,7 @@ func minersEquivalent(t *testing.T, a, b *Miner) {
 	}
 }
 
-// TestSnapshotRoundtrip: Marshal → Unmarshal → Load reproduces the miner,
+// TestSnapshotRoundtrip: Marshal → Unmarshal → loadSnapshot reproduces the miner,
 // and both copies stay in lockstep on further batches.
 func TestSnapshotRoundtrip(t *testing.T) {
 	m := buildStream(t, Config{Window: 5}, 6, 11)
@@ -67,7 +76,7 @@ func TestSnapshotRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Load(s, Config{})
+	m2, err := loadSnapshot(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +139,7 @@ func TestSnapshotCorruption(t *testing.T) {
 }
 
 // TestSnapshotValidateRejects: structurally well-framed but semantically
-// invalid snapshots are refused by Validate via Load.
+// invalid snapshots are refused by Validate via loadSnapshot.
 func TestSnapshotValidateRejects(t *testing.T) {
 	base := func() *Snapshot {
 		return &Snapshot{
@@ -165,12 +174,12 @@ func TestSnapshotValidateRejects(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := base()
 			tc.mut(s)
-			if _, err := Load(s, Config{}); err == nil {
+			if _, err := loadSnapshot(s); err == nil {
 				t.Fatal("accepted")
 			}
 		})
 	}
-	if _, err := Load(base(), Config{}); err != nil {
+	if _, err := loadSnapshot(base()); err != nil {
 		t.Fatalf("baseline refused: %v", err)
 	}
 }

@@ -78,9 +78,9 @@ type Config struct {
 
 	// Snapshot, when set, makes the stream durable: every applied batch
 	// appends one record to its log, fsynced before ApplyBatch returns, and
-	// the base snapshot is rewritten when the miner opens, on every
+	// the base snapshot is written when NewMiner creates the stream, on every
 	// (non-deduplicated) query registration and when the log outgrows it
-	// (log.go).
+	// (log.go). LoadFile reopens the files and appends to the log.
 	Snapshot *FileSink
 }
 

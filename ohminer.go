@@ -406,7 +406,11 @@ func NewStreamMiner(cfg StreamConfig) (*StreamMiner, error) { return stream.NewM
 
 // LoadStreamMiner resumes a streaming miner from the files a StreamFileSink
 // wrote at path (the base with its log replayed); cumulative query counts
-// continue exactly where the last acknowledged batch left them.
+// continue exactly where the last acknowledged batch left them. Without
+// cfg.Snapshot the files are only read. With it the miner appends its
+// batches to the log it replayed and rewrites the base by the sink's usual
+// rules, not on load; cfg.Snapshot.Path must be path, and a sink naming
+// other files is refused.
 func LoadStreamMiner(path string, cfg StreamConfig) (*StreamMiner, error) {
 	return stream.LoadFile(path, cfg)
 }
